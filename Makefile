@@ -1,12 +1,12 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint bench bench-guard profile
+.PHONY: check fmt vet build test lint bench-smoke bench bench-guard profile
 
 # BENCH_N is this PR's point on the perf trajectory: bump it each PR so
 # `make bench` appends a new BENCH_N.json and benchguard compares it
 # against the previous one.
 BENCH_N := 9
 
-check: fmt vet build test lint
+check: fmt vet build test lint bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +27,13 @@ test:
 # (//simlint:allow <analyzer> — <why>).
 lint:
 	go run ./tools/simlint ./...
+
+# bench-smoke vets and smoke-tests the repository benchmark (bench/, the
+# program behind BENCHMARK.json). It is a module of its own, so `./...`
+# above never builds it: this step is what notices an internal/* API change
+# that broke it.
+bench-smoke:
+	cd bench && go vet . && go test .
 
 bench: bench-guard
 	go test -bench . -benchtime 1x .

@@ -95,8 +95,7 @@ func Union(dst, src *wire.RowSet) *wire.RowSet {
 	if dst == nil {
 		dst = wire.NewRowSet(src.Batch)
 	}
-	dst.IDs = append(dst.IDs, src.IDs...)
-	dst.Vals = append(dst.Vals, src.Vals...)
+	dst.Append(src)
 	return dst
 }
 

@@ -62,8 +62,7 @@ func (l memLink) Send(op string, round, target int, rs *wire.RowSet) error {
 	// Copy, as a real transport serializes: the sender may keep mutating
 	// its accumulator.
 	cp := wire.NewRowSet(rs.Batch)
-	cp.IDs = append(cp.IDs, rs.IDs...)
-	cp.Vals = append(cp.Vals, rs.Vals...)
+	cp.Append(rs)
 	l.bus.put(op, round, l.rank, target, cp)
 	return nil
 }

@@ -35,7 +35,7 @@ type hybridChannel struct {
 	memoryChannel
 }
 
-func newHybridChannel(w *worker) *hybridChannel {
+func newHybridChannel() *hybridChannel {
 	hc := &hybridChannel{memoryChannel: memoryChannel{resentAt: make(map[string]int64)}}
 	hc.resolveBulk = hc.fetchBulk
 	return hc
@@ -93,9 +93,11 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 	var inline []func(p *sim.Proc) error // small pushes + pointer pushes
 	var puts []func(p *sim.Proc) error
 
-	for _, out := range outs {
+	var one [1][]byte
+	vals := valSlots(len(outs), &one) // inline values, shared per send group
+	for i, out := range outs {
 		if int(out.rs.RawBytes()) <= d.Cfg.HybridThresholdBytes {
-			task, err := hc.push(w, kind, layer, out.target, out.rs)
+			task, err := hc.push(w, kind, layer, outs, vals, i)
 			if err != nil {
 				return err
 			}
@@ -123,7 +125,8 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 		d.Env.Meter.HybridBulkValues++
 		d.Env.Meter.HybridBulkBytes += out.rs.RawBytes()
 		d.Env.Meter.HybridChunks += int64(len(chunks))
-		inline = append(inline, hc.pushRaw(w, kind, layer, out.target, encodeBulkPointer(len(chunks), prefix)))
+		ptr := encodeMemValue(kind, layer, w.id, encodeBulkPointer(len(chunks), prefix))
+		inline = append(inline, hc.pushVal(w, kind, layer, out.target, ptr))
 	}
 	if err := w.threadsN("bput", d.Cfg.HybridFanout, puts); err != nil {
 		return err

@@ -64,7 +64,7 @@ type bulkRef struct {
 	body []byte
 }
 
-func newMemoryChannel(w *worker) *memoryChannel {
+func newMemoryChannel() *memoryChannel {
 	return &memoryChannel{resentAt: make(map[string]int64)}
 }
 
@@ -113,26 +113,47 @@ func decodeMemValue(val []byte) (kind string, layer int, src int32, body []byte,
 	return string(parts[0]), layer, int32(src64), val[sep+1:], nil
 }
 
-// push encodes one (target, rows) entry, appends it to the target's
-// slot-routed inbox list (refreshing the run keyspace TTL) and records it
-// in the run's sender log for failover recovery. Even an empty row set is
-// pushed so the target learns the transfer is complete.
-func (mc *memoryChannel) push(w *worker, kind string, layer int, target int32, rs *wire.RowSet) (func(p *sim.Proc) error, error) {
+// push frames outs[i] and returns its RPUSH task (see pushVal). Even an
+// empty row set is pushed so the target learns the transfer is complete.
+// The header names kind, layer and source but no target, so the targets of
+// one send group — which share a row set — share one framed value too:
+// vals[j] is what outs[j] was pushed as, nil where it took another route.
+func (mc *memoryChannel) push(w *worker, kind string, layer int, outs []targetRows, vals [][]byte, i int) (func(p *sim.Proc) error, error) {
+	rs := outs[i].rs
 	if w.d.Cfg.Compress && rs.Len() > 0 {
 		w.ctx.Compress(rs.RawBytes())
 	}
-	body, err := wire.Encode(rs, w.d.Cfg.Compress)
-	if err != nil {
-		return nil, err
+	for j := 0; j < i && vals[i] == nil; j++ {
+		if outs[j].rs == rs {
+			vals[i] = vals[j]
+		}
 	}
-	return mc.pushRaw(w, kind, layer, target, body), nil
+	if vals[i] == nil {
+		body, err := wire.Encode(rs, w.d.Cfg.Compress)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = encodeMemValue(kind, layer, w.id, body)
+	}
+	return mc.pushVal(w, kind, layer, outs[i].target, vals[i]), nil
 }
 
-// pushRaw frames an already-encoded body and returns its RPUSH task,
-// recording the value in the run's sender log for failover recovery.
-func (mc *memoryChannel) pushRaw(w *worker, kind string, layer int, target int32, body []byte) func(p *sim.Proc) error {
-	val := encodeMemValue(kind, layer, w.id, body)
-	w.metrics.BytesSent += int64(len(body))
+// valSlots returns the slots through which push shares one batch's framed
+// values. A batch of one — every send at P=2, every collective hop — has
+// nothing to share and borrows the caller's stack slot.
+func valSlots(n int, one *[1][]byte) [][]byte {
+	if n <= 1 {
+		return one[:n]
+	}
+	return make([][]byte, n)
+}
+
+// pushVal returns the task that appends one framed value to the target's
+// slot-routed inbox list (refreshing the run keyspace TTL), and records the
+// value in the run's sender log for failover recovery.
+func (mc *memoryChannel) pushVal(w *worker, kind string, layer int, target int32, val []byte) func(p *sim.Proc) error {
+	// BytesSent counts the payload, not the header before the separator.
+	w.metrics.BytesSent += int64(len(val) - bytes.IndexByte(val, 0) - 1)
 	w.metrics.MessagesSent++
 	w.metrics.Publishes++
 	cl := w.d.kvcluster
@@ -148,15 +169,7 @@ func (mc *memoryChannel) pushRaw(w *worker, kind string, layer int, target int32
 }
 
 func (mc *memoryChannel) send(w *worker, layer int, outs []targetRows) error {
-	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
-	for _, out := range outs {
-		task, err := mc.push(w, "data", layer, out.target, out.rs)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, task)
-	}
-	return w.threads("push", tasks)
+	return mc.sendTaggedAll(w, "data", layer, outs)
 }
 
 func (mc *memoryChannel) receive(w *worker, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
@@ -287,8 +300,10 @@ func (mc *memoryChannel) sendTagged(w *worker, op string, round int, target int3
 
 func (mc *memoryChannel) sendTaggedAll(w *worker, op string, round int, outs []targetRows) error {
 	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
-	for _, out := range outs {
-		task, err := mc.push(w, op, round, out.target, out.rs)
+	var one [1][]byte
+	vals := valSlots(len(outs), &one)
+	for i := range outs {
+		task, err := mc.push(w, op, round, outs, vals, i)
 		if err != nil {
 			return err
 		}

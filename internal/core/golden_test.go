@@ -1,0 +1,114 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/collective"
+	"fsdinference/internal/model"
+	"fsdinference/internal/partition"
+)
+
+// resultDump renders every simulated field of a Result — latency, usage,
+// cost and each worker's full metrics — one line per worker, so a golden
+// mismatch can be diffed by eye.
+func resultDump(res *Result) string {
+	var b strings.Builder
+	copies := 0
+	for _, out := range res.AllOutputs {
+		if out != nil {
+			copies++
+		}
+	}
+	c := res.Cost
+	fmt.Fprintf(&b, "latency=%d launch=%d coord=%d batch=%d copies=%d\nusage=%+v\ncost=%v %v %v %v %v %v %v\n",
+		res.Latency, res.LaunchComplete, res.CoordinatorRuntime, res.Batch, copies, res.Usage,
+		c.Lambda, c.SNS, c.SQS, c.S3, c.EC2, c.KV, c.KVReplica)
+	for _, w := range res.Workers {
+		fmt.Fprintf(&b, "%+v\n", *w)
+	}
+	return b.String()
+}
+
+// TestGoldenResultP32 pins the simulated outcome of the collective_p32
+// shape (N=256x6, Block P=32, AllreduceOutput) on every channel under every
+// concrete topology to the values the engine produced before encoded
+// frames were shared across fan-out sends and collective forwards: host
+// work may be skipped, but every per-target charge must still be made.
+func TestGoldenResultP32(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12 P=32 runs")
+	}
+	golden := map[string]struct {
+		latency time.Duration
+		cost    string // Cost.Total(), %v
+		digest  string // sha256(resultDump)[:8], hex
+	}{
+		"FSD-Inf-Queue/flat":  {4439867174, "0.001875927079659213", "43eae9288b20a591"},
+		"FSD-Inf-Queue/tree":  {4960535372, "0.34259802274154144", "946f5a1df92de2f6"},
+		"FSD-Inf-Queue/ring":  {7750368184, "0.22595967438617806", "567cb2b39399289f"},
+		"FSD-Inf-Object/flat": {5863427758, "0.02656443547884284", "85d8893dc4992f1b"},
+		"FSD-Inf-Object/tree": {6052846030, "0.028218833844705953", "bd4254928fdc3dbb"},
+		"FSD-Inf-Object/ring": {9781703857, "0.0476438554179195", "5214cb9b64a3a90d"},
+		"FSD-Inf-Memory/flat": {3908609035, "0.002962353756485689", "e7a5e4335ce676d0"},
+		"FSD-Inf-Memory/tree": {3897992704, "0.0029576887505573884", "360b4b38e0c4b3bd"},
+		"FSD-Inf-Memory/ring": {3939270001, "0.0029786993274417395", "ea310868aa234897"},
+		"FSD-Inf-Hybrid/flat": {3933647401, "0.0031504056475615237", "05c1bf269d9362e1"},
+		"FSD-Inf-Hybrid/tree": {4063481612, "0.0032362920733615273", "10db3eeeaad19346"},
+		"FSD-Inf-Hybrid/ring": {3939270001, "0.0029786993274417395", "c71c0f8bc0ab6fcd"},
+	}
+
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 32, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 16, 0.2, 2)
+	want := model.Reference(m, input)
+
+	for _, kind := range []ChannelKind{Queue, Object, Memory, Hybrid} {
+		for _, alg := range collective.Algorithms() {
+			name := fmt.Sprintf("%v/%v", kind, alg)
+			t.Run(name, func(t *testing.T) {
+				d, err := Deploy(env.NewDefault(), Config{
+					Model: m, Plan: plan, Channel: kind, Collective: alg,
+					AllreduceOutput: true, Compress: true,
+					PollWait: 2 * time.Second, HybridThresholdBytes: 8 << 10,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := d.Infer(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// On the Queue channel under tree and ring the run ends (and
+				// its queues are torn down) when the root finishes, before
+				// every rank has received the broadcast; the dump pins how
+				// many copies exist, and every copy that does must be right.
+				if res.AllOutputs[0] == nil {
+					t.Fatal("root did not materialise the reduced output")
+				}
+				for id, out := range res.AllOutputs {
+					if out != nil && !model.OutputsClose(out, want, 1e-2) {
+						t.Fatalf("worker %d's copy diverges from reference inference", id)
+					}
+				}
+				dump := resultDump(res)
+				sum := sha256.Sum256([]byte(dump))
+				got := fmt.Sprintf("{%d, %q, %q}", res.Latency, fmt.Sprint(res.Cost.Total()), fmt.Sprintf("%x", sum[:8]))
+				g := golden[name]
+				if exp := fmt.Sprintf("{%d, %q, %q}", g.latency, g.cost, g.digest); got != exp {
+					t.Errorf("simulated result moved:\n got %q: %s,\nwant %q: %s,\n%s", name, got, name, exp, dump)
+				}
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,16 @@ type stagedKey struct {
 }
 
 // stagedModel holds one deployment shape's staging artifacts: store key →
-// encoded blob, and store key → the decoded weight block the blob encodes.
+// encoded blob, store key → the decoded weight block the blob encodes, and
+// the plan's send groups.
 type stagedModel struct {
 	blobs  map[string][]byte
 	blocks map[string]*sparse.CSR
+	// sendGroup[k][m][i] is the first entry of Plan.Sends[k][m] whose Rows
+	// equal entry i's (i itself when none precedes it). Targets that need
+	// the same rows of a worker form one group: the worker materialises and
+	// encodes the row set once and the service fans the bytes out.
+	sendGroup [][][]int
 }
 
 func stagedFor(cfg Config) *stagedModel {
@@ -64,11 +71,35 @@ func stagedFor(cfg Config) *stagedModel {
 				s.blocks[sk] = blk
 			}
 		}
+		s.sendGroup = groupSends(plan)
 	}
 	if v, loaded := stagedCache.LoadOrStore(key, s); loaded {
 		return v.(*stagedModel)
 	}
 	return s
+}
+
+// groupSends finds, per layer and worker, the send-map entries that list
+// identical rows (see stagedModel.sendGroup).
+func groupSends(plan *partition.Plan) [][][]int {
+	groups := make([][][]int, len(plan.Sends))
+	for k, layer := range plan.Sends {
+		groups[k] = make([][]int, len(layer))
+		for m, entries := range layer {
+			g := make([]int, len(entries))
+			for i := range entries {
+				g[i] = i
+				for j := 0; j < i; j++ {
+					if g[j] == j && slices.Equal(entries[j].Rows, entries[i].Rows) {
+						g[i] = j
+						break
+					}
+				}
+			}
+			groups[k][m] = g
+		}
+	}
+	return groups
 }
 
 // inputEncMemo caches the encoded staging payloads of an input matrix

@@ -177,9 +177,9 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	case Object:
 		w.ch = &objectChannel{}
 	case Memory:
-		w.ch = newMemoryChannel(w)
+		w.ch = newMemoryChannel()
 	case Hybrid:
-		w.ch = newHybridChannel(w)
+		w.ch = newHybridChannel()
 	default:
 		return nil, fmt.Errorf("core: worker launched with %v channel", d.Cfg.Channel)
 	}
@@ -509,20 +509,28 @@ func (w *worker) barrier() error {
 
 // extractSendRows materialises the layer's send map entries with data,
 // skipping rows that are entirely zero (the sparsity optimisation; the
-// channel still tells the target the transfer is complete). Serialization
-// work is charged here; the channel charges transport.
+// channel still tells the target the transfer is complete). Entries of one
+// send group share a single RowSet, so the channel's encode runs once per
+// group; serialization work is still charged here per target, and the
+// channel charges transport per target.
 func (w *worker) extractSendRows(k int) []targetRows {
 	entries := w.d.Cfg.Plan.Sends[k][w.id]
+	group := w.d.staged.sendGroup[k][w.id]
 	outs := make([]targetRows, 0, len(entries))
 	batch := w.run.batch
-	for _, e := range entries {
-		rs := wire.NewRowSetCap(batch, len(e.Rows))
-		for _, r := range e.Rows {
-			row := w.x[r]
-			if row == nil || allZero(row) {
-				continue
+	for i, e := range entries {
+		var rs *wire.RowSet
+		if g := group[i]; g < i {
+			rs = outs[g].rs
+		} else {
+			rs = wire.NewRowSetCap(batch, len(e.Rows))
+			for _, r := range e.Rows {
+				row := w.x[r]
+				if row == nil || allZero(row) {
+					continue
+				}
+				rs.Add(r, row)
 			}
-			rs.Add(r, row)
 		}
 		w.ctx.Serialize(rs.RawBytes())
 		w.metrics.RowsSent += int64(rs.Len())

@@ -1,0 +1,310 @@
+package wire
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+// clone rebuilds rs row by row: equal content, no memoised frame.
+func clone(rs *RowSet) *RowSet {
+	cp := NewRowSet(rs.Batch)
+	for i := 0; i < rs.Len(); i++ {
+		cp.Add(rs.IDs[i], rs.Row(i))
+	}
+	return cp
+}
+
+// freshEncode is what Encode produces for rs's content with no memo in
+// play: the reference every memo hit must equal byte for byte.
+func freshEncode(t testing.TB, rs *RowSet, compress bool) []byte {
+	t.Helper()
+	p, err := encode(clone(rs), compress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkEncode encodes rs twice under both flags and requires each result to
+// equal a fresh encode of the same content.
+func checkEncode(t testing.TB, what string, rs *RowSet) {
+	t.Helper()
+	for _, compress := range []bool{false, true} {
+		want := freshEncode(t, rs, compress)
+		for pass := 0; pass < 2; pass++ {
+			got, err := Encode(rs, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, compress=%v, pass %d: Encode differs from a fresh encode (%d vs %d bytes)",
+					what, compress, pass, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestMemoEqualsFreshEncodeProperty walks a row set through every way its
+// content or identity can change — Add, Append, Slice, Decode — and requires
+// Encode to return a fresh encode's bytes at each step, for both flags.
+func TestMemoEqualsFreshEncodeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rs := randomRowSet(rng, 40, 8, 0.4)
+		checkEncode(t, "new", rs)
+
+		row := make([]float32, rs.Batch)
+		row[0] = float32(rng.NormFloat64())
+		rs.Add(int32(rng.Intn(1<<20)), row)
+		checkEncode(t, "after Add", rs)
+
+		more := NewRowSet(rs.Batch)
+		for i := rng.Intn(10); i > 0; i-- {
+			more.Add(int32(rng.Intn(1<<20)), row)
+		}
+		rs.Append(more)
+		checkEncode(t, "after Append", rs)
+
+		lo := rng.Intn(rs.Len())
+		hi := lo + rng.Intn(rs.Len()-lo+1)
+		checkEncode(t, "Slice", rs.Slice(lo, hi))
+		checkEncode(t, "after Slice", rs)
+
+		for _, compress := range []bool{false, true} {
+			p, _ := Encode(rs, compress)
+			dec, err := Decode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEncode(t, "Decode", dec)
+			dec.Add(7, row)
+			checkEncode(t, "Decode then Add", dec)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeKeepsItsFrame pins the forward path: a decoded set re-encodes
+// under the flag it arrived with to the very bytes that were parsed,
+// without a compressor in sight, and mutating it lets go of them.
+func TestDecodeKeepsItsFrame(t *testing.T) {
+	rs := randomRowSet(rand.New(rand.NewSource(5)), 30, 8, 0.5)
+	row := make([]float32, rs.Batch)
+	rs.Add(1, row)
+	for _, compress := range []bool{false, true} {
+		p := freshEncode(t, rs, compress)
+		dec, err := Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := Encode(dec, compress)
+		if &again[0] != &p[0] {
+			t.Fatalf("compress=%v: forwarding a decoded set encoded it again", compress)
+		}
+		dec.Append(rs)
+		again, _ = Encode(dec, compress)
+		if &again[0] == &p[0] {
+			t.Fatalf("compress=%v: Append kept a frame that no longer describes the set", compress)
+		}
+	}
+}
+
+// TestDecodeDropsFramesEncodeWouldNotWrite: payloads that parse but that
+// Encode could not have produced must not become the set's frame.
+func TestDecodeDropsFramesEncodeWouldNotWrite(t *testing.T) {
+	rs := NewRowSet(4)
+	rs.Add(1, []float32{1, 2, 3, 4})
+	for _, compress := range []bool{false, true} {
+		p := freshEncode(t, rs, compress)
+
+		flagged := append([]byte{}, p...)
+		flagged[1] |= 0x80
+		trailing := append(append([]byte{}, p...), "junk"...)
+		cases := map[string][]byte{"unknown flag bit": flagged}
+		if compress { // a raw frame with trailing bytes does not parse at all
+			cases["trailing bytes"] = trailing
+		}
+		for name, b := range cases {
+			dec, err := Decode(b)
+			if err != nil {
+				t.Fatalf("compress=%v, %s: %v", compress, name, err)
+			}
+			got, _ := Encode(dec, compress)
+			if !bytes.Equal(got, p) {
+				t.Fatalf("compress=%v, %s: the hostile payload came back out of Encode", compress, name)
+			}
+		}
+	}
+}
+
+// referenceChunks is EncodeChunks as it was before frames were memoised:
+// every chunk a fresh encode of a Slice view.
+func referenceChunks(t testing.TB, rs *RowSet, limit int, compress bool) [][]byte {
+	t.Helper()
+	if rs.Len() == 0 {
+		return [][]byte{freshEncode(t, rs, compress)}
+	}
+	rowsPer := (limit - headerSize) / estRowBytes(rs, compress)
+	if rowsPer < 1 {
+		rowsPer = 1
+	}
+	var out [][]byte
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		p := freshEncode(t, rs.Slice(lo, hi), compress)
+		if len(p) > limit && hi-lo > 1 {
+			split(lo, (lo+hi)/2)
+			split((lo+hi)/2, hi)
+			return
+		}
+		out = append(out, p)
+	}
+	for lo := 0; lo < rs.Len(); lo += rowsPer {
+		hi := lo + rowsPer
+		if hi > rs.Len() {
+			hi = rs.Len()
+		}
+		split(lo, hi)
+	}
+	return out
+}
+
+// TestEncodeChunksUnchangedProperty: chunking a set — into one chunk (the
+// memoised whole-set frame), into many, or through the re-split path, and
+// again from the memo — yields exactly the chunks it always did.
+func TestEncodeChunksUnchangedProperty(t *testing.T) {
+	oneChunk, reSplit := 0, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		// Dense rows defeat the NNZ estimate's assumed compression ratio,
+		// so small limits reach the recursive re-split.
+		rs := randomRowSet(rng, 120, 16, []float64{0.05, 0.5, 1}[rng.Intn(3)])
+		compress := rng.Intn(2) == 0
+		for _, limit := range []int{128 + rng.Intn(512), 1 << 20} {
+			want := referenceChunks(t, rs, limit, compress)
+			for _, c := range want {
+				if len(c) > limit {
+					return true // a single row over the limit: EncodeChunks errors, nothing to compare
+				}
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := EncodeChunks(rs, limit, compress)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d limit %d: %d chunks, want %d", seed, limit, len(got), len(want))
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("seed %d limit %d pass %d: chunk %d differs", seed, limit, pass, i)
+					}
+				}
+			}
+			if len(want) == 1 {
+				oneChunk++
+			}
+			if est := EstimateChunks(rs, limit, compress); len(want) > est {
+				reSplit++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if oneChunk == 0 || reSplit == 0 {
+		t.Fatalf("cases not exercised: %d one-chunk, %d re-split", oneChunk, reSplit)
+	}
+}
+
+// TestEmptyFrameIsShared: the completion marker is one frame per (batch,
+// flag), however many empty sets ship it.
+func TestEmptyFrameIsShared(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		a, _ := Encode(NewRowSet(16), compress)
+		b, _ := Encode(NewRowSet(16), compress)
+		c, _ := Encode(NewRowSet(0), compress)
+		if &a[0] != &b[0] {
+			t.Fatalf("compress=%v: two empty batch-16 sets encoded separately", compress)
+		}
+		if bytes.Equal(a, c) {
+			t.Fatalf("compress=%v: batch 16 and batch 0 share a marker", compress)
+		}
+		if !bytes.Equal(a, freshEncode(t, NewRowSet(16), compress)) {
+			t.Fatalf("compress=%v: shared marker differs from a fresh encode", compress)
+		}
+	}
+}
+
+func TestAppendPanicsOnWrongWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong-width Append did not panic")
+		}
+	}()
+	NewRowSet(4).Append(NewRowSet(2))
+}
+
+// FuzzDecode: Decode never panics on hostile bytes, and whenever it accepts
+// a payload, Encode of the result — under either flag, from the kept frame
+// or from scratch — decodes to the same rows, and a kept frame is one that
+// ends where the parsed frame ended.
+func FuzzDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1)}
+	for _, rs := range sets {
+		for _, compress := range []bool{false, true} {
+			p, err := encode(rs, compress)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(p)
+			f.Add(p[:len(p)/2])
+			f.Add(p[:len(p)-1])
+			f.Add(append(append([]byte{}, p...), 0xF5, 0x01, 0x00))
+			flagged := append([]byte{}, p...)
+			flagged[1] ^= 0x02
+			f.Add(flagged)
+		}
+	}
+	f.Add([]byte{magic, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{magic, 0, 1, 0, 0, 0x40, 0, 0, 0, 0x40})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rs, err := Decode(b)
+		if err != nil {
+			return
+		}
+		for _, compress := range []bool{false, true} {
+			p, err := Encode(rs, compress)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted payload: %v", err)
+			}
+			if len(p) > 0 && &p[0] == &b[0] {
+				// Decode kept b as the frame: it must carry this flag alone
+				// and end where the frame ends.
+				if b[1] != 0 && b[1] != flagZlib || (b[1] == flagZlib) != compress {
+					t.Fatalf("compress=%v: kept a frame flagged %#x", compress, b[1])
+				}
+				if _, err := Decode(b[:len(b)-1]); err == nil {
+					t.Fatalf("compress=%v: kept a frame with bytes past its end", compress)
+				}
+			} else if !bytes.Equal(p, freshEncode(t, rs, compress)) {
+				t.Fatalf("compress=%v: Encode returned neither the parsed frame nor a fresh encode", compress)
+			}
+			back, err := Decode(p)
+			if err != nil {
+				t.Fatalf("compress=%v: decoding Encode's output: %v", compress, err)
+			}
+			if !rowSetsEqual(rs, back) {
+				t.Fatalf("compress=%v: Encode's output describes other rows than were decoded", compress)
+			}
+		}
+	})
+}

@@ -8,6 +8,17 @@
 // encoding for a single object per (source, target, layer). The chunker
 // aims to maximise utilisation of the allowed message size while grouping
 // and compressing rows only once, as the paper's send path does.
+//
+// The rule this package enforces for its callers: one encode per distinct
+// row set per worker; forwards pass frames through. The encoded frame is a
+// property of the RowSet — Encode memoises it on the set, Decode seeds it
+// with the payload it parsed, and the two mutators (Add, Append) drop it —
+// so a worker that ships one set to many targets, or a collective hop that
+// forwards the set it received, pays the compressor once and nobody outside
+// this package keeps a cache. How often that happens is a property of the
+// partition plan: on Block N=256 plans 16% of the send-map entries at P=8
+// and 37% at P=32 repeat another target's row list; on HGPDNN N=1024 P=8
+// (0 of 223) and Block N=1024 P=4 (0 of 144) none do.
 package wire
 
 import (
@@ -18,6 +29,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Encode/Decode sit on the serving replay hot path (every query stages an
@@ -39,11 +51,17 @@ const (
 )
 
 // RowSet is a set of activation rows in transit: row i has global neuron id
-// IDs[i] and Batch values at Vals[i*Batch : (i+1)*Batch].
+// IDs[i] and Batch values at Vals[i*Batch : (i+1)*Batch]. Once a set has
+// been through Encode or came out of Decode, change its rows only through
+// Add and Append: they are what keeps the memoised frame honest.
 type RowSet struct {
 	Batch int
 	IDs   []int32
 	Vals  []float32
+
+	// enc is the set's encoded frame per compress flag (index 1: zlib),
+	// nil until Encode produces or Decode seeds it.
+	enc [2][]byte
 }
 
 // NewRowSet returns an empty RowSet for the given batch width.
@@ -70,6 +88,17 @@ func (rs *RowSet) Add(id int32, vals []float32) {
 	}
 	rs.IDs = append(rs.IDs, id)
 	rs.Vals = append(rs.Vals, vals...)
+	rs.enc = [2][]byte{}
+}
+
+// Append adds every row of src, which must have the same batch width.
+func (rs *RowSet) Append(src *RowSet) {
+	if src.Batch != rs.Batch {
+		panic(fmt.Sprintf("wire: appending batch-%d rows to a batch-%d set", src.Batch, rs.Batch))
+	}
+	rs.IDs = append(rs.IDs, src.IDs...)
+	rs.Vals = append(rs.Vals, src.Vals...)
+	rs.enc = [2][]byte{}
 }
 
 // Len returns the number of rows.
@@ -108,31 +137,100 @@ func (rs *RowSet) Slice(lo, hi int) *RowSet {
 
 // Encode serializes the row set: a 2-byte magic/flags preamble, then batch
 // width, row count, row ids and values (little-endian). With compress set,
-// everything after the preamble is zlib-compressed.
+// everything after the preamble is zlib-compressed. The frame is memoised
+// on the set, so encoding an unchanged set again — for another target, or
+// at the next hop of a collective — returns the same bytes without running
+// the compressor; callers share the result and must not modify it.
 func Encode(rs *RowSet, compress bool) ([]byte, error) {
+	f := 0
+	if compress {
+		f = 1
+	}
+	if p := rs.enc[f]; p != nil {
+		return p, nil
+	}
+	var p []byte
+	var err error
+	if len(rs.IDs) == 0 {
+		p, err = emptyFrame(rs.Batch, compress)
+	} else {
+		p, err = encode(rs, compress)
+	}
+	if err != nil {
+		return nil, err
+	}
+	rs.enc[f] = p
+	return p, nil
+}
+
+// encode builds a fresh frame, allocating nothing but the frame itself.
+func encode(rs *RowSet, compress bool) ([]byte, error) {
+	n := 8 + len(rs.IDs)*4 + len(rs.Vals)*4
 	if !compress {
 		// Build the payload in place: at batch 4096 the body is megabytes,
 		// and an encode-then-append would copy all of it a second time.
-		out := make([]byte, 2+8+len(rs.IDs)*4+len(rs.Vals)*4)
+		out := make([]byte, 2+n)
 		out[0], out[1] = magic, 0
 		fillBody(out[2:], rs)
 		return out, nil
 	}
-	body := make([]byte, 8+len(rs.IDs)*4+len(rs.Vals)*4)
+	raw := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(raw)
+	raw.Reset()
+	raw.Grow(n)
+	body := raw.AvailableBuffer()[:n]
 	fillBody(body, rs)
-	var buf bytes.Buffer
+
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
 	buf.WriteByte(magic)
 	buf.WriteByte(flagZlib)
 	zw := zlibWriters.Get().(*zlib.Writer)
-	zw.Reset(&buf)
+	defer zlibWriters.Put(zw)
+	zw.Reset(buf)
 	if _, err := zw.Write(body); err != nil {
 		return nil, fmt.Errorf("wire: compressing payload: %w", err)
 	}
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("wire: closing compressor: %w", err)
 	}
-	zlibWriters.Put(zw)
-	return buf.Bytes(), nil
+	// An exact-size copy: the frame outlives the call on the set's memo, so
+	// it should not pin a grown buffer's slack.
+	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+}
+
+// emptyFrames holds the frame of the empty row set per (batch, flag) — the
+// completion marker every barrier hop and every all-zero send ships. It is
+// a constant of the format, so it is computed once per process; the cap
+// bounds what a stream of hostile batch widths could park here.
+var (
+	emptyFrames     sync.Map // emptyKey -> []byte
+	emptyFramesSize atomic.Int64
+)
+
+const emptyFramesCap = 4096
+
+type emptyKey struct {
+	batch    int
+	compress bool
+}
+
+func emptyFrame(batch int, compress bool) ([]byte, error) {
+	key := emptyKey{batch, compress}
+	if v, ok := emptyFrames.Load(key); ok {
+		return v.([]byte), nil
+	}
+	p, err := encode(&RowSet{Batch: batch}, compress)
+	if err != nil {
+		return nil, err
+	}
+	if emptyFramesSize.Load() < emptyFramesCap {
+		if _, loaded := emptyFrames.LoadOrStore(key, p); !loaded {
+			emptyFramesSize.Add(1)
+		}
+	}
+	return p, nil
 }
 
 // fillBody serializes the row set into body, which must be exactly
@@ -151,57 +249,78 @@ func fillBody(body []byte, rs *RowSet) {
 	}
 }
 
-// Decode parses a payload produced by Encode.
+// Decode parses a payload produced by Encode. The returned set keeps b as
+// its frame for b's flag, so forwarding it re-encodes nothing; the caller
+// must not modify b afterwards. Only a payload Encode could have framed is
+// kept: unknown flag bits or bytes trailing the compressed stream parse,
+// but do not describe the set.
 func Decode(b []byte) (*RowSet, error) {
 	if len(b) < 2 || b[0] != magic {
 		return nil, fmt.Errorf("wire: bad payload preamble")
 	}
-	body := b[2:]
-	var scratch *bytes.Buffer
-	if b[1]&flagZlib != 0 {
-		var zr io.ReadCloser
-		if v := zlibReaders.Get(); v != nil {
-			zr = v.(io.ReadCloser)
-			if err := zr.(zlib.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
-				return nil, fmt.Errorf("wire: opening decompressor: %w", err)
-			}
-		} else {
-			var err error
-			zr, err = zlib.NewReader(bytes.NewReader(body))
-			if err != nil {
-				return nil, fmt.Errorf("wire: opening decompressor: %w", err)
-			}
+	if b[1]&flagZlib == 0 {
+		rs, err := parseBody(b[2:])
+		if err == nil && b[1] == 0 {
+			rs.enc[0] = b
 		}
-		scratch = bodyBufs.Get().(*bytes.Buffer)
-		scratch.Reset()
-		if _, err := scratch.ReadFrom(zr); err != nil {
-			bodyBufs.Put(scratch)
-			return nil, fmt.Errorf("wire: decompressing payload: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			bodyBufs.Put(scratch)
-			return nil, fmt.Errorf("wire: closing decompressor: %w", err)
-		}
-		zlibReaders.Put(zr)
-		body = scratch.Bytes()
+		return rs, err
 	}
-	defer func() {
-		if scratch != nil {
-			bodyBufs.Put(scratch)
-		}
-	}()
+	src := bytes.NewReader(b[2:])
+	var err error
+	zr, pooled := zlibReaders.Get().(io.ReadCloser)
+	if pooled {
+		err = zr.(zlib.Resetter).Reset(src, nil)
+	} else {
+		zr, err = zlib.NewReader(src)
+	}
+	if zr != nil {
+		// Reset reinitialises the stream whatever state an error left it
+		// in, so the reader goes back to the pool on every path.
+		defer zlibReaders.Put(zr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wire: opening decompressor: %w", err)
+	}
+	scratch := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(scratch)
+	scratch.Reset()
+	if _, err := scratch.ReadFrom(zr); err != nil {
+		return nil, fmt.Errorf("wire: decompressing payload: %w", err)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("wire: closing decompressor: %w", err)
+	}
+	rs, err := parseBody(scratch.Bytes())
+	if err == nil && b[1] == flagZlib && src.Len() == 0 {
+		rs.enc[1] = b
+	}
+	return rs, err
+}
+
+// parseBody parses an uncompressed frame body into a fresh row set. The
+// header's counts come off the wire, so they are checked against the body's
+// length before anything is multiplied or allocated.
+func parseBody(body []byte) (*RowSet, error) {
 	if len(body) < 8 {
 		return nil, fmt.Errorf("wire: payload body too short (%d bytes)", len(body))
 	}
-	batch := int(binary.LittleEndian.Uint32(body[0:4]))
-	n := int(binary.LittleEndian.Uint32(body[4:8]))
-	want := 8 + n*4 + n*batch*4
-	if len(body) != want {
-		return nil, fmt.Errorf("wire: payload body is %d bytes, want %d (batch=%d rows=%d)",
-			len(body), want, batch, n)
+	batch := int64(binary.LittleEndian.Uint32(body[0:4]))
+	n := int64(binary.LittleEndian.Uint32(body[4:8]))
+	// n rows take n id words and n*batch value words; dividing instead of
+	// multiplying keeps hostile counts from overflowing.
+	words, odd := int64(len(body)-8)/4, (len(body)-8)%4
+	fits := odd == 0 && n <= words
+	if fits && n == 0 {
+		fits = words == 0
+	} else if fits {
+		fits = (words-n)%n == 0 && (words-n)/n == batch
+	}
+	if !fits {
+		return nil, fmt.Errorf("wire: payload body is %d bytes, not what batch=%d rows=%d needs",
+			len(body), batch, n)
 	}
 	rs := &RowSet{
-		Batch: batch,
+		Batch: int(batch),
 		IDs:   make([]int32, n),
 		Vals:  make([]float32, n*batch),
 	}
@@ -276,7 +395,11 @@ func EncodeChunks(rs *RowSet, limit int, compress bool) ([][]byte, error) {
 	var out [][]byte
 	var encode func(lo, hi int) error
 	encode = func(lo, hi int) error {
-		chunk := rs.Slice(lo, hi)
+		// A chunk that is the whole set is the set: its frame is memoised.
+		chunk := rs
+		if hi-lo < rs.Len() {
+			chunk = rs.Slice(lo, hi)
+		}
 		p, err := Encode(chunk, compress)
 		if err != nil {
 			return err

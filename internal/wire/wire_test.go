@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,8 @@ func rowSetsEqual(a, b *RowSet) bool {
 		}
 	}
 	for i := range a.Vals {
-		if a.Vals[i] != b.Vals[i] {
+		// By bits: NaNs a fuzzer finds must compare equal to themselves.
+		if math.Float32bits(a.Vals[i]) != math.Float32bits(b.Vals[i]) {
 			return false
 		}
 	}
