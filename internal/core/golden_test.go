@@ -34,6 +34,25 @@ func resultDump(res *Result) string {
 	return b.String()
 }
 
+// goldenCell is one pinned simulated outcome.
+type goldenCell struct {
+	latency time.Duration
+	cost    string // Cost.Total(), %v
+	digest  string // sha256(resultDump)[:8], hex
+}
+
+// checkGolden fails when any simulated field of res differs from the pinned
+// cell, printing the replacement cell and the full dump.
+func checkGolden(t *testing.T, name string, res *Result, g goldenCell) {
+	t.Helper()
+	dump := resultDump(res)
+	sum := sha256.Sum256([]byte(dump))
+	got := fmt.Sprintf("{%d, %q, %q}", res.Latency, fmt.Sprint(res.Cost.Total()), fmt.Sprintf("%x", sum[:8]))
+	if exp := fmt.Sprintf("{%d, %q, %q}", g.latency, g.cost, g.digest); got != exp {
+		t.Errorf("simulated result moved:\n got %q: %s,\nwant %q: %s,\n%s", name, got, name, exp, dump)
+	}
+}
+
 // TestGoldenResultP32 pins the simulated outcome of the collective_p32
 // shape (N=256x6, Block P=32, AllreduceOutput) on every channel under every
 // concrete topology to the values the engine produced before encoded
@@ -43,11 +62,7 @@ func TestGoldenResultP32(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 P=32 runs")
 	}
-	golden := map[string]struct {
-		latency time.Duration
-		cost    string // Cost.Total(), %v
-		digest  string // sha256(resultDump)[:8], hex
-	}{
+	golden := map[string]goldenCell{
 		"FSD-Inf-Queue/flat":  {4439867174, "0.001875927079659213", "43eae9288b20a591"},
 		"FSD-Inf-Queue/tree":  {4960535372, "0.34259802274154144", "946f5a1df92de2f6"},
 		"FSD-Inf-Queue/ring":  {7750368184, "0.22595967438617806", "567cb2b39399289f"},
@@ -101,14 +116,140 @@ func TestGoldenResultP32(t *testing.T) {
 						t.Fatalf("worker %d's copy diverges from reference inference", id)
 					}
 				}
-				dump := resultDump(res)
-				sum := sha256.Sum256([]byte(dump))
-				got := fmt.Sprintf("{%d, %q, %q}", res.Latency, fmt.Sprint(res.Cost.Total()), fmt.Sprintf("%x", sum[:8]))
-				g := golden[name]
-				if exp := fmt.Sprintf("{%d, %q, %q}", g.latency, g.cost, g.digest); got != exp {
-					t.Errorf("simulated result moved:\n got %q: %s,\nwant %q: %s,\n%s", name, got, name, exp, dump)
-				}
+				checkGolden(t, name, res, golden[name])
 			})
 		}
+	}
+}
+
+// TestGoldenChannelPaths pins the channel paths TestGoldenResultP32 does not
+// reach — chunked queue messages packed across targets, the Hybrid bulk
+// route, sender-log recovery after a lossy failover, short polling — to the
+// values the engine produced while each channel still carried its own
+// receive loop. Each cell first proves it reached its path.
+func TestGoldenChannelPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("includes a failover run")
+	}
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 4, partition.HGPDNN, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 8, 0.2, 2)
+	want := model.Reference(m, input)
+
+	// logicalSends is the number of values a flat barrier + gather run
+	// ships: one per send-map entry, P-1 up and P-1 down for the barrier,
+	// P-1 for the gather. More messages than that means values were chunked.
+	logicalSends := int64(3 * (plan.Workers - 1))
+	for k := range plan.Sends {
+		for _, entries := range plan.Sends[k] {
+			logicalSends += int64(len(entries))
+		}
+	}
+	sum := func(res *Result, f func(*WorkerMetrics) int64) int64 {
+		var n int64
+		for _, w := range res.Workers {
+			n += f(w)
+		}
+		return n
+	}
+
+	cells := []struct {
+		name    string
+		golden  goldenCell
+		env     func(*env.Config)
+		cfg     Config
+		arm     func(t *testing.T, e *env.Env, d *Deployment)
+		reached func(res *Result) bool
+	}{
+		{
+			name:   "queue/multichunk",
+			golden: goldenCell{2935422591, "0.00027344697153322084", "3344539aba2e3662"},
+			// A 512-byte publish cap puts most row sets past chunkLimit, and
+			// the tail chunks of several targets still share a publish batch.
+			env: func(c *env.Config) { c.SNS.MaxPayloadBytes = 512 },
+			cfg: Config{Channel: Queue, Compress: true, PollWait: 2 * time.Second},
+			reached: func(res *Result) bool {
+				msgs := sum(res, func(w *WorkerMetrics) int64 { return w.MessagesSent })
+				pubs := sum(res, func(w *WorkerMetrics) int64 { return w.Publishes })
+				return msgs > logicalSends && pubs < msgs
+			},
+		},
+		{
+			name:   "hybrid/bulk",
+			golden: goldenCell{2640058641, "0.0031226283142644154", "a0c0b6c37e3c942d"},
+			cfg: Config{
+				Channel: Hybrid, Compress: true,
+				HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10,
+			},
+			reached: func(res *Result) bool {
+				puts := sum(res, func(w *WorkerMetrics) int64 { return w.HybridPuts })
+				gets := sum(res, func(w *WorkerMetrics) int64 { return w.HybridGets })
+				return res.Usage.HybridBulkValues >= int64(plan.Layers) && puts > res.Usage.HybridBulkValues && gets == puts
+			},
+		},
+		{
+			name:   "memory/lossy-failover",
+			golden: goldenCell{3837149222, "0.007584763424156326", "fe2f526328deb925"},
+			cfg: Config{
+				Channel: Memory, Compress: true, KVNodes: 2, KVReplicas: 0,
+				KVFailoverWindow: 2 * time.Second, KVReplicationLag: 300 * time.Millisecond,
+			},
+			// 1.8s is mid-launch (see TestMidRunFailoverByReplicationMode):
+			// parked layer-0 values die with the shard and must be re-sent.
+			arm: func(t *testing.T, e *env.Env, d *Deployment) {
+				e.K.At(1800*time.Millisecond, func() {
+					if err := d.KVCluster().KillNode(0); err != nil {
+						t.Errorf("kill: %v", err)
+					}
+				})
+			},
+			reached: func(res *Result) bool {
+				return sum(res, func(w *WorkerMetrics) int64 { return w.Resends }) > 0
+			},
+		},
+		{
+			name:   "queue/shortpoll",
+			golden: goldenCell{2969419257, "0.000279109998978293", "780fe548d4c9f676"},
+			cfg:    Config{Channel: Queue, Compress: true, PollWait: 0},
+			reached: func(res *Result) bool {
+				return sum(res, func(w *WorkerMetrics) int64 { return w.Polls }) >
+					sum(res, func(w *WorkerMetrics) int64 { return w.Fetches })
+			},
+		},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			ecfg := env.DefaultConfig()
+			if c.env != nil {
+				c.env(&ecfg)
+			}
+			e := env.New(ecfg)
+			cfg := c.cfg
+			cfg.Model, cfg.Plan = m, plan
+			d, err := Deploy(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.arm != nil {
+				c.arm(t, e, d)
+			}
+			res, err := d.Infer(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !model.OutputsClose(res.Output, want, 1e-2) {
+				t.Fatal("output diverges from reference inference")
+			}
+			if !c.reached(res) {
+				t.Fatalf("cell did not reach the path it pins:\n%s", resultDump(res))
+			}
+			checkGolden(t, c.name, res, c.golden)
+		})
 	}
 }
