@@ -1,12 +1,12 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint bench-smoke bench bench-guard profile
+.PHONY: check fmt vet build test lint bench-smoke fuzz-smoke loc bench bench-guard profile
 
 # BENCH_N is this PR's point on the perf trajectory: bump it each PR so
 # `make bench` appends a new BENCH_N.json and benchguard compares it
 # against the previous one.
 BENCH_N := 9
 
-check: fmt vet build test lint bench-smoke
+check: fmt vet build test lint bench-smoke fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -34,6 +34,28 @@ lint:
 # that broke it.
 bench-smoke:
 	cd bench && go vet . && go test .
+
+# fuzz-smoke runs every native fuzz target for FUZZTIME each: the decoders
+# that parse bytes off simulated wires must return errors, never panic, on
+# hostile input. `go test -fuzz` takes one target and one package per run;
+# the targets are found by name, so a new Fuzz* function is picked up
+# without editing this file.
+FUZZTIME := 10s
+fuzz-smoke:
+	@grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u | while read -r dir; do \
+		for target in $$(grep -h -o '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			echo "fuzz $$dir $$target"; \
+			go test $$dir -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
+	done
+
+# loc prints non-test, non-blank, non-comment Go lines per package: the
+# count every CHANGES.md entry reports its net change in.
+loc:
+	@go list -f '{{.Dir}}' ./... | while read -r dir; do \
+		files=$$(ls $$dir/*.go | grep -v '_test\.go$$'); \
+		printf '%6d %s\n' $$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) .$${dir#$(CURDIR)}; \
+	done | awk '{ n += $$1; print } END { printf "%6d total\n", n }'
 
 bench: bench-guard
 	go test -bench . -benchtime 1x .

@@ -603,25 +603,6 @@ func DeadlineObjective(deadline time.Duration) PlanObjective {
 	return plan.DeadlineObjective(deadline)
 }
 
-// Legacy one-shot selection, now a thin wrapper over the Planner: the
-// weighted objective, no pre-filter, no workload profile — identical
-// picks to the pre-Planner implementation.
-type (
-	// AutoSelectOptions tunes automatic configuration selection.
-	AutoSelectOptions = plan.AutoSelectOptions
-	// Selection reports the chosen configuration and trial measurements.
-	Selection = plan.Selection
-)
-
-// AutoSelect trials serial/queue/object/memory candidates across a worker
-// grid and returns the configuration minimising a weighted latency/cost
-// objective. Workload-aware callers should prefer NewPlanner, whose
-// Plan(WorkloadProfile) amortises provisioned idle billing over the
-// observed daily volume.
-func AutoSelect(m *Model, opts AutoSelectOptions) (*Selection, error) {
-	return plan.AutoSelect(m, opts)
-}
-
 // DefaultWorkerMemoryMB returns the paper's worker sizing for a neuron
 // count.
 func DefaultWorkerMemoryMB(neurons int) int { return core.DefaultWorkerMemoryMB(neurons) }

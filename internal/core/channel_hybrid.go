@@ -10,10 +10,12 @@ import (
 )
 
 // hybridChannel implements FSD-Inf-Hybrid: per-message channel selection
-// in the FMI style. Every logical value still announces itself through the
-// in-memory store inbox — the ordering, buffering and failover machinery
-// of the Memory channel apply unchanged — but the payload's route depends
-// on its size:
+// in the FMI style. It owns no service: it is a routing policy over the
+// Memory transport and the object-store helpers the Object channel uses.
+// Every logical value still announces itself through the in-memory store
+// inbox — the Memory transport's framing and failover recovery and the
+// shared loop's ordering and buffering apply unchanged — but the payload's
+// route depends on its size:
 //
 //   - control traffic and sparse activations at or under
 //     HybridThresholdBytes travel inline through the store, paying its
@@ -32,13 +34,22 @@ import (
 // object storage across a store failover, so replaying the pointer is a
 // complete re-delivery.
 type hybridChannel struct {
-	memoryChannel
+	// mem carries every inline value and every pointer frame.
+	mem *memoryChannel
+	// bulk holds the pointer frames the current gather set aside.
+	bulk []bulkRef
 }
 
-func newHybridChannel() *hybridChannel {
-	hc := &hybridChannel{memoryChannel: memoryChannel{resentAt: make(map[string]int64)}}
-	hc.resolveBulk = hc.fetchBulk
-	return hc
+// bulkRef is one deferred bulk-pointer frame: the source that announced
+// it, and how many chunks it parked under which key prefix.
+type bulkRef struct {
+	src    int32
+	chunks int
+	prefix string
+}
+
+func newHybridChannel(w *worker) *hybridChannel {
+	return &hybridChannel{mem: newMemoryChannel(w)}
 }
 
 // bulkMagic marks a pointer frame in an inbox value body. It is distinct
@@ -63,32 +74,28 @@ func decodeBulkPointer(body []byte) (chunks int, prefix string, err error) {
 	if !isBulkPointer(body) {
 		return 0, "", fmt.Errorf("core: not a bulk pointer frame")
 	}
-	s := string(body[1:])
-	colon := strings.IndexByte(s, ':')
-	if colon < 0 {
-		return 0, "", fmt.Errorf("core: malformed bulk pointer %q", s)
+	digits, prefix, found := strings.Cut(string(body[1:]), ":")
+	chunks, ok := parseDecimal(digits)
+	if !found || !ok || chunks < 1 {
+		return 0, "", fmt.Errorf("core: malformed bulk pointer %q", body[1:])
 	}
-	chunks, err = strconv.Atoi(s[:colon])
-	if err != nil || chunks < 1 {
-		return 0, "", fmt.Errorf("core: malformed bulk chunk count %q", s)
-	}
-	return chunks, s[colon+1:], nil
+	return chunks, prefix, nil
 }
 
-func (hc *hybridChannel) bulkPrefix(w *worker, kind string, layer int, target int32) string {
-	return fmt.Sprintf("%s/bulk/%s/%d/%d_%d", w.run.id, kind, layer, w.id, target)
+func bulkPrefix(w *worker, t tag, target int32) string {
+	return fmt.Sprintf("%s/bulk/%s/%d/%d_%d", w.run.id, t.kind, t.layer, w.id, target)
 }
 
 func chunkKey(prefix string, i int) string {
 	return prefix + "/" + strconv.Itoa(i)
 }
 
-// sendAll routes one batch of values: small ones become inline inbox
+// send routes one batch of values: small ones become inline inbox
 // pushes; bulk ones park their chunks in object storage first (all
 // targets' chunks through one HybridFanout-wide pool), then announce
 // themselves with pointer pushes. The chunk PUTs complete before any
 // pointer is pushed, so a receiver's GETs never race the upload.
-func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targetRows) error {
+func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 	d := w.d
 	var inline []func(p *sim.Proc) error // small pushes + pointer pushes
 	var puts []func(p *sim.Proc) error
@@ -97,7 +104,7 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 	vals := valSlots(len(outs), &one) // inline values, shared per send group
 	for i, out := range outs {
 		if int(out.rs.RawBytes()) <= d.Cfg.HybridThresholdBytes {
-			task, err := hc.push(w, kind, layer, outs, vals, i)
+			task, err := hc.mem.push(w, t, outs, vals, i)
 			if err != nil {
 				return err
 			}
@@ -105,19 +112,14 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 			d.Env.Meter.HybridSmallValues++
 			continue
 		}
-		if d.Cfg.Compress {
-			w.ctx.Compress(out.rs.RawBytes())
-		}
-		chunks, err := wire.EncodeChunks(out.rs, d.Cfg.HybridChunkBytes, d.Cfg.Compress)
+		chunks, err := w.encodeChunks(out.rs, d.Cfg.HybridChunkBytes)
 		if err != nil {
 			return err
 		}
-		bucket := d.buckets[int(out.target)%len(d.buckets)]
-		prefix := hc.bulkPrefix(w, kind, layer, out.target)
-		for i, c := range chunks {
-			c := c
-			key := chunkKey(prefix, i)
-			puts = append(puts, func(p *sim.Proc) error { return bucket.Put(p, key, c) })
+		bucket := w.bucketFor(out.target)
+		prefix := bulkPrefix(w, t, out.target)
+		for ci, c := range chunks {
+			puts = append(puts, putTask(bucket, chunkKey(prefix, ci), c))
 			w.metrics.BytesSent += int64(len(c))
 		}
 		w.metrics.MessagesSent += int64(len(chunks))
@@ -125,8 +127,8 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 		d.Env.Meter.HybridBulkValues++
 		d.Env.Meter.HybridBulkBytes += out.rs.RawBytes()
 		d.Env.Meter.HybridChunks += int64(len(chunks))
-		ptr := encodeMemValue(kind, layer, w.id, encodeBulkPointer(len(chunks), prefix))
-		inline = append(inline, hc.pushVal(w, kind, layer, out.target, ptr))
+		ptr := encodeMemValue(t, w.id, encodeBulkPointer(len(chunks), prefix))
+		inline = append(inline, hc.mem.pushVal(w, t, out.target, ptr))
 	}
 	if err := w.threadsN("bput", d.Cfg.HybridFanout, puts); err != nil {
 		return err
@@ -134,43 +136,58 @@ func (hc *hybridChannel) sendAll(w *worker, kind string, layer int, outs []targe
 	return w.threads("push", inline)
 }
 
-// fetchBulk resolves the pointer frames one receive loop collected:
-// every named chunk, across all sources, streams back from object
-// storage through a single HybridFanout-wide pool — one pool round
-// amortises the store's read latency over the whole gather — then each
-// source's chunks decode and deliver in pointer-arrival order.
-func (hc *hybridChannel) fetchBulk(w *worker, pending []bulkRef, deliver func(src int32, rs *wire.RowSet)) error {
-	// The chunk objects live in the bucket keyed by this worker (the
-	// send-side routed by target).
-	bucket := w.d.buckets[int(w.id)%len(w.d.buckets)]
-	bodies := make([][][]byte, len(pending))
-	var tasks []func(p *sim.Proc) error
-	for pi, ref := range pending {
-		chunks, prefix, err := decodeBulkPointer(ref.body)
-		if err != nil {
-			return err
-		}
-		bodies[pi] = make([][]byte, chunks)
-		for i := 0; i < chunks; i++ {
-			pi, i := pi, i
-			key := chunkKey(prefix, i)
-			tasks = append(tasks, func(p *sim.Proc) error {
-				b, err := bucket.Get(p, key)
-				if err != nil {
-					return err
-				}
-				bodies[pi][i] = b
-				return nil
-			})
-		}
-	}
-	w.metrics.HybridGets += int64(len(tasks))
-	if err := w.threadsN("bget", w.d.Cfg.HybridFanout, tasks); err != nil {
+// gather runs the shared loop over the memory transport's inbox with a
+// decode step that sets pointer frames aside, then resolves them. The
+// pointer frames themselves travel (and replay after a failover) through
+// the inbox like any other value; their resolution waits until the gather
+// completes so one pool round amortises the object store's read latency
+// over every bulk source instead of paying it per source.
+func (hc *hybridChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
+	hc.bulk = hc.bulk[:0]
+	if err := w.gatherLoop(t, sources, hc.mem, hc.decode, deliver); err != nil {
 		return err
 	}
-	for pi, ref := range pending {
-		for _, b := range bodies[pi] {
-			rs, err := w.decodePayload(b)
+	if len(hc.bulk) == 0 {
+		return nil
+	}
+	return hc.fetchBulk(w, deliver)
+}
+
+// decode sets a pointer frame aside for fetchBulk — its source is complete
+// as far as the inbox is concerned — and decodes an inline value in place.
+func (hc *hybridChannel) decode(w *worker, src int32, body []byte) (*wire.RowSet, error) {
+	if !isBulkPointer(body) {
+		return decodePayload(w, src, body)
+	}
+	chunks, prefix, err := decodeBulkPointer(body)
+	if err != nil {
+		return nil, err
+	}
+	hc.bulk = append(hc.bulk, bulkRef{src: src, chunks: chunks, prefix: prefix})
+	return nil, nil
+}
+
+// fetchBulk resolves the pointer frames one gather set aside: every named
+// chunk, across all sources, streams back from object storage through a
+// single HybridFanout-wide pool, then each source's chunks decode and
+// deliver in pointer-arrival order.
+func (hc *hybridChannel) fetchBulk(w *worker, deliver func(src int32, rs *wire.RowSet)) error {
+	var keys []string
+	for _, ref := range hc.bulk {
+		for i := 0; i < ref.chunks; i++ {
+			keys = append(keys, chunkKey(ref.prefix, i))
+		}
+	}
+	w.metrics.HybridGets += int64(len(keys))
+	// The chunk objects live in the bucket keyed by this worker (the
+	// send side routed by target).
+	bodies, err := w.getBodies("bget", w.d.Cfg.HybridFanout, w.bucketFor(w.id), keys)
+	if err != nil {
+		return err
+	}
+	for _, ref := range hc.bulk {
+		for _, b := range bodies[:ref.chunks] {
+			rs, err := decodePayload(w, ref.src, b)
 			if err != nil {
 				return err
 			}
@@ -178,18 +195,7 @@ func (hc *hybridChannel) fetchBulk(w *worker, pending []bulkRef, deliver func(sr
 				deliver(ref.src, rs)
 			}
 		}
+		bodies = bodies[ref.chunks:]
 	}
 	return nil
-}
-
-func (hc *hybridChannel) send(w *worker, layer int, outs []targetRows) error {
-	return hc.sendAll(w, "data", layer, outs)
-}
-
-func (hc *hybridChannel) sendTagged(w *worker, op string, round int, target int32, rs *wire.RowSet) error {
-	return hc.sendAll(w, op, round, []targetRows{{target: target, rs: rs}})
-}
-
-func (hc *hybridChannel) sendTaggedAll(w *worker, op string, round int, outs []targetRows) error {
-	return hc.sendAll(w, op, round, outs)
 }

@@ -38,45 +38,27 @@ type memoryChannel struct {
 	// client caches the cluster topology; a failover charges it one
 	// redirect round trip.
 	client kvcluster.Client
-	// resentAt tracks, per "kind:layer" phase, the cluster loss counter
-	// up to which sender-buffer recovery already ran, so each lossy
-	// failover triggers at most one re-send sweep per phase. The floor
-	// for phases that never recovered is the run's baseLost: losses
-	// predating the run cannot concern it, but a kill mid-run concerns
-	// every worker — including instances that launch after it.
-	resentAt map[string]int64
-	// resolveBulk, when set (Hybrid channel), resolves the bulk-pointer
-	// frames a receive loop collected: each frame names chunks parked in
-	// object storage, and the hook fetches every named chunk — across all
-	// pointers — through one wide transfer pool, then delivers them. The
-	// pointer frames themselves still travel (and replay after a
-	// failover) through the in-memory inbox like any other value; the
-	// receive loop defers their resolution until the gather completes so
-	// one pool round amortises the object store's read latency over every
-	// bulk source instead of paying it per source.
-	resolveBulk func(w *worker, pending []bulkRef, deliver func(src int32, rs *wire.RowSet)) error
+	// inbox is this worker's per-run inbox list key.
+	inbox string
+	// resentAt tracks, per tag, the cluster loss counter up to which
+	// sender-buffer recovery already ran, so each lossy failover triggers
+	// at most one re-send sweep per phase. The floor for phases that never
+	// recovered is the run's baseLost: losses predating the run cannot
+	// concern it, but a kill mid-run concerns every worker — including
+	// instances that launch after it.
+	resentAt map[tag]int64
 }
 
-// bulkRef is one deferred bulk-pointer frame: the source that announced
-// it and the raw pointer body naming its parked chunks.
-type bulkRef struct {
-	src  int32
-	body []byte
-}
-
-func newMemoryChannel() *memoryChannel {
-	return &memoryChannel{resentAt: make(map[string]int64)}
+func newMemoryChannel(w *worker) *memoryChannel {
+	return &memoryChannel{inbox: inboxKey(w.run.id, w.id), resentAt: make(map[tag]int64)}
 }
 
 // sentValue is one sender-log entry: the framed inbox value a worker
 // pushed, with enough addressing to replay it for a starved receiver.
 type sentValue struct {
-	kind   string
-	layer  int
-	src    int32
-	target int32
-	val    []byte
-	ttl    time.Duration
+	tag tag
+	src int32
+	val []byte
 }
 
 func inboxKey(runID string, target int32) string {
@@ -85,32 +67,24 @@ func inboxKey(runID string, target int32) string {
 
 // encodeMemValue frames one inbox value: a "kind:layer:src" header, a NUL
 // separator, then the wire-encoded (possibly compressed) row set.
-func encodeMemValue(kind string, layer int, src int32, body []byte) []byte {
-	header := kind + ":" + strconv.Itoa(layer) + ":" + strconv.Itoa(int(src))
+func encodeMemValue(t tag, src int32, body []byte) []byte {
+	header := t.kind + ":" + strconv.Itoa(t.layer) + ":" + strconv.Itoa(int(src))
 	val := make([]byte, 0, len(header)+1+len(body))
 	val = append(val, header...)
 	val = append(val, 0)
 	return append(val, body...)
 }
 
-func decodeMemValue(val []byte) (kind string, layer int, src int32, body []byte, err error) {
-	sep := bytes.IndexByte(val, 0)
-	if sep < 0 {
-		return "", 0, 0, nil, fmt.Errorf("core: malformed memory-channel value (no header)")
+func decodeMemValue(val []byte) (t tag, src int32, body []byte, err error) {
+	header, body, framed := bytes.Cut(val, []byte{0})
+	kind, rest, _ := bytes.Cut(header, []byte(":"))
+	layerDigits, srcDigits, _ := bytes.Cut(rest, []byte(":"))
+	layer, layerOK := parseDecimal(string(layerDigits))
+	s, srcOK := parseDecimal(string(srcDigits))
+	if !framed || !layerOK || !srcOK {
+		return tag{}, 0, nil, fmt.Errorf("core: malformed memory-channel value header %q", header)
 	}
-	parts := bytes.SplitN(val[:sep], []byte(":"), 3)
-	if len(parts) != 3 {
-		return "", 0, 0, nil, fmt.Errorf("core: malformed memory-channel header %q", val[:sep])
-	}
-	layer, err = strconv.Atoi(string(parts[1]))
-	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("core: malformed memory-channel layer: %w", err)
-	}
-	src64, err := strconv.Atoi(string(parts[2]))
-	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("core: malformed memory-channel source: %w", err)
-	}
-	return string(parts[0]), layer, int32(src64), val[sep+1:], nil
+	return tag{string(kind), layer}, int32(s), body, nil
 }
 
 // push frames outs[i] and returns its RPUSH task (see pushVal). Even an
@@ -118,10 +92,11 @@ func decodeMemValue(val []byte) (kind string, layer int, src int32, body []byte,
 // The header names kind, layer and source but no target, so the targets of
 // one send group — which share a row set — share one framed value too:
 // vals[j] is what outs[j] was pushed as, nil where it took another route.
-func (mc *memoryChannel) push(w *worker, kind string, layer int, outs []targetRows, vals [][]byte, i int) (func(p *sim.Proc) error, error) {
+func (mc *memoryChannel) push(w *worker, t tag, outs []targetRows, vals [][]byte, i int) (func(p *sim.Proc) error, error) {
 	rs := outs[i].rs
-	if w.d.Cfg.Compress && rs.Len() > 0 {
-		w.ctx.Compress(rs.RawBytes())
+	body, err := w.encodeFrame(rs)
+	if err != nil {
+		return nil, err
 	}
 	for j := 0; j < i && vals[i] == nil; j++ {
 		if outs[j].rs == rs {
@@ -129,13 +104,9 @@ func (mc *memoryChannel) push(w *worker, kind string, layer int, outs []targetRo
 		}
 	}
 	if vals[i] == nil {
-		body, err := wire.Encode(rs, w.d.Cfg.Compress)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = encodeMemValue(kind, layer, w.id, body)
+		vals[i] = encodeMemValue(t, w.id, body)
 	}
-	return mc.pushVal(w, kind, layer, outs[i].target, vals[i]), nil
+	return mc.pushVal(w, t, outs[i].target, vals[i]), nil
 }
 
 // valSlots returns the slots through which push shares one batch's framed
@@ -151,7 +122,7 @@ func valSlots(n int, one *[1][]byte) [][]byte {
 // pushVal returns the task that appends one framed value to the target's
 // slot-routed inbox list (refreshing the run keyspace TTL), and records the
 // value in the run's sender log for failover recovery.
-func (mc *memoryChannel) pushVal(w *worker, kind string, layer int, target int32, val []byte) func(p *sim.Proc) error {
+func (mc *memoryChannel) pushVal(w *worker, t tag, target int32, val []byte) func(p *sim.Proc) error {
 	// BytesSent counts the payload, not the header before the separator.
 	w.metrics.BytesSent += int64(len(val) - bytes.IndexByte(val, 0) - 1)
 	w.metrics.MessagesSent++
@@ -162,18 +133,26 @@ func (mc *memoryChannel) pushVal(w *worker, kind string, layer int, target int32
 	if w.run.sent == nil {
 		w.run.sent = make(map[int32][]sentValue)
 	}
-	w.run.sent[target] = append(w.run.sent[target], sentValue{
-		kind: kind, layer: layer, src: w.id, target: target, val: val, ttl: ttl,
-	})
+	w.run.sent[target] = append(w.run.sent[target], sentValue{tag: t, src: w.id, val: val})
 	return func(p *sim.Proc) error { return cl.RPush(p, &mc.client, key, val, ttl) }
 }
 
-func (mc *memoryChannel) send(w *worker, layer int, outs []targetRows) error {
-	return mc.sendTaggedAll(w, "data", layer, outs)
+func (mc *memoryChannel) send(w *worker, t tag, outs []targetRows) error {
+	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
+	var one [1][]byte
+	vals := valSlots(len(outs), &one)
+	for i := range outs {
+		task, err := mc.push(w, t, outs, vals, i)
+		if err != nil {
+			return err
+		}
+		tasks = append(tasks, task)
+	}
+	return w.threads("push", tasks)
 }
 
-func (mc *memoryChannel) receive(w *worker, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return mc.collect(w, "data", layer, sources, deliver)
+func (mc *memoryChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
+	return w.gatherLoop(t, sources, mc, decodePayload, deliver)
 }
 
 // blockWait is the BLPOP block per receive-loop iteration. Blocking reads
@@ -181,81 +160,22 @@ func (mc *memoryChannel) receive(w *worker, layer int, sources []int32, deliver 
 // the wait is fixed rather than taken from Config.PollWait.
 const blockWait = time.Second
 
-// collect runs the memory-channel receive loop for any value kind: BLPOP
-// the worker's inbox, deliver matching values, and buffer values for
-// future phases (a fast upstream worker may already be pushing the next
-// layer). One value completes one source for the (kind, layer). A
-// starved read after a lossy cluster failover triggers one sender-buffer
-// re-send sweep for the phase's missing sources.
-func (mc *memoryChannel) collect(w *worker, kind string, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	cl := w.d.kvcluster
-	key := inboxKey(w.run.id, w.id)
-	remaining := make(map[int32]bool, len(sources))
-	for _, s := range sources {
-		remaining[s] = true
+// poll is the store's arrival source: BLPOP the worker's inbox and read the
+// value's tag and source from its header; one value is one source's whole
+// transfer. A starved read after a lossy cluster failover triggers one
+// sender-buffer re-send sweep for the phase's missing sources.
+func (mc *memoryChannel) poll(w *worker, g *gathering) error {
+	w.metrics.Polls++
+	val := w.d.kvcluster.BLPop(w.ctx.P, &mc.client, mc.inbox, blockWait)
+	if val == nil {
+		return mc.recover(w, g)
 	}
-
-	var bulk []bulkRef
-	process := func(src int32, body []byte) error {
-		if !remaining[src] {
-			return nil // duplicate or foreign source
-		}
-		if mc.resolveBulk != nil && isBulkPointer(body) {
-			bulk = append(bulk, bulkRef{src: src, body: body})
-			delete(remaining, src)
-			return nil
-		}
-		rs, err := w.decodePayload(body)
-		if err != nil {
-			return err
-		}
-		if deliver != nil && rs.Len() > 0 {
-			deliver(src, rs)
-		}
-		delete(remaining, src)
-		return nil
+	w.metrics.Fetches++
+	t, src, body, err := decodeMemValue(val)
+	if err != nil {
+		return err
 	}
-
-	// Drain anything buffered by earlier phases first.
-	pkey := pendKey(kind, layer)
-	for _, pm := range w.pending[pkey] {
-		if err := process(pm.src, pm.body); err != nil {
-			return err
-		}
-	}
-	delete(w.pending, pkey)
-
-	for len(remaining) > 0 {
-		if w.ctx.Remaining() <= 0 {
-			return fmt.Errorf("core: worker %d out of runtime collecting %s/layer %d", w.id, kind, layer)
-		}
-		w.metrics.Polls++
-		val := cl.BLPop(w.ctx.P, &mc.client, key, blockWait)
-		if val == nil {
-			if err := mc.recover(w, kind, layer, pkey, remaining); err != nil {
-				return err
-			}
-			continue
-		}
-		w.metrics.Fetches++
-		vkind, vlayer, src, body, err := decodeMemValue(val)
-		if err != nil {
-			return err
-		}
-		if vkind == kind && vlayer == layer {
-			if err := process(src, body); err != nil {
-				return err
-			}
-			continue
-		}
-		// Buffer for the phase that expects it.
-		k := pendKey(vkind, vlayer)
-		w.pending[k] = append(w.pending[k], pendingMsg{src: src, chunks: 1, seq: 0, body: body})
-	}
-	if len(bulk) > 0 {
-		return mc.resolveBulk(w, bulk, deliver)
-	}
-	return nil
+	return g.arrive(w, arrival{tag: t, src: src, chunks: 1, body: body})
 }
 
 // recover runs after a starved blocking read: if the cluster lost values
@@ -267,51 +187,25 @@ func (mc *memoryChannel) collect(w *worker, kind string, layer int, sources []in
 // they starve. Quorum-replicated clusters never lose values, so this
 // never fires for them and the failover stays hidden behind the
 // promotion stall.
-func (mc *memoryChannel) recover(w *worker, kind string, layer int, pkey string, remaining map[int32]bool) error {
+func (mc *memoryChannel) recover(w *worker, g *gathering) error {
 	lost := w.d.kvcluster.LostValues()
-	floor, seen := mc.resentAt[pkey]
+	floor, seen := mc.resentAt[g.tag]
 	if !seen {
 		floor = w.run.baseLost
 	}
 	if lost <= floor {
 		return nil
 	}
-	mc.resentAt[pkey] = lost
-	key := inboxKey(w.run.id, w.id)
+	mc.resentAt[g.tag] = lost
 	for _, sv := range w.run.sent[w.id] {
-		if sv.kind != kind || sv.layer != layer || !remaining[sv.src] {
+		if sv.tag != g.tag || !g.wants(sv.src) {
 			continue
 		}
 		w.metrics.Resends++
 		w.d.Env.Meter.KVResends++
-		if err := w.d.kvcluster.RPush(w.ctx.P, &mc.client, key, sv.val, sv.ttl); err != nil {
+		if err := w.d.kvcluster.RPush(w.ctx.P, &mc.client, mc.inbox, sv.val, w.d.Cfg.FunctionTimeout); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sendTagged ships one row set under an (op, round) tag — the collective
-// algorithms' point-to-point primitive, riding the same inbox framing as
-// the data path.
-func (mc *memoryChannel) sendTagged(w *worker, op string, round int, target int32, rs *wire.RowSet) error {
-	return mc.sendTaggedAll(w, op, round, []targetRows{{target: target, rs: rs}})
-}
-
-func (mc *memoryChannel) sendTaggedAll(w *worker, op string, round int, outs []targetRows) error {
-	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
-	var one [1][]byte
-	vals := valSlots(len(outs), &one)
-	for i := range outs {
-		task, err := mc.push(w, op, round, outs, vals, i)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, task)
-	}
-	return w.threads("push", tasks)
-}
-
-func (mc *memoryChannel) gatherTagged(w *worker, op string, round int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return mc.collect(w, op, round, sources, deliver)
 }

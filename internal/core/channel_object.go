@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"fsdinference/internal/cloud/s3"
@@ -19,115 +18,102 @@ import (
 // buckets and prefixes spread I/O to stay inside provider API quotas.
 type objectChannel struct{}
 
-func (oc *objectChannel) bucketFor(w *worker, target int32) *s3.Bucket {
-	return w.d.buckets[int(target)%len(w.d.buckets)]
+// bucketFor returns the bucket that holds what is addressed to worker id
+// (bucket-{n%B}): senders route by target, receivers read their own.
+func (w *worker) bucketFor(id int32) *s3.Bucket {
+	return w.d.buckets[int(id)%len(w.d.buckets)]
 }
 
-func (oc *objectChannel) dataKey(w *worker, phase string, layer int, src, target int32, empty bool) string {
-	ext := ".dat"
-	if empty {
-		ext = ".nul"
+// putTask is the thread-pool task that writes one object.
+func putTask(b *s3.Bucket, key string, body []byte) func(p *sim.Proc) error {
+	return func(p *sim.Proc) error { return b.Put(p, key, body) }
+}
+
+// getBodies GETs keys from bucket through a width-wide thread pool named
+// name; bodies[i] is the object under keys[i].
+func (w *worker) getBodies(name string, width int, bucket *s3.Bucket, keys []string) ([][]byte, error) {
+	bodies := make([][]byte, len(keys))
+	tasks := make([]func(p *sim.Proc) error, len(keys))
+	for i, key := range keys {
+		i, key := i, key
+		tasks[i] = func(p *sim.Proc) error {
+			b, err := bucket.Get(p, key)
+			if err != nil {
+				return err
+			}
+			bodies[i] = b
+			return nil
+		}
 	}
-	return fmt.Sprintf("%s/%s/%d/%d/%d_%d%s", w.run.id, phase, layer, target, src, target, ext)
+	return bodies, w.threadsN(name, width, tasks)
 }
 
-func (oc *objectChannel) prefix(w *worker, phase string, layer int, target int32) string {
-	return fmt.Sprintf("%s/%s/%d/%d/", w.run.id, phase, layer, target)
+// objectPrefix is the "{run}/{kind}/{layer}/{target}/" prefix a target
+// scans for one tag.
+func objectPrefix(w *worker, t tag, target int32) string {
+	return fmt.Sprintf("%s/%s/%d/%d/", w.run.id, t.kind, t.layer, target)
 }
 
-// put writes one object for each (target, rows) entry from the thread pool.
-func (oc *objectChannel) put(w *worker, phase string, layer int, outs []targetRows) error {
+func objectKey(w *worker, t tag, src, target int32, ext string) string {
+	return fmt.Sprintf("%s%d_%d%s", objectPrefix(w, t, target), src, target, ext)
+}
+
+// send writes one object for each (target, rows) entry from the thread pool.
+func (objectChannel) send(w *worker, t tag, outs []targetRows) error {
 	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
 	for _, out := range outs {
-		out := out
-		bucket := oc.bucketFor(w, out.target)
-		if out.rs.Len() == 0 {
-			key := oc.dataKey(w, phase, layer, w.id, out.target, true)
-			tasks = append(tasks, func(p *sim.Proc) error { return bucket.Put(p, key, nil) })
-			w.metrics.MessagesSent++
-			w.metrics.Publishes++
-			continue
+		ext, body := ".nul", []byte(nil)
+		if out.rs.Len() > 0 {
+			var err error
+			if body, err = w.encodeFrame(out.rs); err != nil {
+				return err
+			}
+			ext = ".dat"
+			w.metrics.BytesSent += int64(len(body))
 		}
-		if w.d.Cfg.Compress {
-			w.ctx.Compress(out.rs.RawBytes())
-		}
-		body, err := wire.Encode(out.rs, w.d.Cfg.Compress)
-		if err != nil {
-			return err
-		}
-		key := oc.dataKey(w, phase, layer, w.id, out.target, false)
-		w.metrics.BytesSent += int64(len(body))
 		w.metrics.MessagesSent++
 		w.metrics.Publishes++
-		tasks = append(tasks, func(p *sim.Proc) error { return bucket.Put(p, key, body) })
+		tasks = append(tasks, putTask(w.bucketFor(out.target), objectKey(w, t, w.id, out.target, ext), body))
 	}
 	return w.threads("put", tasks)
 }
 
-func (oc *objectChannel) send(w *worker, layer int, outs []targetRows) error {
-	return oc.put(w, "data", layer, outs)
+func (oc objectChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
+	return w.gatherLoop(t, sources, oc, decodePayload, deliver)
 }
 
-func (oc *objectChannel) receive(w *worker, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return oc.scanCollect(w, "data", layer, sources, deliver)
-}
-
-// scanCollect runs the Algorithm 2 receive loop: repeatedly scan the
-// worker's single bucket/prefix, drop ".nul" markers, ignore files from
-// already-received sources, and fetch the rest in parallel threads.
-func (oc *objectChannel) scanCollect(w *worker, phase string, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	bucket := oc.bucketFor(w, w.id)
-	prefix := oc.prefix(w, phase, layer, w.id)
-	remaining := make(map[int32]bool, len(sources))
-	for _, s := range sources {
-		remaining[s] = true
-	}
-	for len(remaining) > 0 {
-		if w.ctx.Remaining() <= 0 {
-			return fmt.Errorf("core: worker %d out of runtime scanning %s/layer %d", w.id, phase, layer)
+// poll is the object store's arrival source (Algorithm 2 lines 10-21): scan
+// the worker's single bucket/prefix, ignore files from foreign or
+// already-received sources, take a ".nul" marker as an arrival with nothing
+// to read (line 14), and fetch the rest in parallel threads.
+func (objectChannel) poll(w *worker, g *gathering) error {
+	bucket := w.bucketFor(w.id)
+	keys := bucket.List(w.ctx.P, objectPrefix(w, g.tag, w.id))
+	w.metrics.Polls++
+	var fetch []string
+	var fetchSrc []int32
+	for _, key := range keys {
+		src, ext, ok := parseObjectKey(key)
+		if !ok || !g.wants(src) {
+			continue
 		}
-		keys := bucket.List(w.ctx.P, prefix)
-		w.metrics.Polls++
-		var fetch []string
-		var fetchSrc []int32
-		for _, key := range keys {
-			src, ext, ok := parseObjectKey(key)
-			if !ok || !remaining[src] {
-				continue // foreign or already-received source
-			}
-			if ext == ".nul" {
-				delete(remaining, src) // nothing to read (Algorithm 2 line 14)
-				continue
-			}
-			delete(remaining, src)
-			fetch = append(fetch, key)
-			fetchSrc = append(fetchSrc, src)
-		}
-		bodies := make([][]byte, len(fetch))
-		w.metrics.Fetches += int64(len(fetch))
-		tasks := make([]func(p *sim.Proc) error, len(fetch))
-		for i, key := range fetch {
-			i, key := i, key
-			tasks[i] = func(p *sim.Proc) error {
-				b, err := bucket.Get(p, key)
-				if err != nil {
-					return err
-				}
-				bodies[i] = b
-				return nil
-			}
-		}
-		if err := w.threads("get", tasks); err != nil {
-			return err
-		}
-		for i, body := range bodies {
-			rs, err := w.decodePayload(body)
-			if err != nil {
+		if ext == ".nul" {
+			if err := g.arrive(w, arrival{tag: g.tag, src: src, chunks: 1}); err != nil {
 				return err
 			}
-			if deliver != nil && rs.Len() > 0 {
-				deliver(fetchSrc[i], rs)
-			}
+			continue
+		}
+		fetch = append(fetch, key)
+		fetchSrc = append(fetchSrc, src)
+	}
+	w.metrics.Fetches += int64(len(fetch))
+	bodies, err := w.getBodies("get", w.d.Cfg.Threads, bucket, fetch)
+	if err != nil {
+		return err
+	}
+	for i, body := range bodies {
+		if err := g.arrive(w, arrival{tag: g.tag, src: fetchSrc[i], chunks: 1, body: body}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -135,12 +121,8 @@ func (oc *objectChannel) scanCollect(w *worker, phase string, layer int, sources
 
 // parseObjectKey extracts the source worker id and extension from a
 // ".../{src}_{target}.{dat|nul}" object key.
-func parseObjectKey(key string) (int32, string, bool) {
-	base := key
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		base = base[i+1:]
-	}
-	var ext string
+func parseObjectKey(key string) (src int32, ext string, ok bool) {
+	base := key[strings.LastIndexByte(key, '/')+1:]
 	switch {
 	case strings.HasSuffix(base, ".dat"):
 		ext = ".dat"
@@ -149,29 +131,10 @@ func parseObjectKey(key string) (int32, string, bool) {
 	default:
 		return 0, "", false
 	}
-	base = strings.TrimSuffix(base, ext)
-	us := strings.IndexByte(base, '_')
-	if us < 0 {
+	digits, _, found := strings.Cut(strings.TrimSuffix(base, ext), "_")
+	n, ok := parseDecimal(digits)
+	if !found || !ok {
 		return 0, "", false
 	}
-	src, err := strconv.Atoi(base[:us])
-	if err != nil {
-		return 0, "", false
-	}
-	return int32(src), ext, true
-}
-
-// sendTagged ships one row set under an (op, round) tag — the collective
-// algorithms' point-to-point primitive, written as an ordinary
-// "{op}/{round}" phase object the target's scan loop picks up.
-func (oc *objectChannel) sendTagged(w *worker, op string, round int, target int32, rs *wire.RowSet) error {
-	return oc.put(w, op, round, []targetRows{{target: target, rs: rs}})
-}
-
-func (oc *objectChannel) sendTaggedAll(w *worker, op string, round int, outs []targetRows) error {
-	return oc.put(w, op, round, outs)
-}
-
-func (oc *objectChannel) gatherTagged(w *worker, op string, round int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return oc.scanCollect(w, op, round, sources, deliver)
+	return int32(n), ext, true
 }

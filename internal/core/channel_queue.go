@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"fsdinference/internal/cloud/pricing"
@@ -19,23 +18,26 @@ import (
 // policies on (target, run) — consumption is partitioned by run id, so
 // concurrent runs of one deployment never steal each other's messages —
 // and targets long-poll their queue and delete after processing.
-type queueChannel struct{}
+type queueChannel struct {
+	// queue is the worker's run-scoped queue, looked up as each gather
+	// begins. A run's queues are unbound the moment its root finishes, so a
+	// gather still in flight on another rank keeps polling the queue it
+	// started on — the tree/ring AllreduceOutput teardown defect the golden
+	// test pins; looking the queue up per poll would change how it fails.
+	queue *sqs.Queue
+}
 
 // attrOverhead approximates the billed bytes of message attributes.
 const attrOverhead = 96
 
-func (qc *queueChannel) chunkLimit(w *worker) int {
-	return w.d.Env.SNS.Config().MaxPayloadBytes - attrOverhead
-}
-
 // buildMessages encodes one target's row set into chunked messages carrying
 // the paper's attributes: source worker id, total byte strings for this
-// (source, target, layer), and the message layer.
-func (qc *queueChannel) buildMessages(w *worker, kind string, layer int, target int32, rs *wire.RowSet) ([]sqs.Message, error) {
-	if w.d.Cfg.Compress {
-		w.ctx.Compress(rs.RawBytes())
-	}
-	chunks, err := wire.EncodeChunks(rs, qc.chunkLimit(w), w.d.Cfg.Compress)
+// (source, target, layer), and the message layer — kind and layer together
+// being the tag.
+func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowSet) ([]sqs.Message, error) {
+	// The largest body that still fits a publish next to its attributes.
+	limit := w.d.Env.SNS.Config().MaxPayloadBytes - attrOverhead
+	chunks, err := w.encodeChunks(rs, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -45,8 +47,8 @@ func (qc *queueChannel) buildMessages(w *worker, kind string, layer int, target 
 			Body: c,
 			Attributes: map[string]string{
 				"run":    w.run.id,
-				"kind":   kind,
-				"layer":  strconv.Itoa(layer),
+				"kind":   t.kind,
+				"layer":  strconv.Itoa(t.layer),
 				"src":    strconv.Itoa(int(w.id)),
 				"target": strconv.Itoa(int(target)),
 				"chunks": strconv.Itoa(len(chunks)),
@@ -63,7 +65,7 @@ func (qc *queueChannel) buildMessages(w *worker, kind string, layer int, target 
 // packBatches greedily packs messages (possibly for different targets) into
 // publish batches respecting the service's entry-count and payload limits —
 // a single publish can serve up to 10 targets at once (§IV-C).
-func (qc *queueChannel) packBatches(w *worker, msgs []sqs.Message) [][]sqs.Message {
+func (*queueChannel) packBatches(w *worker, msgs []sqs.Message) [][]sqs.Message {
 	cfg := w.d.Env.SNS.Config()
 	var batches [][]sqs.Message
 	var cur []sqs.Message
@@ -86,7 +88,7 @@ func (qc *queueChannel) packBatches(w *worker, msgs []sqs.Message) [][]sqs.Messa
 // publish ships batches to this worker's source-keyed topic from the
 // communication thread pool, keeping the worker-side billed-publish ledger
 // used by the cost-model validation.
-func (qc *queueChannel) publish(w *worker, batches [][]sqs.Message) error {
+func (*queueChannel) publish(w *worker, batches [][]sqs.Message) error {
 	topic := w.d.topics[int(w.id)%len(w.d.topics)]
 	tasks := make([]func(p *sim.Proc) error, len(batches))
 	for i, b := range batches {
@@ -102,10 +104,10 @@ func (qc *queueChannel) publish(w *worker, batches [][]sqs.Message) error {
 	return w.threads("pub", tasks)
 }
 
-func (qc *queueChannel) send(w *worker, layer int, outs []targetRows) error {
+func (qc *queueChannel) send(w *worker, t tag, outs []targetRows) error {
 	var msgs []sqs.Message
 	for _, out := range outs {
-		ms, err := qc.buildMessages(w, "data", layer, out.target, out.rs)
+		ms, err := qc.buildMessages(w, t, out.target, out.rs)
 		if err != nil {
 			return err
 		}
@@ -114,136 +116,43 @@ func (qc *queueChannel) send(w *worker, layer int, outs []targetRows) error {
 	return qc.publish(w, qc.packBatches(w, msgs))
 }
 
-func (qc *queueChannel) receive(w *worker, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return qc.collect(w, "data", layer, sources, deliver)
+func (qc *queueChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
+	qc.queue = w.run.queues[w.id]
+	return w.gatherLoop(t, sources, qc, decodePayload, deliver)
 }
 
-// collect runs the Algorithm 1 receive loop for any message kind: poll the
-// worker's dedicated queue, deliver matching messages, buffer messages for
-// future phases (a fast source may already be publishing the next layer),
-// and delete processed messages. A source is complete when all its
-// announced byte strings for this (kind, layer) have arrived.
-func (qc *queueChannel) collect(w *worker, kind string, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	queue := w.run.queues[w.id]
-	key := pendKey(kind, layer)
-
-	type progress struct {
-		seen  map[int]bool
-		total int
-	}
-	remaining := make(map[int32]*progress, len(sources))
-	for _, s := range sources {
-		remaining[s] = &progress{seen: make(map[int]bool), total: -1}
-	}
-
-	// process handles one byte string, deduplicating redeliveries by
-	// chunk sequence number: standard queues deliver at least once, and a
-	// visibility timeout elapsing mid-processing must not double-count.
-	process := func(src int32, chunks, seq int, body []byte) error {
-		pr, ok := remaining[src]
-		if !ok || pr.seen[seq] {
-			return nil // completed source or duplicate chunk
+// poll is the queue's arrival source (Algorithm 1 lines 9-15): long-poll
+// the worker's run-scoped queue, read each message's tag and chunk position
+// from its attributes, and delete the batch once it is processed.
+func (qc *queueChannel) poll(w *worker, g *gathering) error {
+	msgs := qc.queue.Receive(w.ctx.P, 10, w.d.Cfg.PollWait)
+	w.metrics.Polls++
+	w.metrics.Fetches += int64(len(msgs))
+	handles := make([]string, 0, len(msgs))
+	for _, m := range msgs {
+		handles = append(handles, m.ReceiptHandle)
+		if m.Attributes["run"] != w.run.id {
+			// Defensive: the (target, run) subscription filter should
+			// make foreign-run messages impossible.
+			continue
 		}
-		pr.seen[seq] = true
-		pr.total = chunks
-		rs, err := w.decodePayload(body)
+		layer, _ := strconv.Atoi(m.Attributes["layer"])
+		src, _ := strconv.Atoi(m.Attributes["src"])
+		chunks, _ := strconv.Atoi(m.Attributes["chunks"])
+		seq, _ := strconv.Atoi(m.Attributes["seq"])
+		err := g.arrive(w, arrival{
+			tag: tag{m.Attributes["kind"], layer}, src: int32(src),
+			chunks: chunks, seq: seq, body: m.Body,
+		})
 		if err != nil {
 			return err
 		}
-		if deliver != nil && rs.Len() > 0 {
-			deliver(src, rs)
-		}
-		if len(pr.seen) >= pr.total {
-			delete(remaining, src)
-		}
-		return nil
 	}
-
-	// Drain anything buffered by earlier phases first.
-	for _, pm := range w.pending[key] {
-		if err := process(pm.src, pm.chunks, pm.seq, pm.body); err != nil {
+	if len(handles) > 0 {
+		if err := qc.queue.DeleteBatch(w.ctx.P, handles); err != nil {
 			return err
 		}
-	}
-	delete(w.pending, key)
-
-	for len(remaining) > 0 {
-		if w.ctx.Remaining() <= 0 {
-			return fmt.Errorf("core: worker %d out of runtime collecting %s/layer %d", w.id, kind, layer)
-		}
-		msgs := queue.Receive(w.ctx.P, 10, w.d.Cfg.PollWait)
-		w.metrics.Polls++
-		w.metrics.Fetches += int64(len(msgs))
-		handles := make([]string, 0, len(msgs))
-		for _, m := range msgs {
-			handles = append(handles, m.ReceiptHandle)
-			if m.Attributes["run"] != w.run.id {
-				// Defensive: the (target, run) subscription filter should
-				// make foreign-run messages impossible.
-				continue
-			}
-			mkind := m.Attributes["kind"]
-			mlayer, _ := strconv.Atoi(m.Attributes["layer"])
-			src64, _ := strconv.Atoi(m.Attributes["src"])
-			chunks, _ := strconv.Atoi(m.Attributes["chunks"])
-			seq, _ := strconv.Atoi(m.Attributes["seq"])
-			src := int32(src64)
-			if mkind == kind && mlayer == layer {
-				if err := process(src, chunks, seq, m.Body); err != nil {
-					return err
-				}
-				continue
-			}
-			// Buffer for the phase that expects it.
-			k := pendKey(mkind, mlayer)
-			w.pending[k] = append(w.pending[k], pendingMsg{src: src, chunks: chunks, seq: seq, body: m.Body})
-		}
-		if len(handles) > 0 {
-			if err := queue.DeleteBatch(w.ctx.P, handles); err != nil {
-				return err
-			}
-			w.metrics.Deletes++
-		}
+		w.metrics.Deletes++
 	}
 	return nil
-}
-
-func pendKey(kind string, layer int) string { return kind + ":" + strconv.Itoa(layer) }
-
-// sendTagged ships one row set under an (op, round) tag — the collective
-// algorithms' point-to-point primitive, chunked and published like any
-// data-path message with kind=op, layer=round attributes.
-func (qc *queueChannel) sendTagged(w *worker, op string, round int, target int32, rs *wire.RowSet) error {
-	return qc.sendTaggedAll(w, op, round, []targetRows{{target: target, rs: rs}})
-}
-
-func (qc *queueChannel) sendTaggedAll(w *worker, op string, round int, outs []targetRows) error {
-	var msgs []sqs.Message
-	for _, out := range outs {
-		ms, err := qc.buildMessages(w, op, round, out.target, out.rs)
-		if err != nil {
-			return err
-		}
-		msgs = append(msgs, ms...)
-	}
-	return qc.publish(w, qc.packBatches(w, msgs))
-}
-
-func (qc *queueChannel) gatherTagged(w *worker, op string, round int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
-	return qc.collect(w, op, round, sources, deliver)
-}
-
-// decodePayload decodes one received byte string, charging transfer-side
-// CPU (parse plus decompression).
-func (w *worker) decodePayload(body []byte) (*wire.RowSet, error) {
-	w.metrics.BytesRecv += int64(len(body))
-	w.ctx.Serialize(int64(len(body)))
-	if w.d.Cfg.Compress {
-		w.ctx.Decompress(int64(len(body)))
-	}
-	rs, err := wire.Decode(body)
-	if err != nil {
-		return nil, fmt.Errorf("core: worker %d decoding payload: %w", w.id, err)
-	}
-	return rs, nil
 }

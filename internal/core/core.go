@@ -8,7 +8,36 @@
 //   - FSD-Inf-Queue: pub-sub topics fanning out to per-worker queues with
 //     service-side filter policies (Algorithm 1),
 //   - FSD-Inf-Object: object-storage buckets with `.dat`/`.nul` objects and
-//     LIST-driven receive loops (Algorithm 2).
+//     LIST-driven receive loops (Algorithm 2),
+//
+// and two the paper weighs them against: FSD-Inf-Memory (a provisioned
+// in-memory store cluster) and FSD-Inf-Hybrid (per-message routing by size
+// between that store and object storage).
+//
+// # What a transport must provide
+//
+// Algorithms 1 and 2 are one FSI loop over two services, and here the
+// loop is written once over any number of them. A transport implements
+// the two-method channel interface (channel.go): send ships one row set
+// per target under a tag, gather collects a tag's values from a set of
+// sources. A tag {kind, layer} names one logical exchange — {"data", k}
+// is layer k of the FSI data path, {op, round} a collective step — and is
+// all that matches a value to the gather expecting it.
+//
+// gather is gatherLoop plus the transport's arrival source: poll waits on
+// the service once and hands gatherLoop each byte string as an arrival
+// (tag, source worker, how many byte strings the source ships under the
+// tag and which one this is, and the body — nil when the source had
+// nothing to send). gatherLoop owns everything after that: the set of
+// sources still owed, deduplication of redelivered chunks, buffering of
+// arrivals for tags the worker has not reached, the runtime check, and
+// decode-and-deliver. The transport charges what it asks of its service
+// (WorkerMetrics Polls, Fetches, Deletes, Publishes, BytesSent, and its
+// thread pools); the shared steps charge the worker's own CPU — the
+// compression in encodeFrame/encodeChunks, BytesRecv plus parse and
+// decompression in decodePayload. A new transport is therefore one send
+// and one poll; Hybrid, which owns no service, is a routing policy over
+// the Memory transport and the object-store helpers instead.
 //
 // Workers launch hierarchically (worker_invoke_children), derive their rank
 // from parent id, sibling number and branching factor, load their row-block

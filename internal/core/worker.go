@@ -36,11 +36,9 @@ type worker struct {
 	ch      channel
 	metrics *WorkerMetrics
 
-	// pending buffers queue messages that arrive for phases this worker
-	// has not reached yet (a fast upstream worker may already be
-	// publishing layer k+1 while this worker still collects layer k),
-	// keyed by "kind:layer".
-	pending map[string][]pendingMsg
+	// pending buffers arrivals for gathers this worker has not reached yet
+	// (see gathering.arrive).
+	pending map[tag][]arrival
 
 	// Tracing state (set only when this run was sampled): the run's
 	// tracer, this worker's track name, and its lifetime span.
@@ -68,49 +66,16 @@ func (w *worker) failSpan(stage string) {
 	w.tspan.End()
 }
 
-type pendingMsg struct {
-	src    int32
-	chunks int
-	seq    int
-	body   []byte
-}
-
-// targetRows is one (target, rows) send-map entry materialised with data.
-type targetRows struct {
-	target int32
-	rs     *wire.RowSet
-}
-
-// channel is the communication variant used by the FSI loop. Every method
-// runs in worker Proc context.
-type channel interface {
-	// send ships the prepared per-target row sets for one layer; it may
-	// use the worker's thread pool and must return once all sends are
-	// issued and acknowledged.
-	send(w *worker, layer int, outs []targetRows) error
-	// receive collects layer data until every source in sources has
-	// delivered completely, invoking deliver per arriving row set.
-	receive(w *worker, layer int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error
-	// sendTagged and gatherTagged are the tagged point-to-point transport
-	// the collective algorithms run on: an (op, round) pair names one
-	// logical exchange the way ("data", layer) names the FSI data path.
-	// sendTaggedAll ships a batch under one tag with the channel's native
-	// fan-out concurrency (thread pools, publish batches).
-	sendTagged(w *worker, op string, round int, target int32, rs *wire.RowSet) error
-	sendTaggedAll(w *worker, op string, round int, outs []targetRows) error
-	gatherTagged(w *worker, op string, round int, sources []int32, deliver func(src int32, rs *wire.RowSet)) error
-}
-
 // workerLink lends the worker's channel to the collective algorithms as a
 // collective.Link: rank/size from the deployment, tagged exchanges mapped
-// onto the channel's (kind, layer) framing.
+// onto the channel's tags.
 type workerLink struct{ w *worker }
 
 func (l workerLink) Rank() int { return int(l.w.id) }
 func (l workerLink) Size() int { return l.w.d.Cfg.Workers() }
 
 func (l workerLink) Send(op string, round int, target int, rs *wire.RowSet) error {
-	return l.w.ch.sendTagged(l.w, op, round, int32(target), rs)
+	return l.w.ch.send(l.w, tag{op, round}, []targetRows{{target: int32(target), rs: rs}})
 }
 
 func (l workerLink) SendAll(op string, round int, targets []int, sets []*wire.RowSet) error {
@@ -118,7 +83,7 @@ func (l workerLink) SendAll(op string, round int, targets []int, sets []*wire.Ro
 	for i, t := range targets {
 		outs[i] = targetRows{target: int32(t), rs: sets[i]}
 	}
-	return l.w.ch.sendTaggedAll(l.w, op, round, outs)
+	return l.w.ch.send(l.w, tag{op, round}, outs)
 }
 
 func (l workerLink) Gather(op string, round int, sources []int, deliver func(src int, rs *wire.RowSet)) error {
@@ -126,7 +91,7 @@ func (l workerLink) Gather(op string, round int, sources []int, deliver func(src
 	for i, s := range sources {
 		srcs[i] = int32(s)
 	}
-	return l.w.ch.gatherTagged(l.w, op, round, srcs, func(src int32, rs *wire.RowSet) {
+	return l.w.ch.gather(l.w, tag{op, round}, srcs, func(src int32, rs *wire.RowSet) {
 		deliver(int(src), rs)
 	})
 }
@@ -147,7 +112,7 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		d:       d,
 		run:     run,
 		ctx:     ctx,
-		pending: make(map[string][]pendingMsg),
+		pending: make(map[tag][]arrival),
 	}
 	// Determine rank: derived from parent id, sibling number and the
 	// branching factor under the hierarchical launch (§III).
@@ -175,11 +140,11 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	case Queue:
 		w.ch = &queueChannel{}
 	case Object:
-		w.ch = &objectChannel{}
+		w.ch = objectChannel{}
 	case Memory:
-		w.ch = newMemoryChannel()
+		w.ch = newMemoryChannel(w)
 	case Hybrid:
-		w.ch = newHybridChannel()
+		w.ch = newHybridChannel(w)
 	default:
 		return nil, fmt.Errorf("core: worker launched with %v channel", d.Cfg.Channel)
 	}
@@ -338,7 +303,7 @@ func (w *worker) runFSI() error {
 		// (Algorithm 1 lines 3-7 / Algorithm 2 lines 3-8).
 		outs := w.extractSendRows(k)
 		ssp := w.opSpan("send")
-		if err := w.ch.send(w, k, outs); err != nil {
+		if err := w.ch.send(w, tag{dataKind, k}, outs); err != nil {
 			return fmt.Errorf("core: worker %d layer %d send: %w", w.id, k, err)
 		}
 		ssp.End()
@@ -359,7 +324,7 @@ func (w *worker) runFSI() error {
 		recvBytes = 0
 		if len(sources) > 0 {
 			rsp := w.opSpan("recv")
-			err := w.ch.receive(w, k, sources, func(src int32, rs *wire.RowSet) {
+			err := w.ch.gather(w, tag{dataKind, k}, sources, func(src int32, rs *wire.RowSet) {
 				for i := 0; i < rs.Len(); i++ {
 					w.setXR(rs.IDs[i], rs.Row(i))
 				}

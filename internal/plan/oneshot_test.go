@@ -17,17 +17,32 @@ func testModel(t *testing.T, neurons, layers int) *model.Model {
 	return m
 }
 
-func TestAutoSelectPicksSerialForSmallLatencyFocusedModels(t *testing.T) {
-	m := testModel(t, 256, 6)
-	sel, err := AutoSelect(m, AutoSelectOptions{
-		LatencyWeight: 1.0,
-		Workers:       []int{4, 8},
-		ProbeBatch:    8,
-		Seed:          1,
+// oneShot plans the way serve's WithSLO path does before it has seen any
+// traffic, and the way the pre-Planner AutoSelect did: the weighted
+// objective over a worker grid, every candidate trialled (no analytic
+// pre-filter), and no workload profile beyond the probe batch — one
+// probe's metered cost scored as-is.
+func oneShot(t *testing.T, m *model.Model, latencyWeight float64, workers []int, probeBatch int, seed int64) *Decision {
+	t.Helper()
+	p, err := New(m, Options{
+		Objective:        WeightedObjective(latencyWeight),
+		Grid:             Grid{Workers: workers},
+		DisablePrefilter: true,
+		Seed:             seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := p.Plan(WorkloadProfile{BatchSamples: probeBatch})
+	if err != nil {
+		t.Fatalf("w=%.2f workers=%v: %v", latencyWeight, workers, err)
+	}
+	return d
+}
+
+func TestOneShotPicksSerialForSmallLatencyFocusedModels(t *testing.T) {
+	m := testModel(t, 256, 6)
+	sel := oneShot(t, m, 1.0, []int{4, 8}, 8, 1)
 	// A 256-neuron model fits one instance; with comm latencies on the
 	// query path, serial is fastest (paper §IV-C recommendation).
 	if sel.Best.Channel != core.Serial {
@@ -42,7 +57,7 @@ func TestAutoSelectPicksSerialForSmallLatencyFocusedModels(t *testing.T) {
 			memTrials++
 		}
 		if tr.Pruned {
-			t.Fatalf("legacy AutoSelect pruned %v: the shim must trial everything", tr.Candidate)
+			t.Fatalf("pruned %v with the pre-filter disabled", tr.Candidate)
 		}
 	}
 	if memTrials != 2 {
@@ -63,17 +78,9 @@ func TestAutoSelectPicksSerialForSmallLatencyFocusedModels(t *testing.T) {
 	}
 }
 
-func TestAutoSelectCostPriorityAvoidsObject(t *testing.T) {
+func TestOneShotCostPriorityAvoidsObject(t *testing.T) {
 	m := testModel(t, 256, 6)
-	sel, err := AutoSelect(m, AutoSelectOptions{
-		LatencyWeight: 0.0, // cost only
-		Workers:       []int{8},
-		ProbeBatch:    8,
-		Seed:          1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := oneShot(t, m, 0.0 /* cost only */, []int{8}, 8, 1)
 	// Object storage is the most expensive candidate at this scale
 	// (per-request pricing, §VI-D1); a pure cost objective must not pick
 	// it.
@@ -88,26 +95,21 @@ func TestAutoSelectCostPriorityAvoidsObject(t *testing.T) {
 	}
 }
 
-func TestAutoSelectSkipsInfeasibleWorkerCounts(t *testing.T) {
+func TestOneShotSkipsInfeasibleWorkerCounts(t *testing.T) {
 	m := testModel(t, 256, 6)
-	sel, err := AutoSelect(m, AutoSelectOptions{
-		Workers:    []int{1, 300}, // both infeasible as parallel candidates
-		ProbeBatch: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Both worker counts are infeasible as parallel candidates.
+	sel := oneShot(t, m, 0, []int{1, 300}, 4, 0)
 	if sel.Best.Channel != core.Serial {
 		t.Fatalf("only serial was feasible, picked %v", sel.Best.Channel)
 	}
 }
 
-// TestGoldenSelectionMatchesLegacyAutoSelect pins the shim to the
-// pre-Planner core.AutoSelect: the picks below were recorded from that
-// implementation over the existing trial grid (N x latency weight, the
-// same probe, seed and worker grid) immediately before the redesign. The
-// Planner-backed shim must reproduce every one — both the overall winner
-// and the best distributed candidate, which exercises the channel
+// TestGoldenSelectionMatchesLegacyAutoSelect pins the one-shot
+// configuration to the pre-Planner core.AutoSelect: the picks below were
+// recorded from that implementation over the existing trial grid (N x
+// latency weight, the same probe, seed and worker grid) immediately before
+// the redesign. The Planner must reproduce every one — both the overall
+// winner and the best distributed candidate, which exercises the channel
 // ordering the weighted objective induces.
 func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 	if testing.Short() {
@@ -134,15 +136,7 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 	for _, n := range []int{256, 512} {
 		m := testModel(t, n, 6)
 		for _, g := range grid {
-			sel, err := AutoSelect(m, AutoSelectOptions{
-				LatencyWeight: g.weight,
-				Workers:       []int{2, 4},
-				ProbeBatch:    8,
-				Seed:          1,
-			})
-			if err != nil {
-				t.Fatalf("N=%d w=%.2f: %v", n, g.weight, err)
-			}
+			sel := oneShot(t, m, g.weight, []int{2, 4}, 8, 1)
 			if sel.Best.Channel != g.best || sel.Best.Workers != g.bestWorkers {
 				t.Fatalf("N=%d w=%.2f: picked %v x%d, legacy picked %v x%d",
 					n, g.weight, sel.Best.Channel, sel.Best.Workers, g.best, g.bestWorkers)
@@ -192,26 +186,19 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 }
 
 // TestLegacyTrialCostIsOneProbeShare pins the undercount the Planner
-// fixes: without a workload profile the shim scores the memory channel at
+// fixes: without a workload profile the memory channel is scored at
 // one probe's metered share (the provisioned store's one-shot billing
 // floor), not its true sporadic daily cost — identical to the
 // pre-redesign behaviour the golden grid was recorded against.
 func TestLegacyTrialCostIsOneProbeShare(t *testing.T) {
 	m := testModel(t, 256, 6)
-	sel, err := AutoSelect(m, AutoSelectOptions{
-		Workers:    []int{2},
-		ProbeBatch: 8,
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := oneShot(t, m, 0, []int{2}, 8, 1)
 	for _, tr := range sel.Trials {
 		if tr.Candidate.Channel != core.Memory || tr.Err != nil {
 			continue
 		}
 		if tr.Cost != tr.ProbeCost {
-			t.Fatalf("legacy memory trial scored %v, probe cost %v: shim must not amortise",
+			t.Fatalf("profile-less memory trial scored %v, probe cost %v: nothing to amortise over",
 				tr.Cost, tr.ProbeCost)
 		}
 		if tr.Cost >= 0.01 {

@@ -244,8 +244,8 @@ type Options struct {
 	// enumerated candidate — the legacy AutoSelect behaviour.
 	DisablePrefilter bool
 	// Scheme is the partitioning used for trial plans. The default is
-	// Block, matching the legacy AutoSelect's behaviour, so planner and
-	// shim picks agree.
+	// Block, matching the legacy AutoSelect's behaviour, so the golden
+	// pick grid recorded from it still holds.
 	Scheme partition.Scheme
 	// Seed drives probe generation and plan construction (default 1).
 	Seed int64

@@ -8,6 +8,7 @@ import (
 
 	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/core"
+	"fsdinference/internal/obs"
 	"fsdinference/internal/plan"
 )
 
@@ -55,6 +56,25 @@ func latencyStats(samples []time.Duration) LatencyStats {
 	ls.P95 = percentile(samples, 95)
 	ls.P99 = percentile(samples, 99)
 	return ls
+}
+
+// histStats renders a histogram as the report's LatencyStats. The
+// percentiles are bucket upper bounds (see obs.Histogram); count, mean,
+// min and max are exact.
+func histStats(h *obs.Histogram) LatencyStats {
+	n := h.Count()
+	if n == 0 {
+		return LatencyStats{}
+	}
+	return LatencyStats{
+		Count: n,
+		Mean:  h.Sum() / time.Duration(n),
+		Min:   h.Min(),
+		Max:   h.Max(),
+		P50:   h.Quantile(50),
+		P95:   h.Quantile(95),
+		P99:   h.Quantile(99),
+	}
 }
 
 // percentile returns the nearest-rank p-th percentile of sorted samples.

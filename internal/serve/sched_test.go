@@ -471,17 +471,24 @@ func TestSLOSelectsConfigurationAndReselectsOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := svc.byName["slo"]
-	// The endpoint picked its own configuration: whatever the legacy
-	// selection chose, the deployment must match it and serve correctly
-	// (the WithSLO back-compat guarantee).
-	want, err := plan.AutoSelect(m, plan.AutoSelectOptions{
-		LatencyWeight: 0.5, Workers: []int{2}, ProbeBatch: 4, Seed: 1,
+	// The endpoint picked its own configuration: whatever a one-shot
+	// plan under the same options chooses, the deployment must match it
+	// and serve correctly (the WithSLO back-compat guarantee).
+	oneShot, err := plan.New(m, plan.Options{
+		Objective:        plan.WeightedObjective(0.5),
+		Grid:             plan.Grid{Workers: []int{2}},
+		DisablePrefilter: true,
+		Seed:             1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := oneShot.Plan(plan.WorkloadProfile{BatchSamples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ep.cfg.Channel != want.Best.Channel || ep.cfg.Workers() != want.Best.Workers {
-		t.Fatalf("endpoint deployed %v x%d, AutoSelect chose %v x%d",
+		t.Fatalf("endpoint deployed %v x%d, a one-shot plan chose %v x%d",
 			ep.cfg.Channel, ep.cfg.Workers(), want.Best.Channel, want.Best.Workers)
 	}
 	// Drive sustained 64-sample batches — 16x the probe assumption — past

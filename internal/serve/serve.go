@@ -519,8 +519,9 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		if obj == nil {
 			obj = plan.WeightedObjective(slo.LatencyWeight)
 		}
-		// The pre-filter stays off so the initial pick matches the legacy
-		// AutoSelect exactly; re-plans re-score cached trials anyway.
+		// The pre-filter stays off so the initial pick matches the golden
+		// pick grid recorded from the legacy AutoSelect (internal/plan's
+		// oneshot_test.go); re-plans re-score cached trials anyway.
 		planner, err := plan.New(ec.m, plan.Options{
 			Objective:        obj,
 			Grid:             plan.Grid{Channels: slo.Channels, Workers: slo.Workers},

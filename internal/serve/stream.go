@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fsdinference/internal/model"
+	"fsdinference/internal/obs"
 	"fsdinference/internal/workload"
 )
 
@@ -14,8 +15,8 @@ import (
 // on the fly instead.
 type epStreamAcc struct {
 	queries, failed, samples int
-	lat                      latencyHist
-	perPrio                  map[int]*latencyHist
+	lat                      obs.Histogram
+	perPrio                  map[int]*obs.Histogram
 }
 
 // ReplayStream drives a TraceStream through the service inside one
@@ -29,7 +30,7 @@ type epStreamAcc struct {
 //
 // The report matches Replay's except that latency percentiles are folded
 // through a log-linear histogram (bucket upper bounds within ~6%, see
-// latencyHist) rather than recomputed from retained samples — count,
+// obs.Histogram) rather than recomputed from retained samples — count,
 // mean, min and max stay exact — and per-request outputs are released as
 // queries resolve, so opts.Verify is not supported.
 func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) (*Report, error) {
@@ -57,7 +58,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 	win := s.openWindow(base)
 
 	rep := &Report{}
-	var all latencyHist
+	var all obs.Histogram
 	perEp := make(map[*Endpoint]*epStreamAcc, len(s.eps))
 	acc := func(ep *Endpoint) *epStreamAcc {
 		a := perEp[ep]
@@ -90,7 +91,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 		a.lat.Observe(resp.Latency)
 		if h.priority != 0 || a.perPrio != nil {
 			if a.perPrio == nil {
-				a.perPrio = make(map[int]*latencyHist)
+				a.perPrio = make(map[int]*obs.Histogram)
 				// Reclassify nothing: earlier class-0 requests are in
 				// a.lat only; the per-priority breakdown describes the
 				// classes submitted from here on. Priority traces set
@@ -99,7 +100,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 			}
 			ph := a.perPrio[h.priority]
 			if ph == nil {
-				ph = &latencyHist{}
+				ph = &obs.Histogram{}
 				a.perPrio[h.priority] = ph
 			}
 			ph.Observe(resp.Latency)

@@ -145,8 +145,8 @@ func TestDeployInferCompatibilityPath(t *testing.T) {
 
 // The public Planner API, exercised exactly as a library consumer would:
 // plan under an assumed sporadic workload, observe the pruning stats,
-// re-plan under a sustained one, deploy the pick, and keep the legacy
-// AutoSelect wrapper agreeing with the planner it wraps.
+// re-plan under a sustained one, deploy the pick, and plan one-shot (the
+// weighted objective, no pre-filter, no profile beyond the probe batch).
 func TestPublicPlannerPlanAndReplan(t *testing.T) {
 	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
@@ -193,14 +193,19 @@ func TestPublicPlannerPlanAndReplan(t *testing.T) {
 		t.Fatal("planned config produced wrong output")
 	}
 
-	// The legacy facade wrapper still answers with its original shape.
-	sel, err := fsdinference.AutoSelect(m, fsdinference.AutoSelectOptions{
-		LatencyWeight: 1, Workers: []int{2}, ProbeBatch: 8,
+	oneShot, err := fsdinference.NewPlanner(m, fsdinference.PlannerOptions{
+		Objective:        fsdinference.WeightedObjective(1),
+		Grid:             fsdinference.PlannerGrid{Workers: []int{2}},
+		DisablePrefilter: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel, err := oneShot.Plan(fsdinference.WorkloadProfile{BatchSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sel.Best.Channel != fsdinference.Serial {
-		t.Fatalf("latency-weighted AutoSelect picked %v, want serial for a model this small", sel.Best.Channel)
+		t.Fatalf("latency-weighted one-shot plan picked %v, want serial for a model this small", sel.Best.Channel)
 	}
 }
