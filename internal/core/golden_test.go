@@ -253,3 +253,60 @@ func TestGoldenChannelPaths(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenInterleavedOwnership pins the plan shape the cells above miss
+// and channel_sweep runs: HGPDNN P=8 on Memory at batch 64. Under a
+// hypergraph partition a worker's rows are scattered over the id space, so
+// within one weight row the columns it owns and the columns it receives
+// interleave (under Block the owned columns are one contiguous run); the
+// cell first proves that, then pins the values the engine produced while
+// both the local multiply and the accumulate walked the whole block.
+func TestGoldenInterleavedOwnership(t *testing.T) {
+	if testing.Short() {
+		t.Skip("an HGPDNN partition")
+	}
+	m, err := model.Generate(model.GraphChallengeSpec(256, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 8, partition.HGPDNN, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row interleaves when ownership flips at least twice along its
+	// ascending columns: own, foreign, own or foreign, own, foreign.
+	interleaved := 0
+	for worker, rows := range plan.Rows {
+		for _, w := range m.Layers {
+			for _, r := range rows {
+				cols, _ := w.Row(int(r))
+				flips := 0
+				for i := 1; i < len(cols); i++ {
+					if (plan.Owner[cols[i]] == int32(worker)) != (plan.Owner[cols[i-1]] == int32(worker)) {
+						flips++
+					}
+				}
+				if flips >= 2 {
+					interleaved++
+				}
+			}
+		}
+	}
+	if interleaved == 0 {
+		t.Fatal("no weight row interleaves own and foreign columns")
+	}
+
+	input := model.GenerateInputs(256, 64, 0.2, 2)
+	d, err := Deploy(env.NewDefault(), Config{Model: m, Plan: plan, Channel: Memory, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Infer(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !model.OutputsClose(res.Output, model.Reference(m, input), 1e-2) {
+		t.Fatal("output diverges from reference inference")
+	}
+	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028354183, "0.0025804809790660873", "bd69860709064408"})
+}
