@@ -39,10 +39,11 @@ bench-smoke:
 # that parse bytes off simulated wires must return errors, never panic, on
 # hostile input. `go test -fuzz` takes one target and one package per run;
 # the targets are found by name, so a new Fuzz* function is picked up
-# without editing this file.
+# without editing this file. Dot-directories are pruned: .bench_build/ holds
+# whole copies of the tree (parent-*) when a comparison build is lying around.
 FUZZTIME := 10s
 fuzz-smoke:
-	@grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u | while read -r dir; do \
+	@find . -name '.?*' -prune -o -name '*_test.go' -exec grep -l '^func Fuzz' {} + | xargs -n1 dirname | sort -u | while read -r dir; do \
 		for target in $$(grep -h -o '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
 			echo "fuzz $$dir $$target"; \
 			go test $$dir -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \

@@ -181,9 +181,27 @@ func (b *Bucket) Put(p *sim.Proc, key string, data []byte) error {
 	return nil
 }
 
-// Get reads an object. Missing keys return an error after the API latency,
-// as a real request would.
+// Get reads an object into a buffer of the caller's own. Missing keys
+// return an error after the API latency, as a real request would.
 func (b *Bucket) Get(p *sim.Proc, key string) ([]byte, error) {
+	data, err := b.View(p, key)
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return cp, nil
+}
+
+// View is Get without the host-side copy: the same request — rate-limit
+// token, billed GET, latency plus transfer time, metered bytes out — but
+// the returned bytes are the stored object itself, shared with the bucket
+// and every other reader, and must not be modified. A stored object is the
+// private copy Put or Stage made and is replaced, never written to, so a
+// view stays valid and unchanged for as long as its holder keeps it. The
+// simulated transfer is what the reader pays for; copying the bytes again
+// on the host would only charge the simulator.
+func (b *Bucket) View(p *sim.Proc, key string) ([]byte, error) {
 	b.getLimiter(key).Take(p, 1)
 	b.Gets++
 	b.svc.meter.S3GetCalls++
@@ -198,9 +216,7 @@ func (b *Bucket) Get(p *sim.Proc, key string) ([]byte, error) {
 	}
 	p.Sleep(b.svc.cfg.GetLatency + transfer(len(data), bw))
 	b.svc.meter.S3BytesOut += int64(len(data))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return data, nil
 }
 
 // List returns up to MaxKeysPerList keys with the given prefix, in

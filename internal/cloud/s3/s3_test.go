@@ -80,6 +80,89 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestViewChargesLikeGet: View is Get without the copy and nothing else —
+// the same reads, one of a missing key and enough of them to run the
+// prefix's read quota dry, leave the same bucket and meter counts and take
+// the same virtual time through either call.
+func TestViewChargesLikeGet(t *testing.T) {
+	type outcome struct {
+		gets          int64
+		calls, bytes  int64
+		missing, done time.Duration
+	}
+	drive := func(read func(b *Bucket, p *sim.Proc, key string) ([]byte, error)) outcome {
+		k := sim.New()
+		m := usage.NewMeter()
+		cfg := DefaultConfig()
+		cfg.GetRatePerPrefix = 4
+		cfg.GetBytesPerSec = 1 << 20 // 64 KiB take 62.5 ms
+		b := New(k, m, cfg).CreateBucket("b")
+		b.Stage("in/obj", make([]byte, 64<<10))
+		var o outcome
+		k.Go("w", func(p *sim.Proc) {
+			t0 := p.Now()
+			if _, err := read(b, p, "in/nope"); err == nil {
+				t.Error("missing key returned no error")
+			}
+			o.missing = p.Now() - t0
+			for i := 0; i < 10; i++ {
+				if data, err := read(b, p, "in/obj"); err != nil || len(data) != 64<<10 {
+					t.Errorf("read %d: %d bytes, %v", i, len(data), err)
+				}
+			}
+			o.done = p.Now()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		o.gets, o.calls, o.bytes = b.Gets, m.S3GetCalls, m.S3BytesOut
+		return o
+	}
+	get := drive((*Bucket).Get)
+	view := drive((*Bucket).View)
+	if view != get {
+		t.Fatalf("View charged %+v, Get charged %+v", view, get)
+	}
+	if get.gets != 11 || get.calls != 11 || get.bytes != 10*(64<<10) {
+		t.Fatalf("charges = %+v, want 11 billed reads of which 10 transfer 64 KiB", get)
+	}
+	if get.missing != DefaultConfig().GetLatency {
+		t.Fatalf("a missing key took %v, want the GET latency %v", get.missing, DefaultConfig().GetLatency)
+	}
+	// Unthrottled the reads take 0.79 s of latency and transfer time.
+	if get.done < time.Second {
+		t.Fatalf("reads finished at %v: the read quota did not throttle them", get.done)
+	}
+}
+
+// TestViewAliasesStorage: a view is the stored object, not a copy of it —
+// every reader shares one backing array — while Get still hands out copies.
+func TestViewAliasesStorage(t *testing.T) {
+	k, _, svc := newSvc()
+	b := svc.CreateBucket("b")
+	k.Go("w", func(p *sim.Proc) {
+		b.Put(p, "k", []byte("abc"))
+		v1, _ := b.View(p, "k")
+		v2, _ := b.View(p, "k")
+		got, _ := b.Get(p, "k")
+		if string(v1) != "abc" || &v1[0] != &v2[0] {
+			t.Errorf("two views %q, %q do not share the stored bytes", v1, v2)
+		}
+		if &got[0] == &v1[0] {
+			t.Error("Get returned the stored bytes, not a copy")
+		}
+		// Overwriting replaces the object; a view already held keeps the
+		// bytes it was given.
+		b.Put(p, "k", []byte("xyz"))
+		if v3, _ := b.View(p, "k"); string(v1) != "abc" || string(v3) != "xyz" {
+			t.Errorf("after overwrite: held view %q, new view %q", v1, v3)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestListPrefixSortedAndFiltered(t *testing.T) {
 	k, m, svc := newSvc()
 	b := svc.CreateBucket("b")

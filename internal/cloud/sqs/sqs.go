@@ -140,7 +140,6 @@ func (s *Service) CreateQueue(name string) *Queue {
 		shards:   make([][]*qmsg, s.cfg.Shards),
 		inflight: make(map[int64]*qmsg),
 		cond:     sim.NewCond(s.k),
-		rng:      rand.New(rand.NewSource(s.cfg.Seed)),
 	}
 	s.queues[name] = q
 	return q
@@ -176,7 +175,9 @@ type Queue struct {
 	// (not service-wide) so a queue's sampling sequence depends only on
 	// its own poll order, never on how other queues' polls interleave —
 	// the property that lets sharded replay lanes reproduce a
-	// shared-kernel run exactly.
+	// shared-kernel run exactly. Seeded from Config.Seed by the first short
+	// poll: seeding costs a 607-word table, and the per-run queues of a
+	// long-polled run never draw.
 	rng *rand.Rand
 
 	// Stats for experiments and cost validation.
@@ -291,6 +292,9 @@ func (q *Queue) sampleShards(long bool) []int {
 			all[i] = i
 		}
 		return all
+	}
+	if q.rng == nil {
+		q.rng = rand.New(rand.NewSource(q.svc.cfg.Seed))
 	}
 	var picked []int
 	for i := 0; i < n; i++ {

@@ -64,6 +64,7 @@ type arrivalSource interface {
 }
 
 // gathering is the state of one gatherLoop call, lent to the arrival source.
+// It lives in the worker (worker.gath) and is reset by each call.
 type gathering struct {
 	tag tag
 	// remaining holds the sources that still owe byte strings for tag, each
@@ -135,11 +136,18 @@ func (g *gathering) arrive(w *worker, a arrival) error {
 // arrival source until every source in sources has delivered all the byte
 // strings it announced, giving up when the function's runtime is spent.
 func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode decodeFunc, deliver func(src int32, rs *wire.RowSet)) error {
-	remaining := make(map[int32][]bool, len(sources))
-	for _, s := range sources {
-		remaining[s] = nil
+	// A worker gathers one tag at a time, so the state and its map are the
+	// worker's, reused: handed to the arrival source through an interface,
+	// a fresh pair would be two heap allocations per gather.
+	g := &w.gath
+	if g.remaining == nil {
+		g.remaining = make(map[int32][]bool, len(sources))
 	}
-	g := &gathering{tag: t, remaining: remaining, decode: decode, deliver: deliver}
+	clear(g.remaining)
+	for _, s := range sources {
+		g.remaining[s] = nil
+	}
+	g.tag, g.decode, g.deliver = t, decode, deliver
 
 	early := w.pending[t]
 	delete(w.pending, t)
@@ -148,7 +156,7 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 			return err
 		}
 	}
-	for len(remaining) > 0 {
+	for len(g.remaining) > 0 {
 		if w.ctx.Remaining() <= 0 {
 			return fmt.Errorf("core: worker %d out of runtime collecting %s/layer %d", w.id, t.kind, t.layer)
 		}

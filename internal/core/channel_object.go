@@ -30,14 +30,15 @@ func putTask(b *s3.Bucket, key string, body []byte) func(p *sim.Proc) error {
 }
 
 // getBodies GETs keys from bucket through a width-wide thread pool named
-// name; bodies[i] is the object under keys[i].
+// name; bodies[i] is the object under keys[i], shared with the store and
+// read-only (wire.Decode retains it as the decoded set's frame).
 func (w *worker) getBodies(name string, width int, bucket *s3.Bucket, keys []string) ([][]byte, error) {
 	bodies := make([][]byte, len(keys))
 	tasks := make([]func(p *sim.Proc) error, len(keys))
 	for i, key := range keys {
 		i, key := i, key
 		tasks[i] = func(p *sim.Proc) error {
-			b, err := bucket.Get(p, key)
+			b, err := bucket.View(p, key)
 			if err != nil {
 				return err
 			}

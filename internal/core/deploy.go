@@ -280,8 +280,10 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 	if d.Cfg.AllreduceOutput {
 		run.outputs = make([]*sparse.Dense, d.Cfg.Workers())
 	}
+	if err := d.stageInput(run); err != nil {
+		return "", err
+	}
 	d.runs[run.id] = run
-	d.stageInput(run)
 	d.bindRunQueues(run)
 
 	d.Env.K.Go("client-"+run.id, func(p *sim.Proc) {
@@ -453,15 +455,19 @@ func (d *Deployment) Infer(input *sparse.Dense) (*Result, error) {
 // buffered and batched upstream (paper §V-B2), so staging is unbilled. The
 // encode work is memoised by input-matrix identity (see inputEncMemo); the
 // store keys stay run-scoped.
-func (d *Deployment) stageInput(run *runState) {
-	blobs := d.encodedInput(run.input, run.batch)
+func (d *Deployment) stageInput(run *runState) error {
+	blobs, err := d.encodedInput(run.input, run.batch)
+	if err != nil {
+		return err
+	}
 	if d.Cfg.Channel == Serial {
 		d.putStore(fmt.Sprintf("input/%s/full.x", run.id), blobs[0])
-		return
+		return nil
 	}
 	for worker, p := range blobs {
 		d.putStore(fmt.Sprintf("input/%s/w%d.x", run.id, worker), p)
 	}
+	return nil
 }
 
 // coordinatorHandler parses the request and seeds the worker tree

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
+	"fsdinference/internal/wire"
 )
 
 // Failure-injection tests: the engine must fail loudly and cleanly when
@@ -112,6 +114,62 @@ func TestDeploymentRecoversAfterFailedRun(t *testing.T) {
 	want := model.Reference(m, input)
 	if !model.OutputsClose(res.Output, want, 1e-2) {
 		t.Fatal("recovery run produced wrong output")
+	}
+}
+
+// TestFailedInputEncodeFailsTheStart: an input that cannot be staged is the
+// request's failure, reported by Start (and so by Infer) — not a panic that
+// takes the replay down — and it leaves nothing behind: no registered run,
+// no per-run queues, and the deployment serves the next request.
+func TestFailedInputEncodeFailsTheStart(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(128, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 2, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("compressor out of memory")
+	defer func(enc func(*wire.RowSet, bool) ([]byte, error)) { encodeInput = enc }(encodeInput)
+
+	for _, cfg := range []Config{
+		{Model: m, Channel: Serial},
+		{Model: m, Plan: plan, Channel: Queue, PollWait: time.Second},
+	} {
+		e := env.NewDefault()
+		d, err := Deploy(e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queues := e.SQS.NumQueues()
+		// Distinct inputs: a staged encoding is memoised by input identity.
+		bad, good := model.GenerateInputs(128, 4, 0.2, 2), model.GenerateInputs(128, 4, 0.2, 3)
+
+		encodeInput = func(*wire.RowSet, bool) ([]byte, error) { return nil, boom }
+		called := false
+		id, err := d.Start(bad, func(*Result, error) { called = true })
+		if !errors.Is(err, boom) || id != "" {
+			t.Fatalf("%v: Start = %q, %v; want the encode error", cfg.Channel, id, err)
+		}
+		if _, err := d.Infer(bad); !errors.Is(err, boom) {
+			t.Fatalf("%v: Infer = %v; want the encode error", cfg.Channel, err)
+		}
+		if err := e.K.Run(); err != nil || called {
+			t.Fatalf("%v: a failed Start left work on the kernel (run: %v, done called: %v)", cfg.Channel, err, called)
+		}
+		if len(d.runs) != 0 || e.SQS.NumQueues() != queues {
+			t.Fatalf("%v: a failed Start left %d runs and %d queues behind", cfg.Channel, len(d.runs), e.SQS.NumQueues()-queues)
+		}
+
+		encodeInput = wire.Encode
+		res, err := d.Infer(good)
+		if err != nil {
+			t.Fatalf("%v: request after the failed one: %v", cfg.Channel, err)
+		}
+		if !model.OutputsClose(res.Output, model.Reference(m, good), 1e-2) {
+			t.Fatalf("%v: request after the failed one produced wrong output", cfg.Channel)
+		}
 	}
 }
 

@@ -32,21 +32,18 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 
 	// Load the full model.
 	t0 := p.Now()
-	for k := range d.Cfg.Model.Layers {
-		key := fmt.Sprintf("model/full/layer-%d.w", k)
-		blob, err := d.store.Get(p, key)
+	for k, w := range d.Cfg.Model.Layers {
+		blob, err := d.store.View(p, serialLayerKey(k))
 		if err != nil {
 			return nil, fmt.Errorf("core: serial loading layer %d: %w", k, err)
 		}
 		wm.StoreGets++
 		ctx.Serialize(int64(len(blob)))
-		w, err := d.stagedBlock(key, blob)
-		if err != nil {
-			return nil, fmt.Errorf("core: serial decoding layer %d: %w", k, err)
-		}
+		// The object is this process's own encoding of w (see the input
+		// read below): the layer loop multiplies w itself.
 		ctx.Alloc(int64(float64(w.Bytes()) * perf.MemOverheadWeights))
 	}
-	blob, err := d.store.Get(p, fmt.Sprintf("input/%s/full.x", run.id))
+	blob, err := d.store.View(p, fmt.Sprintf("input/%s/full.x", run.id))
 	if err != nil {
 		return nil, fmt.Errorf("core: serial loading input: %w", err)
 	}

@@ -19,10 +19,10 @@ import (
 // the dominant allocator. stagedCache memoises the artifacts process-wide:
 // the encoded blobs keep the store objects (and thus simulated transfer
 // sizes, latencies and metered bytes) exactly as before, while handlers
-// reuse the decoded CSR in place of decoding a private copy. Weight blocks
-// are read-only in the compute path (sparse.Mul does not mutate its
-// operands), so sharing one decoded block across runs, replicas and replay
-// lanes is safe.
+// reuse the staged blocks in place of decoding a private copy. Weight blocks
+// are read-only in the compute path (the sparse kernels do not mutate their
+// operands), so sharing one block across runs, replicas and replay lanes is
+// safe.
 var stagedCache sync.Map // stagedKey -> *stagedModel
 
 type stagedKey struct {
@@ -31,16 +31,31 @@ type stagedKey struct {
 }
 
 // stagedModel holds one deployment shape's staging artifacts: store key →
-// encoded blob, store key → the decoded weight block the blob encodes, and
-// the plan's send groups.
+// encoded blob, each worker's weight blocks in the form its kernel reads,
+// and the plan's send groups. The Serial engine multiplies Model.Layers
+// themselves and stages nothing but their blobs.
 type stagedModel struct {
-	blobs  map[string][]byte
-	blocks map[string]*sparse.CSR
+	blobs map[string][]byte
+	// weights[m][k] is worker m's row block of layer k.
+	weights [][]weightBlock
 	// sendGroup[k][m][i] is the first entry of Plan.Sends[k][m] whose Rows
 	// equal entry i's (i itself when none precedes it). Targets that need
 	// the same rows of a worker form one group: the worker materialises and
 	// encodes the row set once and the service fans the bytes out.
 	sendGroup [][][]int
+}
+
+// weightBlock is one worker's row block of one layer, split by who owns the
+// activation row each column multiplies (Algorithm 1): own holds the columns
+// the worker owns, which line 8 multiplies while messages are in flight,
+// other holds the rest, which lines 16-17 accumulate once their rows have
+// arrived. Together they are the block entry for entry, so the two kernel
+// passes visit every stored weight once. The staged object is the encoding
+// of the unsplit block; bytes is that block's in-memory size, what a worker
+// that decoded the object would hold.
+type weightBlock struct {
+	own, other *sparse.CSR
+	bytes      int64
 }
 
 func stagedFor(cfg Config) *stagedModel {
@@ -51,24 +66,21 @@ func stagedFor(cfg Config) *stagedModel {
 	if v, ok := stagedCache.Load(key); ok {
 		return v.(*stagedModel)
 	}
-	s := &stagedModel{
-		blobs:  make(map[string][]byte),
-		blocks: make(map[string]*sparse.CSR),
-	}
+	s := &stagedModel{blobs: make(map[string][]byte)}
 	if cfg.Channel == Serial {
 		for k, w := range cfg.Model.Layers {
-			sk := fmt.Sprintf("model/full/layer-%d.w", k)
-			s.blobs[sk] = model.EncodeCSR(w)
-			s.blocks[sk] = w
+			s.blobs[serialLayerKey(k)] = model.EncodeCSR(w)
 		}
 	} else {
 		plan := cfg.Plan
-		for worker := 0; worker < plan.Workers; worker++ {
+		s.weights = make([][]weightBlock, plan.Workers)
+		for worker := range s.weights {
+			s.weights[worker] = make([]weightBlock, len(cfg.Model.Layers))
 			for k, w := range cfg.Model.Layers {
 				blk := w.SelectRows(plan.Rows[worker])
-				sk := fmt.Sprintf("model/w%d/layer-%d.w", worker, k)
-				s.blobs[sk] = model.EncodeCSR(blk)
-				s.blocks[sk] = blk
+				s.blobs[workerLayerKey(worker, k)] = model.EncodeCSR(blk)
+				own, other := blk.SplitCols(plan.Owner, int32(worker))
+				s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes()}
 			}
 		}
 		s.sendGroup = groupSends(plan)
@@ -77,6 +89,13 @@ func stagedFor(cfg Config) *stagedModel {
 		return v.(*stagedModel)
 	}
 	return s
+}
+
+// serialLayerKey and workerLayerKey name the staged weight objects.
+func serialLayerKey(k int) string { return fmt.Sprintf("model/full/layer-%d.w", k) }
+
+func workerLayerKey(worker, k int) string {
+	return fmt.Sprintf("model/w%d/layer-%d.w", worker, k)
 }
 
 // groupSends finds, per layer and worker, the send-map entries that list
@@ -123,15 +142,19 @@ type inputEncKey struct {
 	compress bool
 }
 
+// encodeInput is wire.Encode, a variable so that a test can make staging
+// fail.
+var encodeInput = wire.Encode
+
 // encodedInput returns the staged payloads for one request input: a single
 // full-matrix payload for Serial, one payload per worker otherwise.
-func (d *Deployment) encodedInput(input *sparse.Dense, batch int) [][]byte {
+func (d *Deployment) encodedInput(input *sparse.Dense, batch int) ([][]byte, error) {
 	key := inputEncKey{input: input, compress: d.Cfg.Compress}
 	if d.Cfg.Channel != Serial {
 		key.plan = d.Cfg.Plan
 	}
 	if v, ok := inputEncMemo.Load(key); ok {
-		return v.([][]byte)
+		return v.([][]byte), nil
 	}
 	var blobs [][]byte
 	if d.Cfg.Channel == Serial {
@@ -139,9 +162,9 @@ func (d *Deployment) encodedInput(input *sparse.Dense, batch int) [][]byte {
 		for r := 0; r < input.Rows; r++ {
 			rs.Add(int32(r), input.Row(r))
 		}
-		p, err := wire.Encode(rs, d.Cfg.Compress)
+		p, err := encodeInput(rs, d.Cfg.Compress)
 		if err != nil {
-			panic(fmt.Sprintf("core: encoding input: %v", err))
+			return nil, fmt.Errorf("core: encoding input: %w", err)
 		}
 		blobs = [][]byte{p}
 	} else {
@@ -152,9 +175,9 @@ func (d *Deployment) encodedInput(input *sparse.Dense, batch int) [][]byte {
 			for _, r := range plan.Rows[worker] {
 				rs.Add(r, input.Row(int(r)))
 			}
-			p, err := wire.Encode(rs, d.Cfg.Compress)
+			p, err := encodeInput(rs, d.Cfg.Compress)
 			if err != nil {
-				panic(fmt.Sprintf("core: encoding input: %v", err))
+				return nil, fmt.Errorf("core: encoding input for worker %d: %w", worker, err)
 			}
 			blobs[worker] = p
 		}
@@ -164,7 +187,7 @@ func (d *Deployment) encodedInput(input *sparse.Dense, batch int) [][]byte {
 			inputEncMemoSize.Add(1)
 		}
 	}
-	return blobs
+	return blobs, nil
 }
 
 // serialMemo caches the serial engine's numeric run result. A run's output
@@ -229,17 +252,4 @@ func (d *Deployment) serialCompute(input *sparse.Dense) (*serialResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// stagedBlock returns the decoded weight block for a staged model key,
-// avoiding a per-run DecodeCSR of bytes this process encoded itself. The
-// blob argument is the object just fetched (and metered) from the store; it
-// is only decoded on the fallback path.
-func (d *Deployment) stagedBlock(key string, blob []byte) (*sparse.CSR, error) {
-	if d.staged != nil {
-		if blk, ok := d.staged.blocks[key]; ok {
-			return blk, nil
-		}
-	}
-	return model.DecodeCSR(blob)
 }

@@ -22,23 +22,24 @@ type worker struct {
 	id  int32
 
 	localRows []int32
-	weights   []*sparse.CSR // local row blocks, global column ids
+	weights   []weightBlock // local row blocks, global column ids
 
-	// x holds this layer's input activation rows by global id: the
-	// worker's own rows plus rows received from other workers.
+	// x is the row table the kernels index: this layer's input activation
+	// rows by global id, nil where a row is zero or absent. The worker's
+	// own rows are set before the local multiply and the rows it receives
+	// after it; the two halves of a weightBlock read disjoint columns, so
+	// one table serves both passes.
 	x        [][]float32
 	xTouched []int32
-	// xr holds rows received during the current layer (accumulated after
-	// the local multiply, Algorithm 1 lines 16-17).
-	xr        [][]float32
-	xrTouched []int32
 
 	ch      channel
 	metrics *WorkerMetrics
 
 	// pending buffers arrivals for gathers this worker has not reached yet
-	// (see gathering.arrive).
+	// (see gathering.arrive); gath is the state of the one gather in
+	// progress, reused from gather to gather.
 	pending map[tag][]arrival
+	gath    gathering
 
 	// Tracing state (set only when this run was sampled): the run's
 	// tracer, this worker's track name, and its lifetime span.
@@ -219,28 +220,25 @@ func (w *worker) load() error {
 	t0 := p.Now()
 	n := d.Cfg.Model.Spec.Neurons
 	w.localRows = d.Cfg.Plan.Rows[w.id]
-	w.weights = make([]*sparse.CSR, len(d.Cfg.Model.Layers))
+	// The fetched objects are this process's own encodings of the staged
+	// blocks (the read and the parse are charged on their real length), so
+	// the worker computes on the blocks and decodes nothing.
+	w.weights = d.staged.weights[w.id]
 	perf := w.ctx.Perf()
-	for k := range d.Cfg.Model.Layers {
-		key := fmt.Sprintf("model/w%d/layer-%d.w", w.id, k)
-		blob, err := d.store.Get(p, key)
+	for k, blk := range w.weights {
+		blob, err := d.store.View(p, workerLayerKey(int(w.id), k))
 		if err != nil {
 			return fmt.Errorf("core: worker %d loading layer %d: %w", w.id, k, err)
 		}
 		w.metrics.StoreGets++
 		w.ctx.Serialize(int64(len(blob)))
-		blk, err := d.stagedBlock(key, blob)
-		if err != nil {
-			return fmt.Errorf("core: worker %d decoding layer %d: %w", w.id, k, err)
-		}
-		w.ctx.Alloc(int64(float64(blk.Bytes()) * perf.MemOverheadWeights))
-		w.weights[k] = blk
+		w.ctx.Alloc(int64(float64(blk.bytes) * perf.MemOverheadWeights))
 	}
 	// Send/receive maps.
 	w.ctx.Alloc(d.Cfg.Plan.MapBytes(int(w.id)) * 2)
 
 	// Input rows.
-	blob, err := d.store.Get(p, fmt.Sprintf("input/%s/w%d.x", w.run.id, w.id))
+	blob, err := d.store.View(p, fmt.Sprintf("input/%s/w%d.x", w.run.id, w.id))
 	if err != nil {
 		return fmt.Errorf("core: worker %d loading input: %w", w.id, err)
 	}
@@ -252,7 +250,6 @@ func (w *worker) load() error {
 		return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)
 	}
 	w.x = make([][]float32, n)
-	w.xr = make([][]float32, n)
 	for i := 0; i < rs.Len(); i++ {
 		w.setX(rs.IDs[i], rs.Row(i))
 	}
@@ -266,20 +263,11 @@ func (w *worker) setX(id int32, vals []float32) {
 	w.xTouched = append(w.xTouched, id)
 }
 
-func (w *worker) setXR(id int32, vals []float32) {
-	w.xr[id] = vals
-	w.xrTouched = append(w.xrTouched, id)
-}
-
 func (w *worker) clearLayerState() {
 	for _, id := range w.xTouched {
 		w.x[id] = nil
 	}
 	w.xTouched = w.xTouched[:0]
-	for _, id := range w.xrTouched {
-		w.xr[id] = nil
-	}
-	w.xrTouched = w.xrTouched[:0]
 }
 
 // runFSI executes the FSI loop (Algorithm 1 for the queue channel,
@@ -313,9 +301,7 @@ func (w *worker) runFSI() error {
 		z := sparse.NewDense(len(w.localRows), batch)
 		zBytes := int64(float64(z.Bytes()) * perf.MemOverheadData)
 		w.ctx.Alloc(zBytes)
-		macs := sparse.MulGatherInto(w.weights[k], func(c int32) []float32 {
-			return w.x[c]
-		}, z)
+		macs := sparse.MulRowsInto(w.weights[k].own, w.x, z)
 		w.ctx.Compute(float64(macs))
 
 		// Receive inbound rows until all sources for this layer have
@@ -326,7 +312,7 @@ func (w *worker) runFSI() error {
 			rsp := w.opSpan("recv")
 			err := w.ch.gather(w, tag{dataKind, k}, sources, func(src int32, rs *wire.RowSet) {
 				for i := 0; i < rs.Len(); i++ {
-					w.setXR(rs.IDs[i], rs.Row(i))
+					w.setX(rs.IDs[i], rs.Row(i))
 				}
 				w.metrics.RowsRecv += int64(rs.Len())
 				b := int64(float64(rs.RawBytes()) * perf.MemOverheadData)
@@ -340,9 +326,7 @@ func (w *worker) runFSI() error {
 		}
 
 		// Accumulate received contributions (lines 16-17 / 22-23).
-		rmacs := sparse.MulGatherInto(w.weights[k], func(c int32) []float32 {
-			return w.xr[c]
-		}, z)
+		rmacs := sparse.MulRowsInto(w.weights[k].other, w.x, z)
 		w.ctx.Compute(float64(rmacs))
 
 		// Activation (line 18 / 24).

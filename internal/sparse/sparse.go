@@ -7,6 +7,52 @@
 // calibrated virtual compute time for the work actually performed — sparsity
 // in both weights and activations directly reduces the charged time, as it
 // does for the paper's SciPy workers.
+//
+// # Accumulation order
+//
+// Every kernel adds the products of one output element z[r][j] in the same
+// order: the stored entries of weight row r by ascending column, one
+// float32 multiply and one float32 add each, absent and zero activation
+// rows skipped. Float addition does not associate, so this order is part of
+// the contract: outputs, the golden cells of internal/core and the
+// benchmark's sim_digest are compared bit for bit. A kernel may change how
+// it walks memory, never the order of the adds into one element. The
+// distributed worker runs two passes per layer over disjoint column sets
+// (CSR.SplitCols: the columns it owns, then the columns it receives), so
+// its order is own columns ascending, then foreign columns ascending.
+//
+// # Which kernel serves which path
+//
+//   - Mul, the Serial engine and the baselines: one full-width dense x,
+//     batches of hundreds to thousands of columns. A streaming loop: for
+//     each stored weight, z[r][:] += v * x[c][:] across the whole batch.
+//   - MulRowsInto, the FSI worker (Algorithm 1 line 8 and lines 16-17): x is
+//     a table of row slices indexed by global column id, batches of 4 to 64
+//     columns. It keeps a tile of 8, 4 or 1 elements of z in registers while
+//     it walks the weight row, so z is loaded and stored once per tile
+//     rather than once per product, and nothing is called per nonzero.
+//   - MulGatherInto, the closure form of the same product, is the reference
+//     MulRowsInto is tested against (math.Float32bits on every element,
+//     equal MAC counts) and what the benchmark's sparse probe times; the
+//     engine no longer calls it.
+//
+// BenchmarkMulRows (N=1024, 32 stored weights a row, -cpu 1, GMAC/s, the
+// range of best-of-five runs on a shared 2-vCPU Xeon @ 2.1 GHz): what one of
+// the engine's former two passes saw, MulGatherInto over a whole P=2 block
+// with half the columns absent, against MulRowsInto over the block's own
+// half (every column present) and its received half (a tenth absent):
+//
+//	batch   MulGatherInto, whole   MulRowsInto, own   MulRowsInto, received
+//	    4        0.13                 0.9 - 1.1           0.6 - 1.3
+//	    8        0.23 - 0.29          1.2 - 1.6           0.9 - 1.3
+//	   64        0.57 - 0.84          1.3 - 1.9           0.9 - 1.2
+//	  256        1.1  - 1.3           1.9 - 2.1           1.1 - 1.9
+//
+// Mul is deliberately not tiled. At the Serial engine's batch of 4096 an
+// activation row is 16 KB, so the 32 rows one weight row multiplies all map
+// to the same L1 sets: walked tile by tile they evict each other (the tiled
+// kernel at batch 4096 measured 1.1 GMAC/s against the streaming loop's
+// 1.5 - 1.7), while the streaming loop reads each of them once, end to end.
 package sparse
 
 import (
@@ -126,6 +172,43 @@ func (m *CSR) SelectRows(rows []int32) *CSR {
 	return sub
 }
 
+// SplitCols splits m by column into two matrices of m's shape: the entries
+// whose column c has part[c] == id, and the rest. Row structure and the
+// order of entries within a row are kept, and both results are built at
+// exact size. The engine splits a worker's row block into the columns the
+// worker owns and the columns it receives (see MulRowsInto).
+func (m *CSR) SplitCols(part []int32, id int32) (in, out *CSR) {
+	nin := 0
+	for _, c := range m.ColIdx {
+		if part[c] == id {
+			nin++
+		}
+	}
+	sized := func(nnz int) *CSR {
+		return &CSR{
+			Rows: m.Rows, Cols: m.Cols,
+			RowPtr: make([]int32, m.Rows+1),
+			ColIdx: make([]int32, 0, nnz),
+			Val:    make([]float32, 0, nnz),
+		}
+	}
+	in, out = sized(nin), sized(m.NNZ()-nin)
+	for r := 0; r < m.Rows; r++ {
+		cols, vals := m.Row(r)
+		for i, c := range cols {
+			dst := out
+			if part[c] == id {
+				dst = in
+			}
+			dst.ColIdx = append(dst.ColIdx, c)
+			dst.Val = append(dst.Val, vals[i])
+		}
+		in.RowPtr[r+1] = int32(len(in.Val))
+		out.RowPtr[r+1] = int32(len(out.Val))
+	}
+	return in, out
+}
+
 // Dense is a row-major dense float32 matrix. For activations, rows index
 // neurons and columns index batch samples.
 type Dense struct {
@@ -202,13 +285,13 @@ func (d *Dense) NNZ() int64 {
 
 // RowLookup maps a global column index of a weight matrix to the
 // corresponding activation row vector, or nil if that row is zero/absent.
-// The distributed kernel skips absent rows, exploiting activation sparsity.
 type RowLookup func(col int32) []float32
 
 // MulGatherInto computes z += W · x, where x rows are fetched through
 // lookup, and z has W.Rows rows (local indexing). It returns the number of
 // multiply-add operations actually performed: absent (nil) activation rows
-// contribute nothing and cost nothing, matching sparse execution.
+// contribute nothing and cost nothing, matching sparse execution. It is the
+// closure-form reference for MulRowsInto, which the engine runs.
 func MulGatherInto(w *CSR, lookup RowLookup, z *Dense) int64 {
 	if z.Rows != w.Rows {
 		panic(fmt.Sprintf("sparse: z has %d rows, want %d", z.Rows, w.Rows))
@@ -228,6 +311,82 @@ func MulGatherInto(w *CSR, lookup RowLookup, z *Dense) int64 {
 				zr[j] += v * xv
 			}
 			macs += int64(len(xrow))
+		}
+	}
+	return macs
+}
+
+// MulRowsInto computes z += W · x, where x is a row table indexed by W's
+// global column ids: x[c] is activation row c, at least z.Cols wide (values
+// past z.Cols are not read), or nil when that row is zero or absent. It is
+// MulGatherInto with the lookup replaced by the table and the batch walked
+// in register tiles of 8, then 4, then 1 columns: a tile of z is loaded
+// once, every present nonzero of the weight row is accumulated into it in
+// registers (a += v*x[c][j], columns ascending — the order MulGatherInto
+// adds them in, so the results are bit-identical), and it is stored once,
+// with one bounds check per nonzero and tile. Returns the multiply-add
+// count, as MulGatherInto does.
+func MulRowsInto(w *CSR, x [][]float32, z *Dense) int64 {
+	if z.Rows != w.Rows {
+		panic(fmt.Sprintf("sparse: z has %d rows, want %d", z.Rows, w.Rows))
+	}
+	nc := z.Cols
+	var macs int64
+	for r := 0; r < w.Rows; r++ {
+		cols, vals := w.Row(r)
+		vals = vals[:len(cols)] // one length for both: no bounds check on vals[i]
+		zrow := z.Data[r*nc : r*nc+nc]
+		j := 0
+		for ; j+8 <= nc; j += 8 {
+			zt := zrow[j : j+8 : j+8]
+			a0, a1, a2, a3, a4, a5, a6, a7 := zt[0], zt[1], zt[2], zt[3], zt[4], zt[5], zt[6], zt[7]
+			for i, c := range cols {
+				xr := x[c]
+				if xr == nil {
+					continue
+				}
+				xt := xr[j : j+8 : j+8]
+				v := vals[i]
+				macs += 8
+				a0 += v * xt[0]
+				a1 += v * xt[1]
+				a2 += v * xt[2]
+				a3 += v * xt[3]
+				a4 += v * xt[4]
+				a5 += v * xt[5]
+				a6 += v * xt[6]
+				a7 += v * xt[7]
+			}
+			zt[0], zt[1], zt[2], zt[3], zt[4], zt[5], zt[6], zt[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		}
+		if j+4 <= nc {
+			zt := zrow[j : j+4 : j+4]
+			a0, a1, a2, a3 := zt[0], zt[1], zt[2], zt[3]
+			for i, c := range cols {
+				xr := x[c]
+				if xr == nil {
+					continue
+				}
+				xt := xr[j : j+4 : j+4]
+				v := vals[i]
+				macs += 4
+				a0 += v * xt[0]
+				a1 += v * xt[1]
+				a2 += v * xt[2]
+				a3 += v * xt[3]
+			}
+			zt[0], zt[1], zt[2], zt[3] = a0, a1, a2, a3
+			j += 4
+		}
+		for ; j < nc; j++ {
+			a := zrow[j]
+			for i, c := range cols {
+				if xr := x[c]; xr != nil {
+					a += vals[i] * xr[j]
+					macs++
+				}
+			}
+			zrow[j] = a
 		}
 	}
 	return macs
