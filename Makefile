@@ -1,5 +1,5 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint bench-smoke fuzz-smoke loc bench bench-guard profile
+.PHONY: check fmt vet build test lint identity bench-smoke fuzz-smoke loc bench bench-guard profile
 
 # BENCH_N is this PR's point on the perf trajectory: bump it each PR so
 # `make bench` appends a new BENCH_N.json and benchguard compares it
@@ -27,6 +27,15 @@ test:
 # (//simlint:allow <analyzer> — <why>).
 lint:
 	go run ./tools/simlint ./...
+
+# identity runs the serving layer's cross-mode suite twice under the race
+# detector: the tests that compare Replay, ReplayLanes and ReplayStream by
+# their exported traces and monitor series (Trace, ByteIdent, Identical), by
+# their reports (Matches) and against values pinned before the modes shared
+# an engine (Golden). Lanes are the package's only goroutines. CI calls this
+# target, so the pattern has one home.
+identity:
+	go test ./internal/serve/ -run 'Trace|ByteIdent|Identical|Matches|Golden' -race -count=2
 
 # bench-smoke vets and smoke-tests the repository benchmark (bench/, the
 # program behind BENCHMARK.json). It is a module of its own, so `./...`

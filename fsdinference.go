@@ -492,7 +492,10 @@ type (
 	CostRow = workload.Row
 	// TraceStream yields a workload trace incrementally for streaming
 	// replay (Service.ReplayStream): million-query days never
-	// materialise as one slice.
+	// materialise as one slice. It is the same replay engine as
+	// Service.Replay, so every ReplayOptions field applies, Verify
+	// included; only the latency percentiles differ (histogram bucket
+	// bounds instead of exact nearest-rank values).
 	TraceStream = workload.TraceStream
 )
 

@@ -87,30 +87,17 @@ func TestReplayReportCarriesFailoverStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := svc.byName["mem"].sched.pool[0].d.KVCluster()
 	// The late query stretches the window past the nodes' 60s billing
 	// floor, so every shard accrues in-window hours for the breakdown.
 	trace := []workload.Query{
 		{At: 0, Neurons: 256, Samples: 8},
 		{At: 2 * time.Minute, Neurons: 256, Samples: 8},
 	}
-	killed := false
+	// The kill lands inside the measured window, mid-run.
 	rep, err := svc.Replay(trace, ReplayOptions{
 		Seed:   11,
 		Verify: true,
-		// Route is called after the replay window opens, so the kill it
-		// schedules lands inside the measured window, mid-run.
-		Route: func(q workload.Query) (string, bool) {
-			if !killed {
-				killed = true
-				e.K.At(1800*time.Millisecond, func() {
-					if err := cl.KillNode(0); err != nil {
-						t.Errorf("kill: %v", err)
-					}
-				})
-			}
-			return "mem", true
-		},
+		Chaos:  []ChaosEvent{{At: 1800 * time.Millisecond, Kind: KillNode, Endpoint: "mem"}},
 	})
 	if err != nil {
 		t.Fatal(err)

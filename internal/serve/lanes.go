@@ -32,7 +32,7 @@ import (
 // merge recomputes the cross-lane latency distribution from the raw
 // per-request samples. Chaos traces are the exception (an unnamed chaos
 // event targets "the first live cluster", a service-wide notion), so they
-// fall back to a single lane.
+// replay on one lane.
 //
 // Float-accumulated metering (costs, GB-hours) is summed across lanes;
 // the totals can differ from the single-lane run's by floating-point
@@ -44,9 +44,6 @@ import (
 func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOptions) (*Report, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("serve: lanes must be positive, got %d", lanes)
-	}
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("serve: empty trace")
 	}
 	opts = opts.withDefaults()
 	items, err := s.routeTrace(trace, opts)
@@ -66,20 +63,9 @@ func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOpti
 	if lanes > len(sizes) {
 		lanes = len(sizes)
 	}
-	if lanes == 1 || len(opts.Chaos) > 0 {
-		// One lane (or a chaos trace, which needs the whole service on one
-		// kernel): replay the full trace on a single fresh clone so the
-		// result is identical to a multi-lane run's semantics.
-		lane, err := s.cloneService(nil)
-		if err != nil {
-			return nil, err
-		}
-		rep, _, err := lane.replayRouted(func() ([]routedQuery, error) { return items, nil }, opts)
-		if err != nil {
-			return nil, err
-		}
-		s.absorbObs([]*Service{lane})
-		return rep, nil
+	if len(opts.Chaos) > 0 {
+		// A chaos trace needs the whole service on one kernel.
+		lanes = 1
 	}
 
 	laneOfSize := make(map[int]int, len(sizes))
@@ -121,8 +107,7 @@ func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOpti
 				return
 			}
 			svcs[l] = svc
-			runs[l], errs[l] = svc.replayStart(
-				func() ([]routedQuery, error) { return laneItems[l], nil }, opts)
+			runs[l], errs[l] = svc.replayStart(oneBatch(laneItems[l]), true, opts)
 		}()
 	}
 	wg.Wait()
@@ -144,16 +129,15 @@ func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOpti
 		}
 	}
 	reps := make([]*Report, lanes)
-	lats := make([][]time.Duration, lanes)
 	for l := 0; l < lanes; l++ {
-		rep, all, err := svcs[l].replayFinish(runs[l], opts, endAt)
-		if err != nil {
+		var err error
+		if reps[l], err = svcs[l].replayFinish(runs[l], endAt); err != nil {
 			return nil, err
 		}
-		reps[l], lats[l] = rep, all
 	}
 	s.absorbObs(svcs)
-	return s.mergeLaneReports(reps, lats), nil
+	out := s.mergeLaneReports(reps, runs)
+	return out, out.Check()
 }
 
 // absorbObs folds the lanes' tracers, metric registries and SLO monitors
@@ -191,8 +175,8 @@ func (s *Service) cloneService(keep func(name string) bool) (*Service, error) {
 // mergeLaneReports folds per-lane reports into one, deterministically:
 // lane order is fixed by the lane assignment, endpoint order follows the
 // receiver's registration order, and the cross-lane latency distribution
-// is recomputed from the concatenated raw samples.
-func (s *Service) mergeLaneReports(reps []*Report, lats [][]time.Duration) *Report {
+// is recomputed from the lanes' concatenated raw samples.
+func (s *Service) mergeLaneReports(reps []*Report, runs []*replayRun) *Report {
 	out := &Report{}
 	byName := make(map[string]EndpointReport)
 	var all []time.Duration
@@ -203,7 +187,7 @@ func (s *Service) mergeLaneReports(reps []*Report, lats [][]time.Duration) *Repo
 		if rep.Horizon > out.Horizon {
 			out.Horizon = rep.Horizon
 		}
-		all = append(all, lats[l]...)
+		all = append(all, runs[l].lat.samples...)
 		for _, er := range rep.Endpoints {
 			byName[er.Name] = er
 		}

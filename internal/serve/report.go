@@ -230,6 +230,44 @@ type Report struct {
 	ChaosSkipped    int
 }
 
+// Check verifies the report's internal accounting, from the report alone:
+// the endpoints' request counts sum to the totals, every request that did
+// not fail has exactly one latency sample (in the report's distribution, in
+// its endpoint's and, where the endpoint breaks latency down by priority, in
+// exactly one class), and no request took longer than the whole replay. Every
+// replay entry point checks its report before returning it.
+func (r *Report) Check() error {
+	var queries, failed, samples int
+	for _, ep := range r.Endpoints {
+		queries += ep.Queries
+		failed += ep.Failed
+		samples += ep.Samples
+		if ep.Latency.Count != ep.Queries-ep.Failed {
+			return fmt.Errorf("serve: report: endpoint %s has %d latencies for %d queries, %d failed",
+				ep.Name, ep.Latency.Count, ep.Queries, ep.Failed)
+		}
+		classed := 0
+		for _, pl := range ep.PerPriority {
+			classed += pl.Latency.Count
+		}
+		if len(ep.PerPriority) > 0 && classed != ep.Latency.Count {
+			return fmt.Errorf("serve: report: endpoint %s has %d latencies, its priority classes %d",
+				ep.Name, ep.Latency.Count, classed)
+		}
+	}
+	if queries != r.Queries || failed != r.Failed || samples != r.Samples {
+		return fmt.Errorf("serve: report: endpoints sum to %d queries, %d failed, %d samples; totals are %d, %d, %d",
+			queries, failed, samples, r.Queries, r.Failed, r.Samples)
+	}
+	if r.Latency.Count != r.Queries-r.Failed {
+		return fmt.Errorf("serve: report: %d latencies for %d queries, %d failed", r.Latency.Count, r.Queries, r.Failed)
+	}
+	if r.Latency.Max > r.Horizon {
+		return fmt.Errorf("serve: report: slowest request took %v, the replay %v", r.Latency.Max, r.Horizon)
+	}
+	return nil
+}
+
 // String renders the report as a deterministic fixed-order text table, so
 // identical traces and seeds produce byte-identical reports.
 func (r *Report) String() string {

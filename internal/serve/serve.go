@@ -865,9 +865,9 @@ func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration,
 }
 
 // submit is the common submission path. notify, when non-nil, is installed
-// on the handle before any validation can fail it, so streaming replays
-// observe every resolution — including synchronous rejects — through one
-// hook and never need to retain the handle themselves. idx is the
+// on the handle before any validation can fail it, so a replay observes
+// every resolution — including synchronous rejects — through one hook and
+// never needs to retain the handle itself. idx is the
 // request's sampling index: replay paths pass the query's position in
 // the original trace (mode-stable), interactive Submits a service-local
 // sequence.
@@ -1003,8 +1003,8 @@ type Handle struct {
 	err      error
 	finished time.Duration
 	// notify, when set, observes the handle's resolution (success or
-	// failure) exactly once. Streaming replays account and release handles
-	// through it instead of holding them all until the run drains.
+	// failure) exactly once. Replays account and release handles through
+	// it instead of holding them all until the run drains.
 	notify func(*Handle)
 }
 

@@ -69,18 +69,12 @@ func (s *Service) closeWindow(win *replayWindow) {
 	}
 }
 
-// endpointReport assembles one endpoint's report over the window from its
-// stat delta and the request-level aggregates the caller accumulated.
-func (s *Service) endpointReport(ep *Endpoint, win *replayWindow,
-	queries, failed, samples int, lat LatencyStats, perPrio []PriorityLatency) EndpointReport {
-	var snap endpointStats
-	for i, e := range s.eps {
-		if e == ep {
-			snap = win.statSnaps[i]
-			break
-		}
-	}
-	st := ep.stats.sub(snap)
+// endpointReport assembles the report of the i-th registered endpoint over
+// the window from its stat delta and the request-level accounting the
+// replay folded.
+func (s *Service) endpointReport(i int, win *replayWindow, a *endpointAcc) EndpointReport {
+	ep := s.eps[i]
+	st := ep.stats.sub(win.statSnaps[i])
 	// Re-plan events are reported trace-relative, like Horizon.
 	replans := make([]ReplanEvent, len(st.Replans))
 	for j, ev := range st.Replans {
@@ -110,17 +104,17 @@ func (s *Service) endpointReport(ep *Endpoint, win *replayWindow,
 		Replans:           replans,
 		Observed:          ep.sched.observedProfile(batch),
 		MaxConcurrentRuns: st.MaxConcurrent,
-		Queries:           queries,
-		Failed:            failed,
-		Samples:           samples,
+		Queries:           a.queries,
+		Failed:            a.failed,
+		Samples:           a.samples,
 		Runs:              st.Runs,
 		FailedRuns:        st.FailedRuns,
 		MaxRunSamples:     st.MaxSamples,
 		ColdStarts:        st.ColdStarts,
 		WarmStarts:        st.WarmStarts,
-		Latency:           lat,
+		Latency:           a.lat.stats(),
 		Cost:              st.Cost,
-		PerPriority:       perPrio,
+		PerPriority:       prioLatencies(a.perPrio),
 	}
 	if st.Runs > 0 {
 		er.AvgRunSamples = float64(st.RunSamples) / float64(st.Runs)
