@@ -310,3 +310,75 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 	}
 	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028354183, "0.0025804809790660873", "bd69860709064408"})
 }
+
+// TestGoldenRunLedger pins what Start reports — the Usage and Cost that
+// runUsage reconstructs from the worker ledgers, which the cells above never
+// see because Infer replaces them with the metered window — for every kind
+// at P=8 under AutoAlgo with AllreduceOutput, so Usage.Collectives in the
+// dump also pins what the channel's traits made the picker choose. The
+// Hybrid threshold is low enough that both of its routes carry values; the
+// chunk size stays at its default because a value split over several chunks
+// loses all but its last one under tree and ring (collective.recvOne keeps
+// one delivery per source), which capturing this cell found. Captured before
+// the kinds' provisioning, traits and billing moved into one table.
+//
+// The run ends when the root finishes, so under tree the ranks still waiting
+// for their broadcast copy have no FinishedAt when runUsage reads them and
+// contribute a negative runtime: the Queue and Object cells pin a negative
+// LambdaGBSeconds, the same early-teardown defect TestGoldenResultP32 pins.
+func TestGoldenRunLedger(t *testing.T) {
+	golden := map[ChannelKind]goldenCell{
+		Serial: {783822079, "3.0283979567870003e-05", "8be09676e02a6e52"},
+		Queue:  {3816139758, "-5.667714247001106e-05", "12746108a46a5728"},
+		Object: {4196882311, "0.0029707730949831094", "428b348145e302a0"},
+		Memory: {3062009473, "0.0025916588710274513", "5073768c9c3340ed"},
+		Hybrid: {3497278217, "0.0035349619099200114", "b2b8cc8be9f9c4a2"},
+	}
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 8, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 8, 0.2, 2)
+	want := model.Reference(m, input)
+
+	for _, kind := range []ChannelKind{Serial, Queue, Object, Memory, Hybrid} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := Config{
+				Model: m, Channel: kind, Collective: collective.AutoAlgo,
+				AllreduceOutput: true, Compress: true, PollWait: 2 * time.Second,
+				HybridThresholdBytes: 512,
+			}
+			if kind != Serial {
+				cfg.Plan = plan
+			}
+			e := env.NewDefault()
+			d, err := Deploy(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res *Result
+			var runErr error
+			if _, err := d.Start(input, func(r *Result, err error) { res, runErr = r, err }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.K.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			if !model.OutputsClose(res.Output, want, 1e-2) {
+				t.Fatal("output diverges from reference inference")
+			}
+			if kind == Hybrid && (e.Meter.HybridSmallValues == 0 || e.Meter.HybridBulkValues == 0) {
+				t.Fatalf("hybrid routed %d values inline and %d in bulk; the cell needs both",
+					e.Meter.HybridSmallValues, e.Meter.HybridBulkValues)
+			}
+			checkGolden(t, kind.String(), res, golden[kind])
+		})
+	}
+}
