@@ -27,20 +27,9 @@ func main() {
 	verify := flag.Bool("verify", true, "check the output against reference inference")
 	flag.Parse()
 
-	var kind fsdinference.ChannelKind
-	switch *channel {
-	case "serial":
-		kind = fsdinference.Serial
-	case "queue":
-		kind = fsdinference.Queue
-	case "object":
-		kind = fsdinference.Object
-	case "memory":
-		kind = fsdinference.Memory
-	case "hybrid":
-		kind = fsdinference.Hybrid
-	default:
-		fatal("unknown channel %q", *channel)
+	kind, err := fsdinference.ParseChannelKind(*channel)
+	if err != nil {
+		fatal("%v", err)
 	}
 	var sch fsdinference.PartitionScheme
 	switch *scheme {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fsdserve [-queries N] [-sizes 256,512] [-batch B] [-layers L]
-//	         [-workers P] [-channel serial|queue|object|memory]
+//	         [-workers P] [-channel serial|queue|object|memory|hybrid]
 //	         [-replicas R] [-coalesce-batch S] [-coalesce-delay D]
 //	         [-autoscale] [-max-replicas M] [-run-concurrency C]
 //	         [-admission fifo|priority|deadline]
@@ -128,20 +128,12 @@ func main() {
 	if *workers > 1 {
 		epOpts = append(epOpts, fsdinference.WithWorkers(*workers))
 	}
-	switch *channel {
-	case "":
-	case "serial":
-		epOpts = append(epOpts, fsdinference.WithChannel(fsdinference.Serial))
-	case "queue":
-		epOpts = append(epOpts, fsdinference.WithChannel(fsdinference.Queue))
-	case "object":
-		epOpts = append(epOpts, fsdinference.WithChannel(fsdinference.Object))
-	case "memory":
-		epOpts = append(epOpts, fsdinference.WithChannel(fsdinference.Memory))
-	case "hybrid":
-		epOpts = append(epOpts, fsdinference.WithChannel(fsdinference.Hybrid))
-	default:
-		fatal("unknown channel %q", *channel)
+	if *channel != "" {
+		kind, err := fsdinference.ParseChannelKind(*channel)
+		if err != nil {
+			fatal("%v", err)
+		}
+		epOpts = append(epOpts, fsdinference.WithChannel(kind))
 	}
 	for _, n := range sizes {
 		fmt.Printf("generating %d-neuron, %d-layer sparse DNN...\n", n, *layers)

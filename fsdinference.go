@@ -144,6 +144,10 @@ const (
 	Hybrid = core.Hybrid
 )
 
+// ParseChannelKind returns the variant whose command-line spelling is s
+// (serial, queue, object, memory, hybrid).
+func ParseChannelKind(s string) (ChannelKind, error) { return core.ParseChannelKind(s) }
+
 // The collectives subsystem (internal/collective): Barrier, Broadcast,
 // Reduce/Allreduce, Scatter and Gather over the deployment's channel,
 // under flat (the paper's root-funnelled pattern), binomial-tree or ring

@@ -174,8 +174,11 @@ func TestOverlappingMemoryRunsOnOneDeployment(t *testing.T) {
 // Reconstructed per-run usage (the asynchronous path's Usage/Cost) must
 // track the exact metered window when runs do not overlap.
 func TestAsyncUsageReconstructionMatchesMeter(t *testing.T) {
-	for _, kind := range []ChannelKind{Serial, Queue, Object, Memory} {
-		d, _, input := testSetup(t, 128, 6, 4, kind, nil)
+	for _, kind := range tableKinds() {
+		// Thresholds low enough that Hybrid bills both of its sides.
+		d, _, input := testSetup(t, 128, 6, 4, kind, func(c *Config) {
+			c.HybridThresholdBytes, c.HybridChunkBytes = 256, 1<<10
+		})
 		snap := d.Env.Meter.Snapshot()
 		var res *Result
 		var runErr error

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/wire"
 )
@@ -48,8 +51,34 @@ type bulkRef struct {
 	prefix string
 }
 
-func newHybridChannel(w *worker) *hybridChannel {
+func openHybrid(w *worker) channel {
 	return &hybridChannel{mem: newMemoryChannel(w)}
+}
+
+// provisionHybrid creates both sides: the bulk route's buckets, then the
+// store cluster every value announces itself through.
+func provisionHybrid(d *Deployment) error {
+	if err := provisionBuckets(d); err != nil {
+		return err
+	}
+	return provisionStore(d)
+}
+
+// hybridTraits follows the message's route: the store for what travels
+// inline, object storage from the HybridFanout-wide pool for bulk.
+func hybridTraits(cfg Config, ec env.Config, msgBytes int64) collective.Traits {
+	if msgBytes > int64(cfg.HybridThresholdBytes) {
+		return objectRouteTraits(ec, cfg.HybridFanout)
+	}
+	return memoryTraits(cfg, ec, msgBytes)
+}
+
+// billHybrid bills the control plane through the store and the bulk chunks
+// through object storage.
+func billHybrid(w *WorkerMetrics, u *usage.Meter) {
+	billStore(w, u)
+	u.S3PutCalls += w.HybridPuts
+	u.S3GetCalls += w.HybridGets
 }
 
 // bulkMagic marks a pointer frame in an inbox value body. It is distinct

@@ -6,7 +6,11 @@ import (
 	"strconv"
 	"time"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/kvcluster"
+	"fsdinference/internal/cloud/kvstore"
+	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/wire"
 )
@@ -51,6 +55,80 @@ type memoryChannel struct {
 
 func newMemoryChannel(w *worker) *memoryChannel {
 	return &memoryChannel{inbox: inboxKey(w.run.id, w.id), resentAt: make(map[tag]int64)}
+}
+
+func openMemory(w *worker) channel { return newMemoryChannel(w) }
+
+// provisionStore creates the deployment's in-memory store cluster. Unlike
+// topics and buckets, provisioned cache nodes are NOT free to keep: they
+// bill node-hours from this moment, idle or busy — the provisioned-versus-
+// per-request tradeoff of §IV. The nodes form a slot-mapped cluster:
+// KVNodes primary shards (each with its own request-rate ceiling) times
+// KVReplicas replicas, so the deployment buys throughput with shards and
+// availability with replica node-hours.
+func provisionStore(d *Deployment) error {
+	cfg := d.Cfg
+	cl, err := kvcluster.New(d.Env.KV, kvcluster.Config{
+		Name:              d.prefix + "-kv",
+		Shards:            cfg.KVNodes,
+		Replicas:          cfg.KVReplicas,
+		NodeType:          cfg.KVNodeType,
+		FailoverWindow:    cfg.KVFailoverWindow,
+		ReplicationLag:    cfg.KVReplicationLag,
+		Trace:             cfg.Trace.Sub("kv"),
+		FailoverCounter:   cfg.KVFailoverCounter,
+		LostValuesCounter: cfg.KVLostValuesCounter,
+	})
+	if err != nil {
+		return err
+	}
+	d.kvcluster = cl
+	return nil
+}
+
+// bindStore notes the cluster's loss counter as the run begins (see
+// runState.baseLost). The nil checks here and in dropRunKeyspace are for a
+// deployment that was decommissioned while a late run still unbinds.
+func bindStore(d *Deployment, run *runState) {
+	if d.kvcluster != nil {
+		run.baseLost = d.kvcluster.LostValues()
+	}
+}
+
+// dropRunKeyspace tears down a run's key prefix on every cluster node —
+// all shards, primaries and replicas (free control-plane operation, like
+// queue teardown). Keys of a run that never completes expire via their TTL
+// instead.
+func dropRunKeyspace(d *Deployment, run *runState) {
+	if d.kvcluster != nil {
+		d.kvcluster.DropPrefix(run.id + "/")
+	}
+}
+
+// memoryTraits is one value's path through the store on the deployment's
+// node type. A node type outside the catalogue — a planner candidate, never
+// a deployment, which would not have provisioned — is priced as the default
+// node rather than at zero bandwidth.
+func memoryTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
+	nt, ok := kvstore.Catalog[cfg.KVNodeType]
+	if !ok {
+		nt = kvstore.Catalog[DefaultKVNodeType]
+	}
+	return collective.Traits{
+		// A value crosses the store twice: push and blocking pop.
+		PerMsg:      2 * ec.KV.OpLatency,
+		BytesPerSec: nt.NetBytesPerSec / 2,
+		Fan:         cfg.Threads,
+	}
+}
+
+// billStore maps a worker's ledger onto the store's traffic meters. They
+// carry no price: the store bills node-hours, which runUsage attributes to
+// the run from the cluster's nodes.
+func billStore(w *WorkerMetrics, u *usage.Meter) {
+	u.KVOps += w.Publishes + w.Polls
+	u.KVBytesIn += w.BytesSent
+	u.KVBytesOut += w.BytesRecv
 }
 
 // sentValue is one sender-log entry: the framed inbox value a worker

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/s3"
+	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/wire"
 )
@@ -17,6 +20,43 @@ import (
 // sources, and GET the remaining objects from parallel threads. Multiple
 // buckets and prefixes spread I/O to stay inside provider API quotas.
 type objectChannel struct{}
+
+func openObject(*worker) channel { return objectChannel{} }
+
+// provisionBuckets creates the target-keyed buckets a priori (free to keep).
+func provisionBuckets(d *Deployment) error {
+	d.buckets = make([]*s3.Bucket, d.Cfg.Buckets)
+	for b := range d.buckets {
+		d.buckets[b] = d.Env.S3.CreateBucket(fmt.Sprintf("%s-bucket-%d", d.prefix, b))
+	}
+	return nil
+}
+
+func objectTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
+	return objectRouteTraits(ec, cfg.Threads)
+}
+
+// objectRouteTraits is one value's path through object storage — PUT, the
+// LIST that finds it, GET — from a fan-wide transfer pool; the bandwidth is
+// the harmonic mean of the upload and download rates.
+func objectRouteTraits(ec env.Config, fan int) collective.Traits {
+	return collective.Traits{
+		PerMsg:      ec.S3.PutLatency + ec.S3.ListLatency + ec.S3.GetLatency,
+		BytesPerSec: 2 / (1/ec.S3.PutBytesPerSec + 1/ec.S3.GetBytesPerSec),
+		Fan:         fan,
+	}
+}
+
+// billObject maps a worker's ledger onto the object-store meters, the
+// inputs of Equation (7): PUTs V, GETs R and LISTs L. The byte counters are
+// approximated from the payload ledgers and carry no cost.
+func billObject(w *WorkerMetrics, u *usage.Meter) {
+	u.S3PutCalls += w.Publishes
+	u.S3GetCalls += w.Fetches
+	u.S3ListCalls += w.Polls
+	u.S3BytesIn += w.BytesSent
+	u.S3BytesOut += w.BytesRecv
+}
 
 // bucketFor returns the bucket that holds what is addressed to worker id
 // (bucket-{n%B}): senders route by target, receivers read their own.

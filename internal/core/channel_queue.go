@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/pricing"
+	"fsdinference/internal/cloud/sns"
 	"fsdinference/internal/cloud/sqs"
+	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/wire"
 )
@@ -25,6 +30,76 @@ type queueChannel struct {
 	// started on — the tree/ring AllreduceOutput teardown defect the golden
 	// test pins; looking the queue up per poll would change how it fails.
 	queue *sqs.Queue
+}
+
+func openQueue(*worker) channel { return &queueChannel{} }
+
+// provisionTopics creates the topics a priori (free to keep, §III-A); the
+// per-worker receive queues are created per run in bindRunQueues, with
+// filter policies keyed on (target, run), so any number of runs can overlap
+// on one deployment.
+func provisionTopics(d *Deployment) error {
+	d.topics = make([]*sns.Topic, d.Cfg.Topics)
+	for t := range d.topics {
+		d.topics[t] = d.Env.SNS.CreateTopic(fmt.Sprintf("%s-topic-%d", d.prefix, t))
+	}
+	return nil
+}
+
+// bindRunQueues creates the run's per-worker receive queues and subscribes
+// each to every topic with a service-side filter on (target, run). Queue
+// creation and subscription are free control-plane operations, like the
+// paper's a-priori resource provisioning; scoping them per run is what
+// lets Queue-channel runs overlap on one deployment.
+func bindRunQueues(d *Deployment, run *runState) {
+	p := d.Cfg.Workers()
+	run.queues = make([]*sqs.Queue, p)
+	for m := 0; m < p; m++ {
+		q := d.Env.SQS.CreateQueue(fmt.Sprintf("%s-%s-q-%d", d.prefix, run.id, m))
+		run.queues[m] = q
+		filter := sns.FilterPolicy{
+			"target": {strconv.Itoa(m)},
+			"run":    {run.id},
+		}
+		for _, t := range d.topics {
+			t.Subscribe(q, filter)
+		}
+	}
+}
+
+// unbindRunQueues tears the run's queues down once the run completes, so a
+// long-lived deployment does not accumulate dead subscriptions.
+func unbindRunQueues(d *Deployment, run *runState) {
+	for _, q := range run.queues {
+		for _, t := range d.topics {
+			t.Unsubscribe(q)
+		}
+		d.Env.SQS.DeleteQueue(q.Name())
+	}
+	run.queues = nil
+}
+
+// queueTraits is one message's path through the pub-sub service and the
+// queue behind it: publish, delivery, receive.
+func queueTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
+	return collective.Traits{
+		PerMsg:      ec.SNS.PublishLatency + ec.SNS.DeliveryLatency + ec.SQS.ReceiveLatency,
+		BytesPerSec: ec.SQS.TransferBytesPerSec,
+		Fan:         cfg.Threads,
+	}
+}
+
+// billQueue maps a worker's ledger onto the pub-sub and queue meters, the
+// inputs of Equations (5)-(6): billed 64 KiB publish increments S, delivered
+// bytes with their attributes Z, and the queue API calls Q.
+func billQueue(w *WorkerMetrics, u *usage.Meter) {
+	u.SNSPublishCalls += w.Publishes
+	u.SNSBilledPublishes += w.BilledPublishes
+	u.SNSMessages += w.MessagesSent
+	u.SNSDeliveredBytes += w.BytesSent + w.AttrBytes
+	u.SQSReceiveCalls += w.Polls
+	u.SQSDeleteCalls += w.Deletes
+	u.SQSSendCalls += w.MessagesSent
 }
 
 // attrOverhead approximates the billed bytes of message attributes.
@@ -121,6 +196,22 @@ func (qc *queueChannel) gather(w *worker, t tag, sources []int32, deliver func(s
 	return w.gatherLoop(t, sources, qc, decodePayload, deliver)
 }
 
+// parseQueueAttrs reads a message's tag, source and chunk position from the
+// attributes buildMessages wrote. It accepts only what strconv.Itoa writes
+// and a position inside the announced count: a malformed source read as
+// worker 0 could complete worker 0's transfer without its data.
+func parseQueueAttrs(attrs map[string]string) (arrival, error) {
+	layer, layerOK := parseDecimal(attrs["layer"])
+	src, srcOK := parseDecimal(attrs["src"])
+	chunks, chunksOK := parseDecimal(attrs["chunks"])
+	seq, seqOK := parseDecimal(attrs["seq"])
+	if !layerOK || !srcOK || !chunksOK || !seqOK || chunks < 1 || seq < 0 || seq >= chunks {
+		return arrival{}, fmt.Errorf("core: malformed queue message attributes: layer %q, src %q, seq %q of %q chunks",
+			attrs["layer"], attrs["src"], attrs["seq"], attrs["chunks"])
+	}
+	return arrival{tag: tag{attrs["kind"], layer}, src: int32(src), chunks: chunks, seq: seq}, nil
+}
+
 // poll is the queue's arrival source (Algorithm 1 lines 9-15): long-poll
 // the worker's run-scoped queue, read each message's tag and chunk position
 // from its attributes, and delete the batch once it is processed.
@@ -136,15 +227,12 @@ func (qc *queueChannel) poll(w *worker, g *gathering) error {
 			// make foreign-run messages impossible.
 			continue
 		}
-		layer, _ := strconv.Atoi(m.Attributes["layer"])
-		src, _ := strconv.Atoi(m.Attributes["src"])
-		chunks, _ := strconv.Atoi(m.Attributes["chunks"])
-		seq, _ := strconv.Atoi(m.Attributes["seq"])
-		err := g.arrive(w, arrival{
-			tag: tag{m.Attributes["kind"], layer}, src: int32(src),
-			chunks: chunks, seq: seq, body: m.Body,
-		})
+		a, err := parseQueueAttrs(m.Attributes)
 		if err != nil {
+			return err
+		}
+		a.body = m.Body
+		if err := g.arrive(w, a); err != nil {
 			return err
 		}
 	}

@@ -35,9 +35,37 @@
 // (WorkerMetrics Polls, Fetches, Deletes, Publishes, BytesSent, and its
 // thread pools); the shared steps charge the worker's own CPU — the
 // compression in encodeFrame/encodeChunks, BytesRecv plus parse and
-// decompression in decodePayload. A new transport is therefore one send
-// and one poll; Hybrid, which owns no service, is a routing policy over
-// the Memory transport and the object-store helpers instead.
+// decompression in decodePayload. The data path of a new transport is
+// therefore one send and one poll; Hybrid, which owns no service, is a
+// routing policy over the Memory transport and the object-store helpers
+// instead.
+//
+// Everything else the engine knows about a kind is one row of the
+// transports table (transport.go), whose hooks live in the kind's
+// channel_*.go next to its channel; Deploy, Start, the worker, AutoAlgo and
+// the per-run ledger read the row and name no kind. A kind is that row plus
+// that file. What each hook must preserve:
+//
+//   - provision creates the a-priori resources, after the model is staged
+//     and before the functions are registered: bucket, topic and cluster
+//     names and the KV service's node sequence follow creation order
+//     (Hybrid: buckets, then the cluster).
+//   - bind and unbind create and release a run's own resources (the Queue
+//     kind's per-run queues, the store kinds' loss baseline and keyspace):
+//     bind once the run is in Deployment.runs, unbind in the client process
+//     before the run's done callback. Both are free control-plane work.
+//   - open returns one worker's channel.
+//   - traits is the kind as the analytic collective cost model sees it —
+//     per-message latency, bandwidth, fan-out — from the environment's
+//     service calibration. AutoAlgo inside a deployment and the planner's
+//     pre-filter (ChannelTraits) read the same hook, so they cannot disagree.
+//   - bill maps a worker's ledger onto the usage meter: exactly the calls the
+//     channel charged to WorkerMetrics, so the per-run reconstruction and the
+//     environment meter agree (TestAsyncUsageReconstructionMatchesMeter).
+//
+// The planner's analytic prune rules are not here: they are stated over
+// cost.Workload and plan.Candidate, which this package must not import, and
+// live in plan.analyticPrune, that package's one switch on a kind.
 //
 // Workers launch hierarchically (worker_invoke_children), derive their rank
 // from parent id, sibling number and branching factor, load their row-block
@@ -83,24 +111,6 @@ const (
 	Hybrid
 )
 
-// String returns the paper's name for the variant.
-func (c ChannelKind) String() string {
-	switch c {
-	case Serial:
-		return "FSD-Inf-Serial"
-	case Queue:
-		return "FSD-Inf-Queue"
-	case Object:
-		return "FSD-Inf-Object"
-	case Memory:
-		return "FSD-Inf-Memory"
-	case Hybrid:
-		return "FSD-Inf-Hybrid"
-	default:
-		return fmt.Sprintf("ChannelKind(%d)", int(c))
-	}
-}
-
 // LaunchMode selects how the worker tree is populated (§III and the launch
 // ablation; the paper reports the hierarchical mechanism beats a
 // centralised single loop and Lambada's two-level loop).
@@ -133,6 +143,10 @@ func (l LaunchMode) String() string {
 // DefaultKVNodeType is the provisioned in-memory store node the Memory
 // channel uses unless Config.KVNodeType overrides it.
 const DefaultKVNodeType = kvstore.DefaultNodeType
+
+// DefaultHybridThresholdBytes is the Hybrid channel's routing split unless
+// Config.HybridThresholdBytes overrides it.
+const DefaultHybridThresholdBytes = 128 << 10
 
 // DefaultWorkerMemoryMB returns the paper's per-worker memory sizing for a
 // given neuron count (§VI-A1: 1000/1500/2000/4000 MB for N = 1024..65536),
@@ -277,7 +291,7 @@ func (c Config) withDefaults() Config {
 		c.Threads = 4
 	}
 	if c.HybridThresholdBytes <= 0 {
-		c.HybridThresholdBytes = 128 << 10
+		c.HybridThresholdBytes = DefaultHybridThresholdBytes
 	}
 	if c.HybridChunkBytes <= 0 {
 		c.HybridChunkBytes = 1 << 20
@@ -315,6 +329,9 @@ func (c Config) Workers() int {
 func (c Config) validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("core: config requires a model")
+	}
+	if !c.Channel.known() {
+		return fmt.Errorf("core: unknown channel %v", c.Channel)
 	}
 	if c.Channel != Serial {
 		if c.Plan == nil {

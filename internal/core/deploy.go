@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"fsdinference/internal/cloud/env"
@@ -127,45 +126,10 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 	}
 	d.stageModel()
 
-	if cfg.Channel == Queue {
-		// Topics are created a priori (free to keep, §III-A); the
-		// per-worker receive queues are created per run in bindRunQueues,
-		// with filter policies keyed on (target, run), so any number of
-		// runs can overlap on one deployment.
-		d.topics = make([]*sns.Topic, cfg.Topics)
-		for t := 0; t < cfg.Topics; t++ {
-			d.topics[t] = e.SNS.CreateTopic(fmt.Sprintf("%s-topic-%d", prefix, t))
-		}
-	}
-	if cfg.Channel == Object || cfg.Channel == Hybrid {
-		d.buckets = make([]*s3.Bucket, cfg.Buckets)
-		for b := 0; b < cfg.Buckets; b++ {
-			d.buckets[b] = e.S3.CreateBucket(fmt.Sprintf("%s-bucket-%d", prefix, b))
-		}
-	}
-	if cfg.Channel == Memory || cfg.Channel == Hybrid {
-		// Unlike topics and buckets, provisioned cache nodes are NOT free
-		// to keep: they bill node-hours from this moment, idle or busy —
-		// the provisioned-versus-per-request tradeoff of §IV. The nodes
-		// form a slot-mapped cluster: KVNodes primary shards (each with
-		// its own request-rate ceiling) times KVReplicas replicas, so the
-		// deployment buys throughput with shards and availability with
-		// replica node-hours.
-		cl, err := kvcluster.New(e.KV, kvcluster.Config{
-			Name:              prefix + "-kv",
-			Shards:            cfg.KVNodes,
-			Replicas:          cfg.KVReplicas,
-			NodeType:          cfg.KVNodeType,
-			FailoverWindow:    cfg.KVFailoverWindow,
-			ReplicationLag:    cfg.KVReplicationLag,
-			Trace:             cfg.Trace.Sub("kv"),
-			FailoverCounter:   cfg.KVFailoverCounter,
-			LostValuesCounter: cfg.KVLostValuesCounter,
-		})
-		if err != nil {
+	if provision := transports[cfg.Channel].provision; provision != nil {
+		if err := provision(d); err != nil {
 			return nil, err
 		}
-		d.kvcluster = cl
 	}
 
 	if err := d.registerFunctions(); err != nil {
@@ -274,9 +238,6 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 	if d.Cfg.Trace.T != nil && parent != 0 {
 		run.scope = obs.Scope{T: d.Cfg.Trace.T, Track: d.Cfg.Trace.Track, Parent: parent}
 	}
-	if d.kvcluster != nil {
-		run.baseLost = d.kvcluster.LostValues()
-	}
 	if d.Cfg.AllreduceOutput {
 		run.outputs = make([]*sparse.Dense, d.Cfg.Workers())
 	}
@@ -284,62 +245,20 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 		return "", err
 	}
 	d.runs[run.id] = run
-	d.bindRunQueues(run)
+	tr := &transports[d.Cfg.Channel]
+	if tr.bind != nil {
+		tr.bind(d, run)
+	}
 
 	d.Env.K.Go("client-"+run.id, func(p *sim.Proc) {
 		res, err := d.clientRun(p, run)
 		delete(d.runs, run.id)
-		d.unbindRunQueues(run)
-		d.dropRunKeyspace(run)
+		if tr.unbind != nil {
+			tr.unbind(d, run)
+		}
 		done(res, err)
 	})
 	return run.id, nil
-}
-
-// bindRunQueues creates the run's per-worker receive queues and subscribes
-// each to every topic with a service-side filter on (target, run). Queue
-// creation and subscription are free control-plane operations, like the
-// paper's a-priori resource provisioning; scoping them per run is what
-// lets Queue-channel runs overlap on one deployment.
-func (d *Deployment) bindRunQueues(run *runState) {
-	if d.Cfg.Channel != Queue {
-		return
-	}
-	p := d.Cfg.Workers()
-	run.queues = make([]*sqs.Queue, p)
-	for m := 0; m < p; m++ {
-		q := d.Env.SQS.CreateQueue(fmt.Sprintf("%s-%s-q-%d", d.prefix, run.id, m))
-		run.queues[m] = q
-		filter := sns.FilterPolicy{
-			"target": {strconv.Itoa(m)},
-			"run":    {run.id},
-		}
-		for _, t := range d.topics {
-			t.Subscribe(q, filter)
-		}
-	}
-}
-
-// unbindRunQueues tears the run's queues down once the run completes, so a
-// long-lived deployment does not accumulate dead subscriptions.
-func (d *Deployment) unbindRunQueues(run *runState) {
-	for _, q := range run.queues {
-		for _, t := range d.topics {
-			t.Unsubscribe(q)
-		}
-		d.Env.SQS.DeleteQueue(q.Name())
-	}
-	run.queues = nil
-}
-
-// dropRunKeyspace tears down a Memory-channel run's key prefix on every
-// cluster node — all shards, primaries and replicas (free control-plane
-// operation, like queue teardown). Keys of a run that never completes
-// expire via their TTL instead.
-func (d *Deployment) dropRunKeyspace(run *runState) {
-	if d.kvcluster != nil {
-		d.kvcluster.DropPrefix(run.id + "/")
-	}
 }
 
 // KVCluster returns the Memory-channel deployment's provisioned store
@@ -406,7 +325,6 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 	// Accrue provisioned-capacity billing up to the run's end, so meter
 	// snapshots taken right after the kernel drains include it.
 	d.Env.KV.Settle()
-	used := d.runUsage(run)
 	res := &Result{
 		RunID:              run.id,
 		Output:             run.output,
@@ -415,9 +333,9 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 		CoordinatorRuntime: run.coordRuntime,
 		Batch:              run.batch,
 		Workers:            run.metrics,
-		Usage:              used,
-		Cost:               used.Cost(d.Env.Pricing),
 	}
+	d.runUsage(run, &res.Usage)
+	res.Cost = res.Usage.Cost(d.Env.Pricing)
 	if run.lastStart > 0 {
 		res.LaunchComplete = run.lastStart - start
 	}

@@ -26,7 +26,8 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 		layers := 2 + rng.Intn(5)
 		batch := 1 + rng.Intn(12)
 		workers := 2 + rng.Intn(5)
-		kind := []ChannelKind{Serial, Queue, Object, Memory}[rng.Intn(4)]
+		kinds := tableKinds()
+		kind := kinds[rng.Intn(len(kinds))]
 		scheme := []partition.Scheme{partition.Block, partition.Random, partition.HGPDNN}[rng.Intn(3)]
 		spec := model.GraphChallengeSpec(neurons, layers, seed)
 		spec.FanIn = 8 + rng.Intn(16)
@@ -41,6 +42,9 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 			Compress: rng.Intn(2) == 0,
 			PollWait: time.Duration(rng.Intn(3)) * time.Second, // includes short polling
 			Threads:  1 + rng.Intn(4),
+			// Small enough that Hybrid routes both ways and chunks its bulk.
+			HybridThresholdBytes: 64 << rng.Intn(6),
+			HybridChunkBytes:     256 << rng.Intn(4),
 		}
 		if kind != Serial {
 			plan, err := partition.BuildPlan(m, workers, scheme, partition.Options{Seed: seed})

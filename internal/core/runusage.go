@@ -4,8 +4,9 @@ import (
 	"fsdinference/internal/cloud/usage"
 )
 
-// runUsage reconstructs one run's resource consumption from the run's own
-// worker-side ledgers, following the same mapping the §VI-F cost-model
+// runUsage reconstructs one run's resource consumption into u (the Result's
+// own field: a meter of its own would escape through the bill hook) from the
+// run's worker-side ledgers, following the same mapping the §VI-F cost-model
 // validation uses (Equations (1)-(7) evaluate these counts into dollars).
 // It exists because concurrent runs share a single environment meter:
 // windowed snapshots cannot attribute interleaved billing to one run, but
@@ -13,8 +14,8 @@ import (
 // so the per-run view can be rebuilt exactly for Lambda/SNS/SQS and for
 // the request-billed S3 calls. Transfer byte counters (S3BytesIn/Out) are
 // approximated from payload ledgers; they carry no cost.
-func (d *Deployment) runUsage(run *runState) usage.Meter {
-	u := *usage.NewMeter()
+func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
+	*u = *usage.NewMeter()
 	u.SQSBillFanout = d.Env.Meter.SQSBillFanout
 
 	// Compute side: one client invocation of the serial function or the
@@ -30,41 +31,15 @@ func (d *Deployment) runUsage(run *runState) usage.Meter {
 	}
 	u.LambdaGBSeconds += float64(d.Cfg.CoordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds()
 
-	// Communication side, per channel, from the worker ledgers.
+	// Communication side, from the worker ledgers: the model store's reads
+	// and writes on every kind, then what the kind's own services were
+	// asked for.
+	bill := transports[d.Cfg.Channel].bill
 	for _, w := range run.metrics {
-		switch d.Cfg.Channel {
-		case Queue:
-			u.SNSPublishCalls += w.Publishes
-			u.SNSBilledPublishes += w.BilledPublishes
-			u.SNSMessages += w.MessagesSent
-			u.SNSDeliveredBytes += w.BytesSent + w.AttrBytes
-			u.SQSReceiveCalls += w.Polls
-			u.SQSDeleteCalls += w.Deletes
-			u.SQSSendCalls += w.MessagesSent
-			u.S3PutCalls += w.StorePuts
-			u.S3GetCalls += w.StoreGets
-		case Object:
-			u.S3PutCalls += w.Publishes + w.StorePuts
-			u.S3GetCalls += w.Fetches + w.StoreGets
-			u.S3ListCalls += w.Polls
-			u.S3BytesIn += w.BytesSent
-			u.S3BytesOut += w.BytesRecv
-		case Memory:
-			u.KVOps += w.Publishes + w.Polls
-			u.KVBytesIn += w.BytesSent
-			u.KVBytesOut += w.BytesRecv
-			u.S3PutCalls += w.StorePuts
-			u.S3GetCalls += w.StoreGets
-		case Hybrid:
-			// Control plane through the store, bulk chunks through S3.
-			u.KVOps += w.Publishes + w.Polls
-			u.KVBytesIn += w.BytesSent
-			u.KVBytesOut += w.BytesRecv
-			u.S3PutCalls += w.HybridPuts + w.StorePuts
-			u.S3GetCalls += w.HybridGets + w.StoreGets
-		default:
-			u.S3PutCalls += w.StorePuts
-			u.S3GetCalls += w.StoreGets
+		u.S3PutCalls += w.StorePuts
+		u.S3GetCalls += w.StoreGets
+		if bill != nil {
+			bill(w, u)
 		}
 	}
 
@@ -74,7 +49,7 @@ func (d *Deployment) runUsage(run *runState) usage.Meter {
 		u.Collectives[k] += v
 	}
 
-	// Provisioned capacity: the memory channel bills node-hours, not
+	// Provisioned capacity: the store cluster bills node-hours, not
 	// requests. A run's attributable share is its own wall time (with the
 	// service's billing floor): each run "reserves" the node for its
 	// duration, so overlapping runs each carry a full share and the
@@ -83,7 +58,7 @@ func (d *Deployment) runUsage(run *runState) usage.Meter {
 	// between runs belong to the deployment, not to any one request;
 	// exact billing is always the metered window (Infer, Replay's
 	// TotalCost).
-	if (d.Cfg.Channel == Memory || d.Cfg.Channel == Hybrid) && d.kvcluster != nil {
+	if d.kvcluster != nil {
 		dur := run.end - run.start
 		if min := d.Env.KV.Config().MinBilledDuration; dur < min {
 			dur = min
@@ -99,5 +74,4 @@ func (d *Deployment) runUsage(run *runState) usage.Meter {
 			}
 		}
 	}
-	return u
 }

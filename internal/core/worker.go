@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"fsdinference/internal/cloud/faas"
-	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
@@ -137,18 +136,7 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		run.lastStart = ctx.P.Now()
 	}
 
-	switch d.Cfg.Channel {
-	case Queue:
-		w.ch = &queueChannel{}
-	case Object:
-		w.ch = objectChannel{}
-	case Memory:
-		w.ch = newMemoryChannel(w)
-	case Hybrid:
-		w.ch = newHybridChannel(w)
-	default:
-		return nil, fmt.Errorf("core: worker launched with %v channel", d.Cfg.Channel)
-	}
+	w.ch = transports[d.Cfg.Channel].open(w)
 
 	if err := w.invokeChildren(req); err != nil {
 		run.workerErrs = append(run.workerErrs, err)
@@ -361,49 +349,6 @@ func (w *worker) runFSI() error {
 	return nil
 }
 
-// channelTraits summarises the deployment's channel for the analytic
-// collective cost model: per-message latency, effective bandwidth and
-// sender-side fan-out, derived from the same service calibration the
-// simulator charges.
-func (w *worker) channelTraits(msgBytes int64) collective.Traits {
-	d := w.d
-	memTraits := func() collective.Traits {
-		nt := kvstore.Catalog[d.Cfg.KVNodeType]
-		return collective.Traits{
-			// A value crosses the store twice: push and blocking pop.
-			PerMsg:      2 * d.Env.KV.Config().OpLatency,
-			BytesPerSec: nt.NetBytesPerSec / 2,
-			Fan:         d.Cfg.Threads,
-		}
-	}
-	objTraits := func(fan int) collective.Traits {
-		s3cfg := d.Env.S3.Config()
-		return collective.Traits{
-			PerMsg:      s3cfg.PutLatency + s3cfg.ListLatency + s3cfg.GetLatency,
-			BytesPerSec: 2 / (1/s3cfg.PutBytesPerSec + 1/s3cfg.GetBytesPerSec),
-			Fan:         fan,
-		}
-	}
-	switch d.Cfg.Channel {
-	case Memory:
-		return memTraits()
-	case Hybrid:
-		if msgBytes > int64(d.Cfg.HybridThresholdBytes) {
-			return objTraits(d.Cfg.HybridFanout)
-		}
-		return memTraits()
-	case Object:
-		return objTraits(d.Cfg.Threads)
-	default: // Queue
-		snsCfg, sqsCfg := d.Env.SNS.Config(), d.Env.SQS.Config()
-		return collective.Traits{
-			PerMsg:      snsCfg.PublishLatency + snsCfg.DeliveryLatency + sqsCfg.ReceiveLatency,
-			BytesPerSec: sqsCfg.TransferBytesPerSec,
-			Fan:         d.Cfg.Threads,
-		}
-	}
-}
-
 // algoFor resolves the deployment's collective topology for one call.
 // AutoAlgo consults the analytic model with a rank-independent payload
 // estimate — every rank must resolve to the same topology or the exchange
@@ -412,7 +357,8 @@ func (w *worker) channelTraits(msgBytes int64) collective.Traits {
 func (w *worker) algoFor(op collective.Op, msgBytes int64) collective.Algorithm {
 	alg := w.d.Cfg.Collective
 	if alg == collective.AutoAlgo {
-		alg = collective.Pick(op, w.d.Cfg.Workers(), msgBytes, w.channelTraits(msgBytes))
+		traits := transports[w.d.Cfg.Channel].traits(w.d.Cfg, w.d.Env.Cfg, msgBytes)
+		alg = collective.Pick(op, w.d.Cfg.Workers(), msgBytes, traits)
 	}
 	return alg
 }

@@ -407,5 +407,3 @@ func msPerSample(d time.Duration, samples int) string {
 }
 
 func dollars(v float64) string { return fmt.Sprintf("%.4f", v) }
-
-func microDollars(v float64) string { return fmt.Sprintf("%.3f", v*1e6) }

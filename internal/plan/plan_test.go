@@ -359,3 +359,32 @@ func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 		t.Fatalf("object pruned at saturating volumes: %q", byChan[core.Object].Reason)
 	}
 }
+
+// TestPrefilterChannelsAppliesFeasibilityRules: the analytic-only preview
+// used to restate three of the planner's rules and omit the store's
+// request-rate and capacity ceilings, so it said "trial" where the planner
+// prunes. It runs the planner's rule set now, reasons included.
+func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
+	w := cost.Workload{
+		Workers:              8,
+		BytesPerPairPerLayer: 64 << 10,
+		PairsPerLayer:        48,
+		Layers:               12,
+		QueriesPerDay:        500_000_000, // ~6.9M store ops/s
+	}
+	mem := PrefilterChannels(w)[2]
+	if mem.Channel != core.Memory || !mem.Pruned || !strings.Contains(mem.Reason, "saturating 1 shard(s) of "+core.DefaultKVNodeType) {
+		t.Fatalf("memory at a saturating op rate: %+v", mem)
+	}
+	w.QueriesPerDay, w.ConcurrentRuns = 1_000_000, 4096 // 48 x 64 KiB x 4096 runs = 12 GiB resident
+	mem = PrefilterChannels(w)[2]
+	if !mem.Pruned || !strings.Contains(mem.Reason, "overflows 1 shard(s)") {
+		t.Fatalf("memory with an overflowing working set: %+v", mem)
+	}
+	for _, v := range PrefilterChannels(w) {
+		c := Candidate{Channel: v.Channel, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType, KVNodes: 1}
+		if reason, _ := analyticPrune(c, w, true, true); reason != v.Reason {
+			t.Errorf("%v: preview says %q, the planner's rule %q", v.Channel, v.Reason, reason)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
@@ -35,11 +34,6 @@ import (
 // profile's volume sits a full margin below it — a clear-cut loser;
 // anything closer is measured.
 const prefilterMargin = 10
-
-// hybridThreshold mirrors the core.Config.HybridThresholdBytes default:
-// per-pair volumes above it ride the hybrid channel's object-storage
-// bulk path, leaving only a pointer frame resident in the store.
-const hybridThreshold = 128 << 10
 
 // bulkPointerBytes approximates the store-resident footprint of one bulk
 // value on the hybrid channel: the pointer frame plus key overhead.
@@ -91,14 +85,22 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 	if cw, ok := p.opts.Objective.(costWeighter); ok {
 		costOnly = cw.costWeight() >= 1
 	}
+	reason, breakEven = analyticPrune(c, w, costOnly, p.opts.Grid.hasSingleNode())
+	return reason, breakEven, nil
+}
+
+// analyticPrune is the rule set itself, a pure function of the candidate
+// and the §IV workload: feasibility rules always apply, cost-dominance
+// rules only when costOnly. singleNodeOffered says whether the grid still
+// holds the plain single-node store variant that larger clusters are
+// compared against. It is the one place the planner's per-channel
+// knowledge is written; PrefilterChannels runs it without a planner.
+func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered bool) (reason string, breakEven int64) {
+	shards := max(1, c.KVNodes)
 	switch c.Channel {
 	case core.Memory:
 		if !cost.MemoryValueFeasible(w.BytesPerPairPerLayer) {
-			return fmt.Sprintf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer), 0, nil
-		}
-		shards := c.KVNodes
-		if shards < 1 {
-			shards = 1
+			return fmt.Sprintf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer), 0
 		}
 		// Feasibility: the sustained op rate must fit the cluster's
 		// aggregate request-rate ceiling (each shard enforces its own).
@@ -106,7 +108,7 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 		// steering the pick to a sharded candidate.
 		if cost.MemoryClusterSaturated(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
-				cost.MemoryOpsPerQuery(w)*profile.QueriesPerDay/86400, shards, c.KVNodeType), 0, nil
+				cost.MemoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, c.KVNodeType), 0
 		}
 		// Feasibility: the peak resident working set — every in-flight
 		// run's layer values — must fit the cluster's usable memory. Bulk
@@ -115,12 +117,12 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 		// (pricier) nodes while the hybrid channel keeps the small one.
 		if cost.MemoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("working set ~%d MB (x%d concurrent runs) overflows %d shard(s) of %s",
-				cost.MemoryWorkingSetBytes(w)>>20, max(1, profile.Concurrency), shards, c.KVNodeType), 0, nil
+				cost.MemoryWorkingSetBytes(w)>>20, max(1, w.ConcurrentRuns), shards, c.KVNodeType), 0
 		}
 		be := nodeBreakEven(c, w)
-		if costOnly && profile.QueriesPerDay > 0 && profile.QueriesPerDay*prefilterMargin < be {
+		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
 			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the node mostly bills idle",
-				profile.QueriesPerDay, be), be, nil
+				w.QueriesPerDay, be), be
 		}
 		// Cost dominance inside the memory grid: extra shards and
 		// replicas add strictly more node-hours with zero per-request
@@ -129,46 +131,42 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 		// can actually carry the volume. Latency-weighted objectives
 		// trial the larger clusters; replica counts always cost more,
 		// but the failover loss they prevent is not priced analytically.
-		if costOnly && c.clusterNodes() > 1 && p.opts.Grid.hasSingleNode() &&
+		if costOnly && c.clusterNodes() > 1 && singleNodeOffered &&
 			!cost.MemoryClusterSaturated(w, c.KVNodeType, 1) {
 			return fmt.Sprintf("%d cluster nodes bill %dx the single node's flat rate with no per-request savings; dominated on pure cost",
-				c.clusterNodes(), c.clusterNodes()), be, nil
+				c.clusterNodes(), c.clusterNodes()), be
 		}
-		return "", be, nil
+		return "", be
 	case core.Hybrid:
 		// The hybrid channel provisions the same store for its control
 		// plane, so the idle-billing rule applies unchanged; the bulk
 		// path chunks oversized values through object storage, so
 		// neither the single-value cap nor the node-capacity rule sees
 		// the bulk volume — only the tiny pointer frames stay resident.
-		if w.BytesPerPairPerLayer > hybridThreshold {
+		if w.BytesPerPairPerLayer > core.DefaultHybridThresholdBytes {
 			w.BytesPerPairPerLayer = bulkPointerBytes
-		}
-		shards := c.KVNodes
-		if shards < 1 {
-			shards = 1
 		}
 		if cost.MemoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("control-plane working set ~%d MB overflows %d shard(s) of %s",
-				cost.MemoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0, nil
+				cost.MemoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0
 		}
 		be := nodeBreakEven(c, w)
-		if costOnly && profile.QueriesPerDay > 0 && profile.QueriesPerDay*prefilterMargin < be {
+		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
 			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the control-plane node mostly bills idle",
-				profile.QueriesPerDay, be), be, nil
+				w.QueriesPerDay, be), be
 		}
-		return "", be, nil
+		return "", be
 	case core.Queue:
 		if costOnly && cost.QueueSaturated(w.BytesPerPairPerLayer) {
 			return fmt.Sprintf("per-pair volume %d B needs %d publish chunks, saturating pub-sub payload capacity",
-				w.BytesPerPairPerLayer, cost.PublishChunks(w.BytesPerPairPerLayer)), 0, nil
+				w.BytesPerPairPerLayer, cost.PublishChunks(w.BytesPerPairPerLayer)), 0
 		}
 	case core.Object:
 		if costOnly && cost.PublishChunks(w.BytesPerPairPerLayer) <= 1 {
-			return fmt.Sprintf("per-pair volume %d B fits one publish chunk; queue API requests are ~1 OOM cheaper", w.BytesPerPairPerLayer), 0, nil
+			return fmt.Sprintf("per-pair volume %d B fits one publish chunk; queue API requests are ~1 OOM cheaper", w.BytesPerPairPerLayer), 0
 		}
 	}
-	return "", 0, nil
+	return "", 0
 }
 
 // nodeBreakEven prices the candidate's provisioned-store break-even
@@ -202,7 +200,7 @@ func (p *Planner) pruneCollective(c Candidate, batch int) string {
 		return ""
 	}
 	msg := p.reduceBytes(c.Workers, batch)
-	tr := planTraits(c, msg)
+	tr := core.ChannelTraits(core.Config{Channel: c.Channel, KVNodeType: c.KVNodeType}, env.DefaultConfig(), msg)
 	mine := collective.EstimateOp(collective.OpAllreduce, c.Algo, c.Workers, msg, tr)
 	for _, a := range algs {
 		if a == c.Algo || a == collective.AutoAlgo {
@@ -228,50 +226,6 @@ func (p *Planner) reduceBytes(workers, batch int) int64 {
 	return rows * int64(batch+1) * 4
 }
 
-// planTraits mirrors the worker-side channel traits from the calibrated
-// service defaults, so the planner's analytic verdicts agree with the
-// per-call picker inside a deployment.
-func planTraits(c Candidate, msgBytes int64) collective.Traits {
-	cfg := env.DefaultConfig()
-	const defaultThreads = 4 // core.Config.Threads default
-	const hybridFanout = 32  // core.Config.HybridFanout default
-	mem := func() collective.Traits {
-		nt, ok := kvstore.Catalog[c.KVNodeType]
-		if !ok {
-			nt = kvstore.Catalog[core.DefaultKVNodeType]
-		}
-		return collective.Traits{
-			PerMsg:      2 * cfg.KV.OpLatency,
-			BytesPerSec: nt.NetBytesPerSec / 2,
-			Fan:         defaultThreads,
-		}
-	}
-	obj := func(fan int) collective.Traits {
-		return collective.Traits{
-			PerMsg:      cfg.S3.PutLatency + cfg.S3.ListLatency + cfg.S3.GetLatency,
-			BytesPerSec: 2 / (1/cfg.S3.PutBytesPerSec + 1/cfg.S3.GetBytesPerSec),
-			Fan:         fan,
-		}
-	}
-	switch c.Channel {
-	case core.Memory:
-		return mem()
-	case core.Hybrid:
-		if msgBytes > hybridThreshold {
-			return obj(hybridFanout)
-		}
-		return mem()
-	case core.Object:
-		return obj(defaultThreads)
-	default: // Queue
-		return collective.Traits{
-			PerMsg:      cfg.SNS.PublishLatency + cfg.SNS.DeliveryLatency + cfg.SQS.ReceiveLatency,
-			BytesPerSec: cfg.SQS.TransferBytesPerSec,
-			Fan:         defaultThreads,
-		}
-	}
-}
-
 // PruneVerdict is the analytic pre-filter's outcome for one channel of a
 // workload, for analytic-only callers (cmd/fsdcost) that have no model to
 // trial.
@@ -281,30 +235,16 @@ type PruneVerdict struct {
 	Reason  string
 }
 
-// PrefilterChannels evaluates the cost-dominance rules for an analytic
-// workload under a pure cost objective, without a model or trials: which
-// distributed channels would the planner's pre-filter prune, and why.
+// PrefilterChannels runs the planner's own rule set, analyticPrune, on an
+// analytic workload under a pure cost objective, without a model or trials:
+// which distributed channels would the pre-filter prune, and why. Each
+// channel is judged as its candidate on one node of the default type.
 func PrefilterChannels(w cost.Workload) []PruneVerdict {
-	verdicts := []PruneVerdict{
-		{Channel: core.Queue},
-		{Channel: core.Object},
-		{Channel: core.Memory},
-	}
-	if cost.QueueSaturated(w.BytesPerPairPerLayer) {
-		verdicts[0].Pruned = true
-		verdicts[0].Reason = fmt.Sprintf("%d publish chunks per pair saturate pub-sub payload capacity",
-			cost.PublishChunks(w.BytesPerPairPerLayer))
-	}
-	if cost.PublishChunks(w.BytesPerPairPerLayer) <= 1 {
-		verdicts[1].Pruned = true
-		verdicts[1].Reason = "volume fits one publish chunk; queue API requests are ~1 OOM cheaper"
-	}
-	if !cost.MemoryValueFeasible(w.BytesPerPairPerLayer) {
-		verdicts[2].Pruned = true
-		verdicts[2].Reason = "per-pair volume exceeds the store's single-value cap"
-	} else if be := cost.MemoryBreakEvenQueriesPerDay(pricing.Default(), w); w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
-		verdicts[2].Pruned = true
-		verdicts[2].Reason = fmt.Sprintf("idle billing far below the ~%d queries/day break-even", be)
+	var verdicts []PruneVerdict
+	for _, kind := range []core.ChannelKind{core.Queue, core.Object, core.Memory} {
+		c := Candidate{Channel: kind, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType}
+		reason, _ := analyticPrune(c, w, true, true)
+		verdicts = append(verdicts, PruneVerdict{Channel: kind, Pruned: reason != "", Reason: reason})
 	}
 	return verdicts
 }
