@@ -245,16 +245,15 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 		return "", err
 	}
 	d.runs[run.id] = run
-	tr := &transports[d.Cfg.Channel]
-	if tr.bind != nil {
-		tr.bind(d, run)
+	if bind := transports[d.Cfg.Channel].bind; bind != nil {
+		bind(d, run)
 	}
 
 	d.Env.K.Go("client-"+run.id, func(p *sim.Proc) {
 		res, err := d.clientRun(p, run)
 		delete(d.runs, run.id)
-		if tr.unbind != nil {
-			tr.unbind(d, run)
+		if unbind := transports[d.Cfg.Channel].unbind; unbind != nil {
+			unbind(d, run)
 		}
 		done(res, err)
 	})
