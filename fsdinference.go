@@ -148,11 +148,11 @@ const (
 // (serial, queue, object, memory, hybrid).
 func ParseChannelKind(s string) (ChannelKind, error) { return core.ParseChannelKind(s) }
 
-// The collectives subsystem (internal/collective): Barrier, Broadcast,
-// Reduce/Allreduce, Scatter and Gather over the deployment's channel,
-// under flat (the paper's root-funnelled pattern), binomial-tree or ring
-// topologies. Config.Collective selects one; AutoCollective picks the
-// analytically cheapest per call from the channel's latency/bandwidth
+// The collectives subsystem (internal/collective): the Barrier and the
+// Gather or Allreduce that close every request, over the deployment's
+// channel, under flat (the paper's root-funnelled pattern), binomial-tree
+// or ring topologies. Config.Collective selects one; AutoCollective picks
+// the analytically cheapest per call from the channel's latency/bandwidth
 // traits, and Config.AllreduceOutput materialises the reduced inference
 // output at every worker instead of only worker 0.
 type CollectiveAlgorithm = collective.Algorithm

@@ -1,17 +1,26 @@
 // Package collective implements the communication collectives FSD workers
-// run over their serverless channels — Barrier, Broadcast, Reduce,
-// Allreduce, Scatter and Gather — in three topologies:
+// close every request with over their serverless channels: Barrier, Gather
+// and Allreduce (§III-C3; Algorithm 1 lines 19-22, Algorithm 2 lines 25-28).
+//
+// A topology is a shape — for each rank, a parent and some children:
 //
 //   - flat: every rank exchanges directly with the root, the paper's
-//     original pattern (§III-C3). O(P) messages funnel through the root's
-//     inbox, which is the raw-speed ceiling at high worker counts.
-//   - tree: binomial trees, ceil(log2 P) rounds. The latency winner for
+//     original pattern. O(P) messages funnel through the root's inbox,
+//     which is the raw-speed ceiling at high worker counts.
+//   - tree: a binomial tree, ceil(log2 P) rounds. The latency winner for
 //     small payloads, since no single inbox drains more than log P values.
-//   - ring: chains and the classic pass-around allreduce, P-1 concurrent
-//     rounds of neighbour exchanges. The bandwidth winner: no rank ever
-//     sends more than its own contribution per round.
+//   - ring: a chain, P-1 hops, for the rooted operations.
 //
-// Algorithms address peers through a Link — the tagged point-to-point
+// Two phases are written once over the shape: reduce (drain the children,
+// combine, hand the partial to the parent) and broadcast (take from the
+// parent, feed the children). The three operations compose them: Barrier
+// is an empty reduce and an empty broadcast, Gather a reduce under Union,
+// Allreduce a reduce and a broadcast — except under ring, where it is the
+// classic pass-around, P-1 concurrent rounds of neighbour exchanges. That
+// one is the bandwidth winner: no rank ever sends more than one
+// contribution per round.
+//
+// Phases address peers through a Link — the tagged point-to-point
 // transport a channel lends them — so every channel (queue, object,
 // memory, hybrid) runs every topology unchanged. An analytic cost model
 // (cost.go) predicts latency, message count and bytes per (operation,
@@ -39,7 +48,7 @@ const (
 	// neighbour exchanges).
 	Ring
 	// AutoAlgo resolves to the analytically cheapest topology per call
-	// via Pick; it must be resolved before For.
+	// via Pick; unresolved it runs flat.
 	AutoAlgo
 )
 
@@ -64,12 +73,14 @@ func (a Algorithm) String() string {
 func Algorithms() []Algorithm { return []Algorithm{Flat, Tree, Ring} }
 
 // Link is the tagged point-to-point transport a channel lends to the
-// collective algorithms. Send ships one row set to a peer under an
-// (op, round) tag; Gather blocks until every listed source has delivered
-// one row set under the tag, invoking deliver per arrival. A transport
-// may skip deliver for empty row sets — completion is tracked
-// independently of delivery, so algorithms treat a missing delivery as an
-// empty contribution.
+// collective phases. Send ships one row set to a peer under an (op, round)
+// tag; Gather blocks until every listed source's value under the tag has
+// arrived completely. deliver runs once per byte string, not once per
+// value: a channel that splits a large value over several messages or
+// objects delivers it in as many pieces, so a receiver folds or joins every
+// delivery and never keeps just the last. A transport may skip deliver for
+// empty row sets — completion is tracked independently of delivery, so a
+// missing delivery is an empty contribution.
 type Link interface {
 	Rank() int
 	Size() int
@@ -99,45 +110,16 @@ func Union(dst, src *wire.RowSet) *wire.RowSet {
 	return dst
 }
 
-// Collective is one topology's implementation of the collective
-// operations. Reduce and Gather return the combined set at root and the
-// rank's own (possibly partially combined) contribution elsewhere;
-// Broadcast and Allreduce return the result at every rank. Empty payloads
-// may come back nil.
-type Collective interface {
-	Algorithm() Algorithm
-	Barrier(lk Link) error
-	Broadcast(lk Link, root int, rs *wire.RowSet) (*wire.RowSet, error)
-	Reduce(lk Link, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error)
-	Allreduce(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error)
-	Scatter(lk Link, root int, parts []*wire.RowSet) (*wire.RowSet, error)
-	Gather(lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error)
-}
-
-// For returns the implementation of a concrete algorithm. AutoAlgo must
-// be resolved (Pick) first; unresolved it falls back to Flat.
-func For(alg Algorithm) Collective {
-	switch alg {
-	case Tree:
-		return tree{}
-	case Ring:
-		return ring{}
-	default:
-		return flat{}
-	}
-}
-
-// Operation tags. Each public operation owns distinct tags so composites
+// Operation tags. Each operation owns distinct tags so composites
 // (allreduce = reduce + broadcast) and back-to-back operations in one run
-// phase never collide on the transport's (op, round) keying.
+// phase never collide on the transport's (op, round) keying. Tags and
+// rounds are bytes on the wire — queue message attributes, object and store
+// keys — and so part of what a run is billed for.
 const (
 	opBarrierUp   = "bar"
 	opBarrierDown = "bgo"
-	opBroadcast   = "bc"
-	opReduce      = "rd"
 	opAllreduceUp = "ar"
 	opAllreduceBc = "ab"
-	opScatter     = "sc"
 	opGather      = "gt"
 )
 
@@ -148,14 +130,6 @@ func orEmpty(rs *wire.RowSet) *wire.RowSet {
 		return wire.NewRowSet(0)
 	}
 	return rs
-}
-
-// recvOne gathers exactly one tagged row set from src (nil if the payload
-// was empty).
-func recvOne(lk Link, op string, round, src int) (*wire.RowSet, error) {
-	var got *wire.RowSet
-	err := lk.Gather(op, round, []int{src}, func(_ int, rs *wire.RowSet) { got = rs })
-	return got, err
 }
 
 // vrank maps a rank into root-relative virtual rank space, where the root
@@ -174,346 +148,207 @@ func log2ceil(p int) int {
 	return r
 }
 
-// ---------------------------------------------------------------- flat --
+// hop is one step of a topology as one rank sees it: the peers it
+// exchanges with in that step — the virtual ranks [lo, hi), addressed by
+// one Gather or one SendAll — and the round its messages are tagged with
+// going up (reduce) and going down (broadcast). Both ends of an edge
+// compute the same rounds, or the exchange deadlocks.
+type hop struct {
+	lo, hi   int
+	up, down int
+}
 
-// flat is the paper's original pattern: every rank exchanges directly
-// with the root.
-type flat struct{}
+// ranks lists the hop's peers as real ranks, in virtual-rank order.
+func (h hop) ranks(root, p int) []int {
+	out := make([]int, 0, h.hi-h.lo)
+	for v := h.lo; v < h.hi; v++ {
+		out = append(out, rankOf(v, root, p))
+	}
+	return out
+}
 
-func (flat) Algorithm() Algorithm { return Flat }
+// shape lays a topology out as a spanning tree over the virtual ranks
+// 0..p-1 rooted at 0, from the point of view of virtual rank vr: the hop to
+// its parent (meaningless at the root) and the hops to its children, in the
+// order a reduce drains them; a broadcast feeds them in reverse.
+//
+//   - flat: every rank is the root's child, all in one hop under round 0.
+//   - tree: binomial. The parent clears vr's lowest set bit; the children
+//     are vr + 2^b for every b below that bit, lowest first. The edge over
+//     bit b is round b going up and, the broadcast being the reduce run
+//     backwards, log2ceil(p)-1-b going down.
+//   - ring: the chain. The edge between vr and vr+1 is round vr+1 both ways.
+//
+// An unresolved AutoAlgo lays out flat, at every rank alike.
+func shape(alg Algorithm, vr, p int) (parent hop, children []hop) {
+	switch alg {
+	case Tree:
+		top := log2ceil(p) - 1
+		for b := 0; 1<<b < p; b++ {
+			mask := 1 << b
+			if vr&mask != 0 {
+				return hop{vr - mask, vr - mask + 1, b, top - b}, children
+			}
+			if vr+mask < p {
+				children = append(children, hop{vr + mask, vr + mask + 1, b, top - b})
+			}
+		}
+	case Ring:
+		parent = hop{vr - 1, vr, vr, vr}
+		if vr+1 < p {
+			children = []hop{{vr + 1, vr + 2, vr + 1, vr + 1}}
+		}
+	default:
+		parent = hop{0, 1, 0, 0}
+		if vr == 0 && p > 1 {
+			children = []hop{{1, p, 0, 0}}
+		}
+	}
+	return parent, children
+}
 
-func (f flat) reduce(lk Link, op string, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
+// reduce folds every rank's contribution toward root along the topology:
+// a rank drains its children hop by hop, combining every delivery into its
+// accumulator as it arrives, then hands the partial result to its parent.
+// It returns the combined set at root and the rank's own partial elsewhere.
+func reduce(alg Algorithm, lk Link, op string, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
+	p := lk.Size()
 	if p <= 1 {
 		return mine, nil
 	}
-	if r != root {
-		return mine, lk.Send(op, 0, root, orEmpty(mine))
+	vr := vrank(lk.Rank(), root, p)
+	parent, children := shape(alg, vr, p)
+	if len(children) > 0 {
+		// Declared here so that a leaf neither builds the closure nor moves
+		// its accumulator to the heap.
+		acc := mine
+		fold := func(_ int, rs *wire.RowSet) {
+			if combine != nil {
+				acc = combine(acc, rs)
+			}
+		}
+		for _, h := range children {
+			if err := lk.Gather(op, h.up, h.ranks(root, p), fold); err != nil {
+				return nil, err
+			}
+		}
+		mine = acc
 	}
-	acc := mine
-	srcs := make([]int, 0, p-1)
-	for m := 0; m < p; m++ {
-		if m != root {
-			srcs = append(srcs, m)
+	if vr == 0 {
+		return mine, nil
+	}
+	return mine, lk.Send(op, parent.up, rankOf(parent.lo, root, p), orEmpty(mine))
+}
+
+// broadcast carries root's row set to every rank along the topology, the
+// reduce run backwards: a rank takes the value from its parent, then feeds
+// its children, last-drained first. It returns the value at every rank.
+func broadcast(alg Algorithm, lk Link, op string, root int, rs *wire.RowSet) (*wire.RowSet, error) {
+	p := lk.Size()
+	if p <= 1 {
+		return rs, nil
+	}
+	vr := vrank(lk.Rank(), root, p)
+	parent, children := shape(alg, vr, p)
+	if vr > 0 {
+		var err error
+		if rs, err = recv(lk, op, parent.down, rankOf(parent.lo, root, p)); err != nil {
+			return nil, err
 		}
 	}
-	err := lk.Gather(op, 0, srcs, func(_ int, rs *wire.RowSet) {
-		if combine != nil {
-			acc = combine(acc, rs)
+	for i := len(children) - 1; i >= 0; i-- {
+		h := children[i]
+		var err error
+		if h.hi-h.lo == 1 {
+			err = lk.Send(op, h.down, rankOf(h.lo, root, p), orEmpty(rs))
+		} else {
+			sets := make([]*wire.RowSet, h.hi-h.lo)
+			for j := range sets {
+				sets[j] = orEmpty(rs)
+			}
+			err = lk.SendAll(op, h.down, h.ranks(root, p), sets)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
+}
+
+// recv gathers the one value src sent under (op, round); nil if it was
+// empty. A value that arrives as a single byte string is returned as
+// delivered: the decoded set carries its frame, so forwarding it pays no
+// compressor. A value that arrives in several is joined into a set of its
+// own — a delivered set is never appended to.
+func recv(lk Link, op string, round, src int) (*wire.RowSet, error) {
+	// One struct, so the closure moves one variable to the heap, not two:
+	// the ring's pass-around receives P(P-1) times a run.
+	var in struct {
+		rs     *wire.RowSet
+		pieces int
+	}
+	err := lk.Gather(op, round, []int{src}, func(_ int, rs *wire.RowSet) {
+		switch in.pieces++; in.pieces {
+		case 1:
+			in.rs = rs
+		case 2:
+			in.rs = Union(Union(nil, in.rs), rs)
+		default:
+			in.rs = Union(in.rs, rs)
 		}
 	})
-	return acc, err
+	return in.rs, err
 }
 
-func (f flat) broadcast(lk Link, op string, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		return rs, nil
-	}
-	if r == root {
-		targets := make([]int, 0, p-1)
-		sets := make([]*wire.RowSet, 0, p-1)
-		for t := 0; t < p; t++ {
-			if t == root {
-				continue
-			}
-			targets = append(targets, t)
-			sets = append(sets, orEmpty(rs))
-		}
-		if err := lk.SendAll(op, 0, targets, sets); err != nil {
-			return nil, err
-		}
-		return rs, nil
-	}
-	return recvOne(lk, op, 0, root)
-}
-
-func (f flat) Barrier(lk Link) error {
-	if _, err := f.reduce(lk, opBarrierUp, 0, nil, nil); err != nil {
+// Barrier returns once every rank has entered it: an empty reduce to rank 0
+// and an empty broadcast back.
+func Barrier(alg Algorithm, lk Link) error {
+	if _, err := reduce(alg, lk, opBarrierUp, 0, nil, nil); err != nil {
 		return err
 	}
-	_, err := f.broadcast(lk, opBarrierDown, 0, nil)
+	_, err := broadcast(alg, lk, opBarrierDown, 0, nil)
 	return err
 }
 
-func (f flat) Broadcast(lk Link, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	return f.broadcast(lk, opBroadcast, root, rs)
+// Gather unions every rank's rows at root. It returns the union there and
+// the rank's own (possibly partially combined) contribution elsewhere; an
+// empty result may come back nil.
+func Gather(alg Algorithm, lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error) {
+	return reduce(alg, lk, opGather, root, mine, Union)
 }
 
-func (f flat) Reduce(lk Link, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	return f.reduce(lk, opReduce, root, mine, combine)
-}
-
-func (f flat) Allreduce(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	acc, err := f.reduce(lk, opAllreduceUp, 0, mine, combine)
+// Allreduce combines every rank's contribution and returns the result at
+// every rank: a reduce to rank 0 and a broadcast back under flat and tree,
+// the pass-around under ring. An empty result may come back nil.
+func Allreduce(alg Algorithm, lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
+	if alg == Ring {
+		return passAround(lk, mine, combine)
+	}
+	acc, err := reduce(alg, lk, opAllreduceUp, 0, mine, combine)
 	if err != nil {
 		return nil, err
 	}
-	return f.broadcast(lk, opAllreduceBc, 0, acc)
+	return broadcast(alg, lk, opAllreduceBc, 0, acc)
 }
 
-func (f flat) Scatter(lk Link, root int, parts []*wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		if len(parts) > r {
-			return parts[r], nil
-		}
-		return nil, nil
-	}
-	if r == root {
-		if len(parts) < p {
-			return nil, fmt.Errorf("collective: scatter root holds %d parts, need %d", len(parts), p)
-		}
-		targets := make([]int, 0, p-1)
-		sets := make([]*wire.RowSet, 0, p-1)
-		for t := 0; t < p; t++ {
-			if t == root {
-				continue
-			}
-			targets = append(targets, t)
-			sets = append(sets, orEmpty(parts[t]))
-		}
-		if err := lk.SendAll(opScatter, 0, targets, sets); err != nil {
-			return nil, err
-		}
-		return parts[root], nil
-	}
-	return recvOne(lk, opScatter, 0, root)
-}
-
-func (f flat) Gather(lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error) {
-	return f.reduce(lk, opGather, root, mine, Union)
-}
-
-// ---------------------------------------------------------------- tree --
-
-// tree uses binomial trees rooted (in virtual rank space) at the
-// operation's root: ceil(log2 P) rounds, no inbox ever drains more than
-// log P values.
-type tree struct{}
-
-func (tree) Algorithm() Algorithm { return Tree }
-
-func (t tree) reduce(lk Link, op string, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		return mine, nil
-	}
-	vr := vrank(r, root, p)
-	acc := mine
-	round := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			// Partial subtree combined; hand it to the parent and stop.
-			return acc, lk.Send(op, round, rankOf(vr-mask, root, p), orEmpty(acc))
-		}
-		if vr+mask < p {
-			got, err := recvOne(lk, op, round, rankOf(vr+mask, root, p))
-			if err != nil {
-				return nil, err
-			}
-			if combine != nil && got != nil {
-				acc = combine(acc, got)
-			}
-		}
-		round++
-	}
-	return acc, nil
-}
-
-func (t tree) broadcast(lk Link, op string, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		return rs, nil
-	}
-	vr := vrank(r, root, p)
-	cur := rs
-	have := vr == 0
-	round := 0
-	for mask := 1 << (log2ceil(p) - 1); mask > 0; mask >>= 1 {
-		switch {
-		case !have && vr&mask != 0 && vr&(mask-1) == 0:
-			// mask is my lowest set bit: my parent sends me the payload
-			// in this round.
-			got, err := recvOne(lk, op, round, rankOf(vr-mask, root, p))
-			if err != nil {
-				return nil, err
-			}
-			cur, have = got, true
-		case have && vr&(2*mask-1) == 0 && vr+mask < p:
-			if err := lk.Send(op, round, rankOf(vr+mask, root, p), orEmpty(cur)); err != nil {
-				return nil, err
-			}
-		}
-		round++
-	}
-	return cur, nil
-}
-
-func (t tree) Barrier(lk Link) error {
-	if _, err := t.reduce(lk, opBarrierUp, 0, nil, nil); err != nil {
-		return err
-	}
-	_, err := t.broadcast(lk, opBarrierDown, 0, nil)
-	return err
-}
-
-func (t tree) Broadcast(lk Link, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	return t.broadcast(lk, opBroadcast, root, rs)
-}
-
-func (t tree) Reduce(lk Link, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	return t.reduce(lk, opReduce, root, mine, combine)
-}
-
-func (t tree) Allreduce(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	acc, err := t.reduce(lk, opAllreduceUp, 0, mine, combine)
-	if err != nil {
-		return nil, err
-	}
-	return t.broadcast(lk, opAllreduceBc, 0, acc)
-}
-
-// Scatter routes each destination's part down the binomial tree,
-// store-and-forward: every internal node first receives its subtree's
-// bundle, then peels off each child subtree. Messages are tagged by
-// destination virtual rank, so forwarded parts never collide.
-func (t tree) Scatter(lk Link, root int, parts []*wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		if len(parts) > r {
-			return parts[r], nil
-		}
-		return nil, nil
-	}
-	vr := vrank(r, root, p)
-	have := make(map[int]*wire.RowSet, p)
-	if vr == 0 {
-		if len(parts) < p {
-			return nil, fmt.Errorf("collective: scatter root holds %d parts, need %d", len(parts), p)
-		}
-		for d := 0; d < p; d++ {
-			have[d] = parts[rankOf(d, root, p)]
-		}
-	}
-	for mask := 1 << (log2ceil(p) - 1); mask > 0; mask >>= 1 {
-		switch {
-		case vr&mask != 0 && vr&(mask-1) == 0:
-			parent := rankOf(vr-mask, root, p)
-			for d := vr; d < vr+mask && d < p; d++ {
-				got, err := recvOne(lk, opScatter, d, parent)
-				if err != nil {
-					return nil, err
-				}
-				have[d] = got
-			}
-		case vr&(2*mask-1) == 0:
-			child := rankOf(vr+mask, root, p)
-			for d := vr + mask; d < vr+2*mask && d < p; d++ {
-				if err := lk.Send(opScatter, d, child, orEmpty(have[d])); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return have[vr], nil
-}
-
-func (t tree) Gather(lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error) {
-	return t.reduce(lk, opGather, root, mine, Union)
-}
-
-// ---------------------------------------------------------------- ring --
-
-// ring uses chains (reduce, broadcast, scatter, gather) and the classic
-// pass-around allreduce: P-1 rounds in which every rank forwards to its
-// successor the contribution it received last round, so no rank ever
-// sends more than one contribution per round — the bandwidth-optimal
-// regime.
-type ring struct{}
-
-func (ring) Algorithm() Algorithm { return Ring }
-
-// chainReduce folds contributions down the chain vr=P-1 -> ... -> vr=0
-// (the root). Hop into vr-1 is tagged with vr, the hop index.
-func (g ring) chainReduce(lk Link, op string, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		return mine, nil
-	}
-	vr := vrank(r, root, p)
-	acc := mine
-	if vr < p-1 {
-		got, err := recvOne(lk, op, vr+1, rankOf(vr+1, root, p))
-		if err != nil {
-			return nil, err
-		}
-		if combine != nil && got != nil {
-			acc = combine(acc, got)
-		}
-	}
-	if vr > 0 {
-		return acc, lk.Send(op, vr, rankOf(vr-1, root, p), orEmpty(acc))
-	}
-	return acc, nil
-}
-
-// chainBroadcast forwards the payload up the chain vr=0 -> ... -> vr=P-1.
-func (g ring) chainBroadcast(lk Link, op string, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		return rs, nil
-	}
-	vr := vrank(r, root, p)
-	cur := rs
-	if vr > 0 {
-		got, err := recvOne(lk, op, vr, rankOf(vr-1, root, p))
-		if err != nil {
-			return nil, err
-		}
-		cur = got
-	}
-	if vr < p-1 {
-		if err := lk.Send(op, vr+1, rankOf(vr+1, root, p), orEmpty(cur)); err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-func (g ring) Barrier(lk Link) error {
-	if _, err := g.chainReduce(lk, opBarrierUp, 0, nil, nil); err != nil {
-		return err
-	}
-	_, err := g.chainBroadcast(lk, opBarrierDown, 0, nil)
-	return err
-}
-
-func (g ring) Broadcast(lk Link, root int, rs *wire.RowSet) (*wire.RowSet, error) {
-	return g.chainBroadcast(lk, opBroadcast, root, rs)
-}
-
-func (g ring) Reduce(lk Link, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
-	return g.chainReduce(lk, opReduce, root, mine, combine)
-}
-
-// Allreduce is the pass-around ring: in round s every rank sends its
-// predecessor-received contribution (its own in round 0) to its successor
-// and folds what arrives. After P-1 rounds every rank has folded every
-// contribution.
-func (g ring) Allreduce(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
+// passAround is the classic ring allreduce, the one algorithm that is not
+// a reduce and a broadcast: in round s every rank sends its successor the
+// contribution it received last round (its own in round 0) and folds what
+// arrives from its predecessor. After P-1 rounds every rank has folded
+// every contribution, and no rank ever sent more than one contribution per
+// round — the bandwidth-optimal regime.
+func passAround(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
 	p, r := lk.Size(), lk.Rank()
 	if p <= 1 {
 		return mine, nil
 	}
 	next, prev := (r+1)%p, (r-1+p)%p
-	acc := mine
-	hold := mine
+	acc, hold := mine, mine
 	for s := 0; s < p-1; s++ {
 		if err := lk.Send(opAllreduceUp, s, next, orEmpty(hold)); err != nil {
 			return nil, err
 		}
-		got, err := recvOne(lk, opAllreduceUp, s, prev)
+		got, err := recv(lk, opAllreduceUp, s, prev)
 		if err != nil {
 			return nil, err
 		}
@@ -523,50 +358,4 @@ func (g ring) Allreduce(lk Link, mine *wire.RowSet, combine Combiner) (*wire.Row
 		hold = got
 	}
 	return acc, nil
-}
-
-// Scatter relays parts along the chain, store-and-forward: node vr
-// receives the bundles destined for [vr, P-1] and forwards all but its
-// own. Messages are tagged by destination virtual rank.
-func (g ring) Scatter(lk Link, root int, parts []*wire.RowSet) (*wire.RowSet, error) {
-	p, r := lk.Size(), lk.Rank()
-	if p <= 1 {
-		if len(parts) > r {
-			return parts[r], nil
-		}
-		return nil, nil
-	}
-	vr := vrank(r, root, p)
-	if vr == 0 {
-		if len(parts) < p {
-			return nil, fmt.Errorf("collective: scatter root holds %d parts, need %d", len(parts), p)
-		}
-		next := rankOf(1, root, p)
-		for d := 1; d < p; d++ {
-			if err := lk.Send(opScatter, d, next, orEmpty(parts[rankOf(d, root, p)])); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	var own *wire.RowSet
-	prev, next := rankOf(vr-1, root, p), rankOf(vr+1, root, p)
-	for d := vr; d < p; d++ {
-		got, err := recvOne(lk, opScatter, d, prev)
-		if err != nil {
-			return nil, err
-		}
-		if d == vr {
-			own = got
-			continue
-		}
-		if err := lk.Send(opScatter, d, next, orEmpty(got)); err != nil {
-			return nil, err
-		}
-	}
-	return own, nil
-}
-
-func (g ring) Gather(lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error) {
-	return g.chainReduce(lk, opGather, root, mine, Union)
 }

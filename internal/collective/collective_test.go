@@ -49,10 +49,14 @@ func (b *memBus) take(op string, round, src, target int) *wire.RowSet {
 	return rs
 }
 
+// memLink is one rank's end of a memBus. With split set, Gather delivers
+// every value of two or more rows in two pieces, the way a channel delivers
+// a value it had to ship as several byte strings.
 type memLink struct {
-	bus  *memBus
-	rank int
-	size int
+	bus   *memBus
+	rank  int
+	size  int
+	split bool
 }
 
 func (l memLink) Rank() int { return l.rank }
@@ -79,16 +83,21 @@ func (l memLink) SendAll(op string, round int, targets []int, sets []*wire.RowSe
 func (l memLink) Gather(op string, round int, sources []int, deliver func(src int, rs *wire.RowSet)) error {
 	for _, s := range sources {
 		rs := l.bus.take(op, round, s, l.rank)
-		if deliver != nil && rs != nil && rs.Len() > 0 {
-			deliver(s, rs)
+		if deliver == nil || rs == nil || rs.Len() == 0 {
+			continue
 		}
+		if n := rs.Len(); l.split && n > 1 {
+			deliver(s, rs.Slice(0, n/2))
+			rs = rs.Slice(n/2, n)
+		}
+		deliver(s, rs)
 	}
 	return nil
 }
 
 // runRanks executes body concurrently on every rank and returns the
-// per-rank results.
-func runRanks(t *testing.T, p int, body func(lk Link) (*wire.RowSet, error)) []*wire.RowSet {
+// per-rank results; split selects memLink's two-piece delivery.
+func runRanks(t *testing.T, p int, split bool, body func(lk Link) (*wire.RowSet, error)) []*wire.RowSet {
 	t.Helper()
 	bus := newMemBus()
 	results := make([]*wire.RowSet, p)
@@ -99,7 +108,7 @@ func runRanks(t *testing.T, p int, body func(lk Link) (*wire.RowSet, error)) []*
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[r], errs[r] = body(memLink{bus: bus, rank: r, size: p})
+			results[r], errs[r] = body(memLink{bus: bus, rank: r, size: p, split: split})
 		}()
 	}
 	wg.Wait()
@@ -111,14 +120,18 @@ func runRanks(t *testing.T, p int, body func(lk Link) (*wire.RowSet, error)) []*
 	return results
 }
 
-// contribution builds rank r's disjoint row set: row id r with value r+1.
+// contribution builds rank r's disjoint row set: row ids 2r and 2r+1, each
+// holding its id plus one — two rows, so that even a single contribution can
+// arrive in two pieces.
 func contribution(r, batch int) *wire.RowSet {
 	rs := wire.NewRowSet(batch)
-	vals := make([]float32, batch)
-	for i := range vals {
-		vals[i] = float32(r + 1)
+	for id := 2 * r; id < 2*r+2; id++ {
+		vals := make([]float32, batch)
+		for i := range vals {
+			vals[i] = float32(id + 1)
+		}
+		rs.Add(int32(id), vals)
 	}
-	rs.Add(int32(r), vals)
 	return rs
 }
 
@@ -135,8 +148,9 @@ func ids(rs *wire.RowSet) []int {
 	return out
 }
 
+// wantAll lists the row ids of p ranks' contributions.
 func wantAll(p int) []int {
-	out := make([]int, p)
+	out := make([]int, 2*p)
 	for i := range out {
 		out[i] = i
 	}
@@ -155,25 +169,35 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
+// bothDeliveries runs body as two subtests: values delivered whole, and
+// values delivered in two pieces.
+func bothDeliveries(t *testing.T, body func(t *testing.T, split bool)) {
+	for _, split := range []bool{false, true} {
+		split := split
+		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) { body(t, split) })
+	}
+}
+
 func TestAllreduceAllAlgorithmsAllRanks(t *testing.T) {
 	for _, alg := range Algorithms() {
 		for _, p := range []int{1, 2, 3, 8, 33} {
 			t.Run(fmt.Sprintf("%v/p=%d", alg, p), func(t *testing.T) {
-				c := For(alg)
-				results := runRanks(t, p, func(lk Link) (*wire.RowSet, error) {
-					return c.Allreduce(lk, contribution(lk.Rank(), 2), Union)
-				})
-				for r, rs := range results {
-					if got := ids(rs); !eqInts(got, wantAll(p)) {
-						t.Fatalf("rank %d got rows %v, want %v", r, got, wantAll(p))
-					}
-					// Row values must survive the trip intact.
-					for i := 0; i < rs.Len(); i++ {
-						if want := float32(rs.IDs[i] + 1); rs.Row(i)[0] != want {
-							t.Fatalf("rank %d row %d value %v, want %v", r, rs.IDs[i], rs.Row(i)[0], want)
+				bothDeliveries(t, func(t *testing.T, split bool) {
+					results := runRanks(t, p, split, func(lk Link) (*wire.RowSet, error) {
+						return Allreduce(alg, lk, contribution(lk.Rank(), 2), Union)
+					})
+					for r, rs := range results {
+						if got := ids(rs); !eqInts(got, wantAll(p)) {
+							t.Fatalf("rank %d got rows %v, want %v", r, got, wantAll(p))
+						}
+						// Row values must survive the trip intact.
+						for i := 0; i < rs.Len(); i++ {
+							if want := float32(rs.IDs[i] + 1); rs.Row(i)[0] != want {
+								t.Fatalf("rank %d row %d value %v, want %v", r, rs.IDs[i], rs.Row(i)[0], want)
+							}
 						}
 					}
-				}
+				})
 			})
 		}
 	}
@@ -183,76 +207,137 @@ func TestReduceAndGatherAtRoot(t *testing.T) {
 	for _, alg := range Algorithms() {
 		for _, root := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%v/root=%d", alg, root), func(t *testing.T) {
-				c := For(alg)
-				p := 5
-				results := runRanks(t, p, func(lk Link) (*wire.RowSet, error) {
-					return c.Gather(lk, root, contribution(lk.Rank(), 1))
+				bothDeliveries(t, func(t *testing.T, split bool) {
+					p := 5
+					results := runRanks(t, p, split, func(lk Link) (*wire.RowSet, error) {
+						return Gather(alg, lk, root, contribution(lk.Rank(), 1))
+					})
+					if got := ids(results[root]); !eqInts(got, wantAll(p)) {
+						t.Fatalf("root got rows %v, want %v", got, wantAll(p))
+					}
 				})
-				if got := ids(results[root]); !eqInts(got, wantAll(p)) {
-					t.Fatalf("root got rows %v, want %v", got, wantAll(p))
-				}
 			})
 		}
 	}
 }
 
+// TestBroadcast drives the broadcast phase directly, from a root other than
+// the rank 0 the three operations use it at.
 func TestBroadcast(t *testing.T) {
 	for _, alg := range Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
-			c := For(alg)
-			p, root := 6, 1
-			payload := contribution(41, 1)
-			results := runRanks(t, p, func(lk Link) (*wire.RowSet, error) {
-				var rs *wire.RowSet
-				if lk.Rank() == root {
-					rs = payload
+			bothDeliveries(t, func(t *testing.T, split bool) {
+				p, root := 6, 1
+				payload := contribution(41, 1)
+				results := runRanks(t, p, split, func(lk Link) (*wire.RowSet, error) {
+					var rs *wire.RowSet
+					if lk.Rank() == root {
+						rs = payload
+					}
+					return broadcast(alg, lk, "bc", root, rs)
+				})
+				for r, rs := range results {
+					if got := ids(rs); !eqInts(got, ids(payload)) {
+						t.Fatalf("rank %d got rows %v, want %v", r, got, ids(payload))
+					}
 				}
-				return c.Broadcast(lk, root, rs)
 			})
-			for r, rs := range results {
-				if rs == nil || rs.Len() != 1 || rs.IDs[0] != 41 {
-					t.Fatalf("rank %d got %v, want row 41", r, ids(rs))
-				}
-			}
 		})
 	}
 }
 
-func TestScatter(t *testing.T) {
-	for _, alg := range Algorithms() {
-		for _, p := range []int{2, 5, 8} {
-			t.Run(fmt.Sprintf("%v/p=%d", alg, p), func(t *testing.T) {
-				c := For(alg)
-				root := 1 % p
-				parts := make([]*wire.RowSet, p)
-				for i := range parts {
-					parts[i] = contribution(100+i, 1)
-				}
-				results := runRanks(t, p, func(lk Link) (*wire.RowSet, error) {
-					var in []*wire.RowSet
-					if lk.Rank() == root {
-						in = parts
-					}
-					return c.Scatter(lk, root, in)
-				})
-				for r, rs := range results {
-					if rs == nil || rs.Len() != 1 || int(rs.IDs[0]) != 100+r {
-						t.Fatalf("rank %d got %v, want row %d", r, ids(rs), 100+r)
-					}
-				}
-			})
-		}
+// pieces is a Link whose Gather delivers a scripted list of row sets.
+type pieces []*wire.RowSet
+
+func (pieces) Rank() int                                        { return 0 }
+func (pieces) Size() int                                        { return 2 }
+func (pieces) Send(string, int, int, *wire.RowSet) error        { return nil }
+func (pieces) SendAll(string, int, []int, []*wire.RowSet) error { return nil }
+func (ps pieces) Gather(_ string, _ int, sources []int, deliver func(int, *wire.RowSet)) error {
+	for _, rs := range ps {
+		deliver(sources[0], rs)
+	}
+	return nil
+}
+
+// TestRecvKeepsTheFrame: a value delivered in one piece comes back as the
+// delivered set itself, so a forward reuses its frame; a value delivered in
+// several comes back whole in a set of its own, the delivered ones untouched.
+func TestRecvKeepsTheFrame(t *testing.T) {
+	one := contribution(3, 2)
+	if got, err := recv(pieces{one}, "x", 0, 1); err != nil || got != one {
+		t.Fatalf("recv of one piece = (%p, %v), want the delivered set %p", got, err, one)
+	}
+	if got, err := recv(pieces{}, "x", 0, 1); err != nil || got != nil {
+		t.Fatalf("recv of an empty value = (%v, %v), want nil", ids(got), err)
+	}
+	a, b, c := contribution(0, 2), contribution(1, 2), contribution(2, 2)
+	got, err := recv(pieces{a, b, c}, "x", 0, 1)
+	if err != nil || !eqInts(ids(got), wantAll(3)) {
+		t.Fatalf("recv of three pieces = (%v, %v), want rows %v", ids(got), err, wantAll(3))
+	}
+	if got == a || a.Len() != 2 || b.Len() != 2 || c.Len() != 2 {
+		t.Fatalf("recv joined into a delivered set: pieces now hold %d, %d, %d rows", a.Len(), b.Len(), c.Len())
 	}
 }
 
 func TestBarrierCompletes(t *testing.T) {
 	for _, alg := range Algorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
-			c := For(alg)
-			runRanks(t, 9, func(lk Link) (*wire.RowSet, error) {
-				return nil, c.Barrier(lk)
+			runRanks(t, 9, false, func(lk Link) (*wire.RowSet, error) {
+				return nil, Barrier(alg, lk)
 			})
 		})
+	}
+}
+
+// TestShapeIsASpanningTree checks the layout every phase runs over without
+// starting a goroutine: a hop whose two ends disagree on a round is a
+// deadlock, a rank nobody lists is a lost contribution.
+func TestShapeIsASpanningTree(t *testing.T) {
+	for _, alg := range append(Algorithms(), AutoAlgo) {
+		for p := 2; p <= 40; p++ {
+			parentOf := make([]int, p)
+			edges := 0
+			for vr := 0; vr < p; vr++ {
+				parent, children := shape(alg, vr, p)
+				parentOf[vr] = parent.lo
+				if vr > 0 && (parent.hi-parent.lo != 1 || parent.lo < 0 || parent.lo >= p) {
+					t.Fatalf("%v p=%d vr=%d: parent hop %+v is not one rank", alg, p, vr, parent)
+				}
+				for _, h := range children {
+					if h.lo >= h.hi || h.lo <= 0 || h.hi > p {
+						t.Fatalf("%v p=%d vr=%d: child hop %+v out of range", alg, p, vr, h)
+					}
+					for c := h.lo; c < h.hi; c++ {
+						edges++
+						// Mutual, with equal rounds at both ends.
+						if back, _ := shape(alg, c, p); back != (hop{vr, vr + 1, h.up, h.down}) {
+							t.Fatalf("%v p=%d: %d lists child %d under %+v, which sees its parent as %+v", alg, p, vr, c, h, back)
+						}
+					}
+				}
+			}
+			if edges != p-1 {
+				t.Fatalf("%v p=%d: %d edges, want %d", alg, p, edges, p-1)
+			}
+			depth := 0
+			for vr := 1; vr < p; vr++ {
+				d := 0
+				for at := vr; at != 0; at = parentOf[at] {
+					if d++; d > p {
+						t.Fatalf("%v p=%d: rank %d never reaches the root", alg, p, vr)
+					}
+				}
+				if d > depth {
+					depth = d
+				}
+			}
+			want := map[Algorithm]int{Flat: 1, AutoAlgo: 1, Tree: log2ceil(p), Ring: p - 1}[alg]
+			if depth > want || (alg != Tree && depth != want) {
+				t.Fatalf("%v p=%d: depth %d, want %d", alg, p, depth, want)
+			}
+		}
 	}
 }
 

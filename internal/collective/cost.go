@@ -7,10 +7,7 @@ type Op int
 
 const (
 	OpBarrier Op = iota
-	OpBroadcast
-	OpReduce
 	OpAllreduce
-	OpScatter
 	OpGather
 )
 
@@ -19,14 +16,8 @@ func (o Op) String() string {
 	switch o {
 	case OpBarrier:
 		return "barrier"
-	case OpBroadcast:
-		return "broadcast"
-	case OpReduce:
-		return "reduce"
 	case OpAllreduce:
 		return "allreduce"
-	case OpScatter:
-		return "scatter"
 	case OpGather:
 		return "gather"
 	default:
@@ -123,22 +114,10 @@ func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate
 		switch op {
 		case OpBarrier:
 			e = addEst(Estimate{Rounds: up.Rounds, Messages: up.Messages, Latency: time.Duration(r) * alpha}, down(0))
-		case OpBroadcast:
-			e = down(m)
-		case OpReduce, OpGather:
+		case OpGather:
 			e = up
 		case OpAllreduce:
 			e = addEst(up, down(full))
-		case OpScatter:
-			// Store-and-forward part routing: total messages are the sum
-			// of subtree sizes; the critical path is the root peeling its
-			// largest child bundle plus the depth of the tree.
-			e = Estimate{
-				Rounds:   r,
-				Messages: n * int64(r) / 2,
-				Bytes:    m * n * int64(r) / 2,
-				Latency:  time.Duration(ceilDiv(p-1, maxInt(tr.Fan, 1)))*alpha + time.Duration(r)*tr.xfer(m),
-			}
 		}
 	case Ring:
 		switch op {
@@ -148,14 +127,7 @@ func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate
 				Messages: 2 * (n - 1),
 				Latency:  time.Duration(2*(p-1)) * alpha,
 			}
-		case OpBroadcast:
-			e = Estimate{
-				Rounds:   p - 1,
-				Messages: n - 1,
-				Bytes:    m * (n - 1),
-				Latency:  time.Duration(p-1) * (alpha + tr.xfer(m)),
-			}
-		case OpReduce, OpGather:
+		case OpGather:
 			// The chain payload grows toward the root: hop k carries
 			// k contributions.
 			e = Estimate{
@@ -173,18 +145,11 @@ func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate
 				Bytes:    m * n * (n - 1),
 				Latency:  time.Duration(p-1) * (alpha + tr.xfer(m)),
 			}
-		case OpScatter:
-			e = Estimate{
-				Rounds:   p - 1,
-				Messages: n * (n - 1) / 2,
-				Bytes:    m * n * (n - 1) / 2,
-				Latency:  time.Duration(p-1)*alpha + tr.xfer(m*(n-1)),
-			}
 		}
 	default: // Flat
 		fan := maxInt(tr.Fan, 1)
 		// Root-side sequential inbox drain (gather) and thread-pooled
-		// fan-out (broadcast/scatter).
+		// fan-out (broadcast).
 		gatherLat := time.Duration(p-1) * (alpha + tr.xfer(m))
 		fanLat := func(payload int64) time.Duration {
 			return time.Duration(ceilDiv(p-1, fan)) * (alpha + tr.xfer(payload))
@@ -196,9 +161,7 @@ func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate
 				Messages: 2 * (n - 1),
 				Latency:  time.Duration(p-1)*alpha + time.Duration(ceilDiv(p-1, fan))*alpha,
 			}
-		case OpBroadcast, OpScatter:
-			e = Estimate{Rounds: 1, Messages: n - 1, Bytes: m * (n - 1), Latency: fanLat(m)}
-		case OpReduce, OpGather:
+		case OpGather:
 			e = Estimate{Rounds: 1, Messages: n - 1, Bytes: m * (n - 1), Latency: gatherLat}
 		case OpAllreduce:
 			e = Estimate{

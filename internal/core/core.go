@@ -333,6 +333,9 @@ func (c Config) validate() error {
 	if !c.Channel.known() {
 		return fmt.Errorf("core: unknown channel %v", c.Channel)
 	}
+	if c.Collective < collective.Flat || c.Collective > collective.AutoAlgo {
+		return fmt.Errorf("core: unknown collective %v", c.Collective)
+	}
 	if c.Channel != Serial {
 		if c.Plan == nil {
 			return fmt.Errorf("core: %v requires a partition plan", c.Channel)

@@ -317,10 +317,10 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 // at P=8 under AutoAlgo with AllreduceOutput, so Usage.Collectives in the
 // dump also pins what the channel's traits made the picker choose. The
 // Hybrid threshold is low enough that both of its routes carry values; the
-// chunk size stays at its default because a value split over several chunks
-// loses all but its last one under tree and ring (collective.recvOne keeps
-// one delivery per source), which capturing this cell found. Captured before
-// the kinds' provisioning, traits and billing moved into one table.
+// chunk size stays at its default because, when this cell was captured, a
+// value split over several chunks lost all but its last one under tree and
+// ring (since fixed: TestCollectivesFoldEveryChunk). Captured before the
+// kinds' provisioning, traits and billing moved into one table.
 //
 // The run ends when the root finishes, so under tree the ranks still waiting
 // for their broadcast copy have no FinishedAt when runUsage reads them and

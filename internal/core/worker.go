@@ -363,15 +363,15 @@ func (w *worker) algoFor(op collective.Op, msgBytes int64) collective.Algorithm 
 	return alg
 }
 
-// reduceEstimate is the rank-independent per-contribution payload estimate
-// for the final reduce: the plan's even row share, dense.
-func (w *worker) reduceEstimate() int64 {
-	p := w.d.Cfg.Workers()
-	if p <= 0 {
-		p = 1
+// ReduceContributionBytes is the rank-independent estimate of one worker's
+// contribution to the final reduce — the plan's even row share, dense — that
+// AutoAlgo resolves the closing collectives with and the planner's
+// pre-filter judges topologies by.
+func ReduceContributionBytes(neurons, workers, batch int) int64 {
+	if workers < 1 {
+		workers = 1
 	}
-	rows := int64(w.d.Cfg.Model.Spec.Neurons) / int64(p)
-	return rows * int64(w.run.batch+1) * 4
+	return int64(neurons) / int64(workers) * int64(batch+1) * 4
 }
 
 // noteCollective records one collective call in the environment meter
@@ -397,7 +397,7 @@ func (w *worker) barrier() error {
 	if sp.Active() {
 		sp.SetAttr("alg", alg.String())
 	}
-	err := collective.For(alg).Barrier(workerLink{w})
+	err := collective.Barrier(alg, workerLink{w})
 	sp.End()
 	return err
 }
@@ -456,7 +456,7 @@ func (w *worker) reduce() error {
 		}
 	}
 	w.ctx.Serialize(mine.RawBytes())
-	est := w.reduceEstimate()
+	est := ReduceContributionBytes(w.d.Cfg.Model.Spec.Neurons, w.d.Cfg.Workers(), batch)
 
 	if w.d.Cfg.AllreduceOutput {
 		alg := w.algoFor(collective.OpAllreduce, est)
@@ -465,7 +465,7 @@ func (w *worker) reduce() error {
 		if sp.Active() {
 			sp.SetAttr("alg", alg.String())
 		}
-		full, err := collective.For(alg).Allreduce(workerLink{w}, mine, collective.Union)
+		full, err := collective.Allreduce(alg, workerLink{w}, mine, collective.Union)
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("core: worker %d allreduce: %w", w.id, err)
@@ -486,7 +486,7 @@ func (w *worker) reduce() error {
 	if sp.Active() {
 		sp.SetAttr("alg", alg.String())
 	}
-	full, err := collective.For(alg).Gather(workerLink{w}, 0, mine)
+	full, err := collective.Gather(alg, workerLink{w}, 0, mine)
 	sp.End()
 	if err != nil {
 		return fmt.Errorf("core: worker %d reduce: %w", w.id, err)

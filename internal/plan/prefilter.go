@@ -199,7 +199,7 @@ func (p *Planner) pruneCollective(c Candidate, batch int) string {
 	if len(algs) < 2 || c.Algo == collective.AutoAlgo || c.Channel == core.Serial || c.Workers < 2 {
 		return ""
 	}
-	msg := p.reduceBytes(c.Workers, batch)
+	msg := core.ReduceContributionBytes(p.m.Spec.Neurons, c.Workers, batch)
 	tr := core.ChannelTraits(core.Config{Channel: c.Channel, KVNodeType: c.KVNodeType}, env.DefaultConfig(), msg)
 	mine := collective.EstimateOp(collective.OpAllreduce, c.Algo, c.Workers, msg, tr)
 	for _, a := range algs {
@@ -214,16 +214,6 @@ func (p *Planner) pruneCollective(c Candidate, batch int) string {
 		}
 	}
 	return ""
-}
-
-// reduceBytes is the rank-independent reduce-contribution estimate the
-// workers themselves use for AutoAlgo: the plan's even row share, dense.
-func (p *Planner) reduceBytes(workers, batch int) int64 {
-	rows := int64(p.m.Spec.Neurons) / int64(workers)
-	if rows < 1 {
-		rows = 1
-	}
-	return rows * int64(batch+1) * 4
 }
 
 // PruneVerdict is the analytic pre-filter's outcome for one channel of a
