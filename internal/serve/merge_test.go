@@ -1,0 +1,76 @@
+package serve
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"fsdinference/internal/sparse"
+)
+
+// referenceMerge is batch assembly one row copy at a time: the merged matrix
+// every loop form of mergeInputs must equal bit for bit.
+func referenceMerge(neurons int, b *batch) *sparse.Dense {
+	out := sparse.NewDense(neurons, b.samples)
+	off := 0
+	for _, r := range b.reqs {
+		for row := 0; row < neurons; row++ {
+			copy(out.Row(row)[off:off+r.input.Cols], r.input.Row(row))
+		}
+		off += r.input.Cols
+	}
+	return out
+}
+
+func identicalBits(a, b *sparse.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeSliceRoundTripIdentical: a coalesced batch of members of mixed
+// widths merges to the reference matrix, and slicing the merged matrix at
+// each member's offset returns that member's matrix, bit for bit (raw bit
+// patterns, so NaNs and negative zeros count).
+func TestMergeSliceRoundTripIdentical(t *testing.T) {
+	widths := []int{1, 2, 3, 8, 64}
+	// mergeMemo keys a batch by its members' addresses: every input stays
+	// reachable to the end so that no later case is handed a freed one's.
+	var keep []*sparse.Dense
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		neurons := 1 + rng.Intn(40)
+		b := &batch{}
+		for n := 2 + rng.Intn(12); n > 0; n-- {
+			in := sparse.NewDense(neurons, widths[rng.Intn(len(widths))])
+			for i := range in.Data {
+				in.Data[i] = math.Float32frombits(rng.Uint32())
+			}
+			keep = append(keep, in)
+			b.reqs = append(b.reqs, &request{input: in})
+			b.samples += in.Cols
+		}
+		merged := mergeInputs(neurons, b)
+		if !identicalBits(merged, referenceMerge(neurons, b)) {
+			t.Fatalf("seed %d: merged batch differs from the reference merge", seed)
+		}
+		off := 0
+		for i, r := range b.reqs {
+			if !identicalBits(sliceCols(merged, off, r.input.Cols), r.input) {
+				t.Fatalf("seed %d: member %d (width %d) did not come back out of the merged batch", seed, i, r.input.Cols)
+			}
+			off += r.input.Cols
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

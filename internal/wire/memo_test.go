@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -257,7 +259,8 @@ func TestAppendPanicsOnWrongWidth(t *testing.T) {
 // ends where the parsed frame ended.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
-	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1)}
+	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1),
+		bitsRowSet(rng), bitsRowSet(rng), bitsRowSet(rng)}
 	for _, rs := range sets {
 		for _, compress := range []bool{false, true} {
 			p, err := encode(rs, compress)
@@ -307,4 +310,102 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceBody is the frame body written value by value through
+// encoding/binary: what fillBody must produce and parseBody must read,
+// whatever loop form they use.
+func referenceBody(rs *RowSet) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(rs.Batch))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rs.IDs)))
+	for _, id := range rs.IDs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(id))
+	}
+	for _, v := range rs.Vals {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// bitsRowSet is a row set whose values are raw bit patterns (NaN payloads,
+// negative zero, denormals among them) and whose lengths straddle any block
+// size a fill or parse loop might walk in.
+func bitsRowSet(rng *rand.Rand) *RowSet {
+	rs := NewRowSet(1 + rng.Intn(19))
+	row := make([]float32, rs.Batch)
+	for n := rng.Intn(23); n > 0; n-- {
+		for j := range row {
+			row[j] = math.Float32frombits(rng.Uint32())
+		}
+		rs.Add(int32(rng.Uint32()), row)
+	}
+	return rs
+}
+
+// TestBodyBytesMatchReferenceProperty: fillBody writes referenceBody's bytes
+// and parseBody reads them back to the same ids and value bits.
+func TestBodyBytesMatchReferenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rs := bitsRowSet(rand.New(rand.NewSource(seed)))
+		want := referenceBody(rs)
+		got := make([]byte, len(want))
+		fillBody(got, rs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: fillBody differs from the reference body", seed)
+		}
+		back, err := parseBody(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowSetsEqual(rs, back)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestViewSetFramesLikeAddedSet: a row set that views a matrix's backing
+// array — ids 0..n-1 over data[:n*batch:n*batch] — frames to the bytes of
+// the set built by Add from the same rows, under both flags, and growing
+// the view reallocates rather than writing into the array's spare capacity.
+func TestViewSetFramesLikeAddedSet(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows, batch := rng.Intn(20), 1+rng.Intn(9)
+		spare := rng.Intn(2) * batch
+		data := make([]float32, rows*batch, rows*batch+spare)
+		for i := range data {
+			if rng.Intn(3) == 0 {
+				data[i] = float32(rng.NormFloat64())
+			}
+		}
+		added := NewRowSet(batch)
+		ids := make([]int32, rows)
+		for r := range ids {
+			ids[r] = int32(r)
+			added.Add(int32(r), data[r*batch:(r+1)*batch])
+		}
+		view := &RowSet{Batch: batch, IDs: ids, Vals: data[:len(data):len(data)]}
+		for _, compress := range []bool{false, true} {
+			got, err := Encode(view, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, freshEncode(t, added, compress)) {
+				t.Fatalf("seed %d compress=%v: the view's frame differs from the added set's", seed, compress)
+			}
+		}
+		past := data[:cap(data)]
+		view.Add(99, make([]float32, batch))
+		view.Vals[len(view.Vals)-1] = 1
+		for _, v := range past[rows*batch:] {
+			if v != 0 {
+				t.Fatalf("seed %d: Add on a view wrote into the matrix's spare capacity", seed)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
 }
