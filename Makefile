@@ -79,8 +79,9 @@ bench-guard:
 
 # profile captures CPU and heap profiles of the benchmark named by
 # PROFILE_BENCH (default: the million-query replay) and prints the top-10
-# flat-cost functions of each, so "where does the replay engine spend its
-# time" is one command away. Profiles land in ./profiles/.
+# flat-cost functions of each, then who calls runtime.memmove (who copies,
+# and how much of the host's time that is), so "where does the replay
+# engine spend its time" is one command away. Profiles land in ./profiles/.
 PROFILE_BENCH := BenchmarkMillionQueryReplay
 profile:
 	mkdir -p profiles
@@ -89,3 +90,4 @@ profile:
 		-o profiles/bench.test .
 	go tool pprof -top -nodecount=10 profiles/bench.test profiles/cpu.prof
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/mem.prof
+	go tool pprof -peek 'runtime.memmove$$' profiles/bench.test profiles/cpu.prof

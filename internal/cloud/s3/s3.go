@@ -197,10 +197,11 @@ func (b *Bucket) Get(p *sim.Proc, key string) ([]byte, error) {
 // token, billed GET, latency plus transfer time, metered bytes out — but
 // the returned bytes are the stored object itself, shared with the bucket
 // and every other reader, and must not be modified. A stored object is the
-// private copy Put or Stage made and is replaced, never written to, so a
-// view stays valid and unchanged for as long as its holder keeps it. The
-// simulated transfer is what the reader pays for; copying the bytes again
-// on the host would only charge the simulator.
+// private copy Put made or the slice Stage adopted, which its owner gave up
+// writing to, and is replaced, never written to, so a view stays valid and
+// unchanged for as long as its holder keeps it. The simulated transfer is
+// what the reader pays for; copying the bytes again on the host would only
+// charge the simulator.
 func (b *Bucket) View(p *sim.Proc, key string) ([]byte, error) {
 	b.getLimiter(key).Take(p, 1)
 	b.Gets++
@@ -250,11 +251,19 @@ func (b *Bucket) Delete(p *sim.Proc, key string) {
 // billed request, no transfer delay, no rate-limit token. Deployments use
 // it for offline staging (a-priori model upload, buffered request inputs,
 // paper §V-B2), which the engine models as happening outside the metered
-// run. It must not be used for anything a function pays for.
+// run. It must not be used for anything a function pays for. The bucket
+// adopts data as the stored object instead of copying it: the caller must
+// never write to it again (what deployments stage — wire frames and
+// EncodeCSR blobs — is immutable once built).
 func (b *Bucket) Stage(key string, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.objects[key] = cp
+	b.objects[key] = data
+}
+
+// Unstage removes an object host-side, as Stage wrote it: no Delete
+// latency, no count. Deployments use it to drop a finished run's objects,
+// so that a long-lived bucket holds its model and the runs in flight.
+func (b *Bucket) Unstage(key string) {
+	delete(b.objects, key)
 }
 
 // Size returns the stored byte size of an object and whether it exists,

@@ -163,6 +163,46 @@ func TestViewAliasesStorage(t *testing.T) {
 	}
 }
 
+// TestStageAdoptsPutCopies: a staged slice is the stored slice — staging is
+// host-side and its callers hand over immutable bytes — while Put, which a
+// function pays for and may follow with anything, still stores a copy.
+// Unstage is Stage's inverse: the object goes, nothing is counted or slept.
+func TestStageAdoptsPutCopies(t *testing.T) {
+	k, m, svc := newSvc()
+	b := svc.CreateBucket("b")
+	k.Go("w", func(p *sim.Proc) {
+		staged, put := []byte("staged"), []byte("put")
+		b.Stage("s", staged)
+		b.Put(p, "p", put)
+		vs, _ := b.View(p, "s")
+		vp, _ := b.View(p, "p")
+		if &vs[0] != &staged[0] {
+			t.Error("Stage stored a copy of the slice it was given")
+		}
+		if &vp[0] == &put[0] {
+			t.Error("Put stored the caller's slice, not a copy")
+		}
+		before, deletes := p.Now(), b.Deletes
+		b.Unstage("s")
+		b.Unstage("never-staged")
+		if _, ok := b.Size("s"); ok || b.NumObjects() != 1 {
+			t.Errorf("after Unstage: %d objects, want the put one alone", b.NumObjects())
+		}
+		if p.Now() != before || b.Deletes != deletes {
+			t.Error("Unstage took virtual time or counted a Delete")
+		}
+		if string(vs) != "staged" {
+			t.Errorf("a held view changed when its object was unstaged: %q", vs)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.S3PutCalls != 1 || m.S3BytesIn != 3 {
+		t.Fatalf("metered %d PUTs, %d bytes in: Stage and Unstage must meter nothing", m.S3PutCalls, m.S3BytesIn)
+	}
+}
+
 func TestListPrefixSortedAndFiltered(t *testing.T) {
 	k, m, svc := newSvc()
 	b := svc.CreateBucket("b")

@@ -151,7 +151,10 @@ func (d *Deployment) stageModel() {
 // putStore writes a staging object host-side (offline, unbilled, no
 // virtual time). It is safe to call both between kernel runs and from
 // kernel context while a simulation is in flight, which lets request
-// inputs be staged for runs admitted mid-simulation.
+// inputs be staged for runs admitted mid-simulation. The store adopts data
+// without copying it: what is staged here are the memoised blobs of
+// stagedCache and inputEncMemo, shared by every deployment and run that
+// stages them and written by none.
 func (d *Deployment) putStore(key string, data []byte) {
 	d.store.Stage(key, data)
 }
@@ -252,6 +255,7 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 	d.Env.K.Go("client-"+run.id, func(p *sim.Proc) {
 		res, err := d.clientRun(p, run)
 		delete(d.runs, run.id)
+		d.unstageRun(run)
 		if unbind := transports[d.Cfg.Channel].unbind; unbind != nil {
 			unbind(d, run)
 		}
@@ -378,13 +382,29 @@ func (d *Deployment) stageInput(run *runState) error {
 		return err
 	}
 	if d.Cfg.Channel == Serial {
-		d.putStore(fmt.Sprintf("input/%s/full.x", run.id), blobs[0])
+		d.putStore(serialInputKey(run.id), blobs[0])
 		return nil
 	}
 	for worker, p := range blobs {
-		d.putStore(fmt.Sprintf("input/%s/w%d.x", run.id, worker), p)
+		d.putStore(workerInputKey(run.id, worker), p)
 	}
 	return nil
+}
+
+// unstageRun drops a finished run's objects from the model store — the
+// input stageInput wrote and the result the root stored, which nothing
+// reads (the client is handed run.output) — host-side, as they were staged.
+// Every rank loads its input before it can contribute to the result the
+// client waited for, so no read ever misses them.
+func (d *Deployment) unstageRun(run *runState) {
+	d.store.Unstage(resultKey(run.id))
+	if d.Cfg.Channel == Serial {
+		d.store.Unstage(serialInputKey(run.id))
+		return
+	}
+	for worker := 0; worker < d.Cfg.Workers(); worker++ {
+		d.store.Unstage(workerInputKey(run.id, worker))
+	}
 }
 
 // coordinatorHandler parses the request and seeds the worker tree

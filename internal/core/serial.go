@@ -12,6 +12,16 @@ import (
 // loads the unpartitioned model and inference data, computes every layer
 // locally and stores the result. Models too large for the instance fail
 // with an out-of-memory error, exactly as the paper observes for N=65536.
+//
+// The handler shares three buffers with the host instead of holding copies
+// of its own: the staged input object is the frame inputEncMemo keeps (the
+// store adopted it), run.input is the caller's matrix, which the first layer
+// multiplies in place, and run.output is serialMemo's result. None of them
+// is written after it is built. That is charge-neutral because no charge is
+// taken from a host buffer: the GET's transfer, Serialize and Decompress are
+// charged on the object's length, the instance's memory through Alloc/Free
+// on sizes computed from the model and the batch, and compute on the MAC and
+// element counts the layer loop returns.
 func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 	var req workerPayload
 	if err := json.Unmarshal(payload, &req); err != nil {
@@ -43,7 +53,7 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		// read below): the layer loop multiplies w itself.
 		ctx.Alloc(int64(float64(w.Bytes()) * perf.MemOverheadWeights))
 	}
-	blob, err := d.store.View(p, fmt.Sprintf("input/%s/full.x", run.id))
+	blob, err := d.store.View(p, serialInputKey(run.id))
 	if err != nil {
 		return nil, fmt.Errorf("core: serial loading input: %w", err)
 	}
@@ -76,7 +86,7 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 
 	// Store the result.
 	ctx.Serialize(int64(len(res.encoded)))
-	if err := d.store.Put(p, fmt.Sprintf("result/%s.out", run.id), res.encoded); err != nil {
+	if err := d.store.Put(p, resultKey(run.id), res.encoded); err != nil {
 		return nil, fmt.Errorf("core: serial storing result: %w", err)
 	}
 	wm.StorePuts++

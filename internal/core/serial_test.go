@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -115,7 +116,8 @@ func TestStagedInputFrameMatchesAddedRows(t *testing.T) {
 
 // TestDenseToRowSetMatchesAddedRows: the result row set holds the non-zero
 // rows of the matrix — same ids, same value bits, same frame under both
-// flags as the set built by Add.
+// flags as the set built by Add — and no room for more: a zero row costs it
+// nothing.
 func TestDenseToRowSetMatchesAddedRows(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,6 +125,9 @@ func TestDenseToRowSetMatchesAddedRows(t *testing.T) {
 		got, want := denseToRowSet(d), addedRows(d, true)
 		if got.Batch != want.Batch || len(got.IDs) != len(want.IDs) || !sameBits(got.Vals, want.Vals) {
 			t.Fatalf("seed %d: %d rows of batch %d, want %d of %d", seed, got.Len(), got.Batch, want.Len(), want.Batch)
+		}
+		if cap(got.Vals) != len(got.Vals) {
+			t.Fatalf("seed %d: %d values in room for %d: not sized to the non-zero rows", seed, len(got.Vals), cap(got.Vals))
 		}
 		for i, id := range want.IDs {
 			if got.IDs[i] != id {
@@ -183,5 +188,63 @@ func TestSerialRunLeavesInputUntouched(t *testing.T) {
 				t.Fatalf("compress=%v: a model without layers changed its input", compress)
 			}
 		}
+	}
+}
+
+// TestFinishedRunLeavesTheBucket: a run's staged input and stored result are
+// gone from the model store once the run is done, so a deployment that has
+// served fifty runs holds what it held after Deploy — the model.
+func TestFinishedRunLeavesTheBucket(t *testing.T) {
+	for _, kind := range []ChannelKind{Serial, Queue} {
+		d, m, _ := testSetup(t, 64, 2, 2, kind, nil)
+		deployed := d.store.NumObjects()
+		for run := 1; run <= 50; run++ {
+			input := model.GenerateInputs(64, 2, 0.3, int64(run))
+			res, err := d.Infer(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 1 || run == 50 {
+				checkCorrect(t, m, input, res)
+				if n := d.store.NumObjects(); n != deployed {
+					t.Fatalf("%v: %d objects in the store after run %d, %d after Deploy", kind, n, run, deployed)
+				}
+			}
+		}
+	}
+}
+
+// TestSerialRunBytesMoved is the Serial path's allocation budget: one
+// memo-cold run of a 64 x 4096 batch, uncompressed, from Start to done may
+// allocate so many times the batch's own bytes (1 MiB) and no more, so a
+// batch-sized copy that comes back fails here and not in a benchmark three
+// changes later. With two layers four batch-sized buffers are the work
+// itself — the input frame, z of each layer, the result frame — and a fifth
+// is the copy the billed Put keeps: 5.03 batches measured (the remainder is
+// the kernel, the FaaS runtime and the JSON payloads). It was 9.04 while the
+// input was cloned, copied into a row set before framing and copied again by
+// Stage, and the result copied into a row set of all N rows. Every output
+// row of this input is non-zero; an output with zero rows would add a row
+// set of the others, under one batch. The budget leaves a tenth of headroom.
+func TestSerialRunBytesMoved(t *testing.T) {
+	const neurons, batch, budget = 64, 4096, 5.5
+	m, err := model.Generate(model.GraphChallengeSpec(neurons, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := serialDeployment(t, m, false)
+	input := model.GenerateInputs(neurons, batch, 0.2, 77)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := d.Infer(input)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCorrect(t, m, input, res)
+	moved := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
+	t.Logf("one Serial run allocated %.2f x the batch's %d bytes", moved, input.Bytes())
+	if moved > budget {
+		t.Fatalf("one Serial run allocated %.2f x its batch's bytes, budget %.1f: a batch-sized copy is back", moved, budget)
 	}
 }

@@ -98,6 +98,17 @@ func workerLayerKey(worker, k int) string {
 	return fmt.Sprintf("model/w%d/layer-%d.w", worker, k)
 }
 
+// serialInputKey, workerInputKey and resultKey name a run's own objects: the
+// staged input (whole for Serial, one row block per worker otherwise) and
+// the result the root stores.
+func serialInputKey(run string) string { return fmt.Sprintf("input/%s/full.x", run) }
+
+func workerInputKey(run string, worker int) string {
+	return fmt.Sprintf("input/%s/w%d.x", run, worker)
+}
+
+func resultKey(run string) string { return fmt.Sprintf("result/%s.out", run) }
+
 // groupSends finds, per layer and worker, the send-map entries that list
 // identical rows (see stagedModel.sendGroup).
 func groupSends(plan *partition.Plan) [][][]int {
@@ -158,11 +169,12 @@ func (d *Deployment) encodedInput(input *sparse.Dense, batch int) ([][]byte, err
 	}
 	var blobs [][]byte
 	if d.Cfg.Channel == Serial {
-		rs := wire.NewRowSetCap(batch, input.Rows)
-		for r := 0; r < input.Rows; r++ {
-			rs.Add(int32(r), input.Row(r))
+		// Every row in order is the matrix itself: frame it in place.
+		ids := make([]int32, input.Rows)
+		for r := range ids {
+			ids[r] = int32(r)
 		}
-		p, err := encodeInput(rs, d.Cfg.Compress)
+		p, err := encodeInput(viewRows(input, ids), d.Cfg.Compress)
 		if err != nil {
 			return nil, fmt.Errorf("core: encoding input: %w", err)
 		}
@@ -228,7 +240,13 @@ func (d *Deployment) serialCompute(input *sparse.Dense) (*serialResult, error) {
 		return v.(*serialResult), nil
 	}
 	spec := d.Cfg.Model.Spec
-	x := input.Clone()
+	// Mul reads x and writes a fresh z, so the first layer multiplies the
+	// caller's matrix as it stands. Only a model without layers would hand
+	// that matrix back as the shared, memoised output: it gets a copy.
+	x := input
+	if len(d.Cfg.Model.Layers) == 0 {
+		x = input.Clone()
+	}
 	res := &serialResult{
 		layerMACs: make([]int64, 0, len(d.Cfg.Model.Layers)),
 		layerOps:  make([]int64, 0, len(d.Cfg.Model.Layers)),

@@ -226,7 +226,7 @@ func (w *worker) load() error {
 	w.ctx.Alloc(d.Cfg.Plan.MapBytes(int(w.id)) * 2)
 
 	// Input rows.
-	blob, err := d.store.View(p, fmt.Sprintf("input/%s/w%d.x", w.run.id, w.id))
+	blob, err := d.store.View(p, workerInputKey(w.run.id, int(w.id)))
 	if err != nil {
 		return fmt.Errorf("core: worker %d loading input: %w", w.id, err)
 	}
@@ -516,7 +516,7 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 		return fmt.Errorf("core: encoding result: %w", err)
 	}
 	w.ctx.Serialize(int64(len(enc)))
-	if err := w.d.store.Put(w.ctx.P, fmt.Sprintf("result/%s.out", w.run.id), enc); err != nil {
+	if err := w.d.store.Put(w.ctx.P, resultKey(w.run.id), enc); err != nil {
 		return fmt.Errorf("core: storing result: %w", err)
 	}
 	w.metrics.StorePuts++
@@ -524,14 +524,28 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 	return nil
 }
 
+// denseToRowSet returns the non-zero rows of d as a row set, at exact size.
+// When no row is zero the set views d (see viewRows); both callers frame the
+// set at once and drop it, and hold d as a finished output nobody writes to.
 func denseToRowSet(d *sparse.Dense) *wire.RowSet {
-	rs := wire.NewRowSetCap(d.Cols, d.Rows)
-	for r := 0; r < d.Rows; r++ {
-		if !d.RowIsZero(r) {
-			rs.Add(int32(r), d.Row(r))
-		}
+	ids := d.NonzeroRows()
+	if len(ids) == d.Rows {
+		return viewRows(d, ids)
+	}
+	rs := wire.NewRowSetCap(d.Cols, len(ids))
+	for _, r := range ids {
+		rs.Add(r, d.Row(int(r)))
 	}
 	return rs
+}
+
+// viewRows returns the row set of all of d's rows, ids being 0..Rows-1,
+// without copying them: Vals is d's own array, cut to its length so that an
+// Add or Append on the set reallocates rather than growing into d's spare
+// capacity. The set is for encoding; d must not change while it is in use.
+func viewRows(d *sparse.Dense, ids []int32) *wire.RowSet {
+	n := d.Rows * d.Cols
+	return &wire.RowSet{Batch: d.Cols, IDs: ids, Vals: d.Data[:n:n]}
 }
 
 // threads runs tasks on the worker's communication thread pool

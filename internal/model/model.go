@@ -232,8 +232,8 @@ func GenerateInputs(neurons, batch int, density float64, seed int64) *sparse.Den
 // million-query stream of distinct seeds costs one map miss per query and
 // a fixed amount of memory. Cached matrices are shared — callers must
 // treat generated inputs as immutable, which the serving and engine paths
-// already do (inputs are copied into merged batches and engine-local
-// activation buffers, never written).
+// already do (inputs are copied into merged batches or read where they lie,
+// never written).
 var (
 	inputMemo     sync.Map // inputKey -> *sparse.Dense
 	inputMemoSize atomic.Int64

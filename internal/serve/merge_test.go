@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,11 +12,10 @@ import (
 
 // referenceMerge is batch assembly one row copy at a time: the merged matrix
 // every loop form of mergeInputs must equal bit for bit.
-func referenceMerge(neurons int, b *batch) *sparse.Dense {
-	out := sparse.NewDense(neurons, b.samples)
+func referenceMerge(out *sparse.Dense, b *batch) *sparse.Dense {
 	off := 0
 	for _, r := range b.reqs {
-		for row := 0; row < neurons; row++ {
+		for row := 0; row < out.Rows; row++ {
 			copy(out.Row(row)[off:off+r.input.Cols], r.input.Row(row))
 		}
 		off += r.input.Cols
@@ -58,7 +58,7 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 			b.samples += in.Cols
 		}
 		merged := mergeInputs(neurons, b)
-		if !identicalBits(merged, referenceMerge(neurons, b)) {
+		if !identicalBits(merged, referenceMerge(sparse.NewDense(neurons, b.samples), b)) {
 			t.Fatalf("seed %d: merged batch differs from the reference merge", seed)
 		}
 		off := 0
@@ -72,5 +72,51 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkMergeSlice times assembling one 64 x 4096 batch from members of
+// one width and slicing it back apart, through copyBlock and through the
+// copy-per-row loops it replaced (the -rowcopy legs): the measurement
+// blockCopyCols was chosen by.
+func BenchmarkMergeSlice(b *testing.B) {
+	const neurons, samples = 64, 4096
+	merged := sparse.NewDense(neurons, samples)
+	for _, w := range []int{1, 8, 64} {
+		bt := &batch{samples: samples}
+		for off := 0; off < samples; off += w {
+			bt.reqs = append(bt.reqs, &request{input: sparse.NewDense(neurons, w)})
+		}
+		legs := []struct {
+			name string
+			run  func()
+		}{
+			{"merge", func() {
+				for i, r := range bt.reqs {
+					copyBlock(merged.Data[i*w:], samples, r.input.Data, w, neurons, w)
+				}
+			}},
+			{"merge-rowcopy", func() { referenceMerge(merged, bt) }},
+			{"slice", func() {
+				for off := 0; off < samples; off += w {
+					sliceCols(merged, off, w)
+				}
+			}},
+			{"slice-rowcopy", func() {
+				for off := 0; off < samples; off += w {
+					out := sparse.NewDense(neurons, w)
+					for row := 0; row < neurons; row++ {
+						copy(out.Row(row), merged.Row(row)[off:off+w])
+					}
+				}
+			}},
+		}
+		for _, leg := range legs {
+			b.Run(fmt.Sprintf("%s/w%d", leg.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					leg.run()
+				}
+			})
+		}
 	}
 }

@@ -941,8 +941,9 @@ func (s *Service) Run() error {
 // same (memoised) query inputs; returning the previous merged matrix keeps
 // batch assembly — and, downstream, the input staging encode keyed off its
 // pointer — off the replay hot path. Bounded like the input memo; merged
-// batches are read-only in the engine (handlers copy into local activation
-// buffers), so sharing one matrix across runs and lanes is safe.
+// batches are read-only in the engine (the Serial handler multiplies the
+// matrix where it lies, the workers decode the frame staged from it), so
+// sharing one matrix across runs and lanes is safe.
 var (
 	mergeMemo     sync.Map // string key -> *sparse.Dense
 	mergeMemoSize atomic.Int64
@@ -968,9 +969,7 @@ func mergeInputs(neurons int, b *batch) *sparse.Dense {
 	out := sparse.NewDense(neurons, b.samples)
 	off := 0
 	for _, r := range b.reqs {
-		for row := 0; row < neurons; row++ {
-			copy(out.Row(row)[off:off+r.input.Cols], r.input.Row(row))
-		}
+		copyBlock(out.Data[off:], out.Cols, r.input.Data, r.input.Cols, neurons, r.input.Cols)
 		off += r.input.Cols
 	}
 	if mergeMemoSize.Load() < mergeMemoCap {
@@ -987,11 +986,36 @@ func sliceCols(src *sparse.Dense, off, cols int) *sparse.Dense {
 		return src
 	}
 	out := sparse.NewDense(src.Rows, cols)
-	for row := 0; row < src.Rows; row++ {
-		copy(out.Row(row), src.Row(row)[off:off+cols])
-	}
+	copyBlock(out.Data, cols, src.Data[off:], src.Cols, src.Rows, cols)
 	return out
 }
+
+// copyBlock copies a rows x cols block between two row-major matrices whose
+// rows are dstStride and srcStride apart; dst and src start at the block's
+// first element. A coalesced batch is mostly narrow members — a query of one
+// sample is one column — and a copy call per element of a column cost more
+// than the move, so below blockCopyCols columns a loop moves the row, and
+// copy from there up. BenchmarkMergeSlice (N=64, 4096 columns, one vCPU, ms
+// to merge a batch from members of one width): copy per row 2.0 - 2.3 at
+// width 1, 0.32 - 0.39 at 8, 0.08 - 0.10 at 64; the loop 1.06, 0.25, and
+// 0.22 - 0.25 at 64, where it loses. Slicing the batch apart is mostly its
+// 4096 allocations and gains less: 2.0 - 2.7 to 1.8 - 2.0 at width 1.
+func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, cols int) {
+	if cols >= blockCopyCols {
+		for r := 0; r < rows; r++ {
+			copy(dst[r*dstStride:r*dstStride+cols], src[r*srcStride:r*srcStride+cols])
+		}
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d := dst[r*dstStride : r*dstStride+cols]
+		for j, v := range src[r*srcStride : r*srcStride+cols] {
+			d[j] = v
+		}
+	}
+}
+
+const blockCopyCols = 16
 
 // Handle is the pending result of one Submit.
 type Handle struct {

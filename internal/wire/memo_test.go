@@ -409,3 +409,30 @@ func TestViewSetFramesLikeAddedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkBody times fillBody and parseBody on the Serial engine's widest
+// frame, 64 rows of 4096 values, and reports ns per value.
+func BenchmarkBody(b *testing.B) {
+	rs := &RowSet{Batch: 4096, IDs: make([]int32, 64), Vals: make([]float32, 64*4096)}
+	for i := range rs.Vals {
+		rs.Vals[i] = float32(i % 7)
+	}
+	body := make([]byte, 8+4*len(rs.IDs)+4*len(rs.Vals))
+	perValue := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rs.Vals)), "ns/value")
+	}
+	b.Run("fill", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fillBody(body, rs)
+		}
+		perValue(b)
+	})
+	b.Run("parse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := parseBody(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perValue(b)
+	})
+}
