@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -100,14 +101,15 @@ func workerLayerKey(worker, k int) string {
 
 // serialInputKey, workerInputKey and resultKey name a run's own objects: the
 // staged input (whole for Serial, one row block per worker otherwise) and
-// the result the root stores.
-func serialInputKey(run string) string { return fmt.Sprintf("input/%s/full.x", run) }
+// the result the root stores. Every run builds each of its keys twice, to
+// write the object and to drop it, so they are concatenated, not formatted.
+func serialInputKey(run string) string { return "input/" + run + "/full.x" }
 
 func workerInputKey(run string, worker int) string {
-	return fmt.Sprintf("input/%s/w%d.x", run, worker)
+	return "input/" + run + "/w" + strconv.Itoa(worker) + ".x"
 }
 
-func resultKey(run string) string { return fmt.Sprintf("result/%s.out", run) }
+func resultKey(run string) string { return "result/" + run + ".out" }
 
 // groupSends finds, per layer and worker, the send-map entries that list
 // identical rows (see stagedModel.sendGroup).

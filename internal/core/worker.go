@@ -532,11 +532,11 @@ func denseToRowSet(d *sparse.Dense) *wire.RowSet {
 	if len(ids) == d.Rows {
 		return viewRows(d, ids)
 	}
-	rs := wire.NewRowSetCap(d.Cols, len(ids))
+	vals := make([]float32, 0, len(ids)*d.Cols)
 	for _, r := range ids {
-		rs.Add(r, d.Row(int(r)))
+		vals = append(vals, d.Row(int(r))...)
 	}
-	return rs
+	return &wire.RowSet{Batch: d.Cols, IDs: ids, Vals: vals}
 }
 
 // viewRows returns the row set of all of d's rows, ids being 0..Rows-1,
