@@ -395,7 +395,9 @@ func (d *Deployment) stageInput(run *runState) error {
 // input stageInput wrote and the result the root stored, which nothing
 // reads (the client is handed run.output) — host-side, as they were staged.
 // Every rank loads its input before it can contribute to the result the
-// client waited for, so no read ever misses them.
+// client waited for, so no read of a run that succeeds misses them; a rank
+// still launching when its run has already failed finds no input and fails
+// at load, as one launched after delete(d.runs) fails at its first line.
 func (d *Deployment) unstageRun(run *runState) {
 	d.store.Unstage(resultKey(run.id))
 	if d.Cfg.Channel == Serial {
