@@ -238,16 +238,16 @@ func emptyFrame(batch int, compress bool) ([]byte, error) {
 func fillBody(body []byte, rs *RowSet) {
 	binary.LittleEndian.PutUint32(body[0:4], uint32(rs.Batch))
 	binary.LittleEndian.PutUint32(body[4:8], uint32(len(rs.IDs)))
-	ids := body[8 : 8+4*len(rs.IDs)]
+	dst := body[8:]
 	for i, id := range rs.IDs {
-		binary.LittleEndian.PutUint32(ids[4*i:], uint32(id))
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(id))
 	}
 	// The values are the body (megabytes at batch 4096) and go four at a
 	// time: the loop condition covers both slices, so the constant indices
 	// inside need no bounds check and no running offset. BenchmarkBody
 	// (64 x 4096 values, one vCPU): 0.95 ns a value written one by one at
 	// body[off:], 0.52 this way; parseBody 1.65 and 1.0.
-	vals, dst := rs.Vals, body[8+4*len(rs.IDs):]
+	vals, dst := rs.Vals, dst[4*len(rs.IDs):]
 	for len(vals) >= 4 && len(dst) >= 16 {
 		binary.LittleEndian.PutUint32(dst[0:4], math.Float32bits(vals[0]))
 		binary.LittleEndian.PutUint32(dst[4:8], math.Float32bits(vals[1]))
@@ -335,12 +335,12 @@ func parseBody(body []byte) (*RowSet, error) {
 		IDs:   make([]int32, n),
 		Vals:  make([]float32, n*batch),
 	}
-	ids := body[8 : 8+4*n]
+	src := body[8:]
 	for i := range rs.IDs {
-		rs.IDs[i] = int32(binary.LittleEndian.Uint32(ids[4*i:]))
+		rs.IDs[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	// Four values at a time, as fillBody writes them.
-	vals, src := rs.Vals, body[8+4*n:]
+	vals, src := rs.Vals, src[4*n:]
 	for len(vals) >= 4 && len(src) >= 16 {
 		vals[0] = math.Float32frombits(binary.LittleEndian.Uint32(src[0:4]))
 		vals[1] = math.Float32frombits(binary.LittleEndian.Uint32(src[4:8]))
