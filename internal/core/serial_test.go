@@ -226,6 +226,10 @@ func TestFinishedRunLeavesTheBucket(t *testing.T) {
 // Stage, and the result copied into a row set of all N rows. Every output
 // row of this input is non-zero; an output with zero rows would add a row
 // set of the others, under one batch. The budget leaves a tenth of headroom.
+// TotalAlloc counts the whole process, so the smallest of three memo-cold
+// runs (a fresh input each, the memos are keyed by it) is taken, lest one
+// allocation elsewhere trip the budget; the test must still not run in
+// parallel with others, which would allocate during all three.
 func TestSerialRunBytesMoved(t *testing.T) {
 	const neurons, batch, budget = 64, 4096, 5.5
 	m, err := model.Generate(model.GraphChallengeSpec(neurons, 2, 1))
@@ -233,17 +237,21 @@ func TestSerialRunBytesMoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := serialDeployment(t, m, false)
-	input := model.GenerateInputs(neurons, batch, 0.2, 77)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := d.Infer(input)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	moved := math.Inf(1)
+	for seed := int64(77); seed < 80; seed++ {
+		input := model.GenerateInputs(neurons, batch, 0.2, seed)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := d.Infer(input)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCorrect(t, m, input, res)
+		run := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
+		t.Logf("seed %d: one Serial run allocated %.2f x the batch's %d bytes", seed, run, input.Bytes())
+		moved = min(moved, run)
 	}
-	checkCorrect(t, m, input, res)
-	moved := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
-	t.Logf("one Serial run allocated %.2f x the batch's %d bytes", moved, input.Bytes())
 	if moved > budget {
 		t.Fatalf("one Serial run allocated %.2f x its batch's bytes, budget %.1f: a batch-sized copy is back", moved, budget)
 	}

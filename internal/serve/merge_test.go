@@ -78,7 +78,7 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 // BenchmarkMergeSlice times assembling one 64 x 4096 batch from members of
 // one width and slicing it back apart, through copyBlock and through the
 // copy-per-row loops it replaced (the -rowcopy legs): the measurement
-// blockCopyCols was chosen by.
+// copyBlock's loop form was chosen by.
 func BenchmarkMergeSlice(b *testing.B) {
 	const neurons, samples = 64, 4096
 	merged := sparse.NewDense(neurons, samples)

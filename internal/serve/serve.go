@@ -994,19 +994,16 @@ func sliceCols(src *sparse.Dense, off, cols int) *sparse.Dense {
 // rows are dstStride and srcStride apart; dst and src start at the block's
 // first element. A coalesced batch is mostly narrow members — a query of one
 // sample is one column — and a copy call per element of a column cost more
-// than the move, so below blockCopyCols columns a loop moves the row, and
-// copy from there up. BenchmarkMergeSlice (N=64, 4096 columns, one vCPU, ms
-// to merge a batch from members of one width): copy per row 2.0 - 2.3 at
-// width 1, 0.32 - 0.39 at 8, 0.08 - 0.10 at 64; the loop 1.06, 0.25, and
-// 0.22 - 0.25 at 64, where it loses. Slicing the batch apart is mostly its
-// 4096 allocations and gains less: 2.0 - 2.7 to 1.8 - 2.0 at width 1.
+// than the move, so a loop moves the row. BenchmarkMergeSlice (N=64, 4096
+// columns, one vCPU, ms to merge a batch from members of one width): copy per
+// row 1.95 - 2.05 at width 1, 0.28 - 0.34 at 8, 0.06 - 0.07 at 64; the loop
+// 0.87 - 0.89, 0.19 - 0.21 and 0.14 - 0.15. Slicing the batch apart is mostly
+// its allocations: 1.41 - 1.49 to 1.07 - 1.09 at width 1, 0.39 - 0.44 against
+// 0.45 - 0.46 at 8, 0.22 against 0.35 - 0.38 at 64. Merge and slice together
+// the loop is ahead at the widths the benchmark's workloads send (1, 4 and 8
+// samples; level at 8); at 64 it gives back 0.2 ms a batch next to the 2 ms of
+// one Mul, which does not pay for a second form and a width to switch on.
 func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, cols int) {
-	if cols >= blockCopyCols {
-		for r := 0; r < rows; r++ {
-			copy(dst[r*dstStride:r*dstStride+cols], src[r*srcStride:r*srcStride+cols])
-		}
-		return
-	}
 	for r := 0; r < rows; r++ {
 		d := dst[r*dstStride : r*dstStride+cols]
 		for j, v := range src[r*srcStride : r*srcStride+cols] {
@@ -1014,8 +1011,6 @@ func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, col
 		}
 	}
 }
-
-const blockCopyCols = 16
 
 // Handle is the pending result of one Submit.
 type Handle struct {

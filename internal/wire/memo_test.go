@@ -411,7 +411,12 @@ func TestViewSetFramesLikeAddedSet(t *testing.T) {
 }
 
 // BenchmarkBody times fillBody and parseBody on the Serial engine's widest
-// frame, 64 rows of 4096 values, and reports ns per value.
+// frame, 64 rows of 4096 values, and reports ns per value. The loops are the
+// plain ones (body[off:], off += 4): 0.63 - 0.79 fill and 1.3 - 1.6 parse on
+// one vCPU. Indexing a pre-sliced destination (dst[4*i:]) read 1.07 - 1.13
+// and 1.6 - 2.0, an advancing dst = dst[4:] the same as the plain loop; only
+// four values an iteration was faster (0.45 - 0.47, 0.75 - 0.94), which no
+// workload's end-to-end number resolved, so it was not kept.
 func BenchmarkBody(b *testing.B) {
 	rs := &RowSet{Batch: 4096, IDs: make([]int32, 64), Vals: make([]float32, 64*4096)}
 	for i := range rs.Vals {

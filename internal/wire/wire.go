@@ -238,25 +238,14 @@ func emptyFrame(batch int, compress bool) ([]byte, error) {
 func fillBody(body []byte, rs *RowSet) {
 	binary.LittleEndian.PutUint32(body[0:4], uint32(rs.Batch))
 	binary.LittleEndian.PutUint32(body[4:8], uint32(len(rs.IDs)))
-	dst := body[8:]
-	for i, id := range rs.IDs {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(id))
+	off := 8
+	for _, id := range rs.IDs {
+		binary.LittleEndian.PutUint32(body[off:], uint32(id))
+		off += 4
 	}
-	// The values are the body (megabytes at batch 4096) and go four at a
-	// time: the loop condition covers both slices, so the constant indices
-	// inside need no bounds check and no running offset. BenchmarkBody
-	// (64 x 4096 values, one vCPU): 0.95 ns a value written one by one at
-	// body[off:], 0.52 this way; parseBody 1.65 and 1.0.
-	vals, dst := rs.Vals, dst[4*len(rs.IDs):]
-	for len(vals) >= 4 && len(dst) >= 16 {
-		binary.LittleEndian.PutUint32(dst[0:4], math.Float32bits(vals[0]))
-		binary.LittleEndian.PutUint32(dst[4:8], math.Float32bits(vals[1]))
-		binary.LittleEndian.PutUint32(dst[8:12], math.Float32bits(vals[2]))
-		binary.LittleEndian.PutUint32(dst[12:16], math.Float32bits(vals[3]))
-		vals, dst = vals[4:], dst[16:]
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	for _, v := range rs.Vals {
+		binary.LittleEndian.PutUint32(body[off:], math.Float32bits(v))
+		off += 4
 	}
 }
 
@@ -335,21 +324,14 @@ func parseBody(body []byte) (*RowSet, error) {
 		IDs:   make([]int32, n),
 		Vals:  make([]float32, n*batch),
 	}
-	src := body[8:]
+	off := 8
 	for i := range rs.IDs {
-		rs.IDs[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		rs.IDs[i] = int32(binary.LittleEndian.Uint32(body[off:]))
+		off += 4
 	}
-	// Four values at a time, as fillBody writes them.
-	vals, src := rs.Vals, src[4*n:]
-	for len(vals) >= 4 && len(src) >= 16 {
-		vals[0] = math.Float32frombits(binary.LittleEndian.Uint32(src[0:4]))
-		vals[1] = math.Float32frombits(binary.LittleEndian.Uint32(src[4:8]))
-		vals[2] = math.Float32frombits(binary.LittleEndian.Uint32(src[8:12]))
-		vals[3] = math.Float32frombits(binary.LittleEndian.Uint32(src[12:16]))
-		vals, src = vals[4:], src[16:]
-	}
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	for i := range rs.Vals {
+		rs.Vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
+		off += 4
 	}
 	return rs, nil
 }
