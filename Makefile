@@ -1,5 +1,5 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity bench-smoke fuzz-smoke loc bench bench-guard profile
+.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc bench bench-guard profile
 
 # BENCH_N is this PR's point on the perf trajectory: bump it each PR so
 # `make bench` appends a new BENCH_N.json and benchguard compares it
@@ -36,6 +36,17 @@ lint:
 # target, so the pattern has one home.
 identity:
 	go test ./internal/serve/ -run 'Trace|ByteIdent|Identical|Matches|Golden' -race -count=2
+
+# tables regenerates every registered experiment at QuickScale and diffs the
+# result against internal/experiments/testdata/quick.golden: the paper's
+# tables and figures, the ablations and the later experiments as one pinned
+# file (about 70 s, no race detector). A refactor must leave it alone; a
+# declared model change rewrites it with
+# `go test ./internal/experiments -run TestQuickGolden -update` and commits
+# the diff. The same test runs under `go test ./...`; this target is the
+# whole of it and nothing else.
+tables:
+	go test ./internal/experiments -run TestQuickGolden -count=1
 
 # bench-smoke vets and smoke-tests the repository benchmark (bench/, the
 # program behind BENCHMARK.json). It is a module of its own, so `./...`
