@@ -152,9 +152,9 @@ func (d *Deployment) stageModel() {
 // virtual time). It is safe to call both between kernel runs and from
 // kernel context while a simulation is in flight, which lets request
 // inputs be staged for runs admitted mid-simulation. The store adopts data
-// without copying it: what is staged here are the memoised blobs of
-// stagedCache and inputEncMemo, shared by every deployment and run that
-// stages them and written by none.
+// without copying it: what is staged here are stagedCache's blobs, shared by
+// every deployment that stages them, and a run's own input frames; nothing
+// writes to either.
 func (d *Deployment) putStore(key string, data []byte) {
 	d.store.Stage(key, data)
 }
@@ -374,8 +374,7 @@ func (d *Deployment) Infer(input *sparse.Dense) (*Result, error) {
 // stageInput writes the request's input rows into the model store: the full
 // matrix for serial, per-worker row blocks otherwise. Requests are assumed
 // buffered and batched upstream (paper §V-B2), so staging is unbilled. The
-// encode work is memoised by input-matrix identity (see inputEncMemo); the
-// store keys stay run-scoped.
+// store keys are run-scoped.
 func (d *Deployment) stageInput(run *runState) error {
 	blobs, err := d.encodedInput(run.input, run.batch)
 	if err != nil {

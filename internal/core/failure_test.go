@@ -143,16 +143,15 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		queues := e.SQS.NumQueues()
-		// Distinct inputs: a staged encoding is memoised by input identity.
-		bad, good := model.GenerateInputs(128, 4, 0.2, 2), model.GenerateInputs(128, 4, 0.2, 3)
+		input := model.GenerateInputs(128, 4, 0.2, 2)
 
 		encodeInput = func(*wire.RowSet, bool) ([]byte, error) { return nil, boom }
 		called := false
-		id, err := d.Start(bad, func(*Result, error) { called = true })
+		id, err := d.Start(input, func(*Result, error) { called = true })
 		if !errors.Is(err, boom) || id != "" {
 			t.Fatalf("%v: Start = %q, %v; want the encode error", cfg.Channel, id, err)
 		}
-		if _, err := d.Infer(bad); !errors.Is(err, boom) {
+		if _, err := d.Infer(input); !errors.Is(err, boom) {
 			t.Fatalf("%v: Infer = %v; want the encode error", cfg.Channel, err)
 		}
 		if err := e.K.Run(); err != nil || called {
@@ -163,11 +162,11 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 		}
 
 		encodeInput = wire.Encode
-		res, err := d.Infer(good)
+		res, err := d.Infer(input)
 		if err != nil {
 			t.Fatalf("%v: request after the failed one: %v", cfg.Channel, err)
 		}
-		if !model.OutputsClose(res.Output, model.Reference(m, good), 1e-2) {
+		if !model.OutputsClose(res.Output, model.Reference(m, input), 1e-2) {
 			t.Fatalf("%v: request after the failed one produced wrong output", cfg.Channel)
 		}
 	}

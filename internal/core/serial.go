@@ -14,14 +14,15 @@ import (
 // with an out-of-memory error, exactly as the paper observes for N=65536.
 //
 // The handler shares three buffers with the host instead of holding copies
-// of its own: the staged input object is the frame inputEncMemo keeps (the
+// of its own: the staged input object is the frame stageInput built (the
 // store adopted it), run.input is the caller's matrix, which the first layer
-// multiplies in place, and run.output is serialMemo's result. None of them
-// is written after it is built. That is charge-neutral because no charge is
-// taken from a host buffer: the GET's transfer, Serialize and Decompress are
-// charged on the object's length, the instance's memory through Alloc/Free
-// on sizes computed from the model and the batch, and compute on the MAC and
-// element counts the layer loop returns.
+// reads where it lies, and run.output is the last layer's z, which the
+// client is handed as it is. The handler writes to none of them. That is
+// charge-neutral because no charge is taken from a host buffer: the GET's
+// transfer, Serialize and Decompress are charged on the object's length, the
+// instance's memory through Alloc/Free on sizes computed from the model and
+// the batch, and compute on the MAC and element counts the layer loop
+// returns.
 func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 	var req workerPayload
 	if err := json.Unmarshal(payload, &req); err != nil {
@@ -68,10 +69,9 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	ctx.Alloc(xBytes)
 	wm.LoadTime = p.Now() - t0
 
-	// Layer loop: z = Wx, activation, repeat. The numeric result is pure
-	// in (model, input) and memoised across runs; the simulated side —
-	// per-layer compute, element ops, allocation high-water — is charged
-	// identically on hit and miss.
+	// Layer loop: z = Wx, activation, repeat. The numbers are computed
+	// first and the simulated side — per-layer compute, element ops,
+	// allocation high-water — is charged from the counts they return.
 	res, err := d.serialCompute(run.input)
 	if err != nil {
 		return nil, fmt.Errorf("core: serial encoding result: %w", err)

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"fsdinference/internal/sparse"
 )
@@ -219,45 +217,6 @@ func GenerateInputs(neurons, batch int, density float64, seed int64) *sparse.Den
 		z ^= z >> 31
 		if float64(z>>11)*(1.0/(1<<53)) < density {
 			x.Data[i] = 1
-		}
-	}
-	return x
-}
-
-// inputMemo caches GenerateInputs results. Replays, planner probes and
-// experiments re-simulate identical query streams over and over (the same
-// (neurons, batch, density, seed) tuples across configurations and
-// iterations), and input generation sat on that hot path. The memo is
-// bounded: once full, further tuples generate fresh matrices, so a
-// million-query stream of distinct seeds costs one map miss per query and
-// a fixed amount of memory. Cached matrices are shared — callers must
-// treat generated inputs as immutable, which the serving and engine paths
-// already do (inputs are copied into merged batches or read where they lie,
-// never written).
-var (
-	inputMemo     sync.Map // inputKey -> *sparse.Dense
-	inputMemoSize atomic.Int64
-)
-
-const inputMemoCap = 8192
-
-type inputKey struct {
-	neurons, batch int
-	density        float64
-	seed           int64
-}
-
-// GenerateInputsCached is GenerateInputs behind a bounded process-wide
-// memo; it returns a shared matrix that must not be mutated.
-func GenerateInputsCached(neurons, batch int, density float64, seed int64) *sparse.Dense {
-	key := inputKey{neurons, batch, density, seed}
-	if v, ok := inputMemo.Load(key); ok {
-		return v.(*sparse.Dense)
-	}
-	x := GenerateInputs(neurons, batch, density, seed)
-	if inputMemoSize.Load() < inputMemoCap {
-		if _, loaded := inputMemo.LoadOrStore(key, x); !loaded {
-			inputMemoSize.Add(1)
 		}
 	}
 	return x

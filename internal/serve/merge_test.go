@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -41,9 +42,6 @@ func identicalBits(a, b *sparse.Dense) bool {
 // patterns, so NaNs and negative zeros count).
 func TestMergeSliceRoundTripIdentical(t *testing.T) {
 	widths := []int{1, 2, 3, 8, 64}
-	// mergeMemo keys a batch by its members' addresses: every input stays
-	// reachable to the end so that no later case is handed a freed one's.
-	var keep []*sparse.Dense
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		neurons := 1 + rng.Intn(40)
@@ -53,7 +51,6 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 			for i := range in.Data {
 				in.Data[i] = math.Float32frombits(rng.Uint32())
 			}
-			keep = append(keep, in)
 			b.reqs = append(b.reqs, &request{input: in})
 			b.samples += in.Cols
 		}
@@ -72,6 +69,54 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeIsOfItsOwnMembers: what a batch merges to depends on its members'
+// values and on nothing a previous batch left behind. Two batches whose
+// members are distinct matrices holding equal bits merge to distinct matrices
+// of equal bits, and a batch built after the first one's inputs have been
+// dropped and collected — so that its members may lie where those lay — still
+// merges to its own values. This guards against a table of merged batches
+// keyed by the addresses of members it does not keep alive, which answers the
+// later batch with the earlier one's matrix whenever the allocator hands the
+// addresses out again (go1.24 did so by the second round every time this was
+// tried, but that is its choice: a guard, not a reproduction).
+func TestMergeIsOfItsOwnMembers(t *testing.T) {
+	const neurons, members = 16, 6
+	build := func(fill func(i int) float32) *batch {
+		b := &batch{}
+		for m := 0; m < members; m++ {
+			in := sparse.NewDense(neurons, 1+m%3)
+			for i := range in.Data {
+				in.Data[i] = fill(m*1000 + i)
+			}
+			b.reqs = append(b.reqs, &request{input: in})
+			b.samples += in.Cols
+		}
+		return b
+	}
+	first := build(func(i int) float32 { return float32(i) })
+	twin := build(func(i int) float32 { return float32(i) })
+	m1, m2 := mergeInputs(neurons, first), mergeInputs(neurons, twin)
+	if !identicalBits(m1, m2) {
+		t.Fatal("two batches of equal members merged to different bits")
+	}
+	if &m1.Data[0] == &m2.Data[0] {
+		t.Fatal("two batches share one merged matrix")
+	}
+	m1.Data[0]++
+	if identicalBits(m1, m2) {
+		t.Fatal("writing to one batch's merged matrix changed the other's")
+	}
+
+	first, twin, m1, m2 = nil, nil, nil, nil
+	for round := 0; round < 20; round++ {
+		runtime.GC()
+		third := build(func(i int) float32 { return -float32(i + round) })
+		if got := mergeInputs(neurons, third); !identicalBits(got, referenceMerge(sparse.NewDense(neurons, third.samples), third)) {
+			t.Fatalf("round %d: a batch built after another's inputs were freed did not merge to its own values", round)
+		}
 	}
 }
 

@@ -335,7 +335,7 @@ func (run *replayRun) feed() {
 	fold := run.fold
 	var last time.Duration
 	for _, it := range items {
-		in := model.GenerateInputsCached(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
+		in := model.GenerateInputs(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
 		var so SubmitOptions
 		if opts.Submit != nil {
 			so = opts.Submit(it.idx, it.q)

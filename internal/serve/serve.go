@@ -23,9 +23,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fsdinference/internal/cloud/env"
@@ -935,47 +932,17 @@ func (s *Service) Run() error {
 	return nil
 }
 
-// mergeMemo caches merged coalescing batches by the identity of their
-// member inputs. Replays and planner probes drive identical traces through
-// the scheduler repeatedly, producing the same coalesced batches from the
-// same (memoised) query inputs; returning the previous merged matrix keeps
-// batch assembly — and, downstream, the input staging encode keyed off its
-// pointer — off the replay hot path. Bounded like the input memo; merged
-// batches are read-only in the engine (the Serial handler multiplies the
-// matrix where it lies, the workers decode the frame staged from it), so
-// sharing one matrix across runs and lanes is safe.
-var (
-	mergeMemo     sync.Map // string key -> *sparse.Dense
-	mergeMemoSize atomic.Int64
-)
-
-const mergeMemoCap = 4096
-
 // mergeInputs concatenates the batch's activation matrices column-wise
 // into one engine input, in admission order.
 func mergeInputs(neurons int, b *batch) *sparse.Dense {
 	if len(b.reqs) == 1 {
 		return b.reqs[0].input
 	}
-	var kb strings.Builder
-	fmt.Fprintf(&kb, "%d", neurons)
-	for _, r := range b.reqs {
-		fmt.Fprintf(&kb, "|%p", r.input)
-	}
-	key := kb.String()
-	if v, ok := mergeMemo.Load(key); ok {
-		return v.(*sparse.Dense)
-	}
 	out := sparse.NewDense(neurons, b.samples)
 	off := 0
 	for _, r := range b.reqs {
 		copyBlock(out.Data[off:], out.Cols, r.input.Data, r.input.Cols, neurons, r.input.Cols)
 		off += r.input.Cols
-	}
-	if mergeMemoSize.Load() < mergeMemoCap {
-		if _, loaded := mergeMemo.LoadOrStore(key, out); !loaded {
-			mergeMemoSize.Add(1)
-		}
 	}
 	return out
 }
