@@ -126,12 +126,14 @@ func (rs *RowSet) NNZ() int64 {
 	return n
 }
 
-// Slice returns a RowSet view of rows [lo, hi) (shared storage).
+// Slice returns a RowSet view of rows [lo, hi): it shares those rows with
+// rs and nothing past them, so an Add or Append on the view reallocates
+// instead of writing over rs's next row.
 func (rs *RowSet) Slice(lo, hi int) *RowSet {
 	return &RowSet{
 		Batch: rs.Batch,
-		IDs:   rs.IDs[lo:hi],
-		Vals:  rs.Vals[lo*rs.Batch : hi*rs.Batch],
+		IDs:   rs.IDs[lo:hi:hi],
+		Vals:  rs.Vals[lo*rs.Batch : hi*rs.Batch : hi*rs.Batch],
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,5 +241,36 @@ func TestSliceView(t *testing.T) {
 	s := rs.Slice(1, 3)
 	if s.Len() != 2 || s.IDs[0] != 2 || s.Row(1)[1] != 6 {
 		t.Fatalf("slice = %+v", s)
+	}
+}
+
+// TestSliceAddLeavesParentAlone: a Slice shares its parent's rows and nothing
+// past them, so an Add on the view grows a copy and the parent keeps its
+// rows, and the frame it memoised keeps describing them.
+func TestSliceAddLeavesParentAlone(t *testing.T) {
+	rs := NewRowSetCap(2, 3)
+	rs.Add(1, []float32{1, 2})
+	rs.Add(2, []float32{3, 4})
+	rs.Add(3, []float32{5, 6})
+	frame, err := Encode(rs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame = append([]byte(nil), frame...)
+
+	s := rs.Slice(0, 1)
+	s.Add(9, []float32{7, 8})
+	if s.Len() != 2 || s.IDs[1] != 9 || s.Row(1)[0] != 7 {
+		t.Fatalf("slice after Add = %+v", s)
+	}
+	if rs.IDs[1] != 2 || rs.Row(1)[0] != 3 || rs.Row(1)[1] != 4 {
+		t.Fatalf("Add on a slice of row 0 overwrote the parent's row 1: ids %v vals %v", rs.IDs, rs.Vals)
+	}
+	again, err := Encode(rs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, frame) || !bytes.Equal(again, freshEncode(t, rs, false)) {
+		t.Fatal("the parent's frame no longer matches its rows")
 	}
 }
