@@ -103,6 +103,7 @@ func RunSageSL(e *env.Env, m *model.Model, input *sparse.Dense, cfg SageConfig) 
 	snap := e.Meter.Snapshot()
 	processed := 0
 	var latency time.Duration
+	var encErr error
 	e.K.Go("sage-driver", func(p *sim.Proc) {
 		t0 := p.Now()
 		try := input.Cols
@@ -110,7 +111,12 @@ func RunSageSL(e *env.Env, m *model.Model, input *sparse.Dense, cfg SageConfig) 
 			try = perReq
 		}
 		for try >= 1 {
-			fut, err := e.FaaS.Invoke(p, fn, mustJSON(chunkReq{Samples: try}))
+			payload, err := json.Marshal(chunkReq{Samples: try})
+			if err != nil {
+				encErr = err
+				break
+			}
+			fut, err := e.FaaS.Invoke(p, fn, payload)
 			if err != nil {
 				break
 			}
@@ -126,6 +132,9 @@ func RunSageSL(e *env.Env, m *model.Model, input *sparse.Dense, cfg SageConfig) 
 	if err := e.K.Run(); err != nil {
 		return nil, err
 	}
+	if encErr != nil {
+		return nil, fmt.Errorf("baselines: encoding request: %w", encErr)
+	}
 	if processed == 0 {
 		return nil, fmt.Errorf("baselines: endpoint processed no samples within its limits")
 	}
@@ -138,12 +147,4 @@ func RunSageSL(e *env.Env, m *model.Model, input *sparse.Dense, cfg SageConfig) 
 		Output:           output,
 		Cost:             used.Cost(e.Pricing),
 	}, nil
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

@@ -81,14 +81,14 @@ func ClusterScaling(l *Lab) (*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		var killErr error
 		if kill {
-			e.K.At(1800*time.Millisecond, func() {
-				if err := d.KVCluster().KillNode(0); err != nil {
-					panic(fmt.Sprintf("cluster experiment kill: %v", err))
-				}
-			})
+			e.K.At(1800*time.Millisecond, func() { killErr = d.KVCluster().KillNode(0) })
 		}
 		res, err := d.Infer(input)
+		if killErr != nil {
+			return nil, nil, fmt.Errorf("killing node 0: %w", killErr)
+		}
 		return res, e, err
 	}
 
