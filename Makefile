@@ -1,12 +1,7 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc bench bench-guard profile
+.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc profile
 
-# BENCH_N is this PR's point on the perf trajectory: bump it each PR so
-# `make bench` appends a new BENCH_N.json and benchguard compares it
-# against the previous one.
-BENCH_N := 9
-
-check: fmt vet build test lint bench-smoke fuzz-smoke
+check: fmt vet build test lint tables bench-smoke fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -77,16 +72,6 @@ loc:
 		files=$$(ls $$dir/*.go | grep -v '_test\.go$$'); \
 		printf '%6d %s\n' $$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) .$${dir#$(CURDIR)}; \
 	done | awk '{ n += $$1; print } END { printf "%6d total\n", n }'
-
-bench: bench-guard
-	go test -bench . -benchtime 1x .
-
-# bench-guard appends this PR's perf-trajectory point and fails on a >25%
-# serving-replay ns/op regression against the previous BENCH_*.json. CI
-# runs this target, so the BENCH_N filename has a single source of truth.
-bench-guard:
-	go run ./tools/benchjson -out BENCH_$(BENCH_N).json
-	go run ./tools/benchguard -new BENCH_$(BENCH_N).json
 
 # profile captures CPU and heap profiles of the benchmark named by
 # PROFILE_BENCH (default: the million-query replay) and prints the top-10

@@ -1,14 +1,11 @@
 package fsdinference_test
 
 import (
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"fsdinference"
 	"fsdinference/internal/core"
-	"fsdinference/internal/experiments"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/serve"
@@ -17,66 +14,10 @@ import (
 	"fsdinference/internal/wire"
 )
 
-// benchScale picks the experiment grid: quick by default, the full default
-// grid with FSD_BENCH_SCALE=default.
-func benchScale() experiments.Scale {
-	if os.Getenv("FSD_BENCH_SCALE") == "default" {
-		return experiments.DefaultScale()
-	}
-	return experiments.QuickScale()
-}
-
-var (
-	benchLabOnce sync.Once
-	benchLab     *experiments.Lab
-)
-
-func sharedLab() *experiments.Lab {
-	benchLabOnce.Do(func() { benchLab = experiments.NewLab(benchScale()) })
-	return benchLab
-}
-
-// benchExperiment runs one table/figure regenerator per iteration and logs
-// its rendering once, so `go test -bench .` both regenerates and displays
-// every paper artifact.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	lab := sharedLab()
-	r, ok := experiments.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var out *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := r.Run(lab)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = t
-	}
-	b.Log("\n" + out.String())
-}
-
-// One benchmark per paper table and figure (§VI).
-
-func BenchmarkFig4DailyCost(b *testing.B)      { benchExperiment(b, "fig4") }
-func BenchmarkFig5QueryLatency(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6Scaling(b *testing.B)        { benchExperiment(b, "fig6") }
-func BenchmarkChannelComparison(b *testing.B)  { benchExperiment(b, "channels") }
-func BenchmarkClusterScaling(b *testing.B)     { benchExperiment(b, "cluster") }
-func BenchmarkPlannerSelection(b *testing.B)   { benchExperiment(b, "planner") }
-func BenchmarkTable2PerSample(b *testing.B)    { benchExperiment(b, "table2") }
-func BenchmarkTable3Partitioning(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkCostValidation(b *testing.B)     { benchExperiment(b, "costval") }
-
-// Ablations the paper references without showing.
-
-func BenchmarkAblationPolling(b *testing.B)     { benchExperiment(b, "polling") }
-func BenchmarkAblationLaunch(b *testing.B)      { benchExperiment(b, "launch") }
-func BenchmarkAblationCompression(b *testing.B) { benchExperiment(b, "compression") }
-func BenchmarkAblationQuota(b *testing.B)       { benchExperiment(b, "quota") }
-
-// Component micro-benchmarks.
+// Micro-benchmarks a developer runs by hand (`go test -run '^$' -bench
+// <name> .`) and `make profile` profiles. The paper's tables and figures are
+// `go run ./cmd/fsdbench`; what a change did to host speed is judged by the
+// repository benchmark (bench/, BENCHMARK.json), not by these.
 
 func BenchmarkSparseMulGather(b *testing.B) {
 	m, err := model.Generate(model.GraphChallengeSpec(1024, 1, 1))
@@ -150,134 +91,11 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceReplay drives a small sporadic day through the serving
-// layer — admission, coalescing, replica dispatch and the shared-kernel
-// async engine path — so the serving hot path sits in the perf
-// trajectory alongside the engine and kernel benchmarks.
-func BenchmarkServiceReplay(b *testing.B) {
-	mSmall, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(128, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mLarge, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := fsdinference.WorkloadDay(40*8, []int{128, 256}, 8, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("small", mSmall),
-			fsdinference.WithEndpoint("large", mLarge),
-			fsdinference.WithCoalescing(64, 200*time.Millisecond),
-			fsdinference.WithReplicas(2),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Failed != 0 {
-			b.Fatalf("%d failed queries", rep.Failed)
-		}
-	}
-}
-
-// BenchmarkServiceReplayTraced is the same workload as
-// BenchmarkServiceReplay with the observability layer on at 1%
-// sampling. The delta between the two documents the tracing overhead;
-// benchguard gates it at no more than 15% — the price of span hooks on
-// every request path when only one in a hundred requests records spans.
-func BenchmarkServiceReplayTraced(b *testing.B) {
-	mSmall, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(128, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mLarge, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := fsdinference.WorkloadDay(40*8, []int{128, 256}, 8, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("small", mSmall),
-			fsdinference.WithEndpoint("large", mLarge),
-			fsdinference.WithCoalescing(64, 200*time.Millisecond),
-			fsdinference.WithReplicas(2),
-			fsdinference.WithTracing(100),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Failed != 0 {
-			b.Fatalf("%d failed queries", rep.Failed)
-		}
-		if len(svc.Tracer().Spans()) == 0 {
-			b.Fatal("tracing produced no spans")
-		}
-	}
-}
-
-// BenchmarkServiceReplayMonitored is the same workload as
-// BenchmarkServiceReplay with the SLO monitor on: a 5m simulated-time
-// scrape over both endpoints feeding an availability SLO through the
-// default burn-rate rules. The delta against the untraced replay is the
-// monitoring overhead — scrape events on the kernel plus per-request
-// metric increments — which benchguard gates at no more than 10%.
-func BenchmarkServiceReplayMonitored(b *testing.B) {
-	mSmall, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(128, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mLarge, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := fsdinference.WorkloadDay(40*8, []int{128, 256}, 8, 7)
-	spec := fsdinference.MonitorSpec{
-		Interval: 5 * time.Minute,
-		SLOs: []fsdinference.SLO{{
-			Name: "availability", Kind: fsdinference.Availability,
-			Window: 30 * 24 * time.Hour, Objective: 0.999,
-		}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("small", mSmall),
-			fsdinference.WithEndpoint("large", mLarge),
-			fsdinference.WithCoalescing(64, 200*time.Millisecond),
-			fsdinference.WithReplicas(2),
-			fsdinference.WithMonitor(spec),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Failed != 0 {
-			b.Fatalf("%d failed queries", rep.Failed)
-		}
-		if len(svc.Monitor().Series("small")) == 0 {
-			b.Fatal("monitoring produced no series")
-		}
-	}
-}
-
 // BenchmarkMillionQueryReplay streams a one-million-query diurnal day
 // through a live endpoint end-to-end — streaming trace generation,
 // admission, coalescing, batched inference, incremental report folding —
-// in bounded memory. It reports sustained queries/sec; benchguard gates
-// the replay engine on this number staying above 100k/s.
+// in bounded memory. It reports sustained queries/sec and is what
+// `make profile` profiles.
 func BenchmarkMillionQueryReplay(b *testing.B) {
 	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
@@ -348,8 +166,7 @@ func BenchmarkPlanner(b *testing.B) {
 
 // BenchmarkClusterChannel drives one inference run over the sharded,
 // replicated memory-store cluster — slot routing, async replication and
-// per-shard limiters all on the hot path — so the cluster data path sits
-// in the perf trajectory (BENCH_4 onward) alongside the serving replay.
+// per-shard limiters all on the hot path.
 func BenchmarkClusterChannel(b *testing.B) {
 	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
@@ -401,7 +218,7 @@ func BenchmarkEngineQueueRun(b *testing.B) {
 
 // BenchmarkAllreduce drives one inference whose closing reduce is a true
 // allreduce at P=32 on the memory channel, flat versus binomial tree —
-// the collectives subsystem's hot path (BENCH_5 onward), where the flat
+// the collectives subsystem's hot path, where the flat
 // root frames the combined result once per target and the tree amortises
 // that over ceil(log2 P) rounds.
 func BenchmarkAllreduce(b *testing.B) {
@@ -438,7 +255,7 @@ func BenchmarkAllreduce(b *testing.B) {
 // BenchmarkHybridChannel drives one inference over the size-aware hybrid
 // channel with a threshold low enough that both paths run hot: control
 // values ride the in-memory store, bulk values chunk into object storage
-// behind inline pointers with pipelined fetch (BENCH_5 onward).
+// behind inline pointers with pipelined fetch.
 func BenchmarkHybridChannel(b *testing.B) {
 	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
