@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VI) on the simulated cloud, plus the ablations the paper
 // mentions but does not show. Each experiment returns a Table that
-// cmd/fsdbench renders and bench_test.go asserts on.
+// cmd/fsdbench renders and experiments_test.go asserts on.
 //
 // Scaling: the paper evaluates N ∈ {1024, 4096, 16384, 65536} neurons over
 // L=120 layers with 10,000-sample batches on real AWS. Offline, each paper
@@ -10,8 +10,10 @@
 // Lambda? a 6 GB endpoint? how many samples fit a 6 MB payload?) is
 // evaluated analytically at the true paper dimensions, so qualitative
 // outcomes (the serial OOM at N=65536, the Sage sample truncation) appear
-// exactly where the paper reports them. EXPERIMENTS.md records the mapping
-// and the measured-versus-paper comparison for every experiment.
+// exactly where the paper reports them. README.md ("Experiments") describes
+// the mapping and the projection to paper scale; testdata/quick.golden holds
+// every experiment's table at QuickScale, and experiments_test.go asserts
+// the paper's qualitative claims on them.
 package experiments
 
 import (

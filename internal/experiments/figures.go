@@ -353,6 +353,6 @@ func Fig4DailyCost(l *Lab) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"per-query costs projected to paper scale (10,000-sample queries) from two-point scaled measurements;",
-		"see EXPERIMENTS.md for the projection method")
+		"see README.md (Experiments) for the projection method")
 	return t, nil
 }
