@@ -32,9 +32,9 @@ import (
 // the encoded frame a wire.RowSet carries (a fan-out send or a collective
 // forward encodes a set once): it lives on the set and goes with it. What a
 // run derives from its input — the staged frames, the layer outputs, the
-// result frame — is computed by that run and released with it: the same
-// traffic never once presented the same input matrix twice, and a table
-// keyed by where a caller's matrix lies keeps every batch of a day alive or
+// result frame — is computed by that run and released with it. None of those
+// workloads hands the engine one input matrix twice, and a table keyed by
+// where a caller's matrix lies either keeps every batch of a day alive or
 // answers for whatever is allocated there next.
 var stagedCache sync.Map // stagedKey -> *stagedModel
 
