@@ -38,8 +38,8 @@ identity:
 # file (about 70 s, no race detector). A refactor must leave it alone; a
 # declared model change rewrites it with
 # `go test ./internal/experiments -run TestQuickGolden -update` and commits
-# the diff. The same test runs under `go test ./...`; this target is the
-# whole of it and nothing else.
+# the diff. `go test ./...` runs the same test among the package's others;
+# this target runs it alone.
 tables:
 	go test ./internal/experiments -run TestQuickGolden -count=1
 

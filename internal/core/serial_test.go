@@ -229,7 +229,7 @@ func TestFinishedRunLeavesTheBucket(t *testing.T) {
 // into a row set of all N rows. Every output row of this input is non-zero;
 // an output with zero rows would add a row set of the others, under one
 // batch. The budget leaves a tenth of headroom. TotalAlloc counts the whole
-// process and one run is taken as it reads: 27 of 27 runs read 5.03 or 5.04,
+// process and one run is taken as it reads: 33 of 33 runs read 5.03 or 5.04,
 // alone, inside the package's whole suite and under the race detector. The
 // test must still not run in parallel with others, which would allocate
 // during it.

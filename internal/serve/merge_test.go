@@ -105,10 +105,6 @@ func TestMergeIsOfItsOwnMembers(t *testing.T) {
 	if &m1.Data[0] == &m2.Data[0] {
 		t.Fatal("two batches share one merged matrix")
 	}
-	m1.Data[0]++
-	if identicalBits(m1, m2) {
-		t.Fatal("writing to one batch's merged matrix changed the other's")
-	}
 
 	first, twin, m1, m2 = nil, nil, nil, nil
 	for round := 0; round < 20; round++ {
