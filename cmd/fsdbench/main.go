@@ -5,10 +5,14 @@
 //
 //	fsdbench [-exp id|all] [-scale quick|default] [-list]
 //
-// Experiment ids follow the paper: fig4, fig5, fig6, table2, table3,
-// costval, plus the extensions channels (three-way channel comparison)
-// and planner (workload-aware planning vs static one-shot selection),
-// and the ablations polling, launch, compression and quota.
+// Experiment ids follow the paper: fig4, fig5, fig6, table2, table3 and
+// costval (§VI-F, reconstructed against metered cost for every transport);
+// the later experiments channels (three-way channel comparison), cluster
+// (sharded store: throughput scaling and failover), planner (workload-aware
+// planning vs static one-shot selection), slomonitor (alert-driven
+// re-planning on a flash crowd) and collectives (topologies vs P, hybrid
+// routing); and the ablations polling, launch, compression and quota.
+// -list prints them with a one-line description each.
 package main
 
 import (

@@ -12,11 +12,45 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/cost"
 	"fsdinference/internal/plan"
 )
+
+// workloadFor estimates the a-priori workload description of a Graph
+// Challenge-style model (32 nonzeros per neuron per layer) served by workers
+// instances, and rejects dimensions no deployment can have.
+func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workload, error) {
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"-neurons", int64(neurons), 1}, {"-layers", int64(layers), 1}, {"-workers", int64(workers), 1},
+		{"-batch", int64(batch), 1}, {"-queries", queries, 0},
+	} {
+		if f.v < f.min {
+			return cost.Workload{}, fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
+		}
+	}
+	nnz := int64(neurons) * 32 * int64(layers)
+	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
+	// Rough per-pair volume: cut fraction ~10% of a worker's rows, 4 B
+	// per value, batch columns.
+	rowsPerWorker := neurons / workers
+	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * 0.6)
+	return cost.Workload{
+		ModelBytes:           modelBytes,
+		MemOverhead:          5.5,
+		InstanceCapMB:        10240,
+		Workers:              workers,
+		BytesPerPairPerLayer: bytesPerPair,
+		PairsPerLayer:        int64(workers) * 6,
+		Layers:               layers,
+		QueriesPerDay:        queries,
+	}, nil
+}
 
 func main() {
 	neurons := flag.Int("neurons", 16384, "neurons per layer (paper scale)")
@@ -26,26 +60,14 @@ func main() {
 	queries := flag.Int64("queries", 0, "expected queries per day (0 = unknown/sporadic)")
 	flag.Parse()
 
-	nnz := int64(*neurons) * 32 * int64(*layers)
-	modelBytes := nnz*8 + int64(*neurons+1)*4*int64(*layers)
-	// Rough per-pair volume: cut fraction ~10% of a worker's rows, 4 B
-	// per value, batch columns.
-	rowsPerWorker := *neurons / *workers
-	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(*batch) * 4 * 0.6)
-
-	w := cost.Workload{
-		ModelBytes:           modelBytes,
-		MemOverhead:          5.5,
-		InstanceCapMB:        10240,
-		Workers:              *workers,
-		BytesPerPairPerLayer: bytesPerPair,
-		PairsPerLayer:        int64(*workers) * 6,
-		Layers:               *layers,
-		QueriesPerDay:        *queries,
+	w, err := workloadFor(*neurons, *layers, *workers, *batch, *queries)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsdcost: %v\n", err)
+		os.Exit(2)
 	}
 	adv := cost.Recommend(w)
 	fmt.Printf("workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
-		*neurons, *layers, *workers, *batch, modelBytes>>20)
+		*neurons, *layers, *workers, *batch, w.ModelBytes>>20)
 	fmt.Printf("recommendation: %s\n", adv.Channel)
 	for _, r := range adv.Reasons {
 		fmt.Printf("  - %s\n", r)

@@ -151,18 +151,17 @@ func ParseChannelKind(s string) (ChannelKind, error) { return core.ParseChannelK
 // The collectives subsystem (internal/collective): the Barrier and the
 // Gather or Allreduce that close every request, over the deployment's
 // channel, under flat (the paper's root-funnelled pattern), binomial-tree
-// or ring topologies. Config.Collective selects one; AutoCollective picks
-// the analytically cheapest per call from the channel's latency/bandwidth
-// traits, and Config.AllreduceOutput materialises the reduced inference
-// output at every worker instead of only worker 0.
+// or ring topologies, or the analytically cheapest of the three per call
+// from the channel's latency/bandwidth traits. Config.Collective selects one,
+// and Config.AllreduceOutput materialises the reduced inference output at
+// every worker instead of only worker 0.
 type CollectiveAlgorithm = collective.Algorithm
 
-// Collective topologies.
+// Collective topologies (the two a caller of this package names; the rest
+// are internal/collective's).
 const (
 	FlatCollective = collective.Flat
 	TreeCollective = collective.Tree
-	RingCollective = collective.Ring
-	AutoCollective = collective.AutoAlgo
 )
 
 // DefaultKVNodeType is the provisioned store node the Memory channel uses
@@ -199,13 +198,6 @@ type (
 // replication and failover machinery.
 func NewKVCluster(e *Env, cfg KVClusterConfig) (*KVCluster, error) {
 	return kvcluster.New(e.KV, cfg)
-}
-
-// MeasureClusterThroughput saturates a fresh cluster of the given shard
-// count and node type and returns its steady-state aggregate ops/second
-// — the measurement showing shards scale past one node's ceiling.
-func MeasureClusterThroughput(shards int, nodeType string) float64 {
-	return kvcluster.MeasureThroughput(shards, nodeType, nil)
 }
 
 // Launch mechanisms (paper §III and the launch ablation).
@@ -343,29 +335,9 @@ func WithWorkers(p int) EndpointOption { return serve.WithWorkers(p) }
 // WithScheme selects the partitioning scheme for auto-built plans.
 func WithScheme(s PartitionScheme) EndpointOption { return serve.WithScheme(s) }
 
-// WithPlan supplies a pre-built partition plan for an endpoint.
-func WithPlan(p *Plan) EndpointOption { return serve.WithPlan(p) }
-
-// WithEndpointCoalescing overrides the coalescing policy per endpoint.
-func WithEndpointCoalescing(maxBatch int, maxDelay time.Duration) EndpointOption {
-	return serve.WithEndpointCoalescing(maxBatch, maxDelay)
-}
-
-// WithEndpointReplicas overrides the warm-pool size per endpoint.
-func WithEndpointReplicas(n int) EndpointOption { return serve.WithEndpointReplicas(n) }
-
 // WithEndpointAdmission overrides the admission policy per endpoint.
 func WithEndpointAdmission(p AdmissionPolicy) EndpointOption {
 	return serve.WithEndpointAdmission(p)
-}
-
-// WithEndpointScaling overrides the scaling policy per endpoint.
-func WithEndpointScaling(p ScalingPolicy) EndpointOption { return serve.WithEndpointScaling(p) }
-
-// WithEndpointRunConcurrency overrides the per-replica run concurrency per
-// endpoint.
-func WithEndpointRunConcurrency(n int) EndpointOption {
-	return serve.WithEndpointRunConcurrency(n)
 }
 
 // Observability (internal/obs): a span tracer and metrics registry over
@@ -670,13 +642,6 @@ type (
 // Recommend selects a communication channel per the paper's §IV-C design
 // recommendations.
 func Recommend(w CostWorkload) CostAdvice { return cost.Recommend(w) }
-
-// MemoryDailyCost returns the provisioned memory store's flat daily spend
-// for the workload under the default price catalogue — 24 node-hours,
-// idle or busy, with no per-request term.
-func MemoryDailyCost(w CostWorkload) float64 {
-	return cost.MemoryDailyCost(pricing.Default(), w)
-}
 
 // MemoryBreakEvenQueriesPerDay returns the daily query volume above which
 // the provisioned memory store undercuts the per-request channels.

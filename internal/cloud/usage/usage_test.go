@@ -1,7 +1,13 @@
 package usage
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,5 +160,60 @@ func TestFoldSortedOrder(t *testing.T) {
 	})
 	if strings.Join(keys, "") != "abc" || sum != 6 {
 		t.Fatalf("FoldSorted visited %v (sum %v), want a,b,c (6)", keys, sum)
+	}
+}
+
+// TestRequestPricesReadOnlyByCost keeps Equations (4)-(7) stated once: outside
+// this package's usage.go, where Cost multiplies them, and pricing.go, which
+// declares them, no non-test file of the module may select one of the
+// catalogue's eight request prices. Code that wants dollars fills a Meter and
+// calls Cost. (bench/ is a module of its own and is not walked; neither are
+// dot-directories, which hold whole copies of the tree.)
+func TestRequestPricesReadOnlyByCost(t *testing.T) {
+	prices := map[string]bool{
+		"LambdaInvoke": true, "LambdaGBSecond": true, "SNSPublish": true, "SNSByte": true,
+		"SQSRequest": true, "S3Put": true, "S3Get": true, "S3List": true,
+	}
+	const root = "../../.." // the module root, from internal/cloud/usage
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{
+		filepath.Join(root, "internal/cloud/usage/usage.go"):     true,
+		filepath.Join(root, "internal/cloud/pricing/pricing.go"): true,
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "bench" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || allowed[path] {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && prices[sel.Sel.Name] {
+				t.Errorf("%s reads the price %s; fill a usage.Meter and call Cost", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked %d files from %s: not the module root", files, root)
 	}
 }

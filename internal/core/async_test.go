@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 )
@@ -171,50 +173,60 @@ func TestOverlappingMemoryRunsOnOneDeployment(t *testing.T) {
 	}
 }
 
-// Reconstructed per-run usage (the asynchronous path's Usage/Cost) must
-// track the exact metered window when runs do not overlap.
+// TestAsyncUsageReconstructionMatchesMeter is the §VI-F claim as a test: for
+// a run that does not overlap another, the usage Start reconstructs from the
+// worker-side ledgers (the rows' bill hooks) is the metered window count for
+// count, on every kind under every topology. The cells with AllreduceOutput
+// are missing on purpose: there the run is torn down while ranks still wait
+// for their copy and the reconstruction is wrong (ROADMAP direction 1, which
+// must extend this list when it fixes that).
 func TestAsyncUsageReconstructionMatchesMeter(t *testing.T) {
-	for _, kind := range tableKinds() {
-		// Thresholds low enough that Hybrid bills both of its sides.
-		d, _, input := testSetup(t, 128, 6, 4, kind, func(c *Config) {
-			c.HybridThresholdBytes, c.HybridChunkBytes = 256, 1<<10
-		})
-		snap := d.Env.Meter.Snapshot()
-		var res *Result
-		var runErr error
-		if _, err := d.Start(input, func(r *Result, err error) { res, runErr = r, err }); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Env.K.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		used := d.Env.Meter.Sub(snap)
-		metered := used.Cost(d.Env.Pricing)
-		rec := res.Cost
-		for _, pair := range [][2]float64{
-			{rec.Lambda, metered.Lambda},
-			{rec.SNS, metered.SNS},
-			{rec.SQS, metered.SQS},
-			{rec.S3, metered.S3},
-			{rec.KV, metered.KV},
-		} {
-			diff := pair[0] - pair[1]
-			if diff < 0 {
-				diff = -diff
+	for _, kind := range ChannelKinds() {
+		for _, alg := range []collective.Algorithm{collective.Flat, collective.Tree, collective.Ring} {
+			// Thresholds low enough that Hybrid bills both of its sides.
+			d, _, input := testSetup(t, 256, 6, 8, kind, func(c *Config) {
+				c.Collective = alg
+				c.HybridThresholdBytes, c.HybridChunkBytes = 256, 1<<10
+			})
+			snap := d.Env.Meter.Snapshot()
+			var res *Result
+			var runErr error
+			if _, err := d.Start(input, func(r *Result, err error) { res, runErr = r, err }); err != nil {
+				t.Fatal(err)
 			}
-			scale := pair[1]
-			if scale < 1e-12 {
-				if diff > 1e-12 {
-					t.Fatalf("%v: reconstructed %v vs metered %v", kind, pair[0], pair[1])
+			if err := d.Env.K.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			used := d.Env.Meter.Sub(snap)
+			rec := &res.Usage
+			for _, c := range []struct {
+				name     string
+				rec, met int64
+			}{
+				{"Lambda invocations", rec.LambdaInvocations, used.LambdaInvocations},
+				{"SNS billed publishes", rec.SNSBilledPublishes, used.SNSBilledPublishes},
+				{"SNS delivered bytes", rec.SNSDeliveredBytes, used.SNSDeliveredBytes},
+				{"SQS requests", rec.SQSRequests(), used.SQSRequests()},
+				{"S3 PUTs", rec.S3PutCalls, used.S3PutCalls},
+				{"S3 GETs", rec.S3GetCalls, used.S3GetCalls},
+				{"S3 LISTs", rec.S3ListCalls, used.S3ListCalls},
+			} {
+				if c.rec != c.met {
+					t.Errorf("%v/%v: %s: reconstructed %d, metered %d", kind, alg, c.name, c.rec, c.met)
 				}
-				continue
 			}
-			if diff/scale > 0.02 {
-				t.Fatalf("%v: reconstructed %v vs metered %v (%.1f%% off)",
-					kind, pair[0], pair[1], 100*diff/scale)
+			if diff := math.Abs(rec.LambdaGBSeconds - used.LambdaGBSeconds); diff > 1e-9*used.LambdaGBSeconds {
+				t.Errorf("%v/%v: Lambda GB-seconds: reconstructed %v, metered %v", kind, alg, rec.LambdaGBSeconds, used.LambdaGBSeconds)
+			}
+			// Node-hours are attributed per run pessimistically (runUsage);
+			// a lone run's share is the metered window's, up to the order
+			// the float hours were added in.
+			kvRec, kvMet := res.Cost.KV, used.Cost(d.Env.Pricing).KV
+			if math.Abs(kvRec-kvMet) > 1e-9*kvMet {
+				t.Errorf("%v/%v: KV dollars: reconstructed %v, metered %v", kind, alg, kvRec, kvMet)
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 //     HybridThresholdBytes travel inline through the store, paying its
 //     sub-millisecond op latency;
 //   - bulk tensors are split into HybridChunkBytes chunks written to
-//     object storage from a HybridFanout-wide transfer pool, and only a
+//     object storage from a hybridFanout-wide transfer pool, and only a
 //     tiny pointer frame (chunk count + key prefix) rides the inbox. The
 //     receiver streams the chunks back through the same wide pool, so the
 //     transfer's aggregate bandwidth is fanout x the per-connection object
@@ -51,6 +51,11 @@ type bulkRef struct {
 	prefix string
 }
 
+// hybridFanout is the Hybrid channel's per-worker parallel chunk transfer
+// width, separate from Config.Threads because bulk tensor staging wants far
+// wider concurrency than control pushes.
+const hybridFanout = 32
+
 func openHybrid(w *worker) channel {
 	return &hybridChannel{mem: newMemoryChannel(w)}
 }
@@ -65,10 +70,10 @@ func provisionHybrid(d *Deployment) error {
 }
 
 // hybridTraits follows the message's route: the store for what travels
-// inline, object storage from the HybridFanout-wide pool for bulk.
+// inline, object storage from the hybridFanout-wide pool for bulk.
 func hybridTraits(cfg Config, ec env.Config, msgBytes int64) collective.Traits {
 	if msgBytes > int64(cfg.HybridThresholdBytes) {
-		return objectRouteTraits(ec, cfg.HybridFanout)
+		return objectRouteTraits(ec, hybridFanout)
 	}
 	return memoryTraits(cfg, ec, msgBytes)
 }
@@ -121,7 +126,7 @@ func chunkKey(prefix string, i int) string {
 
 // send routes one batch of values: small ones become inline inbox
 // pushes; bulk ones park their chunks in object storage first (all
-// targets' chunks through one HybridFanout-wide pool), then announce
+// targets' chunks through one hybridFanout-wide pool), then announce
 // themselves with pointer pushes. The chunk PUTs complete before any
 // pointer is pushed, so a receiver's GETs never race the upload.
 func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
@@ -159,7 +164,7 @@ func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 		ptr := encodeMemValue(t, w.id, encodeBulkPointer(len(chunks), prefix))
 		inline = append(inline, hc.mem.pushVal(w, t, out.target, ptr))
 	}
-	if err := w.threadsN("bput", d.Cfg.HybridFanout, puts); err != nil {
+	if err := w.threadsN("bput", hybridFanout, puts); err != nil {
 		return err
 	}
 	return w.threads("push", inline)
@@ -198,7 +203,7 @@ func (hc *hybridChannel) decode(w *worker, src int32, body []byte) (*wire.RowSet
 
 // fetchBulk resolves the pointer frames one gather set aside: every named
 // chunk, across all sources, streams back from object storage through a
-// single HybridFanout-wide pool, then each source's chunks decode and
+// single hybridFanout-wide pool, then each source's chunks decode and
 // deliver in pointer-arrival order.
 func (hc *hybridChannel) fetchBulk(w *worker, deliver func(src int32, rs *wire.RowSet)) error {
 	var keys []string
@@ -210,7 +215,7 @@ func (hc *hybridChannel) fetchBulk(w *worker, deliver func(src int32, rs *wire.R
 	w.metrics.HybridGets += int64(len(keys))
 	// The chunk objects live in the bucket keyed by this worker (the
 	// send side routed by target).
-	bodies, err := w.getBodies("bget", w.d.Cfg.HybridFanout, w.bucketFor(w.id), keys)
+	bodies, err := w.getBodies("bget", hybridFanout, w.bucketFor(w.id), keys)
 	if err != nil {
 		return err
 	}

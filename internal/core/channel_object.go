@@ -23,9 +23,13 @@ type objectChannel struct{}
 
 func openObject(*worker) channel { return objectChannel{} }
 
+// numBuckets is the number of parallel object buckets (bucket-{n%10} in
+// Algorithm 2).
+const numBuckets = 10
+
 // provisionBuckets creates the target-keyed buckets a priori (free to keep).
 func provisionBuckets(d *Deployment) error {
-	d.buckets = make([]*s3.Bucket, d.Cfg.Buckets)
+	d.buckets = make([]*s3.Bucket, numBuckets)
 	for b := range d.buckets {
 		d.buckets[b] = d.Env.S3.CreateBucket(fmt.Sprintf("%s-bucket-%d", d.prefix, b))
 	}

@@ -34,12 +34,16 @@ type queueChannel struct {
 
 func openQueue(*worker) channel { return &queueChannel{} }
 
+// numTopics is the number of parallel pub-sub topics (topic-{m%10} in
+// Algorithm 1).
+const numTopics = 10
+
 // provisionTopics creates the topics a priori (free to keep, §III-A); the
 // per-worker receive queues are created per run in bindRunQueues, with
 // filter policies keyed on (target, run), so any number of runs can overlap
 // on one deployment.
 func provisionTopics(d *Deployment) error {
-	d.topics = make([]*sns.Topic, d.Cfg.Topics)
+	d.topics = make([]*sns.Topic, numTopics)
 	for t := range d.topics {
 		d.topics[t] = d.Env.SNS.CreateTopic(fmt.Sprintf("%s-topic-%d", d.prefix, t))
 	}

@@ -185,9 +185,6 @@ type Config struct {
 	// SerialMemoryMB sizes the serial function (default 10240, the
 	// platform maximum, as in §VI-A1).
 	SerialMemoryMB int
-	// CoordinatorMemoryMB sizes the lightweight coordinator (default
-	// 128).
-	CoordinatorMemoryMB int
 	// FunctionTimeout is the worker runtime limit (default: platform
 	// maximum, 15 minutes).
 	FunctionTimeout time.Duration
@@ -208,12 +205,6 @@ type Config struct {
 	// compression ablation switches it off).
 	Compress bool
 
-	// Topics is the number of parallel pub-sub topics (default 10,
-	// topic-{m%10} in Algorithm 1).
-	Topics int
-	// Buckets is the number of parallel object buckets (default 10,
-	// bucket-{n%10} in Algorithm 2).
-	Buckets int
 	// PollWait is the queue long-poll wait; 0 selects short polling
 	// (the polling ablation).
 	PollWait time.Duration
@@ -225,10 +216,6 @@ type Config struct {
 	// HybridChunkBytes sizes the Hybrid channel's bulk chunks (default
 	// 1 MiB): smaller chunks mean more parallel streams per transfer.
 	HybridChunkBytes int
-	// HybridFanout is the Hybrid channel's per-worker parallel chunk
-	// transfer width (default 32), separate from Threads because bulk
-	// tensor staging wants far wider concurrency than control pushes.
-	HybridFanout int
 
 	// KVNodeType sizes the provisioned in-memory store nodes (Memory
 	// channel only; default cache.m6g.large).
@@ -281,9 +268,6 @@ func (c Config) withDefaults() Config {
 	if c.SerialMemoryMB <= 0 {
 		c.SerialMemoryMB = 10240
 	}
-	if c.CoordinatorMemoryMB <= 0 {
-		c.CoordinatorMemoryMB = 128
-	}
 	if c.FunctionTimeout <= 0 {
 		c.FunctionTimeout = 15 * time.Minute
 	}
@@ -295,15 +279,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HybridChunkBytes <= 0 {
 		c.HybridChunkBytes = 1 << 20
-	}
-	if c.HybridFanout <= 0 {
-		c.HybridFanout = 32
-	}
-	if c.Topics <= 0 {
-		c.Topics = 10
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
 	}
 	if c.KVNodeType == "" {
 		c.KVNodeType = DefaultKVNodeType

@@ -159,6 +159,9 @@ func (d *Deployment) putStore(key string, data []byte) {
 	d.store.Stage(key, data)
 }
 
+// coordinatorMemoryMB sizes the lightweight coordinator (§VI-A1: 128 MB).
+const coordinatorMemoryMB = 128
+
 func (d *Deployment) registerFunctions() error {
 	cfg := d.Cfg
 	if cfg.Channel == Serial {
@@ -171,7 +174,7 @@ func (d *Deployment) registerFunctions() error {
 	}
 	if err := d.Env.FaaS.Register(faas.FunctionConfig{
 		Name:     d.fnCoordinator,
-		MemoryMB: cfg.CoordinatorMemoryMB,
+		MemoryMB: coordinatorMemoryMB,
 		Timeout:  cfg.FunctionTimeout,
 		Handler:  d.coordinatorHandler,
 	}); err != nil {

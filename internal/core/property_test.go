@@ -26,7 +26,7 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 		layers := 2 + rng.Intn(5)
 		batch := 1 + rng.Intn(12)
 		workers := 2 + rng.Intn(5)
-		kinds := tableKinds()
+		kinds := ChannelKinds()
 		kind := kinds[rng.Intn(len(kinds))]
 		scheme := []partition.Scheme{partition.Block, partition.Random, partition.HGPDNN}[rng.Intn(3)]
 		spec := model.GraphChallengeSpec(neurons, layers, seed)

@@ -29,7 +29,7 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 	for _, w := range run.metrics {
 		u.LambdaGBSeconds += float64(memMB) / 1024 * w.Runtime().Seconds()
 	}
-	u.LambdaGBSeconds += float64(d.Cfg.CoordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds()
+	u.LambdaGBSeconds += float64(coordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds()
 
 	// Communication side, from the worker ledgers: the model store's reads
 	// and writes on every kind, then what the kind's own services were

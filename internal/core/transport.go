@@ -59,6 +59,17 @@ var transports = [...]transport{
 	},
 }
 
+// ChannelKinds lists every kind the table declares, in table order, so code
+// that ranges over kinds — the §VI-F validation, a test — covers a new row
+// without being edited.
+func ChannelKinds() []ChannelKind {
+	kinds := make([]ChannelKind, len(transports))
+	for k := range transports {
+		kinds[k] = ChannelKind(k)
+	}
+	return kinds
+}
+
 // known reports whether c has a row in the table.
 func (c ChannelKind) known() bool { return c >= 0 && int(c) < len(transports) }
 

@@ -13,19 +13,9 @@ import (
 	"fsdinference/internal/partition"
 )
 
-// tableKinds lists every kind the transports table declares, so a test
-// that ranges over kinds covers a new row without being edited.
-func tableKinds() []ChannelKind {
-	kinds := make([]ChannelKind, len(transports))
-	for k := range transports {
-		kinds[k] = ChannelKind(k)
-	}
-	return kinds
-}
-
 func TestTransportTable(t *testing.T) {
 	names, spellings := map[string]ChannelKind{}, map[string]ChannelKind{}
-	for _, kind := range tableKinds() {
+	for _, kind := range ChannelKinds() {
 		tr := transports[kind]
 		if tr.name == "" || tr.spelling == "" {
 			t.Fatalf("kind %d has name %q and spelling %q; both are required", int(kind), tr.name, tr.spelling)
@@ -74,7 +64,7 @@ func TestTransportTable(t *testing.T) {
 // would price every store message at +Inf.
 func TestChannelTraitsFillsDefaults(t *testing.T) {
 	ec := env.DefaultConfig()
-	for _, kind := range tableKinds() {
+	for _, kind := range ChannelKinds() {
 		if transports[kind].traits == nil {
 			continue
 		}
@@ -88,7 +78,7 @@ func TestChannelTraitsFillsDefaults(t *testing.T) {
 	}
 	inline := ChannelTraits(Config{Channel: Hybrid}, ec, DefaultHybridThresholdBytes)
 	bulk := ChannelTraits(Config{Channel: Hybrid}, ec, DefaultHybridThresholdBytes+1)
-	if inline != ChannelTraits(Config{Channel: Memory}, ec, 0) || bulk.Fan != (Config{}).withDefaults().HybridFanout {
+	if inline != ChannelTraits(Config{Channel: Memory}, ec, 0) || bulk.Fan != hybridFanout {
 		t.Errorf("hybrid traits do not follow the route: inline %+v, bulk %+v", inline, bulk)
 	}
 }

@@ -1,67 +1,11 @@
 package cost
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"fsdinference/internal/cloud/pricing"
-	"fsdinference/internal/cloud/usage"
 )
-
-func TestLambdaEquation(t *testing.T) {
-	cat := pricing.Default()
-	// 20 workers at 2000 MB running 30 s each: Eq (4).
-	u := LambdaUsage{Invocations: 20, MemoryMB: 2000, TotalRuntime: 20 * 30 * time.Second}
-	got := Lambda(cat, u)
-	want := 20*cat.LambdaInvoke + 2000.0/1024*600*cat.LambdaGBSecond
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Lambda = %v, want %v", got, want)
-	}
-}
-
-func TestQueueEquations(t *testing.T) {
-	cat := pricing.Default()
-	q := QueueUsage{BilledPublishes: 1_000_000, DeliveredBytes: 2e9, SQSRequests: 500_000}
-	if got, want := SNS(cat, q), 0.50+2*0.09; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("SNS = %v, want %v", got, want)
-	}
-	if got, want := SQS(cat, q), 0.20; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("SQS = %v, want %v", got, want)
-	}
-}
-
-func TestObjectEquation(t *testing.T) {
-	cat := pricing.Default()
-	o := ObjectUsage{Puts: 10_000, Gets: 50_000, Lists: 4_000}
-	got := S3(cat, o)
-	want := 10_000*cat.S3Put + 50_000*cat.S3Get + 4_000*cat.S3List
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("S3 = %v, want %v", got, want)
-	}
-}
-
-func TestPredictTotalsCombine(t *testing.T) {
-	cat := pricing.Default()
-	l := LambdaUsage{Invocations: 5, MemoryMB: 1024, TotalRuntime: time.Minute}
-	q := QueueUsage{BilledPublishes: 100, DeliveredBytes: 1e6, SQSRequests: 50}
-	o := ObjectUsage{Puts: 10, Gets: 10, Lists: 5}
-
-	serial := PredictSerial(cat, l)
-	queue := PredictQueue(cat, l, q)
-	object := PredictObject(cat, l, o)
-
-	if serial.Comms() != 0 {
-		t.Fatal("serial prediction has communication cost")
-	}
-	if queue.Total() <= serial.Total() {
-		t.Fatal("queue prediction should add comms cost")
-	}
-	if object.S3 == 0 || object.SNS != 0 {
-		t.Fatalf("object prediction wrong shape: %+v", object)
-	}
-}
 
 func TestQueueAPIRequestsCheaperAtModerateVolume(t *testing.T) {
 	// §IV-C: for payloads within publish capacity, pub-sub/queueing API
@@ -120,32 +64,6 @@ func TestRecommendObjectForHugeVolumes(t *testing.T) {
 	})
 	if adv.Channel != ChannelObject {
 		t.Fatalf("recommended %v, want object", adv.Channel)
-	}
-}
-
-func TestValidationAgreement(t *testing.T) {
-	v := Validation{
-		Predicted: usage.Breakdown{Lambda: 0.10, SNS: 0.20, SQS: 0.05},
-		Actual:    usage.Breakdown{Lambda: 0.10, SNS: 0.21, SQS: 0.05},
-	}
-	if !v.ComputeAgrees(0.01) {
-		t.Fatal("identical compute should agree")
-	}
-	if v.CommsAgree(0.01) {
-		t.Fatal("4% comms difference should fail 1% tolerance")
-	}
-	if !v.CommsAgree(0.05) {
-		t.Fatal("4% comms difference should pass 5% tolerance")
-	}
-	if !v.TotalAgrees(0.05) {
-		t.Fatal("totals should agree at 5%")
-	}
-}
-
-func TestValidationZeroBaseline(t *testing.T) {
-	v := Validation{}
-	if !v.TotalAgrees(0.01) || !v.CommsAgree(0.01) || !v.ComputeAgrees(0.01) {
-		t.Fatal("zero-vs-zero should agree")
 	}
 }
 

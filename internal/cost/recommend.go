@@ -1,3 +1,12 @@
+// Package cost is the a-priori side of the FSD-Inference cost model (paper
+// §IV): it estimates, before anything runs, the request counts a workload will
+// be billed for, and turns them into the §IV-C design recommendations (which
+// channel, and why) that the planner's analytic pre-filter shares. Equations
+// (1)-(7) themselves — a count into dollars — are usage.Meter.Cost and nothing
+// here: the counts predicted below are priced there, as the counts a run's
+// workers ledger are (core's bill hooks) and the counts the simulated services
+// meter. The §VI-F validation of the model against billed actuals is
+// experiments.CostValidation.
 package cost
 
 import (
@@ -5,6 +14,7 @@ import (
 
 	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/cloud/pricing"
+	"fsdinference/internal/cloud/usage"
 )
 
 // Channel names a communication-channel recommendation.
@@ -302,7 +312,8 @@ func Recommend(w Workload) Advice {
 // polls and deletes versus PUTs, GETs and amortised LISTs); the
 // volume-proportional SNS→SQS byte charge enters the full Equation (5)
 // model, not this per-request comparison. Best-case packing is assumed:
-// 10 messages per publish serving 10 targets, 10 messages per poll.
+// 10 messages per publish serving 10 targets, 10 messages per poll. What is
+// predicted here is the counts; usage.Meter.Cost prices them.
 func APICost(cat pricing.Catalog, pairs int64, bytesPerPair int64) (queue, object float64) {
 	if pairs == 0 {
 		return 0, 0
@@ -324,10 +335,12 @@ func APICost(cat pricing.Catalog, pairs int64, bytesPerPair int64) (queue, objec
 	}
 	polls := (messages + 9) / 10
 	deletes := polls
-	queue = float64(billed)*cat.SNSPublish + float64(polls+deletes)*cat.SQSRequest
+	q := (&usage.Meter{SNSBilledPublishes: billed, SQSReceiveCalls: polls, SQSDeleteCalls: deletes}).Cost(cat)
 
 	// Object: one PUT and one GET per pair; LISTs amortise to roughly one
-	// per target per layer (scans overlap other workers' write phases).
-	object = float64(pairs)*cat.S3Put + float64(pairs)*cat.S3Get + float64(pairs)*cat.S3List/4
-	return queue, object
+	// per target per layer (scans overlap other workers' write phases), a
+	// quarter of a LIST per pair.
+	transfers := (&usage.Meter{S3PutCalls: pairs, S3GetCalls: pairs}).Cost(cat)
+	lists := (&usage.Meter{S3ListCalls: pairs}).Cost(cat)
+	return q.SNS + q.SQS, transfers.S3 + lists.S3/4
 }

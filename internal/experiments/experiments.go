@@ -266,6 +266,16 @@ func (l *Lab) RunFSD(neurons, workers, batch int, kind core.ChannelKind, scheme 
 }
 
 func (l *Lab) run(e *env.Env, neurons, workers, batch int, kind core.ChannelKind, scheme partition.Scheme, pollWait time.Duration, mutate func(*core.Config)) (*core.Result, error) {
+	d, err := l.deploy(e, neurons, workers, kind, scheme, pollWait, mutate)
+	if err != nil {
+		return nil, err
+	}
+	return d.Infer(l.Input(neurons, batch))
+}
+
+// deploy deploys the lab's model for neurons on e, under the lab's plan for
+// (workers, scheme) unless kind is Serial.
+func (l *Lab) deploy(e *env.Env, neurons, workers int, kind core.ChannelKind, scheme partition.Scheme, pollWait time.Duration, mutate func(*core.Config)) (*core.Deployment, error) {
 	m, err := l.Model(neurons)
 	if err != nil {
 		return nil, err
@@ -281,11 +291,7 @@ func (l *Lab) run(e *env.Env, neurons, workers, batch int, kind core.ChannelKind
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	d, err := core.Deploy(e, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return d.Infer(l.Input(neurons, batch))
+	return core.Deploy(e, cfg)
 }
 
 // Dilation returns the time-dilation factor λ for a size: the ratio of

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/core"
 )
 
 // Experiments share one lab and run once; tests assert on the cached
@@ -205,12 +208,50 @@ func TestTable3HGPBeatsRandom(t *testing.T) {
 	}
 }
 
+// TestCostValidationAgrees: §VI-F holds on every row, and there is a row for
+// every kind the transport table declares — a new transport is validated by
+// being declared.
 func TestCostValidationAgrees(t *testing.T) {
 	tab := table(t, "costval")
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Fatalf("cost validation failed for %s: %v", row[0], row)
 		}
+	}
+	kinds := core.ChannelKinds()
+	if len(tab.Rows) != len(kinds) {
+		t.Fatalf("%d rows for %d kinds", len(tab.Rows), len(kinds))
+	}
+	for _, kind := range kinds {
+		if _, ok := tab.Cell(kind.String(), "agree<1%"); !ok {
+			t.Errorf("no row validates %v", kind)
+		}
+	}
+}
+
+func TestValidationAgreement(t *testing.T) {
+	v := validation{
+		predicted: usage.Breakdown{Lambda: 0.10, SNS: 0.20, SQS: 0.05},
+		actual:    usage.Breakdown{Lambda: 0.10, SNS: 0.21, SQS: 0.05},
+	}
+	if !v.computeAgrees(0.01) {
+		t.Fatal("identical compute should agree")
+	}
+	if v.commsAgree(0.01) {
+		t.Fatal("4% comms difference should fail 1% tolerance")
+	}
+	if !v.commsAgree(0.05) {
+		t.Fatal("4% comms difference should pass 5% tolerance")
+	}
+	if !v.totalAgrees(0.05) {
+		t.Fatal("totals should agree at 5%")
+	}
+}
+
+func TestValidationZeroBaseline(t *testing.T) {
+	v := validation{}
+	if !v.totalAgrees(0.01) || !v.commsAgree(0.01) || !v.computeAgrees(0.01) {
+		t.Fatal("zero-vs-zero should agree")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // cost-dominance rules on top), and under a sustained volume at a batch wide
 // enough that the reduce estimate crosses the Hybrid routing threshold at
 // both worker counts (Hybrid's collectives priced over its object route,
-// HybridFanout wide). Elsewhere only the collectives experiment reaches
+// hybridFanout wide). Elsewhere only the collectives experiment reaches
 // pruneCollective, and only on Memory. The digest covers every trial's
 // candidate, verdict and reason, and the pick — captured while the planner
 // still carried its own copy of the channel traits.

@@ -17,30 +17,6 @@ import (
 // shedding and rerouting), autoscaling replica pools with deterministic
 // replay, SLO-driven AutoSelect, and Queue-channel run multiplexing.
 
-func TestEndpointReplicasOverridesServiceScalingPolicy(t *testing.T) {
-	// WithEndpointReplicas is shorthand for a fixed pool: it must win
-	// over a service-wide autoscaler for that endpoint, not be silently
-	// ignored.
-	m := testModel(t, 128, 6)
-	svc, err := NewService(env.NewDefault(),
-		WithScaling(Autoscaler(AutoscalerOptions{Min: 1, Max: 4})),
-		WithEndpoint("auto", m),
-		WithEndpoint("fixed", m, WithEndpointReplicas(3)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.byName["fixed"].sched.scaling.Name(); got != "fixed(3)" {
-		t.Fatalf("fixed endpoint scaling = %s, want fixed(3)", got)
-	}
-	if got := len(svc.byName["fixed"].sched.pool); got != 3 {
-		t.Fatalf("fixed endpoint pool = %d, want 3", got)
-	}
-	if got := svc.byName["auto"].sched.scaling.Name(); got != "autoscale(1..4)" {
-		t.Fatalf("auto endpoint scaling = %s, want autoscale(1..4)", got)
-	}
-}
-
 func TestPriorityAdmissionDispatchesHighPriorityFirst(t *testing.T) {
 	// One replica, one run at a time, 4-sample batches that cannot merge
 	// (maxBatch 4): a filler run occupies the replica while a low- and a

@@ -55,12 +55,7 @@ type endpointConfig struct {
 	workers   int
 	scheme    partition.Scheme
 	seed      int64
-	plan      *partition.Plan
-	policy    *coalescePolicy
-	replicas  int
 	admission AdmissionPolicy
-	scaling   ScalingPolicy
-	runConc   int
 	slo       *SLOOptions
 	mutate    func(*core.Config)
 }
@@ -170,8 +165,8 @@ func WithChannel(k core.ChannelKind) EndpointOption {
 	return func(ec *endpointConfig) { ec.channel = k; ec.chanSet = true }
 }
 
-// WithWorkers sets the endpoint's FaaS worker parallelism; a partition
-// plan is built automatically when none is supplied.
+// WithWorkers sets the endpoint's FaaS worker parallelism; the partition
+// plan is built from it and WithScheme.
 func WithWorkers(p int) EndpointOption {
 	return func(ec *endpointConfig) { ec.workers = p }
 }
@@ -182,44 +177,9 @@ func WithScheme(s partition.Scheme) EndpointOption {
 	return func(ec *endpointConfig) { ec.scheme = s }
 }
 
-// WithPlan supplies a pre-built partition plan, overriding WithWorkers
-// and WithScheme.
-func WithPlan(p *partition.Plan) EndpointOption {
-	return func(ec *endpointConfig) { ec.plan = p }
-}
-
-// WithEndpointCoalescing overrides the service-wide coalescing policy for
-// this endpoint.
-func WithEndpointCoalescing(maxBatch int, maxDelay time.Duration) EndpointOption {
-	return func(ec *endpointConfig) { ec.policy = &coalescePolicy{maxBatch, maxDelay} }
-}
-
-// WithEndpointReplicas overrides the service-wide warm-pool size for this
-// endpoint (shorthand for WithEndpointScaling(FixedPool(n)) — whichever
-// of the two appears later wins).
-func WithEndpointReplicas(n int) EndpointOption {
-	return func(ec *endpointConfig) {
-		ec.replicas = n
-		if n > 0 {
-			ec.scaling = FixedPool(n)
-		}
-	}
-}
-
 // WithEndpointAdmission overrides the admission policy for this endpoint.
 func WithEndpointAdmission(p AdmissionPolicy) EndpointOption {
 	return func(ec *endpointConfig) { ec.admission = p }
-}
-
-// WithEndpointScaling overrides the scaling policy for this endpoint.
-func WithEndpointScaling(p ScalingPolicy) EndpointOption {
-	return func(ec *endpointConfig) { ec.scaling = p }
-}
-
-// WithEndpointRunConcurrency overrides the per-replica run concurrency for
-// this endpoint.
-func WithEndpointRunConcurrency(n int) EndpointOption {
-	return func(ec *endpointConfig) { ec.runConc = n }
 }
 
 // WithSLO lets the endpoint pick its own channel and worker parallelism at
@@ -227,7 +187,7 @@ func WithEndpointRunConcurrency(n int) EndpointOption {
 // latency/cost priorities, and re-plan when the observed workload drifts:
 // run batch width by ReselectFactor, or the arrival rate across the
 // memory channel's break-even volume (SLOOptions). It conflicts with
-// WithChannel, WithWorkers and WithPlan.
+// WithChannel and WithWorkers.
 func WithSLO(o SLOOptions) EndpointOption {
 	return func(ec *endpointConfig) { ec.slo = &o }
 }
@@ -508,8 +468,8 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 	}
 	ep := &Endpoint{svc: s, name: ec.name, m: ec.m, mutate: ec.mutate}
 	if ec.slo != nil {
-		if ec.chanSet || ec.workers > 0 || ec.plan != nil {
-			return nil, fmt.Errorf("serve: endpoint %q: WithSLO conflicts with WithChannel/WithWorkers/WithPlan", ec.name)
+		if ec.chanSet || ec.workers > 0 {
+			return nil, fmt.Errorf("serve: endpoint %q: WithSLO conflicts with WithChannel/WithWorkers", ec.name)
 		}
 		slo := ec.slo.withDefaults()
 		obj := slo.Objective
@@ -535,24 +495,20 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		}
 		ep.dcfg = dcfg
 	} else {
-		workers := ec.workers
-		if ec.plan != nil {
-			workers = ec.plan.Workers
-		}
 		channel := ec.channel
 		if !ec.chanSet {
 			channel = core.Serial
-			if workers > 1 {
+			if ec.workers > 1 {
 				channel = core.Queue
 			}
 		}
-		if channel != core.Serial && workers <= 1 {
+		if channel != core.Serial && ec.workers <= 1 {
 			return nil, fmt.Errorf("serve: endpoint %q: %v needs at least 2 workers", ec.name, channel)
 		}
-		plan := ec.plan
-		if channel != core.Serial && plan == nil {
+		var plan *partition.Plan
+		if channel != core.Serial {
 			var err error
-			plan, err = partition.BuildPlan(ec.m, workers, ec.scheme, partition.Options{Seed: ec.seed})
+			plan, err = partition.BuildPlan(ec.m, ec.workers, ec.scheme, partition.Options{Seed: ec.seed})
 			if err != nil {
 				return nil, fmt.Errorf("serve: endpoint %q: %w", ec.name, err)
 			}
@@ -568,11 +524,7 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		}
 	}
 
-	policy := cfg.policy
-	if ec.policy != nil {
-		policy = *ec.policy
-	}
-	if policy.maxBatch < 0 || policy.maxDelay < 0 {
+	if cfg.policy.maxBatch < 0 || cfg.policy.maxDelay < 0 {
 		return nil, fmt.Errorf("serve: endpoint %q: negative coalescing policy", ec.name)
 	}
 	admission := cfg.admission
@@ -582,33 +534,16 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 	if admission == nil {
 		admission = FIFO()
 	}
-	replicas := cfg.replicas
-	if ec.replicas != 0 {
-		replicas = ec.replicas
-	}
-	if replicas <= 0 {
-		return nil, fmt.Errorf("serve: endpoint %q: replicas must be positive, got %d", ec.name, ec.replicas)
-	}
 	scaling := cfg.scaling
-	if ec.scaling != nil {
-		scaling = ec.scaling
-	}
 	if scaling == nil {
-		scaling = FixedPool(replicas)
-	}
-	runConc := cfg.runConc
-	if ec.runConc != 0 {
-		runConc = ec.runConc
-	}
-	if runConc <= 0 {
-		return nil, fmt.Errorf("serve: endpoint %q: run concurrency must be positive, got %d", ec.name, ec.runConc)
+		scaling = FixedPool(cfg.replicas)
 	}
 
-	ep.sched = newScheduler(ep, policy, admission, scaling, runConc)
+	ep.sched = newScheduler(ep, cfg.policy, admission, scaling, cfg.runConc)
 	if s.metrics != nil {
 		ep.met = newEpMetrics(s.metrics, ep.name)
 	}
-	initial := scaling.Target(PoolState{RunCapacity: runConc})
+	initial := scaling.Target(PoolState{RunCapacity: cfg.runConc})
 	if initial < 1 {
 		initial = 1
 	}
