@@ -17,6 +17,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -310,7 +311,11 @@ func (n *Node) chargeOp(p *sim.Proc, bytes int) {
 // RPush appends a value to the list at key, creating it if needed. A
 // non-zero ttl (re)sets the key's expiry relative to now, like a
 // pipelined RPUSH+EXPIRE billed as one round trip. Fails when the value
-// exceeds the size cap or the node is out of memory.
+// exceeds the size cap or the node is out of memory. The node adopts val
+// as the stored value instead of copying it, and BLPop hands that slice to
+// the popper: neither side may write to it again (what workers push — wire
+// frames, re-pushed as they are on failover recovery — is immutable once
+// built).
 func (n *Node) RPush(p *sim.Proc, key string, val []byte, ttl time.Duration) error {
 	if key == "" {
 		return fmt.Errorf("kvstore: empty key")
@@ -337,9 +342,7 @@ func (n *Node) RPush(p *sim.Proc, key string, val []byte, ttl time.Duration) err
 		e = &entry{}
 		n.items[key] = e
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	e.list = append(e.list, cp)
+	e.list = append(e.list, val)
 	e.bytes += int64(len(val))
 	n.usedBytes += need
 	if n.usedBytes > n.PeakBytes {
@@ -425,7 +428,8 @@ func (n *Node) DropPrefix(prefix string) {
 // and virtual time: the intra-cluster replication stream is not a billed
 // API call — a replica's entire cost is its node-hours. Capacity is not
 // enforced (the replica mirrors a primary of the same node type, so a
-// write that fit the primary fits the replica).
+// write that fit the primary fits the replica). val is adopted, as by RPush:
+// a replica stores the slice its primary does.
 func (n *Node) ReplApply(key string, val []byte, ttl time.Duration) {
 	if n.released || key == "" {
 		return
@@ -437,9 +441,7 @@ func (n *Node) ReplApply(key string, val []byte, ttl time.Duration) {
 		n.items[key] = e
 		n.usedBytes += int64(n.svc.cfg.KeyOverheadBytes)
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	e.list = append(e.list, cp)
+	e.list = append(e.list, val)
 	e.bytes += int64(len(val))
 	n.usedBytes += int64(len(val))
 	if n.usedBytes > n.PeakBytes {
@@ -492,17 +494,8 @@ func (n *Node) SyncFrom(src *Node) {
 	n.items = make(map[string]*entry, len(src.items))
 	n.usedBytes = 0
 	for key, e := range src.items {
-		cp := &entry{
-			list:      make([][]byte, len(e.list)),
-			bytes:     e.bytes,
-			expiresAt: e.expiresAt,
-		}
-		for i, v := range e.list {
-			cv := make([]byte, len(v))
-			copy(cv, v)
-			cp.list[i] = cv
-		}
-		n.items[key] = cp
+		// The values are immutable once pushed: only the list is copied.
+		n.items[key] = &entry{list: slices.Clone(e.list), bytes: e.bytes, expiresAt: e.expiresAt}
 		n.usedBytes += e.bytes + int64(n.svc.cfg.KeyOverheadBytes)
 	}
 	if n.usedBytes > n.PeakBytes {

@@ -44,6 +44,33 @@ func TestPushPopRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRPushAdoptsValue: the store keeps the slice it is pushed and hands that
+// slice to the popper — on the primary, and on a replica fed through
+// ReplApply — so a value crosses the store without being copied.
+func TestRPushAdoptsValue(t *testing.T) {
+	k, _, s := newSvc(t)
+	primary, _ := s.Provision("p", "cache.m6g.large")
+	replica, _ := s.Provision("r", "cache.m6g.large")
+	val := []byte("one frame")
+	var fromPrimary, fromReplica []byte
+	k.Go("c", func(p *sim.Proc) {
+		if err := primary.RPush(p, "inbox", val, time.Minute); err != nil {
+			t.Error(err)
+		}
+		replica.ReplApply("inbox", val, time.Minute)
+		fromPrimary = primary.LPop(p, "inbox")
+		fromReplica = replica.LPop(p, "inbox")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"primary": fromPrimary, "replica": fromReplica} {
+		if len(got) != len(val) || &got[0] != &val[0] {
+			t.Errorf("%s: popped %q at another address than the pushed slice", name, got)
+		}
+	}
+}
+
 func TestBLPopBlocksUntilPush(t *testing.T) {
 	k, _, s := newSvc(t)
 	n, _ := s.Provision("n0", "cache.m6g.large")

@@ -168,12 +168,12 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 }
 
 // decodePayload decodes one received byte string, charging transfer-side
-// CPU (parse plus decompression). It is the decodeFunc of every transport
-// whose bodies are all row sets.
+// CPU (parse, plus decompression when the frame arrived deflated). It is
+// the decodeFunc of every transport whose bodies are all row sets.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	w.metrics.BytesRecv += int64(len(body))
 	w.ctx.Serialize(int64(len(body)))
-	if w.d.Cfg.Compress {
+	if wire.Deflated(body) {
 		w.ctx.Decompress(int64(len(body)))
 	}
 	rs, err := wire.Decode(body)
@@ -184,24 +184,32 @@ func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 }
 
 // encodeFrame is the sender-side step of a transport whose values have no
-// size cap: charge the compression of rs (an empty completion marker costs
-// nothing) and return its frame, shared by every target rs is sent to.
+// size cap: return the frame of rs, shared by every target rs is sent to,
+// and charge the compression of rs when wire deflated it (a frame short
+// enough to ship raw, the empty completion marker included, costs nothing).
 func (w *worker) encodeFrame(rs *wire.RowSet) ([]byte, error) {
-	if w.d.Cfg.Compress && rs.Len() > 0 {
+	p, err := wire.Encode(rs, w.d.Cfg.Compress)
+	if wire.Deflated(p) {
 		w.ctx.Compress(rs.RawBytes())
 	}
-	return wire.Encode(rs, w.d.Cfg.Compress)
+	return p, err
 }
 
 // encodeChunks is the same step for a size-capped service: rs becomes one
-// or more byte strings of at most limit bytes each. The chunked model
-// charges the compressor for every set it is handed, the header bytes of an
-// empty marker included.
+// or more byte strings of at most limit bytes each, and the compressor is
+// charged for the bytes of rs less what the raw chunks carry.
 func (w *worker) encodeChunks(rs *wire.RowSet, limit int) ([][]byte, error) {
-	if w.d.Cfg.Compress {
-		w.ctx.Compress(rs.RawBytes())
+	chunks, err := wire.EncodeChunks(rs, limit, w.d.Cfg.Compress)
+	deflated := rs.RawBytes()
+	for _, c := range chunks {
+		if !wire.Deflated(c) {
+			deflated -= int64(len(c))
+		}
 	}
-	return wire.EncodeChunks(rs, limit, w.d.Cfg.Compress)
+	if deflated > 0 {
+		w.ctx.Compress(deflated)
+	}
+	return chunks, err
 }
 
 // parseDecimal parses s as exactly the decimal strconv.Itoa writes for a

@@ -63,18 +63,18 @@ func TestGoldenResultP32(t *testing.T) {
 		t.Skip("12 P=32 runs")
 	}
 	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat":  {4439867174, "0.001875927079659213", "43eae9288b20a591"},
-		"FSD-Inf-Queue/tree":  {4960535372, "0.34259802274154144", "946f5a1df92de2f6"},
-		"FSD-Inf-Queue/ring":  {7750368184, "0.22595967438617806", "567cb2b39399289f"},
-		"FSD-Inf-Object/flat": {5863427758, "0.02656443547884284", "85d8893dc4992f1b"},
-		"FSD-Inf-Object/tree": {6052846030, "0.028218833844705953", "bd4254928fdc3dbb"},
-		"FSD-Inf-Object/ring": {9781703857, "0.0476438554179195", "5214cb9b64a3a90d"},
-		"FSD-Inf-Memory/flat": {3908609035, "0.002962353756485689", "e7a5e4335ce676d0"},
-		"FSD-Inf-Memory/tree": {3897992704, "0.0029576887505573884", "360b4b38e0c4b3bd"},
-		"FSD-Inf-Memory/ring": {3939270001, "0.0029786993274417395", "ea310868aa234897"},
-		"FSD-Inf-Hybrid/flat": {3933647401, "0.0031504056475615237", "05c1bf269d9362e1"},
-		"FSD-Inf-Hybrid/tree": {4063481612, "0.0032362920733615273", "10db3eeeaad19346"},
-		"FSD-Inf-Hybrid/ring": {3939270001, "0.0029786993274417395", "c71c0f8bc0ab6fcd"},
+		"FSD-Inf-Queue/flat":  {4439409101, "0.0019208804741590966", "bb81e593b2047a6f"},
+		"FSD-Inf-Queue/tree":  {4960064700, "0.3426428070953098", "4d56b5ca5db882b4"},
+		"FSD-Inf-Queue/ring":  {7749741188, "0.2260205152830315", "b8ecc88bddecfeed"},
+		"FSD-Inf-Object/flat": {5862908473, "0.02656963782163034", "4aff94dd2fd9a6d0"},
+		"FSD-Inf-Object/tree": {6052344190, "0.02821854914473877", "0a29903b3dc3281e"},
+		"FSD-Inf-Object/ring": {9721114710, "0.04729227605318212", "fc6d07a501ea5b7b"},
+		"FSD-Inf-Memory/flat": {3907898046, "0.002961983426806229", "6455f469cd477cdd"},
+		"FSD-Inf-Memory/tree": {3897361306, "0.002957359896774682", "450c4d1dcd9caf78"},
+		"FSD-Inf-Memory/ring": {3938416312, "0.002978243836507973", "9f9326a2c9e36e50"},
+		"FSD-Inf-Hybrid/flat": {3932936385, "0.0031500352719998105", "bfb030a6e76e139e"},
+		"FSD-Inf-Hybrid/tree": {4062850214, "0.0032359632195788214", "5fd62df7d93ac8f0"},
+		"FSD-Inf-Hybrid/ring": {3938416312, "0.002978243836507973", "b17b523ca2ff8bcc"},
 	}
 
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
@@ -169,7 +169,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 	}{
 		{
 			name:   "queue/multichunk",
-			golden: goldenCell{2935422591, "0.00027344697153322084", "3344539aba2e3662"},
+			golden: goldenCell{2969148192, "0.0003212803604653449", "25ac54328f9990ab"},
 			// A 512-byte publish cap puts most row sets past chunkLimit, and
 			// the tail chunks of several targets still share a publish batch.
 			env: func(c *env.Config) { c.SNS.MaxPayloadBytes = 512 },
@@ -182,7 +182,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "hybrid/bulk",
-			golden: goldenCell{2640058641, "0.0031226283142644154", "a0c0b6c37e3c942d"},
+			golden: goldenCell{2640038189, "0.00312262698024482", "54742005ea9c536b"},
 			cfg: Config{
 				Channel: Hybrid, Compress: true,
 				HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10,
@@ -195,7 +195,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "memory/lossy-failover",
-			golden: goldenCell{3837149222, "0.007584763424156326", "fe2f526328deb925"},
+			golden: goldenCell{3837130522, "0.0075847622067059745", "7fd977aaae117515"},
 			cfg: Config{
 				Channel: Memory, Compress: true, KVNodes: 2, KVReplicas: 0,
 				KVFailoverWindow: 2 * time.Second, KVReplicationLag: 300 * time.Millisecond,
@@ -215,7 +215,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "queue/shortpoll",
-			golden: goldenCell{2969419257, "0.000279109998978293", "780fe548d4c9f676"},
+			golden: goldenCell{2969397747, "0.0002792080289693025", "3842ea4810d10ee8"},
 			cfg:    Config{Channel: Queue, Compress: true, PollWait: 0},
 			reached: func(res *Result) bool {
 				return sum(res, func(w *WorkerMetrics) int64 { return w.Polls }) >
@@ -308,7 +308,7 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 	if !model.OutputsClose(res.Output, model.Reference(m, input), 1e-2) {
 		t.Fatal("output diverges from reference inference")
 	}
-	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028354183, "0.0025804809790660873", "bd69860709064408"})
+	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028315049, "0.0025804758831900103", "fba034cce3d14cb9"})
 }
 
 // TestGoldenRunLedger pins what Start reports — the Usage and Cost that
@@ -329,10 +329,10 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 func TestGoldenRunLedger(t *testing.T) {
 	golden := map[ChannelKind]goldenCell{
 		Serial: {783822079, "3.0283979567870003e-05", "8be09676e02a6e52"},
-		Queue:  {3816139758, "-5.667714247001106e-05", "12746108a46a5728"},
-		Object: {4196882311, "0.0029707730949831094", "428b348145e302a0"},
-		Memory: {3062009473, "0.0025916588710274513", "5073768c9c3340ed"},
-		Hybrid: {3497278217, "0.0035349619099200114", "b2b8cc8be9f9c4a2"},
+		Queue:  {3816097341, "-5.64981028522512e-05", "1e24d5bf01082df3"},
+		Object: {4196862311, "0.002970772569493777", "9c9cf7a047ad4903"},
+		Memory: {3061973312, "0.0025916541625544925", "ec7f221281a4f00a"},
+		Hybrid: {3497248658, "0.0035349599855021", "80a354ec8f378090"},
 	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {

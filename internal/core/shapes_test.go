@@ -24,18 +24,18 @@ func TestGoldenCollectiveShapes(t *testing.T) {
 		t.Skip("12 P=12 runs")
 	}
 	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat/gather":     {3655143141, "0.0005099191180457187", "8df6671212669632"},
-		"FSD-Inf-Queue/flat/allreduce":  {3667810622, "0.0005456663927284048", "d60e5f7afab473c0"},
-		"FSD-Inf-Queue/tree/gather":     {3931250922, "0.0005696562875822073", "8ac36600319e5f82"},
-		"FSD-Inf-Queue/tree/allreduce":  {3972235886, "0.08947015833776048", "54b4a5a32f0931a9"},
-		"FSD-Inf-Queue/ring/gather":     {5015004119, "0.0007581994548480013", "4fc3b77286449777"},
-		"FSD-Inf-Queue/ring/allreduce":  {4763381326, "0.07487822162989133", "98a0dc65887c1af4"},
-		"FSD-Inf-Memory/flat/gather":    {3188602624, "0.0026386197925604826", "d7a3f305a9b45175"},
-		"FSD-Inf-Memory/flat/allreduce": {3191781700, "0.0026398066993125464", "50d41f3cf763e54d"},
-		"FSD-Inf-Memory/tree/gather":    {3189045975, "0.002638988566556493", "d5c830d03876f146"},
-		"FSD-Inf-Memory/tree/allreduce": {3191093663, "0.002639754993333484", "e3bead41bd37d5f7"},
-		"FSD-Inf-Memory/ring/gather":    {3203588890, "0.0026413308138353788", "e48cd88081200e4e"},
-		"FSD-Inf-Memory/ring/allreduce": {3202262256, "0.0026418448132357717", "9f294118cfbd527f"},
+		"FSD-Inf-Queue/flat/gather":     {3655112809, "0.0005101986225454864", "4a9a87e24fe573ac"},
+		"FSD-Inf-Queue/flat/allreduce":  {3667780290, "0.0005459459484978063", "95dd6a07ba6422c5"},
+		"FSD-Inf-Queue/tree/gather":     {3931220539, "0.0005699358316979397", "5ca6c337d579443c"},
+		"FSD-Inf-Queue/tree/allreduce":  {3972205503, "0.08947044085066472", "7828a22e4446724f"},
+		"FSD-Inf-Queue/ring/gather":     {5014969698, "0.000758478211982993", "bdd0c915d3cbbe85"},
+		"FSD-Inf-Queue/ring/allreduce":  {4763346905, "0.07487850318822005", "39f930f5eb788e55"},
+		"FSD-Inf-Memory/flat/gather":    {3188571511, "0.002638613714813952", "42a2a19f915f883d"},
+		"FSD-Inf-Memory/flat/allreduce": {3191750587, "0.0026398006225425807", "d0cb70d612a63a54"},
+		"FSD-Inf-Memory/tree/gather":    {3189023683, "0.002638984224490517", "2544187f9c466477"},
+		"FSD-Inf-Memory/tree/allreduce": {3191071371, "0.002639750639418526", "e1d87e0b73a4cd8f"},
+		"FSD-Inf-Memory/ring/gather":    {3203557925, "0.0026413247659717205", "4adb05cec2320094"},
+		"FSD-Inf-Memory/ring/allreduce": {3202231291, "0.0026418387653721134", "5a02899b00304b24"},
 	}
 
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))

@@ -83,6 +83,47 @@ func TestChannelTraitsFillsDefaults(t *testing.T) {
 	}
 }
 
+// TestChargesFollowTheFrame: compression is charged where a frame went
+// through the compressor, not where the deployment allows it. On every kind
+// of the table, a run all of whose frames are short enough to ship raw (the
+// widest, all 64 rows at batch 1, is 522 bytes) simulates the same to the
+// last field with Compress on as with it off, and a run with long frames
+// does not.
+func TestChargesFollowTheFrame(t *testing.T) {
+	shapes := []struct {
+		name           string
+		neurons, batch int
+		same           bool
+	}{
+		{"short frames", 64, 1, true},
+		{"long frames", 256, 16, false},
+	}
+	for _, kind := range ChannelKinds() {
+		for _, c := range shapes {
+			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
+				input := model.GenerateInputs(c.neurons, c.batch, 0.5, 2)
+				var dumps [2]string
+				for i, compress := range []bool{true, false} {
+					d, m, _ := testSetup(t, c.neurons, 4, 4, kind, func(cfg *Config) {
+						cfg.Compress = compress
+						cfg.AllreduceOutput = kind != Serial
+					})
+					res, err := d.Infer(input)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkCorrect(t, m, input, res)
+					dumps[i] = resultDump(res)
+				}
+				if same := dumps[0] == dumps[1]; same != c.same {
+					t.Fatalf("Compress on and off simulate the same: %v, want %v\non:\n%s\noff:\n%s",
+						same, c.same, dumps[0], dumps[1])
+				}
+			})
+		}
+	}
+}
+
 // TestDeployRejectsUnknownChannel: a kind outside the table used to
 // validate, deploy and register functions, and fail only once a worker was
 // invoked.

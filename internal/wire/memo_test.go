@@ -18,15 +18,90 @@ func clone(rs *RowSet) *RowSet {
 	return cp
 }
 
+// wantZlib states the rule from outside: a compressing sender deflates a
+// set whose raw frame (preamble plus reference body) is deflateFrom bytes
+// or more, and nothing else.
+func wantZlib(rs *RowSet, compress bool) bool {
+	return compress && 2+len(referenceBody(rs)) >= deflateFrom
+}
+
 // freshEncode is what Encode produces for rs's content with no memo in
 // play: the reference every memo hit must equal byte for byte.
 func freshEncode(t testing.TB, rs *RowSet, compress bool) []byte {
 	t.Helper()
-	p, err := encode(clone(rs), compress)
+	p, err := encode(clone(rs), wantZlib(rs, compress))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// oneRowOf returns a single-row set whose raw frame is n bytes long; frames
+// are 10 + 4*rows*(1+batch) bytes, so n must be 2 mod 4 and at least 14.
+func oneRowOf(t testing.TB, rng *rand.Rand, n int) *RowSet {
+	t.Helper()
+	if n < 14 || n%4 != 2 {
+		t.Fatalf("no row set frames to %d bytes", n)
+	}
+	row := make([]float32, (n-14)/4)
+	for j := range row {
+		if rng.Intn(2) == 0 {
+			row[j] = float32(rng.NormFloat64())
+		}
+	}
+	rs := NewRowSet(len(row))
+	rs.Add(int32(rng.Intn(1<<20)), row)
+	return rs
+}
+
+// TestDeflateBoundaryProperty walks raw frame lengths across deflateFrom. A
+// frame is 2 mod 4 bytes long, so the lengths next to the threshold are the
+// reachable ones around it: everything below ships raw under either flag, as
+// one shared slice; from the threshold on a compressing sender writes zlib
+// and a plain one the raw frame; and all of it round-trips bit for bit.
+func TestDeflateBoundaryProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(768))
+	below, from := 0, 0
+	for n := deflateFrom&^3 - 30; n <= deflateFrom+32; n += 4 {
+		rs := oneRowOf(t, rng, n)
+		plain, err := Encode(rs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := Encode(rs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain) != n || Deflated(plain) {
+			t.Fatalf("%d-byte set: Encode(rs, false) wrote %d bytes, deflated %v", n, len(plain), Deflated(plain))
+		}
+		if n < deflateFrom {
+			below++
+			if &comp[0] != &plain[0] {
+				t.Fatalf("%d-byte set, under the threshold: the two flags did not share one raw frame", n)
+			}
+		} else {
+			from++
+			if !Deflated(comp) {
+				t.Fatalf("%d-byte set, at or over the threshold: a compressing sender shipped it raw", n)
+			}
+		}
+		for _, p := range [][]byte{plain, comp} {
+			back, err := Decode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rowSetsEqual(rs, back) {
+				t.Fatalf("%d-byte set: round trip changed the rows", n)
+			}
+			if again, _ := Encode(back, true); !bytes.Equal(again, comp) {
+				t.Fatalf("%d-byte set: the decoded set frames differently", n)
+			}
+		}
+	}
+	if below < 4 || from < 4 {
+		t.Fatalf("walk missed a side of the threshold: %d below, %d from it", below, from)
+	}
 }
 
 // checkEncode encodes rs twice under both flags and requires each result to
@@ -95,23 +170,24 @@ func TestMemoEqualsFreshEncodeProperty(t *testing.T) {
 // under the flag it arrived with to the very bytes that were parsed,
 // without a compressor in sight, and mutating it lets go of them.
 func TestDecodeKeepsItsFrame(t *testing.T) {
-	rs := randomRowSet(rand.New(rand.NewSource(5)), 30, 8, 0.5)
-	row := make([]float32, rs.Batch)
-	rs.Add(1, row)
-	for _, compress := range []bool{false, true} {
-		p := freshEncode(t, rs, compress)
-		dec, err := Decode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, _ := Encode(dec, compress)
-		if &again[0] != &p[0] {
-			t.Fatalf("compress=%v: forwarding a decoded set encoded it again", compress)
-		}
-		dec.Append(rs)
-		again, _ = Encode(dec, compress)
-		if &again[0] == &p[0] {
-			t.Fatalf("compress=%v: Append kept a frame that no longer describes the set", compress)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{deflateFrom/2 | 2, 4*deflateFrom | 2} { // a frame that ships raw, one that deflates
+		rs := oneRowOf(t, rng, n)
+		for _, compress := range []bool{false, true} {
+			p := freshEncode(t, rs, compress)
+			dec, err := Decode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, _ := Encode(dec, compress)
+			if &again[0] != &p[0] {
+				t.Fatalf("%d bytes, compress=%v: forwarding a decoded set encoded it again", n, compress)
+			}
+			dec.Append(rs)
+			again, _ = Encode(dec, compress)
+			if &again[0] == &p[0] {
+				t.Fatalf("%d bytes, compress=%v: Append kept a frame that no longer describes the set", n, compress)
+			}
 		}
 	}
 }
@@ -119,8 +195,8 @@ func TestDecodeKeepsItsFrame(t *testing.T) {
 // TestDecodeDropsFramesEncodeWouldNotWrite: payloads that parse but that
 // Encode could not have produced must not become the set's frame.
 func TestDecodeDropsFramesEncodeWouldNotWrite(t *testing.T) {
-	rs := NewRowSet(4)
-	rs.Add(1, []float32{1, 2, 3, 4})
+	rng := rand.New(rand.NewSource(6))
+	rs := oneRowOf(t, rng, 2*deflateFrom|2)
 	for _, compress := range []bool{false, true} {
 		p := freshEncode(t, rs, compress)
 
@@ -141,6 +217,21 @@ func TestDecodeDropsFramesEncodeWouldNotWrite(t *testing.T) {
 				t.Fatalf("compress=%v, %s: the hostile payload came back out of Encode", compress, name)
 			}
 		}
+	}
+
+	// A zlib frame whose body is under the threshold parses, but a sender
+	// following the rule ships that set raw: the frame is not kept.
+	short := oneRowOf(t, rng, deflateFrom/2|2)
+	z, err := encode(short, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(z)
+	if err != nil || !rowSetsEqual(short, dec) {
+		t.Fatalf("short zlib frame: err %v, rows equal %v", err, err == nil && rowSetsEqual(short, dec))
+	}
+	if got, _ := Encode(dec, true); !bytes.Equal(got, freshEncode(t, short, true)) || Deflated(got) {
+		t.Fatal("short zlib frame: the deflated payload came back out of Encode")
 	}
 }
 
@@ -225,11 +316,11 @@ func TestEncodeChunksUnchangedProperty(t *testing.T) {
 	}
 }
 
-// TestEmptyFrameIsShared: the completion marker is one frame per (batch,
-// flag), however many empty sets ship it.
+// TestEmptyFrameIsShared: the completion marker is one raw frame per batch
+// width, however many empty sets ship it and under whichever flag.
 func TestEmptyFrameIsShared(t *testing.T) {
+	a, _ := Encode(NewRowSet(16), false)
 	for _, compress := range []bool{false, true} {
-		a, _ := Encode(NewRowSet(16), compress)
 		b, _ := Encode(NewRowSet(16), compress)
 		c, _ := Encode(NewRowSet(0), compress)
 		if &a[0] != &b[0] {
@@ -238,8 +329,8 @@ func TestEmptyFrameIsShared(t *testing.T) {
 		if bytes.Equal(a, c) {
 			t.Fatalf("compress=%v: batch 16 and batch 0 share a marker", compress)
 		}
-		if !bytes.Equal(a, freshEncode(t, NewRowSet(16), compress)) {
-			t.Fatalf("compress=%v: shared marker differs from a fresh encode", compress)
+		if len(b) != headerSize || !bytes.Equal(b, freshEncode(t, NewRowSet(16), compress)) {
+			t.Fatalf("compress=%v: shared marker is %d bytes, or differs from a fresh encode", compress, len(b))
 		}
 	}
 }
@@ -255,15 +346,18 @@ func TestAppendPanicsOnWrongWidth(t *testing.T) {
 
 // FuzzDecode: Decode never panics on hostile bytes, and whenever it accepts
 // a payload, Encode of the result — under either flag, from the kept frame
-// or from scratch — decodes to the same rows, and a kept frame is one that
-// ends where the parsed frame ended.
+// or from scratch — decodes to the same rows. The payload is kept as the
+// set's frame under a flag only if it carries the flag byte Encode writes
+// for those rows and ends where the parsed frame ended, and always if it is
+// what Encode writes byte for byte. The seeds frame every set both ways
+// whatever its length, so zlib frames under the threshold are among them.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1),
-		bitsRowSet(rng), bitsRowSet(rng), bitsRowSet(rng)}
+		bitsRowSet(rng), bitsRowSet(rng), bitsRowSet(rng), oneRowOf(f, rng, deflateFrom|2)}
 	for _, rs := range sets {
-		for _, compress := range []bool{false, true} {
-			p, err := encode(rs, compress)
+		for _, deflate := range []bool{false, true} {
+			p, err := encode(rs, deflate)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -289,17 +383,20 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoding an accepted payload: %v", err)
 			}
-			if len(p) > 0 && &p[0] == &b[0] {
-				// Decode kept b as the frame: it must carry this flag alone
-				// and end where the frame ends.
-				if b[1] != 0 && b[1] != flagZlib || (b[1] == flagZlib) != compress {
-					t.Fatalf("compress=%v: kept a frame flagged %#x", compress, b[1])
+			fresh := freshEncode(t, rs, compress)
+			if &p[0] == &b[0] {
+				// Decode kept b as the frame: it must carry the flag Encode
+				// writes for these rows, alone, and end where the frame ends.
+				if want := fresh[1]; b[1] != want {
+					t.Fatalf("compress=%v: kept a frame flagged %#x, Encode writes %#x", compress, b[1], want)
 				}
 				if _, err := Decode(b[:len(b)-1]); err == nil {
 					t.Fatalf("compress=%v: kept a frame with bytes past its end", compress)
 				}
-			} else if !bytes.Equal(p, freshEncode(t, rs, compress)) {
+			} else if !bytes.Equal(p, fresh) {
 				t.Fatalf("compress=%v: Encode returned neither the parsed frame nor a fresh encode", compress)
+			} else if bytes.Equal(b, fresh) {
+				t.Fatalf("compress=%v: the payload is what Encode writes, and was not kept", compress)
 			}
 			back, err := Decode(p)
 			if err != nil {

@@ -48,6 +48,10 @@ const (
 	magic      = 0xF5
 	flagZlib   = 0x01
 	headerSize = 2 + 4 + 4 // magic+flags, batch, nrows
+
+	// deflateFrom is the raw frame length from which a compressing sender
+	// deflates; the package comment has the sweep it was picked from.
+	deflateFrom = 768
 )
 
 // RowSet is a set of activation rows in transit: row i has global neuron id
@@ -59,7 +63,7 @@ type RowSet struct {
 	IDs   []int32
 	Vals  []float32
 
-	// enc is the set's encoded frame per compress flag (index 1: zlib),
+	// enc is the set's encoded frame, raw at index 0 and zlib at index 1,
 	// nil until Encode produces or Decode seeds it.
 	enc [2][]byte
 }
@@ -138,14 +142,16 @@ func (rs *RowSet) Slice(lo, hi int) *RowSet {
 }
 
 // Encode serializes the row set: a 2-byte magic/flags preamble, then batch
-// width, row count, row ids and values (little-endian). With compress set,
-// everything after the preamble is zlib-compressed. The frame is memoised
-// on the set, so encoding an unchanged set again — for another target, or
-// at the next hop of a collective — returns the same bytes without running
-// the compressor; callers share the result and must not modify it.
+// width, row count, row ids and values (little-endian). With compress set
+// and a raw frame of deflateFrom bytes or more, everything after the
+// preamble is zlib-compressed; a shorter set ships raw under either flag.
+// The frame is memoised on the set, so encoding an unchanged set again —
+// for another target, or at the next hop of a collective — returns the same
+// bytes without running the compressor; callers share the result and must
+// not modify it.
 func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	f := 0
-	if compress {
+	if deflates(rs, compress) {
 		f = 1
 	}
 	if p := rs.enc[f]; p != nil {
@@ -154,9 +160,9 @@ func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	var p []byte
 	var err error
 	if len(rs.IDs) == 0 {
-		p, err = emptyFrame(rs.Batch, compress)
+		p, err = emptyFrame(rs.Batch)
 	} else {
-		p, err = encode(rs, compress)
+		p, err = encode(rs, f == 1)
 	}
 	if err != nil {
 		return nil, err
@@ -165,10 +171,24 @@ func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	return p, nil
 }
 
-// encode builds a fresh frame, allocating nothing but the frame itself.
-func encode(rs *RowSet, compress bool) ([]byte, error) {
+// deflates is the per-message rule: a compressing sender deflates rs only
+// when its raw frame is long enough for that to change a billed unit.
+func deflates(rs *RowSet, compress bool) bool {
+	return compress && rs.RawBytes() >= deflateFrom
+}
+
+// Deflated reports whether frame, as Encode wrote it or a transport
+// delivered it, carries a zlib body: what a sender paid the compressor for
+// and a receiver must inflate.
+func Deflated(frame []byte) bool {
+	return len(frame) >= 2 && frame[1]&flagZlib != 0
+}
+
+// encode builds a fresh frame, zlib-compressed when deflate is set,
+// allocating nothing but the frame itself.
+func encode(rs *RowSet, deflate bool) ([]byte, error) {
 	n := 8 + len(rs.IDs)*4 + len(rs.Vals)*4
-	if !compress {
+	if !deflate {
 		// Build the payload in place: at batch 4096 the body is megabytes,
 		// and an encode-then-append would copy all of it a second time.
 		out := make([]byte, 2+n)
@@ -202,33 +222,28 @@ func encode(rs *RowSet, compress bool) ([]byte, error) {
 	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
 }
 
-// emptyFrames holds the frame of the empty row set per (batch, flag) — the
-// completion marker every barrier hop and every all-zero send ships. It is
-// a constant of the format, so it is computed once per process; the cap
-// bounds what a stream of hostile batch widths could park here.
+// emptyFrames holds the frame of the empty row set per batch width — the
+// completion marker every barrier hop and every all-zero send ships, ten
+// raw bytes whatever the sender's flag. It is a constant of the format, so
+// it is computed once per process; the cap bounds what a stream of hostile
+// batch widths could park here.
 var (
-	emptyFrames     sync.Map // emptyKey -> []byte
+	emptyFrames     sync.Map // batch (int) -> []byte
 	emptyFramesSize atomic.Int64
 )
 
 const emptyFramesCap = 4096
 
-type emptyKey struct {
-	batch    int
-	compress bool
-}
-
-func emptyFrame(batch int, compress bool) ([]byte, error) {
-	key := emptyKey{batch, compress}
-	if v, ok := emptyFrames.Load(key); ok {
+func emptyFrame(batch int) ([]byte, error) {
+	if v, ok := emptyFrames.Load(batch); ok {
 		return v.([]byte), nil
 	}
-	p, err := encode(&RowSet{Batch: batch}, compress)
+	p, err := encode(&RowSet{Batch: batch}, false)
 	if err != nil {
 		return nil, err
 	}
 	if emptyFramesSize.Load() < emptyFramesCap {
-		if _, loaded := emptyFrames.LoadOrStore(key, p); !loaded {
+		if _, loaded := emptyFrames.LoadOrStore(batch, p); !loaded {
 			emptyFramesSize.Add(1)
 		}
 	}
@@ -254,8 +269,8 @@ func fillBody(body []byte, rs *RowSet) {
 // Decode parses a payload produced by Encode. The returned set keeps b as
 // its frame for b's flag, so forwarding it re-encodes nothing; the caller
 // must not modify b afterwards. Only a payload Encode could have framed is
-// kept: unknown flag bits or bytes trailing the compressed stream parse,
-// but do not describe the set.
+// kept: unknown flag bits, bytes trailing the compressed stream or a zlib
+// body shorter than Encode deflates parse, but do not describe the set.
 func Decode(b []byte) (*RowSet, error) {
 	if len(b) < 2 || b[0] != magic {
 		return nil, fmt.Errorf("wire: bad payload preamble")
@@ -293,7 +308,7 @@ func Decode(b []byte) (*RowSet, error) {
 		return nil, fmt.Errorf("wire: closing decompressor: %w", err)
 	}
 	rs, err := parseBody(scratch.Bytes())
-	if err == nil && b[1] == flagZlib && src.Len() == 0 {
+	if err == nil && b[1] == flagZlib && src.Len() == 0 && deflates(rs, true) {
 		rs.enc[1] = b
 	}
 	return rs, err

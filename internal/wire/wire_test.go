@@ -82,8 +82,13 @@ func TestCompressionShrinksSparseData(t *testing.T) {
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	rs := NewRowSet(4)
-	rs.Add(1, []float32{1, 2, 3, 4})
+	for i := int32(0); i < 64; i++ { // long enough that Encode deflates it
+		rs.Add(i, []float32{1, 2, 3, 4})
+	}
 	p, _ := Encode(rs, true)
+	if !Deflated(p) {
+		t.Fatal("the compressed case is not a zlib frame")
+	}
 
 	if _, err := Decode(nil); err == nil {
 		t.Error("nil payload accepted")
