@@ -63,18 +63,18 @@ func TestGoldenResultP32(t *testing.T) {
 		t.Skip("12 P=32 runs")
 	}
 	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat":  {4439409101, "0.0019208804741590966", "bb81e593b2047a6f"},
-		"FSD-Inf-Queue/tree":  {4960064700, "0.3426428070953098", "4d56b5ca5db882b4"},
-		"FSD-Inf-Queue/ring":  {7749741188, "0.2260205152830315", "b8ecc88bddecfeed"},
-		"FSD-Inf-Object/flat": {5862908473, "0.02656963782163034", "4aff94dd2fd9a6d0"},
-		"FSD-Inf-Object/tree": {6052344190, "0.02821854914473877", "0a29903b3dc3281e"},
-		"FSD-Inf-Object/ring": {9721114710, "0.04729227605318212", "fc6d07a501ea5b7b"},
-		"FSD-Inf-Memory/flat": {3907898046, "0.002961983426806229", "6455f469cd477cdd"},
-		"FSD-Inf-Memory/tree": {3897361306, "0.002957359896774682", "450c4d1dcd9caf78"},
-		"FSD-Inf-Memory/ring": {3938416312, "0.002978243836507973", "9f9326a2c9e36e50"},
-		"FSD-Inf-Hybrid/flat": {3932936385, "0.0031500352719998105", "bfb030a6e76e139e"},
-		"FSD-Inf-Hybrid/tree": {4062850214, "0.0032359632195788214", "5fd62df7d93ac8f0"},
-		"FSD-Inf-Hybrid/ring": {3938416312, "0.002978243836507973", "b17b523ca2ff8bcc"},
+		"FSD-Inf-Queue/flat":  {4439405835, "0.0019208787731140279", "20a77d886a11a9e5"},
+		"FSD-Inf-Queue/tree":  {4960061434, "0.34264280661689084", "6b8b3e7aa9226f7e"},
+		"FSD-Inf-Queue/ring":  {7749737922, "0.22602051437935128", "601d8b5386f33e67"},
+		"FSD-Inf-Object/flat": {5862905207, "0.02656963612058527", "419c828583f51a46"},
+		"FSD-Inf-Object/tree": {6052340924, "0.0282185474436937", "472977f552096e20"},
+		"FSD-Inf-Object/ring": {9721111444, "0.04729227435213705", "dfa2ee1e0481bd1f"},
+		"FSD-Inf-Memory/flat": {3907894780, "0.00296198172576116", "64a12f79a740efb8"},
+		"FSD-Inf-Memory/tree": {3897358040, "0.0029573581957296133", "ce00263b40dadb3c"},
+		"FSD-Inf-Memory/ring": {3938413046, "0.0029782421354629042", "2a6f15810ea48383"},
+		"FSD-Inf-Hybrid/flat": {3932933119, "0.003150033570954742", "54fb478e00ddc5d9"},
+		"FSD-Inf-Hybrid/tree": {4062846948, "0.0032359615185337523", "ff99a1b7d713d53e"},
+		"FSD-Inf-Hybrid/ring": {3938413046, "0.0029782421354629042", "1618091e4f6570e2"},
 	}
 
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))

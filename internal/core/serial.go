@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fsdinference/internal/cloud/faas"
+	"fsdinference/internal/wire"
 )
 
 // serialHandler is FSD-Inf-Serial (§VI-A1): Algorithm 1 with all
@@ -60,11 +61,13 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	}
 	wm.StoreGets++
 	ctx.Serialize(int64(len(blob)))
-	ctx.Decompress(int64(len(blob)))
+	if wire.Deflated(blob) {
+		ctx.Decompress(int64(len(blob)))
+	}
 	// The fetched blob is this process's own encoding of run.input (the
-	// transfer and decompression above are still charged on its real
-	// length), so the numeric layer loop works from the host-side original
-	// instead of re-decoding the bytes.
+	// transfer above, and decompression if it was staged deflated, are still
+	// charged on its real length), so the numeric layer loop works from the
+	// host-side original instead of re-decoding the bytes.
 	xBytes := int64(float64(int64(spec.Neurons*run.batch)*4) * perf.MemOverheadData)
 	ctx.Alloc(xBytes)
 	wm.LoadTime = p.Now() - t0

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/model"
@@ -120,6 +121,45 @@ func TestChargesFollowTheFrame(t *testing.T) {
 						same, c.same, dumps[0], dumps[1])
 				}
 			})
+		}
+	}
+}
+
+// TestRawDeploymentNeverInflates: with Compress off nothing a run reads, its
+// staged input included, is deflated, so on no kind does the speed of the
+// decompressor show anywhere in the simulated result.
+func TestRawDeploymentNeverInflates(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 4, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 16, 0.5, 2)
+	for _, kind := range ChannelKinds() {
+		var dumps [2]string
+		for i, slowdown := range []float64{1, 1000} {
+			ecfg := env.DefaultConfig()
+			ecfg.FaaS.Perf.DecompressBytesPerSec /= slowdown
+			cfg := Config{Model: m, Channel: kind, PollWait: 2 * time.Second}
+			if kind != Serial {
+				cfg.Plan = plan
+			}
+			d, err := Deploy(env.New(ecfg), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.Infer(input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dumps[i] = resultDump(res)
+		}
+		if dumps[0] != dumps[1] {
+			t.Errorf("%v: a 1000x slower decompressor moved a run that ships nothing deflated\nbefore:\n%s\nafter:\n%s",
+				kind, dumps[0], dumps[1])
 		}
 	}
 }

@@ -232,7 +232,9 @@ func (w *worker) load() error {
 	}
 	w.metrics.StoreGets++
 	w.ctx.Serialize(int64(len(blob)))
-	w.ctx.Decompress(int64(len(blob)))
+	if wire.Deflated(blob) {
+		w.ctx.Decompress(int64(len(blob)))
+	}
 	rs, err := wire.Decode(blob)
 	if err != nil {
 		return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)

@@ -119,9 +119,9 @@ func TestGoldenReplayReports(t *testing.T) {
 				return SubmitOptions{Priority: 1 + i%2}
 			}},
 			want: map[string]string{
-				"replay": "d425a204cb440a20d5b80c0e8491733f8a6db498d3c32ced60ae368d8a0e3c0e",
-				"lanes2": "fc94fb2acba0433bc4f859f4f0e1928d38be7ba4b75f4d2fccce15caca2308d9",
-				"stream": "66880cda9a59d513a4f1f96c139fecec8889631e8a00dc3d31ee8e48117804f2",
+				"replay": "eaedd6ac87980be5d31dc232577e58b808fd1d3347c9775c8addf9f3a169cc4e",
+				"lanes2": "d3f74cff1e8ebaa75932b34a8d92bae00c50dc6f447e8901a6e253c71c682657",
+				"stream": "4d08f66cd0ef91ea7ddde43998c26e35600d3c13a29186765f7d952f1b507f7e",
 			},
 		},
 		{
@@ -136,9 +136,9 @@ func TestGoldenReplayReports(t *testing.T) {
 			},
 			shed: true,
 			want: map[string]string{
-				"replay": "b4a43c8d9e04e93fd70ee3de9be844073efacc5b3625618c4ca05b1cf90a7bde",
-				"lanes2": "b4a43c8d9e04e93fd70ee3de9be844073efacc5b3625618c4ca05b1cf90a7bde",
-				"stream": "787d638fad4923353caf7c85138e641f9fba7ffb81b41c6e4144334c9f5eae91",
+				"replay": "f094b1c8475e5a5736fe23831f32323f1fb2b0ccce7a645c78e33bb577124266",
+				"lanes2": "f094b1c8475e5a5736fe23831f32323f1fb2b0ccce7a645c78e33bb577124266",
+				"stream": "1836f90cb88b5cf811acfb1a37a607efc09af02f274b176f3bd3394cb86e4472",
 			},
 		},
 	}
