@@ -201,8 +201,13 @@ type Config struct {
 	// worker 0. Off by default: the extra broadcast is pure cost when
 	// only the client reads the result.
 	AllreduceOutput bool
-	// Compress enables zlib payload compression (default true; the
-	// compression ablation switches it off).
+	// Compress lets senders zlib-compress payloads (§III-C1). Whether a
+	// given frame is deflated is decided per message by wire.Encode from
+	// the frame's raw length, and every compress and decompress charge
+	// follows the frame that was written, not this flag: a deployment
+	// whose frames are all short simulates the same with it on or off.
+	// The zero value is off; the compression ablation's zlib row and the
+	// collectives experiment switch it on.
 	Compress bool
 
 	// PollWait is the queue long-poll wait; 0 selects short polling

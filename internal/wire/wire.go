@@ -1,7 +1,8 @@
 // Package wire implements the payload format workers exchange: sets of
 // activation rows (global neuron ids plus batch-width float32 values),
-// serialized compactly and zlib-compressed, and split into size-limited
-// byte strings using the paper's number-of-nonzeros heuristic (§III-C1).
+// serialized compactly, zlib-compressed when long enough for that to pay,
+// and split into size-limited byte strings using the paper's
+// number-of-nonzeros heuristic (§III-C1).
 //
 // The queue channel must respect the pub-sub service's 256 KB message
 // limit; the object channel has no practical size limit but uses the same
@@ -19,6 +20,39 @@
 // partition plan: on Block N=256 plans 16% of the send-map entries at P=8
 // and 37% at P=32 repeat another target's row list; on HGPDNN N=1024 P=8
 // (0 of 223) and Block N=1024 P=4 (0 of 144) none do.
+//
+// Whether a frame is deflated is decided per message, from its size (as
+// FMI, arXiv 2305.08763, picks a transport per message), not per
+// deployment: a compressing sender deflates a set whose raw frame is
+// deflateFrom (768) bytes or more and ships a shorter one raw, because the
+// paper compresses so that fewer 64 KB publishes are billed and fewer
+// 256 KB messages are needed, and no sub-kilobyte frame changes either
+// count. What deflate costs the host does not shrink with the frame
+// (BenchmarkEncodeBySize: about 20 us a frame to reset and flush the
+// compressor plus 30 - 55 ns a byte, against 0.5 ns a byte raw), and at
+// P=32 on N=256 a worker ships 4.5 k frames an inference whose bodies
+// average 0.45 KB. The constant was picked on the benchmark's two channel
+// workloads (contract mode, seed 7, one 20 s run per cell; simulated
+// numbers relative to deflating everything):
+//
+//	deflateFrom  collective_p32                      channel_sweep (8.8 KB frames)
+//	             wall_qps  sim_p50_ms  sim $/kq      sim_p50_ms  sim $/kq
+//	0            5.4       887.78      1.62170       1085.80     1.03387
+//	256          6.4       -0.001 %    -0.001 %      =           =
+//	512          16.6      -0.04 %     -0.01 %       -0.001 %    +0.002 %
+//	768          28.0      -0.10 %     -0.02 %       -0.002 %    +0.007 %
+//	1024         28.8      -0.10 %     -0.02 %       -0.004 %    +0.02 %
+//	2048         26.9      -0.10 %     -0.02 %       +0.45 %     +0.16 %
+//	4096         26.1      -0.10 %     -0.02 %       +0.44 %     +0.28 %
+//
+// Host speed is flat from 768 up; past it the simulated bill starts to
+// climb on the workload whose frames are worth compressing. Bytes on the
+// wire do rise — wire.sim_bytes_per_q on collective_p32 goes 1.24 -> 1.81
+// MB — while latency and cost do not, because the simulated sender and
+// receiver stop paying compress and decompress time for those frames and
+// the store bills node-hours, not bytes. A service that does price bytes
+// shows it: the queue channel's per-byte delivery charge (Z) makes the
+// Queue/flat cell of core's TestGoldenResultP32 (P=32) cost 2.4 % more.
 package wire
 
 import (
