@@ -191,13 +191,11 @@ func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	if p := rs.enc[f]; p != nil {
 		return p, nil
 	}
-	var p []byte
-	var err error
 	if len(rs.IDs) == 0 {
-		p, err = emptyFrame(rs.Batch)
-	} else {
-		p, err = encode(rs, f == 1)
+		rs.enc[f] = emptyFrame(rs.Batch)
+		return rs.enc[f], nil
 	}
+	p, err := encode(rs, f == 1)
 	if err != nil {
 		return nil, err
 	}
@@ -268,20 +266,19 @@ var (
 
 const emptyFramesCap = 4096
 
-func emptyFrame(batch int) ([]byte, error) {
+func emptyFrame(batch int) []byte {
 	if v, ok := emptyFrames.Load(batch); ok {
-		return v.([]byte), nil
+		return v.([]byte)
 	}
-	p, err := encode(&RowSet{Batch: batch}, false)
-	if err != nil {
-		return nil, err
-	}
+	p := make([]byte, headerSize)
+	p[0] = magic
+	fillBody(p[2:], &RowSet{Batch: batch})
 	if emptyFramesSize.Load() < emptyFramesCap {
 		if _, loaded := emptyFrames.LoadOrStore(batch, p); !loaded {
 			emptyFramesSize.Add(1)
 		}
 	}
-	return p, nil
+	return p
 }
 
 // fillBody serializes the row set into body, which must be exactly
@@ -309,7 +306,7 @@ func Decode(b []byte) (*RowSet, error) {
 	if len(b) < 2 || b[0] != magic {
 		return nil, fmt.Errorf("wire: bad payload preamble")
 	}
-	if b[1]&flagZlib == 0 {
+	if !Deflated(b) {
 		rs, err := parseBody(b[2:])
 		if err == nil && b[1] == 0 {
 			rs.enc[0] = b
