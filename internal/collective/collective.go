@@ -23,9 +23,9 @@
 // Phases address peers through a Link — the tagged point-to-point
 // transport a channel lends them — so every channel (queue, object,
 // memory, hybrid) runs every topology unchanged. An analytic cost model
-// (cost.go) predicts latency, message count and bytes per (operation,
-// topology, P, payload, channel traits) so AutoAlgo can pick the topology
-// per call the way cost.Recommend picks channels.
+// (cost.go) walks the same shapes to predict latency and message count per
+// (operation, topology, P, payload, channel traits), so AutoAlgo can pick
+// the topology per call.
 package collective
 
 import (
@@ -179,8 +179,11 @@ func (h hop) ranks(root, p int) []int {
 //     backwards, log2ceil(p)-1-b going down.
 //   - ring: the chain. The edge between vr and vr+1 is round vr+1 both ways.
 //
-// An unresolved AutoAlgo lays out flat, at every rank alike.
-func shape(alg Algorithm, vr, p int) (parent hop, children []hop) {
+// The children are appended to the caller's slice, so a walk over every
+// rank can lend one buffer; nil allocates. An unresolved AutoAlgo lays out
+// flat, at every rank alike.
+func shape(alg Algorithm, vr, p int, children []hop) (hop, []hop) {
+	var parent hop
 	switch alg {
 	case Tree:
 		top := log2ceil(p) - 1
@@ -196,12 +199,12 @@ func shape(alg Algorithm, vr, p int) (parent hop, children []hop) {
 	case Ring:
 		parent = hop{vr - 1, vr, vr, vr}
 		if vr+1 < p {
-			children = []hop{{vr + 1, vr + 2, vr + 1, vr + 1}}
+			children = append(children, hop{vr + 1, vr + 2, vr + 1, vr + 1})
 		}
 	default:
 		parent = hop{0, 1, 0, 0}
 		if vr == 0 && p > 1 {
-			children = []hop{{1, p, 0, 0}}
+			children = append(children, hop{1, p, 0, 0})
 		}
 	}
 	return parent, children
@@ -217,7 +220,7 @@ func reduce(alg Algorithm, lk Link, op string, root int, mine *wire.RowSet, comb
 		return mine, nil
 	}
 	vr := vrank(lk.Rank(), root, p)
-	parent, children := shape(alg, vr, p)
+	parent, children := shape(alg, vr, p, nil)
 	if len(children) > 0 {
 		// Declared here so that a leaf neither builds the closure nor moves
 		// its accumulator to the heap.
@@ -249,7 +252,7 @@ func broadcast(alg Algorithm, lk Link, op string, root int, rs *wire.RowSet) (*w
 		return rs, nil
 	}
 	vr := vrank(lk.Rank(), root, p)
-	parent, children := shape(alg, vr, p)
+	parent, children := shape(alg, vr, p, nil)
 	if vr > 0 {
 		var err error
 		if rs, err = recv(lk, op, parent.down, rankOf(parent.lo, root, p)); err != nil {

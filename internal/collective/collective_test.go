@@ -300,7 +300,7 @@ func TestShapeIsASpanningTree(t *testing.T) {
 			parentOf := make([]int, p)
 			edges := 0
 			for vr := 0; vr < p; vr++ {
-				parent, children := shape(alg, vr, p)
+				parent, children := shape(alg, vr, p, nil)
 				parentOf[vr] = parent.lo
 				if vr > 0 && (parent.hi-parent.lo != 1 || parent.lo < 0 || parent.lo >= p) {
 					t.Fatalf("%v p=%d vr=%d: parent hop %+v is not one rank", alg, p, vr, parent)
@@ -312,7 +312,7 @@ func TestShapeIsASpanningTree(t *testing.T) {
 					for c := h.lo; c < h.hi; c++ {
 						edges++
 						// Mutual, with equal rounds at both ends.
-						if back, _ := shape(alg, c, p); back != (hop{vr, vr + 1, h.up, h.down}) {
+						if back, _ := shape(alg, c, p, nil); back != (hop{vr, vr + 1, h.up, h.down}) {
 							t.Fatalf("%v p=%d: %d lists child %d under %+v, which sees its parent as %+v", alg, p, vr, c, h, back)
 						}
 					}
@@ -375,16 +375,36 @@ func TestEstimateRegimes(t *testing.T) {
 	if got := Pick(OpBarrier, 2, 0, tr); got != Flat {
 		t.Fatalf("Pick(P=2 barrier) = %v, want flat", got)
 	}
+}
 
-	// Message-count accounting: ring allreduce is P(P-1), the others
-	// 2(P-1).
-	if got := EstimateOp(OpAllreduce, Ring, p, m, tr).Messages; got != int64(p*(p-1)) {
-		t.Fatalf("ring allreduce messages = %d, want %d", got, p*(p-1))
+// TestEstimateMessages: one message per edge per pass — P-1 for a gather,
+// 2(P-1) for a barrier and for a flat or tree allreduce — and P(P-1) for
+// the ring's pass-around.
+func TestEstimateMessages(t *testing.T) {
+	tr := Traits{PerMsg: 600 * time.Microsecond, BytesPerSec: 1.25e9, Fan: 4}
+	for p := 2; p <= 64; p++ {
+		for _, alg := range Algorithms() {
+			for _, op := range []Op{OpBarrier, OpAllreduce, OpGather} {
+				want := 2 * (p - 1)
+				switch {
+				case op == OpGather:
+					want = p - 1
+				case op == OpAllreduce && alg == Ring:
+					want = p * (p - 1)
+				}
+				if got := EstimateOp(op, alg, p, 1024, tr).Messages; got != int64(want) {
+					t.Fatalf("%v %v at P=%d: %d messages, want %d", alg, op, p, got, want)
+				}
+			}
+		}
 	}
-	if got := EstimateOp(OpAllreduce, Flat, p, m, tr).Messages; got != int64(2*(p-1)) {
-		t.Fatalf("flat allreduce messages = %d, want %d", got, 2*(p-1))
-	}
-	if got := EstimateOp(OpAllreduce, Tree, p, m, tr).Messages; got != int64(2*(p-1)) {
-		t.Fatalf("tree allreduce messages = %d, want %d", got, 2*(p-1))
+}
+
+// TestPickAllocs: the estimate walks shape into a buffer on the stack, so a
+// pick costs the walks' one P-sized slice each, not a slice per rank.
+func TestPickAllocs(t *testing.T) {
+	tr := Traits{PerMsg: 600 * time.Microsecond, BytesPerSec: 1.25e9, Fan: 4}
+	if n := testing.AllocsPerRun(100, func() { Pick(OpAllreduce, 32, 1024, tr) }); n > 3 {
+		t.Fatalf("Pick(allreduce, P=32) allocates %v times, want at most 3", n)
 	}
 }

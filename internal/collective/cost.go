@@ -36,34 +36,17 @@ type Traits struct {
 	// BytesPerSec is the effective per-transfer bandwidth (1/beta).
 	BytesPerSec float64
 	// Fan is the sender-side transfer concurrency (the worker's thread
-	// pool, or the hybrid bulk fanout): a root pushing P-1 messages pays
-	// ceil((P-1)/Fan) serialized rounds.
+	// pool, or the hybrid bulk fanout): a rank feeding k peers in one hop
+	// pays ceil(k/Fan) serialized rounds.
 	Fan int
-	// CostPerMsg is the billed dollars per message (0 for provisioned
-	// stores, whose cost is node-hours independent of traffic).
-	CostPerMsg float64
 }
 
 // Estimate is the analytic prediction for one collective call.
 type Estimate struct {
-	// Rounds is the number of serialized communication steps on the
-	// critical path.
-	Rounds int
 	// Messages is the total message count across all ranks.
 	Messages int64
-	// Bytes is the total payload volume across all ranks.
-	Bytes int64
 	// Latency is the critical-path latency.
 	Latency time.Duration
-	// Cost is Messages priced at the channel's per-message rate.
-	Cost float64
-}
-
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		b = 1
-	}
-	return (a + b - 1) / b
 }
 
 // xfer returns the transfer time of n bytes at the traits' bandwidth.
@@ -74,13 +57,18 @@ func (tr Traits) xfer(n int64) time.Duration {
 	return time.Duration(float64(n) / tr.BytesPerSec * float64(time.Second))
 }
 
-// EstimateOp predicts latency, message count and bytes for one collective
-// call: operation op over p ranks, each contributing msgBytes, on a
-// channel with the given traits. The formulas mirror the implementations
-// in this package: the flat root drains P-1 inbox values sequentially and
-// fans out over its thread pool; the tree runs ceil(log2 P) rounds with
-// subtree payloads doubling toward the root; the ring runs P-1 concurrent
-// neighbour rounds (allreduce) or an accumulating chain (rooted ops).
+// EstimateOp predicts latency and message count for one collective call:
+// operation op over p ranks, each contributing msgBytes, on a channel with
+// the given traits. It walks the shape the phases run, one message per edge
+// per pass. The reduce pass goes from the highest virtual rank down (a
+// child's is always above its parent's): a rank drains its children one at
+// a time in shape's order, each once it is ready, paying a message and the
+// child's subtree payload. The broadcast pass goes from the root up, feeding
+// each rank's hops in reverse: a hop of k peers costs ceil(k/Fan) sends of
+// the root's combined payload, the flat root's thread-pooled fan-out.
+// Gather is the reduce pass, Barrier both passes with no bytes, Allreduce
+// both — except under ring, whose pass-around is P-1 concurrent rounds of
+// one contribution each.
 func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate {
 	if p <= 1 {
 		return Estimate{}
@@ -89,108 +77,60 @@ func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate
 		alg = Pick(op, p, msgBytes, tr)
 	}
 	alpha := tr.PerMsg
+	if op == OpAllreduce && alg == Ring {
+		return Estimate{
+			Messages: int64(p) * int64(p-1),
+			Latency:  time.Duration(p-1) * (alpha + tr.xfer(msgBytes)),
+		}
+	}
 	m := msgBytes
-	n := int64(p)
-	full := n * m // the combined result an allreduce broadcasts
+	if op == OpBarrier {
+		m = 0
+	}
+	// node[vr] is the rank's subtree size in contributions and the time its
+	// partial is ready, then, in the broadcast pass, the time the result
+	// reaches it.
+	node := make([]struct {
+		size int64
+		t    time.Duration
+	}, p)
+	var buf [64]hop // a tree rank has fewer than 64 child hops for any int p
 	var e Estimate
-	switch alg {
-	case Tree:
-		r := log2ceil(p)
-		up := Estimate{
-			Rounds:   r,
-			Messages: n - 1,
-			// Sum of subtree payloads over all non-root senders.
-			Bytes:   m * n * int64(r) / 2,
-			Latency: time.Duration(r)*alpha + tr.xfer(m*(n-1)),
-		}
-		down := func(payload int64) Estimate {
-			return Estimate{
-				Rounds:   r,
-				Messages: n - 1,
-				Bytes:    payload * (n - 1),
-				Latency:  time.Duration(r) * (alpha + tr.xfer(payload)),
+	for vr := p - 1; vr >= 0; vr-- {
+		_, children := shape(alg, vr, p, buf[:0])
+		size, t := int64(1), time.Duration(0)
+		for _, h := range children {
+			for c := h.lo; c < h.hi; c++ {
+				t = max(t, node[c].t) + alpha + tr.xfer(node[c].size*m)
+				size += node[c].size
+				e.Messages++
 			}
 		}
-		switch op {
-		case OpBarrier:
-			e = addEst(Estimate{Rounds: up.Rounds, Messages: up.Messages, Latency: time.Duration(r) * alpha}, down(0))
-		case OpGather:
-			e = up
-		case OpAllreduce:
-			e = addEst(up, down(full))
-		}
-	case Ring:
-		switch op {
-		case OpBarrier:
-			e = Estimate{
-				Rounds:   2 * (p - 1),
-				Messages: 2 * (n - 1),
-				Latency:  time.Duration(2*(p-1)) * alpha,
-			}
-		case OpGather:
-			// The chain payload grows toward the root: hop k carries
-			// k contributions.
-			e = Estimate{
-				Rounds:   p - 1,
-				Messages: n - 1,
-				Bytes:    m * n * (n - 1) / 2,
-				Latency:  time.Duration(p-1)*alpha + tr.xfer(m*n*(n-1)/2),
-			}
-		case OpAllreduce:
-			// Pass-around: every rank sends one contribution per round,
-			// all ranks concurrently.
-			e = Estimate{
-				Rounds:   p - 1,
-				Messages: n * (n - 1),
-				Bytes:    m * n * (n - 1),
-				Latency:  time.Duration(p-1) * (alpha + tr.xfer(m)),
-			}
-		}
-	default: // Flat
-		fan := maxInt(tr.Fan, 1)
-		// Root-side sequential inbox drain (gather) and thread-pooled
-		// fan-out (broadcast).
-		gatherLat := time.Duration(p-1) * (alpha + tr.xfer(m))
-		fanLat := func(payload int64) time.Duration {
-			return time.Duration(ceilDiv(p-1, fan)) * (alpha + tr.xfer(payload))
-		}
-		switch op {
-		case OpBarrier:
-			e = Estimate{
-				Rounds:   2,
-				Messages: 2 * (n - 1),
-				Latency:  time.Duration(p-1)*alpha + time.Duration(ceilDiv(p-1, fan))*alpha,
-			}
-		case OpGather:
-			e = Estimate{Rounds: 1, Messages: n - 1, Bytes: m * (n - 1), Latency: gatherLat}
-		case OpAllreduce:
-			e = Estimate{
-				Rounds:   2,
-				Messages: 2 * (n - 1),
-				Bytes:    m*(n-1) + full*(n-1),
-				Latency:  gatherLat + fanLat(full),
-			}
-		}
+		node[vr].size, node[vr].t = size, t
 	}
-	e.Cost = float64(e.Messages) * tr.CostPerMsg
+	e.Latency = node[0].t
+	if op == OpGather {
+		return e
+	}
+	send := alpha + tr.xfer(node[0].size*m)
+	fan := max(tr.Fan, 1)
+	node[0].t = 0
+	var down time.Duration
+	for vr := 0; vr < p; vr++ {
+		_, children := shape(alg, vr, p, buf[:0])
+		t := node[vr].t
+		for i := len(children) - 1; i >= 0; i-- {
+			h := children[i]
+			t += time.Duration((h.hi-h.lo+fan-1)/fan) * send
+			for c := h.lo; c < h.hi; c++ {
+				node[c].t = t
+				e.Messages++
+			}
+		}
+		down = max(down, t)
+	}
+	e.Latency += down
 	return e
-}
-
-func addEst(a, b Estimate) Estimate {
-	return Estimate{
-		Rounds:   a.Rounds + b.Rounds,
-		Messages: a.Messages + b.Messages,
-		Bytes:    a.Bytes + b.Bytes,
-		Latency:  a.Latency + b.Latency,
-		Cost:     a.Cost + b.Cost,
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Pick resolves AutoAlgo: the analytically fastest concrete topology for
