@@ -26,12 +26,8 @@ import (
 
 	"fsdinference/internal/baselines"
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/cloud/kvcluster"
-	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
-	"fsdinference/internal/experiments"
 	"fsdinference/internal/model"
 	"fsdinference/internal/obs"
 	"fsdinference/internal/obs/monitor"
@@ -96,22 +92,11 @@ func BuildPlan(m *Model, workers int, scheme PartitionScheme, opts PartitionOpti
 	return partition.BuildPlan(m, workers, scheme, opts)
 }
 
-// Simulated cloud environment.
-type (
-	// Env is one simulated cloud region (Lambda, SNS, SQS, S3, EC2).
-	Env = env.Env
-	// EnvConfig collects per-service configurations.
-	EnvConfig = env.Config
-)
+// Env is one simulated cloud region (Lambda, SNS, SQS, S3, EC2).
+type Env = env.Env
 
 // NewEnv builds an environment with calibrated AWS-like defaults.
 func NewEnv() *Env { return env.NewDefault() }
-
-// NewEnvWith builds an environment from a custom configuration.
-func NewEnvWith(cfg EnvConfig) *Env { return env.New(cfg) }
-
-// DefaultEnvConfig returns the calibrated defaults for customisation.
-func DefaultEnvConfig() EnvConfig { return env.DefaultConfig() }
 
 // The FSD-Inference engine.
 type (
@@ -167,38 +152,6 @@ const (
 // DefaultKVNodeType is the provisioned store node the Memory channel uses
 // unless Config.KVNodeType overrides it.
 const DefaultKVNodeType = core.DefaultKVNodeType
-
-// The sharded, replicated memory-store cluster behind the Memory channel
-// (internal/cloud/kvcluster): keys hash into 16384 slots, rendezvous
-// hashing maps slots to Config.KVNodes primary shards — each with its
-// own request-rate and bandwidth ceiling, so channel throughput scales
-// with the shard count — and Config.KVReplicas replicas per shard buy
-// failover behaviour at replica node-hours (R=1 async promotion loses
-// the replication pipe, R>=2 quorum writes lose nothing). KillNode and
-// Partition inject faults mid-run; Deployment.KVCluster returns the
-// handle:
-//
-//	d, _ := fsdinference.Deploy(env, fsdinference.Config{
-//		Model: m, Plan: plan, Channel: fsdinference.Memory,
-//		KVNodes: 2, KVReplicas: 1,
-//	})
-//	env.K.At(2*time.Second, func() { d.KVCluster().KillNode(0) })
-type (
-	// KVCluster is a deployment's sharded, replicated store cluster.
-	KVCluster = kvcluster.Cluster
-	// KVClusterConfig parameterises a standalone cluster.
-	KVClusterConfig = kvcluster.Config
-	// KVClusterClient is a caller's cached topology view (pays a
-	// MOVED-style redirect after promotions).
-	KVClusterClient = kvcluster.Client
-)
-
-// NewKVCluster provisions a standalone store cluster on the environment
-// (outside any deployment), for direct experiments against the slot map,
-// replication and failover machinery.
-func NewKVCluster(e *Env, cfg KVClusterConfig) (*KVCluster, error) {
-	return kvcluster.New(e.KV, cfg)
-}
 
 // Launch mechanisms (paper §III and the launch ablation).
 const (
@@ -332,14 +285,6 @@ func WithChannel(k ChannelKind) EndpointOption { return serve.WithChannel(k) }
 // plan is built automatically).
 func WithWorkers(p int) EndpointOption { return serve.WithWorkers(p) }
 
-// WithScheme selects the partitioning scheme for auto-built plans.
-func WithScheme(s PartitionScheme) EndpointOption { return serve.WithScheme(s) }
-
-// WithEndpointAdmission overrides the admission policy per endpoint.
-func WithEndpointAdmission(p AdmissionPolicy) EndpointOption {
-	return serve.WithEndpointAdmission(p)
-}
-
 // Observability (internal/obs): a span tracer and metrics registry over
 // simulated time. WithTracing turns both on; the tracer exports Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing, one track
@@ -411,8 +356,6 @@ type (
 	SLO = monitor.SLO
 	// SLOKind selects what an SLO counts as a bad event.
 	SLOKind = monitor.ObjectiveKind
-	// BurnRule is one multi-window burn-rate alert rule.
-	BurnRule = monitor.BurnRule
 	// AlertEvent is one alert transition (a rule starting or stopping
 	// to fire), stamped with its simulated window boundary.
 	AlertEvent = monitor.AlertEvent
@@ -436,10 +379,6 @@ const (
 // registry it scrapes) under the given spec.
 func WithMonitor(spec MonitorSpec) ServiceOption { return serve.WithMonitor(spec) }
 
-// DefaultBurnRules returns the classic multi-window pair: a fast 5m/1h
-// page at 14.4× burn and a slow 30m/6h ticket at 6×.
-func DefaultBurnRules() []BurnRule { return monitor.DefaultRules() }
-
 // ParseSLO parses the fsdserve -slo flag syntax, e.g.
 // "latency:p99<=250ms@0.99,endpoint=large" or "availability@0.999".
 func ParseSLO(s string) (SLO, error) { return monitor.ParseSLO(s) }
@@ -451,21 +390,10 @@ func ParseSLO(s string) (SLO, error) { return monitor.ParseSLO(s) }
 // WorkloadProfile fed into Replan.
 func WithSLO(o SLOOptions) EndpointOption { return serve.WithSLO(o) }
 
-// WithDeployOverride mutates an endpoint's deployment configuration after
-// defaults are applied (threads, polling, memory sizing).
-func WithDeployOverride(mutate func(*Config)) EndpointOption {
-	return serve.WithDeployOverride(mutate)
-}
-
 // Sporadic workload traces (paper §VI-C, Fig. 4).
 type (
 	// Query is one sporadic inference request in a trace.
 	Query = workload.Query
-	// PlatformCosts holds per-platform cost inputs for the Fig. 4
-	// comparison.
-	PlatformCosts = workload.PlatformCosts
-	// CostRow is one point of the Fig. 4 daily-cost series.
-	CostRow = workload.Row
 	// TraceStream yields a workload trace incrementally for streaming
 	// replay (Service.ReplayStream): million-query days never
 	// materialise as one slice. It is the same replay engine as
@@ -474,12 +402,6 @@ type (
 	// bounds instead of exact nearest-rank values).
 	TraceStream = workload.TraceStream
 )
-
-// WorkloadStream adapts an in-memory trace to a TraceStream, yielding it
-// in batches of the given size (<= 0 yields the whole trace at once).
-func WorkloadStream(trace []Query, batch int) TraceStream {
-	return workload.Stream(trace, batch)
-}
 
 // DiurnalDay streams a day of total queries with a diurnal arrival
 // profile (afternoon peak, pre-dawn trough) spread round-robin over the
@@ -495,22 +417,6 @@ func DiurnalDay(total int, sizes []int, samplesPerQuery int, seed int64, batch i
 func WorkloadDay(totalSamples int, sizes []int, samplesPerQuery int, seed int64) []Query {
 	return workload.Day(totalSamples, sizes, samplesPerQuery, seed)
 }
-
-// DailyCosts evaluates the three platforms of Fig. 4 over a day of
-// queries.
-func DailyCosts(queries []Query, pc PlatformCosts) (CostRow, error) {
-	return workload.DailyCosts(queries, pc)
-}
-
-// CostSeries evaluates daily costs across query volumes (the Fig. 4
-// x-axis).
-func CostSeries(volumes []int, sizes []int, samplesPerQuery int, pc PlatformCosts, seed int64) ([]CostRow, error) {
-	return workload.Series(volumes, sizes, samplesPerQuery, pc, seed)
-}
-
-// CostCrossover returns the first volume at which FSD daily cost exceeds
-// the always-on flat cost, or -1 if it never does.
-func CostCrossover(rows []CostRow) int { return workload.Crossover(rows) }
 
 // Workload-aware configuration planning (the extension the paper names in
 // §VI-D1: runtime selection of the optimal configuration given latency and
@@ -582,96 +488,10 @@ func DeadlineObjective(deadline time.Duration) PlanObjective {
 	return plan.DeadlineObjective(deadline)
 }
 
-// DefaultWorkerMemoryMB returns the paper's worker sizing for a neuron
-// count.
-func DefaultWorkerMemoryMB(neurons int) int { return core.DefaultWorkerMemoryMB(neurons) }
-
-// Baselines (paper §VI-A2, §VI-B).
-type (
-	// BaselineResult reports one baseline query.
-	BaselineResult = baselines.Result
-	// SageConfig models a commercial serverless inference endpoint.
-	SageConfig = baselines.SageConfig
-	// HSpFFConfig describes the simulated HPC cluster.
-	HSpFFConfig = baselines.HSpFFConfig
-	// LoadSource says where a server finds the model weights.
-	LoadSource = baselines.LoadSource
-)
-
-// Model load sources for the always-on baseline.
-const (
-	FromMemory = baselines.FromMemory
-	FromEBS    = baselines.FromEBS
-	FromS3     = baselines.FromS3
-)
-
-// RunAlwaysOn serves one query on an always-on server.
-func RunAlwaysOn(e *Env, m *Model, input *Dense, load LoadSource) (*BaselineResult, error) {
-	return baselines.RunAlwaysOn(e, m, input, load)
-}
+// BaselineResult reports one baseline query (paper §VI-A2, §VI-B).
+type BaselineResult = baselines.Result
 
 // RunJobScoped provisions a right-sized server per query.
 func RunJobScoped(e *Env, m *Model, input *Dense) (*BaselineResult, error) {
 	return baselines.RunJobScoped(e, m, input)
 }
-
-// RunHSpFF runs the optimised HPC comparison system.
-func RunHSpFF(e *Env, m *Model, plan *Plan, input *Dense, cfg HSpFFConfig) (*BaselineResult, error) {
-	return baselines.RunHSpFF(e, m, plan, input, cfg)
-}
-
-// RunSageSL serves a batch through a constrained serverless endpoint.
-func RunSageSL(e *Env, m *Model, input *Dense, cfg SageConfig) (*BaselineResult, error) {
-	return baselines.RunSageSL(e, m, input, cfg)
-}
-
-// DefaultSageConfig returns the published endpoint limits.
-func DefaultSageConfig() SageConfig { return baselines.DefaultSageConfig() }
-
-// DefaultHSpFFConfig returns an InfiniBand-class cluster of the given size.
-func DefaultHSpFFConfig(nodes int) HSpFFConfig { return baselines.DefaultHSpFFConfig(nodes) }
-
-// Cost model (paper §IV).
-type (
-	// CostWorkload describes a workload for channel recommendation.
-	CostWorkload = cost.Workload
-	// CostAdvice is a channel recommendation with reasoning.
-	CostAdvice = cost.Advice
-)
-
-// Recommend selects a communication channel per the paper's §IV-C design
-// recommendations.
-func Recommend(w CostWorkload) CostAdvice { return cost.Recommend(w) }
-
-// MemoryBreakEvenQueriesPerDay returns the daily query volume above which
-// the provisioned memory store undercuts the per-request channels.
-func MemoryBreakEvenQueriesPerDay(w CostWorkload) int64 {
-	return cost.MemoryBreakEvenQueriesPerDay(pricing.Default(), w)
-}
-
-// Experiments (paper §VI).
-type (
-	// Experiment is one registered table/figure regenerator.
-	Experiment = experiments.Runner
-	// ExperimentTable is a rendered experiment result.
-	ExperimentTable = experiments.Table
-	// ExperimentScale configures the evaluation grid.
-	ExperimentScale = experiments.Scale
-	// ExperimentLab caches artifacts across experiments.
-	ExperimentLab = experiments.Lab
-)
-
-// Experiments lists every table/figure regenerator in paper order.
-func Experiments() []Experiment { return experiments.Registry() }
-
-// FindExperiment returns the runner with the given id ("fig4", "table2"...).
-func FindExperiment(id string) (Experiment, bool) { return experiments.Find(id) }
-
-// NewExperimentLab builds a lab for the given scale.
-func NewExperimentLab(s ExperimentScale) *ExperimentLab { return experiments.NewLab(s) }
-
-// DefaultExperimentScale is the standard scaled evaluation grid.
-func DefaultExperimentScale() ExperimentScale { return experiments.DefaultScale() }
-
-// QuickExperimentScale is a reduced grid for fast runs.
-func QuickExperimentScale() ExperimentScale { return experiments.QuickScale() }
