@@ -60,10 +60,10 @@ func (tr Traits) xfer(n int64) time.Duration {
 // EstimateOp predicts latency and message count for one collective call:
 // operation op over p ranks, each contributing msgBytes, on a channel with
 // the given traits. It walks the shape the phases run, one message per edge
-// per pass. The reduce pass goes from the highest virtual rank down (a
-// child's is always above its parent's): a rank drains its children one at
-// a time in shape's order, each once it is ready, paying a message and the
-// child's subtree payload. The broadcast pass goes from the root up, feeding
+// per pass. The reduce pass goes from the highest virtual rank down, since
+// a child's virtual rank is above its parent's: a rank drains its children
+// one at a time in shape's order, each once it is ready, paying a message
+// and the child's subtree payload. The broadcast pass goes from the root up, feeding
 // each rank's hops in reverse: a hop of k peers costs ceil(k/Fan) sends of
 // the root's combined payload, the flat root's thread-pooled fan-out.
 // Gather is the reduce pass, Barrier both passes with no bytes, Allreduce
