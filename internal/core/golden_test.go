@@ -382,3 +382,62 @@ func TestGoldenRunLedger(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenLaunch pins who launches whom, in what order and when: every
+// launch mode at P from 1 (the coordinator's only child) through 33 (a
+// hierarchical level and a two-level group left partial). Each invoke draws
+// the callee's cold-start jitter, so a different invoker or invoke order
+// moves some worker's StartedAt, and with it LaunchComplete, in the dump
+// (one line per worker, in start order). Captured while the launch was
+// still written out per mode in the coordinator and the worker.
+func TestGoldenLaunch(t *testing.T) {
+	golden := map[string]goldenCell{
+		"hierarchical/p1":  {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
+		"hierarchical/p2":  {2292131236, "0.002505968792568386", "8878548ecec48540"},
+		"hierarchical/p3":  {2292702231, "0.002508505312435822", "3c64176f98a7ab3c"},
+		"hierarchical/p12": {3113663606, "0.002604803667136884", "401e379618b50273"},
+		"hierarchical/p32": {3810837555, "0.002855673390691195", "1d185a6f029bbe7e"},
+		"hierarchical/p33": {3811384573, "0.002862885337438763", "32cdf470e401250e"},
+		"centralized/p1":   {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
+		"centralized/p2":   {1811628517, "0.002498545686592646", "e1e1aa8f31b52416"},
+		"centralized/p3":   {1936813631, "0.0025052107076695422", "3b0b38ee29fd53cf"},
+		"centralized/p12":  {3698096064, "0.0027420512356093364", "55434ec14dca3e64"},
+		"centralized/p32":  {7341387471, "0.004067872758314248", "5f7ee24495c4c1c4"},
+		"centralized/p33":  {7564630877, "0.004186842897197545", "fdf807cbdd05c6cd"},
+		"two-level/p1":     {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
+		"two-level/p2":     {2292131236, "0.002505968792568386", "8878548ecec48540"},
+		"two-level/p3":     {2226474462, "0.0025142422284018186", "5b5723d2b31b43e9"},
+		"two-level/p12":    {2758680726, "0.0026129757375174503", "b1c70645e45b0c02"},
+		"two-level/p32":    {3100951561, "0.002855729416714705", "2cf1ba87d07e92eb"},
+		"two-level/p33":    {3179579217, "0.0028989811098905803", "d013d07ed4dedc2c"},
+	}
+	m, err := model.Generate(model.GraphChallengeSpec(256, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 4, 0.2, 2)
+	want := model.Reference(m, input)
+	for _, mode := range []LaunchMode{Hierarchical, Centralized, TwoLevel} {
+		for _, p := range []int{1, 2, 3, 12, 32, 33} {
+			name := fmt.Sprintf("%v/p%d", mode, p)
+			t.Run(name, func(t *testing.T) {
+				plan, err := partition.BuildPlan(m, p, partition.Block, partition.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := Deploy(env.NewDefault(), Config{Model: m, Plan: plan, Channel: Memory, Launch: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := d.Infer(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Workers) != p || !model.OutputsClose(res.Output, want, 1e-2) {
+					t.Fatalf("%d of %d workers ran, or the output diverges from reference inference", len(res.Workers), p)
+				}
+				checkGolden(t, name, res, golden[name])
+			})
+		}
+	}
+}
