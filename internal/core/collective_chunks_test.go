@@ -103,3 +103,23 @@ func TestDeployRejectsUnknownCollective(t *testing.T) {
 		}
 	}
 }
+
+// TestDeployRejectsUnknownLaunchMode: a launch mode outside the enum used to
+// deploy, and every run then failed 650 ms in because the coordinator
+// launched nobody.
+func TestDeployRejectsUnknownLaunchMode(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 2, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []LaunchMode{7, -1, TwoLevel + 1} {
+		d, err := Deploy(env.NewDefault(), Config{Model: m, Plan: plan, Channel: Memory, Launch: mode})
+		if err == nil || d != nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Errorf("Deploy with %v returned (deployment: %v, %v), want an error naming the mode", mode, d != nil, err)
+		}
+	}
+}

@@ -67,9 +67,11 @@
 // cost.Workload and plan.Candidate, which this package must not import, and
 // live in plan.analyticPrune, that package's one switch on a kind.
 //
-// Workers launch hierarchically (worker_invoke_children), derive their rank
-// from parent id, sibling number and branching factor, load their row-block
-// weights and send/receive maps from the model store, and run the FSI loop:
+// Workers launch hierarchically (worker_invoke_children): the coordinator
+// and every worker invoke the children Config.launchChildren enumerates for
+// them, each child carrying its rank in the payload. They load their
+// row-block weights and send/receive maps from the model store, and run the
+// FSI loop:
 // extract and compress outgoing rows, publish in parallel threads, overlap
 // the local multiply, then receive, accumulate, apply the activation, and
 // finally barrier and reduce the output to worker 0.
@@ -126,17 +128,55 @@ const (
 	TwoLevel
 )
 
+var launchNames = [...]string{Hierarchical: "hierarchical", Centralized: "centralized", TwoLevel: "two-level"}
+
+func (l LaunchMode) known() bool { return l >= 0 && int(l) < len(launchNames) }
+
 // String names the launch mode.
 func (l LaunchMode) String() string {
-	switch l {
-	case Hierarchical:
-		return "hierarchical"
-	case Centralized:
-		return "centralized"
-	case TwoLevel:
-		return "two-level"
-	default:
+	if !l.known() {
 		return fmt.Sprintf("LaunchMode(%d)", int(l))
+	}
+	return launchNames[l]
+}
+
+// launchFanout is the hierarchical launch tree's number of children per
+// worker (§III).
+const launchFanout = 3
+
+// launchChildren enumerates the ranks invoker r launches — first,
+// first+step, ... below end — where r = -1 is the coordinator. Walking it
+// from the coordinator reaches every rank exactly once, each after its
+// invoker, and the coordinator's first child is rank 0 (TestLaunchChildren).
+// Deployment.launch invokes in this order, and each invoke draws the callee's
+// cold-start jitter, so the order is part of the simulated result.
+func (c Config) launchChildren(r int) (first, end, step int) {
+	p := c.Workers()
+	switch c.Launch {
+	case Centralized:
+		if r < 0 {
+			return 0, p, 1
+		}
+		return 0, 0, 1
+	case TwoLevel:
+		// The coordinator invokes the leaders of ~sqrt(P) groups, each
+		// leader its group (Lambada's two-level loop).
+		g := 1
+		for g*g < p {
+			g++
+		}
+		if r < 0 {
+			return 0, p, g
+		}
+		if r%g != 0 {
+			return 0, 0, 1
+		}
+		return r + 1, min(r+g, p), 1
+	default: // Hierarchical: the coordinator invokes the root of a heap.
+		if r < 0 {
+			return 0, 1, 1
+		}
+		return r*launchFanout + 1, min(r*launchFanout+launchFanout+1, p), 1
 	}
 }
 
@@ -174,8 +214,6 @@ type Config struct {
 	// Channel selects the communication variant.
 	Channel ChannelKind
 
-	// Branching is the invocation-tree branching factor (default 3).
-	Branching int
 	// Launch selects the tree-launch mechanism (default Hierarchical).
 	Launch LaunchMode
 
@@ -264,9 +302,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Branching <= 0 {
-		c.Branching = 3
-	}
 	if c.WorkerMemoryMB <= 0 && c.Model != nil {
 		c.WorkerMemoryMB = DefaultWorkerMemoryMB(c.Model.Spec.Neurons)
 	}
@@ -315,6 +350,9 @@ func (c Config) validate() error {
 	}
 	if c.Collective < collective.Flat || c.Collective > collective.AutoAlgo {
 		return fmt.Errorf("core: unknown collective %v", c.Collective)
+	}
+	if !c.Launch.known() {
+		return fmt.Errorf("core: unknown launch mode %v", c.Launch)
 	}
 	if c.Channel != Serial {
 		if c.Plan == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -223,24 +224,49 @@ func TestWarmStartsOnSecondRequest(t *testing.T) {
 	}
 }
 
-func TestHierarchicalRanksFollowTree(t *testing.T) {
-	d, _, input := testSetup(t, 128, 6, 7, Queue, func(c *Config) { c.Branching = 2 })
-	res, err := d.Infer(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int32]bool)
-	for _, w := range res.Workers {
-		if w.ID < 0 || int(w.ID) >= 7 {
-			t.Fatalf("worker id %d out of range", w.ID)
+// TestLaunchChildren walks the launch enumeration from the coordinator for
+// every mode and P up to 70, in the order the invokes happen: every rank is
+// reached exactly once, each from an invoker reached before it, rank 0
+// first, and every invoker's fan-out is the mode's (hierarchical: 1 from the
+// coordinator, at most 3 per worker; centralized: all P, none; two-level
+// with groups of g = ceil(sqrt P): one leader per group, at most g-1).
+func TestLaunchChildren(t *testing.T) {
+	for _, mode := range []LaunchMode{Hierarchical, Centralized, TwoLevel} {
+		for p := 1; p <= 70; p++ {
+			g := int(math.Ceil(math.Sqrt(float64(p))))
+			coordFan := map[LaunchMode]int{Hierarchical: 1, Centralized: p, TwoLevel: (p + g - 1) / g}[mode]
+			workerFan := map[LaunchMode]int{Hierarchical: 3, Centralized: 0, TwoLevel: g - 1}[mode]
+			cfg := Config{Channel: Memory, Plan: &partition.Plan{Workers: p}, Launch: mode}
+
+			reached := []int{}
+			seen := make(map[int]bool)
+			for i := -1; i < len(reached); i++ {
+				r := -1
+				if i >= 0 {
+					r = reached[i]
+				}
+				first, end, step := cfg.launchChildren(r)
+				if step < 1 {
+					t.Fatalf("%v P=%d: invoker %d walks with step %d", mode, p, r, step)
+				}
+				fan := 0
+				for c := first; c < end; c += step {
+					if c < 0 || c >= p || seen[c] {
+						t.Fatalf("%v P=%d: invoker %d launches rank %d, out of range or reached twice", mode, p, r, c)
+					}
+					seen[c] = true
+					reached = append(reached, c)
+					fan++
+				}
+				if r < 0 && fan != coordFan || r >= 0 && fan > workerFan {
+					t.Errorf("%v P=%d: invoker %d launches %d ranks (coordinator %d, worker at most %d)",
+						mode, p, r, fan, coordFan, workerFan)
+				}
+			}
+			if len(reached) != p || reached[0] != 0 {
+				t.Errorf("%v P=%d: the walk reaches %v, want every rank once, rank 0 first", mode, p, reached)
+			}
 		}
-		if seen[w.ID] {
-			t.Fatalf("duplicate worker id %d", w.ID)
-		}
-		seen[w.ID] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("launched %d distinct workers, want 7", len(seen))
 	}
 }
 

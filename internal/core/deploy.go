@@ -80,7 +80,6 @@ type runState struct {
 
 	rootFut      *faas.Future
 	metrics      []*WorkerMetrics
-	started      []time.Duration
 	lastStart    time.Duration
 	coordRuntime time.Duration
 	output       *sparse.Dense
@@ -188,19 +187,26 @@ func (d *Deployment) registerFunctions() error {
 	})
 }
 
-// workerPayload is the (JSON) invocation payload of worker functions. A
-// worker derives its rank from parent id, sibling number and the branching
-// factor (§III), except in the launch ablation modes which pass ids
-// explicitly.
+// workerPayload is the (JSON) invocation payload of every function: the
+// run, and the rank a worker is launched as (zero for the coordinator and
+// the serial function). launch and clientRun encode it; runOf decodes it.
 type workerPayload struct {
-	Run     string `json:"run"`
-	Parent  int32  `json:"parent"`  // -1 for the root
-	Sibling int32  `json:"sibling"` // index among the parent's children
-	// Explicit is the worker id for Centralized/TwoLevel launches
-	// (-1 under Hierarchical, where the id is derived).
-	Explicit int32 `json:"explicit"`
-	// Leader marks a TwoLevel group leader that must invoke its group.
-	Leader bool `json:"leader"`
+	Run  string `json:"run"`
+	Rank int    `json:"rank"`
+}
+
+// runOf decodes an invocation payload and looks up the run it belongs to;
+// who names the invoked handler in errors.
+func (d *Deployment) runOf(who string, payload []byte) (*runState, int, error) {
+	var req workerPayload
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return nil, 0, fmt.Errorf("core: %s payload: %w", who, err)
+	}
+	run := d.runs[req.Run]
+	if run == nil {
+		return nil, 0, fmt.Errorf("core: %s invoked for unknown run %q", who, req.Run)
+	}
+	return run, req.Rank, nil
 }
 
 // Start begins one asynchronous inference request and returns without
@@ -293,36 +299,33 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 	start := p.Now()
 	wrap := func(err error) error { return fmt.Errorf("core: run %s: %w", run.id, err) }
 	wait := func() error {
+		fn := d.fnCoordinator
 		if d.Cfg.Channel == Serial {
-			fut, err := d.Env.FaaS.Invoke(p, d.fnSerial, mustJSON(workerPayload{Run: run.id}))
-			if err != nil {
-				return err
-			}
-			_, err = fut.Wait(p)
-			return err
+			fn = d.fnSerial
 		}
-		fut, err := d.Env.FaaS.Invoke(p, d.fnCoordinator, mustJSON(workerPayload{Run: run.id}))
+		fut, err := d.Env.FaaS.Invoke(p, fn, mustJSON(workerPayload{Run: run.id}))
 		if err != nil {
 			return err
 		}
-		if _, err := fut.Wait(p); err != nil {
+		if _, err := fut.Wait(p); err != nil || d.Cfg.Channel == Serial {
 			return err
 		}
-		// The coordinator returns once the tree is seeded; the result
-		// is ready when the root worker finishes.
-		if run.rootFut == nil {
-			return fmt.Errorf("core: coordinator did not seed the worker tree")
-		}
+		// The coordinator returns once it has launched its children (rank 0
+		// among them, or it failed); the result is ready when rank 0
+		// finishes.
 		_, err = run.rootFut.Wait(p)
 		return err
 	}
-	if err := wait(); err != nil {
-		return nil, wrap(err)
-	}
-	end := p.Now()
+	err := wait()
+	// A worker's own error is the cause: the wait may only have seen the
+	// root time out on a rank that never came.
 	if len(run.workerErrs) > 0 {
 		return nil, fmt.Errorf("core: run %s: worker error: %w", run.id, run.workerErrs[0])
 	}
+	if err != nil {
+		return nil, wrap(err)
+	}
+	end := p.Now()
 	if run.output == nil {
 		return nil, fmt.Errorf("core: run %s produced no output", run.id)
 	}
@@ -411,63 +414,39 @@ func (d *Deployment) unstageRun(run *runState) {
 	}
 }
 
-// coordinatorHandler parses the request and seeds the worker tree
-// (lightweight, 128 MB, §VI-A1).
+// coordinatorHandler parses the request and launches the coordinator's
+// children (lightweight, 128 MB, §VI-A1).
 func (d *Deployment) coordinatorHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-	var req workerPayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("core: coordinator payload: %w", err)
+	run, _, err := d.runOf("coordinator", payload)
+	if err != nil {
+		return nil, err
 	}
-	run := d.runs[req.Run]
-	if run == nil {
-		return nil, fmt.Errorf("core: coordinator invoked for unknown run %q", req.Run)
-	}
-	switch d.Cfg.Launch {
-	case Hierarchical:
-		fut, err := ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{
-			Run: req.Run, Parent: -1, Sibling: 0, Explicit: -1,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		run.rootFut = fut
-	case Centralized:
-		for m := 0; m < d.Cfg.Workers(); m++ {
-			fut, err := ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{
-				Run: req.Run, Parent: -1, Explicit: int32(m),
-			}))
-			if err != nil {
-				return nil, err
-			}
-			if m == 0 {
-				run.rootFut = fut
-			}
-		}
-	case TwoLevel:
-		g := groupSize(d.Cfg.Workers())
-		for lead := 0; lead < d.Cfg.Workers(); lead += g {
-			fut, err := ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{
-				Run: req.Run, Parent: -1, Explicit: int32(lead), Leader: true,
-			}))
-			if err != nil {
-				return nil, err
-			}
-			if lead == 0 {
-				run.rootFut = fut
-			}
-		}
+	if err := d.launch(ctx, run, -1); err != nil {
+		return nil, err
 	}
 	run.coordRuntime = ctx.Elapsed()
 	return []byte(`{"ok":true}`), nil
 }
 
-// groupSize returns the TwoLevel group size (~sqrt of the worker count).
-func groupSize(p int) int {
-	g := 1
-	for g*g < p {
-		g++
+// launch invokes, in order, the workers that invoker r (-1: the
+// coordinator) launches for run (worker_invoke_children, §II-B objective 2),
+// keeping rank 0's future as the run's root.
+func (d *Deployment) launch(ctx *faas.Ctx, run *runState, r int) error {
+	first, end, step := d.Cfg.launchChildren(r)
+	for child := first; child < end; child += step {
+		fut, err := ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{Run: run.id, Rank: child}))
+		if err != nil {
+			invoker := "coordinator"
+			if r >= 0 {
+				invoker = fmt.Sprintf("worker %d", r)
+			}
+			return fmt.Errorf("core: %s invoking worker %d: %w", invoker, child, err)
+		}
+		if child == 0 {
+			run.rootFut = fut
+		}
 	}
-	return g
+	return nil
 }
 
 func mustJSON(v any) []byte {

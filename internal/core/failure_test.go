@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,34 @@ func TestRuntimeLimitSurfacesAsTimeout(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "timed out") && !strings.Contains(err.Error(), "out of runtime") {
 		t.Fatalf("err = %v, want timeout cause", err)
+	}
+}
+
+// TestRefusedLaunchSurfacesTheInvokeError: a child invoke the platform
+// refuses at its concurrency limit fails the run with that refusal, naming
+// the invoker and the child, under every launch mode. The refusal used to
+// sit unread while the run reported the root's timeout 15 minutes later.
+func TestRefusedLaunchSurfacesTheInvokeError(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 12, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := regexp.MustCompile(`(coordinator|worker \d+) invoking worker \d+: faas: concurrency limit`)
+	for _, mode := range []LaunchMode{Hierarchical, Centralized, TwoLevel} {
+		ecfg := env.DefaultConfig()
+		ecfg.FaaS.ConcurrencyLimit = 6
+		d, err := Deploy(env.New(ecfg), Config{Model: m, Plan: plan, Channel: Memory, Launch: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.Infer(model.GenerateInputs(256, 4, 0.2, 2))
+		if err == nil || !refused.MatchString(err.Error()) {
+			t.Errorf("%v: err = %v, want the refused invoke naming its invoker and child", mode, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"fsdinference/internal/cloud/faas"
@@ -25,18 +24,13 @@ import (
 // the batch, and compute on the MAC and element counts the layer loop
 // returns.
 func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-	var req workerPayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("core: serial payload: %w", err)
-	}
-	run := d.runs[req.Run]
-	if run == nil {
-		return nil, fmt.Errorf("core: serial worker invoked for unknown run %q", req.Run)
+	run, _, err := d.runOf("serial worker", payload)
+	if err != nil {
+		return nil, err
 	}
 	p := ctx.P
 	wm := &WorkerMetrics{ID: 0, StartedAt: p.Now(), Warm: ctx.Warm}
 	run.metrics = append(run.metrics, wm)
-	run.started = append(run.started, p.Now())
 	run.lastStart = p.Now()
 
 	spec := d.Cfg.Model.Spec

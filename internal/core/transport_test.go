@@ -190,7 +190,25 @@ func TestDeployRejectsUnknownChannel(t *testing.T) {
 // (Serial is an engine shape — no plan, no coordinator — and is tested for
 // where the engine forks.) Selectors are skipped: sqs.Queue is a type.
 func TestKindsNamedOnlyInTheTable(t *testing.T) {
-	kinds := map[string]bool{"Queue": true, "Object": true, "Memory": true, "Hybrid": true}
+	namedOnlyIn(t, "transport.go", "Queue", "Object", "Memory", "Hybrid")
+}
+
+// TestLaunchModesNamedOnlyInTheEnumeration does the same for the launch
+// modes: outside core.go, where they are declared and Config.launchChildren
+// enumerates their children, nothing may name Hierarchical, Centralized or
+// TwoLevel, so a launch change edits the enumeration and nothing else.
+func TestLaunchModesNamedOnlyInTheEnumeration(t *testing.T) {
+	namedOnlyIn(t, "core.go", "Hierarchical", "Centralized", "TwoLevel")
+}
+
+// namedOnlyIn fails on every use of one of names in the package's non-test
+// code outside the file home; declaring a name is not a use.
+func namedOnlyIn(t *testing.T, home string, names ...string) {
+	t.Helper()
+	guarded := make(map[string]bool)
+	for _, n := range names {
+		guarded[n] = true
+	}
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +216,7 @@ func TestKindsNamedOnlyInTheTable(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, entry := range entries {
 		name := entry.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == "transport.go" {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == home {
 			continue
 		}
 		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
@@ -222,9 +240,8 @@ func TestKindsNamedOnlyInTheTable(t *testing.T) {
 				}
 				return false
 			case *ast.Ident:
-				if kinds[n.Name] {
-					t.Errorf("%s names %s; a kind is declared in transport.go's table and nowhere else",
-						fset.Position(n.Pos()), n.Name)
+				if guarded[n.Name] {
+					t.Errorf("%s names %s, which only %s may name", fset.Position(n.Pos()), n.Name, home)
 				}
 			}
 			return true

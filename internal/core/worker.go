@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -99,29 +98,17 @@ func (l workerLink) Gather(op string, round int, sources []int, deliver func(src
 // workerHandler is the FaaS body of a distributed FSI worker
 // (Algorithms 1 and 2).
 func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-	var req workerPayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("core: worker payload: %w", err)
-	}
-	run := d.runs[req.Run]
-	if run == nil {
-		return nil, fmt.Errorf("core: worker invoked for unknown run %q", req.Run)
+	run, rank, err := d.runOf("worker", payload)
+	if err != nil {
+		return nil, err
 	}
 
 	w := &worker{
 		d:       d,
 		run:     run,
 		ctx:     ctx,
+		id:      int32(rank),
 		pending: make(map[tag][]arrival),
-	}
-	// Determine rank: derived from parent id, sibling number and the
-	// branching factor under the hierarchical launch (§III).
-	if req.Explicit >= 0 {
-		w.id = req.Explicit
-	} else if req.Parent < 0 {
-		w.id = 0
-	} else {
-		w.id = req.Parent*int32(d.Cfg.Branching) + req.Sibling + 1
 	}
 	w.metrics = &WorkerMetrics{ID: w.id, StartedAt: ctx.P.Now(), Warm: ctx.Warm}
 	if sc := run.scope; sc.T != nil {
@@ -131,14 +118,15 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		w.tspan.SetAttr("warm", strconv.FormatBool(ctx.Warm))
 	}
 	run.metrics = append(run.metrics, w.metrics)
-	run.started = append(run.started, ctx.P.Now())
 	if ctx.P.Now() > run.lastStart {
 		run.lastStart = ctx.P.Now()
 	}
 
 	w.ch = transports[d.Cfg.Channel].open(w)
 
-	if err := w.invokeChildren(req); err != nil {
+	// Launch this worker's children before any other work, spreading
+	// launch responsibility across the tree.
+	if err := d.launch(ctx, run, rank); err != nil {
 		run.workerErrs = append(run.workerErrs, err)
 		w.failSpan("invoke-children")
 		return nil, err
@@ -157,43 +145,6 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	w.metrics.PeakMemBytes = ctx.PeakMem()
 	w.tspan.End()
 	return []byte(`{"ok":true}`), nil
-}
-
-// invokeChildren populates this worker's subtree (worker_invoke_children):
-// under the hierarchical launch each internal node starts its children
-// before doing any other work, spreading launch responsibility across the
-// tree (§II-B objective 2).
-func (w *worker) invokeChildren(req workerPayload) error {
-	d := w.d
-	switch d.Cfg.Launch {
-	case Hierarchical:
-		b := int32(d.Cfg.Branching)
-		for s := int32(0); s < b; s++ {
-			child := w.id*b + s + 1
-			if int(child) >= d.Cfg.Workers() {
-				break
-			}
-			if _, err := w.ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{
-				Run: req.Run, Parent: w.id, Sibling: s, Explicit: -1,
-			})); err != nil {
-				return fmt.Errorf("core: worker %d invoking child %d: %w", w.id, child, err)
-			}
-		}
-	case TwoLevel:
-		if req.Leader {
-			g := groupSize(d.Cfg.Workers())
-			for m := int(w.id) + 1; m < int(w.id)+g && m < d.Cfg.Workers(); m++ {
-				if _, err := w.ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{
-					Run: req.Run, Parent: w.id, Explicit: int32(m),
-				})); err != nil {
-					return fmt.Errorf("core: leader %d invoking member %d: %w", w.id, m, err)
-				}
-			}
-		}
-	case Centralized:
-		// The coordinator invoked everyone.
-	}
-	return nil
 }
 
 // load reads this worker's weight row blocks, its input activation rows and
