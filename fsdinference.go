@@ -149,10 +149,6 @@ const (
 	TreeCollective = collective.Tree
 )
 
-// DefaultKVNodeType is the provisioned store node the Memory channel uses
-// unless Config.KVNodeType overrides it.
-const DefaultKVNodeType = core.DefaultKVNodeType
-
 // Launch mechanisms (paper §III and the launch ablation).
 const (
 	Hierarchical = core.Hierarchical

@@ -138,77 +138,76 @@ func (m *Meter) SQSRequests() int64 {
 }
 
 // Snapshot returns a copy of the meter, for windowed accounting
-// (subtract two snapshots to isolate one experiment's usage).
+// (subtract two snapshots to isolate one experiment's usage). The copy is
+// a zero meter plus m, and 0 + x is exactly x.
 func (m *Meter) Snapshot() Meter {
-	c := *m
-	c.EC2Hours = make(map[string]float64, len(m.EC2Hours))
-	for k, v := range m.EC2Hours {
-		c.EC2Hours[k] = v
-	}
-	c.KVNodeHours = make(map[string]float64, len(m.KVNodeHours))
-	for k, v := range m.KVNodeHours {
-		c.KVNodeHours[k] = v
-	}
-	c.KVReplicaHours = make(map[string]float64, len(m.KVReplicaHours))
-	for k, v := range m.KVReplicaHours {
-		c.KVReplicaHours[k] = v
-	}
-	c.KVShardHours = make(map[string]float64, len(m.KVShardHours))
-	for k, v := range m.KVShardHours {
-		c.KVShardHours[k] = v
-	}
-	c.Collectives = make(map[string]int64, len(m.Collectives))
-	for k, v := range m.Collectives {
-		c.Collectives[k] = v
-	}
+	var c Meter
+	c.Add(*m)
 	return c
 }
 
 // Sub returns the usage accumulated since the earlier snapshot prev.
 func (m *Meter) Sub(prev Meter) Meter {
 	d := m.Snapshot()
-	d.LambdaInvocations -= prev.LambdaInvocations
-	d.LambdaGBSeconds -= prev.LambdaGBSeconds
-	d.SNSPublishCalls -= prev.SNSPublishCalls
-	d.SNSBilledPublishes -= prev.SNSBilledPublishes
-	d.SNSMessages -= prev.SNSMessages
-	d.SNSDeliveredBytes -= prev.SNSDeliveredBytes
-	d.SQSReceiveCalls -= prev.SQSReceiveCalls
-	d.SQSDeleteCalls -= prev.SQSDeleteCalls
-	d.SQSSendCalls -= prev.SQSSendCalls
-	d.S3PutCalls -= prev.S3PutCalls
-	d.S3GetCalls -= prev.S3GetCalls
-	d.S3ListCalls -= prev.S3ListCalls
-	d.S3BytesIn -= prev.S3BytesIn
-	d.S3BytesOut -= prev.S3BytesOut
-	d.KVOps -= prev.KVOps
-	d.KVBytesIn -= prev.KVBytesIn
-	d.KVBytesOut -= prev.KVBytesOut
-	d.KVGBHours -= prev.KVGBHours
-	d.KVFailovers -= prev.KVFailovers
-	d.KVLostValues -= prev.KVLostValues
-	d.KVResends -= prev.KVResends
-	d.KVMoved -= prev.KVMoved
-	for k, v := range prev.EC2Hours {
-		d.EC2Hours[k] -= v
-	}
-	for k, v := range prev.KVNodeHours {
-		d.KVNodeHours[k] -= v
-	}
-	for k, v := range prev.KVReplicaHours {
-		d.KVReplicaHours[k] -= v
-	}
-	for k, v := range prev.KVShardHours {
-		d.KVShardHours[k] -= v
-	}
-	d.HybridSmallValues -= prev.HybridSmallValues
-	d.HybridBulkValues -= prev.HybridBulkValues
-	d.HybridBulkBytes -= prev.HybridBulkBytes
-	d.HybridChunks -= prev.HybridChunks
-	for k, v := range prev.Collectives {
-		d.Collectives[k] -= v
-	}
+	d.fold(prev, -1)
 	return d
+}
+
+// Add accumulates the usage o metered into m: two windows' meters merge
+// into one, field by field. On a zero m it allocates the maps first and
+// takes o's SQSBillFanout setting.
+func (m *Meter) Add(o Meter) {
+	m.SQSBillFanout = m.SQSBillFanout || o.SQSBillFanout
+	m.fold(o, 1)
+}
+
+// fold adds sign·o to m. It is the one list of the meter's summable
+// fields: a counter added to Meter is added here and nowhere else.
+// a + (-1·b) is exactly a - b in IEEE-754, so Sub is bit-identical to a
+// field-by-field subtraction.
+func (m *Meter) fold(o Meter, sign int64) {
+	f := float64(sign)
+	m.LambdaInvocations += sign * o.LambdaInvocations
+	m.LambdaGBSeconds += f * o.LambdaGBSeconds
+	m.SNSPublishCalls += sign * o.SNSPublishCalls
+	m.SNSBilledPublishes += sign * o.SNSBilledPublishes
+	m.SNSMessages += sign * o.SNSMessages
+	m.SNSDeliveredBytes += sign * o.SNSDeliveredBytes
+	m.SQSReceiveCalls += sign * o.SQSReceiveCalls
+	m.SQSDeleteCalls += sign * o.SQSDeleteCalls
+	m.SQSSendCalls += sign * o.SQSSendCalls
+	m.S3PutCalls += sign * o.S3PutCalls
+	m.S3GetCalls += sign * o.S3GetCalls
+	m.S3ListCalls += sign * o.S3ListCalls
+	m.S3BytesIn += sign * o.S3BytesIn
+	m.S3BytesOut += sign * o.S3BytesOut
+	foldMap(&m.EC2Hours, o.EC2Hours, f)
+	m.KVOps += sign * o.KVOps
+	m.KVBytesIn += sign * o.KVBytesIn
+	m.KVBytesOut += sign * o.KVBytesOut
+	m.KVGBHours += f * o.KVGBHours
+	foldMap(&m.KVNodeHours, o.KVNodeHours, f)
+	foldMap(&m.KVReplicaHours, o.KVReplicaHours, f)
+	foldMap(&m.KVShardHours, o.KVShardHours, f)
+	m.KVFailovers += sign * o.KVFailovers
+	m.KVLostValues += sign * o.KVLostValues
+	m.KVResends += sign * o.KVResends
+	m.KVMoved += sign * o.KVMoved
+	foldMap(&m.Collectives, o.Collectives, sign)
+	m.HybridSmallValues += sign * o.HybridSmallValues
+	m.HybridBulkValues += sign * o.HybridBulkValues
+	m.HybridBulkBytes += sign * o.HybridBulkBytes
+	m.HybridChunks += sign * o.HybridChunks
+}
+
+// foldMap adds sign·src to *dst key by key, allocating *dst if it is nil.
+func foldMap[V int64 | float64](dst *map[string]V, src map[string]V, sign V) {
+	if *dst == nil {
+		*dst = make(map[string]V, len(src))
+	}
+	for k, v := range src {
+		(*dst)[k] += sign * v
+	}
 }
 
 // Breakdown is a billed cost report, one line item per service, mirroring
@@ -224,6 +223,17 @@ type Breakdown struct {
 	// informational, already included in KV, so Total does not add it.
 	KV        float64
 	KVReplica float64
+}
+
+// Add accumulates o into b line by line.
+func (b *Breakdown) Add(o Breakdown) {
+	b.Lambda += o.Lambda
+	b.SNS += o.SNS
+	b.SQS += o.SQS
+	b.S3 += o.S3
+	b.EC2 += o.EC2
+	b.KV += o.KV
+	b.KVReplica += o.KVReplica
 }
 
 // Comms returns the communication cost (everything except compute).
@@ -253,8 +263,9 @@ func (b Breakdown) String() string {
 // wherever map entries feed a floating-point accumulation: float
 // addition is not associative, so folding in map iteration order would
 // make the low bits of a total differ run to run, which the replay
-// engine's bit-for-bit report equality cannot tolerate.
-func FoldSorted(m map[string]float64, f func(k string, v float64)) {
+// engine's bit-for-bit report equality cannot tolerate. Rendering a map
+// in a fixed order is the same walk.
+func FoldSorted[V any](m map[string]V, f func(k string, v V)) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,6 +84,54 @@ func TestSnapshotSubIsolatesWindow(t *testing.T) {
 	snap.EC2Hours["c5.2xlarge"] = 99
 	if m.EC2Hours["c5.2xlarge"] != 4 {
 		t.Error("snapshot shares EC2Hours map with meter")
+	}
+}
+
+// TestFoldListsEveryField guards the one field list: every numeric and
+// map field of Meter is set nonzero by reflection, so a field added to the
+// struct but not to fold survives Sub or misses Add's doubling.
+func TestFoldListsEveryField(t *testing.T) {
+	m := NewMeter()
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(3 + i))
+		case reflect.Float64:
+			f.SetFloat(0.25 + float64(i))
+		case reflect.Map:
+			f.SetMapIndex(reflect.ValueOf("k"), reflect.ValueOf(2.0).Convert(f.Type().Elem()))
+		case reflect.Bool:
+		default:
+			t.Fatalf("Meter.%s is a %v: teach fold and this test how to sum it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	zero, doubled := m.Sub(m.Snapshot()), m.Snapshot()
+	doubled.Add(*m)
+	z, d := reflect.ValueOf(zero), reflect.ValueOf(doubled)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			if z.Field(i).Int() != 0 || d.Field(i).Int() != 2*f.Int() {
+				t.Errorf("%s: Sub left %d, Add made %d of %d", name, z.Field(i).Int(), d.Field(i).Int(), f.Int())
+			}
+		case reflect.Float64:
+			if z.Field(i).Float() != 0 || d.Field(i).Float() != 2*f.Float() {
+				t.Errorf("%s: Sub left %v, Add made %v of %v", name, z.Field(i).Float(), d.Field(i).Float(), f.Float())
+			}
+		case reflect.Map:
+			k := reflect.ValueOf("k")
+			got, sum := z.Field(i).MapIndex(k), d.Field(i).MapIndex(k)
+			if !got.IsValid() || !got.IsZero() || !sum.IsValid() || sum.Convert(reflect.TypeOf(0.0)).Float() != 4 {
+				t.Errorf("%s: Sub left %v, Add made %v of 2", name, got, sum)
+			}
+		}
+	}
+	var merged Meter
+	merged.Add(*m)
+	if !reflect.DeepEqual(merged, m.Snapshot()) {
+		t.Error("Add on a zero Meter is not a copy")
 	}
 }
 

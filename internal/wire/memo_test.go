@@ -243,10 +243,7 @@ func referenceChunks(t testing.TB, rs *RowSet, limit int, compress bool) [][]byt
 	if rs.Len() == 0 {
 		return [][]byte{freshEncode(t, rs, compress)}
 	}
-	rowsPer := (limit - headerSize) / estRowBytes(rs, compress)
-	if rowsPer < 1 {
-		rowsPer = 1
-	}
+	rowsPer := rowsPerChunk(rs, limit, compress)
 	var out [][]byte
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
@@ -303,7 +300,9 @@ func TestEncodeChunksUnchangedProperty(t *testing.T) {
 			if len(want) == 1 {
 				oneChunk++
 			}
-			if est := EstimateChunks(rs, limit, compress); len(want) > est {
+			// More chunks than the heuristic's initial split: a chunk was
+			// re-split.
+			if per := rowsPerChunk(rs, limit, compress); rs.Len() > 0 && len(want) > (rs.Len()+per-1)/per {
 				reSplit++
 			}
 		}

@@ -390,18 +390,10 @@ func parseBody(body []byte) (*RowSet, error) {
 // heuristic counts nonzeros rather than raw bytes.
 const assumedCompressionRatio = 0.6
 
-// EstimateChunks returns the paper's NNZ-heuristic estimate of how many
-// byte strings of at most limit bytes a row set will need.
-func EstimateChunks(rs *RowSet, limit int, compress bool) int {
-	if rs.Len() == 0 {
-		return 1
-	}
-	per := estRowBytes(rs, compress)
-	rows := (limit - headerSize) / per
-	if rows < 1 {
-		rows = 1
-	}
-	return (rs.Len() + rows - 1) / rows
+// rowsPerChunk is the paper's NNZ heuristic: how many of the set's rows
+// fit one byte string of at most limit bytes, at least one.
+func rowsPerChunk(rs *RowSet, limit int, compress bool) int {
+	return max(1, (limit-headerSize)/estRowBytes(rs, compress))
 }
 
 func estRowBytes(rs *RowSet, compress bool) int {
@@ -436,10 +428,7 @@ func EncodeChunks(rs *RowSet, limit int, compress bool) ([][]byte, error) {
 		}
 		return [][]byte{p}, nil
 	}
-	rowsPer := (limit - headerSize) / estRowBytes(rs, compress)
-	if rowsPer < 1 {
-		rowsPer = 1
-	}
+	rowsPer := rowsPerChunk(rs, limit, compress)
 	var out [][]byte
 	var encode func(lo, hi int) error
 	encode = func(lo, hi int) error {

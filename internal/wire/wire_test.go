@@ -216,7 +216,8 @@ func TestEstimateChunksTracksReality(t *testing.T) {
 		rs = randomRowSet(rng, 500, 16, 1.0)
 	}
 	limit := 4096
-	est := EstimateChunks(rs, limit, false)
+	per := rowsPerChunk(rs, limit, false)
+	est := (rs.Len() + per - 1) / per
 	chunks, err := EncodeChunks(rs, limit, false)
 	if err != nil {
 		t.Fatal(err)
