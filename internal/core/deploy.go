@@ -132,6 +132,8 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 	}
 
 	if err := d.registerFunctions(); err != nil {
+		// A refused deploy must not leave provisioned capacity billing.
+		d.Decommission()
 		return nil, err
 	}
 	return d, nil

@@ -105,20 +105,20 @@ func TestReplayReportCarriesFailoverStats(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d failed queries:\n%s", rep.Failed, rep)
 	}
-	if rep.KVFailovers != 1 {
-		t.Fatalf("report carries %d failovers, want 1:\n%s", rep.KVFailovers, rep)
+	if rep.Usage.KVFailovers != 1 {
+		t.Fatalf("report carries %d failovers, want 1:\n%s", rep.Usage.KVFailovers, rep)
 	}
-	if rep.KVLostValues <= 0 || rep.KVResends <= 0 {
+	if rep.Usage.KVLostValues <= 0 || rep.Usage.KVResends <= 0 {
 		t.Fatalf("R=1 kill lost %d / re-sent %d values, want both positive:\n%s",
-			rep.KVLostValues, rep.KVResends, rep)
+			rep.Usage.KVLostValues, rep.Usage.KVResends, rep)
 	}
-	if rep.KVReplicaHours <= 0 || rep.TotalCost.KVReplica <= 0 {
-		t.Fatalf("replica capacity not metered: %.4f hours, $%.4f", rep.KVReplicaHours, rep.TotalCost.KVReplica)
+	if h := rep.Usage.KVReplicaHours[core.DefaultKVNodeType]; h <= 0 || rep.TotalCost.KVReplica <= 0 {
+		t.Fatalf("replica capacity not metered: %.4f hours, $%.4f", h, rep.TotalCost.KVReplica)
 	}
-	if len(rep.KVShardHours) < 2 {
-		t.Fatalf("per-shard breakdown has %d entries, want both shards: %v", len(rep.KVShardHours), rep.KVShardHours)
+	if len(rep.Usage.KVShardHours) < 2 {
+		t.Fatalf("per-shard breakdown has %d entries, want both shards: %v", len(rep.Usage.KVShardHours), rep.Usage.KVShardHours)
 	}
-	for shard, h := range rep.KVShardHours {
+	for shard, h := range rep.Usage.KVShardHours {
 		if cost := rep.KVShardCost[shard]; cost <= 0 {
 			t.Fatalf("shard %s has %.3f hours but $%.4f priced", shard, h, cost)
 		}
@@ -177,11 +177,11 @@ func TestReplayTraceEmbeddedChaos(t *testing.T) {
 		t.Fatalf("chaos counters kill/partition/skipped = %d/%d/%d, want 1/1/1:\n%s",
 			rep.ChaosKills, rep.ChaosPartitions, rep.ChaosSkipped, rep)
 	}
-	if rep.KVFailovers != 1 {
-		t.Fatalf("embedded kill caused %d failovers, want 1:\n%s", rep.KVFailovers, rep)
+	if rep.Usage.KVFailovers != 1 {
+		t.Fatalf("embedded kill caused %d failovers, want 1:\n%s", rep.Usage.KVFailovers, rep)
 	}
-	if rep.Collectives["barrier/flat"] <= 0 {
-		t.Fatalf("report carries no collective counters: %v", rep.Collectives)
+	if rep.Usage.Collectives["barrier/flat"] <= 0 {
+		t.Fatalf("report carries no collective counters: %v", rep.Usage.Collectives)
 	}
 	out := rep.String()
 	for _, want := range []string{"chaos: 1 node kill(s), 1 partition(s) injected, 1 skipped", "collectives:"} {

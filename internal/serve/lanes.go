@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/workload"
 )
 
@@ -34,13 +33,15 @@ import (
 // event targets "the first live cluster", a service-wide notion), so they
 // replay on one lane.
 //
-// Float-accumulated metering (costs, GB-hours) is summed across lanes;
-// the totals can differ from the single-lane run's by floating-point
-// rounding in the last bits, since per-lane meters accumulate in a
-// different order than one shared meter. Everything counted in integers
-// or nanoseconds — queries, runs, starts, latencies, horizons — merges
-// exactly. Per-shard node-hour breakdowns are keyed by lane-local
-// deployment names and are summed on collision.
+// The lanes' metered windows merge into one with usage.Meter.Add, and the
+// lanes' priced costs are summed. Float-accumulated metering (costs,
+// GB-seconds, GB-hours, node-hours) can differ from the single-lane run's
+// by floating-point rounding in the last bits, since per-lane meters
+// accumulate in a different order than one shared meter. Everything
+// counted in integers or nanoseconds — queries, runs, starts, latencies,
+// horizons, meter counters — merges exactly. Per-shard node-hour
+// breakdowns are keyed by lane-local deployment names and are summed on
+// collision.
 func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOptions) (*Report, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("serve: lanes must be positive, got %d", lanes)
@@ -191,38 +192,18 @@ func (s *Service) mergeLaneReports(reps []*Report, runs []*replayRun) *Report {
 		for _, er := range rep.Endpoints {
 			byName[er.Name] = er
 		}
-		addBreakdown(&out.TotalCost, rep.TotalCost)
-		out.KVGBHours += rep.KVGBHours
-		out.KVOps += rep.KVOps
-		out.KVReplicaHours += rep.KVReplicaHours
-		for shard, h := range rep.KVShardHours {
-			if out.KVShardHours == nil {
-				out.KVShardHours = make(map[string]float64)
-			}
-			out.KVShardHours[shard] += h
-		}
+		// The meters merge; the prices stay as each lane priced its own
+		// meter, summed.
+		out.Usage.Add(rep.Usage)
+		out.TotalCost.Add(rep.TotalCost)
 		for shard, c := range rep.KVShardCost {
 			if out.KVShardCost == nil {
 				out.KVShardCost = make(map[string]float64)
 			}
 			out.KVShardCost[shard] += c
 		}
-		out.KVFailovers += rep.KVFailovers
-		out.KVLostValues += rep.KVLostValues
-		out.KVResends += rep.KVResends
-		out.KVMoved += rep.KVMoved
 		out.ColdStarts += rep.ColdStarts
 		out.WarmStarts += rep.WarmStarts
-		for k, v := range rep.Collectives {
-			if out.Collectives == nil {
-				out.Collectives = make(map[string]int64)
-			}
-			out.Collectives[k] += v
-		}
-		out.HybridSmallValues += rep.HybridSmallValues
-		out.HybridBulkValues += rep.HybridBulkValues
-		out.HybridBulkBytes += rep.HybridBulkBytes
-		out.HybridChunks += rep.HybridChunks
 		out.ChaosKills += rep.ChaosKills
 		out.ChaosPartitions += rep.ChaosPartitions
 		out.ChaosSkipped += rep.ChaosSkipped
@@ -234,15 +215,4 @@ func (s *Service) mergeLaneReports(reps []*Report, runs []*replayRun) *Report {
 		}
 	}
 	return out
-}
-
-// addBreakdown accumulates src into dst field-wise.
-func addBreakdown(dst *usage.Breakdown, src usage.Breakdown) {
-	dst.Lambda += src.Lambda
-	dst.SNS += src.SNS
-	dst.SQS += src.SQS
-	dst.S3 += src.S3
-	dst.EC2 += src.EC2
-	dst.KV += src.KV
-	dst.KVReplica += src.KVReplica
 }

@@ -55,20 +55,50 @@ func TestReplayLanesMatchesSingleLane(t *testing.T) {
 	}
 
 	// Exact equality on everything except the float-accumulated metered
-	// totals, which lanes sum in a different order than one shared meter.
+	// totals, which lanes sum in a different order than one shared meter:
+	// the priced cost, the GB-seconds and GB-hours and the hour maps are
+	// compared within rounding below, the rest of Usage exactly.
 	a, b := *single, *sharded
-	a.TotalCost, b.TotalCost = usage.Breakdown{}, usage.Breakdown{}
-	a.KVGBHours, b.KVGBHours = 0, 0
+	for _, r := range []*Report{&a, &b} {
+		r.TotalCost = usage.Breakdown{}
+		u := &r.Usage
+		u.LambdaGBSeconds, u.KVGBHours = 0, 0
+		u.EC2Hours, u.KVNodeHours, u.KVReplicaHours, u.KVShardHours = nil, nil, nil, nil
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("sharded report diverges from single-lane:\n--- single ---\n%s\n--- sharded ---\n%s",
 			single, sharded)
 	}
-	if !closeUSD(single.TotalCost.Total(), sharded.TotalCost.Total()) {
-		t.Errorf("total cost: single $%v, sharded $%v",
-			single.TotalCost.Total(), sharded.TotalCost.Total())
+	su, hu := &single.Usage, &sharded.Usage
+	for _, f := range []struct {
+		what string
+		a, b float64
+	}{
+		{"total cost", single.TotalCost.Total(), sharded.TotalCost.Total()},
+		{"Lambda GB-seconds", su.LambdaGBSeconds, hu.LambdaGBSeconds},
+		{"KV GB-hours", su.KVGBHours, hu.KVGBHours},
+	} {
+		if !closeFloat(f.a, f.b) {
+			t.Errorf("%s: single %v, sharded %v", f.what, f.a, f.b)
+		}
 	}
-	if math.Abs(single.KVGBHours-sharded.KVGBHours) > 1e-9 {
-		t.Errorf("KV GB-hours: single %v, sharded %v", single.KVGBHours, sharded.KVGBHours)
+	for _, m := range []struct {
+		what string
+		a, b map[string]float64
+	}{
+		{"EC2 hours", su.EC2Hours, hu.EC2Hours},
+		{"KV node-hours", su.KVNodeHours, hu.KVNodeHours},
+		{"KV replica hours", su.KVReplicaHours, hu.KVReplicaHours},
+		{"KV shard hours", su.KVShardHours, hu.KVShardHours},
+	} {
+		if len(m.a) != len(m.b) {
+			t.Errorf("%s: single %v, sharded %v", m.what, m.a, m.b)
+		}
+		for k, v := range m.a {
+			if w, ok := m.b[k]; !ok || !closeFloat(v, w) {
+				t.Errorf("%s[%s]: single %v, sharded %v", m.what, k, v, w)
+			}
+		}
 	}
 }
 
@@ -113,7 +143,9 @@ func TestReplayLanesChaosFallsBack(t *testing.T) {
 	}
 }
 
-func closeUSD(a, b float64) bool {
+// closeFloat reports whether two float-accumulated totals agree to within
+// rounding: a relative 1e-9, absolute below 1.
+func closeFloat(a, b float64) bool {
 	if a == b {
 		return true
 	}

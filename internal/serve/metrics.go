@@ -60,6 +60,15 @@ func (m *epMetrics) setPoolSize(n int) {
 	}
 }
 
+// deployFailed is the nil-safe count of a refused replica deploy. The
+// counter is registered at the first failure, so a service that never
+// sees one exports no such line.
+func (m *epMetrics) deployFailed() {
+	if m != nil {
+		m.reg.Counter("deploy_failures_total", "endpoint", m.name).Inc()
+	}
+}
+
 // target wires the endpoint's instruments into the SLO monitor.
 func (m *epMetrics) target() monitor.Target {
 	return monitor.Target{

@@ -165,8 +165,8 @@ func TestMonitorChaosSingleLaneFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.KVFailovers != 1 {
-		t.Fatalf("expected one failover, got %d", rep.KVFailovers)
+	if rep.Usage.KVFailovers != 1 {
+		t.Fatalf("expected one failover, got %d", rep.Usage.KVFailovers)
 	}
 	sCSV, _, sAlerts, sMet := monitorExports(t, single)
 

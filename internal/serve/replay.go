@@ -422,8 +422,8 @@ func (s *Service) replayFinish(run *replayRun, endAt time.Duration) (*Report, er
 
 	rep := run.rep
 	rep.Latency = run.lat.stats()
-	for i, ep := range s.eps {
-		rep.Endpoints = append(rep.Endpoints, s.endpointReport(i, run.win, run.accs[ep.name]))
+	for _, ep := range s.eps {
+		rep.Endpoints = append(rep.Endpoints, ep.report(run.win.base, run.accs[ep.name]))
 	}
 	s.meterReport(rep, run.win)
 	rep.ChaosKills = run.chaos.kills

@@ -118,6 +118,10 @@ type EndpointReport struct {
 	ReplicaSeconds float64
 	ScaleUps       int
 	ScaleDowns     int
+	// DeployFailures counts scale-up and re-plan deploys the platform
+	// refused: the event that asked for one went without, and the pool
+	// kept serving on the replicas it had.
+	DeployFailures int
 	// Shed counts requests rejected by the admission policy (ErrShed),
 	// Rerouted those it moved to a sibling endpoint, DeadlineMissed the
 	// requests that completed after their deadline. Reselections counts
@@ -179,52 +183,24 @@ type Report struct {
 	// Endpoints reports each endpoint in registration order.
 	Endpoints []EndpointReport
 
-	// TotalCost is the exact metered spend over the replay window — the
-	// simulated equivalent of the paper's AWS Cost & Usage report.
-	TotalCost usage.Breakdown
-
-	// KVGBHours and KVOps meter the provisioned in-memory stores over the
-	// window: GB-hours accrue while the nodes sit idle (their only billed
-	// dimension), ops are free of per-request charge.
-	KVGBHours float64
-	KVOps     int64
-
-	// Cluster stats over the window: replica node-hours (the
-	// availability premium, included in TotalCost.KV), the per-shard
-	// node-hour breakdown, failovers triggered by fault injection,
-	// values lost to lossy failovers, values the memory channel re-sent
-	// from sender buffers to recover, and MOVED-style redirects paid
-	// after topology changes.
-	KVReplicaHours float64
-	KVShardHours   map[string]float64
-	KVShardCost    map[string]float64
-	KVFailovers    int64
-	KVLostValues   int64
-	KVResends      int64
-	KVMoved        int64
+	// Usage is the environment meter over the replay window — the
+	// simulated equivalent of the paper's AWS Cost & Usage report: the
+	// provisioned stores' GB-hours and ops, replica and per-shard
+	// node-hours, store failovers, lost and re-sent values and MOVED
+	// redirects, collectives by "op/algorithm", hybrid routing counts.
+	// TotalCost prices it; KVShardCost prices its per-shard hours.
+	Usage       usage.Meter
+	TotalCost   usage.Breakdown
+	KVShardCost map[string]float64
 
 	// ColdStarts and WarmStarts count platform-wide function instance
 	// launches during the replay.
 	ColdStarts int
 	WarmStarts int
 
-	// Collectives counts the collective operations the replay's engine
-	// runs executed, keyed "op/algorithm" (e.g. "barrier/tree") — nil
-	// when no distributed run happened in the window.
-	Collectives map[string]int64
-
-	// Hybrid channel routing over the window: values kept inline on the
-	// memory control plane versus values chunked through object storage,
-	// with the bulk byte and chunk volumes.
-	HybridSmallValues int64
-	HybridBulkValues  int64
-	HybridBulkBytes   int64
-	HybridChunks      int64
-
 	// Chaos counters: trace-embedded fault injections applied during the
 	// replay (and the ones skipped because no provisioned cluster was
-	// live at fire time). The failover fallout shows up in KVFailovers,
-	// KVLostValues and KVResends above.
+	// live at fire time). The failover fallout shows up in Usage.
 	ChaosKills      int
 	ChaosPartitions int
 	ChaosSkipped    int
@@ -295,6 +271,9 @@ func (r *Report) String() string {
 			fmt.Fprintf(&sb, "  policy: %d shed, %d rerouted, %d deadline-missed, %d reselection(s)\n",
 				ep.Shed, ep.Rerouted, ep.DeadlineMissed, ep.Reselections)
 		}
+		if ep.DeployFailures > 0 {
+			fmt.Fprintf(&sb, "  deploy failures: %d (the pool kept its replicas)\n", ep.DeployFailures)
+		}
 		for _, ev := range ep.Replans {
 			fmt.Fprintf(&sb, "  replan @%v: %v x%d -> %v x%d (%s)\n",
 				ev.At.Round(time.Millisecond), ev.From, ev.FromWorkers, ev.To, ev.ToWorkers, ev.Reason)
@@ -306,51 +285,42 @@ func (r *Report) String() string {
 		fmt.Fprintf(&sb, "  cost (ledger): %s\n", ep.Cost.String())
 	}
 	fmt.Fprintf(&sb, "total metered cost: %s\n", r.TotalCost.String())
-	if r.KVGBHours > 0 {
+	u := &r.Usage
+	if u.KVGBHours > 0 {
 		fmt.Fprintf(&sb, "provisioned memory store: %.3f GB-hours ($%.4f), %d ops (no per-request charge)\n",
-			r.KVGBHours, r.TotalCost.KV, r.KVOps)
+			u.KVGBHours, r.TotalCost.KV, u.KVOps)
 	}
-	if r.KVReplicaHours > 0 {
+	var replicaHours float64
+	usage.FoldSorted(u.KVReplicaHours, func(_ string, h float64) { replicaHours += h })
+	if replicaHours > 0 {
 		fmt.Fprintf(&sb, "  replicas: %.3f node-hours ($%.4f) buying failover cover\n",
-			r.KVReplicaHours, r.TotalCost.KVReplica)
+			replicaHours, r.TotalCost.KVReplica)
 	}
-	if len(r.KVShardHours) > 0 {
-		shards := make([]string, 0, len(r.KVShardHours))
-		for s := range r.KVShardHours {
-			shards = append(shards, s)
+	usage.FoldSorted(u.KVShardHours, func(s string, h float64) {
+		if h > 0 {
+			fmt.Fprintf(&sb, "  shard %s: %.3f node-hours ($%.4f)\n", s, h, r.KVShardCost[s])
 		}
-		sort.Strings(shards)
-		for _, s := range shards {
-			fmt.Fprintf(&sb, "  shard %s: %.3f node-hours ($%.4f)\n", s, r.KVShardHours[s], r.KVShardCost[s])
-		}
-	}
+	})
 	// One rule for all chaos-path counters: the line prints when ANY of
 	// them is nonzero. Gating on failovers alone hid MOVED redirects
 	// (and, in principle, losses or re-sends) from partition-only or
 	// scale-churn runs that never completed a failover.
-	if r.KVFailovers+r.KVLostValues+r.KVResends+r.KVMoved > 0 {
+	if u.KVFailovers+u.KVLostValues+u.KVResends+u.KVMoved > 0 {
 		fmt.Fprintf(&sb, "store failovers: %d, %d value(s) lost, %d re-sent, %d MOVED redirect(s)\n",
-			r.KVFailovers, r.KVLostValues, r.KVResends, r.KVMoved)
+			u.KVFailovers, u.KVLostValues, u.KVResends, u.KVMoved)
 	}
 	if r.ChaosKills+r.ChaosPartitions+r.ChaosSkipped > 0 {
 		fmt.Fprintf(&sb, "chaos: %d node kill(s), %d partition(s) injected, %d skipped\n",
 			r.ChaosKills, r.ChaosPartitions, r.ChaosSkipped)
 	}
-	if len(r.Collectives) > 0 {
-		keys := make([]string, 0, len(r.Collectives))
-		for k := range r.Collectives {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+	if len(u.Collectives) > 0 {
 		sb.WriteString("collectives:")
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s=%d", k, r.Collectives[k])
-		}
+		usage.FoldSorted(u.Collectives, func(k string, n int64) { fmt.Fprintf(&sb, " %s=%d", k, n) })
 		sb.WriteByte('\n')
 	}
-	if r.HybridSmallValues+r.HybridBulkValues > 0 {
+	if u.HybridSmallValues+u.HybridBulkValues > 0 {
 		fmt.Fprintf(&sb, "hybrid routing: %d inline value(s), %d bulk value(s) (%d chunks, %d bytes)\n",
-			r.HybridSmallValues, r.HybridBulkValues, r.HybridChunks, r.HybridBulkBytes)
+			u.HybridSmallValues, u.HybridBulkValues, u.HybridChunks, u.HybridBulkBytes)
 	}
 	fmt.Fprintf(&sb, "instance starts: %d cold / %d warm\n", r.ColdStarts, r.WarmStarts)
 	return sb.String()

@@ -3,6 +3,8 @@ package serve
 import (
 	"strings"
 	"testing"
+
+	"fsdinference/internal/cloud/usage"
 )
 
 // TestReportStringChaosCounters pins the rendering rule for the chaos
@@ -16,15 +18,15 @@ func TestReportStringChaosCounters(t *testing.T) {
 		want string // "" means the line must be absent
 	}{
 		{"clean", Report{}, ""},
-		{"failover only", Report{KVFailovers: 2},
+		{"failover only", Report{Usage: usage.Meter{KVFailovers: 2}},
 			"store failovers: 2, 0 value(s) lost, 0 re-sent, 0 MOVED redirect(s)\n"},
-		{"moved only", Report{KVMoved: 3},
+		{"moved only", Report{Usage: usage.Meter{KVMoved: 3}},
 			"store failovers: 0, 0 value(s) lost, 0 re-sent, 3 MOVED redirect(s)\n"},
-		{"lost only", Report{KVLostValues: 1},
+		{"lost only", Report{Usage: usage.Meter{KVLostValues: 1}},
 			"store failovers: 0, 1 value(s) lost, 0 re-sent, 0 MOVED redirect(s)\n"},
-		{"resends only", Report{KVResends: 4},
+		{"resends only", Report{Usage: usage.Meter{KVResends: 4}},
 			"store failovers: 0, 0 value(s) lost, 4 re-sent, 0 MOVED redirect(s)\n"},
-		{"all", Report{KVFailovers: 1, KVLostValues: 2, KVResends: 3, KVMoved: 4},
+		{"all", Report{Usage: usage.Meter{KVFailovers: 1, KVLostValues: 2, KVResends: 3, KVMoved: 4}},
 			"store failovers: 1, 2 value(s) lost, 3 re-sent, 4 MOVED redirect(s)\n"},
 	}
 	for _, tc := range cases {

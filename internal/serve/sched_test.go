@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/faas"
 	"fsdinference/internal/core"
 	"fsdinference/internal/model"
 	"fsdinference/internal/plan"
@@ -241,8 +242,8 @@ func TestMemoryChannelEndpointServesAndMetersGBHours(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d failed queries", rep.Failed)
 	}
-	if rep.KVGBHours <= 0 || rep.KVOps == 0 {
-		t.Fatalf("replay metered no store usage: %.3f GB-hours, %d ops", rep.KVGBHours, rep.KVOps)
+	if rep.Usage.KVGBHours <= 0 || rep.Usage.KVOps == 0 {
+		t.Fatalf("replay metered no store usage: %.3f GB-hours, %d ops", rep.Usage.KVGBHours, rep.Usage.KVOps)
 	}
 	if rep.TotalCost.KV <= 0 {
 		t.Fatalf("replay billed no node-hours: %+v", rep.TotalCost)
@@ -297,6 +298,51 @@ func TestScaleDownReleasesProvisionedMemoryNodes(t *testing.T) {
 	}
 	if got, want := e.KV.NumNodes(), len(ep.sched.pool); got != want {
 		t.Fatalf("%d provisioned nodes still billing for a pool of %d replicas", got, want)
+	}
+}
+
+func TestRefusedScaleUpDegradesThePool(t *testing.T) {
+	// The scale-up deploy (the environment's second, fsd2) collides with a
+	// function already registered under its coordinator's name. The burst
+	// must still be served, the refusal counted, and the half-built
+	// deployment's cache node released rather than left billing.
+	e := env.NewDefault()
+	if err := e.FaaS.Register(faas.FunctionConfig{
+		Name: "fsd2-coordinator", MemoryMB: 128, Timeout: time.Minute,
+		Handler: func(*faas.Ctx, []byte) ([]byte, error) { return nil, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := testModel(t, 256, 6)
+	svc, err := NewService(e,
+		WithEndpoint("mem", m, WithChannel(core.Memory), WithWorkers(3)),
+		WithCoalescing(4, 0),
+		WithScaling(Autoscaler(AutoscalerOptions{Min: 1, Max: 3})),
+		WithTracing(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := make([]workload.Query, 3)
+	for i := range burst {
+		burst[i] = workload.Query{Neurons: 256, Samples: 4}
+	}
+	rep, err := svc.Replay(burst, ReplayOptions{Seed: 3, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 0 {
+		t.Fatalf("%d of the burst failed:\n%s", rep.Failed, rep)
+	}
+	er := rep.Endpoints[0]
+	if er.DeployFailures < 1 || !strings.Contains(rep.String(), "deploy failures: ") {
+		t.Fatalf("refused deploy not reported (%d):\n%s", er.DeployFailures, rep)
+	}
+	if got := svc.Metrics().Counter("deploy_failures_total", "endpoint", "mem").Value(); got != int64(er.DeployFailures) {
+		t.Fatalf("deploy_failures_total = %d, report %d", got, er.DeployFailures)
+	}
+	if got, want := e.KV.NumNodes(), len(svc.byName["mem"].sched.pool); got != want {
+		t.Fatalf("%d provisioned nodes for a pool of %d replicas", got, want)
 	}
 }
 
@@ -565,7 +611,7 @@ func TestReplanFlipsChannelAcrossBreakEven(t *testing.T) {
 	}
 	// The memory phase provisions a store: the replay must meter its
 	// GB-hours, and the report must surface the re-plan events.
-	if rep.KVGBHours <= 0 {
+	if rep.Usage.KVGBHours <= 0 {
 		t.Fatal("memory phase metered no provisioned GB-hours")
 	}
 	if !strings.Contains(rep.String(), "replan @") {

@@ -252,11 +252,9 @@ func (sc *scheduler) evaluatePool() {
 		target = 1
 	}
 	for len(sc.pool) < target {
-		sc.addReplica(now)
-		sc.ep.stats.ScaleUps++
-	}
-	if len(sc.pool) > sc.ep.stats.PeakReplicas {
-		sc.ep.stats.PeakReplicas = len(sc.pool)
+		if sc.addReplica(now) != nil {
+			break
+		}
 	}
 	if target >= len(sc.pool) {
 		return
@@ -308,18 +306,23 @@ func (sc *scheduler) evaluatePool() {
 	}
 }
 
-func (sc *scheduler) addReplica(now time.Duration) {
+// addReplica grows the pool by one scale-up. A refused deploy leaves the
+// pool as it was and is returned, so the caller stops growing for this
+// event.
+func (sc *scheduler) addReplica(now time.Duration) error {
 	rep, err := sc.ep.deployReplica()
 	if err != nil {
-		// The configuration was validated when the endpoint was built (and
-		// any re-planned configuration comes out of the Planner), so a
-		// scale-up deploy cannot fail short of a programming error.
-		panic(fmt.Sprintf("serve: endpoint %q scale-up deploy: %v", sc.ep.name, err))
+		return err
 	}
 	sc.accrue(now)
 	rep.lastUsed, rep.idleSince = now, now
 	sc.pool = append(sc.pool, rep)
+	sc.ep.stats.ScaleUps++
+	if len(sc.pool) > sc.ep.stats.PeakReplicas {
+		sc.ep.stats.PeakReplicas = len(sc.pool)
+	}
 	sc.ep.met.setPoolSize(len(sc.pool))
+	return nil
 }
 
 // alertBoost is the alert-driven action for an endpoint without a
@@ -329,13 +332,9 @@ func (sc *scheduler) addReplica(now time.Duration) {
 // but it reclaims the extra replica through the normal idle-grace path
 // once the pressure passes.
 func (sc *scheduler) alertBoost() {
-	now := sc.now()
-	sc.addReplica(now)
-	sc.ep.stats.ScaleUps++
-	if len(sc.pool) > sc.ep.stats.PeakReplicas {
-		sc.ep.stats.PeakReplicas = len(sc.pool)
+	if sc.addReplica(sc.now()) == nil {
+		sc.dispatch()
 	}
-	sc.dispatch()
 }
 
 // pickReplica returns the replica the next run should land on: the most
@@ -533,19 +532,21 @@ func (sc *scheduler) releaseRun(rep *replica) {
 }
 
 // maybeReplace swaps an idle stale replica (one deployed before an SLO
-// re-selection) for a fresh deployment of the current configuration.
+// re-selection) for a fresh deployment of the current configuration. If
+// the deploy is refused the replica keeps serving on its old deployment
+// and is no longer stale.
 func (sc *scheduler) maybeReplace(rep *replica, now time.Duration) {
 	if !rep.stale {
 		return
 	}
+	rep.stale = false
 	nrep, err := sc.ep.deployReplica()
 	if err != nil {
-		panic(fmt.Sprintf("serve: endpoint %q re-selection deploy: %v", sc.ep.name, err))
+		return
 	}
 	rep.d.Decommission()
 	rep.d = nrep.d
 	rep.track = nrep.track
-	rep.stale = false
 	rep.lastUsed = now
 	rep.idleSince = now
 }
@@ -588,13 +589,7 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 	if b.samples > ep.stats.MaxSamples {
 		ep.stats.MaxSamples = b.samples
 	}
-	ep.stats.Cost.Lambda += res.Cost.Lambda
-	ep.stats.Cost.SNS += res.Cost.SNS
-	ep.stats.Cost.SQS += res.Cost.SQS
-	ep.stats.Cost.S3 += res.Cost.S3
-	ep.stats.Cost.EC2 += res.Cost.EC2
-	ep.stats.Cost.KV += res.Cost.KV
-	ep.stats.Cost.KVReplica += res.Cost.KVReplica
+	ep.stats.Cost.Add(res.Cost)
 	for _, w := range res.Workers {
 		if w.Warm {
 			ep.stats.WarmStarts++

@@ -300,9 +300,8 @@ type batch struct {
 }
 
 // endpointStats counts run- and scheduler-level activity. Request-level
-// metrics live on the handles. Snapshot/sub pairs isolate one replay's
-// window; the high-water fields (MaxSamples, MaxConcurrent, PeakReplicas)
-// are restarted instead of subtracted.
+// metrics live on the handles. A replay's window restarts them at zero
+// (openWindow), so they describe that window alone.
 type endpointStats struct {
 	Runs        int
 	FailedRuns  int
@@ -318,6 +317,7 @@ type endpointStats struct {
 	DeadlineMissed int
 	ScaleUps       int
 	ScaleDowns     int
+	DeployFailures int
 	Reselections   int
 	MaxConcurrent  int
 	PeakReplicas   int
@@ -326,31 +326,6 @@ type endpointStats struct {
 	// Reselections also counts planner re-runs that kept the
 	// configuration.
 	Replans []ReplanEvent
-}
-
-func (s endpointStats) sub(prev endpointStats) endpointStats {
-	s.Runs -= prev.Runs
-	s.FailedRuns -= prev.FailedRuns
-	s.RunSamples -= prev.RunSamples
-	s.RunRequests -= prev.RunRequests
-	s.ColdStarts -= prev.ColdStarts
-	s.WarmStarts -= prev.WarmStarts
-	s.Shed -= prev.Shed
-	s.Rerouted -= prev.Rerouted
-	s.DeadlineMissed -= prev.DeadlineMissed
-	s.ScaleUps -= prev.ScaleUps
-	s.ScaleDowns -= prev.ScaleDowns
-	s.Reselections -= prev.Reselections
-	s.ReplicaSeconds -= prev.ReplicaSeconds
-	s.Replans = s.Replans[len(prev.Replans):]
-	s.Cost.Lambda -= prev.Cost.Lambda
-	s.Cost.SNS -= prev.Cost.SNS
-	s.Cost.SQS -= prev.Cost.SQS
-	s.Cost.S3 -= prev.Cost.S3
-	s.Cost.EC2 -= prev.Cost.EC2
-	s.Cost.KV -= prev.Cost.KV
-	s.Cost.KVReplica -= prev.Cost.KVReplica
-	return s
 }
 
 // NewService validates the options, builds partition plans and deploys
@@ -563,7 +538,9 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 // With tracing on, the deployment's trace scope is stamped with a
 // replay-mode-independent track — the endpoint name plus a per-endpoint
 // replica ordinal — so engine-side spans land on the same timeline
-// whether the endpoint runs on the shared kernel or inside a lane.
+// whether the endpoint runs on the shared kernel or inside a lane. A
+// refused deploy is counted (DeployFailures, deploy_failures_total) and
+// returned; the caller goes on with the pool it has.
 func (ep *Endpoint) deployReplica() (*replica, error) {
 	dcfg := ep.dcfg
 	var track string
@@ -580,6 +557,8 @@ func (ep *Endpoint) deployReplica() (*replica, error) {
 	ep.replicaSeq++
 	d, err := core.Deploy(ep.svc.env, dcfg)
 	if err != nil {
+		ep.stats.DeployFailures++
+		ep.met.deployFailed()
 		return nil, err
 	}
 	ep.cfg = d.Cfg // defaults applied

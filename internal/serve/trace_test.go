@@ -211,7 +211,7 @@ func TestTraceKVFailoverSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.KVFailovers != 1 {
+	if rep.Usage.KVFailovers != 1 {
 		t.Fatalf("expected one failover, got report:\n%s", rep)
 	}
 	var fault *obs.Span

@@ -8,18 +8,18 @@ import (
 
 // replayWindow captures the metering state at a replay's start so the
 // report charges exactly the replay's own window: the meter snapshot and
-// platform start counters to subtract, and per-endpoint stat snapshots
-// with the high-water marks restarted.
+// platform start counters to subtract. Endpoint stats need no snapshot;
+// they restart at zero at the window edge.
 type replayWindow struct {
 	base         time.Duration
 	meterSnap    usage.Meter
 	cold0, warm0 int
-	statSnaps    []endpointStats
 }
 
-// openWindow closes the provisioned-capacity accruals at the window edge
-// and snapshots every counter the report will subtract, so the report
-// measures this replay and nothing else.
+// openWindow closes the provisioned-capacity accruals at the window edge,
+// snapshots the environment-wide counters the report will subtract and
+// restarts every endpoint's stats, so the report measures this replay and
+// nothing else.
 func (s *Service) openWindow(base time.Duration) *replayWindow {
 	// Close the provisioned-capacity accrual at the window edge, so the
 	// subtraction below charges exactly this replay's node-hours
@@ -30,21 +30,14 @@ func (s *Service) openWindow(base time.Duration) *replayWindow {
 		meterSnap: s.env.Meter.Snapshot(),
 		cold0:     s.env.FaaS.ColdStarts,
 		warm0:     s.env.FaaS.WarmStarts,
-		statSnaps: make([]endpointStats, len(s.eps)),
 	}
-	for i, ep := range s.eps {
-		// Close the replica-seconds accrual at the window edge so the
-		// subtraction below charges exactly this replay's pool time, and
-		// restart the workload observation window so the reported
-		// Observed profile describes this trace only.
+	for _, ep := range s.eps {
+		// Close the replica-seconds accrual at the window edge and start the
+		// stats over, and restart the workload observation window so the
+		// reported Observed profile describes this trace only.
 		ep.sched.accrue(base)
+		ep.stats = endpointStats{PeakReplicas: len(ep.sched.pool)}
 		ep.sched.resetObservationWindow()
-		win.statSnaps[i] = ep.stats
-		// The high-water fields are marks, not counters: restart them so
-		// the report describes this replay's window.
-		ep.stats.MaxSamples = 0
-		ep.stats.MaxConcurrent = 0
-		ep.stats.PeakReplicas = len(ep.sched.pool)
 	}
 	if s.mon != nil {
 		// Restart the scrape series at the window edge and arm the first
@@ -69,16 +62,15 @@ func (s *Service) closeWindow(win *replayWindow) {
 	}
 }
 
-// endpointReport assembles the report of the i-th registered endpoint over
-// the window from its stat delta and the request-level accounting the
-// replay folded.
-func (s *Service) endpointReport(i int, win *replayWindow, a *endpointAcc) EndpointReport {
-	ep := s.eps[i]
-	st := ep.stats.sub(win.statSnaps[i])
+// report assembles the endpoint's share of a replay window that opened at
+// base from its stats, which started at zero there, and the request-level
+// accounting the replay folded.
+func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
+	st := &ep.stats
 	// Re-plan events are reported trace-relative, like Horizon.
 	replans := make([]ReplanEvent, len(st.Replans))
 	for j, ev := range st.Replans {
-		ev.At -= win.base
+		ev.At -= base
 		replans[j] = ev
 	}
 	batch := 0
@@ -97,6 +89,7 @@ func (s *Service) endpointReport(i int, win *replayWindow, a *endpointAcc) Endpo
 		ReplicaSeconds:    st.ReplicaSeconds,
 		ScaleUps:          st.ScaleUps,
 		ScaleDowns:        st.ScaleDowns,
+		DeployFailures:    st.DeployFailures,
 		Shed:              st.Shed,
 		Rerouted:          st.Rerouted,
 		DeadlineMissed:    st.DeadlineMissed,
@@ -123,37 +116,12 @@ func (s *Service) endpointReport(i int, win *replayWindow, a *endpointAcc) Endpo
 	return er
 }
 
-// meterReport fills the report's environment-wide metering fields from the
-// window delta.
+// meterReport fills the report's environment-wide metering from the
+// window: the meter delta, its price and the platform's instance starts.
 func (s *Service) meterReport(rep *Report, win *replayWindow) {
-	used := s.env.Meter.Sub(win.meterSnap)
-	rep.TotalCost = used.Cost(s.env.Pricing)
-	rep.KVGBHours = used.KVGBHours
-	rep.KVOps = used.KVOps
-	usage.FoldSorted(used.KVReplicaHours, func(_ string, h float64) {
-		rep.KVReplicaHours += h
-	})
-	for shard, h := range used.KVShardHours {
-		if h <= 0 {
-			continue
-		}
-		if rep.KVShardHours == nil {
-			rep.KVShardHours = make(map[string]float64)
-		}
-		rep.KVShardHours[shard] = h
-	}
-	rep.KVShardCost = used.KVShardCost(s.env.Pricing)
-	rep.KVFailovers = used.KVFailovers
-	rep.KVLostValues = used.KVLostValues
-	rep.KVResends = used.KVResends
-	rep.KVMoved = used.KVMoved
+	rep.Usage = s.env.Meter.Sub(win.meterSnap)
+	rep.TotalCost = rep.Usage.Cost(s.env.Pricing)
+	rep.KVShardCost = rep.Usage.KVShardCost(s.env.Pricing)
 	rep.ColdStarts = s.env.FaaS.ColdStarts - win.cold0
 	rep.WarmStarts = s.env.FaaS.WarmStarts - win.warm0
-	if len(used.Collectives) > 0 {
-		rep.Collectives = used.Collectives
-	}
-	rep.HybridSmallValues = used.HybridSmallValues
-	rep.HybridBulkValues = used.HybridBulkValues
-	rep.HybridBulkBytes = used.HybridBulkBytes
-	rep.HybridChunks = used.HybridChunks
 }
