@@ -73,17 +73,16 @@ loc:
 		printf '%6d %s\n' $$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) .$${dir#$(CURDIR)}; \
 	done | awk '{ n += $$1; print } END { printf "%6d total\n", n }'
 
-# profile captures CPU and heap profiles of the benchmark named by
-# PROFILE_BENCH (default: the million-query replay) and prints the top-10
-# flat-cost functions of each, then who calls runtime.memmove (who copies,
-# and how much of the host's time that is), so "where does the replay
-# engine spend its time" is one command away. Profiles land in ./profiles/.
-PROFILE_BENCH := BenchmarkMillionQueryReplay
+# profile captures CPU and heap profiles of examples/millionday's
+# BenchmarkMillionQueryReplay and prints the top-10 flat-cost functions of
+# each, then who calls runtime.memmove (who copies, and how much of the
+# host's time that is), so "where does the replay engine spend its time"
+# is one command away. Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles
-	go test -run '^$$' -bench $(PROFILE_BENCH) -benchtime 1x \
+	go test -run '^$$' -bench BenchmarkMillionQueryReplay -benchtime 1x \
 		-cpuprofile profiles/cpu.prof -memprofile profiles/mem.prof \
-		-o profiles/bench.test .
+		-o profiles/bench.test ./examples/millionday
 	go tool pprof -top -nodecount=10 profiles/bench.test profiles/cpu.prof
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/mem.prof
 	go tool pprof -peek 'runtime.memmove$$' profiles/bench.test profiles/cpu.prof

@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"os"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/partition"
 )
 
 func main() {
@@ -27,41 +30,41 @@ func main() {
 	verify := flag.Bool("verify", true, "check the output against reference inference")
 	flag.Parse()
 
-	kind, err := fsdinference.ParseChannelKind(*channel)
+	kind, err := core.ParseChannelKind(*channel)
 	if err != nil {
 		fatal("%v", err)
 	}
-	var sch fsdinference.PartitionScheme
+	var sch partition.Scheme
 	switch *scheme {
 	case "block":
-		sch = fsdinference.Block
+		sch = partition.Block
 	case "random":
-		sch = fsdinference.Random
+		sch = partition.Random
 	case "hgp":
-		sch = fsdinference.HGPDNN
+		sch = partition.HGPDNN
 	default:
 		fatal("unknown scheme %q", *scheme)
 	}
 
 	fmt.Printf("generating %d-neuron, %d-layer sparse DNN...\n", *neurons, *layers)
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(*neurons, *layers, *seed))
+	m, err := model.Generate(model.GraphChallengeSpec(*neurons, *layers, *seed))
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg := fsdinference.Config{Model: m, Channel: kind}
-	if kind != fsdinference.Serial {
+	cfg := core.Config{Model: m, Channel: kind}
+	if kind != core.Serial {
 		fmt.Printf("partitioning across %d workers (%s)...\n", *workers, *scheme)
-		plan, err := fsdinference.BuildPlan(m, *workers, sch, fsdinference.PartitionOptions{Seed: *seed})
+		plan, err := partition.BuildPlan(m, *workers, sch, partition.Options{Seed: *seed})
 		if err != nil {
 			fatal("%v", err)
 		}
 		cfg.Plan = plan
 	}
-	d, err := fsdinference.Deploy(fsdinference.NewEnv(), cfg)
+	d, err := core.Deploy(env.NewDefault(), cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	input := fsdinference.GenerateInputs(*neurons, *batch, 0.2, *seed+1)
+	input := model.GenerateInputs(*neurons, *batch, 0.2, *seed+1)
 	res, err := d.Infer(input)
 	if err != nil {
 		fatal("%v", err)
@@ -74,8 +77,8 @@ func main() {
 	fmt.Printf("  cost:            %s\n", res.Cost)
 	fmt.Printf("  bytes shipped:   %d across %d workers\n", res.TotalBytesSent(), len(res.Workers))
 	if *verify {
-		want := fsdinference.Reference(m, input)
-		if fsdinference.OutputsClose(res.Output, want, 1e-2) {
+		want := model.Reference(m, input)
+		if model.OutputsClose(res.Output, want, 1e-2) {
 			fmt.Println("  output verified against reference inference")
 		} else {
 			fatal("output DIVERGES from reference inference")

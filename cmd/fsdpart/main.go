@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"fsdinference"
+	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 )
 
@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	flag.Parse()
 
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(*neurons, *layers, *seed))
+	m, err := model.Generate(model.GraphChallengeSpec(*neurons, *layers, *seed))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsdpart: %v\n", err)
 		os.Exit(1)
@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("%-8s  %12s  %8s  %10s  %8s  %8s\n",
 		"scheme", "rowTransfers", "pairs", "rows/pair", "maxRows", "nnzImbal")
 	for _, scheme := range []partition.Scheme{partition.Block, partition.Random, partition.HGPDNN} {
-		plan, err := fsdinference.BuildPlan(m, *workers, scheme, fsdinference.PartitionOptions{Seed: *seed})
+		plan, err := partition.BuildPlan(m, *workers, scheme, partition.Options{Seed: *seed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fsdpart: %v: %v\n", scheme, err)
 			os.Exit(1)

@@ -41,7 +41,12 @@ import (
 	"strings"
 	"time"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/obs/monitor"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 func main() {
@@ -81,77 +86,77 @@ func main() {
 		fatal("need at least one model size")
 	}
 
-	opts := []fsdinference.ServiceOption{
-		fsdinference.WithCoalescing(*coalesceBatch, *coalesceDelay),
-		fsdinference.WithRunConcurrency(*runConc),
+	opts := []serve.Option{
+		serve.WithCoalescing(*coalesceBatch, *coalesceDelay),
+		serve.WithRunConcurrency(*runConc),
 	}
 	if *autoscale {
-		opts = append(opts, fsdinference.WithScaling(fsdinference.Autoscaler(
-			fsdinference.AutoscalerOptions{Min: 1, Max: *maxReplicas})))
+		opts = append(opts, serve.WithScaling(serve.Autoscaler(
+			serve.AutoscalerOptions{Min: 1, Max: *maxReplicas})))
 	} else {
-		opts = append(opts, fsdinference.WithReplicas(*replicas))
+		opts = append(opts, serve.WithReplicas(*replicas))
 	}
 	switch *admission {
 	case "fifo":
 	case "priority":
-		opts = append(opts, fsdinference.WithAdmission(fsdinference.PriorityAdmission()))
+		opts = append(opts, serve.WithAdmission(serve.PriorityAdmission()))
 	case "deadline":
-		opts = append(opts, fsdinference.WithAdmission(fsdinference.DeadlineAdmission(true)))
+		opts = append(opts, serve.WithAdmission(serve.DeadlineAdmission(true)))
 	default:
 		fatal("unknown admission policy %q", *admission)
 	}
 	if *tracePath != "" {
-		opts = append(opts, fsdinference.WithTracing(*traceSample))
+		opts = append(opts, serve.WithTracing(*traceSample))
 	}
 	monitoring := *monitorOn || len(sloArgs) > 0
 	if monitoring {
-		var slos []fsdinference.SLO
+		var slos []monitor.SLO
 		for _, arg := range sloArgs {
-			slo, err := fsdinference.ParseSLO(arg)
+			slo, err := monitor.ParseSLO(arg)
 			if err != nil {
 				fatal("%v", err)
 			}
 			slos = append(slos, slo)
 		}
 		if len(slos) == 0 {
-			slos = append(slos, fsdinference.SLO{
-				Name: "availability", Kind: fsdinference.Availability,
+			slos = append(slos, monitor.SLO{
+				Name: "availability", Kind: monitor.Availability,
 				Window: 30 * 24 * time.Hour, Objective: 0.999,
 			})
 		}
-		opts = append(opts, fsdinference.WithMonitor(fsdinference.MonitorSpec{
+		opts = append(opts, serve.WithMonitor(monitor.Spec{
 			Interval: *monInterval,
 			SLOs:     slos,
 		}))
 	}
-	var epOpts []fsdinference.EndpointOption
+	var epOpts []serve.EndpointOption
 	if *workers > 1 {
-		epOpts = append(epOpts, fsdinference.WithWorkers(*workers))
+		epOpts = append(epOpts, serve.WithWorkers(*workers))
 	}
 	if *channel != "" {
-		kind, err := fsdinference.ParseChannelKind(*channel)
+		kind, err := core.ParseChannelKind(*channel)
 		if err != nil {
 			fatal("%v", err)
 		}
-		epOpts = append(epOpts, fsdinference.WithChannel(kind))
+		epOpts = append(epOpts, serve.WithChannel(kind))
 	}
 	for _, n := range sizes {
 		fmt.Printf("generating %d-neuron, %d-layer sparse DNN...\n", n, *layers)
-		m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(n, *layers, 1))
+		m, err := model.Generate(model.GraphChallengeSpec(n, *layers, 1))
 		if err != nil {
 			fatal("%v", err)
 		}
-		opts = append(opts, fsdinference.WithEndpoint(fmt.Sprintf("n%d", n), m, epOpts...))
+		opts = append(opts, serve.WithEndpoint(fmt.Sprintf("n%d", n), m, epOpts...))
 	}
 
-	svc, err := fsdinference.NewService(fsdinference.NewEnv(), opts...)
+	svc, err := serve.NewService(env.NewDefault(), opts...)
 	if err != nil {
 		fatal("%v", err)
 	}
-	trace := fsdinference.WorkloadDay(*queries**batch, sizes, *batch, *seed)
+	trace := workload.Day(*queries**batch, sizes, *batch, *seed)
 	fmt.Printf("replaying %d queries over one simulated day on endpoints %v...\n",
 		len(trace), svc.Endpoints())
-	rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: *seed, Verify: *verify})
+	rep, err := svc.Replay(trace, serve.ReplayOptions{Seed: *seed, Verify: *verify})
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -15,7 +15,10 @@ import (
 	"log"
 	"time"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/model"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 const (
@@ -25,10 +28,10 @@ const (
 )
 
 // trace is a sporadic day with an evening burst of closely spaced queries.
-func trace() []fsdinference.Query {
-	day := fsdinference.WorkloadDay(60*batch, []int{neurons}, batch, 7)
+func trace() []workload.Query {
+	day := workload.Day(60*batch, []int{neurons}, batch, 7)
 	for i := 0; i < 100; i++ {
-		day = append(day, fsdinference.Query{
+		day = append(day, workload.Query{
 			At:      19*time.Hour + time.Duration(i)*20*time.Millisecond,
 			Neurons: neurons,
 			Samples: batch,
@@ -37,19 +40,19 @@ func trace() []fsdinference.Query {
 	return day
 }
 
-func replay(m *fsdinference.Model, scaling fsdinference.ScalingPolicy,
-	admission fsdinference.AdmissionPolicy, submit func(int, fsdinference.Query) fsdinference.SubmitOptions,
-) *fsdinference.ServiceReport {
-	svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-		fsdinference.WithEndpoint("ep", m),
-		fsdinference.WithCoalescing(4*batch, 100*time.Millisecond),
-		fsdinference.WithScaling(scaling),
-		fsdinference.WithAdmission(admission),
+func replay(m *model.Model, scaling serve.ScalingPolicy,
+	admission serve.AdmissionPolicy, submit func(int, workload.Query) serve.SubmitOptions,
+) *serve.Report {
+	svc, err := serve.NewService(env.NewDefault(),
+		serve.WithEndpoint("ep", m),
+		serve.WithCoalescing(4*batch, 100*time.Millisecond),
+		serve.WithScaling(scaling),
+		serve.WithAdmission(admission),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := svc.Replay(trace(), fsdinference.ReplayOptions{Seed: 11, Submit: submit})
+	rep, err := svc.Replay(trace(), serve.ReplayOptions{Seed: 11, Submit: submit})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,18 +60,18 @@ func replay(m *fsdinference.Model, scaling fsdinference.ScalingPolicy,
 }
 
 func main() {
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(neurons, layers, 1))
+	m, err := model.Generate(model.GraphChallengeSpec(neurons, layers, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fixed := replay(m, fsdinference.FixedPool(3), fsdinference.FIFO(), nil)
-	auto := replay(m, fsdinference.Autoscaler(fsdinference.AutoscalerOptions{Min: 1, Max: 3}),
-		fsdinference.FIFO(), nil)
+	fixed := replay(m, serve.FixedPool(3), serve.FIFO(), nil)
+	auto := replay(m, serve.Autoscaler(serve.AutoscalerOptions{Min: 1, Max: 3}),
+		serve.FIFO(), nil)
 
 	fmt.Printf("%-22s  %14s  %12s  %10s  %10s  %12s\n",
 		"scaling", "replica-hours", "metered $", "p50", "p95", "scale up/dn")
-	row := func(name string, r *fsdinference.ServiceReport) {
+	row := func(name string, r *serve.Report) {
 		ep := r.Endpoints[0]
 		fmt.Printf("%-22s  %14.2f  %12.4f  %10v  %10v  %7d/%d\n",
 			name, ep.ReplicaSeconds/3600, r.TotalCost.Total(),
@@ -87,12 +90,12 @@ func main() {
 	// queues up and the policy sheds (ErrShed) the work that can no
 	// longer meet its deadline instead of serving uselessly late answers;
 	// the autoscaler grows through the burst and serves everything.
-	deadline := func(int, fsdinference.Query) fsdinference.SubmitOptions {
-		return fsdinference.SubmitOptions{Deadline: 2 * time.Second}
+	deadline := func(int, workload.Query) serve.SubmitOptions {
+		return serve.SubmitOptions{Deadline: 2 * time.Second}
 	}
-	starved := replay(m, fsdinference.FixedPool(1), fsdinference.DeadlineAdmission(false), deadline)
-	elastic := replay(m, fsdinference.Autoscaler(fsdinference.AutoscalerOptions{Min: 1, Max: 3}),
-		fsdinference.DeadlineAdmission(false), deadline)
+	starved := replay(m, serve.FixedPool(1), serve.DeadlineAdmission(false), deadline)
+	elastic := replay(m, serve.Autoscaler(serve.AutoscalerOptions{Min: 1, Max: 3}),
+		serve.DeadlineAdmission(false), deadline)
 	fmt.Printf("\nwith 2s deadlines: fixed(1) served %d and shed %d; autoscale served %d and shed %d\n",
 		starved.Queries-starved.Failed, starved.Endpoints[0].Shed,
 		elastic.Queries-elastic.Failed, elastic.Endpoints[0].Shed)

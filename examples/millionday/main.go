@@ -12,25 +12,24 @@ import (
 	"log"
 	"time"
 
-	"fsdinference"
-	"fsdinference/internal/core"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/model"
 	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 // replayMillion streams a diurnal day of total queries through a fresh
 // single-endpoint service and returns the report with the wall-clock the
-// replay took. Split out so the example's test can hold it to a budget.
-func replayMillion(total int) (*fsdinference.ServiceReport, time.Duration, error) {
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(64, 2, 1))
+// replay took. Split out so the example's test can hold it to a budget and
+// its benchmark can time it.
+func replayMillion(total int) (*serve.Report, time.Duration, error) {
+	m, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
 		return nil, 0, err
 	}
-	// Compression is the data plane's concern; the example measures the
-	// replay engine, so the endpoint ships raw payloads.
-	svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-		fsdinference.WithEndpoint("m64", m,
-			serve.WithDeployOverride(func(c *core.Config) { c.Compress = false })),
-		fsdinference.WithCoalescing(4096, 5*time.Minute),
+	svc, err := serve.NewService(env.NewDefault(),
+		serve.WithEndpoint("m64", m),
+		serve.WithCoalescing(4096, 5*time.Minute),
 	)
 	if err != nil {
 		return nil, 0, err
@@ -38,8 +37,8 @@ func replayMillion(total int) (*fsdinference.ServiceReport, time.Duration, error
 	//simlint:allow walltime — measures how long the host took to run the replay (the example's headline number); the simulated day itself is kernel time
 	start := time.Now()
 	rep, err := svc.ReplayStream(
-		fsdinference.DiurnalDay(total, []int{64}, 1, 7, 8192),
-		fsdinference.ReplayOptions{Seed: 11})
+		workload.DiurnalDay(total, []int{64}, 1, 7, 8192),
+		serve.ReplayOptions{Seed: 11})
 	if err != nil {
 		return nil, 0, err
 	}

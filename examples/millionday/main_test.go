@@ -28,3 +28,21 @@ func TestMillionDayUnderBudget(t *testing.T) {
 	t.Logf("replayed %d queries in %v (%.0f queries/sec)",
 		rep.Queries, wall.Round(time.Millisecond), float64(rep.Queries)/wall.Seconds())
 }
+
+// BenchmarkMillionQueryReplay streams the one-million-query day through
+// replayMillion per iteration — streaming trace generation, admission,
+// coalescing, batched inference, incremental report folding — and reports
+// sustained queries/sec. `make profile` profiles it.
+func BenchmarkMillionQueryReplay(b *testing.B) {
+	const total = 1_000_000
+	for i := 0; i < b.N; i++ {
+		rep, _, err := replayMillion(total)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Queries != total || rep.Failed != 0 {
+			b.Fatalf("replayed %d queries, %d failed", rep.Queries, rep.Failed)
+		}
+	}
+	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+}

@@ -13,7 +13,10 @@ import (
 	"log"
 	"time"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/model"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 const (
@@ -25,10 +28,10 @@ const (
 // trace is one clustered burst: queries arriving faster than a single
 // engine run completes, so serving them needs either a wide pool or
 // multiplexed runs.
-func trace() []fsdinference.Query {
-	var qs []fsdinference.Query
+func trace() []workload.Query {
+	var qs []workload.Query
 	for i := 0; i < 80; i++ {
-		qs = append(qs, fsdinference.Query{
+		qs = append(qs, workload.Query{
 			At:      time.Duration(i) * 120 * time.Millisecond,
 			Neurons: neurons,
 			Samples: batch,
@@ -38,7 +41,7 @@ func trace() []fsdinference.Query {
 }
 
 func main() {
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(neurons, layers, 1))
+	m, err := model.Generate(model.GraphChallengeSpec(neurons, layers, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,18 +55,18 @@ func main() {
 	}
 	var pts []point
 	for rc := 1; rc <= 4; rc++ {
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("ep", m),
-			fsdinference.WithCoalescing(batch, 50*time.Millisecond),
-			fsdinference.WithScaling(fsdinference.Autoscaler(fsdinference.AutoscalerOptions{
+		svc, err := serve.NewService(env.NewDefault(),
+			serve.WithEndpoint("ep", m),
+			serve.WithCoalescing(batch, 50*time.Millisecond),
+			serve.WithScaling(serve.Autoscaler(serve.AutoscalerOptions{
 				Min: 1, Max: 12, IdleGrace: 30 * time.Second,
 			})),
-			fsdinference.WithRunConcurrency(rc),
+			serve.WithRunConcurrency(rc),
 		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := svc.Replay(trace(), fsdinference.ReplayOptions{Seed: 11})
+		rep, err := svc.Replay(trace(), serve.ReplayOptions{Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}

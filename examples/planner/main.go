@@ -11,7 +11,7 @@
 //  3. A live re-plan — a serving endpoint under WithSLO starts on the
 //     queue channel, a sustained burst pushes the observed arrival rate
 //     over the memory break-even and flips it to the provisioned store,
-//     and the cool-down flips it back; the ServiceReport records both
+//     and the cool-down flips it back; the serve.Report records both
 //     re-plan events.
 package main
 
@@ -20,7 +20,12 @@ import (
 	"log"
 	"time"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/plan"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 const (
@@ -30,30 +35,30 @@ const (
 	batch   = 32
 )
 
-func grid() fsdinference.PlannerGrid {
-	return fsdinference.PlannerGrid{
-		Channels: []fsdinference.ChannelKind{
-			fsdinference.Queue, fsdinference.Object, fsdinference.Memory,
+func grid() plan.Grid {
+	return plan.Grid{
+		Channels: []core.ChannelKind{
+			core.Queue, core.Object, core.Memory,
 		},
 		Workers: []int{workers},
 	}
 }
 
 func main() {
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(neurons, layers, 1))
+	m, err := model.Generate(model.GraphChallengeSpec(neurons, layers, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 1. Objective choice: the pluggable ranking decides the channel.
 	fmt.Println("== objective choice (sporadic 20 queries/day) ==")
-	sporadic := fsdinference.WorkloadProfile{QueriesPerDay: 20, BatchSamples: batch}
-	for _, obj := range []fsdinference.PlanObjective{
-		fsdinference.LatencyObjective(),
-		fsdinference.CostObjective(),
-		fsdinference.DeadlineObjective(6 * time.Second),
+	sporadic := plan.WorkloadProfile{QueriesPerDay: 20, BatchSamples: batch}
+	for _, obj := range []plan.Objective{
+		plan.LatencyObjective(),
+		plan.CostObjective(),
+		plan.DeadlineObjective(6 * time.Second),
 	} {
-		p, err := fsdinference.NewPlanner(m, fsdinference.PlannerOptions{
+		p, err := plan.New(m, plan.Options{
 			Objective: obj, Grid: grid(), DisablePrefilter: true,
 		})
 		if err != nil {
@@ -69,8 +74,8 @@ func main() {
 	// 2. Pre-filter pruning: the analytic §IV model prunes the grid
 	// before paying for simulated trials.
 	fmt.Println("\n== analytic pre-filter (cost objective, sporadic profile) ==")
-	p, err := fsdinference.NewPlanner(m, fsdinference.PlannerOptions{
-		Objective: fsdinference.CostObjective(), Grid: grid(),
+	p, err := plan.New(m, plan.Options{
+		Objective: plan.CostObjective(), Grid: grid(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +94,7 @@ func main() {
 
 	// A re-plan under a sustained profile flips the channel: the flat
 	// node rate now amortises below the per-request spend.
-	d2, err := p.Replan(fsdinference.WorkloadProfile{QueriesPerDay: 200_000, BatchSamples: batch})
+	d2, err := p.Replan(plan.WorkloadProfile{QueriesPerDay: 200_000, BatchSamples: batch})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,26 +105,26 @@ func main() {
 	// WorkloadProfile feeds Replan when the arrival rate crosses the
 	// measured break-even.
 	fmt.Println("\n== live re-plan under WithSLO ==")
-	small, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 6, 1))
+	small, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-		fsdinference.WithEndpoint("slo", small, fsdinference.WithSLO(fsdinference.SLOOptions{
+	svc, err := serve.NewService(env.NewDefault(),
+		serve.WithEndpoint("slo", small, serve.WithSLO(serve.SLOOptions{
 			LatencyWeight: 0, // cost objective: the break-even decides
-			Channels:      []fsdinference.ChannelKind{fsdinference.Queue, fsdinference.Memory},
+			Channels:      []core.ChannelKind{core.Queue, core.Memory},
 			Workers:       []int{2},
 			ProbeBatch:    4,
 			MinRuns:       2,
 		})),
-		fsdinference.WithCoalescing(4, 0),
+		serve.WithCoalescing(4, 0),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var trace []fsdinference.Query
+	var trace []workload.Query
 	add := func(at time.Duration) {
-		trace = append(trace, fsdinference.Query{At: at, Neurons: 256, Samples: 4})
+		trace = append(trace, workload.Query{At: at, Neurons: 256, Samples: 4})
 	}
 	for i := 0; i < 4; i++ { // sporadic morning: one query a minute
 		add(time.Duration(i) * time.Minute)
@@ -130,7 +135,7 @@ func main() {
 	for i := 0; i < 6; i++ { // cool-down: five-minute gaps
 		add(10*time.Minute + time.Duration(i)*5*time.Minute)
 	}
-	rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 11})
+	rep, err := svc.Replay(trace, serve.ReplayOptions{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,7 +149,7 @@ func main() {
 }
 
 // pickDaily projects the decision's own pick to a daily cost at a volume.
-func pickDaily(d *fsdinference.PlanDecision, queriesPerDay int64) float64 {
+func pickDaily(d *plan.Decision, queriesPerDay int64) float64 {
 	for _, t := range d.Trials {
 		if t.Candidate == d.Best {
 			return t.DailyCost(queriesPerDay)

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"log"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/partition"
 )
 
 func main() {
@@ -18,26 +21,26 @@ func main() {
 		batch   = 32
 	)
 	fmt.Printf("generating a %d-neuron, %d-layer Graph Challenge-style sparse DNN\n", neurons, layers)
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(neurons, layers, 1))
+	m, err := model.Generate(model.GraphChallengeSpec(neurons, layers, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	input := fsdinference.GenerateInputs(neurons, batch, 0.2, 2)
-	want := fsdinference.Reference(m, input)
+	input := model.GenerateInputs(neurons, batch, 0.2, 2)
+	want := model.Reference(m, input)
 
-	plan, err := fsdinference.BuildPlan(m, workers, fsdinference.HGPDNN, fsdinference.PartitionOptions{Seed: 1})
+	plan, err := partition.BuildPlan(m, workers, partition.HGPDNN, partition.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	for _, kind := range []fsdinference.ChannelKind{
-		fsdinference.Serial, fsdinference.Queue, fsdinference.Object,
+	for _, kind := range []core.ChannelKind{
+		core.Serial, core.Queue, core.Object,
 	} {
-		cfg := fsdinference.Config{Model: m, Channel: kind}
-		if kind != fsdinference.Serial {
+		cfg := core.Config{Model: m, Channel: kind}
+		if kind != core.Serial {
 			cfg.Plan = plan
 		}
-		d, err := fsdinference.Deploy(fsdinference.NewEnv(), cfg)
+		d, err := core.Deploy(env.NewDefault(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ok := fsdinference.OutputsClose(res.Output, want, 1e-2)
+		ok := model.OutputsClose(res.Output, want, 1e-2)
 		fmt.Printf("\n%-16s P=%-2d latency=%-14v per-sample=%-12v cost=$%.6f verified=%v\n",
 			kind, cfg.Workers(), res.Latency, res.PerSample(), res.Cost.Total(), ok)
 		fmt.Printf("  %s\n", res.Cost)

@@ -23,11 +23,16 @@ import (
 	"os"
 	"time"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/obs/monitor"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 func main() {
-	m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(256, 12, 1))
+	m, err := model.Generate(model.GraphChallengeSpec(256, 12, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,9 +40,9 @@ func main() {
 	// Flash crowd: 10 quiet minutes at one query per 30s, then four
 	// minutes at 1.25 queries/s — beyond the queue channel's ~0.8 req/s
 	// but within the memory channel's reach — and a tail for the drain.
-	var trace []fsdinference.Query
+	var trace []workload.Query
 	add := func(at time.Duration) {
-		trace = append(trace, fsdinference.Query{At: at, Neurons: 256, Samples: 4})
+		trace = append(trace, workload.Query{At: at, Neurons: 256, Samples: 4})
 	}
 	for i := 0; i < 20; i++ {
 		add(time.Duration(i) * 30 * time.Second)
@@ -50,20 +55,20 @@ func main() {
 		add(14*time.Minute + 30*time.Second + time.Duration(i)*30*time.Second)
 	}
 
-	run := func(passive bool) *fsdinference.ServiceMonitor {
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("slo", m, fsdinference.WithSLO(fsdinference.SLOOptions{
+	run := func(passive bool) *monitor.Monitor {
+		svc, err := serve.NewService(env.NewDefault(),
+			serve.WithEndpoint("slo", m, serve.WithSLO(serve.SLOOptions{
 				LatencyWeight: 0, // cost pick: the quiet morning chooses queue
-				Channels:      []fsdinference.ChannelKind{fsdinference.Queue, fsdinference.Memory},
+				Channels:      []core.ChannelKind{core.Queue, core.Memory},
 				Workers:       []int{2},
 				ProbeBatch:    4,
 				MinRuns:       64, // the drift trigger's anti-flap gate
 			})),
-			fsdinference.WithCoalescing(4, 0),
-			fsdinference.WithMonitor(fsdinference.MonitorSpec{
+			serve.WithCoalescing(4, 0),
+			serve.WithMonitor(monitor.Spec{
 				Interval: 15 * time.Second,
-				SLOs: []fsdinference.SLO{{
-					Name: "lat-p95", Endpoint: "slo", Kind: fsdinference.LatencyQuantile,
+				SLOs: []monitor.SLO{{
+					Name: "lat-p95", Endpoint: "slo", Kind: monitor.LatencyQuantile,
 					Target: 4 * time.Second, Window: 24 * time.Hour, Objective: 0.99,
 				}},
 				Passive: passive,
@@ -72,7 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 1})
+		rep, err := svc.Replay(trace, serve.ReplayOptions{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,16 +15,20 @@ import (
 	"fmt"
 	"log"
 
-	"fsdinference"
+	"fsdinference/internal/baselines"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/model"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 func main() {
 	const batch = 32
 	sizes := []int{256, 512}
 
-	models := map[int]*fsdinference.Model{}
+	models := map[int]*model.Model{}
 	for _, n := range sizes {
-		m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(n, 12, 1))
+		m, err := model.Generate(model.GraphChallengeSpec(n, 12, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,8 +39,8 @@ func main() {
 	// provisions a fresh right-sized server per query by definition).
 	jsPer := map[int]float64{}
 	for _, n := range sizes {
-		js, err := fsdinference.RunJobScoped(fsdinference.NewEnv(),
-			models[n], fsdinference.GenerateInputs(n, batch, 0.2, 2))
+		js, err := baselines.RunJobScoped(env.NewDefault(),
+			models[n], model.GenerateInputs(n, batch, 0.2, 2))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,22 +53,22 @@ func main() {
 	fmt.Printf("%12s  %12s  %12s  %12s  %10s  %10s\n",
 		"queries/day", "FSD $ (meas)", "always-on $", "job-scoped $", "p50", "p99")
 	volumes := []int{10, 100, 1000}
-	var lastReport *fsdinference.ServiceReport
+	var lastReport *serve.Report
 	for _, q := range volumes {
-		day := fsdinference.WorkloadDay(q*batch, sizes, batch, 7)
+		day := workload.Day(q*batch, sizes, batch, 7)
 
 		// A fresh service per volume: one endpoint per model size, a
 		// small warm pool, coalescing for bursts.
-		svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-			fsdinference.WithEndpoint("n256", models[256]),
-			fsdinference.WithEndpoint("n512", models[512]),
-			fsdinference.WithCoalescing(4*batch, 0),
-			fsdinference.WithReplicas(2),
+		svc, err := serve.NewService(env.NewDefault(),
+			serve.WithEndpoint("n256", models[256]),
+			serve.WithEndpoint("n512", models[512]),
+			serve.WithCoalescing(4*batch, 0),
+			serve.WithReplicas(2),
 		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := svc.Replay(day, fsdinference.ReplayOptions{Seed: 11})
+		rep, err := svc.Replay(day, serve.ReplayOptions{Seed: 11})
 		if err != nil {
 			log.Fatal(err)
 		}

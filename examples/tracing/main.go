@@ -21,16 +21,20 @@ import (
 	"log"
 	"os"
 
-	"fsdinference"
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
+	"fsdinference/internal/serve"
+	"fsdinference/internal/workload"
 )
 
 func main() {
 	const batch = 32
 	sizes := []int{256, 512}
 
-	models := map[int]*fsdinference.Model{}
+	models := map[int]*model.Model{}
 	for _, n := range sizes {
-		m, err := fsdinference.GenerateModel(fsdinference.GraphChallengeSpec(n, 12, 1))
+		m, err := model.Generate(model.GraphChallengeSpec(n, 12, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,21 +44,21 @@ func main() {
 	// One serial endpoint and one distributed endpoint (4 workers on the
 	// memory channel), so the trace shows both request-level serving
 	// phases and engine-level worker/channel activity.
-	svc, err := fsdinference.NewService(fsdinference.NewEnv(),
-		fsdinference.WithEndpoint("n256", models[256]),
-		fsdinference.WithEndpoint("n512", models[512],
-			fsdinference.WithChannel(fsdinference.Memory),
-			fsdinference.WithWorkers(4)),
-		fsdinference.WithCoalescing(4*batch, 0),
-		fsdinference.WithReplicas(2),
-		fsdinference.WithTracing(1), // sample every request
+	svc, err := serve.NewService(env.NewDefault(),
+		serve.WithEndpoint("n256", models[256]),
+		serve.WithEndpoint("n512", models[512],
+			serve.WithChannel(core.Memory),
+			serve.WithWorkers(4)),
+		serve.WithCoalescing(4*batch, 0),
+		serve.WithReplicas(2),
+		serve.WithTracing(1), // sample every request
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	day := fsdinference.WorkloadDay(100*batch, sizes, batch, 7)
-	rep, err := svc.Replay(day, fsdinference.ReplayOptions{Seed: 11})
+	day := workload.Day(100*batch, sizes, batch, 7)
+	rep, err := svc.Replay(day, serve.ReplayOptions{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -435,13 +435,26 @@ func TestThroughputScalesPastSingleNodeCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturating the per-node limiter is a long simulation")
 	}
-	one := MeasureThroughput(1, "cache.t3.small", nil)
-	two := MeasureThroughput(2, "cache.t3.small", nil)
+	one, err := MeasureThroughput(1, "cache.t3.small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := MeasureThroughput(2, "cache.t3.small")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ceiling := kvstore.Catalog["cache.t3.small"].MaxOpsPerSec
 	if one > ceiling*1.10 {
 		t.Fatalf("single node served %.0f ops/s, above its %.0f ceiling", one, ceiling)
 	}
 	if two <= ceiling*1.3 {
 		t.Fatalf("2 shards served %.0f ops/s, not meaningfully past the %.0f single-node ceiling", two, ceiling)
+	}
+}
+
+// An unprovisionable cluster is the caller's error to handle, not a panic.
+func TestMeasureThroughputRejectsUnknownNodeType(t *testing.T) {
+	if _, err := MeasureThroughput(1, "cache.no.such"); err == nil {
+		t.Fatal("unknown node type: want an error")
 	}
 }

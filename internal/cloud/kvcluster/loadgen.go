@@ -18,18 +18,12 @@ import (
 // limiters actually enforce. It is the measurement behind the cluster
 // experiment's headline: one node pins at its ceiling, N shards serve
 // ~N times it.
-func MeasureThroughput(shards int, nodeType string, cfg *Config) float64 {
+func MeasureThroughput(shards int, nodeType string) (float64, error) {
 	k := sim.New()
 	kv := kvstore.New(k, usage.NewMeter(), kvstore.DefaultConfig())
-	ccfg := Config{Name: "loadgen", Shards: shards, NodeType: nodeType}
-	if cfg != nil {
-		ccfg = *cfg
-		ccfg.Shards = shards
-		ccfg.NodeType = nodeType
-	}
-	c, err := New(kv, ccfg)
+	c, err := New(kv, Config{Name: "loadgen", Shards: shards, NodeType: nodeType})
 	if err != nil {
-		panic(fmt.Sprintf("kvcluster: loadgen cluster: %v", err))
+		return 0, fmt.Errorf("kvcluster: loadgen cluster: %w", err)
 	}
 
 	const window = time.Second
@@ -53,8 +47,8 @@ func MeasureThroughput(shards int, nodeType string, cfg *Config) float64 {
 		})
 	}
 	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("kvcluster: loadgen run: %v", err))
+		return 0, fmt.Errorf("kvcluster: loadgen run: %w", err)
 	}
 	c.Release()
-	return float64(ops) / (window - warm).Seconds()
+	return float64(ops) / (window - warm).Seconds(), nil
 }

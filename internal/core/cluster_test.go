@@ -170,3 +170,31 @@ func TestMidRunFailoverByReplicationMode(t *testing.T) {
 		t.Fatal("R=2 breakdown carries no replica share")
 	}
 }
+
+// BenchmarkClusterChannel drives one inference run over the sharded,
+// replicated memory-store cluster — slot routing, async replication and
+// per-shard limiters all on the hot path.
+func BenchmarkClusterChannel(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 4, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 16, 0.2, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Deploy(env.NewDefault(), Config{
+			Model: m, Plan: plan, Channel: Memory,
+			KVNodes: 2, KVReplicas: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Infer(input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/sparse"
@@ -428,5 +429,99 @@ func TestShortPollingStillCorrectButChattier(t *testing.T) {
 	if rs.Usage.SQSReceiveCalls <= rl.Usage.SQSReceiveCalls {
 		t.Fatalf("short polling receives (%d) not above long polling (%d)",
 			rs.Usage.SQSReceiveCalls, rl.Usage.SQSReceiveCalls)
+	}
+}
+
+func BenchmarkEngineQueueRun(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 4, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 16, 0.2, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Deploy(env.NewDefault(), Config{
+			Model: m, Plan: plan, Channel: Queue,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Infer(input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllreduce drives one inference whose closing reduce is a true
+// allreduce at P=32 on the memory channel, flat versus binomial tree —
+// the collectives subsystem's hot path, where the flat
+// root frames the combined result once per target and the tree amortises
+// that over ceil(log2 P) rounds.
+func BenchmarkAllreduce(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 32, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 16, 0.2, 2)
+	for _, tc := range []struct {
+		name string
+		alg  collective.Algorithm
+	}{{"flat", collective.Flat}, {"tree", collective.Tree}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, err := Deploy(env.NewDefault(), Config{
+					Model: m, Plan: plan, Channel: Memory,
+					Collective: tc.alg, AllreduceOutput: true, Compress: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.Infer(input); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHybridChannel drives one inference over the size-aware hybrid
+// channel with a threshold low enough that both paths run hot: control
+// values ride the in-memory store, bulk values chunk into object storage
+// behind inline pointers with pipelined fetch.
+func BenchmarkHybridChannel(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 8, partition.HGPDNN, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := model.GenerateInputs(256, 64, 0.2, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Deploy(env.NewDefault(), Config{
+			Model: m, Plan: plan, Channel: Hybrid,
+			HybridThresholdBytes: 2 << 10,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := d.Infer(input)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Usage.HybridBulkValues == 0 || res.Usage.HybridSmallValues == 0 {
+			b.Fatalf("hybrid split not exercised: %d small / %d bulk",
+				res.Usage.HybridSmallValues, res.Usage.HybridBulkValues)
+		}
 	}
 }

@@ -48,7 +48,10 @@ func ClusterScaling(l *Lab) (*Table, error) {
 	// (1) Aggregate throughput versus shard count, at saturating offered
 	// load. The single node must pin at its ceiling; N shards ~N times it.
 	for _, shards := range []int{1, 2, 4} {
-		ops := kvcluster.MeasureThroughput(shards, clusterNodeType, nil)
+		ops, err := kvcluster.MeasureThroughput(shards, clusterNodeType)
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("throughput %d shard(s)", shards),
 			fmt.Sprintf("%.0f (%.2fx ceiling)", ops, ops/ceiling),

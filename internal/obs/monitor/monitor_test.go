@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -284,12 +285,43 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
+// FuzzParseSLO holds the -slo parser to the monitor's own checks: it never
+// panics, every SLO it accepts has an objective strictly inside (0, 1),
+// and New accepts it.
+func FuzzParseSLO(f *testing.F) {
+	for _, seed := range []string{
+		"latency:p99<=250ms@0.99,endpoint=large,window=720h,name=large-p99",
+		"availability@0.999,endpoint=small",
+		"latency:p95<=1s",
+		"availability@NaN",
+		"latency:p99<=250ms@nan",
+		"latency:p99<=0s",
+	} {
+		f.Add(seed)
+	}
+	clock := func() time.Duration { return 0 }
+	sched := func(time.Duration, func()) {}
+	f.Fuzz(func(t *testing.T, s string) {
+		slo, err := ParseSLO(s)
+		if err != nil {
+			return
+		}
+		if !(slo.Objective > 0 && slo.Objective < 1) {
+			t.Fatalf("ParseSLO(%q) accepted objective %v", s, slo.Objective)
+		}
+		if _, err := New(Spec{Interval: 30 * time.Second, SLOs: []SLO{slo}}, clock, sched, nil); err != nil {
+			t.Fatalf("ParseSLO(%q) = %+v, which New rejects: %v", s, slo, err)
+		}
+	})
+}
+
 func TestSpecValidation(t *testing.T) {
 	clock := func() time.Duration { return 0 }
 	sched := func(time.Duration, func()) {}
 	for _, spec := range []Spec{
 		{Interval: -time.Second},
 		{SLOs: []SLO{{Name: "x", Objective: 1.5}}},
+		{SLOs: []SLO{{Name: "x", Kind: Availability, Objective: math.NaN()}}},
 		{SLOs: []SLO{{Objective: 0.9}}},
 		{SLOs: []SLO{{Name: "lat", Kind: LatencyQuantile, Objective: 0.9}}},
 		{Rules: []BurnRule{{Short: time.Hour, Long: time.Minute, Burn: 2}}},

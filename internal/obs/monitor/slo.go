@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,6 +52,21 @@ type SLO struct {
 	Window time.Duration
 	// Objective is the promised good fraction in (0, 1), e.g. 0.999.
 	Objective float64
+}
+
+// validate checks one SLO on its own: a name, an objective strictly
+// inside (0, 1) — NaN is not — and a positive target for a latency SLO.
+func (s SLO) validate() error {
+	if s.Name == "" {
+		return errors.New("no name")
+	}
+	if !(s.Objective > 0 && s.Objective < 1) {
+		return fmt.Errorf("%q objective %v outside (0, 1)", s.Name, s.Objective)
+	}
+	if s.Kind == LatencyQuantile && s.Target <= 0 {
+		return fmt.Errorf("latency SLO %q needs a positive target", s.Name)
+	}
+	return nil
 }
 
 // split counts the window's good and bad events under this SLO.
@@ -167,14 +183,8 @@ func (s Spec) validate() error {
 		return fmt.Errorf("monitor: series capacity %d is too small", s.Capacity)
 	}
 	for i, slo := range s.SLOs {
-		if slo.Name == "" {
-			return fmt.Errorf("monitor: SLO %d has no name", i)
-		}
-		if slo.Objective <= 0 || slo.Objective >= 1 {
-			return fmt.Errorf("monitor: SLO %q objective %v outside (0, 1)", slo.Name, slo.Objective)
-		}
-		if slo.Kind == LatencyQuantile && slo.Target <= 0 {
-			return fmt.Errorf("monitor: latency SLO %q needs a positive target", slo.Name)
+		if err := slo.validate(); err != nil {
+			return fmt.Errorf("monitor: SLO %d: %w", i, err)
 		}
 	}
 	for i, r := range s.Rules {
@@ -196,7 +206,8 @@ func (s Spec) validate() error {
 //
 // The leading clause is either "latency:pNN<=DUR@OBJ" (the quantile is
 // documentation — the objective is what is enforced; pNN defaults OBJ to
-// NN/100 when @OBJ is omitted) or "availability@OBJ".
+// NN/100 when @OBJ is omitted) or "availability@OBJ". A parsed SLO has
+// passed the checks New applies to every SLO of a Spec.
 func ParseSLO(s string) (SLO, error) {
 	parts := strings.Split(s, ",")
 	head := strings.TrimSpace(parts[0])
@@ -260,6 +271,9 @@ func ParseSLO(s string) (SLO, error) {
 		default:
 			return SLO{}, fmt.Errorf("monitor: unknown SLO option %q", k)
 		}
+	}
+	if err := slo.validate(); err != nil {
+		return SLO{}, fmt.Errorf("monitor: SLO %q: %w", s, err)
 	}
 	return slo, nil
 }

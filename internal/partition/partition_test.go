@@ -249,3 +249,16 @@ func TestRowsSortedAndComplete(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkHypergraphPartition(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(512, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildPlan(m, 8, HGPDNN, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -252,11 +252,6 @@ type Options struct {
 	// NewEnv supplies fresh scratch environments for trials (default
 	// env.NewDefault).
 	NewEnv func() *env.Env
-	// DeployOverride mutates every candidate configuration after
-	// assembly — both trial deployments and the decision's returned
-	// Config — mirroring serve.WithDeployOverride (threads, polling,
-	// failover windows).
-	DeployOverride func(*core.Config)
 }
 
 // Planner selects deployment configurations for one model. It caches
@@ -584,9 +579,6 @@ func (p *Planner) config(c Candidate) (core.Config, error) {
 		cfg.KVReplicas = c.KVReplicas
 	}
 	cfg.Collective = c.Algo
-	if p.opts.DeployOverride != nil {
-		p.opts.DeployOverride(&cfg)
-	}
 	return cfg, nil
 }
 

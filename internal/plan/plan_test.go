@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
 	"fsdinference/internal/cost"
+	"fsdinference/internal/model"
 )
 
 // distributedGrid restricts planning to the queue and memory channels at
@@ -385,6 +387,107 @@ func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 		c := Candidate{Channel: v.Channel, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType, KVNodes: 1}
 		if reason, _ := analyticPrune(c, w, true, true); reason != v.Reason {
 			t.Errorf("%v: preview says %q, the planner's rule %q", v.Channel, v.Reason, reason)
+		}
+	}
+}
+
+// Plan under an assumed sporadic workload, observe the pruning stats,
+// re-plan under a sustained one, deploy the pick, and plan one-shot (the
+// weighted objective, no pre-filter, no profile beyond the probe batch).
+func TestPublicPlannerPlanAndReplan(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(m, Options{
+		Objective: CostObjective(),
+		Grid: Grid{
+			Channels: []core.ChannelKind{core.Queue, core.Memory},
+			Workers:  []int{2},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.Plan(WorkloadProfile{QueriesPerDay: 20, BatchSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Best.Channel != core.Queue {
+		t.Fatalf("sporadic plan picked %v, want queue", d.Best.Channel)
+	}
+	if d.Pruned == 0 {
+		t.Fatal("analytic pre-filter pruned nothing on the sporadic cost plan")
+	}
+	d2, err := p.Replan(WorkloadProfile{QueriesPerDay: 200_000, BatchSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Best.Channel != core.Memory || !d2.Changed {
+		t.Fatalf("sustained replan picked %v (changed=%v), want a flip to memory", d2.Best.Channel, d2.Changed)
+	}
+	// The decision's config deploys and serves on a caller environment.
+	dep, err := core.Deploy(env.NewDefault(), d2.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := model.GenerateInputs(256, 8, 0.2, 2)
+	res, err := dep.Infer(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !model.OutputsClose(res.Output, model.Reference(m, in), 1e-2) {
+		t.Fatal("planned config produced wrong output")
+	}
+
+	oneShot, err := New(m, Options{
+		Objective:        WeightedObjective(1),
+		Grid:             Grid{Workers: []int{2}},
+		DisablePrefilter: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := oneShot.Plan(WorkloadProfile{BatchSamples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Best.Channel != core.Serial {
+		t.Fatalf("latency-weighted one-shot plan picked %v, want serial for a model this small", sel.Best.Channel)
+	}
+}
+
+// BenchmarkPlanner measures one full Plan/Replan cycle of the
+// workload-aware planner: analytic pre-filter, probe trials for the
+// surviving candidates, then a re-plan under a sustained profile that
+// must re-score cached measurements rather than re-simulate.
+func BenchmarkPlanner(b *testing.B) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(m, Options{
+			Objective: CostObjective(),
+			Grid: Grid{
+				Channels: []core.ChannelKind{core.Queue, core.Memory},
+				Workers:  []int{2},
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := p.Plan(WorkloadProfile{QueriesPerDay: 20, BatchSamples: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d2, err := p.Replan(WorkloadProfile{QueriesPerDay: 200_000, BatchSamples: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.Best.Channel == d2.Best.Channel {
+			b.Fatalf("replan did not flip the channel: %v", d.Best.Channel)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func TestShardedClusterEndpointTearsDownEveryShard(t *testing.T) {
 	}
 }
 
-// A mid-replay shard kill surfaces in the ServiceReport: the failover,
+// A mid-replay shard kill surfaces in the Report: the failover,
 // the lost and re-sent values, the replica node-hours that cushioned
 // nothing (R=1 still loses the async pipe) and the per-shard breakdown.
 func TestReplayReportCarriesFailoverStats(t *testing.T) {

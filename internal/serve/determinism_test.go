@@ -8,7 +8,7 @@ import (
 )
 
 // TestReplaySameSeedIdenticalReports replays the same trace twice on
-// identically configured fresh services and diffs the full ServiceReports:
+// identically configured fresh services and diffs the full Reports:
 // every field — counts, latencies, costs, per-endpoint breakdowns, the
 // rendered report text — must match bit-for-bit. This is the determinism
 // contract the sharded replay lanes and the planner's cached probe trials

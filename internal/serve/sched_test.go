@@ -532,7 +532,7 @@ func TestSLOSelectsConfigurationAndReselectsOnDrift(t *testing.T) {
 // mid-trace: a sporadic morning (queue: the provisioned node would bill
 // mostly idle), a sustained burst (the flat node rate undercuts
 // per-request charges — flip to memory), then a cool-down (flip back).
-// The ServiceReport must record both re-plan events.
+// The Report must record both re-plan events.
 func TestReplanFlipsChannelAcrossBreakEven(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay with planner trials is a long simulation")
@@ -698,5 +698,53 @@ func TestRunErrorSurfacesOnAllUnresolvedHandles(t *testing.T) {
 		if !h.Done() {
 			t.Fatalf("doomed request %d still pending after Wait", i)
 		}
+	}
+}
+
+// The scheduler options together on one service: autoscaling replica
+// pools, deadline shedding and a replay that reports both policies.
+func TestPublicSchedulerPolicies(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(128, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(env.NewDefault(),
+		WithEndpoint("ep", m),
+		WithCoalescing(4, 0),
+		WithAdmission(DeadlineAdmission(false)),
+		WithScaling(Autoscaler(AutoscalerOptions{Min: 1, Max: 2})),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two fillers saturate the autoscaler's Max of 2 replicas, so the
+	// tight-deadline request must queue — and shed once it cannot finish
+	// in time.
+	filler1 := svc.Submit("ep", model.GenerateInputs(128, 4, 0.2, 2), 0)
+	filler2 := svc.Submit("ep", model.GenerateInputs(128, 4, 0.2, 4), 0)
+	doomed := svc.SubmitWith("ep", model.GenerateInputs(128, 4, 0.2, 3), time.Millisecond,
+		SubmitOptions{Deadline: 2 * time.Millisecond})
+	if _, err := filler1.Wait(); err != nil {
+		t.Fatalf("filler failed: %v", err)
+	}
+	if _, err := filler2.Wait(); err != nil {
+		t.Fatalf("second filler failed: %v", err)
+	}
+	if _, err := doomed.Wait(); !errors.Is(err, ErrShed) {
+		t.Fatalf("doomed: got %v, want ErrShed", err)
+	}
+
+	// A replay under autoscaling reports the scheduler metrics.
+	trace := workload.Day(20*8, []int{128}, 8, 7)
+	rep, err := svc.Replay(trace, ReplayOptions{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := rep.Endpoints[0]
+	if ep.ReplicaSeconds <= 0 {
+		t.Fatalf("replay reported no replica-seconds: %+v", ep)
+	}
+	if ep.Scaling == "" || ep.Admission == "" {
+		t.Fatalf("replay missing policy names: %+v", ep)
 	}
 }

@@ -315,3 +315,62 @@ func TestFailedRunFailsItsRequestsButNotTheService(t *testing.T) {
 		t.Fatal("healthy endpoint wrong output")
 	}
 }
+
+// Submit and trace replay on one multi-model service: two overlapping
+// asynchronous requests to different endpoints, then a replay that
+// continues on the same service after them.
+func TestPublicServiceSubmitAndReplay(t *testing.T) {
+	mSmall, err := model.Generate(model.GraphChallengeSpec(128, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mLarge, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(env.NewDefault(),
+		WithEndpoint("small", mSmall),
+		WithEndpoint("large", mLarge,
+			WithChannel(core.Queue),
+			WithWorkers(3)),
+		WithCoalescing(64, 200*time.Millisecond),
+		WithReplicas(2),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Async submits: two overlapping requests to different endpoints in
+	// one simulated-time run.
+	inSmall := model.GenerateInputs(128, 8, 0.2, 2)
+	inLarge := model.GenerateInputs(256, 8, 0.2, 3)
+	hSmall := svc.Submit("small", inSmall, 0)
+	hLarge := svc.Submit("large", inLarge, 0)
+	rSmall, err := hSmall.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rLarge, err := hLarge.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !model.OutputsClose(rSmall.Output, model.Reference(mSmall, inSmall), 1e-2) {
+		t.Fatal("small endpoint output diverges from reference")
+	}
+	if !model.OutputsClose(rLarge.Output, model.Reference(mLarge, inLarge), 1e-2) {
+		t.Fatal("large endpoint output diverges from reference")
+	}
+
+	// Trace replay continues on the same service, after the submits.
+	trace := workload.Day(30*8, []int{128, 256}, 8, 7)
+	rep, err := svc.Replay(trace, ReplayOptions{Seed: 11, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 0 || rep.Queries != len(trace) {
+		t.Fatalf("replay served %d/%d with %d failures", rep.Queries, len(trace), rep.Failed)
+	}
+	if rep.Latency.P50 <= 0 || rep.TotalCost.Total() <= 0 {
+		t.Fatalf("report missing measurements: %+v", rep.Latency)
+	}
+}

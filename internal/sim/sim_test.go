@@ -427,3 +427,21 @@ func TestProcName(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func BenchmarkSimKernelEvents(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		k := New()
+		c := NewCond(k)
+		for p := 0; p < 16; p++ {
+			k.Go("w", func(p *Proc) {
+				for j := 0; j < 100; j++ {
+					p.Sleep(1)
+				}
+				c.Broadcast()
+			})
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

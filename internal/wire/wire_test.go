@@ -280,3 +280,23 @@ func TestSliceAddLeavesParentAlone(t *testing.T) {
 		t.Fatal("the parent's frame no longer matches its rows")
 	}
 }
+
+func BenchmarkWireEncodeChunksCompressed(b *testing.B) {
+	rs := NewRowSet(64)
+	row := make([]float32, 64)
+	for i := range row {
+		if i%3 == 0 {
+			row[i] = float32(i)
+		}
+	}
+	for r := 0; r < 512; r++ {
+		rs.Add(int32(r), row)
+	}
+	b.SetBytes(rs.RawBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeChunks(rs, 240*1024, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Command simlint mechanizes the simulator's determinism discipline.
 //
 // Every headline guarantee in this repo — bit-for-bit lane-vs-single
-// ServiceReport equality, byte-identical Chrome traces across
+// serve.Report equality, byte-identical Chrome traces across
 // Replay/ReplayLanes/ReplayStream — rests on conventions that used to
 // live only in review comments: simulated code reads the simulated
 // clock, random streams are scoped per entity, concurrency goes
