@@ -1,7 +1,7 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc profile
+.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc profile docs-paths
 
-check: fmt vet build test lint bench-smoke fuzz-smoke
+check: fmt vet build test lint bench-smoke fuzz-smoke docs-paths
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -64,6 +64,16 @@ fuzz-smoke:
 			go test $$dir -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
 		done; \
 	done
+
+# docs-paths fails when README.md or the verify recipe names a program
+# (cmd/<name>, examples/<name>, with or without ./) that has no directory, so
+# deleting a program without its docs is caught. ROADMAP.md and CHANGES.md
+# are history and may name programs that are gone.
+DOC_FILES := README.md .claude/skills/verify/SKILL.md
+docs-paths:
+	@missing=$$(grep -o -h -E '(\./)?\b(cmd|examples)/[A-Za-z0-9_-]+' $(DOC_FILES) | sort -u | \
+		while read -r p; do [ -d "$$p" ] || echo "$$p"; done); \
+	if [ -n "$$missing" ]; then echo "$(DOC_FILES) name programs with no directory:"; echo "$$missing"; exit 1; fi
 
 # loc prints non-test, non-blank, non-comment Go lines per package: the
 # count every CHANGES.md entry reports its net change in.

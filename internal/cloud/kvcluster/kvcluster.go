@@ -369,35 +369,6 @@ func (c *Cluster) BLPop(p *sim.Proc, cl *Client, key string, wait time.Duration)
 	return val
 }
 
-// LPop is the non-blocking pop.
-func (c *Cluster) LPop(p *sim.Proc, cl *Client, key string) []byte {
-	return c.BLPop(p, cl, key, 0)
-}
-
-// Del removes a key on its owning shard, replicating the removal to the
-// shard's replicas host-side.
-func (c *Cluster) Del(p *sim.Proc, cl *Client, key string) error {
-	sh := c.shardFor(key)
-	if err := c.opReady(p, cl, sh); err != nil {
-		return err
-	}
-	sh.primary.Del(p, key)
-	for _, r := range sh.replicas {
-		r.ReplApplyDel(key)
-	}
-	return nil
-}
-
-// Expire (re)sets a key's TTL on its owning shard.
-func (c *Cluster) Expire(p *sim.Proc, cl *Client, key string, ttl time.Duration) error {
-	sh := c.shardFor(key)
-	if err := c.opReady(p, cl, sh); err != nil {
-		return err
-	}
-	sh.primary.Expire(p, key, ttl)
-	return nil
-}
-
 // DropPrefix discards every key under prefix host-side on every cluster
 // node — primaries and replicas across all shards — the control-plane
 // teardown of a run's keyspace. Free of charge and virtual time.

@@ -390,22 +390,6 @@ func (n *Node) BLPop(p *sim.Proc, key string, wait time.Duration) []byte {
 // LPop is the non-blocking pop.
 func (n *Node) LPop(p *sim.Proc, key string) []byte { return n.BLPop(p, key, 0) }
 
-// Expire (re)sets the key's TTL relative to now. Expiring a missing key
-// still bills the operation, as on Redis.
-func (n *Node) Expire(p *sim.Proc, key string, ttl time.Duration) {
-	n.chargeOp(p, 0)
-	n.dropExpired(key)
-	if e := n.items[key]; e != nil && ttl > 0 {
-		e.expiresAt = n.svc.k.Now() + ttl
-	}
-}
-
-// Del removes a key. Deleting a missing key succeeds.
-func (n *Node) Del(p *sim.Proc, key string) {
-	n.chargeOp(p, 0)
-	n.drop(key)
-}
-
 func (n *Node) drop(key string) {
 	if e := n.items[key]; e != nil {
 		n.usedBytes -= e.bytes + int64(n.svc.cfg.KeyOverheadBytes)
@@ -473,15 +457,6 @@ func (n *Node) ReplApplyPop(key string) {
 		n.usedBytes -= int64(n.svc.cfg.KeyOverheadBytes)
 		delete(n.items, key)
 	}
-}
-
-// ReplApplyDel removes a key host-side (the replication of a delete),
-// free of charge. Deleting a missing key is a no-op.
-func (n *Node) ReplApplyDel(key string) {
-	if n.released {
-		return
-	}
-	n.drop(key)
 }
 
 // SyncFrom replaces the node's contents with a host-side copy of src —

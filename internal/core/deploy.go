@@ -305,7 +305,11 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 		if d.Cfg.Channel == Serial {
 			fn = d.fnSerial
 		}
-		fut, err := d.Env.FaaS.Invoke(p, fn, mustJSON(workerPayload{Run: run.id}))
+		payload, err := json.Marshal(workerPayload{Run: run.id})
+		if err != nil {
+			return err
+		}
+		fut, err := d.Env.FaaS.Invoke(p, fn, payload)
 		if err != nil {
 			return err
 		}
@@ -436,7 +440,11 @@ func (d *Deployment) coordinatorHandler(ctx *faas.Ctx, payload []byte) ([]byte, 
 func (d *Deployment) launch(ctx *faas.Ctx, run *runState, r int) error {
 	first, end, step := d.Cfg.launchChildren(r)
 	for child := first; child < end; child += step {
-		fut, err := ctx.InvokeAsync(d.fnWorker, mustJSON(workerPayload{Run: run.id, Rank: child}))
+		payload, err := json.Marshal(workerPayload{Run: run.id, Rank: child})
+		if err != nil {
+			return fmt.Errorf("core: worker %d payload: %w", child, err)
+		}
+		fut, err := ctx.InvokeAsync(d.fnWorker, payload)
 		if err != nil {
 			invoker := "coordinator"
 			if r >= 0 {
@@ -449,12 +457,4 @@ func (d *Deployment) launch(ctx *faas.Ctx, run *runState, r int) error {
 		}
 	}
 	return nil
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

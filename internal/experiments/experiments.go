@@ -175,6 +175,7 @@ func Registry() []Runner {
 		{"cluster", "Sharded, replicated memory-store cluster: throughput scaling and failover", ClusterScaling},
 		{"planner", "Workload-aware planner vs static one-shot selection (Sec. VI-D1)", PlannerSelection},
 		{"slomonitor", "Burn-rate alert-driven re-planning vs break-even drift on a flash crowd", SLOMonitorControl},
+		{"serving", "Autoscaling vs fixed pools, deadline shedding and run multiplexing (Sec. VI-C)", Serving},
 		{"collectives", "Collective topologies vs P, and hybrid channel selection", CollectivesExperiment},
 		{"table2", "Per-sample runtime of serverless variants (Table II)", Table2PerSample},
 		{"table3", "HGP-DNN vs random partitioning (Table III)", Table3Partitioning},

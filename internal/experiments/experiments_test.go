@@ -35,7 +35,11 @@ func table(t *testing.T, id string) *Table {
 	if err := tabErr[id]; err != nil {
 		t.Fatalf("experiment %s failed: %v", id, err)
 	}
-	return tables[id]
+	tab, ok := tables[id]
+	if !ok {
+		t.Fatalf("no experiment %s is registered", id)
+	}
+	return tab
 }
 
 func cellFloat(t *testing.T, tab *Table, key, col string) float64 {
@@ -63,9 +67,12 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", r.ID)
 		}
 	}
-	for _, want := range []string{"fig4", "fig5", "fig6", "table2", "table3", "costval"} {
+	// The paper's experiments, and the ones README points at in place of
+	// example programs.
+	for _, want := range []string{"fig4", "fig5", "fig6", "table2", "table3", "costval",
+		"serving", "planner", "slomonitor"} {
 		if !ids[want] {
-			t.Fatalf("missing paper experiment %s", want)
+			t.Fatalf("missing experiment %s", want)
 		}
 	}
 	if _, ok := Find("fig4"); !ok {
@@ -612,5 +619,60 @@ func TestSLOMonitorAlertBeatsDrift(t *testing.T) {
 	// sink differs.
 	if p := cellFloat(t, tab, "drift-only", "page (s)"); p != page {
 		t.Fatalf("passive page at %.0fs diverged from active %.0fs", p, page)
+	}
+}
+
+func TestServingElasticity(t *testing.T) {
+	// The serving claims README quotes: on the sporadic day the autoscaler
+	// provisions at least 2.5x fewer replica-hours than a fixed pool of
+	// three at the same p95 and metered cost (within 2 %); under 2 s
+	// deadlines a starved fixed pool of one sheds at least a quarter of
+	// the day while the autoscaler serves it all; on the burst, every
+	// extra run a replica may overlap holds replica-hours level or lower,
+	// and four runs per replica need at most half of one's.
+	tab := table(t, "serving")
+	within := func(what string, a, b, tol float64) {
+		t.Helper()
+		if d := (a - b) / b; d > tol || d < -tol {
+			t.Fatalf("%s: %v vs %v differ by more than %.0f%%", what, a, b, tol*100)
+		}
+	}
+	fixedH := cellFloat(t, tab, "fixed(3)", "replica-hours")
+	autoH := cellFloat(t, tab, "autoscale(1..3)", "replica-hours")
+	if fixedH < 2.5*autoH {
+		t.Fatalf("autoscale %.2f replica-hours not 2.5x below fixed(3) %.2f", autoH, fixedH)
+	}
+	for _, col := range []string{"p95 (ms)", "metered $"} {
+		within(col, cellFloat(t, tab, "autoscale(1..3)", col), cellFloat(t, tab, "fixed(3)", col), 0.02)
+	}
+
+	const starved, elastic = "fixed(1) 2s deadline", "autoscale(1..3) 2s deadline"
+	served, shed := cellFloat(t, tab, starved, "served"), cellFloat(t, tab, starved, "shed")
+	if shed < 0.25*(served+shed) {
+		t.Fatalf("fixed(1) shed %.0f of %.0f queries, want at least a quarter", shed, served+shed)
+	}
+	if s := cellFloat(t, tab, elastic, "shed"); s != 0 {
+		t.Fatalf("autoscaler shed %.0f queries under 2s deadlines", s)
+	}
+	if s := cellFloat(t, tab, elastic, "served"); s != served+shed {
+		t.Fatalf("autoscaler served %.0f of %.0f queries", s, served+shed)
+	}
+
+	prev := 0.0
+	for rc := 1; rc <= 4; rc++ {
+		h := cellFloat(t, tab, fmt.Sprintf("burst runs/replica=%d", rc), "replica-hours")
+		if rc > 1 && h > prev {
+			t.Fatalf("runs/replica=%d: %.4f replica-hours, up from %.4f", rc, h, prev)
+		}
+		prev = h
+	}
+	if one := cellFloat(t, tab, "burst runs/replica=1", "replica-hours"); prev*2 > one {
+		t.Fatalf("runs/replica=4 holds %.4f replica-hours, not half of 1's %.4f", prev, one)
+	}
+
+	for _, row := range tab.Rows {
+		if f := cellFloat(t, tab, row[0], "failed"); f != 0 {
+			t.Fatalf("%s: %.0f queries failed", row[0], f)
+		}
 	}
 }

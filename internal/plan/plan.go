@@ -249,9 +249,6 @@ type Options struct {
 	Scheme partition.Scheme
 	// Seed drives probe generation and plan construction (default 1).
 	Seed int64
-	// NewEnv supplies fresh scratch environments for trials (default
-	// env.NewDefault).
-	NewEnv func() *env.Env
 }
 
 // Planner selects deployment configurations for one model. It caches
@@ -322,9 +319,6 @@ func New(m *model.Model, opts Options) (*Planner, error) {
 	opts.Grid = opts.Grid.withDefaults()
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.NewEnv == nil {
-		opts.NewEnv = env.NewDefault
 	}
 	return &Planner{
 		m:      m,
@@ -601,7 +595,7 @@ func (p *Planner) runTrial(c Candidate, batch int) measurement {
 		return measurement{err: err}
 	}
 	probe := model.GenerateInputs(p.m.Spec.Neurons, batch, 0.2, p.opts.Seed)
-	e := p.opts.NewEnv()
+	e := env.NewDefault()
 	d, err := core.Deploy(e, cfg)
 	if err != nil {
 		return measurement{err: err}
