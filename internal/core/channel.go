@@ -169,14 +169,23 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 
 // decodePayload decodes one received byte string, charging transfer-side
 // CPU (parse, plus decompression when the frame arrived deflated). It is
-// the decodeFunc of every transport whose bodies are all row sets.
+// the decodeFunc of every transport whose bodies are all row sets. A layer's
+// activation rows decode into the worker's receive arena and live until the
+// layer ends; a collective's sets are unioned and forwarded, so they decode
+// into sets of their own that keep their frames.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	w.metrics.BytesRecv += int64(len(body))
 	w.ctx.Serialize(int64(len(body)))
 	if wire.Deflated(body) {
 		w.ctx.Decompress(int64(len(body)))
 	}
-	rs, err := wire.Decode(body)
+	var rs *wire.RowSet
+	var err error
+	if w.gath.tag.kind == dataKind {
+		rs, w.recvIDs, w.recvVals, err = wire.DecodeAppend(body, w.recvIDs, w.recvVals)
+	} else {
+		rs, err = wire.Decode(body)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: worker %d decoding payload: %w", w.id, err)
 	}

@@ -54,7 +54,7 @@ type memoryChannel struct {
 }
 
 func newMemoryChannel(w *worker) *memoryChannel {
-	return &memoryChannel{inbox: inboxKey(w.run.id, w.id), resentAt: make(map[tag]int64)}
+	return &memoryChannel{inbox: w.run.inboxes[w.id], resentAt: make(map[tag]int64)}
 }
 
 func openMemory(w *worker) channel { return newMemoryChannel(w) }
@@ -86,10 +86,15 @@ func provisionStore(d *Deployment) error {
 	return nil
 }
 
-// bindStore notes the cluster's loss counter as the run begins (see
-// runState.baseLost). The nil checks here and in dropRunKeyspace are for a
-// deployment that was decommissioned while a late run still unbinds.
+// bindStore names the run's inboxes (see runState.inboxes) and notes the
+// cluster's loss counter as the run begins (see runState.baseLost). The nil
+// checks here and in dropRunKeyspace are for a deployment that was
+// decommissioned while a late run still unbinds.
 func bindStore(d *Deployment, run *runState) {
+	run.inboxes = make([]string, d.Cfg.Workers())
+	for m := range run.inboxes {
+		run.inboxes[m] = inboxKey(run.id, int32(m))
+	}
 	if d.kvcluster != nil {
 		run.baseLost = d.kvcluster.LostValues()
 	}
@@ -206,7 +211,7 @@ func (mc *memoryChannel) pushVal(w *worker, t tag, target int32, val []byte) fun
 	w.metrics.MessagesSent++
 	w.metrics.Publishes++
 	cl := w.d.kvcluster
-	key := inboxKey(w.run.id, target)
+	key := w.run.inboxes[target]
 	ttl := w.d.Cfg.FunctionTimeout
 	if w.run.sent == nil {
 		w.run.sent = make(map[int32][]sentValue)

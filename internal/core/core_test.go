@@ -442,6 +442,7 @@ func BenchmarkEngineQueueRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := model.GenerateInputs(256, 16, 0.2, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := Deploy(env.NewDefault(), Config{
@@ -476,6 +477,7 @@ func BenchmarkAllreduce(b *testing.B) {
 		alg  collective.Algorithm
 	}{{"flat", collective.Flat}, {"tree", collective.Tree}} {
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d, err := Deploy(env.NewDefault(), Config{
 					Model: m, Plan: plan, Channel: Memory,
@@ -506,6 +508,7 @@ func BenchmarkHybridChannel(b *testing.B) {
 		b.Fatal(err)
 	}
 	input := model.GenerateInputs(256, 64, 0.2, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := Deploy(env.NewDefault(), Config{

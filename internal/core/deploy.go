@@ -70,6 +70,9 @@ type runState struct {
 	// instances launch after the kill.
 	sent     map[int32][]sentValue
 	baseLost int64
+	// inboxes[m] is worker m's inbox list key on the store kinds, named
+	// once as the run binds so that no push builds it again.
+	inboxes []string
 
 	// outputs collects every worker's reduced result under
 	// AllreduceOutput (index = worker id; nil otherwise).

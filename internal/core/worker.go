@@ -30,6 +30,25 @@ type worker struct {
 	x        [][]float32
 	xTouched []int32
 
+	// The run's reusable buffers: a layer's rows are written into them
+	// instead of into fresh allocations, so the data path allocates per run,
+	// not per layer. None outlives the run or crosses to another invocation.
+	//
+	// zbuf[k&1] is layer k's output z, zeroed as the layer starts. Through
+	// layer k+1 x's own rows point into z_k, so the two layers in flight take
+	// alternate buffers.
+	zbuf [2]*sparse.Dense
+	// sendIDs and sendVals are the arena extractSendRows cuts one row set per
+	// send group from. The sets live until send returns; the frames encoded
+	// from them are fresh bytes, so nothing a service holds points here.
+	sendIDs  []int32
+	sendVals []float32
+	// recvIDs and recvVals are the arena a layer's data gather decodes into
+	// (decodePayload). The rows live in x until clearLayerState truncates
+	// the arena at the end of the layer.
+	recvIDs  []int32
+	recvVals []float32
+
 	ch      channel
 	metrics *WorkerMetrics
 
@@ -204,11 +223,26 @@ func (w *worker) setX(id int32, vals []float32) {
 	w.xTouched = append(w.xTouched, id)
 }
 
+// clearLayerState empties the row table and the receive arena its received
+// rows point into.
 func (w *worker) clearLayerState() {
 	for _, id := range w.xTouched {
 		w.x[id] = nil
 	}
 	w.xTouched = w.xTouched[:0]
+	w.recvIDs, w.recvVals = w.recvIDs[:0], w.recvVals[:0]
+}
+
+// layerOut returns the zeroed output buffer of layer k (see zbuf).
+func (w *worker) layerOut(k int) *sparse.Dense {
+	z := w.zbuf[k&1]
+	if z == nil {
+		z = sparse.NewDense(len(w.localRows), w.run.batch)
+		w.zbuf[k&1] = z
+	} else {
+		z.Zero()
+	}
+	return z
 }
 
 // runFSI executes the FSI loop (Algorithm 1 for the queue channel,
@@ -217,7 +251,6 @@ func (w *worker) clearLayerState() {
 func (w *worker) runFSI() error {
 	d := w.d
 	spec := d.Cfg.Model.Spec
-	batch := w.run.batch
 	perf := w.ctx.Perf()
 
 	// prevBytes tracks the accounted size of the activation state carried
@@ -239,7 +272,7 @@ func (w *worker) runFSI() error {
 
 		// Local multiply, overlapping communication with computation
 		// (line 8/9): z = W_m · x_m using only locally held rows.
-		z := sparse.NewDense(len(w.localRows), batch)
+		z := w.layerOut(k)
 		zBytes := int64(float64(z.Bytes()) * perf.MemOverheadData)
 		w.ctx.Alloc(zBytes)
 		macs := sparse.MulRowsInto(w.weights[k].own, w.x, z)
@@ -360,18 +393,39 @@ func (w *worker) barrier() error {
 // channel still tells the target the transfer is complete). Entries of one
 // send group share a single RowSet, so the channel's encode runs once per
 // group; serialization work is still charged here per target, and the
-// channel charges transport per target.
+// channel charges transport per target. The groups' sets are capped windows
+// of the send arena (see sendIDs), so one group's rows never spill into the
+// next's.
 func (w *worker) extractSendRows(k int) []targetRows {
 	entries := w.d.Cfg.Plan.Sends[k][w.id]
 	group := w.d.staged.sendGroup[k][w.id]
 	outs := make([]targetRows, 0, len(entries))
 	batch := w.run.batch
+	rows := 0
+	for i, e := range entries {
+		if group[i] == i {
+			rows += len(e.Rows)
+		}
+	}
+	if cap(w.sendIDs) < rows {
+		w.sendIDs = make([]int32, rows)
+	}
+	if cap(w.sendVals) < rows*batch {
+		w.sendVals = make([]float32, rows*batch)
+	}
+	off := 0
 	for i, e := range entries {
 		var rs *wire.RowSet
 		if g := group[i]; g < i {
 			rs = outs[g].rs
 		} else {
-			rs = wire.NewRowSetCap(batch, len(e.Rows))
+			end := off + len(e.Rows)
+			rs = &wire.RowSet{
+				Batch: batch,
+				IDs:   w.sendIDs[off:off:end],
+				Vals:  w.sendVals[off*batch : off*batch : end*batch],
+			}
+			off = end
 			for _, r := range e.Rows {
 				row := w.x[r]
 				if row == nil || allZero(row) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -349,30 +350,9 @@ func TestAppendPanicsOnWrongWidth(t *testing.T) {
 // or from scratch — decodes to the same rows. The payload is kept as the
 // set's frame under a flag only if it carries the flag byte Encode writes
 // for those rows and ends where the parsed frame ended, and always if it is
-// what Encode writes byte for byte. The seeds frame every set both ways
-// whatever its length, so zlib frames under the threshold are among them.
+// what Encode writes byte for byte.
 func FuzzDecode(f *testing.F) {
-	rng := rand.New(rand.NewSource(11))
-	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1),
-		bitsRowSet(rng), bitsRowSet(rng), bitsRowSet(rng), oneRowOf(f, rng, deflateFrom|2)}
-	for _, rs := range sets {
-		for _, deflate := range []bool{false, true} {
-			p, err := encode(rs, deflate)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(p)
-			f.Add(p[:len(p)/2])
-			f.Add(p[:len(p)-1])
-			f.Add(append(append([]byte{}, p...), 0xF5, 0x01, 0x00))
-			flagged := append([]byte{}, p...)
-			flagged[1] ^= 0x02
-			f.Add(flagged)
-		}
-	}
-	f.Add([]byte{magic, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{magic, 0, 1, 0, 0, 0x40, 0, 0, 0, 0x40})
-
+	addDecodeSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rs, err := Decode(b)
 		if err != nil {
@@ -403,6 +383,87 @@ func FuzzDecode(f *testing.F) {
 			}
 			if !rowSetsEqual(rs, back) {
 				t.Fatalf("compress=%v: Encode's output describes other rows than were decoded", compress)
+			}
+		}
+	})
+}
+
+// addDecodeSeeds seeds a decoder's fuzz target: every set framed both ways
+// whatever its length, so zlib frames under the threshold are among them,
+// each also cut in half, cut by a byte, trailed by a stray frame start and
+// flagged with an unknown bit; then two bodies whose counts lie.
+func addDecodeSeeds(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	sets := []*RowSet{NewRowSet(0), NewRowSet(16), randomRowSet(rng, 20, 8, 0.3), randomRowSet(rng, 3, 64, 1),
+		bitsRowSet(rng), bitsRowSet(rng), bitsRowSet(rng), oneRowOf(f, rng, deflateFrom|2)}
+	for _, rs := range sets {
+		for _, deflate := range []bool{false, true} {
+			p, err := encode(rs, deflate)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(p)
+			f.Add(p[:len(p)/2])
+			f.Add(p[:len(p)-1])
+			f.Add(append(append([]byte{}, p...), 0xF5, 0x01, 0x00))
+			flagged := append([]byte{}, p...)
+			flagged[1] ^= 0x02
+			f.Add(flagged)
+		}
+	}
+	f.Add([]byte{magic, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{magic, 0, 1, 0, 0, 0x40, 0, 0, 0, 0x40})
+}
+
+// FuzzDecodeAppend: for any bytes DecodeAppend agrees with Decode — both
+// reject them, or both accept the same rows — into storage that already holds
+// rows, with room to spare or none. What the storage held before the call is
+// left as it was, a rejected payload hands the storage back unchanged, and
+// the set's slices are capped: growing the set reallocates instead of writing
+// into the storage's spare capacity, where the next payload would go.
+func FuzzDecodeAppend(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantErr := Decode(b)
+		for _, spare := range []int{0, len(b)} {
+			ids := append(make([]int32, 0, 3+spare/4), 7, -8, 9)
+			vals := append(make([]float32, 0, 5+spare/4), 1, -2, float32(math.Inf(1)), 0, 5)
+			before := append([]float32{}, vals...)
+			rs, gotIDs, gotVals, err := DecodeAppend(b, ids, vals)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("spare %d: DecodeAppend error %v, Decode error %v", spare, err, wantErr)
+			}
+			if err != nil {
+				if &gotIDs[0] != &ids[0] || len(gotIDs) != len(ids) || &gotVals[0] != &vals[0] || len(gotVals) != len(vals) {
+					t.Fatalf("spare %d: a rejected payload did not hand the storage back as it was", spare)
+				}
+				continue
+			}
+			if !rowSetsEqual(rs, want) {
+				t.Fatalf("spare %d: DecodeAppend and Decode accepted different rows", spare)
+			}
+			if !slices.Equal(gotIDs[:len(ids)], []int32{7, -8, 9}) || !slices.Equal(gotVals[:len(vals)], before) {
+				t.Fatalf("spare %d: the storage's earlier rows changed", spare)
+			}
+			if len(gotIDs) != len(ids)+rs.Len() || len(gotVals) != len(vals)+len(rs.Vals) ||
+				!rowSetsEqual(rs, &RowSet{Batch: rs.Batch, IDs: gotIDs[len(ids):], Vals: gotVals[len(vals):]}) {
+				t.Fatalf("spare %d: the set is not the storage's appended rows", spare)
+			}
+			if cap(rs.IDs) != len(rs.IDs) || cap(rs.Vals) != len(rs.Vals) {
+				t.Fatalf("spare %d: the set's slices are not capped: ids %d/%d, vals %d/%d",
+					spare, len(rs.IDs), cap(rs.IDs), len(rs.Vals), cap(rs.Vals))
+			}
+			if rs.Batch <= 1<<10 {
+				next := gotIDs[:cap(gotIDs)][len(gotIDs):]
+				for i := range next {
+					next[i] = 42
+				}
+				rs.Add(1, make([]float32, rs.Batch))
+				for _, id := range next {
+					if id != 42 {
+						t.Fatalf("spare %d: Add on the set wrote into the storage's spare capacity", spare)
+					}
+				}
 			}
 		}
 	})
@@ -449,7 +510,7 @@ func TestBodyBytesMatchReferenceProperty(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: fillBody differs from the reference body", seed)
 		}
-		back, err := parseBody(want)
+		back, _, _, err := parseBody(want, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +591,7 @@ func BenchmarkBody(b *testing.B) {
 	})
 	b.Run("parse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := parseBody(body); err != nil {
+			if _, _, _, err := parseBody(body, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

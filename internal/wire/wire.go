@@ -21,6 +21,15 @@
 // and 37% at P=32 repeat another target's row list; on HGPDNN N=1024 P=8
 // (0 of 223) and Block N=1024 P=4 (0 of 144) none do.
 //
+// A decoded set has one of two lifetimes, and the receiver picks the decode
+// that matches. Decode returns a set of its own with the parsed payload
+// memoised as its frame: for a set that outlives the exchange it arrived in,
+// as a collective's partial results do when they are unioned or forwarded.
+// DecodeAppend returns a view of caller-owned storage the payload's rows were
+// appended to: for rows read once and dropped, as a worker's activation rows
+// are when the layer they arrived for ends and the worker truncates the
+// storage for the next. Both share the inflate step and the one body parser.
+//
 // Whether a frame is deflated is decided per message, from its size (as
 // FMI, arXiv 2305.08763, picks a transport per message), not per
 // deployment: a compressing sender deflates a set whose raw frame is
@@ -62,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -297,21 +307,38 @@ func fillBody(body []byte, rs *RowSet) {
 	}
 }
 
-// Decode parses a payload produced by Encode. The returned set keeps b as
-// its frame for b's flag, so forwarding it re-encodes nothing; the caller
-// must not modify b afterwards. Only a payload Encode could have framed is
-// kept: unknown flag bits, bytes trailing the compressed stream or a zlib
-// body shorter than Encode deflates parse, but do not describe the set.
+// Decode parses a payload produced by Encode into a set of its own. The
+// returned set keeps b as its frame for b's flag, so forwarding it
+// re-encodes nothing; the caller must not modify b afterwards. Only a payload
+// Encode could have framed is kept: unknown flag bits, bytes trailing the
+// compressed stream or a zlib body shorter than Encode deflates parse, but do
+// not describe the set. This is the decode for a set that outlives the
+// exchange it arrived in — one a collective unions or forwards; a set read
+// once and dropped decodes into caller-owned storage with DecodeAppend.
 func Decode(b []byte) (*RowSet, error) {
+	rs, _, _, err := DecodeAppend(b, nil, nil)
+	return rs, err
+}
+
+// DecodeAppend is Decode into caller-owned storage: the payload's row ids and
+// values are appended to ids and vals, which are returned grown, and the set
+// views exactly the appended elements. Its slices are capped, so an Add or
+// Append on the set reallocates rather than writing past its rows, and
+// nothing already in ids and vals is written to. The set lives as long as the
+// caller leaves that storage alone: a worker decodes a layer's arrivals into
+// one arena and truncates it when the layer ends. On error ids and vals come
+// back as they were passed. Nil storage is allocated at the payload's exact
+// size, which is what Decode does.
+func DecodeAppend(b []byte, ids []int32, vals []float32) (*RowSet, []int32, []float32, error) {
 	if len(b) < 2 || b[0] != magic {
-		return nil, fmt.Errorf("wire: bad payload preamble")
+		return nil, ids, vals, fmt.Errorf("wire: bad payload preamble")
 	}
 	if !Deflated(b) {
-		rs, err := parseBody(b[2:])
+		rs, ids, vals, err := parseBody(b[2:], ids, vals)
 		if err == nil && b[1] == 0 {
 			rs.enc[0] = b
 		}
-		return rs, err
+		return rs, ids, vals, err
 	}
 	src := bytes.NewReader(b[2:])
 	var err error
@@ -327,30 +354,31 @@ func Decode(b []byte) (*RowSet, error) {
 		defer zlibReaders.Put(zr)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wire: opening decompressor: %w", err)
+		return nil, ids, vals, fmt.Errorf("wire: opening decompressor: %w", err)
 	}
 	scratch := bodyBufs.Get().(*bytes.Buffer)
 	defer bodyBufs.Put(scratch)
 	scratch.Reset()
 	if _, err := scratch.ReadFrom(zr); err != nil {
-		return nil, fmt.Errorf("wire: decompressing payload: %w", err)
+		return nil, ids, vals, fmt.Errorf("wire: decompressing payload: %w", err)
 	}
 	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("wire: closing decompressor: %w", err)
+		return nil, ids, vals, fmt.Errorf("wire: closing decompressor: %w", err)
 	}
-	rs, err := parseBody(scratch.Bytes())
+	rs, ids, vals, err := parseBody(scratch.Bytes(), ids, vals)
 	if err == nil && b[1] == flagZlib && src.Len() == 0 && deflates(rs, true) {
 		rs.enc[1] = b
 	}
-	return rs, err
+	return rs, ids, vals, err
 }
 
-// parseBody parses an uncompressed frame body into a fresh row set. The
-// header's counts come off the wire, so they are checked against the body's
-// length before anything is multiplied or allocated.
-func parseBody(body []byte) (*RowSet, error) {
+// parseBody parses an uncompressed frame body, appending its rows to ids and
+// vals (see DecodeAppend). The header's counts come off the wire, so they are
+// checked against the body's length before anything is multiplied or
+// allocated.
+func parseBody(body []byte, ids []int32, vals []float32) (*RowSet, []int32, []float32, error) {
 	if len(body) < 8 {
-		return nil, fmt.Errorf("wire: payload body too short (%d bytes)", len(body))
+		return nil, ids, vals, fmt.Errorf("wire: payload body too short (%d bytes)", len(body))
 	}
 	batch := int64(binary.LittleEndian.Uint32(body[0:4]))
 	n := int64(binary.LittleEndian.Uint32(body[4:8]))
@@ -364,24 +392,32 @@ func parseBody(body []byte) (*RowSet, error) {
 		fits = (words-n)%n == 0 && (words-n)/n == batch
 	}
 	if !fits {
-		return nil, fmt.Errorf("wire: payload body is %d bytes, not what batch=%d rows=%d needs",
+		return nil, ids, vals, fmt.Errorf("wire: payload body is %d bytes, not what batch=%d rows=%d needs",
 			len(body), batch, n)
 	}
-	rs := &RowSet{
-		Batch: int(batch),
-		IDs:   make([]int32, n),
-		Vals:  make([]float32, n*batch),
-	}
+	ids, rowIDs := extend(ids, int(n))
+	vals, rowVals := extend(vals, int(n*batch))
 	off := 8
-	for i := range rs.IDs {
-		rs.IDs[i] = int32(binary.LittleEndian.Uint32(body[off:]))
+	for i := range rowIDs {
+		rowIDs[i] = int32(binary.LittleEndian.Uint32(body[off:]))
 		off += 4
 	}
-	for i := range rs.Vals {
-		rs.Vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
+	for i := range rowVals {
+		rowVals[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
 		off += 4
 	}
-	return rs, nil
+	return &RowSet{Batch: int(batch), IDs: rowIDs, Vals: rowVals}, ids, vals, nil
+}
+
+// extend lengthens s by n elements and returns it with a capped window of the
+// n new ones, whose contents are the caller's to overwrite. A nil s becomes a
+// slice of exactly n.
+func extend[E any](s []E, n int) (all, tail []E) {
+	if s == nil {
+		s = make([]E, 0, n)
+	}
+	all = slices.Grow(s, n)[:len(s)+n]
+	return all, all[len(s):len(all):len(all)]
 }
 
 // assumedCompressionRatio is the planning estimate of compressed-to-raw
