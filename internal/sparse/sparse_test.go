@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,22 +158,150 @@ func TestMulMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
+// mulCase is a weight matrix whose rows have every live-weight count Mul's
+// four-at-a-time passes can end on, and an activation matrix batch wide in
+// which about a third of the rows are zero. A live weight is a stored entry
+// whose activation row is not zero. Row k < 10 has k live weights among a
+// random number of dead ones; row 10 stores only dead weights; row 11
+// stores every column, more live weights than a pass takes many times over;
+// row 12 is empty.
+func mulCase(rng *rand.Rand, batch int) (*CSR, *Dense) {
+	const cols = 64
+	x := NewDense(cols, batch)
+	var liveCols, deadCols []int32
+	for c := 0; c < cols; c++ {
+		if c < 2 || c >= 12 && rng.Intn(3) == 0 {
+			deadCols = append(deadCols, int32(c)) // a zero activation row
+			continue
+		}
+		liveCols = append(liveCols, int32(c))
+		for j := 0; j < batch; j++ {
+			if rng.Intn(5) != 0 { // zeros inside a live row still multiply
+				x.Set(c, j, float32(rng.NormFloat64()))
+			}
+		}
+		if x.RowIsZero(c) {
+			x.Set(c, 0, 1)
+		}
+	}
+	var tr []Triplet
+	add := func(r int, cs []int32) {
+		for _, c := range cs {
+			tr = append(tr, Triplet{int32(r), c, float32(rng.NormFloat64())})
+		}
+	}
+	pick := func(cs []int32, n int) []int32 {
+		out := append([]int32(nil), cs...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out[:n]
+	}
+	for r := 0; r < 10; r++ {
+		add(r, pick(liveCols, r))
+		add(r, pick(deadCols, rng.Intn(len(deadCols)+1)))
+	}
+	add(10, pick(deadCols, 1+rng.Intn(len(deadCols))))
+	add(11, append(append([]int32(nil), liveCols...), deadCols...))
+	w, err := NewCSR(13, cols, tr)
+	if err != nil {
+		panic(err)
+	}
+	return w, x
+}
+
+// TestMulGatherMatchesMulProperty holds Mul to the closure-form reference,
+// which adds in the contract order: every element equal by Float32bits and
+// the same MAC count, for live-weight counts 0 to 9 and beyond, rows with
+// only zero activation rows under them, and batch widths 1 to 9.
 func TestMulGatherMatchesMulProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w, x := randomCase(rng)
-		want, wantMACs := Mul(w, x)
-		z := NewDense(w.Rows, x.Cols)
-		gotMACs := MulGatherInto(w, func(c int32) []float32 {
-			if x.RowIsZero(int(c)) {
-				return nil
+		for batch := 1; batch <= 9; batch++ {
+			w, x := mulCase(rng, batch)
+			got, gotMACs := Mul(w, x)
+			want := NewDense(w.Rows, x.Cols)
+			wantMACs := MulGatherInto(w, func(c int32) []float32 {
+				if x.RowIsZero(int(c)) {
+					return nil
+				}
+				return x.Row(int(c))
+			}, want)
+			if gotMACs != wantMACs || !sameBits(got, want) {
+				t.Logf("seed %d batch %d: macs %d, want %d", seed, batch, gotMACs, wantMACs)
+				return false
 			}
-			return x.Row(int(c))
-		}, z)
-		return matricesClose(z, want, 1e-4) && gotMACs == wantMACs
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reluBranchForm is ReLUBiasClamp's definition, the branchy loops the
+// kernel's select must reproduce bit for bit.
+func reluBranchForm(data []float32, bias, clamp float32) int64 {
+	if clamp > 0 {
+		for i, v := range data {
+			v += bias
+			if v < 0 {
+				v = 0
+			} else if v > clamp {
+				v = clamp
+			}
+			data[i] = v
+		}
+		return int64(len(data))
+	}
+	for i, v := range data {
+		v += bias
+		if v < 0 {
+			v = 0
+		}
+		data[i] = v
+	}
+	return int64(len(data))
+}
+
+// TestReLUBiasClampMatchesBranchForm compares the kernel with its
+// definition by Float32bits and op count: signed zeros, infinities,
+// subnormals, NaNs with several payloads, values either side of 0 and of
+// the clamp, and a million random bit patterns, under biases of either
+// sign (both zeros included) and clamps on, off at 0 and off below it.
+func TestReLUBiasClampMatchesBranchForm(t *testing.T) {
+	in := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0x7f800001),
+		math.Float32frombits(0xff812345), math.Float32frombits(0x7fffffff),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	for _, edge := range []float32{0, 0.3, -0.3, 0.5, -0.5, 32, 32.3, 31.5, 32.5} {
+		in = append(in, edge, math.Nextafter32(edge, float32(math.Inf(1))), math.Nextafter32(edge, float32(math.Inf(-1))))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		in = append(in, math.Float32frombits(rng.Uint32()))
+	}
+	got, want := NewDense(1, len(in)), make([]float32, len(in))
+	negZero := float32(math.Copysign(0, -1))
+	for _, bias := range []float32{-0.3, 0, negZero, 0.5} {
+		for _, clamp := range []float32{32, 0, -1} {
+			copy(got.Data, in)
+			copy(want, in)
+			gotOps, wantOps := ReLUBiasClamp(got, bias, clamp), reluBranchForm(want, bias, clamp)
+			if gotOps != wantOps {
+				t.Fatalf("bias %v clamp %v: ops %d, want %d", bias, clamp, gotOps, wantOps)
+			}
+			for i := range want {
+				if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want[i]); g != w {
+					t.Fatalf("bias %v clamp %v: %#08x became %#08x, want %#08x",
+						bias, clamp, math.Float32bits(in[i]), g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -289,5 +418,81 @@ func TestZero(t *testing.T) {
 	d.Zero()
 	if d.NNZ() != 0 {
 		t.Fatal("Zero left nonzeros")
+	}
+}
+
+// serialCase is one layer at the Serial engine's shape: N=64, fan-in 32,
+// weights of magnitude 0.2 to 0.6 with either sign, and a {0,1} input at
+// density 0.2 (model.GenerateInputs' form; that package imports this one).
+func serialCase(batch int) (*CSR, *Dense) {
+	const n, fanIn = 64, 32
+	rng := rand.New(rand.NewSource(1))
+	var ents []Triplet
+	for r := 0; r < n; r++ {
+		for _, c := range rng.Perm(n)[:fanIn] {
+			v := float32(0.2 + 0.4*rng.Float64())
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			ents = append(ents, Triplet{int32(r), int32(c), v})
+		}
+	}
+	w, err := NewCSR(n, n, ents)
+	if err != nil {
+		panic(err)
+	}
+	x := NewDense(n, batch)
+	for i := range x.Data {
+		if rng.Float64() < 0.2 {
+			x.Data[i] = 1
+		}
+	}
+	return w, x
+}
+
+// serialBatches are the Serial engine's batch widths: a small coalesced
+// batch, stream_day's typical run and its largest.
+var serialBatches = []int{256, 1042, 4096}
+
+// BenchmarkMulSerial times Mul at the Serial engine's shape, allocation of
+// z included, as the engine calls it.
+//
+//	go test ./internal/sparse -run '^$' -bench 'MulSerial|ReLUBiasClamp' -cpu 1
+func BenchmarkMulSerial(b *testing.B) {
+	for _, batch := range serialBatches {
+		w, x := serialCase(batch)
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			var macs int64
+			for i := 0; i < b.N; i++ {
+				_, m := Mul(w, x)
+				macs += m
+			}
+			b.ReportMetric(float64(macs)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkReLUBiasClamp times the activation on a freshly multiplied z,
+// whose post-bias signs are close to a coin flip. Each pass restores the
+// pristine z with copy first (clamping its own output over and over would
+// converge to zeros a branch predicts perfectly); the copy sub-benchmark
+// times the copy alone, to subtract.
+func BenchmarkReLUBiasClamp(b *testing.B) {
+	for _, batch := range serialBatches {
+		w, x := serialCase(batch)
+		pristine, _ := Mul(w, x)
+		z := pristine.Clone()
+		b.Run(fmt.Sprintf("batch=%d/copy", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(z.Data, pristine.Data)
+			}
+		})
+		b.Run(fmt.Sprintf("batch=%d/copy+relu", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(z.Data, pristine.Data)
+				ReLUBiasClamp(z, -0.3, 32)
+			}
+		})
 	}
 }
