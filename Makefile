@@ -1,7 +1,7 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke loc profile docs-paths
+.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke portable loc profile docs-paths
 
-check: fmt vet build test lint bench-smoke fuzz-smoke docs-paths
+check: fmt vet build test lint bench-smoke fuzz-smoke portable docs-paths
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -64,6 +64,14 @@ fuzz-smoke:
 			go test $$dir -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
 		done; \
 	done
+
+# portable keeps the Go kernels that every GOARCH but amd64 runs
+# (internal/sparse/kernels_generic.go) building and passing: amd64 runs the
+# assembly in kernels_amd64.s instead, so nothing else here compiles them.
+# 386 runs the package's tests, arm64 is vetted.
+portable:
+	GOARCH=386 go test ./internal/sparse
+	GOARCH=arm64 go vet ./internal/sparse
 
 # docs-paths fails when README.md or the verify recipe names a program
 # (cmd/<name>, examples/<name>, with or without ./) that has no directory, so

@@ -10,9 +10,14 @@ import (
 
 // rowsCase is a random weight block with empty rows, a random column
 // ownership, and an activation row table batch wide in which each row is
-// absent with probability pNil (1 makes the table all-nil).
+// absent with probability pNil (1 makes the table all-nil). One block in
+// eight is wide enough that its rows hold more entries than the amd64
+// kernel compacts at a time (128).
 func rowsCase(rng *rand.Rand, batch int, pNil float64) (w *CSR, owner []int32, table [][]float32) {
 	rows, cols := 1+rng.Intn(16), 1+rng.Intn(24)
+	if rng.Intn(8) == 0 {
+		rows, cols = 1+rng.Intn(4), 330+rng.Intn(330)
+	}
 	var tr []Triplet
 	for r := 0; r < rows; r++ {
 		if rng.Intn(4) == 0 {
@@ -74,9 +79,10 @@ func only(table [][]float32, owner []int32, id int32, mine bool) RowLookup {
 	}
 }
 
-// rowsWidths are the batch widths the tile ladder (8, then 4, then 1) has
-// to get right: below a tile, exactly one, one plus a remainder, several.
-var rowsWidths = []int{1, 3, 4, 5, 8, 12, 13, 64}
+// rowsWidths are the batch widths the tile ladder (32, 16, 8, 4, then one
+// column at a time) has to get right: every width to 9, then widths that
+// take each combination of tiles, each with and without a remainder.
+var rowsWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 100}
 
 // TestMulRowsMatchesGatherProperty holds the table kernel to the
 // closure-form reference: every element equal by Float32bits and the same
@@ -138,20 +144,102 @@ func TestMulRowsSplitMatchesWholeBlockProperty(t *testing.T) {
 	}
 }
 
-// TestMulRowsRejectsShortRow: an activation row narrower than z is a
-// programmer error caught by whichever tile first reads past it.
+// TestMulRowsRejectsShortRow: an activation row narrower than z, and a
+// column id outside the row table, are programmer errors that panic rather
+// than read past the table or the row.
 func TestMulRowsRejectsShortRow(t *testing.T) {
-	w, _ := NewCSR(1, 2, []Triplet{{0, 1, 1}})
-	for _, width := range []int{12, 9, 5} { // under a 13-wide z: short of the 1-, the 4- and the 8-tile
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("a %d-wide activation row under a 13-wide z did not panic", width)
-				}
-			}()
-			MulRowsInto(w, [][]float32{nil, make([]float32, width)}, NewDense(1, 13))
+	mustPanic := func(what string, w *CSR, x [][]float32, nc int) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
 		}()
+		MulRowsInto(w, x, NewDense(w.Rows, nc))
 	}
+	w, _ := NewCSR(1, 2, []Triplet{{0, 1, 1}})
+	// A 63-wide z takes a tile of 32, 16, 8 and 4 columns and a 3-column
+	// tail; a 59-wide one the same but the 4-column tile, which the amd64
+	// kernel checks on a path of its own. Each width is one element short
+	// of one of them.
+	for _, tc := range []struct{ nc, width int }{
+		{63, 31}, {63, 47}, {63, 55}, {63, 59}, {63, 62},
+		{59, 31}, {59, 47}, {59, 55}, {59, 58},
+	} {
+		mustPanic(fmt.Sprintf("a %d-wide activation row under a %d-wide z", tc.width, tc.nc), w, [][]float32{nil, make([]float32, tc.width)}, tc.nc)
+	}
+	for _, nc := range []int{1, 4, 63} {
+		for rows := 0; rows <= 1; rows++ { // the id 1 past the table's end, then at it
+			x := make([][]float32, rows)
+			for c := range x {
+				x[c] = make([]float32, nc)
+			}
+			mustPanic(fmt.Sprintf("column id 1 in a %d-row table at width %d", len(x), nc), w, x, nc)
+		}
+	}
+	wide, _ := NewCSR(1, 41, []Triplet{{0, 0, 1}, {0, 40, 1}})
+	mustPanic("column id 40 in a 3-row table", wide, [][]float32{make([]float32, 8), nil, nil}, 8)
+}
+
+// FuzzMulRowsInto holds the kernel to the closure-form reference on random
+// shapes, nil rows, rows shorter and longer than z and column ids past the
+// end of the table: it panics exactly when a present row is narrower than
+// z or an id is outside the table (at a width above zero), and otherwise
+// matches MulGatherInto by Float32bits with the same MAC count.
+func FuzzMulRowsInto(f *testing.F) {
+	for _, width := range []uint8{0, 1, 4, 13, 33, 64, 100} {
+		f.Add(int64(width), width, uint8(0), uint8(0))
+	}
+	f.Add(int64(7), uint8(63), uint8(5), uint8(2))
+	f.Add(int64(8), uint8(16), uint8(0), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, width, cut, reshape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		batch := int(width % 101)
+		w, _, table := rowsCase(rng, batch, 0.3)
+		table = table[:len(table)-int(cut)%(len(table)+1)] // ids past the end
+		for k := 0; k < int(reshape%8); k++ {
+			c := rng.Intn(len(table) + 1)
+			if c == len(table) || table[c] == nil {
+				continue
+			}
+			n := batch + 1 + rng.Intn(4) // longer: the kernel reads the first batch
+			if reshape&8 != 0 && batch > 0 {
+				n = rng.Intn(batch) // shorter
+			}
+			row := make([]float32, n) // cap n: nothing past the row is addressable
+			copy(row, table[c])
+			table[c] = row
+		}
+		bad := false
+		for _, c := range w.ColIdx {
+			if batch > 0 && (int(c) >= len(table) || table[c] != nil && len(table[c]) < batch) {
+				bad = true
+			}
+		}
+		want := randomDense(rng, w.Rows, batch)
+		got := want.Clone()
+		var gotMACs int64
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			gotMACs = MulRowsInto(w, table, got)
+			return false
+		}()
+		if panicked != bad {
+			t.Fatalf("width %d, %d-row table: panicked %v, want %v", batch, len(table), panicked, bad)
+		}
+		if bad {
+			return
+		}
+		wantMACs := MulGatherInto(w, func(c int32) []float32 {
+			if int(c) >= len(table) || table[c] == nil {
+				return nil // an id past the table is only accepted at width 0
+			}
+			return table[c][:batch]
+		}, want)
+		if gotMACs != wantMACs || !sameBits(got, want) {
+			t.Fatalf("width %d: macs %d, want %d (or the bits differ)", batch, gotMACs, wantMACs)
+		}
+	})
 }
 
 // TestSplitColsProperty: the two halves are the block — same shape, every
@@ -238,7 +326,7 @@ func benchBlock(n, nnzPerRow, batch int) (w *CSR, owner []int32, table [][]float
 //	go test ./internal/sparse -run '^$' -bench MulRows -cpu 1
 func BenchmarkMulRows(b *testing.B) {
 	const n, nnzPerRow = 1024, 32
-	for _, batch := range []int{4, 8, 64, 256} {
+	for _, batch := range []int{4, 8, 16, 32, 64, 256} {
 		w, owner, table := benchBlock(n, nnzPerRow, batch)
 		own, other := w.SplitCols(owner, 0)
 		ownOnly := make([][]float32, n)

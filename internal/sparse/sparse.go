@@ -25,68 +25,104 @@
 //
 //   - Mul, the Serial engine and the baselines: one full-width dense x,
 //     batches of hundreds to thousands of columns. A streaming loop over
-//     the whole batch per four live stored weights of a row:
+//     the whole batch per four live stored weights of a row (mulAdd4):
 //     z[r][:] += v0*x[c0][:] + ... + v3*x[c3][:], added one product at a
-//     time.
+//     time; a row's last one to three live weights take a pass each
+//     (mulAdd1).
 //   - MulRowsInto, the FSI worker (Algorithm 1 line 8 and lines 16-17): x is
-//     a table of row slices indexed by global column id, batches of 4 to 64
-//     columns. It keeps a tile of 8, 4 or 1 elements of z in registers while
-//     it walks the weight row, so z is loaded and stored once per tile
-//     rather than once per product, and nothing is called per nonzero.
+//     a table of row slices indexed by global column id, batches of 4 to a
+//     few hundred columns. It keeps a tile of z in registers while it walks
+//     the weight row, so z is loaded and stored once per tile rather than
+//     once per product, and nothing is called per nonzero.
 //   - MulGatherInto, the closure form of the same product, is the reference
-//     MulRowsInto is tested against (math.Float32bits on every element,
-//     equal MAC counts) and what the benchmark's sparse probe times; the
-//     engine no longer calls it.
+//     both are tested against (math.Float32bits on every element, equal MAC
+//     counts) and what the benchmark's sparse probe times; the engine no
+//     longer calls it.
+//
+// # The kernels on amd64
+//
+// On amd64 the inner loops of Mul and MulRowsInto are packed SSE
+// (kernels_amd64.s), four float32 lanes an instruction; every other GOARCH
+// runs the Go loops of kernels_generic.go, which `make portable` tests.
+// SSE is part of every amd64 processor (GOAMD64=v1), so nothing is detected
+// at run time and there is no second path to select. Packed, each element
+// still gets the bits the scalar loop gives it:
+//
+//   - a lane of MULPS or ADDPS is the IEEE single multiply or add that
+//     MULSS or ADDSS makes, rounded once;
+//   - the multiply and the add stay two instructions: nothing is fused (a
+//     fused multiply-add rounds once for both, and differs in the last bit);
+//   - the operands keep their roles: t = x*v, then acc = acc + t, the
+//     weights of a row in ascending column order;
+//   - MXCSR is left as Go runs it: round to nearest, subnormals neither
+//     flushed nor read as zero.
+//
+// The one thing operand order decides is which payload survives when two
+// NaNs of different payloads meet in one operation, and Go leaves that to
+// its compiler: TestKernelsSpecialValuesBits passes NaN payloads,
+// infinities, subnormals and signed zeros through both kernels without
+// letting that happen.
+//
+// mulAdd4 and mulAdd1 take eight elements an iteration in two registers,
+// then four, then one at a time. MulRowsInto's kernel walks every row in
+// one call. It first compacts the row's entries whose activation row is
+// present into a stack buffer: it stores every entry and advances past a
+// present one, so a nil row costs no branch (the branch on it was
+// mispredicted often enough to halve the received half's speed). Then it
+// walks the compacted entries once per register tile: 32 columns in eight
+// XMM accumulators while they fit, then 16, 8 and 4, and the last nc%4
+// columns one at a time, the weight broadcast to four lanes. The 4-column
+// tile rides along with the compaction, adding -0 for a nil entry (an
+// identity for every value but a signalling NaN, and an accumulator no
+// present entry reached is not stored), so a batch of 4 to 7 walks its
+// entries once. A column id outside x or a present row narrower than z
+// makes the kernel stop and MulRowsInto panic as Go's slicing would.
 //
 // BenchmarkMulRows (N=1024, 32 stored weights a row, -cpu 1, GMAC/s, the
-// range of best-of-five runs on a shared 2-vCPU Xeon @ 2.1 GHz): what one of
-// the engine's former two passes saw, MulGatherInto over a whole P=2 block
-// with half the columns absent, against MulRowsInto over the block's own
-// half (every column present) and its received half (a tenth absent):
+// median of ten alternating runs a side on a shared 2-vCPU Xeon @ 2.1 GHz,
+// whose speed wanders by half from minute to minute, and in brackets the
+// median ratio of packed to scalar over the ten pairs): MulRowsInto over a
+// P=2 worker's own half of the block (every column present) and its
+// received half (a fifth absent), the scalar Go loops against the packed
+// kernel, and MulGatherInto over the whole block with half the columns
+// absent, as one of the engine's former two passes saw it:
 //
-//	batch   MulGatherInto, whole   MulRowsInto, own   MulRowsInto, received
-//	    4        0.13                 0.9 - 1.1           0.6 - 1.3
-//	    8        0.23 - 0.29          1.2 - 1.6           0.9 - 1.3
-//	   64        0.57 - 0.84          1.3 - 1.9           0.9 - 1.2
-//	  256        1.1  - 1.3           1.9 - 2.1           1.1 - 1.9
+//	batch   gather, whole   own: scalar   packed          received: scalar   packed
+//	    4       0.15            1.21      1.18 (0.95×)          0.82         1.00 (1.21×)
+//	    8       0.23            1.23      2.14 (1.57×)          0.93         1.62 (1.39×)
+//	   16       0.37            1.45      3.87 (2.61×)          0.75         3.17 (3.89×)
+//	   32       0.51            1.33      5.30 (3.74×)          0.78         4.45 (5.47×)
+//	   64       0.68            1.32      6.59 (4.49×)          0.95         6.36 (7.20×)
+//	  256       0.82            1.32      7.61 (5.05×)          1.20         7.81 (5.87×)
+//
+// At batch 4 the kernel is bound by the compaction, about twenty
+// instructions an entry, and wins least; the unchanged gather column read
+// 0.84× in the same pairs. Twenty shorter alternating pairs of the batch-4
+// cells alone, on a quieter machine, read 1.74 to 2.05 for the own half (19
+// of 20 pairs won) and 1.53 to 1.62 for the received half (15 of 20), the
+// gather column 1.01×. Taking the entries without compacting them ran the
+// own half at 1.4 - 2.2 and the received half at 0.56 - 0.81, a
+// mispredicted branch on every fifth entry.
 //
 // Mul is deliberately not tiled. At the Serial engine's batch of 4096 an
 // activation row is 16 KB, so the 32 rows one weight row multiplies all map
-// to the same L1 sets: walked tile by tile they evict each other (the tiled
-// kernel at batch 4096 measured 1.1 GMAC/s against the streaming loop's
-// 1.5 - 1.7), while the streaming loop reads each of them once, end to end.
-// At the Serial shape (N=64, fan-in 32) MulRowsInto was no faster than
-// the one-weight-a-pass Mul below: 1.02 ms against 1.01 at batch 1042,
-// 2.48 against 1.99 at 2048, 5.60 against 3.97 at 4096. Against the
-// four-weight Mul it takes 1.6 - 1.9 times as long at those batches.
+// to the same L1 sets: walked tile by tile they evict each other (a tiled
+// scalar kernel at batch 4096 measured 1.1 GMAC/s against the streaming
+// loop's 1.5 - 1.7), while the streaming loop reads each of them once, end
+// to end. Four live weights a pass load and store z[r][j] once per four
+// products instead of once per product; eight measured 10 % slower than
+// four with the scalar loop, and applying the activation row by row inside
+// Mul was slower than ReLUBiasClamp's own pass. Blocking the batch into
+// column panels of 256 to 1024 columns gave up the one long sequential
+// stream per product for many short ones and took 1.6 - 2 times as long.
+// BenchmarkMulSerial (N=64, fan-in 32, input density 0.2, -cpu 1,
+// allocation of z included, GMAC/s, median of the same ten alternating
+// runs a side, every pair won; one weight a pass, scalar, ran 1.1 - 1.5):
 //
-// What Mul does instead is stream four live weights per pass. The loop
-// that took one weight per pass loaded and stored z[r][j] once per
-// product; taking four, it loads z[r][j] into one accumulator, adds the
-// four products into it in ascending column order and stores it once, so
-// every element still sees one multiply and one add per weight, in the
-// contract order, and z traffic falls fourfold. BenchmarkMulSerial (N=64,
-// fan-in 32, input density 0.2, -cpu 1, allocation of z included, the
-// range of three alternating runs a side on a shared 2-vCPU Xeon):
-//
-//	batch   one weight a pass   four weights a pass
-//	  256       1.13 - 1.18          1.56 - 2.27   GMAC/s
-//	 1042       1.36 - 1.52          1.84 - 2.51
-//	 4096       1.23 - 1.40          2.06 - 2.78
-//
-// Eight weights a pass measured 10 % slower than four at every batch, and
-// applying the activation row by row inside Mul was slower than Mul
-// followed by ReLUBiasClamp's own pass (1.09 - 1.17 ms against 1.01 at
-// batch 1042).
-//
-// Nor is it blocked into column panels. Walking the batch in panels of 256,
-// 512 or 1024 columns (1 to 4 KB of a row at a time, the whole weight
-// matrix once per panel) keeps the panel's slices of x and z in L1/L2, but
-// it gives up the one long sequential stream per product for many short
-// ones: at N=64, 16 stored weights a row, batch 4096, -cpu 1, the streaming
-// loop took 2.0 - 2.1 ms a multiply and the panels 3.2 - 4.2 ms at every
-// width, results equal bit for bit. The Serial engine's host time was in the
-// batch-sized copies around Mul, not in it.
+//	batch   four a pass, scalar   packed
+//	  256          2.18           6.41 (2.83×)
+//	 1042          2.31           6.97 (2.91×)
+//	 4096          2.44           7.51 (3.02×)
 package sparse
 
 import (
@@ -171,16 +207,6 @@ func (m *CSR) Row(r int) ([]int32, []float32) {
 // (values + column indices + row pointers).
 func (m *CSR) Bytes() int64 {
 	return int64(len(m.Val))*8 + int64(len(m.RowPtr))*4
-}
-
-// ColNNZ returns, for each column, the number of stored entries. Used by the
-// partitioner to weigh communication nets.
-func (m *CSR) ColNNZ() []int32 {
-	counts := make([]int32, m.Cols)
-	for _, c := range m.ColIdx {
-		counts[c]++
-	}
-	return counts
 }
 
 // SelectRows returns a new CSR containing only the given rows of m, in the
@@ -352,76 +378,17 @@ func MulGatherInto(w *CSR, lookup RowLookup, z *Dense) int64 {
 // global column ids: x[c] is activation row c, at least z.Cols wide (values
 // past z.Cols are not read), or nil when that row is zero or absent. It is
 // MulGatherInto with the lookup replaced by the table and the batch walked
-// in register tiles of 8, then 4, then 1 columns: a tile of z is loaded
-// once, every present nonzero of the weight row is accumulated into it in
-// registers (a += v*x[c][j], columns ascending — the order MulGatherInto
-// adds them in, so the results are bit-identical), and it is stored once,
-// with one bounds check per nonzero and tile. Returns the multiply-add
-// count, as MulGatherInto does.
+// in register tiles: a tile of z is loaded once, every present nonzero of
+// the weight row is accumulated into it in registers (a += v*x[c][j],
+// columns ascending — the order MulGatherInto adds them in, so the results
+// are bit-identical), and it is stored once. A column id outside x, or a
+// present row narrower than z, panics. Returns the multiply-add count, as
+// MulGatherInto does.
 func MulRowsInto(w *CSR, x [][]float32, z *Dense) int64 {
 	if z.Rows != w.Rows {
 		panic(fmt.Sprintf("sparse: z has %d rows, want %d", z.Rows, w.Rows))
 	}
-	nc := z.Cols
-	var macs int64
-	for r := 0; r < w.Rows; r++ {
-		cols, vals := w.Row(r)
-		vals = vals[:len(cols)] // one length for both: no bounds check on vals[i]
-		zrow := z.Data[r*nc : r*nc+nc]
-		j := 0
-		for ; j+8 <= nc; j += 8 {
-			zt := zrow[j : j+8 : j+8]
-			a0, a1, a2, a3, a4, a5, a6, a7 := zt[0], zt[1], zt[2], zt[3], zt[4], zt[5], zt[6], zt[7]
-			for i, c := range cols {
-				xr := x[c]
-				if xr == nil {
-					continue
-				}
-				xt := xr[j : j+8 : j+8]
-				v := vals[i]
-				macs += 8
-				a0 += v * xt[0]
-				a1 += v * xt[1]
-				a2 += v * xt[2]
-				a3 += v * xt[3]
-				a4 += v * xt[4]
-				a5 += v * xt[5]
-				a6 += v * xt[6]
-				a7 += v * xt[7]
-			}
-			zt[0], zt[1], zt[2], zt[3], zt[4], zt[5], zt[6], zt[7] = a0, a1, a2, a3, a4, a5, a6, a7
-		}
-		if j+4 <= nc {
-			zt := zrow[j : j+4 : j+4]
-			a0, a1, a2, a3 := zt[0], zt[1], zt[2], zt[3]
-			for i, c := range cols {
-				xr := x[c]
-				if xr == nil {
-					continue
-				}
-				xt := xr[j : j+4 : j+4]
-				v := vals[i]
-				macs += 4
-				a0 += v * xt[0]
-				a1 += v * xt[1]
-				a2 += v * xt[2]
-				a3 += v * xt[3]
-			}
-			zt[0], zt[1], zt[2], zt[3] = a0, a1, a2, a3
-			j += 4
-		}
-		for ; j < nc; j++ {
-			a := zrow[j]
-			for i, c := range cols {
-				if xr := x[c]; xr != nil {
-					a += vals[i] * xr[j]
-					macs++
-				}
-			}
-			zrow[j] = a
-		}
-	}
-	return macs
+	return mulRows(w, x, z)
 }
 
 // Mul computes z = W · x for a full-width dense activation matrix
@@ -472,35 +439,6 @@ func Mul(w *CSR, x *Dense) (*Dense, int64) {
 	return z, live * int64(nc)
 }
 
-// mulAdd4 adds v0*x0 + v1*x1 + v2*x2 + v3*x3 into z, one product at a time
-// in that order: each element is loaded once and stored once, and its four
-// adds are the four the one-at-a-time loop would make. Every x is len(z).
-// It is kept out of line: inlined into Mul, the loop ran short of registers
-// and spilled its index to the stack on every element.
-//
-//go:noinline
-func mulAdd4(z, x0, x1, x2, x3 []float32, v0, v1, v2, v3 float32) {
-	// Reslice so the compiler can prove every slice shares z's length and
-	// drop the per-element bounds checks.
-	x0, x1, x2, x3 = x0[:len(z)], x1[:len(z)], x2[:len(z)], x3[:len(z)]
-	for j := range z {
-		a := z[j]
-		a += v0 * x0[j]
-		a += v1 * x1[j]
-		a += v2 * x2[j]
-		a += v3 * x3[j]
-		z[j] = a
-	}
-}
-
-// mulAdd1 adds v*x into z. x is len(z).
-func mulAdd1(z, x []float32, v float32) {
-	x = x[:len(z)]
-	for j := range z {
-		z[j] += v * x[j]
-	}
-}
-
 // ReLUBiasClamp applies x = min(clamp, max(0, x + bias)) elementwise in
 // place (the Graph Challenge activation: bias, ReLU, threshold at 32). A
 // clamp of 0 or below disables clamping. Returns the element-op count.
@@ -532,12 +470,4 @@ func ReLUBiasClamp(d *Dense, bias, clamp float32) int64 {
 		data[i] = math.Float32frombits(u)
 	}
 	return int64(len(data))
-}
-
-// AccumulateRow adds src into row r of d.
-func (d *Dense) AccumulateRow(r int, src []float32) {
-	row := d.Row(r)
-	for i, v := range src {
-		row[i] += v
-	}
 }

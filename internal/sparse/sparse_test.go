@@ -68,17 +68,6 @@ func TestEmptyCSR(t *testing.T) {
 	}
 }
 
-func TestColNNZ(t *testing.T) {
-	m, _ := NewCSR(3, 3, []Triplet{{0, 0, 1}, {1, 0, 1}, {2, 2, 1}})
-	got := m.ColNNZ()
-	want := []int32{2, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ColNNZ = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSelectRows(t *testing.T) {
 	m, _ := NewCSR(4, 4, []Triplet{
 		{0, 0, 1}, {1, 1, 2}, {2, 2, 3}, {3, 3, 4}, {3, 0, 5},
@@ -237,6 +226,120 @@ func TestMulGatherMatchesMulProperty(t *testing.T) {
 	}
 }
 
+// TestKernelsSpecialValuesBits passes NaN payloads (in x, in z and in the
+// weights), infinities, subnormals and signed zeros through Mul and
+// MulRowsInto and compares them with MulGatherInto by Float32bits and MAC
+// count, at every tile width. Each case holds one NaN payload, in its
+// quiet and its signalling form, and no infinity, or infinities and no
+// NaN input: where two NaNs of different payloads meet in one operation,
+// which one survives depends on the operand order, which Go leaves to the
+// compiler, so no case lets that happen. Products and sums of the finite
+// values cannot overflow, so the only NaNs a payload case makes are its
+// own; in the infinity case every NaN is made by the hardware (0*Inf,
+// Inf-Inf) and has its one default bit pattern.
+func TestKernelsSpecialValuesBits(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	tame := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), 1, -1}
+	cases := []struct {
+		name  string
+		extra []float32
+	}{
+		{"infinities", []float32{inf, -inf, math.MaxFloat32, -math.MaxFloat32}},
+		{"quiet NaN", []float32{math.Float32frombits(0x7fc00001), math.Float32frombits(0x7f800001)}},
+		{"-NaN", []float32{math.Float32frombits(0xffc12345), math.Float32frombits(0xff812345)}},
+		{"full NaN", []float32{math.Float32frombits(0x7fffffff)}},
+		{"x86 default NaN", []float32{math.Float32frombits(0xffc00000)}}, // no signalling form quiets to it
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		name, special := tc.name, append(append([]float32(nil), tame...), tc.extra...)
+		draw := func() float32 {
+			if rng.Intn(3) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return float32(rng.NormFloat64())
+		}
+		for _, batch := range rowsWidths {
+			rows, cols := 1+rng.Intn(8), 1+rng.Intn(24)
+			var tr []Triplet
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					if rng.Intn(3) != 0 {
+						tr = append(tr, Triplet{int32(r), int32(c), draw()})
+					}
+				}
+			}
+			w, err := NewCSR(rows, cols, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := NewDense(cols, batch)
+			for c := 0; c < cols; c++ {
+				if rng.Intn(5) < 1+3*(batch%2) {
+					continue // a zero row: four in five at odd widths, so some weight rows meet only zero rows
+				}
+				for j := 0; j < batch; j++ {
+					x.Set(c, j, draw())
+				}
+			}
+			lookup := func(c int32) []float32 {
+				if x.RowIsZero(int(c)) {
+					return nil
+				}
+				return x.Row(int(c))
+			}
+			table := make([][]float32, cols)
+			for c := range table {
+				table[c] = lookup(int32(c))
+			}
+
+			z := NewDense(rows, batch)
+			for i := range z.Data {
+				z.Data[i] = draw()
+			}
+			want, got := z.Clone(), z.Clone()
+			wantMACs := MulGatherInto(w, lookup, want)
+			if gotMACs := MulRowsInto(w, table, got); gotMACs != wantMACs || !sameBits(got, want) {
+				t.Errorf("%s, batch %d: MulRowsInto macs %d, want %d (or the bits differ)", name, batch, gotMACs, wantMACs)
+			}
+			want = NewDense(rows, batch)
+			wantMACs = MulGatherInto(w, lookup, want)
+			if got, gotMACs := Mul(w, x); gotMACs != wantMACs || !sameBits(got, want) {
+				t.Errorf("%s, batch %d: Mul macs %d, want %d (or the bits differ)", name, batch, gotMACs, wantMACs)
+			}
+		}
+	}
+
+	// An absent row adds nothing, not even to the sign of a zero: z of -0s
+	// and present rows of -0s (each product -0) between absent ones, so
+	// every element stays -0.
+	for _, batch := range rowsWidths {
+		var tr []Triplet
+		table := make([][]float32, 9)
+		for c := range table {
+			tr = append(tr, Triplet{0, int32(c), 1})
+			if c%2 == 1 {
+				table[c] = make([]float32, batch)
+				for j := range table[c] {
+					table[c][j] = negZero
+				}
+			}
+		}
+		w, _ := NewCSR(1, len(table), tr)
+		z := NewDense(1, batch)
+		for i := range z.Data {
+			z.Data[i] = negZero
+		}
+		want, got := z.Clone(), z.Clone()
+		wantMACs := MulGatherInto(w, func(c int32) []float32 { return table[c] }, want)
+		if gotMACs := MulRowsInto(w, table, got); gotMACs != wantMACs || !sameBits(got, want) {
+			t.Errorf("signed zeros, batch %d: MulRowsInto macs %d, want %d (or the bits differ)", batch, gotMACs, wantMACs)
+		}
+	}
+}
+
 // reluBranchForm is ReLUBiasClamp's definition, the branchy loops the
 // kernel's select must reproduce bit for bit.
 func reluBranchForm(data []float32, bias, clamp float32) int64 {
@@ -388,16 +491,6 @@ func TestDenseCloneIndependent(t *testing.T) {
 	c.Set(0, 0, 9)
 	if d.At(0, 0) != 1 {
 		t.Fatal("clone shares storage")
-	}
-}
-
-func TestAccumulateRow(t *testing.T) {
-	d := NewDense(2, 3)
-	d.AccumulateRow(1, []float32{1, 2, 3})
-	d.AccumulateRow(1, []float32{1, 1, 1})
-	row := d.Row(1)
-	if row[0] != 2 || row[1] != 3 || row[2] != 4 {
-		t.Fatalf("row = %v", row)
 	}
 }
 
