@@ -95,9 +95,10 @@ loc:
 # BenchmarkMillionQueryReplay and prints the top-10 flat-cost functions of
 # each, then who calls runtime.memmove (who copies, and how much of the
 # host's time that is), so "where does the replay engine spend its time"
-# is one command away. That replay runs the Serial engine, so the same
-# profiles follow for core's BenchmarkEngineQueueRun, which runs the FSI
-# loop over the Queue channel (B/op and allocs/op print with the timing).
+# is one command away. The same profiles follow for core's
+# BenchmarkEngineRun: serial, one Serial run of the stream_day shape on the
+# one-rank worker, and queue, the FSI loop over the Queue channel at P=4
+# (B/op and allocs/op print with the timing).
 # Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles
@@ -107,7 +108,7 @@ profile:
 	go tool pprof -top -nodecount=10 profiles/bench.test profiles/cpu.prof
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/mem.prof
 	go tool pprof -peek 'runtime.memmove$$' profiles/bench.test profiles/cpu.prof
-	go test -run '^$$' -bench BenchmarkEngineQueueRun -benchtime 50x \
+	go test -run '^$$' -bench BenchmarkEngineRun -benchtime 50x \
 		-cpuprofile profiles/core-cpu.prof -memprofile profiles/core-mem.prof \
 		-o profiles/core.test ./internal/core
 	go tool pprof -top -nodecount=10 profiles/core.test profiles/core-cpu.prof

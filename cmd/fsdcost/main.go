@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/cost"
 	"fsdinference/internal/plan"
@@ -38,12 +39,13 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
 	// Rough per-pair volume: cut fraction ~10% of a worker's rows, 4 B
 	// per value, batch columns.
+	faas := env.DefaultConfig().FaaS
 	rowsPerWorker := neurons / workers
 	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * 0.6)
 	return cost.Workload{
 		ModelBytes:           modelBytes,
-		MemOverhead:          5.5,
-		InstanceCapMB:        10240,
+		MemOverhead:          faas.Perf.MemOverheadWeights,
+		InstanceCapMB:        faas.MaxMemoryMB,
 		Workers:              workers,
 		BytesPerPairPerLayer: bytesPerPair,
 		PairsPerLayer:        int64(workers) * 6,

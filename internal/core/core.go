@@ -4,7 +4,8 @@
 //
 // Three variants are provided, matching the paper:
 //
-//   - FSD-Inf-Serial: a single FaaS instance, no communication (§VI-A1),
+//   - FSD-Inf-Serial: Algorithm 1 with all communication removed, on one
+//     maximum-memory FaaS instance (§VI-A1),
 //   - FSD-Inf-Queue: pub-sub topics fanning out to per-worker queues with
 //     service-side filter policies (Algorithm 1),
 //   - FSD-Inf-Object: object-storage buckets with `.dat`/`.nul` objects and
@@ -75,6 +76,12 @@
 // extract and compress outgoing rows, publish in parallel threads, overlap
 // the local multiply, then receive, accumulate, apply the activation, and
 // finally barrier and reduce the output to worker 0.
+//
+// Serial runs the same worker as rank 0 of a one-rank plan, which the
+// client invokes directly (no coordinator): it loads like any worker, then
+// each layer multiplies the whole activation with sparse.Mul and applies
+// the activation, and the rank stores the last layer's output as the result
+// itself (runAlone).
 package core
 
 import (
@@ -209,7 +216,8 @@ type Config struct {
 	// Model is the sparse DNN to serve.
 	Model *model.Model
 	// Plan is the offline partitioning (required unless Channel ==
-	// Serial). Its worker count is the request parallelism P.
+	// Serial, which Deploy gives a one-rank plan of its own). Its worker
+	// count is the request parallelism P.
 	Plan *partition.Plan
 	// Channel selects the communication variant.
 	Channel ChannelKind
@@ -218,11 +226,9 @@ type Config struct {
 	Launch LaunchMode
 
 	// WorkerMemoryMB sizes worker functions (default: paper sizing for
-	// the model's neuron count).
+	// the model's neuron count). Serial ignores it: its one rank runs at
+	// the platform maximum (faas.Config.MaxMemoryMB), as in §VI-A1.
 	WorkerMemoryMB int
-	// SerialMemoryMB sizes the serial function (default 10240, the
-	// platform maximum, as in §VI-A1).
-	SerialMemoryMB int
 	// FunctionTimeout is the worker runtime limit (default: platform
 	// maximum, 15 minutes).
 	FunctionTimeout time.Duration
@@ -305,9 +311,6 @@ func (c Config) withDefaults() Config {
 	if c.WorkerMemoryMB <= 0 && c.Model != nil {
 		c.WorkerMemoryMB = DefaultWorkerMemoryMB(c.Model.Spec.Neurons)
 	}
-	if c.SerialMemoryMB <= 0 {
-		c.SerialMemoryMB = 10240
-	}
 	if c.FunctionTimeout <= 0 {
 		c.FunctionTimeout = 15 * time.Minute
 	}
@@ -332,13 +335,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Workers returns the parallelism of the deployment (1 for serial).
+// Workers returns the parallelism of the deployment: the plan's worker
+// count, 1 without a plan (a Serial configuration before Deploy).
 func (c Config) Workers() int {
-	if c.Channel == Serial || c.Plan == nil {
+	if c.Plan == nil {
 		return 1
 	}
 	return c.Plan.Workers
 }
+
+// peerless reports whether c's kind has no channel (Serial): its one rank
+// is invoked by the client directly, runs at the platform's maximum memory
+// and exchanges nothing (see runAlone).
+func (c Config) peerless() bool { return transports[c.Channel].open == nil }
 
 // validate checks the configuration.
 func (c Config) validate() error {
@@ -378,6 +387,9 @@ type WorkerMetrics struct {
 	BarrierTime time.Duration
 	ReduceTime  time.Duration
 
+	// MACs is the multiply-adds a rank alone (Serial) charged. FSI ranks
+	// leave it zero: their compute is in the instance's Compute charges,
+	// and recording it here would move the pinned P>1 digests.
 	MACs         float64
 	RowsSent     int64
 	RowsRecv     int64

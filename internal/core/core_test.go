@@ -324,9 +324,19 @@ func TestSerialOOMOnOversizedModel(t *testing.T) {
 	// A model whose weights exceed the serial instance's memory must fail
 	// with an out-of-memory invocation error (the paper's N=65536 case:
 	// 2048 neurons x 60 layers is ~31 MB raw, ~173 MB with the modelled
-	// Python/SciPy footprint — over a 128 MB instance).
-	d, _, input := testSetup(t, 2048, 60, 1, Serial, func(c *Config) { c.SerialMemoryMB = 128 })
-	_, err := d.Infer(input)
+	// Python/SciPy footprint — over a 128 MB instance, here the largest
+	// the platform offers).
+	m, err := model.Generate(model.GraphChallengeSpec(2048, 60, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := env.DefaultConfig()
+	ec.FaaS.MaxMemoryMB = 128
+	d, err := Deploy(env.New(ec), Config{Model: m, Channel: Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Infer(model.GenerateInputs(2048, 8, 0.2, 2))
 	if err == nil || !strings.Contains(err.Error(), "out of memory") {
 		t.Fatalf("err = %v, want OOM", err)
 	}
@@ -432,7 +442,15 @@ func TestShortPollingStillCorrectButChattier(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineQueueRun(b *testing.B) {
+// BenchmarkEngineRun deploys and runs one request per iteration: serial is
+// the repository benchmark's stream_day run shape (N=64, two layers, a batch
+// of 1 042, uncompressed) on the one-rank worker, queue the FSI loop over the
+// Queue channel at P=4.
+func BenchmarkEngineRun(b *testing.B) {
+	small, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
 		b.Fatal(err)
@@ -441,19 +459,26 @@ func BenchmarkEngineQueueRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	input := model.GenerateInputs(256, 16, 0.2, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := Deploy(env.NewDefault(), Config{
-			Model: m, Plan: plan, Channel: Queue,
+	for _, bc := range []struct {
+		name  string
+		cfg   Config
+		input *sparse.Dense
+	}{
+		{"serial", Config{Model: small, Channel: Serial}, model.GenerateInputs(64, 1042, 0.2, 2)},
+		{"queue", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := Deploy(env.NewDefault(), bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.Infer(bc.input); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Infer(input); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -35,7 +35,6 @@ type Deployment struct {
 
 	fnWorker      string
 	fnCoordinator string
-	fnSerial      string
 
 	// staged caches this deployment shape's encoded/decoded model
 	// artifacts (see stagedCache).
@@ -118,7 +117,6 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 		prefix:        prefix,
 		fnWorker:      prefix + "-worker",
 		fnCoordinator: prefix + "-coordinator",
-		fnSerial:      prefix + "-serial",
 		runs:          make(map[string]*runState),
 	}
 	d.store = e.S3.CreateBucket(prefix + "-store")
@@ -126,7 +124,13 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 		d.store.GetBandwidth = e.S3.Config().GetBytesPerSec * cfg.StoreBandwidthScale
 		d.store.PutBandwidth = e.S3.Config().PutBytesPerSec * cfg.StoreBandwidthScale
 	}
-	d.stageModel()
+	if cfg.peerless() {
+		// One rank on the largest instance the platform offers (§VI-A1).
+		d.Cfg.WorkerMemoryMB = e.FaaS.Config().MaxMemoryMB
+	}
+	if err := d.stageModel(); err != nil {
+		return nil, err
+	}
 
 	if provision := transports[cfg.Channel].provision; provision != nil {
 		if err := provision(d); err != nil {
@@ -142,14 +146,20 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// stageModel writes per-worker weight row blocks (or the whole model for
-// serial) into the model store. The encode/slice work is memoised across
+// stageModel writes per-worker weight row blocks into the model store and
+// takes the deployment's plan from the staged entry, which is the configured
+// one except for Serial's one rank. The encode/slice work is memoised across
 // deployments of the same (model, plan) shape — see stagedCache.
-func (d *Deployment) stageModel() {
-	d.staged = stagedFor(d.Cfg)
+func (d *Deployment) stageModel() error {
+	staged, err := stagedFor(d.Cfg)
+	if err != nil {
+		return err
+	}
+	d.staged, d.Cfg.Plan = staged, staged.plan
 	for key, blob := range d.staged.blobs {
 		d.putStore(key, blob)
 	}
+	return nil
 }
 
 // putStore writes a staging object host-side (offline, unbilled, no
@@ -166,23 +176,19 @@ func (d *Deployment) putStore(key string, data []byte) {
 // coordinatorMemoryMB sizes the lightweight coordinator (§VI-A1: 128 MB).
 const coordinatorMemoryMB = 128
 
+// registerFunctions registers the worker function and, unless the client
+// invokes rank 0 itself (peerless), the coordinator.
 func (d *Deployment) registerFunctions() error {
 	cfg := d.Cfg
-	if cfg.Channel == Serial {
-		return d.Env.FaaS.Register(faas.FunctionConfig{
-			Name:     d.fnSerial,
-			MemoryMB: cfg.SerialMemoryMB,
+	if !cfg.peerless() {
+		if err := d.Env.FaaS.Register(faas.FunctionConfig{
+			Name:     d.fnCoordinator,
+			MemoryMB: coordinatorMemoryMB,
 			Timeout:  cfg.FunctionTimeout,
-			Handler:  d.serialHandler,
-		})
-	}
-	if err := d.Env.FaaS.Register(faas.FunctionConfig{
-		Name:     d.fnCoordinator,
-		MemoryMB: coordinatorMemoryMB,
-		Timeout:  cfg.FunctionTimeout,
-		Handler:  d.coordinatorHandler,
-	}); err != nil {
-		return err
+			Handler:  d.coordinatorHandler,
+		}); err != nil {
+			return err
+		}
 	}
 	return d.Env.FaaS.Register(faas.FunctionConfig{
 		Name:     d.fnWorker,
@@ -193,8 +199,8 @@ func (d *Deployment) registerFunctions() error {
 }
 
 // workerPayload is the (JSON) invocation payload of every function: the
-// run, and the rank a worker is launched as (zero for the coordinator and
-// the serial function). launch and clientRun encode it; runOf decodes it.
+// run, and the rank a worker is launched as (zero for the coordinator).
+// launch and clientRun encode it; runOf decodes it.
 type workerPayload struct {
 	Run  string `json:"run"`
 	Rank int    `json:"rank"`
@@ -297,16 +303,16 @@ func (d *Deployment) Decommission() {
 	}
 }
 
-// clientRun is the client-side body of one request: invoke the serial
-// function or the coordinator, wait for the result and assemble the
-// Result with ledger-reconstructed usage.
+// clientRun is the client-side body of one request: invoke the coordinator,
+// or rank 0 itself when it has no peers, wait for the result and assemble
+// the Result with ledger-reconstructed usage.
 func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 	start := p.Now()
 	wrap := func(err error) error { return fmt.Errorf("core: run %s: %w", run.id, err) }
 	wait := func() error {
-		fn := d.fnCoordinator
-		if d.Cfg.Channel == Serial {
-			fn = d.fnSerial
+		fn, direct := d.fnCoordinator, d.Cfg.peerless()
+		if direct {
+			fn = d.fnWorker
 		}
 		payload, err := json.Marshal(workerPayload{Run: run.id})
 		if err != nil {
@@ -316,7 +322,7 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := fut.Wait(p); err != nil || d.Cfg.Channel == Serial {
+		if _, err := fut.Wait(p); err != nil || direct {
 			return err
 		}
 		// The coordinator returns once it has launched its children (rank 0
@@ -386,18 +392,13 @@ func (d *Deployment) Infer(input *sparse.Dense) (*Result, error) {
 	return res, nil
 }
 
-// stageInput writes the request's input rows into the model store: the full
-// matrix for serial, per-worker row blocks otherwise. Requests are assumed
-// buffered and batched upstream (paper §V-B2), so staging is unbilled. The
-// store keys are run-scoped.
+// stageInput writes the request's input rows into the model store, one row
+// block per worker. Requests are assumed buffered and batched upstream
+// (paper §V-B2), so staging is unbilled. The store keys are run-scoped.
 func (d *Deployment) stageInput(run *runState) error {
 	blobs, err := d.encodedInput(run.input, run.batch)
 	if err != nil {
 		return err
-	}
-	if d.Cfg.Channel == Serial {
-		d.putStore(serialInputKey(run.id), blobs[0])
-		return nil
 	}
 	for worker, p := range blobs {
 		d.putStore(workerInputKey(run.id, worker), p)
@@ -414,10 +415,6 @@ func (d *Deployment) stageInput(run *runState) error {
 // at load, as one launched after delete(d.runs) fails at its first line.
 func (d *Deployment) unstageRun(run *runState) {
 	d.store.Unstage(resultKey(run.id))
-	if d.Cfg.Channel == Serial {
-		d.store.Unstage(serialInputKey(run.id))
-		return
-	}
 	for worker := 0; worker < d.Cfg.Workers(); worker++ {
 		d.store.Unstage(workerInputKey(run.id, worker))
 	}

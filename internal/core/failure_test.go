@@ -206,6 +206,5 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 func redeployFunctions(d *Deployment) error {
 	d.fnWorker += "-v2"
 	d.fnCoordinator += "-v2"
-	d.fnSerial += "-v2"
 	return d.registerFunctions()
 }

@@ -18,16 +18,14 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 	*u = *usage.NewMeter()
 	u.SQSBillFanout = d.Env.Meter.SQSBillFanout
 
-	// Compute side: one client invocation of the serial function or the
-	// coordinator, plus one invocation per worker instance.
-	u.LambdaInvocations = 1 + int64(len(run.metrics))
-	memMB := d.Cfg.WorkerMemoryMB
-	if d.Cfg.Channel == Serial {
-		u.LambdaInvocations = 1
-		memMB = d.Cfg.SerialMemoryMB
+	// Compute side: one invocation per worker instance, plus the client's
+	// invocation of the coordinator when there is one.
+	u.LambdaInvocations = int64(len(run.metrics))
+	if !d.Cfg.peerless() {
+		u.LambdaInvocations++
 	}
 	for _, w := range run.metrics {
-		u.LambdaGBSeconds += float64(memMB) / 1024 * w.Runtime().Seconds()
+		u.LambdaGBSeconds += float64(d.Cfg.WorkerMemoryMB) / 1024 * w.Runtime().Seconds()
 	}
 	u.LambdaGBSeconds += float64(coordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds()
 

@@ -10,20 +10,20 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/model"
+	"fsdinference/internal/partition"
 	"fsdinference/internal/sparse"
 	"fsdinference/internal/wire"
 )
 
-// addedRows is the row set built the long way — one Add, so one copy, per
-// row — that the staged input frame and denseToRowSet must equal bit for
-// bit however they are built.
-func addedRows(d *sparse.Dense, skipZero bool) *wire.RowSet {
+// nonzeroAddedRows is the row set of d's non-zero rows built the long way —
+// one Add, so one copy, per row — that denseToRowSet must equal bit for bit
+// however it is built.
+func nonzeroAddedRows(d *sparse.Dense) *wire.RowSet {
 	rs := wire.NewRowSet(d.Cols)
 	for r := 0; r < d.Rows; r++ {
-		if skipZero && d.RowIsZero(r) {
-			continue
+		if !d.RowIsZero(r) {
+			rs.Add(int32(r), d.Row(r))
 		}
-		rs.Add(int32(r), d.Row(r))
 	}
 	return rs
 }
@@ -86,30 +86,56 @@ func serialDeployment(t testing.TB, m *model.Model, compress bool) *Deployment {
 	return d
 }
 
-// TestStagedInputFrameMatchesAddedRows: the Serial engine's staged input —
-// the object a run's input/<run>/full.x holds — is the frame of all N rows
-// added one by one, zero rows included, under both compress flags.
+// TestStagedInputFrameMatchesAddedRows: each worker's staged input — the
+// object input/<run>/w<m>.x holds — is the frame of the rows it owns added
+// one by one, zero rows included, under both compress flags: Serial's one
+// rank (all N rows) and a Block plan's ranks, whose rows are framed where
+// they lie in the matrix, and an HGP plan's, whose rows are copied.
 func TestStagedInputFrameMatchesAddedRows(t *testing.T) {
 	m, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, compress := range []bool{false, true} {
-		d := serialDeployment(t, m, compress)
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			input := zeroRowsDense(rng, 64, 1+rng.Intn(9), int(uint64(seed)%3))
-			blobs, err := d.encodedInput(input, input.Cols)
+	plans := map[string]*partition.Plan{"serial": nil}
+	for _, scheme := range []partition.Scheme{partition.Block, partition.HGPDNN} {
+		if plans[scheme.String()], err = partition.BuildPlan(m, 3, scheme, partition.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, plan := range plans {
+		for _, compress := range []bool{false, true} {
+			cfg := Config{Model: m, Channel: Serial, Compress: compress}
+			if plan != nil {
+				cfg.Channel, cfg.Plan = Queue, plan
+			}
+			d, err := Deploy(env.NewDefault(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(blobs) != 1 || !bytes.Equal(blobs[0], frame(t, addedRows(input, false), compress)) {
-				t.Fatalf("seed %d compress=%v: staged input differs from the frame of its rows", seed, compress)
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				input := zeroRowsDense(rng, 64, 1+rng.Intn(9), int(uint64(seed)%3))
+				blobs, err := d.encodedInput(input, input.Cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(blobs) != d.Cfg.Workers() {
+					t.Fatalf("%s: %d staged inputs for %d workers", name, len(blobs), d.Cfg.Workers())
+				}
+				for worker, rows := range d.Cfg.Plan.Rows {
+					want := wire.NewRowSet(input.Cols)
+					for _, r := range rows {
+						want.Add(r, input.Row(int(r)))
+					}
+					if !bytes.Equal(blobs[worker], frame(t, want, compress)) {
+						t.Fatalf("%s seed %d compress=%v: worker %d's staged input differs from the frame of its rows", name, seed, compress, worker)
+					}
+				}
+				return true
 			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -122,7 +148,7 @@ func TestDenseToRowSetMatchesAddedRows(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := zeroRowsDense(rng, 1+rng.Intn(30), 1+rng.Intn(9), int(uint64(seed)%3))
-		got, want := denseToRowSet(d), addedRows(d, true)
+		got, want := denseToRowSet(d), nonzeroAddedRows(d)
 		if got.Batch != want.Batch || len(got.IDs) != len(want.IDs) || !sameBits(got.Vals, want.Vals) {
 			t.Fatalf("seed %d: %d rows of batch %d, want %d of %d", seed, got.Len(), got.Batch, want.Len(), want.Batch)
 		}

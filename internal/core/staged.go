@@ -40,14 +40,14 @@ var stagedCache sync.Map // stagedKey -> *stagedModel
 
 type stagedKey struct {
 	model *model.Model
-	plan  *partition.Plan // nil for Serial
+	plan  *partition.Plan // nil for Serial, whose one-rank plan the entry builds
 }
 
-// stagedModel holds one deployment shape's staging artifacts: store key →
-// encoded blob, each worker's weight blocks in the form its kernel reads,
-// and the plan's send groups. The Serial engine multiplies Model.Layers
-// themselves and stages nothing but their blobs.
+// stagedModel holds one deployment shape's staging artifacts: the plan they
+// were cut by, store key → encoded blob, each worker's weight blocks in the
+// form its kernel reads, and the plan's send groups.
 type stagedModel struct {
+	plan  *partition.Plan
 	blobs map[string][]byte
 	// weights[m][k] is worker m's row block of layer k.
 	weights [][]weightBlock
@@ -71,52 +71,55 @@ type weightBlock struct {
 	bytes      int64
 }
 
-func stagedFor(cfg Config) *stagedModel {
+// stagedFor returns the staging artifacts of cfg's shape, building them on
+// first use. Serial stages under the model alone: its plan is one rank
+// owning every row (§VI-A1, Algorithm 1 with all communication removed),
+// built here once per model so that every replica of it hits the cache.
+func stagedFor(cfg Config) (*stagedModel, error) {
 	key := stagedKey{model: cfg.Model}
 	if cfg.Channel != Serial {
 		key.plan = cfg.Plan
 	}
 	if v, ok := stagedCache.Load(key); ok {
-		return v.(*stagedModel)
+		return v.(*stagedModel), nil
 	}
-	s := &stagedModel{blobs: make(map[string][]byte)}
-	if cfg.Channel == Serial {
+	plan := key.plan
+	if plan == nil {
+		var err error
+		if plan, err = partition.BuildPlan(cfg.Model, 1, partition.Block, partition.Options{}); err != nil {
+			return nil, fmt.Errorf("core: one-rank plan: %w", err)
+		}
+	}
+	s := &stagedModel{
+		plan:      plan,
+		blobs:     make(map[string][]byte),
+		weights:   make([][]weightBlock, plan.Workers),
+		sendGroup: groupSends(plan),
+	}
+	for worker := range s.weights {
+		s.weights[worker] = make([]weightBlock, len(cfg.Model.Layers))
 		for k, w := range cfg.Model.Layers {
-			s.blobs[serialLayerKey(k)] = model.EncodeCSR(w)
+			blk := w.SelectRows(plan.Rows[worker])
+			s.blobs[workerLayerKey(worker, k)] = model.EncodeCSR(blk)
+			own, other := blk.SplitCols(plan.Owner, int32(worker))
+			s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes()}
 		}
-	} else {
-		plan := cfg.Plan
-		s.weights = make([][]weightBlock, plan.Workers)
-		for worker := range s.weights {
-			s.weights[worker] = make([]weightBlock, len(cfg.Model.Layers))
-			for k, w := range cfg.Model.Layers {
-				blk := w.SelectRows(plan.Rows[worker])
-				s.blobs[workerLayerKey(worker, k)] = model.EncodeCSR(blk)
-				own, other := blk.SplitCols(plan.Owner, int32(worker))
-				s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes()}
-			}
-		}
-		s.sendGroup = groupSends(plan)
 	}
 	if v, loaded := stagedCache.LoadOrStore(key, s); loaded {
-		return v.(*stagedModel)
+		return v.(*stagedModel), nil
 	}
-	return s
+	return s, nil
 }
 
-// serialLayerKey and workerLayerKey name the staged weight objects.
-func serialLayerKey(k int) string { return fmt.Sprintf("model/full/layer-%d.w", k) }
-
+// workerLayerKey names a staged weight object.
 func workerLayerKey(worker, k int) string {
 	return fmt.Sprintf("model/w%d/layer-%d.w", worker, k)
 }
 
-// serialInputKey, workerInputKey and resultKey name a run's own objects: the
-// staged input (whole for Serial, one row block per worker otherwise) and
-// the result the root stores. Every run builds each of its keys twice, to
-// write the object and to drop it, so they are concatenated, not formatted.
-func serialInputKey(run string) string { return "input/" + run + "/full.x" }
-
+// workerInputKey and resultKey name a run's own objects: one worker's staged
+// input rows and the result the root stores. Every run builds each of its
+// keys twice, to write the object and to drop it, so they are concatenated,
+// not formatted.
 func workerInputKey(run string, worker int) string {
 	return "input/" + run + "/w" + strconv.Itoa(worker) + ".x"
 }
@@ -150,27 +153,22 @@ func groupSends(plan *partition.Plan) [][][]int {
 // fail.
 var encodeInput = wire.Encode
 
-// encodedInput returns the staged payloads for one request input: a single
-// full-matrix payload for Serial, one payload per worker otherwise.
+// encodedInput returns the staged payloads for one request input, one per
+// worker: the frame of the rows the worker owns. A worker whose rows are one
+// ascending run of ids — Serial's one rank and every Block worker — has them
+// framed where they lie in the matrix; any other is copied into a set.
 func (d *Deployment) encodedInput(input *sparse.Dense, batch int) ([][]byte, error) {
-	if d.Cfg.Channel == Serial {
-		// Every row in order is the matrix itself: frame it in place.
-		ids := make([]int32, input.Rows)
-		for r := range ids {
-			ids[r] = int32(r)
-		}
-		p, err := encodeInput(viewRows(input, ids), d.Cfg.Compress)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding input: %w", err)
-		}
-		return [][]byte{p}, nil
-	}
 	plan := d.Cfg.Plan
 	blobs := make([][]byte, plan.Workers)
-	for worker := 0; worker < plan.Workers; worker++ {
-		rs := wire.NewRowSetCap(batch, len(plan.Rows[worker]))
-		for _, r := range plan.Rows[worker] {
-			rs.Add(r, input.Row(int(r)))
+	for worker, rows := range plan.Rows {
+		var rs *wire.RowSet
+		if n := len(rows); n > 0 && int(rows[n-1]-rows[0]) == n-1 {
+			rs = viewRows(input, rows)
+		} else {
+			rs = wire.NewRowSetCap(batch, n)
+			for _, r := range rows {
+				rs.Add(r, input.Row(int(r)))
+			}
 		}
 		p, err := encodeInput(rs, d.Cfg.Compress)
 		if err != nil {
@@ -179,44 +177,4 @@ func (d *Deployment) encodedInput(input *sparse.Dense, batch int) ([][]byte, err
 		blobs[worker] = p
 	}
 	return blobs, nil
-}
-
-// serialResult is what the serial layer loop hands its handler: the output
-// activations, the encoded result payload and the per-layer MAC and element
-// counts the handler charges.
-type serialResult struct {
-	output    *sparse.Dense
-	encoded   []byte
-	layerMACs []int64
-	layerOps  []int64
-}
-
-// serialCompute runs the serial layer loop for one input.
-func (d *Deployment) serialCompute(input *sparse.Dense) (*serialResult, error) {
-	spec := d.Cfg.Model.Spec
-	// Mul reads x and writes a fresh z, so the first layer multiplies the
-	// caller's matrix as it stands. Only a model without layers would hand
-	// that matrix back as the run's output: it gets a copy.
-	x := input
-	if len(d.Cfg.Model.Layers) == 0 {
-		x = input.Clone()
-	}
-	res := &serialResult{
-		layerMACs: make([]int64, 0, len(d.Cfg.Model.Layers)),
-		layerOps:  make([]int64, 0, len(d.Cfg.Model.Layers)),
-	}
-	for _, w := range d.Cfg.Model.Layers {
-		z, macs := sparse.Mul(w, x)
-		ops := sparse.ReLUBiasClamp(z, spec.Bias, spec.Clamp)
-		res.layerMACs = append(res.layerMACs, macs)
-		res.layerOps = append(res.layerOps, ops)
-		x = z
-	}
-	res.output = x
-	enc, err := wire.Encode(denseToRowSet(x), d.Cfg.Compress)
-	if err != nil {
-		return nil, err
-	}
-	res.encoded = enc
-	return res, nil
 }

@@ -33,8 +33,9 @@ type transport struct {
 }
 
 // transports is the one place a ChannelKind is declared, indexed by kind.
-// Serial is an engine shape, not a transport: it has a name and nothing
-// else. Hybrid owns no service and is composed from the Memory and Object
+// Serial has a name and nothing else: a kind without open runs as rank 0
+// of a one-rank plan that the client invokes directly (Config.peerless).
+// Hybrid owns no service and is composed from the Memory and Object
 // pieces, as its channel is.
 var transports = [...]transport{
 	Serial: {name: "FSD-Inf-Serial", spelling: "serial"},

@@ -35,8 +35,8 @@ func TestTransportTable(t *testing.T) {
 		if got, err := ParseChannelKind(tr.spelling); err != nil || got != kind {
 			t.Errorf("ParseChannelKind(%q) = %v, %v; want %v", tr.spelling, got, err, kind)
 		}
-		// Serial is an engine shape with no transport behind it; every
-		// other kind launches workers, is priced by AutoAlgo and bills.
+		// Serial has no transport behind it (its one rank runs alone); every
+		// other kind opens a channel, is priced by AutoAlgo and bills.
 		if kind != Serial && (tr.open == nil || tr.traits == nil || tr.bill == nil) {
 			t.Errorf("%v lacks one of open, traits, bill", kind)
 		}
@@ -187,8 +187,8 @@ func TestDeployRejectsUnknownChannel(t *testing.T) {
 // TestKindsNamedOnlyInTheTable keeps the engine from switching on a kind
 // again: outside the const block that declares them and transport.go, the
 // package's non-test code may not name Queue, Object, Memory or Hybrid.
-// (Serial is an engine shape — no plan, no coordinator — and is tested for
-// where the engine forks.) Selectors are skipped: sqs.Queue is a type.
+// (Serial is no transport: the engine names it only where a plan is chosen,
+// and forks on a row without open.) Selectors are skipped: sqs.Queue is a type.
 func TestKindsNamedOnlyInTheTable(t *testing.T) {
 	namedOnlyIn(t, "transport.go", "Queue", "Object", "Memory", "Hybrid")
 }

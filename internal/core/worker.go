@@ -114,8 +114,9 @@ func (l workerLink) Gather(op string, round int, sources []int, deliver func(src
 	})
 }
 
-// workerHandler is the FaaS body of a distributed FSI worker
-// (Algorithms 1 and 2).
+// workerHandler is the FaaS body of an FSI worker (Algorithms 1 and 2).
+// A kind without a channel (Serial) runs it as rank 0 of a one-rank plan:
+// the client invokes it directly and it runs runAlone instead of runFSI.
 func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 	run, rank, err := d.runOf("worker", payload)
 	if err != nil {
@@ -141,7 +142,9 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		run.lastStart = ctx.P.Now()
 	}
 
-	w.ch = transports[d.Cfg.Channel].open(w)
+	if open := transports[d.Cfg.Channel].open; open != nil {
+		w.ch = open(w)
+	}
 
 	// Launch this worker's children before any other work, spreading
 	// launch responsibility across the tree.
@@ -155,7 +158,11 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 		w.failSpan("load")
 		return nil, err
 	}
-	if err := w.runFSI(); err != nil {
+	loop := w.runFSI
+	if w.ch == nil {
+		loop = w.runAlone
+	}
+	if err := loop(); err != nil {
 		run.workerErrs = append(run.workerErrs, err)
 		w.failSpan("fsi")
 		return nil, err
@@ -205,15 +212,23 @@ func (w *worker) load() error {
 	if wire.Deflated(blob) {
 		w.ctx.Decompress(int64(len(blob)))
 	}
-	rs, err := wire.Decode(blob)
-	if err != nil {
-		return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)
+	// A rank alone multiplies run.input as the dense matrix it is (see
+	// runAlone): the object read above is this process's own framing of it,
+	// so it is charged and not decoded, and the instance holds the matrix's
+	// values only.
+	xBytes := w.run.input.Bytes()
+	if w.ch != nil {
+		rs, err := wire.Decode(blob)
+		if err != nil {
+			return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)
+		}
+		w.x = make([][]float32, n)
+		for i := 0; i < rs.Len(); i++ {
+			w.setX(rs.IDs[i], rs.Row(i))
+		}
+		xBytes = rs.RawBytes()
 	}
-	w.x = make([][]float32, n)
-	for i := 0; i < rs.Len(); i++ {
-		w.setX(rs.IDs[i], rs.Row(i))
-	}
-	w.ctx.Alloc(int64(float64(rs.RawBytes()) * perf.MemOverheadData))
+	w.ctx.Alloc(int64(float64(xBytes) * perf.MemOverheadData))
 	w.metrics.LoadTime = p.Now() - t0
 	return nil
 }
@@ -333,6 +348,40 @@ func (w *worker) runFSI() error {
 	}
 	w.metrics.ReduceTime = w.ctx.P.Now() - t0
 	return nil
+}
+
+// runAlone is runFSI for a rank with no peers (FSD-Inf-Serial, §VI-A1:
+// Algorithm 1 with all communication removed): no send, receive, barrier or
+// reduce, and every column is local, so each layer multiplies the whole
+// dense activation with sparse.Mul, the faster kernel at full width, and the
+// rank stores the last layer's z as the result itself. Each z is charged
+// for its own layer only, and only this path records WorkerMetrics.MACs.
+func (w *worker) runAlone() error {
+	spec := w.d.Cfg.Model.Spec
+	perf := w.ctx.Perf()
+	// Mul reads x and writes a fresh z, so the first layer multiplies the
+	// caller's matrix as it stands. Only a model without layers would hand
+	// that matrix back as the run's output: it gets a copy.
+	x := w.run.input
+	if len(w.weights) == 0 {
+		x = x.Clone()
+	}
+	for k, blk := range w.weights {
+		lsp := w.opSpan("layer")
+		if lsp.Active() {
+			lsp.SetAttr("k", strconv.Itoa(k))
+		}
+		z, macs := sparse.Mul(blk.own, x)
+		zBytes := int64(float64(z.Bytes()) * perf.MemOverheadData)
+		w.ctx.Alloc(zBytes)
+		w.ctx.Compute(float64(macs))
+		w.metrics.MACs += float64(macs)
+		w.ctx.ComputeElem(float64(sparse.ReLUBiasClamp(z, spec.Bias, spec.Clamp)))
+		w.ctx.Free(zBytes)
+		x = z
+		lsp.End()
+	}
+	return w.storeResult(x)
 }
 
 // algoFor resolves the deployment's collective topology for one call.
@@ -532,11 +581,11 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 }
 
 // denseToRowSet returns the non-zero rows of d as a row set, at exact size.
-// When no row is zero the set views d (see viewRows); both callers frame the
-// set at once and drop it, and hold d as a finished output nobody writes to.
+// When no row is zero the set views d (see viewRows); the caller frames the
+// set at once and drops it, and holds d as a finished output nobody writes to.
 func denseToRowSet(d *sparse.Dense) *wire.RowSet {
 	ids := d.NonzeroRows()
-	if len(ids) == d.Rows {
+	if len(ids) > 0 && len(ids) == d.Rows {
 		return viewRows(d, ids)
 	}
 	vals := make([]float32, 0, len(ids)*d.Cols)
@@ -546,13 +595,14 @@ func denseToRowSet(d *sparse.Dense) *wire.RowSet {
 	return &wire.RowSet{Batch: d.Cols, IDs: ids, Vals: vals}
 }
 
-// viewRows returns the row set of all of d's rows, ids being 0..Rows-1,
-// without copying them: Vals is d's own array, cut to its length so that an
-// Add or Append on the set reallocates rather than growing into d's spare
-// capacity. The set is for encoding; d must not change while it is in use.
+// viewRows returns the row set of d's rows ids, one ascending run of ids,
+// without copying them: Vals is the run's span of d's own array and both
+// slices are cut to their length, so that an Add or Append on the set
+// reallocates rather than growing into d's or the caller's spare capacity.
+// The set is for encoding; d must not change while it is in use.
 func viewRows(d *sparse.Dense, ids []int32) *wire.RowSet {
-	n := d.Rows * d.Cols
-	return &wire.RowSet{Batch: d.Cols, IDs: ids, Vals: d.Data[:n:n]}
+	lo, hi := int(ids[0])*d.Cols, (int(ids[len(ids)-1])+1)*d.Cols
+	return &wire.RowSet{Batch: d.Cols, IDs: ids[:len(ids):len(ids)], Vals: d.Data[lo:hi:hi]}
 }
 
 // threads runs tasks on the worker's communication thread pool

@@ -385,9 +385,11 @@ func (l *Lab) PaperWeightBytes(paperN int) int64 {
 }
 
 // SerialFeasiblePaper reports whether the paper-scale model fits the
-// 10,240 MB serial instance under the modelled runtime footprint.
+// serial instance, the platform's largest (10,240 MB), under the modelled
+// runtime footprint.
 func (l *Lab) SerialFeasiblePaper(paperN int) bool {
-	return float64(l.PaperWeightBytes(paperN))*5.5 <= 10240*float64(1<<20)
+	faas := env.DefaultConfig().FaaS
+	return float64(l.PaperWeightBytes(paperN))*faas.Perf.MemOverheadWeights <= float64(faas.MaxMemoryMB)*float64(1<<20)
 }
 
 // SageFeasiblePaper reports whether the paper-scale model fits the 6 GB

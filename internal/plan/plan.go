@@ -537,8 +537,8 @@ func (p *Planner) candidates() []Candidate {
 // serialFits reports whether the model's in-memory footprint fits the
 // largest single FaaS instance.
 func (p *Planner) serialFits() bool {
-	perf := env.DefaultConfig().FaaS.Perf
-	return float64(p.m.WeightBytes())*perf.MemOverheadWeights <= 10240*float64(1<<20)
+	faas := env.DefaultConfig().FaaS
+	return float64(p.m.WeightBytes())*faas.Perf.MemOverheadWeights <= float64(faas.MaxMemoryMB)*float64(1<<20)
 }
 
 // partitionPlan returns (building once) the trial partition plan for a

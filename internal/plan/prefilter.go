@@ -56,7 +56,7 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 	return cost.Workload{
 		ModelBytes:           p.m.WeightBytes(),
 		MemOverhead:          env.DefaultConfig().FaaS.Perf.MemOverheadWeights,
-		InstanceCapMB:        10240,
+		InstanceCapMB:        env.DefaultConfig().FaaS.MaxMemoryMB,
 		Workers:              workers,
 		BytesPerPairPerLayer: int64(st.RowsPerPair * float64(batch) * 4 * 0.6),
 		PairsPerLayer:        pairsPerLayer,

@@ -276,3 +276,49 @@ func TestTracingOffReplayUnchanged(t *testing.T) {
 		t.Errorf("tracing changed the replay outcome:\n--- off ---\n%s\n--- on ---\n%s", repOff, repOn)
 	}
 }
+
+// TestTracedSerialRunsShowTheirWorker: a sampled run of the serial endpoint
+// is traced like a distributed one — its one rank works on a worker track
+// under the replica's (s64/rN/w0), nested in the run span, with a load span
+// and one layer span per model layer — so a Serial run's time is not a
+// blank in the export.
+func TestTracedSerialRunsShowTheirWorker(t *testing.T) {
+	trace := workload.Day(40*6, []int{64, 128}, 6, 9)
+	svc := tracedTestService(t, 3)
+	if _, err := svc.Replay(trace, ReplayOptions{Seed: 17}); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[obs.SpanID]string{} // sampled s64 run span -> its worker track
+	workers := map[string]int{}     // worker track -> worker spans nested in a run
+	ops := map[string]map[string]int{}
+	spans := svc.Tracer().Spans()
+	for _, sp := range spans {
+		if sp.Name == "run" && strings.HasPrefix(sp.Track, "s64/") {
+			runs[sp.ID] = sp.Track + "/w0"
+		}
+	}
+	for _, sp := range spans {
+		switch {
+		case sp.Name == "worker" && runs[sp.Parent] == sp.Track:
+			workers[sp.Track]++
+		case sp.Kind == obs.KindOp && strings.HasPrefix(sp.Track, "s64/"):
+			if ops[sp.Track] == nil {
+				ops[sp.Track] = map[string]int{}
+			}
+			ops[sp.Track][sp.Name]++
+		}
+	}
+	if len(runs) == 0 {
+		t.Fatal("no s64 run was sampled")
+	}
+	n := 0
+	for track, w := range workers {
+		n += w
+		if got := ops[track]; got["load"] != w || got["layer"] != 3*w || len(got) != 2 {
+			t.Errorf("%s: %d runs with ops %v, want %d load and %d layer spans and nothing else", track, w, got, w, 3*w)
+		}
+	}
+	if n != len(runs) {
+		t.Fatalf("%d of %d sampled s64 runs have a worker span on their replica's w0 track", n, len(runs))
+	}
+}

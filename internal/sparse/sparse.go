@@ -23,7 +23,7 @@
 //
 // # Which kernel serves which path
 //
-//   - Mul, the Serial engine and the baselines: one full-width dense x,
+//   - Mul, Serial's one-rank worker and the baselines: one full-width dense x,
 //     batches of hundreds to thousands of columns. A streaming loop over
 //     the whole batch per four live stored weights of a row (mulAdd4):
 //     z[r][:] += v0*x[c0][:] + ... + v3*x[c3][:], added one product at a
@@ -104,7 +104,7 @@
 // own half at 1.4 - 2.2 and the received half at 0.56 - 0.81, a
 // mispredicted branch on every fifth entry.
 //
-// Mul is deliberately not tiled. At the Serial engine's batch of 4096 an
+// Mul is deliberately not tiled. At Serial's batch of 4096 an
 // activation row is 16 KB, so the 32 rows one weight row multiplies all map
 // to the same L1 sets: walked tile by tile they evict each other (a tiled
 // scalar kernel at batch 4096 measured 1.1 GMAC/s against the streaming

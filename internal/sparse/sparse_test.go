@@ -514,7 +514,7 @@ func TestZero(t *testing.T) {
 	}
 }
 
-// serialCase is one layer at the Serial engine's shape: N=64, fan-in 32,
+// serialCase is one layer at Serial's stream_day shape: N=64, fan-in 32,
 // weights of magnitude 0.2 to 0.6 with either sign, and a {0,1} input at
 // density 0.2 (model.GenerateInputs' form; that package imports this one).
 func serialCase(batch int) (*CSR, *Dense) {
@@ -543,12 +543,12 @@ func serialCase(batch int) (*CSR, *Dense) {
 	return w, x
 }
 
-// serialBatches are the Serial engine's batch widths: a small coalesced
+// serialBatches are Serial's batch widths: a small coalesced
 // batch, stream_day's typical run and its largest.
 var serialBatches = []int{256, 1042, 4096}
 
-// BenchmarkMulSerial times Mul at the Serial engine's shape, allocation of
-// z included, as the engine calls it.
+// BenchmarkMulSerial times Mul at Serial's shape, allocation of z
+// included, as the one-rank worker calls it.
 //
 //	go test ./internal/sparse -run '^$' -bench 'MulSerial|ReLUBiasClamp' -cpu 1
 func BenchmarkMulSerial(b *testing.B) {

@@ -567,7 +567,7 @@ func TestViewSetFramesLikeAddedSet(t *testing.T) {
 	}
 }
 
-// BenchmarkBody times fillBody and parseBody on the Serial engine's widest
+// BenchmarkBody times fillBody and parseBody on Serial's widest
 // frame, 64 rows of 4096 values, and reports ns per value. The loops are the
 // plain ones (body[off:], off += 4): 0.63 - 0.79 fill and 1.3 - 1.6 parse on
 // one vCPU. Indexing a pre-sliced destination (dst[4*i:]) read 1.07 - 1.13
