@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -72,10 +73,11 @@ func goldenPriorityService(t *testing.T) *Service {
 
 // goldenSheddingService is a Queue P=2 and a Memory P=2 endpoint under
 // DeadlineAdmission without reroute; the Memory endpoint's store is a
-// two-shard cluster with one replica, so a chaos kill fails over.
-func goldenSheddingService(t *testing.T) *Service {
+// two-shard cluster with one replica, so a chaos kill fails over. extra
+// options follow the shape's own.
+func goldenSheddingService(t *testing.T, extra ...Option) *Service {
 	t.Helper()
-	svc, err := NewService(env.NewDefault(),
+	opts := []Option{
 		WithEndpoint("q128", testModel(t, 128, 3), WithChannel(core.Queue), WithWorkers(2)),
 		WithEndpoint("m256", testModel(t, 256, 3), WithChannel(core.Memory), WithWorkers(2),
 			WithDeployOverride(func(c *core.Config) {
@@ -86,11 +88,23 @@ func goldenSheddingService(t *testing.T) *Service {
 			})),
 		WithCoalescing(6, 0),
 		WithAdmission(DeadlineAdmission(false)),
-	)
+	}
+	svc, err := NewService(env.NewDefault(), append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return svc
+}
+
+// goldenSheddingReplay is the shedding shape's trace and replay options:
+// deadlines tight enough to shed, and a chaos kill on the Memory store.
+func goldenSheddingReplay() ([]workload.Query, ReplayOptions) {
+	return burstTrace(36*6, []int{128, 256}, 4, 40*time.Second), ReplayOptions{Seed: 5,
+		Submit: func(i int, _ workload.Query) SubmitOptions {
+			return SubmitOptions{Deadline: time.Duration(1+i%3) * 1500 * time.Millisecond}
+		},
+		Chaos: []ChaosEvent{{At: 13300 * time.Millisecond, Kind: KillNode, Endpoint: "m256", Shard: 0}},
+	}
 }
 
 // TestGoldenReplayReports pins what each replay entry point reports, with
@@ -102,6 +116,7 @@ func TestGoldenReplayReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six replays, two of them distributed")
 	}
+	shedTrace, shedOpts := goldenSheddingReplay()
 	shapes := []struct {
 		name    string
 		service func(*testing.T) *Service
@@ -126,15 +141,10 @@ func TestGoldenReplayReports(t *testing.T) {
 		},
 		{
 			name:    "shedding",
-			service: goldenSheddingService,
-			trace:   burstTrace(36*6, []int{128, 256}, 4, 40*time.Second),
-			opts: ReplayOptions{Seed: 5,
-				Submit: func(i int, _ workload.Query) SubmitOptions {
-					return SubmitOptions{Deadline: time.Duration(1+i%3) * 1500 * time.Millisecond}
-				},
-				Chaos: []ChaosEvent{{At: 13300 * time.Millisecond, Kind: KillNode, Endpoint: "m256", Shard: 0}},
-			},
-			shed: true,
+			service: func(t *testing.T) *Service { return goldenSheddingService(t) },
+			trace:   shedTrace,
+			opts:    shedOpts,
+			shed:    true,
 			want: map[string]string{
 				"replay": "f094b1c8475e5a5736fe23831f32323f1fb2b0ccce7a645c78e33bb577124266",
 				"lanes2": "f094b1c8475e5a5736fe23831f32323f1fb2b0ccce7a645c78e33bb577124266",
@@ -176,5 +186,43 @@ func TestGoldenReplayReports(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGoldenRegistryExports pins the shedding shape's metrics surfaces,
+// traced and monitored: the registry text (Metrics().WriteText) and the
+// monitor's Prometheus exposition (Monitor().WriteProm), hashed together.
+// The identity tests compare these only between replay modes, so a change
+// that moved every mode alike would pass them; this value does not move.
+func TestGoldenRegistryExports(t *testing.T) {
+	// Captured before the replay report read its counts from the registry;
+	// a chaos trace replays on one lane, so both modes export the same text.
+	const want = "4c1ba6b8abe3d12ee78261bac8843b295a53e6f9cbb9d9dc90c37636f251e605"
+	trace, opts := goldenSheddingReplay()
+	for _, mode := range []string{"replay", "lanes2"} {
+		mode := mode
+		t.Run(mode, func(t *testing.T) {
+			svc := goldenSheddingService(t, WithTracing(1), WithMonitor(monitorTestSpec()))
+			var err error
+			if mode == "replay" {
+				_, err = svc.Replay(trace, opts)
+			} else {
+				_, err = svc.ReplayLanes(2, trace, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var text bytes.Buffer
+			if err := svc.Metrics().WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Monitor().WriteProm(&text); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(text.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("registry digest %s, want %s\n%s", got, want, text.String())
+			}
+		})
 	}
 }
