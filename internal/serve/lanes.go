@@ -158,9 +158,7 @@ func (s *Service) absorbObs(lanes []*Service) {
 		if s.trace != nil {
 			s.trace.Merge(lane.trace)
 		}
-		if s.metrics != nil {
-			s.metrics.Merge(lane.metrics)
-		}
+		s.metrics.Merge(lane.metrics)
 		if s.mon != nil {
 			s.mon.Absorb(lane.mon)
 		}

@@ -12,7 +12,7 @@ import (
 	"fsdinference/internal/workload"
 )
 
-func lanesTestService(t *testing.T) *Service {
+func lanesTestService(t testing.TB, extra ...Option) *Service {
 	t.Helper()
 	sizes := []int{64, 128, 256}
 	var opts []Option
@@ -25,11 +25,39 @@ func lanesTestService(t *testing.T) *Service {
 		opts = append(opts, WithEndpoint(names[i], m))
 	}
 	opts = append(opts, WithCoalescing(32, 150*time.Millisecond), WithReplicas(2))
-	svc, err := NewService(env.NewDefault(), opts...)
+	svc, err := NewService(env.NewDefault(), append(opts, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return svc
+}
+
+// BenchmarkReplay replays a sporadic day over lanesTestService's three
+// Serial endpoints, untraced (off) and tracing every request (traced). Only
+// the replay is timed; the service is built with the timer stopped. It
+// reports host ns per query next to allocs/op.
+func BenchmarkReplay(b *testing.B) {
+	trace := workload.Day(60*6, []int{64, 128, 256}, 6, 9)
+	for _, leg := range []struct {
+		name string
+		opts []Option
+	}{
+		{"off", nil},
+		{"traced", []Option{WithTracing(1)}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				svc := lanesTestService(b, leg.opts...)
+				b.StartTimer()
+				if _, err := svc.Replay(trace, ReplayOptions{Seed: 17}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/query")
+		})
+	}
 }
 
 // TestReplayLanesMatchesSingleLane is the lane-determinism contract: the

@@ -8,24 +8,19 @@ import (
 
 // epMetrics caches one endpoint's registry instruments at build time so
 // hot-path updates are pointer increments, never registry map lookups.
-// It exists only when the service was built WithTracing; every use site
-// guards on the nil.
+// Every service builds them: they are the one count of the endpoint's
+// sheds, reroutes, failed runs, starts and deploy failures, read by the
+// replay report, the SLO monitor and /metrics alike. The embedded Target
+// is exactly what the monitor scrapes.
 type epMetrics struct {
-	reg  *obs.Registry
-	name string
+	monitor.Target
+	reg *obs.Registry
 
-	requests     *obs.Counter // resolved requests, completed + failed + shed
-	failures     *obs.Counter // requests resolved with an error (incl. shed)
-	shed         *obs.Counter
-	rerouted     *obs.Counter // requests handed to a least-loaded sibling
-	coldStarts   *obs.Counter
-	warmStarts   *obs.Counter
-	failedRuns   *obs.Counter
-	kvFailovers  *obs.Counter // shard failovers of this endpoint's KV clusters
-	kvLostValues *obs.Counter
-	queueDepth   *obs.Gauge
-	poolSize     *obs.Gauge // live replica-pool size
-	latency      *obs.Histogram
+	failedRuns *obs.Counter
+	// deployFailures is registered at the first refused deploy, so a
+	// service that never sees one exports no such line; until then it is
+	// nil and reads as zero.
+	deployFailures *obs.Counter
 
 	// runsByChannel labels run counts with the channel the run actually
 	// executed on — an SLO re-plan can change it mid-replay, hence the
@@ -35,71 +30,50 @@ type epMetrics struct {
 
 func newEpMetrics(reg *obs.Registry, name string) *epMetrics {
 	return &epMetrics{
+		Target: monitor.Target{
+			Endpoint:     name,
+			Requests:     reg.Counter("requests_total", "endpoint", name),
+			Failures:     reg.Counter("request_failures_total", "endpoint", name),
+			Shed:         reg.Counter("requests_shed_total", "endpoint", name),
+			Rerouted:     reg.Counter("requests_rerouted_total", "endpoint", name),
+			ColdStarts:   reg.Counter("cold_starts_total", "endpoint", name),
+			WarmStarts:   reg.Counter("warm_starts_total", "endpoint", name),
+			KVFailovers:  reg.Counter("kv_failovers_total", "endpoint", name),
+			KVLostValues: reg.Counter("kv_lost_values_total", "endpoint", name),
+			Latency:      reg.Histogram("request_latency_ns", "endpoint", name),
+			QueueDepth:   reg.Gauge("queue_depth", "endpoint", name),
+			Replicas:     reg.Gauge("replica_pool_size", "endpoint", name),
+		},
 		reg:           reg,
-		name:          name,
-		requests:      reg.Counter("requests_total", "endpoint", name),
-		failures:      reg.Counter("request_failures_total", "endpoint", name),
-		shed:          reg.Counter("requests_shed_total", "endpoint", name),
-		rerouted:      reg.Counter("requests_rerouted_total", "endpoint", name),
-		coldStarts:    reg.Counter("cold_starts_total", "endpoint", name),
-		warmStarts:    reg.Counter("warm_starts_total", "endpoint", name),
 		failedRuns:    reg.Counter("run_failures_total", "endpoint", name),
-		kvFailovers:   reg.Counter("kv_failovers_total", "endpoint", name),
-		kvLostValues:  reg.Counter("kv_lost_values_total", "endpoint", name),
-		queueDepth:    reg.Gauge("queue_depth", "endpoint", name),
-		poolSize:      reg.Gauge("replica_pool_size", "endpoint", name),
-		latency:       reg.Histogram("request_latency_ns", "endpoint", name),
 		runsByChannel: make(map[core.ChannelKind]*obs.Counter),
 	}
 }
 
-// setPoolSize is the nil-safe pool-size gauge update on scale events.
-func (m *epMetrics) setPoolSize(n int) {
-	if m != nil {
-		m.poolSize.Set(float64(n))
-	}
-}
-
-// deployFailed is the nil-safe count of a refused replica deploy. The
-// counter is registered at the first failure, so a service that never
-// sees one exports no such line.
+// deployFailed counts a refused replica deploy.
 func (m *epMetrics) deployFailed() {
-	if m != nil {
-		m.reg.Counter("deploy_failures_total", "endpoint", m.name).Inc()
-	}
-}
-
-// target wires the endpoint's instruments into the SLO monitor.
-func (m *epMetrics) target() monitor.Target {
-	return monitor.Target{
-		Endpoint:     m.name,
-		Requests:     m.requests,
-		Failures:     m.failures,
-		Shed:         m.shed,
-		Rerouted:     m.rerouted,
-		ColdStarts:   m.coldStarts,
-		WarmStarts:   m.warmStarts,
-		KVFailovers:  m.kvFailovers,
-		KVLostValues: m.kvLostValues,
-		Latency:      m.latency,
-		QueueDepth:   m.queueDepth,
-		Replicas:     m.poolSize,
-	}
-}
-
-// setQueueDepth is the nil-safe gauge update on the dispatch hot path:
-// metrics off costs exactly the nil comparison.
-func (m *epMetrics) setQueueDepth(n int) {
-	if m != nil {
-		m.queueDepth.Set(float64(n))
-	}
+	m.deployFailures = m.reg.Counter("deploy_failures_total", "endpoint", m.Endpoint)
+	m.deployFailures.Inc()
 }
 
 func (m *epMetrics) runFor(ch core.ChannelKind) *obs.Counter {
 	c := m.runsByChannel[ch]
 	if c == nil {
-		c = m.reg.Counter("runs_total", "endpoint", m.name, "channel", ch.String())
+		c = m.reg.Counter("runs_total", "endpoint", m.Endpoint, "channel", ch.String())
 		m.runsByChannel[ch] = c
 	}
 	return c
+}
+
+// windowCounts is the part of an endpoint's report the registry keeps: its
+// counters at one instant. The counters are cumulative, because the
+// monitor and /metrics read them that way; a report subtracts the counts
+// its window opened with.
+type windowCounts struct {
+	shed, rerouted, failedRuns, cold, warm, deployFailures int64
+}
+
+func (m *epMetrics) counts() windowCounts {
+	return windowCounts{m.Shed.Value(), m.Rerouted.Value(), m.failedRuns.Value(),
+		m.ColdStarts.Value(), m.WarmStarts.Value(), m.deployFailures.Value()}
 }

@@ -86,8 +86,8 @@ func TestDeadlineAdmissionShedsUnmeetableRequests(t *testing.T) {
 		t.Fatal("deadline-meeting request got no output")
 	}
 	ep := svc.byName["ep"]
-	if ep.stats.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", ep.stats.Shed)
+	if ep.met.Shed.Value() != 1 {
+		t.Fatalf("shed = %d, want 1", ep.met.Shed.Value())
 	}
 }
 
@@ -123,8 +123,8 @@ func TestDeadlineRerouteMovesRequestToSiblingEndpoint(t *testing.T) {
 	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
-	if a := svc.byName["a"]; a.stats.Rerouted != 1 || a.stats.Shed != 0 {
-		t.Fatalf("endpoint a rerouted=%d shed=%d, want 1/0", a.stats.Rerouted, a.stats.Shed)
+	if a := svc.byName["a"]; a.met.Rerouted.Value() != 1 || a.met.Shed.Value() != 0 {
+		t.Fatalf("endpoint a rerouted=%d shed=%d, want 1/0", a.met.Rerouted.Value(), a.met.Shed.Value())
 	}
 }
 
@@ -175,8 +175,8 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
-	if a := svc.byName["a"]; a.stats.Rerouted != 1 {
-		t.Fatalf("endpoint a rerouted=%d, want 1", a.stats.Rerouted)
+	if a := svc.byName["a"]; a.met.Rerouted.Value() != 1 {
+		t.Fatalf("endpoint a rerouted=%d, want 1", a.met.Rerouted.Value())
 	}
 }
 

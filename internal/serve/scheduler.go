@@ -280,7 +280,7 @@ func (sc *scheduler) evaluatePool() {
 		sc.pool[victim].d.Decommission()
 		sc.pool = append(sc.pool[:victim], sc.pool[victim+1:]...)
 		sc.ep.stats.ScaleDowns++
-		sc.ep.met.setPoolSize(len(sc.pool))
+		sc.ep.met.Replicas.Set(float64(len(sc.pool)))
 	}
 	// Still above target: some idle replicas are inside the grace period.
 	// Arm a re-check at the earliest time one becomes reclaimable.
@@ -321,7 +321,7 @@ func (sc *scheduler) addReplica(now time.Duration) error {
 	if len(sc.pool) > sc.ep.stats.PeakReplicas {
 		sc.ep.stats.PeakReplicas = len(sc.pool)
 	}
-	sc.ep.met.setPoolSize(len(sc.pool))
+	sc.ep.met.Replicas.Set(float64(len(sc.pool)))
 	return nil
 }
 
@@ -375,7 +375,7 @@ func (sc *scheduler) dispatch() {
 		}
 		sc.startRun(rep, b)
 	}
-	sc.ep.met.setQueueDepth(sc.queue.Len())
+	sc.ep.met.QueueDepth.Set(float64(sc.queue.Len()))
 }
 
 // nextBatch pops requests in admission order into one engine-run batch of
@@ -416,20 +416,15 @@ func (sc *scheduler) shed(r *request, now time.Duration) {
 		if alt := sc.leastLoadedSibling(); alt != nil {
 			r.rerouted = true
 			r.span.SetAttr("rerouted", alt.name)
-			sc.ep.stats.Rerouted++
-			if m := sc.ep.met; m != nil {
-				m.rerouted.Inc()
-			}
+			sc.ep.met.Rerouted.Inc()
 			alt.sched.admit(r)
 			return
 		}
 	}
-	sc.ep.stats.Shed++
-	if m := sc.ep.met; m != nil {
-		m.requests.Inc()
-		m.failures.Inc()
-		m.shed.Inc()
-	}
+	m := sc.ep.met
+	m.Requests.Inc()
+	m.Failures.Inc()
+	m.Shed.Inc()
 	r.span.SetAttr("error", "shed")
 	r.span.End()
 	r.h.fail(now, fmt.Errorf("serve: endpoint %q: %w (deadline %v, now %v)",
@@ -500,16 +495,8 @@ func (sc *scheduler) startRun(rep *replica, b *batch) {
 		sc.finishRun(rep, b, runSpan, res, err)
 	})
 	if err != nil {
-		runSpan.SetAttr("error", "start")
-		runSpan.End()
 		sc.releaseRun(rep)
-		now := sc.now()
-		for _, r := range b.reqs {
-			r.span.SetAttr("error", "start")
-			r.span.End()
-			r.h.fail(now, err)
-		}
-		sc.ep.stats.FailedRuns++
+		sc.failRun(b, runSpan, "start", err)
 		sc.dispatch()
 		return
 	}
@@ -517,6 +504,23 @@ func (sc *scheduler) startRun(rep *replica, b *batch) {
 		// The run's async id is its replica track plus the engine run id
 		// — both replay-mode-stable, unlike raw span ids.
 		runSpan.SetAsync(rep.track + "/" + id)
+	}
+}
+
+// failRun resolves every request of a run that failed at stage ("start"
+// or "run") with err, counting the run and its requests as failed.
+func (sc *scheduler) failRun(b *batch, runSpan obs.SpanRef, stage string, err error) {
+	runSpan.SetAttr("error", stage)
+	runSpan.End()
+	m := sc.ep.met
+	m.failedRuns.Inc()
+	m.Requests.Add(int64(len(b.reqs)))
+	m.Failures.Add(int64(len(b.reqs)))
+	now := sc.now()
+	for _, r := range b.reqs {
+		r.span.SetAttr("error", stage)
+		r.span.End()
+		r.h.fail(now, err)
 	}
 }
 
@@ -557,27 +561,13 @@ func (sc *scheduler) maybeReplace(rep *replica, now time.Duration) {
 // machinery and dispatches any backlog.
 func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res *core.Result, err error) {
 	sc.releaseRun(rep)
-	ep := sc.ep
-	now := sc.now()
-	m := ep.met
 	if err != nil {
-		runSpan.SetAttr("error", "run")
-		runSpan.End()
-		ep.stats.FailedRuns++
-		if m != nil {
-			m.requests.Add(int64(len(b.reqs)))
-			m.failures.Add(int64(len(b.reqs)))
-			m.failedRuns.Inc()
-		}
-		for _, r := range b.reqs {
-			r.span.SetAttr("error", "run")
-			r.span.End()
-			r.h.fail(now, err)
-		}
+		sc.failRun(b, runSpan, "run", err)
 		sc.evaluatePool()
 		sc.dispatch()
 		return
 	}
+	ep, m, now := sc.ep, sc.ep.met, sc.now()
 	if sc.estRun == 0 {
 		sc.estRun = res.Latency
 	} else {
@@ -592,16 +582,9 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 	ep.stats.Cost.Add(res.Cost)
 	for _, w := range res.Workers {
 		if w.Warm {
-			ep.stats.WarmStarts++
+			m.WarmStarts.Inc()
 		} else {
-			ep.stats.ColdStarts++
-		}
-		if m != nil {
-			if w.Warm {
-				m.warmStarts.Inc()
-			} else {
-				m.coldStarts.Inc()
-			}
+			m.ColdStarts.Inc()
 		}
 	}
 	if runSpan.Active() {
@@ -609,10 +592,8 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 		runSpan.SetAttr("requests", strconv.Itoa(len(b.reqs)))
 		runSpan.End()
 	}
-	if m != nil {
-		m.runFor(rep.d.Cfg.Channel).Inc()
-		m.requests.Add(int64(len(b.reqs)))
-	}
+	m.runFor(rep.d.Cfg.Channel).Inc()
+	m.Requests.Add(int64(len(b.reqs)))
 	off := 0
 	for _, r := range b.reqs {
 		cols := r.input.Cols
@@ -623,9 +604,7 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 			r.span.SetAttr("run", res.RunID)
 			r.span.End()
 		}
-		if m != nil {
-			m.latency.Observe(now - r.arrived)
-		}
+		m.Latency.Observe(now - r.arrived)
 		r.h.complete(now, &Response{
 			Endpoint:      ep.name,
 			RunID:         res.RunID,

@@ -121,23 +121,23 @@ func WithRunConcurrency(n int) Option {
 	return func(c *serviceConfig) { c.runConc = n }
 }
 
-// WithTracing enables the service's simulated-time tracer and metrics
-// registry (internal/obs), sampling one in sampleEvery requests
-// (sampleEvery <= 1 traces every request). Sampling is keyed on the
-// request's position in the replayed trace, so the same workload at the
-// same rate selects the same requests — and exports byte-identical
-// Chrome traces — whether it replays on one shared kernel, sharded
-// across lanes, or streamed. The option carries configuration rather
-// than a tracer instance: each replay lane builds a tracer bound to its
-// own kernel clock and the lanes merge afterwards.
+// WithTracing enables the service's simulated-time tracer (internal/obs),
+// sampling one in sampleEvery requests (sampleEvery <= 1 traces every
+// request), and exposes the always-counting metrics registry through
+// Metrics. Sampling is keyed on the request's position in the replayed
+// trace, so the same workload at the same rate selects the same requests
+// — and exports byte-identical Chrome traces — whether it replays on one
+// shared kernel, sharded across lanes, or streamed. The option carries
+// configuration rather than a tracer instance: each replay lane builds a
+// tracer bound to its own kernel clock and the lanes merge afterwards.
 func WithTracing(sampleEvery int) Option {
 	return func(c *serviceConfig) { c.tracing = true; c.traceEvery = sampleEvery }
 }
 
 // WithMonitor enables the simulated-time SLO monitor (internal/obs/
-// monitor): the metrics registry is turned on (tracing stays off unless
-// WithTracing is also applied), every endpoint's instruments are
-// registered as a scrape target, and replays drive the scrape loop as
+// monitor): the metrics registry is exposed through Metrics (tracing stays
+// off unless WithTracing is also applied), every endpoint's instruments
+// are registered as a scrape target, and replays drive the scrape loop as
 // kernel events. Unless spec.Passive is set, a firing page-severity
 // burn-rate alert also closes the control loop — an SLO endpoint
 // re-plans immediately instead of waiting for the break-even drift
@@ -218,10 +218,10 @@ type Service struct {
 	// failed kernel run can surface its error on all of them.
 	pending map[*Handle]struct{}
 
-	// trace is nil unless WithTracing was applied; metrics is nil unless
-	// WithTracing or WithMonitor was; mon is nil unless WithMonitor was.
-	// Every hot path guards on the nil, which is the whole cost of the
-	// observability-off mode.
+	// trace is nil unless WithTracing was applied, mon unless WithMonitor
+	// was; the tracer's hot paths guard on the nil, which is its whole cost
+	// when off. metrics always counts: it holds every endpoint's
+	// instruments, which the replay report reads.
 	trace   *obs.Tracer
 	metrics *obs.Registry
 	mon     *monitor.Monitor
@@ -249,8 +249,7 @@ type Endpoint struct {
 	// traced replica's track name is stable across replay modes (pool
 	// position is not: replaced replicas reuse slots).
 	replicaSeq int
-	// met caches the endpoint's registry instruments; nil when metrics
-	// are off.
+	// met caches the endpoint's registry instruments.
 	met *epMetrics
 
 	stats endpointStats
@@ -299,25 +298,22 @@ type batch struct {
 	samples int
 }
 
-// endpointStats counts run- and scheduler-level activity. Request-level
-// metrics live on the handles. A replay's window restarts them at zero
-// (openWindow), so they describe that window alone.
+// endpointStats counts the run- and scheduler-level activity no registry
+// instrument holds; sheds, reroutes, failed runs, starts and deploy
+// failures are counted once, in the endpoint's epMetrics. Request-level
+// metrics live on the handles. A replay's window restarts the stats at
+// zero and records the registry counts it opened with (openWindow), so the
+// report describes that window alone.
 type endpointStats struct {
 	Runs        int
-	FailedRuns  int
 	RunSamples  int
 	RunRequests int
 	MaxSamples  int
-	ColdStarts  int
-	WarmStarts  int
 	Cost        usage.Breakdown
 
-	Shed           int
-	Rerouted       int
 	DeadlineMissed int
 	ScaleUps       int
 	ScaleDowns     int
-	DeployFailures int
 	Reselections   int
 	MaxConcurrent  int
 	PeakReplicas   int
@@ -326,6 +322,9 @@ type endpointStats struct {
 	// Reselections also counts planner re-runs that kept the
 	// configuration.
 	Replans []ReplanEvent
+	// opened is the registry counts at the window edge; the report
+	// subtracts them.
+	opened windowCounts
 }
 
 // NewService validates the options, builds partition plans and deploys
@@ -374,15 +373,13 @@ func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Servi
 		byName:       make(map[string]*Endpoint),
 		byNeuronsAll: make(map[int][]*Endpoint),
 		pending:      make(map[*Handle]struct{}),
+		metrics:      obs.NewRegistry(),
 	}
 	if cfg.tracing {
 		// Built before the endpoints so initial replica deployments are
 		// traced too. The tracer reads this environment's kernel clock,
 		// so each lane clone gets one bound to its own kernel.
 		s.trace = obs.New(e.K.Clock(), cfg.traceEvery)
-	}
-	if cfg.tracing || cfg.monitoring {
-		s.metrics = obs.NewRegistry()
 	}
 	if cfg.monitoring {
 		// The monitor scrapes on this environment's kernel, so each lane
@@ -408,7 +405,7 @@ func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Servi
 	}
 	if s.mon != nil {
 		for _, ep := range s.eps {
-			s.mon.Register(ep.met.target())
+			s.mon.Register(ep.met.Target)
 		}
 		if !cfg.monSpec.Passive {
 			s.mon.Subscribe(s.onAlert)
@@ -515,9 +512,7 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 	}
 
 	ep.sched = newScheduler(ep, cfg.policy, admission, scaling, cfg.runConc)
-	if s.metrics != nil {
-		ep.met = newEpMetrics(s.metrics, ep.name)
-	}
+	ep.met = newEpMetrics(s.metrics, ep.name)
 	initial := scaling.Target(PoolState{RunCapacity: cfg.runConc})
 	if initial < 1 {
 		initial = 1
@@ -530,7 +525,7 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		ep.sched.pool = append(ep.sched.pool, rep)
 	}
 	ep.stats.PeakReplicas = len(ep.sched.pool)
-	ep.met.setPoolSize(len(ep.sched.pool))
+	ep.met.Replicas.Set(float64(len(ep.sched.pool)))
 	return ep, nil
 }
 
@@ -539,8 +534,8 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 // replay-mode-independent track — the endpoint name plus a per-endpoint
 // replica ordinal — so engine-side spans land on the same timeline
 // whether the endpoint runs on the shared kernel or inside a lane. A
-// refused deploy is counted (DeployFailures, deploy_failures_total) and
-// returned; the caller goes on with the pool it has.
+// refused deploy is counted (deploy_failures_total) and returned; the
+// caller goes on with the pool it has.
 func (ep *Endpoint) deployReplica() (*replica, error) {
 	dcfg := ep.dcfg
 	var track string
@@ -548,16 +543,13 @@ func (ep *Endpoint) deployReplica() (*replica, error) {
 		track = fmt.Sprintf("%s/r%d", ep.name, ep.replicaSeq)
 		dcfg.Trace = obs.Scope{T: t, Track: track}
 	}
-	if m := ep.met; m != nil {
-		// Thread the endpoint's KV instruments down to the deployment's
-		// kvclusters so shard failovers land in the scrapeable registry.
-		dcfg.KVFailoverCounter = m.kvFailovers
-		dcfg.KVLostValuesCounter = m.kvLostValues
-	}
+	// Thread the endpoint's KV instruments down to the deployment's
+	// kvclusters so shard failovers land in the scrapeable registry.
+	dcfg.KVFailoverCounter = ep.met.KVFailovers
+	dcfg.KVLostValuesCounter = ep.met.KVLostValues
 	ep.replicaSeq++
 	d, err := core.Deploy(ep.svc.env, dcfg)
 	if err != nil {
-		ep.stats.DeployFailures++
 		ep.met.deployFailed()
 		return nil, err
 	}
@@ -736,10 +728,16 @@ func (s *Service) Now() time.Duration { return s.env.K.Now() }
 // spans of every lane.
 func (s *Service) Tracer() *obs.Tracer { return s.trace }
 
-// Metrics returns the service's metrics registry, or nil when both
-// tracing and monitoring are off. Snapshots may be taken mid-replay for
+// Metrics returns the service's metrics registry, or nil when neither
+// WithTracing nor WithMonitor was applied: the registry always counts, and
+// those options expose it. Snapshots may be taken mid-replay for
 // time-series windows.
-func (s *Service) Metrics() *obs.Registry { return s.metrics }
+func (s *Service) Metrics() *obs.Registry {
+	if s.trace == nil && s.mon == nil {
+		return nil
+	}
+	return s.metrics
+}
 
 // Monitor returns the service's SLO monitor, or nil when monitoring is
 // off (WithMonitor not applied). The nil monitor is safe to read —

@@ -374,3 +374,67 @@ func TestPublicServiceSubmitAndReplay(t *testing.T) {
 		t.Fatalf("report missing measurements: %+v", rep.Latency)
 	}
 }
+
+// TestEndpointCountsArePerReplayWindow replays the shedding shape twice on
+// one service: first with deadlines, so the window sheds, then the same
+// trace without them. The registry counts every event since the service
+// was built; the second report must still describe its own window alone.
+func TestEndpointCountsArePerReplayWindow(t *testing.T) {
+	svc := goldenSheddingService(t)
+	trace, opts := goldenSheddingReplay()
+	first, err := svc.Replay(trace, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := 0
+	for _, er := range first.Endpoints {
+		shed += er.Shed
+	}
+	if shed == 0 {
+		t.Fatalf("the first window shed nothing:\n%s", first)
+	}
+	second, err := svc.Replay(trace, ReplayOptions{Seed: opts.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, er := range second.Endpoints {
+		if er.Shed != 0 || er.FailedRuns != 0 {
+			t.Errorf("endpoint %s: %d shed, %d failed runs in a window without deadlines",
+				er.Name, er.Shed, er.FailedRuns)
+		}
+		if starts := er.ColdStarts + er.WarmStarts; starts != er.Runs*er.Workers {
+			t.Errorf("endpoint %s: %d starts for %d runs x %d workers", er.Name, starts, er.Runs, er.Workers)
+		}
+	}
+}
+
+// TestFailedRunsCountInTheRegistry fails every run with a one-millisecond
+// function timeout on an untraced service. The report's failed runs and the
+// registry's failure counters are one count, so each failed run and each of
+// its requests shows in both.
+func TestFailedRunsCountInTheRegistry(t *testing.T) {
+	svc, err := NewService(env.NewDefault(),
+		WithEndpoint("s64", testModel(t, 64, 3), WithDeployOverride(func(c *core.Config) {
+			c.FunctionTimeout = time.Millisecond
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := svc.Replay(workload.Day(10*6, []int{64}, 6, 3), ReplayOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := rep.Endpoints[0]
+	if er.FailedRuns == 0 || er.Runs != 0 || er.Failed != er.Queries {
+		t.Fatalf("%d failed runs, %d runs, %d of %d queries failed; want every run to fail",
+			er.FailedRuns, er.Runs, er.Failed, er.Queries)
+	}
+	m := svc.byName["s64"].met
+	if got := m.failedRuns.Value(); got != int64(er.FailedRuns) {
+		t.Errorf("run_failures_total %d, report %d failed runs", got, er.FailedRuns)
+	}
+	if m.Requests.Value() != int64(er.Queries) || m.Failures.Value() != int64(er.Failed) {
+		t.Errorf("requests_total %d, request_failures_total %d; report %d queries, %d failed",
+			m.Requests.Value(), m.Failures.Value(), er.Queries, er.Failed)
+	}
+}

@@ -8,8 +8,8 @@ import (
 
 // replayWindow captures the metering state at a replay's start so the
 // report charges exactly the replay's own window: the meter snapshot and
-// platform start counters to subtract. Endpoint stats need no snapshot;
-// they restart at zero at the window edge.
+// platform start counters to subtract. Endpoint stats restart at zero at
+// the window edge and keep the endpoint's registry counts to subtract.
 type replayWindow struct {
 	base         time.Duration
 	meterSnap    usage.Meter
@@ -17,9 +17,9 @@ type replayWindow struct {
 }
 
 // openWindow closes the provisioned-capacity accruals at the window edge,
-// snapshots the environment-wide counters the report will subtract and
-// restarts every endpoint's stats, so the report measures this replay and
-// nothing else.
+// snapshots the environment-wide and endpoint registry counters the report
+// will subtract and restarts every endpoint's stats, so the report
+// measures this replay and nothing else.
 func (s *Service) openWindow(base time.Duration) *replayWindow {
 	// Close the provisioned-capacity accrual at the window edge, so the
 	// subtraction below charges exactly this replay's node-hours
@@ -33,10 +33,11 @@ func (s *Service) openWindow(base time.Duration) *replayWindow {
 	}
 	for _, ep := range s.eps {
 		// Close the replica-seconds accrual at the window edge and start the
-		// stats over, and restart the workload observation window so the
-		// reported Observed profile describes this trace only.
+		// stats over from the registry's counts, and restart the workload
+		// observation window so the reported Observed profile describes
+		// this trace only.
 		ep.sched.accrue(base)
-		ep.stats = endpointStats{PeakReplicas: len(ep.sched.pool)}
+		ep.stats = endpointStats{PeakReplicas: len(ep.sched.pool), opened: ep.met.counts()}
 		ep.sched.resetObservationWindow()
 	}
 	if s.mon != nil {
@@ -63,10 +64,12 @@ func (s *Service) closeWindow(win *replayWindow) {
 }
 
 // report assembles the endpoint's share of a replay window that opened at
-// base from its stats, which started at zero there, and the request-level
-// accounting the replay folded.
+// base from its stats, which started at zero there, its registry counts
+// less those the window opened with, and the request-level accounting the
+// replay folded.
 func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 	st := &ep.stats
+	c, o := ep.met.counts(), st.opened
 	// Re-plan events are reported trace-relative, like Horizon.
 	replans := make([]ReplanEvent, len(st.Replans))
 	for j, ev := range st.Replans {
@@ -89,9 +92,9 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		ReplicaSeconds:    st.ReplicaSeconds,
 		ScaleUps:          st.ScaleUps,
 		ScaleDowns:        st.ScaleDowns,
-		DeployFailures:    st.DeployFailures,
-		Shed:              st.Shed,
-		Rerouted:          st.Rerouted,
+		DeployFailures:    int(c.deployFailures - o.deployFailures),
+		Shed:              int(c.shed - o.shed),
+		Rerouted:          int(c.rerouted - o.rerouted),
 		DeadlineMissed:    st.DeadlineMissed,
 		Reselections:      st.Reselections,
 		Replans:           replans,
@@ -101,10 +104,10 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		Failed:            a.failed,
 		Samples:           a.samples,
 		Runs:              st.Runs,
-		FailedRuns:        st.FailedRuns,
+		FailedRuns:        int(c.failedRuns - o.failedRuns),
 		MaxRunSamples:     st.MaxSamples,
-		ColdStarts:        st.ColdStarts,
-		WarmStarts:        st.WarmStarts,
+		ColdStarts:        int(c.cold - o.cold),
+		WarmStarts:        int(c.warm - o.warm),
 		Latency:           a.lat.stats(),
 		Cost:              st.Cost,
 		PerPriority:       prioLatencies(a.perPrio),
