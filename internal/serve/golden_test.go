@@ -226,3 +226,72 @@ func TestGoldenRegistryExports(t *testing.T) {
 		})
 	}
 }
+
+// goldenSLOTrace is TestReplanFlipsChannelAcrossBreakEven's day: a sporadic
+// morning, a ten-a-second burst from 4 min, then six queries gap apart from
+// 10 min and, when tail is positive, a second burst of tail queries.
+func goldenSLOTrace(gap time.Duration, tail int) []workload.Query {
+	var trace []workload.Query
+	add := func(at time.Duration) {
+		trace = append(trace, workload.Query{At: at, Neurons: 256, Samples: 4})
+	}
+	for i := 0; i < 4; i++ {
+		add(time.Duration(i) * time.Minute)
+	}
+	for i := 0; i < 30; i++ {
+		add(4*time.Minute + time.Duration(i)*100*time.Millisecond)
+	}
+	for i := 0; i < 6; i++ {
+		add(10*time.Minute + time.Duration(i)*gap)
+	}
+	for i := 0; i < tail; i++ {
+		add(10*time.Minute + 6*gap + time.Duration(i)*100*time.Millisecond)
+	}
+	return trace
+}
+
+// TestGoldenSLOReplayReports pins what a WithSLO endpoint reports over two
+// days that cross the memory break-even: "flip" goes queue -> memory ->
+// queue, "trough" idles three hours between queries before a second burst,
+// so its re-plans run far below the break-even. The report prints every
+// re-plan's time, configuration, volume and reason and the metered ledger,
+// so a change to the control loop's signals or decisions moves the digest.
+func TestGoldenSLOReplayReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays with planner trials are long simulations")
+	}
+	m := testModel(t, 256, 6)
+	for _, tc := range []struct {
+		name  string
+		trace []workload.Query
+		want  string
+	}{
+		{"flip", goldenSLOTrace(5*time.Minute, 0), "212ddc0d632e8da849ff58cece1172b5741b29e1146c7b8c4bf96d2a76abfdc4"},
+		{"trough", goldenSLOTrace(3*time.Hour, 60), "f5013d1e755b0e1481e0e88334d2b7d7349f12a9f7098d1431aa5a35fd051c09"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewService(env.NewDefault(),
+				WithEndpoint("slo", m, WithSLO(SLOOptions{
+					LatencyWeight: 0,
+					Channels:      []core.ChannelKind{core.Queue, core.Memory},
+					Workers:       []int{2},
+					ProbeBatch:    4,
+					MinRuns:       2,
+				})),
+				WithCoalescing(4, 0),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := svc.Replay(tc.trace, ReplayOptions{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(rep.String()))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("report digest %s, want %s\n%s", got, tc.want, rep)
+			}
+		})
+	}
+}
