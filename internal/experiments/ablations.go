@@ -164,10 +164,3 @@ func AblationQuota(l *Lab) (*Table, error) {
 		"until volumes saturate publish capacity, then object storage's size-independent pricing wins")
 	return t, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

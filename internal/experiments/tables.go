@@ -116,7 +116,7 @@ func Table3Partitioning(l *Lab) (*Table, error) {
 		for _, w := range r.Workers {
 			pairs += w.MessagesSent
 		}
-		rowsPerTarget := float64(r.TotalRowsSent()) / float64(max64(pairs, 1))
+		rowsPerTarget := float64(r.TotalRowsSent()) / float64(max(pairs, 1))
 		volumes[i] = r.TotalBytesSent()
 		t.Rows = append(t.Rows, []string{
 			scheme.String(),
@@ -128,16 +128,9 @@ func Table3Partitioning(l *Lab) (*Table, error) {
 	if volumes[1] > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"HGP-DNN ships %.1fx less data than RP (paper: 9.3x at full scale)",
-			float64(volumes[1])/float64(max64(volumes[0], 1))))
+			float64(volumes[1])/float64(max(volumes[0], 1))))
 	}
 	return t, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CostValidation regenerates the §VI-F check for every row of core's

@@ -49,12 +49,6 @@ type WorkloadProfile struct {
 	// Overlapping runs multiply the provisioned store's resident working
 	// set, so it drives the analytic node-capacity feasibility rule.
 	Concurrency int
-	// ArrivalRate is the request arrival rate in requests/second (an
-	// EWMA when emitted by the serving layer). Informational: recorded
-	// on the decision, not scored directly.
-	ArrivalRate float64
-	// Burstiness is the peak-to-mean arrival-rate ratio (informational).
-	Burstiness float64
 }
 
 func (p WorkloadProfile) withDefaults() WorkloadProfile {
@@ -367,7 +361,9 @@ func (p *Planner) ReplanWith(observed WorkloadProfile, obj Objective) (*Decision
 	return p.decide(observed)
 }
 
-// Last returns the planner's most recent decision (nil before Plan).
+// Last returns the planner's most recent decision (nil before Plan). A
+// failed Plan or Replan leaves it unchanged, so the serving layer reads it
+// as a WithSLO endpoint's current decision and keeps no copy of its own.
 func (p *Planner) Last() *Decision { return p.last }
 
 func (p *Planner) decide(profile WorkloadProfile) (*Decision, error) {

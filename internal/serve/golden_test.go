@@ -228,8 +228,11 @@ func TestGoldenRegistryExports(t *testing.T) {
 }
 
 // goldenSLOTrace is TestReplanFlipsChannelAcrossBreakEven's day: a sporadic
-// morning, a ten-a-second burst from 4 min, then six queries gap apart from
-// 10 min and, when tail is positive, a second burst of tail queries.
+// morning of one query a minute (~1 440/day, far below the memory
+// break-even), a burst of ten a second from 4 min (the arrival-rate EWMA
+// projects far above it), then six queries gap apart from 10 min (a
+// five-minute gap drops the projection back below) and, when tail is
+// positive, a second burst of tail queries.
 func goldenSLOTrace(gap time.Duration, tail int) []workload.Query {
 	var trace []workload.Query
 	add := func(at time.Duration) {

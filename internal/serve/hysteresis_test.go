@@ -43,7 +43,7 @@ func TestBreakEvenHysteresisDampsFlapping(t *testing.T) {
 	// Probe the break-even once; both services share model, grid and
 	// seed, so their measured break-evens agree.
 	_, ep := build(-1)
-	be := ep.slo.decision.MemoryBreakEvenQueriesPerDay
+	be := ep.slo.planner.Last().MemoryBreakEvenQueriesPerDay
 	if be <= 0 {
 		t.Fatal("initial decision measured no memory break-even")
 	}

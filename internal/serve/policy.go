@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fsdinference/internal/core"
-	"fsdinference/internal/plan"
 )
 
 // This file is the pluggable half of the scheduler subsystem: admission
@@ -237,18 +236,13 @@ func (a autoscaler) IdleGrace() time.Duration { return a.o.IdleGrace }
 // SLOOptions asks an endpoint to pick its own deployment configuration —
 // channel and worker parallelism — at deploy time via the workload-aware
 // Planner (the §VI-D1 extension), given latency/cost priorities, and to
-// re-plan when the observed workload drifts from the planning assumption:
-// batch width by ReselectFactor, or arrival rate across the memory
-// channel's break-even daily volume. Re-plans feed the scheduler's live
-// WorkloadProfile into Planner.Replan, so provisioned idle billing is
+// re-plan when the observed arrival rate crosses the memory channel's
+// break-even daily volume. Re-plans feed the scheduler's live
+// WorkloadProfile into the planner, so provisioned idle billing is
 // charged at the observed volume instead of one probe's share.
 type SLOOptions struct {
 	// LatencyWeight in [0,1]: 1 optimises latency only, 0 cost only.
-	// Ignored when Objective is set.
 	LatencyWeight float64
-	// Objective overrides the planning objective (default: the weighted
-	// latency/cost objective at LatencyWeight).
-	Objective plan.Objective
 	// Channels restricts the candidate channels (default: serial when
 	// the model fits one instance, plus queue, object and memory).
 	Channels []core.ChannelKind
@@ -256,13 +250,9 @@ type SLOOptions struct {
 	// 8, 20, 42, 62 grid).
 	Workers []int
 	// ProbeBatch is the assumed request batch width used for the initial
-	// planning trials (default 32).
+	// planning trials, and for an alert-driven re-plan before any run
+	// has completed (default 32).
 	ProbeBatch int
-	// ReselectFactor re-plans when the EWMA of observed engine-run batch
-	// width drifts from the probe batch by at least this factor in
-	// either direction (values <= 1 disable the batch-drift trigger;
-	// the break-even arrival-rate trigger is always armed).
-	ReselectFactor float64
 	// BreakEvenHysteresis widens the arrival-rate trigger into a band
 	// around the memory break-even: the observed volume must clear the
 	// break-even by this fraction (default 0.2, i.e. +-20%) before a

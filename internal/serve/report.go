@@ -9,7 +9,6 @@ import (
 	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/core"
 	"fsdinference/internal/obs"
-	"fsdinference/internal/plan"
 )
 
 // ReplanEvent records one SLO-driven configuration change: the planner
@@ -25,7 +24,8 @@ type ReplanEvent struct {
 	// QueriesPerDay is the observed daily volume the re-plan scored
 	// against.
 	QueriesPerDay int64
-	// Reason says which drift triggered it.
+	// Reason says which signal triggered it: the break-even crossing or
+	// a burn-rate alert.
 	Reason string
 }
 
@@ -132,9 +132,6 @@ type EndpointReport struct {
 	DeadlineMissed int
 	Reselections   int
 	Replans        []ReplanEvent
-	// Observed is the endpoint's live workload profile as of the end of
-	// the replay — what an SLO re-plan would score against.
-	Observed plan.WorkloadProfile
 	// MaxConcurrentRuns is the largest number of engine runs observed in
 	// flight on one replica (run multiplexing high-water).
 	MaxConcurrentRuns int

@@ -41,18 +41,12 @@ type scheduler struct {
 	busyRuns int
 
 	// Workload observation for deadline shedding, autoscaling and the
-	// WorkloadProfile fed to SLO re-planning.
+	// WorkloadProfile fed to SLO re-planning. The inter-arrival EWMA is
+	// the live re-planning signal and is never reset.
 	estRun      time.Duration // EWMA of engine-run latency
 	lastArrival time.Duration
 	haveArrival bool
 	interEWMA   float64 // EWMA inter-arrival seconds
-	// arrivals, firstArrival and minInter describe the current
-	// observation window (reset per replay so reports are not
-	// contaminated by earlier traffic); the EWMA above is the live
-	// re-planning signal and is never reset.
-	arrivals     int
-	firstArrival time.Duration
-	minInter     float64 // smallest in-window inter-arrival gap, seconds
 
 	// Pool metering.
 	lastAccrue time.Duration
@@ -122,14 +116,7 @@ func (sc *scheduler) admit(r *request) {
 		} else {
 			sc.interEWMA = 0.75*sc.interEWMA + 0.25*dt
 		}
-		if sc.arrivals > 0 && (sc.minInter == 0 || dt < sc.minInter) {
-			sc.minInter = dt
-		}
 	}
-	if sc.arrivals == 0 {
-		sc.firstArrival = now
-	}
-	sc.arrivals++
 	sc.haveArrival = true
 	sc.lastArrival = now
 
@@ -191,34 +178,15 @@ func (sc *scheduler) queriesPerDay() int64 {
 	return int64(sc.arrivalRate() * 86400)
 }
 
-// resetObservationWindow restarts the burstiness and mean-rate window
-// (arrivals, first arrival, minimum gap). The arrival-rate EWMA is
-// untouched: it is the live re-planning signal. Replay calls this at the
-// window edge so each report's Observed profile describes that replay's
-// traffic only.
-func (sc *scheduler) resetObservationWindow() {
-	sc.arrivals = 0
-	sc.minInter = 0
-}
-
 // observedProfile emits the endpoint's live workload profile for the
-// planner: arrival-rate EWMA, its daily-volume projection, the
-// representative batch width and the peak-to-mean burstiness of what has
-// arrived within the current observation window.
+// planner: the daily-volume projection of the arrival-rate EWMA, the
+// window's peak run concurrency and the representative batch width.
 func (sc *scheduler) observedProfile(batch int) plan.WorkloadProfile {
-	p := plan.WorkloadProfile{
+	return plan.WorkloadProfile{
 		BatchSamples:  batch,
 		Concurrency:   sc.ep.stats.MaxConcurrent,
-		ArrivalRate:   sc.arrivalRate(),
 		QueriesPerDay: sc.queriesPerDay(),
 	}
-	if sc.arrivals >= 2 && sc.minInter > 0 {
-		if elapsed := (sc.lastArrival - sc.firstArrival).Seconds(); elapsed > 0 {
-			mean := float64(sc.arrivals-1) / elapsed
-			p.Burstiness = (1 / sc.minInter) / mean
-		}
-	}
-	return p
 }
 
 func (sc *scheduler) poolState() PoolState {

@@ -184,10 +184,10 @@ func WithEndpointAdmission(p AdmissionPolicy) EndpointOption {
 
 // WithSLO lets the endpoint pick its own channel and worker parallelism at
 // deploy time via the workload-aware Planner (internal/plan), given
-// latency/cost priorities, and re-plan when the observed workload drifts:
-// run batch width by ReselectFactor, or the arrival rate across the
-// memory channel's break-even volume (SLOOptions). It conflicts with
-// WithChannel and WithWorkers.
+// latency/cost priorities, and re-plan when the observed arrival rate
+// crosses the memory channel's break-even volume (SLOOptions) or, under
+// WithMonitor, when a page-severity burn-rate alert fires. It conflicts
+// with WithChannel and WithWorkers.
 func WithSLO(o SLOOptions) EndpointOption {
 	return func(ec *endpointConfig) { ec.slo = &o }
 }
@@ -255,17 +255,16 @@ type Endpoint struct {
 	stats endpointStats
 }
 
-// sloState tracks an SLO-configured endpoint's observed workload for
-// drift-triggered re-planning. The planner caches its trial measurements,
-// so a re-plan under an unchanged batch width re-scores rather than
-// re-simulates.
+// sloState is an SLO-configured endpoint's control loop: the planner,
+// whose Last decision is the endpoint's current one, the EWMA of observed
+// run batch widths a re-plan trials at, and the runs since the last
+// re-plan. The planner caches its trial measurements, so a re-plan under
+// an unchanged batch width re-scores rather than re-simulates.
 type sloState struct {
-	opts       SLOOptions
-	planner    *plan.Planner
-	decision   *plan.Decision
-	probeBatch float64
-	ewmaBatch  float64
-	runs       int
+	opts      SLOOptions
+	planner   *plan.Planner
+	ewmaBatch float64
+	runs      int
 }
 
 type request struct {
@@ -416,7 +415,7 @@ func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Servi
 
 // onAlert closes the monitor→control loop: a page-severity burn-rate
 // alert starting to fire triggers an immediate, alert-driven re-plan on
-// an SLO endpoint (bypassing the MinRuns drift gate) or an emergency
+// an SLO endpoint (bypassing the MinRuns gate) or an emergency
 // replica on a fixed one. It runs inside the scrape's kernel event, so
 // the action lands at the same simulated instant in every replay mode.
 func (s *Service) onAlert(ev monitor.AlertEvent) {
@@ -444,15 +443,14 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 			return nil, fmt.Errorf("serve: endpoint %q: WithSLO conflicts with WithChannel/WithWorkers", ec.name)
 		}
 		slo := ec.slo.withDefaults()
-		obj := slo.Objective
-		if obj == nil {
-			obj = plan.WeightedObjective(slo.LatencyWeight)
-		}
-		// The pre-filter stays off so the initial pick matches the golden
-		// pick grid recorded from the legacy AutoSelect (internal/plan's
-		// oneshot_test.go); re-plans re-score cached trials anyway.
+		// The pre-filter stays off because the break-even trigger reads the
+		// measured break-even. A re-plan far below it would prune the
+		// memory candidates, and the decision's break-even would fall back
+		// to the analytic §IV-C estimate (458 462 queries/day instead of
+		// the measured 103 283 on TestGoldenSLOReplayReports' trough day),
+		// moving the next crossing and its re-plan.
 		planner, err := plan.New(ec.m, plan.Options{
-			Objective:        obj,
+			Objective:        plan.WeightedObjective(slo.LatencyWeight),
 			Grid:             plan.Grid{Channels: slo.Channels, Workers: slo.Workers},
 			DisablePrefilter: true,
 			Seed:             slo.Seed,
@@ -460,12 +458,12 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		if err != nil {
 			return nil, fmt.Errorf("serve: endpoint %q: %w", ec.name, err)
 		}
-		ep.slo = &sloState{opts: slo, planner: planner, probeBatch: float64(slo.ProbeBatch)}
-		dcfg, err := ep.selectConfig(plan.WorkloadProfile{BatchSamples: slo.ProbeBatch})
+		d, err := planner.Plan(plan.WorkloadProfile{BatchSamples: slo.ProbeBatch})
 		if err != nil {
 			return nil, fmt.Errorf("serve: endpoint %q: %w", ec.name, err)
 		}
-		ep.dcfg = dcfg
+		ep.slo = &sloState{opts: slo, planner: planner}
+		ep.dcfg = ep.override(d.Config)
 	} else {
 		channel := ec.channel
 		if !ec.chanSet {
@@ -485,15 +483,12 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 				return nil, fmt.Errorf("serve: endpoint %q: %w", ec.name, err)
 			}
 		}
-		ep.dcfg = core.Config{
+		ep.dcfg = ep.override(core.Config{
 			Model:    ec.m,
 			Plan:     plan,
 			Channel:  channel,
 			PollWait: 2 * time.Second,
-		}
-		if ec.mutate != nil {
-			ec.mutate(&ep.dcfg)
-		}
+		})
 	}
 
 	if cfg.policy.maxBatch < 0 || cfg.policy.maxDelay < 0 {
@@ -557,36 +552,20 @@ func (ep *Endpoint) deployReplica() (*replica, error) {
 	return &replica{d: d, track: track}, nil
 }
 
-// selectConfig plans (or re-plans) the endpoint's configuration for a
-// workload profile and returns the chosen deployment template.
-func (ep *Endpoint) selectConfig(profile plan.WorkloadProfile) (core.Config, error) {
-	st := ep.slo
-	var d *plan.Decision
-	var err error
-	if st.decision == nil {
-		d, err = st.planner.Plan(profile)
-	} else {
-		d, err = st.planner.Replan(profile)
-	}
-	if err != nil {
-		return core.Config{}, err
-	}
-	st.decision = d
-	dcfg := d.Config
+// override returns a deployment template: cfg with the endpoint's
+// WithDeployOverride applied.
+func (ep *Endpoint) override(cfg core.Config) core.Config {
 	if ep.mutate != nil {
-		ep.mutate(&dcfg)
+		ep.mutate(&cfg)
 	}
-	return dcfg, nil
+	return cfg
 }
 
-// observeRun feeds one completed run's batch width to the SLO machinery.
-// Two drifts trigger a re-plan: the batch-width EWMA moving from the
-// probe assumption by ReselectFactor, and the observed arrival rate
-// crossing the memory channel's break-even daily volume — the signal that
-// flips the provisioned-versus-per-request economics. A re-plan feeds the
-// scheduler's live WorkloadProfile into Planner.Replan, so the decision
-// finally accounts for provisioned idle billing, and replaces replicas
-// (lazily, as they go idle) when the configuration changes.
+// observeRun feeds one completed run's batch width to the SLO machinery
+// and, once MinRuns runs have completed since the last re-plan, re-plans
+// when the observed arrival rate has crossed the memory channel's
+// break-even daily volume — the signal that flips the provisioned-versus-
+// per-request economics.
 func (ep *Endpoint) observeRun(samples int) {
 	st := ep.slo
 	if st == nil {
@@ -601,62 +580,39 @@ func (ep *Endpoint) observeRun(samples int) {
 	if st.runs < st.opts.MinRuns {
 		return
 	}
-	var reason string
-	if f := st.opts.ReselectFactor; f > 1 &&
-		(st.ewmaBatch >= st.probeBatch*f || st.ewmaBatch*f <= st.probeBatch) {
-		reason = fmt.Sprintf("batch width drifted to %.0f from the %.0f-sample probe",
-			st.ewmaBatch, st.probeBatch)
-	}
+	d := st.planner.Last()
 	observedQPD := ep.sched.queriesPerDay()
-	if d := st.decision; reason == "" && d != nil && observedQPD > 0 {
-		be := d.MemoryBreakEvenQueriesPerDay
-		// The hysteresis band keeps workloads hovering at the break-even
-		// from flapping: the observed volume must clear the far edge of
-		// the +-BreakEvenHysteresis band before the trigger fires.
-		if plan.CrossedBreakEven(d.Profile.QueriesPerDay, observedQPD, be, st.opts.BreakEvenHysteresis) {
-			reason = fmt.Sprintf("arrival rate crossed the memory break-even (%d vs ~%d queries/day)",
-				observedQPD, be)
-		}
-	}
-	if reason == "" {
+	be := d.MemoryBreakEvenQueriesPerDay
+	// The hysteresis band keeps workloads hovering at the break-even from
+	// flapping: the observed volume must clear the far edge of the
+	// +-BreakEvenHysteresis band before the trigger fires.
+	if !plan.CrossedBreakEven(d.Profile.QueriesPerDay, observedQPD, be, st.opts.BreakEvenHysteresis) {
 		return
 	}
-	probe := int(math.Round(st.ewmaBatch))
-	if probe < 1 {
-		probe = 1
-	}
-	ep.replanTo(probe, nil, reason)
+	ep.replanTo(nil, fmt.Sprintf("arrival rate crossed the memory break-even (%d vs ~%d queries/day)",
+		observedQPD, be))
 }
 
-// replanTo re-plans the endpoint under its live workload profile at the
-// given representative batch width and swaps the deployment template when
-// the winning configuration changed. Shared by the drift trigger
-// (observeRun) and the alert-driven path (alertReplan); obj, when
-// non-nil, overrides the planner's objective for this decision only.
-func (ep *Endpoint) replanTo(probe int, obj plan.Objective, reason string) {
+// replanTo re-plans the endpoint under its live workload profile and swaps
+// the deployment template when the winning configuration changed. The
+// profile's batch width is the observed run-width EWMA, or ProbeBatch
+// before any run has completed. Shared by the break-even trigger
+// (observeRun) and the alert-driven path (alertReplan); obj, when non-nil,
+// overrides the planner's objective for this decision only.
+func (ep *Endpoint) replanTo(obj plan.Objective, reason string) {
 	st := ep.slo
 	st.runs = 0
-	profile := ep.sched.observedProfile(probe)
-	var dcfg core.Config
-	var err error
-	if obj != nil {
-		var d *plan.Decision
-		d, err = st.planner.ReplanWith(profile, obj)
-		if err == nil {
-			st.decision = d
-			dcfg = d.Config
-			if ep.mutate != nil {
-				ep.mutate(&dcfg)
-			}
-		}
-	} else {
-		dcfg, err = ep.selectConfig(profile)
+	probe := st.opts.ProbeBatch
+	if st.ewmaBatch > 0 {
+		probe = int(math.Round(st.ewmaBatch))
 	}
+	profile := ep.sched.observedProfile(probe)
+	d, err := st.planner.ReplanWith(profile, obj)
 	if err != nil {
 		return // keep the current configuration; retry after MinRuns more runs
 	}
-	st.probeBatch = float64(probe)
 	ep.stats.Reselections++
+	dcfg := ep.override(d.Config)
 	if dcfg.Channel == ep.dcfg.Channel && dcfg.Workers() == ep.dcfg.Workers() {
 		return // same configuration still wins; no redeploy needed
 	}
@@ -683,29 +639,20 @@ func (ep *Endpoint) replanTo(probe int, obj plan.Objective, reason string) {
 
 // alertReplan is the alert-driven arm of the control loop, invoked from a
 // firing page-severity burn-rate alert. An SLO endpoint re-plans
-// immediately — the drift gate (MinRuns) is bypassed and the decision is
-// re-scored under a latency-biased objective, since a burning error
-// budget is exactly the regime where shaving run latency beats shaving
-// cost. A fixed endpoint has no planner, so it gets an emergency replica
-// instead. Alert events are edge-triggered (one per firing transition),
-// which bounds the blast radius: a sustained violation re-plans once per
-// rule transition, not once per scrape.
+// immediately — the MinRuns gate is bypassed and the decision is re-scored
+// under a latency-biased objective, since a burning error budget is
+// exactly the regime where shaving run latency beats shaving cost. A fixed
+// endpoint has no planner, so it gets an emergency replica instead. Alert
+// events are edge-triggered (one per firing transition), which bounds the
+// blast radius: a sustained violation re-plans once per rule transition,
+// not once per scrape.
 func (ep *Endpoint) alertReplan(ev monitor.AlertEvent) {
-	st := ep.slo
-	if st == nil {
+	if ep.slo == nil {
 		ep.sched.alertBoost()
 		return
 	}
-	probe := int(math.Round(st.ewmaBatch))
-	if probe < 1 {
-		probe = int(math.Round(st.probeBatch))
-	}
-	if probe < 1 {
-		probe = 1
-	}
-	reason := fmt.Sprintf("slo alert %s (%s): burn %.1fx/%.1fx",
-		ev.SLO, ev.Severity, ev.BurnShort, ev.BurnLong)
-	ep.replanTo(probe, plan.LatencyObjective(), reason)
+	ep.replanTo(plan.LatencyObjective(), fmt.Sprintf("slo alert %s (%s): burn %.1fx/%.1fx",
+		ev.SLO, ev.Severity, ev.BurnShort, ev.BurnLong))
 }
 
 // Env returns the shared simulated environment.

@@ -19,7 +19,8 @@ type replayWindow struct {
 // openWindow closes the provisioned-capacity accruals at the window edge,
 // snapshots the environment-wide and endpoint registry counters the report
 // will subtract and restarts every endpoint's stats, so the report
-// measures this replay and nothing else.
+// measures this replay and nothing else. The scheduler's arrival-rate
+// EWMA, which a WithSLO endpoint re-plans on, carries across windows.
 func (s *Service) openWindow(base time.Duration) *replayWindow {
 	// Close the provisioned-capacity accrual at the window edge, so the
 	// subtraction below charges exactly this replay's node-hours
@@ -33,12 +34,9 @@ func (s *Service) openWindow(base time.Duration) *replayWindow {
 	}
 	for _, ep := range s.eps {
 		// Close the replica-seconds accrual at the window edge and start the
-		// stats over from the registry's counts, and restart the workload
-		// observation window so the reported Observed profile describes
-		// this trace only.
+		// stats over from the registry's counts.
 		ep.sched.accrue(base)
 		ep.stats = endpointStats{PeakReplicas: len(ep.sched.pool), opened: ep.met.counts()}
-		ep.sched.resetObservationWindow()
 	}
 	if s.mon != nil {
 		// Restart the scrape series at the window edge and arm the first
@@ -76,10 +74,6 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		ev.At -= base
 		replans[j] = ev
 	}
-	batch := 0
-	if st.Runs > 0 {
-		batch = st.RunSamples / st.Runs
-	}
 	er := EndpointReport{
 		Name:              ep.name,
 		Neurons:           ep.m.Spec.Neurons,
@@ -98,7 +92,6 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		DeadlineMissed:    st.DeadlineMissed,
 		Reselections:      st.Reselections,
 		Replans:           replans,
-		Observed:          ep.sched.observedProfile(batch),
 		MaxConcurrentRuns: st.MaxConcurrent,
 		Queries:           a.queries,
 		Failed:            a.failed,
