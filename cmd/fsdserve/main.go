@@ -9,7 +9,6 @@
 //	         [-workers P] [-channel serial|queue|object|memory|hybrid]
 //	         [-replicas R] [-coalesce-batch S] [-coalesce-delay D]
 //	         [-autoscale] [-max-replicas M] [-run-concurrency C]
-//	         [-admission fifo|priority|deadline]
 //	         [-trace out.json] [-trace-sample N]
 //	         [-monitor] [-slo SPEC]... [-monitor-interval D]
 //	         [-monitor-csv out.csv]
@@ -60,7 +59,6 @@ func main() {
 	autoscale := flag.Bool("autoscale", false, "scale each endpoint's pool from queue depth and arrival rate instead of a fixed size")
 	maxReplicas := flag.Int("max-replicas", 4, "autoscaler pool bound (with -autoscale)")
 	runConc := flag.Int("run-concurrency", 1, "engine runs one replica may overlap")
-	admission := flag.String("admission", "fifo", "admission policy: fifo, priority or deadline")
 	coalesceBatch := flag.Int("coalesce-batch", 128, "max samples per coalesced engine run")
 	coalesceDelay := flag.Duration("coalesce-delay", 100*time.Millisecond, "max wait before a coalescing batch closes")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto) and print flame/metrics summaries")
@@ -95,15 +93,6 @@ func main() {
 			serve.AutoscalerOptions{Min: 1, Max: *maxReplicas})))
 	} else {
 		opts = append(opts, serve.WithReplicas(*replicas))
-	}
-	switch *admission {
-	case "fifo":
-	case "priority":
-		opts = append(opts, serve.WithAdmission(serve.PriorityAdmission()))
-	case "deadline":
-		opts = append(opts, serve.WithAdmission(serve.DeadlineAdmission(true)))
-	default:
-		fatal("unknown admission policy %q", *admission)
 	}
 	if *tracePath != "" {
 		opts = append(opts, serve.WithTracing(*traceSample))

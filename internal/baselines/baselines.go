@@ -45,14 +45,6 @@ type Result struct {
 	Cost usage.Breakdown
 }
 
-// PerSample returns the per-sample latency over processed samples.
-func (r *Result) PerSample() time.Duration {
-	if r.SamplesProcessed == 0 {
-		return 0
-	}
-	return r.Latency / time.Duration(r.SamplesProcessed)
-}
-
 // LoadSource says where a server finds the model weights.
 type LoadSource int
 

@@ -171,9 +171,6 @@ type Future struct {
 	cond   *sim.Cond
 }
 
-// Done reports whether the invocation has completed.
-func (f *Future) Done() bool { return f.done }
-
 // Wait blocks p until the invocation completes, then returns its response
 // payload and error.
 func (f *Future) Wait(p *sim.Proc) ([]byte, error) {
@@ -342,19 +339,6 @@ type Ctx struct {
 	IOBytes int64
 }
 
-// FunctionName returns the executing function's name.
-func (c *Ctx) FunctionName() string { return c.fn.cfg.Name }
-
-// MemoryMB returns the instance's configured memory.
-func (c *Ctx) MemoryMB() int { return c.fn.cfg.MemoryMB }
-
-// VCPUs returns the instance's fractional vCPU allocation.
-func (c *Ctx) VCPUs() float64 { return c.vcpus }
-
-// Deadline returns the virtual time at which the platform will kill this
-// instance.
-func (c *Ctx) Deadline() time.Duration { return c.deadline }
-
 // Remaining returns the runtime budget left before the hard timeout.
 func (c *Ctx) Remaining() time.Duration { return c.deadline - c.P.Now() }
 
@@ -382,9 +366,6 @@ func (c *Ctx) Free(bytes int64) {
 		c.memUsed = 0
 	}
 }
-
-// MemUsed returns current tracked memory use in bytes.
-func (c *Ctx) MemUsed() int64 { return c.memUsed }
 
 // PeakMem returns the peak tracked memory use in bytes.
 func (c *Ctx) PeakMem() int64 { return c.peakMem }
@@ -429,23 +410,11 @@ func (c *Ctx) scale(work, ratePerVCPU float64) time.Duration {
 // Perf returns the platform's calibrated performance model.
 func (c *Ctx) Perf() perf.Model { return c.pl.cfg.Perf }
 
-// chargeInvokeCPU charges the caller-side CPU cost of one Invoke API call,
-// scaled by this instance's vCPU share.
-func (c *Ctx) chargeInvokeCPU() {
+// InvokeAsync performs an event invocation from inside a function instance,
+// charging the instance the CPU cost of issuing the API call, scaled by
+// its vCPU share.
+func (c *Ctx) InvokeAsync(name string, payload []byte) (*Future, error) {
 	sec := c.pl.cfg.InvokeCPUSeconds / c.vcpus
 	c.P.Sleep(time.Duration(sec * float64(time.Second)))
-}
-
-// Invoke performs a synchronous invocation from inside a function instance,
-// charging the instance the CPU cost of issuing the API call.
-func (c *Ctx) Invoke(name string, payload []byte) (*Future, error) {
-	c.chargeInvokeCPU()
-	return c.pl.Invoke(c.P, name, payload)
-}
-
-// InvokeAsync performs an event invocation from inside a function instance,
-// charging the instance the CPU cost of issuing the API call.
-func (c *Ctx) InvokeAsync(name string, payload []byte) (*Future, error) {
-	c.chargeInvokeCPU()
 	return c.pl.InvokeAsync(c.P, name, payload)
 }

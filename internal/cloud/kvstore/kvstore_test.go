@@ -31,7 +31,7 @@ func TestPushPopRoundTrip(t *testing.T) {
 		if err := n.RPush(p, "inbox/0", []byte("world"), 0); err != nil {
 			t.Error(err)
 		}
-		got = n.LPop(p, "inbox/0")
+		got = n.BLPop(p, "inbox/0", 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestRPushAdoptsValue(t *testing.T) {
 			t.Error(err)
 		}
 		replica.ReplApply("inbox", val, time.Minute)
-		fromPrimary = primary.LPop(p, "inbox")
-		fromReplica = replica.LPop(p, "inbox")
+		fromPrimary = primary.BLPop(p, "inbox", 0)
+		fromReplica = replica.BLPop(p, "inbox", 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestTTLExpiresKeys(t *testing.T) {
 			t.Error(err)
 		}
 		p.Sleep(2 * time.Second)
-		after = n.LPop(p, "tmp")
+		after = n.BLPop(p, "tmp", 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestReleaseStopsBilling(t *testing.T) {
 	if h := m.KVNodeHours["cache.m6g.large"]; h < 0.99 || h > 1.01 {
 		t.Fatalf("released node accrued %.3f hours, want ~1", h)
 	}
-	if s.Node("n0") != nil {
+	if s.nodes["n0"] != nil {
 		t.Fatal("released node still registered")
 	}
 }

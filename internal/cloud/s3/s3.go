@@ -25,12 +25,11 @@ import (
 
 // Config holds service-wide behaviour and quotas.
 type Config struct {
-	// PutLatency, GetLatency, ListLatency and DeleteLatency are
-	// first-byte API latencies charged to the caller.
-	PutLatency    time.Duration
-	GetLatency    time.Duration
-	ListLatency   time.Duration
-	DeleteLatency time.Duration
+	// PutLatency, GetLatency and ListLatency are first-byte API
+	// latencies charged to the caller.
+	PutLatency  time.Duration
+	GetLatency  time.Duration
+	ListLatency time.Duration
 
 	// PutBytesPerSec and GetBytesPerSec model single-connection transfer
 	// bandwidth between a function instance and the service.
@@ -53,7 +52,6 @@ func DefaultConfig() Config {
 		PutLatency:       25 * time.Millisecond,
 		GetLatency:       15 * time.Millisecond,
 		ListLatency:      30 * time.Millisecond,
-		DeleteLatency:    15 * time.Millisecond,
 		PutBytesPerSec:   90e6,
 		GetBytesPerSec:   120e6,
 		PutRatePerPrefix: 3500,
@@ -94,9 +92,6 @@ func (s *Service) CreateBucket(name string) *Bucket {
 	return b
 }
 
-// Bucket returns the named bucket, or nil if it does not exist.
-func (s *Service) Bucket(name string) *Bucket { return s.buckets[name] }
-
 // Bucket is a simulated S3 bucket.
 type Bucket struct {
 	name    string
@@ -112,15 +107,11 @@ type Bucket struct {
 	GetBandwidth float64
 
 	// Stats.
-	Puts    int64
-	Gets    int64
-	Lists   int64
-	Deletes int64
-	Bytes   int64
+	Puts  int64
+	Gets  int64
+	Lists int64
+	Bytes int64
 }
-
-// Name returns the bucket name.
-func (b *Bucket) Name() string { return b.name }
 
 // prefixOf returns the rate-limit prefix of a key: everything up to and
 // including the final '/'.
@@ -240,13 +231,6 @@ func (b *Bucket) List(p *sim.Proc, prefix string) []string {
 	return keys
 }
 
-// Delete removes an object. Deleting a missing key succeeds, as on S3.
-func (b *Bucket) Delete(p *sim.Proc, key string) {
-	p.Sleep(b.svc.cfg.DeleteLatency)
-	delete(b.objects, key)
-	b.Deletes++
-}
-
 // Stage writes an object host-side, free of charge and virtual time: no
 // billed request, no transfer delay, no rate-limit token. Deployments use
 // it for offline staging (a-priori model upload, buffered request inputs,
@@ -259,22 +243,14 @@ func (b *Bucket) Stage(key string, data []byte) {
 	b.objects[key] = data
 }
 
-// Unstage removes an object host-side, as Stage wrote it: no Delete
-// latency, no count. Deployments use it to drop a finished run's objects,
+// Unstage removes an object host-side, as Stage wrote it: no latency, no
+// count. Deployments use it to drop a finished run's objects,
 // so that a long-lived bucket holds its model and the runs in flight.
 func (b *Bucket) Unstage(key string) {
 	delete(b.objects, key)
 }
 
-// Size returns the stored byte size of an object and whether it exists,
-// without billing a request (test/metrics helper).
-func (b *Bucket) Size(key string) (int, bool) {
-	data, ok := b.objects[key]
-	return len(data), ok
-}
-
 // NumObjects returns the number of stored objects (test/metrics helper).
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (b *Bucket) NumObjects() int { return len(b.objects) }
-
-// Clear discards all objects (test/reset helper; free of charge).
-func (b *Bucket) Clear() { b.objects = make(map[string][]byte) }

@@ -82,7 +82,6 @@ type subscription struct {
 
 // Topic is a simulated SNS topic.
 type Topic struct {
-	name string
 	svc  *Service
 	subs []subscription
 
@@ -114,17 +113,16 @@ func (s *Service) CreateTopic(name string) *Topic {
 	if t, ok := s.topics[name]; ok {
 		return t
 	}
-	t := &Topic{name: name, svc: s}
+	t := &Topic{svc: s}
 	s.topics[name] = t
 	return t
 }
 
-// Topic returns the named topic, or nil if it does not exist.
-func (s *Service) Topic(name string) *Topic { return s.topics[name] }
-
 // NumSubscriptions returns the live subscription count across all topics
 // (test/metrics helper): per-run subscriptions must unwind to zero once
 // their runs end.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (s *Service) NumSubscriptions() int {
 	total := 0
 	for _, t := range s.topics {
@@ -132,12 +130,6 @@ func (s *Service) NumSubscriptions() int {
 	}
 	return total
 }
-
-// NumSubscriptions returns this topic's live subscription count.
-func (t *Topic) NumSubscriptions() int { return len(t.subs) }
-
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.name }
 
 // Subscribe attaches a queue to the topic with a filter policy. A nil
 // policy delivers everything.

@@ -218,10 +218,10 @@ func TestFilterPolicyMatches(t *testing.T) {
 func TestTopicLookupIdempotent(t *testing.T) {
 	_, _, snsSvc, _ := newStack()
 	a := snsSvc.CreateTopic("x")
-	if snsSvc.CreateTopic("x") != a || snsSvc.Topic("x") != a {
+	if snsSvc.CreateTopic("x") != a || snsSvc.topics["x"] != a {
 		t.Fatal("topic identity not stable")
 	}
-	if snsSvc.Topic("y") != nil {
+	if snsSvc.topics["y"] != nil {
 		t.Fatal("missing topic should be nil")
 	}
 }

@@ -124,9 +124,6 @@ func New(k *sim.Kernel, meter *usage.Meter, cfg Config) *Service {
 	}
 }
 
-// Config returns the service configuration.
-func (s *Service) Config() Config { return s.cfg }
-
 // CreateQueue creates (or returns the existing) queue with the given name.
 // Pre-creating queues is free, matching the paper's observation that
 // communication resources are provisioned a priori at no ongoing cost.
@@ -145,12 +142,11 @@ func (s *Service) CreateQueue(name string) *Queue {
 	return q
 }
 
-// Queue returns the named queue, or nil if it does not exist.
-func (s *Service) Queue(name string) *Queue { return s.queues[name] }
-
 // NumQueues returns the number of live queues (test/metrics helper): a
 // long-lived deployment that tears its per-run queues down correctly
 // returns to its baseline after every run.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (s *Service) NumQueues() int { return len(s.queues) }
 
 // DeleteQueue removes the named queue (free control-plane operation, like
@@ -193,6 +189,8 @@ type Queue struct {
 func (q *Queue) Name() string { return q.name }
 
 // Depth returns the number of visible (receivable) messages.
+//
+//simlint:allow testonly — leak inspection: tests read it until Service.CheckInvariants (ROADMAP 7(d)) calls it
 func (q *Queue) Depth() int {
 	n := 0
 	for _, sh := range q.shards {

@@ -170,7 +170,7 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 			t.Fatalf("first receive got %d", len(got))
 		}
 		// Don't delete; wait past visibility timeout.
-		p.Sleep(svc.Config().VisibilityTimeout + time.Second)
+		p.Sleep(svc.cfg.VisibilityTimeout + time.Second)
 		again := q.Receive(p, 10, time.Second)
 		if len(again) != 1 {
 			t.Errorf("redelivery receive got %d", len(again))
@@ -196,7 +196,7 @@ func TestDeletedMessageNotRedelivered(t *testing.T) {
 		q.Send(p, Message{Body: []byte("x")})
 		got := q.Receive(p, 10, time.Second)
 		q.DeleteBatch(p, []string{got[0].ReceiptHandle})
-		p.Sleep(svc.Config().VisibilityTimeout * 2)
+		p.Sleep(svc.cfg.VisibilityTimeout * 2)
 		if q.Depth() != 0 {
 			t.Errorf("depth = %d, want 0", q.Depth())
 		}
@@ -310,10 +310,10 @@ func TestLongPollReturnsMoreMessagesPerCall(t *testing.T) {
 func TestQueueLookup(t *testing.T) {
 	_, _, svc := newSvc()
 	q := svc.CreateQueue("a")
-	if svc.Queue("a") != q {
+	if svc.queues["a"] != q {
 		t.Fatal("Queue lookup failed")
 	}
-	if svc.Queue("missing") != nil {
+	if svc.queues["missing"] != nil {
 		t.Fatal("missing queue should be nil")
 	}
 	if svc.CreateQueue("a") != q {

@@ -68,10 +68,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Algorithms lists the concrete topologies (AutoAlgo resolves to one of
-// these).
-func Algorithms() []Algorithm { return []Algorithm{Flat, Tree, Ring} }
-
 // Link is the tagged point-to-point transport a channel lends to the
 // collective phases. Send ships one row set to a peer under an (op, round)
 // tag; Gather blocks until every listed source's value under the tag has

@@ -10,6 +10,9 @@ import (
 	"fsdinference/internal/wire"
 )
 
+// topologies are the concrete algorithms AutoAlgo resolves to.
+var topologies = []Algorithm{Flat, Tree, Ring}
+
 // memBus is an in-process Link transport: tagged mailboxes with blocking
 // take, mirroring the channels' semantics (deliver skipped for empty row
 // sets, completion tracked regardless).
@@ -179,7 +182,7 @@ func bothDeliveries(t *testing.T, body func(t *testing.T, split bool)) {
 }
 
 func TestAllreduceAllAlgorithmsAllRanks(t *testing.T) {
-	for _, alg := range Algorithms() {
+	for _, alg := range topologies {
 		for _, p := range []int{1, 2, 3, 8, 33} {
 			t.Run(fmt.Sprintf("%v/p=%d", alg, p), func(t *testing.T) {
 				bothDeliveries(t, func(t *testing.T, split bool) {
@@ -204,7 +207,7 @@ func TestAllreduceAllAlgorithmsAllRanks(t *testing.T) {
 }
 
 func TestReduceAndGatherAtRoot(t *testing.T) {
-	for _, alg := range Algorithms() {
+	for _, alg := range topologies {
 		for _, root := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%v/root=%d", alg, root), func(t *testing.T) {
 				bothDeliveries(t, func(t *testing.T, split bool) {
@@ -224,7 +227,7 @@ func TestReduceAndGatherAtRoot(t *testing.T) {
 // TestBroadcast drives the broadcast phase directly, from a root other than
 // the rank 0 the three operations use it at.
 func TestBroadcast(t *testing.T) {
-	for _, alg := range Algorithms() {
+	for _, alg := range topologies {
 		t.Run(alg.String(), func(t *testing.T) {
 			bothDeliveries(t, func(t *testing.T, split bool) {
 				p, root := 6, 1
@@ -282,7 +285,7 @@ func TestRecvKeepsTheFrame(t *testing.T) {
 }
 
 func TestBarrierCompletes(t *testing.T) {
-	for _, alg := range Algorithms() {
+	for _, alg := range topologies {
 		t.Run(alg.String(), func(t *testing.T) {
 			runRanks(t, 9, false, func(lk Link) (*wire.RowSet, error) {
 				return nil, Barrier(alg, lk)
@@ -295,7 +298,7 @@ func TestBarrierCompletes(t *testing.T) {
 // starting a goroutine: a hop whose two ends disagree on a round is a
 // deadlock, a rank nobody lists is a lost contribution.
 func TestShapeIsASpanningTree(t *testing.T) {
-	for _, alg := range append(Algorithms(), AutoAlgo) {
+	for _, alg := range append(topologies, AutoAlgo) {
 		for p := 2; p <= 40; p++ {
 			parentOf := make([]int, p)
 			edges := 0
@@ -383,7 +386,7 @@ func TestEstimateRegimes(t *testing.T) {
 func TestEstimateMessages(t *testing.T) {
 	tr := Traits{PerMsg: 600 * time.Microsecond, BytesPerSec: 1.25e9, Fan: 4}
 	for p := 2; p <= 64; p++ {
-		for _, alg := range Algorithms() {
+		for _, alg := range topologies {
 			for _, op := range []Op{OpBarrier, OpAllreduce, OpGather} {
 				want := 2 * (p - 1)
 				switch {

@@ -52,7 +52,7 @@ type bulkRef struct {
 }
 
 // hybridFanout is the Hybrid channel's per-worker parallel chunk transfer
-// width, separate from Config.Threads because bulk tensor staging wants far
+// width, separate from commThreads because bulk tensor staging wants far
 // wider concurrency than control pushes.
 const hybridFanout = 32
 

@@ -123,7 +123,7 @@ func memoryTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
 		// A value crosses the store twice: push and blocking pop.
 		PerMsg:      2 * ec.KV.OpLatency,
 		BytesPerSec: nt.NetBytesPerSec / 2,
-		Fan:         cfg.Threads,
+		Fan:         commThreads,
 	}
 }
 

@@ -36,8 +36,8 @@ func provisionBuckets(d *Deployment) error {
 	return nil
 }
 
-func objectTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
-	return objectRouteTraits(ec, cfg.Threads)
+func objectTraits(_ Config, ec env.Config, _ int64) collective.Traits {
+	return objectRouteTraits(ec, commThreads)
 }
 
 // objectRouteTraits is one value's path through object storage — PUT, the
@@ -152,7 +152,7 @@ func (objectChannel) poll(w *worker, g *gathering) error {
 		fetchSrc = append(fetchSrc, src)
 	}
 	w.metrics.Fetches += int64(len(fetch))
-	bodies, err := w.getBodies("get", w.d.Cfg.Threads, bucket, fetch)
+	bodies, err := w.getBodies("get", commThreads, bucket, fetch)
 	if err != nil {
 		return err
 	}

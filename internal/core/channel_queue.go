@@ -85,11 +85,11 @@ func unbindRunQueues(d *Deployment, run *runState) {
 
 // queueTraits is one message's path through the pub-sub service and the
 // queue behind it: publish, delivery, receive.
-func queueTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
+func queueTraits(_ Config, ec env.Config, _ int64) collective.Traits {
 	return collective.Traits{
 		PerMsg:      ec.SNS.PublishLatency + ec.SNS.DeliveryLatency + ec.SQS.ReceiveLatency,
 		BytesPerSec: ec.SQS.TransferBytesPerSec,
-		Fan:         cfg.Threads,
+		Fan:         commThreads,
 	}
 }
 

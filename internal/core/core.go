@@ -233,9 +233,6 @@ type Config struct {
 	// maximum, 15 minutes).
 	FunctionTimeout time.Duration
 
-	// Threads is the per-worker communication thread pool size
-	// (default 4), the ThreadPoolExecutor of §VI-A1.
-	Threads int
 	// Collective selects the collective topology for barrier/reduce
 	// (default Flat, the paper's root-funnelled pattern; AutoAlgo picks
 	// the analytically cheapest per call from the channel's traits).
@@ -313,9 +310,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FunctionTimeout <= 0 {
 		c.FunctionTimeout = 15 * time.Minute
-	}
-	if c.Threads <= 0 {
-		c.Threads = 4
 	}
 	if c.HybridThresholdBytes <= 0 {
 		c.HybridThresholdBytes = DefaultHybridThresholdBytes
@@ -459,14 +453,6 @@ func (r *Result) PerSample() time.Duration {
 		return 0
 	}
 	return r.Latency / time.Duration(r.Batch)
-}
-
-// CostPerSample returns the per-sample dollar cost (Fig. 6 metric).
-func (r *Result) CostPerSample() float64 {
-	if r.Batch == 0 {
-		return 0
-	}
-	return r.Cost.Total() / float64(r.Batch)
 }
 
 // TotalBytesSent sums encoded payload bytes shipped between workers.

@@ -375,9 +375,6 @@ func TestLatencyAndCostAccounting(t *testing.T) {
 	if res.PerSample() <= 0 {
 		t.Fatal("per-sample latency not positive")
 	}
-	if res.CostPerSample() <= 0 {
-		t.Fatal("per-sample cost not positive")
-	}
 	// Workers' runtimes must fit inside the request latency window.
 	for _, w := range res.Workers {
 		if w.Runtime() <= 0 {

@@ -89,7 +89,7 @@ func TestGoldenResultP32(t *testing.T) {
 	want := model.Reference(m, input)
 
 	for _, kind := range []ChannelKind{Queue, Object, Memory, Hybrid} {
-		for _, alg := range collective.Algorithms() {
+		for _, alg := range topologies {
 			name := fmt.Sprintf("%v/%v", kind, alg)
 			t.Run(name, func(t *testing.T) {
 				d, err := Deploy(env.NewDefault(), Config{

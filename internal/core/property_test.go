@@ -41,7 +41,6 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 			Channel:  kind,
 			Compress: rng.Intn(2) == 0,
 			PollWait: time.Duration(rng.Intn(3)) * time.Second, // includes short polling
-			Threads:  1 + rng.Intn(4),
 			// Small enough that Hybrid routes both ways and chunks its bulk.
 			HybridThresholdBytes: 64 << rng.Intn(6),
 			HybridChunkBytes:     256 << rng.Intn(4),

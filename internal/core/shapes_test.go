@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 )
@@ -50,7 +49,7 @@ func TestGoldenCollectiveShapes(t *testing.T) {
 	want := model.Reference(m, input)
 
 	for _, kind := range []ChannelKind{Queue, Memory} {
-		for _, alg := range collective.Algorithms() {
+		for _, alg := range topologies {
 			for _, all := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%v/gather", kind, alg)
 				if all {

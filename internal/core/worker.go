@@ -605,12 +605,15 @@ func viewRows(d *sparse.Dense, ids []int32) *wire.RowSet {
 	return &wire.RowSet{Batch: d.Cols, IDs: ids[:len(ids):len(ids)], Vals: d.Data[lo:hi:hi]}
 }
 
-// threads runs tasks on the worker's communication thread pool
-// (ThreadPoolExecutor of §VI-A1): up to Threads simulated threads issue
-// service calls concurrently; the call returns when all tasks finish.
-// Returns the first task error, if any.
+// commThreads is the per-worker communication thread pool size, the
+// ThreadPoolExecutor of §VI-A1.
+const commThreads = 4
+
+// threads runs tasks on the worker's communication thread pool: up to
+// commThreads simulated threads issue service calls concurrently; the call
+// returns when all tasks finish. Returns the first task error, if any.
 func (w *worker) threads(name string, tasks []func(p *sim.Proc) error) error {
-	return w.threadsN(name, w.d.Cfg.Threads, tasks)
+	return w.threadsN(name, commThreads, tasks)
 }
 
 // threadsN is threads with an explicit pool width, for paths whose

@@ -64,11 +64,6 @@ type Workload struct {
 	MemoryNodeHourly float64
 }
 
-// FitsSingleInstance reports whether the model fits one FaaS instance.
-func (w Workload) FitsSingleInstance() bool {
-	return float64(w.ModelBytes)*w.MemOverhead <= float64(w.InstanceCapMB)*1024*1024
-}
-
 // comfortFactor is the fraction of the instance cap a model may occupy and
 // still count as "comfortably" fitting (§IV-C): beyond it, activation
 // buffers and runtime overheads make single-instance processing

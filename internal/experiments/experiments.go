@@ -137,27 +137,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Cell finds the row whose first column equals key and returns the cell in
-// the named column, for assertions in tests and benches.
-func (t *Table) Cell(key, column string) (string, bool) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return "", false
-	}
-	for _, row := range t.Rows {
-		if len(row) > ci && row[0] == key {
-			return row[ci], true
-		}
-	}
-	return "", false
-}
-
 // Runner is one registered experiment.
 type Runner struct {
 	ID   string
@@ -337,7 +316,6 @@ func dilatedEnv(lambda, layerLambda float64) *env.Env {
 	cfg.S3.PutLatency = dl(cfg.S3.PutLatency)
 	cfg.S3.GetLatency = dl(cfg.S3.GetLatency)
 	cfg.S3.ListLatency = dl(cfg.S3.ListLatency)
-	cfg.S3.DeleteLatency = dl(cfg.S3.DeleteLatency)
 	return env.New(cfg)
 }
 

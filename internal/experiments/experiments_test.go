@@ -676,3 +676,24 @@ func TestServingElasticity(t *testing.T) {
 		}
 	}
 }
+
+// Cell finds the row whose first column equals key and returns the cell in
+// the named column.
+func (t *Table) Cell(key, column string) (string, bool) {
+	ci := -1
+	for i, c := range t.Columns {
+		if c == column {
+			ci = i
+			break
+		}
+	}
+	if ci < 0 {
+		return "", false
+	}
+	for _, row := range t.Rows {
+		if len(row) > ci && row[0] == key {
+			return row[ci], true
+		}
+	}
+	return "", false
+}

@@ -10,11 +10,11 @@ import (
 // constraint, each pass keeps its best prefix, and passes repeat until no
 // improvement. Gains track the cut-cost reduction of moving a vertex and
 // are maintained incrementally with the classic critical-net update rules.
-func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand, opts Options) {
+func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 	if h.NumV == 0 {
 		return
 	}
-	maxW := [2]int64{t0 + int64(opts.Eps*float64(t0)), t1 + int64(opts.Eps*float64(t1))}
+	maxW := [2]int64{t0 + int64(eps*float64(t0)), t1 + int64(eps*float64(t1))}
 
 	pins := [2][]int32{make([]int32, h.NumNets()), make([]int32, h.NumNets())}
 	gain := make([]int64, h.NumV)
@@ -22,7 +22,7 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand, opts Opt
 	locked := make([]bool, h.NumV)
 	moves := make([]int32, 0, h.NumV)
 
-	for pass := 0; pass < opts.MaxFMPasses; pass++ {
+	for pass := 0; pass < maxFMPasses; pass++ {
 		// Recompute pin counts, weights, gains.
 		for n := 0; n < h.NumNets(); n++ {
 			pins[0][n], pins[1][n] = 0, 0

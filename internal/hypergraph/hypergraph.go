@@ -95,9 +95,6 @@ func (h *Hypergraph) buildVertexIncidence() {
 // NumNets returns the net count.
 func (h *Hypergraph) NumNets() int { return len(h.NetCost) }
 
-// NumPins returns the total pin count.
-func (h *Hypergraph) NumPins() int { return len(h.Pins) }
-
 func (h *Hypergraph) netPins(n int) []int32  { return h.Pins[h.NetPtr[n]:h.NetPtr[n+1]] }
 func (h *Hypergraph) vertNets(v int) []int32 { return h.VNets[h.VPtr[v]:h.VPtr[v+1]] }
 
@@ -110,109 +107,25 @@ func (h *Hypergraph) TotalWeight() int64 {
 	return t
 }
 
-// ConnectivityCost returns the connectivity-1 metric Σ cost(n)·(λ(n)−1)
-// of a partition vector (one part id per vertex).
-func (h *Hypergraph) ConnectivityCost(part []int32) int64 {
-	var total int64
-	seen := make(map[int32]bool)
-	for n := 0; n < h.NumNets(); n++ {
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, p := range h.netPins(n) {
-			seen[part[p]] = true
-		}
-		if len(seen) > 1 {
-			total += h.NetCost[n] * int64(len(seen)-1)
-		}
-	}
-	return total
-}
-
-// CutNets returns the number of nets spanning more than one part.
-func (h *Hypergraph) CutNets(part []int32) int {
-	cut := 0
-	for n := 0; n < h.NumNets(); n++ {
-		pins := h.netPins(n)
-		if len(pins) == 0 {
-			continue
-		}
-		first := part[pins[0]]
-		for _, p := range pins[1:] {
-			if part[p] != first {
-				cut++
-				break
-			}
-		}
-	}
-	return cut
-}
-
-// PartWeights returns the total vertex weight in each of k parts.
-func (h *Hypergraph) PartWeights(part []int32, k int) []int64 {
-	w := make([]int64, k)
-	for v, p := range part {
-		w[p] += h.VWeight[v]
-	}
-	return w
-}
-
-// Imbalance returns max(partWeight)/idealWeight − 1 for a k-way partition.
-func (h *Hypergraph) Imbalance(part []int32, k int) float64 {
-	w := h.PartWeights(part, k)
-	var max int64
-	for _, x := range w {
-		if x > max {
-			max = x
-		}
-	}
-	ideal := float64(h.TotalWeight()) / float64(k)
-	if ideal == 0 {
-		return 0
-	}
-	return float64(max)/ideal - 1
-}
-
-// Options controls partitioning.
-type Options struct {
-	// Eps is the allowed imbalance: every part's weight may exceed its
-	// target by at most this fraction (default 0.05).
-	Eps float64
-	// Seed drives all randomised choices.
-	Seed int64
-	// CoarsenTo stops coarsening when a level has at most this many
-	// vertices (default 96).
-	CoarsenTo int
-	// InitialTries is the number of greedy-growing attempts at the
-	// coarsest level (default 8; a linear sweep is always also tried).
-	InitialTries int
-	// MaxFMPasses bounds refinement passes per level (default 6).
-	MaxFMPasses int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Eps <= 0 {
-		o.Eps = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 96
-	}
-	if o.InitialTries <= 0 {
-		o.InitialTries = 8
-	}
-	if o.MaxFMPasses <= 0 {
-		o.MaxFMPasses = 6
-	}
-	return o
-}
+// The partitioner's fixed settings: every part's weight may exceed its
+// target by at most eps; coarsening stops at coarsenTo vertices; the
+// coarsest level tries initialTries greedy growings (a linear sweep is
+// always also tried); each level runs at most maxFMPasses refinement
+// passes.
+const (
+	eps          = 0.05
+	coarsenTo    = 96
+	initialTries = 8
+	maxFMPasses  = 6
+)
 
 // Partition splits h into k parts by multilevel recursive bisection,
-// returning a part id in [0, k) for every vertex.
-func Partition(h *Hypergraph, k int, opts Options) ([]int32, error) {
+// returning a part id in [0, k) for every vertex. seed drives every
+// randomised choice.
+func Partition(h *Hypergraph, k int, seed int64) ([]int32, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("hypergraph: k must be positive, got %d", k)
 	}
-	opts = opts.withDefaults()
 	part := make([]int32, h.NumV)
 	if k == 1 {
 		return part, nil
@@ -220,18 +133,18 @@ func Partition(h *Hypergraph, k int, opts Options) ([]int32, error) {
 	if k > h.NumV {
 		return nil, fmt.Errorf("hypergraph: k=%d exceeds %d vertices", k, h.NumV)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	verts := make([]int32, h.NumV)
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	recurse(h, verts, k, 0, part, rng, opts)
+	recurse(h, verts, k, 0, part, rng)
 	return part, nil
 }
 
 // recurse assigns part ids [base, base+k) to the vertices of sub, whose
 // i-th vertex is original vertex verts[i].
-func recurse(sub *Hypergraph, verts []int32, k int, base int32, part []int32, rng *rand.Rand, opts Options) {
+func recurse(sub *Hypergraph, verts []int32, k int, base int32, part []int32, rng *rand.Rand) {
 	if k == 1 {
 		for _, v := range verts {
 			part[v] = base
@@ -243,12 +156,12 @@ func recurse(sub *Hypergraph, verts []int32, k int, base int32, part []int32, rn
 	total := sub.TotalWeight()
 	t0 := total * int64(k0) / int64(k)
 	t1 := total - t0
-	side := multilevelBisect(sub, t0, t1, rng, opts)
+	side := multilevelBisect(sub, t0, t1, rng)
 
 	sub0, verts0 := induce(sub, verts, side, 0)
 	sub1, verts1 := induce(sub, verts, side, 1)
-	recurse(sub0, verts0, k0, base, part, rng, opts)
-	recurse(sub1, verts1, k1, base+int32(k0), part, rng, opts)
+	recurse(sub0, verts0, k0, base, part, rng)
+	recurse(sub1, verts1, k1, base+int32(k0), part, rng)
 }
 
 // induce builds the sub-hypergraph of vertices on the given side. Nets are
@@ -290,25 +203,25 @@ func induce(h *Hypergraph, verts []int32, side []int8, want int8) (*Hypergraph, 
 }
 
 // multilevelBisect produces a 2-way split with target weights t0/t1.
-func multilevelBisect(h *Hypergraph, t0, t1 int64, rng *rand.Rand, opts Options) []int8 {
-	if h.NumV <= opts.CoarsenTo {
-		side := initialBisect(h, t0, t1, rng, opts)
-		refineFM(h, side, t0, t1, rng, opts)
+func multilevelBisect(h *Hypergraph, t0, t1 int64, rng *rand.Rand) []int8 {
+	if h.NumV <= coarsenTo {
+		side := initialBisect(h, t0, t1, rng)
+		refineFM(h, side, t0, t1, rng)
 		return side
 	}
 	coarse, vmap := coarsen(h, rng)
 	// Coarsening stalled: finish at this level.
 	if coarse.NumV > h.NumV*9/10 {
-		side := initialBisect(h, t0, t1, rng, opts)
-		refineFM(h, side, t0, t1, rng, opts)
+		side := initialBisect(h, t0, t1, rng)
+		refineFM(h, side, t0, t1, rng)
 		return side
 	}
-	cside := multilevelBisect(coarse, t0, t1, rng, opts)
+	cside := multilevelBisect(coarse, t0, t1, rng)
 	side := make([]int8, h.NumV)
 	for v := 0; v < h.NumV; v++ {
 		side[v] = cside[vmap[v]]
 	}
-	refineFM(h, side, t0, t1, rng, opts)
+	refineFM(h, side, t0, t1, rng)
 	return side
 }
 
@@ -446,10 +359,10 @@ func equalPins(a, b []int32) bool {
 
 // initialBisect tries greedy growing from random seeds plus a linear sweep,
 // keeping the best (cut, then balance) result.
-func initialBisect(h *Hypergraph, t0, t1 int64, rng *rand.Rand, opts Options) []int8 {
+func initialBisect(h *Hypergraph, t0, t1 int64, rng *rand.Rand) []int8 {
 	best := linearSweep(h, t0)
 	bestCut := bisectCut(h, best)
-	for try := 0; try < opts.InitialTries; try++ {
+	for try := 0; try < initialTries; try++ {
 		cand := greedyGrow(h, t0, rng)
 		if cut := bisectCut(h, cand); cut < bestCut {
 			best, bestCut = cand, cut

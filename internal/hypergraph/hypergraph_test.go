@@ -104,7 +104,7 @@ func TestConnectivityCostAndCutNets(t *testing.T) {
 
 func TestPartitionK1(t *testing.T) {
 	h := ring(10)
-	part, err := Partition(h, 1, Options{Seed: 1})
+	part, err := Partition(h, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestPartitionK1(t *testing.T) {
 
 func TestPartitionErrors(t *testing.T) {
 	h := ring(4)
-	if _, err := Partition(h, 0, Options{}); err == nil {
+	if _, err := Partition(h, 0, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Partition(h, 5, Options{}); err == nil {
+	if _, err := Partition(h, 5, 0); err == nil {
 		t.Error("k > numV accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestPartitionRingOptimal(t *testing.T) {
 	// A 64-ring split into 2 parts has an optimal cut of 2 nets; the
 	// partitioner should find it (or at worst 4).
 	h := ring(64)
-	part, err := Partition(h, 2, Options{Seed: 3})
+	part, err := Partition(h, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPartitionClustersRespectsStructure(t *testing.T) {
 	// 8 dense clusters, k=4: the optimal partition groups whole clusters
 	// (2 per part) and cuts only weak links.
 	h := clusters(8, 12)
-	part, err := Partition(h, 4, Options{Seed: 5})
+	part, err := Partition(h, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPartitionClustersRespectsStructure(t *testing.T) {
 func TestPartitionBalanced(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 8, 20, 42, 62} {
 		h := ring(1024)
-		part, err := Partition(h, k, Options{Seed: 7, Eps: 0.05})
+		part, err := Partition(h, k, 7)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -193,8 +193,8 @@ func TestPartitionBalanced(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	h := clusters(6, 10)
-	a, _ := Partition(h, 5, Options{Seed: 11})
-	b, _ := Partition(h, 5, Options{Seed: 11})
+	a, _ := Partition(h, 5, 11)
+	b, _ := Partition(h, 5, 11)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different partitions")
@@ -208,7 +208,7 @@ func TestPartitionBeatsRandom(t *testing.T) {
 	// the Table III effect.
 	h := localityGraph(800, 6, 13)
 	k := 8
-	part, err := Partition(h, k, Options{Seed: 17})
+	part, err := Partition(h, k, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestPartitionPropertyValidAndBalanced(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		part, err := Partition(h, k, Options{Seed: seed})
+		part, err := Partition(h, k, seed)
 		if err != nil {
 			return false
 		}
@@ -310,7 +310,7 @@ func TestRefineFMImprovesBadSplit(t *testing.T) {
 	}
 	before := bisectCut(h, side)
 	rng := rand.New(rand.NewSource(1))
-	refineFM(h, side, 64, 64, rng, Options{}.withDefaults())
+	refineFM(h, side, 64, 64, rng)
 	after := bisectCut(h, side)
 	if after >= before/4 {
 		t.Fatalf("FM cut %d, want well below initial %d", after, before)
@@ -354,4 +354,70 @@ func TestImbalancePerfect(t *testing.T) {
 	if w[0] != 4 || w[1] != 4 {
 		t.Fatalf("weights = %v", w)
 	}
+}
+
+// NumPins returns the total pin count.
+func (h *Hypergraph) NumPins() int { return len(h.Pins) }
+
+// ConnectivityCost returns the connectivity-1 metric Σ cost(n)·(λ(n)−1)
+// of a partition vector (one part id per vertex).
+func (h *Hypergraph) ConnectivityCost(part []int32) int64 {
+	var total int64
+	seen := make(map[int32]bool)
+	for n := 0; n < h.NumNets(); n++ {
+		for k := range seen {
+			delete(seen, k)
+		}
+		for _, p := range h.netPins(n) {
+			seen[part[p]] = true
+		}
+		if len(seen) > 1 {
+			total += h.NetCost[n] * int64(len(seen)-1)
+		}
+	}
+	return total
+}
+
+// CutNets returns the number of nets spanning more than one part.
+func (h *Hypergraph) CutNets(part []int32) int {
+	cut := 0
+	for n := 0; n < h.NumNets(); n++ {
+		pins := h.netPins(n)
+		if len(pins) == 0 {
+			continue
+		}
+		first := part[pins[0]]
+		for _, p := range pins[1:] {
+			if part[p] != first {
+				cut++
+				break
+			}
+		}
+	}
+	return cut
+}
+
+// Imbalance returns max(partWeight)/idealWeight − 1 for a k-way partition.
+func (h *Hypergraph) Imbalance(part []int32, k int) float64 {
+	w := h.PartWeights(part, k)
+	var max int64
+	for _, x := range w {
+		if x > max {
+			max = x
+		}
+	}
+	ideal := float64(h.TotalWeight()) / float64(k)
+	if ideal == 0 {
+		return 0
+	}
+	return float64(max)/ideal - 1
+}
+
+// PartWeights returns the total vertex weight in each of k parts.
+func (h *Hypergraph) PartWeights(part []int32, k int) []int64 {
+	w := make([]int64, k)
+	for v, p := range part {
+		w[p] += h.VWeight[v]
+	}
+	return w
 }

@@ -266,22 +266,6 @@ func Reference(m *Model, input *sparse.Dense) *sparse.Dense {
 	return out
 }
 
-// Categories returns, per sample (column), whether the final activations
-// contain any nonzero entry — the Graph Challenge's per-image category
-// signal.
-func Categories(output *sparse.Dense) []bool {
-	cats := make([]bool, output.Cols)
-	for r := 0; r < output.Rows; r++ {
-		row := output.Row(r)
-		for j, v := range row {
-			if v != 0 {
-				cats[j] = true
-			}
-		}
-	}
-	return cats
-}
-
 // OutputsClose reports whether two activation matrices agree within an
 // absolute tolerance, allowing for float32 summation-order differences
 // between serial and distributed execution.
@@ -321,40 +305,4 @@ func EncodeCSR(m *sparse.CSR) []byte {
 		buf = append(buf, tmp[:4]...)
 	}
 	return buf
-}
-
-// DecodeCSR parses a blob produced by EncodeCSR.
-func DecodeCSR(b []byte) (*sparse.CSR, error) {
-	if len(b) < 12 {
-		return nil, fmt.Errorf("model: CSR blob too short (%d bytes)", len(b))
-	}
-	rows := int(binary.LittleEndian.Uint32(b[0:4]))
-	cols := int(binary.LittleEndian.Uint32(b[4:8]))
-	nnz := int(binary.LittleEndian.Uint32(b[8:12]))
-	want := 12 + (rows+1)*4 + nnz*8
-	if len(b) != want {
-		return nil, fmt.Errorf("model: CSR blob is %d bytes, want %d for %dx%d nnz=%d",
-			len(b), want, rows, cols, nnz)
-	}
-	m := &sparse.CSR{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int32, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float32, nnz),
-	}
-	off := 12
-	for i := range m.RowPtr {
-		m.RowPtr[i] = int32(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-	}
-	for i := range m.ColIdx {
-		m.ColIdx[i] = int32(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-	}
-	for i := range m.Val {
-		m.Val[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-	}
-	return m, nil
 }

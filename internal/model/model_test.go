@@ -1,6 +1,9 @@
 package model
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,15 +163,6 @@ func TestReferenceMatchesLayerwiseFloat32(t *testing.T) {
 	}
 }
 
-func TestCategories(t *testing.T) {
-	out := sparse.NewDense(4, 3)
-	out.Set(2, 1, 5)
-	cats := Categories(out)
-	if cats[0] || !cats[1] || cats[2] {
-		t.Fatalf("cats = %v", cats)
-	}
-}
-
 func TestOutputsCloseShapeMismatch(t *testing.T) {
 	a := sparse.NewDense(2, 2)
 	b := sparse.NewDense(2, 3)
@@ -236,4 +230,41 @@ func TestWeightBytes(t *testing.T) {
 	if m.WeightBytes() != want {
 		t.Fatalf("WeightBytes = %d, want %d", m.WeightBytes(), want)
 	}
+}
+
+// DecodeCSR parses a blob produced by EncodeCSR: the round-trip reference
+// the encoding's tests check it against.
+func DecodeCSR(b []byte) (*sparse.CSR, error) {
+	if len(b) < 12 {
+		return nil, fmt.Errorf("model: CSR blob too short (%d bytes)", len(b))
+	}
+	rows := int(binary.LittleEndian.Uint32(b[0:4]))
+	cols := int(binary.LittleEndian.Uint32(b[4:8]))
+	nnz := int(binary.LittleEndian.Uint32(b[8:12]))
+	want := 12 + (rows+1)*4 + nnz*8
+	if len(b) != want {
+		return nil, fmt.Errorf("model: CSR blob is %d bytes, want %d for %dx%d nnz=%d",
+			len(b), want, rows, cols, nnz)
+	}
+	m := &sparse.CSR{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: make([]int32, rows+1),
+		ColIdx: make([]int32, nnz),
+		Val:    make([]float32, nnz),
+	}
+	off := 12
+	for i := range m.RowPtr {
+		m.RowPtr[i] = int32(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+	}
+	for i := range m.ColIdx {
+		m.ColIdx[i] = int32(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+	}
+	for i := range m.Val {
+		m.Val[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
+		off += 4
+	}
+	return m, nil
 }

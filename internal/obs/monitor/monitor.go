@@ -197,6 +197,10 @@ type Monitor struct {
 	sinks  []func(AlertEvent)
 }
 
+// seriesCapacity bounds each ring-buffered series in windows; New raises it
+// to cover the longest burn-rate lookback.
+const seriesCapacity = 4096
+
 // New validates the spec and builds an idle monitor. clock and schedule
 // bind it to a simulated kernel (the owning service's); pending reports
 // whether the service still has unresolved requests, which is what keeps
@@ -211,7 +215,7 @@ func New(spec Spec, clock func() time.Duration, schedule func(delay time.Duratio
 	}
 	// The ring must retain every window a burn-rate lookback can reach
 	// back to, or rule evaluation would read overwritten slots.
-	capacity := spec.Capacity
+	capacity := seriesCapacity
 	for _, r := range spec.Rules {
 		if need := windowsIn(r.Long, spec.Interval) + 2; need > capacity {
 			capacity = need
@@ -235,14 +239,6 @@ func windowsIn(d, interval time.Duration) int {
 		k = 1
 	}
 	return k
-}
-
-// Spec returns the validated, defaulted spec the monitor runs under.
-func (m *Monitor) Spec() Spec {
-	if m == nil {
-		return Spec{}
-	}
-	return m.spec
 }
 
 // Register adds one endpoint's instruments. All targets must be
@@ -484,8 +480,8 @@ func (ss *sloSeries) burn(w, k, capacity int) float64 {
 }
 
 // Series returns the retained windows of one endpoint, oldest first.
-// With the default capacity that is the full replay; a longer run keeps
-// the most recent Capacity windows.
+// With the fixed capacity that is the full replay; a longer run keeps
+// the most recent seriesCapacity windows.
 func (m *Monitor) Series(endpoint string) []Sample {
 	if m == nil {
 		return nil

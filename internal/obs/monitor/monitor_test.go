@@ -338,7 +338,7 @@ func TestSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Spec().Interval != time.Minute || len(m.Spec().Rules) != 2 {
-		t.Errorf("defaults not applied: %+v", m.Spec())
+	if m.spec.Interval != time.Minute || len(m.spec.Rules) != 2 {
+		t.Errorf("defaults not applied: %+v", m.spec)
 	}
 }

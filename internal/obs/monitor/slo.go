@@ -149,10 +149,6 @@ type AlertEvent struct {
 type Spec struct {
 	// Interval is the scrape period in simulated time (default 1m).
 	Interval time.Duration
-	// Capacity bounds each ring-buffered series in windows (default
-	// 4096); it is raised automatically to cover the longest burn-rate
-	// lookback.
-	Capacity int
 	SLOs     []SLO
 	// Rules are the burn-rate alert rules (default DefaultRules).
 	Rules []BurnRule
@@ -166,9 +162,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Interval == 0 {
 		s.Interval = time.Minute
 	}
-	if s.Capacity == 0 {
-		s.Capacity = 4096
-	}
 	if s.Rules == nil {
 		s.Rules = DefaultRules()
 	}
@@ -178,9 +171,6 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) validate() error {
 	if s.Interval <= 0 {
 		return fmt.Errorf("monitor: scrape interval must be positive, got %v", s.Interval)
-	}
-	if s.Capacity < 2 {
-		return fmt.Errorf("monitor: series capacity %d is too small", s.Capacity)
 	}
 	for i, slo := range s.SLOs {
 		if err := slo.validate(); err != nil {

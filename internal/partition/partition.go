@@ -57,8 +57,6 @@ func (s Scheme) String() string {
 type Options struct {
 	// Seed drives random placement and partitioner tie-breaking.
 	Seed int64
-	// Eps is the hypergraph balance tolerance (default 0.05).
-	Eps float64
 }
 
 // SendEntry lists the activation rows a worker must deliver to one target
@@ -186,7 +184,7 @@ func hgpOwner(m *model.Model, workers int, opts Options) ([]int32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: building hypergraph: %w", err)
 	}
-	return hypergraph.Partition(h, workers, hypergraph.Options{Seed: opts.Seed, Eps: opts.Eps})
+	return hypergraph.Partition(h, workers, opts.Seed)
 }
 
 // buildMaps fills Sends and Recvs from the weight structure: at layer k,
@@ -324,14 +322,4 @@ func (p *Plan) MapBytes(worker int) int64 {
 		b += int64(len(p.Recvs[k][worker])) * 8
 	}
 	return b
-}
-
-// SendsTo reports whether worker src sends to worker tgt at layer k.
-func (p *Plan) SendsTo(k int, src, tgt int32) bool {
-	for _, e := range p.Sends[k][src] {
-		if e.Target == tgt {
-			return true
-		}
-	}
-	return false
 }

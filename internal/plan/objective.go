@@ -78,33 +78,3 @@ func (o weighted) Score(t Trial, n Norms) float64 {
 	}
 	return s
 }
-
-// deadlinePenalty pushes deadline-infeasible candidates behind every
-// feasible one while still ordering them by latency, so the fastest
-// candidate wins when nothing meets the deadline.
-const deadlinePenalty = 1e9
-
-// DeadlineObjective returns the deadline-feasible objective: candidates
-// whose trial latency meets the deadline are ranked by per-query cost;
-// when none does, the fastest candidate wins.
-func DeadlineObjective(deadline time.Duration) Objective {
-	return deadlineObjective{d: deadline}
-}
-
-type deadlineObjective struct{ d time.Duration }
-
-func (o deadlineObjective) Name() string { return fmt.Sprintf("deadline(%v)", o.d) }
-
-// deadlineObjective deliberately does not implement costWeighter: a
-// cost-dominance prune could drop the only candidate fast enough to meet
-// the deadline (the memory channel below its break-even volume, say).
-
-func (o deadlineObjective) Score(t Trial, n Norms) float64 {
-	if t.Latency <= o.d {
-		if n.MinCost > 0 {
-			return t.Cost / n.MinCost
-		}
-		return 0
-	}
-	return deadlinePenalty + float64(t.Latency)/float64(time.Millisecond)
-}

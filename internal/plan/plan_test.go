@@ -3,7 +3,6 @@ package plan
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
@@ -170,50 +169,6 @@ func TestPrefilterKeepsGridForLatencyObjectives(t *testing.T) {
 	}
 	if d.Best.Channel != core.Memory {
 		t.Fatalf("latency objective picked %v, want the memory channel (sub-ms ops)", d.Best.Channel)
-	}
-}
-
-// TestDeadlineObjectiveSelectsCheapestFeasible: the deadline objective
-// must rank by cost among candidates meeting the deadline, and fall back
-// to the fastest candidate when nothing does.
-func TestDeadlineObjectiveSelectsCheapestFeasible(t *testing.T) {
-	m := testModel(t, 256, 6)
-	grid := Grid{
-		Channels: []core.ChannelKind{core.Queue, core.Memory},
-		Workers:  []int{2},
-	}
-	run := func(deadline time.Duration) *Decision {
-		t.Helper()
-		p, err := New(m, Options{Objective: DeadlineObjective(deadline), Grid: grid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := p.Plan(WorkloadProfile{BatchSamples: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	// Both channels answer a probe within 10s; queue is the cheaper
-	// feasible candidate.
-	if d := run(10 * time.Second); d.Best.Channel != core.Queue {
-		t.Fatalf("loose deadline picked %v, want the cheaper queue", d.Best.Channel)
-	}
-	// The memory trial is measurably faster than queue; pick a deadline
-	// between the two latencies so only memory is feasible.
-	d := run(10 * time.Second)
-	mlat := trialFor(d.Trials, core.Memory).Latency
-	qlat := trialFor(d.Trials, core.Queue).Latency
-	if mlat >= qlat {
-		t.Fatalf("memory %v not faster than queue %v; test premise broken", mlat, qlat)
-	}
-	mid := mlat + (qlat-mlat)/2
-	if d := run(mid); d.Best.Channel != core.Memory {
-		t.Fatalf("tight deadline %v picked %v, want the only feasible memory", mid, d.Best.Channel)
-	}
-	// An impossible deadline falls back to the fastest candidate.
-	if d := run(time.Millisecond); d.Best.Channel != core.Memory {
-		t.Fatalf("impossible deadline picked %v, want the fastest candidate", d.Best.Channel)
 	}
 }
 

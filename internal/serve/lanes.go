@@ -13,12 +13,12 @@ import (
 // advancing its own discrete-event kernel on its own virtual clock, and
 // merges the per-lane results into one Report at the end.
 //
-// The receiver acts as the routing registry only: queries are routed (by
-// opts.Route or the model-size default) against its endpoints, then every
-// lane rebuilds its share of the service — the same options the receiver
-// was built with, filtered to the lane's endpoints — on a fresh clone of
-// the receiver's environment configuration and replays its sub-trace
-// there. The receiver's own endpoints, meters and clock are untouched.
+// The receiver acts as the routing registry only: queries are routed by
+// model size against its endpoints, then every lane rebuilds its share of
+// the service — the same options the receiver was built with, filtered to
+// the lane's endpoints — on a fresh clone of the receiver's environment
+// configuration and replays its sub-trace there. The receiver's own
+// endpoints, meters and clock are untouched.
 //
 // Lane assignment keeps interacting endpoints together: endpoints are
 // grouped by model size (reroute siblings share a size, so a lane always
@@ -47,7 +47,7 @@ func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOpti
 		return nil, fmt.Errorf("serve: lanes must be positive, got %d", lanes)
 	}
 	opts = opts.withDefaults()
-	items, err := s.routeTrace(trace, opts)
+	items, err := s.routeTrace(trace)
 	if err != nil {
 		return nil, err
 	}

@@ -422,9 +422,6 @@ func TestMonitorNilReceiverSafe(t *testing.T) {
 	if v := m.TimeInViolation("ep", "slo"); v != 0 {
 		t.Errorf("nil TimeInViolation = %v, want 0", v)
 	}
-	if spec := m.Spec(); len(spec.SLOs) != 0 || len(spec.Rules) != 0 {
-		t.Errorf("nil Spec = %+v, want zero", spec)
-	}
 	var buf bytes.Buffer
 	if err := m.WriteAlerts(&buf); err != nil {
 		t.Errorf("nil WriteAlerts: %v", err)

@@ -19,8 +19,7 @@ type RequestInfo struct {
 	Seq int
 	// Arrived is the request's arrival virtual time.
 	Arrived time.Duration
-	// Priority is the caller-supplied priority (higher dispatches first
-	// under PriorityAdmission; 0 is the default class).
+	// Priority is the caller-supplied class (0 is the default).
 	Priority int
 	// Deadline is the absolute virtual time by which the request must
 	// complete (0 = none).
@@ -57,22 +56,6 @@ func (fifoAdmission) Name() string                                { return "fifo
 func (fifoAdmission) Less(a, b RequestInfo) bool                  { return a.Seq < b.Seq }
 func (fifoAdmission) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
 func (fifoAdmission) Reroute() bool                               { return false }
-
-// PriorityAdmission returns a policy dispatching higher Priority requests
-// first, arrival order within a class. It never sheds.
-func PriorityAdmission() AdmissionPolicy { return priorityAdmission{} }
-
-type priorityAdmission struct{}
-
-func (priorityAdmission) Name() string { return "priority" }
-func (priorityAdmission) Less(a, b RequestInfo) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	return a.Seq < b.Seq
-}
-func (priorityAdmission) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
-func (priorityAdmission) Reroute() bool                               { return false }
 
 // DeadlineAdmission returns an earliest-deadline-first policy: requests
 // with deadlines dispatch before those without, soonest deadline first. At
@@ -253,12 +236,6 @@ type SLOOptions struct {
 	// planning trials, and for an alert-driven re-plan before any run
 	// has completed (default 32).
 	ProbeBatch int
-	// BreakEvenHysteresis widens the arrival-rate trigger into a band
-	// around the memory break-even: the observed volume must clear the
-	// break-even by this fraction (default 0.2, i.e. +-20%) before a
-	// re-plan fires, so workloads hovering at the break-even stop
-	// flapping between configurations. Negative disables the band.
-	BreakEvenHysteresis float64
 	// MinRuns is how many runs must be observed between re-plans
 	// (default 16).
 	MinRuns int
@@ -266,15 +243,15 @@ type SLOOptions struct {
 	Seed int64
 }
 
+// breakEvenHysteresis widens the arrival-rate trigger into a band around
+// the memory break-even: the observed volume must clear the break-even by
+// this fraction (+-20 %) before a re-plan fires, so workloads hovering at
+// the break-even do not flap between configurations.
+const breakEvenHysteresis = 0.2
+
 func (o SLOOptions) withDefaults() SLOOptions {
 	if o.ProbeBatch <= 0 {
 		o.ProbeBatch = 32
-	}
-	if o.BreakEvenHysteresis == 0 {
-		o.BreakEvenHysteresis = 0.2
-	}
-	if o.BreakEvenHysteresis < 0 {
-		o.BreakEvenHysteresis = 0
 	}
 	if o.MinRuns <= 0 {
 		o.MinRuns = 16

@@ -52,17 +52,14 @@ type ChaosEvent struct {
 	Duration time.Duration
 }
 
+// inputDensity is the generated inputs' nonzero fraction, the evaluation
+// setting.
+const inputDensity = 0.2
+
 // ReplayOptions tunes a trace replay.
 type ReplayOptions struct {
-	// Density is the generated inputs' nonzero fraction (default 0.2,
-	// the evaluation setting).
-	Density float64
 	// Seed drives deterministic per-query input generation (default 1).
 	Seed int64
-	// Route maps a query to an endpoint name. The default routes by
-	// model size: the first endpoint whose model has the query's neuron
-	// count.
-	Route func(q workload.Query) (string, bool)
 	// Submit supplies per-query scheduling metadata (priority, deadline)
 	// for the admission policy; nil submits every query with defaults.
 	Submit func(i int, q workload.Query) SubmitOptions
@@ -76,9 +73,6 @@ type ReplayOptions struct {
 }
 
 func (opts ReplayOptions) withDefaults() ReplayOptions {
-	if opts.Density == 0 {
-		opts.Density = 0.2
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -97,35 +91,26 @@ type routedQuery struct {
 	name string
 }
 
-// route resolves one query's endpoint against this service's registry:
-// opts.Route, or by model size — the first endpoint registered with the
-// query's neuron count. idx is the query's index in the trace.
-func (s *Service) route(idx int, q workload.Query, opts ReplayOptions) (routedQuery, error) {
-	var name string
-	var ok bool
-	if opts.Route != nil {
-		name, ok = opts.Route(q)
-	} else if eps := s.byNeuronsAll[q.Neurons]; len(eps) > 0 {
-		name, ok = eps[0].name, true
-	}
-	if !ok {
+// route resolves one query's endpoint against this service's registry by
+// model size: the first endpoint registered with the query's neuron count.
+// idx is the query's index in the trace.
+func (s *Service) route(idx int, q workload.Query) (routedQuery, error) {
+	eps := s.byNeuronsAll[q.Neurons]
+	if len(eps) == 0 {
 		return routedQuery{}, fmt.Errorf("serve: no endpoint for query %d (N=%d)", idx, q.Neurons)
 	}
-	if s.byName[name] == nil {
-		return routedQuery{}, fmt.Errorf("serve: route returned unknown endpoint %q", name)
-	}
-	return routedQuery{idx: idx, q: q, name: name}, nil
+	return routedQuery{idx: idx, q: q, name: eps[0].name}, nil
 }
 
 // routeTrace routes a whole in-memory trace up front.
-func (s *Service) routeTrace(trace []workload.Query, opts ReplayOptions) ([]routedQuery, error) {
+func (s *Service) routeTrace(trace []workload.Query) ([]routedQuery, error) {
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
 	items := make([]routedQuery, len(trace))
 	for i, q := range trace {
 		var err error
-		if items[i], err = s.route(i, q, opts); err != nil {
+		if items[i], err = s.route(i, q); err != nil {
 			return nil, err
 		}
 	}
@@ -156,7 +141,7 @@ func oneBatch(items []routedQuery) func() ([]routedQuery, error) {
 // reaches it and in how latencies are kept.
 func (s *Service) Replay(trace []workload.Query, opts ReplayOptions) (*Report, error) {
 	opts = opts.withDefaults()
-	items, err := s.routeTrace(trace, opts)
+	items, err := s.routeTrace(trace)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +181,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 				return nil, fmt.Errorf("serve: stream arrivals out of order (%v after %v)", q.At, prev)
 			}
 			prev = q.At
-			it, err := s.route(seen, q, opts)
+			it, err := s.route(seen, q)
 			if err != nil {
 				return nil, err
 			}
@@ -335,7 +320,7 @@ func (run *replayRun) feed() {
 	fold := run.fold
 	var last time.Duration
 	for _, it := range items {
-		in := model.GenerateInputs(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
+		in := model.GenerateInputs(it.q.Neurons, it.q.Samples, inputDensity, opts.Seed+int64(it.idx))
 		var so SubmitOptions
 		if opts.Submit != nil {
 			so = opts.Submit(it.idx, it.q)

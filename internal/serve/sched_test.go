@@ -97,13 +97,14 @@ func TestDeadlineRerouteMovesRequestToSiblingEndpoint(t *testing.T) {
 	// idle "b" instead of being shed.
 	m := testModel(t, 128, 6)
 	svc, err := NewService(env.NewDefault(),
-		WithEndpoint("a", m, WithEndpointAdmission(DeadlineAdmission(true))),
+		WithEndpoint("a", m),
 		WithEndpoint("b", m),
 		WithCoalescing(4, 0),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setAdmission(svc.byName["a"], DeadlineAdmission(true))
 	filler := svc.Submit("a", model.GenerateInputs(128, 4, 0.2, 2), 0)
 	in := model.GenerateInputs(128, 4, 0.2, 3)
 	urgent := svc.SubmitWith("a", in, 1*time.Millisecond, SubmitOptions{Deadline: 3 * time.Millisecond})
@@ -137,7 +138,7 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	// first-sibling).
 	m := testModel(t, 128, 6)
 	svc, err := NewService(env.NewDefault(),
-		WithEndpoint("a", m, WithEndpointAdmission(DeadlineAdmission(true))),
+		WithEndpoint("a", m),
 		WithEndpoint("b", m),
 		WithEndpoint("c", m),
 		WithCoalescing(4, 0),
@@ -145,6 +146,7 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setAdmission(svc.byName["a"], DeadlineAdmission(true))
 	fillerA := svc.Submit("a", model.GenerateInputs(128, 4, 0.2, 2), 0)
 	// Saturate b: one run in flight plus a backlog that outlives a's
 	// filler (4-sample batches cannot merge under maxBatch 4).
@@ -671,3 +673,23 @@ func TestPublicSchedulerPolicies(t *testing.T) {
 		t.Fatalf("replay missing policy names: %+v", ep)
 	}
 }
+
+// setAdmission gives one endpoint its own admission policy: options set
+// one policy for the whole service.
+func setAdmission(ep *Endpoint, p AdmissionPolicy) { ep.sched.admission, ep.sched.queue.pol = p, p }
+
+// PriorityAdmission returns a policy dispatching higher Priority requests
+// first, arrival order within a class. It never sheds.
+func PriorityAdmission() AdmissionPolicy { return priorityAdmission{} }
+
+type priorityAdmission struct{}
+
+func (priorityAdmission) Name() string { return "priority" }
+func (priorityAdmission) Less(a, b RequestInfo) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	return a.Seq < b.Seq
+}
+func (priorityAdmission) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
+func (priorityAdmission) Reroute() bool                               { return false }

@@ -1,15 +1,15 @@
 // Package serve implements the FSD-Inference serving layer: a long-lived,
 // multi-model Service endpoint over the simulated cloud. Where core.Infer
 // is one-shot — one request owning the whole kernel run — a Service
-// accepts asynchronous Submits and keeps many requests in flight inside a
+// replays a query trace and keeps many requests in flight inside a
 // single simulated-time run, realising the upstream buffering the paper
 // assumes for its sporadic workloads (§V-B2, §VI-C).
 //
 // Each named endpoint owns one model and a replica pool of deployments
 // managed by a policy-driven scheduler (scheduler.go, policy.go). Requests
 // pass through a per-endpoint coalescing window into an admission queue
-// ordered by a pluggable admission policy — FIFO, priority, or
-// deadline-aware with shedding/rerouting — and dispatch to replicas with
+// ordered by a pluggable admission policy — FIFO or deadline-aware with
+// shedding/rerouting — and dispatch to replicas with
 // spare run capacity; since Queue-channel consumption is partitioned by
 // run id in core, one replica can overlap runs on any channel. A pluggable
 // scaling policy sizes the pool: fixed (WithReplicas) or an autoscaler
@@ -48,16 +48,15 @@ type coalescePolicy struct {
 
 // endpointConfig accumulates per-endpoint options before deployment.
 type endpointConfig struct {
-	name      string
-	m         *model.Model
-	channel   core.ChannelKind
-	chanSet   bool
-	workers   int
-	scheme    partition.Scheme
-	seed      int64
-	admission AdmissionPolicy
-	slo       *SLOOptions
-	mutate    func(*core.Config)
+	name    string
+	m       *model.Model
+	channel core.ChannelKind
+	chanSet bool
+	workers int
+	scheme  partition.Scheme
+	seed    int64
+	slo     *SLOOptions
+	mutate  func(*core.Config)
 }
 
 // serviceConfig accumulates Service options.
@@ -177,11 +176,6 @@ func WithScheme(s partition.Scheme) EndpointOption {
 	return func(ec *endpointConfig) { ec.scheme = s }
 }
 
-// WithEndpointAdmission overrides the admission policy for this endpoint.
-func WithEndpointAdmission(p AdmissionPolicy) EndpointOption {
-	return func(ec *endpointConfig) { ec.admission = p }
-}
-
 // WithSLO lets the endpoint pick its own channel and worker parallelism at
 // deploy time via the workload-aware Planner (internal/plan), given
 // latency/cost priorities, and re-plan when the observed arrival rate
@@ -225,9 +219,9 @@ type Service struct {
 	trace   *obs.Tracer
 	metrics *obs.Registry
 	mon     *monitor.Monitor
-	// submitSeq numbers interactive Submits for sampling. Replay paths
-	// bypass it and sample on the query's trace index instead, which is
-	// what makes lane-vs-single traces identical.
+	// submitSeq numbers one-at-a-time Submits (serve_test.go) for
+	// sampling. Replay paths bypass it and sample on the query's trace
+	// index instead, which is what makes lane-vs-single traces identical.
 	submitSeq int
 }
 
@@ -495,9 +489,6 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		return nil, fmt.Errorf("serve: endpoint %q: negative coalescing policy", ec.name)
 	}
 	admission := cfg.admission
-	if ec.admission != nil {
-		admission = ec.admission
-	}
 	if admission == nil {
 		admission = FIFO()
 	}
@@ -585,8 +576,8 @@ func (ep *Endpoint) observeRun(samples int) {
 	be := d.MemoryBreakEvenQueriesPerDay
 	// The hysteresis band keeps workloads hovering at the break-even from
 	// flapping: the observed volume must clear the far edge of the
-	// +-BreakEvenHysteresis band before the trigger fires.
-	if !plan.CrossedBreakEven(d.Profile.QueriesPerDay, observedQPD, be, st.opts.BreakEvenHysteresis) {
+	// +-breakEvenHysteresis band before the trigger fires.
+	if !plan.CrossedBreakEven(d.Profile.QueriesPerDay, observedQPD, be, breakEvenHysteresis) {
 		return
 	}
 	ep.replanTo(nil, fmt.Sprintf("arrival rate crossed the memory break-even (%d vs ~%d queries/day)",
@@ -695,8 +686,8 @@ func (s *Service) Monitor() *monitor.Monitor { return s.mon }
 
 // SubmitOptions carries per-request scheduling metadata.
 type SubmitOptions struct {
-	// Priority orders dispatch under PriorityAdmission (higher first;
-	// default class 0).
+	// Priority is the request's class (default 0): the report breaks
+	// latency down by class, and a policy may order dispatch by it.
 	Priority int
 	// Deadline is the completion budget relative to the request's arrival
 	// time; 0 means none. Under DeadlineAdmission, requests that cannot
@@ -704,28 +695,12 @@ type SubmitOptions struct {
 	Deadline time.Duration
 }
 
-// Submit enqueues one asynchronous request: input arrives at the named
-// endpoint at virtual time at (clamped to now if already past). The
-// returned handle resolves once the simulation has been driven past the
-// request's completion — via Run, Replay, or the handle's own Wait.
-func (s *Service) Submit(name string, input *sparse.Dense, at time.Duration) *Handle {
-	return s.SubmitWith(name, input, at, SubmitOptions{})
-}
-
-// SubmitWith is Submit with per-request scheduling metadata: a priority
-// class and/or a completion deadline for the admission policy.
-func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions) *Handle {
-	idx := s.submitSeq
-	s.submitSeq++
-	return s.submit(name, input, at, opts, nil, idx)
-}
-
 // submit is the common submission path. notify, when non-nil, is installed
 // on the handle before any validation can fail it, so a replay observes
 // every resolution — including synchronous rejects — through one hook and
 // never needs to retain the handle itself. idx is the
 // request's sampling index: replay paths pass the query's position in
-// the original trace (mode-stable), interactive Submits a service-local
+// the original trace (mode-stable), one-at-a-time Submits a service-local
 // sequence.
 func (s *Service) submit(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions, notify func(*Handle), idx int) *Handle {
 	h := &Handle{svc: s, endpoint: name, priority: opts.Priority, notify: notify}
@@ -838,7 +813,7 @@ func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, col
 	}
 }
 
-// Handle is the pending result of one Submit.
+// Handle is the pending result of one submitted request.
 type Handle struct {
 	svc      *Service
 	endpoint string
@@ -873,27 +848,6 @@ type Response struct {
 	// CostShare is the request's per-sample share of the run's
 	// ledger-reconstructed cost.
 	CostShare float64
-}
-
-// Done reports whether the request has resolved.
-func (h *Handle) Done() bool { return h.done }
-
-// Err returns the request's error, if resolved and failed.
-func (h *Handle) Err() error { return h.err }
-
-// Wait drives the simulation until the request resolves and returns its
-// response. Any number of handles may be waited in any order; the first
-// Wait drains every in-flight request in one simulated-time run.
-func (h *Handle) Wait() (*Response, error) {
-	if !h.done {
-		if err := h.svc.Run(); err != nil && !h.done {
-			return nil, err
-		}
-	}
-	if !h.done {
-		return nil, fmt.Errorf("serve: request to %q did not complete", h.endpoint)
-	}
-	return h.resp, h.err
 }
 
 func (h *Handle) complete(now time.Duration, resp *Response) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
 	"fsdinference/internal/model"
+	"fsdinference/internal/sparse"
 	"fsdinference/internal/workload"
 )
 
@@ -437,4 +439,41 @@ func TestFailedRunsCountInTheRegistry(t *testing.T) {
 		t.Errorf("requests_total %d, request_failures_total %d; report %d queries, %d failed",
 			m.Requests.Value(), m.Failures.Value(), er.Queries, er.Failed)
 	}
+}
+
+// Submit enqueues one asynchronous request: input arrives at the named
+// endpoint at virtual time at (clamped to now if already past). The
+// returned handle resolves once the simulation has been driven past the
+// request's completion — via Run, Replay, or the handle's own Wait.
+func (s *Service) Submit(name string, input *sparse.Dense, at time.Duration) *Handle {
+	return s.SubmitWith(name, input, at, SubmitOptions{})
+}
+
+// SubmitWith is Submit with per-request scheduling metadata: a priority
+// class and/or a completion deadline for the admission policy.
+func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions) *Handle {
+	idx := s.submitSeq
+	s.submitSeq++
+	return s.submit(name, input, at, opts, nil, idx)
+}
+
+// Done reports whether the request has resolved.
+func (h *Handle) Done() bool { return h.done }
+
+// Err returns the request's error, if resolved and failed.
+func (h *Handle) Err() error { return h.err }
+
+// Wait drives the simulation until the request resolves and returns its
+// response. Any number of handles may be waited in any order; the first
+// Wait drains every in-flight request in one simulated-time run.
+func (h *Handle) Wait() (*Response, error) {
+	if !h.done {
+		if err := h.svc.Run(); err != nil && !h.done {
+			return nil, err
+		}
+	}
+	if !h.done {
+		return nil, fmt.Errorf("serve: request to %q did not complete", h.endpoint)
+	}
+	return h.resp, h.err
 }

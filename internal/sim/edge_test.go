@@ -78,7 +78,7 @@ func TestKillDuringCondWaitTimeout(t *testing.T) {
 	})
 	k.Go("killer", func(p *Proc) {
 		p.Sleep(time.Second)
-		p.Kill(victim)
+		k.Kill(victim)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -111,8 +111,7 @@ type Kernel struct {
 	live  int     // procs spawned and not yet finished
 	procs []*Proc // live procs, index-linked via Proc.idx
 
-	maxEvents uint64
-	events    uint64
+	events uint64
 
 	failures []error
 }
@@ -126,14 +125,9 @@ type stepMsg struct {
 // New returns a fresh Kernel with the clock at zero.
 func New() *Kernel {
 	return &Kernel{
-		step:      make(chan stepMsg),
-		maxEvents: 1 << 62,
+		step: make(chan stepMsg),
 	}
 }
-
-// SetEventLimit caps the number of events processed by Run; exceeding it
-// makes Run return an error. Useful for catching livelocks in tests.
-func (k *Kernel) SetEventLimit(n uint64) { k.maxEvents = n }
 
 // Now returns the current virtual time. It may be called from Proc context
 // or, between Run calls, from the host.
@@ -325,13 +319,10 @@ func (k *Kernel) finishProc(p *Proc) {
 
 // Run processes events until none remain, then returns. It returns an error
 // if any Proc panicked, if Procs remain blocked with no pending events
-// (simulation deadlock), or if the event limit was exceeded.
+// (simulation deadlock).
 func (k *Kernel) Run() error {
 	for k.pending() {
 		k.events++
-		if k.events > k.maxEvents {
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", k.maxEvents, k.now)
-		}
 		e := k.nextEvent()
 		// Drop dead events without advancing the clock: cancelled
 		// timers and stale wakeups (e.g. a timeout superseded by a
@@ -395,9 +386,6 @@ func (k *Kernel) wait() {
 	}
 }
 
-// Failures returns errors captured from panicking Procs.
-func (k *Kernel) Failures() []error { return k.failures }
-
 // Proc is a simulated process. Its methods must only be called from the
 // goroutine running the Proc's function.
 type Proc struct {
@@ -412,9 +400,6 @@ type Proc struct {
 	finished bool
 	where    string // non-empty while parked; deadlock reporting only
 }
-
-// Name returns the Proc's name, used in deadlock and failure reports.
-func (p *Proc) Name() string { return p.name }
 
 // Kernel returns the kernel this Proc runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -476,10 +461,6 @@ func (p *Proc) Sleep(d time.Duration) {
 // Yield lets all other Procs scheduled at the current instant run before
 // this one continues.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// Kill forcibly terminates target the next time it blocks (or immediately if
-// it is already blocked). Used to enforce FaaS runtime limits.
-func (p *Proc) Kill(target *Proc) { p.k.Kill(target) }
 
 // Kill forcibly terminates target. It may be called from Proc context or
 // from an At closure. Killing a finished Proc is a no-op. The victim's

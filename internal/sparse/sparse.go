@@ -286,10 +286,9 @@ func NewDense(rows, cols int) *Dense {
 func (d *Dense) Row(r int) []float32 { return d.Data[r*d.Cols : (r+1)*d.Cols] }
 
 // At returns element (r, c).
+//
+//simlint:allow testonly — baselines' tests compare its outputs with the reference cell by cell
 func (d *Dense) At(r, c int) float32 { return d.Data[r*d.Cols+c] }
-
-// Set assigns element (r, c).
-func (d *Dense) Set(r, c int, v float32) { d.Data[r*d.Cols+c] = v }
 
 // Bytes returns the raw in-memory footprint of the matrix data.
 func (d *Dense) Bytes() int64 { return int64(len(d.Data)) * 4 }
@@ -331,6 +330,8 @@ func (d *Dense) RowIsZero(r int) bool {
 }
 
 // NNZ returns the number of nonzero elements.
+//
+//simlint:allow testonly — the core, serve and model tests check outputs and inputs by their nonzero count
 func (d *Dense) NNZ() int64 {
 	var n int64
 	for _, v := range d.Data {

@@ -589,3 +589,6 @@ func BenchmarkReLUBiasClamp(b *testing.B) {
 		})
 	}
 }
+
+// Set assigns element (r, c).
+func (d *Dense) Set(r, c int, v float32) { d.Data[r*d.Cols+c] = v }

@@ -43,6 +43,8 @@ var strRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // Run loads each fixture package dir under filepath.Join(testdata,
 // "src") and applies a to it, comparing diagnostics to // want
 // expectations.
+//
+//simlint:allow testonly — the harness of every pass's fixture test, which live in other packages
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	l := loader.New()

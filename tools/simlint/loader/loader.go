@@ -33,20 +33,30 @@ type Package struct {
 }
 
 // A Loader owns the FileSet and importer shared by every package it
-// loads, so each dependency is source-checked at most once per run.
+// loads, so each dependency is source-checked at most once per run, and
+// each package Load returns is checked once however often it is listed.
 type Loader struct {
-	Fset *token.FileSet
-	imp  types.ImporterFrom
+	Fset   *token.FileSet
+	imp    types.ImporterFrom
+	loaded map[string]*Package
 }
 
 // New returns a Loader backed by the stdlib source importer.
 func New() *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset: fset,
-		imp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		Fset:   fset,
+		imp:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		loaded: map[string]*Package{},
 	}
 }
+
+var shared = New()
+
+// Shared returns the process's one Loader: the driver loads the packages
+// it checks through it, and an analyzer that reads the whole module (the
+// testonly pass) finds them already checked.
+func Shared() *Loader { return shared }
 
 // listedPackage is the subset of `go list -json` output we consume.
 type listedPackage struct {
@@ -97,6 +107,10 @@ func (l *Loader) Load(root string, patterns ...string) ([]*Package, error) {
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
+		if pkg, ok := l.loaded[lp.Dir]; ok {
+			out = append(out, pkg)
+			continue
+		}
 		files := make([]string, len(lp.GoFiles))
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
@@ -105,6 +119,7 @@ func (l *Loader) Load(root string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		l.loaded[lp.Dir] = pkg
 		out = append(out, pkg)
 	}
 	return out, nil

@@ -13,6 +13,7 @@
 //	kernelgo    no raw go statements in simulation-domain packages
 //	maporder    no order-sensitive work inside range-over-map bodies
 //	spanend     every span started is ended (or handed off)
+//	testonly    no exported func or method that only tests reference
 //
 // Findings are suppressed only by a reasoned directive on the line or
 // the line above:
@@ -42,6 +43,7 @@ import (
 	"fsdinference/tools/simlint/passes/kernelgo"
 	"fsdinference/tools/simlint/passes/maporder"
 	"fsdinference/tools/simlint/passes/spanend"
+	"fsdinference/tools/simlint/passes/testonly"
 	"fsdinference/tools/simlint/passes/walltime"
 )
 
@@ -52,6 +54,7 @@ var Analyzers = []*analysis.Analyzer{
 	kernelgo.Analyzer,
 	maporder.Analyzer,
 	spanend.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -77,8 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	l := loader.New()
-	pkgs, err := l.Load(wd, patterns...)
+	pkgs, err := loader.Shared().Load(wd, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)

@@ -1,0 +1,13 @@
+package lib
+
+import "testing"
+
+// Exported declarations in a test file are never findings.
+func Fixture() *Counter { return &Counter{} }
+
+func TestLib(t *testing.T) {
+	TestOnly()
+	c := Fixture()
+	c.Reset()
+	helper()
+}
