@@ -53,7 +53,7 @@ func New() *Loader {
 
 var shared = New()
 
-// Shared returns the process's one Loader: the driver loads the packages
+// Shared returns the process's one Loader: simlint's main loads the packages
 // it checks through it, and an analyzer that reads the whole module (the
 // testonly pass) finds them already checked.
 func Shared() *Loader { return shared }

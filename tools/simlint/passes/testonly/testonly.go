@@ -7,7 +7,7 @@
 //
 // References are read from every non-test file of the whole module and
 // of bench/ (a module of its own beside the root), whatever packages
-// the driver was asked to check, so one package's findings do not
+// simlint was asked to check, so one package's findings do not
 // depend on the patterns. Because the loader's source importer gives
 // each checked root its own types.Package, a reference is matched by
 // package path, receiver type name and name rather than by object
@@ -114,7 +114,7 @@ func display(fn *types.Func) string {
 	return fn.Name()
 }
 
-// index caches the used set per module root: every package a driver
+// index caches the used set per module root: every package one run
 // checks shares one load of the module and bench/.
 var index = struct {
 	sync.Mutex
