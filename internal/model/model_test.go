@@ -143,6 +143,68 @@ func TestGenerateInputsDensityAndDeterminism(t *testing.T) {
 	}
 }
 
+// floatInputs is GenerateInputs as it thresholded before it went branch-free:
+// a float compare of the 53-bit draw scaled to [0, 1) against the density.
+func floatInputs(neurons, batch int, density float64, seed int64) *sparse.Dense {
+	s := uint64(seed)
+	x := sparse.NewDense(neurons, batch)
+	for i := range x.Data {
+		s += 0x9e3779b97f4a7c15
+		z := s
+		z ^= z >> 30
+		z *= 0xbf58476d1ce4e5b9
+		z ^= z >> 27
+		z *= 0x94d049bb133111eb
+		z ^= z >> 31
+		if float64(z>>11)*(1.0/(1<<53)) < density {
+			x.Data[i] = 1
+		}
+	}
+	return x
+}
+
+// TestGenerateInputsMatchesFloatCompare: the branch-free threshold sets the
+// very bits the float compare did, on random seeds at densities 0, 0.2, 0.5
+// and 1 (and outside [0, 1] and NaN), and on the draws next to each
+// density's cut, where a rounding slip would show first.
+func TestGenerateInputsMatchesFloatCompare(t *testing.T) {
+	densities := []float64{0, 0.2, 0.5, 1, -0.5, 1.5, math.NaN(),
+		1.0 / 3, math.Nextafter(0.2, 1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+	f := func(seed int64) bool {
+		for _, d := range densities {
+			got, want := GenerateInputs(16, 9, d, seed), floatInputs(16, 9, d, seed)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("seed %d density %v: value %d is %v, the float compare's %v", seed, d, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		densities = append(densities, rng.Float64())
+	}
+	for _, d := range densities {
+		cut := inputCut(d)
+		for u := cut - 2; u != cut+3; u++ {
+			if u >= 1<<53 {
+				continue // past the largest draw (or wrapped below 0)
+			}
+			var want float32
+			if float64(u)*(1.0/(1<<53)) < d {
+				want = 1
+			}
+			if got := below(u, cut); got != want {
+				t.Fatalf("density %v cut %d: draw %d thresholds to %v, the float compare to %v", d, cut, u, got, want)
+			}
+		}
+	}
+}
+
 func TestReferenceMatchesLayerwiseFloat32(t *testing.T) {
 	// float64 reference and float32 serial path agree closely on a small
 	// model.
@@ -268,3 +330,17 @@ func DecodeCSR(b []byte) (*sparse.CSR, error) {
 	}
 	return m, nil
 }
+
+// BenchmarkGenerateInputs times one query's input at stream_day's shape
+// (64 x 1) and one full coalesced batch's (64 x 4096), at density 0.2.
+func BenchmarkGenerateInputs(b *testing.B) {
+	for _, batch := range []int{1, 4096} {
+		b.Run(fmt.Sprintf("64x%d", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				inputSink = GenerateInputs(64, batch, 0.2, int64(i))
+			}
+		})
+	}
+}
+
+var inputSink *sparse.Dense

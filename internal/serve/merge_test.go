@@ -36,39 +36,90 @@ func identicalBits(a, b *sparse.Dense) bool {
 	return true
 }
 
+// randomBatch builds a coalesced batch of random-bit members: of one width
+// (so whole tiles of one-column members and wide members alone), of mixed
+// widths, or mostly one column wide (so tiles start off a line boundary and
+// wider members break runs of one-column ones).
+func randomBatch(rng *rand.Rand, neurons int) *batch {
+	widths := []int{1, 2, 3, 8, 16, 17, 64}
+	mode := rng.Intn(3)
+	w := widths[rng.Intn(len(widths))]
+	b := &batch{}
+	for n := 2 + rng.Intn(60); n > 0; n-- {
+		switch {
+		case mode == 1, mode == 2 && rng.Intn(8) == 0:
+			w = widths[rng.Intn(len(widths))]
+		case mode == 2:
+			w = 1
+		}
+		in := sparse.NewDense(neurons, w)
+		for i := range in.Data {
+			in.Data[i] = math.Float32frombits(rng.Uint32())
+		}
+		b.reqs = append(b.reqs, &request{input: in, info: RequestInfo{Samples: w}})
+		b.samples += w
+	}
+	return b
+}
+
 // TestMergeSliceRoundTripIdentical: a coalesced batch of members of mixed
-// widths merges to the reference matrix, and slicing the merged matrix at
-// each member's offset returns that member's matrix, bit for bit (raw bit
-// patterns, so NaNs and negative zeros count).
+// widths merges, tiles of one-column members included, to the reference
+// matrix, and every
+// member's Response.Output over the merged matrix returns that member's
+// matrix, bit for bit (raw bit patterns, so NaNs and negative zeros count).
 func TestMergeSliceRoundTripIdentical(t *testing.T) {
-	widths := []int{1, 2, 3, 8, 64}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		neurons := 1 + rng.Intn(40)
-		b := &batch{}
-		for n := 2 + rng.Intn(12); n > 0; n-- {
-			in := sparse.NewDense(neurons, widths[rng.Intn(len(widths))])
-			for i := range in.Data {
-				in.Data[i] = math.Float32frombits(rng.Uint32())
-			}
-			b.reqs = append(b.reqs, &request{input: in})
-			b.samples += in.Cols
-		}
+		b := randomBatch(rng, neurons)
 		merged := mergeInputs(neurons, b)
 		if !identicalBits(merged, referenceMerge(sparse.NewDense(neurons, b.samples), b)) {
 			t.Fatalf("seed %d: merged batch differs from the reference merge", seed)
 		}
 		off := 0
 		for i, r := range b.reqs {
-			if !identicalBits(sliceCols(merged, off, r.input.Cols), r.input) {
+			resp := &Response{Samples: r.info.Samples, out: merged, off: off}
+			if !identicalBits(resp.Output(), r.input) {
 				t.Fatalf("seed %d: member %d (width %d) did not come back out of the merged batch", seed, i, r.input.Cols)
 			}
-			off += r.input.Cols
+			off += r.info.Samples
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResponseOutputCopiesPerCall: a coalesced member's Output is a fresh
+// matrix on every call — writing to one changes neither another call's nor
+// the run's output — while a request that had its run alone gets the run's
+// own matrix, as it did when Response held the output as a field.
+func TestResponseOutputCopiesPerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	run := sparse.NewDense(8, 5)
+	for i := range run.Data {
+		run.Data[i] = rng.Float32()
+	}
+	before := run.Clone()
+	member := &Response{Samples: 2, out: run, off: 1}
+	a, b := member.Output(), member.Output()
+	if &a.Data[0] == &b.Data[0] || &a.Data[0] == &run.Data[1] {
+		t.Fatal("two Output calls share a matrix, or share the run's")
+	}
+	want := sliceCols(before, 1, 2)
+	for i := range a.Data {
+		a.Data[i] = -1
+	}
+	if !identicalBits(b, want) {
+		t.Fatal("writing to one Output changed another call's")
+	}
+	if !identicalBits(run, before) {
+		t.Fatal("writing to an Output changed the run's output")
+	}
+	alone := &Response{Samples: run.Cols, out: run}
+	if alone.Output() != run {
+		t.Fatal("a request that had its run alone did not get the run's matrix")
 	}
 }
 
@@ -117,9 +168,12 @@ func TestMergeIsOfItsOwnMembers(t *testing.T) {
 }
 
 // BenchmarkMergeSlice times assembling one 64 x 4096 batch from members of
-// one width and slicing it back apart, through copyBlock and through the
-// copy-per-row loops it replaced (the -rowcopy legs): the measurement
-// copyBlock's loop form was chosen by.
+// one width and slicing one member's columns back out, for every member. The
+// merge legs are mergeInputs' loop (merge: tiles at width 1, copyBlock
+// otherwise), one copyBlock per member (merge-copyblock, the form it
+// replaced at width 1) and a copy per row of each member (merge-rowcopy);
+// the slice legs are sliceCols, which Response.Output runs, against a copy
+// per row (slice-rowcopy).
 func BenchmarkMergeSlice(b *testing.B) {
 	const neurons, samples = 64, 4096
 	merged := sparse.NewDense(neurons, samples)
@@ -132,7 +186,8 @@ func BenchmarkMergeSlice(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"merge", func() {
+			{"merge", func() { mergeInto(merged, bt) }},
+			{"merge-copyblock", func() {
 				for i, r := range bt.reqs {
 					copyBlock(merged.Data[i*w:], samples, r.input.Data, w, neurons, w)
 				}

@@ -357,8 +357,8 @@ func (run *replayRun) fold(h *Handle) {
 		return
 	}
 	resp := h.resp
-	run.rep.Samples += resp.Output.Cols
-	a.samples += resp.Output.Cols
+	run.rep.Samples += resp.Samples
+	a.samples += resp.Samples
 	run.lat.observe(resp.Latency)
 	a.lat.observe(resp.Latency)
 	prio := a.perPrio[h.priority]
@@ -380,7 +380,7 @@ func (run *replayRun) verify(h *Handle, in *sparse.Dense, idx int) {
 		return
 	}
 	want := model.Reference(run.s.byName[h.endpoint].m, in)
-	if !model.OutputsClose(h.resp.Output, want, 1e-2) {
+	if !model.OutputsClose(h.resp.Output(), want, 1e-2) {
 		run.err = fmt.Errorf("serve: query %d output diverges from reference", idx)
 	}
 }

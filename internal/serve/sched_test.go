@@ -82,7 +82,7 @@ func TestDeadlineAdmissionShedsUnmeetableRequests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deadline-meeting request failed: %v", err)
 	}
-	if resp.Output == nil {
+	if resp.Output() == nil {
 		t.Fatal("deadline-meeting request got no output")
 	}
 	ep := svc.byName["ep"]
@@ -121,7 +121,7 @@ func TestDeadlineRerouteMovesRequestToSiblingEndpoint(t *testing.T) {
 	if resp.Endpoint != "b" {
 		t.Fatalf("urgent request served by %q, want reroute to \"b\"", resp.Endpoint)
 	}
-	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
+	if !model.OutputsClose(resp.Output(), model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
 	if a := svc.byName["a"]; a.met.Rerouted.Value() != 1 || a.met.Shed.Value() != 0 {
@@ -174,7 +174,7 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	if resp.Endpoint != "c" {
 		t.Fatalf("urgent request served by %q, want the idle sibling \"c\"", resp.Endpoint)
 	}
-	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
+	if !model.OutputsClose(resp.Output(), model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
 	if a := svc.byName["a"]; a.met.Rerouted.Value() != 1 {
@@ -373,10 +373,10 @@ func TestQueueChannelRunsOverlapOnOneReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !model.OutputsClose(rA.Output, model.Reference(large, inA), 1e-2) {
+	if !model.OutputsClose(rA.Output(), model.Reference(large, inA), 1e-2) {
 		t.Fatal("first overlapped run diverges from reference")
 	}
-	if !model.OutputsClose(rB.Output, model.Reference(large, inB), 1e-2) {
+	if !model.OutputsClose(rB.Output(), model.Reference(large, inB), 1e-2) {
 		t.Fatal("second overlapped run diverges from reference")
 	}
 	ep := svc.byName["large"]
@@ -676,7 +676,10 @@ func TestPublicSchedulerPolicies(t *testing.T) {
 
 // setAdmission gives one endpoint its own admission policy: options set
 // one policy for the whole service.
-func setAdmission(ep *Endpoint, p AdmissionPolicy) { ep.sched.admission, ep.sched.queue.pol = p, p }
+func setAdmission(ep *Endpoint, p AdmissionPolicy) {
+	ep.sched.admission = p
+	ep.sched.queue.use(p)
+}
 
 // PriorityAdmission returns a policy dispatching higher Priority requests
 // first, arrival order within a class. It never sheds.

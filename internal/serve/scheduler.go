@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strconv"
@@ -71,22 +70,67 @@ type replica struct {
 	stale bool
 }
 
-// admissionHeap is a container/heap ordered by the admission policy.
+// admissionHeap is a binary min-heap of requests ordered by the admission
+// policy. push and pop sift exactly as container/heap's Push and Pop do, so
+// requests leave in the order they did when the queue was a container/heap
+// (a tie the policy leaves open breaks the same way), without boxing each
+// request into an interface on the way in and out.
 type admissionHeap struct {
-	pol  AdmissionPolicy
+	pol AdmissionPolicy
+	// fifo marks pol as FIFO(), the default, whose order less compares
+	// inline: through the interface each compare copies two RequestInfos,
+	// and a pop from a 4096-request queue makes two dozen compares.
+	fifo bool
 	reqs []*request
 }
 
-func (h *admissionHeap) Len() int           { return len(h.reqs) }
-func (h *admissionHeap) Less(i, j int) bool { return h.pol.Less(h.reqs[i].info(), h.reqs[j].info()) }
-func (h *admissionHeap) Swap(i, j int)      { h.reqs[i], h.reqs[j] = h.reqs[j], h.reqs[i] }
-func (h *admissionHeap) Push(x any)         { h.reqs = append(h.reqs, x.(*request)) }
-func (h *admissionHeap) Pop() any {
-	old := h.reqs
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
-	h.reqs = old[:n-1]
+// use orders the heap by p from now on.
+func (h *admissionHeap) use(p AdmissionPolicy) {
+	h.pol = p
+	_, h.fifo = p.(fifoAdmission)
+}
+
+func (h *admissionHeap) less(i, j int) bool {
+	a, b := &h.reqs[i].info, &h.reqs[j].info
+	if h.fifo {
+		return a.Seq < b.Seq
+	}
+	return h.pol.Less(*a, *b)
+}
+
+func (h *admissionHeap) push(r *request) {
+	h.reqs = append(h.reqs, r)
+	for j := len(h.reqs) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.reqs[i], h.reqs[j] = h.reqs[j], h.reqs[i]
+		j = i
+	}
+}
+
+// pop removes and returns the request the policy dispatches first.
+func (h *admissionHeap) pop() *request {
+	n := len(h.reqs) - 1
+	h.reqs[0], h.reqs[n] = h.reqs[n], h.reqs[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.reqs[i], h.reqs[j] = h.reqs[j], h.reqs[i]
+		i = j
+	}
+	r := h.reqs[n]
+	h.reqs[n] = nil
+	h.reqs = h.reqs[:n]
 	return r
 }
 
@@ -98,7 +142,7 @@ func newScheduler(ep *Endpoint, coalesce coalescePolicy, admission AdmissionPoli
 		scaling:   scaling,
 		runConc:   runConc,
 	}
-	sc.queue.pol = admission
+	sc.queue.use(admission)
 	return sc
 }
 
@@ -121,11 +165,11 @@ func (sc *scheduler) admit(r *request) {
 	sc.lastArrival = now
 
 	sc.seq++
-	r.seq = sc.seq
+	r.info.Seq = sc.seq
 	// Zero-ref no-op when the request is unsampled or tracing is off.
 	r.phase = r.span.Child("coalesce", obs.KindPhase)
 	sc.window = append(sc.window, r)
-	sc.windowSamples += r.samples
+	sc.windowSamples += r.info.Samples
 	if sc.coalesce.maxBatch > 0 && sc.windowSamples >= sc.coalesce.maxBatch {
 		sc.flush()
 		return
@@ -153,8 +197,8 @@ func (sc *scheduler) flush() {
 		sc.windowTimer = nil
 	}
 	for _, r := range sc.window {
-		heap.Push(&sc.queue, r)
-		sc.queuedSamples += r.samples
+		sc.queue.push(r)
+		sc.queuedSamples += r.info.Samples
 		r.phase.End()
 		r.phase = r.span.Child("queue", obs.KindPhase)
 	}
@@ -195,7 +239,7 @@ func (sc *scheduler) poolState() PoolState {
 		Replicas:       len(sc.pool),
 		BusyRuns:       sc.busyRuns,
 		RunCapacity:    sc.runConc,
-		QueuedRequests: sc.queue.Len(),
+		QueuedRequests: len(sc.queue.reqs),
 		QueuedSamples:  sc.queuedSamples,
 		ArrivalRate:    sc.arrivalRate(),
 		EstRunLatency:  sc.estRun,
@@ -332,7 +376,7 @@ func (sc *scheduler) pickReplica() *replica {
 // dispatch forms batches from the admission queue in policy order and
 // starts them on replicas with spare run capacity.
 func (sc *scheduler) dispatch() {
-	for sc.queue.Len() > 0 {
+	for len(sc.queue.reqs) > 0 {
 		rep := sc.pickReplica()
 		if rep == nil {
 			break
@@ -343,7 +387,7 @@ func (sc *scheduler) dispatch() {
 		}
 		sc.startRun(rep, b)
 	}
-	sc.ep.met.QueueDepth.Set(float64(sc.queue.Len()))
+	sc.ep.met.QueueDepth.Set(float64(len(sc.queue.reqs)))
 }
 
 // nextBatch pops requests in admission order into one engine-run batch of
@@ -353,24 +397,24 @@ func (sc *scheduler) dispatch() {
 func (sc *scheduler) nextBatch() *batch {
 	now := sc.now()
 	var cur *batch
-	for sc.queue.Len() > 0 {
+	for len(sc.queue.reqs) > 0 {
 		r := sc.queue.reqs[0]
-		if sc.admission.Shed(now, sc.estRun, r.info()) {
-			heap.Pop(&sc.queue)
-			sc.queuedSamples -= r.samples
+		if sc.admission.Shed(now, sc.estRun, r.info) {
+			sc.queue.pop()
+			sc.queuedSamples -= r.info.Samples
 			sc.shed(r, now)
 			continue
 		}
-		if cur != nil && sc.coalesce.maxBatch > 0 && cur.samples+r.samples > sc.coalesce.maxBatch {
+		if cur != nil && sc.coalesce.maxBatch > 0 && cur.samples+r.info.Samples > sc.coalesce.maxBatch {
 			break
 		}
-		heap.Pop(&sc.queue)
-		sc.queuedSamples -= r.samples
+		sc.queue.pop()
+		sc.queuedSamples -= r.info.Samples
 		if cur == nil {
 			cur = &batch{}
 		}
 		cur.reqs = append(cur.reqs, r)
-		cur.samples += r.samples
+		cur.samples += r.info.Samples
 	}
 	return cur
 }
@@ -396,7 +440,7 @@ func (sc *scheduler) shed(r *request, now time.Duration) {
 	r.span.SetAttr("error", "shed")
 	r.span.End()
 	r.h.fail(now, fmt.Errorf("serve: endpoint %q: %w (deadline %v, now %v)",
-		sc.ep.name, ErrShed, r.deadline, now))
+		sc.ep.name, ErrShed, r.info.Deadline, now))
 }
 
 // pendingLoad is the scheduler's outstanding work — runs in flight plus
@@ -408,7 +452,7 @@ func (sc *scheduler) pendingLoad() float64 {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return float64(sc.busyRuns+sc.queue.Len()+len(sc.window)) / float64(capacity)
+	return float64(sc.busyRuns+len(sc.queue.reqs)+len(sc.window)) / float64(capacity)
 }
 
 // leastLoadedSibling returns the same-model-size endpoint with the
@@ -524,9 +568,10 @@ func (sc *scheduler) maybeReplace(rep *replica, now time.Duration) {
 }
 
 // finishRun runs in simulation context when a replica's engine run
-// completes: it releases the run slot, splits the output columns back to
-// the coalesced requests, feeds the observations to the scaling/SLO
-// machinery and dispatches any backlog.
+// completes: it releases the run slot, hands each coalesced request its
+// column window of the run's output (copied out only when the response's
+// Output is called), feeds the observations to the scaling/SLO machinery
+// and dispatches any backlog.
 func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res *core.Result, err error) {
 	sc.releaseRun(rep)
 	if err != nil {
@@ -564,20 +609,22 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 	m.Requests.Add(int64(len(b.reqs)))
 	off := 0
 	for _, r := range b.reqs {
-		cols := r.input.Cols
-		if r.deadline > 0 && now > r.deadline {
+		cols := r.info.Samples
+		if r.info.Deadline > 0 && now > r.info.Deadline {
 			ep.stats.DeadlineMissed++
 		}
 		if r.span.Active() {
 			r.span.SetAttr("run", res.RunID)
 			r.span.End()
 		}
-		m.Latency.Observe(now - r.arrived)
+		m.Latency.Observe(now - r.info.Arrived)
 		r.h.complete(now, &Response{
 			Endpoint:      ep.name,
 			RunID:         res.RunID,
-			Output:        sliceCols(res.Output, off, cols),
-			Latency:       now - r.arrived,
+			Samples:       cols,
+			out:           res.Output,
+			off:           off,
+			Latency:       now - r.info.Arrived,
 			RunLatency:    res.Latency,
 			BatchSamples:  b.samples,
 			BatchRequests: len(b.reqs),

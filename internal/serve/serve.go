@@ -262,28 +262,17 @@ type sloState struct {
 }
 
 type request struct {
-	h        *Handle
-	input    *sparse.Dense
-	arrived  time.Duration
-	seq      int
-	priority int
-	deadline time.Duration // absolute virtual time; 0 = none
-	samples  int
+	h     *Handle
+	input *sparse.Dense
+	// info is what the admission policy reads: the sequence number admit
+	// assigns, arrival, priority, absolute deadline (0 = none) and width.
+	// It is the request's only copy of them.
+	info     RequestInfo
 	rerouted bool
 	// span is the request's trace span (zero when unsampled); phase is
 	// the currently open serving stage within it (coalesce, queue).
 	span  obs.SpanRef
 	phase obs.SpanRef
-}
-
-func (r *request) info() RequestInfo {
-	return RequestInfo{
-		Seq:      r.seq,
-		Arrived:  r.arrived,
-		Priority: r.priority,
-		Deadline: r.deadline,
-		Samples:  r.samples,
-	}
 }
 
 type batch struct {
@@ -727,21 +716,19 @@ func (s *Service) submit(name string, input *sparse.Dense, at time.Duration, opt
 	s.env.K.At(delay, func() {
 		now := s.Now()
 		r := &request{
-			h:        h,
-			input:    input,
-			arrived:  now,
-			priority: opts.Priority,
-			samples:  input.Cols,
+			h:     h,
+			input: input,
+			info:  RequestInfo{Arrived: now, Priority: opts.Priority, Samples: input.Cols},
 		}
 		if opts.Deadline > 0 {
-			r.deadline = now + opts.Deadline
+			r.info.Deadline = now + opts.Deadline
 		}
 		if t := s.trace; t != nil && t.Sample(idx) {
 			r.span = t.Start(ep.name, "request", obs.KindRequest, 0)
 			r.span.SetAsync("q" + strconv.Itoa(idx))
-			r.span.SetAttr("samples", strconv.Itoa(r.samples))
-			if r.priority != 0 {
-				r.span.SetAttr("priority", strconv.Itoa(r.priority))
+			r.span.SetAttr("samples", strconv.Itoa(input.Cols))
+			if opts.Priority != 0 {
+				r.span.SetAttr("priority", strconv.Itoa(opts.Priority))
 			}
 		}
 		ep.sched.admit(r)
@@ -766,19 +753,61 @@ func (s *Service) Run() error {
 	return nil
 }
 
+// mergeTile is how many one-column members mergeInputs places together:
+// 16 float32s, one 64-byte cache line of an output row.
+const mergeTile = 16
+
 // mergeInputs concatenates the batch's activation matrices column-wise
 // into one engine input, in admission order.
 func mergeInputs(neurons int, b *batch) *sparse.Dense {
 	if len(b.reqs) == 1 {
 		return b.reqs[0].input
 	}
-	out := sparse.NewDense(neurons, b.samples)
+	return mergeInto(sparse.NewDense(neurons, b.samples), b)
+}
+
+// mergeInto fills out, of the batch's shape, from the batch's members. A run
+// of mergeTile one-column members — a streamed query is one sample — is
+// placed as one tile, row by row, so each output line is written once;
+// copied member by member, each would write its column to every row, 16 KiB
+// apart at 4096 columns and so all in one L1 set, and the next member's
+// column would miss every line again. A wider member is copied whole.
+// BenchmarkMergeSlice (N=64, 4096 columns, one vCPU of a Xeon with a 48 KiB
+// L1d, ms to merge a batch from members of one width, five runs): the tiles
+// 0.26 - 0.33 at width 1, where one copyBlock per member takes 1.16 - 1.21
+// and a copy per member row 2.38 - 2.60.
+func mergeInto(out *sparse.Dense, b *batch) *sparse.Dense {
 	off := 0
-	for _, r := range b.reqs {
-		copyBlock(out.Data[off:], out.Cols, r.input.Data, r.input.Cols, neurons, r.input.Cols)
-		off += r.input.Cols
+	for i := 0; i < len(b.reqs); {
+		if tile := b.reqs[i:min(i+mergeTile, len(b.reqs))]; len(tile) == mergeTile && oneColumn(tile) {
+			var col [mergeTile][]float32
+			for k, r := range tile {
+				col[k] = r.input.Data[:out.Rows]
+			}
+			for row := 0; row < out.Rows; row++ {
+				d := (*[mergeTile]float32)(out.Data[row*out.Cols+off:])
+				for k := range col {
+					d[k] = col[k][row]
+				}
+			}
+			i, off = i+mergeTile, off+mergeTile
+			continue
+		}
+		in := b.reqs[i].input
+		copyBlock(out.Data[off:], out.Cols, in.Data, in.Cols, out.Rows, in.Cols)
+		i, off = i+1, off+in.Cols
 	}
 	return out
+}
+
+// oneColumn reports whether every request in reqs is one sample wide.
+func oneColumn(reqs []*request) bool {
+	for _, r := range reqs {
+		if r.input.Cols != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // sliceCols copies columns [off, off+cols) of src into a fresh matrix.
@@ -793,17 +822,15 @@ func sliceCols(src *sparse.Dense, off, cols int) *sparse.Dense {
 
 // copyBlock copies a rows x cols block between two row-major matrices whose
 // rows are dstStride and srcStride apart; dst and src start at the block's
-// first element. A coalesced batch is mostly narrow members — a query of one
-// sample is one column — and a copy call per element of a column cost more
-// than the move, so a loop moves the row. BenchmarkMergeSlice (N=64, 4096
-// columns, one vCPU, ms to merge a batch from members of one width): copy per
-// row 1.95 - 2.05 at width 1, 0.28 - 0.34 at 8, 0.06 - 0.07 at 64; the loop
-// 0.87 - 0.89, 0.19 - 0.21 and 0.14 - 0.15. Slicing the batch apart is mostly
-// its allocations: 1.41 - 1.49 to 1.07 - 1.09 at width 1, 0.39 - 0.44 against
-// 0.45 - 0.46 at 8, 0.22 against 0.35 - 0.38 at 64. Merge and slice together
-// the loop is ahead at the widths the benchmark's workloads send (1, 4 and 8
-// samples; level at 8); at 64 it gives back 0.2 ms a batch next to the 2 ms of
-// one Mul, which does not pay for a second form and a width to switch on.
+// first element. mergeInto runs it for every member outside a tile, and
+// sliceCols (so Response.Output) for every member. BenchmarkMergeSlice
+// (N=64, 4096 columns, one vCPU, ms per batch of members of one width, five
+// runs): it merges width-8 members in 0.23 - 0.31 against a copy per row's
+// 0.33 - 0.37, and width-64 members in 0.18 - 0.22 against 0.09; the
+// sporadic workloads send 8 samples a query. Slicing every member back out
+// takes 1.19 - 1.76, 0.59 - 0.78 and 0.35 - 0.54 at widths 1, 8 and 64
+// against 2.03 - 2.59, 0.54 - 0.64 and 0.24 - 0.27, mostly allocation; a
+// replay without Verify slices nothing.
 func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		d := dst[r*dstStride : r*dstStride+cols]
@@ -828,14 +855,19 @@ type Handle struct {
 	notify func(*Handle)
 }
 
-// Response is one request's resolved result.
+// Response is one request's resolved result. It holds the whole output of
+// the engine run the request rode in, not a copy of its own columns, so a
+// Response keeps its run's output alive for as long as it is reachable.
 type Response struct {
 	// Endpoint and RunID identify where and in which engine run the
 	// request was served.
 	Endpoint string
 	RunID    string
-	// Output is this request's slice of the activation output.
-	Output *sparse.Dense
+	// Samples is the request's width: its columns of the run's output.
+	Samples int
+	// out is the run's output; the request's columns start at off.
+	out *sparse.Dense
+	off int
 	// Latency is arrival to result availability, including coalescing
 	// wait and admission queueing.
 	Latency time.Duration
@@ -849,6 +881,12 @@ type Response struct {
 	// ledger-reconstructed cost.
 	CostShare float64
 }
+
+// Output returns this request's columns of the run's activation output.
+// A request that rode in a coalesced batch gets a fresh copy on every call,
+// which the caller may change without touching the run's output or another
+// call's copy; a request that had its run alone gets the run's own matrix.
+func (r *Response) Output() *sparse.Dense { return sliceCols(r.out, r.off, r.Samples) }
 
 func (h *Handle) complete(now time.Duration, resp *Response) {
 	if h.done {

@@ -57,13 +57,13 @@ func TestConcurrentSubmitsToDifferentEndpointsBothComplete(t *testing.T) {
 	if err != nil {
 		t.Fatalf("large: %v", err)
 	}
-	if !model.OutputsClose(rSmall.Output, model.Reference(small, inSmall), 1e-2) {
+	if !model.OutputsClose(rSmall.Output(), model.Reference(small, inSmall), 1e-2) {
 		t.Fatal("small output diverges from reference")
 	}
-	if !model.OutputsClose(rLarge.Output, model.Reference(large, inLarge), 1e-2) {
+	if !model.OutputsClose(rLarge.Output(), model.Reference(large, inLarge), 1e-2) {
 		t.Fatal("large output diverges from reference")
 	}
-	if rSmall.Output.NNZ() == 0 || rLarge.Output.NNZ() == 0 {
+	if rSmall.Output().NNZ() == 0 || rLarge.Output().NNZ() == 0 {
 		t.Fatal("degenerate all-zero outputs")
 	}
 	// Both ran inside one kernel drive: the serial request resolved
@@ -107,10 +107,10 @@ func TestCoalescingMergesRequestsIntoOneRun(t *testing.T) {
 	// Each coalesced slice must still be that request's own answer.
 	r1, _ := h1.Wait()
 	r3, _ := h3.Wait()
-	if !model.OutputsClose(r1.Output, model.Reference(small, in1), 1e-2) {
+	if !model.OutputsClose(r1.Output(), model.Reference(small, in1), 1e-2) {
 		t.Fatal("first coalesced request got the wrong slice")
 	}
-	if !model.OutputsClose(r3.Output, model.Reference(small, in3), 1e-2) {
+	if !model.OutputsClose(r3.Output(), model.Reference(small, in3), 1e-2) {
 		t.Fatal("last coalesced request got the wrong slice")
 	}
 }
@@ -158,7 +158,7 @@ func TestBacklogQueuesBehindBusyReplica(t *testing.T) {
 	if r2.Latency <= r1.Latency {
 		t.Fatalf("queued request latency %v should exceed first request %v", r2.Latency, r1.Latency)
 	}
-	if !model.OutputsClose(r2.Output, model.Reference(small, in2), 1e-2) {
+	if !model.OutputsClose(r2.Output(), model.Reference(small, in2), 1e-2) {
 		t.Fatal("queued request got the wrong output")
 	}
 }
@@ -313,7 +313,7 @@ func TestFailedRunFailsItsRequestsButNotTheService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy endpoint failed: %v", err)
 	}
-	if !model.OutputsClose(resp.Output, model.Reference(small, in), 1e-2) {
+	if !model.OutputsClose(resp.Output(), model.Reference(small, in), 1e-2) {
 		t.Fatal("healthy endpoint wrong output")
 	}
 }
@@ -356,10 +356,10 @@ func TestPublicServiceSubmitAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !model.OutputsClose(rSmall.Output, model.Reference(mSmall, inSmall), 1e-2) {
+	if !model.OutputsClose(rSmall.Output(), model.Reference(mSmall, inSmall), 1e-2) {
 		t.Fatal("small endpoint output diverges from reference")
 	}
-	if !model.OutputsClose(rLarge.Output, model.Reference(mLarge, inLarge), 1e-2) {
+	if !model.OutputsClose(rLarge.Output(), model.Reference(mLarge, inLarge), 1e-2) {
 		t.Fatal("large endpoint output diverges from reference")
 	}
 
