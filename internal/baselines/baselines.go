@@ -32,13 +32,13 @@ import (
 
 // Result reports one baseline query.
 type Result struct {
-	Platform string
-	Latency  time.Duration
-	Batch    int
-	// SamplesProcessed may be below Batch for Sage-SL-Inf, whose payload
-	// and runtime caps truncate large requests (§VI-B, §VI-D).
+	Latency time.Duration
+	// SamplesProcessed may be below the input's column count for
+	// Sage-SL-Inf, whose payload and runtime caps truncate large requests
+	// (§VI-B, §VI-D).
 	SamplesProcessed int
-	Output           *sparse.Dense
+	//simlint:allow testonly — baselines_test checks each baseline's output against model.Reference
+	Output *sparse.Dense
 	// Cost is the metered cost of this query (job-scoped instance hours,
 	// serverless GB-seconds). Always-on capacity is billed per
 	// provisioned day by the workload layer, not per query.
@@ -122,9 +122,7 @@ func RunAlwaysOn(e *env.Env, m *model.Model, input *sparse.Dense, load LoadSourc
 		}
 		out := serverInfer(p, inst, m, input)
 		res = &Result{
-			Platform:         "Server-Always-On",
 			Latency:          p.Now() - t0,
-			Batch:            input.Cols,
 			SamplesProcessed: input.Cols,
 			Output:           out,
 		}
@@ -160,9 +158,7 @@ func RunJobScoped(e *env.Env, m *model.Model, input *sparse.Dense) (*Result, err
 		out := serverInfer(p, inst, m, input)
 		inst.Terminate(p)
 		res = &Result{
-			Platform:         "Server-Job-Scoped",
 			Latency:          p.Now() - t0,
-			Batch:            input.Cols,
 			SamplesProcessed: input.Cols,
 			Output:           out,
 		}
@@ -283,9 +279,7 @@ func RunHSpFF(e *env.Env, m *model.Model, plan *partition.Plan, input *sparse.De
 			x = z
 		}
 		res = &Result{
-			Platform:         "H-SpFF",
 			Latency:          p.Now() - t0,
-			Batch:            input.Cols,
 			SamplesProcessed: input.Cols,
 			Output:           x,
 		}

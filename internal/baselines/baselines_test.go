@@ -163,8 +163,8 @@ func TestSageRuntimeCapHalvesWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SamplesProcessed >= res.Batch {
-		t.Fatalf("expected truncation, processed %d of %d", res.SamplesProcessed, res.Batch)
+	if res.SamplesProcessed >= input.Cols {
+		t.Fatalf("expected truncation, processed %d of %d", res.SamplesProcessed, input.Cols)
 	}
 	if res.SamplesProcessed == 0 {
 		t.Fatal("nothing processed")

@@ -140,9 +140,7 @@ func RunSageSL(e *env.Env, m *model.Model, input *sparse.Dense, cfg SageConfig) 
 	}
 	used := e.Meter.Sub(snap)
 	return &Result{
-		Platform:         "Sage-SL-Inf",
 		Latency:          latency,
-		Batch:            input.Cols,
 		SamplesProcessed: processed,
 		Output:           output,
 		Cost:             used.Cost(e.Pricing),

@@ -68,17 +68,13 @@ func DefaultConfig() Config {
 
 // Service launches and bills simulated instances.
 type Service struct {
-	k     *sim.Kernel
 	meter *usage.Meter
 	cfg   Config
-
-	// Launches counts instances started.
-	Launches int
 }
 
-// New returns an EC2 service on kernel k metering into meter.
-func New(k *sim.Kernel, meter *usage.Meter, cfg Config) *Service {
-	return &Service{k: k, meter: meter, cfg: cfg}
+// New returns an EC2 service metering into meter.
+func New(meter *usage.Meter, cfg Config) *Service {
+	return &Service{meter: meter, cfg: cfg}
 }
 
 // Config returns the service configuration.
@@ -102,7 +98,6 @@ func (s *Service) Launch(p *sim.Proc, typeName string) (*Instance, error) {
 		return nil, fmt.Errorf("ec2: unknown instance type %q", typeName)
 	}
 	p.Sleep(s.cfg.ProvisionDelay)
-	s.Launches++
 	return &Instance{Type: t, svc: s, startedAt: p.Now()}, nil
 }
 

@@ -12,7 +12,7 @@ import (
 func TestLaunchChargesProvisionDelay(t *testing.T) {
 	k := sim.New()
 	m := usage.NewMeter()
-	svc := New(k, m, DefaultConfig())
+	svc := New(m, DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		inst, err := svc.Launch(p, "c5.2xlarge")
 		if err != nil {
@@ -32,7 +32,7 @@ func TestLaunchChargesProvisionDelay(t *testing.T) {
 func TestTerminateBillsMinimum(t *testing.T) {
 	k := sim.New()
 	m := usage.NewMeter()
-	svc := New(k, m, DefaultConfig())
+	svc := New(m, DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		inst, _ := svc.Launch(p, "c5.12xlarge")
 		p.Sleep(time.Second) // very short job
@@ -50,7 +50,7 @@ func TestTerminateBillsMinimum(t *testing.T) {
 func TestTerminateBillsActualDuration(t *testing.T) {
 	k := sim.New()
 	m := usage.NewMeter()
-	svc := New(k, m, DefaultConfig())
+	svc := New(m, DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		inst, _ := svc.Launch(p, "c5.2xlarge")
 		p.Sleep(30 * time.Minute)
@@ -73,7 +73,7 @@ func TestTerminateBillsActualDuration(t *testing.T) {
 func TestAlwaysOnNotBilledOnTerminate(t *testing.T) {
 	k := sim.New()
 	m := usage.NewMeter()
-	svc := New(k, m, DefaultConfig())
+	svc := New(m, DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		inst, err := svc.AlwaysOn("c5.12xlarge")
 		if err != nil {
@@ -95,7 +95,7 @@ func TestComputeScalesWithVCPUs(t *testing.T) {
 	k := sim.New()
 	cfg := DefaultConfig()
 	cfg.EffectiveVCPUCap = 0 // measure raw hardware scaling
-	svc := New(k, usage.NewMeter(), cfg)
+	svc := New(usage.NewMeter(), cfg)
 	var t8, t48 time.Duration
 	k.Go("w", func(p *sim.Proc) {
 		small, _ := svc.AlwaysOn("c5.2xlarge")
@@ -120,7 +120,7 @@ func TestEffectiveVCPUCapLimitsBaselineSpeed(t *testing.T) {
 	// The default config models the paper's single-process SciPy
 	// codebase: a 48-vCPU server computes no faster than the cap.
 	k := sim.New()
-	svc := New(k, usage.NewMeter(), DefaultConfig())
+	svc := New(usage.NewMeter(), DefaultConfig())
 	var t8, t48 time.Duration
 	k.Go("w", func(p *sim.Proc) {
 		small, _ := svc.AlwaysOn("c5.2xlarge")
@@ -142,7 +142,7 @@ func TestEffectiveVCPUCapLimitsBaselineSpeed(t *testing.T) {
 
 func TestLoadBandwidths(t *testing.T) {
 	k := sim.New()
-	svc := New(k, usage.NewMeter(), DefaultConfig())
+	svc := New(usage.NewMeter(), DefaultConfig())
 	var ebs, s3 time.Duration
 	k.Go("w", func(p *sim.Proc) {
 		inst, _ := svc.AlwaysOn("c5.12xlarge")
@@ -163,7 +163,7 @@ func TestLoadBandwidths(t *testing.T) {
 
 func TestUnknownInstanceType(t *testing.T) {
 	k := sim.New()
-	svc := New(k, usage.NewMeter(), DefaultConfig())
+	svc := New(usage.NewMeter(), DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		if _, err := svc.Launch(p, "m7g.humongous"); err == nil {
 			t.Error("unknown type accepted by Launch")
@@ -193,7 +193,7 @@ func TestCatalogSizes(t *testing.T) {
 func TestDoubleTerminateBillsOnce(t *testing.T) {
 	k := sim.New()
 	m := usage.NewMeter()
-	svc := New(k, m, DefaultConfig())
+	svc := New(m, DefaultConfig())
 	k.Go("w", func(p *sim.Proc) {
 		inst, _ := svc.Launch(p, "c5.2xlarge")
 		p.Sleep(2 * time.Hour)

@@ -81,7 +81,7 @@ func New(cfg Config) *Env {
 		SNS:     sns.New(k, m, cfg.SNS),
 		SQS:     sqs.New(k, m, cfg.SQS),
 		S3:      s3.New(k, m, cfg.S3),
-		EC2:     ec2.New(k, m, cfg.EC2),
+		EC2:     ec2.New(m, cfg.EC2),
 		KV:      kvstore.New(k, m, cfg.KV),
 		Pricing: cfg.Pricing,
 	}

@@ -331,12 +331,6 @@ type Ctx struct {
 	deadline time.Duration
 	// Warm reports whether this instance was a warm start.
 	Warm bool
-
-	// MACs, ElemOps and IOBytes accumulate the work charged via the
-	// helpers, for per-worker metrics.
-	MACs    float64
-	ElemOps float64
-	IOBytes int64
 }
 
 // Remaining returns the runtime budget left before the hard timeout.
@@ -372,20 +366,17 @@ func (c *Ctx) PeakMem() int64 { return c.peakMem }
 
 // Compute charges virtual time for macs sparse multiply-add operations.
 func (c *Ctx) Compute(macs float64) {
-	c.MACs += macs
 	c.P.Sleep(c.scale(macs, c.pl.cfg.Perf.MACRatePerVCPU))
 }
 
 // ComputeElem charges virtual time for ops element-wise operations
 // (bias add, activation, threshold).
 func (c *Ctx) ComputeElem(ops float64) {
-	c.ElemOps += ops
 	c.P.Sleep(c.scale(ops, c.pl.cfg.Perf.ElemRatePerVCPU))
 }
 
 // Serialize charges virtual time for packing/unpacking n payload bytes.
 func (c *Ctx) Serialize(n int64) {
-	c.IOBytes += n
 	c.P.Sleep(c.scale(float64(n), c.pl.cfg.Perf.SerializeBytesPerSec))
 }
 

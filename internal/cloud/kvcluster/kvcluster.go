@@ -56,10 +56,6 @@ type Config struct {
 	// 50ms). Writes younger than the lag when the primary dies are lost
 	// under R = 1.
 	ReplicationLag time.Duration
-	// ErrorDuringFailover makes operations on a failing shard's slots
-	// return errors (CLUSTERDOWN-style) instead of blocking until
-	// promotion.
-	ErrorDuringFailover bool
 	// Trace is the owning deployment's observability scope
 	// (internal/obs): failover and partition windows become fault spans
 	// on per-shard tracks, MOVED redirects become instants. The zero
@@ -251,17 +247,6 @@ func (c *Cluster) redirect(p *sim.Proc, cl *Client) {
 	cl.epoch = c.epoch
 }
 
-// await blocks (or errors) while the shard is failing over.
-func (sh *shard) await(p *sim.Proc) error {
-	for sh.failing {
-		if sh.c.cfg.ErrorDuringFailover {
-			return fmt.Errorf("kvcluster: shard %d of %s unavailable during failover", sh.idx, sh.c.cfg.Name)
-		}
-		sh.cond.Wait(p)
-	}
-	return nil
-}
-
 // quorum reports whether the shard runs quorum writes (R >= 2: primary
 // plus the first replica form a majority of the shard's nodes).
 func (sh *shard) quorum() bool { return len(sh.replicas) >= 2 }
@@ -272,12 +257,10 @@ func (c *Cluster) ackLatency() time.Duration { return c.kv.Config().OpLatency }
 
 // RPush routes the key to its slot owner, appends the value on the
 // primary and replicates per the shard's mode. During a failover of the
-// owning shard the call blocks until promotion (or errors, per config).
+// owning shard the call blocks until promotion.
 func (c *Cluster) RPush(p *sim.Proc, cl *Client, key string, val []byte, ttl time.Duration) error {
 	sh := c.shardFor(key)
-	if err := c.opReady(p, cl, sh); err != nil {
-		return err
-	}
+	c.opReady(p, cl, sh)
 	if err := sh.primary.RPush(p, key, val, ttl); err != nil {
 		return err
 	}
@@ -339,7 +322,7 @@ func (c *Cluster) BLPop(p *sim.Proc, cl *Client, key string, wait time.Duration)
 	deadline := p.Now() + wait
 	for {
 		for sh.failing || sh.primary == nil {
-			if c.cfg.ErrorDuringFailover || wait <= 0 || p.Now() >= deadline {
+			if wait <= 0 || p.Now() >= deadline {
 				return nil
 			}
 			sh.cond.WaitTimeout(p, deadline-p.Now())
@@ -490,16 +473,16 @@ func (sh *shard) promote() {
 // opReady brings an operation to a routable shard state: wait out any
 // failover/partition, pay the topology redirect, and re-check — another
 // fault may land during the redirect round trip itself.
-func (c *Cluster) opReady(p *sim.Proc, cl *Client, sh *shard) error {
+func (c *Cluster) opReady(p *sim.Proc, cl *Client, sh *shard) {
 	for {
-		if err := sh.await(p); err != nil {
-			return err
+		for sh.failing {
+			sh.cond.Wait(p)
 		}
 		// A client that blocked through a promotion resumes against a
 		// moved topology: pay the redirect before the retry lands.
 		c.redirect(p, cl)
 		if !sh.failing && sh.primary != nil {
-			return nil
+			return
 		}
 	}
 }

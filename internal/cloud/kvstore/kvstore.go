@@ -196,14 +196,6 @@ type Node struct {
 	usedBytes int64
 	limiter   *sim.Limiter
 	cond      *sim.Cond
-
-	// Stats for experiments and cost validation.
-	Pushes     int64
-	Pops       int64
-	EmptyPops  int64
-	Expired    int64
-	PeakBytes  int64
-	OutOfSpace int64
 }
 
 // Name returns the node name.
@@ -282,7 +274,6 @@ func (n *Node) dropExpired(key string) {
 		return
 	}
 	n.usedBytes -= e.bytes + int64(n.svc.cfg.KeyOverheadBytes)
-	n.Expired += int64(len(e.list))
 	delete(n.items, key)
 }
 
@@ -337,7 +328,6 @@ func (n *Node) RPush(p *sim.Proc, key string, val []byte, ttl time.Duration) err
 		n.sweepExpired()
 	}
 	if n.usedBytes+need > n.CapacityBytes() {
-		n.OutOfSpace++
 		return fmt.Errorf("kvstore: node %s out of memory (%d of %d bytes used)",
 			n.name, n.usedBytes, n.CapacityBytes())
 	}
@@ -348,13 +338,9 @@ func (n *Node) RPush(p *sim.Proc, key string, val []byte, ttl time.Duration) err
 	e.list = append(e.list, val)
 	e.bytes += int64(len(val))
 	n.usedBytes += need
-	if n.usedBytes > n.PeakBytes {
-		n.PeakBytes = n.usedBytes
-	}
 	if ttl > 0 {
 		e.expiresAt = n.svc.k.Now() + ttl
 	}
-	n.Pushes++
 	n.svc.meter.KVBytesIn += int64(len(val))
 	n.cond.Broadcast()
 	return nil
@@ -377,13 +363,11 @@ func (n *Node) BLPop(p *sim.Proc, key string, wait time.Duration) []byte {
 				delete(n.items, key)
 			}
 			n.chargeOp(p, len(val))
-			n.Pops++
 			n.svc.meter.KVBytesOut += int64(len(val))
 			return val
 		}
 		if wait <= 0 || p.Now() >= deadline {
 			n.chargeOp(p, 0)
-			n.EmptyPops++
 			return nil
 		}
 		n.cond.WaitTimeout(p, deadline-p.Now())
@@ -428,9 +412,6 @@ func (n *Node) ReplApply(key string, val []byte, ttl time.Duration) {
 	e.list = append(e.list, val)
 	e.bytes += int64(len(val))
 	n.usedBytes += int64(len(val))
-	if n.usedBytes > n.PeakBytes {
-		n.PeakBytes = n.usedBytes
-	}
 	if ttl > 0 {
 		e.expiresAt = n.svc.k.Now() + ttl
 	}
@@ -472,9 +453,6 @@ func (n *Node) SyncFrom(src *Node) {
 		// The values are immutable once pushed: only the list is copied.
 		n.items[key] = &entry{list: slices.Clone(e.list), bytes: e.bytes, expiresAt: e.expiresAt}
 		n.usedBytes += e.bytes + int64(n.svc.cfg.KeyOverheadBytes)
-	}
-	if n.usedBytes > n.PeakBytes {
-		n.PeakBytes = n.usedBytes
 	}
 	n.cond.Broadcast()
 }

@@ -105,12 +105,6 @@ type Bucket struct {
 	// these to model parallel multipart transfers for bulk model loads.
 	PutBandwidth float64
 	GetBandwidth float64
-
-	// Stats.
-	Puts  int64
-	Gets  int64
-	Lists int64
-	Bytes int64
 }
 
 // prefixOf returns the rate-limit prefix of a key: everything up to and
@@ -165,8 +159,6 @@ func (b *Bucket) Put(p *sim.Proc, key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.objects[key] = cp
-	b.Puts++
-	b.Bytes += int64(len(data))
 	b.svc.meter.S3PutCalls++
 	b.svc.meter.S3BytesIn += int64(len(data))
 	return nil
@@ -195,7 +187,6 @@ func (b *Bucket) Get(p *sim.Proc, key string) ([]byte, error) {
 // charge the simulator.
 func (b *Bucket) View(p *sim.Proc, key string) ([]byte, error) {
 	b.getLimiter(key).Take(p, 1)
-	b.Gets++
 	b.svc.meter.S3GetCalls++
 	data, ok := b.objects[key]
 	if !ok {
@@ -216,7 +207,6 @@ func (b *Bucket) View(p *sim.Proc, key string) ([]byte, error) {
 func (b *Bucket) List(p *sim.Proc, prefix string) []string {
 	b.getLimiter(prefix+"x").Take(p, 1)
 	p.Sleep(b.svc.cfg.ListLatency)
-	b.Lists++
 	b.svc.meter.S3ListCalls++
 	var keys []string
 	for k := range b.objects {

@@ -84,12 +84,6 @@ type subscription struct {
 type Topic struct {
 	svc  *Service
 	subs []subscription
-
-	// Stats.
-	PublishCalls      int64
-	MessagesPublished int64
-	MessagesDelivered int64
-	MessagesFiltered  int64
 }
 
 // Service is a simulated SNS endpoint.
@@ -177,8 +171,6 @@ func (t *Topic) PublishBatch(p *sim.Proc, entries []sqs.Message) error {
 		return fmt.Errorf("sns: batch payload of %d bytes exceeds %d limit", total, t.svc.cfg.MaxPayloadBytes)
 	}
 
-	t.PublishCalls++
-	t.MessagesPublished += int64(len(entries))
 	t.svc.meter.SNSPublishCalls++
 	t.svc.meter.SNSMessages += int64(len(entries))
 	t.svc.meter.SNSBilledPublishes += pricing.BilledPublishRequests(int64(total))
@@ -193,24 +185,18 @@ func (t *Topic) PublishBatch(p *sim.Proc, entries []sqs.Message) error {
 	// after the delivery delay, without occupying the publisher.
 	for _, e := range entries {
 		e := e
-		matched := false
 		for _, sub := range t.subs {
 			if sub.filter != nil && !sub.filter.Matches(e.Attributes) {
 				continue
 			}
-			matched = true
 			sub := sub
 			t.svc.meter.SNSDeliveredBytes += int64(e.Size())
-			t.MessagesDelivered++
 			t.svc.k.At(t.svc.cfg.DeliveryLatency, func() {
 				// Delivery failures (oversize for SQS) cannot be
 				// surfaced to the publisher, matching SNS's
 				// asynchronous semantics; the message is dropped.
 				_ = sub.queue.Deliver(e)
 			})
-		}
-		if !matched {
-			t.MessagesFiltered++
 		}
 	}
 	return nil

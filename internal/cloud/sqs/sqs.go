@@ -175,14 +175,6 @@ type Queue struct {
 	// poll: seeding costs a 607-word table, and the per-run queues of a
 	// long-polled run never draw.
 	rng *rand.Rand
-
-	// Stats for experiments and cost validation.
-	MessagesSent     int64
-	MessagesReceived int64
-	MessagesDeleted  int64
-	ReceiveCalls     int64
-	EmptyReceives    int64
-	Redeliveries     int64
 }
 
 // Name returns the queue name.
@@ -209,7 +201,6 @@ func (q *Queue) Deliver(msg Message) error {
 	q.nextID++
 	m := &qmsg{msg: msg, id: q.nextID, shard: int(q.nextID) % len(q.shards)}
 	q.shards[m.shard] = append(q.shards[m.shard], m)
-	q.MessagesSent++
 	q.svc.meter.SQSSendCalls++
 	q.cond.Broadcast()
 	return nil
@@ -244,7 +235,6 @@ func (q *Queue) Receive(p *sim.Proc, max int, wait time.Duration) []Received {
 		wait = q.svc.cfg.MaxWaitTime
 	}
 	q.svc.meter.SQSReceiveCalls++
-	q.ReceiveCalls++
 
 	deadline := p.Now() + wait
 	for {
@@ -268,12 +258,10 @@ func (q *Queue) Receive(p *sim.Proc, max int, wait time.Duration) []Received {
 			}
 		}
 		if len(got) > 0 {
-			q.MessagesReceived += int64(len(got))
 			p.Sleep(q.svc.cfg.ReceiveLatency + q.transferTime(totalBytes))
 			return got
 		}
 		if wait <= 0 || p.Now() >= deadline {
-			q.EmptyReceives++
 			p.Sleep(q.svc.cfg.ReceiveLatency)
 			return nil
 		}
@@ -314,7 +302,6 @@ func (q *Queue) scheduleRedelivery(m *qmsg) {
 		m.state = stAvailable
 		delete(q.inflight, m.id)
 		q.shards[m.shard] = append(q.shards[m.shard], m)
-		q.Redeliveries++
 		q.cond.Broadcast()
 	})
 }
@@ -345,7 +332,6 @@ func (q *Queue) DeleteBatch(p *sim.Proc, handles []string) error {
 				m.vis.Stop()
 			}
 			delete(q.inflight, id)
-			q.MessagesDeleted++
 		}
 	}
 	return nil

@@ -67,7 +67,7 @@ func TestLongPollWaitsForArrival(t *testing.T) {
 }
 
 func TestLongPollTimesOutEmpty(t *testing.T) {
-	k, _, svc := newSvc()
+	k, m, svc := newSvc()
 	q := svc.CreateQueue("q")
 	k.Go("consumer", func(p *sim.Proc) {
 		got := q.Receive(p, 10, 4*time.Second)
@@ -81,8 +81,8 @@ func TestLongPollTimesOutEmpty(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if q.EmptyReceives != 1 {
-		t.Fatalf("empty receives = %d", q.EmptyReceives)
+	if m.SQSReceiveCalls != 1 {
+		t.Fatalf("billed %d receive calls for one empty long poll, want 1", m.SQSReceiveCalls)
 	}
 }
 
@@ -169,11 +169,15 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("first receive got %d", len(got))
 		}
-		// Don't delete; wait past visibility timeout.
-		p.Sleep(svc.cfg.VisibilityTimeout + time.Second)
+		// Don't delete: the message stays invisible until the visibility
+		// timeout, then comes back.
+		if hidden := q.Receive(p, 10, time.Second); len(hidden) != 0 {
+			t.Errorf("in-flight message received again before its visibility timeout")
+		}
+		p.Sleep(svc.cfg.VisibilityTimeout)
 		again := q.Receive(p, 10, time.Second)
-		if len(again) != 1 {
-			t.Errorf("redelivery receive got %d", len(again))
+		if len(again) != 1 || string(again[0].Body) != "x" {
+			t.Fatalf("redelivery receive got %v", again)
 		}
 		var hs []string
 		for _, r := range again {
@@ -183,9 +187,6 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if q.Redeliveries != 1 {
-		t.Fatalf("redeliveries = %d, want 1", q.Redeliveries)
 	}
 }
 
@@ -200,12 +201,12 @@ func TestDeletedMessageNotRedelivered(t *testing.T) {
 		if q.Depth() != 0 {
 			t.Errorf("depth = %d, want 0", q.Depth())
 		}
+		if again := q.Receive(p, 10, time.Second); len(again) != 0 {
+			t.Errorf("deleted message received again: %v", again)
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if q.Redeliveries != 0 {
-		t.Fatalf("redeliveries = %d, want 0", q.Redeliveries)
 	}
 }
 

@@ -133,7 +133,6 @@ func Fig5QueryLatency(l *Lab) (*Table, error) {
 	ecfg := ec2.DefaultConfig()
 	for i, size := range l.Scale.Sizes {
 		lambda := l.Dilation(size)
-		macRatio := lambda * float64(size.Batch) / float64(l.Scale.PaperBatch)
 
 		fsd, variant, err := l.fsdBest(i)
 		if err != nil {
@@ -186,7 +185,6 @@ func Fig5QueryLatency(l *Lab) (*Table, error) {
 			secs(time.Duration(float64(hspff.Latency) * lambda)),
 		})
 		t.Notes = append(t.Notes, fmt.Sprintf("N=%d: FSD variant = %s", size.Paper, variant))
-		_ = macRatio
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: JS pays provisioning on every query; FSD overtakes AO-Hot as N grows;",

@@ -49,6 +49,7 @@ type SLO struct {
 	// Window is the error-budget period the objective is promised over
 	// (e.g. 28 days). Burn rates are normalized, so it only documents
 	// the budget the burn multiples refer to.
+	//simlint:allow testonly — bench/ sets it on its SLOs
 	Window time.Duration
 	// Objective is the promised good fraction in (0, 1), e.g. 0.999.
 	Objective float64

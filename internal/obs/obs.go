@@ -82,7 +82,8 @@ type SpanID uint64
 
 // Span is one finished (or open) interval of simulated time.
 type Span struct {
-	ID     SpanID
+	ID SpanID
+	//simlint:allow testonly — the span tree: tests check each child's parent, and the critical-path attribution of ROADMAP 5(a) walks it
 	Parent SpanID
 	// Track names the timeline the span belongs to — a replica
 	// ("ep/r1"), a worker ("ep/r1/w0"), a KV shard ("ep/r1/kv/s0").

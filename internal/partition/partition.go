@@ -70,7 +70,6 @@ type SendEntry struct {
 // Plans are computed a priori (not per request), matching the paper's
 // offline PaToH post-processing of trained models.
 type Plan struct {
-	Scheme  Scheme
 	Workers int
 	Neurons int
 	Layers  int
@@ -113,7 +112,6 @@ func BuildPlan(m *model.Model, workers int, scheme Scheme, opts Options) (*Plan,
 		return nil, fmt.Errorf("partition: unknown scheme %v", scheme)
 	}
 	p := &Plan{
-		Scheme:  scheme,
 		Workers: workers,
 		Neurons: n,
 		Layers:  len(m.Layers),

@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Norms carries the normalisation constants an Objective scores against:
 // the minima over every successfully trialed candidate, so scores are
@@ -20,8 +17,6 @@ type Norms struct {
 // query volume when one is known, which is what makes a cost-sensitive
 // objective workload-aware.
 type Objective interface {
-	// Name identifies the objective in decisions and reports.
-	Name() string
 	// Score returns the candidate's objective value; lower is better.
 	Score(t Trial, n Norms) float64
 }
@@ -48,23 +43,18 @@ func WeightedObjective(latencyWeight float64) Objective {
 	if latencyWeight > 1 {
 		latencyWeight = 1
 	}
-	return weighted{w: latencyWeight, name: fmt.Sprintf("weighted(%.2f)", latencyWeight)}
+	return weighted{w: latencyWeight}
 }
 
 // LatencyObjective ranks candidates by probe latency alone.
-func LatencyObjective() Objective { return weighted{w: 1, name: "latency"} }
+func LatencyObjective() Objective { return weighted{w: 1} }
 
 // CostObjective ranks candidates by per-query cost alone — under a
 // profile with a known daily volume this is where the provisioned memory
 // store's idle billing bites or pays off.
-func CostObjective() Objective { return weighted{w: 0, name: "cost"} }
+func CostObjective() Objective { return weighted{w: 0} }
 
-type weighted struct {
-	w    float64
-	name string
-}
-
-func (o weighted) Name() string { return o.name }
+type weighted struct{ w float64 }
 
 func (o weighted) costWeight() float64 { return 1 - o.w }
 

@@ -282,12 +282,9 @@ type Decision struct {
 	Trials []Trial
 	// Profile is the workload the decision was scored under.
 	Profile WorkloadProfile
-	// Objective names the ranking objective.
-	Objective string
-	// Candidates, Trialed and Pruned summarise how much of the grid the
-	// analytic pre-filter saved from simulation.
+	// Candidates and Pruned summarise how much of the grid the analytic
+	// pre-filter saved from simulation.
 	Candidates int
-	Trialed    int
 	Pruned     int
 	// MemoryBreakEvenQueriesPerDay is the daily volume at which the
 	// best memory candidate's flat node bill drops below the best
@@ -374,7 +371,6 @@ func (p *Planner) decide(profile WorkloadProfile) (*Decision, error) {
 	}
 	d := &Decision{
 		Profile:    profile,
-		Objective:  p.opts.Objective.Name(),
 		Candidates: len(cands),
 	}
 
@@ -400,7 +396,6 @@ func (p *Planner) decide(profile WorkloadProfile) (*Decision, error) {
 			}
 		}
 		m := p.measure(c, profile.BatchSamples)
-		d.Trialed++
 		t.Err = m.err
 		if m.err == nil {
 			t.Latency = m.latency

@@ -70,10 +70,10 @@ func (m *epMetrics) runFor(ch core.ChannelKind) *obs.Counter {
 // monitor and /metrics read them that way; a report subtracts the counts
 // its window opened with.
 type windowCounts struct {
-	shed, rerouted, failedRuns, cold, warm, deployFailures int64
+	shed, rerouted, cold, warm, deployFailures int64
 }
 
 func (m *epMetrics) counts() windowCounts {
-	return windowCounts{m.Shed.Value(), m.Rerouted.Value(), m.failedRuns.Value(),
+	return windowCounts{m.Shed.Value(), m.Rerouted.Value(),
 		m.ColdStarts.Value(), m.WarmStarts.Value(), m.deployFailures.Value()}
 }

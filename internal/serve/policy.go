@@ -20,6 +20,7 @@ type RequestInfo struct {
 	// Arrived is the request's arrival virtual time.
 	Arrived time.Duration
 	// Priority is the caller-supplied class (0 is the default).
+	//simlint:allow testonly — TestGoldenReplayReports' priority shape sets it and pins the per-priority report
 	Priority int
 	// Deadline is the absolute virtual time by which the request must
 	// complete (0 = none).
@@ -104,19 +105,14 @@ var ErrShed = fmt.Errorf("request shed: deadline cannot be met")
 // PoolState is a scaling policy's view of one endpoint's scheduler at a
 // decision point.
 type PoolState struct {
-	// Now is the current virtual time.
-	Now time.Duration
-	// Replicas is the current warm-pool size; BusyRuns the engine runs in
-	// flight across it; RunCapacity the concurrent runs one replica
-	// sustains (WithRunConcurrency).
-	Replicas    int
+	// BusyRuns is the engine runs in flight across the warm pool;
+	// RunCapacity the concurrent runs one replica sustains
+	// (WithRunConcurrency).
 	BusyRuns    int
 	RunCapacity int
-	// QueuedRequests and QueuedSamples describe the admission queue
-	// (requests whose coalescing window has closed but which have not
-	// dispatched).
+	// QueuedRequests counts the admission queue: requests whose
+	// coalescing window has closed but which have not dispatched.
 	QueuedRequests int
-	QueuedSamples  int
 	// ArrivalRate is the endpoint's recent request arrival rate in
 	// requests per second (EWMA over inter-arrival times).
 	ArrivalRate float64

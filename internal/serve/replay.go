@@ -40,15 +40,20 @@ func (k ChaosKind) String() string {
 type ChaosEvent struct {
 	// At is the injection time, relative to the replay start (same clock
 	// as the trace's Query.At).
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	At time.Duration
 	// Kind selects the fault.
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Kind ChaosKind
 	// Endpoint names the target; empty targets the first endpoint that
 	// has a provisioned store cluster when the event fires.
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Endpoint string
 	// Shard is the target shard index within the cluster.
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Shard int
 	// Duration is the partition length (Partition only; default 1s).
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Duration time.Duration
 }
 
@@ -69,6 +74,7 @@ type ReplayOptions struct {
 	Verify bool
 	// Chaos embeds fault-injection events in the trace's timeline; the
 	// report counts the injections and the failover fallout.
+	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Chaos []ChaosEvent
 }
 

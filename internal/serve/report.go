@@ -21,9 +21,6 @@ type ReplanEvent struct {
 	// From/To describe the configuration swap.
 	From, To               core.ChannelKind
 	FromWorkers, ToWorkers int
-	// QueriesPerDay is the observed daily volume the re-plan scored
-	// against.
-	QueriesPerDay int64
 	// Reason says which signal triggered it: the break-even crossing or
 	// a burn-rate alert.
 	Reason string
@@ -144,7 +141,6 @@ type EndpointReport struct {
 	// Runs counts engine runs; the averages describe how admission
 	// coalesced requests into them.
 	Runs           int
-	FailedRuns     int
 	AvgRunSamples  float64
 	AvgRunRequests float64
 	MaxRunSamples  int

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"fsdinference/internal/cloud/faas"
 	"fsdinference/internal/core"
 	"fsdinference/internal/model"
+	"fsdinference/internal/obs"
 	"fsdinference/internal/plan"
 	"fsdinference/internal/workload"
 )
@@ -118,8 +120,8 @@ func TestDeadlineRerouteMovesRequestToSiblingEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("urgent request should have been rerouted, got: %v", err)
 	}
-	if resp.Endpoint != "b" {
-		t.Fatalf("urgent request served by %q, want reroute to \"b\"", resp.Endpoint)
+	if served := svc.byName["b"].met.Requests.Value(); served != 1 {
+		t.Fatalf("requests_total{endpoint=b} = %d, want the rerouted request", served)
 	}
 	if !model.OutputsClose(resp.Output(), model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
@@ -171,8 +173,8 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("urgent request should have been rerouted, got: %v", err)
 	}
-	if resp.Endpoint != "c" {
-		t.Fatalf("urgent request served by %q, want the idle sibling \"c\"", resp.Endpoint)
+	if served := svc.byName["c"].met.Requests.Value(); served != 1 {
+		t.Fatalf("requests_total{endpoint=c} = %d, want the urgent request on the idle sibling", served)
 	}
 	if !model.OutputsClose(resp.Output(), model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
@@ -357,6 +359,7 @@ func TestQueueChannelRunsOverlapOnOneReplica(t *testing.T) {
 		WithEndpoint("large", large, WithChannel(core.Queue), WithWorkers(3)),
 		WithCoalescing(4, 0),
 		WithRunConcurrency(2),
+		WithTracing(1),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -389,15 +392,19 @@ func TestQueueChannelRunsOverlapOnOneReplica(t *testing.T) {
 	if ep.stats.MaxConcurrent < 2 {
 		t.Fatalf("max concurrent runs per replica = %d, want >= 2", ep.stats.MaxConcurrent)
 	}
-	// Overlap, not serialisation: the later completion must be earlier
-	// than the sum of both run latencies.
-	finish := hA.finished
-	if hB.finished > finish {
-		finish = hB.finished
+	// Overlap, not serialisation: each run starts before the other ends.
+	var runs []obs.Span
+	for _, sp := range svc.Tracer().Spans() {
+		if sp.Name == "run" {
+			runs = append(runs, sp)
+		}
 	}
-	if finish >= rA.RunLatency+rB.RunLatency {
-		t.Fatalf("runs serialised: last finish %v, latencies %v + %v",
-			finish, rA.RunLatency, rB.RunLatency)
+	if len(runs) != 2 {
+		t.Fatalf("%d run spans, want 2", len(runs))
+	}
+	if runs[0].Start >= runs[1].End || runs[1].Start >= runs[0].End {
+		t.Fatalf("runs serialised: [%v, %v] and [%v, %v]",
+			runs[0].Start, runs[0].End, runs[1].Start, runs[1].End)
 	}
 }
 
@@ -568,14 +575,14 @@ func TestReplanFlipsChannelAcrossBreakEven(t *testing.T) {
 	if up.From != core.Queue || up.To != core.Memory {
 		t.Fatalf("ramp-up replan %v -> %v, want queue -> memory", up.From, up.To)
 	}
-	if up.QueriesPerDay < be {
-		t.Fatalf("ramp-up scored %d queries/day, below break-even %d", up.QueriesPerDay, be)
+	if qpd := crossedVolume(t, up); qpd < be {
+		t.Fatalf("ramp-up scored %d queries/day, below break-even %d", qpd, be)
 	}
 	if down.From != core.Memory || down.To != core.Queue {
 		t.Fatalf("cool-down replan %v -> %v, want memory -> queue", down.From, down.To)
 	}
-	if down.QueriesPerDay >= be {
-		t.Fatalf("cool-down scored %d queries/day, above break-even %d", down.QueriesPerDay, be)
+	if qpd := crossedVolume(t, down); qpd >= be {
+		t.Fatalf("cool-down scored %d queries/day, above break-even %d", qpd, be)
 	}
 	if er.Channel != core.Queue {
 		t.Fatalf("endpoint ended on %v, want queue after cool-down", er.Channel)
@@ -591,6 +598,17 @@ func TestReplanFlipsChannelAcrossBreakEven(t *testing.T) {
 	if !strings.Contains(rep.String(), "replan @") {
 		t.Fatalf("report does not surface re-plan events:\n%s", rep)
 	}
+}
+
+// crossedVolume is the observed daily volume a break-even re-plan scored,
+// read from the reason the event reports.
+func crossedVolume(t *testing.T, ev ReplanEvent) int64 {
+	t.Helper()
+	var qpd, be int64
+	if _, err := fmt.Sscanf(ev.Reason, "arrival rate crossed the memory break-even (%d vs ~%d queries/day)", &qpd, &be); err != nil {
+		t.Fatalf("replan reason %q: %v", ev.Reason, err)
+	}
+	return qpd
 }
 
 func TestRunErrorSurfacesOnAllUnresolvedHandles(t *testing.T) {

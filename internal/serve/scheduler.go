@@ -32,9 +32,8 @@ type scheduler struct {
 
 	// Admission queue: closed-window requests awaiting dispatch, ordered
 	// by the admission policy.
-	queue         admissionHeap
-	queuedSamples int
-	seq           int
+	queue admissionHeap
+	seq   int
 
 	pool     []*replica
 	busyRuns int
@@ -198,7 +197,6 @@ func (sc *scheduler) flush() {
 	}
 	for _, r := range sc.window {
 		sc.queue.push(r)
-		sc.queuedSamples += r.info.Samples
 		r.phase.End()
 		r.phase = r.span.Child("queue", obs.KindPhase)
 	}
@@ -235,12 +233,9 @@ func (sc *scheduler) observedProfile(batch int) plan.WorkloadProfile {
 
 func (sc *scheduler) poolState() PoolState {
 	return PoolState{
-		Now:            sc.now(),
-		Replicas:       len(sc.pool),
 		BusyRuns:       sc.busyRuns,
 		RunCapacity:    sc.runConc,
 		QueuedRequests: len(sc.queue.reqs),
-		QueuedSamples:  sc.queuedSamples,
 		ArrivalRate:    sc.arrivalRate(),
 		EstRunLatency:  sc.estRun,
 	}
@@ -401,7 +396,6 @@ func (sc *scheduler) nextBatch() *batch {
 		r := sc.queue.reqs[0]
 		if sc.admission.Shed(now, sc.estRun, r.info) {
 			sc.queue.pop()
-			sc.queuedSamples -= r.info.Samples
 			sc.shed(r, now)
 			continue
 		}
@@ -409,7 +403,6 @@ func (sc *scheduler) nextBatch() *batch {
 			break
 		}
 		sc.queue.pop()
-		sc.queuedSamples -= r.info.Samples
 		if cur == nil {
 			cur = &batch{}
 		}
@@ -619,16 +612,10 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 		}
 		m.Latency.Observe(now - r.info.Arrived)
 		r.h.complete(now, &Response{
-			Endpoint:      ep.name,
-			RunID:         res.RunID,
-			Samples:       cols,
-			out:           res.Output,
-			off:           off,
-			Latency:       now - r.info.Arrived,
-			RunLatency:    res.Latency,
-			BatchSamples:  b.samples,
-			BatchRequests: len(b.reqs),
-			CostShare:     res.Cost.Total() * float64(cols) / float64(res.Batch),
+			Samples: cols,
+			out:     res.Output,
+			off:     off,
+			Latency: now - r.info.Arrived,
 		})
 		off += cols
 	}

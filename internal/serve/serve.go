@@ -219,10 +219,6 @@ type Service struct {
 	trace   *obs.Tracer
 	metrics *obs.Registry
 	mon     *monitor.Monitor
-	// submitSeq numbers one-at-a-time Submits (serve_test.go) for
-	// sampling. Replay paths bypass it and sample on the query's trace
-	// index instead, which is what makes lane-vs-single traces identical.
-	submitSeq int
 }
 
 // Endpoint is one named model behind the Service. Its scheduling — window,
@@ -586,8 +582,7 @@ func (ep *Endpoint) replanTo(obj plan.Objective, reason string) {
 	if st.ewmaBatch > 0 {
 		probe = int(math.Round(st.ewmaBatch))
 	}
-	profile := ep.sched.observedProfile(probe)
-	d, err := st.planner.ReplanWith(profile, obj)
+	d, err := st.planner.ReplanWith(ep.sched.observedProfile(probe), obj)
 	if err != nil {
 		return // keep the current configuration; retry after MinRuns more runs
 	}
@@ -598,13 +593,12 @@ func (ep *Endpoint) replanTo(obj plan.Objective, reason string) {
 	}
 	now := ep.svc.Now()
 	ep.stats.Replans = append(ep.stats.Replans, ReplanEvent{
-		At:            now,
-		From:          ep.dcfg.Channel,
-		FromWorkers:   ep.dcfg.Workers(),
-		To:            dcfg.Channel,
-		ToWorkers:     dcfg.Workers(),
-		QueriesPerDay: profile.QueriesPerDay,
-		Reason:        reason,
+		At:          now,
+		From:        ep.dcfg.Channel,
+		FromWorkers: ep.dcfg.Workers(),
+		To:          dcfg.Channel,
+		ToWorkers:   dcfg.Workers(),
+		Reason:      reason,
 	})
 	ep.dcfg = dcfg
 	for _, rep := range ep.sched.pool {
@@ -677,6 +671,7 @@ func (s *Service) Monitor() *monitor.Monitor { return s.mon }
 type SubmitOptions struct {
 	// Priority is the request's class (default 0): the report breaks
 	// latency down by class, and a policy may order dispatch by it.
+	//simlint:allow testonly — TestGoldenReplayReports' priority shape sets it and pins the per-priority report
 	Priority int
 	// Deadline is the completion budget relative to the request's arrival
 	// time; 0 means none. Under DeadlineAdmission, requests that cannot
@@ -859,10 +854,6 @@ type Handle struct {
 // the engine run the request rode in, not a copy of its own columns, so a
 // Response keeps its run's output alive for as long as it is reachable.
 type Response struct {
-	// Endpoint and RunID identify where and in which engine run the
-	// request was served.
-	Endpoint string
-	RunID    string
 	// Samples is the request's width: its columns of the run's output.
 	Samples int
 	// out is the run's output; the request's columns start at off.
@@ -871,15 +862,6 @@ type Response struct {
 	// Latency is arrival to result availability, including coalescing
 	// wait and admission queueing.
 	Latency time.Duration
-	// RunLatency is the underlying engine run's latency.
-	RunLatency time.Duration
-	// BatchSamples and BatchRequests describe the coalesced engine run
-	// this request rode in.
-	BatchSamples  int
-	BatchRequests int
-	// CostShare is the request's per-sample share of the run's
-	// ledger-reconstructed cost.
-	CostShare float64
 }
 
 // Output returns this request's columns of the run's activation output.

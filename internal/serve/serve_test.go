@@ -95,14 +95,14 @@ func TestCoalescingMergesRequestsIntoOneRun(t *testing.T) {
 		t.Fatalf("runs = %d, want 1 coalesced run", ep.stats.Runs)
 	}
 	for i, h := range []*Handle{h1, h2, h3} {
-		resp, err := h.Wait()
-		if err != nil {
+		if _, err := h.Wait(); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		if resp.BatchRequests != 3 || resp.BatchSamples != 12 {
-			t.Fatalf("request %d batch = %d req / %d samples, want 3/12",
-				i, resp.BatchRequests, resp.BatchSamples)
-		}
+	}
+	er := ep.report(0, &endpointAcc{lat: &latencySink{}})
+	if er.Runs != 1 || er.MaxRunSamples != 12 || er.AvgRunRequests != 3 {
+		t.Fatalf("report: %d runs, widest %d samples, %.1f requests a run; want 1/12/3",
+			er.Runs, er.MaxRunSamples, er.AvgRunRequests)
 	}
 	// Each coalesced slice must still be that request's own answer.
 	r1, _ := h1.Wait()
@@ -395,14 +395,19 @@ func TestEndpointCountsArePerReplayWindow(t *testing.T) {
 	if shed == 0 {
 		t.Fatalf("the first window shed nothing:\n%s", first)
 	}
+	failedRuns := map[string]int64{}
+	for _, ep := range svc.eps {
+		failedRuns[ep.name] = ep.met.failedRuns.Value()
+	}
 	second, err := svc.Replay(trace, ReplayOptions{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, er := range second.Endpoints {
-		if er.Shed != 0 || er.FailedRuns != 0 {
+		failed := svc.byName[er.Name].met.failedRuns.Value() - failedRuns[er.Name]
+		if er.Shed != 0 || failed != 0 {
 			t.Errorf("endpoint %s: %d shed, %d failed runs in a window without deadlines",
-				er.Name, er.Shed, er.FailedRuns)
+				er.Name, er.Shed, failed)
 		}
 		if starts := er.ColdStarts + er.WarmStarts; starts != er.Runs*er.Workers {
 			t.Errorf("endpoint %s: %d starts for %d runs x %d workers", er.Name, starts, er.Runs, er.Workers)
@@ -411,9 +416,9 @@ func TestEndpointCountsArePerReplayWindow(t *testing.T) {
 }
 
 // TestFailedRunsCountInTheRegistry fails every run with a one-millisecond
-// function timeout on an untraced service. The report's failed runs and the
-// registry's failure counters are one count, so each failed run and each of
-// its requests shows in both.
+// function timeout on an untraced service. The registry counts the failed
+// runs, and its request counters are the report's, so each failed request
+// shows in both.
 func TestFailedRunsCountInTheRegistry(t *testing.T) {
 	svc, err := NewService(env.NewDefault(),
 		WithEndpoint("s64", testModel(t, 64, 3), WithDeployOverride(func(c *core.Config) {
@@ -427,13 +432,10 @@ func TestFailedRunsCountInTheRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	er := rep.Endpoints[0]
-	if er.FailedRuns == 0 || er.Runs != 0 || er.Failed != er.Queries {
-		t.Fatalf("%d failed runs, %d runs, %d of %d queries failed; want every run to fail",
-			er.FailedRuns, er.Runs, er.Failed, er.Queries)
-	}
 	m := svc.byName["s64"].met
-	if got := m.failedRuns.Value(); got != int64(er.FailedRuns) {
-		t.Errorf("run_failures_total %d, report %d failed runs", got, er.FailedRuns)
+	if m.failedRuns.Value() == 0 || er.Runs != 0 || er.Failed != er.Queries {
+		t.Fatalf("run_failures_total %d, %d runs, %d of %d queries failed; want every run to fail",
+			m.failedRuns.Value(), er.Runs, er.Failed, er.Queries)
 	}
 	if m.Requests.Value() != int64(er.Queries) || m.Failures.Value() != int64(er.Failed) {
 		t.Errorf("requests_total %d, request_failures_total %d; report %d queries, %d failed",
@@ -452,10 +454,15 @@ func (s *Service) Submit(name string, input *sparse.Dense, at time.Duration) *Ha
 // SubmitWith is Submit with per-request scheduling metadata: a priority
 // class and/or a completion deadline for the admission policy.
 func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions) *Handle {
-	idx := s.submitSeq
-	s.submitSeq++
+	idx := submitSeqs[s]
+	submitSeqs[s]++
 	return s.submit(name, input, at, opts, nil, idx)
 }
+
+// submitSeqs numbers each service's one-at-a-time Submits for trace
+// sampling, as a replay numbers its trace's queries. The package's tests
+// do not run in parallel.
+var submitSeqs = map[*Service]int{}
 
 // Done reports whether the request has resolved.
 func (h *Handle) Done() bool { return h.done }

@@ -97,7 +97,6 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		Failed:            a.failed,
 		Samples:           a.samples,
 		Runs:              st.Runs,
-		FailedRuns:        int(c.failedRuns - o.failedRuns),
 		MaxRunSamples:     st.MaxSamples,
 		ColdStarts:        int(c.cold - o.cold),
 		WarmStarts:        int(c.warm - o.warm),

@@ -45,8 +45,6 @@ type Analyzer struct {
 
 // A Pass is the interface between one Analyzer and one package.
 type Pass struct {
-	Analyzer *Analyzer
-
 	// Fset maps token positions to file/line for every file in the
 	// package and its dependencies.
 	Fset *token.FileSet
@@ -54,8 +52,7 @@ type Pass struct {
 	// Files are the package's parsed source files, comments included.
 	Files []*ast.File
 
-	// Pkg is the type-checked package and Path its import path.
-	Pkg  *types.Package
+	// Path is the package's import path.
 	Path string
 
 	// TypesInfo records types and object resolutions for every
@@ -188,16 +185,14 @@ func DirectiveProblems(directives []*Directive, known map[string]bool, checkUnus
 // single-analyzer analysistest harness leaves it off. The returned
 // diagnostics are sorted by position for deterministic output —
 // simlint holds itself to the ordering discipline it enforces.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, path string, info *types.Info, checkUnused bool) ([]Diagnostic, error) {
+func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, path string, info *types.Info, checkUnused bool) ([]Diagnostic, error) {
 	var all []Diagnostic
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
-			Pkg:       pkg,
 			Path:      path,
 			TypesInfo: info,
 			report: func(d Diagnostic) {

@@ -55,7 +55,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 			t.Errorf("%s: %v", pkgPath, err)
 			continue
 		}
-		diags, err := analysis.RunAnalyzers([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Types, pkg.Path, pkg.TypesInfo, false)
+		diags, err := analysis.RunAnalyzers([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Path, pkg.TypesInfo, false)
 		if err != nil {
 			t.Errorf("%s: %v", pkgPath, err)
 			continue

@@ -25,7 +25,6 @@ import (
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path      string // import path
-	Dir       string
 	Files     []*ast.File
 	Fset      *token.FileSet
 	Types     *types.Package
@@ -173,7 +172,6 @@ func (l *Loader) check(path, dir string, filenames []string) (*Package, error) {
 	}
 	return &Package{
 		Path:      path,
-		Dir:       dir,
 		Files:     files,
 		Fset:      l.Fset,
 		Types:     tpkg,

@@ -13,7 +13,7 @@
 //	kernelgo    no raw go statements in simulation-domain packages
 //	maporder    no order-sensitive work inside range-over-map bodies
 //	spanend     every span started is ended (or handed off)
-//	testonly    no exported func or method that only tests reference
+//	testonly    no exported func, method or struct field that only tests use
 //
 // Findings are suppressed only by a reasoned directive on the line or
 // the line above:
@@ -91,7 +91,7 @@ func main() {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "simlint: checking %s\n", pkg.Path)
 		}
-		diags, err := analysis.RunAnalyzers(Analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Path, pkg.TypesInfo, true)
+		diags, err := analysis.RunAnalyzers(Analyzers, pkg.Fset, pkg.Files, pkg.Path, pkg.TypesInfo, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
 			os.Exit(2)

@@ -4,4 +4,8 @@ package main
 
 import "testonly/lib"
 
-func main() { lib.BenchOnly() }
+func main() {
+	lib.BenchOnly()
+	var s lib.Stats
+	_ = s.Bench
+}

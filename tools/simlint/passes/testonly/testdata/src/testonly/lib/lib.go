@@ -18,3 +18,18 @@ func (c *Counter) Reset() { c.n = 0 } // want `Counter.Reset is exported but no 
 
 // unexported declarations are out of scope whoever calls them.
 func helper() {}
+
+// Stats has one field per case of the field rule; app writes and reads
+// them as each comment says.
+type Stats struct {
+	Total   int  // written and read by app
+	Calls   int  // want `Stats.Calls is exported but no non-test file in the module or bench/ reads it`
+	Verbose bool // want `Stats.Verbose is exported but no non-test file in the module or bench/ writes it`
+	Bench   int  // written by app, read only by bench
+	Tested  int  // want `Stats.Tested is exported but no non-test file in the module or bench/ reads it`
+	hidden  int  // unexported fields are out of scope
+}
+
+// Pair is only ever built by a positional literal, which writes both
+// fields.
+type Pair struct{ A, B int }

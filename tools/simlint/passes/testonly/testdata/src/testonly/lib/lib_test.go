@@ -10,4 +10,7 @@ func TestLib(t *testing.T) {
 	c := Fixture()
 	c.Reset()
 	helper()
+	var s Stats
+	s.Verbose = true
+	_ = s.Tested + s.Calls + s.hidden
 }

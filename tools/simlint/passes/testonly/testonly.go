@@ -1,9 +1,12 @@
 // Package testonly flags exported funcs and methods that no program
-// calls. The exported surface of this module is what its commands,
-// examples, experiments and the benchmark under bench/ use; an export
-// that only tests reach is API drift, so it is deleted, moved into its
-// package's _test.go, or kept under a reasoned
-// //simlint:allow testonly when other packages' tests need it.
+// calls, and exported fields of exported structs that no program reads
+// or none writes. The exported surface of this module is what its
+// commands, examples, experiments and the benchmark under bench/ use;
+// an export that only tests reach is API drift, so it is deleted, moved
+// into its package's _test.go, or kept under a reasoned
+// //simlint:allow testonly when other packages' tests need it. A field
+// that is only written is a count nobody consults; one that is only
+// read is a setting that is always zero.
 //
 // References are read from every non-test file of the whole module and
 // of bench/ (a module of its own beside the root), whatever packages
@@ -11,15 +14,16 @@
 // depend on the patterns. Because the loader's source importer gives
 // each checked root its own types.Package, a reference is matched by
 // package path, receiver type name and name rather than by object
-// identity. A method that satisfies an interface declared in the
-// module, bench/ or anything they import counts as used: a dynamic
-// call (heap.Interface's Swap, flag.Value's Set, error's Error) has no
-// static reference.
+// identity, and a field by the position of its declaration. A method
+// that satisfies an interface declared in the module, bench/ or
+// anything they import counts as used: a dynamic call (heap.Interface's
+// Swap, flag.Value's Set, error's Error) has no static reference.
 package testonly
 
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -32,7 +36,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "testonly",
-	Doc:  "forbid exported funcs and methods that no non-test file in the module or bench/ references",
+	Doc:  "forbid exported funcs, methods and struct fields that no non-test file in the module or bench/ uses",
 	Run:  run,
 }
 
@@ -44,7 +48,7 @@ func run(pass *analysis.Pass) error {
 	if root == "" {
 		return nil
 	}
-	used, err := usedIn(root)
+	r, err := refsIn(root)
 	if err != nil {
 		return err
 	}
@@ -53,18 +57,52 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				fn, ok := pass.TypesInfo.Defs[d.Name].(*types.Func)
+				if !ok || r.funcs[key(fn)] {
+					continue
+				}
+				pass.Reportf(d.Name.Pos(), "%s is exported but no non-test file in the module or bench/ references it: delete it, move it into a _test.go, or keep it with //simlint:allow testonly — <which tests need it>", display(fn))
+			case *ast.GenDecl:
+				checkFields(pass, r, d)
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok || used[key(fn)] {
-				continue
-			}
-			pass.Reportf(fd.Name.Pos(), "%s is exported but no non-test file in the module or bench/ references it: delete it, move it into a _test.go, or keep it with //simlint:allow testonly — <which tests need it>", display(fn))
 		}
 	}
 	return nil
+}
+
+// checkFields reports each named exported field of an exported struct
+// type in d that no non-test file reads, or that none writes. Embedded
+// fields carry methods rather than data and are left alone.
+func checkFields(pass *analysis.Pass, r *refs, d *ast.GenDecl) {
+	for _, spec := range d.Specs {
+		ts, ok := spec.(*ast.TypeSpec)
+		if !ok || !ts.Name.IsExported() {
+			continue
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, field := range st.Fields.List {
+			for _, name := range field.Names {
+				if !name.IsExported() {
+					continue
+				}
+				k := fieldKey(pass.Fset, name.Pos())
+				switch {
+				case !r.read[k]:
+					pass.Reportf(name.Pos(), "%s.%s is exported but no non-test file in the module or bench/ reads it: delete it with its writes, or keep it with //simlint:allow testonly — <which tests need it>", ts.Name.Name, name.Name)
+				case !r.written[k]:
+					pass.Reportf(name.Pos(), "%s.%s is exported but no non-test file in the module or bench/ writes it, so it is always zero: delete it, or keep it with //simlint:allow testonly — <which tests set it>", ts.Name.Name, name.Name)
+				}
+			}
+		}
+	}
 }
 
 // moduleRoot is the nearest directory at or above dir holding a go.mod.
@@ -114,21 +152,27 @@ func display(fn *types.Func) string {
 	return fn.Name()
 }
 
-// index caches the used set per module root: every package one run
-// checks shares one load of the module and bench/.
+// refs is what the non-test files of one module root and its bench/
+// use: the key of every func referenced or demanded by an interface,
+// and the fieldKey of every field read and of every field written.
+type refs struct {
+	funcs, read, written map[string]bool
+}
+
+// index caches refs per module root: every package one run checks
+// shares one load of the module and bench/.
 var index = struct {
 	sync.Mutex
-	used map[string]map[string]bool
-}{used: map[string]map[string]bool{}}
+	refs map[string]*refs
+}{refs: map[string]*refs{}}
 
-// usedIn loads the non-test packages of the module at root and of
-// root/bench (when it is a module) and returns the key of every func
-// they reference or whose method an interface demands.
-func usedIn(root string) (map[string]bool, error) {
+// refsIn loads the non-test packages of the module at root and of
+// root/bench (when it is a module) and collects what they use.
+func refsIn(root string) (*refs, error) {
 	index.Lock()
 	defer index.Unlock()
-	if used, ok := index.used[root]; ok {
-		return used, nil
+	if r, ok := index.refs[root]; ok {
+		return r, nil
 	}
 	l := loader.Shared()
 	pkgs, err := l.Load(root, "./...")
@@ -142,12 +186,15 @@ func usedIn(root string) (map[string]bool, error) {
 		}
 		pkgs = append(pkgs, more...)
 	}
-	used := map[string]bool{}
+	r := &refs{funcs: map[string]bool{}, read: map[string]bool{}, written: map[string]bool{}}
 	for _, p := range pkgs {
 		for _, obj := range p.TypesInfo.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				used[key(fn)] = true
+				r.funcs[key(fn)] = true
 			}
+		}
+		for _, f := range p.Files {
+			r.fieldUses(p, f)
 		}
 	}
 	ifaces := interfaces(pkgs)
@@ -158,11 +205,74 @@ func usedIn(root string) (map[string]bool, error) {
 			if !ok || types.IsInterface(tn.Type()) || isGeneric(tn) {
 				continue
 			}
-			markSatisfied(used, tn.Type(), ifaces)
+			markSatisfied(r.funcs, tn.Type(), ifaces)
 		}
 	}
-	index.used[root] = used
-	return used, nil
+	index.refs[root] = r
+	return r, nil
+}
+
+// fieldKey names a field by the position of its declaration, the
+// identity that survives a package being type-checked more than once.
+func fieldKey(fset *token.FileSet, pos token.Pos) string {
+	return fset.Position(pos).String()
+}
+
+// fieldUses marks every field f reads or writes. A write is a keyed or
+// positional composite literal, an assignment, ++/--, or &x.F, which
+// also reads.
+func (r *refs) fieldUses(p *loader.Package, f *ast.File) {
+	info := p.TypesInfo
+	mark := func(set map[string]bool, v types.Object) { set[fieldKey(p.Fset, v.Pos())] = true }
+	// writes maps each written expression to whether it is only written
+	// (assigned) rather than also read (its address taken).
+	writes := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				writes[e] = true
+			}
+		case *ast.IncDecStmt:
+			writes[n.X] = true
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				writes[n.X] = false
+			}
+		case *ast.CompositeLit:
+			st, _ := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+			if st == nil {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					mark(r.written, info.Uses[kv.Key.(*ast.Ident)])
+				} else {
+					mark(r.written, st.Field(i))
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return true
+			}
+			only, written := writes[n]
+			if !only {
+				mark(r.read, sel.Obj())
+			}
+			if written {
+				mark(r.written, sel.Obj())
+			}
+		}
+		return true
+	})
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // interfaces collects the universe's error and every non-generic
