@@ -428,3 +428,54 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHandoff: two procs alternating through a Cond. One op is one
+// round trip, two resumes, each handing control from one proc to the
+// other.
+func BenchmarkHandoff(b *testing.B) {
+	k := New()
+	c := NewCond(k)
+	for i := 0; i < 2; i++ {
+		k.Go("ping", func(p *Proc) {
+			for j := 0; j < b.N; j++ {
+				c.Broadcast()
+				c.Wait(p)
+			}
+			c.Broadcast()
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSignalledTimeouts: 32 procs in WaitTimeout, all signalled in
+// rounds long before their timeouts. One op is one round of 32 wakeups,
+// each leaving a superseded timed wakeup behind it.
+func BenchmarkSignalledTimeouts(b *testing.B) {
+	k := New()
+	c := NewCond(k)
+	done := false
+	for i := 0; i < 32; i++ {
+		k.Go("waiter", func(p *Proc) {
+			for !done {
+				c.WaitTimeout(p, time.Hour)
+			}
+		})
+	}
+	k.Go("signaller", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			c.Broadcast()
+			p.Yield()
+		}
+		done = true
+		c.Broadcast()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
