@@ -118,3 +118,81 @@ func TestStaleTimeoutDoesNotRewakeLaterSleep(t *testing.T) {
 		t.Fatalf("sleep ended at %v, want 6s (stale timeout rewoke the proc)", end)
 	}
 }
+
+// TestKillBeforeStart: a proc killed before its start never runs its
+// function and counts as finished, whether its start waits in the heap
+// (GoAfter) or in the immediate ring (Go). Run must return rather than
+// hand control to a goroutine that was never started.
+func TestKillBeforeStart(t *testing.T) {
+	k := New()
+	ran := false
+	late := k.GoAfter(time.Second, "late", func(p *Proc) { ran = true })
+	k.Go("killer", func(p *Proc) {
+		p.Sleep(500 * time.Millisecond)
+		k.Kill(late)
+		soon := k.Go("soon", func(p *Proc) { ran = true })
+		k.Kill(soon)
+		k.Kill(soon)
+	})
+	errc := make(chan error, 1)
+	go func() { errc <- k.Run() }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a proc was killed before it started")
+	}
+	if ran {
+		t.Fatal("a proc killed before it started ran its function")
+	}
+	if k.Now() != 500*time.Millisecond {
+		t.Fatalf("clock at %v, want 500ms (the killed proc's start must not advance it)", k.Now())
+	}
+}
+
+// TestHeapHoldsOnlyLiveEvents: signalled WaitTimeouts, stopped After
+// timers and a Kill during WaitTimeout each take their queued event out of
+// the heap at once, so len(k.eq) counts only live timed wakeups.
+func TestHeapHoldsOnlyLiveEvents(t *testing.T) {
+	const n = 16
+	k := New()
+	c := NewCond(k)
+	for i := 0; i < n; i++ {
+		k.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+			if r := c.WaitTimeout(p, time.Hour); r != WakeSignal {
+				t.Errorf("waiter woke by %v, want a signal", r)
+			}
+		})
+	}
+	victim := k.Go("victim", func(p *Proc) { NewCond(k).WaitTimeout(p, time.Hour) })
+	timers := make([]*Timer, n)
+	for i := range timers {
+		timers[i] = k.After(time.Hour, func() { t.Error("a stopped timer fired") })
+	}
+	check := func(what string, want int) {
+		if got := len(k.eq); got != want {
+			t.Errorf("%s: heap holds %d events, want %d", what, got, want)
+		}
+	}
+	k.Go("driver", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		check("all parked", 2*n+1)
+		c.Broadcast()
+		p.Yield()
+		check("waiters signalled", n+1)
+		for _, tm := range timers {
+			tm.Stop()
+		}
+		check("timers stopped", 1)
+		k.Kill(victim)
+		check("victim killed", 0)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != time.Millisecond {
+		t.Fatalf("clock at %v, want 1ms", k.Now())
+	}
+}

@@ -2,8 +2,8 @@
 // simulation kernel with a virtual clock.
 //
 // Every simulated entity (a FaaS instance, a cloud-service delivery agent, a
-// worker thread) is a Proc: a goroutine whose execution strictly alternates
-// with the kernel's event loop. At most one Proc runs at any instant, so
+// worker thread) is a Proc: a goroutine that runs only while it holds
+// control. At most one goroutine holds control at any instant, so
 // simulation state needs no locking and runs are fully deterministic given
 // the same inputs. Real computation (sparse matrix kernels, compression)
 // executes inside a Proc's turn; the virtual clock only advances through
@@ -25,17 +25,33 @@
 //     simultaneous events run FIFO in schedule order. This total order is
 //     the determinism contract: two runs that schedule the same events in
 //     the same order produce identical virtual timelines.
+//   - Direct handoff. The event loop has no goroutine of its own: whoever
+//     holds control runs it. Run's goroutine runs it until it starts or
+//     resumes a Proc; a parking Proc runs it and hands control straight to
+//     the next Proc, one goroutine switch per resume, or returns at once
+//     when the next event resumes the parking Proc itself; a finishing
+//     Proc runs it on its way out. Whoever finds no event left wakes Run.
+//     A goroutine touches no simulation state after handing control on,
+//     since the Proc it woke may already be running on another thread. A
+//     panic in an At or After closure is re-raised from Run on its
+//     caller's goroutine, whichever goroutine ran the closure.
 //   - Immediate ring. Events scheduled at the current instant (Yield,
 //     At(0, fn), Broadcast wakeups, Kill) dominate the serving hot path, so
 //     they bypass the time-ordered heap into a FIFO ring. The ring never
 //     holds events from more than one instant: the clock only advances by
 //     popping a strictly-future heap event, which the pop rule forbids while
 //     a ring event (which always precedes it in (at, seq) order) is pending.
+//   - Only live events in the heap. Each heap event records its index, so
+//     a dead one is removed at once: a Proc's timed wakeup (Sleep,
+//     WaitTimeout, GoAfter's start) when the Proc resumes by another path
+//     or is killed, and a Timer's event when it is stopped. Ring events are
+//     checked lazily when popped (a superseded wakeup, a stopped timer, the
+//     start of a Proc killed before it started) and dropped; being at the
+//     current instant, they never move the clock.
 //   - Zero-alloc steady state. Event structs are recycled through a
 //     kernel-local free list and finished Procs return their resume
 //     channels to a pool, so schedule/wake cycles allocate nothing once the
-//     pools are warm. Stale events (cancelled timers, superseded timeout
-//     wakeups) are dropped without advancing the clock.
+//     pools are warm.
 //   - Blocked-Proc bookkeeping is intrusive: the kernel tracks live Procs
 //     in an index-linked slice and each Proc records where it is blocked;
 //     human-readable deadlock reports are reconstructed only on the error
@@ -64,21 +80,23 @@ const (
 type eventKind int
 
 const (
-	evResume eventKind = iota // resume a blocked Proc
-	evStart                   // start a newly spawned Proc
-	evCall                    // run a non-blocking closure in kernel context
+	evResume    eventKind = iota // resume a blocked Proc
+	evStart                      // start a newly spawned Proc
+	evCall                       // run a non-blocking closure
+	evCancelled                  // a stopped timer's event, waiting in the ring
 )
 
 type event struct {
-	at   time.Duration
-	seq  uint64 // tie-break: FIFO among simultaneous events
-	kind eventKind
+	at    time.Duration
+	seq   uint64 // tie-break: FIFO among simultaneous events
+	kind  eventKind
+	index int // position in the heap, -1 outside it
 
 	proc   *Proc
 	token  uint64 // must match proc.wake or the event is stale
 	reason WakeReason
 	fn     func()
-	timer  *Timer // if set and stopped, the event is dead
+	timer  *Timer // the Timer whose event this is, until it fires
 
 	next *event // free-list link
 }
@@ -94,10 +112,9 @@ func (a *event) before(b *event) bool {
 // Kernel is a discrete-event simulator instance. Create one with New, spawn
 // root processes with Go, then call Run.
 type Kernel struct {
-	now  time.Duration
-	eq   []*event // time-ordered binary min-heap on (at, seq)
-	seq  uint64
-	step chan stepMsg
+	now time.Duration
+	eq  []*event // time-ordered binary min-heap on (at, seq)
+	seq uint64
 
 	// imm is the FIFO ring of events scheduled at the current instant; see
 	// the package comment's scheduling discipline. immHead indexes the next
@@ -111,22 +128,20 @@ type Kernel struct {
 	live  int     // procs spawned and not yet finished
 	procs []*Proc // live procs, index-linked via Proc.idx
 
-	events uint64
+	// idle wakes Run when the goroutine holding control finds no event
+	// left. It holds one token, so Run's own goroutine can post it too.
+	idle chan struct{}
 
 	failures []error
-}
 
-type stepMsg struct {
-	done bool
-	p    *Proc
-	err  error
+	// A closure's panic caught on a Proc's goroutine, for Run to re-raise.
+	panicked bool
+	panicVal any
 }
 
 // New returns a fresh Kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{
-		step: make(chan stepMsg),
-	}
+	return &Kernel{idle: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time. It may be called from Proc context
@@ -143,10 +158,10 @@ func (k *Kernel) Clock() func() time.Duration { return k.Now }
 func (k *Kernel) getEvent() *event {
 	if e := k.free; e != nil {
 		k.free = e.next
-		*e = event{}
+		*e = event{index: -1}
 		return e
 	}
-	return &event{}
+	return &event{index: -1}
 }
 
 // putEvent recycles a processed (or dropped) event.
@@ -167,49 +182,66 @@ func (k *Kernel) schedule(e *event) {
 		k.imm = append(k.imm, e)
 		return
 	}
-	k.heapPush(e)
+	k.eq = append(k.eq, e)
+	k.siftUp(e, len(k.eq)-1)
 }
 
-func (k *Kernel) heapPush(e *event) {
-	k.eq = append(k.eq, e)
-	i := len(k.eq) - 1
+// siftUp places e in the heap at position i or above it.
+func (k *Kernel) siftUp(e *event, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(k.eq[parent]) {
+		pe := k.eq[parent]
+		if !e.before(pe) {
 			break
 		}
-		k.eq[i] = k.eq[parent]
+		k.eq[i] = pe
+		pe.index = i
 		i = parent
 	}
 	k.eq[i] = e
+	e.index = i
 }
 
-func (k *Kernel) heapPop() *event {
+// siftDown places e in the heap at position i or below it.
+func (k *Kernel) siftDown(e *event, i int) {
 	h := k.eq
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	k.eq = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			child := 2*i + 1
-			if child >= n {
-				break
-			}
-			if r := child + 1; r < n && k.eq[r].before(k.eq[child]) {
-				child = r
-			}
-			if !k.eq[child].before(last) {
-				break
-			}
-			k.eq[i] = k.eq[child]
-			i = child
+	n := len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		k.eq[i] = last
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		c := h[child]
+		if !c.before(e) {
+			break
+		}
+		h[i] = c
+		c.index = i
+		i = child
 	}
-	return top
+	h[i] = e
+	e.index = i
+}
+
+// heapRemove takes e out of the heap; it leaves e's index at -1.
+func (k *Kernel) heapRemove(e *event) {
+	i := e.index
+	n := len(k.eq) - 1
+	last := k.eq[n]
+	k.eq[n] = nil
+	k.eq = k.eq[:n]
+	e.index = -1
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(k.eq[(i-1)/2]) {
+		k.siftUp(last, i)
+	} else {
+		k.siftDown(last, i)
+	}
 }
 
 // pending reports whether any event remains.
@@ -222,22 +254,24 @@ func (k *Kernel) pending() bool {
 func (k *Kernel) nextEvent() *event {
 	if k.immHead < len(k.imm) {
 		ie := k.imm[k.immHead]
-		if len(k.eq) > 0 && k.eq[0].before(ie) {
-			return k.heapPop()
+		if len(k.eq) == 0 || !k.eq[0].before(ie) {
+			k.imm[k.immHead] = nil
+			k.immHead++
+			if k.immHead == len(k.imm) {
+				k.imm = k.imm[:0]
+				k.immHead = 0
+			}
+			return ie
 		}
-		k.imm[k.immHead] = nil
-		k.immHead++
-		if k.immHead == len(k.imm) {
-			k.imm = k.imm[:0]
-			k.immHead = 0
-		}
-		return ie
 	}
-	return k.heapPop()
+	e := k.eq[0]
+	k.heapRemove(e)
+	return e
 }
 
-// At schedules fn to run in kernel context at the current virtual time plus
-// d. fn must not block on simulation primitives; use Go for blocking work.
+// At schedules fn to run at the current virtual time plus d, on whichever
+// goroutine then holds control. fn must not block on simulation
+// primitives; use Go for blocking work.
 func (k *Kernel) At(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -249,12 +283,25 @@ func (k *Kernel) At(d time.Duration, fn func()) {
 
 // Timer is a cancellable scheduled closure created by After.
 type Timer struct {
-	stopped bool
+	k *Kernel
+	e *event // the queued event; nil once it has fired or been stopped
 }
 
 // Stop cancels the timer; the closure will not run. Stopping an expired or
 // already-stopped timer is a no-op.
-func (t *Timer) Stop() { t.stopped = true }
+func (t *Timer) Stop() {
+	e := t.e
+	if e == nil {
+		return
+	}
+	t.e = nil
+	if e.index >= 0 {
+		t.k.heapRemove(e)
+		t.k.putEvent(e)
+		return
+	}
+	e.kind = evCancelled
+}
 
 // After schedules fn like At but returns a Timer that can cancel it.
 // Long-lived watchdogs (function runtime limits, visibility timeouts)
@@ -264,8 +311,8 @@ func (k *Kernel) After(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	t := &Timer{}
 	e := k.getEvent()
+	t := &Timer{k: k, e: e}
 	e.at, e.kind, e.fn, e.timer = k.now+d, evCall, fn, t
 	k.schedule(e)
 	return t
@@ -292,20 +339,24 @@ func (k *Kernel) GoAfter(d time.Duration, name string, fn func(p *Proc)) *Proc {
 	}
 	p := &Proc{k: k, name: name, resume: resume, fn: fn}
 	k.live++
-	p.idx = len(k.procs)
+	p.idx = int32(len(k.procs))
 	k.procs = append(k.procs, p)
 	e := k.getEvent()
 	e.at, e.kind, e.proc = k.now+d, evStart, p
 	k.schedule(e)
+	if e.index >= 0 {
+		p.timed = e
+	}
 	return p
 }
 
 // finishProc removes a finished Proc from the live registry and recycles
 // its resume channel.
 func (k *Kernel) finishProc(p *Proc) {
+	p.finished = true
 	k.live--
 	last := len(k.procs) - 1
-	if p.idx <= last {
+	if int(p.idx) <= last {
 		k.procs[p.idx] = k.procs[last]
 		k.procs[p.idx].idx = p.idx
 		k.procs[last] = nil
@@ -317,45 +368,25 @@ func (k *Kernel) finishProc(p *Proc) {
 	}
 }
 
+// cancelWakeup removes p's queued timed wakeup, if it has one, from the
+// heap.
+func (k *Kernel) cancelWakeup(p *Proc) {
+	if e := p.timed; e != nil {
+		p.timed = nil
+		k.heapRemove(e)
+		k.putEvent(e)
+	}
+}
+
 // Run processes events until none remain, then returns. It returns an error
 // if any Proc panicked, if Procs remain blocked with no pending events
-// (simulation deadlock).
+// (simulation deadlock). A panic in an At or After closure propagates out
+// of Run.
 func (k *Kernel) Run() error {
-	for k.pending() {
-		k.events++
-		e := k.nextEvent()
-		// Drop dead events without advancing the clock: cancelled
-		// timers and stale wakeups (e.g. a timeout superseded by a
-		// signal) must not drag virtual time forward.
-		if e.timer != nil && e.timer.stopped {
-			k.putEvent(e)
-			continue
-		}
-		if e.kind == evResume && (e.proc.finished || e.token != e.proc.wake) {
-			k.putEvent(e)
-			continue
-		}
-		if e.at > k.now {
-			k.now = e.at
-		}
-		switch e.kind {
-		case evCall:
-			fn := e.fn
-			k.putEvent(e)
-			fn()
-		case evStart:
-			p := e.proc
-			k.putEvent(e)
-			go p.run()
-			k.wait()
-		case evResume:
-			p := e.proc
-			reason := e.reason
-			k.putEvent(e)
-			p.wake++
-			p.resume <- reason
-			k.wait()
-		}
+	k.step(nil)
+	<-k.idle
+	if k.panicked {
+		panic(k.panicVal)
 	}
 	if k.live > 0 {
 		// Error path only: reconstruct the human-readable blocked set from
@@ -375,15 +406,75 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// wait blocks until the currently running Proc yields or finishes.
-func (k *Kernel) wait() {
-	msg := <-k.step
-	if msg.done {
-		k.finishProc(msg.p)
-		if msg.err != nil {
-			k.failures = append(k.failures, msg.err)
+// step runs the event loop on the calling goroutine, which holds control:
+// Run's (self is nil) or a parking or finishing Proc's (self). It reports
+// true, with the reason, when the next event resumes self. Otherwise it
+// has handed control to another Proc, or to Run when no event is left or a
+// closure panicked, and the caller must touch no simulation state.
+func (k *Kernel) step(self *Proc) (WakeReason, bool) {
+	for k.pending() && !k.panicked {
+		e := k.nextEvent()
+		// Heap events are live; a dead ring event is at the current
+		// instant, so it never moves the clock either.
+		k.now = e.at
+		p := e.proc
+		switch e.kind {
+		case evCall:
+			fn := e.fn
+			if t := e.timer; t != nil {
+				t.e = nil
+			}
+			k.putEvent(e)
+			if self == nil {
+				fn()
+			} else {
+				k.call(fn)
+			}
+		case evStart:
+			k.putEvent(e)
+			if p.finished {
+				continue // killed before it started
+			}
+			p.timed = nil
+			p.started = true
+			go p.run()
+			return 0, false
+		case evResume:
+			reason := e.reason
+			live := !p.finished && e.token == p.wake
+			if p.timed == e {
+				p.timed = nil
+			}
+			k.putEvent(e)
+			if !live {
+				continue // superseded while it waited in the ring
+			}
+			k.cancelWakeup(p)
+			p.wake++
+			if p == self {
+				return reason, true
+			}
+			p.resume <- reason
+			return 0, false
+		case evCancelled:
+			k.putEvent(e)
 		}
 	}
+	k.idle <- struct{}{}
+	return 0, false
+}
+
+// call runs a closure on a Proc's goroutine. Its panic is not that Proc's
+// to recover: call catches it for Run to re-raise.
+func (k *Kernel) call(fn func()) {
+	ok := false
+	defer func() {
+		if !ok {
+			k.panicked, k.panicVal = true, recover()
+		}
+	}()
+	fn()
+	ok = true
 }
 
 // Proc is a simulated process. Its methods must only be called from the
@@ -394,9 +485,13 @@ type Proc struct {
 	fn     func(*Proc)
 	resume chan WakeReason
 	wake   uint64
-	idx    int // position in the kernel's live-proc registry
-	killed bool
+	timed  *event // queued heap event that resumes or starts the Proc
 
+	// idx is the Proc's position in the kernel's live-proc registry; an
+	// int32 beside the flags keeps a Proc in the 80-byte size class.
+	idx      int32
+	started  bool
+	killed   bool
 	finished bool
 	where    string // non-empty while parked; deadlock reporting only
 }
@@ -409,16 +504,12 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 
 func (p *Proc) run() {
 	defer func() {
-		p.finished = true
-		if r := recover(); r != nil {
-			if r == errKilled {
-				p.k.step <- stepMsg{done: true, p: p}
-				return
-			}
-			p.k.step <- stepMsg{done: true, p: p, err: fmt.Errorf("proc %q panicked: %v", p.name, r)}
-			return
+		k := p.k
+		if r := recover(); r != nil && r != errKilled {
+			k.failures = append(k.failures, fmt.Errorf("proc %q panicked: %v", p.name, r))
 		}
-		p.k.step <- stepMsg{done: true, p: p}
+		k.finishProc(p)
+		k.step(p)
 	}()
 	p.fn(p)
 }
@@ -426,11 +517,14 @@ func (p *Proc) run() {
 // errKilled is the sentinel panic payload used to unwind a killed Proc.
 var errKilled = fmt.Errorf("sim: proc killed")
 
-// pause hands control back to the kernel and blocks until resumed.
+// pause parks p and runs the event loop until an event resumes it.
 func (p *Proc) pause(where string) WakeReason {
 	p.where = where
-	p.k.step <- stepMsg{}
-	r := <-p.resume
+	resume := p.resume
+	r, ok := p.k.step(p)
+	if !ok {
+		r = <-resume
+	}
 	p.where = ""
 	if r == WakeKill {
 		p.killed = true
@@ -445,6 +539,9 @@ func (k *Kernel) scheduleResume(p *Proc, at time.Duration, reason WakeReason) {
 	e := k.getEvent()
 	e.at, e.kind, e.proc, e.token, e.reason = at, evResume, p, p.wake, reason
 	k.schedule(e)
+	if e.index >= 0 {
+		p.timed = e
+	}
 }
 
 // Sleep advances the Proc's virtual time by d. Negative durations count as
@@ -463,11 +560,17 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Kill forcibly terminates target. It may be called from Proc context or
-// from an At closure. Killing a finished Proc is a no-op. The victim's
+// from an At closure. Killing a finished Proc is a no-op, and a Proc
+// killed before it starts never runs and counts as finished. The victim's
 // pending defers run, but it must not block on simulation primitives while
 // unwinding.
 func (k *Kernel) Kill(target *Proc) {
 	if target.finished {
+		return
+	}
+	k.cancelWakeup(target)
+	if !target.started {
+		k.finishProc(target)
 		return
 	}
 	target.wake++
