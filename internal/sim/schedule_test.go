@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -224,6 +225,9 @@ func TestClosurePanicSurfacesFromRun(t *testing.T) {
 			}
 			if caught {
 				t.Fatal("the proc's recover caught the closure's panic")
+			}
+			if !strings.Contains(string(k.panicStack), "schedule_test.go") {
+				t.Fatalf("recorded stack does not reach the closure:\n%s", k.panicStack)
 			}
 		})
 	}

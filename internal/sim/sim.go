@@ -61,6 +61,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -134,9 +136,11 @@ type Kernel struct {
 
 	failures []error
 
-	// A closure's panic caught on a Proc's goroutine, for Run to re-raise.
-	panicked bool
-	panicVal any
+	// A closure's panic and the stack it was raised on, for Run to
+	// re-raise.
+	panicked   bool
+	panicVal   any
+	panicStack []byte
 }
 
 // New returns a fresh Kernel with the clock at zero.
@@ -381,11 +385,14 @@ func (k *Kernel) cancelWakeup(p *Proc) {
 // Run processes events until none remain, then returns. It returns an error
 // if any Proc panicked, if Procs remain blocked with no pending events
 // (simulation deadlock). A panic in an At or After closure propagates out
-// of Run.
+// of Run, after Run prints the stack the closure failed on to stderr.
 func (k *Kernel) Run() error {
 	k.step(nil)
 	<-k.idle
 	if k.panicked {
+		// The re-raised panic's trace starts here, so print where the
+		// closure failed first.
+		fmt.Fprintf(os.Stderr, "sim: panic in an At or After closure: %v\n%s", k.panicVal, k.panicStack)
 		panic(k.panicVal)
 	}
 	if k.live > 0 {
@@ -425,11 +432,7 @@ func (k *Kernel) step(self *Proc) (WakeReason, bool) {
 				t.e = nil
 			}
 			k.putEvent(e)
-			if self == nil {
-				fn()
-			} else {
-				k.call(fn)
-			}
+			k.call(fn)
 		case evStart:
 			k.putEvent(e)
 			if p.finished {
@@ -464,13 +467,15 @@ func (k *Kernel) step(self *Proc) (WakeReason, bool) {
 	return 0, false
 }
 
-// call runs a closure on a Proc's goroutine. Its panic is not that Proc's
-// to recover: call catches it for Run to re-raise.
+// call runs a closure on the goroutine holding control. Its panic is not
+// a Proc's to recover: call catches it, with the stack it was raised on,
+// for Run to re-raise.
 func (k *Kernel) call(fn func()) {
 	ok := false
 	defer func() {
 		if !ok {
 			k.panicked, k.panicVal = true, recover()
+			k.panicStack = debug.Stack()
 		}
 	}()
 	fn()
