@@ -97,8 +97,10 @@ loc:
 # host's time that is), so "where does the replay engine spend its time"
 # is one command away. The same profiles follow for core's
 # BenchmarkEngineRun: serial, one Serial run of the stream_day shape on the
-# one-rank worker, and queue, the FSI loop over the Queue channel at P=4
-# (B/op and allocs/op print with the timing).
+# one-rank worker of a fresh deployment; serial-warm, the same run on a
+# deployment that has served one, so its B/op is the path that recycles the
+# layer buffer; and queue, the FSI loop over the Queue channel at P=4 (B/op
+# and allocs/op print with the timing).
 # Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles

@@ -145,7 +145,12 @@ func transfer(bytes int, rate float64) time.Duration {
 
 // Put writes an object, overwriting any existing object at key. PUTs are
 // billed per request regardless of size, including zero-byte objects (the
-// engine's ".nul" markers).
+// engine's ".nul" markers). Like Stage, the bucket adopts data as the
+// stored object instead of copying it: the caller hands the bytes over and
+// must never write to them again. What the engine puts — a run's result
+// frame, the Object channel's frames and the Hybrid channel's bulk chunks —
+// is an encoded wire frame, immutable once built, so a host copy would
+// only charge the simulator for bytes nobody changes.
 func (b *Bucket) Put(p *sim.Proc, key string, data []byte) error {
 	if key == "" {
 		return fmt.Errorf("s3: empty object key")
@@ -156,9 +161,7 @@ func (b *Bucket) Put(p *sim.Proc, key string, data []byte) error {
 		bw = b.PutBandwidth
 	}
 	p.Sleep(b.svc.cfg.PutLatency + transfer(len(data), bw))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.objects[key] = cp
+	b.objects[key] = data
 	b.svc.meter.S3PutCalls++
 	b.svc.meter.S3BytesIn += int64(len(data))
 	return nil
@@ -180,11 +183,11 @@ func (b *Bucket) Get(p *sim.Proc, key string) ([]byte, error) {
 // token, billed GET, latency plus transfer time, metered bytes out — but
 // the returned bytes are the stored object itself, shared with the bucket
 // and every other reader, and must not be modified. A stored object is the
-// private copy Put made or the slice Stage adopted, which its owner gave up
-// writing to, and is replaced, never written to, so a view stays valid and
-// unchanged for as long as its holder keeps it. The simulated transfer is
-// what the reader pays for; copying the bytes again on the host would only
-// charge the simulator.
+// slice Put or Stage adopted, which its owner gave up writing to, and is
+// replaced, never written to, so a view stays valid and unchanged for as
+// long as its holder keeps it. The simulated transfer is what the reader
+// pays for; copying the bytes again on the host would only charge the
+// simulator.
 func (b *Bucket) View(p *sim.Proc, key string) ([]byte, error) {
 	b.getLimiter(key).Take(p, 1)
 	b.svc.meter.S3GetCalls++

@@ -58,16 +58,21 @@ func TestGetMissingKeyErrorsAndBills(t *testing.T) {
 	}
 }
 
+// TestGetReturnsCopy: the stored object is the slice Put was handed (the
+// caller gave it up, see TestStageAndPutAdopt), and Get copies it for the
+// reader, whose writes to that copy leave the stored object alone.
 func TestGetReturnsCopy(t *testing.T) {
 	k, _, svc := newSvc()
 	b := svc.CreateBucket("b")
 	k.Go("w", func(p *sim.Proc) {
 		orig := []byte("abc")
 		b.Put(p, "k", orig)
-		orig[0] = 'Z' // caller mutation must not affect stored object
 		got, _ := b.Get(p, "k")
 		if string(got) != "abc" {
-			t.Errorf("stored object affected by caller mutation: %q", got)
+			t.Errorf("Get read %q, want the bytes put", got)
+		}
+		if &got[0] == &orig[0] {
+			t.Error("Get returned the stored object, not a copy")
 		}
 		got[0] = 'Y' // reader mutation must not affect stored object
 		got2, _ := b.Get(p, "k")
@@ -163,11 +168,12 @@ func TestViewAliasesStorage(t *testing.T) {
 	}
 }
 
-// TestStageAdoptsPutCopies: a staged slice is the stored slice — staging is
-// host-side and its callers hand over immutable bytes — while Put, which a
-// function pays for and may follow with anything, still stores a copy.
-// Unstage is Stage's inverse: the object goes, nothing is counted or slept.
-func TestStageAdoptsPutCopies(t *testing.T) {
+// TestStageAndPutAdopt: the stored object is the slice its writer handed
+// over, whether staged host-side or put by a function that pays for it —
+// both kinds of caller hand over immutable bytes (deployments stage and put
+// wire frames and EncodeCSR blobs), so neither keeps a copy. Unstage is
+// Stage's inverse: the object goes, nothing is counted or slept.
+func TestStageAndPutAdopt(t *testing.T) {
 	k, m, svc := newSvc()
 	b := svc.CreateBucket("b")
 	k.Go("w", func(p *sim.Proc) {
@@ -179,8 +185,8 @@ func TestStageAdoptsPutCopies(t *testing.T) {
 		if &vs[0] != &staged[0] {
 			t.Error("Stage stored a copy of the slice it was given")
 		}
-		if &vp[0] == &put[0] {
-			t.Error("Put stored the caller's slice, not a copy")
+		if &vp[0] != &put[0] {
+			t.Error("Put stored a copy of the slice it was given")
 		}
 		before := p.Now()
 		b.Unstage("s")

@@ -70,8 +70,13 @@ func (w *worker) bucketFor(id int32) *s3.Bucket {
 
 // putTask is the thread-pool task that writes one object.
 func putTask(b *s3.Bucket, key string, body []byte) func(p *sim.Proc) error {
-	return func(p *sim.Proc) error { return b.Put(p, key, body) }
+	return func(p *sim.Proc) error { return putObject(b, p, key, body) }
 }
+
+// putObject is (*s3.Bucket).Put, a variable so that a test can watch every
+// frame a run hands the store: the bucket keeps the slice, so nothing may
+// write to a frame once it is put.
+var putObject = (*s3.Bucket).Put
 
 // getBodies GETs keys from bucket through a width-wide thread pool named
 // name; bodies[i] is the object under keys[i], shared with the store and

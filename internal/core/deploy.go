@@ -40,6 +40,9 @@ type Deployment struct {
 	// artifacts (see stagedCache).
 	staged *stagedModel
 
+	// zspare is the one-rank worker's spare layer buffer (see runAlone).
+	zspare sparse.Spare
+
 	runSeq int
 	// runs holds every in-flight request keyed by run id; handlers look
 	// their run up by the id carried in the invocation payload.

@@ -243,41 +243,113 @@ func TestFinishedRunLeavesTheBucket(t *testing.T) {
 	}
 }
 
-// TestSerialRunBytesMoved is the Serial path's allocation budget: one run of
+// TestSerialRunBytesMoved is the Serial path's allocation budget: a run of
 // a 64 x 4096 batch, uncompressed, from Start to done may allocate so many
 // times the batch's own bytes (1 MiB) and no more, so a batch-sized copy that
 // comes back fails here and not in a benchmark three changes later. With two
-// layers four batch-sized buffers are the work itself — the input frame, z of
-// each layer, the result frame — and a fifth is the copy the billed Put
-// keeps: 5.03 batches measured (the remainder is the kernel, the FaaS runtime
-// and the JSON payloads). It was 9.04 while the input was cloned, copied into
-// a row set before framing and copied again by Stage, and the result copied
-// into a row set of all N rows. Every output row of this input is non-zero;
-// an output with zero rows would add a row set of the others, under one
-// batch. The budget leaves a tenth of headroom. TotalAlloc counts the whole
-// process and one run is taken as it reads: 33 of 33 runs read 5.03 or 5.04,
-// alone, inside the package's whole suite and under the race detector. The
-// test must still not run in parallel with others, which would allocate
-// during it.
+// layers a fresh deployment's run allocates four batch-sized buffers, the
+// work itself: the input frame, z of each layer and the result frame (4.03
+// batches measured; the remainder is the kernel, the FaaS runtime and the
+// JSON payloads). The bucket keeps the frame Put is handed, so a store copy
+// would be a fifth. A second run on the same deployment multiplies its first
+// layer into the spare z the first run gave back, so only three are new:
+// the input frame and the result frame, the simulated objects, and the last
+// layer's z, which the result keeps (3.02 measured). It was 9.04 while the
+// input was cloned, copied into a row set before framing and copied again
+// by Stage, and the result copied into a row set of all N rows; 5.03 while
+// every z was new and Put copied. Every output row of this input is
+// non-zero; an output with zero rows would add a row set of the others,
+// under one batch. Each budget leaves about half a batch of headroom.
+// TotalAlloc counts the whole process, so the test must not run in parallel
+// with others, which would allocate during it.
 func TestSerialRunBytesMoved(t *testing.T) {
-	const neurons, batch, budget = 64, 4096, 5.5
+	const neurons, batch = 64, 4096
 	m, err := model.Generate(model.GraphChallengeSpec(neurons, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := serialDeployment(t, m, false)
-	input := model.GenerateInputs(neurons, batch, 0.2, 77)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := d.Infer(input)
-	runtime.ReadMemStats(&after)
+	for i, budget := range []float64{4.5, 3.5} {
+		input := model.GenerateInputs(neurons, batch, 0.2, int64(77+i))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := d.Infer(input)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCorrect(t, m, input, res)
+		moved := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
+		t.Logf("Serial run %d allocated %.2f x the batch's %d bytes", i+1, moved, input.Bytes())
+		if moved > budget {
+			t.Fatalf("Serial run %d allocated %.2f x its batch's bytes, budget %.1f: a batch-sized copy is back", i+1, moved, budget)
+		}
+	}
+}
+
+// TestSerialReusedLayerBuffersStayIsolated: Serial runs of widths 4096, 17
+// and 4096 on one deployment each match model.Reference and equal bit for
+// bit a fresh deployment's run of the same input. The second run multiplies
+// into the first run's spare z cut narrower, the third into it at full width
+// again, and with four layers the intermediate z's alternate through the
+// spare, so a value one run left in a recycled buffer would reach another's
+// output here. Twelve more runs of one input then start together on the
+// deployment; their cold starts, jittered, spread them over a quarter of a
+// second, so runs end while others hold the spare between their layers.
+// Every output stays as it was until the last run ends: a run that gave its
+// result back as the spare would have it overwritten with the layers of the
+// next run to take it.
+func TestSerialReusedLayerBuffersStayIsolated(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(64, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCorrect(t, m, input, res)
-	moved := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
-	t.Logf("one Serial run allocated %.2f x the batch's %d bytes", moved, input.Bytes())
-	if moved > budget {
-		t.Fatalf("one Serial run allocated %.2f x its batch's bytes, budget %.1f: a batch-sized copy is back", moved, budget)
+	d := serialDeployment(t, m, false)
+	var outs, kept []*sparse.Dense
+	for i, width := range []int{4096, 17, 4096} {
+		input := model.GenerateInputs(64, width, 0.2, int64(30+i))
+		res, err := d.Infer(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCorrect(t, m, input, res)
+		fresh, err := serialDeployment(t, m, false).Infer(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(res.Output.Data, fresh.Output.Data) {
+			t.Fatalf("run %d (width %d): output differs from a fresh deployment's", i+1, width)
+		}
+		outs, kept = append(outs, res.Output), append(kept, res.Output.Clone())
+	}
+	input := model.GenerateInputs(64, 4096, 0.2, 40)
+	want, err := serialDeployment(t, m, false).Infer(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, 12)
+	for i := range results {
+		i := i
+		if _, err := d.Start(input, func(r *Result, err error) {
+			if err != nil {
+				t.Errorf("overlapping run %d: %v", i+1, err)
+			}
+			results[i] = r
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Env.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res == nil || !sameBits(res.Output.Data, want.Output.Data) {
+			t.Fatalf("overlapping run %d: no output, or not a fresh deployment's", i+1)
+		}
+	}
+	for i := range outs {
+		if !sameBits(outs[i].Data, kept[i].Data) {
+			t.Fatalf("run %d's output changed during the later runs", i+1)
+		}
 	}
 }

@@ -1,17 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/s3"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
+	"fsdinference/internal/sim"
+	"fsdinference/internal/wire"
 )
 
 func TestTransportTable(t *testing.T) {
@@ -247,5 +252,72 @@ func namedOnlyIn(t *testing.T, home string, names ...string) {
 			return true
 		}
 		ast.Inspect(file, visit)
+	}
+}
+
+// TestPutFramesStayAsEncoded: the object store keeps the slice Put is
+// handed, so every frame a run puts — the result object, the Object
+// channel's frames and the Hybrid channel's bulk chunks — must still read
+// back as wire.Encode of the set it was made from when the run ends, and
+// after the next run on the same deployment. A frame that its producer
+// reused or wrote to after the Put fails here. Each frame's set is read
+// from the frame as it is put and re-encoded from a copy with no memoised
+// frame, so the comparison runs the encoder again.
+func TestPutFramesStayAsEncoded(t *testing.T) {
+	type put struct {
+		key   string
+		frame []byte
+		set   *wire.RowSet
+	}
+	var puts []put
+	defer func(orig func(*s3.Bucket, *sim.Proc, string, []byte) error) { putObject = orig }(putObject)
+	putObject = func(b *s3.Bucket, p *sim.Proc, key string, data []byte) error {
+		if len(data) > 0 {
+			rs, err := wire.Decode(data)
+			if err != nil {
+				t.Fatalf("%s: put a frame that does not decode: %v", key, err)
+			}
+			set := &wire.RowSet{Batch: rs.Batch, IDs: slices.Clone(rs.IDs), Vals: slices.Clone(rs.Vals)}
+			puts = append(puts, put{key, data, set})
+		}
+		return b.Put(p, key, data)
+	}
+	for _, kind := range ChannelKinds() {
+		for _, compress := range []bool{false, true} {
+			puts = puts[:0]
+			d, m, input := testSetup(t, 128, 3, 3, kind, func(c *Config) {
+				c.Compress = compress
+				c.HybridThresholdBytes, c.HybridChunkBytes = 256, 1<<10
+			})
+			for run := 1; run <= 2; run++ {
+				res, err := d.Infer(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCorrect(t, m, input, res)
+				var results, bulk int
+				for _, pt := range puts {
+					want, err := wire.Encode(pt.set, compress)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(pt.frame, want) {
+						t.Fatalf("%v compress=%v, after run %d: object %s no longer holds the frame it was put with", kind, compress, run, pt.key)
+					}
+					if strings.HasPrefix(pt.key, "result/") {
+						results++
+					}
+					if strings.Contains(pt.key, "/bulk/") {
+						bulk++
+					}
+				}
+				if results != run {
+					t.Fatalf("%v compress=%v: %d result objects put in %d runs", kind, compress, results, run)
+				}
+				if others := len(puts) - results; (kind == Object || kind == Hybrid) != (others > 0) || kind == Hybrid && bulk == 0 {
+					t.Fatalf("%v compress=%v: %d frames put beside the results, %d of them bulk chunks", kind, compress, others, bulk)
+				}
+			}
+		}
 	}
 }

@@ -356,22 +356,38 @@ func (w *worker) runFSI() error {
 // dense activation with sparse.Mul, the faster kernel at full width, and the
 // rank stores the last layer's z as the result itself. Each z is charged
 // for its own layer only, and only this path records WorkerMetrics.MACs.
+//
+// Only the last layer's z outlives the run (every Response keeps it), so it
+// alone is new: an intermediate layer multiplies into the deployment's
+// spare buffer (sparse.MulInto) and gives the previous layer's z back once
+// it has multiplied it, which nothing reads afterwards.
 func (w *worker) runAlone() error {
 	spec := w.d.Cfg.Model.Spec
 	perf := w.ctx.Perf()
-	// Mul reads x and writes a fresh z, so the first layer multiplies the
-	// caller's matrix as it stands. Only a model without layers would hand
-	// that matrix back as the run's output: it gets a copy.
+	// The first layer multiplies the caller's matrix as it stands. Only a
+	// model without layers would hand that matrix back as the run's output:
+	// it gets a copy.
 	x := w.run.input
 	if len(w.weights) == 0 {
 		x = x.Clone()
 	}
+	last := len(w.weights) - 1
 	for k, blk := range w.weights {
 		lsp := w.opSpan("layer")
 		if lsp.Active() {
 			lsp.SetAttr("k", strconv.Itoa(k))
 		}
-		z, macs := sparse.Mul(blk.own, x)
+		var z *sparse.Dense
+		var macs int64
+		if k == last {
+			z, macs = sparse.Mul(blk.own, x)
+		} else {
+			z = w.d.zspare.Take(blk.own.Rows, x.Cols)
+			macs = sparse.MulInto(blk.own, x, z)
+		}
+		if k > 0 {
+			w.d.zspare.Give(x)
+		}
 		zBytes := int64(float64(z.Bytes()) * perf.MemOverheadData)
 		w.ctx.Alloc(zBytes)
 		w.ctx.Compute(float64(macs))
@@ -572,7 +588,7 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 		return fmt.Errorf("core: encoding result: %w", err)
 	}
 	w.ctx.Serialize(int64(len(enc)))
-	if err := w.d.store.Put(w.ctx.P, resultKey(w.run.id), enc); err != nil {
+	if err := putObject(w.d.store, w.ctx.P, resultKey(w.run.id), enc); err != nil {
 		return fmt.Errorf("core: storing result: %w", err)
 	}
 	w.metrics.StorePuts++

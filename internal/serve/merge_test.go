@@ -7,7 +7,11 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/core"
+	"fsdinference/internal/model"
 	"fsdinference/internal/sparse"
 )
 
@@ -72,7 +76,7 @@ func TestMergeSliceRoundTripIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		neurons := 1 + rng.Intn(40)
 		b := randomBatch(rng, neurons)
-		merged := mergeInputs(neurons, b)
+		merged := mergeInputs(neurons, b, new(sparse.Spare))
 		if !identicalBits(merged, referenceMerge(sparse.NewDense(neurons, b.samples), b)) {
 			t.Fatalf("seed %d: merged batch differs from the reference merge", seed)
 		}
@@ -149,7 +153,7 @@ func TestMergeIsOfItsOwnMembers(t *testing.T) {
 	}
 	first := build(func(i int) float32 { return float32(i) })
 	twin := build(func(i int) float32 { return float32(i) })
-	m1, m2 := mergeInputs(neurons, first), mergeInputs(neurons, twin)
+	m1, m2 := mergeInputs(neurons, first, new(sparse.Spare)), mergeInputs(neurons, twin, new(sparse.Spare))
 	if !identicalBits(m1, m2) {
 		t.Fatal("two batches of equal members merged to different bits")
 	}
@@ -161,7 +165,7 @@ func TestMergeIsOfItsOwnMembers(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		runtime.GC()
 		third := build(func(i int) float32 { return -float32(i + round) })
-		if got := mergeInputs(neurons, third); !identicalBits(got, referenceMerge(sparse.NewDense(neurons, third.samples), third)) {
+		if got := mergeInputs(neurons, third, new(sparse.Spare)); !identicalBits(got, referenceMerge(sparse.NewDense(neurons, third.samples), third)) {
 			t.Fatalf("round %d: a batch built after another's inputs were freed did not merge to its own values", round)
 		}
 	}
@@ -214,5 +218,91 @@ func BenchmarkMergeSlice(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedRunKeepsItsMergeBuffer: a coalesced run that fails — a function
+// timeout too short for its 4096 samples, long enough for the smaller
+// batches after it — is followed by successful coalesced runs whose outputs
+// equal a fresh service's bit for bit: wide members, then a tile of
+// one-column members and a narrower batch, each merged into the buffer the
+// wider run before it gave back, and a lone request. The failed run's merge buffer is never taken
+// back: a timed-out instance may still read it. The scheduler's spare is
+// seeded with a buffer the failing batch fits, so that batch merges into it,
+// and the spare must not hold it after the failure or after the runs that
+// follow it.
+func TestFailedRunKeepsItsMergeBuffer(t *testing.T) {
+	m := testModel(t, 64, 2)
+	type group struct {
+		at     time.Duration
+		widths []int
+	}
+	ok := []group{
+		{10 * time.Second, []int{200, 56, 9}},
+		{20 * time.Second, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{30 * time.Second, []int{3, 3, 3, 3, 3}},
+		{40 * time.Second, []int{7}},
+	}
+	newService := func(timeout time.Duration) *Service {
+		svc, err := NewService(env.NewDefault(), WithCoalescing(4096, time.Second),
+			WithEndpoint("s64", m, WithDeployOverride(func(c *core.Config) {
+				if timeout > 0 {
+					c.FunctionTimeout = timeout
+				}
+			})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	submit := func(svc *Service, g group, seed int64) []*Handle {
+		var hs []*Handle
+		for i, w := range g.widths {
+			hs = append(hs, svc.Submit("s64", model.GenerateInputs(64, w, 0.2, seed+int64(i)), g.at))
+		}
+		if err := svc.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return hs
+	}
+
+	// 4096 samples run 100 ms on the instance, the groups below 70 - 80.
+	svc := newService(85 * time.Millisecond)
+	sc := svc.byName["s64"].sched
+	seed := sparse.NewDense(64, 4096)
+	sc.spare.Give(seed)
+	for _, h := range submit(svc, group{0, []int{512, 512, 512, 512, 512, 512, 512, 512}}, 1) {
+		if _, err := h.Wait(); err == nil {
+			t.Fatal("a request of the 4096-sample run succeeded; the timeout no longer fails it")
+		}
+	}
+	if runs := svc.byName["s64"].stats.Runs; runs != 0 {
+		t.Fatalf("%d runs succeeded in the failing group", runs)
+	}
+	if got := sc.spare.Take(64, 4096); got == seed {
+		t.Fatal("the failed run's merge buffer came back as the spare")
+	}
+	fresh := newService(0)
+	for gi, g := range ok {
+		hs, want := submit(svc, g, int64(100*gi)), submit(fresh, g, int64(100*gi))
+		for i := range hs {
+			got, err := hs[i].Wait()
+			if err != nil {
+				t.Fatalf("group %d request %d failed: %v", gi, i, err)
+			}
+			ref, err := want[i].Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !identicalBits(got.Output(), ref.Output()) {
+				t.Fatalf("group %d request %d: output differs from a fresh service's", gi, i)
+			}
+		}
+	}
+	if runs := svc.byName["s64"].stats.Runs; runs != len(ok) {
+		t.Fatalf("%d successful runs, want one per group (%d)", runs, len(ok))
+	}
+	if got := sc.spare.Take(64, 4096); got == seed {
+		t.Fatal("the failed run's merge buffer was reused by a later run")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fsdinference/internal/obs"
 	"fsdinference/internal/plan"
 	"fsdinference/internal/sim"
+	"fsdinference/internal/sparse"
 )
 
 // scheduler owns one endpoint's scheduling mechanics: the coalescing
@@ -37,6 +38,11 @@ type scheduler struct {
 
 	pool     []*replica
 	busyRuns int
+
+	// spare is the buffer a coalesced batch is merged into (startRun). It
+	// comes back in finishRun after a successful run only: a run that
+	// failed may have timed out on an instance that still reads its input.
+	spare sparse.Spare
 
 	// Workload observation for deadline shedding, autoscaling and the
 	// WorkloadProfile fed to SLO re-planning. The inter-arrival EWMA is
@@ -495,9 +501,9 @@ func (sc *scheduler) startRun(rep *replica, b *batch) {
 			runSpan = t.Start(rep.track, "run", obs.KindRun, 0)
 		}
 	}
-	input := mergeInputs(sc.ep.m.Spec.Neurons, b)
+	input := mergeInputs(sc.ep.m.Spec.Neurons, b, &sc.spare)
 	id, err := rep.d.StartTraced(input, runSpan.ID(), func(res *core.Result, err error) {
-		sc.finishRun(rep, b, runSpan, res, err)
+		sc.finishRun(rep, b, input, runSpan, res, err)
 	})
 	if err != nil {
 		sc.releaseRun(rep)
@@ -561,17 +567,22 @@ func (sc *scheduler) maybeReplace(rep *replica, now time.Duration) {
 }
 
 // finishRun runs in simulation context when a replica's engine run
-// completes: it releases the run slot, hands each coalesced request its
-// column window of the run's output (copied out only when the response's
-// Output is called), feeds the observations to the scaling/SLO machinery
-// and dispatches any backlog.
-func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res *core.Result, err error) {
+// completes: it releases the run slot, takes a coalesced batch's merged
+// input back as the spare once the run has succeeded (every rank is done
+// with it, and the output is a matrix of the run's own), hands each
+// coalesced request its column window of the run's output (copied out only
+// when the response's Output is called), feeds the observations to the
+// scaling/SLO machinery and dispatches any backlog.
+func (sc *scheduler) finishRun(rep *replica, b *batch, input *sparse.Dense, runSpan obs.SpanRef, res *core.Result, err error) {
 	sc.releaseRun(rep)
 	if err != nil {
 		sc.failRun(b, runSpan, "run", err)
 		sc.evaluatePool()
 		sc.dispatch()
 		return
+	}
+	if len(b.reqs) > 1 {
+		sc.spare.Give(input)
 	}
 	ep, m, now := sc.ep, sc.ep.met, sc.now()
 	if sc.estRun == 0 {

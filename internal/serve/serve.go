@@ -753,12 +753,13 @@ func (s *Service) Run() error {
 const mergeTile = 16
 
 // mergeInputs concatenates the batch's activation matrices column-wise
-// into one engine input, in admission order.
-func mergeInputs(neurons int, b *batch) *sparse.Dense {
+// into one engine input, in admission order: a lone member's own matrix, or
+// spare's buffer filled with the members (mergeInto writes every element).
+func mergeInputs(neurons int, b *batch, spare *sparse.Spare) *sparse.Dense {
 	if len(b.reqs) == 1 {
 		return b.reqs[0].input
 	}
-	return mergeInto(sparse.NewDense(neurons, b.samples), b)
+	return mergeInto(spare.Take(neurons, b.samples), b)
 }
 
 // mergeInto fills out, of the batch's shape, from the batch's members. A run

@@ -24,7 +24,9 @@
 // # Which kernel serves which path
 //
 //   - Mul, Serial's one-rank worker and the baselines: one full-width dense x,
-//     batches of hundreds to thousands of columns. A streaming loop over
+//     batches of hundreds to thousands of columns; MulInto is the same
+//     product into a recycled z, whose rows it clears as it reaches them
+//     (the one-rank worker's intermediate layers). A streaming loop over
 //     the whole batch per four live stored weights of a row (mulAdd4):
 //     z[r][:] += v0*x[c0][:] + ... + v3*x[c3][:], added one product at a
 //     time; a row's last one to three live weights take a pass each
@@ -393,15 +395,33 @@ func MulRowsInto(w *CSR, x [][]float32, z *Dense) int64 {
 }
 
 // Mul computes z = W · x for a full-width dense activation matrix
-// (x.Rows == W.Cols), the serial/baseline path. Zero activation rows are
-// skipped and not charged, as in sparse execution. Returns z and the
-// multiply-add count.
+// (x.Rows == W.Cols), the serial/baseline path, into a new matrix. Zero
+// activation rows are skipped and not charged, as in sparse execution.
+// Returns z and the multiply-add count.
 //
 // Each weight row's live stored weights (those whose activation row is not
 // zero) are taken four at a time: one pass over the batch loads z[r][j]
 // once, adds the four products in ascending column order and stores it
 // once. A row's last one to three live weights take a pass each.
 func Mul(w *CSR, x *Dense) (*Dense, int64) {
+	z := NewDense(w.Rows, x.Cols)
+	return z, mul(w, x, z, false)
+}
+
+// MulInto is Mul into a matrix of the caller's, W.Rows x x.Cols, whatever
+// it held: each row of z is cleared just before its products are added, so
+// z comes out bit for bit as Mul's fresh matrix would. Returns the
+// multiply-add count.
+func MulInto(w *CSR, x, z *Dense) int64 {
+	if z.Rows != w.Rows || z.Cols != x.Cols || len(z.Data) != z.Rows*z.Cols {
+		panic(fmt.Sprintf("sparse: z is %dx%d over %d values, want %dx%d", z.Rows, z.Cols, len(z.Data), w.Rows, x.Cols))
+	}
+	return mul(w, x, z, true)
+}
+
+// mul adds W · x into z, clearing each row of z first when clearRows is set
+// (Mul's z is zero already).
+func mul(w *CSR, x, z *Dense, clearRows bool) int64 {
 	if x.Rows != w.Cols {
 		panic(fmt.Sprintf("sparse: x has %d rows, want %d", x.Rows, w.Cols))
 	}
@@ -409,7 +429,6 @@ func Mul(w *CSR, x *Dense) (*Dense, int64) {
 	for r := 0; r < x.Rows; r++ {
 		zero[r] = x.RowIsZero(r)
 	}
-	z := NewDense(w.Rows, x.Cols)
 	var live int64
 	nc := x.Cols
 	xd := x.Data
@@ -417,6 +436,9 @@ func Mul(w *CSR, x *Dense) (*Dense, int64) {
 		cols, vals := w.Row(r)
 		vals = vals[:len(cols)] // one length for both: no bounds check on vals[i]
 		zrow := z.Data[r*nc : r*nc+nc]
+		if clearRows {
+			clear(zrow)
+		}
 		var xs [4][]float32
 		var vs [4]float32
 		n := 0
@@ -437,7 +459,37 @@ func Mul(w *CSR, x *Dense) (*Dense, int64) {
 		}
 		live += int64(n)
 	}
-	return z, live * int64(nc)
+	return live * int64(nc)
+}
+
+// Spare is a one-slot holder of a Dense buffer that its owner takes for
+// one call and gives back for the next, instead of allocating a matrix of
+// the same size each time. The zero value is empty; it is not safe for
+// concurrent use (a simulation runs one process at a time).
+type Spare struct{ held *Dense }
+
+// Take empties the slot and returns its buffer shaped rows x cols. When the
+// slot is empty, or its buffer holds fewer than rows*cols values, it
+// returns a new zeroed matrix and the slot keeps what it held. A reused
+// buffer holds what its last user left in it: the caller overwrites every
+// element before anything reads it.
+func (s *Spare) Take(rows, cols int) *Dense {
+	d := s.held
+	if d == nil || cap(d.Data) < rows*cols {
+		return NewDense(rows, cols)
+	}
+	s.held = nil
+	d.Rows, d.Cols, d.Data = rows, cols, d.Data[:rows*cols]
+	return d
+}
+
+// Give puts d in the slot unless the slot holds a buffer at least as
+// large, so the slot keeps the largest buffer it has seen. The caller hands
+// d over: nothing may read or write it afterwards.
+func (s *Spare) Give(d *Dense) {
+	if s.held == nil || cap(d.Data) > cap(s.held.Data) {
+		s.held = d
+	}
 }
 
 // ReLUBiasClamp applies x = min(clamp, max(0, x + bias)) elementwise in

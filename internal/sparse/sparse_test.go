@@ -226,6 +226,89 @@ func TestMulGatherMatchesMulProperty(t *testing.T) {
 	}
 }
 
+// TestMulIntoMatchesMul: MulInto into a matrix that held other values comes
+// out bit for bit as Mul's fresh matrix, with the same MAC count, whatever z
+// held — NaN payloads, -0 and noise, or zeros — and when z is a wider
+// batch's buffer taken back from a Spare for a narrower batch. A row no live
+// weight reaches must come out +0, not what the buffer held. x carries -0
+// and one NaN payload among its activations (one payload, so no two meet in
+// an add; see TestKernelsSpecialValuesBits).
+func TestMulIntoMatchesMul(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := math.Float32frombits(0x7fc00123)
+	rng := rand.New(rand.NewSource(5))
+	junk := func(z *Dense) {
+		for i := range z.Data {
+			switch rng.Intn(4) {
+			case 0:
+				z.Data[i] = negZero
+			case 1:
+				z.Data[i] = math.Float32frombits(0x7f800000 | uint32(1+rng.Intn(1<<22)))
+			default:
+				z.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+	}
+	var spare Spare
+	var first *float32
+	for i, batch := range []int{17, 9, 1, 4, 8, 16, 3} {
+		w, x := mulCase(rng, batch)
+		for j := range x.Data {
+			switch rng.Intn(8) {
+			case 0:
+				x.Data[j] = negZero
+			case 1:
+				x.Data[j] = nan
+			}
+		}
+		want, wantMACs := Mul(w, x)
+		held := NewDense(w.Rows, x.Cols)
+		junk(held)
+		recycled := spare.Take(w.Rows, x.Cols)
+		if i == 0 {
+			first = &recycled.Data[0]
+		} else if &recycled.Data[0] != first {
+			t.Fatalf("batch %d: the spare did not hand back the batch-17 buffer", batch)
+		}
+		for _, z := range []struct {
+			name string
+			z    *Dense
+		}{{"held other values", held}, {"zeroed", NewDense(w.Rows, x.Cols)}, {"recycled wider", recycled}} {
+			macs := MulInto(w, x, z.z)
+			if macs != wantMACs || !sameBits(z.z, want) {
+				t.Fatalf("batch %d, z %s: MulInto differs from Mul (macs %d, want %d)", batch, z.name, macs, wantMACs)
+			}
+		}
+		junk(recycled)
+		spare.Give(recycled)
+	}
+}
+
+// TestSpareKeepsTheLargest: a Spare hands its buffer out once, keeps what it
+// holds when that is too small for a Take, and keeps the larger of what it
+// holds and what it is given.
+func TestSpareKeepsTheLargest(t *testing.T) {
+	var s Spare
+	small := s.Take(2, 3)
+	s.Give(small)
+	if got := s.Take(2, 3); got != small {
+		t.Fatal("Take did not return the buffer given back")
+	}
+	if got := s.Take(2, 3); got == small {
+		t.Fatal("Take handed one buffer out twice")
+	}
+	s.Give(small)
+	big := s.Take(4, 4) // too large for small: new, and small stays
+	if big == small || len(big.Data) != 16 {
+		t.Fatal("Take reshaped a buffer too small for it")
+	}
+	s.Give(big)
+	s.Give(small)
+	if got := s.Take(1, 5); got != big || got.Rows != 1 || got.Cols != 5 || len(got.Data) != 5 {
+		t.Fatal("the spare did not keep the larger buffer, reshaped")
+	}
+}
+
 // TestKernelsSpecialValuesBits passes NaN payloads (in x, in z and in the
 // weights), infinities, subnormals and signed zeros through Mul and
 // MulRowsInto and compares them with MulGatherInto by Float32bits and MAC
@@ -548,7 +631,7 @@ func serialCase(batch int) (*CSR, *Dense) {
 var serialBatches = []int{256, 1042, 4096}
 
 // BenchmarkMulSerial times Mul at Serial's shape, allocation of z
-// included, as the one-rank worker calls it.
+// included, as the one-rank worker calls it for its last layer.
 //
 //	go test ./internal/sparse -run '^$' -bench 'MulSerial|ReLUBiasClamp' -cpu 1
 func BenchmarkMulSerial(b *testing.B) {
