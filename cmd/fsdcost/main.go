@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fsdinference/internal/cloud/env"
@@ -55,46 +56,61 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 }
 
 func main() {
-	neurons := flag.Int("neurons", 16384, "neurons per layer (paper scale)")
-	layers := flag.Int("layers", 120, "layer count")
-	workers := flag.Int("workers", 42, "worker parallelism")
-	batch := flag.Int("batch", 10000, "samples per request")
-	queries := flag.Int64("queries", 0, "expected queries per day (0 = unknown/sporadic)")
-	flag.Parse()
-
-	w, err := workloadFor(*neurons, *layers, *workers, *batch, *queries)
-	if err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == flag.ErrHelp:
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "fsdcost: %v\n", err)
 		os.Exit(2)
 	}
+}
+
+// run parses args and prints the workload's cost-model report to stdout;
+// flag usage goes to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fsdcost", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	neurons := fs.Int("neurons", 16384, "neurons per layer (paper scale)")
+	layers := fs.Int("layers", 120, "layer count")
+	workers := fs.Int("workers", 42, "worker parallelism")
+	batch := fs.Int("batch", 10000, "samples per request")
+	queries := fs.Int64("queries", 0, "expected queries per day (0 = unknown/sporadic)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	w, err := workloadFor(*neurons, *layers, *workers, *batch, *queries)
+	if err != nil {
+		return err
+	}
 	adv := cost.Recommend(w)
-	fmt.Printf("workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
+	fmt.Fprintf(stdout, "workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
 		*neurons, *layers, *workers, *batch, w.ModelBytes>>20)
-	fmt.Printf("recommendation: %s\n", adv.Channel)
+	fmt.Fprintf(stdout, "recommendation: %s\n", adv.Channel)
 	for _, r := range adv.Reasons {
-		fmt.Printf("  - %s\n", r)
+		fmt.Fprintf(stdout, "  - %s\n", r)
 	}
 
 	cat := pricing.Default()
-	fmt.Printf("\nAPI request cost per layer (pairs=%d):\n", w.PairsPerLayer)
-	fmt.Printf("%12s  %12s  %12s  %8s\n", "bytes/pair", "queue $", "object $", "ratio")
+	fmt.Fprintf(stdout, "\nAPI request cost per layer (pairs=%d):\n", w.PairsPerLayer)
+	fmt.Fprintf(stdout, "%12s  %12s  %12s  %8s\n", "bytes/pair", "queue $", "object $", "ratio")
 	for _, bytes := range []int64{16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20} {
 		q, o := cost.APICost(cat, w.PairsPerLayer, bytes)
-		fmt.Printf("%12d  %12.6f  %12.6f  %8.3f\n", bytes, q, o, q/o)
+		fmt.Fprintf(stdout, "%12d  %12.6f  %12.6f  %8.3f\n", bytes, q, o, q/o)
 	}
-	fmt.Println("\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
+	fmt.Fprintln(stdout, "\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
 
 	be := cost.MemoryBreakEvenQueriesPerDay(cat, w)
-	fmt.Printf("\nprovisioned memory store: $%.2f/day flat (no per-request charge), break-even ~%d queries/day\n",
+	fmt.Fprintf(stdout, "\nprovisioned memory store: $%.2f/day flat (no per-request charge), break-even ~%d queries/day\n",
 		cost.MemoryDailyCost(cat, w), be)
-	fmt.Println("below the break-even the node bills while idle — the sporadic-workload killer (§II-D)")
+	fmt.Fprintln(stdout, "below the break-even the node bills while idle — the sporadic-workload killer (§II-D)")
 
-	fmt.Println("\nplanner pre-filter preview (cost objective): channels pruned before simulated trials")
+	fmt.Fprintln(stdout, "\nplanner pre-filter preview (cost objective): channels pruned before simulated trials")
 	for _, v := range plan.PrefilterChannels(w) {
 		verdict := "trial"
 		if v.Pruned {
 			verdict = "prune: " + v.Reason
 		}
-		fmt.Printf("  %-16v %s\n", v.Channel, verdict)
+		fmt.Fprintf(stdout, "  %-16v %s\n", v.Channel, verdict)
 	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -33,6 +36,57 @@ func TestWorkloadForRejectsImpossibleDimensions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("workloadFor(%d, %d, %d, %d, %d) = %v, want an error naming %s",
 				tc.neurons, tc.layers, tc.workers, tc.batch, tc.queries, err, tc.flag)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/fsdcost.golden from this run's output")
+
+// TestGoldenOutput pins fsdcost's report, a "$ fsdcost <args>" line before
+// each, over N in {4096, 16384, 65536} at an unknown (sporadic) and a
+// sustained 10M/day volume. A change to the report rewrites the file with
+// `go test ./cmd/fsdcost -run TestGoldenOutput -update` and shows as its
+// diff.
+func TestGoldenOutput(t *testing.T) {
+	var b strings.Builder
+	for _, n := range []string{"4096", "16384", "65536"} {
+		for _, q := range []string{"0", "10000000"} {
+			args := []string{"-neurons", n, "-queries", q}
+			fmt.Fprintf(&b, "$ fsdcost %s\n", strings.Join(args, " "))
+			var stderr strings.Builder
+			if err := run(args, &b, &stderr); err != nil {
+				t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+			}
+			b.WriteByte('\n')
+		}
+	}
+	got := b.String()
+	const path = "testdata/fsdcost.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s (rerun with -update to rewrite it):\n%s", path, got)
+	}
+}
+
+// TestRunRejectsBadFlags: a flag error or an impossible dimension is an
+// error from run, not a report.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-neurons", "x"}, {"-workers", "0"}, {"-nosuch"}} {
+		var stdout, stderr strings.Builder
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("run(%v) = nil, want an error", args)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed a report:\n%s", args, stdout.String())
 		}
 	}
 }
