@@ -1,5 +1,5 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke portable loc profile docs-paths
+.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke portable loc cover profile docs-paths
 
 check: fmt vet build test lint bench-smoke fuzz-smoke portable docs-paths
 
@@ -90,6 +90,19 @@ loc:
 		files=$$(ls $$dir/*.go | grep -v '_test\.go$$'); \
 		printf '%6d %s\n' $$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) .$${dir#$(CURDIR)}; \
 	done | awk '{ n += $$1; print } END { printf "%6d total\n", n }'
+
+# cover runs the module's tests once with -coverprofile and prints, per
+# package, the statements they leave unrun and the package's statement
+# count, then the totals: the numbers a CHANGES.md entry quotes when it
+# adds or removes coverage. It is a measurement, not a gate. The profile
+# lands in ./profiles/.
+cover:
+	mkdir -p profiles
+	go test -coverprofile profiles/cover.out ./... > /dev/null
+	@awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { p = b; sub(/\/[^\/]*$$/, "", p); all[p] += n[b]; if (!(b in hit)) un[p] += n[b] } \
+			for (p in all) printf "%6d %6d %s\n", un[p], all[p], p }' profiles/cover.out | sort -k3,3 | \
+		awk '{ u += $$1; a += $$2; print } END { printf "%6d %6d total (uncovered, statements)\n", u, a }'
 
 # profile captures CPU and heap profiles of examples/millionday's
 # BenchmarkMillionQueryReplay and prints the top-10 flat-cost functions of

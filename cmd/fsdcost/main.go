@@ -1,8 +1,8 @@
-// Command fsdcost explores the FSD-Inference cost model (§IV): it evaluates
-// the channel recommendation for a workload, prints the API-cost
-// comparison behind the paper's design guidance, and previews which
-// channels the planner's analytic pre-filter would prune before paying
-// for simulated trials.
+// Command fsdcost explores the FSD-Inference cost model (§IV): it prints the
+// API-cost comparison and the provisioned store's break-even behind the
+// paper's design guidance (§IV-C), then the planner's analytic pre-filter
+// verdict for every channel — trial, or prune and why — which is the one
+// channel advice the repository gives without simulated trials.
 //
 // Usage:
 //
@@ -35,6 +35,11 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 		if f.v < f.min {
 			return cost.Workload{}, fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
 		}
+	}
+	if workers > neurons {
+		// As the planner skips such a worker count: some worker would own
+		// no rows, and the per-pair volume would price at 0 B.
+		return cost.Workload{}, fmt.Errorf("-workers must be at most -neurons (%d), got %d", neurons, workers)
 	}
 	nnz := int64(neurons) * 32 * int64(layers)
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
@@ -82,13 +87,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	adv := cost.Recommend(w)
 	fmt.Fprintf(stdout, "workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
 		*neurons, *layers, *workers, *batch, w.ModelBytes>>20)
-	fmt.Fprintf(stdout, "recommendation: %s\n", adv.Channel)
-	for _, r := range adv.Reasons {
-		fmt.Fprintf(stdout, "  - %s\n", r)
-	}
 
 	cat := pricing.Default()
 	fmt.Fprintf(stdout, "\nAPI request cost per layer (pairs=%d):\n", w.PairsPerLayer)
@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cost.MemoryDailyCost(cat, w), be)
 	fmt.Fprintln(stdout, "below the break-even the node bills while idle — the sporadic-workload killer (§II-D)")
 
-	fmt.Fprintln(stdout, "\nplanner pre-filter preview (cost objective): channels pruned before simulated trials")
+	fmt.Fprintln(stdout, "\nchannel verdicts (planner pre-filter, cost objective): trial, or prune before simulated trials")
 	for _, v := range plan.PrefilterChannels(w) {
 		verdict := "trial"
 		if v.Pruned {

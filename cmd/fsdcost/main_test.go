@@ -31,6 +31,7 @@ func TestWorkloadForRejectsImpossibleDimensions(t *testing.T) {
 		{16384, 120, -1, 10000, 0, "-workers"},
 		{16384, 120, 42, 0, 0, "-batch"},
 		{16384, 120, 42, 10000, -1, "-queries"},
+		{16, 120, 42, 10000, 0, "-workers"},
 	} {
 		_, err := workloadFor(tc.neurons, tc.layers, tc.workers, tc.batch, tc.queries)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -66,7 +66,9 @@
 //
 // The planner's analytic prune rules are not here: they are stated over
 // cost.Workload and plan.Candidate, which this package must not import, and
-// live in plan.analyticPrune, that package's one switch on a kind.
+// live in plan.analyticPrune, that package's one switch on a kind and the
+// only channel verdict without a trial (plan.PrefilterChannels runs it for
+// every kind; cmd/fsdcost prints its rows).
 //
 // Workers launch hierarchically (worker_invoke_children): the coordinator
 // and every worker invoke the children Config.launchChildren enumerates for

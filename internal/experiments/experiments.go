@@ -23,8 +23,10 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
+	"fsdinference/internal/cost"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
+	"fsdinference/internal/plan"
 	"fsdinference/internal/sparse"
 )
 
@@ -367,7 +369,11 @@ func (l *Lab) PaperWeightBytes(paperN int) int64 {
 // runtime footprint.
 func (l *Lab) SerialFeasiblePaper(paperN int) bool {
 	faas := env.DefaultConfig().FaaS
-	return float64(l.PaperWeightBytes(paperN))*faas.Perf.MemOverheadWeights <= float64(faas.MaxMemoryMB)*float64(1<<20)
+	return plan.SerialFits(cost.Workload{
+		ModelBytes:    l.PaperWeightBytes(paperN),
+		MemOverhead:   faas.Perf.MemOverheadWeights,
+		InstanceCapMB: faas.MaxMemoryMB,
+	})
 }
 
 // SageFeasiblePaper reports whether the paper-scale model fits the 6 GB

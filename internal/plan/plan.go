@@ -487,7 +487,7 @@ func (p *Planner) candidates() []Candidate {
 			cands = append(cands, c)
 		}
 	}
-	if hasChannel(core.Serial) && p.serialFits() {
+	if hasChannel(core.Serial) && SerialFits(p.footprint()) {
 		cands = append(cands, Candidate{Channel: core.Serial, Workers: 1})
 	}
 	for _, w := range g.Workers {
@@ -523,13 +523,6 @@ func (p *Planner) candidates() []Candidate {
 		}
 	}
 	return cands
-}
-
-// serialFits reports whether the model's in-memory footprint fits the
-// largest single FaaS instance.
-func (p *Planner) serialFits() bool {
-	faas := env.DefaultConfig().FaaS
-	return float64(p.m.WeightBytes())*faas.Perf.MemOverheadWeights <= float64(faas.MaxMemoryMB)*float64(1<<20)
 }
 
 // partitionPlan returns (building once) the trial partition plan for a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/core"
 	"fsdinference/internal/cost"
 	"fsdinference/internal/model"
@@ -287,6 +288,18 @@ func TestBreakEvenSide(t *testing.T) {
 	}
 }
 
+// verdictFor returns PrefilterChannels' row for kind.
+func verdictFor(t *testing.T, w cost.Workload, kind core.ChannelKind) PruneVerdict {
+	t.Helper()
+	for _, v := range PrefilterChannels(w) {
+		if v.Channel == kind {
+			return v
+		}
+	}
+	t.Fatalf("PrefilterChannels has no %v row", kind)
+	return PruneVerdict{}
+}
+
 func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 	w := cost.Workload{
 		ModelBytes:           1 << 30,
@@ -298,40 +311,31 @@ func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 		Layers:               12,
 		QueriesPerDay:        20,
 	}
-	verdicts := PrefilterChannels(w)
-	byChan := map[core.ChannelKind]PruneVerdict{}
-	for _, v := range verdicts {
-		byChan[v.Channel] = v
+	if v := verdictFor(t, w, core.Queue); v.Pruned {
+		t.Fatalf("queue pruned at one chunk: %q", v.Reason)
 	}
-	if byChan[core.Queue].Pruned {
-		t.Fatalf("queue pruned at one chunk: %q", byChan[core.Queue].Reason)
-	}
-	if !byChan[core.Object].Pruned {
+	if !verdictFor(t, w, core.Object).Pruned {
 		t.Fatal("object not pruned at one chunk")
 	}
-	if !byChan[core.Memory].Pruned {
+	if !verdictFor(t, w, core.Memory).Pruned {
 		t.Fatal("memory not pruned on a sporadic 20/day workload")
 	}
 	// Saturating volumes flip the queue/object verdicts.
 	w.BytesPerPairPerLayer = 16 << 20
 	w.QueriesPerDay = 1_000_000
-	verdicts = PrefilterChannels(w)
-	byChan = map[core.ChannelKind]PruneVerdict{}
-	for _, v := range verdicts {
-		byChan[v.Channel] = v
-	}
-	if !byChan[core.Queue].Pruned {
+	if !verdictFor(t, w, core.Queue).Pruned {
 		t.Fatal("queue not pruned at saturating volumes")
 	}
-	if byChan[core.Object].Pruned {
-		t.Fatalf("object pruned at saturating volumes: %q", byChan[core.Object].Reason)
+	if v := verdictFor(t, w, core.Object); v.Pruned {
+		t.Fatalf("object pruned at saturating volumes: %q", v.Reason)
 	}
 }
 
 // TestPrefilterChannelsAppliesFeasibilityRules: the analytic-only preview
 // used to restate three of the planner's rules and omit the store's
 // request-rate and capacity ceilings, so it said "trial" where the planner
-// prunes. It runs the planner's rule set now, reasons included.
+// prunes. It runs the planner's rule set now, reasons included, with a row
+// for every kind.
 func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 	w := cost.Workload{
 		Workers:              8,
@@ -340,20 +344,97 @@ func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 		Layers:               12,
 		QueriesPerDay:        500_000_000, // ~6.9M store ops/s
 	}
-	mem := PrefilterChannels(w)[2]
-	if mem.Channel != core.Memory || !mem.Pruned || !strings.Contains(mem.Reason, "saturating 1 shard(s) of "+core.DefaultKVNodeType) {
+	mem := verdictFor(t, w, core.Memory)
+	if !mem.Pruned || !strings.Contains(mem.Reason, "saturating 1 shard(s) of "+core.DefaultKVNodeType) {
 		t.Fatalf("memory at a saturating op rate: %+v", mem)
 	}
 	w.QueriesPerDay, w.ConcurrentRuns = 1_000_000, 4096 // 48 x 64 KiB x 4096 runs = 12 GiB resident
-	mem = PrefilterChannels(w)[2]
+	mem = verdictFor(t, w, core.Memory)
 	if !mem.Pruned || !strings.Contains(mem.Reason, "overflows 1 shard(s)") {
 		t.Fatalf("memory with an overflowing working set: %+v", mem)
 	}
-	for _, v := range PrefilterChannels(w) {
+	verdicts := PrefilterChannels(w)
+	if len(verdicts) != len(core.ChannelKinds()) {
+		t.Fatalf("%d rows for %d kinds", len(verdicts), len(core.ChannelKinds()))
+	}
+	for i, v := range verdicts {
+		if v.Channel != core.ChannelKinds()[i] {
+			t.Errorf("row %d is %v, want %v", i, v.Channel, core.ChannelKinds()[i])
+		}
 		c := Candidate{Channel: v.Channel, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType, KVNodes: 1}
 		if reason, _ := analyticPrune(c, w, true, true); reason != v.Reason {
 			t.Errorf("%v: preview says %q, the planner's rule %q", v.Channel, v.Reason, reason)
 		}
+	}
+}
+
+// TestPrefilterChannelsSerialFootprint: Serial's row applies the rule the
+// planner's grid applies (SerialFits), the whole model against the full
+// instance cap, inclusive.
+func TestPrefilterChannelsSerialFootprint(t *testing.T) {
+	w := cost.Workload{
+		ModelBytes: 30 << 20, MemOverhead: 5.5, InstanceCapMB: 10240,
+		Workers: 8, BytesPerPairPerLayer: 10_000, PairsPerLayer: 50, Layers: 120,
+	}
+	if v := verdictFor(t, w, core.Serial); v.Pruned {
+		t.Fatalf("serial pruned for a 165 MB footprint: %q", v.Reason)
+	}
+	w.MemOverhead, w.ModelBytes = 1, 10240<<20 // exactly the cap
+	if v := verdictFor(t, w, core.Serial); v.Pruned || !SerialFits(w) {
+		t.Fatalf("serial pruned at exactly the instance cap: %q", v.Reason)
+	}
+	w.ModelBytes++
+	if v := verdictFor(t, w, core.Serial); !v.Pruned || !strings.Contains(v.Reason, "over the 10240 MB instance cap") || SerialFits(w) {
+		t.Fatalf("serial one byte over the cap: %+v", v)
+	}
+}
+
+// TestPrefilterChannelsMemoryBreakEven: a known sustained volume above the
+// store's break-even and under one node's op ceiling keeps Memory; a
+// volume a full margin below the break-even prunes it for idle billing.
+func TestPrefilterChannelsMemoryBreakEven(t *testing.T) {
+	w := cost.Workload{
+		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
+		Workers: 42, BytesPerPairPerLayer: 100 * 1024, PairsPerLayer: 500, Layers: 120,
+		QueriesPerDay: 20_000,
+	}
+	be := cost.MemoryBreakEvenQueriesPerDay(pricing.Default(), w)
+	if w.QueriesPerDay <= be || memoryClusterSaturated(w, core.DefaultKVNodeType, 1) {
+		t.Fatalf("workload not in the sustained regime: break-even %d/day, saturated %v",
+			be, memoryClusterSaturated(w, core.DefaultKVNodeType, 1))
+	}
+	if v := verdictFor(t, w, core.Memory); v.Pruned {
+		t.Fatalf("memory pruned above its break-even (%d/day): %q", be, v.Reason)
+	}
+	w.QueriesPerDay = be / (2 * prefilterMargin)
+	if w.QueriesPerDay < 1 {
+		t.Fatalf("break-even %d/day too low to test below it", be)
+	}
+	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "idle billing") {
+		t.Fatalf("memory at %d/day, break-even %d/day: %+v", w.QueriesPerDay, be, v)
+	}
+}
+
+// TestPrefilterChannelsHybridEscapesBulkRules: per-pair values above the
+// store's single-value cap rule Memory out however sustained the volume;
+// Hybrid parks them in object storage, so its row is the planner's
+// Hybrid rule, not Memory's.
+func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
+	w := cost.Workload{
+		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
+		Workers: 62, BytesPerPairPerLayer: 100 << 20, PairsPerLayer: 2000, Layers: 120,
+		QueriesPerDay: 200_000,
+	}
+	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "single-value cap") {
+		t.Fatalf("memory with 100 MiB values: %+v", v)
+	}
+	hyb := verdictFor(t, w, core.Hybrid)
+	if hyb.Pruned {
+		t.Fatalf("hybrid pruned with its bulk in object storage: %q", hyb.Reason)
+	}
+	c := Candidate{Channel: core.Hybrid, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType}
+	if reason, _ := analyticPrune(c, w, true, true); reason != hyb.Reason {
+		t.Fatalf("hybrid row %q, the planner's rule %q", hyb.Reason, reason)
 	}
 }
 

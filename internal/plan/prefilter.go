@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
@@ -53,17 +54,26 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 	if layers > 0 {
 		pairsPerLayer = st.Pairs / int64(layers)
 	}
+	w := p.footprint()
+	w.Workers = workers
+	w.BytesPerPairPerLayer = int64(st.RowsPerPair * float64(batch) * 4 * 0.6)
+	w.PairsPerLayer = pairsPerLayer
+	w.Layers = layers
+	w.QueriesPerDay = profile.QueriesPerDay
+	w.ConcurrentRuns = profile.Concurrency
+	return w, nil
+}
+
+// footprint is the model's side of the §IV workload: its weights, the
+// runtime's in-memory blowup and the largest single instance, which is
+// all SerialFits reads.
+func (p *Planner) footprint() cost.Workload {
+	faas := env.DefaultConfig().FaaS
 	return cost.Workload{
-		ModelBytes:           p.m.WeightBytes(),
-		MemOverhead:          env.DefaultConfig().FaaS.Perf.MemOverheadWeights,
-		InstanceCapMB:        env.DefaultConfig().FaaS.MaxMemoryMB,
-		Workers:              workers,
-		BytesPerPairPerLayer: int64(st.RowsPerPair * float64(batch) * 4 * 0.6),
-		PairsPerLayer:        pairsPerLayer,
-		Layers:               layers,
-		QueriesPerDay:        profile.QueriesPerDay,
-		ConcurrentRuns:       profile.Concurrency,
-	}, nil
+		ModelBytes:    p.m.WeightBytes(),
+		MemOverhead:   faas.Perf.MemOverheadWeights,
+		InstanceCapMB: faas.MaxMemoryMB,
+	}
 }
 
 // prefilter returns a non-empty prune reason when the candidate should
@@ -98,26 +108,33 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered bool) (reason string, breakEven int64) {
 	shards := max(1, c.KVNodes)
 	switch c.Channel {
+	case core.Serial:
+		// Feasibility: the whole model must fit one instance; no cost rule
+		// applies, since Serial makes no call a channel bills.
+		if !SerialFits(w) {
+			return fmt.Sprintf("model needs ~%d MB in memory, over the %d MB instance cap",
+				int64(float64(w.ModelBytes)*w.MemOverhead)>>20, w.InstanceCapMB), 0
+		}
 	case core.Memory:
-		if !cost.MemoryValueFeasible(w.BytesPerPairPerLayer) {
+		if !memoryValueFeasible(w.BytesPerPairPerLayer) {
 			return fmt.Sprintf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer), 0
 		}
 		// Feasibility: the sustained op rate must fit the cluster's
 		// aggregate request-rate ceiling (each shard enforces its own).
 		// This is the rule that relieves a saturated single node by
 		// steering the pick to a sharded candidate.
-		if cost.MemoryClusterSaturated(w, c.KVNodeType, shards) {
+		if memoryClusterSaturated(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
-				cost.MemoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, c.KVNodeType), 0
+				memoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, c.KVNodeType), 0
 		}
 		// Feasibility: the peak resident working set — every in-flight
 		// run's layer values — must fit the cluster's usable memory. Bulk
 		// tensors at high run concurrency overflow the small node sizes,
 		// which is the rule that forces the memory channel onto bigger
 		// (pricier) nodes while the hybrid channel keeps the small one.
-		if cost.MemoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
+		if memoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("working set ~%d MB (x%d concurrent runs) overflows %d shard(s) of %s",
-				cost.MemoryWorkingSetBytes(w)>>20, max(1, w.ConcurrentRuns), shards, c.KVNodeType), 0
+				memoryWorkingSetBytes(w)>>20, max(1, w.ConcurrentRuns), shards, c.KVNodeType), 0
 		}
 		be := nodeBreakEven(c, w)
 		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
@@ -132,7 +149,7 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		// trial the larger clusters; replica counts always cost more,
 		// but the failover loss they prevent is not priced analytically.
 		if costOnly && c.clusterNodes() > 1 && singleNodeOffered &&
-			!cost.MemoryClusterSaturated(w, c.KVNodeType, 1) {
+			!memoryClusterSaturated(w, c.KVNodeType, 1) {
 			return fmt.Sprintf("%d cluster nodes bill %dx the single node's flat rate with no per-request savings; dominated on pure cost",
 				c.clusterNodes(), c.clusterNodes()), be
 		}
@@ -146,9 +163,9 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		if w.BytesPerPairPerLayer > core.DefaultHybridThresholdBytes {
 			w.BytesPerPairPerLayer = bulkPointerBytes
 		}
-		if cost.MemoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
+		if memoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("control-plane working set ~%d MB overflows %d shard(s) of %s",
-				cost.MemoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0
+				memoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0
 		}
 		be := nodeBreakEven(c, w)
 		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
@@ -157,7 +174,7 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		}
 		return "", be
 	case core.Queue:
-		if costOnly && cost.QueueSaturated(w.BytesPerPairPerLayer) {
+		if costOnly && queueSaturated(w.BytesPerPairPerLayer) {
 			return fmt.Sprintf("per-pair volume %d B needs %d publish chunks, saturating pub-sub payload capacity",
 				w.BytesPerPairPerLayer, cost.PublishChunks(w.BytesPerPairPerLayer)), 0
 		}
@@ -186,6 +203,101 @@ func nodeBreakEven(c Candidate, w cost.Workload) int64 {
 		w.MemoryNodeHourly = rate * float64(n)
 	}
 	return cost.MemoryBreakEvenQueriesPerDay(cat, w)
+}
+
+// SerialFits reports whether the model's in-memory footprint fits the
+// largest single FaaS instance: the one rule that keeps Serial off the
+// planner's grid (candidates), prunes its pre-filter row and gates the
+// experiments' paper-scale Serial cells.
+func SerialFits(w cost.Workload) bool {
+	return float64(w.ModelBytes)*w.MemOverhead <= float64(w.InstanceCapMB)*float64(1<<20)
+}
+
+// saturationChunks is the per-pair chunk count beyond which the queue
+// channel's publish amplification makes object storage competitive; the
+// paper observes multiple publishes per target emerging beyond N=16384.
+const saturationChunks = 8
+
+// queueSaturated reports whether per-pair volumes chunk beyond the point
+// where the queue channel's publish amplification makes object storage
+// analytically competitive (§IV-C).
+func queueSaturated(bytesPerPair int64) bool {
+	return cost.PublishChunks(bytesPerPair) > saturationChunks
+}
+
+// memoryValueFeasible reports whether one pair's layer volume fits a
+// single stored value of the provisioned memory store — the memory
+// channel ships unchunked values, so volumes above the cap rule it out
+// however favourable the billing.
+func memoryValueFeasible(bytesPerPair int64) bool {
+	return bytesPerPair <= int64(kvstore.DefaultConfig().MaxValueBytes)
+}
+
+// storeHeadroom is the provisioning factor between a workload's resident
+// working set and the node memory it needs: half of each node is held
+// back for replication buffers and copy-on-write snapshot forks, per the
+// managed-cache guidance to reserve memory on write-heavy workloads —
+// and an engine-run inbox is nothing but writes.
+const storeHeadroom = 2.0
+
+// memoryWorkingSetBytes estimates the peak bytes resident in the
+// provisioned store: one layer's pair values per in-flight run, times
+// the peak run concurrency.
+func memoryWorkingSetBytes(w cost.Workload) int64 {
+	runs := int64(w.ConcurrentRuns)
+	if runs < 1 {
+		runs = 1
+	}
+	return runs * w.PairsPerLayer * w.BytesPerPairPerLayer
+}
+
+// memoryNodeCapacityExceeded reports whether the workload's peak working
+// set, with the write-heavy headroom applied, overflows the usable
+// memory of a cluster of shards of the node type. Capacity scales
+// linearly with the shard count, like the request-rate ceiling: this is
+// the second analytic rule that forces bigger nodes (or more shards)
+// under bulk-tensor workloads — and the rule the hybrid channel escapes
+// by parking bulk values in object storage.
+func memoryNodeCapacityExceeded(w cost.Workload, nodeType string, shards int) bool {
+	if shards < 1 {
+		shards = 1
+	}
+	nt, ok := kvstore.Catalog[nodeType]
+	if !ok {
+		nt = kvstore.Catalog[kvstore.DefaultNodeType]
+	}
+	usable := nt.MemoryGB * float64(int64(1)<<30) * float64(shards)
+	return float64(memoryWorkingSetBytes(w))*storeHeadroom > usable
+}
+
+// memoryOpsPerQuery estimates the store operations one query issues on
+// the memory channel: one push and one pop per (pair, layer), plus the
+// barrier and reduce traffic (roughly four ops per worker). It is the
+// demand side of the per-node request-rate ceiling.
+func memoryOpsPerQuery(w cost.Workload) int64 {
+	return 2*w.PairsPerLayer*int64(w.Layers) + 4*int64(w.Workers)
+}
+
+// memoryClusterSaturated reports whether the workload's sustained
+// operation rate exceeds the aggregate request-rate ceiling of a cluster
+// of shards primaries of the node type: each shard enforces its own
+// ceiling, so capacity scales linearly with the shard count. A saturated
+// configuration is infeasible however cheap — queries would back up
+// behind the limiter without bound — which is the analytic rule that
+// makes the planner reach for more shards under heavy sustained volume.
+func memoryClusterSaturated(w cost.Workload, nodeType string, shards int) bool {
+	if w.QueriesPerDay <= 0 {
+		return false
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	nt, ok := kvstore.Catalog[nodeType]
+	if !ok {
+		nt = kvstore.Catalog[kvstore.DefaultNodeType]
+	}
+	demand := float64(memoryOpsPerQuery(w)*w.QueriesPerDay) / 86400
+	return demand > nt.MaxOpsPerSec*float64(shards)
 }
 
 // pruneCollective drops a candidate whose collective topology the §IV-style
@@ -218,7 +330,7 @@ func (p *Planner) pruneCollective(c Candidate, batch int) string {
 
 // PruneVerdict is the analytic pre-filter's outcome for one channel of a
 // workload, for analytic-only callers (cmd/fsdcost) that have no model to
-// trial.
+// trial: the repository's one channel verdict without trials.
 type PruneVerdict struct {
 	Channel core.ChannelKind
 	Pruned  bool
@@ -227,11 +339,12 @@ type PruneVerdict struct {
 
 // PrefilterChannels runs the planner's own rule set, analyticPrune, on an
 // analytic workload under a pure cost objective, without a model or trials:
-// which distributed channels would the pre-filter prune, and why. Each
-// channel is judged as its candidate on one node of the default type.
+// which channels would the pre-filter prune, and why, one row per kind in
+// core.ChannelKinds' order. Each store kind is judged as its candidate on
+// one node of the default type.
 func PrefilterChannels(w cost.Workload) []PruneVerdict {
 	var verdicts []PruneVerdict
-	for _, kind := range []core.ChannelKind{core.Queue, core.Object, core.Memory} {
+	for _, kind := range core.ChannelKinds() {
 		c := Candidate{Channel: kind, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType}
 		reason, _ := analyticPrune(c, w, true, true)
 		verdicts = append(verdicts, PruneVerdict{Channel: kind, Pruned: reason != "", Reason: reason})
