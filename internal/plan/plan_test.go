@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/core"
 	"fsdinference/internal/cost"
 	"fsdinference/internal/model"
@@ -386,32 +385,6 @@ func TestPrefilterChannelsSerialFootprint(t *testing.T) {
 	w.ModelBytes++
 	if v := verdictFor(t, w, core.Serial); !v.Pruned || !strings.Contains(v.Reason, "over the 10240 MB instance cap") || SerialFits(w) {
 		t.Fatalf("serial one byte over the cap: %+v", v)
-	}
-}
-
-// TestPrefilterChannelsMemoryBreakEven: a known sustained volume above the
-// store's break-even and under one node's op ceiling keeps Memory; a
-// volume a full margin below the break-even prunes it for idle billing.
-func TestPrefilterChannelsMemoryBreakEven(t *testing.T) {
-	w := cost.Workload{
-		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
-		Workers: 42, BytesPerPairPerLayer: 100 * 1024, PairsPerLayer: 500, Layers: 120,
-		QueriesPerDay: 20_000,
-	}
-	be := cost.MemoryBreakEvenQueriesPerDay(pricing.Default(), w)
-	if w.QueriesPerDay <= be || memoryClusterSaturated(w, core.DefaultKVNodeType, 1) {
-		t.Fatalf("workload not in the sustained regime: break-even %d/day, saturated %v",
-			be, memoryClusterSaturated(w, core.DefaultKVNodeType, 1))
-	}
-	if v := verdictFor(t, w, core.Memory); v.Pruned {
-		t.Fatalf("memory pruned above its break-even (%d/day): %q", be, v.Reason)
-	}
-	w.QueriesPerDay = be / (2 * prefilterMargin)
-	if w.QueriesPerDay < 1 {
-		t.Fatalf("break-even %d/day too low to test below it", be)
-	}
-	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "idle billing") {
-		t.Fatalf("memory at %d/day, break-even %d/day: %+v", w.QueriesPerDay, be, v)
 	}
 }
 
