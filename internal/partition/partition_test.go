@@ -254,15 +254,30 @@ func TestRowsSortedAndComplete(t *testing.T) {
 	}
 }
 
+// BenchmarkHypergraphPartition times one BuildPlan(HGPDNN) at P=8: a
+// 512-neuron, 6-layer model, and channel_sweep's plan (N=1024, L=4, model
+// seed 1001, plan seed 2001), whose cost lands in that workload's setup_s.
 func BenchmarkHypergraphPartition(b *testing.B) {
-	m, err := model.Generate(model.GraphChallengeSpec(512, 6, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildPlan(m, 8, HGPDNN, Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name            string
+		n, layers       int
+		modelSeed, seed int64
+	}{
+		{"512x6", 512, 6, 1, 1},
+		{"1024x4-sweep", 1024, 4, 1001, 2001},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := model.Generate(model.GraphChallengeSpec(c.n, c.layers, c.modelSeed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildPlan(m, 8, HGPDNN, Options{Seed: c.seed}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
