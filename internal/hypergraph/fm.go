@@ -1,9 +1,6 @@
 package hypergraph
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // refineFM improves a bisection in place using Fiduccia–Mattheyses passes:
 // vertices move between sides in best-gain-first order under the balance
@@ -17,10 +14,13 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 	maxW := [2]int64{t0 + int64(eps*float64(t0)), t1 + int64(eps*float64(t1))}
 
 	pins := [2][]int32{make([]int32, h.NumNets()), make([]int32, h.NumNets())}
-	gain := make([]int64, h.NumV)
-	ver := make([]uint32, h.NumV)
-	locked := make([]bool, h.NumV)
+	q := gainHeap{
+		gain: make([]int64, h.NumV),
+		heap: make([]int32, 0, h.NumV),
+		pos:  make([]int32, h.NumV),
+	}
 	moves := make([]int32, 0, h.NumV)
+	var deferred []int32
 
 	for pass := 0; pass < maxFMPasses; pass++ {
 		// Recompute pin counts, weights, gains.
@@ -40,13 +40,10 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 				cut += h.NetCost[n]
 			}
 		}
-		pq := &fmHeap{}
 		for v := 0; v < h.NumV; v++ {
-			locked[v] = false
-			gain[v] = vertexGain(h, side, pins, v)
-			ver[v]++
-			heap.Push(pq, fmItem{gain[v], int32(v), ver[v]})
+			q.gain[v] = vertexGain(h, side, pins, v)
 		}
+		q.fill()
 
 		overflow := func() int64 {
 			ov := int64(0)
@@ -62,28 +59,24 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 		moves = moves[:0]
 		startCut := cut
 		bestCut, bestOv, bestPrefix := cut, overflow(), 0
-		var deferred []fmItem
 
 		for {
-			// Pop the best movable, feasible vertex.
+			// Pop the best feasible free vertex; the infeasible ones
+			// popped on the way go back once it is found.
 			var v int32 = -1
 			deferred = deferred[:0]
-			for pq.Len() > 0 {
-				it := heap.Pop(pq).(fmItem)
-				if it.ver != ver[it.v] || locked[it.v] {
-					continue
-				}
-				s := side[it.v]
+			for len(q.heap) > 0 {
+				u := q.pop()
+				s := side[u]
 				o := 1 - s
-				feasible := w[o]+h.VWeight[it.v] <= maxW[o] || w[s] > maxW[s]
-				if feasible {
-					v = it.v
+				if w[o]+h.VWeight[u] <= maxW[o] || w[s] > maxW[s] {
+					v = u
 					break
 				}
-				deferred = append(deferred, it)
+				deferred = append(deferred, u)
 			}
-			for _, it := range deferred {
-				heap.Push(pq, it)
+			for _, u := range deferred {
+				q.push(u)
 			}
 			if v < 0 {
 				break
@@ -91,11 +84,10 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 
 			s := side[v]
 			o := 1 - s
-			cut -= gain[v]
-			applyMove(h, side, pins, gain, ver, locked, pq, v)
+			cut -= q.gain[v]
+			applyMove(h, side, pins, &q, v)
 			w[s] -= h.VWeight[v]
 			w[o] += h.VWeight[v]
-			locked[v] = true
 			moves = append(moves, v)
 
 			if ov := overflow(); cut < bestCut || (cut == bestCut && ov < bestOv) {
@@ -131,17 +123,17 @@ func vertexGain(h *Hypergraph, side []int8, pins [2][]int32, v int) int64 {
 }
 
 // applyMove flips v to the other side, updating pin counts and the gains of
-// free vertices on critical nets (the standard FM delta rules).
-func applyMove(h *Hypergraph, side []int8, pins [2][]int32, gain []int64, ver []uint32, locked []bool, pq *fmHeap, v int32) {
+// free vertices on critical nets (the standard FM delta rules). v has left
+// the heap already, so a vertex outside it is locked or is v itself.
+func applyMove(h *Hypergraph, side []int8, pins [2][]int32, q *gainHeap, v int32) {
 	f := side[v]
 	t := 1 - f
 	bump := func(u int32, delta int64) {
-		if locked[u] || u == v {
+		if q.pos[u] < 0 {
 			return
 		}
-		gain[u] += delta
-		ver[u]++
-		heap.Push(pq, fmItem{gain[u], u, ver[u]})
+		q.gain[u] += delta
+		q.fix(u)
 	}
 	for _, n := range h.vertNets(int(v)) {
 		c := h.NetCost[n]
@@ -180,23 +172,89 @@ func applyMove(h *Hypergraph, side []int8, pins [2][]int32, gain []int64, ver []
 	side[v] = int8(t)
 }
 
-// fmItem is a lazy max-heap entry; stale entries (version mismatch) are
-// skipped on pop.
-type fmItem struct {
-	gain int64
-	v    int32
-	ver  uint32
+// gainHeap is an indexed max-heap of a pass's free vertices, keyed by
+// (gain descending, id ascending); pos[v] is v's slot, -1 once v has been
+// popped. A gain change moves its vertex in place. Ids are unique, so the
+// key is a strict total order and the vertex a pass selects does not
+// depend on the heap's layout.
+type gainHeap struct {
+	gain []int64
+	heap []int32
+	pos  []int32
 }
 
-type fmHeap []fmItem
+func (q *gainHeap) less(i, j int) bool {
+	a, b := q.heap[i], q.heap[j]
+	return q.gain[a] > q.gain[b] || (q.gain[a] == q.gain[b] && a < b)
+}
 
-func (h fmHeap) Len() int { return len(h) }
-func (h fmHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+func (q *gainHeap) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.pos[q.heap[i]] = int32(i)
+	q.pos[q.heap[j]] = int32(j)
+}
+
+// fill puts every vertex in the heap.
+func (q *gainHeap) fill() {
+	q.heap = q.heap[:0]
+	for v := range q.pos {
+		q.pos[v] = int32(v)
+		q.heap = append(q.heap, int32(v))
 	}
-	return h[i].v < h[j].v
+	for i := len(q.heap)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
-func (h fmHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *fmHeap) Push(x any)   { *h = append(*h, x.(fmItem)) }
-func (h *fmHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (q *gainHeap) push(v int32) {
+	q.pos[v] = int32(len(q.heap))
+	q.heap = append(q.heap, v)
+	q.up(len(q.heap) - 1)
+}
+
+func (q *gainHeap) pop() int32 {
+	v := q.heap[0]
+	last := len(q.heap) - 1
+	q.swap(0, last)
+	q.heap = q.heap[:last]
+	q.pos[v] = -1
+	q.down(0)
+	return v
+}
+
+func (q *gainHeap) fix(v int32) {
+	if i := int(q.pos[v]); !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q *gainHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			return
+		}
+		q.swap(i, p)
+		i = p
+	}
+}
+
+// down sifts slot i towards the leaves and reports whether it moved.
+func (q *gainHeap) down(i int) bool {
+	i0 := i
+	for n := len(q.heap); ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q.swap(i, c)
+		i = c
+	}
+	return i > i0
+}

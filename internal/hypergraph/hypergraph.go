@@ -11,8 +11,13 @@
 //   - coarsening by heavy-connectivity matching,
 //   - initial partitioning by greedy growing (plus a linear sweep
 //     candidate),
-//   - Fiduccia–Mattheyses refinement with gain buckets and the classic
-//     critical-net delta-update rules at every level.
+//   - Fiduccia–Mattheyses refinement at every level, with the classic
+//     critical-net delta-update rules. Free vertices sit in an indexed
+//     max-heap keyed by (gain descending, id ascending), one slot each,
+//     and a gain update moves its vertex in place. Each move takes the
+//     largest feasible key; ids are unique, so that key is one vertex
+//     whatever the heap's layout, and any exact priority queue over the
+//     same keys selects the same moves.
 //
 // All randomness is seeded; partitions are deterministic.
 package hypergraph
@@ -20,7 +25,7 @@ package hypergraph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Hypergraph is an immutable hypergraph: NumV vertices with integer
@@ -52,11 +57,9 @@ func New(numV int, vweight []int64, nets [][]int32, costs []int64) (*Hypergraph,
 	}
 	h := &Hypergraph{NumV: numV, VWeight: vweight}
 	h.NetPtr = make([]int32, 1, len(nets)+1)
-	seen := make(map[int32]bool)
+	seen := make([]bool, numV)
 	for ni, pins := range nets {
-		for k := range seen {
-			delete(seen, k)
-		}
+		start := len(h.Pins)
 		for _, p := range pins {
 			if p < 0 || int(p) >= numV {
 				return nil, fmt.Errorf("hypergraph: net %d pin %d outside [0,%d)", ni, p, numV)
@@ -65,6 +68,9 @@ func New(numV int, vweight []int64, nets [][]int32, costs []int64) (*Hypergraph,
 				seen[p] = true
 				h.Pins = append(h.Pins, p)
 			}
+		}
+		for _, p := range h.Pins[start:] {
+			seen[p] = false
 		}
 		h.NetPtr = append(h.NetPtr, int32(len(h.Pins)))
 		h.NetCost = append(h.NetCost, costs[ni])
@@ -236,7 +242,11 @@ func coarsen(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 	// Cap cluster weight so coarse vertices stay small enough for a
 	// balanced bisection to exist.
 	maxCluster := h.TotalWeight()/8 + 1
-	score := make(map[int32]float64)
+	// score[u] is u's affinity to the vertex being matched; cand lists,
+	// in first-touch order, every u a net of that vertex reaches, and
+	// isCand marks them. Both are cleared through cand per vertex.
+	score := make([]float64, h.NumV)
+	isCand := make([]bool, h.NumV)
 	var cand []int32
 	numCoarse := int32(0)
 	vmap := make([]int32, h.NumV)
@@ -248,8 +258,8 @@ func coarsen(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 		if match[v] >= 0 {
 			continue
 		}
-		for k := range score {
-			delete(score, k)
+		for _, u := range cand {
+			score[u], isCand[u] = 0, false
 		}
 		cand = cand[:0]
 		for _, n := range h.vertNets(int(v)) {
@@ -262,7 +272,8 @@ func coarsen(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 				if u == v || match[u] >= 0 {
 					continue
 				}
-				if _, ok := score[u]; !ok {
+				if !isCand[u] {
+					isCand[u] = true
 					cand = append(cand, u)
 				}
 				score[u] += w
@@ -293,37 +304,41 @@ func coarsen(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 		coarse.VWeight[vmap[v]] += h.VWeight[v]
 	}
 	// Rebuild nets on coarse vertices, dropping shrunken and duplicate
-	// nets (duplicates merge their costs).
+	// nets (duplicates merge their costs). Each coarse net's sorted pins
+	// are cut from one arena.
 	type cnet struct {
 		pins []int32
 		cost int64
 	}
 	var cnets []cnet
-	seen := make(map[int32]bool)
+	arena := make([]int32, 0, len(h.Pins))
+	seen := make([]bool, numCoarse)
 	for n := 0; n < h.NumNets(); n++ {
-		for k := range seen {
-			delete(seen, k)
-		}
-		var pins []int32
+		start := len(arena)
 		for _, p := range h.netPins(n) {
 			cp := vmap[p]
 			if !seen[cp] {
 				seen[cp] = true
-				pins = append(pins, cp)
+				arena = append(arena, cp)
 			}
 		}
+		pins := arena[start:]
+		for _, cp := range pins {
+			seen[cp] = false
+		}
 		if len(pins) < 2 {
+			arena = arena[:start]
 			continue
 		}
-		sort.Slice(pins, func(i, j int) bool { return pins[i] < pins[j] })
+		slices.Sort(pins)
 		cnets = append(cnets, cnet{pins, h.NetCost[n]})
 	}
-	sort.Slice(cnets, func(i, j int) bool { return lessPins(cnets[i].pins, cnets[j].pins) })
+	slices.SortFunc(cnets, func(a, b cnet) int { return slices.Compare(a.pins, b.pins) })
 	coarse.NetPtr = make([]int32, 1)
 	for i := 0; i < len(cnets); {
 		j := i
 		cost := int64(0)
-		for j < len(cnets) && equalPins(cnets[j].pins, cnets[i].pins) {
+		for j < len(cnets) && slices.Equal(cnets[j].pins, cnets[i].pins) {
 			cost += cnets[j].cost
 			j++
 		}
@@ -334,27 +349,6 @@ func coarsen(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 	}
 	coarse.buildVertexIncidence()
 	return coarse, vmap
-}
-
-func lessPins(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func equalPins(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // initialBisect tries greedy growing from random seeds plus a linear sweep,
