@@ -48,13 +48,16 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 	faas := env.DefaultConfig().FaaS
 	rowsPerWorker := neurons / workers
 	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * 0.6)
+	// Each worker sends to about six others, and never to more than the
+	// P-1 there are.
+	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))
 	return cost.Workload{
 		ModelBytes:           modelBytes,
 		MemOverhead:          faas.Perf.MemOverheadWeights,
 		InstanceCapMB:        faas.MaxMemoryMB,
 		Workers:              workers,
 		BytesPerPairPerLayer: bytesPerPair,
-		PairsPerLayer:        int64(workers) * 6,
+		PairsPerLayer:        pairs,
 		Layers:               layers,
 		QueriesPerDay:        queries,
 	}, nil
@@ -95,13 +98,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "%12s  %12s  %12s  %8s\n", "bytes/pair", "queue $", "object $", "ratio")
 	for _, bytes := range []int64{16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20} {
 		q, o := cost.APICost(cat, w.PairsPerLayer, bytes)
-		fmt.Fprintf(stdout, "%12d  %12.6f  %12.6f  %8.3f\n", bytes, q, o, q/o)
+		ratio := "-" // one worker: no pairs, nothing to compare
+		if o > 0 {
+			ratio = fmt.Sprintf("%.3f", q/o)
+		}
+		fmt.Fprintf(stdout, "%12d  %12.6f  %12.6f  %8s\n", bytes, q, o, ratio)
 	}
 	fmt.Fprintln(stdout, "\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
 
-	be := cost.MemoryBreakEvenQueriesPerDay(cat, w)
-	fmt.Fprintf(stdout, "\nprovisioned memory store: $%.2f/day flat (no per-request charge), break-even ~%d queries/day\n",
-		cost.MemoryDailyCost(cat, w), be)
+	breakEven := "no break-even: one worker makes no channel requests"
+	if be := cost.MemoryBreakEvenQueriesPerDay(cat, w); be > 0 {
+		breakEven = fmt.Sprintf("break-even ~%d queries/day", be)
+	}
+	fmt.Fprintf(stdout, "\nprovisioned memory store: $%.2f/day flat (no per-request charge), %s\n",
+		cost.MemoryDailyCost(cat, w), breakEven)
 	fmt.Fprintln(stdout, "below the break-even the node bills while idle — the sporadic-workload killer (§II-D)")
 
 	fmt.Fprintln(stdout, "\nchannel verdicts (planner pre-filter, cost objective): trial, or prune before simulated trials")

@@ -41,6 +41,47 @@ func TestWorkloadForRejectsImpossibleDimensions(t *testing.T) {
 	}
 }
 
+// TestPairsNeverExceedWorkerPairs: the per-layer pair count was P·6 at any
+// P, so -workers 2 priced 12 pairs where 2 exist.
+func TestPairsNeverExceedWorkerPairs(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		pairs   int64
+	}{{1, 0}, {2, 2}, {3, 6}, {7, 42}, {8, 48}, {42, 252}} {
+		w, err := workloadFor(16384, 120, tc.workers, 10000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.PairsPerLayer != tc.pairs {
+			t.Errorf("-workers %d: %d pairs per layer, want %d", tc.workers, w.PairsPerLayer, tc.pairs)
+		}
+	}
+}
+
+// TestRunSmallWorkerCounts: -workers 2 prints its two pairs, and -workers 1,
+// with no pairs to price, prints no 0/0 ratio and no break-even of 0.
+func TestRunSmallWorkerCounts(t *testing.T) {
+	for _, tc := range []struct{ workers, pairs, breakEven string }{
+		{"1", "pairs=0", "no break-even"},
+		{"2", "pairs=2", "break-even ~"},
+	} {
+		var stdout, stderr strings.Builder
+		if err := run([]string{"-workers", tc.workers}, &stdout, &stderr); err != nil {
+			t.Fatalf("-workers %s: %v\n%s", tc.workers, err, stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "("+tc.pairs+")") {
+			t.Errorf("-workers %s: report lacks %q:\n%s", tc.workers, tc.pairs, out)
+		}
+		if !strings.Contains(out, tc.breakEven) {
+			t.Errorf("-workers %s: report lacks %q:\n%s", tc.workers, tc.breakEven, out)
+		}
+		if strings.Contains(out, "NaN") {
+			t.Errorf("-workers %s: report prints NaN:\n%s", tc.workers, out)
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/fsdcost.golden from this run's output")
 
 // TestGoldenOutput pins fsdcost's report, a "$ fsdcost <args>" line before
