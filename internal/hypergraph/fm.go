@@ -62,7 +62,7 @@ func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
 
 		for {
 			// Pop the best feasible free vertex; the infeasible ones
-			// popped on the way go back once it is found.
+			// popped on the way go back afterwards.
 			var v int32 = -1
 			deferred = deferred[:0]
 			for len(q.heap) > 0 {

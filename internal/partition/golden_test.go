@@ -19,7 +19,7 @@ import (
 //   - 17 plans through BuildPlan(HGPDNN): N=256 × L ∈ {2, 4} ×
 //     P ∈ {2, 3, 8, 16} × plan seed ∈ {1, 2001}, and channel_sweep's own
 //     plan (N=1024, L=4, P=8, seed 2001), which coarsens through the most
-//     levels. The other N=1024 cells would add some 17 s to the package's
+//     levels. The other N=1024 cells would add some 16 s to the package's
 //     test time and pin the same code paths;
 //   - 300 random hypergraphs shaped like
 //     TestPartitionPropertyValidAndBalanced's (internal/hypergraph), with
