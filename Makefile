@@ -112,8 +112,10 @@ cover:
 # BenchmarkEngineRun: serial, one Serial run of the stream_day shape on the
 # one-rank worker of a fresh deployment; serial-warm, the same run on a
 # deployment that has served one, so its B/op is the path that recycles the
-# layer buffer; and queue, the FSI loop over the Queue channel at P=4 (B/op
-# and allocs/op print with the timing).
+# layer buffer; queue, the FSI loop over the Queue channel at P=4; and
+# queue-warm, that loop on a deployment whose ranks have run once, so its
+# B/op is the path that recycles each rank's buffers (B/op and allocs/op
+# print with the timing).
 # Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles

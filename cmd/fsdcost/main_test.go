@@ -82,6 +82,31 @@ func TestRunSmallWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestOneWorkerHasNoPerPairVerdict: with one worker no pair exchanges
+// anything, so no channel verdict may cite a per-pair volume; -workers 1
+// pruned Queue for "per-pair volume 39321600 B needs 150 publish chunks".
+// Two workers at each size still carry one, so the check can fail.
+func TestOneWorkerHasNoPerPairVerdict(t *testing.T) {
+	for _, n := range []string{"4096", "16384", "65536"} {
+		for _, q := range []string{"0", "10000000"} {
+			for _, workers := range []string{"1", "2"} {
+				args := []string{"-neurons", n, "-queries", q, "-workers", workers}
+				var stdout, stderr strings.Builder
+				if err := run(args, &stdout, &stderr); err != nil {
+					t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+				}
+				_, verdicts, ok := strings.Cut(stdout.String(), "channel verdicts")
+				if !ok {
+					t.Fatalf("%v: report has no channel verdicts:\n%s", args, stdout.String())
+				}
+				if perPair := strings.Contains(verdicts, "per-pair"); perPair != (workers != "1") {
+					t.Errorf("%v: a verdict cites a per-pair volume: %v, want %v:\n%s", args, perPair, workers != "1", verdicts)
+				}
+			}
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/fsdcost.golden from this run's output")
 
 // TestGoldenOutput pins fsdcost's report, a "$ fsdcost <args>" line before

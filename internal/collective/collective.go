@@ -14,7 +14,8 @@
 // Two phases are written once over the shape: reduce (drain the children,
 // combine, hand the partial to the parent) and broadcast (take from the
 // parent, feed the children). The three operations compose them: Barrier
-// is an empty reduce and an empty broadcast, Gather a reduce under Union,
+// is an empty reduce and an empty broadcast, Gather a reduce under the
+// caller's fold (Union on the way up),
 // Allreduce a reduce and a broadcast — except under ring, where it is the
 // classic pass-around, P-1 concurrent rounds of neighbour exchanges. That
 // one is the bandwidth winner: no rank ever sends more than one
@@ -309,11 +310,16 @@ func Barrier(alg Algorithm, lk Link) error {
 	return err
 }
 
-// Gather unions every rank's rows at root. It returns the union there and
-// the rank's own (possibly partially combined) contribution elsewhere; an
-// empty result may come back nil.
-func Gather(alg Algorithm, lk Link, root int, mine *wire.RowSet) (*wire.RowSet, error) {
-	return reduce(alg, lk, opGather, root, mine, Union)
+// Gather collects every rank's rows at root, folding each arriving set into
+// the rank's accumulator with combine. A rank between a leaf and the root
+// forwards what it folded, so there combine must be Union (or keep every
+// row as Union does); the root sends nothing on, so its combine may fold
+// the sets anywhere, say straight into a dense result, and return the
+// accumulator untouched. It returns the fold at root and the rank's own
+// (possibly partially combined) contribution elsewhere; an empty result may
+// come back nil.
+func Gather(alg Algorithm, lk Link, root int, mine *wire.RowSet, combine Combiner) (*wire.RowSet, error) {
+	return reduce(alg, lk, opGather, root, mine, combine)
 }
 
 // Allreduce combines every rank's contribution and returns the result at

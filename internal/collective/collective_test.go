@@ -213,7 +213,7 @@ func TestReduceAndGatherAtRoot(t *testing.T) {
 				bothDeliveries(t, func(t *testing.T, split bool) {
 					p := 5
 					results := runRanks(t, p, split, func(lk Link) (*wire.RowSet, error) {
-						return Gather(alg, lk, root, contribution(lk.Rank(), 1))
+						return Gather(alg, lk, root, contribution(lk.Rank(), 1), Union)
 					})
 					if got := ids(results[root]); !eqInts(got, wantAll(p)) {
 						t.Fatalf("root got rows %v, want %v", got, wantAll(p))

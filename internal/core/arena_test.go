@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,6 +122,123 @@ func TestOverlappingRunsKeepTheirOwnBuffers(t *testing.T) {
 						}
 					}
 				}
+			})
+		}
+	}
+}
+
+// TestFSIRunBytesMoved is the FSI path's allocation budget, the twin of
+// TestSerialRunBytesMoved: a warm run, on a deployment that has already
+// served one, of a 256 x 1024 batch (1 MiB) through two layers at P=4,
+// uncompressed, may allocate so many times the batch's own bytes and no
+// more. Each rank starts from the row table, layer outputs and send and
+// receive arenas its rank's last run gave back, decodes its input rows into
+// that arena, contributes a view of its last z to the gather, and the root
+// gathers straight into the result, so a warm run allocates (measured, in
+// batches) 9.76 on Queue, 8.68 on Object, 13.50 on Memory and 8.85 on
+// Hybrid: the frames the services are handed, the sets the collective
+// decodes, the result matrix. While every run allocated its buffers afresh
+// and the root unioned the gathered sets before copying them into the
+// result, the same runs took 24.97, 22.26, 27.07 and 21.62; a cold run here
+// still takes 20.7 to 25.8. Each budget leaves about two batches of
+// headroom. TotalAlloc counts the whole process, so the test must not run
+// in parallel with others.
+func TestFSIRunBytesMoved(t *testing.T) {
+	budget := map[ChannelKind]float64{Queue: 12, Object: 11, Memory: 16, Hybrid: 11}
+	for _, kind := range ChannelKinds() {
+		if kind == Serial {
+			continue
+		}
+		d, m, _ := arenaDeployment(t, 2, kind, false)
+		for run := 0; run < 2; run++ {
+			input := model.GenerateInputs(256, 1024, 0.2, int64(50+run))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := d.Infer(input)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCorrect(t, m, input, res)
+			moved := float64(after.TotalAlloc-before.TotalAlloc) / float64(input.Bytes())
+			t.Logf("%v run %d allocated %.2f x the batch's %d bytes", kind, run+1, moved, input.Bytes())
+			if run == 1 && moved > budget[kind] {
+				t.Errorf("%v: a warm run allocated %.2f x its batch's bytes, budget %.2f", kind, moved, budget[kind])
+			}
+		}
+	}
+}
+
+// TestFSIReusedBuffersStayIsolated: runs of widths 64, 3 and 64 on one
+// deployment each equal bit for bit a fresh deployment's run of the same
+// input, on every kind with and without AllreduceOutput. The second run
+// reshapes the row table, layer outputs and arenas the first gave back to
+// a narrower batch, the third grows them again, so a row one run left in a
+// recycled buffer would reach another's output here. Then a run whose root
+// times out, holding the buffers a successful run gave back, is followed by
+// a run that still matches model.Reference: the rank that timed out gives
+// nothing back, and what the ranks that finished gave back was emptied.
+func TestFSIReusedBuffersStayIsolated(t *testing.T) {
+	for _, kind := range ChannelKinds() {
+		if kind == Serial {
+			continue
+		}
+		for _, allreduce := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/allreduce=%v", kind, allreduce), func(t *testing.T) {
+				d, m, _ := arenaDeployment(t, 4, kind, allreduce)
+				for i, width := range []int{64, 3, 64} {
+					input := model.GenerateInputs(256, width, 0.2, int64(60+i))
+					res, err := d.Infer(input)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, _, _ := arenaDeployment(t, 4, kind, allreduce)
+					want, err := fresh.Infer(input)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(res.Output.Data, want.Output.Data) {
+						t.Fatalf("run %d (width %d): output differs from a fresh deployment's", i+1, width)
+					}
+					for id, out := range res.AllOutputs {
+						if !sameBits(out.Data, want.AllOutputs[id].Data) {
+							t.Fatalf("run %d (width %d): worker %d's allreduced output differs from a fresh deployment's", i+1, width, id)
+						}
+					}
+				}
+
+				input := model.GenerateInputs(256, 64, 0.2, 70)
+				d.Cfg.FunctionTimeout = 300 * time.Millisecond // enough to launch, not to finish
+				if err := redeployFunctions(d); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Infer(input); err == nil || !strings.Contains(err.Error(), "timed out") {
+					t.Fatalf("strangled run: err = %v, want a worker timeout", err)
+				}
+				// A rank that timed out took its slot's buffers and gives
+				// nothing back; one that finished gave them back emptied.
+				emptied := 0
+				for r, b := range d.bufs {
+					if b.x == nil {
+						emptied++
+						continue
+					}
+					if len(b.xTouched) > 0 || len(b.recvIDs) > 0 || slices.ContainsFunc(b.x, func(row []float32) bool { return row != nil }) {
+						t.Fatalf("rank %d gave its buffers back with rows in them", r)
+					}
+				}
+				if emptied == 0 {
+					t.Fatal("every rank's slot holds buffers after a run whose worker timed out")
+				}
+				d.Cfg.FunctionTimeout = 15 * time.Minute
+				if err := redeployFunctions(d); err != nil {
+					t.Fatal(err)
+				}
+				res, err := d.Infer(input)
+				if err != nil {
+					t.Fatalf("run after the failed one: %v", err)
+				}
+				checkCorrect(t, m, input, res)
 			})
 		}
 	}

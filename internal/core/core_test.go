@@ -442,11 +442,12 @@ func TestShortPollingStillCorrectButChattier(t *testing.T) {
 // BenchmarkEngineRun deploys and runs one request per iteration: serial is
 // the repository benchmark's stream_day run shape (N=64, two layers, a batch
 // of 1 042, uncompressed) on the one-rank worker, queue the FSI loop over the
-// Queue channel at P=4. serial-warm is serial on one deployment that has
-// already served a run, as a replica serves a stream: its first layer
-// multiplies into the spare z an earlier run gave back, so its B/op is the
-// recycled path's (a warm-up run before the timer makes that hold at
-// -benchtime 1x as well).
+// Queue channel at P=4. serial-warm and queue-warm are the same runs on one
+// deployment that has already served a run, as a replica serves a stream:
+// serial's first layer multiplies into the spare z an earlier run gave back,
+// and every queue rank starts from the buffers its rank's last run gave back
+// (rankBufs), so their B/op are the recycled paths' (a warm-up run before
+// the timer makes that hold at -benchtime 1x as well).
 func BenchmarkEngineRun(b *testing.B) {
 	small, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
@@ -481,6 +482,7 @@ func BenchmarkEngineRun(b *testing.B) {
 		{"serial", Config{Model: small, Channel: Serial}, model.GenerateInputs(64, 1042, 0.2, 2), false},
 		{"serial-warm", Config{Model: small, Channel: Serial}, model.GenerateInputs(64, 1042, 0.2, 2), true},
 		{"queue", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2), false},
+		{"queue-warm", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -42,6 +42,9 @@ type Deployment struct {
 
 	// zspare is the one-rank worker's spare layer buffer (see runAlone).
 	zspare sparse.Spare
+	// bufs holds each rank's data-path buffers between its runs, one slot
+	// per rank (see rankBufs).
+	bufs []rankBufs
 
 	runSeq int
 	// runs holds every in-flight request keyed by run id; handlers look
@@ -134,6 +137,7 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 	if err := d.stageModel(); err != nil {
 		return nil, err
 	}
+	d.bufs = make([]rankBufs, d.Cfg.Workers())
 
 	if provision := transports[cfg.Channel].provision; provision != nil {
 		if err := provision(d); err != nil {

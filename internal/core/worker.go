@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"fsdinference/internal/cloud/faas"
@@ -22,32 +23,9 @@ type worker struct {
 	localRows []int32
 	weights   []weightBlock // local row blocks, global column ids
 
-	// x is the row table the kernels index: this layer's input activation
-	// rows by global id, nil where a row is zero or absent. The worker's
-	// own rows are set before the local multiply and the rows it receives
-	// after it; the two halves of a weightBlock read disjoint columns, so
-	// one table serves both passes.
-	x        [][]float32
-	xTouched []int32
-
-	// The run's reusable buffers: a layer's rows are written into them
-	// instead of into fresh allocations, so the data path allocates per run,
-	// not per layer. None outlives the run or crosses to another invocation.
-	//
-	// zbuf[k&1] is layer k's output z, zeroed as the layer starts. Through
-	// layer k+1 x's own rows point into z_k, so the two layers in flight take
-	// alternate buffers.
-	zbuf [2]*sparse.Dense
-	// sendIDs and sendVals are the arena extractSendRows cuts one row set per
-	// send group from. The sets live until send returns; the frames encoded
-	// from them are fresh bytes, so nothing a service holds points here.
-	sendIDs  []int32
-	sendVals []float32
-	// recvIDs and recvVals are the arena a layer's data gather decodes into
-	// (decodePayload). The rows live in x until clearLayerState truncates
-	// the arena at the end of the layer.
-	recvIDs  []int32
-	recvVals []float32
+	// rankBufs is the rank's data path, taken from the deployment's slot as
+	// the worker starts and given back when it succeeds (see rankBufs).
+	rankBufs
 
 	ch      channel
 	metrics *WorkerMetrics
@@ -82,6 +60,59 @@ func (w *worker) failSpan(stage string) {
 	}
 	w.tspan.SetAttr("error", stage)
 	w.tspan.End()
+}
+
+// rankBufs are one rank's data-path buffers: a layer's rows are written
+// into them instead of into fresh allocations, so the FSI data path
+// allocates per deployment, not per run or per layer. The deployment keeps
+// one slot per rank (Deployment.bufs), as an instance stays warm between
+// invocations. A worker empties its rank's slot as it starts, so a run
+// overlapping it on the same rank allocates its own, and gives the buffers
+// back, emptied, only once its handler has succeeded: a rank that failed or
+// timed out may have stopped anywhere, mid-layer with rows in its table or
+// with its communication threads still running, so it keeps what it took
+// and the rank's next run starts fresh. Nothing that outlives a run points
+// into them: frames are fresh bytes, the gathered and allreduced results
+// are copies.
+type rankBufs struct {
+	// x is the row table the kernels index: this layer's input activation
+	// rows by global id, nil where a row is zero or absent. The worker's
+	// own rows are set before the local multiply and the rows it receives
+	// after it; the two halves of a weightBlock read disjoint columns, so
+	// one table serves both passes. xTouched lists the ids set, so that
+	// clearLayerState empties the table without a pass over all N.
+	x        [][]float32
+	xTouched []int32
+
+	// zbuf[k&1] is layer k's output z, zeroed as the layer starts. Through
+	// layer k+1 x's own rows point into z_k, so the two layers in flight take
+	// alternate buffers.
+	zbuf [2]*sparse.Dense
+	// sendIDs and sendVals are the arena extractSendRows cuts one row set per
+	// send group from. The sets live until send returns; the frames encoded
+	// from them are fresh bytes, so nothing a service holds points here.
+	sendIDs  []int32
+	sendVals []float32
+	// recvIDs and recvVals are the arena the input rows (load) and a layer's
+	// data gather (decodePayload) decode into. The rows live in x until
+	// clearLayerState truncates the arena at the end of the layer.
+	recvIDs  []int32
+	recvVals []float32
+}
+
+// takeBufs empties rank's slot and returns what it held: the buffers a
+// successful earlier run of the rank gave back, or none.
+func (d *Deployment) takeBufs(rank int) rankBufs {
+	b := d.bufs[rank]
+	d.bufs[rank] = rankBufs{}
+	return b
+}
+
+// giveBufs clears the row table and hands the worker's buffers back to its
+// rank's slot for the next run. Call it only once the run is done with them.
+func (w *worker) giveBufs() {
+	w.clearLayerState()
+	w.d.bufs[w.id] = w.rankBufs
 }
 
 // workerLink lends the worker's channel to the collective algorithms as a
@@ -124,11 +155,12 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	}
 
 	w := &worker{
-		d:       d,
-		run:     run,
-		ctx:     ctx,
-		id:      int32(rank),
-		pending: make(map[tag][]arrival),
+		d:        d,
+		run:      run,
+		ctx:      ctx,
+		id:       int32(rank),
+		rankBufs: d.takeBufs(rank),
+		pending:  make(map[tag][]arrival),
 	}
 	w.metrics = &WorkerMetrics{ID: w.id, StartedAt: ctx.P.Now(), Warm: ctx.Warm}
 	if sc := run.scope; sc.T != nil {
@@ -170,6 +202,7 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	w.metrics.FinishedAt = ctx.P.Now()
 	w.metrics.PeakMemBytes = ctx.PeakMem()
 	w.tspan.End()
+	w.giveBufs()
 	return []byte(`{"ok":true}`), nil
 }
 
@@ -215,14 +248,19 @@ func (w *worker) load() error {
 	// A rank alone multiplies run.input as the dense matrix it is (see
 	// runAlone): the object read above is this process's own framing of it,
 	// so it is charged and not decoded, and the instance holds the matrix's
-	// values only.
+	// values only. A rank with peers decodes its rows into the receive
+	// arena, where layer 0's clearLayerState drops them with the rows
+	// received in that layer.
 	xBytes := w.run.input.Bytes()
 	if w.ch != nil {
-		rs, err := wire.Decode(blob)
+		var rs *wire.RowSet
+		rs, w.recvIDs, w.recvVals, err = wire.DecodeAppend(blob, w.recvIDs, w.recvVals)
 		if err != nil {
 			return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)
 		}
-		w.x = make([][]float32, n)
+		if w.x == nil {
+			w.x = make([][]float32, n)
+		}
 		for i := 0; i < rs.Len(); i++ {
 			w.setX(rs.IDs[i], rs.Row(i))
 		}
@@ -248,15 +286,19 @@ func (w *worker) clearLayerState() {
 	w.recvIDs, w.recvVals = w.recvIDs[:0], w.recvVals[:0]
 }
 
-// layerOut returns the zeroed output buffer of layer k (see zbuf).
+// layerOut returns the zeroed output buffer of layer k (see zbuf), shaped
+// to this run's batch: a buffer an earlier run left is reused when it holds
+// enough values, and replaced by a larger one when it does not.
 func (w *worker) layerOut(k int) *sparse.Dense {
+	rows, cols := len(w.localRows), w.run.batch
 	z := w.zbuf[k&1]
-	if z == nil {
-		z = sparse.NewDense(len(w.localRows), w.run.batch)
+	if z == nil || cap(z.Data) < rows*cols {
+		z = sparse.NewDense(rows, cols)
 		w.zbuf[k&1] = z
-	} else {
-		z.Zero()
+		return z
 	}
+	z.Rows, z.Cols, z.Data = rows, cols, z.Data[:rows*cols]
+	z.Zero()
 	return z
 }
 
@@ -521,12 +563,7 @@ func allZero(row []float32) bool {
 // P workers (Result.AllOutputs), fixing the root-only reduction.
 func (w *worker) reduce() error {
 	batch := w.run.batch
-	mine := wire.NewRowSetCap(batch, len(w.localRows))
-	for _, r := range w.localRows {
-		if row := w.x[r]; row != nil {
-			mine.Add(r, row)
-		}
-	}
+	mine := w.finalRows()
 	w.ctx.Serialize(mine.RawBytes())
 	est := ReduceContributionBytes(w.d.Cfg.Model.Spec.Neurons, w.d.Cfg.Workers(), batch)
 
@@ -558,7 +595,18 @@ func (w *worker) reduce() error {
 	if sp.Active() {
 		sp.SetAttr("alg", alg.String())
 	}
-	full, err := collective.Gather(alg, workerLink{w}, 0, mine)
+	// The root copies its own rows and every arriving set straight into
+	// the result; the ranks in between union what they forward.
+	combine := collective.Union
+	var out *sparse.Dense
+	if w.id == 0 {
+		out = w.fillDense(mine)
+		combine = func(acc, rs *wire.RowSet) *wire.RowSet {
+			scatter(out, rs)
+			return acc
+		}
+	}
+	_, err := collective.Gather(alg, workerLink{w}, 0, mine, combine)
 	sp.End()
 	if err != nil {
 		return fmt.Errorf("core: worker %d reduce: %w", w.id, err)
@@ -566,18 +614,43 @@ func (w *worker) reduce() error {
 	if w.id != 0 {
 		return nil
 	}
-	return w.storeResult(w.fillDense(full))
+	return w.storeResult(out)
+}
+
+// finalRows returns the rank's contribution to the reduce: its rows present
+// in x, in localRows order. After the last layer those are every row of that
+// layer's z, so the set views z, capped so that a Union on it reallocates
+// rather than writing into z; a model without layers copies the input rows
+// the rank holds.
+func (w *worker) finalRows() *wire.RowSet {
+	if l := len(w.weights); l > 0 {
+		z := w.zbuf[(l-1)&1]
+		return &wire.RowSet{Batch: z.Cols, IDs: slices.Clip(w.localRows), Vals: slices.Clip(z.Data)}
+	}
+	mine := wire.NewRowSetCap(w.run.batch, len(w.localRows))
+	for _, r := range w.localRows {
+		if row := w.x[r]; row != nil {
+			mine.Add(r, row)
+		}
+	}
+	return mine
 }
 
 // fillDense scatters a combined row set into a dense N x batch output.
 func (w *worker) fillDense(rs *wire.RowSet) *sparse.Dense {
 	out := sparse.NewDense(w.d.Cfg.Model.Spec.Neurons, w.run.batch)
-	if rs != nil {
-		for i := 0; i < rs.Len(); i++ {
-			copy(out.Row(int(rs.IDs[i])), rs.Row(i))
-		}
-	}
+	scatter(out, rs)
 	return out
+}
+
+// scatter copies each row of rs into its row of out; rs may be nil.
+func scatter(out *sparse.Dense, rs *wire.RowSet) {
+	if rs == nil {
+		return
+	}
+	for i := 0; i < rs.Len(); i++ {
+		copy(out.Row(int(rs.IDs[i])), rs.Row(i))
+	}
 }
 
 // storeResult writes the result object (billed) and reports it to the

@@ -24,6 +24,9 @@ import (
 //     publish capacity, object storage while volumes still fit one
 //     publish chunk (queue API requests ~1 OOM cheaper, §IV-C).
 //
+// The rules on the per-pair volume judge traffic between workers, so a
+// workload without pairs (one worker) is judged by the others alone.
+//
 // Dominance prunes only fire when the objective implements costWeighter
 // with full cost weight; latency-weighted and custom objectives keep the
 // whole grid, because analytics say nothing about their latency term.
@@ -107,6 +110,8 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 // knowledge is written; PrefilterChannels runs it without a planner.
 func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered bool) (reason string, breakEven int64) {
 	shards := max(1, c.KVNodes)
+	// With no pairs nothing crosses a channel, whatever the per-pair volume.
+	pairs := w.PairsPerLayer > 0
 	switch c.Channel {
 	case core.Serial:
 		// Feasibility: the whole model must fit one instance; no cost rule
@@ -116,7 +121,7 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 				int64(float64(w.ModelBytes)*w.MemOverhead)>>20, w.InstanceCapMB), 0
 		}
 	case core.Memory:
-		if !memoryValueFeasible(w.BytesPerPairPerLayer) {
+		if pairs && !memoryValueFeasible(w.BytesPerPairPerLayer) {
 			return fmt.Sprintf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer), 0
 		}
 		// Feasibility: the sustained op rate must fit the cluster's
@@ -174,12 +179,12 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		}
 		return "", be
 	case core.Queue:
-		if costOnly && queueSaturated(w.BytesPerPairPerLayer) {
+		if costOnly && pairs && queueSaturated(w.BytesPerPairPerLayer) {
 			return fmt.Sprintf("per-pair volume %d B needs %d publish chunks, saturating pub-sub payload capacity",
 				w.BytesPerPairPerLayer, cost.PublishChunks(w.BytesPerPairPerLayer)), 0
 		}
 	case core.Object:
-		if costOnly && cost.PublishChunks(w.BytesPerPairPerLayer) <= 1 {
+		if costOnly && pairs && cost.PublishChunks(w.BytesPerPairPerLayer) <= 1 {
 			return fmt.Sprintf("per-pair volume %d B fits one publish chunk; queue API requests are ~1 OOM cheaper", w.BytesPerPairPerLayer), 0
 		}
 	}
