@@ -114,8 +114,9 @@ cover:
 # deployment that has served one, so its B/op is the path that recycles the
 # layer buffer; queue, the FSI loop over the Queue channel at P=4; and
 # queue-warm, that loop on a deployment whose ranks have run once, so its
-# B/op is the path that recycles each rank's buffers (B/op and allocs/op
-# print with the timing).
+# B/op is the path that recycles each rank's buffers; and memory-p32 and
+# memory-p32-warm, collective_p32's run shape on the Memory channel, fresh
+# and warm (B/op and allocs/op print with the timing).
 # Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles

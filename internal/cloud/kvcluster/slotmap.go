@@ -52,10 +52,24 @@ func BuildSlotMap(shards int) []int {
 	return m
 }
 
+// rendezvous is the FNV-1a 64 hash of "slot/shard" in decimal, written
+// into a stack buffer: BuildSlotMap calls it NumSlots times per shard, so it
+// must not allocate.
 func rendezvous(slot, shard int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(strconv.Itoa(slot)))
-	h.Write([]byte{'/'})
-	h.Write([]byte(strconv.Itoa(shard)))
-	return h.Sum64()
+	var buf [2*20 + 1]byte
+	b := strconv.AppendInt(buf[:0], int64(slot), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(shard), 10)
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
+
+// The FNV-1a 64 parameters, as hash/fnv's New64a uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)

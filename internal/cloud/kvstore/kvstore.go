@@ -192,7 +192,12 @@ type Node struct {
 	shard   string
 	replica bool
 
-	items     map[string]*entry
+	items map[string]*entry
+	// free holds the entries of keys a pop emptied, cleared but with their
+	// lists' capacity kept, for the next keys created: an inbox that drains
+	// and refills takes its entry back instead of allocating one. Expiry and
+	// DropPrefix drop their entries instead, as they find them in map order.
+	free      []*entry
 	usedBytes int64
 	limiter   *sim.Limiter
 	cond      *sim.Cond
@@ -332,7 +337,7 @@ func (n *Node) RPush(p *sim.Proc, key string, val []byte, ttl time.Duration) err
 			n.name, n.usedBytes, n.CapacityBytes())
 	}
 	if e == nil {
-		e = &entry{}
+		e = n.newEntry()
 		n.items[key] = e
 	}
 	e.list = append(e.list, val)
@@ -354,14 +359,7 @@ func (n *Node) BLPop(p *sim.Proc, key string, wait time.Duration) []byte {
 	for {
 		n.dropExpired(key)
 		if e := n.items[key]; e != nil && len(e.list) > 0 {
-			val := e.list[0]
-			e.list = e.list[1:]
-			e.bytes -= int64(len(val))
-			n.usedBytes -= int64(len(val))
-			if len(e.list) == 0 {
-				n.usedBytes -= int64(n.svc.cfg.KeyOverheadBytes)
-				delete(n.items, key)
-			}
+			val := n.popHead(key, e)
 			n.chargeOp(p, len(val))
 			n.svc.meter.KVBytesOut += int64(len(val))
 			return val
@@ -405,7 +403,7 @@ func (n *Node) ReplApply(key string, val []byte, ttl time.Duration) {
 	n.dropExpired(key)
 	e := n.items[key]
 	if e == nil {
-		e = &entry{}
+		e = n.newEntry()
 		n.items[key] = e
 		n.usedBytes += int64(n.svc.cfg.KeyOverheadBytes)
 	}
@@ -430,14 +428,40 @@ func (n *Node) ReplApplyPop(key string) {
 	if e == nil || len(e.list) == 0 {
 		return
 	}
+	n.popHead(key, e)
+}
+
+// newEntry returns an empty entry for a key being created: the last one a
+// pop emptied, or a new one.
+func (n *Node) newEntry() *entry {
+	last := len(n.free) - 1
+	if last < 0 {
+		return &entry{}
+	}
+	e := n.free[last]
+	n.free[last] = nil
+	n.free = n.free[:last]
+	return e
+}
+
+// popHead removes and returns the head of e, the non-empty list at key. The
+// list shifts down in place, so it keeps its capacity; a list left empty
+// deletes the key, and its entry, cleared, goes on the free list.
+func (n *Node) popHead(key string, e *entry) []byte {
 	val := e.list[0]
-	e.list = e.list[1:]
+	last := len(e.list) - 1
+	copy(e.list, e.list[1:])
+	e.list[last] = nil
+	e.list = e.list[:last]
 	e.bytes -= int64(len(val))
 	n.usedBytes -= int64(len(val))
-	if len(e.list) == 0 {
+	if last == 0 {
 		n.usedBytes -= int64(n.svc.cfg.KeyOverheadBytes)
 		delete(n.items, key)
+		e.bytes, e.expiresAt = 0, 0
+		n.free = append(n.free, e)
 	}
+	return val
 }
 
 // SyncFrom replaces the node's contents with a host-side copy of src —

@@ -244,6 +244,68 @@ func TestDropPrefixTearsDownKeyspace(t *testing.T) {
 	}
 }
 
+// TestRecycledEntryCarriesNothing: key a is pushed with a TTL and popped
+// empty, on a primary (BLPop) and on a replica (ReplApplyPop), so its entry
+// goes on the node's free list; key b then takes that entry and must hold
+// what b holds on a fresh node: the same values, bytes and TTL, with the
+// node's usedBytes where the fresh node's is.
+func TestRecycledEntryCarriesNothing(t *testing.T) {
+	k, _, s := newSvc(t)
+	var nodes [4]*Node
+	for i, name := range []string{"primary", "fresh-primary", "replica", "fresh-replica"} {
+		nodes[i], _ = s.Provision(name, DefaultNodeType)
+	}
+	primary, freshPrimary, replica, freshReplica := nodes[0], nodes[1], nodes[2], nodes[3]
+	aVals := []string{"a-first", "a-second-longer", "a-third"}
+	bVals := [][]byte{[]byte("b-one"), []byte("b-two")}
+	var recycled [2]*entry
+	k.Go("c", func(p *sim.Proc) {
+		for _, v := range aVals {
+			if err := primary.RPush(p, "a", []byte(v), time.Minute); err != nil {
+				t.Error(err)
+			}
+			replica.ReplApply("a", []byte(v), time.Minute)
+		}
+		for range aVals {
+			primary.BLPop(p, "a", 0)
+			replica.ReplApplyPop("a")
+		}
+		for i, n := range []*Node{primary, replica} {
+			if len(n.free) != 1 || n.UsedBytes() != 0 {
+				t.Errorf("%s: %d free entries and %d bytes used after a's last pop, want 1 and 0", n.Name(), len(n.free), n.UsedBytes())
+				return
+			}
+			recycled[i] = n.free[0]
+		}
+		for _, v := range bVals {
+			for _, n := range []*Node{primary, freshPrimary} {
+				if err := n.RPush(p, "b", v, 0); err != nil {
+					t.Error(err)
+				}
+			}
+			replica.ReplApply("b", v, 0)
+			freshReplica.ReplApply("b", v, 0)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, pair := range [][2]*Node{{primary, freshPrimary}, {replica, freshReplica}} {
+		n, fresh := pair[0], pair[1]
+		got, want := n.items["b"], fresh.items["b"]
+		if got != recycled[i] {
+			t.Fatalf("%s: b did not take the entry a's last pop freed", n.Name())
+		}
+		if fmt.Sprint(got.list) != fmt.Sprint(want.list) || got.bytes != want.bytes || got.expiresAt != want.expiresAt {
+			t.Errorf("%s: b holds %q, %d bytes, expiry %v; a fresh node's holds %q, %d bytes, expiry %v",
+				n.Name(), got.list, got.bytes, got.expiresAt, want.list, want.bytes, want.expiresAt)
+		}
+		if n.UsedBytes() != fresh.UsedBytes() {
+			t.Errorf("%s: %d bytes used, a fresh node %d", n.Name(), n.UsedBytes(), fresh.UsedBytes())
+		}
+	}
+}
+
 func TestUnknownNodeType(t *testing.T) {
 	_, _, s := newSvc(t)
 	if _, err := s.Provision("n0", "cache.nonsense"); err == nil {

@@ -120,6 +120,18 @@ const (
 	opGather      = "gt"
 )
 
+// OpTag returns the operation tag b spells, for a transport that reads tags
+// off the wire as bytes: the constant itself, so that no string is
+// allocated per message. It reports false when b names no operation.
+func OpTag(b []byte) (string, bool) {
+	for _, op := range [...]string{opBarrierUp, opBarrierDown, opAllreduceUp, opAllreduceBc, opGather} {
+		if string(b) == op {
+			return op, true
+		}
+	}
+	return "", false
+}
+
 // orEmpty substitutes an empty row set for nil, so transports always get
 // a payload to frame.
 func orEmpty(rs *wire.RowSet) *wire.RowSet {

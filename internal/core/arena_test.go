@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/sparse"
@@ -164,6 +165,56 @@ func TestFSIRunBytesMoved(t *testing.T) {
 			t.Logf("%v run %d allocated %.2f x the batch's %d bytes", kind, run+1, moved, input.Bytes())
 			if run == 1 && moved > budget[kind] {
 				t.Errorf("%v: a warm run allocated %.2f x its batch's bytes, budget %.2f", kind, moved, budget[kind])
+			}
+		}
+	}
+}
+
+// TestMemoryRunMallocs is the Memory channel's allocation-count budget at
+// the repository benchmark's collective_p32 run shape (N=256 x 6, Block
+// P=32, a batch of 16, AllreduceOutput, compressed): a warm run, on a
+// deployment that has served one, may make so many mallocs and no more.
+// Measured per warm run: 16 470 - 16 520 under flat, 17 650 - 17 680 under
+// tree and 34 190 - 34 220 under ring. While every push built its own RPUSH closure and sender-log
+// slice, the store allocated a list entry per refilled inbox, every comm
+// thread was named with fmt.Sprintf and every popped value's kind was a
+// fresh string, the same runs took 28 738, 30 170 and 53 215. Each budget
+// leaves about a quarter of headroom. Mallocs counts the whole process, so the
+// test must not run in parallel with others.
+func TestMemoryRunMallocs(t *testing.T) {
+	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := partition.BuildPlan(m, 32, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		alg    collective.Algorithm
+		budget uint64
+	}{{collective.Flat, 21_000}, {collective.Tree, 22_000}, {collective.Ring, 42_000}} {
+		d, err := Deploy(env.NewDefault(), Config{
+			Model: m, Plan: plan, Channel: Memory, Collective: tc.alg,
+			AllreduceOutput: true, Compress: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			input := model.GenerateInputs(256, 16, 0.2, int64(80+run))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := d.Infer(input)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCorrect(t, m, input, res)
+			mallocs := after.Mallocs - before.Mallocs
+			t.Logf("%v run %d made %d mallocs", tc.alg, run+1, mallocs)
+			if run == 1 && mallocs > tc.budget {
+				t.Errorf("%v: a warm run made %d mallocs, budget %d", tc.alg, mallocs, tc.budget)
 			}
 		}
 	}

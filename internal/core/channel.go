@@ -171,8 +171,9 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 // CPU (parse, plus decompression when the frame arrived deflated). It is
 // the decodeFunc of every transport whose bodies are all row sets. A layer's
 // activation rows decode into the worker's receive arena and live until the
-// layer ends; a collective's sets are unioned and forwarded, so they decode
-// into sets of their own that keep their frames.
+// layer ends, and so do the sets the gather's root copies into the result
+// (see worker.foldRoot); every other collective's sets are unioned and
+// forwarded, so they decode into sets of their own that keep their frames.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	w.metrics.BytesRecv += int64(len(body))
 	w.ctx.Serialize(int64(len(body)))
@@ -181,7 +182,7 @@ func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	}
 	var rs *wire.RowSet
 	var err error
-	if w.gath.tag.kind == dataKind {
+	if w.gath.tag.kind == dataKind || w.foldRoot {
 		rs, w.recvIDs, w.recvVals, err = wire.DecodeAppend(body, w.recvIDs, w.recvVals)
 	} else {
 		rs, err = wire.Decode(body)

@@ -8,7 +8,6 @@ import (
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/collective"
-	"fsdinference/internal/sim"
 	"fsdinference/internal/wire"
 )
 
@@ -131,18 +130,13 @@ func chunkKey(prefix string, i int) string {
 // pointer is pushed, so a receiver's GETs never race the upload.
 func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 	d := w.d
-	var inline []func(p *sim.Proc) error // small pushes + pointer pushes
-	var puts []func(p *sim.Proc) error
-
-	var one [1][]byte
-	vals := valSlots(len(outs), &one) // inline values, shared per send group
+	var puts []objectPut
+	vals := hc.mem.sendFrames(len(outs)) // inline values and pointer frames
 	for i, out := range outs {
 		if int(out.rs.RawBytes()) <= d.Cfg.HybridThresholdBytes {
-			task, err := hc.mem.push(w, t, outs, vals, i)
-			if err != nil {
+			if err := frameValue(w, t, outs, vals, i); err != nil {
 				return err
 			}
-			inline = append(inline, task)
 			d.Env.Meter.HybridSmallValues++
 			continue
 		}
@@ -153,7 +147,7 @@ func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 		bucket := w.bucketFor(out.target)
 		prefix := bulkPrefix(w, t, out.target)
 		for ci, c := range chunks {
-			puts = append(puts, putTask(bucket, chunkKey(prefix, ci), c))
+			puts = append(puts, objectPut{bucket, chunkKey(prefix, ci), c})
 			w.metrics.BytesSent += int64(len(c))
 		}
 		w.metrics.MessagesSent += int64(len(chunks))
@@ -161,13 +155,13 @@ func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 		d.Env.Meter.HybridBulkValues++
 		d.Env.Meter.HybridBulkBytes += out.rs.RawBytes()
 		d.Env.Meter.HybridChunks += int64(len(chunks))
-		ptr := encodeMemValue(t, w.id, encodeBulkPointer(len(chunks), prefix))
-		inline = append(inline, hc.mem.pushVal(w, t, out.target, ptr))
+		vals[i] = encodeMemValue(t, w.id, encodeBulkPointer(len(chunks), prefix))
+		logPush(w, t, out.target, vals[i])
 	}
-	if err := w.threadsN("bput", hybridFanout, puts); err != nil {
+	if err := putAll(w, "bput", hybridFanout, puts); err != nil {
 		return err
 	}
-	return w.threads("push", inline)
+	return hc.mem.pushAll(w, outs, vals)
 }
 
 // gather runs the shared loop over the memory transport's inbox with a

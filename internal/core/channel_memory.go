@@ -51,10 +51,13 @@ type memoryChannel struct {
 	// concern it, but a kill mid-run concerns every worker — including
 	// instances that launch after it.
 	resentAt map[tag]int64
+	// frames[i] is the value the send in progress pushes to its i-th
+	// target (see sendFrames); the run's sender log holds the same frames.
+	frames [][]byte
 }
 
 func newMemoryChannel(w *worker) *memoryChannel {
-	return &memoryChannel{inbox: w.run.inboxes[w.id], resentAt: make(map[tag]int64)}
+	return &memoryChannel{inbox: w.run.store.inboxes[w.id], resentAt: make(map[tag]int64)}
 }
 
 func openMemory(w *worker) channel { return newMemoryChannel(w) }
@@ -86,18 +89,47 @@ func provisionStore(d *Deployment) error {
 	return nil
 }
 
-// bindStore names the run's inboxes (see runState.inboxes) and notes the
-// cluster's loss counter as the run begins (see runState.baseLost). The nil
-// checks here and in dropRunKeyspace are for a deployment that was
+// storeRun is one run's state on the store kinds.
+type storeRun struct {
+	// inboxes[m] is worker m's inbox list key, named once as the run binds
+	// so that no push builds it again.
+	inboxes []string
+	// sent is the host-side sender log: every framed value pushed during
+	// the run, in push order. Workers hold their layer outputs in memory
+	// anyway, so after a lossy store failover a receiver can have its
+	// missing sources re-send from these buffers instead of deadlocking on
+	// values no node holds.
+	sent []sentValue
+	// baseLost is the cluster's loss counter when the run began: only
+	// failovers after it concern this run, even for workers whose
+	// instances launch after the kill.
+	baseLost int64
+}
+
+// bindStore names the run's inboxes, sizes its sender log and notes the
+// cluster's loss counter as the run begins (see storeRun). The log holds a
+// value per data-path transfer, one per source each receiver of each layer
+// lists, and per collective message: the barrier and a flat or tree
+// allreduce send 4(P-1) between them; a ring allreduce's P(P-1) grow it.
+// The nil checks here and in dropRunKeyspace are for a deployment that was
 // decommissioned while a late run still unbinds.
 func bindStore(d *Deployment, run *runState) {
-	run.inboxes = make([]string, d.Cfg.Workers())
-	for m := range run.inboxes {
-		run.inboxes[m] = inboxKey(run.id, int32(m))
+	p := d.Cfg.Workers()
+	st := &storeRun{inboxes: make([]string, p)}
+	for m := range st.inboxes {
+		st.inboxes[m] = inboxKey(run.id, int32(m))
 	}
+	values := 4 * (p - 1)
+	for _, layer := range d.Cfg.Plan.Recvs {
+		for _, sources := range layer {
+			values += len(sources)
+		}
+	}
+	st.sent = make([]sentValue, 0, values)
 	if d.kvcluster != nil {
-		run.baseLost = d.kvcluster.LostValues()
+		st.baseLost = d.kvcluster.LostValues()
 	}
+	run.store = st
 }
 
 // dropRunKeyspace tears down a run's key prefix on every cluster node —
@@ -139,9 +171,9 @@ func billStore(w *WorkerMetrics, u *usage.Meter) {
 // sentValue is one sender-log entry: the framed inbox value a worker
 // pushed, with enough addressing to replay it for a starved receiver.
 type sentValue struct {
-	tag tag
-	src int32
-	val []byte
+	tag         tag
+	src, target int32
+	val         []byte
 }
 
 func inboxKey(runID string, target int32) string {
@@ -167,19 +199,33 @@ func decodeMemValue(val []byte) (t tag, src int32, body []byte, err error) {
 	if !framed || !layerOK || !srcOK {
 		return tag{}, 0, nil, fmt.Errorf("core: malformed memory-channel value header %q", header)
 	}
-	return tag{string(kind), layer}, int32(s), body, nil
+	return tag{kindOf(kind), layer}, int32(s), body, nil
 }
 
-// push frames outs[i] and returns its RPUSH task (see pushVal). Even an
-// empty row set is pushed so the target learns the transfer is complete.
-// The header names kind, layer and source but no target, so the targets of
-// one send group — which share a row set — share one framed value too:
-// vals[j] is what outs[j] was pushed as, nil where it took another route.
-func (mc *memoryChannel) push(w *worker, t tag, outs []targetRows, vals [][]byte, i int) (func(p *sim.Proc) error, error) {
+// kindOf returns the tag kind b spells. The kinds the engine sends, the data
+// path's and the collectives' operation tags, come back as their constants,
+// so a value's header allocates nothing; any other kind is copied.
+func kindOf(b []byte) string {
+	if string(b) == dataKind {
+		return dataKind
+	}
+	if op, ok := collective.OpTag(b); ok {
+		return op
+	}
+	return string(b)
+}
+
+// frameValue encodes outs[i] into vals[i], the value its target is pushed,
+// and logs the push. Even an empty row set is pushed so the target learns the
+// transfer is complete. The header names kind, layer and source but no
+// target, so the targets of one send group — which share a row set — share
+// one framed value too: vals[j] is what outs[j] is pushed, nil where it took
+// another route.
+func frameValue(w *worker, t tag, outs []targetRows, vals [][]byte, i int) error {
 	rs := outs[i].rs
 	body, err := w.encodeFrame(rs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for j := 0; j < i && vals[i] == nil; j++ {
 		if outs[j].rs == rs {
@@ -189,49 +235,50 @@ func (mc *memoryChannel) push(w *worker, t tag, outs []targetRows, vals [][]byte
 	if vals[i] == nil {
 		vals[i] = encodeMemValue(t, w.id, body)
 	}
-	return mc.pushVal(w, t, outs[i].target, vals[i]), nil
+	logPush(w, t, outs[i].target, vals[i])
+	return nil
 }
 
-// valSlots returns the slots through which push shares one batch's framed
-// values. A batch of one — every send at P=2, every collective hop — has
-// nothing to share and borrows the caller's stack slot.
-func valSlots(n int, one *[1][]byte) [][]byte {
-	if n <= 1 {
-		return one[:n]
-	}
-	return make([][]byte, n)
-}
-
-// pushVal returns the task that appends one framed value to the target's
-// slot-routed inbox list (refreshing the run keyspace TTL), and records the
-// value in the run's sender log for failover recovery.
-func (mc *memoryChannel) pushVal(w *worker, t tag, target int32, val []byte) func(p *sim.Proc) error {
+// logPush counts one inbox push of val to target and records it in the
+// run's sender log for failover recovery.
+func logPush(w *worker, t tag, target int32, val []byte) {
 	// BytesSent counts the payload, not the header before the separator.
 	w.metrics.BytesSent += int64(len(val) - bytes.IndexByte(val, 0) - 1)
 	w.metrics.MessagesSent++
 	w.metrics.Publishes++
-	cl := w.d.kvcluster
-	key := w.run.inboxes[target]
-	ttl := w.d.Cfg.FunctionTimeout
-	if w.run.sent == nil {
-		w.run.sent = make(map[int32][]sentValue)
+	st := w.run.store
+	st.sent = append(st.sent, sentValue{tag: t, src: w.id, target: target, val: val})
+}
+
+// sendFrames returns the channel's frame slots for a send to n targets,
+// every one nil. A worker sends one batch at a time, so one set of slots
+// serves the run.
+func (mc *memoryChannel) sendFrames(n int) [][]byte {
+	if cap(mc.frames) < n {
+		mc.frames = make([][]byte, n)
 	}
-	w.run.sent[target] = append(w.run.sent[target], sentValue{tag: t, src: w.id, val: val})
-	return func(p *sim.Proc) error { return cl.RPush(p, &mc.client, key, val, ttl) }
+	vals := mc.frames[:n]
+	clear(vals)
+	return vals
+}
+
+// pushAll appends vals[i] to the slot-routed inbox list of outs[i].target
+// for every i, from the comm pool, refreshing the run keyspace TTL.
+func (mc *memoryChannel) pushAll(w *worker, outs []targetRows, vals [][]byte) error {
+	cl, inboxes, ttl := w.d.kvcluster, w.run.store.inboxes, w.d.Cfg.FunctionTimeout
+	return w.threads("push", len(outs), func(p *sim.Proc, i int) error {
+		return cl.RPush(p, &mc.client, inboxes[outs[i].target], vals[i], ttl)
+	})
 }
 
 func (mc *memoryChannel) send(w *worker, t tag, outs []targetRows) error {
-	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
-	var one [1][]byte
-	vals := valSlots(len(outs), &one)
+	vals := mc.sendFrames(len(outs))
 	for i := range outs {
-		task, err := mc.push(w, t, outs, vals, i)
-		if err != nil {
+		if err := frameValue(w, t, outs, vals, i); err != nil {
 			return err
 		}
-		tasks = append(tasks, task)
 	}
-	return w.threads("push", tasks)
+	return mc.pushAll(w, outs, vals)
 }
 
 func (mc *memoryChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
@@ -274,14 +321,14 @@ func (mc *memoryChannel) recover(w *worker, g *gathering) error {
 	lost := w.d.kvcluster.LostValues()
 	floor, seen := mc.resentAt[g.tag]
 	if !seen {
-		floor = w.run.baseLost
+		floor = w.run.store.baseLost
 	}
 	if lost <= floor {
 		return nil
 	}
 	mc.resentAt[g.tag] = lost
-	for _, sv := range w.run.sent[w.id] {
-		if sv.tag != g.tag || !g.wants(sv.src) {
+	for _, sv := range w.run.store.sent {
+		if sv.target != w.id || sv.tag != g.tag || !g.wants(sv.src) {
 			continue
 		}
 		w.metrics.Resends++

@@ -68,9 +68,18 @@ func (w *worker) bucketFor(id int32) *s3.Bucket {
 	return w.d.buckets[int(id)%len(w.d.buckets)]
 }
 
-// putTask is the thread-pool task that writes one object.
-func putTask(b *s3.Bucket, key string, body []byte) func(p *sim.Proc) error {
-	return func(p *sim.Proc) error { return putObject(b, p, key, body) }
+// objectPut is one object a send writes.
+type objectPut struct {
+	bucket *s3.Bucket
+	key    string
+	body   []byte
+}
+
+// putAll writes puts in order from a width-wide thread pool named name.
+func putAll(w *worker, name string, width int, puts []objectPut) error {
+	return w.threadsN(name, width, len(puts), func(p *sim.Proc, i int) error {
+		return putObject(puts[i].bucket, p, puts[i].key, puts[i].body)
+	})
 }
 
 // putObject is (*s3.Bucket).Put, a variable so that a test can watch every
@@ -83,19 +92,14 @@ var putObject = (*s3.Bucket).Put
 // read-only (wire.Decode retains it as the decoded set's frame).
 func (w *worker) getBodies(name string, width int, bucket *s3.Bucket, keys []string) ([][]byte, error) {
 	bodies := make([][]byte, len(keys))
-	tasks := make([]func(p *sim.Proc) error, len(keys))
-	for i, key := range keys {
-		i, key := i, key
-		tasks[i] = func(p *sim.Proc) error {
-			b, err := bucket.View(p, key)
-			if err != nil {
-				return err
-			}
-			bodies[i] = b
-			return nil
+	return bodies, w.threadsN(name, width, len(keys), func(p *sim.Proc, i int) error {
+		b, err := bucket.View(p, keys[i])
+		if err != nil {
+			return err
 		}
-	}
-	return bodies, w.threadsN(name, width, tasks)
+		bodies[i] = b
+		return nil
+	})
 }
 
 // objectPrefix is the "{run}/{kind}/{layer}/{target}/" prefix a target
@@ -110,7 +114,7 @@ func objectKey(w *worker, t tag, src, target int32, ext string) string {
 
 // send writes one object for each (target, rows) entry from the thread pool.
 func (objectChannel) send(w *worker, t tag, outs []targetRows) error {
-	tasks := make([]func(p *sim.Proc) error, 0, len(outs))
+	puts := make([]objectPut, 0, len(outs))
 	for _, out := range outs {
 		ext, body := ".nul", []byte(nil)
 		if out.rs.Len() > 0 {
@@ -123,9 +127,9 @@ func (objectChannel) send(w *worker, t tag, outs []targetRows) error {
 		}
 		w.metrics.MessagesSent++
 		w.metrics.Publishes++
-		tasks = append(tasks, putTask(w.bucketFor(out.target), objectKey(w, t, w.id, out.target, ext), body))
+		puts = append(puts, objectPut{w.bucketFor(out.target), objectKey(w, t, w.id, out.target, ext), body})
 	}
-	return w.threads("put", tasks)
+	return putAll(w, "put", commThreads, puts)
 }
 
 func (oc objectChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {

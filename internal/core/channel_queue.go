@@ -169,18 +169,17 @@ func (*queueChannel) packBatches(w *worker, msgs []sqs.Message) [][]sqs.Message 
 // used by the cost-model validation.
 func (*queueChannel) publish(w *worker, batches [][]sqs.Message) error {
 	topic := w.d.topics[int(w.id)%len(w.d.topics)]
-	tasks := make([]func(p *sim.Proc) error, len(batches))
-	for i, b := range batches {
-		b := b
+	for _, b := range batches {
 		var bytes int64
 		for _, m := range b {
 			bytes += int64(m.Size())
 		}
 		w.metrics.BilledPublishes += pricing.BilledPublishRequests(bytes)
-		tasks[i] = func(p *sim.Proc) error { return topic.PublishBatch(p, b) }
 	}
 	w.metrics.Publishes += int64(len(batches))
-	return w.threads("pub", tasks)
+	return w.threads("pub", len(batches), func(p *sim.Proc, i int) error {
+		return topic.PublishBatch(p, batches[i])
+	})
 }
 
 func (qc *queueChannel) send(w *worker, t tag, outs []targetRows) error {

@@ -447,7 +447,12 @@ func TestShortPollingStillCorrectButChattier(t *testing.T) {
 // serial's first layer multiplies into the spare z an earlier run gave back,
 // and every queue rank starts from the buffers its rank's last run gave back
 // (rankBufs), so their B/op are the recycled paths' (a warm-up run before
-// the timer makes that hold at -benchtime 1x as well).
+// the timer makes that hold at -benchtime 1x as well). memory-p32 is the
+// repository benchmark's collective_p32 run shape (Memory, N=256 x 6, Block
+// P=32, a batch of 16, AllreduceOutput, compressed) under the default
+// topology, so the Memory channel, its store and the closing collectives run
+// here too; memory-p32-warm is the same run on a deployment that has served
+// one.
 func BenchmarkEngineRun(b *testing.B) {
 	small, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
@@ -461,6 +466,11 @@ func BenchmarkEngineRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan32, err := partition.BuildPlan(m, 32, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p32 := Config{Model: m, Plan: plan32, Channel: Memory, AllreduceOutput: true, Compress: true}
 	deploy := func(cfg Config) *Deployment {
 		d, err := Deploy(env.NewDefault(), cfg)
 		if err != nil {
@@ -483,6 +493,8 @@ func BenchmarkEngineRun(b *testing.B) {
 		{"serial-warm", Config{Model: small, Channel: Serial}, model.GenerateInputs(64, 1042, 0.2, 2), true},
 		{"queue", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2), false},
 		{"queue-warm", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2), true},
+		{"memory-p32", p32, model.GenerateInputs(256, 16, 0.2, 2), false},
+		{"memory-p32-warm", p32, model.GenerateInputs(256, 16, 0.2, 2), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -46,10 +46,40 @@ type Deployment struct {
 	// per rank (see rankBufs).
 	bufs []rankBufs
 
+	// threadNames caches the names of the workers' communication threads
+	// (see threadName).
+	threadNames map[threadPool][]string
+
 	runSeq int
 	// runs holds every in-flight request keyed by run id; handlers look
 	// their run up by the id carried in the invocation payload.
 	runs map[string]*runState
+}
+
+// threadPool names one rank's communication thread pool.
+type threadPool struct {
+	rank int32
+	name string
+}
+
+// threadName returns the name of thread t of rank's pool name,
+// "w<rank>-<name>-t<t>", formatted once per deployment: the kernel reads a
+// proc's name only to report a deadlock or a panic, and a run starts
+// thousands of these threads.
+func (d *Deployment) threadName(rank int32, name string, t int) string {
+	key := threadPool{rank, name}
+	names := d.threadNames[key]
+	if t < len(names) {
+		return names[t]
+	}
+	for len(names) <= t {
+		names = append(names, fmt.Sprintf("w%d-%s-t%d", rank, name, len(names)))
+	}
+	if d.threadNames == nil {
+		d.threadNames = make(map[threadPool][]string)
+	}
+	d.threadNames[key] = names
+	return names[t]
 }
 
 // runState is the per-request bookkeeping shared (host-side) between the
@@ -65,19 +95,9 @@ type runState struct {
 	// never consume each other's messages.
 	queues []*sqs.Queue
 
-	// sent is the Memory channel's host-side sender log: every framed
-	// value pushed during the run, keyed by target worker. Workers hold
-	// their layer outputs in memory anyway, so after a lossy store
-	// failover a receiver can have its missing sources re-send from
-	// these buffers instead of deadlocking on values no node holds.
-	// baseLost is the cluster's loss counter when the run began: only
-	// failovers after it concern this run, even for workers whose
-	// instances launch after the kill.
-	sent     map[int32][]sentValue
-	baseLost int64
-	// inboxes[m] is worker m's inbox list key on the store kinds, named
-	// once as the run binds so that no push builds it again.
-	inboxes []string
+	// store is the run's state on the store kinds (Memory, Hybrid), set by
+	// bindStore; nil on the others.
+	store *storeRun
 
 	// outputs collects every worker's reduced result under
 	// AllreduceOutput (index = worker id; nil otherwise).

@@ -39,6 +39,35 @@ func FuzzDecodeMemValue(f *testing.F) {
 	})
 }
 
+// TestDecodeMemValueKinds: a value the engine pushes, on the data path or
+// in any collective, decodes without allocating, its kind the engine's own
+// constant; a kind the engine never sends still decodes, as a copy.
+func TestDecodeMemValueKinds(t *testing.T) {
+	kinds := []string{dataKind, "bar", "bgo", "ar", "ab", "gt"}
+	for _, kind := range kinds {
+		val := encodeMemValue(tag{kind, 3}, 17, []byte{1, 2})
+		var got tag
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if got, _, _, err = decodeMemValue(val); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != (tag{kind, 3}) || allocs != 0 {
+			t.Errorf("%q decoded to %v with %v allocations, want %v with none", val, got, allocs, tag{kind, 3})
+		}
+	}
+	val := encodeMemValue(tag{"other", 3}, 17, nil)
+	got, _, _, err := decodeMemValue(val)
+	if err != nil || got != (tag{"other", 3}) {
+		t.Fatalf("%q decoded to %v, %v", val, got, err)
+	}
+	val[0] = 'O'
+	if got.kind != "other" {
+		t.Fatalf("the decoded kind %q shares the value's bytes", got.kind)
+	}
+}
+
 func FuzzDecodeBulkPointer(f *testing.F) {
 	real := encodeBulkPointer(12, "fsd1-run3/bulk/data/2/5_7")
 	f.Add(real)

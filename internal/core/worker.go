@@ -35,6 +35,10 @@ type worker struct {
 	// progress, reused from gather to gather.
 	pending map[tag][]arrival
 	gath    gathering
+	// foldRoot is set while rank 0 gathers the result: each arriving set
+	// is copied into the result as it is delivered, so it decodes into the
+	// receive arena (see decodePayload).
+	foldRoot bool
 
 	// Tracing state (set only when this run was sampled): the run's
 	// tracer, this worker's track name, and its lifetime span.
@@ -95,7 +99,9 @@ type rankBufs struct {
 	sendVals []float32
 	// recvIDs and recvVals are the arena the input rows (load) and a layer's
 	// data gather (decodePayload) decode into. The rows live in x until
-	// clearLayerState truncates the arena at the end of the layer.
+	// clearLayerState truncates the arena at the end of the layer. The
+	// gather's root decodes each set it folds into the result here too,
+	// and truncates the arena once the set is copied.
 	recvIDs  []int32
 	recvVals []float32
 }
@@ -596,17 +602,22 @@ func (w *worker) reduce() error {
 		sp.SetAttr("alg", alg.String())
 	}
 	// The root copies its own rows and every arriving set straight into
-	// the result; the ranks in between union what they forward.
+	// the result, each set decoded into the receive arena, which is empty
+	// once the last layer ends and is emptied again after every copy; the
+	// ranks in between union what they forward.
 	combine := collective.Union
 	var out *sparse.Dense
 	if w.id == 0 {
 		out = w.fillDense(mine)
 		combine = func(acc, rs *wire.RowSet) *wire.RowSet {
 			scatter(out, rs)
+			w.recvIDs, w.recvVals = w.recvIDs[:0], w.recvVals[:0]
 			return acc
 		}
+		w.foldRoot = true
 	}
 	_, err := collective.Gather(alg, workerLink{w}, 0, mine, combine)
+	w.foldRoot = false
 	sp.End()
 	if err != nil {
 		return fmt.Errorf("core: worker %d reduce: %w", w.id, err)
@@ -698,47 +709,56 @@ func viewRows(d *sparse.Dense, ids []int32) *wire.RowSet {
 // ThreadPoolExecutor of §VI-A1.
 const commThreads = 4
 
-// threads runs tasks on the worker's communication thread pool: up to
-// commThreads simulated threads issue service calls concurrently; the call
-// returns when all tasks finish. Returns the first task error, if any.
-func (w *worker) threads(name string, tasks []func(p *sim.Proc) error) error {
-	return w.threadsN(name, commThreads, tasks)
+// threads runs n tasks on the worker's communication thread pool: up to
+// commThreads simulated threads issue service calls concurrently, each
+// calling task with the next index of 0..n-1 as it finishes the last; the
+// call returns when all n finish. Returns the first task error, if any.
+func (w *worker) threads(name string, n int, task func(p *sim.Proc, i int) error) error {
+	return w.threadsN(name, commThreads, n, task)
 }
 
 // threadsN is threads with an explicit pool width, for paths whose
 // concurrency is configured separately (the Hybrid channel's bulk chunk
 // fanout).
-func (w *worker) threadsN(name string, width int, tasks []func(p *sim.Proc) error) error {
-	if len(tasks) == 0 {
+func (w *worker) threadsN(name string, width, n int, task func(p *sim.Proc, i int) error) error {
+	if n == 0 {
 		return nil
 	}
 	nt := width
 	if nt < 1 {
 		nt = 1
 	}
-	if nt > len(tasks) {
-		nt = len(tasks)
+	if nt > n {
+		nt = n
 	}
 	k := w.ctx.P.Kernel()
-	wg := sim.NewWaitGroup(k)
-	wg.Add(nt)
-	next := 0
-	var firstErr error
+	pool := &commPool{task: task, n: n, wg: sim.NewWaitGroup(k)}
+	pool.wg.Add(nt)
+	run := pool.run
 	for t := 0; t < nt; t++ {
-		k.Go(fmt.Sprintf("w%d-%s-t%d", w.id, name, t), func(tp *sim.Proc) {
-			defer wg.Done()
-			for {
-				if next >= len(tasks) {
-					return
-				}
-				task := tasks[next]
-				next++
-				if err := task(tp); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		})
+		k.Go(w.d.threadName(w.id, name, t), run)
 	}
-	wg.Wait(w.ctx.P)
-	return firstErr
+	pool.wg.Wait(w.ctx.P)
+	return pool.err
+}
+
+// commPool is one threadsN call: its threads share the task, the next index
+// to take and the first error.
+type commPool struct {
+	task    func(p *sim.Proc, i int) error
+	n, next int
+	err     error
+	wg      *sim.WaitGroup
+}
+
+// run is the body of every thread of the pool.
+func (c *commPool) run(p *sim.Proc) {
+	defer c.wg.Done()
+	for c.next < c.n {
+		i := c.next
+		c.next++
+		if err := c.task(p, i); err != nil && c.err == nil {
+			c.err = err
+		}
+	}
 }
