@@ -55,15 +55,15 @@ func burstTrace(totalSamples int, sizes []int, seed int64, span time.Duration) [
 	return trace
 }
 
-// goldenPriorityService is three Serial endpoints, one replica each, under
-// PriorityAdmission: three size groups, so ReplayLanes(2) really splits.
-func goldenPriorityService(t *testing.T) *Service {
+// goldenSerialService is three Serial endpoints, one replica each, under
+// FIFO admission: three size groups, so ReplayLanes(2) really splits.
+func goldenSerialService(t *testing.T) *Service {
 	t.Helper()
 	var opts []Option
 	for _, n := range []int{64, 128, 256} {
 		opts = append(opts, WithEndpoint("s"+strconv.Itoa(n), testModel(t, n, 3)))
 	}
-	opts = append(opts, WithCoalescing(12, 20*time.Millisecond), WithAdmission(PriorityAdmission()))
+	opts = append(opts, WithCoalescing(12, 20*time.Millisecond))
 	svc, err := NewService(env.NewDefault(), opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -127,16 +127,17 @@ func TestGoldenReplayReports(t *testing.T) {
 		want map[string]string
 	}{
 		{
+			// The shape keeps its name from when its queries came in two
+			// priority classes; it now submits none and admits FIFO, and
+			// its digests were re-captured so before the classes went.
 			name:    "priority",
-			service: goldenPriorityService,
+			service: goldenSerialService,
 			trace:   burstTrace(90*6, []int{64, 128, 256}, 9, 20*time.Second),
-			opts: ReplayOptions{Seed: 17, Submit: func(i int, _ workload.Query) SubmitOptions {
-				return SubmitOptions{Priority: 1 + i%2}
-			}},
+			opts:    ReplayOptions{Seed: 17},
 			want: map[string]string{
-				"replay": "eaedd6ac87980be5d31dc232577e58b808fd1d3347c9775c8addf9f3a169cc4e",
-				"lanes2": "d3f74cff1e8ebaa75932b34a8d92bae00c50dc6f447e8901a6e253c71c682657",
-				"stream": "4d08f66cd0ef91ea7ddde43998c26e35600d3c13a29186765f7d952f1b507f7e",
+				"replay": "15e44fd5640e4e8bf1114f8af5be652b57db9df7842bc5b42ced6a627ec58bf5",
+				"lanes2": "a43bd665c94010fa999f340c263015f29dc8b34f7d3e7058353496d960383c2e",
+				"stream": "2336e0eb8d057464e15f2107930ffa38269dfa50a65f75de2f08881acf7d076e",
 			},
 		},
 		{
