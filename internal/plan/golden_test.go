@@ -29,7 +29,9 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 	golden := map[string]string{
 		"weighted": "468f95e709872e88",
 		"cost":     "5b1dd42f41ede042",
-		"wide":     "f1b9b51b9b994c35",
+		// Re-captured when Hybrid took Memory's request-rate rule: its four
+		// unsaturated-shard rows prune, and the pick moves to Queue x8.
+		"wide": "fa1ea1f3efab79f3",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{

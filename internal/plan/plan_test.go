@@ -391,12 +391,13 @@ func TestPrefilterChannelsSerialFootprint(t *testing.T) {
 // TestPrefilterChannelsHybridEscapesBulkRules: per-pair values above the
 // store's single-value cap rule Memory out however sustained the volume;
 // Hybrid parks them in object storage, so its row is the planner's
-// Hybrid rule, not Memory's.
+// Hybrid rule, not Memory's. The volume stays under one node's request
+// rate, which Hybrid's pointer traffic must respect too.
 func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
 	w := cost.Workload{
 		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
 		Workers: 62, BytesPerPairPerLayer: 100 << 20, PairsPerLayer: 2000, Layers: 120,
-		QueriesPerDay: 200_000,
+		QueriesPerDay: 10_000,
 	}
 	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "single-value cap") {
 		t.Fatalf("memory with 100 MiB values: %+v", v)
@@ -408,6 +409,31 @@ func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
 	c := Candidate{Channel: core.Hybrid, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType}
 	if reason, _ := analyticPrune(c, w, true, true); reason != hyb.Reason {
 		t.Fatalf("hybrid row %q, the planner's rule %q", hyb.Reason, reason)
+	}
+}
+
+// TestPrefilterChannelsHybridSaturatesAsMemory: Hybrid pushes and pops one
+// store value per pair per layer, inline or pointer, as Memory does, so a
+// volume that saturates the node's request rate prunes both with the same
+// reason, whatever the per-pair size, and a second shard relieves both.
+func TestPrefilterChannelsHybridSaturatesAsMemory(t *testing.T) {
+	for _, bytes := range []int64{64 << 10, 100 << 20} {
+		w := cost.Workload{
+			ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
+			Workers: 62, BytesPerPairPerLayer: bytes, PairsPerLayer: 2000, Layers: 120,
+			QueriesPerDay: 30_000,
+		}
+		hyb := verdictFor(t, w, core.Hybrid)
+		if !hyb.Pruned || !strings.Contains(hyb.Reason, "saturating 1 shard(s)") {
+			t.Fatalf("%d B per pair: hybrid at ~167k ops/s on one node: %+v", bytes, hyb)
+		}
+		if mem := verdictFor(t, w, core.Memory); bytes < 1<<20 && mem.Reason != hyb.Reason {
+			t.Fatalf("memory %q, hybrid %q", mem.Reason, hyb.Reason)
+		}
+		c := Candidate{Channel: core.Hybrid, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType, KVNodes: 2}
+		if reason, _ := analyticPrune(c, w, true, true); strings.Contains(reason, "saturating") {
+			t.Fatalf("%d B per pair: two shards still saturated: %q", bytes, reason)
+		}
 	}
 }
 

@@ -128,9 +128,8 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		// aggregate request-rate ceiling (each shard enforces its own).
 		// This is the rule that relieves a saturated single node by
 		// steering the pick to a sharded candidate.
-		if memoryClusterSaturated(w, c.KVNodeType, shards) {
-			return fmt.Sprintf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
-				memoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, c.KVNodeType), 0
+		if r := saturation(w, c.KVNodeType, shards); r != "" {
+			return r, 0
 		}
 		// Feasibility: the peak resident working set — every in-flight
 		// run's layer values — must fit the cluster's usable memory. Bulk
@@ -167,6 +166,12 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		// the bulk volume — only the tiny pointer frames stay resident.
 		if w.BytesPerPairPerLayer > core.DefaultHybridThresholdBytes {
 			w.BytesPerPairPerLayer = bulkPointerBytes
+		}
+		// Each pair still pushes and pops one store value per layer,
+		// inline or pointer, as on the memory channel, so the same
+		// request-rate ceiling applies.
+		if r := saturation(w, c.KVNodeType, shards); r != "" {
+			return r, 0
 		}
 		if memoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
 			return fmt.Sprintf("control-plane working set ~%d MB overflows %d shard(s) of %s",
@@ -303,6 +308,16 @@ func memoryClusterSaturated(w cost.Workload, nodeType string, shards int) bool {
 	}
 	demand := float64(memoryOpsPerQuery(w)*w.QueriesPerDay) / 86400
 	return demand > nt.MaxOpsPerSec*float64(shards)
+}
+
+// saturation is the prune reason of a cluster that memoryClusterSaturated
+// finds saturated, or "" when it is not.
+func saturation(w cost.Workload, nodeType string, shards int) string {
+	if !memoryClusterSaturated(w, nodeType, shards) {
+		return ""
+	}
+	return fmt.Sprintf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
+		memoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, nodeType)
 }
 
 // pruneCollective drops a candidate whose collective topology the §IV-style
