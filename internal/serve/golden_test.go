@@ -17,8 +17,8 @@ import (
 
 // reportDigest is the SHA-256 of everything a replay reports that the
 // rendered text rounds away or leaves out: Report.String(), then the raw
-// bits of every LatencyStats (total, per endpoint, per priority class), the
-// horizon and the total metered cost.
+// bits of every LatencyStats (total and per endpoint), the horizon and the
+// total metered cost.
 func reportDigest(rep *Report) string {
 	h := sha256.New()
 	h.Write([]byte(rep.String()))
@@ -35,10 +35,6 @@ func reportDigest(rep *Report) string {
 	lat(rep.Latency)
 	for _, er := range rep.Endpoints {
 		lat(er.Latency)
-		for _, pl := range er.PerPriority {
-			word(uint64(pl.Priority))
-			lat(pl.Latency)
-		}
 	}
 	word(uint64(rep.Horizon))
 	word(math.Float64bits(rep.TotalCost.Total()))

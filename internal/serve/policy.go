@@ -19,9 +19,6 @@ type RequestInfo struct {
 	Seq int
 	// Arrived is the request's arrival virtual time.
 	Arrived time.Duration
-	// Priority is the caller-supplied class (0 is the default).
-	//simlint:allow testonly — TestGoldenReplayReports' priority shape sets it and pins the per-priority report
-	Priority int
 	// Deadline is the absolute virtual time by which the request must
 	// complete (0 = none).
 	Deadline time.Duration

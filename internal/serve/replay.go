@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"fsdinference/internal/cloud/kvcluster"
@@ -65,7 +64,7 @@ const inputDensity = 0.2
 type ReplayOptions struct {
 	// Seed drives deterministic per-query input generation (default 1).
 	Seed int64
-	// Submit supplies per-query scheduling metadata (priority, deadline)
+	// Submit supplies per-query scheduling metadata (a deadline)
 	// for the admission policy; nil submits every query with defaults.
 	Submit func(i int, q workload.Query) SubmitOptions
 	// Verify checks every request's output against serial float64
@@ -238,7 +237,6 @@ func (l *latencySink) stats() LatencyStats {
 type endpointAcc struct {
 	queries, failed, samples int
 	lat                      *latencySink
-	perPrio                  map[int]*latencySink
 }
 
 // replayRun is one replay from the opening of its metering window to its
@@ -251,7 +249,6 @@ type replayRun struct {
 	opts     ReplayOptions
 	win      *replayWindow
 	next     func() ([]routedQuery, error)
-	exact    bool
 	rep      *Report // Queries, Failed, Samples and Horizon accumulate here
 	resolved int
 	lat      *latencySink
@@ -274,17 +271,16 @@ func (s *Service) replayStart(next func() ([]routedQuery, error), exact bool, op
 		return nil, err
 	}
 	run := &replayRun{
-		s:     s,
-		opts:  opts,
-		win:   s.openWindow(s.Now()),
-		next:  next,
-		exact: exact,
-		rep:   &Report{},
-		lat:   newLatencySink(exact),
-		accs:  make(map[string]*endpointAcc, len(s.eps)),
+		s:    s,
+		opts: opts,
+		win:  s.openWindow(s.Now()),
+		next: next,
+		rep:  &Report{},
+		lat:  newLatencySink(exact),
+		accs: make(map[string]*endpointAcc, len(s.eps)),
 	}
 	for _, ep := range s.eps {
-		run.accs[ep.name] = &endpointAcc{lat: newLatencySink(exact), perPrio: make(map[int]*latencySink)}
+		run.accs[ep.name] = &endpointAcc{lat: newLatencySink(exact)}
 	}
 	run.feed()
 	if run.err != nil {
@@ -352,8 +348,8 @@ func (run *replayRun) feed() {
 }
 
 // fold accounts one resolved request — a completion or a reject — and is
-// the last thing to see it: counts, latency into the run's, the endpoint's
-// and the endpoint's per-priority sink, and the horizon.
+// the last thing to see it: counts, latency into the run's and the
+// endpoint's sink, and the horizon.
 func (run *replayRun) fold(h *Handle) {
 	run.resolved++
 	a := run.accs[h.endpoint]
@@ -367,12 +363,6 @@ func (run *replayRun) fold(h *Handle) {
 	a.samples += resp.Samples
 	run.lat.observe(resp.Latency)
 	a.lat.observe(resp.Latency)
-	prio := a.perPrio[h.priority]
-	if prio == nil {
-		prio = newLatencySink(run.exact)
-		a.perPrio[h.priority] = prio
-	}
-	prio.observe(resp.Latency)
 	if at := h.finished - run.win.base; at > run.rep.Horizon {
 		run.rep.Horizon = at
 	}
@@ -486,23 +476,4 @@ func (s *Service) chaosTarget(name string) *kvcluster.Cluster {
 		}
 	}
 	return nil
-}
-
-// prioLatencies renders an endpoint's per-priority sinks as the report's
-// ordered breakdown (highest priority first); nil unless more than one
-// class was submitted.
-func prioLatencies(groups map[int]*latencySink) []PriorityLatency {
-	if len(groups) <= 1 {
-		return nil
-	}
-	prios := make([]int, 0, len(groups))
-	for p := range groups {
-		prios = append(prios, p)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	out := make([]PriorityLatency, 0, len(prios))
-	for _, p := range prios {
-		out = append(out, PriorityLatency{Priority: p, Latency: groups[p].stats()})
-	}
-	return out
 }

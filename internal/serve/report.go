@@ -89,13 +89,6 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[rank-1]
 }
 
-// PriorityLatency is one priority class's latency distribution within a
-// replay.
-type PriorityLatency struct {
-	Priority int
-	Latency  LatencyStats
-}
-
 // EndpointReport is one endpoint's share of a replay.
 type EndpointReport struct {
 	Name    string
@@ -148,10 +141,8 @@ type EndpointReport struct {
 	WarmStarts     int // function instances reusing a warm pool
 
 	// Latency is the per-request distribution (arrival to result,
-	// including coalescing wait and queueing). PerPriority breaks it down
-	// by priority class when more than one was submitted.
-	Latency     LatencyStats
-	PerPriority []PriorityLatency
+	// including coalescing wait and queueing).
+	Latency LatencyStats
 
 	// Cost is the endpoint's ledger-reconstructed spend (§VI-F
 	// predictor), summed over its runs.
@@ -201,10 +192,9 @@ type Report struct {
 
 // Check verifies the report's internal accounting, from the report alone:
 // the endpoints' request counts sum to the totals, every request that did
-// not fail has exactly one latency sample (in the report's distribution, in
-// its endpoint's and, where the endpoint breaks latency down by priority, in
-// exactly one class), and no request took longer than the whole replay. Every
-// replay entry point checks its report before returning it.
+// not fail has exactly one latency sample (in the report's distribution and
+// in its endpoint's), and no request took longer than the whole replay.
+// Every replay entry point checks its report before returning it.
 func (r *Report) Check() error {
 	var queries, failed, samples int
 	for _, ep := range r.Endpoints {
@@ -214,14 +204,6 @@ func (r *Report) Check() error {
 		if ep.Latency.Count != ep.Queries-ep.Failed {
 			return fmt.Errorf("serve: report: endpoint %s has %d latencies for %d queries, %d failed",
 				ep.Name, ep.Latency.Count, ep.Queries, ep.Failed)
-		}
-		classed := 0
-		for _, pl := range ep.PerPriority {
-			classed += pl.Latency.Count
-		}
-		if len(ep.PerPriority) > 0 && classed != ep.Latency.Count {
-			return fmt.Errorf("serve: report: endpoint %s has %d latencies, its priority classes %d",
-				ep.Name, ep.Latency.Count, classed)
 		}
 	}
 	if queries != r.Queries || failed != r.Failed || samples != r.Samples {
@@ -272,9 +254,6 @@ func (r *Report) String() string {
 				ev.At.Round(time.Millisecond), ev.From, ev.FromWorkers, ev.To, ev.ToWorkers, ev.Reason)
 		}
 		fmt.Fprintf(&sb, "  latency: %s\n", fmtLatency(ep.Latency))
-		for _, pl := range ep.PerPriority {
-			fmt.Fprintf(&sb, "  latency p=%d: %s\n", pl.Priority, fmtLatency(pl.Latency))
-		}
 		fmt.Fprintf(&sb, "  cost (ledger): %s\n", ep.Cost.String())
 	}
 	fmt.Fprintf(&sb, "total metered cost: %s\n", r.TotalCost.String())

@@ -16,27 +16,28 @@ import (
 	"fsdinference/internal/workload"
 )
 
-// Scheduler subsystem tests: policy-ordered admission (priority, deadline
-// shedding and rerouting), autoscaling replica pools with deterministic
+// Scheduler subsystem tests: policy-ordered admission (a policy's order,
+// deadline shedding and rerouting), autoscaling replica pools with deterministic
 // replay, SLO-driven AutoSelect, and Queue-channel run multiplexing.
 
 func TestPriorityAdmissionDispatchesHighPriorityFirst(t *testing.T) {
 	// One replica, one run at a time, 4-sample batches that cannot merge
 	// (maxBatch 4): a filler run occupies the replica while a low- and a
-	// high-priority request queue behind it. The high-priority request
-	// must dispatch first despite arriving later.
+	// high-priority request queue behind it. Under a policy that ranks the
+	// earlier deadline higher, the high-priority request must dispatch
+	// first despite arriving later.
 	m := testModel(t, 128, 6)
 	svc, err := NewService(env.NewDefault(),
 		WithEndpoint("ep", m),
 		WithCoalescing(4, 0),
-		WithAdmission(PriorityAdmission()),
+		WithAdmission(earliestDeadlineFirst{}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	filler := svc.Submit("ep", model.GenerateInputs(128, 4, 0.2, 2), 0)
-	low := svc.SubmitWith("ep", model.GenerateInputs(128, 4, 0.2, 3), 10*time.Millisecond, SubmitOptions{Priority: 1})
-	high := svc.SubmitWith("ep", model.GenerateInputs(128, 4, 0.2, 4), 20*time.Millisecond, SubmitOptions{Priority: 5})
+	low := svc.SubmitWith("ep", model.GenerateInputs(128, 4, 0.2, 3), 10*time.Millisecond, SubmitOptions{Deadline: time.Hour})
+	high := svc.SubmitWith("ep", model.GenerateInputs(128, 4, 0.2, 4), 20*time.Millisecond, SubmitOptions{Deadline: time.Minute})
 	if err := svc.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -699,18 +700,17 @@ func setAdmission(ep *Endpoint, p AdmissionPolicy) {
 	ep.sched.queue.use(p)
 }
 
-// PriorityAdmission returns a policy dispatching higher Priority requests
-// first, arrival order within a class. It never sheds.
-func PriorityAdmission() AdmissionPolicy { return priorityAdmission{} }
+// earliestDeadlineFirst dispatches the request with the earlier absolute
+// deadline first, arrival order on a tie. Unlike DeadlineAdmission it never
+// sheds, so only its order decides.
+type earliestDeadlineFirst struct{}
 
-type priorityAdmission struct{}
-
-func (priorityAdmission) Name() string { return "priority" }
-func (priorityAdmission) Less(a, b RequestInfo) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+func (earliestDeadlineFirst) Name() string { return "edf" }
+func (earliestDeadlineFirst) Less(a, b RequestInfo) bool {
+	if a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
 	}
 	return a.Seq < b.Seq
 }
-func (priorityAdmission) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
-func (priorityAdmission) Reroute() bool                               { return false }
+func (earliestDeadlineFirst) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
+func (earliestDeadlineFirst) Reroute() bool                               { return false }

@@ -261,7 +261,7 @@ type request struct {
 	h     *Handle
 	input *sparse.Dense
 	// info is what the admission policy reads: the sequence number admit
-	// assigns, arrival, priority, absolute deadline (0 = none) and width.
+	// assigns, arrival, absolute deadline (0 = none) and width.
 	// It is the request's only copy of them.
 	info     RequestInfo
 	rerouted bool
@@ -669,10 +669,6 @@ func (s *Service) Monitor() *monitor.Monitor { return s.mon }
 
 // SubmitOptions carries per-request scheduling metadata.
 type SubmitOptions struct {
-	// Priority is the request's class (default 0): the report breaks
-	// latency down by class, and a policy may order dispatch by it.
-	//simlint:allow testonly — TestGoldenReplayReports' priority shape sets it and pins the per-priority report
-	Priority int
 	// Deadline is the completion budget relative to the request's arrival
 	// time; 0 means none. Under DeadlineAdmission, requests that cannot
 	// meet their deadline are shed (ErrShed) or rerouted.
@@ -687,7 +683,7 @@ type SubmitOptions struct {
 // the original trace (mode-stable), one-at-a-time Submits a service-local
 // sequence.
 func (s *Service) submit(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions, notify func(*Handle), idx int) *Handle {
-	h := &Handle{svc: s, endpoint: name, priority: opts.Priority, notify: notify}
+	h := &Handle{svc: s, endpoint: name, notify: notify}
 	s.pending[h] = struct{}{}
 	ep := s.byName[name]
 	if ep == nil {
@@ -713,7 +709,7 @@ func (s *Service) submit(name string, input *sparse.Dense, at time.Duration, opt
 		r := &request{
 			h:     h,
 			input: input,
-			info:  RequestInfo{Arrived: now, Priority: opts.Priority, Samples: input.Cols},
+			info:  RequestInfo{Arrived: now, Samples: input.Cols},
 		}
 		if opts.Deadline > 0 {
 			r.info.Deadline = now + opts.Deadline
@@ -722,9 +718,6 @@ func (s *Service) submit(name string, input *sparse.Dense, at time.Duration, opt
 			r.span = t.Start(ep.name, "request", obs.KindRequest, 0)
 			r.span.SetAsync("q" + strconv.Itoa(idx))
 			r.span.SetAttr("samples", strconv.Itoa(input.Cols))
-			if opts.Priority != 0 {
-				r.span.SetAttr("priority", strconv.Itoa(opts.Priority))
-			}
 		}
 		ep.sched.admit(r)
 	})
@@ -840,7 +833,6 @@ func copyBlock(dst []float32, dstStride int, src []float32, srcStride, rows, col
 type Handle struct {
 	svc      *Service
 	endpoint string
-	priority int
 	done     bool
 	resp     *Response
 	err      error

@@ -451,8 +451,8 @@ func (s *Service) Submit(name string, input *sparse.Dense, at time.Duration) *Ha
 	return s.SubmitWith(name, input, at, SubmitOptions{})
 }
 
-// SubmitWith is Submit with per-request scheduling metadata: a priority
-// class and/or a completion deadline for the admission policy.
+// SubmitWith is Submit with per-request scheduling metadata: a completion
+// deadline for the admission policy.
 func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions) *Handle {
 	idx := submitSeqs[s]
 	submitSeqs[s]++

@@ -122,42 +122,6 @@ func (p *peakStream) Next() []workload.Query {
 	return p.inner.Next()
 }
 
-// TestReplayStreamClassifiesEveryPriority replays a trace whose first ten
-// queries are class 0 and whose rest alternate between classes 0 and 1: the
-// streaming replay's per-class breakdown must count the same requests as the
-// batch replay's, with the same exact moments, wherever in the trace the
-// second class first appears.
-func TestReplayStreamClassifiesEveryPriority(t *testing.T) {
-	trace := workload.Day(40*6, []int{64}, 6, 9)
-	opts := ReplayOptions{Seed: 17, Submit: func(i int, _ workload.Query) SubmitOptions {
-		if i < 10 {
-			return SubmitOptions{}
-		}
-		return SubmitOptions{Priority: i % 2}
-	}}
-	batch, err := lanesTestService(t).Replay(trace, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := lanesTestService(t).ReplayStream(workload.Stream(trace, 7), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := batch.Endpoints[0].PerPriority, stream.Endpoints[0].PerPriority
-	if len(want) != 2 || want[1].Latency.Count != 25 {
-		t.Fatalf("batch replay's classes are not the 15/25 split the trace submits: %+v", want)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream reports %d classes, batch %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i].Latency, got[i].Latency
-		if got[i].Priority != want[i].Priority || g.Count != w.Count || g.Mean != w.Mean || g.Min != w.Min || g.Max != w.Max {
-			t.Errorf("class %d: stream %+v, batch class %d %+v", got[i].Priority, g, want[i].Priority, w)
-		}
-	}
-}
-
 // batches is a TraceStream over fixed batches, in whatever order they hold.
 type batches [][]workload.Query
 

@@ -102,7 +102,6 @@ func (ep *Endpoint) report(base time.Duration, a *endpointAcc) EndpointReport {
 		WarmStarts:        int(c.warm - o.warm),
 		Latency:           a.lat.stats(),
 		Cost:              st.Cost,
-		PerPriority:       prioLatencies(a.perPrio),
 	}
 	if st.Runs > 0 {
 		er.AvgRunSamples = float64(st.RunSamples) / float64(st.Runs)
