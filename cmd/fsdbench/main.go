@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -25,16 +26,31 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id to run, or \"all\"")
-	scale := flag.String("scale", "quick", "evaluation grid: quick or default")
-	list := flag.Bool("list", false, "list experiments and exit")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == flag.ErrHelp:
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "fsdbench: %v\n", err)
+		os.Exit(2)
+	}
+}
 
+// run parses args and prints the experiment list, or each chosen
+// experiment's table, to stdout; flag usage goes to stderr. An unknown
+// experiment or scale prints nothing.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fsdbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id to run, or \"all\"")
+	scale := fs.String("scale", "quick", "evaluation grid: quick or default")
+	list := fs.Bool("list", false, "list experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *list {
 		for _, r := range experiments.Registry() {
-			fmt.Printf("%-12s %s\n", r.ID, r.Desc)
+			fmt.Fprintf(stdout, "%-12s %s\n", r.ID, r.Desc)
 		}
-		return
+		return nil
 	}
 
 	var s experiments.Scale
@@ -44,34 +60,27 @@ func main() {
 	case "default":
 		s = experiments.DefaultScale()
 	default:
-		fmt.Fprintf(os.Stderr, "fsdbench: unknown scale %q (want quick or default)\n", *scale)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q (want quick or default)", *scale)
+	}
+	runners := experiments.Registry()
+	if *exp != "all" {
+		r, ok := experiments.Find(*exp)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", *exp)
+		}
+		runners = []experiments.Runner{r}
 	}
 	lab := experiments.NewLab(s)
-
-	run := func(r experiments.Runner) {
+	for _, r := range runners {
 		//simlint:allow walltime — host-side timing of how long the experiment itself took to regenerate; never feeds a simulated outcome
 		t0 := time.Now()
 		tab, err := r.Run(lab)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsdbench: %s: %v\n", r.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", r.ID, err)
 		}
-		fmt.Println(tab)
+		fmt.Fprintln(stdout, tab)
 		//simlint:allow walltime — host-side timing of the regeneration, printed for the operator; not simulated state
-		fmt.Printf("(%s regenerated in %v)\n\n", r.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s regenerated in %v)\n\n", r.ID, time.Since(t0).Round(time.Millisecond))
 	}
-
-	if *exp == "all" {
-		for _, r := range experiments.Registry() {
-			run(r)
-		}
-		return
-	}
-	r, ok := experiments.Find(*exp)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "fsdbench: unknown experiment %q (use -list)\n", *exp)
-		os.Exit(2)
-	}
-	run(r)
+	return nil
 }

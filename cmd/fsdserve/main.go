@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -49,41 +50,57 @@ import (
 )
 
 func main() {
-	queries := flag.Int("queries", 200, "queries over the simulated day")
-	sizesArg := flag.String("sizes", "256,512", "comma-separated model sizes (one endpoint each)")
-	batch := flag.Int("batch", 32, "buffered samples per query")
-	layers := flag.Int("layers", 12, "layer count per model")
-	workers := flag.Int("workers", 1, "FaaS worker parallelism per endpoint")
-	channel := flag.String("channel", "", "channel: serial, queue, object, memory or hybrid (default: serial, or queue when workers > 1)")
-	replicas := flag.Int("replicas", 2, "warm deployment replicas per endpoint (fixed pool)")
-	autoscale := flag.Bool("autoscale", false, "scale each endpoint's pool from queue depth and arrival rate instead of a fixed size")
-	maxReplicas := flag.Int("max-replicas", 4, "autoscaler pool bound (with -autoscale)")
-	runConc := flag.Int("run-concurrency", 1, "engine runs one replica may overlap")
-	coalesceBatch := flag.Int("coalesce-batch", 128, "max samples per coalesced engine run")
-	coalesceDelay := flag.Duration("coalesce-delay", 100*time.Millisecond, "max wait before a coalescing batch closes")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto) and print flame/metrics summaries")
-	traceSample := flag.Int("trace-sample", 100, "trace one in N requests (with -trace; 1 traces all)")
-	monitorOn := flag.Bool("monitor", false, "scrape simulated-time SLO series and burn-rate alerts (implied by -slo)")
-	monInterval := flag.Duration("monitor-interval", time.Minute, "simulated-time scrape interval (with -monitor)")
-	monCSV := flag.String("monitor-csv", "", "write the monitor time-series as CSV (with -monitor)")
-	var sloArgs stringList
-	flag.Var(&sloArgs, "slo", "SLO spec, repeatable: latency:pNN<=DUR@OBJ or availability@OBJ, plus endpoint=,window=,name= options")
-	seed := flag.Int64("seed", 7, "trace and input seed")
-	verify := flag.Bool("verify", false, "check every output against reference inference")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == flag.ErrHelp:
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "fsdserve: %v\n", err)
+		os.Exit(2)
+	}
+}
 
+// run parses args, replays the trace and prints the report and the
+// summaries its flags ask for to stdout; flag usage goes to stderr. A flag
+// error prints nothing.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fsdserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	queries := fs.Int("queries", 200, "queries over the simulated day")
+	sizesArg := fs.String("sizes", "256,512", "comma-separated model sizes (one endpoint each)")
+	batch := fs.Int("batch", 32, "buffered samples per query")
+	layers := fs.Int("layers", 12, "layer count per model")
+	workers := fs.Int("workers", 1, "FaaS worker parallelism per endpoint")
+	channel := fs.String("channel", "", "channel: serial, queue, object, memory or hybrid (default: serial, or queue when workers > 1)")
+	replicas := fs.Int("replicas", 2, "warm deployment replicas per endpoint (fixed pool)")
+	autoscale := fs.Bool("autoscale", false, "scale each endpoint's pool from queue depth and arrival rate instead of a fixed size")
+	maxReplicas := fs.Int("max-replicas", 4, "autoscaler pool bound (with -autoscale)")
+	runConc := fs.Int("run-concurrency", 1, "engine runs one replica may overlap")
+	coalesceBatch := fs.Int("coalesce-batch", 128, "max samples per coalesced engine run")
+	coalesceDelay := fs.Duration("coalesce-delay", 100*time.Millisecond, "max wait before a coalescing batch closes")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto) and print flame/metrics summaries")
+	traceSample := fs.Int("trace-sample", 100, "trace one in N requests (with -trace; 1 traces all)")
+	monitorOn := fs.Bool("monitor", false, "scrape simulated-time SLO series and burn-rate alerts (implied by -slo)")
+	monInterval := fs.Duration("monitor-interval", time.Minute, "simulated-time scrape interval (with -monitor)")
+	monCSV := fs.String("monitor-csv", "", "write the monitor time-series as CSV (with -monitor)")
+	var sloArgs stringList
+	fs.Var(&sloArgs, "slo", "SLO spec, repeatable: latency:pNN<=DUR@OBJ or availability@OBJ, plus endpoint=,window=,name= options")
+	seed := fs.Int64("seed", 7, "trace and input seed")
+	verify := fs.Bool("verify", false, "check every output against reference inference")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// Every flag is checked before anything prints.
 	var sizes []int
 	for _, s := range strings.Split(*sizesArg, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || n <= 0 {
-			fatal("bad size %q", s)
+			return fmt.Errorf("-sizes: bad size %q", s)
 		}
 		sizes = append(sizes, n)
 	}
-	if len(sizes) == 0 {
-		fatal("need at least one model size")
+	if *autoscale && *maxReplicas < 1 {
+		return fmt.Errorf("-max-replicas must be at least 1, got %d", *maxReplicas)
 	}
-
 	opts := []serve.Option{
 		serve.WithCoalescing(*coalesceBatch, *coalesceDelay),
 		serve.WithRunConcurrency(*runConc),
@@ -103,7 +120,7 @@ func main() {
 		for _, arg := range sloArgs {
 			slo, err := monitor.ParseSLO(arg)
 			if err != nil {
-				fatal("%v", err)
+				return err
 			}
 			slos = append(slos, slo)
 		}
@@ -125,76 +142,76 @@ func main() {
 	if *channel != "" {
 		kind, err := core.ParseChannelKind(*channel)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		epOpts = append(epOpts, serve.WithChannel(kind))
 	}
+
 	for _, n := range sizes {
-		fmt.Printf("generating %d-neuron, %d-layer sparse DNN...\n", n, *layers)
+		fmt.Fprintf(stdout, "generating %d-neuron, %d-layer sparse DNN...\n", n, *layers)
 		m, err := model.Generate(model.GraphChallengeSpec(n, *layers, 1))
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
 		opts = append(opts, serve.WithEndpoint(fmt.Sprintf("n%d", n), m, epOpts...))
 	}
-
 	svc, err := serve.NewService(env.NewDefault(), opts...)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	trace := workload.Day(*queries**batch, sizes, *batch, *seed)
-	fmt.Printf("replaying %d queries over one simulated day on endpoints %v...\n",
+	fmt.Fprintf(stdout, "replaying %d queries over one simulated day on endpoints %v...\n",
 		len(trace), svc.Endpoints())
 	rep, err := svc.Replay(trace, serve.ReplayOptions{Seed: *seed, Verify: *verify})
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
-	fmt.Println()
-	fmt.Print(rep)
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rep)
 	if *verify {
-		fmt.Println("all outputs verified against reference inference")
+		fmt.Fprintln(stdout, "all outputs verified against reference inference")
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal("%v", err)
+		if err := writeFile(*tracePath, svc.Tracer().WriteChrome); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
 		}
-		if err := svc.Tracer().WriteChrome(f); err != nil {
-			fatal("writing trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("writing trace: %v", err)
-		}
-		fmt.Printf("\nwrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *tracePath)
-		fmt.Printf("\nflame summary (1 in %d requests sampled):\n", *traceSample)
-		svc.Tracer().WriteFlame(os.Stdout)
-		fmt.Println("\nmetrics:")
-		svc.Metrics().WriteText(os.Stdout)
+		fmt.Fprintf(stdout, "\nwrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *tracePath)
+		fmt.Fprintf(stdout, "\nflame summary (1 in %d requests sampled):\n", *traceSample)
+		svc.Tracer().WriteFlame(stdout)
+		fmt.Fprintln(stdout, "\nmetrics:")
+		svc.Metrics().WriteText(stdout)
 	}
 	if monitoring {
 		mon := svc.Monitor()
-		fmt.Printf("\nburn-rate alerts (scrape every %v of simulated time):\n", *monInterval)
-		if err := mon.WriteAlerts(os.Stdout); err != nil {
-			fatal("%v", err)
+		fmt.Fprintf(stdout, "\nburn-rate alerts (scrape every %v of simulated time):\n", *monInterval)
+		if err := mon.WriteAlerts(stdout); err != nil {
+			return err
 		}
-		fmt.Println("\nmonitor snapshot (prometheus text):")
-		if err := mon.WriteProm(os.Stdout); err != nil {
-			fatal("%v", err)
+		fmt.Fprintln(stdout, "\nmonitor snapshot (prometheus text):")
+		if err := mon.WriteProm(stdout); err != nil {
+			return err
 		}
 		if *monCSV != "" {
-			f, err := os.Create(*monCSV)
-			if err != nil {
-				fatal("%v", err)
+			if err := writeFile(*monCSV, mon.WriteCSV); err != nil {
+				return fmt.Errorf("writing monitor csv: %w", err)
 			}
-			if err := mon.WriteCSV(f); err != nil {
-				fatal("writing monitor csv: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatal("writing monitor csv: %v", err)
-			}
-			fmt.Printf("\nwrote %s (one row per endpoint scrape window)\n", *monCSV)
+			fmt.Fprintf(stdout, "\nwrote %s (one row per endpoint scrape window)\n", *monCSV)
 		}
 	}
+	return nil
+}
+
+// writeFile creates path and has write fill it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // stringList collects a repeatable string flag.
@@ -205,9 +222,4 @@ func (l *stringList) String() string { return strings.Join(*l, ";") }
 func (l *stringList) Set(v string) error {
 	*l = append(*l, v)
 	return nil
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fsdserve: "+format+"\n", args...)
-	os.Exit(1)
 }
