@@ -50,9 +50,9 @@ func TestRunFlags(t *testing.T) {
 			want: []string{"FSD-Inf-Queue x2", "all outputs verified"},
 		},
 		{
-			name: "monitor default SLO",
-			args: []string{"-monitor", "-monitor-interval", "2m"},
-			want: []string{"burn-rate alerts (scrape every 2m0s of simulated time)", "monitor snapshot (prometheus text)"},
+			name: "hybrid, monitor default SLO",
+			args: []string{"-workers", "2", "-channel", "hybrid", "-monitor", "-monitor-interval", "2m"},
+			want: []string{"FSD-Inf-Hybrid x2", "hybrid routing:", "burn-rate alerts (scrape every 2m0s of simulated time)", "monitor snapshot (prometheus text)"},
 		},
 		{
 			name:  "slo and csv",

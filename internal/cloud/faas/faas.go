@@ -265,13 +265,10 @@ func (pl *Platform) runInstance(hp *sim.Proc, fn *function, fut *Future, payload
 		Warm:     warm,
 	}
 
-	finished := false
+	// finish runs once: it stops the watchdog, and a proc the watchdog
+	// killed unwinds through the deferred check below without reaching it.
 	var watchdog *sim.Timer
 	finish := func(res []byte, err error) {
-		if finished {
-			return
-		}
-		finished = true
 		watchdog.Stop()
 		dur := hp.Now() - ctx.started
 		pl.meter.LambdaGBSeconds += float64(fn.cfg.MemoryMB) / 1024 * dur.Seconds()
@@ -282,9 +279,6 @@ func (pl *Platform) runInstance(hp *sim.Proc, fn *function, fut *Future, payload
 
 	// Hard runtime-limit watchdog, cancelled on normal completion.
 	watchdog = pl.k.After(fn.cfg.Timeout, func() {
-		if finished {
-			return
-		}
 		finish(nil, fmt.Errorf("faas: function %q timed out after %v", fn.cfg.Name, fn.cfg.Timeout))
 		pl.k.Kill(hp)
 	})
@@ -356,9 +350,6 @@ func (c *Ctx) Alloc(bytes int64) {
 // Free releases previously Alloc'd bytes.
 func (c *Ctx) Free(bytes int64) {
 	c.memUsed -= bytes
-	if c.memUsed < 0 {
-		c.memUsed = 0
-	}
 }
 
 // PeakMem returns the peak tracked memory use in bytes.

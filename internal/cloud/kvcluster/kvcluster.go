@@ -41,9 +41,9 @@ import (
 type Config struct {
 	// Name prefixes node names and shard billing labels.
 	Name string
-	// Shards is the number of primaries N (default 1).
+	// Shards is the number of primaries N, at least 1.
 	Shards int
-	// Replicas is the replica count R per shard (default 0).
+	// Replicas is the replica count R per shard, at least 0.
 	Replicas int
 	// NodeType is the provisioned node size for every cluster node
 	// (default kvstore.DefaultNodeType).
@@ -70,15 +70,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "kvc"
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Replicas < 0 {
-		c.Replicas = 0
-	}
 	if c.NodeType == "" {
 		c.NodeType = kvstore.DefaultNodeType
 	}
@@ -145,6 +136,9 @@ type shard struct {
 // New provisions the cluster's nodes (N primaries, N*R replicas — all
 // billing node-hours from this moment) and builds the slot map.
 func New(kv *kvstore.Service, cfg Config) (*Cluster, error) {
+	if cfg.Shards < 1 || cfg.Replicas < 0 {
+		return nil, fmt.Errorf("kvcluster: %s: %d shard(s) of %d replica(s) each is no cluster", cfg.Name, cfg.Shards, cfg.Replicas)
+	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		kv:    kv,
@@ -334,11 +328,8 @@ func (c *Cluster) BLPop(p *sim.Proc, cl *Client, key string, wait time.Duration)
 			break
 		}
 	}
-	remaining := deadline - p.Now()
-	if wait <= 0 || remaining < 0 {
-		remaining = 0
-	}
-	val := sh.primary.BLPop(p, key, remaining)
+	// A wait already spent pops without blocking, as a zero wait does.
+	val := sh.primary.BLPop(p, key, deadline-p.Now())
 	if val != nil {
 		sh.replicatePop(p, key)
 	}
@@ -532,11 +523,9 @@ func (c *Cluster) NumKeysByNode() map[string]int {
 }
 
 // Release stops every cluster node's billing clock and discards the
-// cluster's contents. The cluster must not be used afterwards.
+// cluster's contents. The cluster must not be used afterwards; a second
+// Release finds no node left to release.
 func (c *Cluster) Release() {
-	if c.released {
-		return
-	}
 	c.released = true
 	for _, sh := range c.shards {
 		if sh.primary != nil {

@@ -2,11 +2,13 @@ package kvcluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
 )
 
@@ -324,7 +326,10 @@ func TestMovedRedirectAfterPromotion(t *testing.T) {
 // A partition stalls the shard's slots for its duration without losing
 // data or promoting.
 func TestPartitionStallsWithoutLoss(t *testing.T) {
-	k, _, c := newTestCluster(t, Config{Name: "part", Shards: 1, Replicas: 1})
+	var now func() time.Duration
+	tr := obs.New(func() time.Duration { return now() }, 1)
+	k, _, c := newTestCluster(t, Config{Name: "part", Shards: 1, Replicas: 1, Trace: obs.Scope{T: tr, Track: "ep"}})
+	now = k.Clock()
 	k.Go("driver", func(p *sim.Proc) {
 		if err := c.RPush(p, nil, "k", []byte{1}, 0); err != nil {
 			t.Errorf("push: %v", err)
@@ -346,6 +351,29 @@ func TestPartitionStallsWithoutLoss(t *testing.T) {
 	if c.LostValues() != 0 || c.Failovers() != 0 || c.Epoch() != 0 {
 		t.Fatalf("partition lost %d values, %d failovers, epoch %d; want none",
 			c.LostValues(), c.Failovers(), c.Epoch())
+	}
+	var faults []string
+	for _, sp := range tr.Spans() {
+		if sp.Kind == obs.KindFault {
+			faults = append(faults, fmt.Sprintf("%s %s %v", sp.Track, sp.Name, sp.End-sp.Start))
+		}
+	}
+	if want := "ep/s0 partition 500ms"; len(faults) != 1 || faults[0] != want {
+		t.Fatalf("fault spans %q, want [%q]", faults, want)
+	}
+}
+
+// TestNewRejectsImpossibleShape: a cluster needs a primary, and no shard
+// has fewer than no replicas.
+func TestNewRejectsImpossibleShape(t *testing.T) {
+	for _, cfg := range []Config{{Name: "none", Shards: 0}, {Name: "neg", Shards: 1, Replicas: -1}} {
+		kv := kvstore.New(sim.New(), usage.NewMeter(), kvstore.DefaultConfig())
+		if _, err := New(kv, cfg); err == nil || !strings.Contains(err.Error(), cfg.Name) {
+			t.Errorf("New(%+v) = %v, want an error naming the cluster", cfg, err)
+		}
+		if kv.NumNodes() != 0 {
+			t.Errorf("New(%+v) provisioned %d nodes", cfg, kv.NumNodes())
+		}
 	}
 }
 

@@ -36,9 +36,6 @@ func SlotForKey(key string) int {
 // the departed shard's slots — the property the MOVED-redirect protocol
 // relies on and the slot-map property test pins.
 func BuildSlotMap(shards int) []int {
-	if shards < 1 {
-		shards = 1
-	}
 	m := make([]int, NumSlots)
 	for s := range m {
 		best, bestH := 0, rendezvous(s, 0)

@@ -293,9 +293,6 @@ func (n *Node) sweepExpired() {
 }
 
 func (n *Node) transferTime(bytes int) time.Duration {
-	if n.typ.NetBytesPerSec <= 0 {
-		return 0
-	}
 	return time.Duration(float64(bytes) / n.typ.NetBytesPerSec * float64(time.Second))
 }
 

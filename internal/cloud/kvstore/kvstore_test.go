@@ -403,3 +403,62 @@ func TestSettleOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTTLExpiredKeysAreNotLive: a key past its TTL that no operation has
+// dropped yet counts in none of the host-side inspections.
+func TestTTLExpiredKeysAreNotLive(t *testing.T) {
+	k, _, s := newSvc(t)
+	n, _ := s.Provision("n0", "cache.m6g.large")
+	k.Go("c", func(p *sim.Proc) {
+		if err := n.RPush(p, "tmp", []byte("v"), time.Second); err != nil {
+			t.Error(err)
+		}
+		if err := n.RPush(p, "keep", []byte("w"), 0); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(2 * time.Second)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lens := n.ListLens(); n.NumKeys() != 1 || n.NumValues() != 1 || len(lens) != 1 || lens["keep"] != 1 {
+		t.Fatalf("%d keys, %d values, lists %v; want only keep's one value", n.NumKeys(), n.NumValues(), lens)
+	}
+}
+
+// TestReleasedNodeTakesNothing: a released node bills nothing for an op
+// that was in flight when it went, and the replication stream and a
+// re-sync add nothing to it.
+func TestReleasedNodeTakesNothing(t *testing.T) {
+	k, m, s := newSvc(t)
+	n, _ := s.Provision("n0", "cache.t3.small")
+	src, _ := s.Provision("n1", "cache.m6g.large")
+	var atRelease float64
+	k.Go("c", func(p *sim.Proc) {
+		if err := src.RPush(p, "k", []byte("v"), 0); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(time.Hour)
+		// The push sleeps through its latency; the node goes meanwhile.
+		k.At(0, func() {
+			n.Release()
+			atRelease = m.KVNodeHours["cache.t3.small"]
+		})
+		if err := n.RPush(p, "k", []byte("v"), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.KVNodeHours["cache.t3.small"]; got != atRelease {
+		t.Fatalf("released node billed %v node-hours after its release's %v", got, atRelease)
+	}
+	keys, used := n.NumKeys(), n.UsedBytes()
+	n.ReplApply("k", []byte("v"), 0)
+	n.ReplApplyPop("k")
+	n.SyncFrom(src)
+	if n.NumKeys() != keys || n.UsedBytes() != used {
+		t.Fatalf("released node went from %d keys, %d bytes to %d, %d", keys, used, n.NumKeys(), n.UsedBytes())
+	}
+}

@@ -214,9 +214,6 @@ func (q *Queue) Send(p *sim.Proc, msg Message) error {
 }
 
 func (q *Queue) transferTime(bytes int) time.Duration {
-	if q.svc.cfg.TransferBytesPerSec <= 0 {
-		return 0
-	}
 	return time.Duration(float64(bytes) / q.svc.cfg.TransferBytesPerSec * float64(time.Second))
 }
 

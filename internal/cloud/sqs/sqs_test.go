@@ -86,6 +86,24 @@ func TestLongPollTimesOutEmpty(t *testing.T) {
 	}
 }
 
+// TestLongPollWaitIsCapped: a long poll asked to wait past MaxWaitTime
+// returns empty at the cap, as the service's 20 s limit does.
+func TestLongPollWaitIsCapped(t *testing.T) {
+	k, _, svc := newSvc()
+	q := svc.CreateQueue("q")
+	k.Go("consumer", func(p *sim.Proc) {
+		if got := q.Receive(p, 10, time.Minute); got != nil {
+			t.Errorf("got %v from empty queue", got)
+		}
+		if want := svc.cfg.MaxWaitTime; p.Now() < want || p.Now() > want+time.Second {
+			t.Errorf("returned at %v, want at the %v cap", p.Now(), want)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShortPollCanMissMessages(t *testing.T) {
 	// With messages on all shards, repeated short polls must sometimes
 	// return fewer messages than a long poll would, because only a subset

@@ -97,11 +97,9 @@ func NewMeter() *Meter {
 }
 
 // AddCollective records one collective operation run under the given
-// algorithm ("barrier"/"tree", "allreduce"/"ring", ...).
+// algorithm ("barrier"/"tree", "allreduce"/"ring", ...) on a meter
+// NewMeter built.
 func (m *Meter) AddCollective(op, alg string) {
-	if m.Collectives == nil {
-		m.Collectives = make(map[string]int64)
-	}
 	m.Collectives[op+"/"+alg]++
 }
 

@@ -411,3 +411,18 @@ func TestPickAllocs(t *testing.T) {
 		t.Fatalf("Pick(allreduce, P=32) allocates %v times, want at most 3", n)
 	}
 }
+
+// TestUnionOfNothing: an empty or missing contribution leaves the
+// accumulator as it is, nil included, rather than allocating one.
+func TestUnionOfNothing(t *testing.T) {
+	dst := wire.NewRowSet(2)
+	dst.Add(1, []float32{1, 2})
+	for _, src := range []*wire.RowSet{nil, wire.NewRowSet(2)} {
+		if got := Union(dst, src); got != dst || got.Len() != 1 {
+			t.Errorf("Union(dst, %v) = %v, want dst unchanged", src, got)
+		}
+		if got := Union(nil, src); got != nil {
+			t.Errorf("Union(nil, %v) = %v, want nil", src, got)
+		}
+	}
+}

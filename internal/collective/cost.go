@@ -11,19 +11,11 @@ const (
 	OpGather
 )
 
+// opNames are the operations' names, indexed by Op.
+var opNames = [...]string{OpBarrier: "barrier", OpAllreduce: "allreduce", OpGather: "gather"}
+
 // String names the operation.
-func (o Op) String() string {
-	switch o {
-	case OpBarrier:
-		return "barrier"
-	case OpAllreduce:
-		return "allreduce"
-	case OpGather:
-		return "gather"
-	default:
-		return "op?"
-	}
-}
+func (o Op) String() string { return opNames[o] }
 
 // Traits summarises a channel's communication characteristics for the
 // analytic model — the alpha/beta terms of the classic collective cost
@@ -68,14 +60,9 @@ func (tr Traits) xfer(n int64) time.Duration {
 // the root's combined payload, the flat root's thread-pooled fan-out.
 // Gather is the reduce pass, Barrier both passes with no bytes, Allreduce
 // both — except under ring, whose pass-around is P-1 concurrent rounds of
-// one contribution each.
+// one contribution each. alg is a concrete topology (Pick resolves
+// AutoAlgo) over p >= 2 ranks.
 func EstimateOp(op Op, alg Algorithm, p int, msgBytes int64, tr Traits) Estimate {
-	if p <= 1 {
-		return Estimate{}
-	}
-	if alg == AutoAlgo {
-		alg = Pick(op, p, msgBytes, tr)
-	}
 	alpha := tr.PerMsg
 	if op == OpAllreduce && alg == Ring {
 		return Estimate{

@@ -225,11 +225,6 @@ func (qc *queueChannel) poll(w *worker, g *gathering) error {
 	handles := make([]string, 0, len(msgs))
 	for _, m := range msgs {
 		handles = append(handles, m.ReceiptHandle)
-		if m.Attributes["run"] != w.run.id {
-			// Defensive: the (target, run) subscription filter should
-			// make foreign-run messages impossible.
-			continue
-		}
 		a, err := parseQueueAttrs(m.Attributes)
 		if err != nil {
 			return err

@@ -325,9 +325,6 @@ func (c Config) withDefaults() Config {
 	if c.KVNodes <= 0 {
 		c.KVNodes = 1
 	}
-	if c.KVReplicas < 0 {
-		c.KVReplicas = 0
-	}
 	return c
 }
 

@@ -9,6 +9,7 @@ import (
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
+	"fsdinference/internal/obs"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/sparse"
 )
@@ -583,5 +584,55 @@ func BenchmarkHybridChannel(b *testing.B) {
 			b.Fatalf("hybrid split not exercised: %d small / %d bulk",
 				res.Usage.HybridSmallValues, res.Usage.HybridBulkValues)
 		}
+	}
+}
+
+// TestTracedAllreduceNamesItsTopology: every rank's allreduce span in a
+// traced run says which topology ran, as the gather's does.
+func TestTracedAllreduceNamesItsTopology(t *testing.T) {
+	var tr *obs.Tracer
+	d, m, input := testSetup(t, 128, 2, 3, Memory, func(c *Config) {
+		c.AllreduceOutput = true
+		c.Collective = collective.Tree
+		tr = obs.New(func() time.Duration { return 0 }, 1)
+		c.Trace = obs.Scope{T: tr, Track: "ep"}
+	})
+	var res *Result
+	parent := tr.Start("ep", "run", obs.KindRun, 0)
+	if _, err := d.StartTraced(input, parent.ID(), func(r *Result, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		res = r
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Env.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkCorrect(t, m, input, res)
+	n := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "allreduce" {
+			continue
+		}
+		n++
+		if len(sp.Attrs) != 1 || sp.Attrs[0] != (obs.Attr{Key: "alg", Val: "tree"}) {
+			t.Errorf("%s allreduce span attrs %v, want alg=tree", sp.Track, sp.Attrs)
+		}
+	}
+	if n != 3 {
+		t.Errorf("%d allreduce spans, want one per rank", n)
+	}
+}
+
+// TestPerSampleOfAnEmptyBatch: a run of no samples has no per-sample
+// latency, rather than a division by zero.
+func TestPerSampleOfAnEmptyBatch(t *testing.T) {
+	if got := (&Result{Latency: time.Second}).PerSample(); got != 0 {
+		t.Fatalf("PerSample of an empty batch = %v, want 0", got)
+	}
+	if got := (&Result{Latency: time.Second, Batch: 4}).PerSample(); got != 250*time.Millisecond {
+		t.Fatalf("PerSample of 4 samples in 1s = %v, want 250ms", got)
 	}
 }

@@ -105,10 +105,10 @@ func stagedFor(cfg Config) (*stagedModel, error) {
 			s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes()}
 		}
 	}
-	if v, loaded := stagedCache.LoadOrStore(key, s); loaded {
-		return v.(*stagedModel), nil
-	}
-	return s, nil
+	// A model staged meanwhile by another goroutine wins, so every
+	// deployment of it shares one staging.
+	v, _ := stagedCache.LoadOrStore(key, s)
+	return v.(*stagedModel), nil
 }
 
 // workerLayerKey names a staged weight object.

@@ -467,9 +467,6 @@ func (w *worker) algoFor(op collective.Op, msgBytes int64) collective.Algorithm 
 // AutoAlgo resolves the closing collectives with and the planner's
 // pre-filter judges topologies by.
 func ReduceContributionBytes(neurons, workers, batch int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
 	return int64(neurons) / int64(workers) * int64(batch+1) * 4
 }
 
@@ -628,23 +625,13 @@ func (w *worker) reduce() error {
 	return w.storeResult(out)
 }
 
-// finalRows returns the rank's contribution to the reduce: its rows present
-// in x, in localRows order. After the last layer those are every row of that
-// layer's z, so the set views z, capped so that a Union on it reallocates
-// rather than writing into z; a model without layers copies the input rows
-// the rank holds.
+// finalRows returns the rank's contribution to the reduce: the last layer's
+// z, whose rows are the rank's localRows (a model has at least one layer).
+// The set views z, capped so that a Union on it reallocates rather than
+// writing into z.
 func (w *worker) finalRows() *wire.RowSet {
-	if l := len(w.weights); l > 0 {
-		z := w.zbuf[(l-1)&1]
-		return &wire.RowSet{Batch: z.Cols, IDs: slices.Clip(w.localRows), Vals: slices.Clip(z.Data)}
-	}
-	mine := wire.NewRowSetCap(w.run.batch, len(w.localRows))
-	for _, r := range w.localRows {
-		if row := w.x[r]; row != nil {
-			mine.Add(r, row)
-		}
-	}
-	return mine
+	z := w.zbuf[(len(w.weights)-1)&1]
+	return &wire.RowSet{Batch: z.Cols, IDs: slices.Clip(w.localRows), Vals: slices.Clip(z.Data)}
 }
 
 // fillDense scatters a combined row set into a dense N x batch output.
@@ -654,11 +641,8 @@ func (w *worker) fillDense(rs *wire.RowSet) *sparse.Dense {
 	return out
 }
 
-// scatter copies each row of rs into its row of out; rs may be nil.
+// scatter copies each row of rs into its row of out.
 func scatter(out *sparse.Dense, rs *wire.RowSet) {
-	if rs == nil {
-		return
-	}
 	for i := 0; i < rs.Len(); i++ {
 		copy(out.Row(int(rs.IDs[i])), rs.Row(i))
 	}
@@ -724,13 +708,7 @@ func (w *worker) threadsN(name string, width, n int, task func(p *sim.Proc, i in
 	if n == 0 {
 		return nil
 	}
-	nt := width
-	if nt < 1 {
-		nt = 1
-	}
-	if nt > n {
-		nt = n
-	}
+	nt := min(width, n)
 	k := w.ctx.P.Kernel()
 	pool := &commPool{task: task, n: n, wg: sim.NewWaitGroup(k)}
 	pool.wg.Add(nt)

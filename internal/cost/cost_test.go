@@ -52,3 +52,15 @@ func TestMemoryBreakEvenSeparatesRegimes(t *testing.T) {
 		t.Fatal("memory not dearer below break-even")
 	}
 }
+
+// TestPublishChunks: a pair's layer volume publishes in 256 KiB chunks,
+// and even an empty one is one message.
+func TestPublishChunks(t *testing.T) {
+	for _, tc := range []struct{ bytes, want int64 }{
+		{0, 1}, {1, 1}, {256 << 10, 1}, {256<<10 + 1, 2}, {1 << 20, 4},
+	} {
+		if got := PublishChunks(tc.bytes); got != tc.want {
+			t.Errorf("PublishChunks(%d) = %d, want %d", tc.bytes, got, tc.want)
+		}
+	}
+}

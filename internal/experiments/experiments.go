@@ -42,13 +42,16 @@ type SizeMap struct {
 
 // Scale configures the evaluation grid.
 type Scale struct {
-	// Sizes maps scaled stand-ins to paper sizes, smallest first.
+	// Sizes maps scaled stand-ins to paper sizes, smallest first; the
+	// tables read the third (N=16384's stand-in), so there are at least
+	// three.
 	Sizes []SizeMap
 	// Layers is the scaled layer count (paper: 120).
 	Layers int
 	// Batch is the default scaled batch size for ablations.
 	Batch int
-	// Workers is the parallelism grid (paper: 8, 20, 42, 62).
+	// Workers is the parallelism grid (paper: 8, 20, 42, 62), at least
+	// three wide: the tables read its second and third entries.
 	Workers []int
 	// PaperLayers and PaperBatch are the true evaluation dimensions,
 	// used for analytic paper-scale feasibility and time-dilation
@@ -325,7 +328,7 @@ func dilatedEnv(lambda, layerLambda float64) *env.Env {
 // memory set to the paper's sizing for the represented paper size. The
 // returned result's latencies are in dilated (scaled) time; multiply by
 // Dilation(size) to project to paper scale.
-func (l *Lab) RunDilated(size SizeMap, workers int, kind core.ChannelKind, scheme partition.Scheme, mutate func(*core.Config)) (*core.Result, error) {
+func (l *Lab) RunDilated(size SizeMap, workers int, kind core.ChannelKind, scheme partition.Scheme) (*core.Result, error) {
 	lambda := l.Dilation(size)
 	layerLambda := l.layerDilation(size)
 	batchRatio := float64(l.Scale.PaperBatch) / float64(size.Batch)
@@ -337,9 +340,6 @@ func (l *Lab) RunDilated(size SizeMap, workers int, kind core.ChannelKind, schem
 			// should cost paper_load/λ: boost store bandwidth by the
 			// remaining batch ratio.
 			c.StoreBandwidthScale = batchRatio
-			if mutate != nil {
-				mutate(c)
-			}
 		})
 }
 
@@ -395,9 +395,6 @@ func ms(d time.Duration) string {
 }
 
 func msPerSample(d time.Duration, samples int) string {
-	if samples == 0 {
-		return "-"
-	}
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000/float64(samples))
 }
 

@@ -309,6 +309,24 @@ func TestQuotaAblationCrossover(t *testing.T) {
 	}
 }
 
+// TestCutPerLayerIsMeasuredOnce: a dimension's cut is measured once per
+// lab and served from the cache after; DefaultScale asks for 1024 and 4096
+// both as a stand-in and as a paper size.
+func TestCutPerLayerIsMeasuredOnce(t *testing.T) {
+	l := NewLab(QuickScale())
+	first, err := l.cutPerLayer(256, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first <= 0 {
+		t.Fatalf("N=256 over 8 workers cuts %v rows per layer, want some", first)
+	}
+	l.cuts["256/8"] = first + 1
+	if again, err := l.cutPerLayer(256, 8); err != nil || again != first+1 {
+		t.Fatalf("second ask = %v, %v; want the cached %v", again, err, first+1)
+	}
+}
+
 func TestDilationArithmetic(t *testing.T) {
 	l := NewLab(QuickScale())
 	size := l.Scale.Sizes[0] // 256 -> 1024

@@ -44,11 +44,11 @@ func Fig6Scaling(l *Lab) (*Table, error) {
 	for _, size := range l.Scale.Sizes {
 		var bq, bo *best
 		for _, p := range l.Scale.Workers {
-			rq, err := l.RunDilated(size, p, core.Queue, partition.Block, nil)
+			rq, err := l.RunDilated(size, p, core.Queue, partition.Block)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 queue N=%d P=%d: %w", size.Scaled, p, err)
 			}
-			ro, err := l.RunDilated(size, p, core.Object, partition.Block, nil)
+			ro, err := l.RunDilated(size, p, core.Object, partition.Block)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 object N=%d P=%d: %w", size.Scaled, p, err)
 			}
@@ -103,16 +103,16 @@ func (l *Lab) fsdBest(sizeIdx int) (*core.Result, string, error) {
 		return nil
 	}
 	if l.SerialFeasiblePaper(size.Paper) {
-		r, err := l.RunDilated(size, 1, core.Serial, partition.Block, nil)
+		r, err := l.RunDilated(size, 1, core.Serial, partition.Block)
 		if err := consider(r, "serial", err); err != nil {
 			return nil, "", err
 		}
 	}
-	r, err := l.RunDilated(size, p, core.Queue, partition.Block, nil)
+	r, err := l.RunDilated(size, p, core.Queue, partition.Block)
 	if err := consider(r, fmt.Sprintf("queue P=%d", p), err); err != nil {
 		return nil, "", err
 	}
-	r, err = l.RunDilated(size, p, core.Object, partition.Block, nil)
+	r, err = l.RunDilated(size, p, core.Object, partition.Block)
 	if err := consider(r, fmt.Sprintf("object P=%d", p), err); err != nil {
 		return nil, "", err
 	}
@@ -210,9 +210,6 @@ func (l *Lab) commRatio(size SizeMap, workers int) (float64, error) {
 	paperCut, err := l.cutPerLayer(size.Paper, workers)
 	if err != nil {
 		return 0, err
-	}
-	if scaledCut == 0 {
-		return 1, nil
 	}
 	return paperCut * float64(l.Scale.PaperLayers) / (scaledCut * float64(l.Scale.Layers)), nil
 }

@@ -81,7 +81,7 @@ func PlannerSelection(l *Lab) (*Table, error) {
 				return t.DailyCost(queries)
 			}
 		}
-		return 0
+		panic("experiments: a decision's pick has no trial")
 	}
 	t := &Table{
 		ID:    "planner",

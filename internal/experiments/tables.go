@@ -28,7 +28,7 @@ func Table2PerSample(l *Lab) (*Table, error) {
 		bestMS := -1.0
 		for _, p := range l.Scale.Workers {
 			for _, kind := range []core.ChannelKind{core.Queue, core.Object} {
-				r, err := l.RunDilated(size, p, kind, partition.Block, nil)
+				r, err := l.RunDilated(size, p, kind, partition.Block)
 				if err != nil {
 					return nil, fmt.Errorf("table2 N=%d P=%d %v: %w", size.Scaled, p, kind, err)
 				}
@@ -41,7 +41,7 @@ func Table2PerSample(l *Lab) (*Table, error) {
 
 		serialCell := "-"
 		if l.SerialFeasiblePaper(size.Paper) {
-			r, err := l.RunDilated(size, 1, core.Serial, partition.Block, nil)
+			r, err := l.RunDilated(size, 1, core.Serial, partition.Block)
 			if err != nil {
 				return nil, fmt.Errorf("table2 serial N=%d: %w", size.Scaled, err)
 			}
@@ -87,17 +87,8 @@ func Table2PerSample(l *Lab) (*Table, error) {
 // volumes and runtime under HGP-DNN versus random partitioning (RP), at the
 // scaled stand-in for N=16384, P=42.
 func Table3Partitioning(l *Lab) (*Table, error) {
-	sizeIdx := 2 // stand-in for N=16384
-	if sizeIdx >= len(l.Scale.Sizes) {
-		sizeIdx = len(l.Scale.Sizes) - 1
-	}
-	size := l.Scale.Sizes[sizeIdx]
-	workers := 42
-	if len(l.Scale.Workers) < 3 {
-		workers = l.Scale.Workers[len(l.Scale.Workers)-1]
-	} else {
-		workers = l.Scale.Workers[2]
-	}
+	size := l.Scale.Sizes[2] // stand-in for N=16384
+	workers := l.Scale.Workers[2]
 
 	t := &Table{
 		ID:    "table3",
@@ -141,15 +132,8 @@ func Table3Partitioning(l *Lab) (*Table, error) {
 // counting. Runs with AllreduceOutput are not validated: their reconstruction
 // is wrong until a run ends when its last rank does (ROADMAP direction 1).
 func CostValidation(l *Lab) (*Table, error) {
-	sizeIdx := 2
-	if sizeIdx >= len(l.Scale.Sizes) {
-		sizeIdx = len(l.Scale.Sizes) - 1
-	}
-	size := l.Scale.Sizes[sizeIdx]
-	workers := 20
-	if len(l.Scale.Workers) > 1 {
-		workers = l.Scale.Workers[1]
-	}
+	size := l.Scale.Sizes[2]
+	workers := l.Scale.Workers[1]
 
 	t := &Table{
 		ID:    "costval",

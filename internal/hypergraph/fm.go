@@ -8,9 +8,6 @@ import "math/rand"
 // improvement. Gains track the cut-cost reduction of moving a vertex and
 // are maintained incrementally with the classic critical-net update rules.
 func refineFM(h *Hypergraph, side []int8, t0, t1 int64, rng *rand.Rand) {
-	if h.NumV == 0 {
-		return
-	}
 	maxW := [2]int64{t0 + int64(eps*float64(t0)), t1 + int64(eps*float64(t1))}
 
 	pins := [2][]int32{make([]int32, h.NumNets()), make([]int32, h.NumNets())}

@@ -425,15 +425,13 @@ func greedyGrow(h *Hypergraph, t0 int64, rng *rand.Rand) []int8 {
 		}
 		if best < 0 {
 			// Disconnected remainder: pick the lowest-index side-1
-			// vertex.
+			// vertex. One is left, since side 0 weighs less than t0,
+			// which is at most the total.
 			for v := 0; v < h.NumV; v++ {
 				if side[v] == 1 {
 					best = int32(v)
 					break
 				}
-			}
-			if best < 0 {
-				break
 			}
 		}
 		w += h.VWeight[best]

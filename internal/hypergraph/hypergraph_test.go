@@ -421,3 +421,78 @@ func (h *Hypergraph) PartWeights(part []int32, k int) []int64 {
 	}
 	return w
 }
+
+// TestPartitionDegenerateShapes: shapes the generated models never make
+// still partition into k valid, non-empty parts: no nets at all (the
+// coarsening stalls at once), a net over every vertex (too wide to guide
+// matching), vertices too heavy to cluster together, and nets with fewer
+// than two pins.
+func TestPartitionDegenerateShapes(t *testing.T) {
+	const n = 200
+	unit := func() []int64 {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	ringNets := func() ([][]int32, []int64) {
+		var nets [][]int32
+		var costs []int64
+		for i := 0; i < n; i++ {
+			nets = append(nets, []int32{int32(i), int32((i + 1) % n)})
+			costs = append(costs, 1)
+		}
+		return nets, costs
+	}
+	var all []int32
+	for i := 0; i < n; i++ {
+		all = append(all, int32(i))
+	}
+	heavy := unit()
+	for i := 0; i < 10; i++ {
+		heavy[i] = 1000
+	}
+	wideNets, wideCosts := ringNets()
+	wideNets, wideCosts = append(wideNets, all), append(wideCosts, 5)
+	ringN, ringC := ringNets()
+	for _, tc := range []struct {
+		name  string
+		numV  int
+		w     []int64
+		nets  [][]int32
+		costs []int64
+	}{
+		{"no nets", n, unit(), nil, nil},
+		{"one net over every vertex", n, unit(), wideNets, wideCosts},
+		{"heavy neighbours", n, heavy, ringN, ringC},
+		{"empty and one-pin nets", 10, make([]int64, 10), [][]int32{{}, {3}, {1, 2}}, []int64{1, 1, 1}},
+	} {
+		if tc.name == "empty and one-pin nets" {
+			for i := range tc.w {
+				tc.w[i] = 1
+			}
+		}
+		h, err := New(tc.numV, tc.w, tc.nets, tc.costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 4
+		part, err := Partition(h, k, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sizes := make([]int, k)
+		for _, p := range part {
+			if p < 0 || p >= k {
+				t.Fatalf("%s: part %d outside [0,%d)", tc.name, p, k)
+			}
+			sizes[p]++
+		}
+		for p, s := range sizes {
+			if s == 0 {
+				t.Errorf("%s: part %d is empty (%v)", tc.name, p, sizes)
+			}
+		}
+	}
+}

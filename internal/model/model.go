@@ -144,19 +144,16 @@ func generateLayer(spec Spec, rng *rand.Rand) (*sparse.CSR, error) {
 		for k := range seen {
 			delete(seen, k)
 		}
-		attempts := 0
+		// The window draw alone reaches min(4·FanIn, n-1) sources on
+		// either side (window is at least 2·FanIn or n/2), so the loop
+		// finds FanIn distinct ones.
 		for len(seen) < spec.FanIn {
 			var dist int
-			if attempts > 64*spec.FanIn {
-				// Degenerate geometry (tiny N): fill from the
-				// nearest unused sources.
-				dist = attempts - 64*spec.FanIn
-			} else if rng.Float64() < 0.96 {
+			if rng.Float64() < 0.96 {
 				dist = 1 + rng.Intn(window)
 			} else {
 				dist = int(math.Exp(rng.Float64() * logN))
 			}
-			attempts++
 			if rng.Intn(2) == 0 {
 				dist = -dist
 			}

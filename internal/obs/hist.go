@@ -121,18 +121,17 @@ func (h *Histogram) Min() time.Duration { return h.min }
 func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns the nearest-rank p-th percentile's bucket upper
-// bound, clamped to the exact observed maximum.
+// bound, 1 <= p <= 100, clamped to the exact observed maximum.
 func (h *Histogram) Quantile(p int) time.Duration {
 	if h.count == 0 {
 		return 0
 	}
-	rank := (p*h.count + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
+	rank := (p*h.count + 99) / 100 // ceil(p/100 * n), in [1, n]
 	sub := h.subdiv()
 	seen := 0
-	for i := h.lo; i <= h.hi; i++ {
+	// The buckets from lo hold all count observations, so the walk
+	// reaches rank by hi.
+	for i := h.lo; ; i++ {
 		seen += h.buckets[i]
 		if seen >= rank {
 			ub := upperBound(i, sub)
@@ -142,7 +141,6 @@ func (h *Histogram) Quantile(p int) time.Duration {
 			return ub
 		}
 	}
-	return h.max
 }
 
 // CountAtMost returns the number of observations in buckets whose upper

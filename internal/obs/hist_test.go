@@ -150,6 +150,28 @@ func TestHistMerge(t *testing.T) {
 	if empty.Min() != whole.Min() || empty.Max() != whole.Max() {
 		t.Errorf("empty-merge min/max wrong: %v/%v", empty.Min(), empty.Max())
 	}
+
+	// Merging the slower half first, then the faster, moves the minimum
+	// and the lowest bucket down.
+	var slow, fast, merged Histogram
+	for i := 0; i < 500; i++ {
+		d := time.Duration(i*i) * time.Microsecond
+		if i >= 250 {
+			slow.Observe(d)
+		} else {
+			fast.Observe(d)
+		}
+	}
+	merged.Merge(&slow)
+	merged.Merge(&fast)
+	for _, p := range []int{1, 50, 100} {
+		if merged.Quantile(p) != whole.Quantile(p) {
+			t.Errorf("slow-then-fast p%d: merged %v, whole %v", p, merged.Quantile(p), whole.Quantile(p))
+		}
+	}
+	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+		t.Errorf("slow-then-fast min/max %v/%v, whole %v/%v", merged.Min(), merged.Max(), whole.Min(), whole.Max())
+	}
 }
 
 // TestHistMergeGeometryMismatch: merging histograms with different

@@ -67,18 +67,10 @@ const (
 	Unhealthy
 )
 
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Unhealthy:
-		return "unhealthy"
-	default:
-		return fmt.Sprintf("Health(%d)", int(h))
-	}
-}
+// healthNames are the states' names, indexed by Health.
+var healthNames = [...]string{Healthy: "healthy", Degraded: "degraded", Unhealthy: "unhealthy"}
+
+func (h Health) String() string { return healthNames[h] }
 
 // Sample is one finalized scrape window of one endpoint. Counter fields
 // are deltas over the window; gauges are the value at the window's
@@ -101,11 +93,9 @@ type Sample struct {
 	Health Health
 }
 
-// RPS is the window's completed-request rate in queries per second.
+// RPS is the window's completed-request rate in queries per second; a
+// window spans one positive scrape interval.
 func (s Sample) RPS() float64 {
-	if s.End <= s.Start {
-		return 0
-	}
 	return float64(s.Requests) / (s.End - s.Start).Seconds()
 }
 
@@ -289,7 +279,7 @@ func (m *Monitor) Start(base time.Duration) {
 // arm schedules the next scrape on the kernel, aligned to the next
 // base + k·Interval boundary strictly after now.
 func (m *Monitor) arm() {
-	if m.armed || !m.started {
+	if m.armed {
 		return
 	}
 	now := m.clock()
@@ -304,9 +294,6 @@ func (m *Monitor) arm() {
 // RunTo catch-up mode, while boundaries remain before the limit).
 func (m *Monitor) tick() {
 	m.armed = false
-	if !m.started {
-		return
-	}
 	now := m.clock()
 	m.finalizeTo(now)
 	if m.limit > 0 {
@@ -321,11 +308,8 @@ func (m *Monitor) tick() {
 }
 
 // windows returns the number of windows every target has finalized (the
-// targets advance in lockstep).
+// targets advance in lockstep; a service has at least one endpoint).
 func (m *Monitor) windows() int {
-	if len(m.targets) == 0 {
-		return 0
-	}
 	return m.targets[0].n
 }
 
@@ -355,9 +339,6 @@ func (m *Monitor) Flush(end time.Duration) {
 // finalizeTo finalizes, in window order, every window whose closing
 // boundary is at or before now.
 func (m *Monitor) finalizeTo(now time.Duration) {
-	if len(m.targets) == 0 {
-		return
-	}
 	for m.base+time.Duration(m.windows()+1)*m.spec.Interval <= now {
 		w := m.windows()
 		for _, t := range m.targets {

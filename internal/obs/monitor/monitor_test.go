@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -340,5 +341,132 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if m.spec.Interval != time.Minute || len(m.spec.Rules) != 2 {
 		t.Errorf("defaults not applied: %+v", m.spec)
+	}
+}
+
+// TestSeriesCapacityCoversEveryLookback: the ring grows past its default
+// size when a burn rule looks back further, and a lookback shorter than
+// one scrape still reads one window.
+func TestSeriesCapacityCoversEveryLookback(t *testing.T) {
+	k := sim.New()
+	m, err := New(Spec{Interval: time.Second}, k.Clock(), func(time.Duration, func()) {}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 6*3600 + 2; m.capacity != want { // the 6h ticket rule, in 1s windows
+		t.Errorf("capacity %d, want %d", m.capacity, want)
+	}
+	if got := windowsIn(5*time.Minute, 10*time.Minute); got != 1 {
+		t.Errorf("a 5m lookback over 10m scrapes reads %d windows, want 1", got)
+	}
+}
+
+// TestIdleMonitorIsInert: before Start a monitor schedules, finalizes and
+// exports nothing, and unknown names read as empty. A RunTo while the
+// first scrape is armed extends that chain rather than arming a second.
+func TestIdleMonitorIsInert(t *testing.T) {
+	h := newHarness(t, Spec{Interval: time.Minute})
+	h.mon.RunTo(time.Hour)
+	h.mon.Flush(time.Hour)
+	if err := h.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var prom bytes.Buffer
+	if err := h.mon.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if h.k.Now() != 0 || len(h.mon.Series("ep")) != 0 || prom.Len() != 0 {
+		t.Fatalf("unstarted monitor ran to %v, kept %d windows, exported %q", h.k.Now(), len(h.mon.Series("ep")), prom.String())
+	}
+	if h.mon.Series("nosuch") != nil || h.mon.TimeInViolation("nosuch", "x") != 0 || h.mon.TimeInViolation("ep", "nosuch") != 0 {
+		t.Fatal("an unknown endpoint or SLO reads as non-empty")
+	}
+
+	h = newHarness(t, Spec{Interval: time.Minute})
+	h.busy = false
+	h.mon.Start(0)
+	h.mon.RunTo(5 * time.Minute)
+	if err := h.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.k.Now() != 5*time.Minute || len(h.mon.Series("ep")) != 5 {
+		t.Fatalf("ran to %v with %d windows; want 5m and 5", h.k.Now(), len(h.mon.Series("ep")))
+	}
+}
+
+// TestSeriesKeepsTheLatestWindows: past its capacity the ring keeps the
+// most recent windows, and time in violation counts only those.
+func TestSeriesKeepsTheLatestWindows(t *testing.T) {
+	spec := Spec{
+		Interval: time.Second,
+		Rules:    []BurnRule{{Severity: Page, Short: time.Second, Long: time.Second, Burn: 1}},
+		SLOs:     []SLO{{Name: "avail", Kind: Availability, Objective: 0.9}},
+	}
+	h := newHarness(t, spec)
+	const windows = seriesCapacity + 100
+	for w := 0; w < windows; w++ {
+		failed := 0
+		if w < 100 || w >= windows-10 {
+			failed = 1 // violating: the first 100 windows and the last 10
+		}
+		h.at(time.Duration(w)*time.Second+time.Millisecond, 1, time.Millisecond, failed)
+	}
+	h.k.At(windows*time.Second+time.Millisecond, func() { h.busy = false })
+	h.mon.Start(0)
+	if err := h.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	series := h.mon.Series("ep")
+	if len(series) != seriesCapacity || series[0].Window != windows-seriesCapacity+1 {
+		t.Fatalf("%d windows retained from %d; want the last %d", len(series), series[0].Window, seriesCapacity)
+	}
+	if got := h.mon.TimeInViolation("ep", "avail"); got != 10*time.Second {
+		t.Fatalf("time in violation %v over the retained windows, want 10s", got)
+	}
+}
+
+// TestAlertsCanonicalOrder: transitions at one instant order by endpoint,
+// SLO, severity (pages first) and then resolutions before firings.
+func TestAlertsCanonicalOrder(t *testing.T) {
+	m := &Monitor{alerts: []AlertEvent{
+		{At: 1, Endpoint: "b", SLO: "x", Severity: Page, Firing: true},
+		{At: 1, Endpoint: "a", SLO: "y", Severity: Page, Firing: true},
+		{At: 1, Endpoint: "a", SLO: "x", Severity: Ticket, Firing: true},
+		{At: 1, Endpoint: "a", SLO: "x", Severity: Page, Firing: true},
+		{At: 1, Endpoint: "a", SLO: "x", Severity: Page, Firing: false},
+		{At: 0, Endpoint: "z", SLO: "z", Severity: Ticket, Firing: true},
+	}}
+	var got []string
+	for _, ev := range m.Alerts() {
+		got = append(got, fmt.Sprintf("%v/%s/%s/%v/%v", ev.At, ev.Endpoint, ev.SLO, ev.Severity, ev.Firing))
+	}
+	want := "0s/z/z/ticket/true 1ns/a/x/page/false 1ns/a/x/page/true 1ns/a/x/ticket/true 1ns/a/y/page/true 1ns/b/x/page/true"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("order\n%s\nwant\n%s", strings.Join(got, " "), want)
+	}
+}
+
+// TestAbsorbTakesOnlyScrapedEndpoints: a nil lane, a lane endpoint with no
+// window and one this monitor does not serve change nothing.
+func TestAbsorbTakesOnlyScrapedEndpoints(t *testing.T) {
+	h := newHarness(t, Spec{Interval: time.Minute})
+	h.mon.Absorb(nil)
+	lane := newHarness(t, Spec{Interval: time.Minute})
+	lane.mon.Register(Target{Endpoint: "other", Requests: &obs.Counter{}, Failures: &obs.Counter{}, Latency: &obs.Histogram{}})
+	lane.at(30*time.Second, 2, time.Millisecond, 0)
+	lane.k.At(150*time.Second, func() { lane.busy = false })
+	lane.mon.Start(0)
+	if err := lane.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	unscraped := newHarness(t, Spec{Interval: time.Minute})
+	h.mon.Absorb(unscraped.mon)
+	if len(h.mon.Series("ep")) != 0 {
+		t.Fatal("absorbed windows from a lane that scraped none")
+	}
+	h.mon.Absorb(lane.mon)
+	if len(h.mon.Series("ep")) != 3 || h.mon.Series("other") != nil {
+		t.Fatalf("absorbed %d ep windows and %v for an unserved endpoint; want 3 and none",
+			len(h.mon.Series("ep")), h.mon.Series("other"))
 	}
 }

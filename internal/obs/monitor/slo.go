@@ -24,17 +24,6 @@ const (
 	Availability
 )
 
-func (k ObjectiveKind) String() string {
-	switch k {
-	case LatencyQuantile:
-		return "latency"
-	case Availability:
-		return "availability"
-	default:
-		return fmt.Sprintf("ObjectiveKind(%d)", int(k))
-	}
-}
-
 // SLO is one service-level objective: over any Window, an Objective
 // fraction of events must be good, with the remaining budget consumed by
 // bad events as the burn-rate rules measure.
@@ -81,12 +70,9 @@ func (s *SLO) split(smp *Sample, lat *obs.Histogram) (good, bad int64) {
 		good = int64(lat.CountAtMost(s.Target))
 		bad = total - good
 	}
-	if good < 0 {
-		good = 0
-	}
-	if bad < 0 {
-		bad = 0
-	}
+	// The serving layer counts a request and its failure together as it
+	// resolves, and CountAtMost is at most the count: neither side goes
+	// below zero.
 	return good, bad
 }
 
@@ -99,16 +85,10 @@ const (
 	Page
 )
 
-func (s Severity) String() string {
-	switch s {
-	case Page:
-		return "page"
-	case Ticket:
-		return "ticket"
-	default:
-		return fmt.Sprintf("Severity(%d)", int(s))
-	}
-}
+// severityNames are the severities' names, indexed by Severity.
+var severityNames = [...]string{Ticket: "ticket", Page: "page"}
+
+func (s Severity) String() string { return severityNames[s] }
 
 // BurnRule is one multi-window burn-rate alert rule in the Google SRE
 // workbook's style: fire when the error budget burns at least Burn times

@@ -48,25 +48,13 @@ const (
 	KindEvent
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindRequest:
-		return "request"
-	case KindPhase:
-		return "phase"
-	case KindRun:
-		return "run"
-	case KindWorker:
-		return "worker"
-	case KindOp:
-		return "op"
-	case KindFault:
-		return "fault"
-	case KindEvent:
-		return "event"
-	}
-	return "?"
+// kindNames are the kinds' names, indexed by Kind.
+var kindNames = [...]string{
+	KindRequest: "request", KindPhase: "phase", KindRun: "run", KindWorker: "worker",
+	KindOp: "op", KindFault: "fault", KindEvent: "event",
 }
+
+func (k Kind) String() string { return kindNames[k] }
 
 // Attr is one key/value annotation on a span. Values are strings so the
 // exporter never has to guess at formatting.

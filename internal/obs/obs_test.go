@@ -19,6 +19,11 @@ func manualClock() (func() time.Duration, func(time.Duration)) {
 // TestNilTracerSafe is the zero-overhead contract: a nil tracer and the
 // zero SpanRef/Scope must no-op every operation without panicking.
 func TestNilTracerSafe(t *testing.T) {
+	var g *Gauge
+	g.Set(1)
+	if g.Value() != 0 {
+		t.Error("nil gauge holds a value")
+	}
 	var tr *Tracer
 	if tr.Sample(0) {
 		t.Error("nil tracer samples")
@@ -382,6 +387,30 @@ func TestWriteFlame(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], " 3 ") {
 		t.Errorf("layer row missing count 3:\n%s", out)
+	}
+
+	// Rows of equal total order by name, then by kind.
+	tr = New(clock, 1)
+	for _, s := range []struct {
+		name string
+		kind Kind
+	}{{"send", KindOp}, {"fail", KindFault}, {"fail", KindEvent}, {"fail", KindRequest}} {
+		set(0)
+		sp := tr.Start("tk", s.name, s.kind, 0)
+		set(time.Millisecond)
+		sp.End()
+	}
+	buf.Reset()
+	if err := tr.WriteFlame(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		f := strings.Fields(l)
+		order = append(order, f[0]+"/"+f[1])
+	}
+	if got, want := strings.Join(order, " "), "fail/request fail/fault fail/event send/op"; got != want {
+		t.Errorf("equal-total rows in order %s, want %s", got, want)
 	}
 }
 

@@ -41,21 +41,14 @@ type WorkloadProfile struct {
 	// sporadic workloads instead of being hidden behind one probe's
 	// share.
 	QueriesPerDay int64
-	// BatchSamples is the representative engine-run batch width; it
-	// sizes the probe input used for simulated trials (default 32).
+	// BatchSamples is the representative engine-run batch width, at
+	// least 1; it sizes the probe input used for simulated trials.
 	BatchSamples int
 	// Concurrency is the peak number of engine runs in flight at once
 	// (the serving layer's observed MaxConcurrentRuns; 0 means one).
 	// Overlapping runs multiply the provisioned store's resident working
 	// set, so it drives the analytic node-capacity feasibility rule.
 	Concurrency int
-}
-
-func (p WorkloadProfile) withDefaults() WorkloadProfile {
-	if p.BatchSamples <= 0 {
-		p.BatchSamples = 32
-	}
-	return p
 }
 
 // Candidate is one configuration the planner considers.
@@ -87,11 +80,8 @@ func (c Candidate) usesKVStore() bool {
 	return c.Channel == core.Memory || c.Channel == core.Hybrid
 }
 
-// clusterNodes returns the candidate's total provisioned node count.
+// clusterNodes returns a store candidate's total provisioned node count.
 func (c Candidate) clusterNodes() int {
-	if !c.usesKVStore() {
-		return 0
-	}
 	shards := c.KVNodes
 	if shards < 1 {
 		shards = 1
@@ -168,7 +158,7 @@ type Grid struct {
 	// serial only when the model fits one instance).
 	Channels []core.ChannelKind
 	// Workers lists the parallelism levels for distributed channels
-	// (default 8, 20, 42, 62 — the paper's grid).
+	// (the paper's grid is 8, 20, 42, 62).
 	Workers []int
 	// KVNodeTypes lists the provisioned-store node sizes to consider
 	// for Memory candidates (default: the catalogue's default node).
@@ -191,9 +181,6 @@ type Grid struct {
 func (g Grid) withDefaults() Grid {
 	if len(g.Channels) == 0 {
 		g.Channels = []core.ChannelKind{core.Serial, core.Queue, core.Object, core.Memory}
-	}
-	if len(g.Workers) == 0 {
-		g.Workers = []int{8, 20, 42, 62}
 	}
 	if len(g.KVNodeTypes) == 0 {
 		g.KVNodeTypes = []string{core.DefaultKVNodeType}
@@ -364,7 +351,9 @@ func (p *Planner) ReplanWith(observed WorkloadProfile, obj Objective) (*Decision
 func (p *Planner) Last() *Decision { return p.last }
 
 func (p *Planner) decide(profile WorkloadProfile) (*Decision, error) {
-	profile = profile.withDefaults()
+	if profile.BatchSamples < 1 {
+		return nil, fmt.Errorf("plan: batch width %d; a probe needs at least one sample", profile.BatchSamples)
+	}
 	cands := p.candidates()
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("plan: no feasible candidates for N=%d", p.m.Spec.Neurons)
@@ -506,13 +495,7 @@ func (p *Planner) candidates() []Candidate {
 			}
 			for _, nt := range g.KVNodeTypes {
 				for _, nodes := range g.KVNodes {
-					if nodes < 1 {
-						nodes = 1
-					}
 					for _, reps := range g.KVReplicas {
-						if reps < 0 {
-							reps = 0
-						}
 						add(Candidate{
 							Channel: kind, Workers: w, KVNodeType: nt,
 							KVNodes: nodes, KVReplicas: reps,
@@ -594,9 +577,6 @@ func (p *Planner) runTrial(c Candidate, batch int) measurement {
 		// The flat daily bill covers the whole cluster: primaries times
 		// (1 + replicas) — the shard/replica axes both price in here.
 		nodes := d.Cfg.KVNodes * (1 + d.Cfg.KVReplicas)
-		if nodes <= 0 {
-			nodes = 1
-		}
 		m.nodeDaily = 24 * e.Pricing.KVNodeHourly[nodeType] * float64(nodes)
 	}
 	return m

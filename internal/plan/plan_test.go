@@ -537,3 +537,56 @@ func BenchmarkPlanner(b *testing.B) {
 		}
 	}
 }
+
+// TestPlanNeedsAProbeSample: a profile of no samples per run is an error,
+// not a trial of empty probes.
+func TestPlanNeedsAProbeSample(t *testing.T) {
+	p, err := New(testModel(t, 256, 2), Options{Grid: distributedGrid()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Plan(WorkloadProfile{QueriesPerDay: 100}); err == nil || !strings.Contains(err.Error(), "batch width 0") {
+		t.Fatalf("Plan without a batch width = %v, want an error naming it", err)
+	}
+}
+
+// TestWeightedObjectiveClampsItsWeight: a latency weight outside [0,1]
+// scores as the nearer end.
+func TestWeightedObjectiveClampsItsWeight(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{{-0.5, 0}, {0.25, 0.25}, {3, 1}} {
+		if got := WeightedObjective(tc.in).(weighted).w; got != tc.want {
+			t.Errorf("WeightedObjective(%v) weighs latency %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestCandidateString: Serial is named alone; a store candidate lists the
+// node type, shards and replicas that differ from the single default node.
+func TestCandidateString(t *testing.T) {
+	for _, tc := range []struct {
+		c    Candidate
+		want string
+	}{
+		{Candidate{Channel: core.Serial, Workers: 1}, "FSD-Inf-Serial"},
+		{Candidate{Channel: core.Queue, Workers: 8}, "FSD-Inf-Queue x8"},
+		{Candidate{Channel: core.Memory, Workers: 8, KVNodeType: core.DefaultKVNodeType, KVNodes: 1}, "FSD-Inf-Memory x8"},
+		{Candidate{Channel: core.Memory, Workers: 8, KVNodeType: "cache.r6g.large", KVNodes: 2, KVReplicas: 1}, "FSD-Inf-Memory x8 (cache.r6g.large, 2 shards, R=1)"},
+	} {
+		if got := tc.c.String(); got != tc.want {
+			t.Errorf("%+v renders %q, want %q", tc.c, got, tc.want)
+		}
+	}
+}
+
+// TestPrefilterTrialsSerial: the pre-filter never prunes a Serial
+// candidate; the grid admitted it only if the model fits one instance.
+func TestPrefilterTrialsSerial(t *testing.T) {
+	p, err := New(testModel(t, 256, 2), Options{Objective: CostObjective()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reason, breakEven, err := p.prefilter(Candidate{Channel: core.Serial, Workers: 1}, WorkloadProfile{QueriesPerDay: 1e9, BatchSamples: 8})
+	if reason != "" || breakEven != 0 || err != nil {
+		t.Fatalf("prefilter(Serial) = %q, %d, %v; want a trial", reason, breakEven, err)
+	}
+}

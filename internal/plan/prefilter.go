@@ -206,11 +206,7 @@ func nodeBreakEven(c Candidate, w cost.Workload) int64 {
 		w.MemoryNodeHourly = cat.KVNodeHourly[c.KVNodeType]
 	}
 	if n := c.clusterNodes(); n > 1 {
-		rate := w.MemoryNodeHourly
-		if rate <= 0 {
-			rate = cat.KVNodeHourly[core.DefaultKVNodeType]
-		}
-		w.MemoryNodeHourly = rate * float64(n)
+		w.MemoryNodeHourly *= float64(n)
 	}
 	return cost.MemoryBreakEvenQueriesPerDay(cat, w)
 }
@@ -269,13 +265,7 @@ func memoryWorkingSetBytes(w cost.Workload) int64 {
 // under bulk-tensor workloads — and the rule the hybrid channel escapes
 // by parking bulk values in object storage.
 func memoryNodeCapacityExceeded(w cost.Workload, nodeType string, shards int) bool {
-	if shards < 1 {
-		shards = 1
-	}
-	nt, ok := kvstore.Catalog[nodeType]
-	if !ok {
-		nt = kvstore.Catalog[kvstore.DefaultNodeType]
-	}
+	nt := kvstore.Catalog[nodeType]
 	usable := nt.MemoryGB * float64(int64(1)<<30) * float64(shards)
 	return float64(memoryWorkingSetBytes(w))*storeHeadroom > usable
 }
@@ -299,13 +289,7 @@ func memoryClusterSaturated(w cost.Workload, nodeType string, shards int) bool {
 	if w.QueriesPerDay <= 0 {
 		return false
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	nt, ok := kvstore.Catalog[nodeType]
-	if !ok {
-		nt = kvstore.Catalog[kvstore.DefaultNodeType]
-	}
+	nt := kvstore.Catalog[nodeType]
 	demand := float64(memoryOpsPerQuery(w)*w.QueriesPerDay) / 86400
 	return demand > nt.MaxOpsPerSec*float64(shards)
 }

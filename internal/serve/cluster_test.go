@@ -134,7 +134,8 @@ func TestReplayReportCarriesFailoverStats(t *testing.T) {
 // TestReplayTraceEmbeddedChaos drives the same shard-kill scenario through
 // the declarative chaos API: KillNode and Partition events embedded in the
 // replay options, applied at trace-relative times, counted in the report —
-// with an out-of-range event counted as skipped, not failed.
+// with an out-of-range event, and a kill or partition of a shard already
+// failing over, counted as skipped, not failed.
 func TestReplayTraceEmbeddedChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay is a long simulation")
@@ -163,6 +164,9 @@ func TestReplayTraceEmbeddedChaos(t *testing.T) {
 		Verify: true,
 		Chaos: []ChaosEvent{
 			{At: 1800 * time.Millisecond, Kind: KillNode, Endpoint: "mem", Shard: 0},
+			// Shard 0 is failing over: a second kill and a partition skip.
+			{At: 1900 * time.Millisecond, Kind: KillNode, Endpoint: "mem", Shard: 0},
+			{At: 1950 * time.Millisecond, Kind: Partition, Endpoint: "mem", Shard: 0, Duration: time.Second},
 			{At: 2*time.Minute + 500*time.Millisecond, Kind: Partition, Shard: 1, Duration: 400 * time.Millisecond},
 			{At: 3 * time.Minute, Kind: KillNode, Shard: 9}, // out of range: skipped
 		},
@@ -173,8 +177,8 @@ func TestReplayTraceEmbeddedChaos(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d failed queries:\n%s", rep.Failed, rep)
 	}
-	if rep.ChaosKills != 1 || rep.ChaosPartitions != 1 || rep.ChaosSkipped != 1 {
-		t.Fatalf("chaos counters kill/partition/skipped = %d/%d/%d, want 1/1/1:\n%s",
+	if rep.ChaosKills != 1 || rep.ChaosPartitions != 1 || rep.ChaosSkipped != 3 {
+		t.Fatalf("chaos counters kill/partition/skipped = %d/%d/%d, want 1/1/3:\n%s",
 			rep.ChaosKills, rep.ChaosPartitions, rep.ChaosSkipped, rep)
 	}
 	if rep.Usage.KVFailovers != 1 {
@@ -184,7 +188,7 @@ func TestReplayTraceEmbeddedChaos(t *testing.T) {
 		t.Fatalf("report carries no collective counters: %v", rep.Usage.Collectives)
 	}
 	out := rep.String()
-	for _, want := range []string{"chaos: 1 node kill(s), 1 partition(s) injected, 1 skipped", "collectives:"} {
+	for _, want := range []string{"chaos: 1 node kill(s), 1 partition(s) injected, 3 skipped", "collectives:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report does not surface %q:\n%s", want, out)
 		}

@@ -152,9 +152,6 @@ func (s *Service) ReplayLanes(lanes int, trace []workload.Query, opts ReplayOpti
 // rest.
 func (s *Service) absorbObs(lanes []*Service) {
 	for _, lane := range lanes {
-		if lane == nil {
-			continue
-		}
 		if s.trace != nil {
 			s.trace.Merge(lane.trace)
 		}

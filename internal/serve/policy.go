@@ -146,7 +146,7 @@ func (f fixedPool) IdleGrace() time.Duration { return 0 }
 
 // AutoscalerOptions tunes the demand-driven scaling policy.
 type AutoscalerOptions struct {
-	// Min and Max bound the pool (defaults 1 and 8).
+	// Min and Max bound the pool, 1 <= Min <= Max.
 	Min, Max int
 	// IdleGrace is how long a replica must be idle before scale-down
 	// reclaims it (default 2 minutes — long enough to ride out coalescing
@@ -155,15 +155,6 @@ type AutoscalerOptions struct {
 }
 
 func (o AutoscalerOptions) withDefaults() AutoscalerOptions {
-	if o.Min <= 0 {
-		o.Min = 1
-	}
-	if o.Max <= 0 {
-		o.Max = 8
-	}
-	if o.Max < o.Min {
-		o.Max = o.Min
-	}
 	if o.IdleGrace <= 0 {
 		o.IdleGrace = 2 * time.Minute
 	}
@@ -187,9 +178,6 @@ func (a autoscaler) Name() string {
 
 func (a autoscaler) Target(st PoolState) int {
 	cap := st.RunCapacity
-	if cap <= 0 {
-		cap = 1
-	}
 	// Demand in runs: in-flight plus queued requests (coalescing can only
 	// merge queued requests, so this is an upper bound that decays as the
 	// queue drains), plus the arrivals expected during one run.
@@ -222,15 +210,14 @@ type SLOOptions struct {
 	// Channels restricts the candidate channels (default: serial when
 	// the model fits one instance, plus queue, object and memory).
 	Channels []core.ChannelKind
-	// Workers lists candidate parallelism levels (default: the paper's
-	// 8, 20, 42, 62 grid).
+	// Workers lists candidate parallelism levels (the paper's grid is
+	// 8, 20, 42, 62).
 	Workers []int
 	// ProbeBatch is the assumed request batch width used for the initial
 	// planning trials, and for an alert-driven re-plan before any run
-	// has completed (default 32).
+	// has completed.
 	ProbeBatch int
-	// MinRuns is how many runs must be observed between re-plans
-	// (default 16).
+	// MinRuns is how many runs must be observed between re-plans.
 	MinRuns int
 	// Seed drives probe generation (default 1).
 	Seed int64
@@ -243,12 +230,6 @@ type SLOOptions struct {
 const breakEvenHysteresis = 0.2
 
 func (o SLOOptions) withDefaults() SLOOptions {
-	if o.ProbeBatch <= 0 {
-		o.ProbeBatch = 32
-	}
-	if o.MinRuns <= 0 {
-		o.MinRuns = 16
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}

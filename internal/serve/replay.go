@@ -24,13 +24,6 @@ const (
 	Partition
 )
 
-func (k ChaosKind) String() string {
-	if k == Partition {
-		return "partition"
-	}
-	return "kill-node"
-}
-
 // ChaosEvent is one trace-embedded fault: at a trace-relative virtual
 // time, hit an endpoint's provisioned store cluster. Events against
 // endpoints that have no live cluster at fire time (per-request channels,
@@ -51,7 +44,7 @@ type ChaosEvent struct {
 	// Shard is the target shard index within the cluster.
 	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Shard int
-	// Duration is the partition length (Partition only; default 1s).
+	// Duration is the partition length (Partition only).
 	//simlint:allow testonly — only tests inject chaos until the seeded fault campaign of ROADMAP 7(e) does
 	Duration time.Duration
 }
@@ -435,11 +428,7 @@ func (s *Service) scheduleChaos(base time.Duration, events []ChaosEvent) (*chaos
 			}
 			switch ev.Kind {
 			case Partition:
-				d := ev.Duration
-				if d <= 0 {
-					d = time.Second
-				}
-				if cl.Partition(ev.Shard, d) == nil {
+				if cl.Partition(ev.Shard, ev.Duration) == nil {
 					c.partitions++
 				} else {
 					c.skipped++
@@ -462,11 +451,8 @@ func (s *Service) scheduleChaos(base time.Duration, events []ChaosEvent) (*chaos
 func (s *Service) chaosTarget(name string) *kvcluster.Cluster {
 	eps := s.eps
 	if name != "" {
-		ep := s.byName[name]
-		if ep == nil {
-			return nil
-		}
-		eps = []*Endpoint{ep}
+		// scheduleChaos refused a replay naming an unknown endpoint.
+		eps = []*Endpoint{s.byName[name]}
 	}
 	for _, ep := range eps {
 		for _, rep := range ep.sched.pool {

@@ -74,18 +74,10 @@ func histStats(h *obs.Histogram) LatencyStats {
 	}
 }
 
-// percentile returns the nearest-rank p-th percentile of sorted samples.
+// percentile returns the nearest-rank p-th percentile, 1 <= p <= 100, of
+// non-empty sorted samples.
 func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
+	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n), in [1, n]
 	return sorted[rank-1]
 }
 

@@ -714,3 +714,56 @@ func (earliestDeadlineFirst) Less(a, b RequestInfo) bool {
 }
 func (earliestDeadlineFirst) Shed(_, _ time.Duration, _ RequestInfo) bool { return false }
 func (earliestDeadlineFirst) Reroute() bool                               { return false }
+
+// TestFullWindowFlushesOnce: under zero-delay coalescing a window that
+// fills at its first instant flushes at once, and the flush already
+// scheduled for that instant finds nothing left to do.
+func TestFullWindowFlushesOnce(t *testing.T) {
+	svc, err := NewService(env.NewDefault(),
+		WithEndpoint("ep", testModel(t, 128, 2)),
+		WithCoalescing(4, 0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := svc.Submit("ep", model.GenerateInputs(128, 2, 0.2, 1), 0)
+	b := svc.Submit("ep", model.GenerateInputs(128, 2, 0.2, 2), 0)
+	if err := svc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.err != nil || b.err != nil {
+		t.Fatalf("requests failed: %v, %v", a.err, b.err)
+	}
+	if st := svc.byName["ep"].stats; st.Runs != 1 || st.MaxSamples != 4 {
+		t.Fatalf("%d run(s), largest %d samples; want one run of both requests", st.Runs, st.MaxSamples)
+	}
+}
+
+// zeroPool is a scaling policy that asks for no replicas at all.
+type zeroPool struct{}
+
+func (zeroPool) Name() string             { return "zero" }
+func (zeroPool) Target(PoolState) int     { return 0 }
+func (zeroPool) IdleGrace() time.Duration { return 0 }
+
+// TestPoolKeepsOneReplica: the scheduler clamps a policy's target to one
+// replica, at deploy time and after, so a request is still served.
+func TestPoolKeepsOneReplica(t *testing.T) {
+	svc, err := NewService(env.NewDefault(),
+		WithEndpoint("ep", testModel(t, 128, 2)),
+		WithScaling(zeroPool{}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Submit("ep", model.GenerateInputs(128, 2, 0.2, 1), time.Second)
+	if err := svc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.err != nil {
+		t.Fatalf("request failed: %v", h.err)
+	}
+	if n := len(svc.byName["ep"].sched.pool); n != 1 {
+		t.Fatalf("pool holds %d replicas, want 1", n)
+	}
+}

@@ -307,11 +307,9 @@ func (sc *scheduler) evaluatePool() {
 		if earliest == time.Duration(math.MaxInt64) {
 			return
 		}
-		delay := earliest - now
-		if delay < 0 {
-			delay = 0
-		}
-		sc.graceTimer = sc.ep.svc.env.K.After(delay, func() {
+		// Every replica left idle is inside its grace period, so the
+		// re-check lies ahead.
+		sc.graceTimer = sc.ep.svc.env.K.After(earliest-now, func() {
 			sc.graceTimer = nil
 			sc.evaluatePool()
 			sc.dispatch()
@@ -447,10 +445,8 @@ func (sc *scheduler) shed(r *request, now time.Duration) {
 // the pool's run capacity, so a big pool with one queued request reads
 // lighter than a saturated single replica.
 func (sc *scheduler) pendingLoad() float64 {
+	// The pool never shrinks below one replica, and runConc is positive.
 	capacity := len(sc.pool) * sc.runConc
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return float64(sc.busyRuns+len(sc.queue.reqs)+len(sc.window)) / float64(capacity)
 }
 

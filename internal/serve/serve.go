@@ -863,10 +863,8 @@ type Response struct {
 // call's copy; a request that had its run alone gets the run's own matrix.
 func (r *Response) Output() *sparse.Dense { return sliceCols(r.out, r.off, r.Samples) }
 
+// complete and fail resolve a handle; each handle resolves once.
 func (h *Handle) complete(now time.Duration, resp *Response) {
-	if h.done {
-		return
-	}
 	h.done = true
 	h.resp = resp
 	h.finished = now
@@ -877,9 +875,6 @@ func (h *Handle) complete(now time.Duration, resp *Response) {
 }
 
 func (h *Handle) fail(now time.Duration, err error) {
-	if h.done {
-		return
-	}
 	h.done = true
 	h.err = err
 	h.finished = now

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -194,5 +195,25 @@ func TestHeapHoldsOnlyLiveEvents(t *testing.T) {
 	}
 	if k.Now() != time.Millisecond {
 		t.Fatalf("clock at %v, want 1ms", k.Now())
+	}
+}
+
+// TestNegativeDelaysRunNow: At, After and GoAfter with a delay already
+// past run at the current instant, in scheduling order, never earlier.
+func TestNegativeDelaysRunNow(t *testing.T) {
+	k := New()
+	var order []string
+	var at []time.Duration
+	note := func(s string) { order = append(order, s); at = append(at, k.Now()) }
+	k.At(time.Second, func() {
+		k.At(-time.Second, func() { note("at") })
+		k.After(-time.Second, func() { note("after") })
+		k.GoAfter(-time.Second, "go", func(p *Proc) { note("go") })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(order, " ") != "at after go" || at[0] != time.Second || at[1] != time.Second || at[2] != time.Second {
+		t.Fatalf("ran %v at %v; want at, after, go at 1s", order, at)
 	}
 }

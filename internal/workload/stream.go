@@ -24,12 +24,9 @@ type sliceStream struct {
 }
 
 // Stream adapts an existing trace slice to a TraceStream, yielding it in
-// batches of the given size (<= 0 yields the whole slice at once). The
-// trace must already be sorted by arrival time, as Day's traces are.
+// batches of the given size, at least 1. The trace must already be sorted
+// by arrival time, as Day's traces are.
 func Stream(trace []Query, batch int) TraceStream {
-	if batch <= 0 {
-		batch = len(trace)
-	}
 	return &sliceStream{trace: trace, batch: batch}
 }
 
@@ -76,11 +73,8 @@ const diurnalWindows = 24 * 60
 // DiurnalDay returns a stream of total queries over one day with a
 // diurnal arrival profile, spread over the model sizes round-robin with
 // samplesPerQuery buffered samples each, yielded in batches of batch
-// queries (default 1024). Deterministic in seed.
+// queries, at least 1. Deterministic in seed.
 func DiurnalDay(total int, sizes []int, samplesPerQuery int, seed int64, batch int) *DiurnalStream {
-	if batch <= 0 {
-		batch = 1024
-	}
 	s := &DiurnalStream{
 		sizes:   sizes,
 		samples: samplesPerQuery,
@@ -127,11 +121,10 @@ func (s *DiurnalStream) fillWindow() {
 	s.window++
 	// Cumulative rounding: each window gets its exact fractional share
 	// plus the carry from earlier windows, so the day sums to total.
+	// The windows so far round their running share, which stays below
+	// planned, so m never exceeds what is left.
 	share := float64(s.planned)*s.weights[w]/s.wsum + s.carry
 	m := int(math.Floor(share + 0.5))
-	if m > s.total {
-		m = s.total
-	}
 	if s.window == diurnalWindows {
 		m = s.total // the last window absorbs any residual rounding
 	}

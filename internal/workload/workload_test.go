@@ -56,6 +56,13 @@ func TestDayDegenerate(t *testing.T) {
 	if got := Day(50, []int{1024}, 100, 1); len(got) != 1 {
 		t.Fatalf("sub-batch volume should yield one query, got %d", len(got))
 	}
+	for _, s := range []*DiurnalStream{
+		DiurnalDay(0, []int{64}, 1, 1, 8), DiurnalDay(10, []int{64}, 0, 1, 8), DiurnalDay(10, nil, 1, 1, 8),
+	} {
+		if q := s.Next(); q != nil {
+			t.Fatalf("a day of no queries, samples or sizes yielded %v", q)
+		}
+	}
 }
 
 func testCosts() PlatformCosts {
