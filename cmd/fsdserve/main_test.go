@@ -91,9 +91,8 @@ func TestRunFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a flag error names the flag and prints nothing.
-// -autoscale -max-replicas 0 used to run as the autoscaler's hidden
-// default bound of 8.
+// TestRunRejectsBadFlags: a flag error names the flag and prints nothing;
+// an autoscaled pool is bounded by at least one replica.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
