@@ -429,7 +429,7 @@ func (h *Hypergraph) PartWeights(part []int32, k int) []int64 {
 // than two pins.
 func TestPartitionDegenerateShapes(t *testing.T) {
 	const n = 200
-	unit := func() []int64 {
+	ones := func(n int) []int64 {
 		w := make([]int64, n)
 		for i := range w {
 			w[i] = 1
@@ -449,7 +449,7 @@ func TestPartitionDegenerateShapes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		all = append(all, int32(i))
 	}
-	heavy := unit()
+	heavy := ones(n)
 	for i := 0; i < 10; i++ {
 		heavy[i] = 1000
 	}
@@ -463,16 +463,11 @@ func TestPartitionDegenerateShapes(t *testing.T) {
 		nets  [][]int32
 		costs []int64
 	}{
-		{"no nets", n, unit(), nil, nil},
-		{"one net over every vertex", n, unit(), wideNets, wideCosts},
+		{"no nets", n, ones(n), nil, nil},
+		{"one net over every vertex", n, ones(n), wideNets, wideCosts},
 		{"heavy neighbours", n, heavy, ringN, ringC},
-		{"empty and one-pin nets", 10, make([]int64, 10), [][]int32{{}, {3}, {1, 2}}, []int64{1, 1, 1}},
+		{"empty and one-pin nets", 10, ones(10), [][]int32{{}, {3}, {1, 2}}, []int64{1, 1, 1}},
 	} {
-		if tc.name == "empty and one-pin nets" {
-			for i := range tc.w {
-				tc.w[i] = 1
-			}
-		}
 		h, err := New(tc.numV, tc.w, tc.nets, tc.costs)
 		if err != nil {
 			t.Fatal(err)
