@@ -8,6 +8,7 @@ import (
 
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
+	"fsdinference/internal/cost"
 )
 
 // TestGoldenCollectivePrefilter pins the analytic pre-filter's verdicts on
@@ -68,5 +69,38 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 				t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, golden[c.name], b.String())
 			}
 		})
+	}
+}
+
+// TestGoldenPrefilterVerdicts pins PrefilterChannels' rows — every kind's
+// verdict and reason — over a grid of analytic workloads: per-pair volumes
+// on both sides of the one-chunk and eight-chunk publish edges and the
+// store's single-value cap, daily volumes from unknown through sporadic to
+// store-saturating, and P in {8, 42}. The P=42 model does not fit one
+// instance, so Serial's row prunes there and trials at P=8.
+func TestGoldenPrefilterVerdicts(t *testing.T) {
+	const golden = "4296f20aab330694"
+	var b strings.Builder
+	for _, p := range []int{8, 42} {
+		modelBytes := int64(1 << 30)
+		if p == 42 {
+			modelBytes = 4 << 30
+		}
+		for _, bytes := range []int64{1 << 10, 100 << 10, 232_800, 1 << 20, 2 << 20, 4 << 20, 64 << 20} {
+			for _, qpd := range []int64{0, 1, 20_000, 10_000_000} {
+				w := cost.Workload{
+					ModelBytes: modelBytes, MemOverhead: 5.5, InstanceCapMB: 10240,
+					Workers: p, BytesPerPairPerLayer: bytes, PairsPerLayer: int64(6 * p), Layers: 120,
+					QueriesPerDay: qpd,
+				}
+				for _, v := range PrefilterChannels(w) {
+					fmt.Fprintf(&b, "P=%d bytes=%d qpd=%d %v pruned=%v %q\n", p, bytes, qpd, v.Channel, v.Pruned, v.Reason)
+				}
+			}
+		}
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	if got := fmt.Sprintf("%x", sum[:8]); got != golden {
+		t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, golden, b.String())
 	}
 }
