@@ -19,6 +19,7 @@ import (
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/cost"
 	"fsdinference/internal/plan"
+	"fsdinference/internal/wire"
 )
 
 // workloadFor estimates the a-priori workload description of a Graph
@@ -47,7 +48,7 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 	// per value, batch columns.
 	faas := env.DefaultConfig().FaaS
 	rowsPerWorker := neurons / workers
-	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * 0.6)
+	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * wire.AssumedCompressionRatio)
 	// Each worker sends to about six others, and never to more than the
 	// P-1 there are.
 	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))

@@ -10,6 +10,7 @@ import (
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
 	"fsdinference/internal/cost"
+	"fsdinference/internal/wire"
 )
 
 // The analytic pre-filter prunes the candidate grid with the §IV cost
@@ -59,7 +60,7 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 	}
 	w := p.footprint()
 	w.Workers = workers
-	w.BytesPerPairPerLayer = int64(st.RowsPerPair * float64(batch) * 4 * 0.6)
+	w.BytesPerPairPerLayer = int64(st.RowsPerPair * float64(batch) * 4 * wire.AssumedCompressionRatio)
 	w.PairsPerLayer = pairsPerLayer
 	w.Layers = layers
 	w.QueriesPerDay = profile.QueriesPerDay

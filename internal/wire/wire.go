@@ -420,11 +420,12 @@ func extend[E any](s []E, n int) (all, tail []E) {
 	return all, all[len(s):len(all):len(all)]
 }
 
-// assumedCompressionRatio is the planning estimate of compressed-to-raw
-// size used by the NNZ heuristic. Nonzero float32 activations compress
+// AssumedCompressionRatio is the planning estimate of compressed-to-raw
+// size: the NNZ heuristic's, and the §IV cost model's per-pair volume
+// (plan's pre-filter, cmd/fsdcost). Nonzero float32 activations compress
 // modestly; zero runs compress almost completely, which is why the
 // heuristic counts nonzeros rather than raw bytes.
-const assumedCompressionRatio = 0.6
+const AssumedCompressionRatio = 0.6
 
 // rowsPerChunk is the paper's NNZ heuristic: how many of the set's rows
 // fit one byte string of at most limit bytes, at least one.
@@ -442,7 +443,7 @@ func estRowBytes(rs *RowSet, compress bool) int {
 	valBytes := float64(nnz*4) / float64(rs.Len())
 	per := 4.0 + valBytes
 	if compress {
-		per = 4 + valBytes*assumedCompressionRatio
+		per = 4 + valBytes*AssumedCompressionRatio
 	}
 	return int(per) + 1
 }
