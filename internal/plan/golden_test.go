@@ -29,7 +29,9 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 	}
 	golden := map[string]string{
 		"weighted": "468f95e709872e88",
-		"cost":     "5b1dd42f41ede042",
+		// Re-captured when every store kind took one idle-billing rule: the
+		// four Hybrid rows' reasons drop "control-plane".
+		"cost": "f4d90d46585c627c",
 		// Re-captured when Hybrid took Memory's request-rate rule: its four
 		// unsaturated-shard rows prune, and the pick moves to Queue x8.
 		"wide": "fa1ea1f3efab79f3",
@@ -79,7 +81,10 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // store-saturating, and P in {8, 42}. The P=42 model does not fit one
 // instance, so Serial's row prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	const golden = "4296f20aab330694"
+	// Re-captured when Hybrid's idle-billing rule became Memory's: its
+	// reason drops "control-plane", and its break-even prices the request
+	// channels at the workload's per-pair volume, not the pointer's.
+	const golden = "db324aafa12df3d2"
 	var b strings.Builder
 	for _, p := range []int{8, 42} {
 		modelBytes := int64(1 << 30)

@@ -165,6 +165,9 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 		// path chunks oversized values through object storage, so
 		// neither the single-value cap nor the node-capacity rule sees
 		// the bulk volume — only the tiny pointer frames stay resident.
+		// The break-even prices the request channels at the workload's own
+		// per-pair volume, as Memory's does.
+		be := nodeBreakEven(c, w)
 		if w.BytesPerPairPerLayer > core.DefaultHybridThresholdBytes {
 			w.BytesPerPairPerLayer = bulkPointerBytes
 		}
@@ -178,9 +181,8 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 			return fmt.Sprintf("control-plane working set ~%d MB overflows %d shard(s) of %s",
 				memoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0
 		}
-		be := nodeBreakEven(c, w)
 		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
-			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the control-plane node mostly bills idle",
+			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the node mostly bills idle",
 				w.QueriesPerDay, be), be
 		}
 		return "", be
