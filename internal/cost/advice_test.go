@@ -56,7 +56,7 @@ func TestRecommendObjectForHugeVolumes(t *testing.T) {
 	if v := verdict(t, w, core.Object); v.Pruned {
 		t.Fatalf("object pruned at 64 MiB per pair: %q", v.Reason)
 	}
-	if v := verdict(t, w, core.Queue); !v.Pruned || !strings.Contains(v.Reason, "saturating pub-sub") {
+	if v := verdict(t, w, core.Queue); !v.Pruned || !strings.Contains(v.Reason, "cheaper") {
 		t.Fatalf("queue at 64 MiB per pair: %+v", v)
 	}
 }

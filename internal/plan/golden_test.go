@@ -29,12 +29,15 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 	}
 	golden := map[string]string{
 		"weighted": "468f95e709872e88",
-		// Re-captured when every store kind took one idle-billing rule: the
-		// four Hybrid rows' reasons drop "control-plane".
-		"cost": "f4d90d46585c627c",
-		// Re-captured when Hybrid took Memory's request-rate rule: its four
-		// unsaturated-shard rows prune, and the pick moves to Queue x8.
-		"wide": "fa1ea1f3efab79f3",
+		// Re-captured when every store kind took one idle-billing rule (the
+		// four Hybrid rows' reasons drop "control-plane"), then when one
+		// price comparison replaced Object's one-chunk rule (its four
+		// pruned rows' reasons name the dominance).
+		"cost": "6ecdaa5a3a4371d5",
+		// Re-captured when Hybrid took Memory's request-rate rule (its four
+		// unsaturated-shard rows prune, and the pick moves to Queue x8),
+		// then for the four Object rows' dominance reasons.
+		"wide": "7abbf8e8bd50ba2a",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{
@@ -81,10 +84,12 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // store-saturating, and P in {8, 42}. The P=42 model does not fit one
 // instance, so Serial's row prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	// Re-captured when Hybrid's idle-billing rule became Memory's: its
+	// Re-captured when Hybrid's idle-billing rule became Memory's (its
 	// reason drops "control-plane", and its break-even prices the request
-	// channels at the workload's per-pair volume, not the pointer's.
-	const golden = "db324aafa12df3d2"
+	// channels at the workload's per-pair volume, not the pointer's), then
+	// when one price comparison replaced the one-chunk and eight-chunk rules
+	// (Object's and Queue's reasons name the dominance; no verdict moved).
+	const golden = "979fff8059f65794"
 	var b strings.Builder
 	for _, p := range []int{8, 42} {
 		modelBytes := int64(1 << 30)

@@ -120,8 +120,9 @@ func trialFor(trials []Trial, k core.ChannelKind) *Trial {
 
 // TestPrefilterPrunesBeforeTrials: under a pure cost objective and a
 // sporadic profile, the analytic pre-filter must drop the memory channel
-// (idle billing below break-even) and object storage (volumes within one
-// publish chunk) without paying for their simulated trials.
+// (idle billing below break-even) and object storage (its requests priced
+// well above the queue channel's at small volumes) without paying for
+// their simulated trials.
 func TestPrefilterPrunesBeforeTrials(t *testing.T) {
 	m := testModel(t, 256, 6)
 	p, err := New(m, Options{
@@ -149,7 +150,7 @@ func TestPrefilterPrunesBeforeTrials(t *testing.T) {
 		t.Fatalf("memory prune = %v %q", mem.Pruned, mem.PruneReason)
 	}
 	obj := trialFor(d.Trials, core.Object)
-	if !obj.Pruned || !strings.Contains(obj.PruneReason, "publish chunk") {
+	if !obj.Pruned || !strings.Contains(obj.PruneReason, "cheaper") {
 		t.Fatalf("object prune = %v %q", obj.Pruned, obj.PruneReason)
 	}
 	// The memory grid was pruned, so the decision must still carry the

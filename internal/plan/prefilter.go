@@ -186,14 +186,21 @@ func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered boo
 				w.QueriesPerDay, be), be
 		}
 		return "", be
-	case core.Queue:
-		if costOnly && pairs && queueSaturated(w.BytesPerPairPerLayer) {
-			return fmt.Sprintf("per-pair volume %d B needs %d publish chunks, saturating pub-sub payload capacity",
-				w.BytesPerPairPerLayer, cost.PublishChunks(w.BytesPerPairPerLayer)), 0
+	case core.Queue, core.Object:
+		if !costOnly || !pairs {
+			break
 		}
-	case core.Object:
-		if costOnly && pairs && cost.PublishChunks(w.BytesPerPairPerLayer) <= 1 {
-			return fmt.Sprintf("per-pair volume %d B fits one publish chunk; queue API requests are ~1 OOM cheaper", w.BytesPerPairPerLayer), 0
+		q, o := cost.APICost(pricing.Default(), w.PairsPerLayer, w.BytesPerPairPerLayer)
+		price, cheap, cheapest := q, core.Queue, q
+		if c.Channel == core.Object {
+			price = o
+		}
+		if o < q {
+			cheap, cheapest = core.Object, o
+		}
+		if price >= dominanceFactor*cheapest {
+			return fmt.Sprintf("per-pair volume %d B: %v's requests are %.1fx cheaper; dominated on pure cost",
+				w.BytesPerPairPerLayer, cheap, price/cheapest), 0
 		}
 	}
 	return "", 0
@@ -222,17 +229,12 @@ func SerialFits(w cost.Workload) bool {
 	return float64(w.ModelBytes)*w.MemOverhead <= float64(w.InstanceCapMB)*float64(1<<20)
 }
 
-// saturationChunks is the per-pair chunk count beyond which the queue
-// channel's publish amplification makes object storage competitive; the
-// paper observes multiple publishes per target emerging beyond N=16384.
-const saturationChunks = 8
-
-// queueSaturated reports whether per-pair volumes chunk beyond the point
-// where the queue channel's publish amplification makes object storage
-// analytically competitive (§IV-C).
-func queueSaturated(bytesPerPair int64) bool {
-	return cost.PublishChunks(bytesPerPair) > saturationChunks
-}
+// dominanceFactor is how many times the cheapest request-billed kind's
+// per-query price a request-billed kind must cost before a pure cost
+// objective drops it untried. At 3 the pub-sub channel loses from about
+// 2.4 MiB per pair, past the paper's multiple-publishes-per-target regime,
+// and object storage while volumes still fit about one publish.
+const dominanceFactor = 3
 
 // memoryValueFeasible reports whether one pair's layer volume fits a
 // single stored value of the provisioned memory store — the memory
