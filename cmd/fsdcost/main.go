@@ -1,8 +1,9 @@
 // Command fsdcost explores the FSD-Inference cost model (§IV): it prints the
 // API-cost comparison and the provisioned store's break-even behind the
-// paper's design guidance (§IV-C), then the planner's analytic pre-filter
-// verdict for every channel — trial, or prune and why — which is the one
-// channel advice the repository gives without simulated trials.
+// paper's design guidance (§IV-C), each priced from the channel's transport
+// row, then the planner's analytic pre-filter verdict for every channel —
+// trial, or prune and why — which is the one channel advice the repository
+// gives without simulated trials.
 //
 // Usage:
 //
@@ -17,7 +18,7 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/pricing"
-	"fsdinference/internal/cost"
+	"fsdinference/internal/core"
 	"fsdinference/internal/plan"
 	"fsdinference/internal/wire"
 )
@@ -25,7 +26,7 @@ import (
 // workloadFor estimates the a-priori workload description of a Graph
 // Challenge-style model (32 nonzeros per neuron per layer) served by workers
 // instances, and rejects dimensions no deployment can have.
-func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workload, error) {
+func workloadFor(neurons, layers, workers, batch int, queries int64) (core.Workload, error) {
 	for _, f := range []struct {
 		name   string
 		v, min int64
@@ -34,13 +35,13 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 		{"-batch", int64(batch), 1}, {"-queries", queries, 0},
 	} {
 		if f.v < f.min {
-			return cost.Workload{}, fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
+			return core.Workload{}, fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
 		}
 	}
 	if workers > neurons {
 		// As the planner skips such a worker count: some worker would own
 		// no rows, and the per-pair volume would price at 0 B.
-		return cost.Workload{}, fmt.Errorf("-workers must be at most -neurons (%d), got %d", neurons, workers)
+		return core.Workload{}, fmt.Errorf("-workers must be at most -neurons (%d), got %d", neurons, workers)
 	}
 	nnz := int64(neurons) * 32 * int64(layers)
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
@@ -52,7 +53,7 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (cost.Workl
 	// Each worker sends to about six others, and never to more than the
 	// P-1 there are.
 	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))
-	return cost.Workload{
+	return core.Workload{
 		ModelBytes:           modelBytes,
 		MemOverhead:          faas.Perf.MemOverheadWeights,
 		InstanceCapMB:        faas.MaxMemoryMB,
@@ -94,11 +95,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
 		*neurons, *layers, *workers, *batch, w.ModelBytes>>20)
 
-	cat := pricing.Default()
 	fmt.Fprintf(stdout, "\nAPI request cost per layer (pairs=%d):\n", w.PairsPerLayer)
 	fmt.Fprintf(stdout, "%12s  %12s  %12s  %8s\n", "bytes/pair", "queue $", "object $", "ratio")
 	for _, bytes := range []int64{16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20} {
-		q, o := cost.APICost(cat, w.PairsPerLayer, bytes)
+		layer := core.Workload{PairsPerLayer: w.PairsPerLayer, BytesPerPairPerLayer: bytes, Layers: 1}
+		q, err := plan.RequestCost(layer, core.Queue)
+		if err != nil {
+			return err
+		}
+		o, err := plan.RequestCost(layer, core.Object)
+		if err != nil {
+			return err
+		}
 		ratio := "-" // one worker: no pairs, nothing to compare
 		if o > 0 {
 			ratio = fmt.Sprintf("%.3f", q/o)
@@ -107,12 +115,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
 
+	store := core.Config{Channel: core.Memory}
 	breakEven := "no break-even: one worker makes no channel requests"
-	if be := cost.MemoryBreakEvenQueriesPerDay(cat, w); be > 0 {
+	if be := plan.StoreBreakEven(w, store); be > 0 {
 		breakEven = fmt.Sprintf("break-even ~%d queries/day", be)
 	}
 	fmt.Fprintf(stdout, "\nprovisioned memory store: $%.2f/day flat (no per-request charge), %s\n",
-		cost.MemoryDailyCost(cat, w), breakEven)
+		core.StoreDailyCost(store, pricing.Default()), breakEven)
 	fmt.Fprintln(stdout, "below the break-even the node bills while idle — the sporadic-workload killer (§II-D)")
 
 	fmt.Fprintln(stdout, "\nchannel verdicts (planner pre-filter, cost objective): trial, or prune before simulated trials")

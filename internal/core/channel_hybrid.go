@@ -85,6 +85,35 @@ func billHybrid(w *WorkerMetrics, u *usage.Meter) {
 	u.S3GetCalls += w.HybridGets
 }
 
+// bulkPointerBytes approximates the store-resident footprint of one bulk
+// value: the pointer frame plus key overhead.
+const bulkPointerBytes = 128
+
+// predictHybrid applies the store's rules to what stays resident: a value
+// over the routing threshold parks its chunks in object storage, one PUT
+// and one GET each, and leaves only a pointer in the store, so neither the
+// single-value cap nor the working set sees the bulk volume. Each pair
+// still pushes and pops one store value per layer, inline or pointer, so
+// Memory's request-rate ceiling applies unchanged.
+func predictHybrid(w Workload, cfg Config) (usage.Meter, error) {
+	var m usage.Meter
+	if w.BytesPerPairPerLayer > int64(cfg.HybridThresholdBytes) {
+		chunks := (w.BytesPerPairPerLayer + int64(cfg.HybridChunkBytes) - 1) / int64(cfg.HybridChunkBytes)
+		m.S3PutCalls = w.PairsPerLayer * int64(w.Layers) * chunks
+		m.S3GetCalls = m.S3PutCalls
+		w.BytesPerPairPerLayer = bulkPointerBytes
+	}
+	if err := storeSaturated(w, cfg); err != nil {
+		return usage.Meter{}, err
+	}
+	if ws, over := storeWorkingSet(w, cfg); over {
+		return usage.Meter{}, fmt.Errorf("control-plane working set ~%d MB overflows %d shard(s) of %s",
+			ws>>20, cfg.KVNodes, cfg.KVNodeType)
+	}
+	m.KVOps = storeOps(w)
+	return m, nil
+}
+
 // bulkMagic marks a pointer frame in an inbox value body. It is distinct
 // from the wire codec's row-set magic, so the receive loop can tell a
 // pointer from an inline payload by its first byte.

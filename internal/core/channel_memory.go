@@ -168,6 +168,71 @@ func billStore(w *WorkerMetrics, u *usage.Meter) {
 	u.KVBytesOut += w.BytesRecv
 }
 
+// predictMemory is the store's feasibility for w on cfg's cluster and, when
+// it holds, the store operations one query issues. Those carry no price:
+// the cluster bills node-hours by the day (StoreDailyCost). The channel
+// ships unchunked values, so a per-pair volume above the store's
+// single-value cap rules it out however favourable the billing; then the
+// shards' request-rate ceiling and usable memory must carry the load.
+func predictMemory(w Workload, cfg Config) (usage.Meter, error) {
+	if w.PairsPerLayer > 0 && w.BytesPerPairPerLayer > int64(kvstore.DefaultConfig().MaxValueBytes) {
+		return usage.Meter{}, fmt.Errorf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer)
+	}
+	if err := storeSaturated(w, cfg); err != nil {
+		return usage.Meter{}, err
+	}
+	if ws, over := storeWorkingSet(w, cfg); over {
+		return usage.Meter{}, fmt.Errorf("working set ~%d MB (x%d concurrent runs) overflows %d shard(s) of %s",
+			ws>>20, max(1, w.ConcurrentRuns), cfg.KVNodes, cfg.KVNodeType)
+	}
+	return usage.Meter{KVOps: storeOps(w)}, nil
+}
+
+// storeOps estimates the store operations one query issues: one push and
+// one pop per (pair, layer), plus the barrier and reduce traffic (roughly
+// four ops per worker). It is the demand side of the request-rate ceiling.
+func storeOps(w Workload) int64 {
+	return 2*w.PairsPerLayer*int64(w.Layers) + 4*int64(w.Workers)
+}
+
+// storeSaturated returns why w's sustained operation rate exceeds the
+// aggregate request-rate ceiling of cfg's shards, or nil. Each shard
+// enforces its own ceiling, so capacity scales with the shard count. A
+// saturated cluster is infeasible however cheap — queries would back up
+// behind the limiter without bound — which is the rule that makes the
+// planner reach for more shards under heavy sustained volume.
+func storeSaturated(w Workload, cfg Config) error {
+	if w.QueriesPerDay <= 0 {
+		return nil
+	}
+	nt := kvstore.Catalog[cfg.KVNodeType]
+	if demand := float64(storeOps(w)*w.QueriesPerDay) / 86400; demand <= nt.MaxOpsPerSec*float64(cfg.KVNodes) {
+		return nil
+	}
+	return fmt.Errorf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
+		storeOps(w)*w.QueriesPerDay/86400, cfg.KVNodes, cfg.KVNodeType)
+}
+
+// storeHeadroom is the provisioning factor between a workload's resident
+// working set and the node memory it needs: half of each node is held
+// back for replication buffers and copy-on-write snapshot forks, per the
+// managed-cache guidance to reserve memory on write-heavy workloads —
+// and an engine-run inbox is nothing but writes.
+const storeHeadroom = 2.0
+
+// storeWorkingSet returns the peak bytes resident in the store — one
+// layer's pair values per in-flight run — and whether, with storeHeadroom
+// applied, they overflow the usable memory of cfg's shards. Capacity scales
+// with the shard count, like the request-rate ceiling: this is the rule that
+// forces the memory channel onto bigger nodes (or more shards) under bulk
+// tensors at high run concurrency, and the one Hybrid escapes by parking
+// bulk values in object storage.
+func storeWorkingSet(w Workload, cfg Config) (bytes int64, overflows bool) {
+	bytes = int64(max(1, w.ConcurrentRuns)) * w.PairsPerLayer * w.BytesPerPairPerLayer
+	usable := kvstore.Catalog[cfg.KVNodeType].MemoryGB * float64(int64(1)<<30) * float64(cfg.KVNodes)
+	return bytes, float64(bytes)*storeHeadroom > usable
+}
+
 // sentValue is one sender-log entry: the framed inbox value a worker
 // pushed, with enough addressing to replay it for a starved receiver.
 type sentValue struct {

@@ -62,6 +62,14 @@ func billObject(w *WorkerMetrics, u *usage.Meter) {
 	u.S3BytesOut += w.BytesRecv
 }
 
+// predictObject is §IV-C's request count for one query: per layer, one PUT
+// and one GET per pair, and LISTs amortised to about one per target, a
+// quarter of one per pair, since scans overlap other workers' write phases.
+func predictObject(w Workload, _ Config) (usage.Meter, error) {
+	n := w.PairsPerLayer * int64(w.Layers)
+	return usage.Meter{S3PutCalls: n, S3GetCalls: n, S3ListCalls: (n + 3) / 4}, nil
+}
+
 // bucketFor returns the bucket that holds what is addressed to worker id
 // (bucket-{n%B}): senders route by target, receivers read their own.
 func (w *worker) bucketFor(id int32) *s3.Bucket {

@@ -106,6 +106,39 @@ func billQueue(w *WorkerMetrics, u *usage.Meter) {
 	u.SQSSendCalls += w.MessagesSent
 }
 
+// publishCapacity is the payload one publish carries: up to 10 messages of
+// up to 256 KiB share a 256 KiB batch budget, so effectively 256 KiB per
+// call.
+const publishCapacity = 256 * 1024
+
+// publishChunks returns the number of publish-payload chunks one (source,
+// target) pair's layer volume needs; even an empty one is one message.
+func publishChunks(bytesPerPair int64) int64 {
+	return max(1, (bytesPerPair+publishCapacity-1)/publishCapacity)
+}
+
+// predictQueue is §IV-C's request count for one query: per layer, every
+// pair's volume in publish chunks, packed ten messages to a publish while
+// chunks are small and one chunk to a call once they are not, billed in
+// 64 KiB increments, then received and deleted ten messages to a call.
+// Best-case packing is assumed. The volume-proportional SNS→SQS byte charge
+// belongs to the full Equation (5) model, not this per-request comparison.
+func predictQueue(w Workload, _ Config) (usage.Meter, error) {
+	if w.PairsPerLayer == 0 {
+		return usage.Meter{}, nil
+	}
+	chunks := publishChunks(w.BytesPerPairPerLayer)
+	messages := w.PairsPerLayer * chunks
+	publishes := (messages + 9) / 10
+	if chunks > 1 {
+		publishes = messages
+	}
+	billed := max(publishes, pricing.BilledPublishRequests(w.BytesPerPairPerLayer*w.PairsPerLayer))
+	polls := (messages + 9) / 10
+	layers := int64(w.Layers)
+	return usage.Meter{SNSBilledPublishes: billed * layers, SQSReceiveCalls: polls * layers, SQSDeleteCalls: polls * layers}, nil
+}
+
 // attrOverhead approximates the billed bytes of message attributes.
 const attrOverhead = 96
 

@@ -63,12 +63,15 @@
 //   - bill maps a worker's ledger onto the usage meter: exactly the calls the
 //     channel charged to WorkerMetrics, so the per-run reconstruction and the
 //     environment meter agree (TestAsyncUsageReconstructionMatchesMeter).
-//
-// The planner's analytic prune rules are not here: they are stated over
-// cost.Workload and plan.Candidate, which this package must not import, and
-// live in plan.analyticPrune, that package's one switch on a kind and the
-// only channel verdict without a trial (plan.PrefilterChannels runs it for
-// every kind; cmd/fsdcost prints its rows).
+//   - predict is the kind's §IV cost model before anything is deployed: from
+//     a Workload and the candidate Config, the usage counts one query bills
+//     on the kind's own services, or the feasibility rule the workload
+//     breaks (Serial's footprint; the store's value cap, request-rate
+//     ceiling and working set). It is pure. usage.Meter.Cost prices what it
+//     returns, and the planner's pre-filter (plan.analyticPrune) and
+//     cmd/fsdcost read kinds through it (PredictQuery) and through two
+//     facts of the row: ChannelKind.Peerless and ChannelKind.ProvisionsStore,
+//     whose node-hours StoreDailyCost prices.
 //
 // Workers launch hierarchically (worker_invoke_children): the coordinator
 // and every worker invoke the children Config.launchChildren enumerates for
@@ -337,11 +340,6 @@ func (c Config) Workers() int {
 	return c.Plan.Workers
 }
 
-// peerless reports whether c's kind has no channel (Serial): its one rank
-// is invoked by the client directly, runs at the platform's maximum memory
-// and exchanges nothing (see runAlone).
-func (c Config) peerless() bool { return transports[c.Channel].open == nil }
-
 // validate checks the configuration.
 func (c Config) validate() error {
 	if c.Model == nil {
@@ -356,7 +354,7 @@ func (c Config) validate() error {
 	if !c.Launch.known() {
 		return fmt.Errorf("core: unknown launch mode %v", c.Launch)
 	}
-	if c.Channel != Serial {
+	if !c.Channel.Peerless() {
 		if c.Plan == nil {
 			return fmt.Errorf("core: %v requires a partition plan", c.Channel)
 		}

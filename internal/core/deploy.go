@@ -150,7 +150,7 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 		d.store.GetBandwidth = e.S3.Config().GetBytesPerSec * cfg.StoreBandwidthScale
 		d.store.PutBandwidth = e.S3.Config().PutBytesPerSec * cfg.StoreBandwidthScale
 	}
-	if cfg.peerless() {
+	if cfg.Channel.Peerless() {
 		// One rank on the largest instance the platform offers (§VI-A1).
 		d.Cfg.WorkerMemoryMB = e.FaaS.Config().MaxMemoryMB
 	}
@@ -207,7 +207,7 @@ const coordinatorMemoryMB = 128
 // invokes rank 0 itself (peerless), the coordinator.
 func (d *Deployment) registerFunctions() error {
 	cfg := d.Cfg
-	if !cfg.peerless() {
+	if !cfg.Channel.Peerless() {
 		if err := d.Env.FaaS.Register(faas.FunctionConfig{
 			Name:     d.fnCoordinator,
 			MemoryMB: coordinatorMemoryMB,
@@ -337,7 +337,7 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 	start := p.Now()
 	wrap := func(err error) error { return fmt.Errorf("core: run %s: %w", run.id, err) }
 	wait := func() error {
-		fn, direct := d.fnCoordinator, d.Cfg.peerless()
+		fn, direct := d.fnCoordinator, d.Cfg.Channel.Peerless()
 		if direct {
 			fn = d.fnWorker
 		}

@@ -21,7 +21,7 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 	// Compute side: one invocation per worker instance, plus the client's
 	// invocation of the coordinator when there is one.
 	u.LambdaInvocations = int64(len(run.metrics))
-	if !d.Cfg.peerless() {
+	if !d.Cfg.Channel.Peerless() {
 		u.LambdaInvocations++
 	}
 	for _, w := range run.metrics {

@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/collective"
 )
 
-// transport declares one ChannelKind: everything the engine knows about a
-// kind apart from its data path, which is the channel that open returns.
-// The hooks' bodies live in the kind's channel_*.go, and the package comment
-// says what each must preserve; a nil hook means the kind has nothing to do
-// at that point.
+// transport declares one ChannelKind: everything the engine and the planner
+// know about a kind apart from its data path, which is the channel that
+// open returns — its price included, in predict. The hooks' bodies live in
+// the kind's channel_*.go, and the package comment says what each must
+// preserve; a nil hook means the kind has nothing to do at that point, and
+// every row has a predict.
 type transport struct {
 	// name is the paper's name for the variant, spelling how a command
 	// line writes it.
@@ -30,33 +32,41 @@ type transport struct {
 	// own services were asked for. Model-store reads and writes are every
 	// kind's and are not its to add.
 	bill func(w *WorkerMetrics, u *usage.Meter)
+	// predict is the kind's §IV cost model before a deployment exists: the
+	// usage counts one query of w bills on the kind's own services, or why
+	// cfg cannot serve w at all.
+	predict func(w Workload, cfg Config) (usage.Meter, error)
+	// store marks a kind that provisions the in-memory store cluster, which
+	// bills node-hours by the day, idle or busy (StoreDailyCost).
+	store bool
 }
 
 // transports is the one place a ChannelKind is declared, indexed by kind.
-// Serial has a name and nothing else: a kind without open runs as rank 0
-// of a one-rank plan that the client invokes directly (Config.peerless).
-// Hybrid owns no service and is composed from the Memory and Object
-// pieces, as its channel is.
+// Serial has a name and a footprint rule and nothing else: a kind without
+// open runs as rank 0 of a one-rank plan that the client invokes directly
+// (ChannelKind.Peerless). Hybrid owns no service and is composed from the
+// Memory and Object pieces, as its channel is.
 var transports = [...]transport{
-	Serial: {name: "FSD-Inf-Serial", spelling: "serial"},
+	Serial: {name: "FSD-Inf-Serial", spelling: "serial", predict: predictSerial},
 	Queue: {
 		name: "FSD-Inf-Queue", spelling: "queue",
 		provision: provisionTopics, bind: bindRunQueues, unbind: unbindRunQueues,
-		open: openQueue, traits: queueTraits, bill: billQueue,
+		open: openQueue, traits: queueTraits, bill: billQueue, predict: predictQueue,
 	},
 	Object: {
 		name: "FSD-Inf-Object", spelling: "object",
 		provision: provisionBuckets, open: openObject, traits: objectTraits, bill: billObject,
+		predict: predictObject,
 	},
 	Memory: {
 		name: "FSD-Inf-Memory", spelling: "memory",
 		provision: provisionStore, bind: bindStore, unbind: dropRunKeyspace,
-		open: openMemory, traits: memoryTraits, bill: billStore,
+		open: openMemory, traits: memoryTraits, bill: billStore, predict: predictMemory, store: true,
 	},
 	Hybrid: {
 		name: "FSD-Inf-Hybrid", spelling: "hybrid",
 		provision: provisionHybrid, bind: bindStore, unbind: dropRunKeyspace,
-		open: openHybrid, traits: hybridTraits, bill: billHybrid,
+		open: openHybrid, traits: hybridTraits, bill: billHybrid, predict: predictHybrid, store: true,
 	},
 }
 
@@ -70,6 +80,15 @@ func ChannelKinds() []ChannelKind {
 	}
 	return kinds
 }
+
+// Peerless reports whether c has no channel (Serial): its one rank is
+// invoked by the client directly, runs at the platform's maximum memory and
+// exchanges nothing (see runAlone).
+func (c ChannelKind) Peerless() bool { return transports[c].open == nil }
+
+// ProvisionsStore reports whether c provisions the in-memory store cluster
+// and so bills its node-hours by the day (StoreDailyCost).
+func (c ChannelKind) ProvisionsStore() bool { return transports[c].store }
 
 // known reports whether c has a row in the table.
 func (c ChannelKind) known() bool { return c >= 0 && int(c) < len(transports) }
@@ -103,4 +122,67 @@ func ChannelTraits(cfg Config, ec env.Config, msgBytes int64) collective.Traits 
 		return collective.Traits{}
 	}
 	return transports[cfg.Channel].traits(cfg.withDefaults(), ec, msgBytes)
+}
+
+// Workload is the paper's §IV description of an inference workload, all a
+// transport row's prediction reads: the model's footprint, the per-layer
+// exchange at parallelism P and the daily volume.
+type Workload struct {
+	// ModelBytes is the raw serialized model size.
+	ModelBytes int64
+	// MemOverhead is the in-memory blowup factor of the runtime.
+	MemOverhead float64
+	// InstanceCapMB is the largest single-instance memory available.
+	InstanceCapMB int
+	// Workers is the intended parallelism P.
+	Workers int
+	// BytesPerPairPerLayer is the expected encoded communication volume
+	// for one (source, target) pair in one layer.
+	BytesPerPairPerLayer int64
+	// PairsPerLayer is the number of communicating pairs per layer.
+	PairsPerLayer int64
+	// Layers is the layer count.
+	Layers int
+
+	// ConcurrentRuns is the peak number of engine runs in flight at once
+	// (the serving layer's observed MaxConcurrentRuns). 0 means a single
+	// run. Overlapping runs multiply the store's resident working set:
+	// every in-flight run parks a layer's worth of pair values in the
+	// node until the receivers drain them.
+	ConcurrentRuns int
+
+	// QueriesPerDay is the expected sustained request volume. 0 means
+	// unknown: the rules that need a volume — a provisioned store's idle
+	// billing (§II-D's sporadic-workload killer) and its request-rate
+	// ceiling — then judge nothing, and the planner measures instead.
+	QueriesPerDay int64
+}
+
+// PredictQuery is cfg.Channel's row prediction for w: the usage counts one
+// query bills on the kind's own services, which usage.Meter.Cost prices, or
+// why cfg cannot serve w (the error reads as a prune reason). Zero fields of
+// cfg take the deployment defaults, as in ChannelTraits. It is what the
+// planner's pre-filter and cmd/fsdcost know of a kind's price.
+func PredictQuery(w Workload, cfg Config) (usage.Meter, error) {
+	return transports[cfg.Channel].predict(w, cfg.withDefaults())
+}
+
+// predictSerial is the one rule Serial has: the whole model, at the
+// runtime's in-memory blowup, must fit the largest single instance. It
+// makes no call a channel bills.
+func predictSerial(w Workload, _ Config) (usage.Meter, error) {
+	if need := float64(w.ModelBytes) * w.MemOverhead; need > float64(w.InstanceCapMB)*float64(1<<20) {
+		return usage.Meter{}, fmt.Errorf("model needs ~%d MB in memory, over the %d MB instance cap",
+			int64(need)>>20, w.InstanceCapMB)
+	}
+	return usage.Meter{}, nil
+}
+
+// StoreDailyCost is the flat daily bill of cfg's store cluster under cat:
+// 24 hours of each of its shards times (1 + replicas) nodes, idle or busy,
+// with no per-request term. Zero fields of cfg take the deployment
+// defaults.
+func StoreDailyCost(cfg Config, cat pricing.Catalog) float64 {
+	cfg = cfg.withDefaults()
+	return 24 * cat.KVNodeHourly[cfg.KVNodeType] * float64(cfg.KVNodes*(1+cfg.KVReplicas))
 }

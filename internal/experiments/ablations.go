@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 	"fsdinference/internal/partition"
+	"fsdinference/internal/plan"
 )
 
 // AblationPolling regenerates the paper's polling analysis (§III-C1,
@@ -136,7 +135,6 @@ func AblationCompression(l *Lab) (*Table, error) {
 // communication request cost of the two channels as per-pair volume grows,
 // locating the crossover where object storage becomes cheaper.
 func AblationQuota(l *Lab) (*Table, error) {
-	cat := env.DefaultConfig().Pricing
 	t := &Table{
 		ID:      "quota",
 		Title:   "Channel API request cost per layer vs per-pair volume (100 pairs)",
@@ -144,7 +142,15 @@ func AblationQuota(l *Lab) (*Table, error) {
 	}
 	crossed := ""
 	for _, bytes := range []int64{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 64 << 20, 256 << 20} {
-		q, o := cost.APICost(cat, 100, bytes)
+		layer := core.Workload{PairsPerLayer: 100, BytesPerPairPerLayer: bytes, Layers: 1}
+		q, err := plan.RequestCost(layer, core.Queue)
+		if err != nil {
+			return nil, err
+		}
+		o, err := plan.RequestCost(layer, core.Object)
+		if err != nil {
+			return nil, err
+		}
 		ratio := q / o
 		if crossed == "" && q > o {
 			crossed = fmt.Sprintf("%d", bytes)

@@ -5,7 +5,6 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 	"fsdinference/internal/partition"
 )
 
@@ -63,7 +62,7 @@ func ChannelComparison(l *Lab) (*Table, error) {
 	// or 200,000. The memory store's metered per-run share (which carries
 	// the one-shot billing floor) is replaced by the flat daily rate —
 	// under load the node is shared by every query of the day.
-	memDaily := cost.MemoryDailyCost(env.DefaultConfig().Pricing, cost.Workload{})
+	memDaily := core.StoreDailyCost(core.Config{Channel: core.Memory}, env.DefaultConfig().Pricing)
 	for _, regime := range []struct {
 		name    string
 		queries float64

@@ -23,10 +23,8 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
-	"fsdinference/internal/plan"
 	"fsdinference/internal/sparse"
 )
 
@@ -366,14 +364,15 @@ func (l *Lab) PaperWeightBytes(paperN int) int64 {
 
 // SerialFeasiblePaper reports whether the paper-scale model fits the
 // serial instance, the platform's largest (10,240 MB), under the modelled
-// runtime footprint.
+// runtime footprint: Serial's transport row admits it.
 func (l *Lab) SerialFeasiblePaper(paperN int) bool {
 	faas := env.DefaultConfig().FaaS
-	return plan.SerialFits(cost.Workload{
+	_, err := core.PredictQuery(core.Workload{
 		ModelBytes:    l.PaperWeightBytes(paperN),
 		MemOverhead:   faas.Perf.MemOverheadWeights,
 		InstanceCapMB: faas.MaxMemoryMB,
-	})
+	}, core.Config{Channel: core.Serial})
+	return err == nil
 }
 
 // SageFeasiblePaper reports whether the paper-scale model fits the 6 GB

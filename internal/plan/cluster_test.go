@@ -120,6 +120,22 @@ func TestCostObjectivePrunesClusterVariantsWhenSingleNodeSuffices(t *testing.T) 
 	}
 }
 
+// TestHybridClusterDominatedWhenOneNodeCarriesIt: Hybrid provisions the
+// same store, so under a pure cost objective its larger clusters are
+// dominated as Memory's are, and kept when one node would saturate.
+func TestHybridClusterDominatedWhenOneNodeCarriesIt(t *testing.T) {
+	w := core.Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 64 << 10, QueriesPerDay: 200_000}
+	c := Candidate{Channel: core.Hybrid, Workers: 8, KVNodeType: core.DefaultKVNodeType, KVNodes: 2}
+	if reason, _ := analyticPrune(c, w, true, true); !strings.Contains(reason, "dominated") {
+		t.Fatalf("2-shard hybrid at %d/day: %q", w.QueriesPerDay, reason)
+	}
+	w.QueriesPerDay = 100_000_000 // ~1.37M store ops/s: one node saturates, 64 shards carry it
+	c.KVNodes = 64
+	if reason, _ := analyticPrune(c, w, true, true); reason != "" {
+		t.Fatalf("64-shard hybrid where one node saturates: %q", reason)
+	}
+}
+
 // The replicated candidate's flat daily bill prices every cluster node,
 // so its scored cost under a daily volume carries the replica premium.
 func TestReplicatedCandidateCarriesReplicaNodeCost(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 )
 
 // TestGoldenCollectivePrefilter pins the analytic pre-filter's verdicts on
@@ -98,7 +97,7 @@ func TestGoldenPrefilterVerdicts(t *testing.T) {
 		}
 		for _, bytes := range []int64{1 << 10, 100 << 10, 232_800, 1 << 20, 2 << 20, 4 << 20, 64 << 20} {
 			for _, qpd := range []int64{0, 1, 20_000, 10_000_000} {
-				w := cost.Workload{
+				w := core.Workload{
 					ModelBytes: modelBytes, MemOverhead: 5.5, InstanceCapMB: 10240,
 					Workers: p, BytesPerPairPerLayer: bytes, PairsPerLayer: int64(6 * p), Layers: 120,
 					QueriesPerDay: qpd,

@@ -21,6 +21,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,11 +74,13 @@ type Candidate struct {
 	Algo collective.Algorithm
 }
 
-// usesKVStore reports whether the candidate provisions the in-memory
-// store (and therefore bills node-hours): the memory channel and the
-// hybrid channel's control plane.
-func (c Candidate) usesKVStore() bool {
-	return c.Channel == core.Memory || c.Channel == core.Hybrid
+// deployment is the part of the candidate's deployable configuration that
+// its transport row reads: the kind, the store cluster and the collective.
+func (c Candidate) deployment() core.Config {
+	return core.Config{
+		Channel: c.Channel, Collective: c.Algo,
+		KVNodeType: c.KVNodeType, KVNodes: c.KVNodes, KVReplicas: c.KVReplicas,
+	}
 }
 
 // clusterNodes returns a store candidate's total provisioned node count.
@@ -91,11 +94,11 @@ func (c Candidate) clusterNodes() int {
 
 // String renders the candidate for tables and reports.
 func (c Candidate) String() string {
-	if c.Channel == core.Serial {
+	if c.Channel.Peerless() {
 		return c.Channel.String()
 	}
 	s := fmt.Sprintf("%v x%d", c.Channel, c.Workers)
-	if c.usesKVStore() {
+	if c.Channel.ProvisionsStore() {
 		var extras []string
 		if c.KVNodeType != "" && c.KVNodeType != core.DefaultKVNodeType {
 			extras = append(extras, c.KVNodeType)
@@ -452,21 +455,29 @@ func (p *Planner) decide(profile WorkloadProfile) (*Decision, error) {
 	return d, nil
 }
 
-// candidates enumerates the grid in deterministic order: serial first
-// (when the model fits one instance), then the distributed channels per
-// worker count, memory candidates fanned over the node-type list. Worker
-// counts outside [2, neurons] are skipped, as in the legacy AutoSelect.
+// candidates enumerates the grid in deterministic order, kinds in the
+// transport table's: the peerless kinds first (each only when its row
+// admits the model's footprint), then the distributed kinds per worker
+// count, the store kinds fanned over the node-type, shard and replica
+// lists. Worker counts outside [2, neurons] are skipped, as in the legacy
+// AutoSelect.
 func (p *Planner) candidates() []Candidate {
 	g := p.opts.Grid
-	hasChannel := func(k core.ChannelKind) bool {
-		for _, c := range g.Channels {
-			if c == k {
-				return true
-			}
+	var kinds []core.ChannelKind
+	for _, k := range core.ChannelKinds() {
+		if slices.Contains(g.Channels, k) {
+			kinds = append(kinds, k)
 		}
-		return false
 	}
 	var cands []Candidate
+	for _, k := range kinds {
+		if !k.Peerless() {
+			continue
+		}
+		if _, err := core.PredictQuery(p.footprint(), core.Config{Channel: k}); err == nil {
+			cands = append(cands, Candidate{Channel: k, Workers: 1})
+		}
+	}
 	// add fans a distributed base candidate over the grid's collective
 	// topologies; with the default single-entry list (Flat) the grid size
 	// is exactly the legacy enumeration.
@@ -476,32 +487,23 @@ func (p *Planner) candidates() []Candidate {
 			cands = append(cands, c)
 		}
 	}
-	if hasChannel(core.Serial) && SerialFits(p.footprint()) {
-		cands = append(cands, Candidate{Channel: core.Serial, Workers: 1})
-	}
 	for _, w := range g.Workers {
 		if w < 2 || w > p.m.Spec.Neurons {
 			continue
 		}
-		if hasChannel(core.Queue) {
-			add(Candidate{Channel: core.Queue, Workers: w})
-		}
-		if hasChannel(core.Object) {
-			add(Candidate{Channel: core.Object, Workers: w})
-		}
-		for _, kind := range []core.ChannelKind{core.Memory, core.Hybrid} {
-			if !hasChannel(kind) {
-				continue
-			}
-			for _, nt := range g.KVNodeTypes {
-				for _, nodes := range g.KVNodes {
-					for _, reps := range g.KVReplicas {
-						add(Candidate{
-							Channel: kind, Workers: w, KVNodeType: nt,
-							KVNodes: nodes, KVReplicas: reps,
-						})
+		for _, k := range kinds {
+			switch {
+			case k.Peerless():
+			case k.ProvisionsStore():
+				for _, nt := range g.KVNodeTypes {
+					for _, nodes := range g.KVNodes {
+						for _, reps := range g.KVReplicas {
+							add(Candidate{Channel: k, Workers: w, KVNodeType: nt, KVNodes: nodes, KVReplicas: reps})
+						}
 					}
 				}
+			default:
+				add(Candidate{Channel: k, Workers: w})
 			}
 		}
 	}
@@ -526,20 +528,15 @@ func (p *Planner) partitionPlan(workers int) (*partition.Plan, error) {
 // single source for both trial deployments and the decision's returned
 // Config, so the measured and deployed configurations cannot drift.
 func (p *Planner) config(c Candidate) (core.Config, error) {
-	cfg := core.Config{Model: p.m, Channel: c.Channel, PollWait: 2 * time.Second}
-	if c.Channel != core.Serial {
+	cfg := c.deployment()
+	cfg.Model, cfg.PollWait = p.m, 2*time.Second
+	if !c.Channel.Peerless() {
 		pl, err := p.partitionPlan(c.Workers)
 		if err != nil {
 			return core.Config{}, err
 		}
 		cfg.Plan = pl
 	}
-	if c.usesKVStore() {
-		cfg.KVNodeType = c.KVNodeType
-		cfg.KVNodes = c.KVNodes
-		cfg.KVReplicas = c.KVReplicas
-	}
-	cfg.Collective = c.Algo
 	return cfg, nil
 }
 
@@ -572,12 +569,10 @@ func (p *Planner) runTrial(c Candidate, batch int) measurement {
 		return measurement{err: err}
 	}
 	m := measurement{latency: res.Latency, cost: res.Cost.Total(), kvCost: res.Cost.KV}
-	if c.usesKVStore() {
-		nodeType := d.Cfg.KVNodeType
+	if c.Channel.ProvisionsStore() {
 		// The flat daily bill covers the whole cluster: primaries times
 		// (1 + replicas) — the shard/replica axes both price in here.
-		nodes := d.Cfg.KVNodes * (1 + d.Cfg.KVReplicas)
-		m.nodeDaily = 24 * e.Pricing.KVNodeHourly[nodeType] * float64(nodes)
+		m.nodeDaily = core.StoreDailyCost(d.Cfg, e.Pricing)
 	}
 	return m
 }

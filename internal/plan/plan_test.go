@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 	"fsdinference/internal/model"
 )
 
@@ -289,7 +289,7 @@ func TestBreakEvenSide(t *testing.T) {
 }
 
 // verdictFor returns PrefilterChannels' row for kind.
-func verdictFor(t *testing.T, w cost.Workload, kind core.ChannelKind) PruneVerdict {
+func verdictFor(t *testing.T, w core.Workload, kind core.ChannelKind) PruneVerdict {
 	t.Helper()
 	for _, v := range PrefilterChannels(w) {
 		if v.Channel == kind {
@@ -301,7 +301,7 @@ func verdictFor(t *testing.T, w cost.Workload, kind core.ChannelKind) PruneVerdi
 }
 
 func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
-	w := cost.Workload{
+	w := core.Workload{
 		ModelBytes:           1 << 30,
 		MemOverhead:          5.5,
 		InstanceCapMB:        10240,
@@ -337,7 +337,7 @@ func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 // prunes. It runs the planner's rule set now, reasons included, with a row
 // for every kind.
 func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
-	w := cost.Workload{
+	w := core.Workload{
 		Workers:              8,
 		BytesPerPairPerLayer: 64 << 10,
 		PairsPerLayer:        48,
@@ -369,22 +369,26 @@ func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 }
 
 // TestPrefilterChannelsSerialFootprint: Serial's row applies the rule the
-// planner's grid applies (SerialFits), the whole model against the full
-// instance cap, inclusive.
+// planner's grid applies (its row's prediction on the footprint), the whole
+// model against the full instance cap, inclusive.
 func TestPrefilterChannelsSerialFootprint(t *testing.T) {
-	w := cost.Workload{
+	w := core.Workload{
 		ModelBytes: 30 << 20, MemOverhead: 5.5, InstanceCapMB: 10240,
 		Workers: 8, BytesPerPairPerLayer: 10_000, PairsPerLayer: 50, Layers: 120,
+	}
+	fits := func() bool {
+		_, err := core.PredictQuery(w, core.Config{Channel: core.Serial})
+		return err == nil
 	}
 	if v := verdictFor(t, w, core.Serial); v.Pruned {
 		t.Fatalf("serial pruned for a 165 MB footprint: %q", v.Reason)
 	}
 	w.MemOverhead, w.ModelBytes = 1, 10240<<20 // exactly the cap
-	if v := verdictFor(t, w, core.Serial); v.Pruned || !SerialFits(w) {
+	if v := verdictFor(t, w, core.Serial); v.Pruned || !fits() {
 		t.Fatalf("serial pruned at exactly the instance cap: %q", v.Reason)
 	}
 	w.ModelBytes++
-	if v := verdictFor(t, w, core.Serial); !v.Pruned || !strings.Contains(v.Reason, "over the 10240 MB instance cap") || SerialFits(w) {
+	if v := verdictFor(t, w, core.Serial); !v.Pruned || !strings.Contains(v.Reason, "over the 10240 MB instance cap") || fits() {
 		t.Fatalf("serial one byte over the cap: %+v", v)
 	}
 }
@@ -395,7 +399,7 @@ func TestPrefilterChannelsSerialFootprint(t *testing.T) {
 // Hybrid rule, not Memory's. The volume stays under one node's request
 // rate, which Hybrid's pointer traffic must respect too.
 func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
-	w := cost.Workload{
+	w := core.Workload{
 		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
 		Workers: 62, BytesPerPairPerLayer: 100 << 20, PairsPerLayer: 2000, Layers: 120,
 		QueriesPerDay: 10_000,
@@ -419,7 +423,7 @@ func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
 // reason, whatever the per-pair size, and a second shard relieves both.
 func TestPrefilterChannelsHybridSaturatesAsMemory(t *testing.T) {
 	for _, bytes := range []int64{64 << 10, 100 << 20} {
-		w := cost.Workload{
+		w := core.Workload{
 			ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
 			Workers: 62, BytesPerPairPerLayer: bytes, PairsPerLayer: 2000, Layers: 120,
 			QueriesPerDay: 30_000,
@@ -589,5 +593,88 @@ func TestPrefilterTrialsSerial(t *testing.T) {
 	reason, breakEven, err := p.prefilter(Candidate{Channel: core.Serial, Workers: 1}, WorkloadProfile{QueriesPerDay: 1e9, BatchSamples: 8})
 	if reason != "" || breakEven != 0 || err != nil {
 		t.Fatalf("prefilter(Serial) = %q, %d, %v; want a trial", reason, breakEven, err)
+	}
+}
+
+// The verdicts below are PrefilterChannels' on paper-scale workloads: a
+// 4 GiB model that no single instance holds, so Serial is pruned.
+
+// moderate is 42 workers exchanging 100 KiB per pair per layer.
+func moderate(queriesPerDay int64) core.Workload {
+	return core.Workload{
+		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
+		Workers: 42, BytesPerPairPerLayer: 100 * 1024, PairsPerLayer: 500, Layers: 120,
+		QueriesPerDay: queriesPerDay,
+	}
+}
+
+func TestPrefilterChannelsKeepQueueAtModerateVolumes(t *testing.T) {
+	w := moderate(0)
+	if v := verdictFor(t, w, core.Queue); v.Pruned {
+		t.Fatalf("queue pruned at 100 KiB per pair: %q", v.Reason)
+	}
+	if v := verdictFor(t, w, core.Object); !v.Pruned || !strings.Contains(v.Reason, "cheaper") {
+		t.Fatalf("object at 100 KiB per pair: %+v", v)
+	}
+	if v := verdictFor(t, w, core.Serial); !v.Pruned {
+		t.Fatal("serial kept for a 22 GB footprint")
+	}
+}
+
+func TestPrefilterChannelsKeepObjectAtHugeVolumes(t *testing.T) {
+	w := core.Workload{
+		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
+		Workers: 62, BytesPerPairPerLayer: 64 << 20, PairsPerLayer: 2000, Layers: 120,
+	}
+	if v := verdictFor(t, w, core.Object); v.Pruned {
+		t.Fatalf("object pruned at 64 MiB per pair: %q", v.Reason)
+	}
+	if v := verdictFor(t, w, core.Queue); !v.Pruned || !strings.Contains(v.Reason, "cheaper") {
+		t.Fatalf("queue at 64 MiB per pair: %+v", v)
+	}
+}
+
+func TestPrefilterChannelsKeepMemoryUnderSustainedVolume(t *testing.T) {
+	// 20 000 queries/day is far above the provisioned node's break-even
+	// and, at ~28 000 store ops/s, under one node's request ceiling
+	// (200 000/day would saturate it).
+	w := moderate(20_000)
+	if be := StoreBreakEven(w, core.Config{Channel: core.Memory}); w.QueriesPerDay <= be {
+		t.Fatalf("break-even %d/day is not below %d/day", be, w.QueriesPerDay)
+	}
+	if v := verdictFor(t, w, core.Memory); v.Pruned {
+		t.Fatalf("memory pruned under sustained load: %q", v.Reason)
+	}
+}
+
+func TestPrefilterChannelsPruneMemoryForSporadicVolume(t *testing.T) {
+	// One query a day: the node bills while idle, far below its
+	// break-even; the queue stays in and the verdict says why memory lost.
+	w := moderate(1)
+	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "idle billing") {
+		t.Fatalf("memory at 1 query/day: %+v", v)
+	}
+	if v := verdictFor(t, w, core.Queue); v.Pruned {
+		t.Fatalf("queue pruned on the sporadic trace: %q", v.Reason)
+	}
+}
+
+// TestMemoryBreakEvenSeparatesRegimes: above the break-even the store's
+// flat daily bill undercuts the cheapest request-billed kind's, below it
+// the store is dearer.
+func TestMemoryBreakEvenSeparatesRegimes(t *testing.T) {
+	w := moderate(0)
+	store := core.Config{Channel: core.Memory}
+	be := StoreBreakEven(w, store)
+	if be <= 0 {
+		t.Fatalf("break-even = %d", be)
+	}
+	daily := core.StoreDailyCost(store, pricing.Default())
+	_, perQuery := cheapestRequests(w)
+	if daily >= perQuery*float64(be*2) {
+		t.Fatal("memory not cheaper above break-even")
+	}
+	if daily <= perQuery*float64(be/2) {
+		t.Fatal("memory not dearer below break-even")
 	}
 }

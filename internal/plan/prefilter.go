@@ -5,34 +5,36 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
-	"fsdinference/internal/cloud/kvstore"
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
-	"fsdinference/internal/cost"
 	"fsdinference/internal/wire"
 )
 
 // The analytic pre-filter prunes the candidate grid with the §IV cost
-// model before any simulated trial runs. Two classes of rule apply:
+// model before any simulated trial runs. Every kind's cost model is its
+// transport row's prediction (core.PredictQuery): the usage counts one
+// query bills on the kind's own services, or why the candidate cannot serve
+// the workload. The rules here name no kind; they read two facts from the
+// row — whether the kind provisions a store, and whether it is peerless —
+// and price predictions with usage.Meter.Cost. Two classes of rule apply:
 //
-//   - feasibility: a memory candidate whose per-pair volume exceeds the
-//     store's single-value cap cannot serve the workload at all;
-//   - cost dominance: for purely cost-driven objectives, a channel that
-//     the analytic model prices strictly above an alternative in every
-//     regime is dropped — the memory store below its break-even volume
-//     (idle billing), the queue channel once per-pair volumes saturate
-//     publish capacity, object storage while volumes still fit one
-//     publish chunk (queue API requests ~1 OOM cheaper, §IV-C).
-//
-// The rules on the per-pair volume judge traffic between workers, so a
-// workload without pairs (one worker) is judged by the others alone.
+//   - feasibility: a candidate whose row errs is pruned with the row's
+//     reason (Serial's footprint, the store's value cap, request-rate
+//     ceiling and working set);
+//   - cost dominance, for purely cost-driven objectives: a store below its
+//     break-even volume bills mostly idle; a store cluster larger than one
+//     node that one node could carry adds node-hours with no per-request
+//     savings; and a request-billed kind priced at dominanceFactor times
+//     the cheapest request-billed kind or more loses (§IV-C: queue API
+//     requests ~1 OOM cheaper until volumes saturate publish capacity,
+//     object storage's size-independent pricing after).
 //
 // Dominance prunes only fire when the objective implements costWeighter
 // with full cost weight; latency-weighted and custom objectives keep the
 // whole grid, because analytics say nothing about their latency term.
 
-// prefilterMargin is the safety factor on the analytic memory break-even:
+// prefilterMargin is the safety factor on the analytic store break-even:
 // the §IV formulas price communication requests only, while trials meter
 // the whole run (compute included), so the analytic break-even
 // overestimates the measured one. A candidate is pruned only when the
@@ -40,17 +42,20 @@ import (
 // anything closer is measured.
 const prefilterMargin = 10
 
-// bulkPointerBytes approximates the store-resident footprint of one bulk
-// value on the hybrid channel: the pointer frame plus key overhead.
-const bulkPointerBytes = 128
+// dominanceFactor is how many times the cheapest request-billed kind's
+// per-query price a request-billed kind must cost before a pure cost
+// objective drops it untried. At 3 the pub-sub channel loses from about
+// 2.4 MiB per pair, past the paper's multiple-publishes-per-target regime,
+// and object storage while volumes still fit about one publish.
+const dominanceFactor = 3
 
 // analyticWorkload derives the §IV cost-model workload for a candidate:
 // per-pair volumes from the trial partition plan's communication stats at
 // the profile's batch width, compressed at the engine's typical ratio.
-func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) (cost.Workload, error) {
+func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) (core.Workload, error) {
 	pl, err := p.partitionPlan(workers)
 	if err != nil {
-		return cost.Workload{}, err
+		return core.Workload{}, err
 	}
 	st := pl.Stats(p.m)
 	layers := len(p.m.Layers)
@@ -70,10 +75,10 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 
 // footprint is the model's side of the §IV workload: its weights, the
 // runtime's in-memory blowup and the largest single instance, which is
-// all SerialFits reads.
-func (p *Planner) footprint() cost.Workload {
+// all a peerless kind's row reads.
+func (p *Planner) footprint() core.Workload {
 	faas := env.DefaultConfig().FaaS
-	return cost.Workload{
+	return core.Workload{
 		ModelBytes:    p.m.WeightBytes(),
 		MemOverhead:   faas.Perf.MemOverheadWeights,
 		InstanceCapMB: faas.MaxMemoryMB,
@@ -81,11 +86,12 @@ func (p *Planner) footprint() cost.Workload {
 }
 
 // prefilter returns a non-empty prune reason when the candidate should
-// not be trialed, plus the analytic memory break-even for the candidate's
+// not be trialed, plus the analytic store break-even for the candidate's
 // worker count (0 when not computed) so decisions can report one even
-// when the whole memory grid was pruned.
+// when the whole store grid was pruned. A peerless candidate is on the
+// grid only because its row admitted the model (candidates).
 func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string, breakEven int64, err error) {
-	if c.Channel == core.Serial {
+	if c.Channel.Peerless() {
 		return "", 0, nil
 	}
 	if reason := p.pruneCollective(c, profile.BatchSamples); reason != "" {
@@ -107,206 +113,91 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 // and the §IV workload: feasibility rules always apply, cost-dominance
 // rules only when costOnly. singleNodeOffered says whether the grid still
 // holds the plain single-node store variant that larger clusters are
-// compared against. It is the one place the planner's per-channel
-// knowledge is written; PrefilterChannels runs it without a planner.
-func analyticPrune(c Candidate, w cost.Workload, costOnly, singleNodeOffered bool) (reason string, breakEven int64) {
-	shards := max(1, c.KVNodes)
-	// With no pairs nothing crosses a channel, whatever the per-pair volume.
-	pairs := w.PairsPerLayer > 0
-	switch c.Channel {
-	case core.Serial:
-		// Feasibility: the whole model must fit one instance; no cost rule
-		// applies, since Serial makes no call a channel bills.
-		if !SerialFits(w) {
-			return fmt.Sprintf("model needs ~%d MB in memory, over the %d MB instance cap",
-				int64(float64(w.ModelBytes)*w.MemOverhead)>>20, w.InstanceCapMB), 0
-		}
-	case core.Memory:
-		if pairs && !memoryValueFeasible(w.BytesPerPairPerLayer) {
-			return fmt.Sprintf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer), 0
-		}
-		// Feasibility: the sustained op rate must fit the cluster's
-		// aggregate request-rate ceiling (each shard enforces its own).
-		// This is the rule that relieves a saturated single node by
-		// steering the pick to a sharded candidate.
-		if r := saturation(w, c.KVNodeType, shards); r != "" {
-			return r, 0
-		}
-		// Feasibility: the peak resident working set — every in-flight
-		// run's layer values — must fit the cluster's usable memory. Bulk
-		// tensors at high run concurrency overflow the small node sizes,
-		// which is the rule that forces the memory channel onto bigger
-		// (pricier) nodes while the hybrid channel keeps the small one.
-		if memoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
-			return fmt.Sprintf("working set ~%d MB (x%d concurrent runs) overflows %d shard(s) of %s",
-				memoryWorkingSetBytes(w)>>20, max(1, w.ConcurrentRuns), shards, c.KVNodeType), 0
-		}
-		be := nodeBreakEven(c, w)
-		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
+// compared against. PrefilterChannels runs it without a planner.
+func analyticPrune(c Candidate, w core.Workload, costOnly, singleNodeOffered bool) (reason string, breakEven int64) {
+	cfg := c.deployment()
+	m, err := core.PredictQuery(w, cfg)
+	if err != nil {
+		return err.Error(), 0
+	}
+	if c.Channel.ProvisionsStore() {
+		be := StoreBreakEven(w, cfg)
+		switch {
+		case !costOnly:
+		case w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be:
 			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the node mostly bills idle",
 				w.QueriesPerDay, be), be
-		}
-		// Cost dominance inside the memory grid: extra shards and
-		// replicas add strictly more node-hours with zero per-request
-		// savings, so a pure cost objective keeps only the single-node
-		// variant — when the grid still offers it AND the single node
-		// can actually carry the volume. Latency-weighted objectives
-		// trial the larger clusters; replica counts always cost more,
-		// but the failover loss they prevent is not priced analytically.
-		if costOnly && c.clusterNodes() > 1 && singleNodeOffered &&
-			!memoryClusterSaturated(w, c.KVNodeType, 1) {
+		case c.clusterNodes() > 1 && singleNodeOffered && fitsOneNode(w, cfg):
+			// Extra shards and replicas add strictly more node-hours with
+			// zero per-request savings. Latency-weighted objectives trial
+			// them: the failover loss replicas prevent is not priced here.
 			return fmt.Sprintf("%d cluster nodes bill %dx the single node's flat rate with no per-request savings; dominated on pure cost",
 				c.clusterNodes(), c.clusterNodes()), be
 		}
 		return "", be
-	case core.Hybrid:
-		// The hybrid channel provisions the same store for its control
-		// plane, so the idle-billing rule applies unchanged; the bulk
-		// path chunks oversized values through object storage, so
-		// neither the single-value cap nor the node-capacity rule sees
-		// the bulk volume — only the tiny pointer frames stay resident.
-		// The break-even prices the request channels at the workload's own
-		// per-pair volume, as Memory's does.
-		be := nodeBreakEven(c, w)
-		if w.BytesPerPairPerLayer > core.DefaultHybridThresholdBytes {
-			w.BytesPerPairPerLayer = bulkPointerBytes
-		}
-		// Each pair still pushes and pops one store value per layer,
-		// inline or pointer, as on the memory channel, so the same
-		// request-rate ceiling applies.
-		if r := saturation(w, c.KVNodeType, shards); r != "" {
-			return r, 0
-		}
-		if memoryNodeCapacityExceeded(w, c.KVNodeType, shards) {
-			return fmt.Sprintf("control-plane working set ~%d MB overflows %d shard(s) of %s",
-				memoryWorkingSetBytes(w)>>20, shards, c.KVNodeType), 0
-		}
-		if costOnly && w.QueriesPerDay > 0 && w.QueriesPerDay*prefilterMargin < be {
-			return fmt.Sprintf("idle billing: %d queries/day is far below the ~%d/day break-even, so the node mostly bills idle",
-				w.QueriesPerDay, be), be
-		}
-		return "", be
-	case core.Queue, core.Object:
-		if !costOnly || !pairs {
-			break
-		}
-		q, o := cost.APICost(pricing.Default(), w.PairsPerLayer, w.BytesPerPairPerLayer)
-		price, cheap, cheapest := q, core.Queue, q
-		if c.Channel == core.Object {
-			price = o
-		}
-		if o < q {
-			cheap, cheapest = core.Object, o
-		}
-		if price >= dominanceFactor*cheapest {
-			return fmt.Sprintf("per-pair volume %d B: %v's requests are %.1fx cheaper; dominated on pure cost",
-				w.BytesPerPairPerLayer, cheap, price/cheapest), 0
-		}
+	}
+	if !costOnly {
+		return "", 0
+	}
+	cheap, cheapest := cheapestRequests(w)
+	if price := m.Cost(pricing.Default()).Total(); cheapest > 0 && price >= dominanceFactor*cheapest {
+		return fmt.Sprintf("per-pair volume %d B: %v's requests are %.1fx cheaper; dominated on pure cost",
+			w.BytesPerPairPerLayer, cheap, price/cheapest), 0
 	}
 	return "", 0
 }
 
-// nodeBreakEven prices the candidate's provisioned-store break-even
-// volume: the flat daily bill grows with the cluster — shards times
-// (1 + replicas) nodes all accrue hours — so the break-even scales with
-// the node count.
-func nodeBreakEven(c Candidate, w cost.Workload) int64 {
-	cat := pricing.Default()
-	if c.KVNodeType != "" {
-		w.MemoryNodeHourly = cat.KVNodeHourly[c.KVNodeType]
+// fitsOneNode reports whether cfg's store kind could carry w on a single
+// node of its type, no replicas.
+func fitsOneNode(w core.Workload, cfg core.Config) bool {
+	cfg.KVNodes, cfg.KVReplicas = 1, 0
+	_, err := core.PredictQuery(w, cfg)
+	return err == nil
+}
+
+// cheapestRequests returns the request-billed kind — neither peerless nor
+// provisioning a store — whose row prices one query of w lowest, and that
+// price, taken over every such kind whatever the grid holds; the first in
+// table order wins a tie. The price is 0 when no such kind makes a request.
+func cheapestRequests(w core.Workload) (kind core.ChannelKind, price float64) {
+	found := false
+	for _, k := range core.ChannelKinds() {
+		if k.Peerless() || k.ProvisionsStore() {
+			continue
+		}
+		p, err := RequestCost(w, k)
+		if err != nil {
+			continue
+		}
+		if !found || p < price {
+			kind, price, found = k, p, true
+		}
 	}
-	if n := c.clusterNodes(); n > 1 {
-		w.MemoryNodeHourly *= float64(n)
+	return kind, price
+}
+
+// RequestCost prices, under the default catalogue, the requests one query
+// of w bills on kind's transport row: the row's predicted meter through
+// usage.Meter.Cost, or the row's reason it cannot serve w.
+func RequestCost(w core.Workload, kind core.ChannelKind) (float64, error) {
+	m, err := core.PredictQuery(w, core.Config{Channel: kind})
+	if err != nil {
+		return 0, err
 	}
-	return cost.MemoryBreakEvenQueriesPerDay(cat, w)
+	return m.Cost(pricing.Default()).Total(), nil
 }
 
-// SerialFits reports whether the model's in-memory footprint fits the
-// largest single FaaS instance: the one rule that keeps Serial off the
-// planner's grid (candidates), prunes its pre-filter row and gates the
-// experiments' paper-scale Serial cells.
-func SerialFits(w cost.Workload) bool {
-	return float64(w.ModelBytes)*w.MemOverhead <= float64(w.InstanceCapMB)*float64(1<<20)
-}
-
-// dominanceFactor is how many times the cheapest request-billed kind's
-// per-query price a request-billed kind must cost before a pure cost
-// objective drops it untried. At 3 the pub-sub channel loses from about
-// 2.4 MiB per pair, past the paper's multiple-publishes-per-target regime,
-// and object storage while volumes still fit about one publish.
-const dominanceFactor = 3
-
-// memoryValueFeasible reports whether one pair's layer volume fits a
-// single stored value of the provisioned memory store — the memory
-// channel ships unchunked values, so volumes above the cap rule it out
-// however favourable the billing.
-func memoryValueFeasible(bytesPerPair int64) bool {
-	return bytesPerPair <= int64(kvstore.DefaultConfig().MaxValueBytes)
-}
-
-// storeHeadroom is the provisioning factor between a workload's resident
-// working set and the node memory it needs: half of each node is held
-// back for replication buffers and copy-on-write snapshot forks, per the
-// managed-cache guidance to reserve memory on write-heavy workloads —
-// and an engine-run inbox is nothing but writes.
-const storeHeadroom = 2.0
-
-// memoryWorkingSetBytes estimates the peak bytes resident in the
-// provisioned store: one layer's pair values per in-flight run, times
-// the peak run concurrency.
-func memoryWorkingSetBytes(w cost.Workload) int64 {
-	runs := int64(w.ConcurrentRuns)
-	if runs < 1 {
-		runs = 1
+// StoreBreakEven returns the daily query volume from which cfg's store
+// cluster bills less than the cheapest request-billed kind's requests for
+// w: the cluster's flat daily bill over that kind's per-query price, 0 when
+// no request-billed kind makes a request. Below it, idle billing makes the
+// store the most expensive option.
+func StoreBreakEven(w core.Workload, cfg core.Config) int64 {
+	_, perQuery := cheapestRequests(w)
+	if perQuery <= 0 {
+		return 0
 	}
-	return runs * w.PairsPerLayer * w.BytesPerPairPerLayer
-}
-
-// memoryNodeCapacityExceeded reports whether the workload's peak working
-// set, with the write-heavy headroom applied, overflows the usable
-// memory of a cluster of shards of the node type. Capacity scales
-// linearly with the shard count, like the request-rate ceiling: this is
-// the second analytic rule that forces bigger nodes (or more shards)
-// under bulk-tensor workloads — and the rule the hybrid channel escapes
-// by parking bulk values in object storage.
-func memoryNodeCapacityExceeded(w cost.Workload, nodeType string, shards int) bool {
-	nt := kvstore.Catalog[nodeType]
-	usable := nt.MemoryGB * float64(int64(1)<<30) * float64(shards)
-	return float64(memoryWorkingSetBytes(w))*storeHeadroom > usable
-}
-
-// memoryOpsPerQuery estimates the store operations one query issues on
-// the memory channel: one push and one pop per (pair, layer), plus the
-// barrier and reduce traffic (roughly four ops per worker). It is the
-// demand side of the per-node request-rate ceiling.
-func memoryOpsPerQuery(w cost.Workload) int64 {
-	return 2*w.PairsPerLayer*int64(w.Layers) + 4*int64(w.Workers)
-}
-
-// memoryClusterSaturated reports whether the workload's sustained
-// operation rate exceeds the aggregate request-rate ceiling of a cluster
-// of shards primaries of the node type: each shard enforces its own
-// ceiling, so capacity scales linearly with the shard count. A saturated
-// configuration is infeasible however cheap — queries would back up
-// behind the limiter without bound — which is the analytic rule that
-// makes the planner reach for more shards under heavy sustained volume.
-func memoryClusterSaturated(w cost.Workload, nodeType string, shards int) bool {
-	if w.QueriesPerDay <= 0 {
-		return false
-	}
-	nt := kvstore.Catalog[nodeType]
-	demand := float64(memoryOpsPerQuery(w)*w.QueriesPerDay) / 86400
-	return demand > nt.MaxOpsPerSec*float64(shards)
-}
-
-// saturation is the prune reason of a cluster that memoryClusterSaturated
-// finds saturated, or "" when it is not.
-func saturation(w cost.Workload, nodeType string, shards int) string {
-	if !memoryClusterSaturated(w, nodeType, shards) {
-		return ""
-	}
-	return fmt.Sprintf("sustained volume needs ~%d ops/s, saturating %d shard(s) of %s",
-		memoryOpsPerQuery(w)*w.QueriesPerDay/86400, shards, nodeType)
+	return int64(core.StoreDailyCost(cfg, pricing.Default())/perQuery) + 1
 }
 
 // pruneCollective drops a candidate whose collective topology the §IV-style
@@ -317,11 +208,11 @@ func saturation(w cost.Workload, nodeType string, shards int) string {
 // — that candidate defers to the same model per call.
 func (p *Planner) pruneCollective(c Candidate, batch int) string {
 	algs := p.opts.Grid.Collectives
-	if len(algs) < 2 || c.Algo == collective.AutoAlgo || c.Channel == core.Serial || c.Workers < 2 {
+	if len(algs) < 2 || c.Algo == collective.AutoAlgo || c.Channel.Peerless() || c.Workers < 2 {
 		return ""
 	}
 	msg := core.ReduceContributionBytes(p.m.Spec.Neurons, c.Workers, batch)
-	tr := core.ChannelTraits(core.Config{Channel: c.Channel, KVNodeType: c.KVNodeType}, env.DefaultConfig(), msg)
+	tr := core.ChannelTraits(c.deployment(), env.DefaultConfig(), msg)
 	mine := collective.EstimateOp(collective.OpAllreduce, c.Algo, c.Workers, msg, tr)
 	for _, a := range algs {
 		if a == c.Algo || a == collective.AutoAlgo {
@@ -351,7 +242,7 @@ type PruneVerdict struct {
 // which channels would the pre-filter prune, and why, one row per kind in
 // core.ChannelKinds' order. Each store kind is judged as its candidate on
 // one node of the default type.
-func PrefilterChannels(w cost.Workload) []PruneVerdict {
+func PrefilterChannels(w core.Workload) []PruneVerdict {
 	var verdicts []PruneVerdict
 	for _, kind := range core.ChannelKinds() {
 		c := Candidate{Channel: kind, Workers: w.Workers, KVNodeType: core.DefaultKVNodeType}
