@@ -68,9 +68,12 @@ fuzz-smoke:
 # portable keeps the Go kernels that every GOARCH but amd64 runs
 # (internal/sparse/kernels_generic.go) building and passing: amd64 runs the
 # assembly in kernels_amd64.s instead, so nothing else here compiles them.
-# 386 runs the package's tests, arm64 is vetted.
+# 386 runs the package's tests, arm64 is vetted. 386 also runs the planner's
+# and fsdcost's tests, so the transport rows' float pricing — every
+# pre-filter verdict and fsdcost.golden — is checked off amd64 too.
 portable:
 	GOARCH=386 go test ./internal/sparse
+	GOARCH=386 go test ./internal/plan ./cmd/fsdcost
 	GOARCH=arm64 go vet ./internal/sparse
 
 # docs-paths fails when README.md or the verify recipe names a program
