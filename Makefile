@@ -70,9 +70,10 @@ fuzz-smoke:
 # assembly in kernels_amd64.s instead, so nothing else here compiles them.
 # 386 runs the package's tests, arm64 is vetted. 386 also runs the planner's
 # and fsdcost's tests, so the transport rows' float pricing — every
-# pre-filter verdict and fsdcost.golden — is checked off amd64 too.
+# pre-filter verdict and fsdcost.golden — is checked off amd64 too, and
+# wire's, so the frame estimate the chunk split cuts by is.
 portable:
-	GOARCH=386 go test ./internal/sparse
+	GOARCH=386 go test ./internal/sparse ./internal/wire
 	GOARCH=386 go test ./internal/plan ./cmd/fsdcost
 	GOARCH=arm64 go vet ./internal/sparse
 

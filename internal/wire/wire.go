@@ -420,32 +420,53 @@ func extend[E any](s []E, n int) (all, tail []E) {
 	return all, all[len(s):len(all):len(all)]
 }
 
-// AssumedCompressionRatio is the planning estimate of compressed-to-raw
-// size: the NNZ heuristic's, and the §IV cost model's per-pair volume
-// (plan's pre-filter, cmd/fsdcost). Nonzero float32 activations compress
-// modestly; zero runs compress almost completely, which is why the
-// heuristic counts nonzeros rather than raw bytes.
+// AssumedCompressionRatio is the NNZ heuristic's estimate of a deflated
+// body's size over the raw size of its nonzero values. Nonzero float32
+// activations compress modestly; zero runs compress almost completely,
+// which is why the heuristic counts nonzeros rather than raw bytes.
 const AssumedCompressionRatio = 0.6
+
+// RowBytes is the paper's NNZ heuristic per row: the estimated share of a
+// frame body that one of rows rows holding nnz nonzero values takes, its
+// id plus its share of the nonzeros (zeros are assumed compressed away),
+// the nonzeros at AssumedCompressionRatio under compress. The chunk split
+// divides its limit by it; FrameBytes builds a frame from it.
+func RowBytes(rows, nnz int64, compress bool) float64 {
+	valBytes := float64(max(nnz, 1)*4) / float64(rows)
+	if compress {
+		// The conversion forbids a fused multiply-add, so the split cuts
+		// the same on every GOARCH.
+		return 4 + float64(valBytes*AssumedCompressionRatio)
+	}
+	return 4 + valBytes
+}
+
+// FrameBytes estimates len(Encode(rs, compress)) for a set rs of rows rows
+// of batch values, nnz of them nonzero, before the set exists: the header
+// plus rows times RowBytes for a frame that deflates, and the raw frame,
+// zeros included, for one that deflateFrom's rule ships raw. It is the
+// per-pair volume of the §IV cost model.
+func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
+	raw := headerSize + rows*4*(1+int64(batch))
+	if !compress || raw < deflateFrom {
+		return raw
+	}
+	return headerSize + int64(float64(rows)*RowBytes(rows, nnz, true))
+}
+
+// Chunks estimates how many byte strings EncodeChunks cuts a frame of
+// frameBytes into at limit: every chunk repeats the header, so each carries
+// at most limit-headerSize bytes of the frame's rows, and even an empty
+// frame is one chunk.
+func Chunks(frameBytes int64, limit int) int64 {
+	room := int64(limit - headerSize)
+	return max(1, (frameBytes-headerSize+room-1)/room)
+}
 
 // rowsPerChunk is the paper's NNZ heuristic: how many of the set's rows
 // fit one byte string of at most limit bytes, at least one.
 func rowsPerChunk(rs *RowSet, limit int, compress bool) int {
-	return max(1, (limit-headerSize)/estRowBytes(rs, compress))
-}
-
-func estRowBytes(rs *RowSet, compress bool) int {
-	nnz := rs.NNZ()
-	if nnz == 0 {
-		nnz = 1
-	}
-	// Estimated contribution of one row: its id plus its share of
-	// nonzero values (zeros are assumed compressed away).
-	valBytes := float64(nnz*4) / float64(rs.Len())
-	per := 4.0 + valBytes
-	if compress {
-		per = 4 + valBytes*AssumedCompressionRatio
-	}
-	return int(per) + 1
+	return max(1, (limit-headerSize)/(int(RowBytes(int64(rs.Len()), rs.NNZ(), compress))+1))
 }
 
 // EncodeChunks serializes the row set into one or more payloads, each at

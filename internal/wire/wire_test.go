@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -199,11 +200,12 @@ func TestEncodeChunksTooSmallLimit(t *testing.T) {
 	if _, err := EncodeChunks(rs, 10, false); err == nil {
 		t.Error("tiny limit accepted")
 	}
-	// A single row that can't fit the limit must error, not loop.
+	// A single row that can't fit the limit must error, not loop: it cannot
+	// be split further.
 	wide := NewRowSet(1024)
 	wide.Add(1, make([]float32, 1024))
-	if _, err := EncodeChunks(wide, 64, false); err == nil {
-		t.Error("oversized single row accepted")
+	if _, err := EncodeChunks(wide, 64, false); err == nil || !strings.Contains(err.Error(), "single row encodes to") {
+		t.Errorf("oversized single row: %v", err)
 	}
 }
 
