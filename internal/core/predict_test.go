@@ -76,3 +76,19 @@ func TestHybridParksBulkInObjectStorage(t *testing.T) {
 		t.Fatalf("bulk %d store ops, inline %d (with %d PUTs)", m.KVOps, small.KVOps, small.S3PutCalls)
 	}
 }
+
+// TestReduceContributionBytesKeepsItsFormula: wire's frame estimate gives
+// the closing collectives the payload they were always picked by, the even
+// row share's ids and dense values, so no AutoAlgo pick moves.
+func TestReduceContributionBytesKeepsItsFormula(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 1000, 16384, 65536} {
+		for _, p := range []int{1, 2, 3, 8, 32, 42, 100} {
+			for _, batch := range []int{1, 4, 64, 10000} {
+				want := int64(n) / int64(p) * int64(batch+1) * 4
+				if got := ReduceContributionBytes(n, p, batch); got != want {
+					t.Errorf("ReduceContributionBytes(%d, %d, %d) = %d, want %d", n, p, batch, got, want)
+				}
+			}
+		}
+	}
+}
