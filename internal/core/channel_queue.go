@@ -106,35 +106,26 @@ func billQueue(w *WorkerMetrics, u *usage.Meter) {
 	u.SQSSendCalls += w.MessagesSent
 }
 
-// publishCapacity is the payload one publish carries: up to 10 messages of
-// up to 256 KiB share a 256 KiB batch budget, so effectively 256 KiB per
-// call.
-const publishCapacity = 256 * 1024
-
-// publishChunks returns the number of publish-payload chunks one (source,
-// target) pair's layer volume needs; even an empty one is one message.
-func publishChunks(bytesPerPair int64) int64 {
-	return max(1, (bytesPerPair+publishCapacity-1)/publishCapacity)
-}
-
 // predictQueue is §IV-C's request count for one query: per layer, every
-// pair's volume in publish chunks, packed ten messages to a publish while
-// chunks are small and one chunk to a call once they are not, billed in
-// 64 KiB increments, then received and deleted ten messages to a call.
-// Best-case packing is assumed. The volume-proportional SNS→SQS byte charge
-// belongs to the full Equation (5) model, not this per-request comparison.
+// pair's volume in chunks of the body buildMessages encodes to, packed a
+// publish batch of messages to a publish while chunks are small and one
+// chunk to a call once they are not, billed in 64 KiB increments, then
+// received and deleted a receive batch to a call. Best-case packing is
+// assumed. The volume-proportional SNS→SQS byte charge belongs to the full
+// Equation (5) model, not this per-request comparison.
 func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 	if w.PairsPerLayer == 0 {
 		return usage.Meter{}, nil
 	}
-	chunks := publishChunks(w.BytesPerPairPerLayer)
+	pub, recv := sns.DefaultConfig(), int64(sqs.DefaultConfig().MaxBatch)
+	chunks := wire.Chunks(w.BytesPerPairPerLayer, queueBodyLimit(pub))
 	messages := w.PairsPerLayer * chunks
-	publishes := (messages + 9) / 10
+	publishes := (messages + int64(pub.MaxBatchEntries) - 1) / int64(pub.MaxBatchEntries)
 	if chunks > 1 {
 		publishes = messages
 	}
 	billed := max(publishes, pricing.BilledPublishRequests(w.BytesPerPairPerLayer*w.PairsPerLayer))
-	polls := (messages + 9) / 10
+	polls := (messages + recv - 1) / recv
 	layers := int64(w.Layers)
 	return usage.Meter{SNSBilledPublishes: billed * layers, SQSReceiveCalls: polls * layers, SQSDeleteCalls: polls * layers}, nil
 }
@@ -142,14 +133,17 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 // attrOverhead approximates the billed bytes of message attributes.
 const attrOverhead = 96
 
+// queueBodyLimit is the largest body that still fits a publish next to its
+// attributes: what buildMessages chunks a row set at, and predictQueue
+// counts chunks at.
+func queueBodyLimit(c sns.Config) int { return c.MaxPayloadBytes - attrOverhead }
+
 // buildMessages encodes one target's row set into chunked messages carrying
 // the paper's attributes: source worker id, total byte strings for this
 // (source, target, layer), and the message layer — kind and layer together
 // being the tag.
 func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowSet) ([]sqs.Message, error) {
-	// The largest body that still fits a publish next to its attributes.
-	limit := w.d.Env.SNS.Config().MaxPayloadBytes - attrOverhead
-	chunks, err := w.encodeChunks(rs, limit)
+	chunks, err := w.encodeChunks(rs, queueBodyLimit(w.d.Env.SNS.Config()))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fsdinference/internal/cloud/pricing"
+	"fsdinference/internal/cloud/sns"
 )
 
 // layerCost prices one layer of pairs exchanging bytesPerPair each on kind's
@@ -44,14 +45,20 @@ func TestRequestRowsBillNothingWithoutPairs(t *testing.T) {
 	}
 }
 
-// TestPublishChunks: a pair's layer volume publishes in 256 KiB chunks,
-// and even an empty one is one message.
+// TestPublishChunks: a pair's layer volume publishes in chunks of the body
+// buildMessages encodes to, each repeating the frame header, and even an
+// empty one is one message. Ten pairs' messages fill one receive a chunk.
 func TestPublishChunks(t *testing.T) {
+	limit := int64(queueBodyLimit(sns.DefaultConfig()))
 	for _, tc := range []struct{ bytes, want int64 }{
-		{0, 1}, {1, 1}, {256 << 10, 1}, {256<<10 + 1, 2}, {1 << 20, 4},
+		{0, 1}, {1, 1}, {limit, 1}, {limit + 1, 2}, {256 << 10, 2}, {1 << 20, 5},
 	} {
-		if got := publishChunks(tc.bytes); got != tc.want {
-			t.Errorf("publishChunks(%d) = %d, want %d", tc.bytes, got, tc.want)
+		m, err := predictQueue(Workload{PairsPerLayer: 10, BytesPerPairPerLayer: tc.bytes, Layers: 1}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.SQSReceiveCalls != tc.want {
+			t.Errorf("%d B a pair: %d chunks, want %d", tc.bytes, m.SQSReceiveCalls, tc.want)
 		}
 	}
 }
