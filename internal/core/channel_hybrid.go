@@ -19,9 +19,9 @@ import (
 // shared loop's ordering and buffering apply unchanged — but the payload's
 // route depends on its size:
 //
-//   - control traffic and sparse activations at or under
-//     HybridThresholdBytes travel inline through the store, paying its
-//     sub-millisecond op latency;
+//   - control traffic and sparse activations whose raw frame is at or
+//     under HybridThresholdBytes travel inline through the store, paying
+//     its sub-millisecond op latency;
 //   - bulk tensors are split into HybridChunkBytes chunks written to
 //     object storage from a hybridFanout-wide transfer pool, and only a
 //     tiny pointer frame (chunk count + key prefix) rides the inbox. The
@@ -92,13 +92,14 @@ const bulkPointerBytes = 128
 // predictHybrid applies the store's rules to what stays resident: a value
 // over the routing threshold parks its chunks in object storage, one PUT
 // and one GET each, and leaves only a pointer in the store, so neither the
-// single-value cap nor the working set sees the bulk volume. Each pair
+// single-value cap nor the working set sees the bulk volume. Chunks are
+// counted at HybridChunkBytes, the limit send encodes them to. Each pair
 // still pushes and pops one store value per layer, inline or pointer, so
 // Memory's request-rate ceiling applies unchanged.
 func predictHybrid(w Workload, cfg Config) (usage.Meter, error) {
 	var m usage.Meter
 	if w.BytesPerPairPerLayer > int64(cfg.HybridThresholdBytes) {
-		chunks := (w.BytesPerPairPerLayer + int64(cfg.HybridChunkBytes) - 1) / int64(cfg.HybridChunkBytes)
+		chunks := wire.Chunks(w.BytesPerPairPerLayer, cfg.HybridChunkBytes)
 		m.S3PutCalls = w.PairsPerLayer * int64(w.Layers) * chunks
 		m.S3GetCalls = m.S3PutCalls
 		w.BytesPerPairPerLayer = bulkPointerBytes

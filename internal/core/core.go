@@ -260,9 +260,10 @@ type Config struct {
 	// (the polling ablation).
 	PollWait time.Duration
 
-	// HybridThresholdBytes is the Hybrid channel's routing split: encoded
-	// payloads at or under it travel through the in-memory store, larger
-	// ones are chunked into object storage (default 128 KiB).
+	// HybridThresholdBytes is the Hybrid channel's routing split: a row set
+	// whose raw frame (wire.RowSet.RawBytes, before any compression) is at
+	// or under it travels through the in-memory store, a larger one is
+	// chunked into object storage (default 128 KiB).
 	HybridThresholdBytes int
 	// HybridChunkBytes sizes the Hybrid channel's bulk chunks (default
 	// 1 MiB): smaller chunks mean more parallel streams per transfer.

@@ -65,14 +65,15 @@ func TestPublishChunks(t *testing.T) {
 
 // TestHybridParksBulkInObjectStorage: a per-pair volume over the routing
 // threshold bills one PUT and one GET per chunk and leaves one store push
-// and pop per pair, as a small value does.
+// and pop per pair, as a small value does. Every 1 MiB chunk repeats the
+// frame header, so a 3 MiB frame takes four.
 func TestHybridParksBulkInObjectStorage(t *testing.T) {
 	w := Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 3 << 20}
 	m, err := PredictQuery(w, Config{Channel: Hybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(48 * 12 * 3); m.S3PutCalls != want || m.S3GetCalls != want {
+	if want := int64(48 * 12 * 4); m.S3PutCalls != want || m.S3GetCalls != want {
 		t.Fatalf("%d PUTs and %d GETs for 3 MiB in 1 MiB chunks, want %d each", m.S3PutCalls, m.S3GetCalls, want)
 	}
 	small, err := PredictQuery(Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 1 << 10}, Config{Channel: Hybrid})
