@@ -31,12 +31,14 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 		// Re-captured when every store kind took one idle-billing rule (the
 		// four Hybrid rows' reasons drop "control-plane"), then when one
 		// price comparison replaced Object's one-chunk rule (its four
-		// pruned rows' reasons name the dominance).
-		"cost": "6ecdaa5a3a4371d5",
+		// pruned rows' reasons name the dominance), then when the per-pair
+		// volume became wire's frame estimate (those rows' volumes).
+		"cost": "ce879115d6c47946",
 		// Re-captured when Hybrid took Memory's request-rate rule (its four
 		// unsaturated-shard rows prune, and the pick moves to Queue x8),
-		// then for the four Object rows' dominance reasons.
-		"wide": "7abbf8e8bd50ba2a",
+		// then for the four Object rows' dominance reasons, then for wire's
+		// frame estimate (those rows' volumes, and x32 tree's ratio).
+		"wide": "8336d61165bceed9",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fsdinference/internal/cloud/env"
@@ -50,8 +51,9 @@ const prefilterMargin = 10
 const dominanceFactor = 3
 
 // analyticWorkload derives the §IV cost-model workload for a candidate:
-// per-pair volumes from the trial partition plan's communication stats at
-// the profile's batch width, compressed at the engine's typical ratio.
+// the per-pair volume is wire's estimate of one compressed frame of the
+// trial partition plan's mean rows per pair, dense, at the profile's batch
+// width.
 func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) (core.Workload, error) {
 	pl, err := p.partitionPlan(workers)
 	if err != nil {
@@ -65,7 +67,8 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 	}
 	w := p.footprint()
 	w.Workers = workers
-	w.BytesPerPairPerLayer = int64(st.RowsPerPair * float64(batch) * 4 * wire.AssumedCompressionRatio)
+	rows := int64(math.Round(st.RowsPerPair))
+	w.BytesPerPairPerLayer = wire.FrameBytes(rows, rows*int64(batch), batch, true)
 	w.PairsPerLayer = pairsPerLayer
 	w.Layers = layers
 	w.QueriesPerDay = profile.QueriesPerDay
