@@ -45,11 +45,12 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (core.Workl
 	}
 	nnz := int64(neurons) * 32 * int64(layers)
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
-	// Rough per-pair volume: cut fraction ~10% of a worker's rows, 4 B
-	// per value, batch columns.
+	// Rough per-pair volume: wire's estimate of one compressed frame of a
+	// tenth of a worker's rows (the cut fraction, rounded), dense, batch
+	// columns.
 	faas := env.DefaultConfig().FaaS
-	rowsPerWorker := neurons / workers
-	bytesPerPair := int64(float64(rowsPerWorker) * 0.1 * float64(batch) * 4 * wire.AssumedCompressionRatio)
+	rows := (int64(neurons/workers) + 5) / 10
+	bytesPerPair := wire.FrameBytes(rows, rows*int64(batch), batch, true)
 	// Each worker sends to about six others, and never to more than the
 	// P-1 there are.
 	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))

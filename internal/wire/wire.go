@@ -420,30 +420,30 @@ func extend[E any](s []E, n int) (all, tail []E) {
 	return all, all[len(s):len(all):len(all)]
 }
 
-// AssumedCompressionRatio is the NNZ heuristic's estimate of a deflated
+// assumedCompressionRatio is the NNZ heuristic's estimate of a deflated
 // body's size over the raw size of its nonzero values. Nonzero float32
 // activations compress modestly; zero runs compress almost completely,
 // which is why the heuristic counts nonzeros rather than raw bytes.
-const AssumedCompressionRatio = 0.6
+const assumedCompressionRatio = 0.6
 
-// RowBytes is the paper's NNZ heuristic per row: the estimated share of a
+// rowBytes is the paper's NNZ heuristic per row: the estimated share of a
 // frame body that one of rows rows holding nnz nonzero values takes, its
 // id plus its share of the nonzeros (zeros are assumed compressed away),
-// the nonzeros at AssumedCompressionRatio under compress. The chunk split
+// the nonzeros at assumedCompressionRatio under compress. The chunk split
 // divides its limit by it; FrameBytes builds a frame from it.
-func RowBytes(rows, nnz int64, compress bool) float64 {
+func rowBytes(rows, nnz int64, compress bool) float64 {
 	valBytes := float64(max(nnz, 1)*4) / float64(rows)
 	if compress {
 		// The conversion forbids a fused multiply-add, so the split cuts
 		// the same on every GOARCH.
-		return 4 + float64(valBytes*AssumedCompressionRatio)
+		return 4 + float64(valBytes*assumedCompressionRatio)
 	}
 	return 4 + valBytes
 }
 
 // FrameBytes estimates len(Encode(rs, compress)) for a set rs of rows rows
 // of batch values, nnz of them nonzero, before the set exists: the header
-// plus rows times RowBytes for a frame that deflates, and the raw frame,
+// plus rows times rowBytes for a frame that deflates, and the raw frame,
 // zeros included, for one that deflateFrom's rule ships raw. It is the
 // per-pair volume of the §IV cost model.
 func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
@@ -451,7 +451,7 @@ func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
 	if !compress || raw < deflateFrom {
 		return raw
 	}
-	return headerSize + int64(float64(rows)*RowBytes(rows, nnz, true))
+	return headerSize + int64(float64(rows)*rowBytes(rows, nnz, true))
 }
 
 // Chunks estimates how many byte strings EncodeChunks cuts a frame of
@@ -466,7 +466,7 @@ func Chunks(frameBytes int64, limit int) int64 {
 // rowsPerChunk is the paper's NNZ heuristic: how many of the set's rows
 // fit one byte string of at most limit bytes, at least one.
 func rowsPerChunk(rs *RowSet, limit int, compress bool) int {
-	return max(1, (limit-headerSize)/(int(RowBytes(int64(rs.Len()), rs.NNZ(), compress))+1))
+	return max(1, (limit-headerSize)/(int(rowBytes(int64(rs.Len()), rs.NNZ(), compress))+1))
 }
 
 // EncodeChunks serializes the row set into one or more payloads, each at
