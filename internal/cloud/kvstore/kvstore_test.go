@@ -462,3 +462,89 @@ func TestReleasedNodeTakesNothing(t *testing.T) {
 		t.Fatalf("released node went from %d keys, %d bytes to %d, %d", keys, used, n.NumKeys(), n.UsedBytes())
 	}
 }
+
+// TestTTLExpiresAtItsInstant: a key lives until the instant before its
+// expiry and is gone at the expiry itself.
+func TestTTLExpiresAtItsInstant(t *testing.T) {
+	k, _, s := newSvc(t)
+	n, _ := s.Provision("n0", "cache.m6g.large")
+	var before, at []byte
+	k.Go("c", func(p *sim.Proc) {
+		expires := map[string]time.Duration{}
+		for _, key := range []string{"a", "b"} {
+			if err := n.RPush(p, key, []byte("v"), time.Second); err != nil {
+				t.Error(err)
+			}
+			expires[key] = p.Now() + time.Second
+		}
+		p.Sleep(expires["a"] - time.Nanosecond - p.Now())
+		before = n.BLPop(p, "a", 0)
+		if p.Now() > expires["b"] {
+			t.Fatalf("popping a ran past b's expiry")
+		}
+		p.Sleep(expires["b"] - p.Now())
+		at = n.BLPop(p, "b", 0)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if before == nil || at != nil {
+		t.Fatalf("a key popped 1 ns before its expiry: %q; at its expiry: %q (want a value, then nil)", before, at)
+	}
+}
+
+// TestDropReturnsEveryByte: dropping keys gives back their values' bytes
+// and their key overhead, so the node is empty again once the last is gone.
+func TestDropReturnsEveryByte(t *testing.T) {
+	k, _, s := newSvc(t)
+	n, _ := s.Provision("n0", "cache.m6g.large")
+	k.Go("c", func(p *sim.Proc) {
+		for _, kv := range [][2]string{{"r1/0", "abc"}, {"r1/0", "de"}, {"r1/1", "f"}, {"r2/0", "ghij"}} {
+			if err := n.RPush(p, kv[0], []byte(kv[1]), 0); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	overhead := int64(s.Config().KeyOverheadBytes)
+	n.DropPrefix("r1/")
+	if got := n.UsedBytes(); got != 4+overhead {
+		t.Fatalf("after dropping r1/: %d bytes used, want r2/0's %d", got, 4+overhead)
+	}
+	n.DropPrefix("")
+	if n.UsedBytes() != 0 || n.NumKeys() != 0 {
+		t.Fatalf("after dropping every key: %d bytes used over %d keys", n.UsedBytes(), n.NumKeys())
+	}
+}
+
+// TestBLPopWaitsOutItsDeadline: a pop that finds nothing returns once its
+// wait has passed, plus the op it bills, also when a push to another key
+// wakes it halfway and it waits out only what is left.
+func TestBLPopWaitsOutItsDeadline(t *testing.T) {
+	const wait = time.Second
+	for _, wake := range []bool{false, true} {
+		k, _, s := newSvc(t)
+		n, _ := s.Provision("n0", "cache.m6g.large")
+		var got []byte
+		var at time.Duration
+		k.Go("c", func(p *sim.Proc) {
+			got = n.BLPop(p, "empty", wait)
+			at = p.Now()
+		})
+		if wake {
+			k.GoAfter(wait/2, "other", func(p *sim.Proc) {
+				if err := n.RPush(p, "other", []byte("x"), 0); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := wait + s.Config().OpLatency; got != nil || at != want {
+			t.Fatalf("woken halfway %v: popped %q at %v, want nil at %v", wake, got, at, want)
+		}
+	}
+}
