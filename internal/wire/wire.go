@@ -157,10 +157,9 @@ func (rs *RowSet) Row(i int) []float32 {
 	return rs.Vals[i*rs.Batch : (i+1)*rs.Batch]
 }
 
-// RawBytes returns the uncompressed serialized size: the raw frame
-// FrameBytes sizes.
+// RawBytes returns the uncompressed serialized size.
 func (rs *RowSet) RawBytes() int64 {
-	return FrameBytes(int64(len(rs.IDs)), 0, rs.Batch, false)
+	return headerSize + int64(len(rs.IDs))*4 + int64(len(rs.Vals))*4
 }
 
 // NNZ returns the number of nonzero values across all rows — the paper's
