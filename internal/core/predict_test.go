@@ -85,7 +85,7 @@ func TestHybridParksBulkInObjectStorage(t *testing.T) {
 	}
 }
 
-// TestReduceContributionBytesKeepsItsFormula: wire's frame estimate gives
+// TestReduceContributionBytesKeepsItsFormula: wire's raw row size gives
 // the closing collectives the payload they were always picked by, the even
 // row share's ids and dense values, so no AutoAlgo pick moves.
 func TestReduceContributionBytesKeepsItsFormula(t *testing.T) {

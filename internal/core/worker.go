@@ -464,11 +464,10 @@ func (w *worker) algoFor(op collective.Op, msgBytes int64) collective.Algorithm 
 
 // ReduceContributionBytes is the rank-independent estimate of one worker's
 // contribution to the final reduce — the plan's even row share, dense, as
-// wire sizes its raw frame less the header — that AutoAlgo resolves the
-// closing collectives with and the planner's pre-filter judges topologies by.
+// a raw frame's rows — that AutoAlgo resolves the closing collectives with
+// and the planner's pre-filter judges topologies by.
 func ReduceContributionBytes(neurons, workers, batch int) int64 {
-	rows := int64(neurons) / int64(workers)
-	return wire.FrameBytes(rows, rows*int64(batch), batch, false) - wire.FrameBytes(0, 0, batch, false)
+	return int64(neurons) / int64(workers) * wire.RawRowBytes(batch)
 }
 
 // noteCollective records one collective call in the environment meter

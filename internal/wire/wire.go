@@ -441,13 +441,17 @@ func rowBytes(rows, nnz int64, compress bool) float64 {
 	return 4 + valBytes
 }
 
+// RawRowBytes is one row's share of a raw frame of batch values a row: its
+// id and its values, zeros included, 4 bytes each, as Encode writes them.
+func RawRowBytes(batch int) int64 { return 4 * (1 + int64(batch)) }
+
 // FrameBytes estimates len(Encode(rs, compress)) for a set rs of rows rows
 // of batch values, nnz of them nonzero, before the set exists: the header
 // plus rows times rowBytes for a frame that deflates, and the raw frame,
 // zeros included, for one that deflateFrom's rule ships raw. It is the
 // per-pair volume of the §IV cost model.
 func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
-	raw := headerSize + rows*4*(1+int64(batch))
+	raw := headerSize + rows*RawRowBytes(batch)
 	if !compress || raw < deflateFrom {
 		return raw
 	}
