@@ -37,8 +37,10 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 		// Re-captured when Hybrid took Memory's request-rate rule (its four
 		// unsaturated-shard rows prune, and the pick moves to Queue x8),
 		// then for the four Object rows' dominance reasons, then for wire's
-		// frame estimate (those rows' volumes, and x32 tree's ratio).
-		"wide": "8336d61165bceed9",
+		// frame estimate (those rows' volumes, and x32 tree's ratio), then
+		// when the volume became the raw frame the candidates deploy (Object
+		// x8 is trialed and picked; x32 tree's volume and ratio).
+		"wide": "24d189d252c279fe",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{

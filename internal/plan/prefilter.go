@@ -51,11 +51,11 @@ const prefilterMargin = 10
 const dominanceFactor = 3
 
 // analyticWorkload derives the §IV cost-model workload for a candidate:
-// the per-pair volume is wire's estimate of one compressed frame of the
-// trial partition plan's mean rows per pair, dense, at the profile's batch
-// width.
-func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) (core.Workload, error) {
-	pl, err := p.partitionPlan(workers)
+// the per-pair volume is wire's estimate of the frame the candidate's
+// deployment ships for the trial partition plan's mean rows per pair,
+// dense, at the profile's batch width.
+func (p *Planner) analyticWorkload(c Candidate, profile WorkloadProfile) (core.Workload, error) {
+	pl, err := p.partitionPlan(c.Workers)
 	if err != nil {
 		return core.Workload{}, err
 	}
@@ -66,9 +66,9 @@ func (p *Planner) analyticWorkload(workers, batch int, profile WorkloadProfile) 
 		pairsPerLayer = st.Pairs / int64(layers)
 	}
 	w := p.footprint()
-	w.Workers = workers
-	rows := int64(math.Round(st.RowsPerPair))
-	w.BytesPerPairPerLayer = wire.FrameBytes(rows, rows*int64(batch), batch, true)
+	w.Workers = c.Workers
+	rows, batch := int64(math.Round(st.RowsPerPair)), profile.BatchSamples
+	w.BytesPerPairPerLayer = wire.FrameBytes(rows, rows*int64(batch), batch, c.deployment().Compress)
 	w.PairsPerLayer = pairsPerLayer
 	w.Layers = layers
 	w.QueriesPerDay = profile.QueriesPerDay
@@ -100,7 +100,7 @@ func (p *Planner) prefilter(c Candidate, profile WorkloadProfile) (reason string
 	if reason := p.pruneCollective(c, profile.BatchSamples); reason != "" {
 		return reason, 0, nil
 	}
-	w, err := p.analyticWorkload(c.Workers, profile.BatchSamples, profile)
+	w, err := p.analyticWorkload(c, profile)
 	if err != nil {
 		return "", 0, err
 	}
