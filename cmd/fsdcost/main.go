@@ -45,12 +45,12 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (core.Workl
 	}
 	nnz := int64(neurons) * 32 * int64(layers)
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
-	// Rough per-pair volume: wire's estimate of one compressed frame of a
-	// tenth of a worker's rows (the cut fraction, rounded), dense, batch
-	// columns.
+	// Rough per-pair volume: wire's estimate of one frame of a tenth of a
+	// worker's rows (the cut fraction, rounded), dense, batch columns, raw
+	// as the planner's candidates deploy it (Compress off).
 	faas := env.DefaultConfig().FaaS
 	rows := (int64(neurons/workers) + 5) / 10
-	bytesPerPair := wire.FrameBytes(rows, rows*int64(batch), batch, true)
+	bytesPerPair := wire.FrameBytes(rows, rows*int64(batch), batch, false)
 	// Each worker sends to about six others, and never to more than the
 	// P-1 there are.
 	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))
