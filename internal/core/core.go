@@ -73,8 +73,8 @@
 //     facts of the row: ChannelKind.Peerless and ChannelKind.ProvisionsStore,
 //     whose node-hours StoreDailyCost prices. A Workload's per-pair volume
 //     is wire's frame estimate (wire.FrameBytes), and a row that chunks
-//     counts with wire.Chunks at the limit its channel encodes to, so the
-//     frame-size arithmetic lives in wire alone.
+//     counts the fewest chunks it fits with wire.Chunks at the limit its
+//     channel encodes to, so the frame-size arithmetic lives in wire alone.
 //
 // Workers launch hierarchically (worker_invoke_children): the coordinator
 // and every worker invoke the children Config.launchChildren enumerates for

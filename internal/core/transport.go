@@ -138,8 +138,9 @@ type Workload struct {
 	Workers int
 	// BytesPerPairPerLayer is the expected encoded communication volume
 	// for one (source, target) pair in one layer: one frame as
-	// wire.FrameBytes estimates it. The Queue and Hybrid rows cut it into
-	// chunks with wire.Chunks at the limit their channel encodes to.
+	// wire.FrameBytes estimates it. The Queue and Hybrid rows count the
+	// chunks it fills with wire.Chunks at the limit their channel encodes
+	// to.
 	BytesPerPairPerLayer int64
 	// PairsPerLayer is the number of communicating pairs per layer.
 	PairsPerLayer int64

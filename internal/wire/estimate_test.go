@@ -51,6 +51,45 @@ func TestFrameBytesTracksEncodeProperty(t *testing.T) {
 	t.Logf("deflated frames: estimate/actual %.2f to %.2f", minR, maxR)
 }
 
+// TestChunksBoundsEncodeChunksProperty holds Chunks(FrameBytes(...)) to
+// len(EncodeChunks(...)) over random sets at density 0, .1, .5 and 1,
+// compressed and not, at a limit that cuts most of them several times.
+// Chunks counts chunks packed full, so it is a lower bound. The split cuts
+// whole rows, as many as the NNZ heuristic's row term, rounded up, says fit,
+// and halves a chunk that encodes over the limit, so it cuts more. Measured
+// over this grid: dense raw sets up to 1.17 times the count (whole rows and
+// the rounding), other sets up to 3.67 (the row term counts no zeros of a
+// raw set, the deflate estimate runs low at density .1 and .5, and halving
+// leaves chunks part full).
+func TestChunksBoundsEncodeChunksProperty(t *testing.T) {
+	const limit = 2000
+	rng := rand.New(rand.NewSource(13))
+	dense, other := 0.0, 0.0
+	for _, density := range []float64{0, .1, .5, 1} {
+		for _, compress := range []bool{false, true} {
+			for i := 0; i < 60; i++ {
+				rs := randomRowSet(rng, 400, 64, density)
+				chunks, err := EncodeChunks(rs, limit, compress)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est := Chunks(FrameBytes(int64(rs.Len()), rs.NNZ(), rs.Batch, compress), limit)
+				r := float64(len(chunks)) / float64(est)
+				if density == 1 && !compress {
+					dense = max(dense, r)
+				} else {
+					other = max(other, r)
+				}
+				if r < 1 || r > 4 || density == 1 && !compress && r > 1.2 {
+					t.Errorf("density %v compress %v: %d rows x %d cut into %d chunks, counted %d",
+						density, compress, rs.Len(), rs.Batch, len(chunks), est)
+				}
+			}
+		}
+	}
+	t.Logf("chunks cut over chunks counted: dense raw up to %.2f, others up to %.2f", dense, other)
+}
+
 // TestChunksCountsBodiesOfTheLimit: each chunk repeats the header, so a
 // frame fills k chunks until its rows pass k times what one chunk carries.
 func TestChunksCountsBodiesOfTheLimit(t *testing.T) {

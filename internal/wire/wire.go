@@ -458,10 +458,12 @@ func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
 	return headerSize + int64(float64(rows)*rowBytes(rows, nnz, true))
 }
 
-// Chunks estimates how many byte strings EncodeChunks cuts a frame of
-// frameBytes into at limit: every chunk repeats the header, so each carries
-// at most limit-headerSize bytes of the frame's rows, and even an empty
-// frame is one chunk.
+// Chunks is the fewest byte strings a frame of frameBytes fits at limit:
+// every chunk repeats the header, so each carries at most limit-headerSize
+// bytes of the frame's rows, and even an empty frame is one chunk. It is a
+// lower bound on what EncodeChunks cuts, which packs whole rows by the NNZ
+// heuristic's row term, rounded up, and halves a chunk that still encodes
+// over the limit.
 func Chunks(frameBytes int64, limit int) int64 {
 	room := int64(limit - headerSize)
 	return max(1, (frameBytes-headerSize+room-1)/room)
