@@ -8,6 +8,7 @@ import (
 
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
+	"fsdinference/internal/wire"
 )
 
 // TestGoldenCollectivePrefilter pins the analytic pre-filter's verdicts on
@@ -81,25 +82,30 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 }
 
 // TestGoldenPrefilterVerdicts pins PrefilterChannels' rows — every kind's
-// verdict and reason — over a grid of analytic workloads: per-pair volumes
-// on both sides of the one-chunk and eight-chunk publish edges and the
-// store's single-value cap, daily volumes from unknown through sporadic to
-// store-saturating, and P in {8, 42}. The P=42 model does not fit one
-// instance, so Serial's row prunes there and trials at P=8.
+// verdict and reason — over a grid of analytic workloads: each pair ships a
+// dense raw frame of rows x batch, at batch 1 and 10 000, with sizes near
+// 1 KiB, 100 KiB, 232 800 B, 1, 2, 4 and 64 MiB, on both sides of the
+// Queue body limit at either batch and of the store's single-value cap;
+// daily volumes from unknown through sporadic to store-saturating; and P
+// in {8, 42}. The P=42 model does not fit one instance, so Serial's row
+// prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	// Re-captured when Hybrid's idle-billing rule became Memory's (its
-	// reason drops "control-plane", and its break-even prices the request
-	// channels at the workload's per-pair volume, not the pointer's), then
-	// when one price comparison replaced the one-chunk and eight-chunk rules
-	// (Object's and Queue's reasons name the dominance; no verdict moved).
-	const golden = "979fff8059f65794"
+	const golden = "2e438c2d33da1b5d"
+	frames := []struct {
+		rows  int64
+		batch int
+	}{
+		{127, 1}, {12799, 1}, {29099, 1}, {32754, 1}, {32755, 1}, {131071, 1},
+		{6, 10000}, {7, 10000}, {26, 10000}, {52, 10000}, {105, 10000}, {1677, 10000}, {1678, 10000},
+	}
 	var b strings.Builder
 	for _, p := range []int{8, 42} {
 		modelBytes := int64(1 << 30)
 		if p == 42 {
 			modelBytes = 4 << 30
 		}
-		for _, bytes := range []int64{1 << 10, 100 << 10, 232_800, 1 << 20, 2 << 20, 4 << 20, 64 << 20} {
+		for _, f := range frames {
+			bytes := wire.FrameBytes(f.rows, f.rows*int64(f.batch), f.batch, false)
 			for _, qpd := range []int64{0, 1, 20_000, 10_000_000} {
 				w := core.Workload{
 					ModelBytes: modelBytes, MemOverhead: 5.5, InstanceCapMB: 10240,
@@ -107,7 +113,8 @@ func TestGoldenPrefilterVerdicts(t *testing.T) {
 					QueriesPerDay: qpd,
 				}
 				for _, v := range PrefilterChannels(w) {
-					fmt.Fprintf(&b, "P=%d bytes=%d qpd=%d %v pruned=%v %q\n", p, bytes, qpd, v.Channel, v.Pruned, v.Reason)
+					fmt.Fprintf(&b, "P=%d frame=%dx%d (%d B) qpd=%d %v pruned=%v %q\n",
+						p, f.rows, f.batch, bytes, qpd, v.Channel, v.Pruned, v.Reason)
 				}
 			}
 		}
