@@ -96,9 +96,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "workload: N=%d L=%d P=%d batch=%d (model %d MB raw)\n",
 		*neurons, *layers, *workers, *batch, w.ModelBytes>>20)
 
-	fmt.Fprintf(stdout, "\nAPI request cost per layer (pairs=%d):\n", w.PairsPerLayer)
-	fmt.Fprintf(stdout, "%12s  %12s  %12s  %8s\n", "bytes/pair", "queue $", "object $", "ratio")
-	for _, bytes := range []int64{16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20} {
+	fmt.Fprintf(stdout, "\nAPI request cost per layer of batch-1 frames (pairs=%d):\n", w.PairsPerLayer)
+	fmt.Fprintf(stdout, "%10s  %12s  %12s  %12s  %8s\n", "rows/pair", "bytes/pair", "queue $", "object $", "ratio")
+	// The whole row counts nearest 16 KiB, 64 KiB, 256 KiB, 1 MiB, 16 MiB
+	// and 256 MiB frames of one value a row.
+	for _, rows := range []int64{2047, 8191, 32767, 131071, 2097151, 33554431} {
+		bytes := wire.FrameBytes(rows, rows, 1, false)
 		layer := core.Workload{PairsPerLayer: w.PairsPerLayer, BytesPerPairPerLayer: bytes, Layers: 1}
 		q, err := plan.RequestCost(layer, core.Queue)
 		if err != nil {
@@ -112,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if o > 0 {
 			ratio = fmt.Sprintf("%.3f", q/o)
 		}
-		fmt.Fprintf(stdout, "%12d  %12.6f  %12.6f  %8s\n", bytes, q, o, ratio)
+		fmt.Fprintf(stdout, "%10d  %12d  %12.6f  %12.6f  %8s\n", rows, bytes, q, o, ratio)
 	}
 	fmt.Fprintln(stdout, "\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
 

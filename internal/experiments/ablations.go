@@ -7,6 +7,7 @@ import (
 	"fsdinference/internal/core"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/plan"
+	"fsdinference/internal/wire"
 )
 
 // AblationPolling regenerates the paper's polling analysis (§III-C1,
@@ -137,11 +138,14 @@ func AblationCompression(l *Lab) (*Table, error) {
 func AblationQuota(l *Lab) (*Table, error) {
 	t := &Table{
 		ID:      "quota",
-		Title:   "Channel API request cost per layer vs per-pair volume (100 pairs)",
-		Columns: []string{"bytes/pair", "queue API $", "object API $", "queue/object"},
+		Title:   "Channel API request cost per layer vs per-pair volume (100 pairs, batch-1 frames)",
+		Columns: []string{"rows/pair", "bytes/pair", "queue API $", "object API $", "queue/object"},
 	}
 	crossed := ""
-	for _, bytes := range []int64{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 16 << 20, 64 << 20, 256 << 20} {
+	// The whole row counts nearest 1 KiB to 256 MiB frames of one value a
+	// row.
+	for _, rows := range []int64{127, 2047, 8191, 32767, 131071, 2097151, 8388607, 33554431} {
+		bytes := wire.FrameBytes(rows, rows, 1, false)
 		layer := core.Workload{PairsPerLayer: 100, BytesPerPairPerLayer: bytes, Layers: 1}
 		q, err := plan.RequestCost(layer, core.Queue)
 		if err != nil {
@@ -156,6 +160,7 @@ func AblationQuota(l *Lab) (*Table, error) {
 			crossed = fmt.Sprintf("%d", bytes)
 		}
 		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", rows),
 			fmt.Sprintf("%d", bytes),
 			fmt.Sprintf("%.6f", q),
 			fmt.Sprintf("%.6f", o),

@@ -299,8 +299,9 @@ func TestCompressionAblationShrinksBytes(t *testing.T) {
 
 func TestQuotaAblationCrossover(t *testing.T) {
 	tab := table(t, "quota")
-	small := cellFloat(t, tab, "1024", "queue/object")
-	big := cellFloat(t, tab, "268435456", "queue/object")
+	// Batch-1 frames of 127 and 33 554 431 rows: 1 KiB and 256 MiB.
+	small := cellFloat(t, tab, "127", "queue/object")
+	big := cellFloat(t, tab, "33554431", "queue/object")
 	if small >= 0.1 {
 		t.Fatalf("queue/object ratio at 1KB = %v, want ~1 OOM cheaper", small)
 	}
