@@ -71,11 +71,19 @@ fuzz-smoke:
 # 386 runs the package's tests, arm64 is vetted. 386 also runs the planner's
 # and fsdcost's tests, so the transport rows' float pricing — every
 # pre-filter verdict and fsdcost.golden — is checked off amd64 too, and
-# wire's, so the frame estimate the chunk split cuts by is.
+# wire's, so the frame estimate the chunk split cuts by is. Last, it fails
+# on any fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB) in arm64's
+# assembly of the pricing packages: a fused product rounds once where amd64
+# rounds twice, so a price would differ by GOARCH. An explicit conversion of
+# the product, float64(x*y) + z, forbids the fusion.
+PRICING_PKGS := ./internal/wire ./internal/core ./internal/plan ./cmd/fsdcost
 portable:
 	GOARCH=386 go test ./internal/sparse ./internal/wire
 	GOARCH=386 go test ./internal/plan ./cmd/fsdcost
 	GOARCH=arm64 go vet ./internal/sparse
+	@asm=$$(GOARCH=arm64 go build -gcflags=-S $(PRICING_PKGS) 2>&1) || { echo "$$asm" | tail -20; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[SD][[:space:]]'); \
+	if [ -n "$$fused" ]; then echo "fused multiply-adds in the arm64 build of $(PRICING_PKGS):"; echo "$$fused"; exit 1; fi
 
 # docs-paths fails when README.md or the verify recipe names a program
 # (cmd/<name>, examples/<name>, with or without ./) that has no directory, so

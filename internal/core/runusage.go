@@ -24,10 +24,12 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 	if !d.Cfg.Channel.Peerless() {
 		u.LambdaInvocations++
 	}
+	// Each product is converted before it is added, which forbids a fused
+	// multiply-add, so the ledger bills the same on every GOARCH.
 	for _, w := range run.metrics {
-		u.LambdaGBSeconds += float64(d.Cfg.WorkerMemoryMB) / 1024 * w.Runtime().Seconds()
+		u.LambdaGBSeconds += float64(float64(d.Cfg.WorkerMemoryMB) / 1024 * w.Runtime().Seconds())
 	}
-	u.LambdaGBSeconds += float64(coordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds()
+	u.LambdaGBSeconds += float64(float64(coordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds())
 
 	// Communication side, from the worker ledgers: the model store's reads
 	// and writes on every kind, then what the kind's own services were
@@ -66,7 +68,7 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 		// the run paid whether or not a failover happened.
 		for _, n := range d.kvcluster.Nodes() {
 			u.AddKVNodeHours(n.Type().Name, dur.Hours())
-			u.KVGBHours += dur.Hours() * n.Type().MemoryGB
+			u.KVGBHours += float64(dur.Hours() * n.Type().MemoryGB)
 			if n.IsReplica() {
 				u.AddKVReplicaHours(n.Type().Name, dur.Hours())
 			}

@@ -150,9 +150,11 @@ type Trial struct {
 
 // DailyCost projects the candidate's daily spend at a query volume from
 // its trial: per-request billing scales linearly with queries, the
-// provisioned node bills flat.
+// provisioned node bills flat. The product is converted before the add,
+// which forbids a fused multiply-add, so it projects the same on every
+// GOARCH.
 func (t Trial) DailyCost(queriesPerDay int64) float64 {
-	return (t.ProbeCost-t.KVCost)*float64(queriesPerDay) + t.NodeDailyCost
+	return float64((t.ProbeCost-t.KVCost)*float64(queriesPerDay)) + t.NodeDailyCost
 }
 
 // Grid bounds the candidate enumeration.
