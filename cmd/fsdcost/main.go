@@ -45,24 +45,23 @@ func workloadFor(neurons, layers, workers, batch int, queries int64) (core.Workl
 	}
 	nnz := int64(neurons) * 32 * int64(layers)
 	modelBytes := nnz*8 + int64(neurons+1)*4*int64(layers)
-	// Rough per-pair volume: wire's estimate of one frame of a tenth of a
-	// worker's rows (the cut fraction, rounded), dense, batch columns, raw
-	// as the planner's candidates deploy it (Compress off).
+	// Rough per-pair frame: a tenth of a worker's rows (the cut fraction,
+	// rounded), dense, batch columns, raw as the planner's candidates
+	// deploy it (Compress off).
 	faas := env.DefaultConfig().FaaS
-	rows := (int64(neurons/workers) + 5) / 10
-	bytesPerPair := wire.FrameBytes(rows, rows*int64(batch), batch, false)
+	frame := wire.Frame{Rows: (int64(neurons/workers) + 5) / 10, Batch: batch}
 	// Each worker sends to about six others, and never to more than the
 	// P-1 there are.
 	pairs := min(int64(workers)*6, int64(workers)*int64(workers-1))
 	return core.Workload{
-		ModelBytes:           modelBytes,
-		MemOverhead:          faas.Perf.MemOverheadWeights,
-		InstanceCapMB:        faas.MaxMemoryMB,
-		Workers:              workers,
-		BytesPerPairPerLayer: bytesPerPair,
-		PairsPerLayer:        pairs,
-		Layers:               layers,
-		QueriesPerDay:        queries,
+		ModelBytes:    modelBytes,
+		MemOverhead:   faas.Perf.MemOverheadWeights,
+		InstanceCapMB: faas.MaxMemoryMB,
+		Workers:       workers,
+		Frame:         frame,
+		PairsPerLayer: pairs,
+		Layers:        layers,
+		QueriesPerDay: queries,
 	}, nil
 }
 
@@ -101,8 +100,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The whole row counts nearest 16 KiB, 64 KiB, 256 KiB, 1 MiB, 16 MiB
 	// and 256 MiB frames of one value a row.
 	for _, rows := range []int64{2047, 8191, 32767, 131071, 2097151, 33554431} {
-		bytes := wire.FrameBytes(rows, rows, 1, false)
-		layer := core.Workload{PairsPerLayer: w.PairsPerLayer, BytesPerPairPerLayer: bytes, Layers: 1}
+		layer := core.Workload{PairsPerLayer: w.PairsPerLayer, Frame: wire.Frame{Rows: rows, Batch: 1}, Layers: 1}
 		q, err := plan.RequestCost(layer, core.Queue)
 		if err != nil {
 			return err
@@ -115,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if o > 0 {
 			ratio = fmt.Sprintf("%.3f", q/o)
 		}
-		fmt.Fprintf(stdout, "%10d  %12d  %12.6f  %12.6f  %8s\n", rows, bytes, q, o, ratio)
+		fmt.Fprintf(stdout, "%10d  %12d  %12.6f  %12.6f  %8s\n", rows, layer.Frame.Bytes(), q, o, ratio)
 	}
 	fmt.Fprintln(stdout, "\nqueue API requests are ~1 OOM cheaper until volumes saturate publish capacity (§IV-C)")
 

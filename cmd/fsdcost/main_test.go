@@ -16,7 +16,7 @@ func TestWorkloadForRejectsImpossibleDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Workers != 42 || w.Layers != 120 || w.PairsPerLayer != 42*6 || w.BytesPerPairPerLayer <= 0 || w.ModelBytes <= 0 {
+	if w.Workers != 42 || w.Layers != 120 || w.PairsPerLayer != 42*6 || w.Frame.Rows <= 0 || w.ModelBytes <= 0 {
 		t.Fatalf("default workload = %+v", w)
 	}
 	for _, tc := range []struct {

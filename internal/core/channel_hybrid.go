@@ -93,21 +93,25 @@ const bulkPointerBytes = 128
 // over the routing threshold parks its chunks in object storage, one PUT
 // and one GET each, and leaves only a pointer in the store, so neither the
 // single-value cap nor the working set sees the bulk volume. Chunks are
-// counted at HybridChunkBytes, the limit send encodes them to. Each pair
+// cut at HybridChunkBytes, the limit send encodes them to. Each pair
 // still pushes and pops one store value per layer, inline or pointer, so
 // Memory's request-rate ceiling applies unchanged.
 func predictHybrid(w Workload, cfg Config) (usage.Meter, error) {
 	var m usage.Meter
-	if w.BytesPerPairPerLayer > int64(cfg.HybridThresholdBytes) {
-		chunks := wire.Chunks(w.BytesPerPairPerLayer, cfg.HybridChunkBytes)
-		m.S3PutCalls = w.PairsPerLayer * int64(w.Layers) * chunks
+	value := w.Frame.Bytes()
+	if value > int64(cfg.HybridThresholdBytes) {
+		chunks, err := w.Frame.Chunks(cfg.HybridChunkBytes)
+		if err != nil {
+			return usage.Meter{}, err
+		}
+		m.S3PutCalls = w.PairsPerLayer * int64(w.Layers) * int64(len(chunks))
 		m.S3GetCalls = m.S3PutCalls
-		w.BytesPerPairPerLayer = bulkPointerBytes
+		value = bulkPointerBytes
 	}
 	if err := storeSaturated(w, cfg); err != nil {
 		return usage.Meter{}, err
 	}
-	if ws, over := storeWorkingSet(w, cfg); over {
+	if ws, over := storeWorkingSet(w, cfg, value); over {
 		return usage.Meter{}, fmt.Errorf("control-plane working set ~%d MB overflows %d shard(s) of %s",
 			ws>>20, cfg.KVNodes, cfg.KVNodeType)
 	}

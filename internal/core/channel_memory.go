@@ -175,13 +175,13 @@ func billStore(w *WorkerMetrics, u *usage.Meter) {
 // single-value cap rules it out however favourable the billing; then the
 // shards' request-rate ceiling and usable memory must carry the load.
 func predictMemory(w Workload, cfg Config) (usage.Meter, error) {
-	if w.PairsPerLayer > 0 && w.BytesPerPairPerLayer > int64(kvstore.DefaultConfig().MaxValueBytes) {
-		return usage.Meter{}, fmt.Errorf("per-pair volume %d B exceeds the store's single-value cap", w.BytesPerPairPerLayer)
+	if w.PairsPerLayer > 0 && w.Frame.Bytes() > int64(kvstore.DefaultConfig().MaxValueBytes) {
+		return usage.Meter{}, fmt.Errorf("per-pair volume %d B exceeds the store's single-value cap", w.Frame.Bytes())
 	}
 	if err := storeSaturated(w, cfg); err != nil {
 		return usage.Meter{}, err
 	}
-	if ws, over := storeWorkingSet(w, cfg); over {
+	if ws, over := storeWorkingSet(w, cfg, w.Frame.Bytes()); over {
 		return usage.Meter{}, fmt.Errorf("working set ~%d MB (x%d concurrent runs) overflows %d shard(s) of %s",
 			ws>>20, max(1, w.ConcurrentRuns), cfg.KVNodes, cfg.KVNodeType)
 	}
@@ -221,14 +221,14 @@ func storeSaturated(w Workload, cfg Config) error {
 const storeHeadroom = 2.0
 
 // storeWorkingSet returns the peak bytes resident in the store — one
-// layer's pair values per in-flight run — and whether, with storeHeadroom
+// layer's pair values of valueBytes each per in-flight run — and whether, with storeHeadroom
 // applied, they overflow the usable memory of cfg's shards. Capacity scales
 // with the shard count, like the request-rate ceiling: this is the rule that
 // forces the memory channel onto bigger nodes (or more shards) under bulk
 // tensors at high run concurrency, and the one Hybrid escapes by parking
 // bulk values in object storage.
-func storeWorkingSet(w Workload, cfg Config) (bytes int64, overflows bool) {
-	bytes = int64(max(1, w.ConcurrentRuns)) * w.PairsPerLayer * w.BytesPerPairPerLayer
+func storeWorkingSet(w Workload, cfg Config, valueBytes int64) (bytes int64, overflows bool) {
+	bytes = int64(max(1, w.ConcurrentRuns)) * w.PairsPerLayer * valueBytes
 	usable := kvstore.Catalog[cfg.KVNodeType].MemoryGB * float64(int64(1)<<30) * float64(cfg.KVNodes)
 	return bytes, float64(bytes)*storeHeadroom > usable
 }

@@ -118,13 +118,17 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 		return usage.Meter{}, nil
 	}
 	pub, recv := sns.DefaultConfig(), int64(sqs.DefaultConfig().MaxBatch)
-	chunks := wire.Chunks(w.BytesPerPairPerLayer, queueBodyLimit(pub))
+	frames, err := w.Frame.Chunks(queueBodyLimit(pub))
+	if err != nil {
+		return usage.Meter{}, err
+	}
+	chunks := int64(len(frames))
 	messages := w.PairsPerLayer * chunks
 	publishes := (messages + int64(pub.MaxBatchEntries) - 1) / int64(pub.MaxBatchEntries)
 	if chunks > 1 {
 		publishes = messages
 	}
-	billed := max(publishes, pricing.BilledPublishRequests(w.BytesPerPairPerLayer*w.PairsPerLayer))
+	billed := max(publishes, pricing.BilledPublishRequests(w.Frame.Bytes()*w.PairsPerLayer))
 	polls := (messages + recv - 1) / recv
 	layers := int64(w.Layers)
 	return usage.Meter{SNSBilledPublishes: billed * layers, SQSReceiveCalls: polls * layers, SQSDeleteCalls: polls * layers}, nil

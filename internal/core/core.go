@@ -71,10 +71,11 @@
 //     returns, and the planner's pre-filter (plan.analyticPrune) and
 //     cmd/fsdcost read kinds through it (PredictQuery) and through two
 //     facts of the row: ChannelKind.Peerless and ChannelKind.ProvisionsStore,
-//     whose node-hours StoreDailyCost prices. A Workload's per-pair volume
-//     is wire's frame estimate (wire.FrameBytes), and a row that chunks
-//     counts the fewest chunks it fits with wire.Chunks at the limit its
-//     channel encodes to, so the frame-size arithmetic lives in wire alone.
+//     whose node-hours StoreDailyCost prices. A Workload describes each
+//     pair's traffic as a wire.Frame, rows by batch; wire sizes it
+//     (Frame.Bytes), and a row that chunks cuts it with Frame.Chunks at the
+//     limit its channel encodes to, the split EncodeChunks runs, so the
+//     frame-size and chunk arithmetic lives in wire alone.
 //
 // Workers launch hierarchically (worker_invoke_children): the coordinator
 // and every worker invoke the children Config.launchChildren enumerates for

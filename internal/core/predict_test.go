@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"fsdinference/internal/cloud/pricing"
-	"fsdinference/internal/cloud/sns"
+	"fsdinference/internal/wire"
 )
 
-// layerCost prices one layer of pairs exchanging bytesPerPair each on kind's
-// transport row: the §IV-C per-request comparison.
-func layerCost(t *testing.T, kind ChannelKind, pairs, bytesPerPair int64) float64 {
+// layerCost prices one layer of pairs exchanging a batch-1 frame of rows
+// each on kind's transport row: the §IV-C per-request comparison.
+func layerCost(t *testing.T, kind ChannelKind, pairs, rows int64) float64 {
 	t.Helper()
-	m, err := PredictQuery(Workload{PairsPerLayer: pairs, BytesPerPairPerLayer: bytesPerPair, Layers: 1}, Config{Channel: kind})
+	m, err := PredictQuery(Workload{PairsPerLayer: pairs, Frame: wire.Frame{Rows: rows, Batch: 1}, Layers: 1}, Config{Channel: kind})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func layerCost(t *testing.T, kind ChannelKind, pairs, bytesPerPair int64) float6
 func TestQueueAPIRequestsCheaperAtModerateVolume(t *testing.T) {
 	// §IV-C: for payloads within publish capacity, pub-sub/queueing API
 	// costs are 1-2 OOM below object storage.
-	q, o := layerCost(t, Queue, 100, 32*1024), layerCost(t, Object, 100, 32*1024)
+	q, o := layerCost(t, Queue, 100, 4095), layerCost(t, Object, 100, 4095) // 32 KiB
 	if q*10 > o {
 		t.Fatalf("queue API cost %v not ~1 OOM below object %v", q, o)
 	}
@@ -30,7 +30,7 @@ func TestQueueAPIRequestsCheaperAtModerateVolume(t *testing.T) {
 func TestObjectWinsAtHugeVolumes(t *testing.T) {
 	// When each pair ships hundreds of MB, publish amplification makes the
 	// queue channel more expensive than per-request object pricing.
-	q, o := layerCost(t, Queue, 100, 512*1024*1024), layerCost(t, Object, 100, 512*1024*1024)
+	q, o := layerCost(t, Queue, 100, 64<<20-1), layerCost(t, Object, 100, 64<<20-1) // 512 MiB
 	if q < o {
 		t.Fatalf("queue API cost %v should exceed object %v at 512 MB/pair", q, o)
 	}
@@ -39,36 +39,47 @@ func TestObjectWinsAtHugeVolumes(t *testing.T) {
 // TestRequestRowsBillNothingWithoutPairs: with no pairs nothing crosses a
 // channel, whatever the per-pair volume.
 func TestRequestRowsBillNothingWithoutPairs(t *testing.T) {
-	q, o := layerCost(t, Queue, 0, 1000), layerCost(t, Object, 0, 1000)
+	q, o := layerCost(t, Queue, 0, 124), layerCost(t, Object, 0, 124)
 	if q != 0 || o != 0 {
 		t.Fatalf("zero pairs costed %v/%v", q, o)
 	}
 }
 
-// TestPublishChunks: a pair's layer volume publishes in chunks of the body
-// buildMessages encodes to, each repeating the frame header, and even an
-// empty one is one message. Ten pairs' messages fill one receive a chunk.
+// TestPublishChunks: a pair's frame publishes in the chunks buildMessages
+// cuts at the Queue body limit, 262 048 B: 29 115 one-value rows or 6 rows
+// of 10 000 a chunk (the split keeps a byte of slack a row, so 32 754
+// one-value rows, 262 042 B, take two), and even an empty frame is one
+// message. Ten pairs' messages fill one receive a chunk.
 func TestPublishChunks(t *testing.T) {
-	limit := int64(queueBodyLimit(sns.DefaultConfig()))
-	for _, tc := range []struct{ bytes, want int64 }{
-		{0, 1}, {1, 1}, {limit, 1}, {limit + 1, 2}, {256 << 10, 2}, {1 << 20, 5},
+	for _, tc := range []struct {
+		f    wire.Frame
+		want int64
+	}{
+		{wire.Frame{Rows: 0, Batch: 1}, 1}, {wire.Frame{Rows: 1, Batch: 1}, 1},
+		{wire.Frame{Rows: 29115, Batch: 1}, 1}, {wire.Frame{Rows: 29116, Batch: 1}, 2},
+		{wire.Frame{Rows: 32754, Batch: 1}, 2}, {wire.Frame{Rows: 131071, Batch: 1}, 5},
+		{wire.Frame{Rows: 6, Batch: 10000}, 1}, {wire.Frame{Rows: 7, Batch: 10000}, 2},
+		{wire.Frame{Rows: 39, Batch: 10000}, 7},
 	} {
-		m, err := predictQueue(Workload{PairsPerLayer: 10, BytesPerPairPerLayer: tc.bytes, Layers: 1}, Config{})
+		m, err := predictQueue(Workload{PairsPerLayer: 10, Frame: tc.f, Layers: 1}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.SQSReceiveCalls != tc.want {
-			t.Errorf("%d B a pair: %d chunks, want %d", tc.bytes, m.SQSReceiveCalls, tc.want)
+			t.Errorf("%+v a pair: %d chunks, want %d", tc.f, m.SQSReceiveCalls, tc.want)
 		}
+	}
+	if _, err := predictQueue(Workload{PairsPerLayer: 10, Frame: wire.Frame{Rows: 1, Batch: 70000}, Layers: 1}, Config{}); err == nil {
+		t.Error("a row wider than the body limit priced")
 	}
 }
 
-// TestHybridParksBulkInObjectStorage: a per-pair volume over the routing
-// threshold bills one PUT and one GET per chunk and leaves one store push
-// and pop per pair, as a small value does. Every 1 MiB chunk repeats the
-// frame header, so a 3 MiB frame takes four.
+// TestHybridParksBulkInObjectStorage: a frame over the routing threshold
+// bills one PUT and one GET per chunk and leaves one store push and pop per
+// pair, as a small value does. A 1 MiB chunk holds 116 507 one-value rows,
+// so a 3 MiB frame takes four.
 func TestHybridParksBulkInObjectStorage(t *testing.T) {
-	w := Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 3 << 20}
+	w := Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, Frame: wire.Frame{Rows: 3<<17 - 1, Batch: 1}}
 	m, err := PredictQuery(w, Config{Channel: Hybrid})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +87,7 @@ func TestHybridParksBulkInObjectStorage(t *testing.T) {
 	if want := int64(48 * 12 * 4); m.S3PutCalls != want || m.S3GetCalls != want {
 		t.Fatalf("%d PUTs and %d GETs for 3 MiB in 1 MiB chunks, want %d each", m.S3PutCalls, m.S3GetCalls, want)
 	}
-	small, err := PredictQuery(Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 1 << 10}, Config{Channel: Hybrid})
+	small, err := PredictQuery(Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, Frame: wire.Frame{Rows: 127, Batch: 1}}, Config{Channel: Hybrid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/collective"
+	"fsdinference/internal/wire"
 )
 
 // transport declares one ChannelKind: everything the engine and the planner
@@ -136,12 +137,11 @@ type Workload struct {
 	InstanceCapMB int
 	// Workers is the intended parallelism P.
 	Workers int
-	// BytesPerPairPerLayer is the expected encoded communication volume
-	// for one (source, target) pair in one layer: one frame as
-	// wire.FrameBytes estimates it. The Queue and Hybrid rows count the
-	// chunks it fills with wire.Chunks at the limit their channel encodes
-	// to.
-	BytesPerPairPerLayer int64
+	// Frame is what one (source, target) pair ships in one layer: a dense
+	// raw frame of rows and batch, as the planner's candidates deploy it.
+	// wire sizes it (Frame.Bytes), and the Queue and Hybrid rows cut it
+	// with the split their channel encodes by (Frame.Chunks).
+	Frame wire.Frame
 	// PairsPerLayer is the number of communicating pairs per layer.
 	PairsPerLayer int64
 	// Layers is the layer count.

@@ -145,8 +145,8 @@ func AblationQuota(l *Lab) (*Table, error) {
 	// The whole row counts nearest 1 KiB to 256 MiB frames of one value a
 	// row.
 	for _, rows := range []int64{127, 2047, 8191, 32767, 131071, 2097151, 8388607, 33554431} {
-		bytes := wire.FrameBytes(rows, rows, 1, false)
-		layer := core.Workload{PairsPerLayer: 100, BytesPerPairPerLayer: bytes, Layers: 1}
+		layer := core.Workload{PairsPerLayer: 100, Frame: wire.Frame{Rows: rows, Batch: 1}, Layers: 1}
+		bytes := layer.Frame.Bytes()
 		q, err := plan.RequestCost(layer, core.Queue)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsdinference/internal/core"
+	"fsdinference/internal/wire"
 )
 
 // The hysteresis band around the break-even: crossings inside the band
@@ -124,7 +125,7 @@ func TestCostObjectivePrunesClusterVariantsWhenSingleNodeSuffices(t *testing.T) 
 // same store, so under a pure cost objective its larger clusters are
 // dominated as Memory's are, and kept when one node would saturate.
 func TestHybridClusterDominatedWhenOneNodeCarriesIt(t *testing.T) {
-	w := core.Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, BytesPerPairPerLayer: 64 << 10, QueriesPerDay: 200_000}
+	w := core.Workload{Workers: 8, PairsPerLayer: 48, Layers: 12, Frame: wire.Frame{Rows: 8191, Batch: 1}, QueriesPerDay: 200_000}
 	c := Candidate{Channel: core.Hybrid, Workers: 8, KVNodeType: core.DefaultKVNodeType, KVNodes: 2}
 	if reason, _ := analyticPrune(c, w, true, true); !strings.Contains(reason, "dominated") {
 		t.Fatalf("2-shard hybrid at %d/day: %q", w.QueriesPerDay, reason)

@@ -90,7 +90,7 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // in {8, 42}. The P=42 model does not fit one instance, so Serial's row
 // prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	const golden = "2e438c2d33da1b5d"
+	const golden = "04ff8031b1032d8a"
 	frames := []struct {
 		rows  int64
 		batch int
@@ -105,16 +105,16 @@ func TestGoldenPrefilterVerdicts(t *testing.T) {
 			modelBytes = 4 << 30
 		}
 		for _, f := range frames {
-			bytes := wire.FrameBytes(f.rows, f.rows*int64(f.batch), f.batch, false)
+			frame := wire.Frame{Rows: f.rows, Batch: f.batch}
 			for _, qpd := range []int64{0, 1, 20_000, 10_000_000} {
 				w := core.Workload{
 					ModelBytes: modelBytes, MemOverhead: 5.5, InstanceCapMB: 10240,
-					Workers: p, BytesPerPairPerLayer: bytes, PairsPerLayer: int64(6 * p), Layers: 120,
+					Workers: p, Frame: frame, PairsPerLayer: int64(6 * p), Layers: 120,
 					QueriesPerDay: qpd,
 				}
 				for _, v := range PrefilterChannels(w) {
 					fmt.Fprintf(&b, "P=%d frame=%dx%d (%d B) qpd=%d %v pruned=%v %q\n",
-						p, f.rows, f.batch, bytes, qpd, v.Channel, v.Pruned, v.Reason)
+						p, f.rows, f.batch, frame.Bytes(), qpd, v.Channel, v.Pruned, v.Reason)
 				}
 			}
 		}

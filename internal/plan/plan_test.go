@@ -8,6 +8,7 @@ import (
 	"fsdinference/internal/cloud/pricing"
 	"fsdinference/internal/core"
 	"fsdinference/internal/model"
+	"fsdinference/internal/wire"
 )
 
 // distributedGrid restricts planning to the queue and memory channels at
@@ -302,14 +303,14 @@ func verdictFor(t *testing.T, w core.Workload, kind core.ChannelKind) PruneVerdi
 
 func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 	w := core.Workload{
-		ModelBytes:           1 << 30,
-		MemOverhead:          5.5,
-		InstanceCapMB:        10240,
-		Workers:              8,
-		BytesPerPairPerLayer: 16 << 10, // one publish chunk
-		PairsPerLayer:        48,
-		Layers:               12,
-		QueriesPerDay:        20,
+		ModelBytes:    1 << 30,
+		MemOverhead:   5.5,
+		InstanceCapMB: 10240,
+		Workers:       8,
+		Frame:         wire.Frame{Rows: 2047, Batch: 1}, // 16 KiB, one publish chunk
+		PairsPerLayer: 48,
+		Layers:        12,
+		QueriesPerDay: 20,
 	}
 	if v := verdictFor(t, w, core.Queue); v.Pruned {
 		t.Fatalf("queue pruned at one chunk: %q", v.Reason)
@@ -321,7 +322,7 @@ func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 		t.Fatal("memory not pruned on a sporadic 20/day workload")
 	}
 	// Saturating volumes flip the queue/object verdicts.
-	w.BytesPerPairPerLayer = 16 << 20
+	w.Frame = wire.Frame{Rows: 2097151, Batch: 1} // 16 MiB
 	w.QueriesPerDay = 1_000_000
 	if !verdictFor(t, w, core.Queue).Pruned {
 		t.Fatal("queue not pruned at saturating volumes")
@@ -338,11 +339,11 @@ func TestPrefilterChannelsAnalyticVerdicts(t *testing.T) {
 // for every kind.
 func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 	w := core.Workload{
-		Workers:              8,
-		BytesPerPairPerLayer: 64 << 10,
-		PairsPerLayer:        48,
-		Layers:               12,
-		QueriesPerDay:        500_000_000, // ~6.9M store ops/s
+		Workers:       8,
+		Frame:         wire.Frame{Rows: 8191, Batch: 1}, // 64 KiB
+		PairsPerLayer: 48,
+		Layers:        12,
+		QueriesPerDay: 500_000_000, // ~6.9M store ops/s
 	}
 	mem := verdictFor(t, w, core.Memory)
 	if !mem.Pruned || !strings.Contains(mem.Reason, "saturating 1 shard(s) of "+core.DefaultKVNodeType) {
@@ -374,7 +375,7 @@ func TestPrefilterChannelsAppliesFeasibilityRules(t *testing.T) {
 func TestPrefilterChannelsSerialFootprint(t *testing.T) {
 	w := core.Workload{
 		ModelBytes: 30 << 20, MemOverhead: 5.5, InstanceCapMB: 10240,
-		Workers: 8, BytesPerPairPerLayer: 10_000, PairsPerLayer: 50, Layers: 120,
+		Workers: 8, Frame: wire.Frame{Rows: 1249, Batch: 1}, PairsPerLayer: 50, Layers: 120,
 	}
 	fits := func() bool {
 		_, err := core.PredictQuery(w, core.Config{Channel: core.Serial})
@@ -401,7 +402,7 @@ func TestPrefilterChannelsSerialFootprint(t *testing.T) {
 func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
 	w := core.Workload{
 		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
-		Workers: 62, BytesPerPairPerLayer: 100 << 20, PairsPerLayer: 2000, Layers: 120,
+		Workers: 62, Frame: wire.Frame{Rows: 100<<17 - 1, Batch: 1}, PairsPerLayer: 2000, Layers: 120, // 100 MiB
 		QueriesPerDay: 10_000,
 	}
 	if v := verdictFor(t, w, core.Memory); !v.Pruned || !strings.Contains(v.Reason, "single-value cap") {
@@ -422,10 +423,12 @@ func TestPrefilterChannelsHybridEscapesBulkRules(t *testing.T) {
 // volume that saturates the node's request rate prunes both with the same
 // reason, whatever the per-pair size, and a second shard relieves both.
 func TestPrefilterChannelsHybridSaturatesAsMemory(t *testing.T) {
-	for _, bytes := range []int64{64 << 10, 100 << 20} {
+	for _, rows := range []int64{8191, 100<<17 - 1} { // 64 KiB and 100 MiB
+		f := wire.Frame{Rows: rows, Batch: 1}
+		bytes := f.Bytes()
 		w := core.Workload{
 			ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
-			Workers: 62, BytesPerPairPerLayer: bytes, PairsPerLayer: 2000, Layers: 120,
+			Workers: 62, Frame: f, PairsPerLayer: 2000, Layers: 120,
 			QueriesPerDay: 30_000,
 		}
 		hyb := verdictFor(t, w, core.Hybrid)
@@ -603,7 +606,7 @@ func TestPrefilterTrialsSerial(t *testing.T) {
 func moderate(queriesPerDay int64) core.Workload {
 	return core.Workload{
 		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
-		Workers: 42, BytesPerPairPerLayer: 100 * 1024, PairsPerLayer: 500, Layers: 120,
+		Workers: 42, Frame: wire.Frame{Rows: 12799, Batch: 1}, PairsPerLayer: 500, Layers: 120, // 100 KiB
 		QueriesPerDay: queriesPerDay,
 	}
 }
@@ -624,7 +627,7 @@ func TestPrefilterChannelsKeepQueueAtModerateVolumes(t *testing.T) {
 func TestPrefilterChannelsKeepObjectAtHugeVolumes(t *testing.T) {
 	w := core.Workload{
 		ModelBytes: 4 << 30, MemOverhead: 5.5, InstanceCapMB: 10240,
-		Workers: 62, BytesPerPairPerLayer: 64 << 20, PairsPerLayer: 2000, Layers: 120,
+		Workers: 62, Frame: wire.Frame{Rows: 8<<20 - 1, Batch: 1}, PairsPerLayer: 2000, Layers: 120, // 64 MiB
 	}
 	if v := verdictFor(t, w, core.Object); v.Pruned {
 		t.Fatalf("object pruned at 64 MiB per pair: %q", v.Reason)

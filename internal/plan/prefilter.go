@@ -51,9 +51,9 @@ const prefilterMargin = 10
 const dominanceFactor = 3
 
 // analyticWorkload derives the §IV cost-model workload for a candidate:
-// the per-pair volume is wire's estimate of the frame the candidate's
-// deployment ships for the trial partition plan's mean rows per pair,
-// dense, at the profile's batch width.
+// each pair ships a dense raw frame of the trial partition plan's mean rows
+// per pair at the profile's batch width, as the candidate's deployment
+// ships it (Compress off).
 func (p *Planner) analyticWorkload(c Candidate, profile WorkloadProfile) (core.Workload, error) {
 	pl, err := p.partitionPlan(c.Workers)
 	if err != nil {
@@ -67,8 +67,7 @@ func (p *Planner) analyticWorkload(c Candidate, profile WorkloadProfile) (core.W
 	}
 	w := p.footprint()
 	w.Workers = c.Workers
-	rows, batch := int64(math.Round(st.RowsPerPair)), profile.BatchSamples
-	w.BytesPerPairPerLayer = wire.FrameBytes(rows, rows*int64(batch), batch, c.deployment().Compress)
+	w.Frame = wire.Frame{Rows: int64(math.Round(st.RowsPerPair)), Batch: profile.BatchSamples}
 	w.PairsPerLayer = pairsPerLayer
 	w.Layers = layers
 	w.QueriesPerDay = profile.QueriesPerDay
@@ -145,7 +144,7 @@ func analyticPrune(c Candidate, w core.Workload, costOnly, singleNodeOffered boo
 	cheap, cheapest := cheapestRequests(w)
 	if price := m.Cost(pricing.Default()).Total(); cheapest > 0 && price >= dominanceFactor*cheapest {
 		return fmt.Sprintf("per-pair volume %d B: %v's requests are %.1fx cheaper; dominated on pure cost",
-			w.BytesPerPairPerLayer, cheap, price/cheapest), 0
+			w.Frame.Bytes(), cheap, price/cheapest), 0
 	}
 	return "", 0
 }

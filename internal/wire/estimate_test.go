@@ -3,21 +3,18 @@ package wire
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// TestFrameBytesTracksEncodeProperty holds FrameBytes to len(Encode(...))
+// TestFrameBytesTracksEncodeProperty holds Frame.Bytes to len(Encode(...))
 // over random row sets at density 0, .1, .5 and 1, compressed and not, on
-// both sides of deflateFrom. A frame that ships raw is sized exactly. A
-// deflated one lands in the band below, measured over this grid at 0.50
-// to 1.10 of the actual length: the heuristic assumes zeros compress away,
-// but zeros scattered among nonzeros do not (density .1 and .5 run low),
-// and random ids compress a little (density 0 runs high).
+// both sides of deflateFrom: a raw frame writes every value, zeros
+// included, so a set's shape alone sizes it exactly. A deflated frame is
+// not what a Frame describes; the grid only checks that it occurs.
 func TestFrameBytesTracksEncodeProperty(t *testing.T) {
-	const lo, hi = 0.45, 1.2
 	rng := rand.New(rand.NewSource(11))
-	small, large := 0, 0
-	minR, maxR := 10.0, 0.0
+	raw, deflated := 0, 0
 	for _, density := range []float64{0, .1, .5, 1} {
 		for _, compress := range []bool{false, true} {
 			for i := 0; i < 60; i++ {
@@ -26,81 +23,127 @@ func TestFrameBytesTracksEncodeProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := FrameBytes(int64(rs.Len()), rs.NNZ(), rs.Batch, compress)
-				if !Deflated(p) {
-					small++
-					if est != int64(len(p)) {
-						t.Fatalf("density %v compress %v: raw frame of %d rows x %d is %d B, estimated %d",
-							density, compress, rs.Len(), rs.Batch, len(p), est)
-					}
+				f := Frame{Rows: int64(rs.Len()), Batch: rs.Batch}
+				if Deflated(p) {
+					deflated++
 					continue
 				}
-				large++
-				r := float64(est) / float64(len(p))
-				minR, maxR = min(minR, r), max(maxR, r)
-				if r < lo || r > hi {
-					t.Errorf("density %v: %d rows x %d deflate to %d B, estimated %d (%.2fx, band %v-%v)",
-						density, rs.Len(), rs.Batch, len(p), est, r, lo, hi)
+				raw++
+				if f.Bytes() != int64(len(p)) {
+					t.Fatalf("density %v compress %v: raw frame of %d rows x %d is %d B, sized %d",
+						density, compress, rs.Len(), rs.Batch, len(p), f.Bytes())
 				}
 			}
 		}
 	}
-	if small == 0 || large == 0 {
-		t.Fatalf("cases not exercised: %d raw, %d deflated", small, large)
+	if raw == 0 || deflated == 0 {
+		t.Fatalf("cases not exercised: %d raw, %d deflated", raw, deflated)
 	}
-	t.Logf("deflated frames: estimate/actual %.2f to %.2f", minR, maxR)
 }
 
-// TestChunksBoundsEncodeChunksProperty holds Chunks(FrameBytes(...)) to
-// len(EncodeChunks(...)) over random sets at density 0, .1, .5 and 1,
-// compressed and not, at a limit that cuts most of them several times.
-// Chunks counts chunks packed full, so it is a lower bound. The split cuts
-// whole rows, as many as the NNZ heuristic's row term, rounded up, says fit,
-// and halves a chunk that encodes over the limit, so it cuts more. Measured
-// over this grid: dense raw sets up to 1.17 times the count (whole rows and
-// the rounding), other sets up to 3.67 (the row term counts no zeros of a
-// raw set, the deflate estimate runs low at density .1 and .5, and halving
-// leaves chunks part full).
+// TestChunksBoundsEncodeChunksProperty: over random dense sets, batches and
+// limits, Frame.Chunks is EncodeChunks' raw split exactly, chunk for chunk
+// (each chunk frame's Bytes is its byte string's length), and both refuse
+// the same limits. A set with zeros, or one cut for deflating, is cut by its
+// own NNZ term, so the dense frame's count only bounds it, within the bands
+// below. Measured over this grid: raw sets with zeros pack more rows a
+// chunk and are halved where that overflows, 0.90 to 1.88 times the count;
+// deflated sets shrink to as little as 0.02 of it (all zeros), and dense
+// ones, whose floats deflate less than the heuristic assumes, are halved
+// up to 1.67 times it.
 func TestChunksBoundsEncodeChunksProperty(t *testing.T) {
-	const limit = 2000
 	rng := rand.New(rand.NewSource(13))
-	dense, other := 0.0, 0.0
+	exact, refused := 0, 0
+	for i := 0; i < 400; i++ {
+		rs := randomRowSet(rng, 400, 64, 1)
+		limit := headerSize + 1 + rng.Intn(4000)
+		f := Frame{Rows: int64(rs.Len()), Batch: rs.Batch}
+		if rs.NNZ() != f.Rows*int64(f.Batch) {
+			t.Fatalf("set %d is not dense", i)
+		}
+		want, wantErr := EncodeChunks(rs, limit, false)
+		got, err := f.Chunks(limit)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%d rows x %d at limit %d: Chunks errs %v, EncodeChunks %v", f.Rows, f.Batch, limit, err, wantErr)
+		}
+		if err != nil {
+			refused++
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d rows x %d at limit %d: counted %d chunks, cut %d", f.Rows, f.Batch, limit, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].Bytes() != int64(len(want[j])) {
+				t.Fatalf("%d rows x %d at limit %d: chunk %d sized %d, cut %d B", f.Rows, f.Batch, limit, j, got[j].Bytes(), len(want[j]))
+			}
+		}
+		exact++
+	}
+	if exact == 0 || refused == 0 {
+		t.Fatalf("cases not exercised: %d exact, %d refused", exact, refused)
+	}
+	const limit = 2000
+	rawLo, zLo, hi := 0.85, 0.01, 2.0
 	for _, density := range []float64{0, .1, .5, 1} {
 		for _, compress := range []bool{false, true} {
+			if density == 1 && !compress {
+				continue
+			}
 			for i := 0; i < 60; i++ {
 				rs := randomRowSet(rng, 400, 64, density)
 				chunks, err := EncodeChunks(rs, limit, compress)
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := Chunks(FrameBytes(int64(rs.Len()), rs.NNZ(), rs.Batch, compress), limit)
-				r := float64(len(chunks)) / float64(est)
-				if density == 1 && !compress {
-					dense = max(dense, r)
-				} else {
-					other = max(other, r)
+				dense, err := Frame{Rows: int64(rs.Len()), Batch: rs.Batch}.Chunks(limit)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if r < 1 || r > 4 || density == 1 && !compress && r > 1.2 {
-					t.Errorf("density %v compress %v: %d rows x %d cut into %d chunks, counted %d",
-						density, compress, rs.Len(), rs.Batch, len(chunks), est)
+				r := float64(len(chunks)) / float64(len(dense))
+				if lo := map[bool]float64{false: rawLo, true: zLo}[compress]; r < lo || r > hi {
+					t.Errorf("density %v compress %v: %d rows x %d cut into %d chunks, dense frame %d",
+						density, compress, rs.Len(), rs.Batch, len(chunks), len(dense))
 				}
 			}
 		}
 	}
-	t.Logf("chunks cut over chunks counted: dense raw up to %.2f, others up to %.2f", dense, other)
 }
 
-// TestChunksCountsBodiesOfTheLimit: each chunk repeats the header, so a
-// frame fills k chunks until its rows pass k times what one chunk carries.
+// TestChunksCountsBodiesOfTheLimit: every chunk repeats the header, and the
+// split's row term keeps a byte of slack a row, so at limit 1000 a chunk of
+// one-value rows holds 990/9 = 110 of them, not the 123 whose 994 B would
+// fit; the last chunk holds the rest. A row over the limit and a limit no
+// frame fits are refused.
 func TestChunksCountsBodiesOfTheLimit(t *testing.T) {
 	const limit = 1000
-	for _, tc := range []struct{ frame, want int64 }{
-		{0, 1}, {headerSize, 1}, {limit, 1}, {limit + 1, 2},
-		{2*limit - headerSize, 2}, {2*limit - headerSize + 1, 3},
+	for _, tc := range []struct {
+		rows int64
+		want []int64
+	}{
+		{0, []int64{0}}, {1, []int64{1}}, {110, []int64{110}}, {111, []int64{110, 1}},
+		{123, []int64{110, 13}}, {221, []int64{110, 110, 1}},
 	} {
-		if got := Chunks(tc.frame, limit); got != tc.want {
-			t.Errorf("Chunks(%d, %d) = %d, want %d", tc.frame, limit, got, tc.want)
+		chunks, err := Frame{Rows: tc.rows, Batch: 1}.Chunks(limit)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var got []int64
+		for _, c := range chunks {
+			got = append(got, c.Rows)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%d rows: chunks of %v rows, want %v", tc.rows, got, tc.want)
+		}
+	}
+	if _, err := (Frame{Rows: 1, Batch: 246}).Chunks(limit); err != nil {
+		t.Errorf("a row of exactly the limit refused: %v", err)
+	}
+	if _, err := (Frame{Rows: 1, Batch: 247}).Chunks(limit); err == nil {
+		t.Error("a row over the limit counted")
+	}
+	if _, err := (Frame{}).Chunks(headerSize + 8); err == nil {
+		t.Error("a limit no frame fits counted")
 	}
 }
 

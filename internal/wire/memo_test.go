@@ -244,7 +244,7 @@ func referenceChunks(t testing.TB, rs *RowSet, limit int, compress bool) [][]byt
 	if rs.Len() == 0 {
 		return [][]byte{freshEncode(t, rs, compress)}
 	}
-	rowsPer := rowsPerChunk(rs, limit, compress)
+	rowsPer := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, compress)
 	var out [][]byte
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
@@ -303,7 +303,7 @@ func TestEncodeChunksUnchangedProperty(t *testing.T) {
 			}
 			// More chunks than the heuristic's initial split: a chunk was
 			// re-split.
-			if per := rowsPerChunk(rs, limit, compress); rs.Len() > 0 && len(want) > (rs.Len()+per-1)/per {
+			if per := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, compress); rs.Len() > 0 && len(want) > (rs.Len()+per-1)/per {
 				reSplit++
 			}
 		}

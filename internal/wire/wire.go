@@ -430,7 +430,7 @@ const assumedCompressionRatio = 0.6
 // frame body that one of rows rows holding nnz nonzero values takes, its
 // id plus its share of the nonzeros (zeros are assumed compressed away),
 // the nonzeros at assumedCompressionRatio under compress. The chunk split
-// divides its limit by it; FrameBytes builds a frame from it.
+// divides its limit by it.
 func rowBytes(rows, nnz int64, compress bool) float64 {
 	valBytes := float64(max(nnz, 1)*4) / float64(rows)
 	if compress {
@@ -445,34 +445,48 @@ func rowBytes(rows, nnz int64, compress bool) float64 {
 // id and its values, zeros included, 4 bytes each, as Encode writes them.
 func RawRowBytes(batch int) int64 { return 4 * (1 + int64(batch)) }
 
-// FrameBytes estimates len(Encode(rs, compress)) for a set rs of rows rows
-// of batch values, nnz of them nonzero, before the set exists: the header
-// plus rows times rowBytes for a frame that deflates, and the raw frame,
-// zeros included, for one that deflateFrom's rule ships raw. It is the
-// per-pair volume of the §IV cost model.
-func FrameBytes(rows, nnz int64, batch int, compress bool) int64 {
-	raw := headerSize + rows*RawRowBytes(batch)
-	if !compress || raw < deflateFrom {
-		return raw
+// Frame is the shape of a dense row set, Rows rows of Batch values, every
+// value nonzero, shipped raw: what one (source, target) pair sends in a
+// layer as the §IV cost model sees it, before the set exists.
+type Frame struct {
+	Rows  int64
+	Batch int
+}
+
+// Bytes is len(Encode(rs, false)) for a set rs of f's shape: the header and
+// each row's id and values.
+func (f Frame) Bytes() int64 { return headerSize + f.Rows*RawRowBytes(f.Batch) }
+
+// Chunks is what EncodeChunks(rs, limit, false) cuts a dense set rs of f's
+// shape into, one frame a byte string: rowsPerChunk's rows each and the
+// rest in the last, or one empty frame for an empty f. It is exact: a raw
+// chunk of dense rows encodes to its Bytes, which the row term keeps under
+// the limit, so the split never halves one. It errs where EncodeChunks
+// does: on a limit too small for any frame and on a row wider than limit.
+func (f Frame) Chunks(limit int) ([]Frame, error) {
+	if limit <= headerSize+8 {
+		return nil, fmt.Errorf("wire: chunk limit %d too small", limit)
 	}
-	return headerSize + int64(float64(rows)*rowBytes(rows, nnz, true))
+	if f.Rows == 0 {
+		return []Frame{f}, nil
+	}
+	if row := (Frame{Rows: 1, Batch: f.Batch}).Bytes(); row > int64(limit) {
+		return nil, fmt.Errorf("wire: single row encodes to %d bytes, over the %d limit", row, limit)
+	}
+	per := int64(rowsPerChunk(f.Rows, f.Rows*int64(f.Batch), limit, false))
+	chunks := make([]Frame, 0, (f.Rows+per-1)/per)
+	for lo := int64(0); lo < f.Rows; lo += per {
+		chunks = append(chunks, Frame{Rows: min(per, f.Rows-lo), Batch: f.Batch})
+	}
+	return chunks, nil
 }
 
-// Chunks is the fewest byte strings a frame of frameBytes fits at limit:
-// every chunk repeats the header, so each carries at most limit-headerSize
-// bytes of the frame's rows, and even an empty frame is one chunk. It is a
-// lower bound on what EncodeChunks cuts, which packs whole rows by the NNZ
-// heuristic's row term, rounded up, and halves a chunk that still encodes
-// over the limit.
-func Chunks(frameBytes int64, limit int) int64 {
-	room := int64(limit - headerSize)
-	return max(1, (frameBytes-headerSize+room-1)/room)
-}
-
-// rowsPerChunk is the paper's NNZ heuristic: how many of the set's rows
-// fit one byte string of at most limit bytes, at least one.
-func rowsPerChunk(rs *RowSet, limit int, compress bool) int {
-	return max(1, (limit-headerSize)/(int(rowBytes(int64(rs.Len()), rs.NNZ(), compress))+1))
+// rowsPerChunk is the paper's NNZ heuristic: how many rows of a set of rows
+// rows holding nnz nonzero values fit one byte string of at most limit
+// bytes, at least one. EncodeChunks cuts by it and Frame.Chunks counts by
+// it.
+func rowsPerChunk(rows, nnz int64, limit int, compress bool) int {
+	return max(1, (limit-headerSize)/(int(rowBytes(rows, nnz, compress))+1))
 }
 
 // EncodeChunks serializes the row set into one or more payloads, each at
@@ -492,7 +506,7 @@ func EncodeChunks(rs *RowSet, limit int, compress bool) ([][]byte, error) {
 		}
 		return [][]byte{p}, nil
 	}
-	rowsPer := rowsPerChunk(rs, limit, compress)
+	rowsPer := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, compress)
 	var out [][]byte
 	var encode func(lo, hi int) error
 	encode = func(lo, hi int) error {

@@ -218,7 +218,7 @@ func TestEstimateChunksTracksReality(t *testing.T) {
 		rs = randomRowSet(rng, 500, 16, 1.0)
 	}
 	limit := 4096
-	per := rowsPerChunk(rs, limit, false)
+	per := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, false)
 	est := (rs.Len() + per - 1) / per
 	chunks, err := EncodeChunks(rs, limit, false)
 	if err != nil {
