@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The whole row counts nearest 16 KiB, 64 KiB, 256 KiB, 1 MiB, 16 MiB
 	// and 256 MiB frames of one value a row.
 	for _, rows := range []int64{2047, 8191, 32767, 131071, 2097151, 33554431} {
-		layer := core.Workload{PairsPerLayer: w.PairsPerLayer, Frame: wire.Frame{Rows: rows, Batch: 1}, Layers: 1}
+		layer := core.Workload{Workers: w.Workers, PairsPerLayer: w.PairsPerLayer, Frame: wire.Frame{Rows: rows, Batch: 1}, Layers: 1}
 		q, err := plan.RequestCost(layer, core.Queue)
 		if err != nil {
 			return err

@@ -106,29 +106,40 @@ func billQueue(w *WorkerMetrics, u *usage.Meter) {
 	u.SQSSendCalls += w.MessagesSent
 }
 
-// predictQueue is §IV-C's request count for one query: per layer, every
-// pair's volume in chunks of the body buildMessages encodes to, packed a
-// publish batch of messages to a publish while chunks are small and one
-// chunk to a call once they are not, billed in 64 KiB increments, then
-// received and deleted a receive batch to a call. Best-case packing is
-// assumed. The volume-proportional SNS→SQS byte charge belongs to the full
+// predictQueue is §IV-C's request count for one query. Per layer, each of
+// the Workers workers (one when unset) sends an even share of the pairs:
+// a message per chunk of each pair's frame, cut by the split buildMessages
+// runs, its body plus attrOverhead bytes of attributes. packBatches packs
+// and bills each worker's messages as send does: a publish batch of up to
+// 10 messages within the payload limit, billed in 64 KiB increments. The
+// layer's messages are then received and deleted a receive batch to a
+// call. The volume-proportional SNS→SQS byte charge belongs to the full
 // Equation (5) model, not this per-request comparison.
 func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 	if w.PairsPerLayer == 0 {
 		return usage.Meter{}, nil
 	}
 	pub, recv := sns.DefaultConfig(), int64(sqs.DefaultConfig().MaxBatch)
-	frames, err := w.Frame.Chunks(queueBodyLimit(pub))
+	chunks, err := w.Frame.Chunks(queueBodyLimit(pub))
 	if err != nil {
 		return usage.Meter{}, err
 	}
-	chunks := int64(len(frames))
-	messages := w.PairsPerLayer * chunks
-	publishes := (messages + int64(pub.MaxBatchEntries) - 1) / int64(pub.MaxBatchEntries)
-	if chunks > 1 {
-		publishes = messages
+	workers := int64(max(1, w.Workers))
+	more := w.PairsPerLayer % workers // workers that send one pair more
+	var billed int64
+	for _, share := range []struct{ workers, pairs int64 }{
+		{more, w.PairsPerLayer/workers + 1}, {workers - more, w.PairsPerLayer / workers},
+	} {
+		var sizes []int
+		for i := int64(0); i < share.pairs; i++ {
+			for _, c := range chunks {
+				sizes = append(sizes, int(c.Bytes())+attrOverhead)
+			}
+		}
+		_, b := packBatches(pub, sizes)
+		billed += share.workers * b
 	}
-	billed := max(publishes, pricing.BilledPublishRequests(w.Frame.Bytes()*w.PairsPerLayer))
+	messages := w.PairsPerLayer * int64(len(chunks))
 	polls := (messages + recv - 1) / recv
 	layers := int64(w.Layers)
 	return usage.Meter{SNSBilledPublishes: billed * layers, SQSReceiveCalls: polls * layers, SQSDeleteCalls: polls * layers}, nil
@@ -172,44 +183,49 @@ func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowS
 	return msgs, nil
 }
 
-// packBatches greedily packs messages (possibly for different targets) into
-// publish batches respecting the service's entry-count and payload limits —
-// a single publish can serve up to 10 targets at once (§IV-C).
-func (*queueChannel) packBatches(w *worker, msgs []sqs.Message) [][]sqs.Message {
-	cfg := w.d.Env.SNS.Config()
-	var batches [][]sqs.Message
-	var cur []sqs.Message
-	size := 0
-	for _, m := range msgs {
-		sz := m.Size()
-		if len(cur) > 0 && (len(cur) >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
-			batches = append(batches, cur)
-			cur, size = nil, 0
+// packBatches greedily packs messages of the given sizes (possibly for
+// different targets), in order, into publish batches within cfg's
+// entry-count and payload limits — a single publish can serve up to 10
+// targets at once (§IV-C) — and bills each batch in 64 KiB increments.
+// Batch i ends before message ends[i]. send ships what it packs and
+// predictQueue prices it.
+func packBatches(cfg sns.Config, sizes []int) (ends []int, billed int64) {
+	size, n := 0, 0
+	for i, sz := range sizes {
+		if n > 0 && (n >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
+			ends = append(ends, i)
+			billed += pricing.BilledPublishRequests(int64(size))
+			size, n = 0, 0
 		}
-		cur = append(cur, m)
 		size += sz
+		n++
 	}
-	if len(cur) > 0 {
-		batches = append(batches, cur)
+	if n > 0 {
+		ends = append(ends, len(sizes))
+		billed += pricing.BilledPublishRequests(int64(size))
 	}
-	return batches
+	return ends, billed
 }
 
-// publish ships batches to this worker's source-keyed topic from the
-// communication thread pool, keeping the worker-side billed-publish ledger
-// used by the cost-model validation.
-func (*queueChannel) publish(w *worker, batches [][]sqs.Message) error {
-	topic := w.d.topics[int(w.id)%len(w.d.topics)]
-	for _, b := range batches {
-		var bytes int64
-		for _, m := range b {
-			bytes += int64(m.Size())
-		}
-		w.metrics.BilledPublishes += pricing.BilledPublishRequests(bytes)
+// publish packs msgs into publish batches and ships them to this worker's
+// source-keyed topic from the communication thread pool, keeping the
+// worker-side ledger of publishes and billed publishes used by the
+// cost-model validation.
+func (*queueChannel) publish(w *worker, msgs []sqs.Message) error {
+	sizes := make([]int, len(msgs))
+	for i, m := range msgs {
+		sizes[i] = m.Size()
 	}
-	w.metrics.Publishes += int64(len(batches))
-	return w.threads("pub", len(batches), func(p *sim.Proc, i int) error {
-		return topic.PublishBatch(p, batches[i])
+	ends, billed := packBatches(w.d.Env.SNS.Config(), sizes)
+	w.metrics.BilledPublishes += billed
+	w.metrics.Publishes += int64(len(ends))
+	topic := w.d.topics[int(w.id)%len(w.d.topics)]
+	return w.threads("pub", len(ends), func(p *sim.Proc, i int) error {
+		lo := 0
+		if i > 0 {
+			lo = ends[i-1]
+		}
+		return topic.PublishBatch(p, msgs[lo:ends[i]:ends[i]])
 	})
 }
 
@@ -222,7 +238,7 @@ func (qc *queueChannel) send(w *worker, t tag, outs []targetRows) error {
 		}
 		msgs = append(msgs, ms...)
 	}
-	return qc.publish(w, qc.packBatches(w, msgs))
+	return qc.publish(w, msgs)
 }
 
 func (qc *queueChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
