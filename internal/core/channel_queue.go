@@ -111,10 +111,12 @@ func billQueue(w *WorkerMetrics, u *usage.Meter) {
 // a message per chunk of each pair's frame, cut by the split buildMessages
 // runs, its body plus attrOverhead bytes of attributes. packBatches packs
 // and bills each worker's messages as send does: a publish batch of up to
-// 10 messages within the payload limit, billed in 64 KiB increments. The
-// layer's messages are then received and deleted a receive batch to a
-// call. The volume-proportional SNS→SQS byte charge belongs to the full
-// Equation (5) model, not this per-request comparison.
+// 10 messages within the payload limit, billed in 64 KiB increments. Each
+// worker receives as many pairs as it sends from its own queue, and
+// receives and deletes them a receive batch to a call: a lower bound on a
+// run's receives, to which empty long polls add. The volume-proportional
+// SNS→SQS byte charge belongs to the full Equation (5) model, not this
+// per-request comparison.
 func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 	if w.PairsPerLayer == 0 {
 		return usage.Meter{}, nil
@@ -126,7 +128,7 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 	}
 	workers := int64(max(1, w.Workers))
 	more := w.PairsPerLayer % workers // workers that send one pair more
-	var billed int64
+	var billed, polls int64
 	for _, share := range []struct{ workers, pairs int64 }{
 		{more, w.PairsPerLayer/workers + 1}, {workers - more, w.PairsPerLayer / workers},
 	} {
@@ -138,9 +140,8 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 		}
 		_, b := packBatches(pub, sizes)
 		billed += share.workers * b
+		polls += share.workers * ((int64(len(sizes)) + recv - 1) / recv)
 	}
-	messages := w.PairsPerLayer * int64(len(chunks))
-	polls := (messages + recv - 1) / recv
 	layers := int64(w.Layers)
 	return usage.Meter{SNSBilledPublishes: billed * layers, SQSReceiveCalls: polls * layers, SQSDeleteCalls: polls * layers}, nil
 }

@@ -34,14 +34,14 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 		// price comparison replaced Object's one-chunk rule (its four
 		// pruned rows' reasons name the dominance), then when the per-pair
 		// volume became wire's frame estimate (those rows' volumes).
-		"cost": "514e0fa46ec8131e",
+		"cost": "092184da0f49c4f4",
 		// Re-captured when Hybrid took Memory's request-rate rule (its four
 		// unsaturated-shard rows prune, and the pick moves to Queue x8),
 		// then for the four Object rows' dominance reasons, then for wire's
 		// frame estimate (those rows' volumes, and x32 tree's ratio), then
 		// when the volume became the raw frame the candidates deploy (Object
 		// x8 is trialed and picked; x32 tree's volume and ratio).
-		"wide": "2681a131d4f002f4",
+		"wide": "3d6aafd2f8d8186c",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{
@@ -90,7 +90,7 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // in {8, 42}. The P=42 model does not fit one instance, so Serial's row
 // prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	const golden = "953f1db33e299c6a"
+	const golden = "228d0a7196781c3a"
 	frames := []struct {
 		rows  int64
 		batch int
