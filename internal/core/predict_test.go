@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/cloud/pricing"
+	"fsdinference/internal/cloud/sns"
 	"fsdinference/internal/wire"
 )
 
@@ -108,6 +110,53 @@ func TestReduceContributionBytesKeepsItsFormula(t *testing.T) {
 					t.Errorf("ReduceContributionBytes(%d, %d, %d) = %d, want %d", n, p, batch, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestQueueRowBillsWhatSendPacks: fsdcost's default pair, 39 dense rows of
+// 10 000 values (1 560 166 B), cuts 7 chunks at the Queue body limit, six
+// of 240 034 B and one of 120 022 B. Each ships alone, as the next never
+// fits beside it, so buildMessages and packBatches bill 4 increments for
+// each and 2 for the rest: 26. The row bills the same for that pair, and
+// 26 for each of P=42's 252 pairs.
+func TestQueueRowBillsWhatSendPacks(t *testing.T) {
+	f := wire.Frame{Rows: 39, Batch: 10000}
+	chunks, err := f.Chunks(queueBodyLimit(sns.DefaultConfig()))
+	if err != nil || len(chunks) != 7 {
+		t.Fatalf("%+v cuts %d chunks (%v), want 7", f, len(chunks), err)
+	}
+	rs := wire.NewRowSet(f.Batch)
+	vals := make([]float32, f.Batch)
+	for i := range vals {
+		vals[i] = float32(i + 1)
+	}
+	for r := int32(0); r < int32(f.Rows); r++ {
+		rs.Add(r, vals)
+	}
+	w := &worker{d: &Deployment{Env: env.NewDefault()}, run: &runState{id: "fsd1-run3"}, id: 5, metrics: &WorkerMetrics{}}
+	msgs, err := (&queueChannel{}).buildMessages(w, tag{dataKind, 3}, 7, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, len(msgs))
+	for i, m := range msgs {
+		sizes[i] = m.Size()
+		if got := int64(len(m.Body)); got != chunks[i].Bytes() {
+			t.Errorf("chunk %d: %d B cut, %d sized", i, got, chunks[i].Bytes())
+		}
+	}
+	_, billed := packBatches(sns.DefaultConfig(), sizes)
+	if billed != 26 {
+		t.Fatalf("send bills %d publishes for the pair, want 26", billed)
+	}
+	for _, tc := range []struct{ workers, pairs int }{{1, 1}, {42, 252}} {
+		m, err := predictQueue(Workload{Workers: tc.workers, PairsPerLayer: int64(tc.pairs), Frame: f, Layers: 1}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := billed * int64(tc.pairs); m.SNSBilledPublishes != want {
+			t.Errorf("P=%d, %d pairs: the row bills %d publishes, send %d", tc.workers, tc.pairs, m.SNSBilledPublishes, want)
 		}
 	}
 }
