@@ -188,24 +188,24 @@ func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowS
 // different targets), in order, into publish batches within cfg's
 // entry-count and payload limits — a single publish can serve up to 10
 // targets at once (§IV-C) — and bills each batch in 64 KiB increments.
-// Batch i ends before message ends[i]. send ships what it packs and
-// predictQueue prices it.
-func packBatches(cfg sns.Config, sizes []int) (ends []int, billed int64) {
-	size, n := 0, 0
+// Batch i is messages bounds[i] to bounds[i+1]. publish ships what it packs
+// and predictQueue prices it.
+func packBatches(cfg sns.Config, sizes []int) (bounds []int, billed int64) {
+	bounds = []int{0}
+	size := 0
 	for i, sz := range sizes {
-		if n > 0 && (n >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
-			ends = append(ends, i)
+		if n := i - bounds[len(bounds)-1]; n > 0 && (n >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
+			bounds = append(bounds, i)
 			billed += pricing.BilledPublishRequests(int64(size))
-			size, n = 0, 0
+			size = 0
 		}
 		size += sz
-		n++
 	}
-	if n > 0 {
-		ends = append(ends, len(sizes))
+	if len(sizes) > 0 {
+		bounds = append(bounds, len(sizes))
 		billed += pricing.BilledPublishRequests(int64(size))
 	}
-	return ends, billed
+	return bounds, billed
 }
 
 // publish packs msgs into publish batches and ships them to this worker's
@@ -217,16 +217,12 @@ func (*queueChannel) publish(w *worker, msgs []sqs.Message) error {
 	for i, m := range msgs {
 		sizes[i] = m.Size()
 	}
-	ends, billed := packBatches(w.d.Env.SNS.Config(), sizes)
+	bounds, billed := packBatches(w.d.Env.SNS.Config(), sizes)
 	w.metrics.BilledPublishes += billed
-	w.metrics.Publishes += int64(len(ends))
+	w.metrics.Publishes += int64(len(bounds) - 1)
 	topic := w.d.topics[int(w.id)%len(w.d.topics)]
-	return w.threads("pub", len(ends), func(p *sim.Proc, i int) error {
-		lo := 0
-		if i > 0 {
-			lo = ends[i-1]
-		}
-		return topic.PublishBatch(p, msgs[lo:ends[i]:ends[i]])
+	return w.threads("pub", len(bounds)-1, func(p *sim.Proc, i int) error {
+		return topic.PublishBatch(p, msgs[bounds[i]:bounds[i+1]:bounds[i+1]])
 	})
 }
 
