@@ -132,7 +132,7 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 	for _, share := range []struct{ workers, pairs int64 }{
 		{more, w.PairsPerLayer/workers + 1}, {workers - more, w.PairsPerLayer / workers},
 	} {
-		var sizes []int
+		sizes := make([]int, 0, share.pairs*int64(len(chunks)))
 		for i := int64(0); i < share.pairs; i++ {
 			for _, c := range chunks {
 				sizes = append(sizes, int(c.Bytes())+attrOverhead)
@@ -191,7 +191,7 @@ func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowS
 // Batch i is messages bounds[i] to bounds[i+1]. publish ships what it packs
 // and predictQueue prices it.
 func packBatches(cfg sns.Config, sizes []int) (bounds []int, billed int64) {
-	bounds = []int{0}
+	bounds = make([]int, 1, len(sizes)+1) // a batch holds one message at least
 	size := 0
 	for i, sz := range sizes {
 		if n := i - bounds[len(bounds)-1]; n > 0 && (n >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
