@@ -221,12 +221,12 @@ func storeSaturated(w Workload, cfg Config) error {
 const storeHeadroom = 2.0
 
 // storeWorkingSet returns the peak bytes resident in the store — one
-// layer's pair values of valueBytes each per in-flight run — and whether, with storeHeadroom
-// applied, they overflow the usable memory of cfg's shards. Capacity scales
-// with the shard count, like the request-rate ceiling: this is the rule that
-// forces the memory channel onto bigger nodes (or more shards) under bulk
-// tensors at high run concurrency, and the one Hybrid escapes by parking
-// bulk values in object storage.
+// layer's pair values, valueBytes each, per in-flight run — and whether,
+// with storeHeadroom applied, they overflow the usable memory of cfg's
+// shards. Capacity scales with the shard count, like the request-rate
+// ceiling: this is the rule that forces the memory channel onto bigger
+// nodes (or more shards) under bulk tensors at high run concurrency, and
+// the one Hybrid escapes by parking bulk values in object storage.
 func storeWorkingSet(w Workload, cfg Config, valueBytes int64) (bytes int64, overflows bool) {
 	bytes = int64(max(1, w.ConcurrentRuns)) * w.PairsPerLayer * valueBytes
 	usable := kvstore.Catalog[cfg.KVNodeType].MemoryGB * float64(int64(1)<<30) * float64(cfg.KVNodes)

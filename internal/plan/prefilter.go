@@ -46,8 +46,8 @@ const prefilterMargin = 10
 // dominanceFactor is how many times the cheapest request-billed kind's
 // per-query price a request-billed kind must cost before a pure cost
 // objective drops it untried. At 3 the pub-sub channel loses from about
-// 2.4 MiB per pair, past the paper's multiple-publishes-per-target regime,
-// and object storage while volumes still fit about one publish.
+// 2.2 MiB per pair, past the paper's multiple-publishes-per-target regime,
+// and object storage while a pair's frame still fits one publish chunk.
 const dominanceFactor = 3
 
 // analyticWorkload derives the §IV cost-model workload for a candidate:
