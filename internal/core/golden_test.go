@@ -14,8 +14,9 @@ import (
 )
 
 // resultDump renders every simulated field of a Result — latency, usage,
-// cost and each worker's full metrics — one line per worker, so a golden
-// mismatch can be diffed by eye.
+// cost and each worker's metrics, field by field — one line per worker, so
+// a golden mismatch can be diffed by eye. A worker's calls to the services
+// are not listed: the run's usage line holds them.
 func resultDump(res *Result) string {
 	var b strings.Builder
 	copies := 0
@@ -29,7 +30,10 @@ func resultDump(res *Result) string {
 		res.Latency, res.LaunchComplete, res.CoordinatorRuntime, res.Batch, copies, res.Usage,
 		c.Lambda, c.SNS, c.SQS, c.S3, c.EC2, c.KV, c.KVReplica)
 	for _, w := range res.Workers {
-		fmt.Fprintf(&b, "%+v\n", *w)
+		fmt.Fprintf(&b, "{ID:%d StartedAt:%v FinishedAt:%v Warm:%t LoadTime:%v BarrierTime:%v ReduceTime:%v "+
+			"MACs:%v RowsSent:%d RowsRecv:%d BytesSent:%d MessagesSent:%d Fetches:%d PeakMemBytes:%d}\n",
+			w.ID, w.StartedAt, w.FinishedAt, w.Warm, w.LoadTime, w.BarrierTime, w.ReduceTime,
+			w.MACs, w.RowsSent, w.RowsRecv, w.BytesSent, w.MessagesSent, w.Fetches, w.PeakMemBytes)
 	}
 	return b.String()
 }
@@ -63,18 +67,18 @@ func TestGoldenResultP32(t *testing.T) {
 		t.Skip("12 P=32 runs")
 	}
 	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat":  {4439405835, "0.0019208787731140279", "20a77d886a11a9e5"},
-		"FSD-Inf-Queue/tree":  {4960061434, "0.34264280661689084", "6b8b3e7aa9226f7e"},
-		"FSD-Inf-Queue/ring":  {7749737922, "0.22602051437935128", "601d8b5386f33e67"},
-		"FSD-Inf-Object/flat": {5862905207, "0.02656963612058527", "419c828583f51a46"},
-		"FSD-Inf-Object/tree": {6052340924, "0.0282185474436937", "472977f552096e20"},
-		"FSD-Inf-Object/ring": {9721111444, "0.04729227435213705", "dfa2ee1e0481bd1f"},
-		"FSD-Inf-Memory/flat": {3907894780, "0.00296198172576116", "64a12f79a740efb8"},
-		"FSD-Inf-Memory/tree": {3897358040, "0.0029573581957296133", "ce00263b40dadb3c"},
-		"FSD-Inf-Memory/ring": {3938413046, "0.0029782421354629042", "2a6f15810ea48383"},
-		"FSD-Inf-Hybrid/flat": {3932933119, "0.003150033570954742", "54fb478e00ddc5d9"},
-		"FSD-Inf-Hybrid/tree": {4062846948, "0.0032359615185337523", "ff99a1b7d713d53e"},
-		"FSD-Inf-Hybrid/ring": {3938413046, "0.0029782421354629042", "1618091e4f6570e2"},
+		"FSD-Inf-Queue/flat":  {4439405835, "0.0019208787731140279", "44b29fd46732b985"},
+		"FSD-Inf-Queue/tree":  {4960061434, "0.34264280661689084", "d839cffc5e12e6d5"},
+		"FSD-Inf-Queue/ring":  {7749737922, "0.22602051437935128", "8310c4b6c9c222eb"},
+		"FSD-Inf-Object/flat": {5862905207, "0.02656963612058527", "4cfc6bfd3c5457eb"},
+		"FSD-Inf-Object/tree": {6052340924, "0.0282185474436937", "f880c70faa6f403c"},
+		"FSD-Inf-Object/ring": {9721111444, "0.04729227435213705", "cacd0df69bafad43"},
+		"FSD-Inf-Memory/flat": {3907894780, "0.00296198172576116", "582eb7fe657cc1c3"},
+		"FSD-Inf-Memory/tree": {3897358040, "0.0029573581957296133", "ce3a9788de59bfbb"},
+		"FSD-Inf-Memory/ring": {3938413046, "0.0029782421354629042", "aec223b96ecd1251"},
+		"FSD-Inf-Hybrid/flat": {3932933119, "0.003150033570954742", "50dcb53ffe13d581"},
+		"FSD-Inf-Hybrid/tree": {4062846948, "0.0032359615185337523", "5a488a92517e704e"},
+		"FSD-Inf-Hybrid/ring": {3938413046, "0.0029782421354629042", "9e8ac89d90745199"},
 	}
 
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
@@ -169,7 +173,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 	}{
 		{
 			name:   "queue/multichunk",
-			golden: goldenCell{2969148192, "0.0003212803604653449", "25ac54328f9990ab"},
+			golden: goldenCell{2969148192, "0.0003212803604653449", "a972b8a7548d0c89"},
 			// A 512-byte publish cap puts most row sets past chunkLimit, and
 			// the tail chunks of several targets still share a publish batch.
 			env: func(c *env.Config) { c.SNS.MaxPayloadBytes = 512 },
@@ -182,7 +186,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "hybrid/bulk",
-			golden: goldenCell{2640038189, "0.00312262698024482", "54742005ea9c536b"},
+			golden: goldenCell{2640038189, "0.00312262698024482", "f8e8917a5b129add"},
 			cfg: Config{
 				Channel: Hybrid, Compress: true,
 				HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10,
@@ -195,7 +199,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "memory/lossy-failover",
-			golden: goldenCell{3837130522, "0.0075847622067059745", "7fd977aaae117515"},
+			golden: goldenCell{3837130522, "0.0075847622067059745", "b0ba3fb473860ed1"},
 			cfg: Config{
 				Channel: Memory, Compress: true, KVNodes: 2, KVReplicas: 0,
 				KVFailoverWindow: 2 * time.Second, KVReplicationLag: 300 * time.Millisecond,
@@ -215,7 +219,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 		},
 		{
 			name:   "queue/shortpoll",
-			golden: goldenCell{2969397747, "0.0002792080289693025", "3842ea4810d10ee8"},
+			golden: goldenCell{2969397747, "0.0002792080289693025", "c990098d80fcc0af"},
 			cfg:    Config{Channel: Queue, Compress: true, PollWait: 0},
 			reached: func(res *Result) bool {
 				return sum(res, func(w *WorkerMetrics) int64 { return w.Polls }) >
@@ -308,7 +312,7 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 	if !model.OutputsClose(res.Output, model.Reference(m, input), 1e-2) {
 		t.Fatal("output diverges from reference inference")
 	}
-	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028315049, "0.0025804758831900103", "fba034cce3d14cb9"})
+	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028315049, "0.0025804758831900103", "f2dbbc1827be521a"})
 }
 
 // TestGoldenRunLedger pins what Start reports — the Usage and Cost that
@@ -328,11 +332,11 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 // LambdaGBSeconds, the same early-teardown defect TestGoldenResultP32 pins.
 func TestGoldenRunLedger(t *testing.T) {
 	golden := map[ChannelKind]goldenCell{
-		Serial: {783822079, "3.0283979567870003e-05", "8be09676e02a6e52"},
-		Queue:  {3816097341, "-5.64981028522512e-05", "1e24d5bf01082df3"},
-		Object: {4196862311, "0.002970772569493777", "9c9cf7a047ad4903"},
-		Memory: {3061973312, "0.0025916541625544925", "ec7f221281a4f00a"},
-		Hybrid: {3497248658, "0.0035349599855021", "80a354ec8f378090"},
+		Serial: {783822079, "3.0283979567870003e-05", "5c15a92a5f72de29"},
+		Queue:  {3816097341, "-5.64981028522512e-05", "f1806994d1452c9e"},
+		Object: {4196862311, "0.002970772569493777", "2a4b18953c7f8e5d"},
+		Memory: {3061973312, "0.0025916541625544925", "e3f65fff82856ecb"},
+		Hybrid: {3497248658, "0.0035349599855021", "88d4d45c85f390c4"},
 	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
@@ -392,24 +396,24 @@ func TestGoldenRunLedger(t *testing.T) {
 // still written out per mode in the coordinator and the worker.
 func TestGoldenLaunch(t *testing.T) {
 	golden := map[string]goldenCell{
-		"hierarchical/p1":  {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
-		"hierarchical/p2":  {2292131236, "0.002505968792568386", "8878548ecec48540"},
-		"hierarchical/p3":  {2292702231, "0.002508505312435822", "3c64176f98a7ab3c"},
-		"hierarchical/p12": {3113663606, "0.002604803667136884", "401e379618b50273"},
-		"hierarchical/p32": {3810837555, "0.002855673390691195", "1d185a6f029bbe7e"},
-		"hierarchical/p33": {3811384573, "0.002862885337438763", "32cdf470e401250e"},
-		"centralized/p1":   {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
-		"centralized/p2":   {1811628517, "0.002498545686592646", "e1e1aa8f31b52416"},
-		"centralized/p3":   {1936813631, "0.0025052107076695422", "3b0b38ee29fd53cf"},
-		"centralized/p12":  {3698096064, "0.0027420512356093364", "55434ec14dca3e64"},
-		"centralized/p32":  {7341387471, "0.004067872758314248", "5f7ee24495c4c1c4"},
-		"centralized/p33":  {7564630877, "0.004186842897197545", "fdf807cbdd05c6cd"},
-		"two-level/p1":     {1538149413, "0.0024915039211912994", "9de3c2daac7ffc72"},
-		"two-level/p2":     {2292131236, "0.002505968792568386", "8878548ecec48540"},
-		"two-level/p3":     {2226474462, "0.0025142422284018186", "5b5723d2b31b43e9"},
-		"two-level/p12":    {2758680726, "0.0026129757375174503", "b1c70645e45b0c02"},
-		"two-level/p32":    {3100951561, "0.002855729416714705", "2cf1ba87d07e92eb"},
-		"two-level/p33":    {3179579217, "0.0028989811098905803", "d013d07ed4dedc2c"},
+		"hierarchical/p1":  {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
+		"hierarchical/p2":  {2292131236, "0.002505968792568386", "7191e5c6f1bcbe74"},
+		"hierarchical/p3":  {2292702231, "0.002508505312435822", "9a935c3dcf5b232d"},
+		"hierarchical/p12": {3113663606, "0.002604803667136884", "9194bf4da9cc55a0"},
+		"hierarchical/p32": {3810837555, "0.002855673390691195", "a51e38f21f91ca0c"},
+		"hierarchical/p33": {3811384573, "0.002862885337438763", "9ce5f6d8a247b4d5"},
+		"centralized/p1":   {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
+		"centralized/p2":   {1811628517, "0.002498545686592646", "f9704a75543b5d7f"},
+		"centralized/p3":   {1936813631, "0.0025052107076695422", "8def152036e41e77"},
+		"centralized/p12":  {3698096064, "0.0027420512356093364", "7fe7c2ff2d2e52d0"},
+		"centralized/p32":  {7341387471, "0.004067872758314248", "89664854c4662bbc"},
+		"centralized/p33":  {7564630877, "0.004186842897197545", "7636a3e30ff9c951"},
+		"two-level/p1":     {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
+		"two-level/p2":     {2292131236, "0.002505968792568386", "7191e5c6f1bcbe74"},
+		"two-level/p3":     {2226474462, "0.0025142422284018186", "bccbce25e4739203"},
+		"two-level/p12":    {2758680726, "0.0026129757375174503", "7869e73c4399ac2d"},
+		"two-level/p32":    {3100951561, "0.002855729416714705", "b6ac5e9a158f5b81"},
+		"two-level/p33":    {3179579217, "0.0028989811098905803", "b9510605c4238ed7"},
 	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 2, 1))
 	if err != nil {
