@@ -97,33 +97,41 @@ func NewMeter() *Meter {
 }
 
 // AddCollective records one collective operation run under the given
-// algorithm ("barrier"/"tree", "allreduce"/"ring", ...) on a meter
-// NewMeter built.
+// algorithm ("barrier"/"tree", "allreduce"/"ring", ...). It and the other
+// Add methods work on a zero Meter too, allocating the map they add to
+// when it is nil, so a meter that never records one allocates none.
 func (m *Meter) AddCollective(op, alg string) {
-	m.Collectives[op+"/"+alg]++
+	addKey(&m.Collectives, op+"/"+alg, 1)
 }
 
 // AddEC2Hours records h hours of usage for the given instance type.
 func (m *Meter) AddEC2Hours(instanceType string, h float64) {
-	m.EC2Hours[instanceType] += h
+	addKey(&m.EC2Hours, instanceType, h)
 }
 
 // AddKVNodeHours records h provisioned hours for the given cache node
-// type. An optional shard label attributes the hours to one cluster
-// shard, and replica marks them as replica (not primary) capacity.
+// type.
 func (m *Meter) AddKVNodeHours(nodeType string, h float64) {
-	m.KVNodeHours[nodeType] += h
+	addKey(&m.KVNodeHours, nodeType, h)
 }
 
 // AddKVReplicaHours records h provisioned replica hours for the node
 // type — the replica share of AddKVNodeHours, not an extra charge.
 func (m *Meter) AddKVReplicaHours(nodeType string, h float64) {
-	m.KVReplicaHours[nodeType] += h
+	addKey(&m.KVReplicaHours, nodeType, h)
 }
 
 // AddKVShardHours attributes h provisioned node-hours to a shard label.
 func (m *Meter) AddKVShardHours(shard string, h float64) {
-	m.KVShardHours[shard] += h
+	addKey(&m.KVShardHours, shard, h)
+}
+
+// addKey adds v to (*dst)[k], allocating *dst if it is nil.
+func addKey[V int64 | float64](dst *map[string]V, k string, v V) {
+	if *dst == nil {
+		*dst = make(map[string]V)
+	}
+	(*dst)[k] += v
 }
 
 // SQSRequests returns Q, the billed queueing API request count.

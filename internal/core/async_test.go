@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -174,12 +175,19 @@ func TestOverlappingMemoryRunsOnOneDeployment(t *testing.T) {
 }
 
 // TestAsyncUsageReconstructionMatchesMeter is the §VI-F claim as a test: for
-// a run that does not overlap another, the usage Start reconstructs from the
-// worker-side ledgers (the rows' bill hooks) is the metered window count for
-// count, on every kind under every topology. The cells with AllreduceOutput
-// are missing on purpose: there the run is torn down while ranks still wait
-// for their copy and the reconstruction is wrong (ROADMAP direction 1, which
-// must extend this list when it fixes that).
+// a run that does not overlap another, the usage Start reports — the run's
+// own meter plus runUsage's Lambda and node-hours — is the metered window
+// count for count, on every kind under every topology. The cells with
+// AllreduceOutput are missing on purpose: there the run is torn down while
+// ranks still wait for their copy and the reconstruction is wrong (ROADMAP
+// direction 1, which must extend this list when it fixes that).
+//
+// Every field is compared but these: LambdaGBSeconds and the node-hours,
+// below, within a float tolerance; the Hybrid routing counters and the
+// cluster's failovers, losses and redirects, which the environment meter
+// alone keeps (they are not calls a run asks a service for); KVGBHours and
+// the per-shard hours, which runUsage does not attribute; and EC2Hours,
+// which no engine run bills.
 func TestAsyncUsageReconstructionMatchesMeter(t *testing.T) {
 	for _, kind := range ChannelKinds() {
 		for _, alg := range []collective.Algorithm{collective.Flat, collective.Tree, collective.Ring} {
@@ -207,16 +215,30 @@ func TestAsyncUsageReconstructionMatchesMeter(t *testing.T) {
 				rec, met int64
 			}{
 				{"Lambda invocations", rec.LambdaInvocations, used.LambdaInvocations},
+				{"SNS publish calls", rec.SNSPublishCalls, used.SNSPublishCalls},
 				{"SNS billed publishes", rec.SNSBilledPublishes, used.SNSBilledPublishes},
+				{"SNS messages", rec.SNSMessages, used.SNSMessages},
 				{"SNS delivered bytes", rec.SNSDeliveredBytes, used.SNSDeliveredBytes},
-				{"SQS requests", rec.SQSRequests(), used.SQSRequests()},
+				{"SQS receives", rec.SQSReceiveCalls, used.SQSReceiveCalls},
+				{"SQS deletes", rec.SQSDeleteCalls, used.SQSDeleteCalls},
+				{"SQS sends", rec.SQSSendCalls, used.SQSSendCalls},
 				{"S3 PUTs", rec.S3PutCalls, used.S3PutCalls},
 				{"S3 GETs", rec.S3GetCalls, used.S3GetCalls},
 				{"S3 LISTs", rec.S3ListCalls, used.S3ListCalls},
+				{"S3 bytes in", rec.S3BytesIn, used.S3BytesIn},
+				{"S3 bytes out", rec.S3BytesOut, used.S3BytesOut},
+				{"KV ops", rec.KVOps, used.KVOps},
+				{"KV bytes in", rec.KVBytesIn, used.KVBytesIn},
+				{"KV bytes out", rec.KVBytesOut, used.KVBytesOut},
+				{"KV resends", rec.KVResends, used.KVResends},
 			} {
 				if c.rec != c.met {
 					t.Errorf("%v/%v: %s: reconstructed %d, metered %d", kind, alg, c.name, c.rec, c.met)
 				}
+			}
+			if rec.SQSBillFanout != used.SQSBillFanout || !maps.Equal(rec.Collectives, used.Collectives) {
+				t.Errorf("%v/%v: fan-out billing %v, collectives %v; metered %v, %v",
+					kind, alg, rec.SQSBillFanout, rec.Collectives, used.SQSBillFanout, used.Collectives)
 			}
 			if diff := math.Abs(rec.LambdaGBSeconds - used.LambdaGBSeconds); diff > 1e-9*used.LambdaGBSeconds {
 				t.Errorf("%v/%v: Lambda GB-seconds: reconstructed %v, metered %v", kind, alg, rec.LambdaGBSeconds, used.LambdaGBSeconds)

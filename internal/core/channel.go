@@ -59,7 +59,7 @@ type arrival struct {
 type arrivalSource interface {
 	// poll waits on the service once and hands whatever arrived to
 	// g.arrive in service order, charging the service calls it makes to
-	// w.metrics. A transport that pays per body consults g.wants first.
+	// the run's meter. A transport that pays per body consults g.wants first.
 	poll(w *worker, g *gathering) error
 }
 
@@ -175,7 +175,6 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 // (see worker.foldRoot); every other collective's sets are unioned and
 // forwarded, so they decode into sets of their own that keep their frames.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
-	w.metrics.BytesRecv += int64(len(body))
 	w.ctx.Serialize(int64(len(body)))
 	if wire.Deflated(body) {
 		w.ctx.Decompress(int64(len(body)))

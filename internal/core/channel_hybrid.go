@@ -77,14 +77,6 @@ func hybridTraits(cfg Config, ec env.Config, msgBytes int64) collective.Traits {
 	return memoryTraits(cfg, ec, msgBytes)
 }
 
-// billHybrid bills the control plane through the store and the bulk chunks
-// through object storage.
-func billHybrid(w *WorkerMetrics, u *usage.Meter) {
-	billStore(w, u)
-	u.S3PutCalls += w.HybridPuts
-	u.S3GetCalls += w.HybridGets
-}
-
 // bulkPointerBytes approximates the store-resident footprint of one bulk
 // value: the pointer frame plus key overhead.
 const bulkPointerBytes = 128
@@ -185,7 +177,6 @@ func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 			w.metrics.BytesSent += int64(len(c))
 		}
 		w.metrics.MessagesSent += int64(len(chunks))
-		w.metrics.HybridPuts += int64(len(chunks))
 		d.Env.Meter.HybridBulkValues++
 		d.Env.Meter.HybridBulkBytes += out.rs.RawBytes()
 		d.Env.Meter.HybridChunks += int64(len(chunks))
@@ -240,7 +231,6 @@ func (hc *hybridChannel) fetchBulk(w *worker, deliver func(src int32, rs *wire.R
 			keys = append(keys, chunkKey(ref.prefix, i))
 		}
 	}
-	w.metrics.HybridGets += int64(len(keys))
 	// The chunk objects live in the bucket keyed by this worker (the
 	// send side routed by target).
 	bodies, err := w.getBodies("bget", hybridFanout, w.bucketFor(w.id), keys)

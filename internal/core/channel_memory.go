@@ -35,7 +35,7 @@ import (
 // failover (R < 2) destroys in-flight inbox values — receivers detect
 // the starvation, and the missing sources re-send from the run's
 // host-side sender buffers (workers hold their layer outputs in memory),
-// charged as fresh pushes and counted in WorkerMetrics.Resends. Quorum
+// charged as fresh pushes and counted in usage.Meter.KVResends. Quorum
 // replication (R >= 2) hides the failure entirely, at replica node-hour
 // prices.
 type memoryChannel struct {
@@ -157,15 +157,6 @@ func memoryTraits(cfg Config, ec env.Config, _ int64) collective.Traits {
 		BytesPerSec: nt.NetBytesPerSec / 2,
 		Fan:         commThreads,
 	}
-}
-
-// billStore maps a worker's ledger onto the store's traffic meters. They
-// carry no price: the store bills node-hours, which runUsage attributes to
-// the run from the cluster's nodes.
-func billStore(w *WorkerMetrics, u *usage.Meter) {
-	u.KVOps += w.Publishes + w.Polls
-	u.KVBytesIn += w.BytesSent
-	u.KVBytesOut += w.BytesRecv
 }
 
 // predictMemory is the store's feasibility for w on cfg's cluster and, when
@@ -304,13 +295,17 @@ func frameValue(w *worker, t tag, outs []targetRows, vals [][]byte, i int) error
 	return nil
 }
 
-// logPush counts one inbox push of val to target and records it in the
-// run's sender log for failover recovery.
+// logPush counts one inbox push of val to target, charging the run the
+// store op and the value's bytes, and records it in the run's sender log
+// for failover recovery. The store's traffic carries no price: it bills
+// node-hours, which runUsage attributes to the run from the cluster's
+// nodes.
 func logPush(w *worker, t tag, target int32, val []byte) {
 	// BytesSent counts the payload, not the header before the separator.
 	w.metrics.BytesSent += int64(len(val) - bytes.IndexByte(val, 0) - 1)
 	w.metrics.MessagesSent++
-	w.metrics.Publishes++
+	w.run.usage.KVOps++
+	w.run.usage.KVBytesIn += int64(len(val))
 	st := w.run.store
 	st.sent = append(st.sent, sentValue{tag: t, src: w.id, target: target, val: val})
 }
@@ -360,12 +355,13 @@ const blockWait = time.Second
 // transfer. A starved read after a lossy cluster failover triggers one
 // sender-buffer re-send sweep for the phase's missing sources.
 func (mc *memoryChannel) poll(w *worker, g *gathering) error {
-	w.metrics.Polls++
+	w.run.usage.KVOps++
 	val := w.d.kvcluster.BLPop(w.ctx.P, &mc.client, mc.inbox, blockWait)
 	if val == nil {
 		return mc.recover(w, g)
 	}
 	w.metrics.Fetches++
+	w.run.usage.KVBytesOut += int64(len(val))
 	t, src, body, err := decodeMemValue(val)
 	if err != nil {
 		return err
@@ -396,8 +392,10 @@ func (mc *memoryChannel) recover(w *worker, g *gathering) error {
 		if sv.target != w.id || sv.tag != g.tag || !g.wants(sv.src) {
 			continue
 		}
-		w.metrics.Resends++
 		w.d.Env.Meter.KVResends++
+		w.run.usage.KVResends++
+		w.run.usage.KVOps++
+		w.run.usage.KVBytesIn += int64(len(sv.val))
 		if err := w.d.kvcluster.RPush(w.ctx.P, &mc.client, mc.inbox, sv.val, w.d.Cfg.FunctionTimeout); err != nil {
 			return err
 		}

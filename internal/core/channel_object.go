@@ -51,17 +51,6 @@ func objectRouteTraits(ec env.Config, fan int) collective.Traits {
 	}
 }
 
-// billObject maps a worker's ledger onto the object-store meters, the
-// inputs of Equation (7): PUTs V, GETs R and LISTs L. The byte counters are
-// approximated from the payload ledgers and carry no cost.
-func billObject(w *WorkerMetrics, u *usage.Meter) {
-	u.S3PutCalls += w.Publishes
-	u.S3GetCalls += w.Fetches
-	u.S3ListCalls += w.Polls
-	u.S3BytesIn += w.BytesSent
-	u.S3BytesOut += w.BytesRecv
-}
-
 // predictObject is §IV-C's request count for one query: per layer, one PUT
 // and one GET per pair, and LISTs amortised to about one per target, a
 // quarter of one per pair, since scans overlap other workers' write phases.
@@ -83,10 +72,18 @@ type objectPut struct {
 	body   []byte
 }
 
-// putAll writes puts in order from a width-wide thread pool named name.
+// putAll writes puts in order from a width-wide thread pool named name,
+// charging the run a PUT (V in Equation (7)) for each and its bytes once
+// the store holds them.
 func putAll(w *worker, name string, width int, puts []objectPut) error {
+	u := &w.run.usage
+	u.S3PutCalls += int64(len(puts))
 	return w.threadsN(name, width, len(puts), func(p *sim.Proc, i int) error {
-		return putObject(puts[i].bucket, p, puts[i].key, puts[i].body)
+		if err := putObject(puts[i].bucket, p, puts[i].key, puts[i].body); err != nil {
+			return err
+		}
+		u.S3BytesIn += int64(len(puts[i].body))
+		return nil
 	})
 }
 
@@ -96,15 +93,19 @@ func putAll(w *worker, name string, width int, puts []objectPut) error {
 var putObject = (*s3.Bucket).Put
 
 // getBodies GETs keys from bucket through a width-wide thread pool named
-// name; bodies[i] is the object under keys[i], shared with the store and
-// read-only (wire.Decode retains it as the decoded set's frame).
+// name, charging the run a GET (R in Equation (7)) for each and the bytes
+// each returns; bodies[i] is the object under keys[i], shared with the
+// store and read-only (wire.Decode retains it as the decoded set's frame).
 func (w *worker) getBodies(name string, width int, bucket *s3.Bucket, keys []string) ([][]byte, error) {
 	bodies := make([][]byte, len(keys))
+	u := &w.run.usage
+	u.S3GetCalls += int64(len(keys))
 	return bodies, w.threadsN(name, width, len(keys), func(p *sim.Proc, i int) error {
 		b, err := bucket.View(p, keys[i])
 		if err != nil {
 			return err
 		}
+		u.S3BytesOut += int64(len(b))
 		bodies[i] = b
 		return nil
 	})
@@ -134,7 +135,6 @@ func (objectChannel) send(w *worker, t tag, outs []targetRows) error {
 			w.metrics.BytesSent += int64(len(body))
 		}
 		w.metrics.MessagesSent++
-		w.metrics.Publishes++
 		puts = append(puts, objectPut{w.bucketFor(out.target), objectKey(w, t, w.id, out.target, ext), body})
 	}
 	return putAll(w, "put", commThreads, puts)
@@ -151,7 +151,7 @@ func (oc objectChannel) gather(w *worker, t tag, sources []int32, deliver func(s
 func (objectChannel) poll(w *worker, g *gathering) error {
 	bucket := w.bucketFor(w.id)
 	keys := bucket.List(w.ctx.P, objectPrefix(w, g.tag, w.id))
-	w.metrics.Polls++
+	w.run.usage.S3ListCalls++
 	var fetch []string
 	var fetchSrc []int32
 	for _, key := range keys {

@@ -93,19 +93,6 @@ func queueTraits(_ Config, ec env.Config, _ int64) collective.Traits {
 	}
 }
 
-// billQueue maps a worker's ledger onto the pub-sub and queue meters, the
-// inputs of Equations (5)-(6): billed 64 KiB publish increments S, delivered
-// bytes with their attributes Z, and the queue API calls Q.
-func billQueue(w *WorkerMetrics, u *usage.Meter) {
-	u.SNSPublishCalls += w.Publishes
-	u.SNSBilledPublishes += w.BilledPublishes
-	u.SNSMessages += w.MessagesSent
-	u.SNSDeliveredBytes += w.BytesSent + w.AttrBytes
-	u.SQSReceiveCalls += w.Polls
-	u.SQSDeleteCalls += w.Deletes
-	u.SQSSendCalls += w.MessagesSent
-}
-
 // predictQueue is §IV-C's request count for one query. Per layer, each of
 // the Workers workers (one when unset) sends an even share of the pairs:
 // a message per chunk of each pair's frame, cut by the split buildMessages
@@ -178,7 +165,6 @@ func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowS
 			},
 		}
 		w.metrics.BytesSent += int64(len(c))
-		w.metrics.AttrBytes += int64(msgs[i].Size() - len(c))
 	}
 	w.metrics.MessagesSent += int64(len(msgs))
 	return msgs, nil
@@ -209,17 +195,24 @@ func packBatches(cfg sns.Config, sizes []int) (bounds []int, billed int64) {
 }
 
 // publish packs msgs into publish batches and ships them to this worker's
-// source-keyed topic from the communication thread pool, keeping the
-// worker-side ledger of publishes and billed publishes used by the
-// cost-model validation.
+// source-keyed topic from the communication thread pool. It charges the run
+// what Equations (5)-(6) price: the publish calls with their billed 64 KiB
+// increments S, and the fan-out, each message delivered to its target's
+// queue alone with its attributes (Z and, when billed, Q).
 func (*queueChannel) publish(w *worker, msgs []sqs.Message) error {
 	sizes := make([]int, len(msgs))
+	delivered := 0
 	for i, m := range msgs {
 		sizes[i] = m.Size()
+		delivered += sizes[i]
 	}
 	bounds, billed := packBatches(w.d.Env.SNS.Config(), sizes)
-	w.metrics.BilledPublishes += billed
-	w.metrics.Publishes += int64(len(bounds) - 1)
+	u := &w.run.usage
+	u.SNSPublishCalls += int64(len(bounds) - 1)
+	u.SNSBilledPublishes += billed
+	u.SNSMessages += int64(len(msgs))
+	u.SNSDeliveredBytes += int64(delivered)
+	u.SQSSendCalls += int64(len(msgs))
 	topic := w.d.topics[int(w.id)%len(w.d.topics)]
 	return w.threads("pub", len(bounds)-1, func(p *sim.Proc, i int) error {
 		return topic.PublishBatch(p, msgs[bounds[i]:bounds[i+1]:bounds[i+1]])
@@ -264,7 +257,7 @@ func parseQueueAttrs(attrs map[string]string) (arrival, error) {
 // from its attributes, and delete the batch once it is processed.
 func (qc *queueChannel) poll(w *worker, g *gathering) error {
 	msgs := qc.queue.Receive(w.ctx.P, 10, w.d.Cfg.PollWait)
-	w.metrics.Polls++
+	w.run.usage.SQSReceiveCalls++
 	w.metrics.Fetches += int64(len(msgs))
 	handles := make([]string, 0, len(msgs))
 	for _, m := range msgs {
@@ -282,7 +275,7 @@ func (qc *queueChannel) poll(w *worker, g *gathering) error {
 		if err := qc.queue.DeleteBatch(w.ctx.P, handles); err != nil {
 			return err
 		}
-		w.metrics.Deletes++
+		w.run.usage.SQSDeleteCalls++
 	}
 	return nil
 }

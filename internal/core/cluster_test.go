@@ -120,14 +120,6 @@ func TestMidRunFailoverByReplicationMode(t *testing.T) {
 
 	baseline, _ := run(0, false)
 
-	resends := func(r *Result) int64 {
-		var n int64
-		for _, w := range r.Workers {
-			n += w.Resends
-		}
-		return n
-	}
-
 	for _, replicas := range []int{0, 1} {
 		res, e := run(replicas, true)
 		cl := int64(0)
@@ -138,7 +130,7 @@ func TestMidRunFailoverByReplicationMode(t *testing.T) {
 		if cl <= 0 {
 			t.Fatalf("R=%d lost %d values across the kill, want in-flight loss", replicas, cl)
 		}
-		if n := resends(res); n <= 0 {
+		if n := res.Usage.KVResends; n <= 0 {
 			t.Fatalf("R=%d run completed without re-sending the %d lost values", replicas, cl)
 		}
 		if res.Latency <= baseline.Latency {
@@ -151,7 +143,7 @@ func TestMidRunFailoverByReplicationMode(t *testing.T) {
 	if e2.Meter.KVLostValues != 0 {
 		t.Fatalf("R=2 lost %d values; quorum replication must hide a single kill", e2.Meter.KVLostValues)
 	}
-	if n := resends(res2); n != 0 {
+	if n := res2.Usage.KVResends; n != 0 {
 		t.Fatalf("R=2 re-sent %d values; nothing should have been lost", n)
 	}
 	// The availability premium is visible in the bill: replica node-hours

@@ -32,10 +32,12 @@
 // nothing to send). gatherLoop owns everything after that: the set of
 // sources still owed, deduplication of redelivered chunks, buffering of
 // arrivals for tags the worker has not reached, the runtime check, and
-// decode-and-deliver. The transport charges what it asks of its service
-// (WorkerMetrics Polls, Fetches, Deletes, Publishes, BytesSent, and its
-// thread pools); the shared steps charge the worker's own CPU — the
-// compression in encodeFrame/encodeChunks, BytesRecv plus parse and
+// decode-and-deliver. The transport charges each call it asks of its
+// service to the run's own usage.Meter (runState.usage) where it makes it,
+// in the meter's field and with the bytes the service meters — putAll and
+// getBodies do so for every object-store call — and counts the worker's
+// BytesSent, MessagesSent and Fetches; the shared steps charge the worker's
+// own CPU — the compression in encodeFrame/encodeChunks, parse and
 // decompression in decodePayload. The data path of a new transport is
 // therefore one send and one poll; Hybrid, which owns no service, is a
 // routing policy over the Memory transport and the object-store helpers
@@ -43,9 +45,9 @@
 //
 // Everything else the engine knows about a kind is one row of the
 // transports table (transport.go), whose hooks live in the kind's
-// channel_*.go next to its channel; Deploy, Start, the worker, AutoAlgo and
-// the per-run ledger read the row and name no kind. A kind is that row plus
-// that file. What each hook must preserve:
+// channel_*.go next to its channel; Deploy, Start, the worker and AutoAlgo
+// read the row and name no kind. A kind is that row plus that file. What
+// each hook must preserve:
 //
 //   - provision creates the a-priori resources, after the model is staged
 //     and before the functions are registered: bucket, topic and cluster
@@ -60,9 +62,6 @@
 //     per-message latency, bandwidth, fan-out — from the environment's
 //     service calibration. AutoAlgo inside a deployment and the planner's
 //     pre-filter (ChannelTraits) read the same hook, so they cannot disagree.
-//   - bill maps a worker's ledger onto the usage meter: exactly the calls the
-//     channel charged to WorkerMetrics, so the per-run reconstruction and the
-//     environment meter agree (TestAsyncUsageReconstructionMatchesMeter).
 //   - predict is the kind's §IV cost model before anything is deployed: from
 //     a Workload and the candidate Config, the usage counts one query bills
 //     on the kind's own services, or the feasibility rule the workload
@@ -394,34 +393,8 @@ type WorkerMetrics struct {
 	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
 	RowsRecv     int64
 	BytesSent    int64 // encoded payload bytes shipped
-	BytesRecv    int64
 	MessagesSent int64 // queue: messages published; object: objects written
-	Publishes    int64 // queue: publish API calls; object: PUT calls
-	// BilledPublishes is the worker-side ledger of 64 KiB-increment
-	// billed publish requests (S), used to predict cost independently of
-	// the provider's meter (§VI-F validation).
-	BilledPublishes int64
-	Polls           int64 // queue: receive calls; object: LIST calls
-	Deletes         int64 // queue: delete-batch calls
-	Fetches         int64 // queue: messages received; object: GET calls
-	// Resends counts values this worker re-delivered from its run's
-	// sender-side buffers after a lossy store failover (Memory channel
-	// only): the recovery that lets an R<2 cluster run complete at the
-	// price of extra ops and latency.
-	Resends int64
-	// AttrBytes is the worker-side ledger of message-attribute bytes,
-	// which count toward SNS->SQS transfer volume (Z).
-	AttrBytes int64
-	// HybridPuts and HybridGets count the Hybrid channel's bulk chunk
-	// objects written and read — S3-billed calls, kept separate from
-	// Publishes/Fetches so the per-run cost reconstruction can split the
-	// channel's memory-store and object-store sides.
-	HybridPuts int64
-	HybridGets int64
-	// StoreGets counts model-store reads (weights, maps, inputs).
-	StoreGets int64
-	// StorePuts counts model-store writes (the root's result object).
-	StorePuts int64
+	Fetches      int64 // queue: messages received; object: GET calls
 	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
 	PeakMemBytes int64
 }

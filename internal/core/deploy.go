@@ -11,6 +11,7 @@ import (
 	"fsdinference/internal/cloud/s3"
 	"fsdinference/internal/cloud/sns"
 	"fsdinference/internal/cloud/sqs"
+	"fsdinference/internal/cloud/usage"
 	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/sparse"
@@ -102,9 +103,10 @@ type runState struct {
 	// outputs collects every worker's reduced result under
 	// AllreduceOutput (index = worker id; nil otherwise).
 	outputs []*sparse.Dense
-	// collectives counts this run's collective calls by "op/alg" key, the
-	// per-run share of the environment meter's Collectives.
-	collectives map[string]int64
+	// usage is the run's own meter: each call a rank asks a service for is
+	// charged here where it is made, as the service charges the
+	// environment's meter, so runs that overlap keep separate bills.
+	usage usage.Meter
 
 	rootFut      *faas.Future
 	metrics      []*WorkerMetrics
@@ -113,8 +115,8 @@ type runState struct {
 	output       *sparse.Dense
 	workerErrs   []error
 	// start and end bound the run in virtual time (client invoke to
-	// result availability); the per-run usage reconstruction uses them to
-	// attribute provisioned-capacity hours.
+	// result availability); runUsage attributes provisioned-capacity
+	// hours by them.
 	start, end time.Duration
 
 	// scope is the run's tracing scope — the deployment's scope narrowed
@@ -255,11 +257,12 @@ func (d *Deployment) runOf(who string, payload []byte) (*runState, int, error) {
 // context when the run completes (successfully or not); the returned run
 // id identifies the request in errors and result objects.
 //
-// A Result delivered through Start carries per-run Usage/Cost
-// reconstructed from the run's own worker-side ledgers via the paper's
-// cost model (Equations (1)-(7), the §VI-F predictor), because the shared
-// environment meter cannot attribute concurrently metered usage to one
-// run. The synchronous Infer path reports exact metered usage instead.
+// A Result delivered through Start carries per-run Usage/Cost: the run's
+// own meter as the client receives the result, charged at each call its
+// ranks made, plus Lambda from the ranks' runtimes and the run's share of
+// the store's node-hours (runUsage), because the shared environment meter
+// cannot attribute concurrently metered usage to one run. The synchronous
+// Infer path reports the metered window instead.
 //
 // Any number of runs may overlap on the same deployment, whatever its
 // channel: object keys are run-scoped, and the Queue channel partitions
@@ -285,6 +288,7 @@ func (d *Deployment) StartTraced(input *sparse.Dense, parent obs.SpanID, done fu
 		batch: input.Cols,
 		input: input,
 	}
+	run.usage.SQSBillFanout = d.Env.Meter.SQSBillFanout
 	if d.Cfg.Trace.T != nil && parent != 0 {
 		run.scope = obs.Scope{T: d.Cfg.Trace.T, Track: d.Cfg.Trace.Track, Parent: parent}
 	}
@@ -332,7 +336,7 @@ func (d *Deployment) Decommission() {
 
 // clientRun is the client-side body of one request: invoke the coordinator,
 // or rank 0 itself when it has no peers, wait for the result and assemble
-// the Result with ledger-reconstructed usage.
+// the Result with the run's usage.
 func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 	start := p.Now()
 	wrap := func(err error) error { return fmt.Errorf("core: run %s: %w", run.id, err) }
@@ -398,7 +402,7 @@ func (d *Deployment) clientRun(p *sim.Proc, run *runState) (*Result, error) {
 // sequentially on the deployment's environment; latencies and costs are
 // reported in virtual time and metered dollars. Infer is the synchronous
 // compatibility path over Start: it owns the kernel until the run drains,
-// and replaces the reconstructed usage with the exact metered window.
+// and replaces the run's usage with the environment's metered window.
 func (d *Deployment) Infer(input *sparse.Dense) (*Result, error) {
 	snap := d.Env.Meter.Snapshot()
 	var res *Result

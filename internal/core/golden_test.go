@@ -180,8 +180,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 			cfg: Config{Channel: Queue, Compress: true, PollWait: 2 * time.Second},
 			reached: func(res *Result) bool {
 				msgs := sum(res, func(w *WorkerMetrics) int64 { return w.MessagesSent })
-				pubs := sum(res, func(w *WorkerMetrics) int64 { return w.Publishes })
-				return msgs > logicalSends && pubs < msgs
+				return msgs > logicalSends && res.Usage.SNSPublishCalls < msgs
 			},
 		},
 		{
@@ -192,9 +191,12 @@ func TestGoldenChannelPaths(t *testing.T) {
 				HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10,
 			},
 			reached: func(res *Result) bool {
-				puts := sum(res, func(w *WorkerMetrics) int64 { return w.HybridPuts })
-				gets := sum(res, func(w *WorkerMetrics) int64 { return w.HybridGets })
-				return res.Usage.HybridBulkValues >= int64(plan.Layers) && puts > res.Usage.HybridBulkValues && gets == puts
+				// Beside the chunks, the model store serves each rank its
+				// layers and its input and takes the one result.
+				u := res.Usage
+				puts := u.S3PutCalls - 1
+				gets := u.S3GetCalls - int64(plan.Workers*(plan.Layers+1))
+				return u.HybridBulkValues >= int64(plan.Layers) && puts == u.HybridChunks && puts > u.HybridBulkValues && gets == puts
 			},
 		},
 		{
@@ -214,7 +216,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 				})
 			},
 			reached: func(res *Result) bool {
-				return sum(res, func(w *WorkerMetrics) int64 { return w.Resends }) > 0
+				return res.Usage.KVResends > 0
 			},
 		},
 		{
@@ -222,8 +224,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 			golden: goldenCell{2969397747, "0.0002792080289693025", "c990098d80fcc0af"},
 			cfg:    Config{Channel: Queue, Compress: true, PollWait: 0},
 			reached: func(res *Result) bool {
-				return sum(res, func(w *WorkerMetrics) int64 { return w.Polls }) >
-					sum(res, func(w *WorkerMetrics) int64 { return w.Fetches })
+				return res.Usage.SQSReceiveCalls > sum(res, func(w *WorkerMetrics) int64 { return w.Fetches })
 			},
 		},
 	}
@@ -315,28 +316,32 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028315049, "0.0025804758831900103", "f2dbbc1827be521a"})
 }
 
-// TestGoldenRunLedger pins what Start reports — the Usage and Cost that
-// runUsage reconstructs from the worker ledgers, which the cells above never
-// see because Infer replaces them with the metered window — for every kind
-// at P=8 under AutoAlgo with AllreduceOutput, so Usage.Collectives in the
-// dump also pins what the channel's traits made the picker choose. The
-// Hybrid threshold is low enough that both of its routes carry values; the
-// chunk size stays at its default because, when this cell was captured, a
-// value split over several chunks lost all but its last one under tree and
-// ring (since fixed: TestCollectivesFoldEveryChunk). Captured before the
-// kinds' provisioning, traits and billing moved into one table.
+// TestGoldenRunLedger pins what Start reports — the Usage and Cost runUsage
+// builds from the run's own meter, which the cells above never see because
+// Infer replaces them with the metered window — for every kind at P=8 under
+// AutoAlgo with AllreduceOutput, so Usage.Collectives in the dump also pins
+// what the channel's traits made the picker choose. The Hybrid threshold is
+// low enough that both of its routes carry values; the chunk size stays at
+// its default because, when this cell was captured, a value split over
+// several chunks lost all but its last one under tree and ring (since
+// fixed: TestCollectivesFoldEveryChunk). Every count was captured while
+// runUsage still summed per-worker ledgers; the byte lines were re-captured
+// when the run's meter began to charge each call with the bytes the service
+// meters, the model store's included.
 //
 // The run ends when the root finishes, so under tree the ranks still waiting
 // for their broadcast copy have no FinishedAt when runUsage reads them and
 // contribute a negative runtime: the Queue and Object cells pin a negative
 // LambdaGBSeconds, the same early-teardown defect TestGoldenResultP32 pins.
+// Those ranks are mid-flight too: what they ask of a service after the
+// client has the result is not in it.
 func TestGoldenRunLedger(t *testing.T) {
 	golden := map[ChannelKind]goldenCell{
-		Serial: {783822079, "3.0283979567870003e-05", "5c15a92a5f72de29"},
-		Queue:  {3816097341, "-5.64981028522512e-05", "f1806994d1452c9e"},
-		Object: {4196862311, "0.002970772569493777", "2a4b18953c7f8e5d"},
-		Memory: {3061973312, "0.0025916541625544925", "e3f65fff82856ecb"},
-		Hybrid: {3497248658, "0.0035349599855021", "88d4d45c85f390c4"},
+		Serial: {783822079, "3.0283979567870003e-05", "133b9386fda3089e"},
+		Queue:  {3816097341, "-5.64981028522512e-05", "464e4229db12800c"},
+		Object: {4196862311, "0.002970772569493777", "d4f79c01169fcc0f"},
+		Memory: {3061973312, "0.0025916541625544925", "85177e20169519ca"},
+		Hybrid: {3497248658, "0.0035349599855021", "929b42a6f772524f"},
 	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {

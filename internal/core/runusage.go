@@ -4,19 +4,15 @@ import (
 	"fsdinference/internal/cloud/usage"
 )
 
-// runUsage reconstructs one run's resource consumption into u (the Result's
-// own field: a meter of its own would escape through the bill hook) from the
-// run's worker-side ledgers, following the same mapping the §VI-F cost-model
-// validation uses (Equations (1)-(7) evaluate these counts into dollars).
-// It exists because concurrent runs share a single environment meter:
-// windowed snapshots cannot attribute interleaved billing to one run, but
-// every billable event of a run is also counted in its workers' metrics,
-// so the per-run view can be rebuilt exactly for Lambda/SNS/SQS and for
-// the request-billed S3 calls. Transfer byte counters (S3BytesIn/Out) are
-// approximated from payload ledgers; they carry no cost.
+// runUsage writes one run's resource consumption into u (the Result's own
+// field): the run's meter as it stands when the client has the result —
+// every service call its ranks made, charged where it was made, the counts
+// §VI-F's Equations (1)-(7) price — plus what the run's processes and the
+// store's provisioned nodes bill by the hour. It exists because concurrent
+// runs share a single environment meter, whose windowed snapshots cannot
+// attribute interleaved billing to one run.
 func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
-	*u = *usage.NewMeter()
-	u.SQSBillFanout = d.Env.Meter.SQSBillFanout
+	*u = run.usage
 
 	// Compute side: one invocation per worker instance, plus the client's
 	// invocation of the coordinator when there is one.
@@ -25,35 +21,17 @@ func (d *Deployment) runUsage(run *runState, u *usage.Meter) {
 		u.LambdaInvocations++
 	}
 	// Each product is converted before it is added, which forbids a fused
-	// multiply-add, so the ledger bills the same on every GOARCH.
+	// multiply-add, so the run bills the same on every GOARCH.
 	for _, w := range run.metrics {
 		u.LambdaGBSeconds += float64(float64(d.Cfg.WorkerMemoryMB) / 1024 * w.Runtime().Seconds())
 	}
 	u.LambdaGBSeconds += float64(float64(coordinatorMemoryMB) / 1024 * run.coordRuntime.Seconds())
 
-	// Communication side, from the worker ledgers: the model store's reads
-	// and writes on every kind, then what the kind's own services were
-	// asked for.
-	bill := transports[d.Cfg.Channel].bill
-	for _, w := range run.metrics {
-		u.S3PutCalls += w.StorePuts
-		u.S3GetCalls += w.StoreGets
-		if bill != nil {
-			bill(w, u)
-		}
-	}
-
-	// Collective calls are tracked per run directly (rank 0 counts each
-	// once).
-	for k, v := range run.collectives {
-		u.Collectives[k] += v
-	}
-
 	// Provisioned capacity: the store cluster bills node-hours, not
 	// requests. A run's attributable share is its own wall time (with the
 	// service's billing floor): each run "reserves" the node for its
-	// duration, so overlapping runs each carry a full share and the
-	// ledger sum can exceed the metered node-hours — deliberately
+	// duration, so overlapping runs each carry a full share and their
+	// sum can exceed the metered node-hours — deliberately
 	// pessimistic per-run attribution of shared capacity. Idle hours
 	// between runs belong to the deployment, not to any one request;
 	// exact billing is always the metered window (Infer, Replay's

@@ -29,10 +29,6 @@ type transport struct {
 	// traits summarises the kind for the analytic collective cost model, for
 	// a message of msgBytes over services calibrated as ec.
 	traits func(cfg Config, ec env.Config, msgBytes int64) collective.Traits
-	// bill adds to a run's usage what one worker's ledger says the kind's
-	// own services were asked for. Model-store reads and writes are every
-	// kind's and are not its to add.
-	bill func(w *WorkerMetrics, u *usage.Meter)
 	// predict is the kind's §IV cost model before a deployment exists: the
 	// usage counts one query of w bills on the kind's own services, or why
 	// cfg cannot serve w at all.
@@ -52,22 +48,21 @@ var transports = [...]transport{
 	Queue: {
 		name: "FSD-Inf-Queue", spelling: "queue",
 		provision: provisionTopics, bind: bindRunQueues, unbind: unbindRunQueues,
-		open: openQueue, traits: queueTraits, bill: billQueue, predict: predictQueue,
+		open: openQueue, traits: queueTraits, predict: predictQueue,
 	},
 	Object: {
 		name: "FSD-Inf-Object", spelling: "object",
-		provision: provisionBuckets, open: openObject, traits: objectTraits, bill: billObject,
-		predict: predictObject,
+		provision: provisionBuckets, open: openObject, traits: objectTraits, predict: predictObject,
 	},
 	Memory: {
 		name: "FSD-Inf-Memory", spelling: "memory",
 		provision: provisionStore, bind: bindStore, unbind: dropRunKeyspace,
-		open: openMemory, traits: memoryTraits, bill: billStore, predict: predictMemory, store: true,
+		open: openMemory, traits: memoryTraits, predict: predictMemory, store: true,
 	},
 	Hybrid: {
 		name: "FSD-Inf-Hybrid", spelling: "hybrid",
 		provision: provisionHybrid, bind: bindStore, unbind: dropRunKeyspace,
-		open: openHybrid, traits: hybridTraits, bill: billHybrid, predict: predictHybrid, store: true,
+		open: openHybrid, traits: hybridTraits, predict: predictHybrid, store: true,
 	},
 }
 

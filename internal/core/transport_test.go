@@ -41,9 +41,9 @@ func TestTransportTable(t *testing.T) {
 			t.Errorf("ParseChannelKind(%q) = %v, %v; want %v", tr.spelling, got, err, kind)
 		}
 		// Serial has no transport behind it (its one rank runs alone); every
-		// other kind opens a channel, is priced by AutoAlgo and bills.
-		if kind != Serial && (tr.open == nil || tr.traits == nil || tr.bill == nil) {
-			t.Errorf("%v lacks one of open, traits, bill", kind)
+		// other kind opens a channel and is priced by AutoAlgo.
+		if kind != Serial && (tr.open == nil || tr.traits == nil) {
+			t.Errorf("%v lacks one of open, traits", kind)
 		}
 		if (tr.bind == nil) != (tr.unbind == nil) {
 			t.Errorf("%v binds per-run resources without unbinding them, or the reverse", kind)

@@ -234,7 +234,7 @@ func (w *worker) load() error {
 		if err != nil {
 			return fmt.Errorf("core: worker %d loading layer %d: %w", w.id, k, err)
 		}
-		w.metrics.StoreGets++
+		w.chargeStoreGet(blob)
 		w.ctx.Serialize(int64(len(blob)))
 		w.ctx.Alloc(int64(float64(blk.bytes) * perf.MemOverheadWeights))
 	}
@@ -246,7 +246,7 @@ func (w *worker) load() error {
 	if err != nil {
 		return fmt.Errorf("core: worker %d loading input: %w", w.id, err)
 	}
-	w.metrics.StoreGets++
+	w.chargeStoreGet(blob)
 	w.ctx.Serialize(int64(len(blob)))
 	if wire.Deflated(blob) {
 		w.ctx.Decompress(int64(len(blob)))
@@ -275,6 +275,12 @@ func (w *worker) load() error {
 	w.ctx.Alloc(int64(float64(xBytes) * perf.MemOverheadData))
 	w.metrics.LoadTime = p.Now() - t0
 	return nil
+}
+
+// chargeStoreGet charges the run one model-store GET that returned blob.
+func (w *worker) chargeStoreGet(blob []byte) {
+	w.run.usage.S3GetCalls++
+	w.run.usage.S3BytesOut += int64(len(blob))
 }
 
 func (w *worker) setX(id int32, vals []float32) {
@@ -470,15 +476,12 @@ func ReduceContributionBytes(neurons, workers, batch int) int64 {
 	return int64(neurons) / int64(workers) * wire.RawRowBytes(batch)
 }
 
-// noteCollective records one collective call in the environment meter
-// (rank 0 only, so a P-worker collective counts once).
+// noteCollective records one collective call in the environment's meter and
+// the run's (rank 0 only, so a P-worker collective counts once).
 func (w *worker) noteCollective(op collective.Op, alg collective.Algorithm) {
 	if w.id == 0 {
 		w.d.Env.Meter.AddCollective(op.String(), alg.String())
-		if w.run.collectives == nil {
-			w.run.collectives = make(map[string]int64)
-		}
-		w.run.collectives[op.String()+"/"+alg.String()]++
+		w.run.usage.AddCollective(op.String(), alg.String())
 	}
 }
 
@@ -659,7 +662,8 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 	if err := putObject(w.d.store, w.ctx.P, resultKey(w.run.id), enc); err != nil {
 		return fmt.Errorf("core: storing result: %w", err)
 	}
-	w.metrics.StorePuts++
+	w.run.usage.S3PutCalls++
+	w.run.usage.S3BytesIn += int64(len(enc))
 	w.run.output = out
 	return nil
 }

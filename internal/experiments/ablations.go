@@ -36,13 +36,12 @@ func AblationPolling(l *Lab) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("polling %s: %w", tc.name, err)
 		}
-		var polls, fetches int64
+		var fetches int64
 		for _, w := range r.Workers {
-			polls += w.Polls
 			fetches += w.Fetches
 		}
 		perPoll := 0.0
-		if polls > 0 {
+		if polls := r.Usage.SQSReceiveCalls; polls > 0 {
 			perPoll = float64(fetches) / float64(polls)
 		}
 		t.Rows = append(t.Rows, []string{
@@ -114,14 +113,10 @@ func AblationCompression(l *Lab) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compression %s: %w", tc.name, err)
 		}
-		var billed int64
-		for _, w := range r.Workers {
-			billed += w.BilledPublishes
-		}
 		t.Rows = append(t.Rows, []string{
 			tc.name,
 			fmt.Sprintf("%d", r.TotalBytesSent()),
-			fmt.Sprintf("%d", billed),
+			fmt.Sprintf("%d", r.Usage.SNSBilledPublishes),
 			msPerSample(r.Latency, r.Batch),
 			dollars(r.Cost.Total()),
 		})

@@ -108,15 +108,11 @@ func ClusterScaling(l *Lab) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster failover R=%d: %w", replicas, err)
 		}
-		var resent int64
-		for _, w := range res.Workers {
-			resent += w.Resends
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("kill mid-run R=%d", replicas),
 			"-", ms(res.Latency),
 			fmt.Sprintf("%d", e.Meter.KVLostValues),
-			fmt.Sprintf("%d", resent),
+			fmt.Sprintf("%d", e.Meter.KVResends),
 			fmt.Sprintf("%.4f (%.4f)", res.Cost.KV, res.Cost.KVReplica),
 		})
 	}

@@ -125,9 +125,9 @@ func Table3Partitioning(l *Lab) (*Table, error) {
 }
 
 // CostValidation regenerates the §VI-F check for every row of core's
-// transport table: the cost reconstructed from a run's worker-side
-// fine-grained metrics against what the simulated services billed for it, at
-// the stand-in for N=16384, P=20. Both sides are priced by usage.Meter.Cost,
+// transport table: the cost of a run's own meter, which its ranks charge at
+// each call they make, against what the simulated services billed for it,
+// at the stand-in for N=16384, P=20. Both sides are priced by usage.Meter.Cost,
 // the module's one statement of Equations (1)-(7); what is compared is the
 // counting. Runs with AllreduceOutput are not validated: their reconstruction
 // is wrong until a run ends when its last rank does (ROADMAP direction 1).
@@ -171,9 +171,8 @@ func CostValidation(l *Lab) (*Table, error) {
 const validationHybridThreshold = 2048
 
 // validateRun builds the §VI-F validation for one run of kind on a fresh
-// environment: predicted is the cost Start reconstructs from the run's own
-// worker ledgers through the row's bill hook, actual the environment meter's
-// window around the run.
+// environment: predicted is the cost Start reports from the run's own meter
+// (core's runUsage), actual the environment meter's window around the run.
 func (l *Lab) validateRun(neurons, workers int, kind core.ChannelKind) (validation, error) {
 	d, err := l.deploy(env.NewDefault(), neurons, workers, kind, partition.Block, 2*time.Second,
 		func(c *core.Config) { c.HybridThresholdBytes = validationHybridThreshold })
@@ -200,8 +199,8 @@ func (l *Lab) validateRun(neurons, workers int, kind core.ChannelKind) (validati
 	return validation{predicted: res.Cost, actual: used.Cost(d.Env.Pricing)}, nil
 }
 
-// validation compares a cost reconstructed from worker-side metrics against
-// the billed actuals from the usage meter (§VI-F). The paper reports
+// validation compares the cost a run reports of itself against the billed
+// actuals from the environment's meter (§VI-F). The paper reports
 // compute/comms/total agreement to the cent.
 type validation struct {
 	predicted usage.Breakdown
