@@ -73,10 +73,13 @@ fuzz-smoke:
 # pre-filter verdict and fsdcost.golden — is checked off amd64 too, and
 # wire's, so the frame estimate the chunk split cuts by is. Last, it fails
 # on any fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB) in arm64's
-# assembly of the pricing packages: a fused product rounds once where amd64
-# rounds twice, so a price would differ by GOARCH. An explicit conversion of
-# the product, float64(x*y) + z, forbids the fusion.
-PRICING_PKGS := ./internal/wire ./internal/core ./internal/plan ./cmd/fsdcost
+# assembly of the pricing packages — the meter and the services that charge
+# its float lines (usage, faas, kvstore) as well as the rows and the run's
+# usage: a fused product rounds once where amd64 rounds twice, so a price or
+# a cold start would differ by GOARCH. An explicit conversion of the
+# product, float64(x*y) + z, forbids the fusion.
+PRICING_PKGS := ./internal/wire ./internal/core ./internal/plan ./cmd/fsdcost \
+	./internal/cloud/usage ./internal/cloud/faas ./internal/cloud/kvstore
 portable:
 	GOARCH=386 go test ./internal/sparse ./internal/wire
 	GOARCH=386 go test ./internal/plan ./cmd/fsdcost

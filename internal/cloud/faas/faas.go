@@ -237,7 +237,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string, payload []byte) (*Future, e
 		warm = true
 		pl.WarmStarts++
 	} else {
-		jitter := 0.8 + 0.4*fn.rng.Float64()
+		jitter := 0.8 + float64(0.4*fn.rng.Float64())
 		start = time.Duration(float64(start) * jitter)
 		pl.ColdStarts++
 	}
@@ -271,7 +271,7 @@ func (pl *Platform) runInstance(hp *sim.Proc, fn *function, fut *Future, payload
 	finish := func(res []byte, err error) {
 		watchdog.Stop()
 		dur := hp.Now() - ctx.started
-		pl.meter.LambdaGBSeconds += float64(fn.cfg.MemoryMB) / 1024 * dur.Seconds()
+		pl.meter.LambdaGBSeconds += float64(float64(fn.cfg.MemoryMB) / 1024 * dur.Seconds())
 		pl.live--
 		fn.warm = append(fn.warm, hp.Now())
 		fut.finish(res, err)

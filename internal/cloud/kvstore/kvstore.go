@@ -252,7 +252,7 @@ func (n *Node) accrue() {
 	}
 	if delta := lifetime - n.billed; delta > 0 {
 		n.svc.meter.AddKVNodeHours(n.typ.Name, delta.Hours())
-		n.svc.meter.KVGBHours += delta.Hours() * n.typ.MemoryGB
+		n.svc.meter.KVGBHours += float64(delta.Hours() * n.typ.MemoryGB)
 		if n.shard != "" {
 			n.svc.meter.AddKVShardHours(n.shard, delta.Hours())
 		}

@@ -174,7 +174,7 @@ func (m *Meter) Add(o Meter) {
 func (m *Meter) fold(o Meter, sign int64) {
 	f := float64(sign)
 	m.LambdaInvocations += sign * o.LambdaInvocations
-	m.LambdaGBSeconds += f * o.LambdaGBSeconds
+	m.LambdaGBSeconds += float64(f * o.LambdaGBSeconds)
 	m.SNSPublishCalls += sign * o.SNSPublishCalls
 	m.SNSBilledPublishes += sign * o.SNSBilledPublishes
 	m.SNSMessages += sign * o.SNSMessages
@@ -191,7 +191,7 @@ func (m *Meter) fold(o Meter, sign int64) {
 	m.KVOps += sign * o.KVOps
 	m.KVBytesIn += sign * o.KVBytesIn
 	m.KVBytesOut += sign * o.KVBytesOut
-	m.KVGBHours += f * o.KVGBHours
+	m.KVGBHours += float64(f * o.KVGBHours)
 	foldMap(&m.KVNodeHours, o.KVNodeHours, f)
 	foldMap(&m.KVReplicaHours, o.KVReplicaHours, f)
 	foldMap(&m.KVShardHours, o.KVShardHours, f)
@@ -212,7 +212,7 @@ func foldMap[V int64 | float64](dst *map[string]V, src map[string]V, sign V) {
 		*dst = make(map[string]V, len(src))
 	}
 	for k, v := range src {
-		(*dst)[k] += sign * v
+		(*dst)[k] += V(sign * v)
 	}
 }
 
@@ -285,22 +285,22 @@ func FoldSorted[V any](m map[string]V, f func(k string, v V)) {
 // Cost converts the metered usage into billed dollars under catalogue c.
 func (m *Meter) Cost(c pricing.Catalog) Breakdown {
 	var b Breakdown
-	b.Lambda = float64(m.LambdaInvocations)*c.LambdaInvoke +
-		m.LambdaGBSeconds*c.LambdaGBSecond
-	b.SNS = float64(m.SNSBilledPublishes)*c.SNSPublish +
-		float64(m.SNSDeliveredBytes)*c.SNSByte
+	b.Lambda = float64(float64(m.LambdaInvocations)*c.LambdaInvoke) +
+		float64(m.LambdaGBSeconds*c.LambdaGBSecond)
+	b.SNS = float64(float64(m.SNSBilledPublishes)*c.SNSPublish) +
+		float64(float64(m.SNSDeliveredBytes)*c.SNSByte)
 	b.SQS = float64(m.SQSRequests()) * c.SQSRequest
-	b.S3 = float64(m.S3PutCalls)*c.S3Put +
-		float64(m.S3GetCalls)*c.S3Get +
-		float64(m.S3ListCalls)*c.S3List
+	b.S3 = float64(float64(m.S3PutCalls)*c.S3Put) +
+		float64(float64(m.S3GetCalls)*c.S3Get) +
+		float64(float64(m.S3ListCalls)*c.S3List)
 	FoldSorted(m.EC2Hours, func(typ string, h float64) {
-		b.EC2 += h * c.EC2Hourly[typ]
+		b.EC2 += float64(h * c.EC2Hourly[typ])
 	})
 	FoldSorted(m.KVNodeHours, func(typ string, h float64) {
-		b.KV += h * c.KVNodeHourly[typ]
+		b.KV += float64(h * c.KVNodeHourly[typ])
 	})
 	FoldSorted(m.KVReplicaHours, func(typ string, h float64) {
-		b.KVReplica += h * c.KVNodeHourly[typ]
+		b.KVReplica += float64(h * c.KVNodeHourly[typ])
 	})
 	return b
 }
@@ -315,7 +315,7 @@ func (m *Meter) KVShardCost(c pricing.Catalog) map[string]float64 {
 	var hours, dollars float64
 	FoldSorted(m.KVNodeHours, func(typ string, h float64) {
 		hours += h
-		dollars += h * c.KVNodeHourly[typ]
+		dollars += float64(h * c.KVNodeHourly[typ])
 	})
 	if hours <= 0 {
 		return nil
