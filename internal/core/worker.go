@@ -234,7 +234,8 @@ func (w *worker) load() error {
 		if err != nil {
 			return fmt.Errorf("core: worker %d loading layer %d: %w", w.id, k, err)
 		}
-		w.chargeStoreGet(blob)
+		w.run.usage.S3GetCalls++
+		w.run.usage.S3BytesOut += int64(len(blob))
 		w.ctx.Serialize(int64(len(blob)))
 		w.ctx.Alloc(int64(float64(blk.bytes) * perf.MemOverheadWeights))
 	}
@@ -246,7 +247,8 @@ func (w *worker) load() error {
 	if err != nil {
 		return fmt.Errorf("core: worker %d loading input: %w", w.id, err)
 	}
-	w.chargeStoreGet(blob)
+	w.run.usage.S3GetCalls++
+	w.run.usage.S3BytesOut += int64(len(blob))
 	w.ctx.Serialize(int64(len(blob)))
 	if wire.Deflated(blob) {
 		w.ctx.Decompress(int64(len(blob)))
@@ -275,12 +277,6 @@ func (w *worker) load() error {
 	w.ctx.Alloc(int64(float64(xBytes) * perf.MemOverheadData))
 	w.metrics.LoadTime = p.Now() - t0
 	return nil
-}
-
-// chargeStoreGet charges the run one model-store GET that returned blob.
-func (w *worker) chargeStoreGet(blob []byte) {
-	w.run.usage.S3GetCalls++
-	w.run.usage.S3BytesOut += int64(len(blob))
 }
 
 func (w *worker) setX(id int32, vals []float32) {

@@ -136,8 +136,8 @@ type EndpointReport struct {
 	// including coalescing wait and queueing).
 	Latency LatencyStats
 
-	// Cost is the endpoint's ledger-reconstructed spend (§VI-F
-	// predictor), summed over its runs.
+	// Cost is the endpoint's spend as its runs report it (each run's own
+	// meter priced, core.Result.Cost), summed over its runs.
 	Cost usage.Breakdown
 }
 
