@@ -134,7 +134,10 @@ cover:
 # queue-warm, that loop on a deployment whose ranks have run once, so its
 # B/op is the path that recycles each rank's buffers; and memory-p32 and
 # memory-p32-warm, collective_p32's run shape on the Memory channel, fresh
-# and warm (B/op and allocs/op print with the timing).
+# and warm (B/op and allocs/op print with the timing). Core's heap profile
+# prints twice, by bytes and by object count (alloc_objects): the
+# allocation budgets in core's tests are counts of mallocs, so the second
+# list names what they count.
 # Profiles land in ./profiles/.
 profile:
 	mkdir -p profiles
@@ -149,3 +152,4 @@ profile:
 		-o profiles/core.test ./internal/core
 	go tool pprof -top -nodecount=10 profiles/core.test profiles/core-cpu.prof
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/core.test profiles/core-mem.prof
+	go tool pprof -top -nodecount=10 -sample_index=alloc_objects profiles/core.test profiles/core-mem.prof

@@ -264,7 +264,7 @@ func broadcast(alg Algorithm, lk Link, op string, root int, rs *wire.RowSet) (*w
 	parent, children := shape(alg, vr, p, nil)
 	if vr > 0 {
 		var err error
-		if rs, err = recv(lk, op, parent.down, rankOf(parent.lo, root, p)); err != nil {
+		if rs, err = newReceiver().recv(lk, op, parent.down, rankOf(parent.lo, root, p)); err != nil {
 			return nil, err
 		}
 	}
@@ -287,29 +287,43 @@ func broadcast(alg Algorithm, lk Link, op string, root int, rs *wire.RowSet) (*w
 	return rs, nil
 }
 
+// receiver takes values from one source at a time (recv). It keeps its own
+// source list and deliver closure, so one receiver serves every hop of an
+// operation and a hop allocates nothing of its own: the ring's pass-around
+// receives P(P-1) times a run.
+type receiver struct {
+	src    [1]int
+	rs     *wire.RowSet
+	pieces int
+	take   func(src int, rs *wire.RowSet)
+}
+
+func newReceiver() *receiver {
+	r := new(receiver)
+	r.take = func(_ int, rs *wire.RowSet) {
+		switch r.pieces++; r.pieces {
+		case 1:
+			r.rs = rs
+		case 2:
+			r.rs = Union(Union(nil, r.rs), rs)
+		default:
+			r.rs = Union(r.rs, rs)
+		}
+	}
+	return r
+}
+
 // recv gathers the one value src sent under (op, round); nil if it was
 // empty. A value that arrives as a single byte string is returned as
 // delivered: the decoded set carries its frame, so forwarding it pays no
 // compressor. A value that arrives in several is joined into a set of its
 // own — a delivered set is never appended to.
-func recv(lk Link, op string, round, src int) (*wire.RowSet, error) {
-	// One struct, so the closure moves one variable to the heap, not two:
-	// the ring's pass-around receives P(P-1) times a run.
-	var in struct {
-		rs     *wire.RowSet
-		pieces int
-	}
-	err := lk.Gather(op, round, []int{src}, func(_ int, rs *wire.RowSet) {
-		switch in.pieces++; in.pieces {
-		case 1:
-			in.rs = rs
-		case 2:
-			in.rs = Union(Union(nil, in.rs), rs)
-		default:
-			in.rs = Union(in.rs, rs)
-		}
-	})
-	return in.rs, err
+func (r *receiver) recv(lk Link, op string, round, src int) (*wire.RowSet, error) {
+	r.src[0], r.rs, r.pieces = src, nil, 0
+	err := lk.Gather(op, round, r.src[:], r.take)
+	rs := r.rs
+	r.rs = nil
+	return rs, err
 }
 
 // Barrier returns once every rank has entered it: an empty reduce to rank 0
@@ -361,11 +375,12 @@ func passAround(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, err
 	}
 	next, prev := (r+1)%p, (r-1+p)%p
 	acc, hold := mine, mine
+	in := newReceiver()
 	for s := 0; s < p-1; s++ {
 		if err := lk.Send(opAllreduceUp, s, next, orEmpty(hold)); err != nil {
 			return nil, err
 		}
-		got, err := recv(lk, opAllreduceUp, s, prev)
+		got, err := in.recv(lk, opAllreduceUp, s, prev)
 		if err != nil {
 			return nil, err
 		}

@@ -266,21 +266,27 @@ func (ps pieces) Gather(_ string, _ int, sources []int, deliver func(int, *wire.
 // TestRecvKeepsTheFrame: a value delivered in one piece comes back as the
 // delivered set itself, so a forward reuses its frame; a value delivered in
 // several comes back whole in a set of its own, the delivered ones untouched.
+// One receiver takes all three, as it takes every hop of a pass-around, so
+// each receive starts from nothing the one before it left.
 func TestRecvKeepsTheFrame(t *testing.T) {
+	in := newReceiver()
 	one := contribution(3, 2)
-	if got, err := recv(pieces{one}, "x", 0, 1); err != nil || got != one {
+	if got, err := in.recv(pieces{one}, "x", 0, 1); err != nil || got != one {
 		t.Fatalf("recv of one piece = (%p, %v), want the delivered set %p", got, err, one)
 	}
-	if got, err := recv(pieces{}, "x", 0, 1); err != nil || got != nil {
+	if got, err := in.recv(pieces{}, "x", 0, 1); err != nil || got != nil {
 		t.Fatalf("recv of an empty value = (%v, %v), want nil", ids(got), err)
 	}
 	a, b, c := contribution(0, 2), contribution(1, 2), contribution(2, 2)
-	got, err := recv(pieces{a, b, c}, "x", 0, 1)
+	got, err := in.recv(pieces{a, b, c}, "x", 0, 1)
 	if err != nil || !eqInts(ids(got), wantAll(3)) {
 		t.Fatalf("recv of three pieces = (%v, %v), want rows %v", ids(got), err, wantAll(3))
 	}
 	if got == a || a.Len() != 2 || b.Len() != 2 || c.Len() != 2 {
 		t.Fatalf("recv joined into a delivered set: pieces now hold %d, %d, %d rows", a.Len(), b.Len(), c.Len())
+	}
+	if got, err := in.recv(pieces{one}, "x", 0, 1); err != nil || got != one {
+		t.Fatalf("recv of one piece after three = (%v, %v), want the delivered set", ids(got), err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 	"fsdinference/internal/sparse"
+	"fsdinference/internal/wire"
 )
 
 // A worker writes a layer's output, its outgoing rows and its arrivals into
@@ -46,11 +48,12 @@ func arenaDeployment(t *testing.T, layers int, kind ChannelKind, allreduce bool)
 // output matrix, send set and decoded set per layer. Six extra layers (L=8
 // against L=2, the least TotalAlloc of three runs each) measured per layer
 // 129.4 kB on Queue and 158.3 kB on Memory while each layer allocated its
-// own, and 54.8 kB and 83.7 kB with the buffers kept (Memory frames every
-// value twice, once for the store's header, and logs it for failover); the
-// bound sits between. The figures repeat to the byte, alone and inside the
-// package's suite. TotalAlloc counts the whole process, so the test must not
-// run in parallel with others.
+// own, 45.2 kB and 70.8 kB with the buffers kept while Memory framed every
+// value twice, once for the store's header, and 42.8 kB and 35.9 kB since a
+// value is its header and its frame in one allocation; the bound sits
+// between. The figures repeat to the byte, alone and inside the package's
+// suite. TotalAlloc counts the whole process, so the test must not run in
+// parallel with others.
 func TestLayerBytesDoNotGrowWithDepth(t *testing.T) {
 	const bound = 100 << 10 // host bytes per extra layer
 	for _, kind := range []ChannelKind{Queue, Memory} {
@@ -136,16 +139,19 @@ func TestOverlappingRunsKeepTheirOwnBuffers(t *testing.T) {
 // receive arenas its rank's last run gave back, decodes its input rows into
 // that arena, contributes a view of its last z to the gather, and the root
 // gathers straight into the result, so a warm run allocates (measured, in
-// batches) 9.76 on Queue, 8.68 on Object, 13.50 on Memory and 8.85 on
+// batches) 8.99 on Queue, 7.92 on Object, 7.90 on Memory and 7.92 on
 // Hybrid: the frames the services are handed, the sets the collective
-// decodes, the result matrix. While every run allocated its buffers afresh
-// and the root unioned the gathered sets before copying them into the
-// result, the same runs took 24.97, 22.26, 27.07 and 21.62; a cold run here
-// still takes 20.7 to 25.8. Each budget leaves about two batches of
-// headroom. TotalAlloc counts the whole process, so the test must not run
-// in parallel with others.
+// decodes, the result matrix. While a store value copied its frame behind
+// its header, the Memory and Hybrid runs took 12.74 and 8.09 (and Queue and
+// Object 9.00 and 7.93 while the result frame and the send lists were
+// allocated per run); while every run allocated its buffers afresh and the
+// root unioned the gathered sets before copying them into the result, the
+// same runs took 24.97, 22.26, 27.07 and 21.62; a cold run here still
+// takes 20.0 to 21.8. Each budget leaves about two batches of headroom.
+// TotalAlloc counts the whole process, so the test must not run in
+// parallel with others.
 func TestFSIRunBytesMoved(t *testing.T) {
-	budget := map[ChannelKind]float64{Queue: 12, Object: 11, Memory: 16, Hybrid: 11}
+	budget := map[ChannelKind]float64{Queue: 11, Object: 10, Memory: 10, Hybrid: 10}
 	for _, kind := range ChannelKinds() {
 		if kind == Serial {
 			continue
@@ -172,15 +178,22 @@ func TestFSIRunBytesMoved(t *testing.T) {
 
 // TestMemoryRunMallocs is the Memory channel's allocation-count budget at
 // the repository benchmark's collective_p32 run shape (N=256 x 6, Block
-// P=32, a batch of 16, AllreduceOutput, compressed): a warm run, on a
-// deployment that has served one, may make so many mallocs and no more.
-// Measured per warm run: 16 470 - 16 520 under flat, 17 650 - 17 680 under
-// tree and 34 190 - 34 220 under ring. While every push built its own RPUSH closure and sender-log
-// slice, the store allocated a list entry per refilled inbox, every comm
-// thread was named with fmt.Sprintf and every popped value's kind was a
-// fresh string, the same runs took 28 738, 30 170 and 53 215. Each budget
-// leaves about a quarter of headroom. Mallocs counts the whole process, so the
-// test must not run in parallel with others.
+// P=32, a batch of 16, AllreduceOutput, compressed), and the Queue channel's
+// at BenchmarkEngineRun/queue-warm's (the same model, Block P=4, a batch of
+// 16, neither allreduce nor compression): a warm run, on a deployment that
+// has served one, may make so many mallocs and no more. Measured per warm
+// run: 8 237 under flat, 9 167 under tree, 20 063 under ring and 2 330 on
+// Queue. Before a decoded set filled the rank's one header, the send groups'
+// sets and lists were cut from the rank's buffers, a store value was one
+// allocation (header and frame), a collective hop allocated no list or
+// closure of its own and the result and staged input frames were written
+// from their matrices, the same runs took 16 444, 17 619, 34 119 and 2 522;
+// while every push built its own RPUSH closure and sender-log slice, the
+// store allocated a list entry per refilled inbox, every comm thread was
+// named with fmt.Sprintf and every popped value's kind was a fresh string,
+// the Memory runs took 28 738, 30 170 and 53 215. Each budget leaves about a
+// quarter of headroom. Mallocs counts the whole process, so the test must
+// not run in parallel with others.
 func TestMemoryRunMallocs(t *testing.T) {
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
@@ -190,14 +203,24 @@ func TestMemoryRunMallocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan4, err := partition.BuildPlan(m, 4, partition.Block, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p32 := func(alg collective.Algorithm) Config {
+		return Config{Model: m, Plan: plan, Channel: Memory, Collective: alg, AllreduceOutput: true, Compress: true}
+	}
 	for _, tc := range []struct {
-		alg    collective.Algorithm
+		name   string
+		cfg    Config
 		budget uint64
-	}{{collective.Flat, 21_000}, {collective.Tree, 22_000}, {collective.Ring, 42_000}} {
-		d, err := Deploy(env.NewDefault(), Config{
-			Model: m, Plan: plan, Channel: Memory, Collective: tc.alg,
-			AllreduceOutput: true, Compress: true,
-		})
+	}{
+		{"memory/flat", p32(collective.Flat), 10_300},
+		{"memory/tree", p32(collective.Tree), 11_500},
+		{"memory/ring", p32(collective.Ring), 25_100},
+		{"queue", Config{Model: m, Plan: plan4, Channel: Queue}, 2_900},
+	} {
+		d, err := Deploy(env.NewDefault(), tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +235,53 @@ func TestMemoryRunMallocs(t *testing.T) {
 			}
 			checkCorrect(t, m, input, res)
 			mallocs := after.Mallocs - before.Mallocs
-			t.Logf("%v run %d made %d mallocs", tc.alg, run+1, mallocs)
+			t.Logf("%s run %d made %d mallocs", tc.name, run+1, mallocs)
 			if run == 1 && mallocs > tc.budget {
-				t.Errorf("%v: a warm run made %d mallocs, budget %d", tc.alg, mallocs, tc.budget)
+				t.Errorf("%s: a warm run made %d mallocs, budget %d", tc.name, mallocs, tc.budget)
+			}
+		}
+	}
+}
+
+// TestWarmSlotsHoldNoFrames: the buffers a run gives back to its rank's slot
+// keep no row-set header that points anywhere. The receive header (recvSet),
+// the send groups' headers (sendSets) and the send list (outs) are reused
+// from layer to layer and run to run, and each memoises, or lists sets that
+// memoise, the frames the layer decoded or sent; emptied as every layer ends
+// and as the buffers go back, they do not keep a run's last frames alive in
+// the deployment between runs.
+func TestWarmSlotsHoldNoFrames(t *testing.T) {
+	for _, kind := range ChannelKinds() {
+		if kind == Serial {
+			continue
+		}
+		for _, allreduce := range []bool{false, true} {
+			d, m, _ := arenaDeployment(t, 4, kind, allreduce)
+			for run := 0; run < 2; run++ {
+				input := model.GenerateInputs(256, 16, 0.2, int64(90+run))
+				res, err := d.Infer(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCorrect(t, m, input, res)
+			}
+			for r, b := range d.bufs {
+				if len(b.sendSets) == 0 || len(b.outs) == 0 {
+					t.Fatalf("%v allreduce=%v: rank %d's slot holds no send headers to check", kind, allreduce, r)
+				}
+				if !reflect.DeepEqual(b.recvSet, wire.RowSet{}) {
+					t.Errorf("%v allreduce=%v: rank %d's receive header still holds a set of %d rows", kind, allreduce, r, b.recvSet.Len())
+				}
+				for i := range b.sendSets {
+					if !reflect.DeepEqual(b.sendSets[i], wire.RowSet{}) {
+						t.Errorf("%v allreduce=%v: rank %d's send header %d still holds a set of %d rows", kind, allreduce, r, i, b.sendSets[i].Len())
+					}
+				}
+				for i, o := range b.outs {
+					if o != (targetRows{}) {
+						t.Errorf("%v allreduce=%v: rank %d's send slot %d still lists a set for worker %d", kind, allreduce, r, i, o.target)
+					}
+				}
 			}
 		}
 	}

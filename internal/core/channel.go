@@ -170,10 +170,11 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 // decodePayload decodes one received byte string, charging transfer-side
 // CPU (parse, plus decompression when the frame arrived deflated). It is
 // the decodeFunc of every transport whose bodies are all row sets. A layer's
-// activation rows decode into the worker's receive arena and live until the
-// layer ends, and so do the sets the gather's root copies into the result
-// (see worker.foldRoot); every other collective's sets are unioned and
-// forwarded, so they decode into sets of their own that keep their frames.
+// activation rows decode into the worker's receive arena and header
+// (recvSet), whose set is read before the next decode, and so do the sets the
+// gather's root copies into the result (see worker.foldRoot); every other
+// collective's sets are unioned and forwarded, so they decode into sets of
+// their own that keep their frames.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	w.ctx.Serialize(int64(len(body)))
 	if wire.Deflated(body) {
@@ -182,7 +183,8 @@ func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	var rs *wire.RowSet
 	var err error
 	if w.gath.tag.kind == dataKind || w.foldRoot {
-		rs, w.recvIDs, w.recvVals, err = wire.DecodeAppend(body, w.recvIDs, w.recvVals)
+		rs = &w.recvSet
+		w.recvIDs, w.recvVals, err = wire.DecodeAppend(body, rs, w.recvIDs, w.recvVals)
 	} else {
 		rs, err = wire.Decode(body)
 	}
@@ -198,10 +200,15 @@ func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 // enough to ship raw, the empty completion marker included, costs nothing).
 func (w *worker) encodeFrame(rs *wire.RowSet) ([]byte, error) {
 	p, err := wire.Encode(rs, w.d.Cfg.Compress)
+	w.chargeCompress(rs, p)
+	return p, err
+}
+
+// chargeCompress charges the compression of rs when its frame p is deflated.
+func (w *worker) chargeCompress(rs *wire.RowSet, p []byte) {
 	if wire.Deflated(p) {
 		w.ctx.Compress(rs.RawBytes())
 	}
-	return p, err
 }
 
 // encodeChunks is the same step for a size-capped service: rs becomes one

@@ -237,13 +237,42 @@ func inboxKey(runID string, target int32) string {
 }
 
 // encodeMemValue frames one inbox value: a "kind:layer:src" header, a NUL
-// separator, then the wire-encoded (possibly compressed) row set.
+// separator, then the body — a wire-encoded (possibly compressed) row set,
+// or a Hybrid bulk pointer.
 func encodeMemValue(t tag, src int32, body []byte) []byte {
-	header := t.kind + ":" + strconv.Itoa(t.layer) + ":" + strconv.Itoa(int(src))
-	val := make([]byte, 0, len(header)+1+len(body))
-	val = append(val, header...)
-	val = append(val, 0)
-	return append(val, body...)
+	var buf [memHeaderRoom]byte
+	header := appendMemHeader(buf[:0], t, src)
+	return append(append(make([]byte, 0, len(header)+len(body)), header...), body...)
+}
+
+// memValue is encodeMemValue(t, src, wire.Encode(rs, compress)) in one
+// allocation: wire.EncodeAfter writes the set's frame right after the header,
+// and the set's memo keeps that frame, a view within the value; a set that
+// already has its frame (one Decode returned, or one already sent) has it
+// copied after the header.
+func memValue(t tag, src int32, rs *wire.RowSet, compress bool) ([]byte, error) {
+	var buf [memHeaderRoom]byte
+	return wire.EncodeAfter(appendMemHeader(buf[:0], t, src), rs, compress)
+}
+
+// memBody returns the body of an inbox value encodeMemValue or memValue
+// framed, past its header's separator.
+func memBody(val []byte) []byte { return val[bytes.IndexByte(val, 0)+1:] }
+
+// memHeaderRoom is the stack room a value's header is written into: a tag
+// kind of up to 12 bytes and two 32-bit decimals with their separators. A
+// longer kind only moves the header to the heap.
+const memHeaderRoom = 12 + 2*12 + 2
+
+// appendMemHeader appends an inbox value's "kind:layer:src" header and its
+// NUL separator to dst.
+func appendMemHeader(dst []byte, t tag, src int32) []byte {
+	dst = append(dst, t.kind...)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(t.layer), 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(src), 10)
+	return append(dst, 0)
 }
 
 func decodeMemValue(val []byte) (t tag, src int32, body []byte, err error) {
@@ -276,21 +305,23 @@ func kindOf(b []byte) string {
 // transfer is complete. The header names kind, layer and source but no
 // target, so the targets of one send group — which share a row set — share
 // one framed value too: vals[j] is what outs[j] is pushed, nil where it took
-// another route.
+// another route. A value is one allocation (memValue). Each target is
+// charged the compressor as encodeFrame charges it.
 func frameValue(w *worker, t tag, outs []targetRows, vals [][]byte, i int) error {
 	rs := outs[i].rs
-	body, err := w.encodeFrame(rs)
-	if err != nil {
-		return err
-	}
 	for j := 0; j < i && vals[i] == nil; j++ {
 		if outs[j].rs == rs {
 			vals[i] = vals[j]
 		}
 	}
 	if vals[i] == nil {
-		vals[i] = encodeMemValue(t, w.id, body)
+		val, err := memValue(t, w.id, rs, w.d.Cfg.Compress)
+		if err != nil {
+			return err
+		}
+		vals[i] = val
 	}
+	w.chargeCompress(rs, memBody(vals[i]))
 	logPush(w, t, outs[i].target, vals[i])
 	return nil
 }
@@ -302,7 +333,7 @@ func frameValue(w *worker, t tag, outs []targetRows, vals [][]byte, i int) error
 // nodes.
 func logPush(w *worker, t tag, target int32, val []byte) {
 	// BytesSent counts the payload, not the header before the separator.
-	w.metrics.BytesSent += int64(len(val) - bytes.IndexByte(val, 0) - 1)
+	w.metrics.BytesSent += int64(len(memBody(val)))
 	w.metrics.MessagesSent++
 	w.run.usage.KVOps++
 	w.run.usage.KVBytesIn += int64(len(val))

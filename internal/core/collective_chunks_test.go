@@ -10,7 +10,6 @@ import (
 	"fsdinference/internal/collective"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
-	"fsdinference/internal/wire"
 )
 
 // topologies are the concrete collective algorithms AutoAlgo resolves to.
@@ -44,7 +43,7 @@ func TestCollectivesFoldEveryChunk(t *testing.T) {
 		{env: func(c *env.Config) { c.SNS.MaxPayloadBytes = 512 }, cfg: Config{Channel: Queue}},
 		{cfg: Config{Channel: Hybrid, HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10}},
 	}
-	if enc, err := wire.Encode(denseToRowSet(want), true); err != nil || len(enc) < 4<<10 {
+	if enc, err := resultFrame(want, true); err != nil || len(enc) < 4<<10 {
 		t.Fatalf("the reduced result frames to %d bytes (%v), too few to be split", len(enc), err)
 	}
 	for _, ch := range channels {

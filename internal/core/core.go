@@ -37,7 +37,8 @@
 // in the meter's field and with the bytes the service meters — putAll and
 // getBodies do so for every object-store call — and counts the worker's
 // BytesSent, MessagesSent and Fetches; the shared steps charge the worker's
-// own CPU — the compression in encodeFrame/encodeChunks, parse and
+// own CPU — the compression in encodeFrame/encodeChunks (chargeCompress,
+// which the Memory transport's frameValue calls too), parse and
 // decompression in decodePayload. The data path of a new transport is
 // therefore one send and one poll; Hybrid, which owns no service, is a
 // routing policy over the Memory transport and the object-store helpers

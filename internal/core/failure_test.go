@@ -160,7 +160,7 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("compressor out of memory")
-	defer func(enc func(*wire.RowSet, bool) ([]byte, error)) { encodeInput = enc }(encodeInput)
+	defer func(enc func([]float32, int, []int32, bool) ([]byte, error)) { encodeInput = enc }(encodeInput)
 
 	for _, cfg := range []Config{
 		{Model: m, Channel: Serial},
@@ -174,7 +174,7 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 		queues := e.SQS.NumQueues()
 		input := model.GenerateInputs(128, 4, 0.2, 2)
 
-		encodeInput = func(*wire.RowSet, bool) ([]byte, error) { return nil, boom }
+		encodeInput = func([]float32, int, []int32, bool) ([]byte, error) { return nil, boom }
 		called := false
 		id, err := d.Start(input, func(*Result, error) { called = true })
 		if !errors.Is(err, boom) || id != "" {
@@ -190,7 +190,7 @@ func TestFailedInputEncodeFailsTheStart(t *testing.T) {
 			t.Fatalf("%v: a failed Start left %d runs and %d queues behind", cfg.Channel, len(d.runs), e.SQS.NumQueues()-queues)
 		}
 
-		encodeInput = wire.Encode
+		encodeInput = wire.EncodeMatrixRows
 		res, err := d.Infer(input)
 		if err != nil {
 			t.Fatalf("%v: request after the failed one: %v", cfg.Channel, err)

@@ -16,8 +16,8 @@ import (
 )
 
 // nonzeroAddedRows is the row set of d's non-zero rows built the long way —
-// one Add, so one copy, per row — that denseToRowSet must equal bit for bit
-// however it is built.
+// one Add, so one copy, per row — whose frame resultFrame must equal byte for
+// byte however it is written.
 func nonzeroAddedRows(d *sparse.Dense) *wire.RowSet {
 	rs := wire.NewRowSet(d.Cols)
 	for r := 0; r < d.Rows; r++ {
@@ -140,29 +140,22 @@ func TestStagedInputFrameMatchesAddedRows(t *testing.T) {
 	}
 }
 
-// TestDenseToRowSetMatchesAddedRows: the result row set holds the non-zero
-// rows of the matrix — same ids, same value bits, same frame under both
-// flags as the set built by Add — and no room for more: a zero row costs it
-// nothing.
-func TestDenseToRowSetMatchesAddedRows(t *testing.T) {
+// TestResultFrameMatchesAddedRows: the result object's frame, written from
+// the matrix, is the frame of the set of its non-zero rows built by Add, under
+// both flags, whether no row, some rows or every row is zero.
+func TestResultFrameMatchesAddedRows(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := zeroRowsDense(rng, 1+rng.Intn(30), 1+rng.Intn(9), int(uint64(seed)%3))
-		got, want := denseToRowSet(d), nonzeroAddedRows(d)
-		if got.Batch != want.Batch || len(got.IDs) != len(want.IDs) || !sameBits(got.Vals, want.Vals) {
-			t.Fatalf("seed %d: %d rows of batch %d, want %d of %d", seed, got.Len(), got.Batch, want.Len(), want.Batch)
-		}
-		if cap(got.Vals) != len(got.Vals) {
-			t.Fatalf("seed %d: %d values in room for %d: not sized to the non-zero rows", seed, len(got.Vals), cap(got.Vals))
-		}
-		for i, id := range want.IDs {
-			if got.IDs[i] != id {
-				t.Fatalf("seed %d: row %d has id %d, want %d", seed, i, got.IDs[i], id)
-			}
-		}
+		want := nonzeroAddedRows(d)
 		for _, compress := range []bool{false, true} {
-			if !bytes.Equal(frame(t, got, compress), frame(t, want, compress)) {
-				t.Fatalf("seed %d compress=%v: frames differ", seed, compress)
+			got, err := resultFrame(d, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, frame(t, want, compress)) {
+				t.Fatalf("seed %d compress=%v: %d non-zero rows of %d: the result frame differs from the added set's",
+					seed, compress, want.Len(), d.Rows)
 			}
 		}
 		return true

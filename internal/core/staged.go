@@ -64,11 +64,12 @@ type stagedModel struct {
 // other holds the rest, which lines 16-17 accumulate once their rows have
 // arrived. Together they are the block entry for entry, so the two kernel
 // passes visit every stored weight once. The staged object is the encoding
-// of the unsplit block; bytes is that block's in-memory size, what a worker
-// that decoded the object would hold.
+// of the unsplit block, stored under key; bytes is that block's in-memory
+// size, what a worker that decoded the object would hold.
 type weightBlock struct {
 	own, other *sparse.CSR
 	bytes      int64
+	key        string
 }
 
 // stagedFor returns the staging artifacts of cfg's shape, building them on
@@ -100,9 +101,10 @@ func stagedFor(cfg Config) (*stagedModel, error) {
 		s.weights[worker] = make([]weightBlock, len(cfg.Model.Layers))
 		for k, w := range cfg.Model.Layers {
 			blk := w.SelectRows(plan.Rows[worker])
-			s.blobs[workerLayerKey(worker, k)] = model.EncodeCSR(blk)
+			key := workerLayerKey(worker, k)
+			s.blobs[key] = model.EncodeCSR(blk)
 			own, other := blk.SplitCols(plan.Owner, int32(worker))
-			s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes()}
+			s.weights[worker][k] = weightBlock{own: own, other: other, bytes: blk.Bytes(), key: key}
 		}
 	}
 	// A model staged meanwhile by another goroutine wins, so every
@@ -149,28 +151,19 @@ func groupSends(plan *partition.Plan) [][][]int {
 	return groups
 }
 
-// encodeInput is wire.Encode, a variable so that a test can make staging
-// fail.
-var encodeInput = wire.Encode
+// encodeInput is wire.EncodeMatrixRows, a variable so that a test can make
+// staging fail.
+var encodeInput = wire.EncodeMatrixRows
 
 // encodedInput returns the staged payloads for one request input, one per
-// worker: the frame of the rows the worker owns. A worker whose rows are one
-// ascending run of ids — Serial's one rank and every Block worker — has them
-// framed where they lie in the matrix; any other is copied into a set.
+// worker: the frame of the rows the worker owns, written from the matrix
+// where they lie, whether they are one ascending run of ids (Serial's one
+// rank and every Block worker) or scattered (an HGP-DNN worker).
 func (d *Deployment) encodedInput(input *sparse.Dense, batch int) ([][]byte, error) {
 	plan := d.Cfg.Plan
 	blobs := make([][]byte, plan.Workers)
 	for worker, rows := range plan.Rows {
-		var rs *wire.RowSet
-		if n := len(rows); n > 0 && int(rows[n-1]-rows[0]) == n-1 {
-			rs = viewRows(input, rows)
-		} else {
-			rs = wire.NewRowSetCap(batch, n)
-			for _, r := range rows {
-				rs.Add(r, input.Row(int(r)))
-			}
-		}
-		p, err := encodeInput(rs, d.Cfg.Compress)
+		p, err := encodeInput(input.Data, batch, rows, d.Cfg.Compress)
 		if err != nil {
 			return nil, fmt.Errorf("core: encoding input for worker %d: %w", worker, err)
 		}

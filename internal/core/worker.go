@@ -35,6 +35,11 @@ type worker struct {
 	// progress, reused from gather to gather.
 	pending map[tag][]arrival
 	gath    gathering
+	// linkDeliver is the deliver of the collective gather in progress
+	// (workerLink.Gather), and linked the one adapter that hands it every
+	// delivery, built at the worker's first collective gather.
+	linkDeliver func(src int, rs *wire.RowSet)
+	linked      func(src int32, rs *wire.RowSet)
 	// foldRoot is set while rank 0 gathers the result: each arriving set
 	// is copied into the result as it is delivered, so it decodes into the
 	// receive arena (see decodePayload).
@@ -66,18 +71,23 @@ func (w *worker) failSpan(stage string) {
 	w.tspan.End()
 }
 
-// rankBufs are one rank's data-path buffers: a layer's rows are written
-// into them instead of into fresh allocations, so the FSI data path
-// allocates per deployment, not per run or per layer. The deployment keeps
-// one slot per rank (Deployment.bufs), as an instance stays warm between
-// invocations. A worker empties its rank's slot as it starts, so a run
-// overlapping it on the same rank allocates its own, and gives the buffers
-// back, emptied, only once its handler has succeeded: a rank that failed or
-// timed out may have stopped anywhere, mid-layer with rows in its table or
-// with its communication threads still running, so it keeps what it took
-// and the rank's next run starts fresh. Nothing that outlives a run points
-// into them: frames are fresh bytes, the gathered and allreduced results
-// are copies.
+// rankBufs are one rank's data-path buffers: a layer's rows, the row-set
+// headers that view them and the lists a send or a collective hop hands its
+// channel are written into them instead of into fresh allocations, so the
+// FSI data path allocates per deployment, not per run, per layer, per value
+// or per hop. The deployment keeps one slot per rank (Deployment.bufs), as an
+// instance stays warm between invocations. A worker empties its rank's slot
+// as it starts, so a run overlapping it on the same rank allocates its own,
+// and gives the buffers back, emptied, only once its handler has succeeded:
+// a rank that failed or timed out may have stopped anywhere, mid-layer with
+// rows in its table or with its communication threads still running, so it
+// keeps what it took and the rank's next run starts fresh. Nothing that
+// outlives a run points into them: frames are fresh bytes, the gathered and
+// allreduced results are copies. Nor does anything in them point out past
+// the layer that used it: a reused header memoises the frame it was encoded
+// to or decoded from, and outs the sets a send shipped, so clearLayerState
+// empties both as every layer ends, and the slot never keeps a run's last
+// frames alive.
 type rankBufs struct {
 	// x is the row table the kernels index: this layer's input activation
 	// rows by global id, nil where a row is zero or absent. The worker's
@@ -93,17 +103,37 @@ type rankBufs struct {
 	// alternate buffers.
 	zbuf [2]*sparse.Dense
 	// sendIDs and sendVals are the arena extractSendRows cuts one row set per
-	// send group from. The sets live until send returns; the frames encoded
-	// from them are fresh bytes, so nothing a service holds points here.
+	// send group from, and sendSets[i] the header of the set of the group
+	// whose first send-map entry is i. The sets live until send returns; the
+	// frames encoded from them are fresh bytes, so nothing a service holds
+	// points here.
 	sendIDs  []int32
 	sendVals []float32
+	sendSets []wire.RowSet
+	// outs is the (target, set) list of the send in progress, the layer's
+	// (extractSendRows) or a collective hop's (workerLink), and srcs the
+	// source list of a collective hop's gather. The channels read both only
+	// until the call returns.
+	outs []targetRows
+	srcs []int32
 	// recvIDs and recvVals are the arena the input rows (load) and a layer's
-	// data gather (decodePayload) decode into. The rows live in x until
-	// clearLayerState truncates the arena at the end of the layer. The
-	// gather's root decodes each set it folds into the result here too,
-	// and truncates the arena once the set is copied.
+	// data gather (decodePayload) decode into, and recvSet the one header
+	// each decoded set fills: a set is delivered before the next arrival
+	// decodes, and its rows are read and never the header. The rows live in
+	// x until clearLayerState truncates the arena and empties the header at
+	// the end of the layer. The gather's root decodes each set it folds into
+	// the result here too, and truncates the arena once the set is copied.
 	recvIDs  []int32
 	recvVals []float32
+	recvSet  wire.RowSet
+}
+
+// sendOuts returns the first n of the rank's send slots (see outs).
+func (b *rankBufs) sendOuts(n int) []targetRows {
+	if len(b.outs) < n {
+		b.outs = make([]targetRows, n)
+	}
+	return b.outs[:n]
 }
 
 // takeBufs empties rank's slot and returns what it held: the buffers a
@@ -129,12 +159,18 @@ type workerLink struct{ w *worker }
 func (l workerLink) Rank() int { return int(l.w.id) }
 func (l workerLink) Size() int { return l.w.d.Cfg.Workers() }
 
+// The three exchanges build their lists in the rank's buffers (outs, srcs)
+// and hand every delivery on through the worker's one adapter, so a hop
+// allocates nothing of its own; a worker runs one collective step at a time.
+
 func (l workerLink) Send(op string, round int, target int, rs *wire.RowSet) error {
-	return l.w.ch.send(l.w, tag{op, round}, []targetRows{{target: int32(target), rs: rs}})
+	outs := l.w.sendOuts(1)
+	outs[0] = targetRows{target: int32(target), rs: rs}
+	return l.w.ch.send(l.w, tag{op, round}, outs)
 }
 
 func (l workerLink) SendAll(op string, round int, targets []int, sets []*wire.RowSet) error {
-	outs := make([]targetRows, len(targets))
+	outs := l.w.sendOuts(len(targets))
 	for i, t := range targets {
 		outs[i] = targetRows{target: int32(t), rs: sets[i]}
 	}
@@ -142,13 +178,18 @@ func (l workerLink) SendAll(op string, round int, targets []int, sets []*wire.Ro
 }
 
 func (l workerLink) Gather(op string, round int, sources []int, deliver func(src int, rs *wire.RowSet)) error {
-	srcs := make([]int32, len(sources))
-	for i, s := range sources {
-		srcs[i] = int32(s)
+	w := l.w
+	w.srcs = w.srcs[:0]
+	for _, s := range sources {
+		w.srcs = append(w.srcs, int32(s))
 	}
-	return l.w.ch.gather(l.w, tag{op, round}, srcs, func(src int32, rs *wire.RowSet) {
-		deliver(int(src), rs)
-	})
+	if w.linked == nil {
+		w.linked = func(src int32, rs *wire.RowSet) { w.linkDeliver(int(src), rs) }
+	}
+	w.linkDeliver = deliver
+	err := w.ch.gather(w, tag{op, round}, w.srcs, w.linked)
+	w.linkDeliver = nil
+	return err
 }
 
 // workerHandler is the FaaS body of an FSI worker (Algorithms 1 and 2).
@@ -230,7 +271,7 @@ func (w *worker) load() error {
 	w.weights = d.staged.weights[w.id]
 	perf := w.ctx.Perf()
 	for k, blk := range w.weights {
-		blob, err := d.store.View(p, workerLayerKey(int(w.id), k))
+		blob, err := d.store.View(p, blk.key)
 		if err != nil {
 			return fmt.Errorf("core: worker %d loading layer %d: %w", w.id, k, err)
 		}
@@ -261,8 +302,8 @@ func (w *worker) load() error {
 	// received in that layer.
 	xBytes := w.run.input.Bytes()
 	if w.ch != nil {
-		var rs *wire.RowSet
-		rs, w.recvIDs, w.recvVals, err = wire.DecodeAppend(blob, w.recvIDs, w.recvVals)
+		rs := &w.recvSet
+		w.recvIDs, w.recvVals, err = wire.DecodeAppend(blob, rs, w.recvIDs, w.recvVals)
 		if err != nil {
 			return fmt.Errorf("core: worker %d decoding input: %w", w.id, err)
 		}
@@ -285,13 +326,17 @@ func (w *worker) setX(id int32, vals []float32) {
 }
 
 // clearLayerState empties the row table and the receive arena its received
-// rows point into.
+// rows point into, and drops what the layer's reused headers and send list
+// point at: the frames the headers memoise and the sets outs lists.
 func (w *worker) clearLayerState() {
 	for _, id := range w.xTouched {
 		w.x[id] = nil
 	}
 	w.xTouched = w.xTouched[:0]
 	w.recvIDs, w.recvVals = w.recvIDs[:0], w.recvVals[:0]
+	w.recvSet = wire.RowSet{}
+	clear(w.sendSets)
+	clear(w.outs)
 }
 
 // layerOut returns the zeroed output buffer of layer k (see zbuf), shaped
@@ -503,12 +548,16 @@ func (w *worker) barrier() error {
 // send group share a single RowSet, so the channel's encode runs once per
 // group; serialization work is still charged here per target, and the
 // channel charges transport per target. The groups' sets are capped windows
-// of the send arena (see sendIDs), so one group's rows never spill into the
-// next's.
+// of the send arena (see sendIDs) in the rank's headers (sendSets), so one
+// group's rows never spill into the next's, and the list is the rank's
+// (outs): a layer's send allocates neither.
 func (w *worker) extractSendRows(k int) []targetRows {
 	entries := w.d.Cfg.Plan.Sends[k][w.id]
 	group := w.d.staged.sendGroup[k][w.id]
-	outs := make([]targetRows, 0, len(entries))
+	outs := w.sendOuts(len(entries))
+	if len(w.sendSets) < len(entries) {
+		w.sendSets = make([]wire.RowSet, len(entries))
+	}
 	batch := w.run.batch
 	rows := 0
 	for i, e := range entries {
@@ -529,7 +578,8 @@ func (w *worker) extractSendRows(k int) []targetRows {
 			rs = outs[g].rs
 		} else {
 			end := off + len(e.Rows)
-			rs = &wire.RowSet{
+			rs = &w.sendSets[i]
+			*rs = wire.RowSet{
 				Batch: batch,
 				IDs:   w.sendIDs[off:off:end],
 				Vals:  w.sendVals[off*batch : off*batch : end*batch],
@@ -545,7 +595,7 @@ func (w *worker) extractSendRows(k int) []targetRows {
 		}
 		w.ctx.Serialize(rs.RawBytes())
 		w.metrics.RowsSent += int64(rs.Len())
-		outs = append(outs, targetRows{target: e.Target, rs: rs})
+		outs[i] = targetRows{target: e.Target, rs: rs}
 	}
 	return outs
 }
@@ -650,7 +700,7 @@ func scatter(out *sparse.Dense, rs *wire.RowSet) {
 // storeResult writes the result object (billed) and reports it to the
 // client.
 func (w *worker) storeResult(out *sparse.Dense) error {
-	enc, err := wire.Encode(denseToRowSet(out), w.d.Cfg.Compress)
+	enc, err := resultFrame(out, w.d.Cfg.Compress)
 	if err != nil {
 		return fmt.Errorf("core: encoding result: %w", err)
 	}
@@ -664,29 +714,11 @@ func (w *worker) storeResult(out *sparse.Dense) error {
 	return nil
 }
 
-// denseToRowSet returns the non-zero rows of d as a row set, at exact size.
-// When no row is zero the set views d (see viewRows); the caller frames the
-// set at once and drops it, and holds d as a finished output nobody writes to.
-func denseToRowSet(d *sparse.Dense) *wire.RowSet {
-	ids := d.NonzeroRows()
-	if len(ids) > 0 && len(ids) == d.Rows {
-		return viewRows(d, ids)
-	}
-	vals := make([]float32, 0, len(ids)*d.Cols)
-	for _, r := range ids {
-		vals = append(vals, d.Row(int(r))...)
-	}
-	return &wire.RowSet{Batch: d.Cols, IDs: ids, Vals: vals}
-}
-
-// viewRows returns the row set of d's rows ids, one ascending run of ids,
-// without copying them: Vals is the run's span of d's own array and both
-// slices are cut to their length, so that an Add or Append on the set
-// reallocates rather than growing into d's or the caller's spare capacity.
-// The set is for encoding; d must not change while it is in use.
-func viewRows(d *sparse.Dense, ids []int32) *wire.RowSet {
-	lo, hi := int(ids[0])*d.Cols, (int(ids[len(ids)-1])+1)*d.Cols
-	return &wire.RowSet{Batch: d.Cols, IDs: ids[:len(ids):len(ids)], Vals: d.Data[lo:hi:hi]}
+// resultFrame is the result object's frame: the frame of the set of d's
+// non-zero rows, written from d's rows where they lie, whether or not some
+// row between them is zero.
+func resultFrame(d *sparse.Dense, compress bool) ([]byte, error) {
+	return wire.EncodeMatrixRows(d.Data, d.Cols, d.NonzeroRows(), compress)
 }
 
 // commThreads is the per-worker communication thread pool size, the

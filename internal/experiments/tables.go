@@ -157,7 +157,7 @@ func CostValidation(l *Lab) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"pred is rebuilt from worker-side ledgers only (runtimes, billed-publish counts, byte counts,",
+		"pred is the run's own meter, charged at each call a rank makes (runtimes, billed-publish counts, byte counts,",
 		"poll/delete/PUT/GET/LIST counts, store node-hours for the run's wall time); act is the window",
 		"of the metered billing records around the run, mirroring the paper's Cost & Usage report",
 		fmt.Sprintf("comparison; the size-routed variant splits at %d B so that both of its routes bill", validationHybridThreshold))

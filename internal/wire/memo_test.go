@@ -417,19 +417,28 @@ func addDecodeSeeds(f *testing.F) {
 
 // FuzzDecodeAppend: for any bytes DecodeAppend agrees with Decode — both
 // reject them, or both accept the same rows — into storage that already holds
-// rows, with room to spare or none. What the storage held before the call is
-// left as it was, a rejected payload hands the storage back unchanged, and
-// the set's slices are capped: growing the set reallocates instead of writing
-// into the storage's spare capacity, where the next payload would go.
+// rows, with room to spare or none, and into a header that already holds a
+// framed set, as a worker's reused header does. What the storage held before
+// the call is left as it was, a rejected payload hands the storage and the
+// header back unchanged, an accepted one replaces the header's frame with the
+// one Decode keeps, and the set's slices are capped: growing the set
+// reallocates instead of writing into the storage's spare capacity, where the
+// next payload would go.
 func FuzzDecodeAppend(f *testing.F) {
 	addDecodeSeeds(f)
+	held, err := Decode(freshEncode(f, oneRowOf(f, rand.New(rand.NewSource(3)), 4*deflateFrom|2), true))
+	if err != nil || held.enc[1] == nil {
+		f.Fatalf("no framed set to reuse the header of: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, wantErr := Decode(b)
 		for _, spare := range []int{0, len(b)} {
 			ids := append(make([]int32, 0, 3+spare/4), 7, -8, 9)
 			vals := append(make([]float32, 0, 5+spare/4), 1, -2, float32(math.Inf(1)), 0, 5)
 			before := append([]float32{}, vals...)
-			rs, gotIDs, gotVals, err := DecodeAppend(b, ids, vals)
+			rs := clone(held)
+			rs.enc = held.enc
+			gotIDs, gotVals, err := DecodeAppend(b, rs, ids, vals)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("spare %d: DecodeAppend error %v, Decode error %v", spare, err, wantErr)
 			}
@@ -437,10 +446,18 @@ func FuzzDecodeAppend(f *testing.F) {
 				if &gotIDs[0] != &ids[0] || len(gotIDs) != len(ids) || &gotVals[0] != &vals[0] || len(gotVals) != len(vals) {
 					t.Fatalf("spare %d: a rejected payload did not hand the storage back as it was", spare)
 				}
+				if !rowSetsEqual(rs, held) || &rs.enc[1][0] != &held.enc[1][0] || rs.enc[0] != nil {
+					t.Fatalf("spare %d: a rejected payload changed the header", spare)
+				}
 				continue
 			}
 			if !rowSetsEqual(rs, want) {
 				t.Fatalf("spare %d: DecodeAppend and Decode accepted different rows", spare)
+			}
+			for fl := range rs.enc {
+				if len(rs.enc[fl]) != len(want.enc[fl]) || len(want.enc[fl]) > 0 && &rs.enc[fl][0] != &want.enc[fl][0] {
+					t.Fatalf("spare %d: the header keeps frame %d of %d bytes, Decode keeps %d", spare, fl, len(rs.enc[fl]), len(want.enc[fl]))
+				}
 			}
 			if !slices.Equal(gotIDs[:len(ids)], []int32{7, -8, 9}) || !slices.Equal(gotVals[:len(vals)], before) {
 				t.Fatalf("spare %d: the storage's earlier rows changed", spare)
@@ -506,17 +523,114 @@ func TestBodyBytesMatchReferenceProperty(t *testing.T) {
 		rs := bitsRowSet(rand.New(rand.NewSource(seed)))
 		want := referenceBody(rs)
 		got := make([]byte, len(want))
-		fillBody(got, rs)
+		rs.fillBody(got)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: fillBody differs from the reference body", seed)
 		}
-		back, _, _, err := parseBody(want, nil, nil)
-		if err != nil {
+		back := new(RowSet)
+		if _, _, err := parseBody(want, back, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return rowSetsEqual(rs, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMatrixRowsFrameLikeAddedSet: EncodeMatrixRows of a matrix's rows ids —
+// an ascending run, scattered ids in any order, or none — is the frame of
+// the set built by Add from the same rows in the same order, under both
+// flags, and the matrix is left as it was.
+func TestMatrixRowsFrameLikeAddedSet(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows, batch := 1+rng.Intn(60), 1+rng.Intn(12)
+		data := make([]float32, rows*batch)
+		for i := range data {
+			if rng.Intn(3) == 0 {
+				data[i] = float32(rng.NormFloat64())
+			}
+		}
+		var ids []int32
+		switch rng.Intn(3) {
+		case 0: // an ascending run
+			lo := rng.Intn(rows)
+			for r, hi := lo, lo+rng.Intn(rows-lo+1); r < hi; r++ {
+				ids = append(ids, int32(r))
+			}
+		case 1: // scattered, in any order
+			for _, r := range rng.Perm(rows)[:rng.Intn(rows+1)] {
+				ids = append(ids, int32(r))
+			}
+		}
+		before := slices.Clone(data)
+		added := NewRowSet(batch)
+		for _, id := range ids {
+			added.Add(id, data[int(id)*batch:(int(id)+1)*batch])
+		}
+		for _, compress := range []bool{false, true} {
+			got, err := EncodeMatrixRows(data, batch, ids, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, freshEncode(t, added, compress)) {
+				t.Fatalf("seed %d compress=%v: %d of %d rows: the matrix rows' frame differs from the added set's", seed, compress, len(ids), rows)
+			}
+		}
+		if !slices.Equal(data, before) {
+			t.Fatalf("seed %d: framing the rows changed the matrix", seed)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncodeAfterProperty: EncodeAfter returns the header and then
+// Encode's frame, in bytes of its own, and leaves the header as it was. A
+// set with no frame yet is framed in place: its memo is the returned bytes
+// past the header, capped at their end, so encoding the set again returns
+// that view and runs no compressor. A set that has its frame (memoised, or
+// the shared empty frame) keeps it.
+func TestEncodeAfterProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rs := randomRowSet(rng, 1+rng.Intn(30), 1+rng.Intn(16), 0.6)
+		if seed%5 == 0 {
+			rs = NewRowSet(1 + rng.Intn(8))
+		}
+		compress := rng.Intn(2) == 0
+		header := []byte("kind:3:17\x00")
+		want := append(slices.Clone(header), freshEncode(t, rs, compress)...)
+		for _, framed := range []bool{false, true} {
+			set := clone(rs)
+			var held []byte
+			if framed {
+				held, _ = Encode(set, compress)
+			}
+			val, err := EncodeAfter(header, set, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(val, want) || string(header) != "kind:3:17\x00" {
+				t.Fatalf("seed %d framed=%v: EncodeAfter wrote %q, want %q", seed, framed, val, want)
+			}
+			if &val[0] == &header[0] {
+				t.Fatalf("seed %d framed=%v: the value shares the header's bytes", seed, framed)
+			}
+			memo, _ := Encode(set, compress)
+			switch {
+			case framed && &memo[0] != &held[0]:
+				t.Fatalf("seed %d: a framed set's memo changed", seed)
+			case !framed && set.Len() > 0 && (&memo[0] != &val[len(header)] || cap(memo) != len(memo)):
+				t.Fatalf("seed %d: the set's memo is not the value's frame, capped", seed)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -585,13 +699,14 @@ func BenchmarkBody(b *testing.B) {
 	}
 	b.Run("fill", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fillBody(body, rs)
+			rs.fillBody(body)
 		}
 		perValue(b)
 	})
 	b.Run("parse", func(b *testing.B) {
+		var into RowSet
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := parseBody(body, nil, nil); err != nil {
+			if _, _, err := parseBody(body, &into, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

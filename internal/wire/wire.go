@@ -25,10 +25,17 @@
 // that matches. Decode returns a set of its own with the parsed payload
 // memoised as its frame: for a set that outlives the exchange it arrived in,
 // as a collective's partial results do when they are unioned or forwarded.
-// DecodeAppend returns a view of caller-owned storage the payload's rows were
-// appended to: for rows read once and dropped, as a worker's activation rows
-// are when the layer they arrived for ends and the worker truncates the
-// storage for the next. Both share the inflate step and the one body parser.
+// DecodeAppend fills a caller-owned set header with a view of caller-owned
+// storage the payload's rows were appended to: for rows read once and
+// dropped, as a worker's activation rows are when the layer they arrived for
+// ends and the worker truncates the storage for the next. Both share the
+// inflate step and the one body parser.
+//
+// Two encodes write a frame where its bytes are needed rather than into a
+// set first: EncodeAfter writes a set's frame right after a caller's header
+// in one allocation (a store value is a header and a frame), and
+// EncodeMatrixRows frames chosen rows of a row-major matrix without copying
+// them into a set.
 //
 // Whether a frame is deflated is decided per message, from its size (as
 // FMI, arXiv 2305.08763, picks a transport per message), not per
@@ -195,7 +202,7 @@ func (rs *RowSet) Slice(lo, hi int) *RowSet {
 // not modify it.
 func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	f := 0
-	if deflates(rs, compress) {
+	if deflates(rs.RawBytes(), compress) {
 		f = 1
 	}
 	if p := rs.enc[f]; p != nil {
@@ -213,10 +220,64 @@ func Encode(rs *RowSet, compress bool) ([]byte, error) {
 	return p, nil
 }
 
-// deflates is the per-message rule: a compressing sender deflates rs only
-// when its raw frame is long enough for that to change a billed unit.
-func deflates(rs *RowSet, compress bool) bool {
-	return compress && rs.RawBytes() >= deflateFrom
+// EncodeAfter returns header followed by Encode(rs, compress), in one fresh
+// allocation the caller owns. A set with no frame memoised for the flag is
+// framed in place after the header, and the memo keeps that frame, a view
+// of the returned bytes that starts past the header, so a later Encode of
+// the unchanged set returns it; the caller must not modify the returned
+// bytes. A set already framed (or empty) has its frame copied after the
+// header. The header is only read.
+func EncodeAfter(header []byte, rs *RowSet, compress bool) ([]byte, error) {
+	f := 0
+	if deflates(rs.RawBytes(), compress) {
+		f = 1
+	}
+	if rs.enc[f] == nil && len(rs.IDs) > 0 {
+		val, err := build(header, rawBodyLen(rs), rs.fillBody, f == 1)
+		if err != nil {
+			return nil, err
+		}
+		rs.enc[f] = val[len(header):]
+		return val, nil
+	}
+	p, err := Encode(rs, compress)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(make([]byte, 0, len(header)+len(p)), header...), p...), nil
+}
+
+// EncodeMatrixRows is Encode of the set of rows ids, in that order, of the
+// row-major matrix data, batch values a row: row id is data[id*batch :
+// (id+1)*batch]. The frame is written from the matrix, so the rows are not
+// copied into a set first, and nothing is memoised. As with Encode, callers
+// must not modify the result (no ids return the shared empty frame).
+func EncodeMatrixRows(data []float32, batch int, ids []int32, compress bool) ([]byte, error) {
+	if len(ids) == 0 {
+		return emptyFrame(batch), nil
+	}
+	n := 8 + len(ids)*4*(1+batch)
+	fill := func(body []byte) {
+		off := fillHead(body, batch, ids)
+		// Each run of consecutive ids is one span of the matrix.
+		for i := 0; i < len(ids); {
+			j := i + 1
+			for j < len(ids) && ids[j] == ids[j-1]+1 {
+				j++
+			}
+			lo := int(ids[i]) * batch
+			off = fillVals(body, off, data[lo:lo+(j-i)*batch])
+			i = j
+		}
+	}
+	return build(nil, n, fill, deflates(int64(2+n), compress))
+}
+
+// deflates is the per-message rule: a compressing sender deflates a set only
+// when its raw frame, raw bytes long, is long enough for that to change a
+// billed unit.
+func deflates(raw int64, compress bool) bool {
+	return compress && raw >= deflateFrom
 }
 
 // Deflated reports whether frame, as Encode wrote it or a transport
@@ -226,16 +287,26 @@ func Deflated(frame []byte) bool {
 	return len(frame) >= 2 && frame[1]&flagZlib != 0
 }
 
-// encode builds a fresh frame, zlib-compressed when deflate is set,
+// encode builds a fresh frame of rs, zlib-compressed when deflate is set,
 // allocating nothing but the frame itself.
 func encode(rs *RowSet, deflate bool) ([]byte, error) {
-	n := 8 + len(rs.IDs)*4 + len(rs.Vals)*4
+	return build(nil, rawBodyLen(rs), rs.fillBody, deflate)
+}
+
+// rawBodyLen is the length of rs's frame body before any deflate.
+func rawBodyLen(rs *RowSet) int { return 8 + len(rs.IDs)*4 + len(rs.Vals)*4 }
+
+// build returns prefix followed by a fresh frame whose raw body is the n
+// bytes fill writes, zlib-compressed when deflate is set, allocating
+// nothing but the returned bytes.
+func build(prefix []byte, n int, fill func(body []byte), deflate bool) ([]byte, error) {
 	if !deflate {
 		// Build the payload in place: at batch 4096 the body is megabytes,
 		// and an encode-then-append would copy all of it a second time.
-		out := make([]byte, 2+n)
-		out[0], out[1] = magic, 0
-		fillBody(out[2:], rs)
+		out := make([]byte, len(prefix)+2+n)
+		frame := out[copy(out, prefix):]
+		frame[0], frame[1] = magic, 0
+		fill(frame[2:])
 		return out, nil
 	}
 	raw := bodyBufs.Get().(*bytes.Buffer)
@@ -243,7 +314,7 @@ func encode(rs *RowSet, deflate bool) ([]byte, error) {
 	raw.Reset()
 	raw.Grow(n)
 	body := raw.AvailableBuffer()[:n]
-	fillBody(body, rs)
+	fill(body)
 
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer bodyBufs.Put(buf)
@@ -261,7 +332,8 @@ func encode(rs *RowSet, deflate bool) ([]byte, error) {
 	}
 	// An exact-size copy: the frame outlives the call on the set's memo, so
 	// it should not pin a grown buffer's slack.
-	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+	out := make([]byte, 0, len(prefix)+buf.Len())
+	return append(append(out, prefix...), buf.Bytes()...), nil
 }
 
 // emptyFrames holds the frame of the empty row set per batch width — the
@@ -282,7 +354,7 @@ func emptyFrame(batch int) []byte {
 	}
 	p := make([]byte, headerSize)
 	p[0] = magic
-	fillBody(p[2:], &RowSet{Batch: batch})
+	(&RowSet{Batch: batch}).fillBody(p[2:])
 	if emptyFramesSize.Load() < emptyFramesCap {
 		if _, loaded := emptyFrames.LoadOrStore(batch, p); !loaded {
 			emptyFramesSize.Add(1)
@@ -293,18 +365,30 @@ func emptyFrame(batch int) []byte {
 
 // fillBody serializes the row set into body, which must be exactly
 // 8 + 4*len(IDs) + 4*len(Vals) bytes.
-func fillBody(body []byte, rs *RowSet) {
-	binary.LittleEndian.PutUint32(body[0:4], uint32(rs.Batch))
-	binary.LittleEndian.PutUint32(body[4:8], uint32(len(rs.IDs)))
+func (rs *RowSet) fillBody(body []byte) {
+	fillVals(body, fillHead(body, rs.Batch, rs.IDs), rs.Vals)
+}
+
+// fillHead writes a frame body's batch width, row count and row ids to the
+// front of body and returns the offset the values start at.
+func fillHead(body []byte, batch int, ids []int32) int {
+	binary.LittleEndian.PutUint32(body[0:4], uint32(batch))
+	binary.LittleEndian.PutUint32(body[4:8], uint32(len(ids)))
 	off := 8
-	for _, id := range rs.IDs {
+	for _, id := range ids {
 		binary.LittleEndian.PutUint32(body[off:], uint32(id))
 		off += 4
 	}
-	for _, v := range rs.Vals {
+	return off
+}
+
+// fillVals writes vals to body from off and returns the offset past them.
+func fillVals(body []byte, off int, vals []float32) int {
+	for _, v := range vals {
 		binary.LittleEndian.PutUint32(body[off:], math.Float32bits(v))
 		off += 4
 	}
+	return off
 }
 
 // Decode parses a payload produced by Encode into a set of its own. The
@@ -316,29 +400,35 @@ func fillBody(body []byte, rs *RowSet) {
 // exchange it arrived in — one a collective unions or forwards; a set read
 // once and dropped decodes into caller-owned storage with DecodeAppend.
 func Decode(b []byte) (*RowSet, error) {
-	rs, _, _, err := DecodeAppend(b, nil, nil)
-	return rs, err
+	rs := new(RowSet)
+	if _, _, err := DecodeAppend(b, rs, nil, nil); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // DecodeAppend is Decode into caller-owned storage: the payload's row ids and
-// values are appended to ids and vals, which are returned grown, and the set
-// views exactly the appended elements. Its slices are capped, so an Add or
-// Append on the set reallocates rather than writing past its rows, and
-// nothing already in ids and vals is written to. The set lives as long as the
-// caller leaves that storage alone: a worker decodes a layer's arrivals into
-// one arena and truncates it when the layer ends. On error ids and vals come
-// back as they were passed. Nil storage is allocated at the payload's exact
-// size, which is what Decode does.
-func DecodeAppend(b []byte, ids []int32, vals []float32) (*RowSet, []int32, []float32, error) {
+// values are appended to ids and vals, which are returned grown, and rs, a
+// header the caller owns, is overwritten with the set that views exactly the
+// appended elements, b memoised as its frame as Decode keeps it. Its slices
+// are capped, so an Add or Append on the set reallocates rather than writing
+// past its rows, and nothing already in ids and vals is written to. The set
+// lives as long as the caller leaves that storage and the header alone: a
+// worker decodes each of a layer's arrivals into one header over one arena
+// and, when the layer ends, truncates the arena and empties the header, so
+// that the header's memo does not keep the last frame alive. On error rs, ids
+// and vals are left as they were passed. Nil storage is allocated at the
+// payload's exact size, which is what Decode does.
+func DecodeAppend(b []byte, rs *RowSet, ids []int32, vals []float32) ([]int32, []float32, error) {
 	if len(b) < 2 || b[0] != magic {
-		return nil, ids, vals, fmt.Errorf("wire: bad payload preamble")
+		return ids, vals, fmt.Errorf("wire: bad payload preamble")
 	}
 	if !Deflated(b) {
-		rs, ids, vals, err := parseBody(b[2:], ids, vals)
+		ids, vals, err := parseBody(b[2:], rs, ids, vals)
 		if err == nil && b[1] == 0 {
 			rs.enc[0] = b
 		}
-		return rs, ids, vals, err
+		return ids, vals, err
 	}
 	src := bytes.NewReader(b[2:])
 	var err error
@@ -354,31 +444,31 @@ func DecodeAppend(b []byte, ids []int32, vals []float32) (*RowSet, []int32, []fl
 		defer zlibReaders.Put(zr)
 	}
 	if err != nil {
-		return nil, ids, vals, fmt.Errorf("wire: opening decompressor: %w", err)
+		return ids, vals, fmt.Errorf("wire: opening decompressor: %w", err)
 	}
 	scratch := bodyBufs.Get().(*bytes.Buffer)
 	defer bodyBufs.Put(scratch)
 	scratch.Reset()
 	if _, err := scratch.ReadFrom(zr); err != nil {
-		return nil, ids, vals, fmt.Errorf("wire: decompressing payload: %w", err)
+		return ids, vals, fmt.Errorf("wire: decompressing payload: %w", err)
 	}
 	if err := zr.Close(); err != nil {
-		return nil, ids, vals, fmt.Errorf("wire: closing decompressor: %w", err)
+		return ids, vals, fmt.Errorf("wire: closing decompressor: %w", err)
 	}
-	rs, ids, vals, err := parseBody(scratch.Bytes(), ids, vals)
-	if err == nil && b[1] == flagZlib && src.Len() == 0 && deflates(rs, true) {
+	ids, vals, err = parseBody(scratch.Bytes(), rs, ids, vals)
+	if err == nil && b[1] == flagZlib && src.Len() == 0 && deflates(rs.RawBytes(), true) {
 		rs.enc[1] = b
 	}
-	return rs, ids, vals, err
+	return ids, vals, err
 }
 
-// parseBody parses an uncompressed frame body, appending its rows to ids and
-// vals (see DecodeAppend). The header's counts come off the wire, so they are
-// checked against the body's length before anything is multiplied or
-// allocated.
-func parseBody(body []byte, ids []int32, vals []float32) (*RowSet, []int32, []float32, error) {
+// parseBody parses an uncompressed frame body into rs, appending its rows to
+// ids and vals (see DecodeAppend). The header's counts come off the wire, so
+// they are checked against the body's length before anything is multiplied
+// or allocated.
+func parseBody(body []byte, rs *RowSet, ids []int32, vals []float32) ([]int32, []float32, error) {
 	if len(body) < 8 {
-		return nil, ids, vals, fmt.Errorf("wire: payload body too short (%d bytes)", len(body))
+		return ids, vals, fmt.Errorf("wire: payload body too short (%d bytes)", len(body))
 	}
 	batch := int64(binary.LittleEndian.Uint32(body[0:4]))
 	n := int64(binary.LittleEndian.Uint32(body[4:8]))
@@ -392,7 +482,7 @@ func parseBody(body []byte, ids []int32, vals []float32) (*RowSet, []int32, []fl
 		fits = (words-n)%n == 0 && (words-n)/n == batch
 	}
 	if !fits {
-		return nil, ids, vals, fmt.Errorf("wire: payload body is %d bytes, not what batch=%d rows=%d needs",
+		return ids, vals, fmt.Errorf("wire: payload body is %d bytes, not what batch=%d rows=%d needs",
 			len(body), batch, n)
 	}
 	ids, rowIDs := extend(ids, int(n))
@@ -406,7 +496,8 @@ func parseBody(body []byte, ids []int32, vals []float32) (*RowSet, []int32, []fl
 		rowVals[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
 		off += 4
 	}
-	return &RowSet{Batch: int(batch), IDs: rowIDs, Vals: rowVals}, ids, vals, nil
+	*rs = RowSet{Batch: int(batch), IDs: rowIDs, Vals: rowVals}
+	return ids, vals, nil
 }
 
 // extend lengthens s by n elements and returns it with a capped window of the
