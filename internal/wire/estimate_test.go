@@ -180,8 +180,8 @@ func TestInflateReaderIsPooled(t *testing.T) {
 	if err != nil || !Deflated(p) {
 		t.Fatalf("no deflated frame: %v", err)
 	}
-	ids, vals := make([]int32, 0, 1), make([]float32, 0, rs.Batch)
-	if _, _, err := DecodeAppend(p, &RowSet{}, ids, vals); err != nil {
+	ids, vals, into := make([]int32, 0, 1), make([]float32, 0, rs.Batch), new(RowSet)
+	if _, _, err := DecodeAppend(p, into, ids, vals); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 100
@@ -190,7 +190,7 @@ func TestInflateReaderIsPooled(t *testing.T) {
 	reset := 0
 	for i := 0; i < runs; i++ {
 		runtime.ReadMemStats(&before)
-		if _, _, err := DecodeAppend(p, &RowSet{}, ids, vals); err != nil {
+		if _, _, err := DecodeAppend(p, into, ids, vals); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
