@@ -182,12 +182,13 @@ func TestFSIRunBytesMoved(t *testing.T) {
 // at BenchmarkEngineRun/queue-warm's (the same model, Block P=4, a batch of
 // 16, neither allreduce nor compression): a warm run, on a deployment that
 // has served one, may make so many mallocs and no more. Measured per warm
-// run: 8 237 under flat, 9 167 under tree, 20 063 under ring and 2 330 on
-// Queue. Before a decoded set filled the rank's one header, the send groups'
+// run: 8 235 - 8 270 under flat, 9 145 - 9 185 under tree, 20 020 - 20 065
+// under ring and 2 310 - 2 315 on Queue. Before a decoded set filled the rank's one header, the send groups'
 // sets and lists were cut from the rank's buffers, a store value was one
 // allocation (header and frame), a collective hop allocated no list or
 // closure of its own and the result and staged input frames were written
-// from their matrices, the same runs took 16 444, 17 619, 34 119 and 2 522;
+// from their matrices, the same runs took 16 430 - 16 445, 17 620 - 17 655,
+// 34 120 - 34 240 and 2 531;
 // while every push built its own RPUSH closure and sender-log slice, the
 // store allocated a list entry per refilled inbox, every comm thread was
 // named with fmt.Sprintf and every popped value's kind was a fresh string,
