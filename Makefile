@@ -125,7 +125,8 @@ cover:
 # profile captures CPU and heap profiles of examples/millionday's
 # BenchmarkMillionQueryReplay and prints the top-10 flat-cost functions of
 # each, then who calls runtime.memmove (who copies, and how much of the
-# host's time that is), so "where does the replay engine spend its time"
+# host's time that is; a profile that caught no memmove sample says so
+# rather than failing), so "where does the replay engine spend its time"
 # is one command away. The same profiles follow for core's
 # BenchmarkEngineRun: serial, one Serial run of the stream_day shape on the
 # one-rank worker of a fresh deployment; serial-warm, the same run on a
@@ -146,7 +147,9 @@ profile:
 		-o profiles/bench.test ./examples/millionday
 	go tool pprof -top -nodecount=10 profiles/bench.test profiles/cpu.prof
 	go tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/mem.prof
-	go tool pprof -peek 'runtime.memmove$$' profiles/bench.test profiles/cpu.prof
+	@out=$$(go tool pprof -peek 'runtime.memmove$$' profiles/bench.test profiles/cpu.prof 2>&1) || \
+		case "$$out" in *"no matches found"*) out="no runtime.memmove samples in this profile";; *) echo "$$out"; exit 1;; esac; \
+		echo "$$out"
 	go test -run '^$$' -bench BenchmarkEngineRun -benchtime 50x \
 		-cpuprofile profiles/core-cpu.prof -memprofile profiles/core-mem.prof \
 		-o profiles/core.test ./internal/core

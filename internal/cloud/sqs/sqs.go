@@ -94,11 +94,16 @@ type Received struct {
 	ReceiptHandle string
 }
 
+// qmsg is one message held by a queue. Deliver cuts it from the queue's
+// slab (see Queue.slab), so a message that is deleted or purged drops its
+// Message: a slab chunk stays reachable while any of its messages is, and
+// must not keep a gone message's body alive with it.
 type qmsg struct {
 	msg   Message
+	size  int // msg.Size(), the billed and transferred bytes
 	id    int64
-	shard int
-	state int // 0 available (in shard slice), 1 inflight, 2 deleted
+	shard int32
+	state int32 // 0 available (in shard slice), 1 inflight, 2 deleted
 	vis   *sim.Timer
 }
 
@@ -114,13 +119,21 @@ type Service struct {
 	meter  *usage.Meter
 	cfg    Config
 	queues map[string]*Queue
+	// allShards lists every shard index, the shards a long poll consults;
+	// built once, read by every queue's long polls and never written.
+	allShards []int
 }
 
 // New returns a queue service on kernel k metering into meter.
 func New(k *sim.Kernel, meter *usage.Meter, cfg Config) *Service {
+	all := make([]int, cfg.Shards)
+	for i := range all {
+		all[i] = i
+	}
 	return &Service{
 		k: k, meter: meter, cfg: cfg,
-		queues: make(map[string]*Queue),
+		queues:    make(map[string]*Queue),
+		allShards: all,
 	}
 }
 
@@ -175,7 +188,21 @@ type Queue struct {
 	// poll: seeding costs a 607-word table, and the per-run queues of a
 	// long-polled run never draw.
 	rng *rand.Rand
+	// picked is the list of shards the short poll in progress consults,
+	// refilled by every short poll.
+	picked []int
+	// slab is the unused tail of the chunk Deliver cuts messages from: a
+	// chunk holds as many messages as the queue has taken so far, between
+	// slabMin and slabMax, so messages allocate per chunk, not per
+	// message, and a queue that sees few allocates little.
+	slab []qmsg
 }
+
+// The bounds of a slab chunk, in messages.
+const (
+	slabMin = 4
+	slabMax = 64
+)
 
 // Name returns the queue name.
 func (q *Queue) Name() string { return q.name }
@@ -195,11 +222,17 @@ func (q *Queue) Depth() int {
 // It is the path used by pub-sub fan-out, which happens service-side
 // (the SNS delivery agent calls this from kernel context).
 func (q *Queue) Deliver(msg Message) error {
-	if msg.Size() > q.svc.cfg.MaxMessageBytes {
-		return fmt.Errorf("sqs: message of %d bytes exceeds %d limit", msg.Size(), q.svc.cfg.MaxMessageBytes)
+	size := msg.Size()
+	if size > q.svc.cfg.MaxMessageBytes {
+		return fmt.Errorf("sqs: message of %d bytes exceeds %d limit", size, q.svc.cfg.MaxMessageBytes)
 	}
 	q.nextID++
-	m := &qmsg{msg: msg, id: q.nextID, shard: int(q.nextID) % len(q.shards)}
+	if len(q.slab) == 0 {
+		q.slab = make([]qmsg, min(max(q.nextID, slabMin), slabMax))
+	}
+	m := &q.slab[0]
+	q.slab = q.slab[1:]
+	*m = qmsg{msg: msg, size: size, id: q.nextID, shard: int32(q.nextID % int64(len(q.shards)))}
 	q.shards[m.shard] = append(q.shards[m.shard], m)
 	q.svc.meter.SQSSendCalls++
 	q.cond.Broadcast()
@@ -235,24 +268,31 @@ func (q *Queue) Receive(p *sim.Proc, max int, wait time.Duration) []Received {
 
 	deadline := p.Now() + wait
 	for {
+		shards := q.sampleShards(wait > 0)
+		n := 0
+		for _, shard := range shards {
+			n += min(len(q.shards[shard]), max-n)
+		}
 		var got []Received
+		if n > 0 {
+			got = make([]Received, 0, n)
+		}
 		totalBytes := 0
-		for _, shard := range q.sampleShards(wait > 0) {
-			for len(q.shards[shard]) > 0 && len(got) < max {
-				m := q.shards[shard][0]
-				q.shards[shard] = q.shards[shard][1:]
+		for _, shard := range shards {
+			sh := q.shards[shard]
+			take := min(len(sh), n-len(got))
+			for _, m := range sh[:take] {
 				m.state = stInflight
 				q.inflight[m.id] = m
 				q.scheduleRedelivery(m)
-				got = append(got, Received{
-					Message:       m.msg,
-					ReceiptHandle: q.name + "/" + strconv.FormatInt(m.id, 10),
-				})
-				totalBytes += m.msg.Size()
+				got = append(got, Received{Message: m.msg, ReceiptHandle: q.handle(m.id)})
+				totalBytes += m.size
 			}
-			if len(got) >= max {
-				break
-			}
+			// Pop by copying the rest down, so the shard keeps its array
+			// and the next Deliver appends without reallocating.
+			rest := copy(sh, sh[take:])
+			clear(sh[rest:])
+			q.shards[shard] = sh[:rest]
 		}
 		if len(got) > 0 {
 			p.Sleep(q.svc.cfg.ReceiveLatency + q.transferTime(totalBytes))
@@ -266,20 +306,30 @@ func (q *Queue) Receive(p *sim.Proc, max int, wait time.Duration) []Received {
 	}
 }
 
-// sampleShards returns the shard indexes a poll consults.
+// handle is the receipt handle of message id: the queue's name, a slash and
+// the id, in one allocation.
+func (q *Queue) handle(id int64) string {
+	var buf [64]byte
+	b := append(append(buf[:0], q.name...), '/')
+	return string(strconv.AppendInt(b, id, 10))
+}
+
+// sampleShards returns the shard indexes a poll consults: every shard for a
+// long poll, which draws nothing from the queue's RNG, and a sample for a
+// short poll, written into the queue's picked list. Either is read only
+// until the next poll.
 func (q *Queue) sampleShards(long bool) []int {
-	n := len(q.shards)
 	if long {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+		return q.svc.allShards
 	}
 	if q.rng == nil {
 		q.rng = rand.New(rand.NewSource(q.svc.cfg.Seed))
 	}
-	var picked []int
+	n := len(q.shards)
+	if q.picked == nil {
+		q.picked = make([]int, 0, n)
+	}
+	picked := q.picked[:0]
 	for i := 0; i < n; i++ {
 		if q.rng.Float64() < q.svc.cfg.ShortPollShardFraction {
 			picked = append(picked, i)
@@ -288,6 +338,7 @@ func (q *Queue) sampleShards(long bool) []int {
 	if len(picked) == 0 {
 		picked = append(picked, q.rng.Intn(n))
 	}
+	q.picked = picked
 	return picked
 }
 
@@ -315,7 +366,10 @@ func (q *Queue) DeleteBatch(p *sim.Proc, handles []string) error {
 	q.svc.meter.SQSDeleteCalls++
 	p.Sleep(q.svc.cfg.DeleteLatency)
 	for _, h := range handles {
-		idStr, ok := strings.CutPrefix(h, q.name+"/")
+		idStr, ok := strings.CutPrefix(h, q.name)
+		if ok {
+			idStr, ok = strings.CutPrefix(idStr, "/")
+		}
 		if !ok {
 			return fmt.Errorf("sqs: receipt handle %q does not belong to queue %q", h, q.name)
 		}
@@ -324,23 +378,33 @@ func (q *Queue) DeleteBatch(p *sim.Proc, handles []string) error {
 			return fmt.Errorf("sqs: malformed receipt handle %q", h)
 		}
 		if m, ok := q.inflight[id]; ok {
-			m.state = stDeleted
 			if m.vis != nil {
 				m.vis.Stop()
 			}
+			m.drop()
 			delete(q.inflight, id)
 		}
 	}
 	return nil
 }
 
+// drop marks a message deleted and lets go of its body and attributes (see
+// qmsg).
+func (m *qmsg) drop() {
+	m.state = stDeleted
+	m.msg = Message{}
+}
+
 // Purge discards all messages (test/reset helper; free of charge).
 func (q *Queue) Purge() {
-	for i := range q.shards {
+	for i, sh := range q.shards {
+		for _, m := range sh {
+			m.drop()
+		}
 		q.shards[i] = nil
 	}
 	for id, m := range q.inflight {
-		m.state = stDeleted
+		m.drop()
 		delete(q.inflight, id)
 	}
 }

@@ -2,6 +2,10 @@ package sqs
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -337,5 +341,201 @@ func TestQueueLookup(t *testing.T) {
 	}
 	if svc.CreateQueue("a") != q {
 		t.Fatal("CreateQueue should be idempotent")
+	}
+}
+
+// TestFIFOPerShardProperty: over random interleavings of delivers, long
+// polls of random batch sizes, deletes of a random part of each batch and
+// waits past the visibility timeout, every receive returns exactly what a
+// reference queue returns: shards consulted in order, each first in first
+// out, a message whose visibility lapsed going back to its shard's tail in
+// the order the lapsed receives took them.
+func TestFIFOPerShardProperty(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k, _, svc := newSvc()
+		q := svc.CreateQueue("q")
+		shards := svc.cfg.Shards
+		// The reference: each shard's visible bodies, and the bodies still in
+		// flight in the order they were received. Body b is message id b, on
+		// shard b % shards; 60 steps deliver fewer than 256 messages.
+		ref := make([][]byte, shards)
+		var flying []byte
+		next := byte(0)
+		k.Go("worker", func(p *sim.Proc) {
+			for step := 0; step < 60; step++ {
+				switch op := rng.Intn(8); {
+				case op < 4:
+					for n := rng.Intn(4) + 1; n > 0; n-- {
+						next++
+						if err := q.Deliver(Message{Body: []byte{next}}); err != nil {
+							t.Error(err)
+							return
+						}
+						s := int(next) % shards
+						ref[s] = append(ref[s], next)
+					}
+				case op < 7:
+					max := rng.Intn(5) + 1
+					var want []byte
+					for s := range ref {
+						take := min(len(ref[s]), max-len(want))
+						want = append(want, ref[s][:take]...)
+						ref[s] = ref[s][take:]
+					}
+					got := q.Receive(p, max, time.Millisecond)
+					var bodies, kept []byte
+					var gone []string
+					for _, r := range got {
+						bodies = append(bodies, r.Body[0])
+						if rng.Intn(2) == 0 {
+							gone = append(gone, r.ReceiptHandle)
+						} else {
+							kept = append(kept, r.Body[0])
+						}
+					}
+					if string(bodies) != string(want) {
+						t.Errorf("seed %d step %d: received %v, want %v", seed, step, bodies, want)
+						return
+					}
+					if err := q.DeleteBatch(p, gone); err != nil {
+						t.Error(err)
+						return
+					}
+					flying = append(flying, kept...)
+				default:
+					p.Sleep(svc.cfg.VisibilityTimeout + time.Second)
+					for _, b := range flying {
+						s := int(b) % shards
+						ref[s] = append(ref[s], b)
+					}
+					flying = nil
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestGoneMessagesDropTheirBodies: a deleted message, and every message a
+// purge discards, visible or in flight, lets go of its body and attributes,
+// so the chunk of messages it was cut from keeps no frame alive.
+func TestGoneMessagesDropTheirBodies(t *testing.T) {
+	k, _, svc := newSvc()
+	q := svc.CreateQueue("q")
+	k.Go("worker", func(p *sim.Proc) {
+		for i := 0; i < 6; i++ {
+			q.Deliver(Message{Body: []byte{byte(i)}, Attributes: map[string]string{"i": "x"}})
+		}
+		got := q.Receive(p, 3, time.Second)
+		id, err := strconv.ParseInt(strings.TrimPrefix(got[0].ReceiptHandle, "q/"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted := q.inflight[id]
+		if err := q.DeleteBatch(p, []string{got[0].ReceiptHandle}); err != nil {
+			t.Fatal(err)
+		}
+		if deleted.msg.Body != nil || deleted.msg.Attributes != nil {
+			t.Errorf("a deleted message still holds body %v", deleted.msg.Body)
+		}
+		var held []*qmsg
+		for _, m := range q.inflight {
+			held = append(held, m)
+		}
+		for _, sh := range q.shards {
+			held = append(held, sh...)
+		}
+		if len(held) != 5 {
+			t.Fatalf("%d messages held before the purge, want 5", len(held))
+		}
+		q.Purge()
+		for _, m := range held {
+			if m.msg.Body != nil || m.msg.Attributes != nil {
+				t.Errorf("message %d still holds body %v after the purge", m.id, m.msg.Body)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortPollSamplingPinned: a short poll's shard sample is the same draw
+// sequence it always was, under the default shards and fraction and under a
+// sparse fraction whose polls fall back to one random shard, and long polls
+// between short ones draw nothing from the queue's RNG: a queue that only
+// long-polls never seeds one.
+func TestShortPollSamplingPinned(t *testing.T) {
+	want := [][]int{{1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 2, 3}, {3}, {1, 3}, {0, 2}, {1, 3}, {3}, {0, 2, 3}, {1}, {0, 1},
+		{0, 3}, {0, 1}, {2}, {0, 2}, {0, 2, 3}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0}, {3}, {0, 2}}
+	k, _, svc := newSvc()
+	q := svc.CreateQueue("q")
+	k.Go("worker", func(p *sim.Proc) {
+		for i, w := range want {
+			if got := q.sampleShards(false); !slices.Equal(got, w) {
+				t.Errorf("short poll %d samples %v, want %v", i, got, w)
+			}
+			q.Receive(p, 10, time.Millisecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	long := svc.CreateQueue("long")
+	for i := 0; i < 5; i++ {
+		if got := long.sampleShards(true); !slices.Equal(got, []int{0, 1, 2, 3}) {
+			t.Fatalf("long poll consults %v, want every shard", got)
+		}
+	}
+	if long.rng != nil {
+		t.Error("long polls seeded the queue's RNG")
+	}
+
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.ShortPollShardFraction, cfg.Seed = 3, 0.2, 11
+	sparse := New(sim.New(), usage.NewMeter(), cfg).CreateQueue("q")
+	want = [][]int{{0}, {2}, {0}, {0}, {2}, {1}, {0}, {2}, {1}, {2}, {2}, {0, 1, 2}}
+	for i, w := range want {
+		if got := sparse.sampleShards(false); !slices.Equal(got, w) {
+			t.Errorf("sparse short poll %d samples %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestLongPollReceiveAllocs: delivering one message, long-polling it and
+// deleting it allocates the returned batch, the receipt handle and the
+// visibility timer with its closure, and nothing per shard, per poll pass
+// or per message slot: 4 allocations (7 while each poll listed its shards,
+// each message was allocated alone, a popped shard dropped its front so
+// that appends reallocated and a delete built the handle's prefix).
+func TestLongPollReceiveAllocs(t *testing.T) {
+	k, _, svc := newSvc()
+	q := svc.CreateQueue("q")
+	msg := Message{Body: []byte("x")}
+	handles := make([]string, 1)
+	var allocs float64
+	k.Go("worker", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			if err := q.Deliver(msg); err != nil {
+				t.Fatal(err)
+			}
+			got := q.Receive(p, 10, time.Second)
+			if len(got) != 1 {
+				t.Fatalf("received %d messages, want 1", len(got))
+			}
+			handles[0] = got[0].ReceiptHandle
+			if err := q.DeleteBatch(p, handles); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 4 {
+		t.Errorf("deliver, long poll and delete of one message allocate %v times, want 4 at most", allocs)
 	}
 }

@@ -77,16 +77,20 @@ func (a Algorithm) String() string {
 // objects delivers it in as many pieces, so a receiver folds or joins every
 // delivery and never keeps just the last. A transport may skip deliver for
 // empty row sets — completion is tracked independently of delivery, so a
-// missing delivery is an empty contribution.
+// missing delivery is an empty contribution. A nil rs handed to Send or
+// SendAll is an empty contribution too: the transport still ships it, as the
+// frame of an empty set, so that its target learns the exchange is complete.
+// The phases pass nil rather than a set of their own, so a barrier hop
+// allocates no empty set, and the transport frames it from one it owns.
 type Link interface {
 	Rank() int
 	Size() int
 	Send(op string, round int, target int, rs *wire.RowSet) error
-	// SendAll ships one row set per target under a single (op, round) tag.
+	// SendAll ships rs to every target under a single (op, round) tag.
 	// Transports fan the batch out with whatever concurrency they have
 	// (thread pools, publish batches), so a flat root's P-1 sends do not
 	// serialize.
-	SendAll(op string, round int, targets []int, sets []*wire.RowSet) error
+	SendAll(op string, round int, targets []int, rs *wire.RowSet) error
 	Gather(op string, round int, sources []int, deliver func(src int, rs *wire.RowSet)) error
 }
 
@@ -130,15 +134,6 @@ func OpTag(b []byte) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// orEmpty substitutes an empty row set for nil, so transports always get
-// a payload to frame.
-func orEmpty(rs *wire.RowSet) *wire.RowSet {
-	if rs == nil {
-		return wire.NewRowSet(0)
-	}
-	return rs
 }
 
 // vrank maps a rank into root-relative virtual rank space, where the root
@@ -249,7 +244,7 @@ func reduce(alg Algorithm, lk Link, op string, root int, mine *wire.RowSet, comb
 	if vr == 0 {
 		return mine, nil
 	}
-	return mine, lk.Send(op, parent.up, rankOf(parent.lo, root, p), orEmpty(mine))
+	return mine, lk.Send(op, parent.up, rankOf(parent.lo, root, p), mine)
 }
 
 // broadcast carries root's row set to every rank along the topology, the
@@ -272,13 +267,9 @@ func broadcast(alg Algorithm, lk Link, op string, root int, rs *wire.RowSet) (*w
 		h := children[i]
 		var err error
 		if h.hi-h.lo == 1 {
-			err = lk.Send(op, h.down, rankOf(h.lo, root, p), orEmpty(rs))
+			err = lk.Send(op, h.down, rankOf(h.lo, root, p), rs)
 		} else {
-			sets := make([]*wire.RowSet, h.hi-h.lo)
-			for j := range sets {
-				sets[j] = orEmpty(rs)
-			}
-			err = lk.SendAll(op, h.down, h.ranks(root, p), sets)
+			err = lk.SendAll(op, h.down, h.ranks(root, p), rs)
 		}
 		if err != nil {
 			return nil, err
@@ -377,7 +368,7 @@ func passAround(lk Link, mine *wire.RowSet, combine Combiner) (*wire.RowSet, err
 	acc, hold := mine, mine
 	in := newReceiver()
 	for s := 0; s < p-1; s++ {
-		if err := lk.Send(opAllreduceUp, s, next, orEmpty(hold)); err != nil {
+		if err := lk.Send(opAllreduceUp, s, next, hold); err != nil {
 			return nil, err
 		}
 		got, err := in.recv(lk, opAllreduceUp, s, prev)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,16 +68,19 @@ func (l memLink) Size() int { return l.size }
 
 func (l memLink) Send(op string, round, target int, rs *wire.RowSet) error {
 	// Copy, as a real transport serializes: the sender may keep mutating
-	// its accumulator.
-	cp := wire.NewRowSet(rs.Batch)
-	cp.Append(rs)
+	// its accumulator. A nil rs ships as an empty set.
+	cp := wire.NewRowSet(0)
+	if rs != nil {
+		cp = wire.NewRowSet(rs.Batch)
+		cp.Append(rs)
+	}
 	l.bus.put(op, round, l.rank, target, cp)
 	return nil
 }
 
-func (l memLink) SendAll(op string, round int, targets []int, sets []*wire.RowSet) error {
-	for i, t := range targets {
-		if err := l.Send(op, round, t, sets[i]); err != nil {
+func (l memLink) SendAll(op string, round int, targets []int, rs *wire.RowSet) error {
+	for _, t := range targets {
+		if err := l.Send(op, round, t, rs); err != nil {
 			return err
 		}
 	}
@@ -252,10 +256,10 @@ func TestBroadcast(t *testing.T) {
 // pieces is a Link whose Gather delivers a scripted list of row sets.
 type pieces []*wire.RowSet
 
-func (pieces) Rank() int                                        { return 0 }
-func (pieces) Size() int                                        { return 2 }
-func (pieces) Send(string, int, int, *wire.RowSet) error        { return nil }
-func (pieces) SendAll(string, int, []int, []*wire.RowSet) error { return nil }
+func (pieces) Rank() int                                      { return 0 }
+func (pieces) Size() int                                      { return 2 }
+func (pieces) Send(string, int, int, *wire.RowSet) error      { return nil }
+func (pieces) SendAll(string, int, []int, *wire.RowSet) error { return nil }
 func (ps pieces) Gather(_ string, _ int, sources []int, deliver func(int, *wire.RowSet)) error {
 	for _, rs := range ps {
 		deliver(sources[0], rs)
@@ -297,6 +301,49 @@ func TestBarrierCompletes(t *testing.T) {
 				return nil, Barrier(alg, lk)
 			})
 		})
+	}
+}
+
+// emptyCounter is a memLink that counts the empty sets it is handed that
+// are not nil: a phase that allocated one per hop.
+type emptyCounter struct {
+	memLink
+	made *atomic.Int64
+}
+
+func (l emptyCounter) Send(op string, round, target int, rs *wire.RowSet) error {
+	if rs != nil && rs.Len() == 0 {
+		l.made.Add(1)
+	}
+	return l.memLink.Send(op, round, target, rs)
+}
+
+func (l emptyCounter) SendAll(op string, round int, targets []int, rs *wire.RowSet) error {
+	for _, t := range targets {
+		if err := l.Send(op, round, t, rs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEmptyHopsShipNil: a barrier's hops, and a pass-around's first round
+// from ranks with nothing to contribute, hand the link nil rather than an
+// empty set of their own, so no hop allocates one; the transport frames the
+// empty contribution.
+func TestEmptyHopsShipNil(t *testing.T) {
+	for _, alg := range topologies {
+		var made atomic.Int64
+		runRanks(t, 9, false, func(lk Link) (*wire.RowSet, error) {
+			lk = emptyCounter{lk.(memLink), &made}
+			if err := Barrier(alg, lk); err != nil {
+				return nil, err
+			}
+			return Allreduce(alg, lk, nil, Union)
+		})
+		if n := made.Load(); n != 0 {
+			t.Errorf("%v: the phases handed the link %d empty sets of their own", alg, n)
+		}
 	}
 }
 

@@ -182,18 +182,24 @@ func TestFSIRunBytesMoved(t *testing.T) {
 // at BenchmarkEngineRun/queue-warm's (the same model, Block P=4, a batch of
 // 16, neither allreduce nor compression): a warm run, on a deployment that
 // has served one, may make so many mallocs and no more. Measured per warm
-// run: 8 235 - 8 270 under flat, 9 145 - 9 185 under tree, 20 020 - 20 065
-// under ring and 2 310 - 2 315 on Queue. Before a decoded set filled the rank's one header, the send groups'
-// sets and lists were cut from the rank's buffers, a store value was one
-// allocation (header and frame), a collective hop allocated no list or
+// run: 7 850 - 8 000 under flat, 8 775 - 8 855 under tree, 18 710 - 18 810
+// under ring and 1 180 - 1 183 on Queue. While a Queue send built a message
+// slice per target, a publish its own size, bound and receipt-handle lists
+// and task closure, a chunked encode a closure and a growing list, every
+// poll pass a fresh shard list, every message its own queue entry, a popped
+// shard dropped its front so that the next delivery reallocated, a Memory
+// push built a task closure per send and every barrier hop an empty set,
+// the same runs took 8 235 - 8 270, 9 145 - 9 185, 20 020 - 20 065 and
+// 2 310 - 2 315. Before a decoded set filled the rank's one header, the send
+// groups' sets and lists were cut from the rank's buffers, a store value was
+// one allocation (header and frame), a collective hop allocated no list or
 // closure of its own and the result and staged input frames were written
-// from their matrices, the same runs took 16 430 - 16 445, 17 620 - 17 655,
-// 34 120 - 34 240 and 2 531;
-// while every push built its own RPUSH closure and sender-log slice, the
-// store allocated a list entry per refilled inbox, every comm thread was
-// named with fmt.Sprintf and every popped value's kind was a fresh string,
-// the Memory runs took 28 738, 30 170 and 53 215. Each budget leaves about a
-// quarter of headroom. Mallocs counts the whole process, so the test must
+// from their matrices, they took 16 430 - 16 445, 17 620 - 17 655,
+// 34 120 - 34 240 and 2 531; while every push built its own RPUSH closure
+// and sender-log slice, the store allocated a list entry per refilled inbox,
+// every comm thread was named with fmt.Sprintf and every popped value's kind
+// was a fresh string, the Memory runs took 28 738, 30 170 and 53 215. Each
+// budget leaves about a quarter of headroom. Mallocs counts the whole process, so the test must
 // not run in parallel with others.
 func TestMemoryRunMallocs(t *testing.T) {
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
@@ -216,10 +222,10 @@ func TestMemoryRunMallocs(t *testing.T) {
 		cfg    Config
 		budget uint64
 	}{
-		{"memory/flat", p32(collective.Flat), 10_300},
-		{"memory/tree", p32(collective.Tree), 11_500},
-		{"memory/ring", p32(collective.Ring), 25_100},
-		{"queue", Config{Model: m, Plan: plan4, Channel: Queue}, 2_900},
+		{"memory/flat", p32(collective.Flat), 10_000},
+		{"memory/tree", p32(collective.Tree), 11_100},
+		{"memory/ring", p32(collective.Ring), 23_500},
+		{"queue", Config{Model: m, Plan: plan4, Channel: Queue}, 1_480},
 	} {
 		d, err := Deploy(env.NewDefault(), tc.cfg)
 		if err != nil {
@@ -250,7 +256,10 @@ func TestMemoryRunMallocs(t *testing.T) {
 // from layer to layer and run to run, and each memoises, or lists sets that
 // memoise, the frames the layer decoded or sent; emptied as every layer ends
 // and as the buffers go back, they do not keep a run's last frames alive in
-// the deployment between runs.
+// the deployment between runs. So do the Queue channel's buffers: the chunk
+// list and messages a send published and the receipt handles a poll
+// deleted, over their whole capacity, and the publish's size and bound
+// lists.
 func TestWarmSlotsHoldNoFrames(t *testing.T) {
 	for _, kind := range ChannelKinds() {
 		if kind == Serial {
@@ -282,6 +291,27 @@ func TestWarmSlotsHoldNoFrames(t *testing.T) {
 					if o != (targetRows{}) {
 						t.Errorf("%v allreduce=%v: rank %d's send slot %d still lists a set for worker %d", kind, allreduce, r, i, o.target)
 					}
+				}
+				if kind == Queue && (cap(b.chunks) == 0 || cap(b.msgs) == 0 || cap(b.handles) == 0 || cap(b.sizes) == 0 || cap(b.bounds) == 0) {
+					t.Fatalf("Queue allreduce=%v: rank %d's slot holds no Queue buffers to check", allreduce, r)
+				}
+				for i, c := range b.chunks[:cap(b.chunks)] {
+					if c != nil {
+						t.Errorf("%v allreduce=%v: rank %d's chunk slot %d still holds a %d-byte frame", kind, allreduce, r, i, len(c))
+					}
+				}
+				for i, m := range b.msgs[:cap(b.msgs)] {
+					if m.Body != nil || m.Attributes != nil {
+						t.Errorf("%v allreduce=%v: rank %d's message slot %d still holds a %d-byte body", kind, allreduce, r, i, len(m.Body))
+					}
+				}
+				for i, h := range b.handles[:cap(b.handles)] {
+					if h != "" {
+						t.Errorf("%v allreduce=%v: rank %d's receipt slot %d still holds %q", kind, allreduce, r, i, h)
+					}
+				}
+				if len(b.sizes) != 0 || len(b.bounds) != 0 {
+					t.Errorf("%v allreduce=%v: rank %d's publish lists hold %d sizes and %d bounds", kind, allreduce, r, len(b.sizes), len(b.bounds))
 				}
 			}
 		}

@@ -213,9 +213,13 @@ func (w *worker) chargeCompress(rs *wire.RowSet, p []byte) {
 
 // encodeChunks is the same step for a size-capped service: rs becomes one
 // or more byte strings of at most limit bytes each, and the compressor is
-// charged for the bytes of rs less what the raw chunks carry.
+// charged for the bytes of rs less what the raw chunks carry. The chunks are
+// the rank's buffer (chanBufs.chunks), read before the next call; the send
+// empties it as it returns (doneSending).
 func (w *worker) encodeChunks(rs *wire.RowSet, limit int) ([][]byte, error) {
-	chunks, err := wire.EncodeChunks(rs, limit, w.d.Cfg.Compress)
+	clear(w.chunks)
+	chunks, err := wire.EncodeChunks(w.chunks[:0], rs, limit, w.d.Cfg.Compress)
+	w.chunks = chunks
 	deflated := rs.RawBytes()
 	for _, c := range chunks {
 		if !wire.Deflated(c) {

@@ -155,6 +155,7 @@ func chunkKey(prefix string, i int) string {
 // themselves with pointer pushes. The chunk PUTs complete before any
 // pointer is pushed, so a receiver's GETs never race the upload.
 func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
+	defer w.doneSending()
 	d := w.d
 	var puts []objectPut
 	vals := hc.mem.sendFrames(len(outs)) // inline values and pointer frames
@@ -186,7 +187,7 @@ func (hc *hybridChannel) send(w *worker, t tag, outs []targetRows) error {
 	if err := putAll(w, "bput", hybridFanout, puts); err != nil {
 		return err
 	}
-	return hc.mem.pushAll(w, outs, vals)
+	return hc.mem.pushAll(w, outs)
 }
 
 // gather runs the shared loop over the memory transport's inbox with a

@@ -54,10 +54,20 @@ type memoryChannel struct {
 	// frames[i] is the value the send in progress pushes to its i-th
 	// target (see sendFrames); the run's sender log holds the same frames.
 	frames [][]byte
+	// outs is the target list of the push in progress, and push, built as
+	// the channel opens, the task every push hands the comm pool: it pushes
+	// frames[i] to outs[i].target's inbox.
+	outs []targetRows
+	push func(p *sim.Proc, i int) error
 }
 
 func newMemoryChannel(w *worker) *memoryChannel {
-	return &memoryChannel{inbox: w.run.store.inboxes[w.id], resentAt: make(map[tag]int64)}
+	mc := &memoryChannel{inbox: w.run.store.inboxes[w.id], resentAt: make(map[tag]int64)}
+	mc.push = func(p *sim.Proc, i int) error {
+		inbox := w.run.store.inboxes[mc.outs[i].target]
+		return w.d.kvcluster.RPush(p, &mc.client, inbox, mc.frames[i], w.d.Cfg.FunctionTimeout)
+	}
+	return mc
 }
 
 func openMemory(w *worker) channel { return newMemoryChannel(w) }
@@ -353,13 +363,14 @@ func (mc *memoryChannel) sendFrames(n int) [][]byte {
 	return vals
 }
 
-// pushAll appends vals[i] to the slot-routed inbox list of outs[i].target
-// for every i, from the comm pool, refreshing the run keyspace TTL.
-func (mc *memoryChannel) pushAll(w *worker, outs []targetRows, vals [][]byte) error {
-	cl, inboxes, ttl := w.d.kvcluster, w.run.store.inboxes, w.d.Cfg.FunctionTimeout
-	return w.threads("push", len(outs), func(p *sim.Proc, i int) error {
-		return cl.RPush(p, &mc.client, inboxes[outs[i].target], vals[i], ttl)
-	})
+// pushAll appends frames[i] (see sendFrames) to the slot-routed inbox list
+// of outs[i].target for every i, from the comm pool, refreshing the run
+// keyspace TTL.
+func (mc *memoryChannel) pushAll(w *worker, outs []targetRows) error {
+	mc.outs = outs
+	err := w.threads("push", len(outs), mc.push)
+	mc.outs = nil
+	return err
 }
 
 func (mc *memoryChannel) send(w *worker, t tag, outs []targetRows) error {
@@ -369,7 +380,7 @@ func (mc *memoryChannel) send(w *worker, t tag, outs []targetRows) error {
 			return err
 		}
 	}
-	return mc.pushAll(w, outs, vals)
+	return mc.pushAll(w, outs)
 }
 
 func (mc *memoryChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {

@@ -30,9 +30,19 @@ type queueChannel struct {
 	// started on — the tree/ring AllreduceOutput teardown defect the golden
 	// test pins; looking the queue up per poll would change how it fails.
 	queue *sqs.Queue
+	// publishBatch, built as the channel opens, is the task every publish
+	// hands the comm pool: it ships batch i of the rank's send buffer
+	// (msgs, bounds) to the worker's source-keyed topic.
+	publishBatch func(p *sim.Proc, i int) error
 }
 
-func openQueue(*worker) channel { return &queueChannel{} }
+func openQueue(w *worker) channel {
+	topic := w.d.topics[int(w.id)%len(w.d.topics)]
+	return &queueChannel{publishBatch: func(p *sim.Proc, i int) error {
+		lo, hi := w.bounds[i], w.bounds[i+1]
+		return topic.PublishBatch(p, w.msgs[lo:hi:hi])
+	}}
+}
 
 // numTopics is the number of parallel pub-sub topics (topic-{m%10} in
 // Algorithm 1).
@@ -125,7 +135,7 @@ func predictQueue(w Workload, _ Config) (usage.Meter, error) {
 				sizes = append(sizes, int(c.Bytes())+attrOverhead)
 			}
 		}
-		_, b := packBatches(pub, sizes)
+		_, b := packBatches(pub, sizes, nil)
 		billed += share.workers * b
 		polls += share.workers * ((int64(len(sizes)) + recv - 1) / recv)
 	}
@@ -144,15 +154,14 @@ func queueBodyLimit(c sns.Config) int { return c.MaxPayloadBytes - attrOverhead 
 // buildMessages encodes one target's row set into chunked messages carrying
 // the paper's attributes: source worker id, total byte strings for this
 // (source, target, layer), and the message layer — kind and layer together
-// being the tag.
-func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowSet) ([]sqs.Message, error) {
+// being the tag. The messages are appended to the rank's send buffer (msgs).
+func buildMessages(w *worker, t tag, target int32, rs *wire.RowSet) error {
 	chunks, err := w.encodeChunks(rs, queueBodyLimit(w.d.Env.SNS.Config()))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	msgs := make([]sqs.Message, len(chunks))
 	for i, c := range chunks {
-		msgs[i] = sqs.Message{
+		w.msgs = append(w.msgs, sqs.Message{
 			Body: c,
 			Attributes: map[string]string{
 				"run":    w.run.id,
@@ -163,21 +172,22 @@ func (*queueChannel) buildMessages(w *worker, t tag, target int32, rs *wire.RowS
 				"chunks": strconv.Itoa(len(chunks)),
 				"seq":    strconv.Itoa(i),
 			},
-		}
+		})
 		w.metrics.BytesSent += int64(len(c))
 	}
-	w.metrics.MessagesSent += int64(len(msgs))
-	return msgs, nil
+	w.metrics.MessagesSent += int64(len(chunks))
+	return nil
 }
 
 // packBatches greedily packs messages of the given sizes (possibly for
 // different targets), in order, into publish batches within cfg's
 // entry-count and payload limits — a single publish can serve up to 10
 // targets at once (§IV-C) — and bills each batch in 64 KiB increments.
-// Batch i is messages bounds[i] to bounds[i+1]. publish ships what it packs
-// and predictQueue prices it.
-func packBatches(cfg sns.Config, sizes []int) (bounds []int, billed int64) {
-	bounds = make([]int, 1, len(sizes)+1) // a batch holds one message at least
+// Batch i is messages bounds[i] to bounds[i+1]; bounds is appended to buf,
+// which the caller passes empty. publish ships what it packs and
+// predictQueue prices it.
+func packBatches(cfg sns.Config, sizes, buf []int) (bounds []int, billed int64) {
+	bounds = append(buf, 0) // a batch holds one message at least
 	size := 0
 	for i, sz := range sizes {
 		if n := i - bounds[len(bounds)-1]; n > 0 && (n >= cfg.MaxBatchEntries || size+sz > cfg.MaxPayloadBytes) {
@@ -194,41 +204,41 @@ func packBatches(cfg sns.Config, sizes []int) (bounds []int, billed int64) {
 	return bounds, billed
 }
 
-// publish packs msgs into publish batches and ships them to this worker's
-// source-keyed topic from the communication thread pool. It charges the run
-// what Equations (5)-(6) price: the publish calls with their billed 64 KiB
-// increments S, and the fan-out, each message delivered to its target's
-// queue alone with its attributes (Z and, when billed, Q).
-func (*queueChannel) publish(w *worker, msgs []sqs.Message) error {
-	sizes := make([]int, len(msgs))
+// publish packs the rank's send buffer (msgs) into publish batches and
+// ships them to this worker's source-keyed topic from the communication
+// thread pool. It charges the run what Equations (5)-(6) price: the publish
+// calls with their billed 64 KiB increments S, and the fan-out, each message
+// delivered to its target's queue alone with its attributes (Z and, when
+// billed, Q).
+func (qc *queueChannel) publish(w *worker) error {
+	msgs, sizes := w.msgs, w.sizes[:0]
 	delivered := 0
-	for i, m := range msgs {
-		sizes[i] = m.Size()
-		delivered += sizes[i]
+	for _, m := range msgs {
+		sz := m.Size()
+		sizes = append(sizes, sz)
+		delivered += sz
 	}
-	bounds, billed := packBatches(w.d.Env.SNS.Config(), sizes)
+	bounds, billed := packBatches(w.d.Env.SNS.Config(), sizes, w.bounds[:0])
+	w.sizes, w.bounds = sizes, bounds
 	u := &w.run.usage
 	u.SNSPublishCalls += int64(len(bounds) - 1)
 	u.SNSBilledPublishes += billed
 	u.SNSMessages += int64(len(msgs))
 	u.SNSDeliveredBytes += int64(delivered)
 	u.SQSSendCalls += int64(len(msgs))
-	topic := w.d.topics[int(w.id)%len(w.d.topics)]
-	return w.threads("pub", len(bounds)-1, func(p *sim.Proc, i int) error {
-		return topic.PublishBatch(p, msgs[bounds[i]:bounds[i+1]:bounds[i+1]])
-	})
+	return w.threads("pub", len(bounds)-1, qc.publishBatch)
 }
 
+// send builds every target's messages into the rank's send buffer and
+// publishes them, then empties the buffers the send filled.
 func (qc *queueChannel) send(w *worker, t tag, outs []targetRows) error {
-	var msgs []sqs.Message
+	defer w.doneSending()
 	for _, out := range outs {
-		ms, err := qc.buildMessages(w, t, out.target, out.rs)
-		if err != nil {
+		if err := buildMessages(w, t, out.target, out.rs); err != nil {
 			return err
 		}
-		msgs = append(msgs, ms...)
 	}
-	return qc.publish(w, msgs)
+	return qc.publish(w)
 }
 
 func (qc *queueChannel) gather(w *worker, t tag, sources []int32, deliver func(src int32, rs *wire.RowSet)) error {
@@ -255,13 +265,18 @@ func parseQueueAttrs(attrs map[string]string) (arrival, error) {
 // poll is the queue's arrival source (Algorithm 1 lines 9-15): long-poll
 // the worker's run-scoped queue, read each message's tag and chunk position
 // from its attributes, and delete the batch once it is processed.
+// The receipt handles collect in the rank's buffer (handles), emptied as
+// the poll returns.
 func (qc *queueChannel) poll(w *worker, g *gathering) error {
+	defer func() {
+		clear(w.handles)
+		w.handles = w.handles[:0]
+	}()
 	msgs := qc.queue.Receive(w.ctx.P, 10, w.d.Cfg.PollWait)
 	w.run.usage.SQSReceiveCalls++
 	w.metrics.Fetches += int64(len(msgs))
-	handles := make([]string, 0, len(msgs))
 	for _, m := range msgs {
-		handles = append(handles, m.ReceiptHandle)
+		w.handles = append(w.handles, m.ReceiptHandle)
 		a, err := parseQueueAttrs(m.Attributes)
 		if err != nil {
 			return err
@@ -271,8 +286,8 @@ func (qc *queueChannel) poll(w *worker, g *gathering) error {
 			return err
 		}
 	}
-	if len(handles) > 0 {
-		if err := qc.queue.DeleteBatch(w.ctx.P, handles); err != nil {
+	if len(w.handles) > 0 {
+		if err := qc.queue.DeleteBatch(w.ctx.P, w.handles); err != nil {
 			return err
 		}
 		w.run.usage.SQSDeleteCalls++

@@ -77,6 +77,17 @@
 //     limit its channel encodes to, the split EncodeChunks runs, so the
 //     frame-size and chunk arithmetic lives in wire alone.
 //
+// The data path allocates per deployment and per send, not per value,
+// message, poll or hop. A rank's buffers (rankBufs, one slot per rank on
+// the deployment) hold its row table, layer outputs, send and receive
+// arenas, the row-set headers over them, the lists a send or a collective
+// hop hands its channel, and the Queue channel's messages, chunk list,
+// publish sizes and batch bounds and receipt handles; each channel builds
+// the task it hands its comm pool once, as it opens. What a send hands a
+// service (frames, attribute maps) is fresh, and the buffers are emptied as
+// each call returns and as each layer ends, so a slot keeps nothing alive
+// that a service holds or a run produced.
+//
 // Workers launch hierarchically (worker_invoke_children): the coordinator
 // and every worker invoke the children Config.launchChildren enumerates for
 // them, each child carrying its rank in the payload. They load their

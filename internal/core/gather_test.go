@@ -37,14 +37,15 @@ func (s *scriptedSource) poll(w *worker, g *gathering) error {
 }
 
 // inWorker runs body as a FaaS function instance with a bare worker around
-// its context, and returns what the invocation returned.
+// its context, holding the channel buffers a worker with a channel has, and
+// returns what the invocation returned.
 func inWorker(t *testing.T, body func(w *worker) error) error {
 	t.Helper()
 	e := env.NewDefault()
 	err := e.FaaS.Register(faas.FunctionConfig{
 		Name: "gather", MemoryMB: 1024, Timeout: time.Minute,
 		Handler: func(ctx *faas.Ctx, _ []byte) ([]byte, error) {
-			return nil, body(&worker{ctx: ctx, pending: make(map[tag][]arrival)})
+			return nil, body(&worker{ctx: ctx, pending: make(map[tag][]arrival), rankBufs: rankBufs{chanBufs: new(chanBufs)}})
 		},
 	})
 	if err != nil {

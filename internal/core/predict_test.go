@@ -134,11 +134,12 @@ func TestQueueRowBillsWhatSendPacks(t *testing.T) {
 	for r := int32(0); r < int32(f.Rows); r++ {
 		rs.Add(r, vals)
 	}
-	w := &worker{d: &Deployment{Env: env.NewDefault()}, run: &runState{id: "fsd1-run3"}, id: 5, metrics: &WorkerMetrics{}}
-	msgs, err := (&queueChannel{}).buildMessages(w, tag{dataKind, 3}, 7, rs)
-	if err != nil {
+	w := &worker{d: &Deployment{Env: env.NewDefault()}, run: &runState{id: "fsd1-run3"}, id: 5, metrics: &WorkerMetrics{},
+		rankBufs: rankBufs{chanBufs: new(chanBufs)}}
+	if err := buildMessages(w, tag{dataKind, 3}, 7, rs); err != nil {
 		t.Fatal(err)
 	}
+	msgs := w.msgs
 	sizes := make([]int, len(msgs))
 	for i, m := range msgs {
 		sizes[i] = m.Size()
@@ -146,7 +147,7 @@ func TestQueueRowBillsWhatSendPacks(t *testing.T) {
 			t.Errorf("chunk %d: %d B cut, %d sized", i, got, chunks[i].Bytes())
 		}
 	}
-	_, billed := packBatches(sns.DefaultConfig(), sizes)
+	_, billed := packBatches(sns.DefaultConfig(), sizes, nil)
 	if billed != 26 {
 		t.Fatalf("send bills %d publishes for the pair, want 26", billed)
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"fsdinference/internal/cloud/faas"
+	"fsdinference/internal/cloud/sqs"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
@@ -13,12 +14,20 @@ import (
 	"fsdinference/internal/wire"
 )
 
-// worker is the per-instance state of one FSI worker during a run.
+// worker is the per-instance state of one FSI worker during a run. A run
+// allocates one per rank: on a 64-bit platform it is 568 bytes, which with
+// the allocator's 8-byte header fills the 576-byte size class, and 8 bytes
+// more would take the 640-byte one. Buffers only a rank with a channel
+// needs are therefore behind one pointer (chanBufs).
 type worker struct {
 	d   *Deployment
 	run *runState
 	ctx *faas.Ctx
 	id  int32
+	// foldRoot is set while rank 0 gathers the result: each arriving set
+	// is copied into the result as it is delivered, so it decodes into the
+	// receive arena (see decodePayload). It sits in id's padding.
+	foldRoot bool
 
 	localRows []int32
 	weights   []weightBlock // local row blocks, global column ids
@@ -40,10 +49,6 @@ type worker struct {
 	// delivery, built at the worker's first collective gather.
 	linkDeliver func(src int, rs *wire.RowSet)
 	linked      func(src int32, rs *wire.RowSet)
-	// foldRoot is set while rank 0 gathers the result: each arriving set
-	// is copied into the result as it is delivered, so it decodes into the
-	// receive arena (see decodePayload).
-	foldRoot bool
 
 	// Tracing state (set only when this run was sampled): the run's
 	// tracer, this worker's track name, and its lifetime span.
@@ -72,11 +77,12 @@ func (w *worker) failSpan(stage string) {
 }
 
 // rankBufs are one rank's data-path buffers: a layer's rows, the row-set
-// headers that view them and the lists a send or a collective hop hands its
-// channel are written into them instead of into fresh allocations, so the
-// FSI data path allocates per deployment, not per run, per layer, per value
-// or per hop. The deployment keeps one slot per rank (Deployment.bufs), as an
-// instance stays warm between invocations. A worker empties its rank's slot
+// headers that view them, the lists a send or a collective hop hands its
+// channel and the Queue channel's messages, publish batches and receipt
+// handles are written into them instead of into fresh allocations, so the
+// FSI data path allocates per deployment, not per run, per layer, per value,
+// per message or per hop. The deployment keeps one slot per rank
+// (Deployment.bufs), as an instance stays warm between invocations. A worker empties its rank's slot
 // as it starts, so a run overlapping it on the same rank allocates its own,
 // and gives the buffers back, emptied, only once its handler has succeeded:
 // a rank that failed or timed out may have stopped anywhere, mid-layer with
@@ -85,9 +91,9 @@ func (w *worker) failSpan(stage string) {
 // outlives a run points into them: frames are fresh bytes, the gathered and
 // allreduced results are copies. Nor does anything in them point out past
 // the layer that used it: a reused header memoises the frame it was encoded
-// to or decoded from, and outs the sets a send shipped, so clearLayerState
-// empties both as every layer ends, and the slot never keeps a run's last
-// frames alive.
+// to or decoded from, outs the sets a send shipped and msgs and chunks the
+// frames a Queue send published, so clearLayerState empties them as every
+// layer ends, and the slot never keeps a run's last frames alive.
 type rankBufs struct {
 	// x is the row table the kernels index: this layer's input activation
 	// rows by global id, nil where a row is zero or absent. The worker's
@@ -126,6 +132,32 @@ type rankBufs struct {
 	recvIDs  []int32
 	recvVals []float32
 	recvSet  wire.RowSet
+
+	// chanBufs are the buffers only a rank with a channel fills, made as its
+	// first worker opens the channel: a rank alone (Serial) never makes
+	// them, so its worker is no larger for them.
+	*chanBufs
+}
+
+// chanBufs are the buffers a rank's channel sends and polls fill.
+type chanBufs struct {
+	// noRows is the empty set a collective hop ships for the nil
+	// contribution the collectives hand the link (see collective.Link): it
+	// memoises only the format's shared empty frame.
+	noRows wire.RowSet
+	// chunks is the frames encodeChunks cut the set of the send in progress
+	// into, read before the next set is cut. msgs is a Queue send's messages,
+	// every target's chunks in send order, and sizes and bounds its publish's
+	// message sizes and batch bounds (packBatches); handles is the receipt
+	// handles of the Queue poll in progress. Each is emptied as its call
+	// returns, and clearLayerState empties the three that hold frames or
+	// strings over their whole capacity, so none keeps a frame or an
+	// attribute map alive past the call.
+	chunks  [][]byte
+	msgs    []sqs.Message
+	sizes   []int
+	bounds  []int
+	handles []string
 }
 
 // sendOuts returns the first n of the rank's send slots (see outs).
@@ -134,6 +166,15 @@ func (b *rankBufs) sendOuts(n int) []targetRows {
 		b.outs = make([]targetRows, n)
 	}
 	return b.outs[:n]
+}
+
+// doneSending empties the buffers a send filled: the chunks its sets were
+// cut into and a Queue send's messages, sizes and batch bounds. The frames
+// and attribute maps are the services' now.
+func (b *chanBufs) doneSending() {
+	clear(b.chunks)
+	clear(b.msgs)
+	b.chunks, b.msgs, b.sizes, b.bounds = b.chunks[:0], b.msgs[:0], b.sizes[:0], b.bounds[:0]
 }
 
 // takeBufs empties rank's slot and returns what it held: the buffers a
@@ -165,16 +206,25 @@ func (l workerLink) Size() int { return l.w.d.Cfg.Workers() }
 
 func (l workerLink) Send(op string, round int, target int, rs *wire.RowSet) error {
 	outs := l.w.sendOuts(1)
-	outs[0] = targetRows{target: int32(target), rs: rs}
+	outs[0] = targetRows{target: int32(target), rs: l.orEmpty(rs)}
 	return l.w.ch.send(l.w, tag{op, round}, outs)
 }
 
-func (l workerLink) SendAll(op string, round int, targets []int, sets []*wire.RowSet) error {
+func (l workerLink) SendAll(op string, round int, targets []int, rs *wire.RowSet) error {
 	outs := l.w.sendOuts(len(targets))
+	rs = l.orEmpty(rs)
 	for i, t := range targets {
-		outs[i] = targetRows{target: int32(t), rs: sets[i]}
+		outs[i] = targetRows{target: int32(t), rs: rs}
 	}
 	return l.w.ch.send(l.w, tag{op, round}, outs)
+}
+
+// orEmpty is rs, or the worker's empty set for the nil contribution.
+func (l workerLink) orEmpty(rs *wire.RowSet) *wire.RowSet {
+	if rs == nil {
+		return &l.w.noRows
+	}
+	return rs
 }
 
 func (l workerLink) Gather(op string, round int, sources []int, deliver func(src int, rs *wire.RowSet)) error {
@@ -223,6 +273,9 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 
 	if open := transports[d.Cfg.Channel].open; open != nil {
 		w.ch = open(w)
+		if w.chanBufs == nil {
+			w.chanBufs = new(chanBufs)
+		}
 	}
 
 	// Launch this worker's children before any other work, spreading
@@ -326,8 +379,9 @@ func (w *worker) setX(id int32, vals []float32) {
 }
 
 // clearLayerState empties the row table and the receive arena its received
-// rows point into, and drops what the layer's reused headers and send list
-// point at: the frames the headers memoise and the sets outs lists.
+// rows point into, and drops what the layer's reused headers and send lists
+// point at: the frames the headers memoise, the sets outs lists and the
+// frames, attribute maps and receipt handles of the Queue buffers.
 func (w *worker) clearLayerState() {
 	for _, id := range w.xTouched {
 		w.x[id] = nil
@@ -337,6 +391,11 @@ func (w *worker) clearLayerState() {
 	w.recvSet = wire.RowSet{}
 	clear(w.sendSets)
 	clear(w.outs)
+	if b := w.chanBufs; b != nil {
+		clear(b.chunks[:cap(b.chunks)])
+		clear(b.msgs[:cap(b.msgs)])
+		clear(b.handles[:cap(b.handles)])
+	}
 }
 
 // layerOut returns the zeroed output buffer of layer k (see zbuf), shaped

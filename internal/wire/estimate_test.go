@@ -61,7 +61,7 @@ func TestChunksBoundsEncodeChunksProperty(t *testing.T) {
 		if rs.NNZ() != f.Rows*int64(f.Batch) {
 			t.Fatalf("set %d is not dense", i)
 		}
-		want, wantErr := EncodeChunks(rs, limit, false)
+		want, wantErr := EncodeChunks(nil, rs, limit, false)
 		got, err := f.Chunks(limit)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("%d rows x %d at limit %d: Chunks errs %v, EncodeChunks %v", f.Rows, f.Batch, limit, err, wantErr)
@@ -92,7 +92,7 @@ func TestChunksBoundsEncodeChunksProperty(t *testing.T) {
 			}
 			for i := 0; i < 60; i++ {
 				rs := randomRowSet(rng, 400, 64, density)
-				chunks, err := EncodeChunks(rs, limit, compress)
+				chunks, err := EncodeChunks(nil, rs, limit, compress)
 				if err != nil {
 					t.Fatal(err)
 				}

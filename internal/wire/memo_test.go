@@ -285,7 +285,7 @@ func TestEncodeChunksUnchangedProperty(t *testing.T) {
 				}
 			}
 			for pass := 0; pass < 2; pass++ {
-				got, err := EncodeChunks(rs, limit, compress)
+				got, err := EncodeChunks(nil, rs, limit, compress)
 				if err != nil {
 					t.Fatal(err)
 				}

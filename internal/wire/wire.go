@@ -581,56 +581,53 @@ func rowsPerChunk(rows, nnz int64, limit int, compress bool) int {
 }
 
 // EncodeChunks serializes the row set into one or more payloads, each at
-// most limit bytes. The initial split uses the NNZ heuristic so rows are
-// grouped and compressed only once in the common case; any chunk whose
-// encoded form still exceeds the limit is re-split recursively. An empty
-// row set yields a single empty payload (the "nothing to send, but here is
-// my completion marker" case of Algorithm 1).
-func EncodeChunks(rs *RowSet, limit int, compress bool) ([][]byte, error) {
+// most limit bytes, and appends them to dst. The initial split uses the NNZ
+// heuristic so rows are grouped and compressed only once in the common
+// case; any chunk whose encoded form still exceeds the limit is re-split
+// recursively. An empty row set yields a single empty payload (the "nothing
+// to send, but here is my completion marker" case of Algorithm 1). A set
+// sent whole allocates only its frame, and none when it is memoised. On an
+// error, the chunks cut before it stay appended.
+func EncodeChunks(dst [][]byte, rs *RowSet, limit int, compress bool) ([][]byte, error) {
 	if limit <= headerSize+8 {
-		return nil, fmt.Errorf("wire: chunk limit %d too small", limit)
+		return dst, fmt.Errorf("wire: chunk limit %d too small", limit)
 	}
 	if rs.Len() == 0 {
 		p, err := Encode(rs, compress)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return [][]byte{p}, nil
+		return append(dst, p), nil
 	}
 	rowsPer := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, compress)
-	var out [][]byte
-	var encode func(lo, hi int) error
-	encode = func(lo, hi int) error {
-		// A chunk that is the whole set is the set: its frame is memoised.
-		chunk := rs
-		if hi-lo < rs.Len() {
-			chunk = rs.Slice(lo, hi)
-		}
-		p, err := Encode(chunk, compress)
-		if err != nil {
-			return err
-		}
-		if len(p) > limit && hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if err := encode(lo, mid); err != nil {
-				return err
-			}
-			return encode(mid, hi)
-		}
-		if len(p) > limit {
-			return fmt.Errorf("wire: single row encodes to %d bytes, over the %d limit", len(p), limit)
-		}
-		out = append(out, p)
-		return nil
+	var err error
+	for lo := 0; lo < rs.Len() && err == nil; lo += rowsPer {
+		dst, err = appendChunk(dst, rs, lo, min(lo+rowsPer, rs.Len()), limit, compress)
 	}
-	for lo := 0; lo < rs.Len(); lo += rowsPer {
-		hi := lo + rowsPer
-		if hi > rs.Len() {
-			hi = rs.Len()
-		}
-		if err := encode(lo, hi); err != nil {
-			return nil, err
-		}
+	return dst, err
+}
+
+// appendChunk appends the frame of rows [lo, hi) of rs to dst, halving the
+// range until each half's frame fits limit.
+func appendChunk(dst [][]byte, rs *RowSet, lo, hi, limit int, compress bool) ([][]byte, error) {
+	// A chunk that is the whole set is the set: its frame is memoised.
+	chunk := rs
+	if hi-lo < rs.Len() {
+		chunk = rs.Slice(lo, hi)
 	}
-	return out, nil
+	p, err := Encode(chunk, compress)
+	if err != nil {
+		return dst, err
+	}
+	if len(p) > limit && hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if dst, err = appendChunk(dst, rs, lo, mid, limit, compress); err != nil {
+			return dst, err
+		}
+		return appendChunk(dst, rs, mid, hi, limit, compress)
+	}
+	if len(p) > limit {
+		return dst, fmt.Errorf("wire: single row encodes to %d bytes, over the %d limit", len(p), limit)
+	}
+	return append(dst, p), nil
 }

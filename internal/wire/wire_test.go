@@ -125,7 +125,7 @@ func TestEmptyRowSet(t *testing.T) {
 	if got.Len() != 0 || got.Batch != 8 {
 		t.Fatalf("round-trip empty: %+v", got)
 	}
-	chunks, err := EncodeChunks(rs, 1024, true)
+	chunks, err := EncodeChunks(nil, rs, 1024, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEncodeChunksRespectLimitProperty(t *testing.T) {
 		rs := randomRowSet(rng, 200, 32, 0.3)
 		limit := 256 + rng.Intn(4096)
 		compress := rng.Intn(2) == 0
-		chunks, err := EncodeChunks(rs, limit, compress)
+		chunks, err := EncodeChunks(nil, rs, limit, compress)
 		if err != nil {
 			return false
 		}
@@ -175,7 +175,7 @@ func TestEncodeChunksRespectLimitProperty(t *testing.T) {
 func TestEncodeChunksPreservesOrderAndContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rs := randomRowSet(rng, 300, 8, 0.4)
-	chunks, err := EncodeChunks(rs, 2048, true)
+	chunks, err := EncodeChunks(nil, rs, 2048, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +194,62 @@ func TestEncodeChunksPreservesOrderAndContent(t *testing.T) {
 	}
 }
 
+// TestEncodeChunksAppendsToDst: the chunks land after what dst holds, in
+// dst's own array when it has room, and a set that fits one chunk allocates
+// its frame and nothing else (a closure and a growing chunk list besides it
+// before the chunks were appended to the caller's buffer).
+func TestEncodeChunksAppendsToDst(t *testing.T) {
+	dense := func(rows int) *RowSet {
+		rs := NewRowSet(8)
+		for r := 0; r < rows; r++ {
+			rs.Add(int32(r), []float32{1, 2, 3, 4, 5, 6, 7, float32(r)})
+		}
+		return rs
+	}
+	rs := dense(200)
+	want, err := EncodeChunks(nil, rs, 2048, false)
+	if err != nil || len(want) < 2 {
+		t.Fatalf("%d chunks (%v), want several", len(want), err)
+	}
+	mark := []byte("mark")
+	dst := append(make([][]byte, 0, len(want)+1), mark)
+	got, err := EncodeChunks(dst, rs, 2048, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want)+1 || &got[0] != &dst[:1][0] || !bytes.Equal(got[0], mark) {
+		t.Fatalf("got %d chunks after the mark, in a new array: %v", len(got)-1, &got[0] != &dst[:1][0])
+	}
+	for i, c := range want {
+		if !bytes.Equal(got[i+1], c) {
+			t.Errorf("chunk %d differs from a fresh list's", i)
+		}
+	}
+
+	one := dense(10)
+	buf := make([][]byte, 0, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		one.enc = [2][]byte{}
+		if buf, err = EncodeChunks(buf[:0], one, 4096, false); err != nil || len(buf) != 1 {
+			t.Fatalf("%d chunks (%v), want 1", len(buf), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a one-chunk set allocates %v times, want its frame alone", allocs)
+	}
+}
+
 func TestEncodeChunksTooSmallLimit(t *testing.T) {
 	rs := NewRowSet(4)
 	rs.Add(1, []float32{1, 2, 3, 4})
-	if _, err := EncodeChunks(rs, 10, false); err == nil {
+	if _, err := EncodeChunks(nil, rs, 10, false); err == nil {
 		t.Error("tiny limit accepted")
 	}
 	// A single row that can't fit the limit must error, not loop: it cannot
 	// be split further.
 	wide := NewRowSet(1024)
 	wide.Add(1, make([]float32, 1024))
-	if _, err := EncodeChunks(wide, 64, false); err == nil || !strings.Contains(err.Error(), "single row encodes to") {
+	if _, err := EncodeChunks(nil, wide, 64, false); err == nil || !strings.Contains(err.Error(), "single row encodes to") {
 		t.Errorf("oversized single row: %v", err)
 	}
 }
@@ -220,7 +265,7 @@ func TestEstimateChunksTracksReality(t *testing.T) {
 	limit := 4096
 	per := rowsPerChunk(int64(rs.Len()), rs.NNZ(), limit, false)
 	est := (rs.Len() + per - 1) / per
-	chunks, err := EncodeChunks(rs, limit, false)
+	chunks, err := EncodeChunks(nil, rs, limit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +342,7 @@ func BenchmarkWireEncodeChunksCompressed(b *testing.B) {
 	b.SetBytes(rs.RawBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeChunks(rs, 240*1024, true); err != nil {
+		if _, err := EncodeChunks(nil, rs, 240*1024, true); err != nil {
 			b.Fatal(err)
 		}
 	}
