@@ -182,8 +182,11 @@ func TestFSIRunBytesMoved(t *testing.T) {
 // at BenchmarkEngineRun/queue-warm's (the same model, Block P=4, a batch of
 // 16, neither allreduce nor compression): a warm run, on a deployment that
 // has served one, may make so many mallocs and no more. Measured per warm
-// run: 7 850 - 8 000 under flat, 8 775 - 8 855 under tree, 18 710 - 18 810
-// under ring and 1 180 - 1 183 on Queue. While a Queue send built a message
+// run: 5 985 - 6 095 under flat, 6 585 - 6 640 under tree, 10 940 - 11 045
+// under ring and 1 012 - 1 015 on Queue. While every comm-pool call built
+// its pool, wait group and thread body afresh and every Proc started a
+// goroutine of its own, the same runs took 7 850 - 8 000, 8 775 - 8 855,
+// 18 710 - 18 810 and 1 180 - 1 183. While a Queue send built a message
 // slice per target, a publish its own size, bound and receipt-handle lists
 // and task closure, a chunked encode a closure and a growing list, every
 // poll pass a fresh shard list, every message its own queue entry, a popped
@@ -222,10 +225,10 @@ func TestMemoryRunMallocs(t *testing.T) {
 		cfg    Config
 		budget uint64
 	}{
-		{"memory/flat", p32(collective.Flat), 10_000},
-		{"memory/tree", p32(collective.Tree), 11_100},
-		{"memory/ring", p32(collective.Ring), 23_500},
-		{"queue", Config{Model: m, Plan: plan4, Channel: Queue}, 1_480},
+		{"memory/flat", p32(collective.Flat), 7_650},
+		{"memory/tree", p32(collective.Tree), 8_300},
+		{"memory/ring", p32(collective.Ring), 13_800},
+		{"queue", Config{Model: m, Plan: plan4, Channel: Queue}, 1_270},
 	} {
 		d, err := Deploy(env.NewDefault(), tc.cfg)
 		if err != nil {
@@ -259,7 +262,8 @@ func TestMemoryRunMallocs(t *testing.T) {
 // the deployment between runs. So do the Queue channel's buffers: the chunk
 // list and messages a send published and the receipt handles a poll
 // deleted, over their whole capacity, and the publish's size and bound
-// lists.
+// lists. So do the comm pools: a kept task closure would keep the send it
+// ran for, and through it the frames, alive.
 func TestWarmSlotsHoldNoFrames(t *testing.T) {
 	for _, kind := range ChannelKinds() {
 		if kind == Serial {
@@ -312,6 +316,17 @@ func TestWarmSlotsHoldNoFrames(t *testing.T) {
 				}
 				if len(b.sizes) != 0 || len(b.bounds) != 0 {
 					t.Errorf("%v allreduce=%v: rank %d's publish lists hold %d sizes and %d bounds", kind, allreduce, r, len(b.sizes), len(b.bounds))
+				}
+				if len(b.pools) == 0 {
+					t.Fatalf("%v allreduce=%v: rank %d's slot holds no comm pool to check", kind, allreduce, r)
+				}
+				for i, pool := range b.pools {
+					if pool.task != nil {
+						t.Errorf("%v allreduce=%v: rank %d's comm pool %d still holds its last task", kind, allreduce, r, i)
+					}
+					if pool.err != nil {
+						t.Errorf("%v allreduce=%v: rank %d's comm pool %d still holds the error %v", kind, allreduce, r, i, pool.err)
+					}
 				}
 			}
 		}

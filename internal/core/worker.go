@@ -158,6 +158,10 @@ type chanBufs struct {
 	sizes   []int
 	bounds  []int
 	handles []string
+	// pools is the free list of the comm pools threadsN runs: a call takes
+	// one and pushes it back, emptied of its task and error, once its
+	// threads are done, so no two calls in flight share a pool.
+	pools []*commPool
 }
 
 // sendOuts returns the first n of the rank's send slots (see outs).
@@ -788,6 +792,8 @@ const commThreads = 4
 // commThreads simulated threads issue service calls concurrently, each
 // calling task with the next index of 0..n-1 as it finishes the last; the
 // call returns when all n finish. Returns the first task error, if any.
+// The pool's shared state is the rank's, reused from call to call (see
+// commPool), so a call allocates only its threads' Procs.
 func (w *worker) threads(name string, n int, task func(p *sim.Proc, i int) error) error {
 	return w.threadsN(name, commThreads, n, task)
 }
@@ -801,23 +807,45 @@ func (w *worker) threadsN(name string, width, n int, task func(p *sim.Proc, i in
 	}
 	nt := min(width, n)
 	k := w.ctx.P.Kernel()
-	pool := &commPool{task: task, n: n, wg: sim.NewWaitGroup(k)}
+	pool := w.takePool(k)
+	pool.task, pool.n, pool.next, pool.err = task, n, 0, nil
 	pool.wg.Add(nt)
-	run := pool.run
 	for t := 0; t < nt; t++ {
-		k.Go(w.d.threadName(w.id, name, t), run)
+		k.Go(w.d.threadName(w.id, name, t), pool.runFn)
 	}
 	pool.wg.Wait(w.ctx.P)
-	return pool.err
+	err := pool.err
+	pool.task, pool.err = nil, nil
+	w.pools = append(w.pools, pool)
+	return err
 }
 
-// commPool is one threadsN call: its threads share the task, the next index
-// to take and the first error.
+// takePool pops a comm pool off the rank's free list (chanBufs.pools), or
+// makes one when every pool the rank has is in use.
+func (w *worker) takePool(k *sim.Kernel) *commPool {
+	if n := len(w.pools); n > 0 {
+		pool := w.pools[n-1]
+		w.pools[n-1] = nil
+		w.pools = w.pools[:n-1]
+		return pool
+	}
+	pool := &commPool{wg: sim.NewWaitGroup(k)}
+	pool.runFn = pool.run
+	return pool
+}
+
+// commPool is the state of one threadsN call: its threads share the task,
+// the next index to take and the first error. A rank reuses its pools from
+// call to call and run to run (chanBufs.pools), so a call's threads allocate
+// only their Procs; runFn is run bound once, and the wait group's Cond
+// keeps its waiter list. Between calls a pooled commPool holds no task and
+// no error, so it keeps nothing of the last call alive.
 type commPool struct {
 	task    func(p *sim.Proc, i int) error
 	n, next int
 	err     error
 	wg      *sim.WaitGroup
+	runFn   func(p *sim.Proc)
 }
 
 // run is the body of every thread of the pool.

@@ -30,11 +30,20 @@
 //     resumes a Proc; a parking Proc runs it and hands control straight to
 //     the next Proc, one goroutine switch per resume, or returns at once
 //     when the next event resumes the parking Proc itself; a finishing
-//     Proc runs it on its way out. Whoever finds no event left wakes Run.
-//     A goroutine touches no simulation state after handing control on,
-//     since the Proc it woke may already be running on another thread. A
-//     panic in an At or After closure is re-raised from Run on its
-//     caller's goroutine, whichever goroutine ran the closure.
+//     Proc's goroutine runs it once the Proc is gone. Whoever finds no
+//     event left wakes Run. A goroutine touches no simulation state after
+//     handing control on, since the Proc it woke may already be running on
+//     another thread. A panic in an At or After closure is re-raised from
+//     Run on its caller's goroutine, whichever goroutine ran the closure.
+//   - Carriers. A Proc runs on a carrier goroutine that outlives it: as
+//     the Proc finishes, its carrier goes on the kernel's idle stack, still
+//     holding control, and then runs the event loop. Starting a Proc pops
+//     the most recently idled carrier and hands it the Proc, and spawns a
+//     carrier only when none is idle, so a finishing Proc whose next event
+//     starts another runs it on the same goroutine with no switch at all.
+//     Run releases every idle carrier and waits for it to leave before it
+//     returns, so no goroutine outlives Run but those of Procs left
+//     blocked.
 //   - Immediate ring. Events scheduled at the current instant (Yield,
 //     At(0, fn), Broadcast wakeups, Kill) dominate the serving hot path, so
 //     they bypass the time-ordered heap into a FIFO ring. The ring never
@@ -49,9 +58,10 @@
 //     start of a Proc killed before it started) and dropped; being at the
 //     current instant, they never move the clock.
 //   - Zero-alloc steady state. Event structs are recycled through a
-//     kernel-local free list and finished Procs return their resume
-//     channels to a pool, so schedule/wake cycles allocate nothing once the
-//     pools are warm.
+//     kernel-local free list, finished Procs return their resume channels
+//     to a pool and their carriers to the idle stack, so schedule/wake
+//     cycles allocate nothing once the pools are warm, and starting a Proc
+//     allocates only its Proc struct.
 //   - Blocked-Proc bookkeeping is intrusive: the kernel tracks live Procs
 //     in an index-linked slice and each Proc records where it is blocked;
 //     human-readable deadlock reports are reconstructed only on the error
@@ -64,6 +74,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -126,6 +137,12 @@ type Kernel struct {
 
 	free     *event // event free list
 	chanPool []chan WakeReason
+
+	// carriers are the hand-off channels of the idle carrier goroutines,
+	// last idled on top (see carry). released counts the carriers Run has
+	// released and that have not yet left carry.
+	carriers []chan *Proc
+	released sync.WaitGroup
 
 	live  int     // procs spawned and not yet finished
 	procs []*Proc // live procs, index-linked via Proc.idx
@@ -389,6 +406,16 @@ func (k *Kernel) cancelWakeup(p *Proc) {
 func (k *Kernel) Run() error {
 	k.step(nil)
 	<-k.idle
+	// Release the idle carriers and wait for them to go, so that the next
+	// Run's carriers reuse their goroutines instead of piling up beside
+	// them.
+	k.released.Add(len(k.carriers))
+	for i, c := range k.carriers {
+		c <- nil
+		k.carriers[i] = nil
+	}
+	k.carriers = k.carriers[:0]
+	k.released.Wait()
 	if k.panicked {
 		// The re-raised panic's trace starts here, so print where the
 		// closure failed first.
@@ -414,10 +441,11 @@ func (k *Kernel) Run() error {
 }
 
 // step runs the event loop on the calling goroutine, which holds control:
-// Run's (self is nil) or a parking or finishing Proc's (self). It reports
-// true, with the reason, when the next event resumes self. Otherwise it
-// has handed control to another Proc, or to Run when no event is left or a
-// closure panicked, and the caller must touch no simulation state.
+// Run's or an idling carrier's (self is nil) or a parking Proc's (self).
+// It reports true, with the reason, when the next event resumes self.
+// Otherwise it has handed control to another Proc, or to Run when no event
+// is left or a closure panicked, and the caller must touch no simulation
+// state.
 func (k *Kernel) step(self *Proc) (WakeReason, bool) {
 	for k.pending() && !k.panicked {
 		e := k.nextEvent()
@@ -440,7 +468,14 @@ func (k *Kernel) step(self *Proc) (WakeReason, bool) {
 			}
 			p.timed = nil
 			p.started = true
-			go p.run()
+			if n := len(k.carriers); n > 0 {
+				c := k.carriers[n-1]
+				k.carriers[n-1] = nil
+				k.carriers = k.carriers[:n-1]
+				c <- p
+			} else {
+				go k.carry(p)
+			}
 			return 0, false
 		case evResume:
 			reason := e.reason
@@ -507,16 +542,43 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
+// carry runs p on the calling goroutine, a carrier, and then every Proc
+// handed to it, until Run releases it with nil. Between Procs the carrier
+// idles on next, which it pushes onto the kernel's stack while it still
+// holds control; if the next event starts a Proc, step pops next itself and
+// the carrier runs that Proc with no goroutine switch. next holds one Proc,
+// so that a send to it never blocks: the carrier itself, in step, may be
+// the sender.
+func (k *Kernel) carry(p *Proc) {
+	next := make(chan *Proc, 1)
+	for p != nil {
+		p.run()
+		k.carriers = append(k.carriers, next)
+		k.step(nil)
+		p = <-next
+	}
+	k.released.Done()
+}
+
+// run runs p's function to its end, recording a panic other than a kill as
+// a failure, and removes p from the live registry.
 func (p *Proc) run() {
+	returned := false
 	defer func() {
 		k := p.k
-		if r := recover(); r != nil && r != errKilled {
+		r := recover()
+		if r != nil && r != errKilled {
 			k.failures = append(k.failures, fmt.Errorf("proc %q panicked: %v", p.name, r))
 		}
 		k.finishProc(p)
-		k.step(p)
+		if r == nil && !returned {
+			// runtime.Goexit is ending the carrier under p (t.FailNow in
+			// a test Proc): hand control on before the goroutine exits.
+			k.step(nil)
+		}
 	}()
 	p.fn(p)
+	returned = true
 }
 
 // errKilled is the sentinel panic payload used to unwind a killed Proc.
