@@ -174,7 +174,10 @@ func (w *worker) gatherLoop(t tag, sources []int32, from arrivalSource, decode d
 // (recvSet), whose set is read before the next decode, and so do the sets the
 // gather's root copies into the result (see worker.foldRoot); every other
 // collective's sets are unioned and forwarded, so they decode into sets of
-// their own that keep their frames.
+// their own that keep their frames, through the run's frame table: the
+// ranks a broadcast or a pass-around hands one frame share the one set it
+// decodes to, which the collectives never append to. Each rank is still
+// charged its own parse and inflate.
 func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 	w.ctx.Serialize(int64(len(body)))
 	if wire.Deflated(body) {
@@ -186,7 +189,7 @@ func decodePayload(w *worker, _ int32, body []byte) (*wire.RowSet, error) {
 		rs = &w.recvSet
 		w.recvIDs, w.recvVals, err = wire.DecodeAppend(body, rs, w.recvIDs, w.recvVals)
 	} else {
-		rs, err = wire.Decode(body)
+		rs, err = w.d.runFrames(w.run).Decode(body)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: worker %d decoding payload: %w", w.id, err)

@@ -453,8 +453,10 @@ func TestShortPollingStillCorrectButChattier(t *testing.T) {
 // P=32, a batch of 16, AllreduceOutput, compressed) under the default
 // topology, so the Memory channel, its store and the closing collectives run
 // here too; memory-p32-warm is the same run on a deployment that has served
-// one, and memory-p32-ring-warm the same warm run under the ring allreduce,
-// whose P(P-1) hops each run a comm pool.
+// one, memory-p32-tree-warm the same warm run under the binomial tree, and
+// memory-p32-ring-warm under the ring allreduce, whose P(P-1) hops each run a
+// comm pool. The three topologies and auto, which picks one of them per
+// call, are collective_p32's four endpoints.
 func BenchmarkEngineRun(b *testing.B) {
 	small, err := model.Generate(model.GraphChallengeSpec(64, 2, 1))
 	if err != nil {
@@ -473,8 +475,8 @@ func BenchmarkEngineRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	p32 := Config{Model: m, Plan: plan32, Channel: Memory, AllreduceOutput: true, Compress: true}
-	p32ring := p32
-	p32ring.Collective = collective.Ring
+	p32tree, p32ring := p32, p32
+	p32tree.Collective, p32ring.Collective = collective.Tree, collective.Ring
 	deploy := func(cfg Config) *Deployment {
 		d, err := Deploy(env.NewDefault(), cfg)
 		if err != nil {
@@ -499,6 +501,7 @@ func BenchmarkEngineRun(b *testing.B) {
 		{"queue-warm", Config{Model: m, Plan: plan, Channel: Queue}, model.GenerateInputs(256, 16, 0.2, 2), true},
 		{"memory-p32", p32, model.GenerateInputs(256, 16, 0.2, 2), false},
 		{"memory-p32-warm", p32, model.GenerateInputs(256, 16, 0.2, 2), true},
+		{"memory-p32-tree-warm", p32tree, model.GenerateInputs(256, 16, 0.2, 2), true},
 		{"memory-p32-ring-warm", p32ring, model.GenerateInputs(256, 16, 0.2, 2), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

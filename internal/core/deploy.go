@@ -15,6 +15,7 @@ import (
 	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/sparse"
+	"fsdinference/internal/wire"
 )
 
 // Deployment is a deployed FSD-Inference application: pre-created
@@ -55,6 +56,9 @@ type Deployment struct {
 	// runs holds every in-flight request keyed by run id; handlers look
 	// their run up by the id carried in the invocation payload.
 	runs map[string]*runState
+	// frames holds the frame tables no run is using, emptied, so that a run
+	// reuses an earlier run's table storage (see runState.frames).
+	frames []*wire.Frames
 }
 
 // threadPool names one rank's communication thread pool.
@@ -123,6 +127,43 @@ type runState struct {
 	// to the serving-side run span this run nests under. Zero (one
 	// pointer check per hook) unless the run was sampled.
 	scope obs.Scope
+
+	// frames is the table the run's collective frames decode through
+	// (decodePayload), so that every rank handed one frame shares the set
+	// it decodes to. The run's first such decode takes it from the
+	// deployment's spares (runFrames), and it goes back, emptied, once no
+	// handler of the run is left: handlers counts the worker handlers
+	// running, which are where every decode happens.
+	frames   *wire.Frames
+	handlers int
+}
+
+// runFrames returns run's frame table, taking a spare of the deployment's
+// or making one if the run has none.
+func (d *Deployment) runFrames(run *runState) *wire.Frames {
+	if run.frames == nil {
+		if n := len(d.frames); n > 0 {
+			run.frames = d.frames[n-1]
+			d.frames[n-1] = nil
+			d.frames = d.frames[:n-1]
+		} else {
+			run.frames = new(wire.Frames)
+		}
+	}
+	return run.frames
+}
+
+// leaveRun ends one worker handler of run. The last one to leave hands the
+// run's frame table back to the deployment, emptied: a handler that starts
+// later (a rank launched by a parent that has already failed) takes a table
+// again.
+func (d *Deployment) leaveRun(run *runState) {
+	run.handlers--
+	if run.handlers == 0 && run.frames != nil {
+		run.frames.Reset()
+		d.frames = append(d.frames, run.frames)
+		run.frames = nil
+	}
 }
 
 // Deploy validates the configuration, stages the partitioned model into the

@@ -32,7 +32,13 @@ import (
 // the encoded frame a wire.RowSet carries (a fan-out send or a collective
 // forward encodes a set once): it lives on the set and goes with it. What a
 // run derives from its input — the staged frames, the layer outputs, the
-// result frame — is computed by that run and released with it. None of those
+// result frame, and the sets its collective frames decode to, which the
+// run's wire.Frames table shares among the ranks handed the same bytes
+// (runState.frames) — is computed by that run and released with it; the
+// table's storage goes back to the deployment empty, for the next run to
+// fill. Its traffic was counted too: at collective_p32's P=32 a warm run
+// decoded the one broadcast frame 31 times under flat, tree and auto, and
+// 32 distinct pass-around frames 992 times under ring. None of those
 // workloads hands the engine one input matrix twice, and a table keyed by
 // where a caller's matrix lies either keeps every batch of a day alive or
 // answers for whatever is allocated there next.

@@ -254,6 +254,8 @@ func (d *Deployment) workerHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
+	run.handlers++
+	defer d.leaveRun(run)
 
 	w := &worker{
 		d:        d,

@@ -147,3 +147,67 @@ func TestCarrierRunsTheNextProcAfterPanicAndKill(t *testing.T) {
 		t.Errorf("Run = %v, want %s", err, want)
 	}
 }
+
+// TestRunUnwindsBlockedProcs: a Run that ends in a deadlock, or in an At
+// closure's panic with Procs still blocked, leaves no goroutine behind.
+// Ten such kernels of five blocked Procs each (one of them blocked again in
+// a defer, one that recovers) take the goroutine count back to where it
+// started; before Run unwound them, ten deadlocked kernels took it from 2 to
+// 52. Every blocked Proc's defers run, none sees a recovered panic, and a
+// Proc queued to start never runs.
+func TestRunUnwindsBlockedProcs(t *testing.T) {
+	for _, panicking := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 10; i++ {
+			k := New()
+			c := NewCond(k)
+			deferred, recovered := 0, 0
+			for j := 0; j < 5; j++ {
+				k.Go(fmt.Sprintf("stuck%d", j), func(p *Proc) {
+					defer func() { deferred++ }()
+					if j == 3 {
+						defer func() {
+							if recover() != nil {
+								recovered++
+							}
+						}()
+					}
+					if j == 4 {
+						defer c.Wait(p)
+					}
+					c.Wait(p)
+				})
+			}
+			var late *Proc
+			if panicking {
+				k.At(time.Second, func() { panic("closure boom") })
+				late = k.GoAfter(time.Hour, "late", func(p *Proc) { t.Error("a Proc queued to start ran") })
+			}
+			var err error
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				err = k.Run()
+			}()
+			if panicking && got != "closure boom" {
+				t.Fatalf("Run panicked with %v, want closure boom", got)
+			}
+			if !panicking && (err == nil || !strings.Contains(err.Error(), "5 proc(s) blocked forever")) {
+				t.Fatalf("Run returned %v, want a deadlock of 5 procs", err)
+			}
+			if deferred != 5 || recovered != 0 {
+				t.Errorf("panicking=%v: %d of 5 Procs ran their defers, %d recovered a panic", panicking, deferred, recovered)
+			}
+			if k.live != 0 || late != nil && !late.finished {
+				t.Errorf("panicking=%v: %d Procs are live after Run", panicking, k.live)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("panicking=%v: %d goroutines after ten failed runs, %d before them", panicking, n, base)
+		}
+	}
+}

@@ -42,8 +42,9 @@
 //     carrier only when none is idle, so a finishing Proc whose next event
 //     starts another runs it on the same goroutine with no switch at all.
 //     Run releases every idle carrier and waits for it to leave before it
-//     returns, so no goroutine outlives Run but those of Procs left
-//     blocked.
+//     returns. A Proc still blocked when the loop stops, in a deadlock or
+//     behind a closure's panic, is unwound first, so no goroutine outlives
+//     Run.
 //   - Immediate ring. Events scheduled at the current instant (Yield,
 //     At(0, fn), Broadcast wakeups, Kill) dominate the serving hot path, so
 //     they bypass the time-ordered heap into a FIFO ring. The ring never
@@ -72,6 +73,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -88,6 +90,9 @@ const (
 	WakeSignal
 	// WakeKill means the Proc was killed (e.g. FaaS timeout enforcement).
 	WakeKill
+	// wakeUnwind ends a Proc that Run found blocked when the event loop
+	// stopped (see unwind).
+	wakeUnwind
 )
 
 type eventKind int
@@ -402,10 +407,28 @@ func (k *Kernel) cancelWakeup(p *Proc) {
 // Run processes events until none remain, then returns. It returns an error
 // if any Proc panicked, if Procs remain blocked with no pending events
 // (simulation deadlock). A panic in an At or After closure propagates out
-// of Run, after Run prints the stack the closure failed on to stderr.
+// of Run, after Run prints the stack the closure failed on to stderr. Procs
+// a deadlock or a closure's panic leaves blocked are unwound before Run
+// returns (see unwind).
 func (k *Kernel) Run() error {
 	k.step(nil)
 	<-k.idle
+	var deadlock error
+	if k.live > 0 && !k.panicked {
+		// Error path only: reconstruct the human-readable blocked set from
+		// the intrusive registry.
+		names := make([]string, 0, len(k.procs))
+		for _, p := range k.procs {
+			if p.where != "" {
+				names = append(names, p.name+" ("+p.where+")")
+			}
+		}
+		sort.Strings(names)
+		deadlock = fmt.Errorf("sim: deadlock at t=%v: %d proc(s) blocked forever: %v", k.now, k.live, names)
+	}
+	if k.live > 0 {
+		k.unwind()
+	}
 	// Release the idle carriers and wait for them to go, so that the next
 	// Run's carriers reuse their goroutines instead of piling up beside
 	// them.
@@ -422,22 +445,56 @@ func (k *Kernel) Run() error {
 		fmt.Fprintf(os.Stderr, "sim: panic in an At or After closure: %v\n%s", k.panicVal, k.panicStack)
 		panic(k.panicVal)
 	}
-	if k.live > 0 {
-		// Error path only: reconstruct the human-readable blocked set from
-		// the intrusive registry.
-		names := make([]string, 0, len(k.procs))
-		for _, p := range k.procs {
-			if p.where != "" {
-				names = append(names, p.name+" ("+p.where+")")
-			}
-		}
-		sort.Strings(names)
-		return fmt.Errorf("sim: deadlock at t=%v: %d proc(s) blocked forever: %v", k.now, k.live, names)
+	if deadlock != nil {
+		return deadlock
 	}
 	if len(k.failures) > 0 {
 		return fmt.Errorf("sim: %d proc failure(s), first: %w", len(k.failures), k.failures[0])
 	}
 	return nil
+}
+
+// unwind ends every Proc still live once the event loop has stopped for
+// good: each blocked forever in a deadlock, or wherever a closure's panic
+// left it. Without it each would keep its carrier goroutine parked for the
+// life of the process. The events still queued are dropped, a Proc that
+// never started is finished, and every blocked Proc resumes as a killed one
+// does, its defers running, except that it ends with runtime.Goexit rather
+// than a panic and Killed stays false: the run ended under it, nobody killed
+// it, and a recover in its defers can neither stop the unwind nor mistake it
+// for a failure of the Proc's own. Events its defers schedule run as usual,
+// and a Proc that blocks again in a defer is unwound again. A closure's
+// panic stays the one Run re-raises.
+func (k *Kernel) unwind() {
+	panicked := k.panicked
+	k.panicked = false
+	for k.live > 0 {
+		for k.pending() {
+			e := k.nextEvent()
+			if e.timer != nil {
+				e.timer.e = nil
+			}
+			if p := e.proc; p != nil && p.timed == e {
+				p.timed = nil
+			}
+			k.putEvent(e)
+		}
+		// Backwards, so that finishing a Proc moves one already visited
+		// into its place.
+		for i := len(k.procs) - 1; i >= 0; i-- {
+			p := k.procs[i]
+			if !p.started {
+				k.finishProc(p)
+				continue
+			}
+			p.wake++
+			k.scheduleResume(p, k.now, wakeUnwind)
+		}
+		k.step(nil)
+		<-k.idle
+		k.panicked = false
+	}
+	k.panicked = panicked
 }
 
 // step runs the event loop on the calling goroutine, which holds control:
@@ -593,9 +650,12 @@ func (p *Proc) pause(where string) WakeReason {
 		r = <-resume
 	}
 	p.where = ""
-	if r == WakeKill {
+	switch r {
+	case WakeKill:
 		p.killed = true
 		panic(errKilled)
+	case wakeUnwind:
+		runtime.Goexit()
 	}
 	return r
 }

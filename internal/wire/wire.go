@@ -31,6 +31,14 @@
 // ends and the worker truncates the storage for the next. Both share the
 // inflate step and the one body parser.
 //
+// The receive side has the send side's rule too: one decode per distinct
+// frame per table. A Frames table hands every caller that decodes the same
+// bytes from it the one set it decoded first, read-only, so a collective's
+// receivers share the frame one sender shipped to many of them (a broadcast)
+// or that hop after hop forwarded (the ring's pass-around). It is keyed by
+// the frame's content, not its address, since one frame reaches its
+// receivers in as many copies as a store holds values.
+//
 // Two encodes write a frame where its bytes are needed rather than into a
 // set first: EncodeAfter writes a set's frame right after a caller's header
 // in one allocation (a store value is a header and a frame), and
@@ -76,6 +84,7 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -406,6 +415,45 @@ func Decode(b []byte) (*RowSet, error) {
 	}
 	return rs, nil
 }
+
+// Frames decodes frames for receivers that are handed the same bytes more
+// than once: it remembers the set each frame decoded to, keyed by the frame's
+// content. The zero value is ready to use; a Frames is for one goroutine at a
+// time.
+type Frames struct {
+	seed maphash.Seed
+	// sets holds each decoded set by its frame's hash. The key is the set's
+	// memoised frame, so the table stores no copy of it; a frame whose hash
+	// another frame holds decodes afresh.
+	sets map[uint64]*RowSet
+}
+
+// Decode is wire.Decode of b, except that a frame this table decoded before
+// returns the set it decoded then. The returned set is shared with every
+// caller that decoded the same bytes from this table and is read-only: no
+// caller may Add or Append to it or write its rows. A payload Decode parses
+// but does not keep as the set's frame (unknown flag bits, bytes after the
+// zlib stream) is decoded afresh at every call.
+func (f *Frames) Decode(b []byte) (*RowSet, error) {
+	if f.sets == nil {
+		f.seed = maphash.MakeSeed()
+		f.sets = make(map[uint64]*RowSet)
+	}
+	h := maphash.Bytes(f.seed, b)
+	held, taken := f.sets[h]
+	if taken && len(b) >= 2 && b[1] <= flagZlib && bytes.Equal(held.enc[b[1]], b) {
+		return held, nil
+	}
+	rs, err := Decode(b)
+	if err == nil && !taken && b[1] <= flagZlib && rs.enc[b[1]] != nil {
+		f.sets[h] = rs
+	}
+	return rs, err
+}
+
+// Reset forgets every set f decoded, keeping the table's storage for the
+// frames of the next user.
+func (f *Frames) Reset() { clear(f.sets) }
 
 // DecodeAppend is Decode into caller-owned storage: the payload's row ids and
 // values are appended to ids and vals, which are returned grown, and rs, a
