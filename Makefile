@@ -1,5 +1,5 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint identity tables bench-smoke fuzz-smoke portable loc cover profile docs-paths
+.PHONY: check fmt vet build test lint identity tables golden bench-smoke fuzz-smoke portable loc cover profile docs-paths
 
 check: fmt vet build test lint bench-smoke fuzz-smoke portable docs-paths
 
@@ -42,6 +42,17 @@ identity:
 # this target runs it alone.
 tables:
 	go test ./internal/experiments -run TestQuickGolden -count=1
+
+# golden re-captures every golden file: it runs, with -update, the tests of
+# each package whose tests import internal/golden, so each golden.Check call
+# rewrites its testdata/<Test>.golden instead of comparing. Packages are
+# found by their imports, so a new golden test needs no edit here; -update
+# goes only to them because `go test ./... -update` stops at the first
+# package that does not define the flag. A declared model change runs it
+# and commits the diff; a refactor must leave the tree clean after it.
+golden:
+	go test -count=1 $$(go list -f '{{.ImportPath}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
+		awk '/ fsdinference\/internal\/golden( |$$)/ { print $$1 }') -update
 
 # bench-smoke vets and smoke-tests the repository benchmark (bench/, the
 # program behind BENCHMARK.json). It is a module of its own, so `./...`

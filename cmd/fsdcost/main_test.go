@@ -1,11 +1,11 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
+
+	"fsdinference/internal/golden"
 )
 
 // TestWorkloadForRejectsImpossibleDimensions: -workers 0 used to divide by
@@ -107,13 +107,10 @@ func TestOneWorkerHasNoPerPairVerdict(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/fsdcost.golden from this run's output")
-
 // TestGoldenOutput pins fsdcost's report, a "$ fsdcost <args>" line before
 // each, over N in {4096, 16384, 65536} at an unknown (sporadic) and a
-// sustained 10M/day volume. A change to the report rewrites the file with
-// `go test ./cmd/fsdcost -run TestGoldenOutput -update` and shows as its
-// diff.
+// sustained 10M/day volume. A change to the report rewrites
+// testdata/TestGoldenOutput.golden with `make golden` and shows as its diff.
 func TestGoldenOutput(t *testing.T) {
 	var b strings.Builder
 	for _, n := range []string{"4096", "16384", "65536"} {
@@ -127,21 +124,7 @@ func TestGoldenOutput(t *testing.T) {
 			b.WriteByte('\n')
 		}
 	}
-	got := b.String()
-	const path = "testdata/fsdcost.golden"
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("output differs from %s (rerun with -update to rewrite it):\n%s", path, got)
-	}
+	golden.Check(t, b.String())
 }
 
 // TestRunRejectsBadFlags: a flag error or an impossible dimension is an

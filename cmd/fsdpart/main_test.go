@@ -1,39 +1,23 @@
 package main
 
 import (
-	"flag"
-	"os"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/fsdpart.golden from this run's output")
+	"fsdinference/internal/golden"
+)
 
 // TestGoldenOutput pins fsdpart's table at a small shape (N=256, L=2, P=4):
 // every scheme's row transfers, pairs, rows per pair, largest part and
 // non-zero imbalance. A change to the table, or to a partition the schemes
-// pick, rewrites the file with
-// `go test ./cmd/fsdpart -run TestGoldenOutput -update` and shows as its
-// diff.
+// pick, rewrites testdata/TestGoldenOutput.golden with `make golden` and
+// shows as its diff.
 func TestGoldenOutput(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if err := run([]string{"-neurons", "256", "-layers", "2", "-workers", "4"}, &stdout, &stderr); err != nil {
 		t.Fatalf("%v\n%s", err, stderr.String())
 	}
-	const path = "testdata/fsdpart.golden"
-	if *update {
-		if err := os.WriteFile(path, []byte(stdout.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stdout.String() != string(want) {
-		t.Errorf("output differs from %s (rerun with -update to rewrite it):\n%s", path, stdout.String())
-	}
+	golden.Check(t, stdout.String())
 }
 
 // TestRunRejectsBadFlags: a flag error or an impossible dimension is an

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"fsdinference/internal/golden"
 )
 
 // TestGoldenSlotMap pins every slot's owner for 1 to 8 shards: one SHA-256
@@ -21,6 +23,7 @@ func TestGoldenSlotMap(t *testing.T) {
 			h.Write(buf[:])
 		}
 	}
+	golden.Check(t, hex.EncodeToString(h.Sum(nil))+"\n")
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("slot map digest %s, want %s", got, want)
 	}

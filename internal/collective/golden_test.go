@@ -9,6 +9,7 @@ import (
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
+	"fsdinference/internal/golden"
 )
 
 // TestGoldenPick pins AutoAlgo's choice on every cell of a grid: P 2..64 x
@@ -17,7 +18,7 @@ import (
 // of them the reduce contribution the workers resolve with x the three
 // operations. A moved digest is a moved pick, and so a MODEL CHANGE.
 func TestGoldenPick(t *testing.T) {
-	const golden = "5944eada3ad4553b"
+	const want = "5944eada3ad4553b"
 	ec := env.DefaultConfig()
 	traits := []struct {
 		kind core.ChannelKind
@@ -41,8 +42,9 @@ func TestGoldenPick(t *testing.T) {
 			}
 		}
 	}
+	golden.Check(t, b.String())
 	sum := sha256.Sum256([]byte(b.String()))
-	if got := fmt.Sprintf("%x", sum[:8]); got != golden {
-		t.Errorf("Pick moved on the %d-cell grid: digest %q, want %q", cells, got, golden)
+	if got := fmt.Sprintf("%x", sum[:8]); got != want {
+		t.Errorf("Pick moved on the %d-cell grid: digest %q, want %q", cells, got, want)
 	}
 }

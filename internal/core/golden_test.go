@@ -9,6 +9,7 @@ import (
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/collective"
+	"fsdinference/internal/golden"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 )
@@ -50,6 +51,7 @@ type goldenCell struct {
 func checkGolden(t *testing.T, name string, res *Result, g goldenCell) {
 	t.Helper()
 	dump := resultDump(res)
+	golden.Check(t, dump)
 	sum := sha256.Sum256([]byte(dump))
 	got := fmt.Sprintf("{%d, %q, %q}", res.Latency, fmt.Sprint(res.Cost.Total()), fmt.Sprintf("%x", sum[:8]))
 	if exp := fmt.Sprintf("{%d, %q, %q}", g.latency, g.cost, g.digest); got != exp {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fsdinference/internal/golden"
 	"fsdinference/internal/hypergraph"
 	"fsdinference/internal/model"
 )
@@ -68,6 +69,7 @@ func TestGoldenHGPPlans(t *testing.T) {
 		fmt.Fprintf(random, "%d %d\n", seed, k)
 		hashOwners(random, part)
 	}
+	golden.Check(t, fmt.Sprintf("%d-plan model grid %x\n300 random hypergraphs %x\n", len(cells), grid.Sum(nil)[:8], random.Sum(nil)[:8]))
 	if got := fmt.Sprintf("%x", grid.Sum(nil)[:8]); got != goldenGrid {
 		t.Errorf("HGP-DNN owners moved on the %d-plan model grid: digest %q, want %q", len(cells), got, goldenGrid)
 	}

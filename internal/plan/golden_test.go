@@ -8,6 +8,7 @@ import (
 
 	"fsdinference/internal/collective"
 	"fsdinference/internal/core"
+	"fsdinference/internal/golden"
 	"fsdinference/internal/wire"
 )
 
@@ -27,7 +28,7 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three plans over a 24-candidate grid")
 	}
-	golden := map[string]string{
+	digests := map[string]string{
 		"weighted": "468f95e709872e88",
 		// Re-captured when every store kind took one idle-billing rule (the
 		// four Hybrid rows' reasons drop "control-plane"), then when one
@@ -73,9 +74,10 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 				fmt.Fprintf(&b, "%v pruned=%v %q\n", tr.Candidate, tr.Pruned, tr.PruneReason)
 			}
 			fmt.Fprintf(&b, "pick %v\n", d.Best)
+			golden.Check(t, b.String())
 			sum := sha256.Sum256([]byte(b.String()))
-			if got := fmt.Sprintf("%x", sum[:8]); got != golden[c.name] {
-				t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, golden[c.name], b.String())
+			if got := fmt.Sprintf("%x", sum[:8]); got != digests[c.name] {
+				t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, digests[c.name], b.String())
 			}
 		})
 	}
@@ -90,7 +92,7 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // in {8, 42}. The P=42 model does not fit one instance, so Serial's row
 // prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	const golden = "228d0a7196781c3a"
+	const want = "228d0a7196781c3a"
 	frames := []struct {
 		rows  int64
 		batch int
@@ -119,8 +121,9 @@ func TestGoldenPrefilterVerdicts(t *testing.T) {
 			}
 		}
 	}
+	golden.Check(t, b.String())
 	sum := sha256.Sum256([]byte(b.String()))
-	if got := fmt.Sprintf("%x", sum[:8]); got != golden {
-		t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, golden, b.String())
+	if got := fmt.Sprintf("%x", sum[:8]); got != want {
+		t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, want, b.String())
 	}
 }

@@ -1,10 +1,13 @@
 package plan
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
+	"fsdinference/internal/golden"
 	"fsdinference/internal/model"
 )
 
@@ -115,7 +118,7 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the golden grid is many trial simulations")
 	}
-	type golden struct {
+	type legacy struct {
 		weight      float64
 		best        core.ChannelKind
 		bestWorkers int
@@ -126,13 +129,14 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 	// models that fit comfortably; among distributed candidates the
 	// queue channel wins every cost-leaning weight and the memory
 	// channel takes over only under the pure-latency objective.
-	grid := []golden{
+	grid := []legacy{
 		{0, core.Serial, 1, core.Queue, 2},
 		{0.25, core.Serial, 1, core.Queue, 2},
 		{0.5, core.Serial, 1, core.Queue, 2},
 		{0.75, core.Serial, 1, core.Queue, 2},
 		{1, core.Serial, 1, core.Memory, 2},
 	}
+	var b strings.Builder
 	for _, n := range []int{256, 512} {
 		m := testModel(t, n, 6)
 		for _, g := range grid {
@@ -153,6 +157,8 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 			if bestDist < 0 {
 				t.Fatalf("N=%d w=%.2f: no distributed trials", n, g.weight)
 			}
+			fmt.Fprintf(&b, "N=%d w=%.2f: pick %v x%d, best distributed %v x%d\n", n, g.weight,
+				sel.Best.Channel, sel.Best.Workers, sel.Trials[bestDist].Candidate.Channel, sel.Trials[bestDist].Candidate.Workers)
 			if c := sel.Trials[bestDist].Candidate; c.Channel != g.dist || c.Workers != g.distWorkers {
 				t.Fatalf("N=%d w=%.2f: best distributed %v x%d, legacy had %v x%d",
 					n, g.weight, c.Channel, c.Workers, g.dist, g.distWorkers)
@@ -183,6 +189,7 @@ func TestGoldenSelectionMatchesLegacyAutoSelect(t *testing.T) {
 			}
 		}
 	}
+	golden.Check(t, b.String())
 }
 
 // TestLegacyTrialCostIsOneProbeShare pins the undercount the Planner

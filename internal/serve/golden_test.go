@@ -5,15 +5,37 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/core"
+	"fsdinference/internal/golden"
 	"fsdinference/internal/workload"
 )
+
+// reportText is a replay's report as its golden file holds it:
+// Report.String(), then what the rendered text rounds away, exactly — every
+// LatencyStats (total and per endpoint) in nanoseconds, the horizon and the
+// total metered cost.
+func reportText(rep *Report) string {
+	var b strings.Builder
+	b.WriteString(rep.String())
+	lat := func(name string, ls LatencyStats) {
+		fmt.Fprintf(&b, "latency %s: count=%d mean=%d p50=%d p95=%d p99=%d min=%d max=%d\n",
+			name, ls.Count, ls.Mean, ls.P50, ls.P95, ls.P99, ls.Min, ls.Max)
+	}
+	lat("total", rep.Latency)
+	for _, er := range rep.Endpoints {
+		lat(er.Name, er.Latency)
+	}
+	fmt.Fprintf(&b, "horizon=%d total_cost=%v\n", rep.Horizon, rep.TotalCost.Total())
+	return b.String()
+}
 
 // reportDigest is the SHA-256 of everything a replay reports that the
 // rendered text rounds away or leaves out: Report.String(), then the raw
@@ -178,6 +200,7 @@ func TestGoldenReplayReports(t *testing.T) {
 				if shape.shed && rep.ChaosKills != 1 {
 					t.Fatalf("chaos kill not applied:\n%s", rep)
 				}
+				golden.Check(t, reportText(rep))
 				if got := reportDigest(rep); got != shape.want[mode.name] {
 					t.Errorf("report digest %s, want %s\n%s", got, shape.want[mode.name], rep)
 				}
@@ -216,6 +239,7 @@ func TestGoldenRegistryExports(t *testing.T) {
 			if err := svc.Monitor().WriteProm(&text); err != nil {
 				t.Fatal(err)
 			}
+			golden.Check(t, text.String())
 			sum := sha256.Sum256(text.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("registry digest %s, want %s\n%s", got, want, text.String())
@@ -288,6 +312,7 @@ func TestGoldenSLOReplayReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			golden.Check(t, rep.String())
 			sum := sha256.Sum256([]byte(rep.String()))
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Errorf("report digest %s, want %s\n%s", got, tc.want, rep)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsdinference/internal/golden"
 )
 
 // goldenSchedule is the digest of scheduleProgram over seeds 1..40.
@@ -22,9 +24,11 @@ const goldenSchedule = "d1ec0c158390ddd2"
 // digest alone.
 func TestGoldenKernelSchedule(t *testing.T) {
 	h := fnv.New64a()
+	var b strings.Builder
 	for seed := int64(1); seed <= 40; seed++ {
-		scheduleProgram(h, seed)
+		scheduleProgram(io.MultiWriter(h, &b), seed)
 	}
+	golden.Check(t, b.String())
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenSchedule {
 		t.Fatalf("schedule digest = %s, want %s", got, goldenSchedule)
 	}
