@@ -10,11 +10,11 @@ import (
 )
 
 // TestGoldenSlotMap pins every slot's owner for 1 to 8 shards: one SHA-256
-// over the maps in shard-count order, each owner as a little-endian uint32.
-// The owners route every inbox key to its node, so a moved digest is a moved
-// simulated number, not a golden to refresh.
+// over the maps in shard-count order, each owner as a little-endian uint32,
+// is the golden file's one line. The owners route every inbox key to its
+// node, so a moved digest is a moved simulated number, not a golden to
+// refresh.
 func TestGoldenSlotMap(t *testing.T) {
-	const want = "0475aa8f788d463ddd6c821e1e1c84ef100b2059634c24179292b51817b65fff"
 	h := sha256.New()
 	var buf [4]byte
 	for shards := 1; shards <= 8; shards++ {
@@ -24,9 +24,6 @@ func TestGoldenSlotMap(t *testing.T) {
 		}
 	}
 	golden.Check(t, hex.EncodeToString(h.Sum(nil))+"\n")
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("slot map digest %s, want %s", got, want)
-	}
 }
 
 // TestBuildSlotMapAllocatesOnce: the map itself is the one allocation, so a

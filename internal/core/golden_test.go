@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,9 +14,10 @@ import (
 )
 
 // resultDump renders every simulated field of a Result — latency, usage,
-// cost and each worker's metrics, field by field — one line per worker, so
-// a golden mismatch can be diffed by eye. A worker's calls to the services
-// are not listed: the run's usage line holds them.
+// cost and each worker's metrics, field by field, one line per worker — as
+// each cell's golden file holds it, so a moved field shows in the file's
+// diff by name. A worker's calls to the services are not listed: the run's
+// usage line holds them.
 func resultDump(res *Result) string {
 	var b strings.Builder
 	copies := 0
@@ -39,26 +39,6 @@ func resultDump(res *Result) string {
 	return b.String()
 }
 
-// goldenCell is one pinned simulated outcome.
-type goldenCell struct {
-	latency time.Duration
-	cost    string // Cost.Total(), %v
-	digest  string // sha256(resultDump)[:8], hex
-}
-
-// checkGolden fails when any simulated field of res differs from the pinned
-// cell, printing the replacement cell and the full dump.
-func checkGolden(t *testing.T, name string, res *Result, g goldenCell) {
-	t.Helper()
-	dump := resultDump(res)
-	golden.Check(t, dump)
-	sum := sha256.Sum256([]byte(dump))
-	got := fmt.Sprintf("{%d, %q, %q}", res.Latency, fmt.Sprint(res.Cost.Total()), fmt.Sprintf("%x", sum[:8]))
-	if exp := fmt.Sprintf("{%d, %q, %q}", g.latency, g.cost, g.digest); got != exp {
-		t.Errorf("simulated result moved:\n got %q: %s,\nwant %q: %s,\n%s", name, got, name, exp, dump)
-	}
-}
-
 // TestGoldenResultP32 pins the simulated outcome of the collective_p32
 // shape (N=256x6, Block P=32, AllreduceOutput) on every channel under every
 // concrete topology to the values the engine produced before encoded
@@ -68,21 +48,6 @@ func TestGoldenResultP32(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 P=32 runs")
 	}
-	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat":  {4439405835, "0.0019208787731140279", "44b29fd46732b985"},
-		"FSD-Inf-Queue/tree":  {4960061434, "0.34264280661689084", "d839cffc5e12e6d5"},
-		"FSD-Inf-Queue/ring":  {7749737922, "0.22602051437935128", "8310c4b6c9c222eb"},
-		"FSD-Inf-Object/flat": {5862905207, "0.02656963612058527", "4cfc6bfd3c5457eb"},
-		"FSD-Inf-Object/tree": {6052340924, "0.0282185474436937", "f880c70faa6f403c"},
-		"FSD-Inf-Object/ring": {9721111444, "0.04729227435213705", "cacd0df69bafad43"},
-		"FSD-Inf-Memory/flat": {3907894780, "0.00296198172576116", "582eb7fe657cc1c3"},
-		"FSD-Inf-Memory/tree": {3897358040, "0.0029573581957296133", "ce3a9788de59bfbb"},
-		"FSD-Inf-Memory/ring": {3938413046, "0.0029782421354629042", "aec223b96ecd1251"},
-		"FSD-Inf-Hybrid/flat": {3932933119, "0.003150033570954742", "50dcb53ffe13d581"},
-		"FSD-Inf-Hybrid/tree": {4062846948, "0.0032359615185337523", "5a488a92517e704e"},
-		"FSD-Inf-Hybrid/ring": {3938413046, "0.0029782421354629042", "9e8ac89d90745199"},
-	}
-
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +87,7 @@ func TestGoldenResultP32(t *testing.T) {
 						t.Fatalf("worker %d's copy diverges from reference inference", id)
 					}
 				}
-				checkGolden(t, name, res, golden[name])
+				golden.Check(t, resultDump(res))
 			})
 		}
 	}
@@ -167,15 +132,13 @@ func TestGoldenChannelPaths(t *testing.T) {
 
 	cells := []struct {
 		name    string
-		golden  goldenCell
 		env     func(*env.Config)
 		cfg     Config
 		arm     func(t *testing.T, e *env.Env, d *Deployment)
 		reached func(res *Result) bool
 	}{
 		{
-			name:   "queue/multichunk",
-			golden: goldenCell{2969148192, "0.0003212803604653449", "a972b8a7548d0c89"},
+			name: "queue/multichunk",
 			// A 512-byte publish cap puts most row sets past chunkLimit, and
 			// the tail chunks of several targets still share a publish batch.
 			env: func(c *env.Config) { c.SNS.MaxPayloadBytes = 512 },
@@ -186,8 +149,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 			},
 		},
 		{
-			name:   "hybrid/bulk",
-			golden: goldenCell{2640038189, "0.00312262698024482", "f8e8917a5b129add"},
+			name: "hybrid/bulk",
 			cfg: Config{
 				Channel: Hybrid, Compress: true,
 				HybridThresholdBytes: 256, HybridChunkBytes: 1 << 10,
@@ -202,8 +164,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 			},
 		},
 		{
-			name:   "memory/lossy-failover",
-			golden: goldenCell{3837130522, "0.0075847622067059745", "b0ba3fb473860ed1"},
+			name: "memory/lossy-failover",
 			cfg: Config{
 				Channel: Memory, Compress: true, KVNodes: 2, KVReplicas: 0,
 				KVFailoverWindow: 2 * time.Second, KVReplicationLag: 300 * time.Millisecond,
@@ -222,9 +183,8 @@ func TestGoldenChannelPaths(t *testing.T) {
 			},
 		},
 		{
-			name:   "queue/shortpoll",
-			golden: goldenCell{2969397747, "0.0002792080289693025", "c990098d80fcc0af"},
-			cfg:    Config{Channel: Queue, Compress: true, PollWait: 0},
+			name: "queue/shortpoll",
+			cfg:  Config{Channel: Queue, Compress: true, PollWait: 0},
 			reached: func(res *Result) bool {
 				return res.Usage.SQSReceiveCalls > sum(res, func(w *WorkerMetrics) int64 { return w.Fetches })
 			},
@@ -256,7 +216,7 @@ func TestGoldenChannelPaths(t *testing.T) {
 			if !c.reached(res) {
 				t.Fatalf("cell did not reach the path it pins:\n%s", resultDump(res))
 			}
-			checkGolden(t, c.name, res, c.golden)
+			golden.Check(t, resultDump(res))
 		})
 	}
 }
@@ -315,7 +275,7 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 	if !model.OutputsClose(res.Output, model.Reference(m, input), 1e-2) {
 		t.Fatal("output diverges from reference inference")
 	}
-	checkGolden(t, "memory/hgp-p8-b64", res, goldenCell{3028315049, "0.0025804758831900103", "f2dbbc1827be521a"})
+	golden.Check(t, resultDump(res))
 }
 
 // TestGoldenRunLedger pins what Start reports — the Usage and Cost runUsage
@@ -338,13 +298,6 @@ func TestGoldenInterleavedOwnership(t *testing.T) {
 // Those ranks are mid-flight too: what they ask of a service after the
 // client has the result is not in it.
 func TestGoldenRunLedger(t *testing.T) {
-	golden := map[ChannelKind]goldenCell{
-		Serial: {783822079, "3.0283979567870003e-05", "133b9386fda3089e"},
-		Queue:  {3816097341, "-5.64981028522512e-05", "464e4229db12800c"},
-		Object: {4196862311, "0.002970772569493777", "d4f79c01169fcc0f"},
-		Memory: {3061973312, "0.0025916541625544925", "85177e20169519ca"},
-		Hybrid: {3497248658, "0.0035349599855021", "929b42a6f772524f"},
-	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +342,7 @@ func TestGoldenRunLedger(t *testing.T) {
 				t.Fatalf("hybrid routed %d values inline and %d in bulk; the cell needs both",
 					e.Meter.HybridSmallValues, e.Meter.HybridBulkValues)
 			}
-			checkGolden(t, kind.String(), res, golden[kind])
+			golden.Check(t, resultDump(res))
 		})
 	}
 }
@@ -402,26 +355,6 @@ func TestGoldenRunLedger(t *testing.T) {
 // (one line per worker, in start order). Captured while the launch was
 // still written out per mode in the coordinator and the worker.
 func TestGoldenLaunch(t *testing.T) {
-	golden := map[string]goldenCell{
-		"hierarchical/p1":  {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
-		"hierarchical/p2":  {2292131236, "0.002505968792568386", "7191e5c6f1bcbe74"},
-		"hierarchical/p3":  {2292702231, "0.002508505312435822", "9a935c3dcf5b232d"},
-		"hierarchical/p12": {3113663606, "0.002604803667136884", "9194bf4da9cc55a0"},
-		"hierarchical/p32": {3810837555, "0.002855673390691195", "a51e38f21f91ca0c"},
-		"hierarchical/p33": {3811384573, "0.002862885337438763", "9ce5f6d8a247b4d5"},
-		"centralized/p1":   {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
-		"centralized/p2":   {1811628517, "0.002498545686592646", "f9704a75543b5d7f"},
-		"centralized/p3":   {1936813631, "0.0025052107076695422", "8def152036e41e77"},
-		"centralized/p12":  {3698096064, "0.0027420512356093364", "7fe7c2ff2d2e52d0"},
-		"centralized/p32":  {7341387471, "0.004067872758314248", "89664854c4662bbc"},
-		"centralized/p33":  {7564630877, "0.004186842897197545", "7636a3e30ff9c951"},
-		"two-level/p1":     {1538149413, "0.0024915039211912994", "47c9714939177ed4"},
-		"two-level/p2":     {2292131236, "0.002505968792568386", "7191e5c6f1bcbe74"},
-		"two-level/p3":     {2226474462, "0.0025142422284018186", "bccbce25e4739203"},
-		"two-level/p12":    {2758680726, "0.0026129757375174503", "7869e73c4399ac2d"},
-		"two-level/p32":    {3100951561, "0.002855729416714705", "b6ac5e9a158f5b81"},
-		"two-level/p33":    {3179579217, "0.0028989811098905803", "b9510605c4238ed7"},
-	}
 	m, err := model.Generate(model.GraphChallengeSpec(256, 2, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +380,7 @@ func TestGoldenLaunch(t *testing.T) {
 				if len(res.Workers) != p || !model.OutputsClose(res.Output, want, 1e-2) {
 					t.Fatalf("%d of %d workers ran, or the output diverges from reference inference", len(res.Workers), p)
 				}
-				checkGolden(t, name, res, golden[name])
+				golden.Check(t, resultDump(res))
 			})
 		}
 	}

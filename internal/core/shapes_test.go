@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/env"
+	"fsdinference/internal/golden"
 	"fsdinference/internal/model"
 	"fsdinference/internal/partition"
 )
@@ -22,21 +23,6 @@ func TestGoldenCollectiveShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 P=12 runs")
 	}
-	golden := map[string]goldenCell{
-		"FSD-Inf-Queue/flat/gather":     {3655112809, "0.0005101986225454864", "dd78c77fed905926"},
-		"FSD-Inf-Queue/flat/allreduce":  {3667780290, "0.0005459459484978063", "467b9bb29280653f"},
-		"FSD-Inf-Queue/tree/gather":     {3931220539, "0.0005699358316979397", "889de8e7d3b718ae"},
-		"FSD-Inf-Queue/tree/allreduce":  {3972205503, "0.08947044085066472", "5af5af5e1a595c8d"},
-		"FSD-Inf-Queue/ring/gather":     {5014969698, "0.000758478211982993", "56725242f84ad2e9"},
-		"FSD-Inf-Queue/ring/allreduce":  {4763346905, "0.07487850318822005", "4d0048df35be7b86"},
-		"FSD-Inf-Memory/flat/gather":    {3188571511, "0.002638613714813952", "312b75729a5c7ead"},
-		"FSD-Inf-Memory/flat/allreduce": {3191750587, "0.0026398006225425807", "6d89d8b04920d176"},
-		"FSD-Inf-Memory/tree/gather":    {3189023683, "0.002638984224490517", "7cf2e1270d46ed7e"},
-		"FSD-Inf-Memory/tree/allreduce": {3191071371, "0.002639750639418526", "2855e9248598e694"},
-		"FSD-Inf-Memory/ring/gather":    {3203557925, "0.0026413247659717205", "a5820c548fc1738a"},
-		"FSD-Inf-Memory/ring/allreduce": {3202231291, "0.0026418387653721134", "d20eac5d794ff2bc"},
-	}
-
 	m, err := model.Generate(model.GraphChallengeSpec(256, 6, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +64,7 @@ func TestGoldenCollectiveShapes(t *testing.T) {
 							t.Fatalf("worker %d's copy diverges from reference inference", id)
 						}
 					}
-					checkGolden(t, name, res, golden[name])
+					golden.Check(t, resultDump(res))
 				})
 			}
 		}

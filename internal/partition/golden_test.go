@@ -27,13 +27,11 @@ import (
 //     net costs drawn from 0–4 so that zero-gain moves and equal-gain
 //     ties are common, through hypergraph.Partition.
 //
-// A moved digest is a moved partition: every plan, golden and simulated
-// number downstream of HGP-DNN moves with it.
+// The owners are bulk binary, so the golden file holds one SHA-256 (first 8
+// bytes) per input set, a line each. A moved digest is a moved partition:
+// every plan, golden and simulated number downstream of HGP-DNN moves with
+// it.
 func TestGoldenHGPPlans(t *testing.T) {
-	const (
-		goldenGrid   = "3a2afb947e1a7edd"
-		goldenRandom = "b9b552dc2370f9ff"
-	)
 	type cell struct {
 		n, layers, workers int
 		seed               int64
@@ -70,12 +68,6 @@ func TestGoldenHGPPlans(t *testing.T) {
 		hashOwners(random, part)
 	}
 	golden.Check(t, fmt.Sprintf("%d-plan model grid %x\n300 random hypergraphs %x\n", len(cells), grid.Sum(nil)[:8], random.Sum(nil)[:8]))
-	if got := fmt.Sprintf("%x", grid.Sum(nil)[:8]); got != goldenGrid {
-		t.Errorf("HGP-DNN owners moved on the %d-plan model grid: digest %q, want %q", len(cells), got, goldenGrid)
-	}
-	if got := fmt.Sprintf("%x", random.Sum(nil)[:8]); got != goldenRandom {
-		t.Errorf("partitions moved on the 300 random hypergraphs: digest %q, want %q", got, goldenRandom)
-	}
 }
 
 func hashOwners(h hash.Hash, owner []int32) {

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,28 +20,12 @@ import (
 // enough that the reduce estimate crosses the Hybrid routing threshold at
 // both worker counts (Hybrid's collectives priced over its object route,
 // hybridFanout wide). Elsewhere only the collectives experiment reaches
-// pruneCollective, and only on Memory. The digest covers every trial's
+// pruneCollective, and only on Memory. Each cell's file lists every trial's
 // candidate, verdict and reason, and the pick — captured while the planner
 // still carried its own copy of the channel traits.
 func TestGoldenCollectivePrefilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three plans over a 24-candidate grid")
-	}
-	digests := map[string]string{
-		"weighted": "468f95e709872e88",
-		// Re-captured when every store kind took one idle-billing rule (the
-		// four Hybrid rows' reasons drop "control-plane"), then when one
-		// price comparison replaced Object's one-chunk rule (its four
-		// pruned rows' reasons name the dominance), then when the per-pair
-		// volume became wire's frame estimate (those rows' volumes).
-		"cost": "092184da0f49c4f4",
-		// Re-captured when Hybrid took Memory's request-rate rule (its four
-		// unsaturated-shard rows prune, and the pick moves to Queue x8),
-		// then for the four Object rows' dominance reasons, then for wire's
-		// frame estimate (those rows' volumes, and x32 tree's ratio), then
-		// when the volume became the raw frame the candidates deploy (Object
-		// x8 is trialed and picked; x32 tree's volume and ratio).
-		"wide": "3d6aafd2f8d8186c",
 	}
 	m := testModel(t, 256, 4)
 	grid := Grid{
@@ -75,10 +58,6 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "pick %v\n", d.Best)
 			golden.Check(t, b.String())
-			sum := sha256.Sum256([]byte(b.String()))
-			if got := fmt.Sprintf("%x", sum[:8]); got != digests[c.name] {
-				t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, digests[c.name], b.String())
-			}
 		})
 	}
 }
@@ -92,7 +71,6 @@ func TestGoldenCollectivePrefilter(t *testing.T) {
 // in {8, 42}. The P=42 model does not fit one instance, so Serial's row
 // prunes there and trials at P=8.
 func TestGoldenPrefilterVerdicts(t *testing.T) {
-	const want = "228d0a7196781c3a"
 	frames := []struct {
 		rows  int64
 		batch int
@@ -122,8 +100,4 @@ func TestGoldenPrefilterVerdicts(t *testing.T) {
 		}
 	}
 	golden.Check(t, b.String())
-	sum := sha256.Sum256([]byte(b.String()))
-	if got := fmt.Sprintf("%x", sum[:8]); got != want {
-		t.Errorf("pre-filter verdicts moved: got %q, want %q\n%s", got, want, b.String())
-	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"strings"
@@ -12,26 +11,19 @@ import (
 	"fsdinference/internal/golden"
 )
 
-// goldenSchedule is the digest of scheduleProgram over seeds 1..40.
-const goldenSchedule = "d1ec0c158390ddd2"
-
 // TestGoldenKernelSchedule pins what the kernel schedules, not how: seeded
 // random programs over every primitive (Go/GoAfter, Sleep/Yield,
 // Cond.Wait/WaitTimeout/Broadcast, WaitGroup, Limiter, Kill and
-// At/After/Stop, from procs and from closures) hashed by each resume's
+// At/After/Stop, from procs and from closures) written as each resume's
 // (now, proc, reason), each closure's firing, the final clock and Run's
-// error text. A change to how the event loop dispatches must leave the
-// digest alone.
+// error text, one line each. A change to how the event loop dispatches must
+// leave the file alone.
 func TestGoldenKernelSchedule(t *testing.T) {
-	h := fnv.New64a()
 	var b strings.Builder
 	for seed := int64(1); seed <= 40; seed++ {
-		scheduleProgram(io.MultiWriter(h, &b), seed)
+		scheduleProgram(&b, seed)
 	}
 	golden.Check(t, b.String())
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenSchedule {
-		t.Fatalf("schedule digest = %s, want %s", got, goldenSchedule)
-	}
 }
 
 // scheduleProgram runs one seeded random program and writes its schedule
