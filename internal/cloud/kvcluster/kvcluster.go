@@ -312,12 +312,21 @@ func (sh *shard) asyncApply(n *kvstore.Node, apply func(*kvstore.Node)) {
 // Failover time on the owning shard counts against the wait; nil is
 // returned on timeout exactly as for a plain node.
 func (c *Cluster) BLPop(p *sim.Proc, cl *Client, key string, wait time.Duration) []byte {
+	val, _ := c.BLPopReached(p, cl, key, wait)
+	return val
+}
+
+// BLPopReached is BLPop that also reports whether the pop reached the
+// owning node, which meters it as one op whether or not it found a value: a
+// wait spent entirely while the shard fails over returns nil, false and is
+// metered nothing.
+func (c *Cluster) BLPopReached(p *sim.Proc, cl *Client, key string, wait time.Duration) (val []byte, reached bool) {
 	sh := c.shardFor(key)
 	deadline := p.Now() + wait
 	for {
 		for sh.failing || sh.primary == nil {
 			if wait <= 0 || p.Now() >= deadline {
-				return nil
+				return nil, false
 			}
 			sh.cond.WaitTimeout(p, deadline-p.Now())
 		}
@@ -329,11 +338,11 @@ func (c *Cluster) BLPop(p *sim.Proc, cl *Client, key string, wait time.Duration)
 		}
 	}
 	// A wait already spent pops without blocking, as a zero wait does.
-	val := sh.primary.BLPop(p, key, deadline-p.Now())
+	val = sh.primary.BLPop(p, key, deadline-p.Now())
 	if val != nil {
 		sh.replicatePop(p, key)
 	}
-	return val
+	return val, true
 }
 
 // DropPrefix discards every key under prefix host-side on every cluster

@@ -394,11 +394,14 @@ const blockWait = time.Second
 
 // poll is the store's arrival source: BLPOP the worker's inbox and read the
 // value's tag and source from its header; one value is one source's whole
-// transfer. A starved read after a lossy cluster failover triggers one
-// sender-buffer re-send sweep for the phase's missing sources.
+// transfer. The read is charged an op only if it reached a node, as the
+// store meters it. A starved read after a lossy cluster failover triggers
+// one sender-buffer re-send sweep for the phase's missing sources.
 func (mc *memoryChannel) poll(w *worker, g *gathering) error {
-	w.run.usage.KVOps++
-	val := w.d.kvcluster.BLPop(w.ctx.P, &mc.client, mc.inbox, blockWait)
+	val, reached := w.d.kvcluster.BLPopReached(w.ctx.P, &mc.client, mc.inbox, blockWait)
+	if reached {
+		w.run.usage.KVOps++
+	}
 	if val == nil {
 		return mc.recover(w, g)
 	}
