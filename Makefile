@@ -33,13 +33,12 @@ identity:
 	go test ./internal/serve/ -run 'Trace|ByteIdent|Identical|Matches|Golden' -race -count=2
 
 # tables regenerates every registered experiment at QuickScale and diffs the
-# result against internal/experiments/testdata/quick.golden: the paper's
-# tables and figures, the ablations and the later experiments as one pinned
-# file (about 70 s, no race detector). A refactor must leave it alone; a
-# declared model change rewrites it with
-# `go test ./internal/experiments -run TestQuickGolden -update` and commits
-# the diff. `go test ./...` runs the same test among the package's others;
-# this target runs it alone.
+# result against internal/experiments/testdata/TestQuickGolden.golden: the
+# paper's tables and figures, the ablations and the later experiments as one
+# pinned file (about 70 s, no race detector). A refactor must leave it alone;
+# a declared model change rewrites it, with every other golden, by
+# `make golden` and commits the diff. `go test ./...` runs the same test
+# among the package's others; this target runs it alone.
 tables:
 	go test ./internal/experiments -run TestQuickGolden -count=1
 
@@ -81,7 +80,7 @@ fuzz-smoke:
 # assembly in kernels_amd64.s instead, so nothing else here compiles them.
 # 386 runs the package's tests, arm64 is vetted. 386 also runs the planner's
 # and fsdcost's tests, so the transport rows' float pricing — every
-# pre-filter verdict and fsdcost.golden — is checked off amd64 too, and
+# pre-filter verdict and fsdcost's golden report — is checked off amd64 too, and
 # wire's, so the frame estimate the chunk split cuts by is. Last, it fails
 # on any fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB) in arm64's
 # assembly of the pricing packages — the meter and the services that charge

@@ -384,12 +384,12 @@ func (c Config) validate() error {
 
 // WorkerMetrics reports one worker's activity during a run.
 type WorkerMetrics struct {
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	ID         int32
 	StartedAt  time.Duration // virtual time the handler began
 	FinishedAt time.Duration
 	Warm       bool
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	LoadTime time.Duration // model/maps/input load from the store
 	// BarrierTime and ReduceTime isolate the closing collectives'
 	// latency (the tree/ring-versus-flat comparison metric).
@@ -398,16 +398,16 @@ type WorkerMetrics struct {
 
 	// MACs is the multiply-adds a rank alone (Serial) charged. FSI ranks
 	// leave it zero: their compute is in the instance's Compute charges,
-	// and recording it here would move the pinned P>1 digests.
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	// and recording it here would move every P>1 golden dump.
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	MACs     float64
 	RowsSent int64
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	RowsRecv     int64
 	BytesSent    int64 // encoded payload bytes shipped
 	MessagesSent int64 // queue: messages published; object: objects written
 	Fetches      int64 // queue: messages received; object: GET calls
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	PeakMemBytes int64
 }
 
@@ -430,7 +430,7 @@ type Result struct {
 	LaunchComplete time.Duration
 	// CoordinatorRuntime is the coordinator function's billed runtime
 	// (zero for serial runs).
-	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the pinned digests (ROADMAP 1)
+	//simlint:allow testonly — core's golden resultDump prints it, so it goes only with a re-capture of the core goldens (ROADMAP 1)
 	CoordinatorRuntime time.Duration
 	Batch              int
 	Workers            []*WorkerMetrics

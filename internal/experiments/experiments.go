@@ -11,9 +11,10 @@
 // evaluated analytically at the true paper dimensions, so qualitative
 // outcomes (the serial OOM at N=65536, the Sage sample truncation) appear
 // exactly where the paper reports them. README.md ("Experiments") describes
-// the mapping and the projection to paper scale; testdata/quick.golden holds
-// every experiment's table at QuickScale, and experiments_test.go asserts
-// the paper's qualitative claims on them.
+// the mapping and the projection to paper scale;
+// testdata/TestQuickGolden.golden holds every experiment's table at
+// QuickScale, and experiments_test.go asserts the paper's qualitative claims
+// on them.
 package experiments
 
 import (
